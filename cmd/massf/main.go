@@ -2,17 +2,17 @@
 // network file: it maps the network onto engine nodes with a chosen
 // load-balance approach, drives the paper's background and foreground
 // workloads, and reports the evaluation metrics (simulation time, achieved
-// MLL, load imbalance, parallel efficiency). A profiling pass can be
-// captured with -profile-out and fed back via -profile for the
-// profile-based approaches.
-//
-// Example two-pass PROF workflow:
+// MLL, load imbalance, parallel efficiency). A profile-based approach
+// (PROF, PROF2, HPROF) runs a sequential profiling pass first; to pay for
+// it once, capture any run's measured profile with -profile-out and feed
+// it back via -profile:
 //
 //	massf -net net.dml -approach RANDOM -engines 1 -profile-out prof.txt
 //	massf -net net.dml -approach HPROF -engines 90 -profile prof.txt
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -23,19 +23,16 @@ import (
 	"strings"
 	"time"
 
-	"massf"
+	"massf/internal/des"
+	"massf/internal/experiments"
+	"massf/internal/faults"
+	"massf/internal/flight"
+	"massf/internal/memstat"
+	"massf/internal/netmon"
+	"massf/internal/profile"
+	"massf/internal/runspec"
+	"massf/internal/telemetry"
 )
-
-var approaches = map[string]massf.Approach{
-	"RANDOM": massf.RANDOM,
-	"TOP":    massf.TOP,
-	"TOP2":   massf.TOP2,
-	"PLACE":  massf.PLACE,
-	"PROF":   massf.PROF,
-	"PROF2":  massf.PROF2,
-	"HTOP":   massf.HTOP,
-	"HPROF":  massf.HPROF,
-}
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout, func() int64 { return time.Now().UnixNano() }); err != nil {
@@ -48,6 +45,10 @@ func main() {
 // args, the report written to out, and the clock behind `-seed 0` supplied
 // by nowNano — so a test can pin the derived seed and assert that a rerun
 // with the *printed* seed reproduces the report byte for byte.
+//
+// The command owns flags, files and printing; the simulation itself is the
+// shared launch path (internal/experiments), the same steps massfd walks a
+// submitted spec through.
 func run(args []string, out io.Writer, nowNano func() int64) error {
 	fs := flag.NewFlagSet("massf", flag.ContinueOnError)
 	fs.SetOutput(out)
@@ -59,7 +60,7 @@ func run(args []string, out io.Writer, nowNano func() int64) error {
 		app       = fs.String("app", "scalapack", "foreground application: scalapack, gridnpb, none")
 		clients   = fs.Int("clients", 0, "background HTTP clients (default: 80% of free hosts)")
 		servers   = fs.Int("servers", 0, "background HTTP servers (default: the rest)")
-		profPath  = fs.String("profile", "", "traffic profile input")
+		profPath  = fs.String("profile", "", "traffic profile input (default for profile-based approaches: run a sequential profiling pass first)")
 		profIn    = fs.String("profile-in", "", "alias for -profile (pairs with -profile-out)")
 		profOut   = fs.String("profile-out", "", "write the measured profile here")
 		faultPath = fs.String("faults", "", "JSON fault script: scripted link/router churn with live reconvergence")
@@ -116,211 +117,131 @@ func run(args []string, out io.Writer, nowNano func() int64) error {
 	if *seed == 0 {
 		*seed = nowNano()
 	}
-	a, ok := approaches[strings.ToUpper(*name)]
-	if !ok {
-		return fmt.Errorf("unknown approach %q", *name)
-	}
-	hybrid := false
-	switch strings.ToLower(*fidelity) {
-	case "", "packet":
-	case "hybrid":
-		hybrid = true
-	default:
-		return fmt.Errorf("unknown -fidelity %q (want packet or hybrid)", *fidelity)
-	}
-
-	setupStart := time.Now()
-	f, err := os.Open(*netPath)
-	if err != nil {
-		return err
-	}
-	net, err := massf.LoadNetwork(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	routes := massf.NewRouting(net)
-
 	if *profIn != "" {
 		if *profPath != "" && *profPath != *profIn {
 			return fmt.Errorf("-profile and -profile-in name different files")
 		}
 		*profPath = *profIn
 	}
-	var prof *massf.Profile
-	if *profPath != "" {
-		pf, err := os.Open(*profPath)
-		if err != nil {
-			return err
-		}
-		prof, err = massf.ReadProfile(pf)
-		pf.Close()
-		if err != nil {
-			return err
-		}
+	if *pathTrace != "" && *netSample == 0 {
+		*netSample = 16
 	}
 
-	var plane *massf.FaultPlane
+	sc := experiments.Scenario{
+		Approach: *name, App: *app, Clients: *clients, Servers: *servers,
+		RunSpec: runspec.RunSpec{
+			Engines: *engines, Seconds: *horizon, Seed: *seed,
+			RealTimeFactor: *realTime, EventCostUS: *eventCost,
+			NetMon: *netStats, NetSample: *netSample,
+			FlowFidelity: strings.ToLower(*fidelity), FluidQuantumUS: *fluidQtm,
+		},
+	}
+	setupStart := time.Now()
+	dml, err := os.ReadFile(*netPath)
+	if err != nil {
+		return err
+	}
+	sc.DML = string(dml)
+	if *profPath != "" {
+		text, err := os.ReadFile(*profPath)
+		if err != nil {
+			return err
+		}
+		sc.Profile = string(text)
+	}
 	if *faultPath != "" {
 		ff, err := os.Open(*faultPath)
 		if err != nil {
 			return err
 		}
-		script, err := massf.LoadFaultScript(ff)
+		sc.Faults, err = faults.Load(ff)
 		ff.Close()
 		if err != nil {
 			return err
 		}
-		if plane, err = massf.NewFaultPlane(net, routes, script); err != nil {
-			return err
-		}
 	}
-
-	mapping, err := massf.Map(net, a, massf.MappingConfig{Engines: *engines, Seed: *seed}, prof)
-	if err != nil {
-		return err
-	}
-	end := massf.Time(*horizon * float64(massf.Second))
-	cost := massf.Time(*eventCost * float64(massf.Microsecond))
 	// The flight recorder costs one ring append per barrier window, so it
 	// is only armed when a trace or straggler report was asked for. The
 	// path-trace lanes align to the engine tracks, so -pathtrace arms it
 	// too.
-	var tel *massf.Telemetry
 	if *traceOut != "" || *straggler > 0 || *pathTrace != "" {
-		tel = massf.NewTelemetry(*engines)
+		sc.Telemetry = telemetry.New(*engines, 4096)
 	}
-	if *pathTrace != "" && *netSample == 0 {
-		*netSample = 16
-	}
-	var mon *massf.NetMon
-	if *netStats || *netSample > 0 {
-		bw := make([]int64, len(net.Links))
-		for i := range net.Links {
-			bw[i] = net.Links[i].Bandwidth
-		}
-		mon = massf.NewNetMon(massf.NetMonOptions{
-			Links: len(net.Links), Horizon: end,
-			SampleEvery: *netSample, Bandwidths: bw,
-		})
-	}
-	cfg := massf.SimConfig{
-		Net: net, Routes: routes, Part: mapping.Part, Engines: *engines,
-		Window: mapping.MLL, End: end, Seed: *seed,
-		EventCost: cost, RealTimeFactor: *realTime, Telemetry: tel,
-		NetMon: mon,
-	}
-	if plane != nil {
-		cfg.Faults = plane
+	sc.Normalize()
+	if err := sc.Validate(); err != nil {
+		return err
 	}
 
-	// Host roles (needed before NewSimulation: a hybrid run's fluid plane
-	// is built from the client/server roles and attached at construction).
-	var hosts []massf.NodeID
-	for i := range net.Nodes {
-		if net.Nodes[i].Kind == massf.Host {
-			hosts = append(hosts, massf.NodeID(i))
-		}
-	}
-	if len(hosts) < 9 {
-		return fmt.Errorf("network has only %d hosts; need ≥ 9", len(hosts))
-	}
-	if plane != nil {
-		plane.Prepare(hosts)
-	}
-	appHosts := hosts[:7]
-	free := hosts[7:]
-	nc := *clients
-	if nc <= 0 || nc > len(free)-1 {
-		nc = len(free) * 4 / 5
-	}
-	ns := *servers
-	if ns <= 0 || nc+ns > len(free) {
-		ns = len(free) - nc
-	}
-	httpCfg := massf.HTTPConfig{
-		Clients: free[:nc], Servers: free[nc : nc+ns],
-		MeanGap: 5 * massf.Second, MeanFileBytes: 50_000, Seed: *seed,
-	}
-	var httpStats *massf.HTTPStats
-	if hybrid {
-		bgFlows, next, stats := massf.FluidHTTPWorkload(httpCfg, end)
-		fcfg := massf.FluidConfig{
-			Net: net, Routes: routes, End: end,
-			Quantum: massf.Time(*fluidQtm * float64(massf.Microsecond)),
-			Next:    next,
-		}
-		if plane != nil {
-			fcfg.Faults = plane
-		}
-		fp, err := massf.BuildFluidPlane(fcfg, bgFlows)
-		if err != nil {
-			return err
-		}
-		cfg.Fluid = fp
-		httpStats = stats
-	}
-	sim, err := massf.NewSimulation(cfg)
+	ctx := context.Background()
+	net, multi, err := sc.Network()
 	if err != nil {
 		return err
 	}
-	if !hybrid {
-		httpStats = massf.InstallHTTP(sim, httpCfg)
+	st, err := sc.Build(net, multi)
+	if err != nil {
+		return err
 	}
-	var appFlows []*massf.WorkflowStats
-	var flows []massf.Workflow
-	switch strings.ToLower(*app) {
-	case "scalapack":
-		flows = []massf.Workflow{massf.ScaLapackWorkflow(appHosts, massf.DefaultScaLapack())}
-	case "gridnpb":
-		flows = massf.GridNPBWorkflows(appHosts)
-	case "none":
-	default:
-		return fmt.Errorf("unknown app %q", *app)
+	// Like massfd's setup_ms, the setup time leaves the profiling pass out:
+	// it is a full simulation, not construction.
+	setup := time.Since(setupStart)
+	prof, err := sc.TrafficProfile(ctx, st)
+	if err != nil {
+		return err
 	}
-	for _, w := range flows {
-		ws, err := massf.InstallWorkflow(sim, w, 0)
-		if err != nil {
-			return err
-		}
-		appFlows = append(appFlows, ws)
+	var pass *profile.Profile
+	if sc.Profile == "" {
+		pass = prof
 	}
-
-	setupSec := time.Since(setupStart).Seconds()
-	res := sim.Run()
-	mem := massf.ReadMemStats()
-	rep := massf.ReportFor(a.String(), &res, cost)
+	mapStart := time.Now()
+	mapping, err := sc.Map(st, prof)
+	if err != nil {
+		return err
+	}
+	sim, err := sc.Prepare(st, mapping)
+	if err != nil {
+		return err
+	}
+	setupSec := (setup + time.Since(mapStart)).Seconds()
+	res := sim.Run(ctx)
+	mem := memstat.ReadStable()
+	mon := sim.NetMon()
+	tel := sc.Telemetry
+	a := mapping.Approach
 	if *jsonOut {
 		doc := map[string]any{
 			"approach":   a.String(),
 			"engines":    *engines,
-			"fidelity":   strings.ToLower(*fidelity),
+			"fidelity":   sc.FlowFidelity,
 			"seed":       *seed,
 			"mll_ns":     int64(mapping.MLL),
-			"horizon_ns": int64(end),
+			"horizon_ns": int64(sc.Horizon()),
 			"setup_sec":  setupSec,
 			"mem":        mem,
-			"report":     rep,
+			"report":     res.Report,
+			"partition":  mapping.Part,
 			"http": map[string]uint64{
-				"requests": httpStats.TotalRequests(), "responses": httpStats.TotalResponses(),
+				"requests": res.HTTP.TotalRequests(), "responses": res.HTTP.TotalResponses(),
 			},
+		}
+		if pass != nil {
+			doc["profiling_pass_events"] = pass.TotalEvents()
 		}
 		// Stats.Err is an interface; surface it as a string and clear it so
 		// the embedded Result marshals cleanly.
-		if res.Err != nil {
-			doc["error"] = res.Err.Error()
-			res.Err = nil
+		if res.Result.Err != nil {
+			doc["error"] = res.Result.Err.Error()
+			res.Result.Err = nil
 		}
-		doc["result"] = &res
-		if len(appFlows) > 0 {
-			apps := make([]map[string]any, len(appFlows))
-			for i, ws := range appFlows {
+		doc["result"] = &res.Result
+		if len(res.Apps) > 0 {
+			apps := make([]map[string]any, len(res.Apps))
+			for i, ws := range res.Apps {
 				apps[i] = map[string]any{"rounds": ws.Rounds, "first_finish_ns": int64(ws.FirstFinish)}
 			}
 			doc["apps"] = apps
 		}
-		if plane != nil {
-			doc["faults"] = plane.Events()
+		if res.Faults != nil {
+			doc["faults"] = res.Faults
 		}
 		if mon != nil {
 			doc["netmon"] = map[string]any{
@@ -334,18 +255,16 @@ func run(args []string, out io.Writer, nowNano func() int64) error {
 		if err := enc.Encode(doc); err != nil {
 			return err
 		}
-	}
-	if !*jsonOut {
-		printTextReport(out, a, *engines, *seed, mapping.MLL, end, setupSec, mem, &res, rep, httpStats, appFlows, plane, mon)
+	} else {
+		printTextReport(out, &sc, setupSec, mem, pass, res, mon)
 	}
 
 	if *profOut != "" {
-		p := massf.ProfileFromResult(&res, end)
 		of, err := os.Create(*profOut)
 		if err != nil {
 			return err
 		}
-		if err := p.Write(of); err != nil {
+		if err := res.Captured.Write(of); err != nil {
 			of.Close()
 			return err
 		}
@@ -354,11 +273,8 @@ func run(args []string, out io.Writer, nowNano func() int64) error {
 		}
 	}
 
+	meta := map[string]string{"approach": a.String(), "engines": fmt.Sprint(*engines), "net": *netPath}
 	if *traceOut != "" {
-		tf, err := os.Create(*traceOut)
-		if err != nil {
-			return err
-		}
 		// One shared build serves every engine in-process: broadcast the
 		// setup span to all tracks so the trace shows what a distributed
 		// worker's rebuild would cost.
@@ -366,48 +282,26 @@ func run(args []string, out io.Writer, nowNano func() int64) error {
 		for i := range setupSpans {
 			setupSpans[i] = int64(setupSec * 1e9)
 		}
-		err = massf.WriteChromeTraceEvents(tf,
-			massf.BuildTraceEventsWithSetup(tel.Windows.Snapshot(), setupSpans),
-			map[string]string{
-				"approach": a.String(),
-				"engines":  fmt.Sprint(*engines),
-				"net":      *netPath,
-			})
-		if cerr := tf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		events := telemetry.BuildTraceEventsWithSetup(tel.Windows.Snapshot(), setupSpans)
+		if err := writeTrace(*traceOut, events, meta); err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "trace                %s (%d windows recorded)\n", *traceOut, res.Windows)
+		fmt.Fprintf(out, "trace                %s (%d windows recorded)\n", *traceOut, res.Result.Windows)
 	}
 	if *pathTrace != "" {
 		recs := tel.Windows.Snapshot()
 		spans := mon.Spans()
-		events := massf.BuildTraceEvents(recs)
-		events = append(events, massf.PathTraceEvents(spans, recs)...)
-		pf, err := os.Create(*pathTrace)
-		if err != nil {
-			return err
-		}
-		err = massf.WriteChromeTraceEvents(pf, events, map[string]string{
-			"approach":     a.String(),
-			"engines":      fmt.Sprint(*engines),
-			"net":          *netPath,
-			"sample_every": fmt.Sprint(*netSample),
-		})
-		if cerr := pf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		events := append(telemetry.BuildTraceEvents(recs), netmon.PathTraceEvents(spans, recs)...)
+		meta["sample_every"] = fmt.Sprint(*netSample)
+		if err := writeTrace(*pathTrace, events, meta); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "pathtrace            %s (%d sampled paths, %d hop spans)\n",
 			*pathTrace, len(mon.Paths()), len(spans))
 	}
 	if *straggler > 0 {
-		rep := massf.AnalyzeFlight(tel.Windows.Snapshot(), *straggler)
-		rep.AttributeRouters(mapping.Part, res.NodeEvents, 5)
+		rep := flight.Analyze(tel.Windows.Snapshot(), *straggler)
+		rep.AttributeRouters(mapping.Part, res.Result.NodeEvents, 5)
 		fmt.Fprintln(out)
 		if err := rep.WriteText(out); err != nil {
 			return err
@@ -416,20 +310,34 @@ func run(args []string, out io.Writer, nowNano func() int64) error {
 	return nil
 }
 
+// writeTrace writes Chrome trace events to a new file at path.
+func writeTrace(path string, events []telemetry.TraceEvent, meta map[string]string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = telemetry.WriteChromeTraceEvents(f, events, meta)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 // printTextReport writes the human-readable run report: the headline
 // metrics, per-app workflow progress, the fault timeline when a fault
 // script ran, and the network observability digest when the plane was
 // attached.
-func printTextReport(out io.Writer, a massf.Approach, engines int, seed int64,
-	mll, end massf.Time, setupSec float64, mem massf.MemSample,
-	res *massf.Result, rep massf.Report,
-	httpStats *massf.HTTPStats, appFlows []*massf.WorkflowStats,
-	plane *massf.FaultPlane, mon *massf.NetMon) {
-	fmt.Fprintf(out, "approach             %v\n", a)
-	fmt.Fprintf(out, "engines              %d\n", engines)
-	fmt.Fprintf(out, "seed                 %d\n", seed)
-	fmt.Fprintf(out, "achieved MLL         %v\n", mll)
-	fmt.Fprintf(out, "simulated horizon    %v\n", end)
+func printTextReport(out io.Writer, sc *experiments.Scenario, setupSec float64, mem memstat.Sample,
+	pass *profile.Profile, run *experiments.RunOutcome, mon *netmon.Mon) {
+	res, rep := &run.Result, run.Report
+	fmt.Fprintf(out, "approach             %v\n", run.Mapping.Approach)
+	fmt.Fprintf(out, "engines              %d\n", sc.Engines)
+	fmt.Fprintf(out, "seed                 %d\n", sc.Seed)
+	if pass != nil {
+		fmt.Fprintf(out, "profiling pass       %d events\n", pass.TotalEvents())
+	}
+	fmt.Fprintf(out, "achieved MLL         %v\n", run.Mapping.MLL)
+	fmt.Fprintf(out, "simulated horizon    %v\n", sc.Horizon())
 	fmt.Fprintf(out, "setup time           %.3f s\n", setupSec)
 	fmt.Fprintf(out, "memory               %.1f MiB heap in use, %.1f MiB peak RSS\n",
 		float64(mem.HeapInuse)/(1<<20), float64(mem.PeakRSS)/(1<<20))
@@ -446,32 +354,24 @@ func printTextReport(out io.Writer, a massf.Approach, engines int, seed int64,
 			res.FluidStarted, res.FluidCompleted, float64(res.FluidDeliveredBits)/1e6)
 	}
 	fmt.Fprintf(out, "http                 %d requests, %d responses\n",
-		httpStats.TotalRequests(), httpStats.TotalResponses())
-	for i, ws := range appFlows {
+		run.HTTP.TotalRequests(), run.HTTP.TotalResponses())
+	for i, ws := range run.Apps {
 		fmt.Fprintf(out, "app[%d]               %d rounds, first finish %v\n", i, ws.Rounds, ws.FirstFinish)
 	}
-	if plane != nil {
-		var lost uint64
-		for _, d := range res.FaultDrops {
-			lost += d
-		}
+	if run.Faults != nil {
 		fmt.Fprintf(out, "faults               %d events, %d pkts lost during reconvergence\n",
-			plane.NumFaults(), lost)
-		for i, ev := range plane.Events() {
+			len(run.Faults), run.Net.FaultDrops)
+		for i, ev := range run.Faults {
 			target := fmt.Sprintf("link %d", ev.Link)
-			if ev.Kind == massf.NodeFaultDown || ev.Kind == massf.NodeFaultUp {
+			if ev.Kind == faults.NodeDown || ev.Kind == faults.NodeUp {
 				target = fmt.Sprintf("node %d", ev.Node)
 			}
 			if ev.NoOp {
 				fmt.Fprintf(out, "fault[%d]             %s %s at %v: no-op\n", i, ev.Kind, target, ev.At)
 				continue
 			}
-			var drops uint64
-			if i < len(res.FaultDrops) {
-				drops = res.FaultDrops[i]
-			}
 			fmt.Fprintf(out, "fault[%d]             %s %s at %v: %d bgp msgs, %d routes changed, routes live at %v, %d pkts lost\n",
-				i, ev.Kind, target, ev.At, ev.UpdateMsgs, ev.RoutesChanged, ev.RoutesAt, drops)
+				i, ev.Kind, target, ev.At, ev.UpdateMsgs, ev.RoutesChanged, ev.RoutesAt, ev.Drops)
 		}
 	}
 	if mon != nil {
@@ -482,12 +382,12 @@ func printTextReport(out io.Writer, a massf.Approach, engines int, seed int64,
 			sum.FlowsRecorded, sum.FlowsCompleted)
 		if sum.FlowsCompleted > 0 {
 			fmt.Fprintf(out, "net FCT              p50 %v, p90 %v, p99 %v\n",
-				massf.Time(sum.FCTP50NS), massf.Time(sum.FCTP90NS), massf.Time(sum.FCTP99NS))
+				des.Time(sum.FCTP50NS), des.Time(sum.FCTP90NS), des.Time(sum.FCTP99NS))
 		}
 		lr := mon.LinkReport(5, false)
 		for i, d := range lr.Links {
 			fmt.Fprintf(out, "net link[%d]          link %d dir %d: %d bits, mean util %.3f, peak %.3f, max queue %v\n",
-				i, d.Link, d.Dir, d.Bits, d.MeanUtil, d.PeakUtil, massf.Time(d.QueueMaxNS))
+				i, d.Link, d.Dir, d.Bits, d.MeanUtil, d.PeakUtil, des.Time(d.QueueMaxNS))
 		}
 		if mon.Sampling() {
 			fmt.Fprintf(out, "net paths            %d sampled (every %d pkts), %d hop spans\n",

@@ -6,11 +6,15 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"massf"
+	"massf/internal/runctl"
+	"massf/internal/runspec"
 )
 
 // writeTestNet saves a small generated network as DML and returns its path.
@@ -186,5 +190,121 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	netPath := writeTestNet(t)
 	if err := run([]string{"-net", netPath, "-approach", "NOPE"}, &out, func() int64 { return 1 }); err == nil {
 		t.Error("unknown approach accepted")
+	}
+}
+
+// jsonRun is the slice of the -json document the launch-path tests read.
+type jsonRun struct {
+	ProfilingPassEvents uint64  `json:"profiling_pass_events"`
+	Partition           []int32 `json:"partition"`
+	Result              struct {
+		TotalEvents    uint64
+		FlowsStarted   int
+		FlowsCompleted int
+		Dropped        uint64
+		NodeEvents     []uint64
+	} `json:"result"`
+}
+
+func runJSON(t *testing.T, args ...string) jsonRun {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := run(append(args, "-json"), &buf, func() int64 { return 1 }); err != nil {
+		t.Fatal(err)
+	}
+	var doc jsonRun
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("-json output does not parse: %v\n%s", err, buf.String())
+	}
+	return doc
+}
+
+// TestMatchesDaemon: massf and massfd run a spec through the same launch
+// path, so the same network, seed, approach, app and horizon give the same
+// simulation on both surfaces — same host roles, same partition, same
+// events on every node.
+func TestMatchesDaemon(t *testing.T) {
+	netPath := writeTestNet(t)
+	dml, err := os.ReadFile(netPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli := runJSON(t, "-net", netPath, "-approach", "TOP2", "-engines", "2",
+		"-seconds", "1", "-app", "scalapack", "-seed", "7")
+
+	mgr := runctl.NewManager(1, 64)
+	r, err := mgr.Submit(runctl.Spec{
+		DML: string(dml), Approach: "TOP2", App: "scalapack",
+		RunSpec: runspec.RunSpec{Engines: 2, Seconds: 1, Seed: 7},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for !r.State().Terminal() {
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon run stuck in state %s", r.State())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	info := r.Info()
+	if info.State != runctl.StateDone {
+		t.Fatalf("daemon run ended %s (err=%q)", info.State, info.Error)
+	}
+	if cli.Result.TotalEvents == 0 || cli.Result.FlowsStarted == 0 {
+		t.Fatalf("degenerate run: %+v", cli.Result)
+	}
+	if cli.Result.TotalEvents != info.Report.TotalEvents ||
+		cli.Result.FlowsStarted != info.Net.FlowsStarted ||
+		cli.Result.FlowsCompleted != info.Net.FlowsCompleted ||
+		cli.Result.Dropped != info.Net.Dropped {
+		t.Errorf("totals differ: massf %+v, massfd report %+v net %+v", cli.Result, info.Report, info.Net)
+	}
+	if !reflect.DeepEqual(cli.Partition, r.Partition()) {
+		t.Errorf("partitions differ:\nmassf  %v\nmassfd %v", cli.Partition, r.Partition())
+	}
+	if !reflect.DeepEqual(cli.Result.NodeEvents, r.CapturedProfile().NodeEvents) {
+		t.Errorf("per-node event counts differ")
+	}
+}
+
+// TestProfileBasedApproachProfilesItself: a profile-based approach with no
+// -profile runs the profiling pass first (it used to fail asking for a
+// profile); with -profile-in the pass is skipped and the supplied
+// measurements drive the same mapping.
+func TestProfileBasedApproachProfilesItself(t *testing.T) {
+	netPath := writeTestNet(t)
+	profPath := filepath.Join(t.TempDir(), "prof.txt")
+	base := []string{"-net", netPath, "-approach", "HPROF", "-engines", "2",
+		"-seconds", "1", "-app", "scalapack", "-seed", "7"}
+
+	self := runJSON(t, append(append([]string{}, base...), "-profile-out", profPath)...)
+	if self.ProfilingPassEvents == 0 {
+		t.Fatal("HPROF without -profile reports no profiling pass")
+	}
+	// The pass is the same workload on one engine: it measures exactly the
+	// per-node load the mapped run then executes.
+	var mapped uint64
+	for _, n := range self.Result.NodeEvents {
+		mapped += n
+	}
+	if self.ProfilingPassEvents != mapped {
+		t.Errorf("profiling pass measured %d node events, the mapped run %d", self.ProfilingPassEvents, mapped)
+	}
+
+	fed := runJSON(t, append(append([]string{}, base...), "-profile-in", profPath)...)
+	if fed.ProfilingPassEvents != 0 {
+		t.Errorf("-profile-in still ran a profiling pass (%d events)", fed.ProfilingPassEvents)
+	}
+	if !reflect.DeepEqual(fed.Partition, self.Partition) {
+		t.Errorf("measured profile fed back maps differently from the pass it was captured after")
+	}
+
+	var text bytes.Buffer
+	if err := run(base, &text, func() int64 { return 1 }); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(text.String(), "profiling pass ") {
+		t.Errorf("text report does not mention the profiling pass:\n%s", text.String())
 	}
 }

@@ -7,11 +7,11 @@
 // Example session:
 //
 //	massfd -addr 127.0.0.1:8672 &
-//	curl -s localhost:8672/runs -d '{"flat":{"routers":200,"hosts":100},"engines":4,"seconds":2}'
-//	curl -s localhost:8672/runs -d '{"flat":{"routers":200,"hosts":100},"engines":4,"seconds":2,
+//	curl -s localhost:8672/api/v1/runs -d '{"flat":{"routers":200,"hosts":100},"engines":4,"seconds":2}'
+//	curl -s localhost:8672/api/v1/runs -d '{"flat":{"routers":200,"hosts":100},"engines":4,"seconds":2,
 //	                                 "flow_fidelity":"hybrid"}'   # background HTTP on the fluid plane
-//	curl -s localhost:8672/runs/r0001/metrics          # live NDJSON
-//	curl -s localhost:8672/metrics                     # Prometheus
+//	curl -s localhost:8672/api/v1/runs/r0001/metrics          # live NDJSON
+//	curl -s localhost:8672/api/v1/metrics                     # Prometheus
 //
 // With -worker the binary is instead one worker of a DISTRIBUTED
 // simulation: it dials the coordinator, receives its job (kind + hosted

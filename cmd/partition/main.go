@@ -14,21 +14,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"massf"
+	"massf/internal/core"
 )
-
-var approaches = map[string]massf.Approach{
-	"RANDOM": massf.RANDOM,
-	"TOP":    massf.TOP,
-	"TOP2":   massf.TOP2,
-	"PLACE":  massf.PLACE,
-	"PROF":   massf.PROF,
-	"PROF2":  massf.PROF2,
-	"HTOP":   massf.HTOP,
-	"HPROF":  massf.HPROF,
-}
 
 func main() {
 	var (
@@ -43,9 +32,9 @@ func main() {
 	if *netPath == "" {
 		fatal(fmt.Errorf("-net is required"))
 	}
-	a, ok := approaches[strings.ToUpper(*name)]
-	if !ok {
-		fatal(fmt.Errorf("unknown approach %q", *name))
+	a, err := core.ParseApproach(*name)
+	if err != nil {
+		fatal(err)
 	}
 	f, err := os.Open(*netPath)
 	if err != nil {

@@ -20,6 +20,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"massf/internal/cluster"
 	"massf/internal/des"
@@ -69,6 +70,16 @@ func (a Approach) String() string {
 	default:
 		return fmt.Sprintf("Approach(%d)", int(a))
 	}
+}
+
+// ParseApproach is the inverse of String, ignoring case.
+func ParseApproach(name string) (Approach, error) {
+	for a := RANDOM; a <= HPROF; a++ {
+		if strings.EqualFold(name, a.String()) {
+			return a, nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown approach %q", name)
 }
 
 // Hierarchical reports whether the approach uses the T_mll sweep.

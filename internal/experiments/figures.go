@@ -60,13 +60,12 @@ func Evaluate(st *Setup, w Workload) (*Eval, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%v/%v: %w", a, w, err)
 		}
-		rep := metrics.FromStats(a.String(), out.Result.Stats, st.Scale.EventCost)
 		rounds := 0
 		for _, app := range out.Apps {
 			rounds += app.Rounds
 		}
 		ev.Rows = append(ev.Rows, Row{
-			Approach: a, Simulated: true, MLL: out.Mapping.MLL, Report: rep, AppRounds: rounds,
+			Approach: a, Simulated: true, MLL: out.Mapping.MLL, Report: out.Report, AppRounds: rounds,
 		})
 		if a == core.HPROF {
 			ev.Fig3 = out

@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -15,6 +16,7 @@ import (
 	"massf/internal/faults"
 	"massf/internal/fluid"
 	"massf/internal/mabrite"
+	"massf/internal/metrics"
 	"massf/internal/model"
 	"massf/internal/netmon"
 	"massf/internal/netsim"
@@ -145,7 +147,7 @@ func BuildSingleAS(sc Scale) (*Setup, error) {
 	if err != nil {
 		return nil, err
 	}
-	return finishSetup(sc, net, false, nil)
+	return NewSetup(net, sc, false)
 }
 
 // BuildMultiAS constructs the Section 5 testbed: an Internet-like multi-AS
@@ -158,36 +160,17 @@ func BuildMultiAS(sc Scale) (*Setup, error) {
 	if err != nil {
 		return nil, err
 	}
-	return finishSetup(sc, net, true, nil)
+	return NewSetup(net, sc, true)
 }
 
 // NewSetup builds a Setup from an already-constructed network — the
-// run-control daemon's entry point, where topologies may arrive as DML
-// uploads rather than through the built-in generators. Scale supplies the
-// host roles, engine count, horizon and seed; the topology fields of Scale
-// are ignored.
+// launch path's entry point, where topologies may arrive as DML uploads
+// rather than through the built-in generators. Scale supplies the host
+// roles, engine count, horizon and seed; the topology fields of Scale are
+// ignored.
 func NewSetup(net *model.Network, sc Scale, multi bool) (*Setup, error) {
-	return finishSetup(sc, net, multi, nil)
-}
-
-// NewSetupScoped is NewSetup for one distributed worker's slice: routing
-// state is scoped to the nodes marked in scope (next-hop trees retain only
-// owned entries, computed lazily on first lookup) and no eager route
-// warm-up runs. Host-role selection still spans the full network so every
-// worker derives identical clients/servers/app hosts; only the retained
-// state is slice-local.
-func NewSetupScoped(net *model.Network, sc Scale, multi bool, scope []bool) (*Setup, error) {
-	return finishSetup(sc, net, multi, scope)
-}
-
-func finishSetup(sc Scale, net *model.Network, multi bool, scope []bool) (*Setup, error) {
 	st := &Setup{Scale: sc, MultiAS: multi, Net: net, Sync: cluster.DefaultTeraGrid()}
-	var router *interdomain.Router
-	if scope != nil {
-		router = interdomain.NewScoped(net, scope)
-	} else {
-		router = interdomain.New(net)
-	}
+	router := interdomain.New(net)
 	st.Routes = router
 	st.Router = router
 	for i := range net.Nodes {
@@ -224,12 +207,8 @@ func finishSetup(sc Scale, net *model.Network, multi bool, scope []bool) (*Setup
 	}
 	st.Clients = free[:nc]
 	st.Servers = free[nc : nc+ns]
-	// Warm routing caches for every traffic destination — replicated
-	// builds only. A scoped router computes its slice-local trees lazily
-	// on first lookup; eager warming would defeat the memory savings.
-	if scope == nil {
-		router.Prepare(st.Hosts)
-	}
+	// Warm routing caches for every traffic destination.
+	router.Prepare(st.Hosts)
 	return st, nil
 }
 
@@ -247,9 +226,9 @@ func (st *Setup) httpConfig() traffic.HTTPConfig {
 // hybrid fidelity the background HTTP load lives on the fluid plane
 // (attached at netsim.New time), so only the foreground application is
 // installed packet-level.
-func (st *Setup) install(s *netsim.Sim, w Workload, hybrid bool) ([]*traffic.WorkflowStats, error) {
+func (st *Setup) install(p *Prepared, w Workload, hybrid bool) error {
 	if !hybrid {
-		traffic.InstallHTTP(s, st.httpConfig())
+		p.HTTP = traffic.InstallHTTP(p.Sim, st.httpConfig())
 	}
 	var flows []traffic.Workflow
 	switch w {
@@ -260,42 +239,51 @@ func (st *Setup) install(s *netsim.Sim, w Workload, hybrid bool) ([]*traffic.Wor
 	case HTTPOnly:
 		// Background web traffic only.
 	}
-	var stats []*traffic.WorkflowStats
 	for _, f := range flows {
-		ws, err := traffic.InstallWorkflow(s, f, 0)
+		ws, err := traffic.InstallWorkflow(p.Sim, f, 0)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		stats = append(stats, ws)
+		p.Apps = append(p.Apps, ws)
 	}
-	return stats, nil
+	return nil
 }
+
+// sequential is the profiling pass's mapping: everything on one engine,
+// nothing cut.
+var sequential = &core.Mapping{Approach: core.RANDOM, MLL: core.MaxMLL, E: 1, Es: 1, Ec: 1}
 
 // RunProfiling executes the profiling pass of the PROF approaches: the
 // full workload on a single engine (the naive partition's event counts are
 // identical; a sequential pass avoids paying the naive partition's
 // enormous synchronization bill twice). The profile is stored on the
-// Setup.
+// Setup, merged into one an earlier pass left there.
 func (st *Setup) RunProfiling(w Workload) error {
-	s, err := netsim.New(netsim.Config{
-		Net: st.Net, Routes: st.Routes, Engines: 1,
-		Window: core.MaxMLL, End: st.Scale.Horizon,
-		Sync: st.Sync, EventCost: st.Scale.EventCost, Seed: st.Scale.Seed,
-	})
+	p, err := st.profilingPass(context.Background(), w)
 	if err != nil {
 		return err
 	}
-	if _, err := st.install(s, w, false); err != nil {
-		return err
-	}
-	res := s.Run()
-	p := profile.FromResult(&res, st.Scale.Horizon)
 	if st.Profile == nil {
 		st.Profile = p
-	} else if err := st.Profile.Merge(p); err != nil {
-		return err
+		return nil
 	}
-	return nil
+	return st.Profile.Merge(p)
+}
+
+// profilingPass is the one profiling pass: the workload built like any
+// other run, on one engine, stoppable through ctx at a barrier.
+func (st *Setup) profilingPass(ctx context.Context, w Workload) (*profile.Profile, error) {
+	seq := *st
+	seq.Scale.Engines = 1
+	p, err := seq.prepare(sequential, w, runspec.RunSpec{})
+	if err != nil {
+		return nil, err
+	}
+	out := p.Run(ctx)
+	if out.Result.Stopped {
+		return nil, ctx.Err()
+	}
+	return out.Captured, nil
 }
 
 // MapApproach runs just the mapping stage (no packet simulation) — enough
@@ -306,43 +294,30 @@ func (st *Setup) MapApproach(a core.Approach) (*core.Mapping, error) {
 	}, st.Profile)
 }
 
-// RunOutcome bundles a full simulation run under one mapping.
-type RunOutcome struct {
-	Mapping *core.Mapping
-	Result  netsim.Result
-	Apps    []*traffic.WorkflowStats
+// BuildSim constructs (but does not run) the full simulation for mapping m
+// under workload w; see prepare. The caller owns Run — and may Stop it from
+// another goroutine for cancellation.
+func (st *Setup) BuildSim(m *core.Mapping, w Workload, opt runspec.RunSpec) (*netsim.Sim, []*traffic.WorkflowStats, error) {
+	p, err := st.prepare(m, w, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	return p.Sim, p.Apps, nil
 }
 
-// BuildSim constructs (but does not run) the full simulation for mapping m
-// under workload w: the packet simulator on m's partition, background HTTP
-// plus the selected foreground application. The caller owns Run — and may
-// Stop it from another goroutine for cancellation.
+// prepare is the one place a Setup becomes a simulation: the packet
+// simulator on m's partition, background HTTP plus the selected foreground
+// application.
 //
-// opt is the unified run configuration (runspec.RunSpec); BuildSim reads
+// opt is the unified run configuration (runspec.RunSpec); prepare reads
 // only the run-surface knobs — Telemetry, RealTimeFactor, SeriesBuckets,
-// Faults, NetMon, NetSample, the hybrid-fidelity knobs (FlowFidelity,
-// FluidQuantumUS) and the distributed-worker fields (Transport,
-// FirstEngine, HostedEngines, Slice); the scale-level fields (Engines,
-// Seconds, Seed, EventCostUS) are taken from Setup.Scale, which was sized
-// before mapping. A Slice build pairs with a Setup from NewSetupScoped so
-// routing state is slice-local too.
-func (st *Setup) BuildSim(m *core.Mapping, w Workload, opt runspec.RunSpec) (*netsim.Sim, []*traffic.WorkflowStats, error) {
+// Faults, NetMon, NetSample and the hybrid-fidelity knobs (FlowFidelity,
+// FluidQuantumUS); the scale-level fields (Engines, Seconds, Seed,
+// EventCostUS) are taken from Setup.Scale, which was sized before mapping.
+func (st *Setup) prepare(m *core.Mapping, w Workload, opt runspec.RunSpec) (*Prepared, error) {
 	window := m.MLL
 	if window > core.MaxMLL {
 		window = core.MaxMLL
-	}
-	var plane *faults.Plane
-	if opt.Faults != nil {
-		var err error
-		plane, err = faults.NewPlane(st.Net, st.Router, opt.Faults)
-		if err != nil {
-			return nil, nil, err
-		}
-		// Slice mode keeps every routing epoch lazy too: the scoped
-		// clones compute their trees on first lookup.
-		if !opt.Slice {
-			plane.Prepare(st.Hosts)
-		}
 	}
 	cfg := netsim.Config{
 		Net: st.Net, Routes: st.Routes, Part: m.Part, Engines: st.Scale.Engines,
@@ -350,47 +325,35 @@ func (st *Setup) BuildSim(m *core.Mapping, w Workload, opt runspec.RunSpec) (*ne
 		Sync: st.Sync, EventCost: st.Scale.EventCost, Seed: st.Scale.Seed,
 		SeriesBuckets: opt.SeriesBuckets, RealTimeFactor: opt.RealTimeFactor,
 		Telemetry: opt.Telemetry,
-		Transport: opt.Transport, FirstEngine: opt.FirstEngine,
-		HostedEngines: opt.HostedEngines, SliceBuild: opt.Slice,
 	}
-	if plane != nil {
+	p := &Prepared{Mapping: m}
+	var plane *faults.Plane
+	if opt.Faults != nil {
+		var err error
+		if plane, err = faults.NewPlane(st.Net, st.Router, opt.Faults); err != nil {
+			return nil, err
+		}
+		plane.Prepare(st.Hosts)
 		cfg.Faults = plane
 	}
 	if opt.Hybrid() {
 		// Hybrid fidelity: the background HTTP workload moves to the
-		// analytic fluid plane, precomputed here from exactly the inputs
-		// every worker shares (network, routes, horizon, seed) so a
-		// distributed run builds byte-identical planes everywhere. The
-		// solver walks whole paths, which a scoped router refuses, so a
-		// sliced worker builds a transient unscoped router just for this —
-		// setup cost, paid once, and the fat routing state is dropped when
-		// the build returns.
-		routes := fluid.Routes(st.Routes)
-		fplane := plane
-		if opt.Slice {
-			full := interdomain.New(st.Net)
-			routes = full
-			if opt.Faults != nil {
-				var ferr error
-				fplane, ferr = faults.NewPlane(st.Net, full, opt.Faults)
-				if ferr != nil {
-					return nil, nil, ferr
-				}
-			}
-		}
-		flows, next, _ := traffic.FluidHTTP(st.httpConfig(), st.Scale.Horizon)
+		// analytic fluid plane, precomputed here from the network, routes,
+		// horizon and seed.
+		flows, next, stats := traffic.FluidHTTP(st.httpConfig(), st.Scale.Horizon)
 		fcfg := fluid.Config{
-			Net: st.Net, Routes: routes, End: st.Scale.Horizon,
+			Net: st.Net, Routes: st.Routes, End: st.Scale.Horizon,
 			Quantum: opt.FluidQuantum(), Next: next,
 		}
-		if fplane != nil {
-			fcfg.Faults = fplane
+		if plane != nil {
+			fcfg.Faults = plane
 		}
 		fp, err := fluid.Build(fcfg, flows)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		cfg.Fluid = fp
+		p.HTTP = stats
 	}
 	if opt.NetMon || opt.NetSample > 0 {
 		bw := make([]int64, len(st.Net.Links))
@@ -402,15 +365,114 @@ func (st *Setup) BuildSim(m *core.Mapping, w Workload, opt runspec.RunSpec) (*ne
 			SampleEvery: opt.NetSample, Bandwidths: bw,
 		})
 	}
-	s, err := netsim.New(cfg)
-	if err != nil {
-		return nil, nil, err
+	var err error
+	if p.Sim, err = netsim.New(cfg); err != nil {
+		return nil, err
 	}
-	apps, err := st.install(s, w, opt.Hybrid())
-	if err != nil {
-		return nil, nil, err
+	if err := st.install(p, w, opt.Hybrid()); err != nil {
+		return nil, err
 	}
-	return s, apps, nil
+	return p, nil
+}
+
+// Prepared is a built simulation that has not started: the step between
+// construction and Run where a caller publishes the live surfaces a client
+// may follow (the netmon plane, an ingest agent).
+type Prepared struct {
+	Sim     *netsim.Sim
+	Mapping *core.Mapping
+	// HTTP counts the background web workload (filled during the fluid
+	// build for hybrid runs, live for packet runs); Apps the foreground
+	// workflows' rounds.
+	HTTP *traffic.HTTPStats
+	Apps []*traffic.WorkflowStats
+}
+
+// NetMon returns the run's network observability plane (nil when the run
+// spec did not enable it).
+func (p *Prepared) NetMon() *netmon.Mon { return p.Sim.Config().NetMon }
+
+// NetSummary condenses the packet-level outcome of a finished run.
+type NetSummary struct {
+	FlowsStarted    int    `json:"flows_started"`
+	FlowsCompleted  int    `json:"flows_completed"`
+	Dropped         uint64 `json:"dropped"`
+	Retransmissions uint64 `json:"retransmissions"`
+	DeliveredBits   uint64 `json:"delivered_bits"`
+	// FaultDrops is the subset of Dropped attributed to scripted faults
+	// (0 for fault-free runs).
+	FaultDrops uint64 `json:"fault_drops,omitempty"`
+	// Fluid* summarize the flow-level half of a hybrid-fidelity run
+	// (absent for pure-packet runs).
+	FluidStarted       int    `json:"fluid_started,omitempty"`
+	FluidCompleted     int    `json:"fluid_completed,omitempty"`
+	FluidDeliveredBits uint64 `json:"fluid_delivered_bits,omitempty"`
+	// NetMon condenses the network observability plane's output when the
+	// run enabled it (spec netmon / net_sample).
+	NetMon *netmon.Summary `json:"netmon,omitempty"`
+}
+
+// FaultRecord is one fault event's full outcome: the plane's reconvergence
+// report plus the packet loss the run attributed to it.
+type FaultRecord struct {
+	faults.FaultInfo
+	Drops uint64 `json:"drops"`
+}
+
+// RunOutcome is everything one run produced.
+type RunOutcome struct {
+	Mapping *core.Mapping
+	Result  netsim.Result
+	Report  metrics.Report
+	Net     NetSummary
+	// Faults has one record per scripted fault event (nil without a script).
+	Faults []FaultRecord
+	// Captured is the traffic profile measured from this run's own
+	// execution — every run doubles as a profiling run (Section 3.3's
+	// monitoring loop). A stopped run's partial measurements are still
+	// valid rates.
+	Captured *profile.Profile
+	HTTP     *traffic.HTTPStats
+	Apps     []*traffic.WorkflowStats
+}
+
+// Run executes the prepared simulation to its horizon, or to the next
+// barrier after ctx is cancelled (Result.Stopped is then set), and gathers
+// the outcome.
+func (p *Prepared) Run(ctx context.Context) *RunOutcome {
+	release := context.AfterFunc(ctx, p.Sim.Stop)
+	res := p.Sim.Run()
+	release()
+	cfg := p.Sim.Config()
+	out := &RunOutcome{
+		Mapping:  p.Mapping,
+		Result:   res,
+		Report:   metrics.FromStats(p.Mapping.Approach.String(), res.Stats, cfg.EventCost),
+		Captured: profile.FromResult(&res, cfg.End),
+		HTTP:     p.HTTP,
+		Apps:     p.Apps,
+		Net: NetSummary{
+			FlowsStarted: res.FlowsStarted, FlowsCompleted: res.FlowsCompleted,
+			Dropped: res.Dropped, Retransmissions: res.Retransmissions,
+			DeliveredBits: res.DeliveredBits,
+			FluidStarted:  res.FluidStarted, FluidCompleted: res.FluidCompleted,
+			FluidDeliveredBits: res.FluidDeliveredBits,
+		},
+	}
+	if plane, ok := cfg.Faults.(*faults.Plane); ok {
+		out.Faults = make([]FaultRecord, len(plane.Events()))
+		for i, ev := range plane.Events() {
+			out.Faults[i] = FaultRecord{FaultInfo: ev}
+			if i < len(res.FaultDrops) {
+				out.Faults[i].Drops = res.FaultDrops[i]
+				out.Net.FaultDrops += res.FaultDrops[i]
+			}
+		}
+	}
+	if cfg.NetMon != nil {
+		out.Net.NetMon = cfg.NetMon.Summary()
+	}
+	return out
 }
 
 // RunMapping maps the network with approach a and executes the full
@@ -420,12 +482,11 @@ func (st *Setup) RunMapping(a core.Approach, w Workload) (*RunOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, apps, err := st.BuildSim(m, w, runspec.RunSpec{})
+	p, err := st.prepare(m, w, runspec.RunSpec{})
 	if err != nil {
 		return nil, err
 	}
-	res := s.Run()
-	return &RunOutcome{Mapping: m, Result: res, Apps: apps}, nil
+	return p.Run(context.Background()), nil
 }
 
 // SecondsToTime converts seconds to simulated time (a CLI convenience).

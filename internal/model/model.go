@@ -8,6 +8,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 )
 
 // NodeKind distinguishes routers from end hosts.
@@ -139,7 +140,10 @@ type Network struct {
 	// ASes is indexed by AS id. Single-AS networks have exactly one entry.
 	ASes []AS
 
-	incident [][]LinkID // lazily built: links touching each node
+	// incident is the lazily built index of the links touching each node.
+	// Engines resolving routes lazily may be its first readers, several at
+	// once, so it is published atomically.
+	incident atomic.Pointer[[][]LinkID]
 }
 
 // NumRouters counts router nodes.
@@ -160,7 +164,7 @@ func (n *Network) NumHosts() int { return len(n.Nodes) - n.NumRouters() }
 func (n *Network) AddNode(kind NodeKind, as int32, x, y float64) NodeID {
 	id := NodeID(len(n.Nodes))
 	n.Nodes = append(n.Nodes, Node{ID: id, Kind: kind, AS: as, X: x, Y: y})
-	n.incident = nil
+	n.incident.Store(nil)
 	return id
 }
 
@@ -171,22 +175,30 @@ func (n *Network) AddLink(a, b NodeID, latency, bandwidth int64) LinkID {
 	}
 	id := LinkID(len(n.Links))
 	n.Links = append(n.Links, Link{ID: id, A: a, B: b, Latency: latency, Bandwidth: bandwidth})
-	n.incident = nil
+	n.incident.Store(nil)
 	return id
 }
 
 // Incident returns the links touching node id. The slice is shared; treat
 // it as read-only.
-func (n *Network) Incident(id NodeID) []LinkID {
-	if n.incident == nil {
-		n.incident = make([][]LinkID, len(n.Nodes))
-		for i := range n.Links {
-			l := &n.Links[i]
-			n.incident[l.A] = append(n.incident[l.A], l.ID)
-			n.incident[l.B] = append(n.incident[l.B], l.ID)
-		}
+func (n *Network) Incident(id NodeID) []LinkID { return n.Adjacency()[id] }
+
+// Adjacency returns the whole incidence index — Adjacency()[id] is
+// Incident(id) — for loops that visit many nodes. Shared; read-only.
+func (n *Network) Adjacency() [][]LinkID {
+	if inc := n.incident.Load(); inc != nil {
+		return *inc
 	}
-	return n.incident[id]
+	// Concurrent first readers each build the same index; every copy is
+	// equal, so it does not matter whose store lands last.
+	built := make([][]LinkID, len(n.Nodes))
+	for i := range n.Links {
+		l := &n.Links[i]
+		built[l.A] = append(built[l.A], l.ID)
+		built[l.B] = append(built[l.B], l.ID)
+	}
+	n.incident.Store(&built)
+	return built
 }
 
 // Neighbors returns the node ids adjacent to id.

@@ -360,6 +360,7 @@ func (d *Domain) spt(dst model.NodeID) ([]int32, []int64) {
 		return next, dist
 	}
 	dist[dst] = 0
+	adj := d.net.Adjacency()
 	q := pq{{dst, 0}}
 	for q.Len() > 0 {
 		it := heap.Pop(&q).(pqItem)
@@ -368,7 +369,7 @@ func (d *Domain) spt(dst model.NodeID) ([]int32, []int64) {
 			continue
 		}
 		done[u] = true
-		for _, lid := range d.net.Incident(u) {
+		for _, lid := range adj[u] {
 			if d.linkDown != nil && d.linkDown[lid] {
 				continue
 			}

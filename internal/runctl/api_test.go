@@ -11,85 +11,19 @@ import (
 	"time"
 )
 
-// TestAPIVersionedAliases pins the /api/v1 redesign's compatibility
-// contract: every legacy unversioned route is a thin alias of its
-// versioned twin — byte-identical bodies (success and error envelopes
-// alike), with the Deprecation/Link headers only on the legacy side.
-func TestAPIVersionedAliases(t *testing.T) {
-	mgr := NewManager(2, 256)
-	ts := httptest.NewServer(NewServer(mgr))
+// TestAPIUnversionedRoutesGone: the pre-/api/v1 aliases are deleted, not
+// deprecated.
+func TestAPIUnversionedRoutesGone(t *testing.T) {
+	ts := httptest.NewServer(NewServer(NewManager(1, 64)))
 	defer ts.Close()
-
-	info := submitSpec(t, ts.URL, testSpec("aliased", 3, 0.3, 0))
-	waitState(t, ts.URL, info.ID, 30*time.Second, func(i Info) bool { return i.State.Terminal() })
-
-	paths := []string{
-		"/healthz",
-		"/runs",
-		"/runs/" + info.ID,
-		"/runs/" + info.ID + "/metrics?follow=0",
-		"/runs/" + info.ID + "/profile",
-		"/runs/r9999",                  // not_found envelope
-		"/runs/" + info.ID + "/faults", // not_found (no script)
-		"/metrics",
-	}
-	for _, path := range paths {
-		legacy, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		legacyBody, _ := io.ReadAll(legacy.Body)
-		legacy.Body.Close()
-
-		vpath := APIPrefix + path
-		versioned, err := http.Get(ts.URL + vpath)
-		if err != nil {
-			t.Fatalf("GET %s: %v", vpath, err)
-		}
-		versionedBody, _ := io.ReadAll(versioned.Body)
-		versioned.Body.Close()
-
-		if legacy.StatusCode != versioned.StatusCode {
-			t.Errorf("%s: status %d vs %d on %s", path, legacy.StatusCode, versioned.StatusCode, vpath)
-		}
-		if !bytes.Equal(legacyBody, versionedBody) {
-			t.Errorf("%s: body differs from %s:\nlegacy:    %s\nversioned: %s",
-				path, vpath, truncate(string(legacyBody), 400), truncate(string(versionedBody), 400))
-		}
-		if legacy.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s: legacy route missing Deprecation header", path)
-		}
-		wantLink := "<" + APIPrefix + strings.SplitN(path, "?", 2)[0] + ">; rel=\"successor-version\""
-		if got := legacy.Header.Get("Link"); got != wantLink {
-			t.Errorf("%s: Link header %q, want %q", path, got, wantLink)
-		}
-		if versioned.Header.Get("Deprecation") != "" {
-			t.Errorf("%s: canonical route carries a Deprecation header", vpath)
-		}
-	}
-
-	// The versioned prefix also serves the mutating routes.
-	v1 := submitViaPath(t, ts.URL, APIPrefix+"/runs", testSpec("v1-submit", 4, 0.3, 0))
-	waitState(t, ts.URL, v1.ID, 30*time.Second, func(i Info) bool { return i.State.Terminal() })
-}
-
-func submitViaPath(t *testing.T, base, path string, spec Spec) Info {
-	t.Helper()
-	body, _ := json.Marshal(spec)
-	resp, err := http.Post(base+path, "application/json", bytes.NewReader(body))
+	resp, err := http.Get(ts.URL + "/runs")
 	if err != nil {
-		t.Fatalf("submit %s: %v", path, err)
+		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("submit %s: status %d: %s", path, resp.StatusCode, b)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /runs: status %d, want 404", resp.StatusCode)
 	}
-	var info Info
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		t.Fatalf("submit %s: decode: %v", path, err)
-	}
-	return info
 }
 
 // decodeEnvelope reads a response body as the uniform error envelope.
@@ -105,13 +39,14 @@ func decodeEnvelope(t *testing.T, r io.Reader) apiError {
 }
 
 // TestAPIErrorEnvelope pins the uniform error shape and its three codes:
-// invalid_spec (400), not_found (404), queue_full (429).
+// invalid_spec (400), not_found (404), queue_full (429); not_ready (409) is
+// pinned by TestAPIBuildingPhase.
 func TestAPIErrorEnvelope(t *testing.T) {
 	mgr := NewManagerOpts(Options{Workers: 1, RingCap: 256, QueueDepth: 1})
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/api/v1/runs", "application/json", strings.NewReader(`{}`))
+	resp, err := http.Post(ts.URL+APIPrefix+"/runs", "application/json", strings.NewReader(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +58,22 @@ func TestAPIErrorEnvelope(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	resp, err = http.Get(ts.URL + "/api/v1/runs/r9999")
+	// The distributed-worker knobs the daemon used to accept and ignore are
+	// gone from the spec: naming one is an unknown field.
+	resp, err = http.Post(ts.URL+APIPrefix+"/runs", "application/json",
+		strings.NewReader(`{"flat":{"routers":10,"hosts":10},"no_slice":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("no_slice spec: status %d, want 400", resp.StatusCode)
+	}
+	if e := decodeEnvelope(t, resp.Body); e.Code != CodeInvalidSpec || !strings.Contains(e.Message, "no_slice") {
+		t.Fatalf("no_slice envelope: %+v", e)
+	}
+	resp.Body.Close()
+
+	resp, err = http.Get(ts.URL + APIPrefix + "/runs/r9999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +90,7 @@ func TestAPIErrorEnvelope(t *testing.T) {
 	waitState(t, ts.URL, running.ID, 10*time.Second, func(i Info) bool { return i.State == StateRunning })
 	submitSpec(t, ts.URL, testSpec("waiting", 2, 10, 20))
 	body, _ := json.Marshal(testSpec("overflow", 3, 10, 20))
-	resp, err = http.Post(ts.URL+"/api/v1/runs", "application/json", bytes.NewReader(body))
+	resp, err = http.Post(ts.URL+APIPrefix+"/runs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +111,7 @@ type cancelResp struct {
 
 func doCancel(t *testing.T, base, id string) cancelResp {
 	t.Helper()
-	req, _ := http.NewRequest(http.MethodDelete, base+"/api/v1/runs/"+id, nil)
+	req, _ := http.NewRequest(http.MethodDelete, base+APIPrefix+"/runs/"+id, nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("cancel %s: %v", id, err)
@@ -224,4 +174,79 @@ func TestAPICancelDistinguishesPhases(t *testing.T) {
 	if tr.Run.State != StateCancelled {
 		t.Fatalf("terminal cancel mutated state: %s", tr.Run.State)
 	}
+}
+
+// TestAPIBuildingPhase holds a run in its building phase — an HPROF spec
+// whose profiling pass covers an hour of simulated time — and pins what
+// the phase looks like from outside: the state, the /metrics gauge, the
+// not_ready answer of the /net endpoints, and a cancel that ends the run
+// from "building", at a barrier of the pass, without it ever running.
+func TestAPIBuildingPhase(t *testing.T) {
+	mgr := NewManager(1, 256)
+	ts := httptest.NewServer(NewServer(mgr))
+	defer ts.Close()
+
+	// Warm the setup cache with the same scenario, so the HPROF run's
+	// build_cached flag marks the moment its build step is over and the
+	// profiling pass begins.
+	warm := submitSpec(t, ts.URL, testSpec("warm", 9, 0.2, 0))
+	waitState(t, ts.URL, warm.ID, 30*time.Second, func(i Info) bool { return i.State.Terminal() })
+
+	spec := netSpec("profiling", 9, 3600, 0)
+	spec.Approach = "HPROF"
+	info := submitSpec(t, ts.URL, spec)
+	if info.State != StateBuilding {
+		t.Fatalf("dispatched run in state %s, want %s", info.State, StateBuilding)
+	}
+	waitState(t, ts.URL, info.ID, 30*time.Second, func(i Info) bool { return i.BuildCached })
+
+	resp, err := http.Get(ts.URL + APIPrefix + "/runs/" + info.ID + "/net/links")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("/net/links on a building run: status %d, want 409", resp.StatusCode)
+	}
+	if e := decodeEnvelope(t, resp.Body); e.Code != CodeNotReady {
+		t.Fatalf("/net/links envelope: %+v", e)
+	}
+	resp.Body.Close()
+
+	resp, err = http.Get(ts.URL + APIPrefix + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := `massfd_runs{state="building"} 1`; !strings.Contains(string(prom), want) {
+		t.Fatalf("/metrics missing %q in:\n%s", want, truncate(string(prom), 1500))
+	}
+
+	cr := doCancel(t, ts.URL, info.ID)
+	if cr.CancelledFrom != StateBuilding {
+		t.Fatalf("cancel: cancelled_from=%q, want %q", cr.CancelledFrom, StateBuilding)
+	}
+	done := waitState(t, ts.URL, info.ID, 30*time.Second, func(i Info) bool { return i.State.Terminal() })
+	if done.State != StateCancelled || done.CancelledFrom != StateBuilding {
+		t.Fatalf("cancelled build: state=%s cancelled_from=%q", done.State, done.CancelledFrom)
+	}
+	// MLLms and the report are recorded when a run turns running.
+	if done.MLLms != 0 || done.Report != nil {
+		t.Fatalf("run cancelled while building reports a simulation: %+v", done)
+	}
+
+	// An uninstrumented run in the same phase is still a plain 404.
+	plain := testSpec("plain", 9, 3600, 0)
+	plain.Approach = "HPROF"
+	pi := submitSpec(t, ts.URL, plain)
+	resp, err = http.Get(ts.URL + APIPrefix + "/runs/" + pi.ID + "/net/links")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/net/links on an uninstrumented building run: status %d, want 404", resp.StatusCode)
+	}
+	doCancel(t, ts.URL, pi.ID)
+	waitState(t, ts.URL, pi.ID, 30*time.Second, func(i Info) bool { return i.State.Terminal() })
 }

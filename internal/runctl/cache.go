@@ -16,8 +16,8 @@ import (
 // submit-to-first-window latency. Entries are shared across concurrent
 // runs: a cached Setup's Net, Routes/Router, Sync and role slices are
 // immutable after construction (interdomain.Router is safe for concurrent
-// use after New returns), and execute takes a per-run shallow copy for
-// the mutable scale/profile fields. Builds singleflight through a
+// use after New returns), and the launch path takes a per-run shallow copy
+// for the mutable scale/profile fields. Builds singleflight through a
 // sync.Once per key, so a burst of identical submissions pays for one
 // build and the rest block on it rather than duplicating the work.
 type setupCache struct {
@@ -143,17 +143,17 @@ func (c *setupCache) evictLocked() {
 // requested client/server/app-host counts). Engines, horizon, event cost
 // and fidelity deliberately stay out — they are per-run overlays applied
 // to a copy of the cached Setup.
-func (s *Spec) setupKey(appHosts int) string {
+func setupKey(s *Spec) string {
 	return scache.Key(
-		s.topoKeyParts(),
+		topoKeyParts(s),
 		[]byte(fmt.Sprintf("seed=%d clients=%d servers=%d app=%d",
-			s.Seed, s.Clients, s.Servers, appHosts)),
+			s.Seed, s.Clients, s.Servers, s.AppHosts())),
 	)
 }
 
 // topoKeyParts identifies the topology source alone (plus the seed, which
 // generators consume) — the key of the on-disk network artifact tier.
-func (s *Spec) topoKeyParts() []byte {
+func topoKeyParts(s *Spec) []byte {
 	switch {
 	case s.DML != "":
 		return []byte("dml:" + s.DML)
@@ -165,23 +165,22 @@ func (s *Spec) topoKeyParts() []byte {
 	}
 }
 
-// buildNetworkCached materializes the spec's topology, consulting the
-// on-disk scenario cache for generated topologies (DML uploads are parsed
-// directly — the text is already the artifact). The disk tier persists
-// across daemon restarts, where the in-memory Setup cache does not.
-func (m *Manager) buildNetworkCached(spec Spec) (*model.Network, bool, error) {
+// network materializes the spec's topology, consulting the on-disk
+// scenario cache for generated topologies (DML uploads are parsed directly
+// — the text is already the artifact). The disk tier persists across
+// daemon restarts, where the in-memory Setup cache does not.
+func (m *Manager) network(spec *Spec) (*model.Network, bool, error) {
 	if m.disk == nil || spec.DML != "" {
-		return buildNetwork(spec)
+		return spec.Network()
 	}
-	multi := spec.MultiAS != nil
-	key := scache.Key([]byte("massfd-topo"), spec.topoKeyParts())
+	key := scache.Key([]byte("massfd-topo"), topoKeyParts(spec))
 	if data, ok, _ := m.disk.Get(key); ok {
 		if net, err := model.Decode(data); err == nil {
-			return net, multi, nil
+			return net, spec.MultiAS != nil, nil
 		}
 		// A corrupt entry falls through to regeneration (and is rewritten).
 	}
-	net, multi, err := buildNetwork(spec)
+	net, multi, err := spec.Network()
 	if err != nil {
 		return nil, false, err
 	}

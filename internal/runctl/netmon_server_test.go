@@ -67,7 +67,7 @@ func TestServerNetObservability(t *testing.T) {
 		Summary netmon.Summary     `json:"summary"`
 		Links   *netmon.LinkReport `json:"links"`
 	}
-	getJSON(t, ts.URL+"/runs/"+info.ID+"/net/links?top=4&series=1", &links)
+	getJSON(t, ts.URL+APIPrefix+"/runs/"+info.ID+"/net/links?top=4&series=1", &links)
 	if links.Run != info.ID || links.Links == nil || len(links.Links.Links) == 0 {
 		t.Fatalf("link report shape: %+v", links)
 	}
@@ -88,7 +88,7 @@ func TestServerNetObservability(t *testing.T) {
 	var flows struct {
 		Flows *netmon.FlowReport `json:"flows"`
 	}
-	getJSON(t, ts.URL+"/runs/"+info.ID+"/net/flows?samples=1", &flows)
+	getJSON(t, ts.URL+APIPrefix+"/runs/"+info.ID+"/net/flows?samples=1", &flows)
 	if flows.Flows == nil || flows.Flows.Recorded == 0 {
 		t.Fatalf("flow report empty: %+v", flows.Flows)
 	}
@@ -111,7 +111,7 @@ func TestServerNetObservability(t *testing.T) {
 		Count       int           `json:"count"`
 		Paths       []netmon.Path `json:"paths"`
 	}
-	getJSON(t, ts.URL+"/runs/"+info.ID+"/net/paths", &paths)
+	getJSON(t, ts.URL+APIPrefix+"/runs/"+info.ID+"/net/paths", &paths)
 	if paths.SampleEvery != 2 || paths.Count == 0 || len(paths.Paths) != paths.Count {
 		t.Fatalf("path report shape: sample=%d count=%d len=%d", paths.SampleEvery, paths.Count, len(paths.Paths))
 	}
@@ -122,7 +122,7 @@ func TestServerNetObservability(t *testing.T) {
 	}
 
 	// Completion stream: the replay carries one snapshot per completion.
-	resp, err := http.Get(ts.URL + "/runs/" + info.ID + "/net/stream?follow=0")
+	resp, err := http.Get(ts.URL + APIPrefix + "/runs/" + info.ID + "/net/stream?follow=0")
 	if err != nil {
 		t.Fatalf("stream: %v", err)
 	}
@@ -144,7 +144,7 @@ func TestServerNetObservability(t *testing.T) {
 	}
 
 	// The pool gauges report a drained two-slot pool.
-	resp, err = http.Get(ts.URL + "/metrics")
+	resp, err = http.Get(ts.URL + APIPrefix + "/metrics")
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
@@ -167,11 +167,15 @@ func TestServerNetStreamFollowsLive(t *testing.T) {
 	info := submitSpec(t, ts.URL, netSpec("live", 1, 1.5, 2))
 	waitState(t, ts.URL, info.ID, 10*time.Second, func(i Info) bool { return i.State == StateRunning })
 
-	resp, err := http.Get(ts.URL + "/runs/" + info.ID + "/net/stream")
+	resp, err := http.Get(ts.URL + APIPrefix + "/runs/" + info.ID + "/net/stream")
 	if err != nil {
 		t.Fatalf("stream: %v", err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("stream: status %d: %s", resp.StatusCode, b)
+	}
 	snaps := make(chan netmon.FlowSnapshot, 1024)
 	go func() {
 		defer close(snaps)
@@ -216,7 +220,7 @@ func TestServerNetErrorPaths(t *testing.T) {
 		"/runs/r9999/faults", "/runs/r9999/net/links", "/runs/r9999/net/flows",
 		"/runs/r9999/net/paths", "/runs/r9999/net/stream",
 	} {
-		resp, err := http.Get(ts.URL + path)
+		resp, err := http.Get(ts.URL + APIPrefix + path)
 		if err != nil {
 			t.Fatalf("get %s: %v", path, err)
 		}
@@ -230,7 +234,7 @@ func TestServerNetErrorPaths(t *testing.T) {
 	plain := submitSpec(t, ts.URL, testSpec("plain", 3, 0.3, 0))
 	waitState(t, ts.URL, plain.ID, 30*time.Second, func(i Info) bool { return i.State.Terminal() })
 	for _, path := range []string{"/net/links", "/net/flows", "/net/paths", "/net/stream"} {
-		resp, err := http.Get(ts.URL + "/runs/" + plain.ID + path)
+		resp, err := http.Get(ts.URL + APIPrefix + "/runs/" + plain.ID + path)
 		if err != nil {
 			t.Fatalf("get %s: %v", path, err)
 		}
@@ -255,11 +259,11 @@ func TestServerNetErrorPaths(t *testing.T) {
 	var links struct {
 		Summary netmon.Summary `json:"summary"`
 	}
-	getJSON(t, ts.URL+"/runs/"+lo.ID+"/net/links", &links)
+	getJSON(t, ts.URL+APIPrefix+"/runs/"+lo.ID+"/net/links", &links)
 	if links.Summary.SampleEvery != 0 {
 		t.Fatalf("links-only run reports sampling: %+v", links.Summary)
 	}
-	resp, err := http.Get(ts.URL + "/runs/" + lo.ID + "/net/paths")
+	resp, err := http.Get(ts.URL + APIPrefix + "/runs/" + lo.ID + "/net/paths")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +274,7 @@ func TestServerNetErrorPaths(t *testing.T) {
 
 	// Negative sampling stride is rejected at submission.
 	bad := `{"flat":{"routers":10,"hosts":10},"net_sample":-1}`
-	presp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(bad))
+	presp, err := http.Post(ts.URL+APIPrefix+"/runs", "application/json", strings.NewReader(bad))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,162 +16,39 @@ import (
 	"massf/internal/agent"
 	"massf/internal/core"
 	"massf/internal/des"
-	"massf/internal/dml"
 	"massf/internal/experiments"
 	"massf/internal/faults"
-	"massf/internal/mabrite"
 	"massf/internal/memstat"
 	"massf/internal/metrics"
-	"massf/internal/model"
 	"massf/internal/netmon"
 	"massf/internal/profile"
-	"massf/internal/runspec"
 	"massf/internal/scache"
 	"massf/internal/telemetry"
-	"massf/internal/topology"
 )
 
-// FlatSpec asks for a generated single-AS power-law topology.
-type FlatSpec struct {
-	Routers int `json:"routers"`
-	Hosts   int `json:"hosts"`
-}
-
-// MultiASSpec asks for a generated multi-AS Internet-like topology.
-type MultiASSpec struct {
-	ASes         int `json:"ases"`
-	RoutersPerAS int `json:"routers_per_as"`
-	Hosts        int `json:"hosts"`
-}
-
-// Spec is a scenario submission. Exactly one of DML, Flat or MultiAS
-// selects the network; everything else has a default.
-type Spec struct {
-	// Name is an optional human label echoed back in listings.
-	Name string `json:"name,omitempty"`
-
-	// DML is an inline DML network description.
-	DML string `json:"dml,omitempty"`
-	// Flat generates a single-AS topology instead.
-	Flat *FlatSpec `json:"flat,omitempty"`
-	// MultiAS generates a multi-AS topology instead.
-	MultiAS *MultiASSpec `json:"multias,omitempty"`
-
-	// Approach is the mapping approach (RANDOM, TOP, TOP2, PLACE, PROF,
-	// PROF2, HTOP, HPROF). Default HTOP. Profile-based approaches run a
-	// sequential profiling pass first, doubling the run's cost.
-	Approach string `json:"approach,omitempty"`
-	// RunSpec carries the run-level knobs shared with every other launch
-	// surface — engines, seconds, seed, realtime, event_cost_us,
-	// series_buckets — embedded so the HTTP wire format stays flat and
-	// defaults and range checks live in one place (runspec).
-	runspec.RunSpec
-	// App selects the foreground workload: scalapack, gridnpb or none
-	// (background HTTP only). Default none.
-	App string `json:"app,omitempty"`
-	// Clients/Servers size the background HTTP population (defaults:
-	// 80% / 20% of the hosts not claimed by the application).
-	Clients int `json:"clients,omitempty"`
-	Servers int `json:"servers,omitempty"`
-	// Profile is an optional measured traffic profile (the massf-profile
-	// text format, as served by GET /runs/{id}/profile or written by
-	// massf -profile-out). When set, profile-based approaches map from
-	// it directly instead of running a sequential profiling pass first —
-	// the paper's measured-feedback loop over HTTP.
-	Profile string `json:"profile,omitempty"`
-	// Ingest exposes the run to the daemon's live agent ingest plane
-	// (massfd -ingest): outside processes attach over the framed TCP
-	// protocol under this run's id and inject traffic at pump epochs.
-	// Ignored when the daemon runs without an ingest listener.
-	Ingest bool `json:"ingest,omitempty"`
-}
-
-// normalize applies defaults in place; the shared run-level defaults come
-// from runspec.
-func (s *Spec) normalize() {
-	s.RunSpec.Normalize()
-	if s.Approach == "" {
-		s.Approach = "HTOP"
-	}
-	if s.App == "" {
-		s.App = "none"
-	}
-}
-
-// validate rejects malformed specs before any work starts.
-func (s *Spec) validate() error {
-	sources := 0
-	if s.DML != "" {
-		sources++
-	}
-	if s.Flat != nil {
-		sources++
-	}
-	if s.MultiAS != nil {
-		sources++
-	}
-	if sources != 1 {
-		return fmt.Errorf("runctl: spec needs exactly one of dml, flat, multias (got %d)", sources)
-	}
-	if _, err := ParseApproach(s.Approach); err != nil {
-		return err
-	}
-	if _, err := parseWorkload(s.App); err != nil {
-		return err
-	}
-	if err := s.RunSpec.Validate(); err != nil {
-		return err
-	}
-	if s.Profile != "" {
-		if _, err := profile.Read(strings.NewReader(s.Profile)); err != nil {
-			return fmt.Errorf("runctl: bad profile: %w", err)
-		}
-	}
-	return nil
-}
-
-// ParseApproach resolves a mapping-approach name (case-insensitive).
-func ParseApproach(name string) (core.Approach, error) {
-	switch strings.ToUpper(name) {
-	case "RANDOM":
-		return core.RANDOM, nil
-	case "TOP":
-		return core.TOP, nil
-	case "TOP2":
-		return core.TOP2, nil
-	case "PLACE":
-		return core.PLACE, nil
-	case "PROF":
-		return core.PROF, nil
-	case "PROF2":
-		return core.PROF2, nil
-	case "HTOP":
-		return core.HTOP, nil
-	case "HPROF":
-		return core.HPROF, nil
-	}
-	return 0, fmt.Errorf("runctl: unknown approach %q", name)
-}
-
-func parseWorkload(name string) (experiments.Workload, error) {
-	switch strings.ToLower(name) {
-	case "scalapack":
-		return experiments.ScaLapack, nil
-	case "gridnpb":
-		return experiments.GridNPB, nil
-	case "none", "http-only", "http":
-		return experiments.HTTPOnly, nil
-	}
-	return 0, fmt.Errorf("runctl: unknown app %q", name)
-}
+// Spec is a scenario submission: the launch path's one scenario
+// description, decoded straight from the request body. Its defaults,
+// validation and every step from topology to running simulation live in
+// internal/experiments; this package schedules the steps and serves what
+// they produce.
+type (
+	Spec        = experiments.Scenario
+	FlatSpec    = experiments.FlatSpec
+	MultiASSpec = experiments.MultiASSpec
+)
 
 // State is a run's lifecycle phase.
 type State string
 
-// Run states. queued → running → done | failed | cancelled; a queued
-// run cancelled before a worker picks it up goes straight to cancelled.
+// Run states. queued → building → running → done | failed | cancelled.
+// building covers everything between dispatch and the first event —
+// scenario build, profiling pass, mapping, simulation construction;
+// running means events are executing and every live surface of the run
+// (netmon plane, ingest agent) is published. A run cancelled while queued
+// or building goes straight to cancelled without ever reporting running.
 const (
 	StateQueued    State = "queued"
+	StateBuilding  State = "building"
 	StateRunning   State = "running"
 	StateDone      State = "done"
 	StateFailed    State = "failed"
@@ -181,35 +58,6 @@ const (
 // Terminal reports whether no further transitions can happen.
 func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
-}
-
-// NetSummary condenses the packet-level outcome of a finished run.
-type NetSummary struct {
-	FlowsStarted    int    `json:"flows_started"`
-	FlowsCompleted  int    `json:"flows_completed"`
-	Dropped         uint64 `json:"dropped"`
-	Retransmissions uint64 `json:"retransmissions"`
-	DeliveredBits   uint64 `json:"delivered_bits"`
-	// FaultDrops is the subset of Dropped attributed to scripted faults
-	// (0 for fault-free runs).
-	FaultDrops uint64 `json:"fault_drops,omitempty"`
-	// Fluid* summarize the flow-level half of a hybrid-fidelity run
-	// (absent for pure-packet runs).
-	FluidStarted       int    `json:"fluid_started,omitempty"`
-	FluidCompleted     int    `json:"fluid_completed,omitempty"`
-	FluidDeliveredBits uint64 `json:"fluid_delivered_bits,omitempty"`
-	// NetMon condenses the network observability plane's output when the
-	// run enabled it (spec netmon / net_sample); the full reports are at
-	// GET /runs/{id}/net/{links,flows,paths}.
-	NetMon *netmon.Summary `json:"netmon,omitempty"`
-}
-
-// FaultRecord is one fault event's full outcome: the plane's reconvergence
-// report plus the packet loss the run attributed to it. Served by
-// GET /runs/{id}/faults.
-type FaultRecord struct {
-	faults.FaultInfo
-	Drops uint64 `json:"drops"`
 }
 
 // Run is one submitted scenario. Its telemetry bundle is live from
@@ -222,11 +70,11 @@ type Run struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
+	// done is closed when the run turns terminal.
+	done chan struct{}
 
-	// seq is the admission sequence number (FIFO order within a priority
-	// class); weight is the spec's pool-slot weight clamped to the pool
-	// size. Both are fixed at Submit.
-	seq    uint64
+	// weight is the spec's pool-slot weight clamped to the pool size, fixed
+	// at Submit.
 	weight int
 
 	mu            sync.Mutex
@@ -235,85 +83,65 @@ type Run struct {
 	submitted     time.Time
 	started       time.Time
 	finished      time.Time
-	mllMS         float64
 	setupMS       float64
-	heapInuse     uint64
-	peakRSS       uint64
-	report        *metrics.Report
-	net           *NetSummary
-	part          []int32
-	captured      *profile.Profile
-	faultRecs     []FaultRecord
+	mem           memstat.Sample
+	buildCached   bool
+	mapping       *core.Mapping
 	mon           *netmon.Mon
+	agent         *agent.Agent
+	out           *experiments.RunOutcome
 	limitErr      error
 	cancelledFrom State
-	buildCached   bool
-	agent         *agent.Agent
 }
 
-// NetMon returns the run's network observability plane, installed before
-// the simulation starts so live endpoints can stream from it; nil when the
-// spec did not enable it (or the run has not reached execution yet).
+// NetMon returns the run's network observability plane, published before
+// the run reports running so live endpoints can stream from it; nil when
+// the spec did not enable it (or the run is still queued or building).
 func (r *Run) NetMon() *netmon.Mon {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.mon
 }
 
-func (r *Run) setNetMon(m *netmon.Mon) {
+// outcome returns what the simulation produced, or nil while it is in
+// flight (or when the run ended before a simulation existed).
+func (r *Run) outcome() *experiments.RunOutcome {
 	r.mu.Lock()
-	r.mon = m
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	return r.out
 }
 
 // Faults returns the per-fault reconvergence/loss report of a finished
 // run, or nil while the simulation is in flight (or the run had no fault
 // script).
-func (r *Run) Faults() []FaultRecord {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.faultRecs
-}
-
-func (r *Run) setFaults(recs []FaultRecord) {
-	r.mu.Lock()
-	r.faultRecs = recs
-	r.mu.Unlock()
-}
-
-// Partition returns the node→engine assignment the run executed under
-// (nil until mapping finishes).
-func (r *Run) Partition() []int32 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.part
+func (r *Run) Faults() []experiments.FaultRecord {
+	if out := r.outcome(); out != nil {
+		return out.Faults
+	}
+	return nil
 }
 
 // CapturedProfile returns the traffic profile measured from the run's own
-// execution — node event counts and link bits, captured when the
-// simulation returns (also for cancelled runs, whose partial measurements
-// are still valid rates). Nil while the simulation is in flight.
+// execution — node event counts and link bits (also for cancelled runs,
+// whose partial measurements are still valid rates) — so it can feed a
+// later HPROF submission. Nil while the simulation is in flight.
 func (r *Run) CapturedProfile() *profile.Profile {
+	if out := r.outcome(); out != nil {
+		return out.Captured
+	}
+	return nil
+}
+
+// Partition returns the node→engine assignment the run executes under
+// (nil until the run reports running).
+func (r *Run) Partition() []int32 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.captured
+	if r.mapping == nil {
+		return nil
+	}
+	return r.mapping.Part
 }
-
-func (r *Run) setPartition(part []int32) {
-	r.mu.Lock()
-	r.part = part
-	r.mu.Unlock()
-}
-
-func (r *Run) setCaptured(p *profile.Profile) {
-	r.mu.Lock()
-	r.captured = p
-	r.mu.Unlock()
-}
-
-// Cancel requests cooperative cancellation. Safe to call in any state;
-// a queued run never starts, a running run stops at the next barrier.
-func (r *Run) Cancel() { r.cancel() }
 
 // State returns the current lifecycle phase.
 func (r *Run) State() State {
@@ -322,30 +150,47 @@ func (r *Run) State() State {
 	return r.state
 }
 
-func (r *Run) setRunning() {
+// setBuilding marks the run dispatched: it left the queue and holds its
+// pool slots.
+func (r *Run) setBuilding() {
 	r.mu.Lock()
-	r.state = StateRunning
+	r.state = StateBuilding
 	r.started = time.Now()
 	r.mu.Unlock()
 }
 
-func (r *Run) setMLL(ms float64) {
+// setRunning publishes the prepared simulation's live surfaces and turns
+// the run running, in one step under the run's lock — so a client that
+// reads "running" finds the plane and the agent. It refuses (and the run
+// stays building) when cancellation already arrived: requestCancel takes
+// the same lock, so a cancel lands either wholly before or wholly after.
+func (r *Run) setRunning(p *experiments.Prepared, ag *agent.Agent, setupMS float64) bool {
 	r.mu.Lock()
-	r.mllMS = ms
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	if r.ctx.Err() != nil {
+		return false
+	}
+	r.state = StateRunning
+	r.mapping = p.Mapping
+	r.mon = p.NetMon()
+	r.agent = ag
+	r.setupMS = setupMS
+	return true
 }
 
-func (r *Run) setSetupMS(ms float64) {
+// requestCancel stops a dispatched run through its context, recording the
+// phase the request found it in; any other state is left alone.
+func (r *Run) requestCancel() State {
 	r.mu.Lock()
-	r.setupMS = ms
-	r.mu.Unlock()
-}
-
-func (r *Run) setMem(s memstat.Sample) {
-	r.mu.Lock()
-	r.heapInuse = s.HeapInuse
-	r.peakRSS = s.PeakRSS
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	from := r.state
+	if from == StateBuilding || from == StateRunning {
+		if r.cancelledFrom == "" {
+			r.cancelledFrom = from
+		}
+		r.cancel()
+	}
+	return from
 }
 
 // setLimitErr records the first resource-limit violation; later ones (a
@@ -369,28 +214,6 @@ func (r *Run) setCancelledFrom(st State) {
 	if r.cancelledFrom == "" {
 		r.cancelledFrom = st
 	}
-	r.mu.Unlock()
-}
-
-// CancelledFrom reports which lifecycle phase a cancelled run was stopped
-// from ("" while the run is live or when it ended another way): "queued"
-// means the run never started, "running" that a live simulation was
-// stopped at a barrier.
-func (r *Run) CancelledFrom() State {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cancelledFrom
-}
-
-func (r *Run) setBuildCached(cached bool) {
-	r.mu.Lock()
-	r.buildCached = cached
-	r.mu.Unlock()
-}
-
-func (r *Run) setAgent(a *agent.Agent) {
-	r.mu.Lock()
-	r.agent = a
 	r.mu.Unlock()
 }
 
@@ -435,15 +258,18 @@ func (r *Run) armLimits() (stop func()) {
 }
 
 // finish records a terminal state exactly once (later calls are ignored,
-// so the panic-recovery path cannot overwrite a real outcome).
-func (r *Run) finish(st State, err error, rep *metrics.Report, sum *NetSummary) {
+// so the panic-recovery path cannot overwrite a real outcome). The
+// outcome, the state and the Done signal change together, under the run's
+// lock: a reader that saw Done, or the end of a stream the server holds
+// open until Done, reads a terminal state.
+func (r *Run) finish(st State, err error, out *experiments.RunOutcome) {
 	r.mu.Lock()
 	if !r.state.Terminal() {
 		r.state = st
 		r.err = err
-		r.report = rep
-		r.net = sum
+		r.out = out
 		r.finished = time.Now()
+		close(r.done)
 	}
 	r.mu.Unlock()
 }
@@ -470,7 +296,8 @@ type Info struct {
 	Priority string `json:"priority,omitempty"`
 	Weight   int    `json:"weight,omitempty"`
 	// CancelledFrom distinguishes a cancellation's timing: "queued" (the
-	// run never started) or "running" (a live simulation was stopped).
+	// run never left the queue), "building" (stopped before its first
+	// event) or "running" (a live simulation was stopped).
 	CancelledFrom State `json:"cancelled_from,omitempty"`
 	// BuildCached reports that the scenario build was served from the
 	// daemon's setup cache instead of being regenerated.
@@ -503,8 +330,8 @@ type Info struct {
 	HeapInuse uint64 `json:"heap_inuse,omitempty"`
 	PeakRSS   uint64 `json:"peak_rss,omitempty"`
 
-	Report *metrics.Report `json:"report,omitempty"`
-	Net    *NetSummary     `json:"net,omitempty"`
+	Report *metrics.Report         `json:"report,omitempty"`
+	Net    *experiments.NetSummary `json:"net,omitempty"`
 }
 
 // Info snapshots the run.
@@ -515,15 +342,20 @@ func (r *Run) Info() Info {
 		Approach: strings.ToUpper(r.Spec.Approach), Engines: r.Spec.Engines,
 		Seconds: r.Spec.Seconds, App: r.Spec.App, Seed: r.Spec.Seed,
 		Fidelity:  r.Spec.FlowFidelity,
-		Submitted: r.submitted, MLLms: r.mllMS,
-		SetupMS: r.setupMS, HeapInuse: r.heapInuse, PeakRSS: r.peakRSS,
-		Report: r.report, Net: r.net,
-		ProfileCaptured: r.captured != nil,
-		FaultEvents:     len(r.faultRecs),
-		Priority:        r.Spec.Priority,
-		Weight:          r.weight,
-		CancelledFrom:   r.cancelledFrom,
-		BuildCached:     r.buildCached,
+		Submitted: r.submitted,
+		SetupMS:   r.setupMS, HeapInuse: r.mem.HeapInuse, PeakRSS: r.mem.PeakRSS,
+		Priority:      r.Spec.Priority,
+		Weight:        r.weight,
+		CancelledFrom: r.cancelledFrom,
+		BuildCached:   r.buildCached,
+	}
+	if r.mapping != nil {
+		in.MLLms = r.mapping.MLL.Millis()
+	}
+	if out := r.out; out != nil {
+		in.Report, in.Net = &out.Report, &out.Net
+		in.ProfileCaptured = true
+		in.FaultEvents = len(out.Faults)
 	}
 	if r.agent != nil {
 		c := r.agent.Counters()
@@ -649,9 +481,6 @@ func NewManagerOpts(o Options) *Manager {
 	return m
 }
 
-// Ingest returns the attached live agent plane (nil when disabled).
-func (m *Manager) Ingest() *agent.Ingest { return m.ingest }
-
 // Submit validates a spec and admits the run into the scheduler queue.
 // The returned run is already visible to Get/List; it starts executing
 // when the pool can fit its weight and everything ahead of it in
@@ -660,8 +489,8 @@ func (m *Manager) Submit(spec Spec) (*Run, error) {
 	if spec.Faults == nil {
 		spec.Faults = m.defaultFaults
 	}
-	spec.normalize()
-	if err := spec.validate(); err != nil {
+	spec.Normalize()
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	if spec.Weight > m.workers {
@@ -673,6 +502,7 @@ func (m *Manager) Submit(spec Spec) (*Run, error) {
 		Tel:       telemetry.New(spec.Engines, m.ringCap),
 		ctx:       ctx,
 		cancel:    cancel,
+		done:      make(chan struct{}),
 		weight:    spec.Weight,
 		state:     StateQueued,
 		submitted: time.Now(),
@@ -686,7 +516,6 @@ func (m *Manager) Submit(spec Spec) (*Run, error) {
 	}
 	m.next++
 	r.ID = fmt.Sprintf("r%04d", m.next)
-	r.seq = uint64(m.next)
 	m.runs[r.ID] = r
 	m.order = append(m.order, r.ID)
 	m.enqueueLocked(r)
@@ -726,7 +555,7 @@ func (m *Manager) scheduleLocked() {
 		}
 		m.queue = m.queue[1:]
 		m.activeW += r.weight
-		r.setRunning()
+		r.setBuilding()
 		m.wg.Add(1)
 		go m.runLoop(r)
 	}
@@ -752,14 +581,21 @@ func (m *Manager) Get(id string) (*Run, bool) {
 	return r, ok
 }
 
-// List snapshots every run in submission order.
-func (m *Manager) List() []Info {
+// snapshot returns every run in submission order, plus the scheduler's
+// queue depth and occupied pool slots at the same instant.
+func (m *Manager) snapshot() (runs []*Run, queueDepth, activeW int) {
 	m.mu.Lock()
-	runs := make([]*Run, 0, len(m.order))
+	defer m.mu.Unlock()
+	runs = make([]*Run, 0, len(m.order))
 	for _, id := range m.order {
 		runs = append(runs, m.runs[id])
 	}
-	m.mu.Unlock()
+	return runs, len(m.queue), m.activeW
+}
+
+// List snapshots every run in submission order.
+func (m *Manager) List() []Info {
+	runs, _, _ := m.snapshot()
 	infos := make([]Info, len(runs))
 	for i, r := range runs {
 		infos[i] = r.Info()
@@ -769,9 +605,9 @@ func (m *Manager) List() []Info {
 
 // Cancel requests cancellation of a run by ID. from reports the phase
 // the run was in when the request landed: a queued run is withdrawn and
-// turns cancelled immediately (it never started); a running run stops
-// cooperatively at the next barrier; a terminal run is left untouched
-// (from echoes its state).
+// turns cancelled immediately (it never started); a building run stops
+// before its first event, a running one cooperatively at the next
+// barrier; a terminal run is left untouched (from echoes its state).
 func (m *Manager) Cancel(id string) (r *Run, from State, ok bool) {
 	m.mu.Lock()
 	r, ok = m.runs[id]
@@ -779,28 +615,21 @@ func (m *Manager) Cancel(id string) (r *Run, from State, ok bool) {
 		m.mu.Unlock()
 		return nil, "", false
 	}
-	from = r.State()
-	switch from {
-	case StateQueued:
-		m.removeQueuedLocked(r)
+	if m.removeQueuedLocked(r) {
 		r.setCancelledFrom(StateQueued)
-		r.finish(StateCancelled, nil, nil, nil)
+		r.finish(StateCancelled, nil, nil)
 		m.mu.Unlock()
 		r.cancel()
 		r.Tel.Windows.Close()
-	case StateRunning:
-		r.setCancelledFrom(StateRunning)
-		m.mu.Unlock()
-		r.cancel()
-	default:
-		m.mu.Unlock()
+		return r, StateQueued, true
 	}
-	return r, from, true
+	m.mu.Unlock()
+	return r, r.requestCancel(), true
 }
 
 // Shutdown cancels every run — queued runs turn cancelled immediately,
-// running ones stop at their next barrier — and waits for dispatched
-// workers to drain, bounded by ctx.
+// dispatched ones stop before their first event or at their next barrier
+// — and waits for dispatched workers to drain, bounded by ctx.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	m.shut = true
@@ -812,7 +641,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Unlock()
 	for _, r := range queued {
 		r.setCancelledFrom(StateQueued)
-		r.finish(StateCancelled, nil, nil, nil)
+		r.finish(StateCancelled, nil, nil)
 		r.Tel.Windows.Close()
 	}
 	done := make(chan struct{})
@@ -828,18 +657,13 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 // Gather merges daemon-level gauges with every run's registry, each run
 // labeled run="<id>" — one scrape covers all concurrent simulations.
 func (m *Manager) Gather() []telemetry.Point {
-	m.mu.Lock()
-	runs := make([]*Run, 0, len(m.order))
-	for _, id := range m.order {
-		runs = append(runs, m.runs[id])
-	}
-	m.mu.Unlock()
+	runs, queueDepth, activeW := m.snapshot()
 	counts := map[State]int{}
 	for _, r := range runs {
 		counts[r.State()]++
 	}
 	pts := make([]telemetry.Point, 0, 8+32*len(runs))
-	for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled} {
+	for _, st := range []State{StateQueued, StateBuilding, StateRunning, StateDone, StateFailed, StateCancelled} {
 		pts = append(pts, telemetry.Point{
 			Name: "massfd_runs", Kind: "gauge",
 			Help:   "Number of runs by lifecycle state.",
@@ -847,10 +671,6 @@ func (m *Manager) Gather() []telemetry.Point {
 			Value:  float64(counts[st]),
 		})
 	}
-	m.mu.Lock()
-	queueDepth := len(m.queue)
-	activeW := m.activeW
-	m.mu.Unlock()
 	pts = append(pts,
 		telemetry.Point{
 			Name: "massfd_pool_slots", Kind: "gauge",
@@ -896,261 +716,123 @@ func (m *Manager) runLoop(r *Run) {
 	defer r.Tel.Windows.Close()
 	defer func() {
 		if p := recover(); p != nil {
-			r.finish(StateFailed, fmt.Errorf("runctl: run panicked: %v", p), nil, nil)
+			r.finish(StateFailed, fmt.Errorf("runctl: run panicked: %v", p), nil)
 		}
 	}()
-	if r.ctx.Err() != nil {
-		r.finish(StateCancelled, nil, nil, nil)
-		return
+	var out *experiments.RunOutcome
+	err := r.ctx.Err()
+	if err == nil {
+		stopLimits := r.armLimits()
+		out, err = m.execute(r)
+		stopLimits()
 	}
-	stopLimits := r.armLimits()
-	rep, sum, err := m.execute(r)
-	stopLimits()
 	switch lerr := r.limitError(); {
 	case lerr != nil:
 		// A limit fired: the stop arrived through the cancellation path,
 		// but the outcome is a failure, with the partial report kept.
-		r.finish(StateFailed, lerr, rep, sum)
+		r.finish(StateFailed, lerr, out)
 	case err != nil && r.ctx.Err() != nil:
-		r.finish(StateCancelled, nil, nil, nil)
+		r.setCancelledFrom(StateBuilding)
+		r.finish(StateCancelled, nil, nil)
 	case err != nil:
-		r.finish(StateFailed, err, nil, nil)
+		r.finish(StateFailed, err, nil)
 	case r.ctx.Err() != nil:
 		// Stopped mid-simulation: keep the partial report.
 		r.setCancelledFrom(StateRunning)
-		r.finish(StateCancelled, nil, rep, sum)
+		r.finish(StateCancelled, nil, out)
 	default:
-		r.finish(StateDone, nil, rep, sum)
+		r.finish(StateDone, nil, out)
 	}
 }
 
-// buildNetwork materializes the spec's topology source.
-func buildNetwork(spec Spec) (*model.Network, bool, error) {
-	switch {
-	case spec.DML != "":
-		net, err := dml.ReadNetwork(strings.NewReader(spec.DML))
-		if err != nil {
-			return nil, false, err
-		}
-		return net, len(net.ASes) > 1, nil
-	case spec.Flat != nil:
-		net, err := topology.GenerateFlat(topology.FlatOptions{
-			Routers: spec.Flat.Routers, Hosts: spec.Flat.Hosts, Seed: spec.Seed,
-		})
-		return net, false, err
-	default:
-		net, err := mabrite.Generate(mabrite.Options{
-			ASes: spec.MultiAS.ASes, RoutersPerAS: spec.MultiAS.RoutersPerAS,
-			Hosts: spec.MultiAS.Hosts, Seed: spec.Seed,
-		})
-		return net, true, err
-	}
-}
-
-// execute runs the full scenario pipeline: topology, setup, optional
-// profiling pass, mapping, and the telemetry-instrumented simulation.
-// Cancellation is checked between stages and, during simulation, via a
-// watcher that calls Sim.Stop.
-func (m *Manager) execute(r *Run) (*metrics.Report, *NetSummary, error) {
+// execute walks the run through the launch path (internal/experiments):
+// build, profile, map, prepare — the building phase, with this package's
+// caches around the build and map steps — then publishes the prepared
+// simulation and runs it. Cancellation reaches the profiling pass and the
+// simulation through the run's context and is checked between the other
+// steps.
+func (m *Manager) execute(r *Run) (*experiments.RunOutcome, error) {
 	spec := r.Spec
-	a, err := ParseApproach(spec.Approach)
-	if err != nil {
-		return nil, nil, err
-	}
-	w, err := parseWorkload(spec.App)
-	if err != nil {
-		return nil, nil, err
-	}
+	spec.Telemetry = r.Tel
 	setupStart := time.Now()
-	appHosts := 7
-	if w == experiments.HTTPOnly {
-		appHosts = 1
-	}
 	// Scenario construction — topology, routing warm-up, role selection —
 	// is memoized by content key: a repeat submission shares the immutable
-	// built state (network, router, role slices) and pays only for a
-	// shallow copy, driving submit-to-first-window latency from a rebuild
-	// to milliseconds. The per-run knobs (engines, horizon, event cost)
-	// are overlaid on the copy below.
-	key := spec.setupKey(appHosts)
-	st0, cached, err := m.builds.get(key, func() (*experiments.Setup, error) {
-		net, multi, err := m.buildNetworkCached(spec)
+	// built state and pays only for the per-run overlay, driving
+	// submit-to-first-window latency from a rebuild to milliseconds.
+	key := setupKey(&spec)
+	st, cached, err := m.builds.get(key, func() (*experiments.Setup, error) {
+		net, multi, err := m.network(&spec)
 		if err != nil {
 			return nil, err
 		}
-		free := net.NumHosts() - appHosts
-		nc, ns := spec.Clients, spec.Servers
-		if nc <= 0 {
-			nc = free * 4 / 5
-		}
-		if ns <= 0 {
-			ns = free - nc
-		}
-		sc := experiments.Scale{
-			Name: "massfd", Hosts: net.NumHosts(),
-			Clients: nc, Servers: ns, AppHosts: appHosts,
-			Engines:   spec.Engines,
-			Horizon:   spec.Horizon(),
-			EventCost: spec.EventCost(),
-			Seed:      spec.Seed,
-		}
-		return experiments.NewSetup(net, sc, multi)
+		return spec.Build(net, multi)
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if r.ctx.Err() != nil {
-		return nil, nil, r.ctx.Err()
+	r.mu.Lock()
+	r.buildCached = cached
+	r.mu.Unlock()
+	if err := r.ctx.Err(); err != nil {
+		return nil, err
 	}
-	r.setBuildCached(cached)
-	stc := *st0
-	stc.Scale.Engines = spec.Engines
-	stc.Scale.Horizon = spec.Horizon()
-	stc.Scale.EventCost = spec.EventCost()
-	stc.Profile = nil // profiles are per-run state, never shared via the cache
-	st := &stc
-	sc := st.Scale
 	// Setup time excludes the optional profiling pass (a full simulation
-	// run, not construction); the mapping + BuildSim segment is added below.
+	// run, not construction); the map + prepare segment is added below.
 	setupNS := time.Since(setupStart)
-	if a.ProfileBased() {
-		if spec.Profile != "" {
-			// Submit-time profile reference: map from measured rates the
-			// client captured earlier (its own run, or another run's
-			// GET /runs/{id}/profile) instead of re-profiling.
-			p, err := profile.Read(strings.NewReader(spec.Profile))
-			if err != nil {
-				return nil, nil, err
-			}
-			if len(p.NodeEvents) != len(st.Net.Nodes) || len(p.LinkBits) != len(st.Net.Links) {
-				return nil, nil, fmt.Errorf("runctl: profile shape %d nodes/%d links does not match network %d/%d",
-					len(p.NodeEvents), len(p.LinkBits), len(st.Net.Nodes), len(st.Net.Links))
-			}
-			st.Profile = p
-		} else if err := m.runProfiling(r, st, w); err != nil {
-			return nil, nil, err
-		}
-		if r.ctx.Err() != nil {
-			return nil, nil, r.ctx.Err()
-		}
+	prof, err := spec.TrafficProfile(r.ctx, st)
+	if err != nil {
+		return nil, err
 	}
 	mapStart := time.Now()
-	// Non-profile mappings are deterministic per (setup, approach,
-	// engines), so the warm path reuses them from the scenario cache; a
-	// profile-based mapping depends on per-run measured rates and is
-	// always computed fresh.
+	// Without a profile a mapping is deterministic per (setup, approach,
+	// engines), so the warm path reuses it from the scenario cache; one
+	// mapped from per-run measured rates is always computed fresh.
 	var mp *core.Mapping
-	if a.ProfileBased() {
-		mp, err = st.MapApproach(a)
+	if prof != nil {
+		mp, err = spec.Map(st, prof)
 	} else {
-		mapKey := fmt.Sprintf("%s|e=%d", a, spec.Engines)
+		mapKey := fmt.Sprintf("%s|e=%d", strings.ToUpper(spec.Approach), spec.Engines)
 		mp, err = m.builds.mapping(key, mapKey, func() (*core.Mapping, error) {
-			return st.MapApproach(a)
+			return spec.Map(st, nil)
 		})
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	r.setMLL(mp.MLL.Millis())
-	r.setPartition(mp.Part)
-	sim, _, err := st.BuildSim(mp, w, runspec.RunSpec{
-		Telemetry:      r.Tel,
-		RealTimeFactor: spec.RealTimeFactor,
-		SeriesBuckets:  256,
-		Faults:         spec.Faults,
-		NetMon:         spec.NetMon,
-		NetSample:      spec.NetSample,
-		FlowFidelity:   spec.FlowFidelity,
-		FluidQuantumUS: spec.FluidQuantumUS,
-	})
+	p, err := spec.Prepare(st, mp)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	setupNS += time.Since(mapStart)
-	r.setSetupMS(float64(setupNS) / 1e6)
 	r.Tel.SetupNS.Set(int64(setupNS))
-	// Publish the plane before Run so /net/stream can follow live.
-	r.setNetMon(sim.Config().NetMon)
+	var ag *agent.Agent
 	if m.ingest != nil && spec.Ingest {
 		// Expose the run to the live agent plane: outside connections
 		// attach under the run id and address hosts by index into the
 		// setup's host table. The pump must be installed before Run.
-		ag := agent.New(sim, des.Millisecond)
-		r.setAgent(ag)
+		ag = agent.New(p.Sim, des.Millisecond)
 		m.ingest.Register(r.ID, ag, st.Hosts)
 		defer func() {
 			m.ingest.Unregister(r.ID)
 			ag.Close()
 		}()
 	}
-	release := watchCancel(r.ctx, sim.Stop)
-	res := sim.Run()
-	release()
-	// GC-free sample: a forced GC here would sit between the netmon
-	// stream closing and the run turning terminal, stalling clients that
-	// expect the two to coincide.
-	r.setMem(memstat.Read())
-	// Every run doubles as a profiling run: capture the measured traffic
-	// so GET /runs/{id}/profile can feed it back into a later HPROF
-	// submission (Section 3.3's monitoring loop, closed over HTTP).
-	r.setCaptured(profile.FromResult(&res, sc.Horizon))
-	rep := metrics.FromStats(a.String(), res.Stats, sc.EventCost)
-	sum := &NetSummary{
-		FlowsStarted: res.FlowsStarted, FlowsCompleted: res.FlowsCompleted,
-		Dropped: res.Dropped, Retransmissions: res.Retransmissions,
-		DeliveredBits: res.DeliveredBits,
-		FluidStarted:  res.FluidStarted, FluidCompleted: res.FluidCompleted,
-		FluidDeliveredBits: res.FluidDeliveredBits,
+	if !r.setRunning(p, ag, float64(setupNS)/1e6) {
+		return nil, r.ctx.Err()
 	}
-	if plane, ok := sim.Config().Faults.(*faults.Plane); ok && plane != nil {
-		recs := make([]FaultRecord, len(plane.Events()))
-		for i, ev := range plane.Events() {
-			recs[i] = FaultRecord{FaultInfo: ev}
-			if i < len(res.FaultDrops) {
-				recs[i].Drops = res.FaultDrops[i]
-				sum.FaultDrops += res.FaultDrops[i]
-			}
-		}
-		r.setFaults(recs)
+	full := p.Run(r.ctx)
+	// Keep what the daemon serves and let the rest go: the full result and
+	// the traffic stats reach back into the simulation, and a finished run
+	// stays in the run table.
+	out := &experiments.RunOutcome{
+		Report: full.Report, Net: full.Net, Faults: full.Faults, Captured: full.Captured,
 	}
-	if mon := sim.Config().NetMon; mon != nil {
-		sum.NetMon = mon.Summary()
-	}
-	return &rep, sum, nil
-}
-
-// runProfiling is the cancellable variant of Setup.RunProfiling: the
-// same sequential pass (everything on one engine, MaxMLL window, no
-// telemetry — the live ring belongs to the real run), but stoppable
-// through the run's context.
-func (m *Manager) runProfiling(r *Run, st *experiments.Setup, w experiments.Workload) error {
-	seq := *st
-	seq.Scale.Engines = 1
-	mp := &core.Mapping{Approach: core.RANDOM, MLL: core.MaxMLL, E: 1, Es: 1, Ec: 1}
-	sim, _, err := seq.BuildSim(mp, w, runspec.RunSpec{})
-	if err != nil {
-		return err
-	}
-	release := watchCancel(r.ctx, sim.Stop)
-	res := sim.Run()
-	release()
-	if res.Stats.Stopped {
-		return r.ctx.Err()
-	}
-	st.Profile = profile.FromResult(&res, seq.Scale.Horizon)
-	return nil
-}
-
-// watchCancel invokes stop when ctx is cancelled; the returned release
-// function retires the watcher once the simulation has returned.
-func watchCancel(ctx context.Context, stop func()) (release func()) {
-	done := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			stop()
-		case <-done:
-		}
-	}()
-	return func() { close(done) }
+	// GC-free sample: a forced GC here would sit between the simulation's
+	// streams closing and the run turning terminal, stalling clients that
+	// follow them.
+	mem := memstat.Read()
+	r.mu.Lock()
+	r.mem = mem
+	r.mu.Unlock()
+	return out, nil
 }

@@ -1,14 +1,12 @@
-// HTTP surface of the run-control daemon. The canonical surface lives
-// under the versioned /api/v1 prefix; every route is also registered at
-// its historical unversioned path as a thin deprecated alias that returns
-// byte-identical bodies (plus Deprecation/Link headers pointing at the
-// successor). Errors are a uniform JSON envelope:
+// HTTP surface of the run-control daemon, under the versioned /api/v1
+// prefix. Errors are a uniform JSON envelope:
 //
 //	{"error": {"code": "<machine_code>", "message": "<human text>"}}
 //
-// with codes invalid_spec (400), not_found (404) and queue_full (429).
+// with codes invalid_spec (400), not_found (404), not_ready (409) and
+// queue_full (429).
 //
-// Routes (Go 1.22 method patterns, shown unprefixed):
+// Routes (Go 1.22 method patterns, shown without the /api/v1 prefix):
 //
 //	GET    /healthz               liveness probe
 //	GET    /runs                  list runs (JSON)
@@ -17,9 +15,9 @@
 //	                              queue is at capacity)
 //	GET    /runs/{id}             one run's Info
 //	POST   /runs/{id}/cancel      request cancellation; the Info body's
-//	                              cancelled_from distinguishes a queued
-//	                              run withdrawn before starting from a
-//	                              running simulation being stopped
+//	                              cancelled_from says which phase the
+//	                              request found the run in: queued,
+//	                              building or running
 //	DELETE /runs/{id}             same as cancel
 //	GET    /runs/{id}/metrics     live NDJSON stream of per-window
 //	                              records (replay + follow until the run
@@ -47,7 +45,8 @@
 //	                              from the netmon plane (?top=N busiest
 //	                              directions, default 32; ?series=1 adds
 //	                              the windowed series; 404 when the spec
-//	                              did not enable netmon)
+//	                              did not enable netmon, 409 not_ready
+//	                              while the run is queued or building)
 //	GET    /runs/{id}/net/flows   per-flow TCP records + flow-completion-
 //	                              time histogram (?samples=1 adds the
 //	                              SRTT/cwnd trajectories)
@@ -60,6 +59,7 @@
 package runctl
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -108,21 +108,13 @@ func NewServer(m *Manager) *Server {
 	return s
 }
 
-// handle registers one route twice: canonically under APIPrefix, and at
-// the historical unversioned path as a deprecated alias. Both share the
-// handler, so bodies are identical by construction; the alias only adds
-// the deprecation headers.
+// handle registers "METHOD /path" under APIPrefix.
 func (s *Server) handle(pattern string, h http.HandlerFunc) {
 	method, path, ok := strings.Cut(pattern, " ")
 	if !ok {
 		panic("runctl: route pattern must be \"METHOD /path\": " + pattern)
 	}
 	s.mux.HandleFunc(method+" "+APIPrefix+path, h)
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+APIPrefix+r.URL.Path+">; rel=\"successor-version\"")
-		h(w, r)
-	})
 }
 
 // ServeHTTP implements http.Handler.
@@ -140,6 +132,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 const (
 	CodeInvalidSpec = "invalid_spec"
 	CodeNotFound    = "not_found"
+	CodeNotReady    = "not_ready"
 	CodeQueueFull   = "queue_full"
 )
 
@@ -158,6 +151,16 @@ func writeError(w http.ResponseWriter, status int, code string, err error) {
 
 func writeNotFound(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusNotFound, CodeNotFound, err)
+}
+
+// lookup resolves the request's {id} to its run, answering 404 itself
+// when there is none.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*Run, bool) {
+	run, ok := s.m.Get(r.PathValue("id"))
+	if !ok {
+		writeNotFound(w, fmt.Errorf("runctl: no run %q", r.PathValue("id")))
+	}
+	return run, ok
 }
 
 func (s *Server) listRuns(w http.ResponseWriter, _ *http.Request) {
@@ -185,19 +188,19 @@ func (s *Server) submitRun(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) getRun(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.m.Get(r.PathValue("id"))
+	run, ok := s.lookup(w, r)
 	if !ok {
-		writeNotFound(w, fmt.Errorf("runctl: no run %q", r.PathValue("id")))
 		return
 	}
 	writeJSON(w, http.StatusOK, run.Info())
 }
 
 // cancelRun requests cancellation. The response body distinguishes the
-// two live cases: a queued run is withdrawn without ever starting
-// (cancelled_from "queued", state already "cancelled") while a running
-// simulation is stopped at its next barrier (cancelled_from "running").
-// Cancelling an already-terminal run is a no-op echo of its Info.
+// live cases: a queued run is withdrawn without ever starting
+// (cancelled_from "queued", state already "cancelled"), a building run is
+// stopped before its first event (cancelled_from "building"), a running
+// simulation at its next barrier (cancelled_from "running"). Cancelling
+// an already-terminal run is a no-op echo of its Info.
 func (s *Server) cancelRun(w http.ResponseWriter, r *http.Request) {
 	run, from, ok := s.m.Cancel(r.PathValue("id"))
 	if !ok {
@@ -212,23 +215,20 @@ func (s *Server) cancelRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // cancelPhase maps the state a cancel request observed to the response's
-// cancelled_from value: only queued and running runs are actually
-// affected; terminal states report empty (nothing was cancelled).
+// cancelled_from value: terminal states report empty (nothing was
+// cancelled).
 func cancelPhase(from State) State {
-	if from == StateQueued || from == StateRunning {
-		return from
+	if from.Terminal() {
+		return ""
 	}
-	return ""
+	return from
 }
 
-// runMetrics streams one run's per-window telemetry as NDJSON: the
-// ring's retained history first, then live records as barriers complete,
-// ending when the run reaches a terminal state (the ring closes) or the
-// client disconnects.
+// runMetrics streams one run's per-window telemetry as NDJSON (see
+// streamNDJSON), or serves its Prometheus snapshot with ?format=prom.
 func (s *Server) runMetrics(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.m.Get(r.PathValue("id"))
+	run, ok := s.lookup(w, r)
 	if !ok {
-		writeNotFound(w, fmt.Errorf("runctl: no run %q", r.PathValue("id")))
 		return
 	}
 	if r.URL.Query().Get("format") == "prom" {
@@ -236,9 +236,16 @@ func (s *Server) runMetrics(w http.ResponseWriter, r *http.Request) {
 		telemetry.WritePrometheus(w, run.Tel.Reg.Gather(telemetry.Label{Key: "run", Value: run.ID}))
 		return
 	}
-	follow := r.URL.Query().Get("follow") != "0"
 	past, ch, cancel := run.Tel.Windows.Subscribe(1024)
 	defer cancel()
+	streamNDJSON(w, r, run, past, ch)
+}
+
+// streamNDJSON writes a run's live stream as NDJSON: the retained history
+// first, then records as they arrive, ending once the source has closed
+// and the run is terminal, or when the client disconnects. ?follow=0
+// dumps the history and returns.
+func streamNDJSON[T any](w http.ResponseWriter, r *http.Request, run *Run, past []T, ch <-chan T) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
@@ -249,40 +256,45 @@ func (s *Server) runMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	flush(w)
-	if !follow {
+	if r.URL.Query().Get("follow") == "0" {
 		return
 	}
 	ctx := r.Context()
 	for {
 		select {
 		case rec, open := <-ch:
-			if !open {
-				return
-			}
-			if enc.Encode(rec) != nil {
-				return
-			}
 			// Drain whatever else is already buffered before flushing, so
-			// a fast simulation does not force one flush per window.
-			for {
-				select {
-				case rec, open := <-ch:
-					if !open {
-						flush(w)
-						return
-					}
-					if enc.Encode(rec) != nil {
-						return
-					}
-					continue
-				default:
+			// a fast simulation does not force one flush per record.
+			for more := true; open && more; {
+				if enc.Encode(rec) != nil {
+					return
 				}
-				break
+				select {
+				case rec, open = <-ch:
+				default:
+					more = false
+				}
 			}
 			flush(w)
+			if !open {
+				run.awaitTerminal(ctx)
+				return
+			}
 		case <-ctx.Done():
 			return
 		}
+	}
+}
+
+// awaitTerminal holds a live stream's response open until the run is
+// terminal. The engine closes its window ring and completion stream when
+// the simulation returns, a moment before the run's outcome is recorded;
+// waiting here makes "the stream ended" imply a terminal state for the
+// client that was following it.
+func (r *Run) awaitTerminal(ctx context.Context) {
+	select {
+	case <-r.done:
+	case <-ctx.Done():
 	}
 }
 
@@ -297,9 +309,8 @@ func flush(w http.ResponseWriter) {
 // slices per barrier window. The snapshot reflects whatever the bounded
 // ring currently retains, so it works on live runs too.
 func (s *Server) runTrace(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.m.Get(r.PathValue("id"))
+	run, ok := s.lookup(w, r)
 	if !ok {
-		writeNotFound(w, fmt.Errorf("runctl: no run %q", r.PathValue("id")))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -316,9 +327,8 @@ func (s *Server) runTrace(w http.ResponseWriter, r *http.Request) {
 // mapping and the simulation respectively), each straggler engine is
 // attributed to the simulated routers dominating its load.
 func (s *Server) runStraggler(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.m.Get(r.PathValue("id"))
+	run, ok := s.lookup(w, r)
 	if !ok {
-		writeNotFound(w, fmt.Errorf("runctl: no run %q", r.PathValue("id")))
 		return
 	}
 	k, _ := strconv.Atoi(r.URL.Query().Get("k"))
@@ -339,9 +349,8 @@ func (s *Server) runStraggler(w http.ResponseWriter, r *http.Request) {
 // Spec.Profile all consume — closing the paper's monitoring feedback
 // loop over HTTP. 404 until the simulation has returned.
 func (s *Server) runProfile(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.m.Get(r.PathValue("id"))
+	run, ok := s.lookup(w, r)
 	if !ok {
-		writeNotFound(w, fmt.Errorf("runctl: no run %q", r.PathValue("id")))
 		return
 	}
 	p := run.CapturedProfile()
@@ -358,9 +367,8 @@ func (s *Server) runProfile(w http.ResponseWriter, r *http.Request) {
 // when the simulation returned. 404 while the run is in flight or when it
 // carried no fault script.
 func (s *Server) runFaults(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.m.Get(r.PathValue("id"))
+	run, ok := s.lookup(w, r)
 	if !ok {
-		writeNotFound(w, fmt.Errorf("runctl: no run %q", r.PathValue("id")))
 		return
 	}
 	recs := run.Faults()
@@ -376,16 +384,26 @@ func (s *Server) runFaults(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// netMon resolves a run and its observability plane, writing the 404 when
-// either is missing. The plane exists from the moment execution starts, so
-// the link/flow endpoints work on live runs too (atomic snapshots).
+// netMon resolves a run and its observability plane, writing the error
+// when either is missing: 404 for an unknown run or one whose spec never
+// enabled the plane, 409 not_ready for one that will have a plane but is
+// still queued or building. The plane exists from the moment the run
+// reports running, so the link/flow endpoints work on live runs too
+// (atomic snapshots).
 func (s *Server) netMon(w http.ResponseWriter, r *http.Request) (*Run, *netmon.Mon, bool) {
-	run, ok := s.m.Get(r.PathValue("id"))
+	run, ok := s.lookup(w, r)
 	if !ok {
-		writeNotFound(w, fmt.Errorf("runctl: no run %q", r.PathValue("id")))
 		return nil, nil, false
 	}
+	// State first: a run read as running has already published its plane.
+	st := run.State()
 	mon := run.NetMon()
+	if mon == nil && (st == StateQueued || st == StateBuilding) &&
+		(run.Spec.NetMon || run.Spec.NetSample > 0) {
+		writeError(w, http.StatusConflict, CodeNotReady,
+			fmt.Errorf("runctl: run %q is still %s; its network observability plane exists once it is running", run.ID, st))
+		return nil, nil, false
+	}
 	if mon == nil {
 		writeNotFound(w,
 			fmt.Errorf("runctl: run %q has no network observability plane (submit with \"netmon\": true or \"net_sample\" > 0; state %s)",
@@ -442,61 +460,15 @@ func (s *Server) runNetPaths(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runNetStream streams flow completions as NDJSON: buffered history first,
-// then live snapshots as flows finish, ending when the run closes the
-// plane or the client disconnects. ?follow=0 dumps and returns.
+// runNetStream streams flow completions as NDJSON (see streamNDJSON).
 func (s *Server) runNetStream(w http.ResponseWriter, r *http.Request) {
-	_, mon, ok := s.netMon(w, r)
+	run, mon, ok := s.netMon(w, r)
 	if !ok {
 		return
 	}
-	follow := r.URL.Query().Get("follow") != "0"
 	past, ch, cancel := mon.SubscribeCompletions(1024)
 	defer cancel()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	for _, snap := range past {
-		if enc.Encode(snap) != nil {
-			return
-		}
-	}
-	flush(w)
-	if !follow {
-		return
-	}
-	ctx := r.Context()
-	for {
-		select {
-		case snap, open := <-ch:
-			if !open {
-				return
-			}
-			if enc.Encode(snap) != nil {
-				return
-			}
-			// Drain the buffer before flushing, as /metrics does.
-			for {
-				select {
-				case snap, open := <-ch:
-					if !open {
-						flush(w)
-						return
-					}
-					if enc.Encode(snap) != nil {
-						return
-					}
-					continue
-				default:
-				}
-				break
-			}
-			flush(w)
-		case <-ctx.Done():
-			return
-		}
-	}
+	streamNDJSON(w, r, run, past, ch)
 }
 
 // aggregateMetrics serves the merged Prometheus exposition: daemon

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"massf/internal/des"
+	"massf/internal/experiments"
 	"massf/internal/faults"
 	"massf/internal/flight"
 	"massf/internal/profile"
@@ -41,7 +42,7 @@ func testSpec(name string, seed int64, seconds, realtime float64) Spec {
 func submitSpec(t *testing.T, base string, spec Spec) Info {
 	t.Helper()
 	body, _ := json.Marshal(spec)
-	resp, err := http.Post(base+"/runs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+APIPrefix+"/runs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("submit: %v", err)
 	}
@@ -59,11 +60,15 @@ func submitSpec(t *testing.T, base string, spec Spec) Info {
 
 func getInfo(t *testing.T, base, id string) Info {
 	t.Helper()
-	resp, err := http.Get(base + "/runs/" + id)
+	resp, err := http.Get(base + APIPrefix + "/runs/" + id)
 	if err != nil {
 		t.Fatalf("get %s: %v", id, err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("get %s: status %d: %s", id, resp.StatusCode, b)
+	}
 	var info Info
 	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
 		t.Fatalf("get %s: decode: %v", id, err)
@@ -90,7 +95,7 @@ func waitState(t *testing.T, base, id string, timeout time.Duration, want func(I
 // background, delivering records on a channel that closes at EOF.
 func openStream(t *testing.T, base, id string) (<-chan telemetry.WindowRecord, func()) {
 	t.Helper()
-	resp, err := http.Get(base + "/runs/" + id + "/metrics")
+	resp, err := http.Get(base + APIPrefix + "/runs/" + id + "/metrics")
 	if err != nil {
 		t.Fatalf("stream %s: %v", id, err)
 	}
@@ -131,7 +136,7 @@ func TestServerConcurrentRunsAndLiveStream(t *testing.T) {
 	if a.ID == b.ID {
 		t.Fatalf("duplicate run IDs: %s", a.ID)
 	}
-	if a.State != StateQueued && a.State != StateRunning {
+	if a.State != StateQueued && a.State != StateBuilding {
 		t.Fatalf("fresh run in state %s", a.State)
 	}
 
@@ -191,7 +196,7 @@ func TestServerConcurrentRunsAndLiveStream(t *testing.T) {
 	}
 
 	// The aggregate exposition carries both runs under their labels.
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(ts.URL + APIPrefix + "/metrics")
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
 	}
@@ -229,7 +234,7 @@ func TestServerCancel(t *testing.T) {
 
 	// Cancel the queued run: it must go terminal without ever starting,
 	// and its metrics stream must end immediately.
-	resp, err := http.Post(ts.URL+"/runs/"+queued.ID+"/cancel", "", nil)
+	resp, err := http.Post(ts.URL+APIPrefix+"/runs/"+queued.ID+"/cancel", "", nil)
 	if err != nil {
 		t.Fatalf("cancel: %v", err)
 	}
@@ -251,7 +256,7 @@ func TestServerCancel(t *testing.T) {
 	case <-time.After(15 * time.Second):
 		t.Fatal("no window record from the running victim")
 	}
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/runs/"+running.ID, nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+APIPrefix+"/runs/"+running.ID, nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("delete: %v", err)
@@ -283,7 +288,7 @@ func TestServerValidationAndNotFound(t *testing.T) {
 		`{"flat":{"routers":10,"hosts":10},"engines":-3}`,                                       // bad engine count
 	}
 	for _, body := range bad {
-		resp, err := http.Post(ts.URL+"/runs", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+APIPrefix+"/runs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatalf("post: %v", err)
 		}
@@ -293,7 +298,7 @@ func TestServerValidationAndNotFound(t *testing.T) {
 		}
 	}
 	for _, url := range []string{"/runs/r9999", "/runs/r9999/metrics"} {
-		resp, err := http.Get(ts.URL + url)
+		resp, err := http.Get(ts.URL + APIPrefix + url)
 		if err != nil {
 			t.Fatalf("get %s: %v", url, err)
 		}
@@ -320,7 +325,7 @@ func TestServerRunEndpoints(t *testing.T) {
 		t.Fatalf("run ended %s (err=%q)", done.State, done.Error)
 	}
 
-	resp, err := http.Get(ts.URL + "/runs/" + info.ID + "/metrics?follow=0")
+	resp, err := http.Get(ts.URL + APIPrefix + "/runs/" + info.ID + "/metrics?follow=0")
 	if err != nil {
 		t.Fatalf("dump: %v", err)
 	}
@@ -335,7 +340,7 @@ func TestServerRunEndpoints(t *testing.T) {
 		t.Fatalf("bad NDJSON line %q: %v", lines[0], err)
 	}
 
-	resp, err = http.Get(ts.URL + "/runs/" + info.ID + "/metrics?format=prom")
+	resp, err = http.Get(ts.URL + APIPrefix + "/runs/" + info.ID + "/metrics?format=prom")
 	if err != nil {
 		t.Fatalf("prom: %v", err)
 	}
@@ -345,7 +350,7 @@ func TestServerRunEndpoints(t *testing.T) {
 		t.Fatalf("per-run prom snapshot missing windows counter:\n%s", truncate(string(prom), 1000))
 	}
 
-	resp, err = http.Get(ts.URL + "/runs")
+	resp, err = http.Get(ts.URL + APIPrefix + "/runs")
 	if err != nil {
 		t.Fatalf("list: %v", err)
 	}
@@ -388,7 +393,7 @@ func TestServerFlightRecorder(t *testing.T) {
 
 	// Chrome trace: valid JSON, one track per engine, strictly ordered
 	// slice starts per track, all three phases present.
-	resp, err := http.Get(ts.URL + "/runs/" + info.ID + "/trace")
+	resp, err := http.Get(ts.URL + APIPrefix + "/runs/" + info.ID + "/trace")
 	if err != nil {
 		t.Fatalf("trace: %v", err)
 	}
@@ -432,7 +437,7 @@ func TestServerFlightRecorder(t *testing.T) {
 
 	// Straggler analysis: JSON names a bounding engine per window and
 	// attributes the stragglers' load to simulated routers.
-	resp, err = http.Get(ts.URL + "/runs/" + info.ID + "/straggler?k=2")
+	resp, err = http.Get(ts.URL + APIPrefix + "/runs/" + info.ID + "/straggler?k=2")
 	if err != nil {
 		t.Fatalf("straggler: %v", err)
 	}
@@ -455,7 +460,7 @@ func TestServerFlightRecorder(t *testing.T) {
 	if len(rep.Stragglers[0].TopRouters) == 0 {
 		t.Error("top straggler has no router attribution despite captured profile")
 	}
-	resp, err = http.Get(ts.URL + "/runs/" + info.ID + "/straggler?format=text")
+	resp, err = http.Get(ts.URL + APIPrefix + "/runs/" + info.ID + "/straggler?format=text")
 	if err != nil {
 		t.Fatalf("straggler text: %v", err)
 	}
@@ -466,7 +471,7 @@ func TestServerFlightRecorder(t *testing.T) {
 	}
 
 	// Measured profile: parses in the standard format and carries load.
-	resp, err = http.Get(ts.URL + "/runs/" + info.ID + "/profile")
+	resp, err = http.Get(ts.URL + APIPrefix + "/runs/" + info.ID + "/profile")
 	if err != nil {
 		t.Fatalf("profile: %v", err)
 	}
@@ -504,7 +509,7 @@ func TestServerFlightRecorder(t *testing.T) {
 	}
 	spec.Profile = "not a profile"
 	body, _ := json.Marshal(spec)
-	resp, err = http.Post(ts.URL+"/runs", "application/json", bytes.NewReader(body))
+	resp, err = http.Post(ts.URL+APIPrefix+"/runs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatalf("bad profile submit: %v", err)
 	}
@@ -515,7 +520,7 @@ func TestServerFlightRecorder(t *testing.T) {
 
 	// Trace and straggler views exist for unknown runs only as 404s.
 	for _, path := range []string{"/runs/r9999/trace", "/runs/r9999/straggler", "/runs/r9999/profile"} {
-		resp, err := http.Get(ts.URL + path)
+		resp, err := http.Get(ts.URL + APIPrefix + path)
 		if err != nil {
 			t.Fatalf("get %s: %v", path, err)
 		}
@@ -545,7 +550,7 @@ func TestServerFaultReport(t *testing.T) {
 		t.Fatalf("run ended %s (err=%q)", done.State, done.Error)
 	}
 
-	resp, err := http.Get(ts.URL + "/runs/" + info.ID + "/faults")
+	resp, err := http.Get(ts.URL + APIPrefix + "/runs/" + info.ID + "/faults")
 	if err != nil {
 		t.Fatalf("faults: %v", err)
 	}
@@ -555,9 +560,9 @@ func TestServerFaultReport(t *testing.T) {
 		t.Fatalf("faults: status %d: %s", resp.StatusCode, b)
 	}
 	var rep struct {
-		Run    string        `json:"run"`
-		Count  int           `json:"count"`
-		Faults []FaultRecord `json:"faults"`
+		Run    string                    `json:"run"`
+		Count  int                       `json:"count"`
+		Faults []experiments.FaultRecord `json:"faults"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&rep); err != nil {
 		t.Fatalf("faults: decode: %v", err)
@@ -577,7 +582,7 @@ func TestServerFaultReport(t *testing.T) {
 	// A scriptless run has no report.
 	plain := submitSpec(t, ts.URL, testSpec("plain", 3, 0.3, 0))
 	waitState(t, ts.URL, plain.ID, 30*time.Second, func(i Info) bool { return i.State.Terminal() })
-	resp, err = http.Get(ts.URL + "/runs/" + plain.ID + "/faults")
+	resp, err = http.Get(ts.URL + APIPrefix + "/runs/" + plain.ID + "/faults")
 	if err != nil {
 		t.Fatalf("faults (plain): %v", err)
 	}

@@ -55,12 +55,12 @@ func TestSpecWireFormatUnchanged(t *testing.T) {
 // runspec checks.
 func TestSpecValidateDelegates(t *testing.T) {
 	spec := Spec{Flat: &FlatSpec{Routers: 10, Hosts: 5}}
-	spec.normalize()
-	if err := spec.validate(); err != nil {
+	spec.Normalize()
+	if err := spec.Validate(); err != nil {
 		t.Fatalf("normalized default spec rejected: %v", err)
 	}
 	spec.Engines = 5000
-	if err := spec.validate(); err == nil {
+	if err := spec.Validate(); err == nil {
 		t.Fatal("engines=5000 accepted")
 	} else if !strings.Contains(err.Error(), "engines") {
 		t.Fatalf("wrong error for engines: %v", err)

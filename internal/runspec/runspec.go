@@ -1,12 +1,8 @@
-// Package runspec defines RunSpec, the single run-configuration surface
-// shared by every way of launching a simulation: the massf facade
-// (massf.RunSpec), the experiments harness (BuildSim takes it directly)
-// and the runctl daemon (runctl.Spec embeds it, so the
-// HTTP wire format is unchanged). Before this package each of those
-// declared its own overlapping knob set — engine count, horizon, seed,
-// pacing, event cost — with defaults and range checks duplicated or
-// missing. A RunSpec is normalized and validated once, here; embedders
-// add only what is genuinely theirs (topology sources, workload names).
+// Package runspec defines RunSpec, the run-level knobs of the launch path:
+// experiments.Scenario embeds it (so the daemon's HTTP wire format stays
+// flat) and experiments.BuildSim takes it directly. A RunSpec is
+// normalized and validated once, here; the scenario adds only what is
+// genuinely its own (topology sources, workload names).
 package runspec
 
 import (
@@ -15,8 +11,6 @@ import (
 
 	"massf/internal/des"
 	"massf/internal/faults"
-	"massf/internal/netsim"
-	"massf/internal/pdes"
 	"massf/internal/telemetry"
 )
 
@@ -73,33 +67,12 @@ type RunSpec struct {
 	// packet for cross-engine path tracing (implies NetMon).
 	NetSample int `json:"net_sample,omitempty"`
 
-	// Transport, when non-nil, runs the simulation as one worker of a
-	// distributed run (see netsim.Config.Transport). Never serialized —
-	// a live connection cannot travel in a job spec; distributed
-	// coordinators set it after decoding.
-	Transport pdes.Transport `json:"-"`
-	// FirstEngine and HostedEngines delimit the engine range this worker
-	// hosts (meaningful only with Transport). HostedEngines 0 means
-	// Engines-FirstEngine.
-	FirstEngine   int `json:"first_engine,omitempty"`
-	HostedEngines int `json:"hosted_engines,omitempty"`
-	// Slice makes the worker materialize only its engine range's share of
-	// the scenario: slice-local host/flow state and scoped lazy routing
-	// instead of a replicated global build. Distributed runs (Transport
-	// set) slice by DEFAULT — this flag is now only meaningful for
-	// documentation and older specs; see NoSlice for the opt-out.
-	Slice bool `json:"slice,omitempty"`
-	// NoSlice opts a distributed run out of the sliced-setup default and
-	// forces the replicated global build on every worker. Mutually
-	// exclusive with Slice.
-	NoSlice bool `json:"no_slice,omitempty"`
-
 	// FlowFidelity selects the traffic fidelity: "packet" (or empty) runs
 	// everything packet-level; "hybrid" models bulk transfers analytically
 	// on the fluid plane (max-min fair-share rates per link-share epoch)
 	// while designated foreground traffic stays packet-level. Surfaces
 	// that build workloads decide the foreground/background split; see
-	// experiments.BuildSim and simcheck's FluidMinBytes.
+	// experiments.Prepare and simcheck's FluidMinBytes.
 	FlowFidelity string `json:"flow_fidelity,omitempty"`
 	// FluidQuantumUS > 0 batches fluid rate recomputation onto a grid of
 	// this many microseconds (the scale knob for million-flow hybrid
@@ -210,18 +183,6 @@ func (s *RunSpec) Validate() error {
 	if s.NetSample < 0 {
 		return fmt.Errorf("runspec: net sample stride must be ≥ 0")
 	}
-	if s.FirstEngine < 0 || s.HostedEngines < 0 {
-		return fmt.Errorf("runspec: engine range must be ≥ 0")
-	}
-	if s.Engines > 0 && s.FirstEngine >= s.Engines {
-		return fmt.Errorf("runspec: first engine %d outside [0, %d)", s.FirstEngine, s.Engines)
-	}
-	if s.Slice && s.Transport == nil {
-		return fmt.Errorf("runspec: slice build requires a distributed transport")
-	}
-	if s.Slice && s.NoSlice {
-		return fmt.Errorf("runspec: slice and no_slice are mutually exclusive")
-	}
 	switch s.FlowFidelity {
 	case "", FidelityPacket, FidelityHybrid:
 	default:
@@ -245,30 +206,4 @@ func (s *RunSpec) Horizon() des.Time {
 // EventCost returns the modeled per-event cost as engine time.
 func (s *RunSpec) EventCost() des.Time {
 	return des.Time(s.EventCostUS * float64(des.Microsecond))
-}
-
-// SliceBuild resolves the sliced-setup decision: distributed runs slice
-// by default (each worker materializes only its engine range) unless
-// NoSlice opts out; in-process runs never slice.
-func (s *RunSpec) SliceBuild() bool {
-	return s.Transport != nil && !s.NoSlice
-}
-
-// SimConfig seeds a packet-simulation config with the spec's knobs. The
-// caller still supplies everything a run spec cannot know — the network,
-// routes, partition and barrier window — before netsim.New.
-func (s *RunSpec) SimConfig() netsim.Config {
-	return netsim.Config{
-		Engines:        s.Engines,
-		End:            s.Horizon(),
-		Seed:           s.Seed,
-		EventCost:      s.EventCost(),
-		RealTimeFactor: s.RealTimeFactor,
-		SeriesBuckets:  s.SeriesBuckets,
-		Telemetry:      s.Telemetry,
-		Transport:      s.Transport,
-		FirstEngine:    s.FirstEngine,
-		HostedEngines:  s.HostedEngines,
-		SliceBuild:     s.SliceBuild(),
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"massf/internal/des"
-	"massf/internal/pdes"
 )
 
 func TestNormalizeDefaults(t *testing.T) {
@@ -51,46 +50,6 @@ func TestValidateRanges(t *testing.T) {
 	}
 }
 
-// stubTransport satisfies pdes.Transport for specs that claim to be one
-// worker of a distributed run; Validate/SliceBuild never call it.
-type stubTransport struct{}
-
-func (stubTransport) Exchange(pdes.WindowDone) (pdes.WindowGo, error) {
-	return pdes.WindowGo{}, nil
-}
-
-// Sliced setup is the default for distributed runs (Transport set) with
-// NoSlice as the opt-out; in-process runs never slice. This is the
-// regression test for the massfd default — SimConfig must follow suit.
-func TestSliceBuildDefault(t *testing.T) {
-	cases := []struct {
-		name string
-		spec RunSpec
-		want bool
-	}{
-		{"in-process", RunSpec{Engines: 4, Seconds: 2}, false},
-		{"distributed default", RunSpec{Engines: 4, Seconds: 2, Transport: stubTransport{}}, true},
-		{"distributed opt-out", RunSpec{Engines: 4, Seconds: 2, Transport: stubTransport{}, NoSlice: true}, false},
-		{"explicit slice", RunSpec{Engines: 4, Seconds: 2, Transport: stubTransport{}, Slice: true}, true},
-	}
-	for _, c := range cases {
-		if got := c.spec.SliceBuild(); got != c.want {
-			t.Errorf("%s: SliceBuild() = %v, want %v", c.name, got, c.want)
-		}
-		if got := c.spec.SimConfig().SliceBuild; got != c.want {
-			t.Errorf("%s: SimConfig().SliceBuild = %v, want %v", c.name, got, c.want)
-		}
-	}
-	conflict := RunSpec{Engines: 4, Seconds: 2, Transport: stubTransport{}, Slice: true, NoSlice: true}
-	if err := conflict.Validate(); err == nil {
-		t.Error("Slice+NoSlice accepted")
-	}
-	orphan := RunSpec{Engines: 4, Seconds: 2, Slice: true}
-	if err := orphan.Validate(); err == nil {
-		t.Error("Slice without Transport accepted")
-	}
-}
-
 func TestHybridFidelityKnobs(t *testing.T) {
 	s := RunSpec{Engines: 4, Seconds: 2}
 	if s.Hybrid() {
@@ -117,20 +76,6 @@ func TestTimeConversions(t *testing.T) {
 	}
 	if s.EventCost() != 15*des.Microsecond {
 		t.Errorf("EventCost = %v, want 15µs", s.EventCost())
-	}
-}
-
-func TestSimConfigSeeding(t *testing.T) {
-	s := RunSpec{Engines: 8, Seconds: 2, Seed: 9, EventCostUS: 15,
-		RealTimeFactor: 1.5, SeriesBuckets: 128}
-	cfg := s.SimConfig()
-	if cfg.Engines != 8 || cfg.End != 2*des.Second || cfg.Seed != 9 ||
-		cfg.EventCost != 15*des.Microsecond || cfg.RealTimeFactor != 1.5 ||
-		cfg.SeriesBuckets != 128 {
-		t.Fatalf("SimConfig seeded wrong: %+v", cfg)
-	}
-	if cfg.Net != nil || cfg.Part != nil || cfg.Window != 0 {
-		t.Fatalf("SimConfig invented run-site fields: %+v", cfg)
 	}
 }
 

@@ -45,21 +45,14 @@ import (
 	"massf/internal/core"
 	"massf/internal/des"
 	"massf/internal/dml"
-	"massf/internal/faults"
-	"massf/internal/flight"
-	"massf/internal/fluid"
 	"massf/internal/mabrite"
-	"massf/internal/memstat"
 	"massf/internal/metrics"
 	"massf/internal/model"
-	"massf/internal/netmon"
 	"massf/internal/netsim"
 	"massf/internal/profile"
 	"massf/internal/routing/bgp"
 	"massf/internal/routing/interdomain"
 	"massf/internal/routing/ospf"
-	"massf/internal/runspec"
-	"massf/internal/telemetry"
 	"massf/internal/topology"
 	"massf/internal/traffic"
 )
@@ -69,7 +62,6 @@ type Time = des.Time
 
 // Time units.
 const (
-	Nanosecond  = des.Nanosecond
 	Microsecond = des.Microsecond
 	Millisecond = des.Millisecond
 	Second      = des.Second
@@ -79,23 +71,12 @@ const (
 type (
 	// Network is the virtual network: nodes, links, and AS structure.
 	Network = model.Network
-	// Node is a router or host.
-	Node = model.Node
 	// NodeID indexes Network.Nodes.
 	NodeID = model.NodeID
-	// Link is a bidirectional latency/bandwidth link.
-	Link = model.Link
-	// LinkID indexes Network.Links.
-	LinkID = model.LinkID
-	// AS is one autonomous system with its relationships.
-	AS = model.AS
 )
 
-// Node kinds.
-const (
-	Router = model.Router
-	Host   = model.Host
-)
+// Host is the node kind of an end host (the other kind is a router).
+const Host = model.Host
 
 // Topology generation.
 type (
@@ -146,16 +127,13 @@ type (
 	Profile = profile.Profile
 )
 
-// The mapping approaches evaluated in the paper.
+// The mapping approaches the examples compare (core has the full family).
 const (
-	RANDOM = core.RANDOM
-	TOP    = core.TOP
-	TOP2   = core.TOP2
-	PLACE  = core.PLACE
-	PROF   = core.PROF
-	PROF2  = core.PROF2
-	HTOP   = core.HTOP
-	HPROF  = core.HPROF
+	TOP2  = core.TOP2
+	PLACE = core.PLACE
+	PROF2 = core.PROF2
+	HTOP  = core.HTOP
+	HPROF = core.HPROF
 )
 
 // MaxMLL is the window used when a partition cuts nothing.
@@ -177,25 +155,13 @@ func ReadProfile(r io.Reader) (*Profile, error) { return profile.Read(r) }
 
 // Simulation.
 type (
-	// RunSpec is the unified run configuration: the engine count, horizon,
-	// seed, real-time pacing, event cost, series resolution and telemetry
-	// knobs that previously appeared — with diverging defaults and
-	// validation — on SimConfig, experiments.BuildSim and the daemon's
-	// runctl.Spec. Normalize applies the shared defaults, Validate the
-	// shared range checks, and SimConfig() seeds a packet-simulation
-	// config; the daemon's Spec embeds it and the experiments harness
-	// aliases it, so a RunSpec is validated exactly once on every path.
-	RunSpec = runspec.RunSpec
-	// SimConfig configures a packet-level simulation in full detail:
-	// the shared RunSpec knobs plus everything a spec cannot know (the
-	// network, routes, partition, barrier window, transport).
+	// SimConfig configures a packet-level simulation in full detail: the
+	// network, routes, partition, barrier window, horizon and seed.
 	SimConfig = netsim.Config
 	// Simulation is a configured simulation; inject traffic, then Run.
 	Simulation = netsim.Sim
 	// Result is the outcome of a run.
 	Result = netsim.Result
-	// Routes is the forwarding interface consumed by the simulator.
-	Routes = netsim.Routes
 	// SyncCostModel models the cluster's barrier cost C(N).
 	SyncCostModel = cluster.SyncCostModel
 )
@@ -219,8 +185,6 @@ type (
 	HTTPStats = traffic.HTTPStats
 	// Workflow is an application data-flow graph (GridNPB style).
 	Workflow = traffic.Workflow
-	// Task is one workflow node.
-	Task = traffic.Task
 	// WorkflowStats reports workflow rounds.
 	WorkflowStats = traffic.WorkflowStats
 	// ScaLapackConfig tunes the ScaLapack traffic model.
@@ -249,52 +213,11 @@ func DefaultScaLapack() ScaLapackConfig { return traffic.DefaultScaLapack() }
 // Visualization Pipeline, and Mixed Bag.
 func GridNPBWorkflows(hosts []NodeID) []Workflow { return traffic.GridNPB(hosts) }
 
-// Hybrid flow/packet fidelity: bulk background traffic modeled
-// analytically on a precomputed fluid plane while foreground traffic
-// stays packet-level. Build the plane before NewSimulation and attach it
-// via SimConfig.Fluid; RunSpec.FlowFidelity selects the fidelity on the
-// unified run surface (experiments.BuildSim, massf -fidelity, massfd).
-type (
-	// FluidPlane is a precomputed, immutable flow-level traffic timeline:
-	// max-min fair-share rates recomputed at every flow start/finish and
-	// routing epoch, queryable as pure functions of simulated time.
-	FluidPlane = fluid.Plane
-	// FluidFlow is one analytic bulk transfer (Src, Dst, Bytes, Start).
-	FluidFlow = fluid.Flow
-	// FluidConfig configures a fluid plane build (network, routes,
-	// horizon, optional fault plane and recomputation quantum).
-	FluidConfig = fluid.Config
-)
-
-// Flow fidelities for RunSpec.FlowFidelity.
-const (
-	FidelityPacket = runspec.FidelityPacket
-	FidelityHybrid = runspec.FidelityHybrid
-)
-
-// BuildFluidPlane solves the complete fluid timeline at setup time. The
-// build is deterministic: the same inputs yield a byte-identical plane on
-// every worker of a distributed run.
-func BuildFluidPlane(cfg FluidConfig, flows []FluidFlow) (*FluidPlane, error) {
-	return fluid.Build(cfg, flows)
-}
-
-// FluidHTTPWorkload compiles the HTTP background workload into fluid
-// form: the initial request flows, the closed-loop chain callback for
-// FluidConfig.Next, and the stats filled during the build. The RNG
-// streams mirror InstallHTTP exactly, so the fluid workload is the
-// analytic twin of the packet workload it replaces.
-func FluidHTTPWorkload(cfg HTTPConfig, end Time) ([]FluidFlow, func(int32, Time) (FluidFlow, bool), *HTTPStats) {
-	return traffic.FluidHTTP(cfg, end)
-}
-
 // Online simulation (live traffic).
 type (
 	// Agent bridges live goroutines and the simulated network (the
 	// paper's Agent + WrapSocket).
 	Agent = agent.Agent
-	// Message is one live payload carried through the simulation.
-	Message = agent.Message
 )
 
 // NewAgent installs a live-traffic agent on the simulation. Call before
@@ -311,15 +234,6 @@ type (
 func NewHostCPUs(s *Simulation, hosts []NodeID, speed func(NodeID) float64) *HostCPUs {
 	return traffic.NewHostCPUs(s, hosts, speed)
 }
-
-// MemSample is one process-memory reading: Go heap occupancy plus the
-// OS-reported peak resident set.
-type MemSample = memstat.Sample
-
-// ReadMemStats samples this process's memory after a GC, so HeapInuse
-// reflects live scenario state — the per-worker number the run reports
-// surface.
-func ReadMemStats() MemSample { return memstat.ReadStable() }
 
 // InstallWorkflowCPU is InstallWorkflow with task compute running on the
 // hosts' shared virtual CPUs (co-located tasks contend).
@@ -356,166 +270,6 @@ func CompareRIBs(a, b *BGPRib) RIBComparison { return bgp.Compare(a, b) }
 // path-inflation studies.
 func ShortestPathRIB(net *Network) *BGPRib { return bgp.ShortestPathRIB(net) }
 
-// Fault plane: scripted link/router churn with live reconvergence.
-type (
-	// FaultScript is a serializable fault timeline (explicit events or
-	// seeded-random via GenerateFaults) plus the convergence-delay model.
-	// Attach it to RunSpec.Faults or compile it with NewFaultPlane.
-	FaultScript = faults.Script
-	// FaultEvent is one scripted fault.
-	FaultEvent = faults.Event
-	// FaultGenOptions parameterizes the seeded-random script generator.
-	FaultGenOptions = faults.GenOptions
-	// FaultPlane is a compiled, immutable fault script: per-epoch routing
-	// tables plus link/node availability as pure functions of simulated
-	// time. Set SimConfig.Faults to inject it into a simulation.
-	FaultPlane = faults.Plane
-	// FaultInfo is the per-fault reconvergence report (update messages,
-	// modeled convergence delay, when new routes took effect).
-	FaultInfo = faults.FaultInfo
-)
-
-// Fault event kinds.
-const (
-	LinkFaultDown = faults.LinkDown
-	LinkFaultUp   = faults.LinkUp
-	NodeFaultDown = faults.NodeDown
-	NodeFaultUp   = faults.NodeUp
-	LinkFaultFlap = faults.LinkFlap
-)
-
-// NewFaultPlane compiles a fault script against a network and its
-// converged routing: every routing epoch (post-fault OSPF/BGP state and
-// when it takes effect) is precomputed here, so the simulation's hot path
-// only does time-indexed lookups. Assign the result to SimConfig.Faults.
-func NewFaultPlane(net *Network, routes *Routing, script *FaultScript) (*FaultPlane, error) {
-	return faults.NewPlane(net, routes, script)
-}
-
-// LoadFaultScript reads and structurally validates a JSON fault script.
-func LoadFaultScript(r io.Reader) (*FaultScript, error) { return faults.Load(r) }
-
-// GenerateFaults produces a seeded-random fault script for net: transient
-// link outages, flaps, router outages and permanent failures landing
-// inside the given horizon.
-func GenerateFaults(net *Network, opt FaultGenOptions) *FaultScript {
-	return faults.Generate(net, opt)
-}
-
-// Live observability (the telemetry subsystem behind cmd/massfd).
-type (
-	// Telemetry bundles the live instruments of one run: atomic counters,
-	// gauges and histograms plus the per-window trace ring. Set
-	// SimConfig.Telemetry before NewSimulation; nil disables
-	// instrumentation at zero cost.
-	Telemetry = telemetry.SimTelemetry
-	// TelemetryWindow is one barrier window's trace record.
-	TelemetryWindow = telemetry.WindowRecord
-	// MetricPoint is a point-in-time snapshot of one metric, renderable
-	// as Prometheus text exposition or NDJSON.
-	MetricPoint = telemetry.Point
-)
-
-// NewTelemetry creates the telemetry bundle for a run with the given
-// engine count. Pass it via SimConfig.Telemetry; read live windows from
-// Telemetry.Windows (Subscribe streams them as they execute) and snapshot
-// metrics from Telemetry.Reg (WritePrometheus / WriteNDJSON). Use one
-// Telemetry per run — the engine closes the window ring when the run ends.
-func NewTelemetry(engines int) *Telemetry { return telemetry.New(engines, 4096) }
-
-// Flight recorder: trace export and straggler analysis of a recording.
-type (
-	// TraceEvent is one Chrome trace-event (the format Perfetto loads).
-	TraceEvent = telemetry.TraceEvent
-	// FlightReport is the straggler/critical-path analysis of a recording.
-	FlightReport = flight.Report
-	// WindowAnalysis diagnoses one barrier window (bounding engine,
-	// windowed parallel efficiency).
-	WindowAnalysis = flight.WindowAnalysis
-	// EngineBreakdown aggregates one engine's phase times over a recording.
-	EngineBreakdown = flight.EngineBreakdown
-	// RouterLoad names a simulated node's share of an engine's load.
-	RouterLoad = flight.RouterLoad
-)
-
-// BuildTraceEvents converts a window recording (Telemetry.Windows
-// snapshot) into Chrome trace events: one track per engine with
-// compute/barrier/exchange slices per barrier window.
-func BuildTraceEvents(recs []TelemetryWindow) []TraceEvent {
-	return telemetry.BuildTraceEvents(recs)
-}
-
-// BuildTraceEventsWithSetup is BuildTraceEvents with a leading "setup"
-// slice on each engine track — setupNS[e] is the scenario build wall time
-// of the worker hosting engine e, so slow rebuilds show as the bar every
-// other track waits on.
-func BuildTraceEventsWithSetup(recs []TelemetryWindow, setupNS []int64) []TraceEvent {
-	return telemetry.BuildTraceEventsWithSetup(recs, setupNS)
-}
-
-// WriteChromeTrace writes the recording as a Chrome trace-event JSON
-// document, loadable in ui.perfetto.dev or chrome://tracing. meta is
-// attached as otherData (may be nil).
-func WriteChromeTrace(w io.Writer, recs []TelemetryWindow, meta map[string]string) error {
-	return telemetry.WriteChromeTrace(w, recs, meta)
-}
-
-// AnalyzeFlight diagnoses a recording: per-window bounding engine and
-// parallel efficiency, per-engine phase breakdown, and the top-K
-// straggler ranking (topK ≤ 0 means 3). Call AttributeRouters on the
-// result with the run's partition and measured per-node event counts to
-// name the simulated routers dominating each straggler.
-func AnalyzeFlight(recs []TelemetryWindow, topK int) *FlightReport {
-	return flight.Analyze(recs, topK)
-}
-
-// Network observability (the netmon plane): per-link windowed telemetry,
-// per-flow TCP records and sampled packet-path traces. Attach a plane via
-// SimConfig.NetMon before NewSimulation; nil costs one check per record
-// point. The same reports back massfd's GET /runs/{id}/net/* endpoints
-// and massf -netstats / -pathtrace.
-type (
-	// NetMon is a run's network observability plane.
-	NetMon = netmon.Mon
-	// NetMonOptions sizes a plane: link count, horizon, sampling stride,
-	// optional per-link bandwidths for utilization.
-	NetMonOptions = netmon.Options
-	// NetMonSummary condenses a plane's output (drop split, flow counts,
-	// FCT percentiles).
-	NetMonSummary = netmon.Summary
-	// LinkReport ranks link directions by carried bits with windowed
-	// utilization/queue/drop series.
-	LinkReport = netmon.LinkReport
-	// LinkDirStats is one link direction's telemetry.
-	LinkDirStats = netmon.LinkDirStats
-	// FlowReport lists per-flow TCP records plus the flow-completion-time
-	// histogram.
-	FlowReport = netmon.FlowReport
-	// FlowSnapshot is one completed (or in-flight) flow's record.
-	FlowSnapshot = netmon.FlowSnapshot
-	// HopSpan is one sampled packet's stay at one hop.
-	HopSpan = netmon.HopSpan
-	// PacketPath is a sampled packet's hop spans stitched into a path.
-	PacketPath = netmon.Path
-)
-
-// NewNetMon creates a network observability plane. Use one per run.
-func NewNetMon(o NetMonOptions) *NetMon { return netmon.New(o) }
-
-// PathTraceEvents renders sampled packet paths as extra Chrome-trace
-// lanes (one per trace) aligned to the engine tracks of the same
-// recording; pass nil recs to plot in raw simulated time. Combine with
-// BuildTraceEvents and write via WriteChromeTraceEvents.
-func PathTraceEvents(spans []HopSpan, recs []TelemetryWindow) []TraceEvent {
-	return netmon.PathTraceEvents(spans, recs)
-}
-
-// WriteChromeTraceEvents writes pre-built trace events (engine tracks,
-// path lanes, or both concatenated) as one Chrome trace-event document.
-func WriteChromeTraceEvents(w io.Writer, events []TraceEvent, meta map[string]string) error {
-	return telemetry.WriteChromeTraceEvents(w, events, meta)
-}
-
 // Metrics (Section 4.1 of the paper).
 type (
 	// Report bundles the evaluation metrics of one run.
@@ -525,11 +279,6 @@ type (
 // LoadImbalance is the normalized standard deviation of per-engine event
 // rates.
 func LoadImbalance(engineEvents []uint64) float64 { return metrics.LoadImbalance(engineEvents) }
-
-// ParallelEfficiency is PE(N, L) = Tseq / (N · T).
-func ParallelEfficiency(totalEvents uint64, eventCost Time, engines int, parallelNS int64) float64 {
-	return metrics.ParallelEfficiency(totalEvents, eventCost, engines, parallelNS)
-}
 
 // ReportFor assembles the paper's metrics from a run result.
 func ReportFor(approach string, res *Result, eventCost Time) Report {

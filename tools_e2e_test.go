@@ -161,7 +161,7 @@ func TestMassfdSmoke(t *testing.T) {
 	if m == nil {
 		t.Fatalf("no listen address in startup line %q", sc.Text())
 	}
-	base := "http://" + m[1]
+	base := "http://" + m[1] + "/api/v1"
 	go io.Copy(io.Discard, stderr)
 
 	get := func(path string) (int, string) {
