@@ -20,7 +20,8 @@ type RunConfig struct {
 	Jobs []Job
 	// WindowNS is the barrier window length.
 	WindowNS int64
-	// TotalWindows is the number of windows to the horizon.
+	// TotalWindows is the number of windows to the horizon, as
+	// pdes.WindowCount gives it — the workers' loops use the same.
 	TotalWindows int
 	// SyncCostNS is C(N) for the modeled-time fold; 0 disables it.
 	SyncCostNS int64
@@ -119,6 +120,9 @@ func Serve(ln net.Listener, rc RunConfig, opt Options) (*Result, error) {
 	if len(rc.Jobs) == 0 {
 		return nil, fmt.Errorf("dist: no jobs")
 	}
+	if rc.WindowNS <= 0 {
+		return nil, fmt.Errorf("dist: window must be positive, got %d ns", rc.WindowNS)
+	}
 	c := &coordinator{rc: rc, opt: opt}
 	engines := 0
 	for _, j := range rc.Jobs {
@@ -144,11 +148,7 @@ func Serve(ln net.Listener, rc RunConfig, opt Options) (*Result, error) {
 		return nil, err
 	}
 	defer c.closeAll()
-	res, err := c.drive()
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return c.drive()
 }
 
 // join accepts and handshakes every worker, assigning jobs in connection
@@ -258,15 +258,7 @@ func (c *coordinator) drive() (*Result, error) {
 			maxBusy = c.rc.SyncCostNS
 		}
 		res.ModeledTimeNS += maxBusy
-		next := w + 1
-		if c.rc.WindowNS > 0 {
-			if skip := int(int64(globalNext) / c.rc.WindowNS); skip > next {
-				next = skip
-			}
-		}
-		if next > c.rc.TotalWindows {
-			next = c.rc.TotalWindows
-		}
+		next := min(pdes.NextWindow(w, globalNext, des.Time(c.rc.WindowNS)), c.rc.TotalWindows)
 		for i, p := range c.peers {
 			enc = encodeWindowGo(enc[:0], pdes.WindowGo{NextWindow: next, Stop: stop, Events: outs[i]})
 			if err := wire.WriteFrame(p.conn, wire.MsgWindowGo, enc); err != nil {

@@ -45,10 +45,11 @@ type Options struct {
 	// Default 250ms.
 	HeartbeatInterval time.Duration
 	// HeartbeatTimeout is the coordinator's rolling per-connection read
-	// deadline: a worker silent this long is declared dead. Also the
-	// worker's deadline for coordinator replies once a window's events are
-	// sent... plus the time the slowest peer needs, so the worker side uses
-	// ExchangeTimeout instead. Default 2s; must exceed HeartbeatInterval.
+	// deadline: a worker silent this long — no protocol frame and no
+	// heartbeat — is declared dead. It does not bound a worker's wait for
+	// the coordinator's reply, which also has to cover the slowest peer's
+	// window; that is ExchangeTimeout. Default 2s; must exceed
+	// HeartbeatInterval (a smaller value is raised to 4× the interval).
 	HeartbeatTimeout time.Duration
 	// ExchangeTimeout bounds a worker's wait for the coordinator's
 	// WindowGo after sending WindowDone — the global barrier wait, so it

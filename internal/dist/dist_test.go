@@ -173,7 +173,7 @@ func TestLoopbackDistributedRun(t *testing.T) {
 	}
 	res, err := Serve(ln, RunConfig{
 		Jobs: jobs, WindowNS: int64(window),
-		TotalWindows: int((end + window - 1) / window),
+		TotalWindows: pdes.WindowCount(end, window),
 	}, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -80,10 +80,7 @@ func (h *memHub) serve() {
 				}
 			}
 		}
-		next := w + 1
-		if skip := int(globalNext / h.window); skip > next {
-			next = skip
-		}
+		next := pdes.NextWindow(w, globalNext, h.window)
 		for _, p := range pending {
 			p.reply <- pdes.WindowGo{NextWindow: next, Stop: stop, Events: outs[p.worker]}
 		}

@@ -135,16 +135,6 @@ func (inv *Invariants) Err() error {
 	return fmt.Errorf("%s (%d violation(s) total)", inv.violations[0], len(inv.violations))
 }
 
-func remoteLess(a, b *remoteEvent) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.seq < b.seq
-}
-
 // invCheckGather audits the active-pair registration for receiving engine e
 // before the gather walks it: every registered source must appear once and
 // hold a non-empty parity buffer for e.
@@ -178,7 +168,7 @@ func (s *Sim) invCheckIncoming(inv *Invariants, w int, e *Engine, wEnd des.Time,
 	havePrev := false
 	for i := range incoming {
 		re := incoming[i]
-		if havePrev && !remoteLess(&prev, &re) {
+		if havePrev && remoteCmp(prev, re) >= 0 {
 			inv.record(Violation{
 				Kind: ViolationDrainOrder, Window: w, Engine: e.id,
 				Src: int(re.src), Seq: re.seq, At: re.at, WindowEnd: wEnd,

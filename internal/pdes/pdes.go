@@ -18,9 +18,10 @@
 package pdes
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -73,17 +74,19 @@ type Config struct {
 	// barrier wait, cross-partition exchange volume, queue depths) plus
 	// aggregate counters. Nil disables instrumentation; the engine loop
 	// then pays only a nil check per window. Use one SimTelemetry per
-	// run — Run closes its window ring on completion.
+	// run — Run closes its window ring on completion. With a Transport the
+	// records cover this worker's hosted engines, indexed from FirstEngine.
 	Telemetry *telemetry.SimTelemetry
 
 	// Transport, when non-nil, runs this Sim as ONE WORKER of a distributed
 	// simulation: only the engines in [FirstEngine, FirstEngine+HostedEngines)
-	// execute live on this process, and the barrier + cross-worker event
-	// exchange are driven through the Transport once per window. Nil (the
-	// default) selects the built-in in-process exchange — shared-memory
-	// parity buffers, zero behavior change, allocation-free. See Transport
-	// for the window protocol and the replicated-setup (SPMD) model the
-	// distributed mode assumes.
+	// execute live on this process, and once per window Run's leader engine
+	// hands the Transport the hosted engines' reduction and cross-worker
+	// events and takes the next-window decision from its reply, at the cost
+	// of a third barrier. Nil (the default) hosts every engine and takes the
+	// decision locally; it is the only selector between the two modes. See
+	// Transport for the window protocol and the replicated-setup (SPMD)
+	// model the distributed mode assumes.
 	Transport Transport
 	// Codec serializes remote events crossing worker processes (required
 	// when Transport is set). Events scheduled through ScheduleRemoteEvent
@@ -91,10 +94,10 @@ type Config struct {
 	// (ScheduleRemote) cannot cross workers and panic.
 	Codec Codec
 	// FirstEngine is the global index of the first engine hosted by this
-	// worker (only meaningful with Transport).
+	// worker (ignored without a Transport).
 	FirstEngine int
-	// HostedEngines is the number of engines this worker runs live. Zero
-	// with a Transport means Engines-FirstEngine.
+	// HostedEngines is the number of engines this worker runs live (ignored
+	// without a Transport). Zero means Engines-FirstEngine.
 	HostedEngines int
 }
 
@@ -123,23 +126,17 @@ type remoteEvent struct {
 	src int32
 }
 
-// incomingSorter orders gathered remote events by (at, src, seq) — a strict
-// total order (src+seq is unique), so the merged schedule is deterministic
-// regardless of gather order. A named pointer-receiver implementation keeps
-// sort.Sort from allocating the closure that sort.Slice would.
-type incomingSorter struct{ v []remoteEvent }
-
-func (s *incomingSorter) Len() int      { return len(s.v) }
-func (s *incomingSorter) Swap(i, j int) { s.v[i], s.v[j] = s.v[j], s.v[i] }
-func (s *incomingSorter) Less(i, j int) bool {
-	x, y := &s.v[i], &s.v[j]
-	if x.at != y.at {
-		return x.at < y.at
+// remoteCmp is the (at, src, seq) order gathered remote events are merged
+// in — a strict total order (src+seq is unique), so the schedule is
+// deterministic regardless of gather order.
+func remoteCmp(a, b remoteEvent) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
 	}
-	if x.src != y.src {
-		return x.src < y.src
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
 	}
-	return x.seq < y.seq
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // Engine is one simulation engine node. Event handlers scheduled on an
@@ -165,7 +162,6 @@ type Engine struct {
 	p      int // current outbox parity; owned by the engine goroutine
 
 	incoming  []remoteEvent // persistent exchange gather scratch
-	sorter    incomingSorter
 	seq       uint64
 	windowEnd des.Time
 
@@ -176,6 +172,7 @@ type Engine struct {
 	hostLo, hostHi int
 	wireOut        []wireSend   // events leaving this worker, encoded at the barrier
 	wireEnc        []wire.Event // this window's encoded wire outbox
+	wireIn         []wire.Event // this window's events from other workers: filed by the leader, drained by the engine
 
 	events      uint64 // total events processed
 	remoteSends uint64
@@ -211,11 +208,25 @@ func (e *Engine) ScheduleEvent(at des.Time, eh des.EventHandler) des.Event {
 // are a safe no-op.
 func (e *Engine) Cancel(ev des.Event) { e.k.Cancel(&ev) }
 
-// enqueueRemote appends to the current-parity outbox for dst. On the first
-// write to a destination this window the engine registers the (src, dst)
-// pair in the shared active table, so the consumer's gather at the barrier
+// enqueueRemote labels a send with the engine's next (src, seq) and appends
+// it to the current-parity outbox for dst, or to the cross-worker outbox
+// when dst is hosted elsewhere. The label is taken before the destination is
+// looked at, so a given logical send receives the same one wherever its
+// destination is hosted — the property that makes a distributed run's merge
+// order byte-identical to the in-process run's. On the first write to a
+// hosted destination this window the engine registers the (src, dst) pair
+// in the shared active table, so the consumer's gather at the barrier
 // visits only sources that actually wrote — O(active pairs), not O(N²).
 func (e *Engine) enqueueRemote(dst int, re remoteEvent) {
+	re.seq = e.seq
+	re.src = int32(e.id)
+	e.seq++
+	e.remoteSends++
+	e.winRemote++
+	if dst < e.hostLo || dst >= e.hostHi {
+		e.wireOut = append(e.wireOut, wireSend{re: re, dst: int32(dst)})
+		return
+	}
 	p := e.p
 	buf := e.outbox[p][dst]
 	if len(buf) == 0 {
@@ -223,26 +234,7 @@ func (e *Engine) enqueueRemote(dst int, re remoteEvent) {
 		slot := atomic.AddInt32(&e.sim.activeN[dst], 1) - 1
 		e.sim.active[dst][slot] = int32(e.id)
 	}
-	re.seq = e.seq
-	re.src = int32(e.id)
 	e.outbox[p][dst] = append(buf, re)
-	e.seq++
-	e.remoteSends++
-	e.winRemote++
-}
-
-// enqueueWire appends to the cross-worker outbox. It advances the same
-// per-engine send sequence as enqueueRemote, so the (src, seq) labels a
-// given logical send receives are identical whether its destination is
-// hosted here or on another worker — the property that makes a distributed
-// run's merge order byte-identical to the in-process run's.
-func (e *Engine) enqueueWire(dst int, re remoteEvent) {
-	re.seq = e.seq
-	re.src = int32(e.id)
-	e.wireOut = append(e.wireOut, wireSend{re: re, dst: int32(dst)})
-	e.seq++
-	e.remoteSends++
-	e.winRemote++
 }
 
 // ScheduleRemote enqueues an event on engine dst at time at. When dst is
@@ -274,11 +266,7 @@ func (e *Engine) ScheduleRemoteEvent(dst int, at des.Time, eh des.EventHandler) 
 	if at < e.windowEnd {
 		panic(fmt.Sprintf("pdes: remote event at %v violates window end %v (MLL too large for this cut)", at, e.windowEnd))
 	}
-	if dst >= e.hostLo && dst < e.hostHi {
-		e.enqueueRemote(dst, remoteEvent{at: at, eh: eh})
-	} else {
-		e.enqueueWire(dst, remoteEvent{at: at, eh: eh})
-	}
+	e.enqueueRemote(dst, remoteEvent{at: at, eh: eh})
 }
 
 // Stats summarizes a completed run.
@@ -336,7 +324,7 @@ type Sim struct {
 	// active[d] lists the engines holding outbox events for destination d
 	// in the current window; activeN[d] is its length, reserved slot-by-
 	// slot with atomic adds by producers and reset by consumer d between
-	// the two barriers. Registration order is racy, but the gather sorts
+	// the first two barriers. Registration order is racy, but the merge sorts
 	// by the (at, src, seq) total order, so determinism is unaffected.
 	active  [][]int32
 	activeN []int32
@@ -362,20 +350,17 @@ func New(cfg Config) (*Sim, error) {
 		return nil, fmt.Errorf("pdes: end must be positive, got %v", cfg.End)
 	}
 	cfg.setDefaults()
-	hostLo, hostHi := 0, cfg.Engines
-	if cfg.Transport != nil {
-		if cfg.HostedEngines == 0 {
-			cfg.HostedEngines = cfg.Engines - cfg.FirstEngine
-		}
-		if cfg.FirstEngine < 0 || cfg.HostedEngines < 1 ||
-			cfg.FirstEngine+cfg.HostedEngines > cfg.Engines {
-			return nil, fmt.Errorf("pdes: hosted range [%d,%d) outside [0,%d)",
-				cfg.FirstEngine, cfg.FirstEngine+cfg.HostedEngines, cfg.Engines)
-		}
-		if cfg.Codec == nil && cfg.HostedEngines < cfg.Engines {
-			return nil, fmt.Errorf("pdes: Transport with a partial hosted range requires a Codec")
-		}
-		hostLo, hostHi = cfg.FirstEngine, cfg.FirstEngine+cfg.HostedEngines
+	if cfg.Transport == nil {
+		cfg.FirstEngine, cfg.HostedEngines = 0, cfg.Engines
+	} else if cfg.HostedEngines == 0 {
+		cfg.HostedEngines = cfg.Engines - cfg.FirstEngine
+	}
+	hostLo, hostHi := cfg.FirstEngine, cfg.FirstEngine+cfg.HostedEngines
+	if hostLo < 0 || cfg.HostedEngines < 1 || hostHi > cfg.Engines {
+		return nil, fmt.Errorf("pdes: hosted range [%d,%d) outside [0,%d)", hostLo, hostHi, cfg.Engines)
+	}
+	if cfg.Codec == nil && cfg.HostedEngines < cfg.Engines {
+		return nil, fmt.Errorf("pdes: Transport with a partial hosted range requires a Codec")
 	}
 	s := &Sim{
 		cfg:     cfg,
@@ -410,73 +395,109 @@ func (s *Sim) Engine(i int) *Engine { return s.engines[i] }
 // Engines returns N.
 func (s *Sim) Engines() int { return s.cfg.Engines }
 
-// Run executes the simulation to the configured horizon and returns stats.
-// It blocks until every engine finishes. With a Transport configured, only
-// the hosted engine range runs, synchronized with the other workers
-// through the transport (see runTransport); otherwise all engines run
-// in-process over the shared-memory exchange below.
-func (s *Sim) Run() Stats {
-	if s.cfg.Transport != nil {
-		return s.runTransport()
+// WindowCount returns the number of barrier windows of the given width that
+// cover the horizon: ceil(end/window). Run sizes its loop with it, and so
+// must whatever drives workers through a Transport, so that both sides agree
+// on the last window.
+func WindowCount(end, window des.Time) int {
+	return int((end + window - 1) / window)
+}
+
+// NextWindow is the barrier decision: the window to execute after window w
+// when globalNext is the earliest pending event anywhere in the simulation.
+// That is w+1, unless every window before the one holding globalNext is
+// globally idle, in which case the run fast-forwards straight to it. Run
+// calls it with the minimum over its engines; a coordinator calls it with
+// the minimum over its workers' WindowDone.LocalNext and the events in
+// flight between them.
+func NextWindow(w int, globalNext, window des.Time) int {
+	if skip := int(globalNext / window); skip > w+1 {
+		return skip
 	}
+	return w + 1
+}
+
+// Run executes the simulation to the configured horizon and returns stats.
+// It blocks until every engine finishes. One window loop serves both modes:
+// the engines in [FirstEngine, FirstEngine+HostedEngines) — all of them
+// unless a Transport is configured — each compute a window, meet at a
+// barrier, gather what the other hosted engines sent them, and meet again.
+// Then comes the decision on the next window. Locally, every engine takes it
+// from the next-event times and stop flag the second barrier published.
+// With a Transport, the leader instead trades the hosted engines' reduction
+// and wire outboxes for the coordinator's decision (see exchange) and a
+// third barrier publishes the reply. Either way each engine then merges its
+// cross-worker events (none in-process) with its gather under the
+// (at, src, seq) order and schedules the lot.
+func (s *Sim) Run() Stats {
 	cfg := s.cfg
-	n := cfg.Engines
-	totalWindows := int((cfg.End + cfg.Window - 1) / cfg.Window)
+	first, hosted := cfg.FirstEngine, cfg.HostedEngines
+	totalWindows := WindowCount(cfg.End, cfg.Window)
 	buckets := cfg.SeriesBuckets
 	if buckets > totalWindows {
 		buckets = totalWindows
 	}
 	series := make([][]uint64, buckets)
 	for b := range series {
-		series[b] = make([]uint64, n)
+		series[b] = make([]uint64, cfg.Engines)
 	}
-	syncCost := cfg.Sync.SyncCost(n)
-	// Per-window engine publications, guarded by the barrier: busy time
-	// (for the modeled-time reduction) and next pending event time (for
-	// idle-window fast-forward).
-	busyScratch := make([]int64, n)
-	nextTimes := make([]des.Time, n)
-	// Accumulators owned by engine 0 during the run.
-	var executedWindows int
-	var modeledBusy, modeledTime int64
-	// stopScratch carries engine 0's reading of the stop flag to every
+	syncCost := cfg.Sync.SyncCost(cfg.Engines)
+	// Per-window engine publications, guarded by the barrier and indexed by
+	// LOCAL engine number (global id − first): busy time (for the
+	// modeled-time reduction) and next pending event time (for idle-window
+	// fast-forward).
+	busyScratch := make([]int64, hosted)
+	nextTimes := make([]des.Time, hosted)
+	// Windows, Modeled*NS, Stopped and Err are owned by the leader (local
+	// engine 0) during the run. On a worker, modeled time reduces over the
+	// hosted engines only — a lower bound; the coordinator owns the global
+	// reduction.
+	stats := Stats{
+		Engines:         cfg.Engines,
+		Window:          cfg.Window,
+		EngineEvents:    make([]uint64, cfg.Engines),
+		LoadSeries:      series,
+		SyncPerWindowNS: syncCost,
+		MaxPending:      make([]int, cfg.Engines),
+	}
+	if buckets > 0 {
+		stats.BucketWidth = cfg.End / des.Time(buckets)
+	}
+	// stopScratch carries the leader's reading of the stop flag to every
 	// engine so they all break at the same barrier (written between the
-	// two barriers, read after the second — the same synchronization
-	// discipline as busyScratch). stopped is engine-0-owned.
-	var stopScratch, stopped bool
-	// Telemetry scratch, allocated only when instrumentation is on: each
-	// engine publishes its window's event count, remote-send count, queue
-	// depth, and the wait it observed at the previous window's barrier.
+	// first two barriers, read after the second — the same synchronization
+	// discipline as busyScratch).
+	var stopScratch bool
+	// The transport decision: reply and stats.Err (and each hosted engine's
+	// wireIn) are written by the leader between the second and third
+	// barrier and read by every engine after the third. In-process they
+	// stay zero.
+	var reply WindowGo
+	// Telemetry scratch, in the shape of the record it is published as and
+	// allocated only when instrumentation is on: each engine fills its slot
+	// with the window's event count, remote-send count, queue depth and
+	// compute time, and the barrier wait and exchange time it observed at
+	// the previous window.
 	tel := cfg.Telemetry
 	inv := cfg.Invariants
-	var evScratch []uint64
-	var remScratch []uint64
-	var waitScratch []int64
-	var depthScratch []int
-	var compScratch []int64
-	var exchScratch []int64
+	var scratch telemetry.WindowRecord
 	if tel != nil {
-		evScratch = make([]uint64, n)
-		remScratch = make([]uint64, n)
-		waitScratch = make([]int64, n)
-		depthScratch = make([]int, n)
-		compScratch = make([]int64, n)
-		exchScratch = make([]int64, n)
+		scratch = tel.Windows.Get(hosted)
 	}
 
-	bar := cluster.NewBarrier(n)
+	bar := cluster.NewBarrier(hosted)
 	var wg sync.WaitGroup
-	wg.Add(n)
+	wg.Add(hosted)
 	start := time.Now()
-	for i := 0; i < n; i++ {
-		e := s.engines[i]
+	for li := 0; li < hosted; li++ {
+		e := s.engines[first+li]
 		go func() {
 			defer wg.Done()
 			// lastWait and lastExch are this engine's barrier wait and
 			// exchange-phase time at the previous window (published one
 			// window late, inside the barrier-synchronized scratch
-			// exchange); lastTick (engine 0 only) marks the wall-clock
-			// time of the previous published window.
+			// exchange); lastTick (leader only) marks the wall-clock time
+			// of the previous published window.
 			var lastWait, lastExch int64
 			lastTick := start
 			// wc counts *executed* windows (identical on every engine —
@@ -516,21 +537,23 @@ func (s *Sim) Run() Stats {
 				e.k.RunUntil(wEnd)
 				e.winEvents = e.k.Processed() - before
 				e.events += e.winEvents
-				busyScratch[e.id] = int64(e.winEvents)*int64(cfg.EventCost) +
+				busyScratch[li] = int64(e.winEvents)*int64(cfg.EventCost) +
 					int64(e.winRemote)*int64(cfg.RemoteCost)
 				if buckets > 0 {
 					b := w * buckets / totalWindows
 					series[b][e.id] += e.winEvents
 				}
 				if tel != nil {
-					evScratch[e.id] = e.winEvents
-					remScratch[e.id] = e.winRemote
-					waitScratch[e.id] = lastWait
-					depthScratch[e.id] = e.k.Pending()
-					compScratch[e.id] = int64(time.Since(computeStart))
-					exchScratch[e.id] = lastExch
+					scratch.Events[li] = e.winEvents
+					scratch.RemoteSends[li] = e.winRemote
+					scratch.BarrierWaitNS[li] = lastWait
+					scratch.QueueDepth[li] = e.k.Pending()
+					scratch.ComputeNS[li] = int64(time.Since(computeStart))
+					scratch.ExchangeNS[li] = lastExch
 				}
 				e.winRemote = 0
+				// First barrier: every hosted outbox and wire outbox is
+				// complete.
 				if tel != nil {
 					t0 := time.Now()
 					bar.Await()
@@ -539,9 +562,11 @@ func (s *Sim) Run() Stats {
 				} else {
 					bar.Await()
 				}
-				// Exchange phase: collect events addressed to this engine,
-				// deterministically ordered, then publish the next local
-				// event time for the fast-forward decision.
+				// Exchange phase: collect the events other hosted engines
+				// addressed to this one, and publish the next local event
+				// time — kernel plus gather, the gather not being scheduled
+				// until any cross-worker events have joined it — for the
+				// fast-forward decision.
 				var exchStart time.Time
 				if tel != nil {
 					exchStart = time.Now()
@@ -554,9 +579,90 @@ func (s *Sim) Run() Stats {
 				for _, si := range s.active[e.id][:cnt] {
 					incoming = append(incoming, s.engines[si].outbox[e.p][e.id]...)
 				}
+				localNext := e.k.NextEventTime()
+				for i := range incoming {
+					localNext = min(localNext, incoming[i].at)
+				}
+				nextTimes[li] = localNext
+				// Encode what this engine sent to other workers, in parallel
+				// with its peers (nothing in-process: every destination is
+				// hosted).
+				for i := range e.wireOut {
+					ws := &e.wireOut[i]
+					kind, payload, err := cfg.Codec.Encode(ws.re.eh)
+					if err != nil {
+						panic("pdes: unserializable remote event in distributed run: " + err.Error())
+					}
+					e.wireEnc = append(e.wireEnc, wire.Event{
+						At: int64(ws.re.at), Src: ws.re.src, Dst: ws.dst,
+						Seq: ws.re.seq, Kind: kind, Payload: payload,
+					})
+				}
+				e.wireOut = e.wireOut[:0]
+				// Reset my registration slot before the second barrier, so
+				// next-window producers (who only write after the last one)
+				// start from zero.
+				atomic.StoreInt32(&s.activeN[e.id], 0)
+				if tel != nil {
+					lastExch = int64(time.Since(exchStart))
+				}
+				var maxBusy int64
+				if li == 0 {
+					// One engine reduces the window's modeled cost:
+					// max(busiest engine, synchronization) — the barrier
+					// allreduce overlaps with event processing.
+					maxBusy = slices.Max(busyScratch)
+					stats.Windows++
+					stats.ModeledBusyNS += maxBusy
+					if tel != nil {
+						now := time.Now()
+						wall := int64(now.Sub(lastTick))
+						lastTick = now
+						s.publishWindow(tel, w, wEnd, wall, maxBusy, &scratch)
+					}
+					stats.ModeledTimeNS += max(maxBusy, syncCost)
+					stopScratch = s.stop.Load()
+				}
+				// Second barrier: every engine's publications are visible.
+				bar.Await()
+				// The local decision: every engine derives the same global
+				// next event time from the published values.
+				globalNext := slices.Min(nextTimes)
+				next, stop := NextWindow(w, globalNext, cfg.Window), stopScratch
+				if cfg.Transport != nil {
+					// The transport decision replaces it: what is global
+					// here is only this worker's share.
+					if li == 0 {
+						reply, stats.Err = s.exchange(WindowDone{
+							Window: w, MaxBusy: maxBusy, LocalNext: globalNext, Stop: stop,
+						})
+					}
+					bar.Await()
+					next, stop = reply.NextWindow, reply.Stop
+				}
+				if stats.Err != nil {
+					return
+				}
+				// Merge phase: decode my cross-worker events, order them
+				// with the gather under the global (at, src, seq) order,
+				// schedule. (Outboxes are not cleared here — the parity swap
+				// retires them, and the producer reclaims the buffers two
+				// executed windows later.)
+				if tel != nil {
+					exchStart = time.Now()
+				}
+				for _, ev := range e.wireIn {
+					eh, err := cfg.Codec.Decode(e.id, ev.Kind, ev.Payload)
+					if err != nil {
+						panic("pdes: undecodable remote event in distributed run: " + err.Error())
+					}
+					incoming = append(incoming, remoteEvent{
+						at: des.Time(ev.At), eh: eh, seq: ev.Seq, src: ev.Src,
+					})
+				}
+				e.wireIn = e.wireIn[:0]
 				e.incoming = incoming
-				e.sorter.v = incoming
-				sort.Sort(&e.sorter)
+				slices.SortFunc(incoming, remoteCmp)
 				if inv != nil {
 					incoming = s.invCheckIncoming(inv, w, e, wEnd, incoming)
 					if inv.KernelPerWindow {
@@ -571,93 +677,27 @@ func (s *Sim) Run() Stats {
 						e.k.ScheduleFunc(re.at, re.h)
 					}
 				}
-				// Reset my registration slot before the second barrier, so
-				// next-window producers (who only write after it) start
-				// from zero.
-				atomic.StoreInt32(&s.activeN[e.id], 0)
-				nextTimes[e.id] = e.k.NextEventTime()
 				if tel != nil {
-					lastExch = int64(time.Since(exchStart))
+					lastExch += int64(time.Since(exchStart))
 				}
-				if e.id == 0 {
-					// One engine reduces the window's modeled cost:
-					// max(busiest engine, synchronization) — the barrier
-					// allreduce overlaps with event processing.
-					var m int64
-					for _, b := range busyScratch {
-						if b > m {
-							m = b
-						}
-					}
-					executedWindows++
-					modeledBusy += m
-					if tel != nil {
-						now := time.Now()
-						wall := int64(now.Sub(lastTick))
-						lastTick = now
-						s.publishWindow(tel, w, wEnd, wall, m,
-							evScratch, remScratch, waitScratch, depthScratch,
-							compScratch, exchScratch)
-					}
-					if m < syncCost {
-						m = syncCost
-					}
-					modeledTime += m
-					stopScratch = s.stop.Load()
-				}
-				bar.Await()
-				if stopScratch {
-					if e.id == 0 {
-						stopped = true
+				if stop {
+					if li == 0 {
+						stats.Stopped = true
 					}
 					return
 				}
-				// Fast-forward over globally idle windows: every engine
-				// computes the same global next event time from the
-				// published values. (Outboxes are not cleared here — the
-				// parity swap retires them, and the producer reclaims the
-				// buffers two executed windows later.)
-				globalNext := des.EndOfTime
-				for _, t := range nextTimes {
-					if t < globalNext {
-						globalNext = t
-					}
-				}
-				w++
+				w = next
 				wc++
-				if globalNext > des.Time(w)*cfg.Window {
-					skip := int(globalNext / cfg.Window)
-					if skip > w {
-						w = skip
-					}
-				}
 			}
 		}()
 	}
 	wg.Wait()
-	wall := time.Since(start)
-
-	stats := Stats{
-		Engines:         n,
-		Windows:         executedWindows,
-		Window:          cfg.Window,
-		EngineEvents:    make([]uint64, n),
-		LoadSeries:      series,
-		SyncPerWindowNS: syncCost,
-		WallTime:        wall,
-		ModeledBusyNS:   modeledBusy,
-		ModeledTimeNS:   modeledTime,
-		MaxPending:      make([]int, n),
-		Stopped:         stopped,
-	}
-	if buckets > 0 {
-		stats.BucketWidth = cfg.End / des.Time(buckets)
-	}
-	for i, e := range s.engines {
-		stats.EngineEvents[i] = e.events
+	stats.WallTime = time.Since(start)
+	for _, e := range s.engines[first : first+hosted] {
+		stats.EngineEvents[e.id] = e.events
 		stats.TotalEvents += e.events
 		stats.RemoteEvents += e.remoteSends
-		stats.MaxPending[i] = e.k.MaxPending()
+		stats.MaxPending[e.id] = e.k.MaxPending()
 	}
 	if tel != nil {
 		// End the live stream: subscribers see the channel close and know
@@ -667,39 +707,69 @@ func (s *Sim) Run() Stats {
 	return stats
 }
 
+// exchange is the transport decision step, run by the leader between the
+// second and third barrier: it ships the window's control data with every
+// hosted engine's encoded wire outbox and hands each of the reply's events
+// to its destination engine's wireIn. The reply is input from outside the
+// process, so one the loop cannot act on — an event for an engine not
+// hosted here, a window that does not advance — is an error, like a failed
+// Exchange.
+func (s *Sim) exchange(done WindowDone) (WindowGo, error) {
+	first, hosted := s.cfg.FirstEngine, s.cfg.HostedEngines
+	lead := s.engines[first]
+	for _, e := range s.engines[first+1 : first+hosted] {
+		lead.wireEnc = append(lead.wireEnc, e.wireEnc...)
+		e.wireEnc = e.wireEnc[:0]
+	}
+	done.Events = lead.wireEnc
+	g, err := s.cfg.Transport.Exchange(done)
+	lead.wireEnc = lead.wireEnc[:0]
+	if err != nil {
+		return g, err
+	}
+	if !g.Stop && g.NextWindow <= done.Window {
+		return g, fmt.Errorf("%w: window %d after window %d", ErrWindowNotAdvanced, g.NextWindow, done.Window)
+	}
+	for _, ev := range g.Events {
+		if int(ev.Dst) < first || int(ev.Dst) >= first+hosted {
+			return g, fmt.Errorf("%w: engine %d, hosted [%d,%d)", ErrMisroutedEvent, ev.Dst, first, first+hosted)
+		}
+		e := s.engines[ev.Dst]
+		e.wireIn = append(e.wireIn, ev)
+	}
+	return g, nil
+}
+
 // publishWindow emits one window's telemetry: the WindowRecord trace entry
-// plus the aggregate counters. Runs on engine 0 between the two barriers,
-// where the scratch slices are stable. The record's slices come from the
-// ring's recycling pool, so a saturated ring publishes without allocating.
-func (s *Sim) publishWindow(tel *telemetry.SimTelemetry, w int, wEnd des.Time, wallNS, maxBusy int64,
-	ev []uint64, rem []uint64, wait []int64, depth []int, comp []int64, exch []int64) {
-	n := len(ev)
+// plus the aggregate counters. Runs on the leader between the first two
+// barriers, where the engines' scratch slots are stable. The record's slices
+// come from the ring's recycling pool, so a saturated ring publishes without
+// allocating.
+func (s *Sim) publishWindow(tel *telemetry.SimTelemetry, w int, wEnd des.Time, wallNS, maxBusy int64, scratch *telemetry.WindowRecord) {
+	n := len(scratch.Events)
 	rec := tel.Windows.Get(n)
 	rec.Window = w
 	rec.StartNS = int64(des.Time(w) * s.cfg.Window)
 	rec.EndNS = int64(wEnd)
 	rec.WallNS = wallNS
 	rec.MaxBusyNS = maxBusy
-	copy(rec.Events, ev)
-	copy(rec.RemoteSends, rem)
-	copy(rec.ComputeNS, comp)
-	copy(rec.BarrierWaitNS, wait)
-	copy(rec.ExchangeNS, exch)
-	copy(rec.QueueDepth, depth)
-	var sumEv, sumRem uint64
+	copy(rec.Events, scratch.Events)
+	copy(rec.RemoteSends, scratch.RemoteSends)
+	copy(rec.ComputeNS, scratch.ComputeNS)
+	copy(rec.BarrierWaitNS, scratch.BarrierWaitNS)
+	copy(rec.ExchangeNS, scratch.ExchangeNS)
+	copy(rec.QueueDepth, scratch.QueueDepth)
+	var sumEv uint64
 	var sumDepth, maxDepth int64
 	for i := 0; i < n; i++ {
-		sumEv += ev[i]
-		sumRem += rem[i]
-		sumDepth += int64(depth[i])
-		if int64(depth[i]) > maxDepth {
-			maxDepth = int64(depth[i])
-		}
+		sumEv += scratch.Events[i]
+		rec.Remote += scratch.RemoteSends[i]
+		sumDepth += int64(scratch.QueueDepth[i])
+		maxDepth = max(maxDepth, int64(scratch.QueueDepth[i]))
 	}
-	rec.Remote = sumRem
 	tel.Windows.Append(rec)
 	tel.Events.Add(sumEv)
-	tel.RemoteEvents.Add(sumRem)
+	tel.RemoteEvents.Add(rec.Remote)
 	tel.WindowsDone.Inc()
 	tel.SimTimeNS.Set(int64(wEnd))
 	tel.QueueDepth.Set(sumDepth)
@@ -707,7 +777,7 @@ func (s *Sim) publishWindow(tel *telemetry.SimTelemetry, w int, wEnd des.Time, w
 	tel.WindowWall.Observe(wallNS)
 	if len(tel.EngineEvents) == n {
 		for i := 0; i < n; i++ {
-			tel.EngineEvents[i].Add(ev[i])
+			tel.EngineEvents[i].Add(scratch.Events[i])
 		}
 	}
 }

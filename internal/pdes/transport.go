@@ -1,10 +1,11 @@
 // The distributed transport seam. A Transport lets a Sim run as one worker
-// of a multi-process simulation: the worker executes only its hosted engine
-// range, and once per barrier window the local leader engine trades the
-// window's cross-worker events — in serialized wire form — plus the control
-// data the global barrier decision needs (max busy time, local minimum next
-// event time, stop request) for the coordinator's reply (events destined
-// here, the next window index after fast-forward, the global stop flag).
+// of a multi-process simulation: Run's one window loop executes only the
+// hosted engine range, and once per barrier window the local leader engine
+// trades the window's cross-worker events — in serialized wire form — plus
+// the control data the global barrier decision needs (max busy time, local
+// minimum next event time, stop request) for the coordinator's reply (events
+// destined here, the next window index after fast-forward, the global stop
+// flag), which replaces the decision the loop would have taken locally.
 //
 // Distributed runs assume the replicated-setup (SPMD) model: every worker
 // deterministically builds the FULL scenario — all N engines with their
@@ -14,7 +15,7 @@
 // integer identity instead of shipping object graphs.
 //
 // Determinism: the wire path assigns the same (src, seq) labels a send
-// would receive in-process (see Engine.enqueueWire), each event carries its
+// would receive in-process (see Engine.enqueueRemote), each event carries its
 // (at, src, seq) explicitly, and the receiving engine merges wire events
 // with locally-exchanged ones under the same strict (at, src, seq) total
 // order the in-process gather sorts by. A distributed run is therefore
@@ -22,12 +23,8 @@
 package pdes
 
 import (
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
+	"errors"
 
-	"massf/internal/cluster"
 	"massf/internal/des"
 	"massf/internal/wire"
 )
@@ -73,13 +70,25 @@ type WindowGo struct {
 	Events []wire.Event
 }
 
+// A WindowGo comes from outside the process, so a reply the window loop
+// cannot act on ends the run with one of these in Stats.Err instead of
+// corrupting (or panicking) the worker.
+var (
+	// ErrMisroutedEvent: the reply carries an event for an engine this
+	// worker does not host.
+	ErrMisroutedEvent = errors.New("pdes: coordinator routed an event to a non-hosted engine")
+	// ErrWindowNotAdvanced: the reply's NextWindow is not beyond the window
+	// just executed (and it does not stop the run).
+	ErrWindowNotAdvanced = errors.New("pdes: coordinator did not advance the window")
+)
+
 // Transport synchronizes one worker with the rest of a distributed run.
 // Exchange is called exactly once per executed window, by a single
 // goroutine, after every hosted engine has arrived at the local barrier; it
 // must block until all workers have arrived globally and return the
-// coordinator's decision. The in-process implementation of this contract is
-// the shared-memory parity-buffer exchange inlined in Run (Transport nil);
-// the TCP implementation is dist.WorkerTransport.
+// coordinator's decision. With Transport nil, Run takes the same decision
+// (NextWindow over the engines' published next-event times) locally; the
+// TCP implementation is dist.WorkerTransport.
 type Transport interface {
 	Exchange(done WindowDone) (WindowGo, error)
 }
@@ -94,240 +103,4 @@ type Codec interface {
 	Encode(eh des.EventHandler) (kind uint16, payload []byte, err error)
 	// Decode reconstructs the handler on the destination engine dst.
 	Decode(dst int, kind uint16, payload []byte) (des.EventHandler, error)
-}
-
-// runTransport is Run for a distributed worker: the hosted engines run the
-// same compute/exchange discipline as the in-process loop, with three local
-// barriers per window — A after compute (outboxes complete), B after the
-// local gather + wire encode (control data published), C after the leader's
-// transport exchange (cross-worker events demuxed). Telemetry window
-// records and real-time pacing are in-process features; a worker ignores
-// Config.Telemetry beyond closing its ring.
-func (s *Sim) runTransport() Stats {
-	cfg := s.cfg
-	first, hosted := cfg.FirstEngine, cfg.HostedEngines
-	totalWindows := int((cfg.End + cfg.Window - 1) / cfg.Window)
-	buckets := cfg.SeriesBuckets
-	if buckets > totalWindows {
-		buckets = totalWindows
-	}
-	series := make([][]uint64, buckets)
-	for b := range series {
-		series[b] = make([]uint64, cfg.Engines)
-	}
-	syncCost := cfg.Sync.SyncCost(cfg.Engines)
-	inv := cfg.Invariants
-
-	// Barrier-guarded scratch, as in the in-process loop: indexed by LOCAL
-	// engine number (global id − first).
-	busyScratch := make([]int64, hosted)
-	nextTimes := make([]des.Time, hosted)
-	wireIn := make([][]wire.Event, hosted)
-	// Leader-owned state, written between barriers B and C, read after C.
-	var goScratch WindowGo
-	var xerr error
-	var doneEvents []wire.Event
-	// Leader-owned accumulators. Modeled time here reduces over the LOCAL
-	// engines only — a lower bound; the coordinator owns the global
-	// reduction and installs it when merging worker stats.
-	var executedWindows int
-	var modeledBusy, modeledTime int64
-	var stopped bool
-
-	bar := cluster.NewBarrier(hosted)
-	var wg sync.WaitGroup
-	wg.Add(hosted)
-	start := time.Now()
-	for li := 0; li < hosted; li++ {
-		li := li
-		e := s.engines[first+li]
-		go func() {
-			defer wg.Done()
-			wc := 0
-			for w := 0; w < totalWindows; {
-				e.p = wc & 1
-				if wc >= 2 {
-					for _, d := range e.dirty[e.p] {
-						e.outbox[e.p][d] = e.outbox[e.p][d][:0]
-					}
-					e.dirty[e.p] = e.dirty[e.p][:0]
-				}
-				wEnd := des.Time(w+1) * cfg.Window
-				if wEnd > cfg.End {
-					wEnd = cfg.End
-				}
-				e.windowEnd = wEnd
-				before := e.k.Processed()
-				e.k.RunUntil(wEnd)
-				e.winEvents = e.k.Processed() - before
-				e.events += e.winEvents
-				busyScratch[li] = int64(e.winEvents)*int64(cfg.EventCost) +
-					int64(e.winRemote)*int64(cfg.RemoteCost)
-				if buckets > 0 {
-					series[w*buckets/totalWindows][e.id] += e.winEvents
-				}
-				e.winRemote = 0
-
-				bar.Await() // A: every hosted outbox and wire outbox is complete
-
-				// Gather events other hosted engines addressed to me, exactly
-				// as in-process; record my minimum next-event time BEFORE
-				// scheduling so the coordinator can fold in wire timestamps.
-				incoming := e.incoming[:0]
-				cnt := atomic.LoadInt32(&s.activeN[e.id])
-				if inv != nil {
-					s.invCheckGather(inv, w, e, s.active[e.id][:cnt])
-				}
-				for _, si := range s.active[e.id][:cnt] {
-					incoming = append(incoming, s.engines[si].outbox[e.p][e.id]...)
-				}
-				e.incoming = incoming
-				localMin := e.k.NextEventTime()
-				for i := range incoming {
-					if incoming[i].at < localMin {
-						localMin = incoming[i].at
-					}
-				}
-				nextTimes[li] = localMin
-				// Encode my wire outbox in parallel with the other engines.
-				for i := range e.wireOut {
-					ws := &e.wireOut[i]
-					kind, payload, err := cfg.Codec.Encode(ws.re.eh)
-					if err != nil {
-						panic("pdes: unserializable remote event in distributed run: " + err.Error())
-					}
-					e.wireEnc = append(e.wireEnc, wire.Event{
-						At: int64(ws.re.at), Src: ws.re.src, Dst: ws.dst,
-						Seq: ws.re.seq, Kind: kind, Payload: payload,
-					})
-				}
-				e.wireOut = e.wireOut[:0]
-				atomic.StoreInt32(&s.activeN[e.id], 0)
-
-				bar.Await() // B: control data and encoded events published
-
-				if li == 0 {
-					var maxBusy int64
-					for _, b := range busyScratch {
-						if b > maxBusy {
-							maxBusy = b
-						}
-					}
-					localNext := des.EndOfTime
-					for _, t := range nextTimes {
-						if t < localNext {
-							localNext = t
-						}
-					}
-					doneEvents = doneEvents[:0]
-					for i := 0; i < hosted; i++ {
-						doneEvents = append(doneEvents, s.engines[first+i].wireEnc...)
-						s.engines[first+i].wireEnc = s.engines[first+i].wireEnc[:0]
-					}
-					goScratch, xerr = cfg.Transport.Exchange(WindowDone{
-						Window:    w,
-						MaxBusy:   maxBusy,
-						LocalNext: localNext,
-						Stop:      s.stop.Load(),
-						Events:    doneEvents,
-					})
-					if xerr == nil {
-						for i := range wireIn {
-							wireIn[i] = wireIn[i][:0]
-						}
-						for _, ev := range goScratch.Events {
-							d := int(ev.Dst) - first
-							if d < 0 || d >= hosted {
-								panic("pdes: coordinator routed event to non-hosted engine")
-							}
-							wireIn[d] = append(wireIn[d], ev)
-						}
-						executedWindows++
-						modeledBusy += maxBusy
-						if maxBusy < syncCost {
-							maxBusy = syncCost
-						}
-						modeledTime += maxBusy
-					}
-				}
-
-				bar.Await() // C: the exchange decision and demuxed events are visible
-
-				if xerr != nil {
-					return
-				}
-				// Decode my cross-worker events, merge them with the local
-				// gather under the global (at, src, seq) order, schedule.
-				incoming = e.incoming
-				for _, ev := range wireIn[li] {
-					eh, err := cfg.Codec.Decode(e.id, ev.Kind, ev.Payload)
-					if err != nil {
-						panic("pdes: undecodable remote event in distributed run: " + err.Error())
-					}
-					incoming = append(incoming, remoteEvent{
-						at: des.Time(ev.At), eh: eh, seq: ev.Seq, src: ev.Src,
-					})
-				}
-				e.incoming = incoming
-				e.sorter.v = incoming
-				sort.Sort(&e.sorter)
-				if inv != nil {
-					incoming = s.invCheckIncoming(inv, w, e, wEnd, incoming)
-					if inv.KernelPerWindow {
-						s.invCheckKernel(inv, w, e, wEnd)
-					}
-				}
-				for i := range incoming {
-					re := &incoming[i]
-					if re.eh != nil {
-						e.k.ScheduleEvent(re.at, re.eh)
-					} else {
-						e.k.ScheduleFunc(re.at, re.h)
-					}
-				}
-				if goScratch.Stop {
-					if li == 0 {
-						stopped = true
-					}
-					return
-				}
-				if goScratch.NextWindow <= w {
-					panic("pdes: coordinator did not advance the window")
-				}
-				w = goScratch.NextWindow
-				wc++
-			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-
-	stats := Stats{
-		Engines:         cfg.Engines,
-		Windows:         executedWindows,
-		Window:          cfg.Window,
-		EngineEvents:    make([]uint64, cfg.Engines),
-		LoadSeries:      series,
-		SyncPerWindowNS: syncCost,
-		WallTime:        wall,
-		ModeledBusyNS:   modeledBusy,
-		ModeledTimeNS:   modeledTime,
-		MaxPending:      make([]int, cfg.Engines),
-		Stopped:         stopped,
-		Err:             xerr,
-	}
-	if buckets > 0 {
-		stats.BucketWidth = cfg.End / des.Time(buckets)
-	}
-	for i := first; i < first+hosted; i++ {
-		e := s.engines[i]
-		stats.EngineEvents[i] = e.events
-		stats.TotalEvents += e.events
-		stats.RemoteEvents += e.remoteSends
-		stats.MaxPending[i] = e.k.MaxPending()
-	}
-	if cfg.Telemetry != nil {
-		cfg.Telemetry.Windows.Close()
-	}
-	return stats
 }

@@ -3,10 +3,12 @@ package pdes
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"massf/internal/des"
+	"massf/internal/telemetry"
 	"massf/internal/wire"
 )
 
@@ -91,7 +93,7 @@ func buildX(t *testing.T, cfg Config) *xModel {
 // memHub is an in-memory coordinator for k workers sharing one process: it
 // performs exactly the reduction and routing the dist coordinator performs
 // over TCP — global stop OR, global next-event min folding wire timestamps,
-// star-topology event routing.
+// star-topology event routing, the pdes.NextWindow decision.
 type memHub struct {
 	k      int
 	window des.Time
@@ -99,7 +101,11 @@ type memHub struct {
 	first  []int // first engine per worker
 	last   []int // one past last engine per worker
 	ch     chan memDone
-	errAt  int // inject an exchange error at this window (-1 never)
+	// fault, when set, is applied to every worker's reply from window errAt
+	// on — failing the exchange or rewriting the reply into one a worker
+	// must refuse — after which the hub stops serving.
+	errAt int
+	fault func(h *memHub, worker int, g *WindowGo) error
 }
 
 type memDone struct {
@@ -133,12 +139,6 @@ func (h *memHub) serve() {
 			pending = append(pending, <-h.ch)
 		}
 		w := pending[0].d.Window
-		if h.errAt >= 0 && w >= h.errAt {
-			for _, p := range pending {
-				p.reply <- memReply{err: errors.New("injected exchange failure")}
-			}
-			return
-		}
 		stop := false
 		globalNext := des.EndOfTime
 		outs := make([][]wire.Event, h.k)
@@ -167,27 +167,30 @@ func (h *memHub) serve() {
 				}
 			}
 		}
-		next := w + 1
-		if skip := int(globalNext / h.window); skip > next {
-			next = skip
-		}
+		next := NextWindow(w, globalNext, h.window)
+		faulty := h.fault != nil && w >= h.errAt
 		for _, p := range pending {
-			p.reply <- memReply{g: WindowGo{NextWindow: next, Stop: stop, Events: outs[p.worker]}}
+			r := memReply{g: WindowGo{NextWindow: next, Stop: stop, Events: outs[p.worker]}}
+			if faulty {
+				r.err = h.fault(h, p.worker, &r.g)
+			}
+			p.reply <- r
 		}
-		if stop || next >= h.total {
+		if faulty || stop || next >= h.total {
 			return
 		}
 	}
 }
 
-func runDistX(t *testing.T, base Config, k int, errAt int) ([]Stats, []*xModel) {
+// runDistX runs base split over k memTransport workers joined by hub, of
+// which the caller sets only errAt and fault; tel, when non-nil, is attached
+// to worker 0.
+func runDistX(t *testing.T, base Config, k int, hub *memHub, tel *telemetry.SimTelemetry) ([]Stats, []*xModel) {
 	t.Helper()
 	per := base.Engines / k
-	hub := &memHub{
-		k: k, window: base.Window,
-		total: int((base.End + base.Window - 1) / base.Window),
-		ch:    make(chan memDone, k), errAt: errAt,
-	}
+	hub.k, hub.window = k, base.Window
+	hub.total = WindowCount(base.End, base.Window)
+	hub.ch = make(chan memDone, k)
 	for j := 0; j < k; j++ {
 		first := j * per
 		last := first + per
@@ -207,6 +210,9 @@ func runDistX(t *testing.T, base Config, k int, errAt int) ([]Stats, []*xModel) 
 		cfg.Transport = &memTransport{hub: hub, worker: j}
 		cfg.FirstEngine = hub.first[j]
 		cfg.HostedEngines = hub.last[j] - hub.first[j]
+		if j == 0 {
+			cfg.Telemetry = tel
+		}
 		m := buildX(t, cfg)
 		models[j] = m
 		wg.Add(1)
@@ -219,6 +225,13 @@ func runDistX(t *testing.T, base Config, k int, errAt int) ([]Stats, []*xModel) 
 	return stats, models
 }
 
+// deterministic is the part of Stats that depends only on the simulation,
+// not on the host: everything but WallTime.
+func deterministic(st Stats) Stats {
+	st.WallTime = 0
+	return st
+}
+
 func TestTransportMatchesInProcess(t *testing.T) {
 	base := Config{Engines: 8, Window: des.Millisecond, End: 60 * des.Millisecond, Seed: 42}
 
@@ -228,10 +241,13 @@ func TestTransportMatchesInProcess(t *testing.T) {
 		t.Fatalf("degenerate reference run: %+v", refStats)
 	}
 
-	for _, k := range []int{2, 3, 4, 8} {
-		k := k
+	for _, k := range []int{1, 2, 3, 4, 8} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			stats, models := runDistX(t, base, k, -1)
+			var tel *telemetry.SimTelemetry
+			if k == 2 {
+				tel = telemetry.New(base.Engines/k, 128)
+			}
+			stats, models := runDistX(t, base, k, &memHub{}, tel)
 			counts := make([]uint64, base.Engines)
 			sums := make([]uint64, base.Engines)
 			var totalEvents, remote uint64
@@ -266,17 +282,75 @@ func TestTransportMatchesInProcess(t *testing.T) {
 					t.Errorf("engine %d: %d kernel events, reference %d", i, engineEvents[i], refStats.EngineEvents[i])
 				}
 			}
+			if k == 1 {
+				// One worker hosting every engine is the in-process run with
+				// the decision taken through the transport: the same loop,
+				// so the same Stats — windows, per-engine events and queue
+				// high-water marks, load series, modeled time.
+				if got, want := deterministic(stats[0]), deterministic(refStats); !reflect.DeepEqual(got, want) {
+					t.Errorf("stats through the transport:\n%+v\nin-process:\n%+v", got, want)
+				}
+			}
+			if tel != nil {
+				// A worker handed a SimTelemetry gets the window records an
+				// in-process run gets, over its hosted engines.
+				recs := tel.Windows.Snapshot()
+				if len(recs) != stats[0].Windows {
+					t.Fatalf("worker 0 ring has %d records, stats saw %d windows", len(recs), stats[0].Windows)
+				}
+				var evSum uint64
+				for _, r := range recs {
+					if len(r.Events) != base.Engines/k || len(r.ExchangeNS) != base.Engines/k {
+						t.Fatalf("record not over the hosted engines: %+v", r)
+					}
+					for _, e := range r.Events {
+						evSum += e
+					}
+				}
+				if evSum != stats[0].TotalEvents {
+					t.Errorf("ring events %d, worker 0 stats %d", evSum, stats[0].TotalEvents)
+				}
+				if !tel.Windows.Closed() {
+					t.Error("worker 0 window ring not closed at end of run")
+				}
+			}
 		})
 	}
 }
 
+// TestTransportExchangeErrorAborts: a failed exchange, and a reply the
+// window loop cannot act on, both end every worker's run with Stats.Err —
+// the reply is input from outside the process, never grounds for a panic.
 func TestTransportExchangeErrorAborts(t *testing.T) {
 	base := Config{Engines: 4, Window: des.Millisecond, End: 60 * des.Millisecond, Seed: 7}
-	stats, _ := runDistX(t, base, 2, 5)
-	for j, st := range stats {
-		if st.Err == nil {
-			t.Fatalf("worker %d: expected transport error, got nil (windows=%d)", j, st.Windows)
-		}
+	errInjected := errors.New("injected exchange failure")
+	for _, tc := range []struct {
+		name  string
+		fault func(h *memHub, worker int, g *WindowGo) error
+		want  error
+	}{
+		{"exchange error", func(*memHub, int, *WindowGo) error { return errInjected }, errInjected},
+		{"event for a non-hosted engine", func(h *memHub, worker int, g *WindowGo) error {
+			g.Events = append(g.Events, wire.Event{Dst: int32(h.first[(worker+1)%h.k]), Kind: 1})
+			return nil
+		}, ErrMisroutedEvent},
+		{"event for no engine", func(_ *memHub, _ int, g *WindowGo) error {
+			g.Events = append(g.Events, wire.Event{Dst: -1, Kind: 1})
+			return nil
+		}, ErrMisroutedEvent},
+		{"window not advanced", func(h *memHub, _ int, g *WindowGo) error {
+			g.NextWindow = h.errAt
+			return nil
+		}, ErrWindowNotAdvanced},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stats, _ := runDistX(t, base, 2, &memHub{errAt: 5, fault: tc.fault}, nil)
+			for j, st := range stats {
+				if !errors.Is(st.Err, tc.want) {
+					t.Errorf("worker %d: Stats.Err = %v, want %v (windows=%d)", j, st.Err, tc.want, st.Windows)
+				}
+			}
+		})
 	}
 }
 

@@ -411,9 +411,8 @@ func (p *distPlan) runConfig(sliced bool, cacheDir string) (dist.RunConfig, erro
 		return dist.RunConfig{}, err
 	}
 	rc := dist.RunConfig{
-		WindowNS: int64(p.window),
-		// Must match the worker-side horizon arithmetic in pdes.runTransport.
-		TotalWindows: int((p.sc.Horizon + p.window - 1) / p.window),
+		WindowNS:     int64(p.window),
+		TotalWindows: pdes.WindowCount(p.sc.Horizon, p.window),
 	}
 	for _, r := range ranges {
 		rc.Jobs = append(rc.Jobs, dist.Job{
