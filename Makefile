@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench bench-all bench-gate bench-shard bench-service smoke service churn fluid bigtopo clean
+.PHONY: check vet build test race bench-all ab smoke churn fluid bigtopo clean
 
-check: vet build race smoke service churn fluid
+check: vet build race smoke churn fluid
 
 vet:
 	$(GO) vet ./...
@@ -25,13 +25,6 @@ race:
 # loopback TCP, including the kill-a-worker failure attribution path.
 smoke:
 	$(GO) test -count=1 -run 'TestToolsEndToEnd|TestMassfdSmoke|TestDistributedEndToEnd|TestDistributedWorkerKillAttribution' .
-
-# Service smoke: a scaled-down massfload pass through the whole daemon
-# stack — versioned HTTP API, scheduler with setup cache, live agent
-# ingest over TCP — printing (not committing) its capture.
-service:
-	$(GO) run ./cmd/massfload -label smoke -conns 128 -ingest-seconds 1 \
-		-submits 16 -clients 4 -cold-routers 120 -out -
 
 # Conformance under scripted link/router churn: 25 seeded scenarios, each
 # given a derived fault script and checked sequential vs k∈{2,4,8}, plus a
@@ -53,50 +46,16 @@ fluid:
 bigtopo:
 	MASSF_BIGTOPO=1 $(GO) test -count=1 -run TestBigTopoSliceMemory -v -timeout 20m ./internal/simcheck/
 
-# Perf trajectory: run the event-pipeline benchmarks (kernel, barrier
-# window, Fig6 end-to-end, telemetry publish) with allocation counting and
-# record them as a labeled entry in BENCH_pipeline.json. Override LABEL to
-# tag the capture, e.g. `make bench LABEL=after`.
-LABEL ?= dev
-PIPELINE_BENCHES = BenchmarkKernel|BenchmarkBarrierWindows|BenchmarkFig6SimTimeSingleAS|BenchmarkWindowPublish|BenchmarkFluidHybridSimTime
-
-bench:
-	$(GO) test -run='^$$' -bench='$(PIPELINE_BENCHES)' -benchmem \
-		./internal/des ./internal/pdes ./internal/telemetry . \
-		| $(GO) run ./cmd/benchjson -label $(LABEL) -out BENCH_pipeline.json
-
+# Every Go benchmark once: the paper's figure, headline and ablation
+# tables (root bench_test.go) and the packages' micro-benchmarks.
 bench-all:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
-# Service-level capture: the full massfload run — 1000 concurrent agent
-# connections, the submission hammer, cold-vs-warm submit-to-first-window
-# — recorded to BENCH_service.json (nightly, artifact-uploaded).
-bench-service:
-	$(GO) run ./cmd/massfload -label service -out BENCH_service.json
-
-# Scenario-shard capture: per-worker setup cost before (replicated eager
-# build) and after (cached topology + slice-local lazy build), recorded
-# under the `scenario-shard` label.
-bench-shard:
-	$(GO) test -run='^$$' -bench='BenchmarkShardSetup' -benchmem -benchtime=2x \
-		./internal/simcheck/ \
-		| $(GO) run ./cmd/benchjson -label scenario-shard -out BENCH_pipeline.json
-
-# Perf regression gate (CI): rerun the pipeline benches and fail if the
-# netmon-DISABLED hot path regressed against the committed capture — the
-# steady-state kernel must stay 0 allocs/op and the uninstrumented Fig6
-# run within 3% ns/op of the `net-observability` baseline. The Fig6 regexp
-# is anchored so the instrumented …NetMon variant (recorded for the
-# overhead budget, expected to cost more) never gates.
-GATE_BASELINE ?= net-observability
-
-bench-gate:
-	$(GO) test -run='^$$' -bench='$(PIPELINE_BENCHES)' -benchmem \
-		./internal/des ./internal/pdes ./internal/telemetry . \
-		| $(GO) run ./cmd/benchjson -label ci-gate -out BENCH_pipeline.json \
-		-gate-against '$(GATE_BASELINE)' -gate-max-regress 3 \
-		-gate-bench 'BenchmarkFig6SimTimeSingleAS$$' \
-		-gate-zero-allocs 'BenchmarkKernelSteadyState'
+# The perf gate (CI runs it on pull requests): bench/ on the merge-base of
+# BASE and on this tree, 3 alternating pairs; scripts/ab.sh says what
+# fails it. `make ab BASE=origin/main`.
+ab:
+	bash scripts/ab.sh $(BASE)
 
 clean:
 	$(GO) clean ./...

@@ -3,6 +3,8 @@ package agent
 import (
 	"fmt"
 	"net"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -248,6 +250,83 @@ func TestIngestDeterminism(t *testing.T) {
 	if g1 != g4 {
 		t.Fatalf("N=1 %+v != N=4 %+v", g1, g4)
 	}
+}
+
+// TestIngestManyConnections drives one paced run from 128 connections
+// through a small credit window and checks the books by count alone:
+// every message sent is accepted exactly once and then either delivered or
+// dropped, no Send fails, and Close leaves no connection or goroutine
+// behind.
+func TestIngestManyConnections(t *testing.T) {
+	const conns, window, perConn = 128, 4, 16
+	goroutines := runtime.NumGoroutine()
+	s, hosts := ingestSim(t, 2, 1, 600*des.Second)
+	a := New(s, des.Millisecond)
+	g := NewIngest(window)
+	addr := serveIngest(t, g, "run", a, hosts)
+
+	clients := make([]*Client, conns)
+	for i := range clients {
+		cl, err := Dial(addr, "run", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One listener per host, so every destination has a sink and each
+		// message ends up in the plane's delivered or dropped count.
+		if i < len(hosts) {
+			if err := cl.Listen(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		clients[i] = cl
+	}
+	if got := g.Conns(); got != conns {
+		t.Fatalf("%d connections attached, want %d", got, conns)
+	}
+	var wg sync.WaitGroup
+	for i, cl := range clients {
+		wg.Add(1)
+		go func(i int, cl *Client) {
+			defer wg.Done()
+			from := i % len(hosts)
+			for n := 0; n < perConn; n++ {
+				to := (from + 1 + n%(len(hosts)-1)) % len(hosts) // never from itself
+				if err := cl.Send(from, to, []byte("payload")); err != nil {
+					t.Errorf("conn %d send %d: %v", i, n, err)
+					return
+				}
+			}
+		}(i, cl)
+	}
+	// No pump epoch has run, so every sender is now blocked on its closed
+	// window; a connection's Listen precedes its sends on the same socket,
+	// so all sinks are in place before the first injection.
+	waitFor(t, func() bool { sent, _, _, _ := g.Counters(); return sent == conns*window })
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Run()
+	}()
+	wg.Wait()
+	waitFor(t, func() bool {
+		_, _, delivered, dropped := g.Counters()
+		return delivered+dropped == conns*perConn
+	})
+	s.Stop()
+	<-done
+	if sent, bp, _, _ := g.Counters(); sent != conns*perConn || bp != 0 {
+		t.Errorf("sent=%d backpressured=%d, want %d/0", sent, bp, conns*perConn)
+	}
+
+	for _, cl := range clients {
+		cl.Close()
+	}
+	g.Close()
+	if got := g.Conns(); got != 0 {
+		t.Errorf("%d connections left after Close", got)
+	}
+	// Each side's per-connection goroutine sees its socket close and exits.
+	waitFor(t, func() bool { return runtime.NumGoroutine() <= goroutines })
 }
 
 func waitFor(t *testing.T, cond func() bool) {

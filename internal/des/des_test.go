@@ -355,22 +355,17 @@ func BenchmarkKernelScheduleRun(b *testing.B) {
 	}
 }
 
-// BenchmarkKernelSteadyState measures the warm hot path: a standing queue
-// of 4096 events, each iteration scheduling one event and firing one. This
-// is the per-hop cost the packet pipeline pays, and the number the
-// zero-allocation acceptance gate watches (allocs/op must be 0 once the
-// arena is warm).
-func BenchmarkKernelSteadyState(b *testing.B) {
-	var k Kernel
-	h := func(Time) {}
+// warmSteadyKernel returns a kernel holding a standing queue of 4096
+// events whose arena and heap have already grown: filled and fully drained
+// once, then refilled.
+func warmSteadyKernel() (k *Kernel, offs []Time, h func(Time)) {
+	k = new(Kernel)
+	h = func(Time) {}
 	rng := rand.New(rand.NewSource(2))
-	const standing = 4096
-	offs := make([]Time, standing)
+	offs = make([]Time, 4096)
 	for i := range offs {
 		offs[i] = Time(rng.Intn(1000) + 1)
 	}
-	// Warm up: fill and fully drain once (grows arena and heap), then
-	// rebuild the standing queue the timed loop churns through.
 	for _, off := range offs {
 		k.ScheduleFunc(k.Now()+off, h)
 	}
@@ -378,10 +373,34 @@ func BenchmarkKernelSteadyState(b *testing.B) {
 	for _, off := range offs {
 		k.ScheduleFunc(k.Now()+off, h)
 	}
+	return k, offs, h
+}
+
+// BenchmarkKernelSteadyState measures the warm hot path: a standing queue
+// of 4096 events, each iteration scheduling one event and firing one. This
+// is the per-hop cost the packet pipeline pays.
+func BenchmarkKernelSteadyState(b *testing.B) {
+	k, offs, h := warmSteadyKernel()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.ScheduleFunc(k.Now()+offs[i&(standing-1)], h)
+		k.ScheduleFunc(k.Now()+offs[i&(len(offs)-1)], h)
 		k.Step(EndOfTime)
+	}
+}
+
+// TestKernelSteadyStateZeroAllocs pins what the benchmark above reports as
+// allocs/op: once the arena is warm, one schedule plus one step allocates
+// nothing.
+func TestKernelSteadyStateZeroAllocs(t *testing.T) {
+	k, offs, h := warmSteadyKernel()
+	i := 0
+	allocs := testing.AllocsPerRun(10000, func() {
+		k.ScheduleFunc(k.Now()+offs[i&(len(offs)-1)], h)
+		k.Step(EndOfTime)
+		i++
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state schedule+step allocates %v times per op, want 0", allocs)
 	}
 }

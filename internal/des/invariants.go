@@ -1,8 +1,8 @@
 // Runtime invariant checking for the kernel. The hooks are nil-disabled:
 // a Kernel with no KernelInvariants attached pays exactly one predictable
 // pointer test per executed event on the hot path, and the steady-state
-// benchmark gate (BenchmarkKernelSteadyState, 0 allocs/op) runs with the
-// hooks off. Tests, fuzz targets and the simcheck conformance oracle attach
+// allocation test (TestKernelSteadyStateZeroAllocs) runs with the hooks
+// off. Tests, fuzz targets and the simcheck conformance oracle attach
 // hooks to catch heap-order corruption, arena leaks and time-travel bugs
 // the moment they happen instead of as downstream stat divergence.
 package des

@@ -50,7 +50,7 @@ func newSetupCache(capacity int) *setupCache {
 
 // get returns the Setup for key, running build at most once per cached
 // lifetime. cached reports whether this call was served without running
-// build (the warm-path signal surfaced in Info and BENCH_service.json).
+// build (the warm-path signal surfaced in Info).
 // Failed builds are not retained, so a transient failure does not poison
 // the key.
 func (c *setupCache) get(key string, build func() (*experiments.Setup, error)) (st *experiments.Setup, cached bool, err error) {

@@ -9,10 +9,10 @@ import (
 	"massf/internal/topology"
 )
 
-// The BenchmarkShardSetup pair feeds the `scenario-shard` label in
-// BENCH_pipeline.json (make bench-shard): the per-worker scenario setup
-// cost before and after the slice refactor — ns/op is build wall time,
-// B/op the bytes a worker allocates to materialize its scenario state.
+// The BenchmarkShardSetup pair is the per-worker scenario setup cost before
+// and after the slice refactor — ns/op is build wall time, B/op the bytes a
+// worker allocates to materialize its scenario state. Run it with
+// `go test -run='^$' -bench=BenchmarkShardSetup -benchmem -benchtime=2x ./internal/simcheck/`.
 
 // shardBenchScenario is the acceptance scale for the memory win — a
 // 20,000-router topology (paper scale) with 1,000 traffic endpoints, where
