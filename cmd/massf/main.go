@@ -61,7 +61,6 @@ func run(args []string, out io.Writer, nowNano func() int64) error {
 		clients   = fs.Int("clients", 0, "background HTTP clients (default: 80% of free hosts)")
 		servers   = fs.Int("servers", 0, "background HTTP servers (default: the rest)")
 		profPath  = fs.String("profile", "", "traffic profile input (default for profile-based approaches: run a sequential profiling pass first)")
-		profIn    = fs.String("profile-in", "", "alias for -profile (pairs with -profile-out)")
 		profOut   = fs.String("profile-out", "", "write the measured profile here")
 		faultPath = fs.String("faults", "", "JSON fault script: scripted link/router churn with live reconvergence")
 		traceOut  = fs.String("trace", "", "write the run's flight recording here as Chrome trace JSON (load in ui.perfetto.dev)")
@@ -116,12 +115,6 @@ func run(args []string, out io.Writer, nowNano func() int64) error {
 	}
 	if *seed == 0 {
 		*seed = nowNano()
-	}
-	if *profIn != "" {
-		if *profPath != "" && *profPath != *profIn {
-			return fmt.Errorf("-profile and -profile-in name different files")
-		}
-		*profPath = *profIn
 	}
 	if *pathTrace != "" && *netSample == 0 {
 		*netSample = 16

@@ -270,7 +270,7 @@ func TestMatchesDaemon(t *testing.T) {
 
 // TestProfileBasedApproachProfilesItself: a profile-based approach with no
 // -profile runs the profiling pass first (it used to fail asking for a
-// profile); with -profile-in the pass is skipped and the supplied
+// profile); with -profile the pass is skipped and the supplied
 // measurements drive the same mapping.
 func TestProfileBasedApproachProfilesItself(t *testing.T) {
 	netPath := writeTestNet(t)
@@ -292,9 +292,9 @@ func TestProfileBasedApproachProfilesItself(t *testing.T) {
 		t.Errorf("profiling pass measured %d node events, the mapped run %d", self.ProfilingPassEvents, mapped)
 	}
 
-	fed := runJSON(t, append(append([]string{}, base...), "-profile-in", profPath)...)
+	fed := runJSON(t, append(append([]string{}, base...), "-profile", profPath)...)
 	if fed.ProfilingPassEvents != 0 {
-		t.Errorf("-profile-in still ran a profiling pass (%d events)", fed.ProfilingPassEvents)
+		t.Errorf("-profile still ran a profiling pass (%d events)", fed.ProfilingPassEvents)
 	}
 	if !reflect.DeepEqual(fed.Partition, self.Partition) {
 		t.Errorf("measured profile fed back maps differently from the pass it was captured after")

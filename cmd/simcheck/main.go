@@ -5,6 +5,11 @@
 // locally minimal reproducer, and the failing run's flight-recorder trace
 // can be dumped as a Chrome trace-event file.
 //
+// Each scenario is prepared once as a simcheck.Plan — built, run
+// sequentially, profiled, mapped per k — and every further dimension a
+// flag asks for (-dist, -shard, -netmon, -fluid) is a leg run off that
+// plan through one table, sharing its reference and its in-process runs.
+//
 // Usage:
 //
 //	simcheck -scenarios 100                 # sweep seeds 1..100
@@ -25,6 +30,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -92,23 +98,19 @@ func run(args []string, out io.Writer) (bool, error) {
 	}
 
 	var list []simcheck.Scenario
-	switch {
-	case *scJSON != "":
+	if *scJSON != "" {
 		var sc simcheck.Scenario
 		if err := json.Unmarshal([]byte(*scJSON), &sc); err != nil {
 			return false, fmt.Errorf("parsing -scenario-json: %w", err)
 		}
 		list = []simcheck.Scenario{sc}
-	case *repro != 0:
-		sc := simcheck.NewScenario(*repro)
-		sc.Ks = kList
-		if *churn {
-			sc = simcheck.Churn(sc)
+	} else {
+		first, n := *seed, *scenarios
+		if *repro != 0 {
+			first, n = *repro, 1
 		}
-		list = []simcheck.Scenario{sc}
-	default:
-		for i := 0; i < *scenarios; i++ {
-			sc := simcheck.NewScenario(*seed + int64(i))
+		for i := 0; i < n; i++ {
+			sc := simcheck.NewScenario(first + int64(i))
 			sc.Ks = kList
 			if *churn {
 				sc = simcheck.Churn(sc)
@@ -117,223 +119,201 @@ func run(args []string, out io.Writer) (bool, error) {
 		}
 	}
 
+	var legs []leg
+	if *distWorkers > 0 {
+		legs = append(legs, leg{"distributed", func(p *simcheck.Plan) (verdict, error) {
+			return distLeg(out, p, *distWorkers, *distK, *distListen, false, "")
+		}, printDistributed})
+		if *shard {
+			legs = append(legs, leg{"sharded", func(p *simcheck.Plan) (verdict, error) {
+				return distLeg(out, p, *distWorkers, *distK, "", true, cacheDir)
+			}, printSharded})
+		}
+	}
+	if *netmonSample > 0 {
+		legs = append(legs, leg{"neutrality", func(p *simcheck.Plan) (verdict, error) {
+			return p.Neutrality(slices.Max(kList), *netmonSample)
+		}, printNeutrality})
+	}
+	if *fluidDim {
+		legs = append(legs, leg{"fluid", func(p *simcheck.Plan) (verdict, error) {
+			return p.Fluid(*fluidMin, *fluidQuantum, simcheck.DefaultFluidBudget())
+		}, printFluid})
+	}
+
 	pass := 0
 	for _, sc := range list {
-		rep, err := simcheck.Check(sc)
+		plan, err := simcheck.NewPlan(sc)
 		if err != nil {
 			return false, fmt.Errorf("seed %d: %w", sc.Seed, err)
 		}
-		if !rep.Failed() {
-			if *distWorkers > 0 {
-				ok, err := checkDistributed(out, sc, *distWorkers, *distK, *distListen, *verbose)
-				if err != nil {
-					return false, fmt.Errorf("seed %d distributed: %w", sc.Seed, err)
-				}
-				if !ok {
-					fmt.Fprintf(out, "%d/%d scenarios passed before first failure\n", pass, len(list))
-					return false, nil
-				}
-				if *shard {
-					ok, err := checkSharded(out, sc, *distWorkers, *distK, cacheDir, *verbose)
-					if err != nil {
-						return false, fmt.Errorf("seed %d sharded: %w", sc.Seed, err)
-					}
-					if !ok {
-						fmt.Fprintf(out, "%d/%d scenarios passed before first failure\n", pass, len(list))
-						return false, nil
-					}
-				}
-			}
-			if *netmonSample > 0 {
-				ok, err := checkNeutrality(out, sc, kList, *netmonSample, *verbose)
-				if err != nil {
-					return false, fmt.Errorf("seed %d neutrality: %w", sc.Seed, err)
-				}
-				if !ok {
-					fmt.Fprintf(out, "%d/%d scenarios passed before first failure\n", pass, len(list))
-					return false, nil
-				}
-			}
-			if *fluidDim {
-				ok, err := checkFluid(out, sc, *fluidMin, *fluidQuantum, *verbose)
-				if err != nil {
-					return false, fmt.Errorf("seed %d fluid: %w", sc.Seed, err)
-				}
-				if !ok {
-					fmt.Fprintf(out, "%d/%d scenarios passed before first failure\n", pass, len(list))
-					return false, nil
-				}
-			}
-			pass++
-			if *verbose {
-				fmt.Fprintf(out, "ok   %s (events=%d)\n", sc, rep.Ref.TotalEvents)
-			}
-			continue
+		rep, err := plan.Check()
+		if err != nil {
+			return false, fmt.Errorf("seed %d: %w", sc.Seed, err)
 		}
-		reportFailure(out, rep)
-		if *shrink {
-			min := simcheck.Shrink(sc, func(c simcheck.Scenario) bool {
-				r, err := simcheck.Check(c)
-				return err == nil && r.Failed()
-			}, *shrinkBudget)
-			// Freeze seeded churn into its explicit fault timeline so the
-			// reproducer JSON survives generator changes.
-			if mat, err := min.Materialized(); err == nil {
-				min = mat
+		ok := !rep.Failed()
+		if !ok {
+			reportFailure(out, rep)
+			if *shrink {
+				min := simcheck.Shrink(sc, func(c simcheck.Scenario) bool {
+					r, err := simcheck.Check(c)
+					return err == nil && r.Failed()
+				}, *shrinkBudget)
+				// Freeze seeded churn into its explicit fault timeline so the
+				// reproducer JSON survives generator changes.
+				if mat, err := min.Materialized(); err == nil {
+					min = mat
+				}
+				b, _ := json.Marshal(min)
+				fmt.Fprintf(out, "shrunk reproducer: %s\n", min)
+				fmt.Fprintf(out, "re-check with: simcheck -scenario-json '%s'\n", b)
 			}
-			b, _ := json.Marshal(min)
-			fmt.Fprintf(out, "shrunk reproducer: %s\n", min)
-			fmt.Fprintf(out, "re-check with: simcheck -scenario-json '%s'\n", b)
+			if *trace != "" {
+				k := firstFailingK(rep)
+				f, err := os.Create(*trace)
+				if err != nil {
+					return false, err
+				}
+				terr := plan.Trace(k, f)
+				cerr := f.Close()
+				if terr != nil {
+					return false, fmt.Errorf("writing trace: %w", terr)
+				}
+				if cerr != nil {
+					return false, cerr
+				}
+				fmt.Fprintf(out, "flight-recorder trace of k=%d run written to %s\n", k, *trace)
+			}
 		}
-		if *trace != "" {
-			k := firstFailingK(rep)
-			f, err := os.Create(*trace)
+		for i := 0; ok && i < len(legs); i++ {
+			v, err := legs[i].run(plan)
 			if err != nil {
-				return false, err
+				return false, fmt.Errorf("seed %d %s: %w", sc.Seed, legs[i].name, err)
 			}
-			terr := simcheck.TraceRun(sc, k, f)
-			cerr := f.Close()
-			if terr != nil {
-				return false, fmt.Errorf("writing trace: %w", terr)
+			if v == nil {
+				continue
 			}
-			if cerr != nil {
-				return false, cerr
+			ok = !v.Failed()
+			if !ok || *verbose {
+				legs[i].print(out, v)
 			}
-			fmt.Fprintf(out, "flight-recorder trace of k=%d run written to %s\n", k, *trace)
 		}
-		fmt.Fprintf(out, "%d/%d scenarios passed before first failure\n", pass, len(list))
-		return false, nil
+		if !ok {
+			fmt.Fprintf(out, "%d/%d scenarios passed before first failure\n", pass, len(list))
+			return false, nil
+		}
+		pass++
+		if *verbose {
+			fmt.Fprintf(out, "ok   %s (events=%d)\n", sc, rep.Ref.TotalEvents)
+		}
 	}
 	fmt.Fprintf(out, "simcheck: %d/%d scenarios passed\n", pass, len(list))
 	return true, nil
 }
 
-// checkDistributed reruns a passing scenario with one engine count (pinned
-// by -dist-k, else the largest in Ks) split across `workers` TCP workers
-// and diffs the merged observables against the sequential reference. With
-// listen == "" the workers are in-process loopback loops; otherwise the
-// oracle listens there and waits for external worker processes
-// (massfd -worker) to join.
-func checkDistributed(out io.Writer, sc simcheck.Scenario, workers, pinnedK int, listen string, verbose bool) (bool, error) {
+// verdict is what every leg's report answers.
+type verdict interface{ Failed() bool }
+
+// leg is one conformance dimension beyond N=1 vs k, run off a scenario's
+// plan once that check has passed: its name labels a run error, run returns
+// the leg's report (with no error, nil when the leg does not apply to the
+// scenario), print writes the report's ok lines or its FAIL block.
+type leg struct {
+	name  string
+	run   func(*simcheck.Plan) (verdict, error)
+	print func(io.Writer, verdict)
+}
+
+// distLeg runs the plan's distributed leg with one engine count (pinned by
+// -dist-k, else the largest in Ks) split across `workers` TCP workers,
+// replicated or sliced. With listen == "" the workers are in-process
+// loopback loops; otherwise the oracle listens there and waits for external
+// worker processes (massfd -worker) to join.
+func distLeg(out io.Writer, p *simcheck.Plan, workers, pinnedK int, listen string, sliced bool, cacheDir string) (verdict, error) {
 	k := pinnedK
-	if k == 0 {
-		for _, c := range sc.Ks {
-			if c >= workers && c > k {
-				k = c
-			}
-		}
+	if k == 0 && len(p.Scenario.Ks) > 0 {
+		k = slices.Max(p.Scenario.Ks)
 	}
-	if k == 0 || k < workers {
-		return true, nil // no engine count can host that many workers
+	if k < workers {
+		return nil, nil // no engine count can host that many workers
 	}
-	var rep *simcheck.DistReport
-	var err error
+	var ln net.Listener
 	if listen != "" {
-		ln, lerr := net.Listen("tcp", listen)
-		if lerr != nil {
-			return false, lerr
+		var err error
+		if ln, err = net.Listen("tcp", listen); err != nil {
+			return nil, err
 		}
+		defer ln.Close()
 		fmt.Fprintf(out, "waiting for %d workers on %s (massfd -worker -join %s)\n",
 			workers, ln.Addr(), ln.Addr())
-		rep, err = simcheck.ServeDistributed(ln, sc, k, workers, dist.Options{})
-		ln.Close()
-	} else {
-		rep, err = simcheck.CheckDistributed(sc, k, workers, dist.Options{})
 	}
-	if err != nil {
-		return false, err
-	}
+	return p.Distributed(ln, k, workers, sliced, cacheDir, dist.Options{})
+}
+
+// printDistributed reports the replicated distributed leg: the merged
+// worker observables against the sequential reference.
+func printDistributed(out io.Writer, v verdict) {
+	rep := v.(*simcheck.DistReport)
 	if !rep.Failed() {
-		if verbose {
-			fmt.Fprintf(out, "ok   %s distributed k=%d workers=%d (%d windows)\n",
-				sc, k, workers, rep.Windows)
-		}
-		return true, nil
+		fmt.Fprintf(out, "ok   %s distributed k=%d workers=%d (%d windows)\n",
+			rep.Scenario, rep.K, rep.Workers, rep.Windows)
+		return
 	}
 	fmt.Fprintf(out, "FAIL %s distributed k=%d workers=%d window=%v (%d windows)\n",
-		sc, k, workers, rep.Window, rep.Windows)
+		rep.Scenario, rep.K, rep.Workers, rep.Window, rep.Windows)
 	for _, d := range rep.DivsInProc {
 		fmt.Fprintf(out, "  in-process divergence: %v\n", d)
 	}
 	for _, d := range rep.DivsDist {
 		fmt.Fprintf(out, "  distributed divergence: %v\n", d)
 	}
-	return false, nil
 }
 
-// checkSharded reruns a passing scenario twice across `workers` loopback
-// workers — once replicated (every worker builds the full scenario), once
-// sliced (every worker materializes only its engine range, with scoped lazy
-// routing, through the scenario artifact cache) — and diffs both merged
-// observable sets against the sequential reference.
-func checkSharded(out io.Writer, sc simcheck.Scenario, workers, pinnedK int, cacheDir string, verbose bool) (bool, error) {
-	k := pinnedK
-	if k == 0 {
-		for _, c := range sc.Ks {
-			if c >= workers && c > k {
-				k = c
-			}
-		}
-	}
-	if k == 0 || k < workers {
-		return true, nil
-	}
-	rep, err := simcheck.CheckSharded(sc, k, workers, dist.Options{}, cacheDir)
-	if err != nil {
-		return false, err
-	}
+// printSharded reports the sliced distributed leg — every worker
+// materializing only its engine range, with scoped lazy routing, through
+// the scenario artifact cache — and what each worker built.
+func printSharded(out io.Writer, v verdict) {
+	rep := v.(*simcheck.DistReport)
 	if !rep.Failed() {
-		if verbose {
-			fmt.Fprintf(out, "ok   %s sharded k=%d workers=%d (%d windows)\n",
-				sc, k, workers, rep.Windows)
-			for _, wm := range rep.SlicedMem {
-				fmt.Fprintf(out, "       %s: %d owned nodes, build %.1fms, route tables %dB\n",
-					wm.Name, wm.SliceNodes, float64(wm.BuildNS)/1e6, wm.RouteBytes)
-			}
+		fmt.Fprintf(out, "ok   %s sharded k=%d workers=%d (%d windows)\n",
+			rep.Scenario, rep.K, rep.Workers, rep.Windows)
+		for _, wm := range rep.SlicedMem {
+			fmt.Fprintf(out, "       %s: %d owned nodes, build %.1fms, route tables %dB\n",
+				wm.Name, wm.SliceNodes, float64(wm.BuildNS)/1e6, wm.RouteBytes)
 		}
-		return true, nil
+		return
 	}
 	fmt.Fprintf(out, "FAIL %s sharded k=%d workers=%d window=%v (%d windows)\n",
-		sc, k, workers, rep.Window, rep.Windows)
+		rep.Scenario, rep.K, rep.Workers, rep.Window, rep.Windows)
 	for _, d := range rep.DivsDist {
 		fmt.Fprintf(out, "  replicated divergence: %v\n", d)
 	}
 	for _, d := range rep.DivsSliced {
 		fmt.Fprintf(out, "  sliced divergence: %v\n", d)
 	}
-	return false, nil
 }
 
-// checkFluid reruns a passing scenario at hybrid flow/packet fidelity:
-// scripted TCP transfers of at least minBytes move to the analytic fluid
-// plane, the hybrid run must stay byte-identical across every engine
-// count in Ks, and — on churn-free scenarios — per-flow goodput, FCT
-// percentiles, and per-link carried volume must stay within the error
-// budget of the pure-packet run of the same seed.
-func checkFluid(out io.Writer, sc simcheck.Scenario, minBytes, quantumNS int64, verbose bool) (bool, error) {
-	sc.FluidMinBytes = minBytes
-	sc.FluidQuantumNS = quantumNS
-	rep, err := simcheck.CheckFluid(sc, simcheck.DefaultFluidBudget())
-	if err != nil {
-		return false, err
-	}
+// printFluid reports the hybrid flow/packet fidelity leg: the hybrid run
+// byte-identical across every engine count in Ks, and — on churn-free
+// scenarios — per-flow goodput, FCT percentiles, and per-link carried
+// volume within the error budget of the pure-packet run of the same seed.
+func printFluid(out io.Writer, v verdict) {
+	rep := v.(*simcheck.FluidReport)
 	if !rep.Failed() {
-		if verbose {
-			switch {
-			case rep.FluidFlows == 0:
-				fmt.Fprintf(out, "ok   %s fluid: no transfer over threshold\n", rep.Scenario)
-			case rep.Metrics == nil:
-				fmt.Fprintf(out, "ok   %s fluid flows=%d completed=%d (churn: determinism only)\n",
-					rep.Scenario, rep.FluidFlows, rep.HybridRef.FluidCompleted)
-			default:
-				fmt.Fprintf(out, "ok   %s fluid flows=%d completed=%d\n",
-					rep.Scenario, rep.FluidFlows, rep.HybridRef.FluidCompleted)
-				for _, m := range rep.Metrics {
-					fmt.Fprintf(out, "       %v\n", m)
-				}
+		switch {
+		case rep.FluidFlows == 0:
+			fmt.Fprintf(out, "ok   %s fluid: no transfer over threshold\n", rep.Scenario)
+		case rep.Metrics == nil:
+			fmt.Fprintf(out, "ok   %s fluid flows=%d completed=%d (churn: determinism only)\n",
+				rep.Scenario, rep.FluidFlows, rep.HybridRef.FluidCompleted)
+		default:
+			fmt.Fprintf(out, "ok   %s fluid flows=%d completed=%d\n",
+				rep.Scenario, rep.FluidFlows, rep.HybridRef.FluidCompleted)
+			for _, m := range rep.Metrics {
+				fmt.Fprintf(out, "       %v\n", m)
 			}
 		}
-		return true, nil
+		return
 	}
 	fmt.Fprintf(out, "FAIL %s fluid flows=%d\n", rep.Scenario, rep.FluidFlows)
 	for i := range rep.Runs {
@@ -355,37 +335,23 @@ func checkFluid(out io.Writer, sc simcheck.Scenario, minBytes, quantumNS int64, 
 			fmt.Fprintf(out, "  over budget: %v\n", m)
 		}
 	}
-	return false, nil
 }
 
-// checkNeutrality reruns a passing scenario with the netmon observability
-// plane attached (sampling every `sample` packets) at the largest engine
-// count and verifies the observer changed nothing.
-func checkNeutrality(out io.Writer, sc simcheck.Scenario, ks []int, sample int, verbose bool) (bool, error) {
-	k := ks[0]
-	for _, c := range ks {
-		if c > k {
-			k = c
-		}
-	}
-	rep, err := simcheck.CheckNeutrality(sc, k, sample)
-	if err != nil {
-		return false, err
-	}
+// printNeutrality reports the observer-neutrality leg: the netmon plane
+// attached at the largest engine count changed nothing.
+func printNeutrality(out io.Writer, v verdict) {
+	rep := v.(*simcheck.NeutralityReport)
 	if !rep.Failed() {
-		if verbose {
-			fmt.Fprintf(out, "ok   %s %s\n", sc, rep)
-		}
-		return true, nil
+		fmt.Fprintf(out, "ok   %s %s\n", rep.Scenario, rep)
+		return
 	}
-	fmt.Fprintf(out, "FAIL %s %s\n", sc, rep)
+	fmt.Fprintf(out, "FAIL %s %s\n", rep.Scenario, rep)
 	for _, d := range rep.DivsSeq {
 		fmt.Fprintf(out, "  sequential perturbation: %v\n", d)
 	}
 	for _, d := range rep.DivsPar {
 		fmt.Fprintf(out, "  parallel perturbation: %v\n", d)
 	}
-	return false, nil
 }
 
 func reportFailure(out io.Writer, rep *simcheck.Report) {

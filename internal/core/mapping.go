@@ -167,6 +167,10 @@ type Candidate struct {
 // or fully contracted graph): effectively unbounded lookahead.
 const MaxMLL = des.Time(100 * des.Millisecond)
 
+// Window is the conservative window a run of this mapping uses: the
+// achieved MLL, capped at MaxMLL.
+func (m *Mapping) Window() des.Time { return min(m.MLL, MaxMLL) }
+
 // Map partitions net for the given approach. prof may be nil for
 // non-profile-based approaches; it is required (same network) for
 // PROF/PROF2/HPROF.

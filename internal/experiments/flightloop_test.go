@@ -82,7 +82,7 @@ func TestMeasuredProfileFeedbackBeatsHTOP(t *testing.T) {
 	}
 
 	// The measured profile round-trips through the massf-profile text
-	// format, exactly as `massf -profile-out` → `massf -profile-in` or
+	// format, exactly as `massf -profile-out` → `massf -profile` or
 	// massfd's GET /runs/{id}/profile → Spec.Profile would carry it.
 	captured := profile.FromResult(&resHTOP, sc.Horizon)
 	var buf bytes.Buffer

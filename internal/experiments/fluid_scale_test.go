@@ -80,10 +80,7 @@ func TestScale1MClientHybridRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	window := m.MLL
-	if window > core.MaxMLL {
-		window = core.MaxMLL
-	}
+	window := m.Window()
 	sim, err := netsim.New(netsim.Config{
 		Net: net, Routes: routes, Part: m.Part, Engines: engines,
 		Window: window, End: horizon, Seed: seed, Fluid: plane,

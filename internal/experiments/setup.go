@@ -315,10 +315,7 @@ func (st *Setup) BuildSim(m *core.Mapping, w Workload, opt runspec.RunSpec) (*ne
 // FluidQuantumUS); the scale-level fields (Engines, Seconds, Seed,
 // EventCostUS) are taken from Setup.Scale, which was sized before mapping.
 func (st *Setup) prepare(m *core.Mapping, w Workload, opt runspec.RunSpec) (*Prepared, error) {
-	window := m.MLL
-	if window > core.MaxMLL {
-		window = core.MaxMLL
-	}
+	window := m.Window()
 	cfg := netsim.Config{
 		Net: st.Net, Routes: st.Routes, Part: m.Part, Engines: st.Scale.Engines,
 		Window: window, End: st.Scale.Horizon,

@@ -204,3 +204,56 @@ func TestNodeOutageDropsAndAttributes(t *testing.T) {
 		t.Fatal("no loss attributed to the router outage")
 	}
 }
+
+// A partitioned TCP endpoint keeps retransmitting into a routing table that
+// has no entry for its peer; those no-route losses at the sender (and the
+// receiver's unroutable ACKs) are drops like any other, so the telemetry
+// counter behind massf_net_drops_total must end equal to Result.Dropped.
+func TestPartitionedTCPDropsReachTelemetry(t *testing.T) {
+	// A line r0—r1—r2—r3 with the transfer between its end routers: once
+	// r1—r2 is down and routing has reconverged there is no detour.
+	net := &model.Network{}
+	var r [4]model.NodeID
+	for i := range r {
+		r[i] = net.AddNode(model.Router, 0, float64(i), 0)
+	}
+	net.AddLink(r[0], r[1], 10_000, model.Bps1G)
+	mid := net.AddLink(r[1], r[2], 10_000, model.Bps1G)
+	net.AddLink(r[2], r[3], 10_000, model.Bps1G)
+	net.ASes = []model.AS{{ID: 0, Routers: r[:], DefaultBorder: -1}}
+	if err := net.Validate(); err != nil {
+		t.Fatalf("test net invalid: %v", err)
+	}
+	routes := interdomain.New(net)
+	plane, err := faults.NewPlane(net, routes, &faults.Script{Events: []faults.Event{
+		{At: 2 * des.Millisecond, Kind: faults.LinkDown, Link: mid, ConvergeNS: 1_000_000},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tel := telemetry.New(1, 64)
+	s, err := New(Config{
+		Net: net, Routes: routes, Engines: 1,
+		Window: 10 * des.Millisecond, End: 3 * des.Second, Seed: 1,
+		Faults: plane, Telemetry: tel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := des.Time(0)
+	s.StartFlow(0, r[0], r[3], 4_000_000, func(at des.Time) { done = at })
+	res := s.Run()
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if done != 0 {
+		t.Fatalf("transfer completed at %v across a cut line", done)
+	}
+	if res.Retransmissions == 0 || res.Dropped <= res.FaultDrops[0] {
+		t.Fatalf("no post-reconvergence retransmission was dropped: %d retransmissions, %d dropped, %d in the blackhole window",
+			res.Retransmissions, res.Dropped, res.FaultDrops[0])
+	}
+	if got := tel.Drops.Load(); got != res.Dropped {
+		t.Errorf("telemetry drops = %d, Result.Dropped = %d", got, res.Dropped)
+	}
+}

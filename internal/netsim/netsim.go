@@ -434,20 +434,6 @@ func (s *Sim) nextLink(now des.Time, cur, dst model.NodeID) model.LinkID {
 	return s.cfg.Routes.NextLink(cur, dst)
 }
 
-// faultDrop records a packet lost to fault fi (-1 for an unattributed
-// fault-state drop) at node's engine.
-func (s *Sim) faultDrop(node model.NodeID, fi int) {
-	e := s.EngineOf(node)
-	s.dropped[e]++
-	if fi >= 0 {
-		s.faultDrops[e][fi]++
-	}
-	if s.tel != nil {
-		s.tel.Drops.Inc()
-		s.tel.FaultDrops.Inc()
-	}
-}
-
 // EngineOf returns the engine that owns node n.
 func (s *Sim) EngineOf(n model.NodeID) int { return int(s.part[n]) }
 
@@ -489,6 +475,41 @@ func (s *Sim) monSpan(pkt *Packet, node model.NodeID, link model.LinkID, start, 
 	})
 }
 
+// dropSpan is the terminal path span a traced packet records, by the cause
+// it was lost to.
+var dropSpan = [...]netmon.SpanKind{
+	netmon.DropTail:    netmon.SpanDropTail,
+	netmon.DropNoRoute: netmon.SpanDropNoRoute,
+	netmon.DropTTL:     netmon.SpanDropTTL,
+	netmon.DropFault:   netmon.SpanDropFault,
+}
+
+// drop is the one record of a packet lost at node, on node's engine: the
+// engine's drop count, the loss attributed to scripted fault fi (-1 for
+// every other cause and for an unattributed fault-state drop), the
+// telemetry counters, and — with the netmon plane attached — the drop on
+// link direction dir (-1 when the packet was not on a link) and the traced
+// packet's terminal span.
+func (s *Sim) drop(node model.NodeID, pkt *Packet, dir int, link model.LinkID, now des.Time, cause netmon.DropCause, fi int) {
+	e := s.EngineOf(node)
+	s.dropped[e]++
+	if fi >= 0 {
+		s.faultDrops[e][fi]++
+	}
+	if s.tel != nil {
+		s.tel.Drops.Inc()
+		if cause == netmon.DropFault {
+			s.tel.FaultDrops.Inc()
+		}
+	}
+	if s.mon != nil {
+		s.mon.LinkDrop(dir, now, cause)
+		if pkt.trace != 0 {
+			s.monSpan(pkt, node, link, now, now, dropSpan[cause])
+		}
+	}
+}
+
 // ScheduleAt schedules fn to run at simulated time at in the context of
 // node n's engine. Use during setup (before Run) or from a handler already
 // running on that engine. On a slice-built worker, events for nodes owned
@@ -525,13 +546,7 @@ func (s *Sim) transmit(node model.NodeID, lid model.LinkID, pkt Packet) {
 	now := eng.Now()
 	if s.faults != nil {
 		if up, fi := s.faults.LinkUp(now, lid); !up {
-			s.faultDrop(node, fi)
-			if s.mon != nil {
-				s.mon.LinkDrop(dirIdx, now, netmon.DropFault)
-				if pkt.trace != 0 {
-					s.monSpan(&pkt, node, lid, now, now, netmon.SpanDropFault)
-				}
-			}
+			s.drop(node, &pkt, dirIdx, lid, now, netmon.DropFault, fi)
 			return
 		}
 	}
@@ -559,16 +574,7 @@ func (s *Sim) transmit(node model.NodeID, lid model.LinkID, pkt Packet) {
 	}
 	if int64(start-now) > queueNS {
 		dir.drops++
-		s.dropped[eng.ID()]++
-		if s.tel != nil {
-			s.tel.Drops.Inc()
-		}
-		if s.mon != nil {
-			s.mon.LinkDrop(dirIdx, now, netmon.DropTail)
-			if pkt.trace != 0 {
-				s.monSpan(&pkt, node, lid, now, now, netmon.SpanDropTail)
-			}
-		}
+		s.drop(node, &pkt, dirIdx, lid, now, netmon.DropTail, -1)
 		return // tail drop
 	}
 	dir.busyUntil = start + ser
@@ -607,24 +613,12 @@ func (s *Sim) arrive(now des.Time, node model.NodeID, via model.LinkID, pkt Pack
 		// packet with it; a failed node neither receives nor forwards.
 		if via >= 0 {
 			if up, fi := s.faults.LinkUp(now, via); !up {
-				s.faultDrop(node, fi)
-				if s.mon != nil {
-					s.mon.LinkDrop(s.arriveDir(node, via), now, netmon.DropFault)
-					if pkt.trace != 0 {
-						s.monSpan(&pkt, node, via, now, now, netmon.SpanDropFault)
-					}
-				}
+				s.drop(node, &pkt, s.arriveDir(node, via), via, now, netmon.DropFault, fi)
 				return
 			}
 		}
 		if up, fi := s.faults.NodeUp(now, node); !up {
-			s.faultDrop(node, fi)
-			if s.mon != nil {
-				s.mon.LinkDrop(s.arriveDir(node, via), now, netmon.DropFault)
-				if pkt.trace != 0 {
-					s.monSpan(&pkt, node, via, now, now, netmon.SpanDropFault)
-				}
-			}
+			s.drop(node, &pkt, s.arriveDir(node, via), via, now, netmon.DropFault, fi)
 			return
 		}
 	}
@@ -638,30 +632,12 @@ func (s *Sim) arrive(now des.Time, node model.NodeID, via model.LinkID, pkt Pack
 	}
 	pkt.ttl--
 	if pkt.ttl <= 0 {
-		s.dropped[s.EngineOf(node)]++
-		if s.tel != nil {
-			s.tel.Drops.Inc()
-		}
-		if s.mon != nil {
-			s.mon.LinkDrop(s.arriveDir(node, via), now, netmon.DropTTL)
-			if pkt.trace != 0 {
-				s.monSpan(&pkt, node, via, now, now, netmon.SpanDropTTL)
-			}
-		}
+		s.drop(node, &pkt, s.arriveDir(node, via), via, now, netmon.DropTTL, -1)
 		return // TTL exhausted (forwarding loop protection)
 	}
 	lid := s.nextLink(now, node, pkt.Dst)
 	if lid < 0 {
-		s.dropped[s.EngineOf(node)]++
-		if s.tel != nil {
-			s.tel.Drops.Inc()
-		}
-		if s.mon != nil {
-			s.mon.LinkDrop(s.arriveDir(node, via), now, netmon.DropNoRoute)
-			if pkt.trace != 0 {
-				s.monSpan(&pkt, node, via, now, now, netmon.SpanDropNoRoute)
-			}
-		}
+		s.drop(node, &pkt, s.arriveDir(node, via), via, now, netmon.DropNoRoute, -1)
 		return // no route
 	}
 	s.transmit(node, lid, pkt)
@@ -672,10 +648,7 @@ func (s *Sim) arrive(now des.Time, node model.NodeID, via model.LinkID, pkt Pack
 func (s *Sim) inject(now des.Time, pkt Packet) {
 	if s.faults != nil {
 		if up, fi := s.faults.NodeUp(now, pkt.Src); !up {
-			s.faultDrop(pkt.Src, fi)
-			if s.mon != nil {
-				s.mon.LinkDrop(-1, now, netmon.DropFault)
-			}
+			s.drop(pkt.Src, &pkt, -1, -1, now, netmon.DropFault, fi) // not sampled yet: no span
 			return
 		}
 	}
@@ -693,16 +666,7 @@ func (s *Sim) inject(now des.Time, pkt Packet) {
 	}
 	lid := s.nextLink(now, pkt.Src, pkt.Dst)
 	if lid < 0 {
-		s.dropped[s.EngineOf(pkt.Src)]++
-		if s.tel != nil {
-			s.tel.Drops.Inc()
-		}
-		if s.mon != nil {
-			s.mon.LinkDrop(-1, now, netmon.DropNoRoute)
-			if pkt.trace != 0 {
-				s.monSpan(&pkt, pkt.Src, -1, now, now, netmon.SpanDropNoRoute)
-			}
-		}
+		s.drop(pkt.Src, &pkt, -1, -1, now, netmon.DropNoRoute, -1)
 		return
 	}
 	s.transmit(pkt.Src, lid, pkt)

@@ -197,13 +197,7 @@ func (s *Sim) sendSeg(f *flow, seq int32, fresh bool) {
 	}
 	lid := s.nextLink(now, f.src, f.dst)
 	if lid < 0 {
-		s.dropped[eng.ID()]++
-		if s.mon != nil {
-			s.mon.LinkDrop(-1, now, netmon.DropNoRoute)
-			if pkt.trace != 0 {
-				s.monSpan(&pkt, f.src, -1, now, now, netmon.SpanDropNoRoute)
-			}
-		}
+		s.drop(f.src, &pkt, -1, -1, now, netmon.DropNoRoute, -1)
 		return
 	}
 	s.transmit(f.src, lid, pkt)
@@ -274,13 +268,7 @@ func (s *Sim) onData(f *flow, pkt Packet) {
 	}
 	lid := s.nextLink(now, f.dst, f.src)
 	if lid < 0 {
-		s.dropped[s.EngineOf(f.dst)]++
-		if s.mon != nil {
-			s.mon.LinkDrop(-1, now, netmon.DropNoRoute)
-			if ack.trace != 0 {
-				s.monSpan(&ack, f.dst, -1, now, now, netmon.SpanDropNoRoute)
-			}
-		}
+		s.drop(f.dst, &ack, -1, -1, now, netmon.DropNoRoute, -1)
 		return
 	}
 	s.transmit(f.dst, lid, ack)

@@ -13,14 +13,12 @@ import (
 	"sync"
 	"time"
 
-	"massf/internal/core"
 	"massf/internal/des"
 	"massf/internal/dist"
 	"massf/internal/memstat"
 	"massf/internal/model"
 	"massf/internal/netmon"
 	"massf/internal/pdes"
-	"massf/internal/profile"
 	"massf/internal/routing/interdomain"
 	"massf/internal/scache"
 	"massf/internal/topology"
@@ -154,8 +152,10 @@ func DistRunner(job dist.Job, t pdes.Transport) ([]byte, error) {
 		return nil, fmt.Errorf("simcheck: rebuilding scenario: %w", err)
 	}
 	buildNS := time.Since(buildStart).Nanoseconds()
-	obs, _, err := runOnce(bundle, spec.Scenario, spec.K, spec.Part, spec.Window, nil, nil,
-		&distRun{transport: t, first: job.First, hosted: job.Hosted, slice: spec.Slice})
+	obs, _, err := runOnce(bundle, spec.Scenario, exec{
+		k: spec.K, part: spec.Part, window: spec.Window,
+		transport: t, first: job.First, hosted: job.Hosted, slice: spec.Slice,
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -283,12 +283,12 @@ type WorkerMem struct {
 	SliceNodes int
 }
 
-// DistReport is the outcome of one distributed conformance check: the same
-// scenario run several ways — sequential reference, in-process on k
-// engines, distributed across full-rebuild (replicated) worker processes on
-// the SAME k-engine partition, and (sharded checks only) distributed again
-// across slice-materializing workers — with every parallel observation
-// diffed against the reference.
+// DistReport is the outcome of one distributed leg: the scenario's
+// sequential reference and in-process k-engine run (both the plan's), and
+// the same k-engine partition distributed across one worker fleet —
+// full-rebuild (replicated) workers filling Dist, or slice-materializing
+// workers filling Sliced — with every parallel observation diffed against
+// the reference.
 type DistReport struct {
 	Scenario   Scenario
 	K, Workers int
@@ -331,75 +331,42 @@ func SplitEngines(k, workers int) [][2]int {
 	return ranges
 }
 
-// distPlan is the local half of a distributed check: the report skeleton
-// (reference + in-process legs already run and diffed) plus everything
-// needed to cut worker job specs — replicated or sliced — for the chosen
-// partition.
-type distPlan struct {
-	rep     *DistReport
-	net     *model.Network
-	sc      Scenario
-	k       int
-	workers int
-	part    []int32
-	window  des.Time
-}
-
-// planDistributed runs the local legs of a distributed check — the
-// sequential reference (which also feeds profile-based mapping) and the
-// in-process k-engine run.
-func planDistributed(sc Scenario, k, workers int) (*distPlan, error) {
+// planDistributed is the local half of the distributed leg: the report with
+// the plan's reference and (memoized) in-process k-engine run filled in,
+// and the jobs a fleet of `workers` executes on the same partition.
+func (p *Plan) planDistributed(k, workers int, sliced bool, cacheDir string) (*DistReport, dist.RunConfig, error) {
 	if workers < 1 || workers > k {
-		return nil, fmt.Errorf("simcheck: %d workers for %d engines", workers, k)
+		return nil, dist.RunConfig{}, fmt.Errorf("simcheck: %d workers for %d engines", workers, k)
 	}
-	bundle, err := buildBundle(sc)
+	kr, err := p.inProc(k, false)
 	if err != nil {
-		return nil, err
+		return nil, dist.RunConfig{}, err
 	}
-	ref, refRes, err := runOnce(bundle, sc, 1, nil, core.MaxMLL, nil, nil, nil)
+	rc, err := p.jobs(k, workers, sliced, cacheDir)
 	if err != nil {
-		return nil, fmt.Errorf("simcheck: reference run: %w", err)
+		return nil, dist.RunConfig{}, err
 	}
-	var prof *profile.Profile
-	if sc.Approach.ProfileBased() {
-		prof = profile.FromResult(refRes, sc.Horizon)
-	}
-	m, err := core.Map(bundle.net, sc.Approach, core.Config{Engines: k, Seed: sc.Seed}, prof)
-	if err != nil {
-		return nil, fmt.Errorf("simcheck: map k=%d: %w", k, err)
-	}
-	window := m.MLL
-	if window > core.MaxMLL {
-		window = core.MaxMLL
-	}
-	inProc, _, err := runOnce(bundle, sc, k, m.Part, window, nil, nil, nil)
-	if err != nil {
-		return nil, fmt.Errorf("simcheck: in-process run k=%d: %w", k, err)
-	}
-	rep := &DistReport{
-		Scenario: sc, K: k, Workers: workers, Window: window,
-		Ref: ref, InProc: inProc, DivsInProc: Diff(ref, inProc),
-	}
-	return &distPlan{
-		rep: rep, net: bundle.net, sc: sc, k: k, workers: workers,
-		part: m.Part, window: window,
-	}, nil
+	return &DistReport{
+		Scenario: p.Scenario, K: k, Workers: workers, Window: kr.Window,
+		Ref: p.Ref, InProc: kr.Obs, DivsInProc: kr.Divergences,
+	}, rc, nil
 }
 
-// runConfig cuts the worker jobs for this plan. With sliced true the spec
-// carries the partition's per-worker boundary descriptors (computed once
-// here, verified independently by each worker) and flags slice-local
-// materialization; cacheDir, when non-empty, names the shared scenario
-// artifact cache workers read through.
-func (p *distPlan) runConfig(sliced bool, cacheDir string) (dist.RunConfig, error) {
+// jobs cuts the worker jobs of the (already mapped) k-engine partition.
+// With sliced true the spec carries the partition's per-worker boundary
+// descriptors (computed once here, verified independently by each worker)
+// and flags slice-local materialization; cacheDir, when non-empty, names
+// the shared scenario artifact cache workers read through.
+func (p *Plan) jobs(k, workers int, sliced bool, cacheDir string) (dist.RunConfig, error) {
+	part, window := p.ks[k].m.Part, p.ks[k].m.Window()
 	spec := distSpec{
-		Scenario: p.sc, K: p.k, Part: p.part, Window: p.window,
+		Scenario: p.Scenario, K: k, Part: part, Window: window,
 		Slice: sliced, CacheDir: cacheDir,
 	}
-	ranges := SplitEngines(p.k, p.workers)
+	ranges := SplitEngines(k, workers)
 	if sliced {
 		for _, r := range ranges {
-			sl, err := topology.BuildSlice(p.net, p.part, r[0], r[1])
+			sl, err := topology.BuildSlice(p.bundle.net, part, r[0], r[1])
 			if err != nil {
 				return dist.RunConfig{}, fmt.Errorf("simcheck: slicing engines [%d,%d): %w", r[0], r[0]+r[1], err)
 			}
@@ -411,8 +378,8 @@ func (p *distPlan) runConfig(sliced bool, cacheDir string) (dist.RunConfig, erro
 		return dist.RunConfig{}, err
 	}
 	rc := dist.RunConfig{
-		WindowNS:     int64(p.window),
-		TotalWindows: pdes.WindowCount(p.sc.Horizon, p.window),
+		WindowNS:     int64(window),
+		TotalWindows: pdes.WindowCount(p.Scenario.Horizon, window),
 	}
 	for _, r := range ranges {
 		rc.Jobs = append(rc.Jobs, dist.Job{
@@ -422,97 +389,42 @@ func (p *distPlan) runConfig(sliced bool, cacheDir string) (dist.RunConfig, erro
 	return rc, nil
 }
 
-// PlanDistributed runs the local legs of a distributed check and returns
-// the report skeleton plus the dist.RunConfig whose (replicated-setup) jobs
-// the workers execute.
+// PlanDistributed runs the local legs of a distributed check — build,
+// sequential reference, mapping, in-process k-engine run — and returns the
+// report skeleton plus the dist.RunConfig whose (replicated-setup) jobs the
+// workers execute.
 func PlanDistributed(sc Scenario, k, workers int) (*DistReport, dist.RunConfig, error) {
-	plan, err := planDistributed(sc, k, workers)
+	p, err := NewPlan(sc)
 	if err != nil {
 		return nil, dist.RunConfig{}, err
 	}
-	rc, err := plan.runConfig(false, "")
-	if err != nil {
-		return nil, dist.RunConfig{}, err
-	}
-	return plan.rep, rc, nil
+	return p.planDistributed(k, workers, false, "")
 }
 
-// serveMerge drives one worker fleet over ln and merges its partials.
-func serveMerge(ln net.Listener, rc dist.RunConfig, opt dist.Options) (*dist.Result, []*Observation, *Observation, error) {
-	res, err := dist.Serve(ln, rc, opt)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	parts := make([]*Observation, len(res.Payloads))
-	for i, p := range res.Payloads {
-		parts[i] = &Observation{}
-		if err := json.Unmarshal(p, parts[i]); err != nil {
-			return nil, nil, nil, fmt.Errorf("simcheck: worker %d (%q) result: %w", i, res.Names[i], err)
-		}
-	}
-	merged, err := MergeObservations(parts)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return res, parts, merged, nil
-}
-
-// workerMem lifts each partial's build accounting into the report form.
-func workerMem(parts []*Observation, names []string) []WorkerMem {
-	out := make([]WorkerMem, len(parts))
-	for i, p := range parts {
-		name := ""
-		if i < len(names) {
-			name = names[i]
-		}
-		out[i] = WorkerMem{
-			Name: name, BuildNS: p.BuildNS, HeapInuse: p.HeapInuse,
-			PeakRSS: p.PeakRSS, RouteBytes: p.RouteBytes, SliceNodes: p.SliceNodes,
-		}
-	}
-	return out
-}
-
-// ServeDistributed plans a distributed check and coordinates it over ln.
-// The caller launches the worker processes (massfd -worker, or in-process
-// dist.RunWorker goroutines) against ln's address; any worker failure
-// comes back as a *dist.WorkerError naming the culprit.
-func ServeDistributed(ln net.Listener, sc Scenario, k, workers int, opt dist.Options) (*DistReport, error) {
-	rep, rc, err := PlanDistributed(sc, k, workers)
-	if err != nil {
-		return nil, err
-	}
-	res, parts, merged, err := serveMerge(ln, rc, opt)
-	if err != nil {
-		return nil, err
-	}
-	rep.Windows = res.Windows
-	rep.Names = res.Names
-	rep.Dist = merged
-	rep.DivsDist = Diff(rep.Ref, merged)
-	rep.WorkerMem = workerMem(parts, res.Names)
-	return rep, nil
-}
-
-// serveFleet spawns `workers` in-process worker loops against a fresh
-// loopback listener and drives rc through them.
-func serveFleet(rc dist.RunConfig, workers int, opt dist.Options) (*dist.Result, []*Observation, *Observation, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	defer ln.Close()
-	errs := make([]error, workers)
+// serveFleet drives rc through one worker fleet, lifts each partial's build
+// accounting into the report form, and merges the partials. The workers are
+// whoever joins ln (massfd -worker processes, or dist.RunWorker goroutines
+// the caller started); with ln nil they are one in-process worker loop per
+// job on a fresh loopback listener — every byte still crosses the real wire.
+func serveFleet(ln net.Listener, rc dist.RunConfig, opt dist.Options) (*dist.Result, []WorkerMem, *Observation, error) {
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = dist.RunWorker(ln.Addr().String(), fmt.Sprintf("worker-%d", i), Runners(), opt)
-		}()
+	var errs []error
+	if ln == nil {
+		var err error
+		if ln, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+			return nil, nil, nil, err
+		}
+		defer ln.Close()
+		errs = make([]error, len(rc.Jobs))
+		for i := range errs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				errs[i] = dist.RunWorker(ln.Addr().String(), fmt.Sprintf("worker-%d", i), Runners(), opt)
+			}()
+		}
 	}
-	res, parts, merged, err := serveMerge(ln, rc, opt)
+	res, err := dist.Serve(ln, rc, opt)
 	wg.Wait()
 	if err != nil {
 		return nil, nil, nil, err
@@ -522,69 +434,62 @@ func serveFleet(rc dist.RunConfig, workers int, opt dist.Options) (*dist.Result,
 			return nil, nil, nil, fmt.Errorf("simcheck: worker %d: %w", i, werr)
 		}
 	}
-	return res, parts, merged, nil
+	parts := make([]*Observation, len(res.Payloads))
+	mem := make([]WorkerMem, len(parts))
+	for i, raw := range res.Payloads {
+		p := &Observation{}
+		if err := json.Unmarshal(raw, p); err != nil {
+			return nil, nil, nil, fmt.Errorf("simcheck: worker %d (%q) result: %w", i, res.Names[i], err)
+		}
+		parts[i] = p
+		mem[i] = WorkerMem{
+			Name: res.Names[i], BuildNS: p.BuildNS, HeapInuse: p.HeapInuse,
+			PeakRSS: p.PeakRSS, RouteBytes: p.RouteBytes, SliceNodes: p.SliceNodes,
+		}
+	}
+	merged, err := MergeObservations(parts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return res, mem, merged, nil
 }
 
-// CheckDistributed is the self-contained distributed conformance check:
-// coordinator plus `workers` worker loops in this process, joined over
-// loopback TCP — every byte still crosses the real wire protocol.
-func CheckDistributed(sc Scenario, k, workers int, opt dist.Options) (*DistReport, error) {
-	rep, rc, err := PlanDistributed(sc, k, workers)
+// Distributed is the distributed leg, the one entry point of every fleet
+// backend: the plan's k-engine partition split across `workers` workers —
+// external ones joining ln, or (ln nil) loopback loops in this process —
+// with the merged partials diffed against the reference. Replicated workers
+// (sliced false) each rebuild the full scenario; sliced ones materialize
+// only their engine range's share, with scoped lazy routing, and passing
+// proves that setup byte-identical to the replicated build, fault churn
+// included (the fault plane replays against slice-scoped routing clones).
+// A non-empty cacheDir routes topology builds through the shared scenario
+// artifact cache. A worker failure comes back as a *dist.WorkerError.
+func (p *Plan) Distributed(ln net.Listener, k, workers int, sliced bool, cacheDir string, opt dist.Options) (*DistReport, error) {
+	rep, rc, err := p.planDistributed(k, workers, sliced, cacheDir)
 	if err != nil {
 		return nil, err
 	}
-	res, parts, merged, err := serveFleet(rc, workers, opt)
+	res, mem, merged, err := serveFleet(ln, rc, opt)
 	if err != nil {
 		return nil, err
 	}
-	rep.Windows = res.Windows
-	rep.Names = res.Names
-	rep.Dist = merged
-	rep.DivsDist = Diff(rep.Ref, merged)
-	rep.WorkerMem = workerMem(parts, res.Names)
+	rep.Windows, rep.Names = res.Windows, res.Names
+	divs := Diff(p.Ref, merged)
+	if sliced {
+		rep.Sliced, rep.DivsSliced, rep.SlicedMem = merged, divs, mem
+	} else {
+		rep.Dist, rep.DivsDist, rep.WorkerMem = merged, divs, mem
+	}
 	return rep, nil
 }
 
-// CheckSharded is the sharded-vs-replicated conformance dimension: the same
-// scenario planned once, then run through TWO self-contained worker fleets
-// on the identical k-engine partition — full-rebuild (replicated) workers
-// first, then slice-materializing workers — with both merged observations
-// diffed against the sequential reference. Passing proves a sliced worker's
-// lazy, slice-local setup is byte-identical to the replicated build it
-// replaces, fault churn included (the scenario's fault plane replays
-// against slice-scoped routing clones). cacheDir, when non-empty, routes
-// both fleets' topology builds through the shared scenario artifact cache.
-func CheckSharded(sc Scenario, k, workers int, opt dist.Options, cacheDir string) (*DistReport, error) {
-	plan, err := planDistributed(sc, k, workers)
+// ServeDistributed plans sc and coordinates its replicated distributed leg
+// over ln. The caller launches the worker processes (massfd -worker, or
+// in-process dist.RunWorker goroutines) against ln's address.
+func ServeDistributed(ln net.Listener, sc Scenario, k, workers int, opt dist.Options) (*DistReport, error) {
+	p, err := NewPlan(sc)
 	if err != nil {
 		return nil, err
 	}
-	rep := plan.rep
-
-	rc, err := plan.runConfig(false, cacheDir)
-	if err != nil {
-		return nil, err
-	}
-	res, parts, merged, err := serveFleet(rc, workers, opt)
-	if err != nil {
-		return nil, fmt.Errorf("simcheck: replicated fleet: %w", err)
-	}
-	rep.Windows = res.Windows
-	rep.Names = res.Names
-	rep.Dist = merged
-	rep.DivsDist = Diff(rep.Ref, merged)
-	rep.WorkerMem = workerMem(parts, res.Names)
-
-	src, err := plan.runConfig(true, cacheDir)
-	if err != nil {
-		return nil, err
-	}
-	sres, sparts, smerged, err := serveFleet(src, workers, opt)
-	if err != nil {
-		return nil, fmt.Errorf("simcheck: sliced fleet: %w", err)
-	}
-	rep.Sliced = smerged
-	rep.DivsSliced = Diff(rep.Ref, smerged)
-	rep.SlicedMem = workerMem(sparts, sres.Names)
-	return rep, nil
+	return p.Distributed(ln, k, workers, false, "", opt)
 }

@@ -89,6 +89,26 @@ func distScenario() Scenario {
 	}
 }
 
+// planOf is NewPlan or a fatal test failure.
+func planOf(t *testing.T, sc Scenario) *Plan {
+	t.Helper()
+	p, err := NewPlan(sc)
+	if err != nil {
+		t.Fatalf("%s: %v", sc, err)
+	}
+	return p
+}
+
+// fleet runs p's k=4 distributed leg over loopback workers.
+func fleet(t *testing.T, p *Plan, workers int, sliced bool, cacheDir string) *DistReport {
+	t.Helper()
+	rep, err := p.Distributed(nil, 4, workers, sliced, cacheDir, dist.Options{})
+	if err != nil {
+		t.Fatalf("workers=%d sliced=%v: %v", workers, sliced, err)
+	}
+	return rep
+}
+
 // TestCheckDistributedMatchesReference: the same scenario run sequentially,
 // in-process on k=4, and across loopback TCP workers hosting the same
 // k=4 partition must produce byte-identical observables — for every worker
@@ -97,12 +117,9 @@ func TestCheckDistributedMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed oracle run skipped in -short")
 	}
-	sc := distScenario()
+	p := planOf(t, distScenario())
 	for _, workers := range []int{2, 4} {
-		rep, err := CheckDistributed(sc, 4, workers, dist.Options{})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		rep := fleet(t, p, workers, false, "")
 		if rep.Ref.TotalEvents == 0 || rep.Ref.HTTPResponses == 0 {
 			t.Fatalf("workers=%d: degenerate reference run: events=%d http=%d",
 				workers, rep.Ref.TotalEvents, rep.Ref.HTTPResponses)
@@ -126,11 +143,7 @@ func TestChurnDistributed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed churn run skipped in -short")
 	}
-	sc := Churn(distScenario())
-	rep, err := CheckDistributed(sc, 4, 2, dist.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := fleet(t, planOf(t, Churn(distScenario())), 2, false, "")
 	if len(rep.Ref.FaultDrops) == 0 {
 		t.Fatal("churn scenario compiled no fault plane")
 	}
@@ -152,15 +165,13 @@ func TestCheckShardedMatchesReference(t *testing.T) {
 		t.Skip("sharded oracle run skipped in -short")
 	}
 	cacheDir := t.TempDir()
+	p := planOf(t, distScenario())
 	for _, workers := range []int{2, 4} {
-		rep, err := CheckSharded(distScenario(), 4, workers, dist.Options{}, cacheDir)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
+		repl, rep := fleet(t, p, workers, false, cacheDir), fleet(t, p, workers, true, cacheDir)
 		for _, d := range rep.DivsInProc {
 			t.Errorf("workers=%d in-process k=4: %v", workers, d)
 		}
-		for _, d := range rep.DivsDist {
+		for _, d := range repl.DivsDist {
 			t.Errorf("workers=%d replicated: %v", workers, d)
 		}
 		for _, d := range rep.DivsSliced {
@@ -169,9 +180,9 @@ func TestCheckShardedMatchesReference(t *testing.T) {
 		if rep.Sliced == nil || rep.Sliced.TotalEvents == 0 {
 			t.Fatalf("workers=%d: sliced leg did not run", workers)
 		}
-		if len(rep.SlicedMem) != workers || len(rep.WorkerMem) != workers {
+		if len(rep.SlicedMem) != workers || len(repl.WorkerMem) != workers {
 			t.Fatalf("workers=%d: mem accounting missing: %d sliced, %d replicated",
-				workers, len(rep.SlicedMem), len(rep.WorkerMem))
+				workers, len(rep.SlicedMem), len(repl.WorkerMem))
 		}
 		owned := 0
 		for _, wm := range rep.SlicedMem {
@@ -184,7 +195,7 @@ func TestCheckShardedMatchesReference(t *testing.T) {
 			owned += wm.SliceNodes
 			// A sliced worker's retained routing state must be strictly
 			// smaller than a replicated worker's (which holds every tree).
-			for _, full := range rep.WorkerMem {
+			for _, full := range repl.WorkerMem {
 				if full.RouteBytes > 0 && wm.RouteBytes >= full.RouteBytes {
 					t.Errorf("workers=%d: sliced worker %q holds %d route bytes, replicated %q holds %d",
 						workers, wm.Name, wm.RouteBytes, full.Name, full.RouteBytes)
@@ -204,18 +215,14 @@ func TestCheckShardedChurn(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded churn run skipped in -short")
 	}
-	sc := Churn(distScenario())
-	rep, err := CheckSharded(sc, 4, 2, dist.Options{}, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Ref.FaultDrops) == 0 {
+	p, cacheDir := planOf(t, Churn(distScenario())), t.TempDir()
+	if len(p.Ref.FaultDrops) == 0 {
 		t.Fatal("churn scenario compiled no fault plane")
 	}
-	for _, d := range rep.DivsDist {
+	for _, d := range fleet(t, p, 2, false, cacheDir).DivsDist {
 		t.Errorf("replicated: %v", d)
 	}
-	for _, d := range rep.DivsSliced {
+	for _, d := range fleet(t, p, 2, true, cacheDir).DivsSliced {
 		t.Errorf("sliced: %v", d)
 	}
 }
@@ -231,14 +238,11 @@ func TestCheckShardedMultiAS(t *testing.T) {
 		TCPFlows: 10, UDPSends: 10,
 		Horizon: 250 * des.Millisecond, Approach: core.TOP2, Ks: []int{4},
 	}
-	rep, err := CheckSharded(sc, 4, 2, dist.Options{}, t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range rep.DivsDist {
+	p, cacheDir := planOf(t, sc), t.TempDir()
+	for _, d := range fleet(t, p, 2, false, cacheDir).DivsDist {
 		t.Errorf("replicated: %v", d)
 	}
-	for _, d := range rep.DivsSliced {
+	for _, d := range fleet(t, p, 2, true, cacheDir).DivsSliced {
 		t.Errorf("sliced: %v", d)
 	}
 }

@@ -18,10 +18,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"massf/internal/core"
-	"massf/internal/pdes"
-	"massf/internal/profile"
 )
 
 // FluidBudget is the executable error budget of the hybrid fidelity
@@ -181,68 +177,45 @@ func fluidMetrics(bundle *netsimNet, sc Scenario, packet, hybrid *Observation, b
 	return ms
 }
 
-// CheckFluid runs one scenario's hybrid-fidelity check: determinism of
-// the hybrid run across every configured engine count, plus — on
-// churn-free scenarios — the error budget against the pure-packet
-// reference. Churn scenarios skip the budget (packet TCP under loss and
-// the loss-free fluid model measure different things there; what churn
-// pins is that hybrid reconvergence stays engine-count-independent).
-func CheckFluid(sc Scenario, budget FluidBudget) (*FluidReport, error) {
-	if sc.FluidMinBytes <= 0 {
+// Fluid is the hybrid-fidelity leg: the plan of the scenario with scripted
+// TCP transfers of at least minBytes (<= 0: DefaultFluidMinBytes) moved to
+// the fluid plane, checked across every configured engine count, plus — on
+// churn-free scenarios — the error budget of its reference against this
+// plan's pure-packet one. Churn scenarios skip the budget (packet TCP under
+// loss and the loss-free fluid model measure different things there; what
+// churn pins is that hybrid reconvergence stays engine-count-independent).
+func (p *Plan) Fluid(minBytes, quantumNS int64, budget FluidBudget) (*FluidReport, error) {
+	sc := p.Scenario
+	sc.FluidMinBytes, sc.FluidQuantumNS = minBytes, quantumNS
+	if minBytes <= 0 {
 		sc = Fluid(sc)
 	}
-	hb, err := buildBundle(sc)
+	hybrid, err := p.of(sc)
 	if err != nil {
 		return nil, err
 	}
-	if hb.fluid == nil {
+	if hybrid.bundle.fluid == nil {
 		// Seed drew no transfer over the threshold: nothing to check
 		// beyond plain conformance, which the packet dimension owns.
 		return &FluidReport{Scenario: sc}, nil
 	}
-	hybridRef, hybridRes, err := runOnce(hb, sc, 1, nil, core.MaxMLL, nil, nil, nil)
+	check, err := hybrid.Check()
 	if err != nil {
-		return nil, fmt.Errorf("simcheck: hybrid reference run: %w", err)
+		return nil, err
 	}
-	rep := &FluidReport{Scenario: sc, FluidFlows: len(hb.fluidOf), HybridRef: hybridRef}
-
-	var prof *profile.Profile
-	if sc.Approach.ProfileBased() {
-		prof = profile.FromResult(hybridRes, sc.Horizon)
+	rep := &FluidReport{
+		Scenario: sc, FluidFlows: len(hybrid.bundle.fluidOf),
+		HybridRef: hybrid.Ref, Runs: check.Runs,
 	}
-	for _, k := range sc.Ks {
-		m, err := core.Map(hb.net, sc.Approach, core.Config{Engines: k, Seed: sc.Seed}, prof)
-		if err != nil {
-			return nil, fmt.Errorf("simcheck: map k=%d: %w", k, err)
-		}
-		window := m.MLL
-		if window > core.MaxMLL {
-			window = core.MaxMLL
-		}
-		inv := &pdes.Invariants{}
-		obs, res, err := runOnce(hb, sc, k, m.Part, window, inv, nil, nil)
-		if err != nil {
-			return nil, fmt.Errorf("simcheck: hybrid run k=%d: %w", k, err)
-		}
-		rep.Runs = append(rep.Runs, KRun{
-			K: k, Window: window, Windows: res.Windows, MLL: m.MLL,
-			Obs: obs, Divergences: Diff(hybridRef, obs), Violations: inv.Violations(),
-		})
-	}
-
 	if sc.ChurnEvents == 0 && sc.Faults == nil {
-		scp := sc
-		scp.FluidMinBytes, scp.FluidQuantumNS = 0, 0
-		pb, err := buildBundle(scp)
+		psc := sc
+		psc.FluidMinBytes, psc.FluidQuantumNS = 0, 0
+		packet, err := p.of(psc)
 		if err != nil {
 			return nil, err
 		}
-		packetRef, _, err := runOnce(pb, scp, 1, nil, core.MaxMLL, nil, nil, nil)
-		if err != nil {
-			return nil, fmt.Errorf("simcheck: packet reference run: %w", err)
-		}
-		rep.PacketRef = packetRef
-		rep.Metrics = fluidMetrics(hb, sc, packetRef, hybridRef, budget)
+		rep.PacketRef = packet.Ref
+		rep.Metrics = fluidMetrics(hybrid.bundle, sc, packet.Ref, hybrid.Ref, budget)
 	}
 	return rep, nil
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"massf/internal/des"
-	"massf/internal/dist"
 )
 
 // TestFluidCheckPassesBudgetAndDeterminism is the hybrid-fidelity
@@ -16,9 +15,9 @@ func TestFluidCheckPassesBudgetAndDeterminism(t *testing.T) {
 		t.Skip("fluid oracle sweep skipped in -short")
 	}
 	for seed := int64(1); seed <= 4; seed++ {
-		sc := Fluid(NewScenario(seed))
+		sc := NewScenario(seed)
 		sc.Ks = []int{2, 4}
-		rep, err := CheckFluid(sc, DefaultFluidBudget())
+		rep, err := planOf(t, sc).Fluid(DefaultFluidMinBytes, 0, DefaultFluidBudget())
 		if err != nil {
 			t.Fatalf("%s: %v", sc, err)
 		}
@@ -58,9 +57,9 @@ func TestFluidChurnDeterminism(t *testing.T) {
 		t.Skip("fluid churn sweep skipped in -short")
 	}
 	for seed := int64(1); seed <= 3; seed++ {
-		sc := Churn(Fluid(NewScenario(seed)))
+		sc := Churn(NewScenario(seed))
 		sc.Ks = []int{2, 4}
-		rep, err := CheckFluid(sc, DefaultFluidBudget())
+		rep, err := planOf(t, sc).Fluid(DefaultFluidMinBytes, 0, DefaultFluidBudget())
 		if err != nil {
 			t.Fatalf("%s: %v", sc, err)
 		}
@@ -86,10 +85,9 @@ func TestFluidQuantumDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fluid quantum sweep skipped in -short")
 	}
-	sc := Fluid(NewScenario(2))
-	sc.FluidQuantumNS = int64(des.Millisecond)
+	sc := NewScenario(2)
 	sc.Ks = []int{2, 4}
-	rep, err := CheckFluid(sc, DefaultFluidBudget())
+	rep, err := planOf(t, sc).Fluid(DefaultFluidMinBytes, int64(des.Millisecond), DefaultFluidBudget())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +109,7 @@ func TestFluidDistributed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed fluid run skipped in -short")
 	}
-	sc := Fluid(distScenario())
-	rep, err := CheckDistributed(sc, 4, 2, dist.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := fleet(t, planOf(t, Fluid(distScenario())), 2, false, "")
 	if rep.Ref.FluidStarted == 0 || rep.Ref.FluidCompleted == 0 {
 		t.Fatalf("degenerate hybrid reference: started=%d completed=%d",
 			rep.Ref.FluidStarted, rep.Ref.FluidCompleted)

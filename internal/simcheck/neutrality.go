@@ -2,7 +2,7 @@
 // observer. Attaching it to a run — sequential or distributed — may not
 // change a single observable, and the packet paths it samples must be
 // both partition-independent and consistent with the routing actually in
-// force. CheckNeutrality is the conformance dimension proving all three.
+// force. Plan.Neutrality is the conformance dimension proving all three.
 
 package simcheck
 
@@ -11,17 +11,15 @@ import (
 	"reflect"
 	"sort"
 
-	"massf/internal/core"
 	"massf/internal/des"
 	"massf/internal/model"
 	"massf/internal/netmon"
 	"massf/internal/netsim"
-	"massf/internal/profile"
 )
 
 // NeutralityReport is the outcome of one observer-neutrality check: the
-// same scenario run uninstrumented (reference) and instrumented, N=1 and
-// N=k, with every instrumented observation diffed against the reference.
+// scenario run instrumented, N=1 and N=k, with every instrumented
+// observation diffed against the plan's uninstrumented reference.
 type NeutralityReport struct {
 	Scenario Scenario
 	Sample   int // path-sampling stride the instrumented legs used
@@ -59,55 +57,42 @@ func (r *NeutralityReport) String() string {
 		r.K, r.Sample, r.ParSpans, r.Complete, len(r.Paths), verdict)
 }
 
-// CheckNeutrality runs sc four ways — plain and instrumented, sequential
-// and on k engines — and verifies the netmon plane observed without
-// perturbing: all observations identical, sampled spans identical across
+// Neutrality is the observer-neutrality leg: beside the plan's plain
+// reference it runs the scenario instrumented — sequentially and on k
+// engines, on the plan's bundle and mapping (NetSample does not influence
+// the build) — and verifies the netmon plane observed without perturbing:
+// all observations identical, sampled spans identical across
 // partitionings, and every sampled path consistent with the routes.
 // sample <= 0 defaults to stride 4.
-func CheckNeutrality(sc Scenario, k, sample int) (*NeutralityReport, error) {
+func (p *Plan) Neutrality(k, sample int) (*NeutralityReport, error) {
 	if sample <= 0 {
 		sample = 4
 	}
-	plain, inst := sc, sc
-	plain.NetSample, inst.NetSample = 0, sample
-	// One bundle serves every leg: NetSample does not influence the build,
-	// and sharing warmed routes is exactly what real runs do.
-	bundle, err := buildBundle(sc)
+	plain := p.Scenario
+	plain.NetSample = 0
+	base, err := p.of(plain)
 	if err != nil {
 		return nil, err
 	}
-	ref, refRes, err := runOnce(bundle, plain, 1, nil, core.MaxMLL, nil, nil, nil)
-	if err != nil {
-		return nil, fmt.Errorf("simcheck: reference run: %w", err)
-	}
-	instSeq, _, err := runOnce(bundle, inst, 1, nil, core.MaxMLL, nil, nil, nil)
+	inst := plain
+	inst.NetSample = sample
+	instSeq, _, err := runOnce(base.bundle, inst, sequential)
 	if err != nil {
 		return nil, fmt.Errorf("simcheck: instrumented sequential run: %w", err)
 	}
-	var prof *profile.Profile
-	if sc.Approach.ProfileBased() {
-		prof = profile.FromResult(refRes, sc.Horizon)
-	}
-	m, err := core.Map(bundle.net, sc.Approach, core.Config{Engines: k, Seed: sc.Seed}, prof)
+	instPar, err := base.runK(inst, k, false, nil)
 	if err != nil {
-		return nil, fmt.Errorf("simcheck: map k=%d: %w", k, err)
+		return nil, err
 	}
-	window := m.MLL
-	if window > core.MaxMLL {
-		window = core.MaxMLL
-	}
-	instPar, _, err := runOnce(bundle, inst, k, m.Part, window, nil, nil, nil)
-	if err != nil {
-		return nil, fmt.Errorf("simcheck: instrumented parallel run k=%d: %w", k, err)
-	}
+	spans := instPar.Obs.PathSpans
 
 	rep := &NeutralityReport{
-		Scenario: sc, Sample: sample, K: k, Window: window,
-		DivsSeq: Diff(ref, instSeq), DivsPar: Diff(ref, instPar),
-		SeqSpans: len(instSeq.PathSpans), ParSpans: len(instPar.PathSpans),
+		Scenario: p.Scenario, Sample: sample, K: k, Window: instPar.Window,
+		DivsSeq: Diff(base.Ref, instSeq), DivsPar: instPar.Divergences,
+		SeqSpans: len(instSeq.PathSpans), ParSpans: len(spans),
 	}
-	rep.SpansDiverge = !spansEqualModuloEngine(instSeq.PathSpans, instPar.PathSpans)
-	rep.Paths = AuditTraces(bundle.net, bundle.routes, instPar.PathSpans)
+	rep.SpansDiverge = !spansEqualModuloEngine(instSeq.PathSpans, spans)
+	rep.Paths = AuditTraces(base.bundle.net, base.bundle.routes, spans)
 	for _, p := range rep.Paths {
 		if p.Complete {
 			rep.Complete++
@@ -121,11 +106,11 @@ func CheckNeutrality(sc Scenario, k, sample int) (*NeutralityReport, error) {
 // merged worker spans but not the bundle the workers built from. The
 // rebuild is deterministic, so the routes match the ones the run used.
 func AuditScenarioTraces(sc Scenario, spans []netmon.HopSpan) ([]TracePath, error) {
-	bundle, err := buildBundle(sc)
+	nw, routes, _, err := sc.Build()
 	if err != nil {
 		return nil, err
 	}
-	return AuditTraces(bundle.net, bundle.routes, spans), nil
+	return AuditTraces(nw, routes, spans), nil
 }
 
 // spansEqualModuloEngine compares two span sets ignoring the engine that

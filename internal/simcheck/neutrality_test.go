@@ -6,7 +6,6 @@ import (
 
 	"massf/internal/core"
 	"massf/internal/des"
-	"massf/internal/dist"
 	"massf/internal/netmon"
 )
 
@@ -29,7 +28,7 @@ func TestCheckNeutrality(t *testing.T) {
 	if testing.Short() {
 		t.Skip("neutrality oracle run skipped in -short")
 	}
-	rep, err := CheckNeutrality(neutralityScenario(), 4, 2)
+	rep, err := planOf(t, neutralityScenario()).Neutrality(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +72,7 @@ func TestNeutralityDistributed(t *testing.T) {
 	}
 	sc := neutralityScenario()
 	sc.NetSample = 3
-	rep, err := CheckDistributed(sc, 4, 2, dist.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := fleet(t, planOf(t, sc), 2, false, "")
 	for _, d := range rep.DivsInProc {
 		t.Errorf("in-process k=4: %v", d)
 	}

@@ -2,7 +2,6 @@ package simcheck
 
 import (
 	"fmt"
-	"io"
 
 	"massf/internal/core"
 	"massf/internal/des"
@@ -12,7 +11,6 @@ import (
 	"massf/internal/netmon"
 	"massf/internal/netsim"
 	"massf/internal/pdes"
-	"massf/internal/profile"
 	"massf/internal/routing/interdomain"
 	"massf/internal/telemetry"
 	"massf/internal/traffic"
@@ -66,8 +64,8 @@ type Observation struct {
 	// live heap and process peak RSS, and the bytes of OSPF tables it holds.
 	// These describe the EXECUTION, not the model, so Diff excludes them
 	// and MergeObservations leaves them per-partial (DistReport collects
-	// them as WorkerMem). Note the in-process loopback workers of
-	// CheckDistributed share one heap, so HeapInuse/PeakRSS are only
+	// them as WorkerMem). Note the loopback workers Plan.Distributed runs
+	// when given no listener share one heap, so HeapInuse/PeakRSS are only
 	// per-worker-meaningful for real worker processes (massfd -worker);
 	// BuildNS and RouteBytes are always per-worker.
 	BuildNS    int64  `json:",omitempty"`
@@ -77,40 +75,43 @@ type Observation struct {
 	SliceNodes int    `json:",omitempty"` // owned nodes of a sliced build
 }
 
-// distRun configures runOnce as ONE WORKER of a distributed run: only
-// engines [first, first+hosted) execute, synchronized through the
-// transport. With slice false the Sim builds the full replicated scenario;
-// with slice true it materializes only the hosted engines' share
-// (netsim.Config.SliceBuild). The captured Observation is then a worker
+// exec says how runOnce executes a scenario: on k engines under a partition
+// and window, with the pdes runtime invariant hooks (inv) and the flight
+// recorder (tel) attached when non-nil. A non-nil transport makes the run
+// ONE WORKER of a distributed run: only engines [first, first+hosted)
+// execute, synchronized through it, on the full replicated scenario or —
+// slice true — on just the hosted engines' share
+// (netsim.Config.SliceBuild); the captured Observation is then a worker
 // partial (see MergeObservations).
-type distRun struct {
+type exec struct {
+	k      int
+	part   []int32
+	window des.Time
+	inv    *pdes.Invariants
+	tel    *telemetry.SimTelemetry
+
 	transport     pdes.Transport
 	first, hosted int
 	slice         bool
 }
 
-// runOnce executes the scenario once on k engines under the given partition
-// and window, and captures an Observation. part nil with k=1 is the
-// sequential reference. inv, when non-nil, attaches the pdes runtime
-// invariant hooks. dr, when non-nil, runs the scenario as one distributed
-// worker. The netsim.Result is returned for profile capture.
-func runOnce(net *netsimNet, sc Scenario, k int, part []int32, window des.Time, inv *pdes.Invariants, tel *telemetry.SimTelemetry, dr *distRun) (*Observation, *netsim.Result, error) {
+// sequential is the N=1 execution every parallel run is diffed against.
+var sequential = exec{k: 1, window: core.MaxMLL}
+
+// runOnce executes the scenario once as x says and captures an
+// Observation. The netsim.Result is returned for profile capture.
+func runOnce(net *netsimNet, sc Scenario, x exec) (*Observation, *netsim.Result, error) {
 	cfg := netsim.Config{
-		Net: net.net, Routes: net.routes, Part: part, Engines: k,
-		Window: window, End: sc.Horizon, Seed: sc.Seed,
-		Invariants: inv, Telemetry: tel,
+		Net: net.net, Routes: net.routes, Part: x.part, Engines: x.k,
+		Window: x.window, End: sc.Horizon, Seed: sc.Seed,
+		Invariants: x.inv, Telemetry: x.tel,
+		Transport: x.transport, FirstEngine: x.first, HostedEngines: x.hosted, SliceBuild: x.slice,
 	}
 	if net.plane != nil {
 		cfg.Faults = net.plane
 	}
 	if net.fluid != nil {
 		cfg.Fluid = net.fluid
-	}
-	if dr != nil {
-		cfg.Transport = dr.transport
-		cfg.FirstEngine = dr.first
-		cfg.HostedEngines = dr.hosted
-		cfg.SliceBuild = dr.slice
 	}
 	var mon *netmon.Mon
 	if sc.NetSample > 0 {
@@ -208,23 +209,14 @@ type netsimNet struct {
 	isFluid []bool // tcp script index → modeled on the fluid plane
 }
 
-// buildBundle materializes a scenario into the bundle every run of it
-// shares. Distributed workers call it too: building from the same Scenario
-// value is what makes their setup replicas identical — including the fault
-// plane, whose routing epochs each worker precomputes identically.
-func buildBundle(sc Scenario) (*netsimNet, error) {
-	mnet, err := sc.buildNet()
-	if err != nil {
-		return nil, err
-	}
-	return finishBundle(sc, mnet, nil)
-}
-
-// finishBundle completes a bundle on an already-generated (possibly
-// artifact-decoded) network. A non-nil scope builds the slice-local
-// variant a sliced distributed worker runs: routing state is scoped to the
-// worker's owned nodes and nothing is eagerly warmed — OSPF trees fill
-// lazily on the first (cur, dst) lookup slice traffic actually performs.
+// finishBundle completes the bundle every run of a scenario shares, on its
+// already-generated (possibly artifact-decoded) network. Distributed
+// workers call it too: building from the same Scenario value is what makes
+// their setup replicas identical — including the fault plane, whose routing
+// epochs each worker precomputes identically. A non-nil scope builds the
+// slice-local variant a sliced distributed worker runs: routing state is
+// scoped to the worker's owned nodes and nothing is eagerly warmed — OSPF
+// trees fill lazily on the first (cur, dst) lookup slice traffic performs.
 // Scoped or not, forwarding decisions are byte-identical (trees are always
 // computed over the full member set; only retained state shrinks), and the
 // fault plane's epoch chain advances through the same scoped clones.
@@ -357,48 +349,6 @@ func (r *Report) Failed() bool {
 	return false
 }
 
-// Check builds the scenario, runs the sequential reference, then runs and
-// diffs every configured parallel engine count. HPROF feeds the reference
-// run's measured profile into the mapper — the same feedback loop the real
-// experiments use.
-func Check(sc Scenario) (*Report, error) {
-	bundle, err := buildBundle(sc)
-	if err != nil {
-		return nil, err
-	}
-
-	ref, refRes, err := runOnce(bundle, sc, 1, nil, core.MaxMLL, nil, nil, nil)
-	if err != nil {
-		return nil, fmt.Errorf("simcheck: reference run: %w", err)
-	}
-	var prof *profile.Profile
-	if sc.Approach.ProfileBased() {
-		prof = profile.FromResult(refRes, sc.Horizon)
-	}
-
-	rep := &Report{Scenario: sc, Ref: ref}
-	for _, k := range sc.Ks {
-		m, err := core.Map(bundle.net, sc.Approach, core.Config{Engines: k, Seed: sc.Seed}, prof)
-		if err != nil {
-			return nil, fmt.Errorf("simcheck: map k=%d: %w", k, err)
-		}
-		window := m.MLL
-		if window > core.MaxMLL {
-			window = core.MaxMLL
-		}
-		inv := &pdes.Invariants{}
-		obs, res, err := runOnce(bundle, sc, k, m.Part, window, inv, nil, nil)
-		if err != nil {
-			return nil, fmt.Errorf("simcheck: parallel run k=%d: %w", k, err)
-		}
-		rep.Runs = append(rep.Runs, KRun{
-			K: k, Window: window, Windows: res.Windows, MLL: m.MLL,
-			Obs: obs, Divergences: Diff(ref, obs), Violations: inv.Violations(),
-		})
-	}
-	return rep, nil
-}
-
 // Diff compares a parallel observation against the sequential reference
 // and returns every difference. Slice fields are compared element-wise;
 // time-valued per-flow fields record the earlier of the two times as the
@@ -463,43 +413,6 @@ func Diff(seq, par *Observation) []Divergence {
 	tslice("TCPRecv", seq.TCPRecv, par.TCPRecv)
 	tslice("UDPRecv", seq.UDPRecv, par.UDPRecv)
 	return ds
-}
-
-// TraceRun re-executes one (scenario, k) pair with the flight recorder
-// attached and writes a Chrome trace-event file of every barrier window —
-// the artifact to open next to a divergence report: the divergent window
-// index from KRun.DivergentWindow locates the exchange that went wrong.
-func TraceRun(sc Scenario, k int, w io.Writer) error {
-	bundle, err := buildBundle(sc)
-	if err != nil {
-		return err
-	}
-	var prof *profile.Profile
-	if sc.Approach.ProfileBased() {
-		_, refRes, err := runOnce(bundle, sc, 1, nil, core.MaxMLL, nil, nil, nil)
-		if err != nil {
-			return err
-		}
-		prof = profile.FromResult(refRes, sc.Horizon)
-	}
-	m, err := core.Map(bundle.net, sc.Approach, core.Config{Engines: k, Seed: sc.Seed}, prof)
-	if err != nil {
-		return err
-	}
-	window := m.MLL
-	if window > core.MaxMLL {
-		window = core.MaxMLL
-	}
-	tel := telemetry.New(k, 1<<16)
-	if _, _, err := runOnce(bundle, sc, k, m.Part, window, &pdes.Invariants{}, tel, nil); err != nil {
-		return err
-	}
-	return telemetry.WriteChromeTrace(w, tel.Windows.Snapshot(), map[string]string{
-		"tool":     "simcheck",
-		"scenario": sc.String(),
-		"k":        fmt.Sprint(k),
-		"window":   window.String(),
-	})
 }
 
 func minTime(a, b des.Time) des.Time {

@@ -15,7 +15,7 @@ import (
 // fleet runs here — at this scale those are exactly the legs slicing
 // exists to avoid — so the assertion is completion plus sane merged
 // accounting, not a byte-for-byte diff (that equivalence is pinned at
-// checkable scale by CheckSharded / `simcheck -shard`).
+// checkable scale by the sliced Plan.Distributed leg / `simcheck -shard`).
 //
 // Heavy (minutes, several GB): gated behind MASSF_SCALE=1.
 func TestScale100kDistributedRun(t *testing.T) {
@@ -38,22 +38,20 @@ func TestScale100kDistributedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	window := m.MLL
-	if window > core.MaxMLL {
-		window = core.MaxMLL
-	}
-	plan := &distPlan{sc: sc, net: net, k: 4, workers: 4, part: m.Part, window: window}
-	rc, err := plan.runConfig(true, cacheDir)
+	// A plan with no reference: only the mapping the jobs are cut from.
+	plan := &Plan{Scenario: sc, bundle: &netsimNet{net: net},
+		ks: map[int]*kPlan{4: {m: m}}}
+	rc, err := plan.jobs(4, 4, true, cacheDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, parts, merged, err := serveFleet(rc, 4, dist.Options{})
+	_, mem, merged, err := serveFleet(nil, rc, dist.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range parts {
+	for i, p := range mem {
 		t.Logf("worker %d (%s): %d owned nodes, build %.1fs, route tables %.1f MiB, heap %.1f MiB, peak RSS %.1f MiB",
-			i, res.Names[i], p.SliceNodes, float64(p.BuildNS)/1e9,
+			i, p.Name, p.SliceNodes, float64(p.BuildNS)/1e9,
 			float64(p.RouteBytes)/(1<<20), float64(p.HeapInuse)/(1<<20), float64(p.PeakRSS)/(1<<20))
 		if p.SliceNodes <= 0 || p.SliceNodes >= len(net.Nodes) {
 			t.Errorf("worker %d materialized %d nodes — not a proper slice of %d", i, p.SliceNodes, len(net.Nodes))

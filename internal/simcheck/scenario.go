@@ -68,7 +68,7 @@ type Scenario struct {
 	// everything else stays packet-level. The hybrid-fidelity dimension
 	// proves the plane is engine-count-independent (byte-identical
 	// Observations across k) and, separately, within the error budget of
-	// the pure-packet run of the same scenario (see CheckFluid).
+	// the pure-packet run of the same scenario (see Plan.Fluid).
 	FluidMinBytes int64 `json:",omitempty"`
 	// FluidQuantumNS > 0 batches fluid rate recomputation onto this grid
 	// (the scale knob); 0 recomputes exactly at every flow start/finish.

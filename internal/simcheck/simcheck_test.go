@@ -110,10 +110,7 @@ func TestInjectedViolationReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	window := m.MLL
-	if window > core.MaxMLL {
-		window = core.MaxMLL
-	}
+	window := m.Window()
 	inv := &pdes.Invariants{}
 	s, err := netsim.New(netsim.Config{
 		Net: net, Routes: routes, Part: m.Part, Engines: 4,
@@ -189,7 +186,7 @@ func TestTraceRunWritesChromeTrace(t *testing.T) {
 	sc.HTTPClients, sc.HTTPServers = 0, 0
 	sc.Horizon = 100 * des.Millisecond
 	var buf bytes.Buffer
-	if err := TraceRun(sc, 2, &buf); err != nil {
+	if err := planOf(t, sc).Trace(2, &buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

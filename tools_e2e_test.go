@@ -76,12 +76,11 @@ func TestToolsEndToEnd(t *testing.T) {
 		t.Fatalf("partition file has %d lines, want %d (one per node)", lines, 6*15+60)
 	}
 
-	// 4. Full HPROF simulation with the profile (via the -profile-in
-	// alias), flight recorder armed: Chrome trace out plus the straggler
-	// report.
+	// 4. Full HPROF simulation with the profile, flight recorder armed:
+	// Chrome trace out plus the straggler report.
 	traceFile := filepath.Join(dir, "trace.json")
 	out = run("massf", "-net", netFile, "-approach", "HPROF", "-engines", "4",
-		"-seconds", "2", "-app", "scalapack", "-profile-in", profFile,
+		"-seconds", "2", "-app", "scalapack", "-profile", profFile,
 		"-trace", traceFile, "-stragglers", "2")
 	for _, want := range []string{"approach             HPROF", "flows", "http", "app[0]",
 		"trace ", "top stragglers:"} {
