@@ -1,12 +1,13 @@
 # Verification entry points. `make check` is what CI (and a PR author)
 # should run: static checks, a full build, and the test suite under the
-# race detector, including the CLI/daemon end-to-end tests.
+# race detector — which includes the CLI/daemon/distributed end-to-end
+# tests `smoke` selects, so check does not run them a second time.
 
 GO ?= go
 
 .PHONY: check vet build test race bench-all ab smoke churn fluid bigtopo clean
 
-check: vet build race smoke churn fluid
+check: vet build race churn fluid
 
 vet:
 	$(GO) vet ./...
@@ -20,8 +21,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# End-to-end: the CLI workflow, the massfd daemon over HTTP, and the
-# distributed run — coordinator plus two massfd -worker subprocesses over
+# Quick local end-to-end (a subset of `race`, without the detector): the
+# CLI workflow, the massfd daemon over HTTP, and the distributed run — coordinator plus two massfd -worker subprocesses over
 # loopback TCP, including the kill-a-worker failure attribution path.
 smoke:
 	$(GO) test -count=1 -run 'TestToolsEndToEnd|TestMassfdSmoke|TestDistributedEndToEnd|TestDistributedWorkerKillAttribution' .

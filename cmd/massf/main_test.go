@@ -232,7 +232,7 @@ func TestMatchesDaemon(t *testing.T) {
 	cli := runJSON(t, "-net", netPath, "-approach", "TOP2", "-engines", "2",
 		"-seconds", "1", "-app", "scalapack", "-seed", "7")
 
-	mgr := runctl.NewManager(1, 64)
+	mgr := runctl.NewManagerOpts(runctl.Options{Workers: 1, RingCap: 64})
 	r, err := mgr.Submit(runctl.Spec{
 		DML: string(dml), Approach: "TOP2", App: "scalapack",
 		RunSpec: runspec.RunSpec{Engines: 2, Seconds: 1, Seed: 7},

@@ -47,7 +47,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:8672", "listen address (use :0 for an ephemeral port)")
-		workers   = flag.Int("workers", maxInt(1, runtime.NumCPU()/2), "maximum concurrent simulations")
+		workers   = flag.Int("workers", max(1, runtime.NumCPU()/2), "maximum concurrent simulations")
 		ringCap   = flag.Int("ring", 4096, "per-run window-record ring capacity")
 		withPprof = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ and expvar under /debug/vars")
 		faultPath = flag.String("faults", "", "JSON fault script applied to every submitted run that carries none of its own")
@@ -186,11 +186,4 @@ func main() {
 // The transport layer is model-agnostic; the cmd layer owns this registry.
 func workerRunners() map[string]dist.Runner {
 	return simcheck.Runners()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -37,6 +37,16 @@ func distE2EScenario() simcheck.Scenario {
 	}
 }
 
+// planAndServe plans sc and coordinates its replicated distributed leg over
+// ln; the test launches the massfd -worker processes against ln's address.
+func planAndServe(ln net.Listener, sc simcheck.Scenario, k, workers int, opt dist.Options) (*simcheck.DistReport, error) {
+	p, err := simcheck.NewPlan(sc)
+	if err != nil {
+		return nil, err
+	}
+	return p.Distributed(ln, k, workers, false, "", opt)
+}
+
 // TestDistributedEndToEnd runs the full distributed pipeline through real
 // process boundaries: the test acts as coordinator, two `massfd -worker`
 // subprocesses each host half of a k=4 partition over loopback TCP, and the
@@ -68,7 +78,7 @@ func TestDistributedEndToEnd(t *testing.T) {
 		}()
 	}
 
-	rep, err := simcheck.ServeDistributed(ln, distE2EScenario(), 4, workers, dist.Options{})
+	rep, err := planAndServe(ln, distE2EScenario(), 4, workers, dist.Options{})
 	wg.Wait()
 	if err != nil {
 		for i := range outs {
@@ -128,7 +138,7 @@ func TestDistributedChurnEndToEnd(t *testing.T) {
 	}
 
 	sc := simcheck.Churn(distE2EScenario())
-	rep, err := simcheck.ServeDistributed(ln, sc, 4, workers, dist.Options{})
+	rep, err := planAndServe(ln, sc, 4, workers, dist.Options{})
 	wg.Wait()
 	if err != nil {
 		for i := range outs {
@@ -188,7 +198,7 @@ func TestDistributedPathTraceEndToEnd(t *testing.T) {
 
 	sc := distE2EScenario()
 	sc.NetSample = 3
-	rep, err := simcheck.ServeDistributed(ln, sc, 4, workers, dist.Options{})
+	rep, err := planAndServe(ln, sc, 4, workers, dist.Options{})
 	wg.Wait()
 	if err != nil {
 		for i := range outs {
@@ -328,7 +338,7 @@ func TestDistributedWorkerKillAttribution(t *testing.T) {
 		killed <- time.Now()
 	}()
 
-	_, err = simcheck.ServeDistributed(ln, sc, 4, 2, opt)
+	_, err = planAndServe(ln, sc, 4, 2, opt)
 	failedAt := time.Now()
 	if err == nil {
 		t.Fatal("coordinator did not fail after a worker was killed")

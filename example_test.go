@@ -46,7 +46,7 @@ func ExampleNewSimulation() {
 		}
 	}
 	done := false
-	sim.StartFlow(0, hosts[0], hosts[1], 50_000, func(massf.Time) { done = true })
+	sim.StartFlowRecv(0, hosts[0], hosts[1], 50_000, func(massf.Time) { done = true }, nil)
 	res := sim.Run()
 	fmt.Println("flow completed:", done)
 	fmt.Println("events processed:", res.TotalEvents > 0)

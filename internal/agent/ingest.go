@@ -164,16 +164,6 @@ func (g *Ingest) Serve(ln net.Listener) error {
 	}
 }
 
-// Addr returns the listener address (nil before Serve).
-func (g *Ingest) Addr() net.Addr {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.ln == nil {
-		return nil
-	}
-	return g.ln.Addr()
-}
-
 // Conns returns the number of live connections.
 func (g *Ingest) Conns() int {
 	g.mu.Lock()

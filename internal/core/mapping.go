@@ -98,8 +98,6 @@ type Config struct {
 	Sync cluster.SyncCostModel
 	// TmllStep is the sweep granularity (paper: 0.1 ms).
 	TmllStep des.Time
-	// TmllMax caps the sweep (default: the largest link latency).
-	TmllMax des.Time
 	// Imbalance is the partitioner balance slack ε (default 0.05).
 	Imbalance float64
 	// Seed makes mapping deterministic.
@@ -247,10 +245,7 @@ func mapFlat(net *model.Network, g *graph.Graph, a Approach, cfg Config) (*Mappi
 // partition each contracted graph, evaluate E = Es·Ec, keep the best.
 func mapHierarchical(net *model.Network, g *graph.Graph, a Approach, cfg Config) (*Mapping, error) {
 	syncCost := des.Time(cfg.Sync.SyncCost(cfg.Engines))
-	maxT := cfg.TmllMax
-	if maxT <= 0 {
-		maxT = des.Time(g.MaxEdgeLatency())
-	}
+	maxT := des.Time(g.MaxEdgeLatency()) // the sweep's cap: the largest link latency
 	// The sweep starts just above C_N ("we require a Tmll to be larger
 	// than the synchronization cost"), rounded up to the step.
 	start := ((syncCost / cfg.TmllStep) + 1) * cfg.TmllStep

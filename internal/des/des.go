@@ -57,26 +57,28 @@ func (t Time) String() string {
 	}
 }
 
-// Handler is the callback invoked when an event fires. It runs on the
-// goroutine driving the kernel; it may schedule further events.
-type Handler func(now Time)
-
-// EventHandler is the allocation-free callback seam: a type implementing
-// OnEvent can be scheduled without constructing a closure, because storing a
-// pointer in the interface does not allocate. Hot paths (the packet
-// forwarding loop, TCP retransmission timers) implement this on pooled or
-// embedded structs; cold paths keep using plain Handler closures.
+// EventHandler is what the kernel stores and fires. Hot paths (the packet
+// forwarding loop, TCP retransmission timers) implement it on pooled or
+// embedded structs: storing a pointer in the interface does not allocate.
 type EventHandler interface {
 	OnEvent(now Time)
 }
 
-// node is the arena-resident representation of a scheduled event. Exactly
-// one of h/eh is set. pos is the node's index in the kernel's heap, -1 when
-// the node is free or has fired; gen increments every time the node is
-// released, invalidating any outstanding Event handles that point at it.
+// Handler is the closure form of an EventHandler. It runs on the goroutine
+// driving the kernel; it may schedule further events. A func value is
+// pointer-shaped, so storing one in the interface allocates nothing either
+// (building a capturing closure is the caller's allocation).
+type Handler func(now Time)
+
+// OnEvent calls h.
+func (h Handler) OnEvent(now Time) { h(now) }
+
+// node is the arena-resident representation of a scheduled event. pos is
+// the node's index in the kernel's heap, -1 when the node is free or has
+// fired; gen increments every time the node is released, invalidating any
+// outstanding Event handles that point at it.
 type node struct {
 	at  Time
-	h   Handler
 	eh  EventHandler
 	seq uint64
 	gen uint32
@@ -154,11 +156,10 @@ func (k *Kernel) alloc() *node {
 }
 
 // release returns a node to the free list. Bumping the generation first
-// invalidates every outstanding handle; clearing the callbacks drops any
+// invalidates every outstanding handle; clearing the callback drops any
 // captured references so they can be collected.
 func (k *Kernel) release(nd *node) {
 	nd.gen++
-	nd.h = nil
 	nd.eh = nil
 	nd.pos = -1
 	k.free = append(k.free, nd)
@@ -254,61 +255,36 @@ func (k *Kernel) remove(i int) {
 	nd.pos = -1
 }
 
-// scheduleNode allocates and enqueues a node at time at. It panics if at
-// precedes the current clock: a conservative simulator must never schedule
-// into its past. The (at, seq) key — seq strictly increasing per kernel —
-// is a total order, so execution order is independent of heap shape and
-// replay stays deterministic across data-structure changes.
-func (k *Kernel) scheduleNode(at Time) *node {
+// ScheduleEvent enqueues eh.OnEvent to run at time at and returns a value
+// handle for cancellation. It allocates nothing once the arena has grown.
+// It panics if at precedes the current clock: a conservative simulator must
+// never schedule into its past. The (at, seq) key — seq strictly increasing
+// per kernel — is a total order, so execution order is independent of heap
+// shape and replay stays deterministic across data-structure changes.
+func (k *Kernel) ScheduleEvent(at Time, eh EventHandler) Event {
 	if at < k.now {
 		panic(fmt.Sprintf("des: schedule at %v before now %v", at, k.now))
 	}
 	nd := k.alloc()
 	nd.at = at
+	nd.eh = eh
 	nd.seq = k.seq
 	k.seq++
 	k.push(nd)
 	if len(k.q) > k.maxPending {
 		k.maxPending = len(k.q)
 	}
-	return nd
+	return Event{n: nd, gen: nd.gen}
 }
 
-// ScheduleFunc enqueues handler to run at time at and returns a value
-// handle for cancellation. This is the allocation-free scheduling path
-// (provided handler itself does not capture).
+// ScheduleFunc is ScheduleEvent for a closure.
 func (k *Kernel) ScheduleFunc(at Time, handler Handler) Event {
-	nd := k.scheduleNode(at)
-	nd.h = handler
-	return Event{n: nd, gen: nd.gen}
+	return k.ScheduleEvent(at, handler)
 }
 
-// ScheduleEvent enqueues eh.OnEvent to run at time at. Like ScheduleFunc it
-// allocates nothing; hot paths pass a pointer to a pooled or embedded
-// struct instead of building a closure.
-func (k *Kernel) ScheduleEvent(at Time, eh EventHandler) Event {
-	nd := k.scheduleNode(at)
-	nd.eh = eh
-	return Event{n: nd, gen: nd.gen}
-}
-
-// Schedule enqueues handler to run at time at and returns a pointer handle.
-// This is the convenience form — the returned *Event costs one small heap
-// allocation; steady-state code should prefer ScheduleFunc/ScheduleEvent
-// and keep the Event by value.
-func (k *Kernel) Schedule(at Time, handler Handler) *Event {
-	e := k.ScheduleFunc(at, handler)
-	return &e
-}
-
-// After enqueues handler to run delay after the current time.
-func (k *Kernel) After(delay Time, handler Handler) *Event {
-	return k.Schedule(k.now+delay, handler)
-}
-
-// AfterFunc is the allocation-free form of After.
+// AfterFunc enqueues handler to run delay after the current time.
 func (k *Kernel) AfterFunc(delay Time, handler Handler) Event {
-	return k.ScheduleFunc(k.now+delay, handler)
+	return k.ScheduleEvent(k.now+delay, handler)
 }
 
 // Cancel removes a previously scheduled event. Cancelling an event that has
@@ -348,13 +324,9 @@ func (k *Kernel) Step(limit Time) bool {
 	}
 	k.now = nd.at
 	k.processed++
-	h, eh := nd.h, nd.eh
+	eh := nd.eh
 	k.release(nd)
-	if eh != nil {
-		eh.OnEvent(k.now)
-	} else {
-		h(k.now)
-	}
+	eh.OnEvent(k.now)
 	return true
 }
 

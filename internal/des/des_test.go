@@ -2,9 +2,11 @@ package des
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTimeString(t *testing.T) {
@@ -37,9 +39,9 @@ func TestTimeConversions(t *testing.T) {
 func TestScheduleAndRunOrder(t *testing.T) {
 	var k Kernel
 	var fired []int
-	k.Schedule(30, func(Time) { fired = append(fired, 3) })
-	k.Schedule(10, func(Time) { fired = append(fired, 1) })
-	k.Schedule(20, func(Time) { fired = append(fired, 2) })
+	k.ScheduleFunc(30, func(Time) { fired = append(fired, 3) })
+	k.ScheduleFunc(10, func(Time) { fired = append(fired, 1) })
+	k.ScheduleFunc(20, func(Time) { fired = append(fired, 2) })
 	n := k.Run(EndOfTime)
 	if n != 3 {
 		t.Fatalf("Run executed %d events, want 3", n)
@@ -59,7 +61,7 @@ func TestTieBreakIsScheduleOrder(t *testing.T) {
 	var fired []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.Schedule(100, func(Time) { fired = append(fired, i) })
+		k.ScheduleFunc(100, func(Time) { fired = append(fired, i) })
 	}
 	k.Run(EndOfTime)
 	for i, v := range fired {
@@ -71,21 +73,21 @@ func TestTieBreakIsScheduleOrder(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	var k Kernel
-	k.Schedule(10, func(Time) {})
+	k.ScheduleFunc(10, func(Time) {})
 	k.Run(EndOfTime)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling into the past did not panic")
 		}
 	}()
-	k.Schedule(5, func(Time) {})
+	k.ScheduleFunc(5, func(Time) {})
 }
 
 func TestAfter(t *testing.T) {
 	var k Kernel
 	var at Time
-	k.Schedule(100, func(now Time) {
-		k.After(50, func(now Time) { at = now })
+	k.ScheduleFunc(100, func(now Time) {
+		k.AfterFunc(50, func(now Time) { at = now })
 	})
 	k.Run(EndOfTime)
 	if at != 150 {
@@ -96,11 +98,11 @@ func TestAfter(t *testing.T) {
 func TestCancel(t *testing.T) {
 	var k Kernel
 	fired := false
-	e := k.Schedule(10, func(Time) { fired = true })
+	e := k.ScheduleFunc(10, func(Time) { fired = true })
 	if !e.Scheduled() {
 		t.Fatal("event not marked scheduled")
 	}
-	k.Cancel(e)
+	k.Cancel(&e)
 	if e.Scheduled() {
 		t.Fatal("event still marked scheduled after cancel")
 	}
@@ -109,20 +111,20 @@ func TestCancel(t *testing.T) {
 		t.Fatal("cancelled event fired")
 	}
 	// Double cancel and nil cancel are no-ops.
-	k.Cancel(e)
+	k.Cancel(&e)
 	k.Cancel(nil)
 }
 
 func TestCancelMiddleOfQueue(t *testing.T) {
 	var k Kernel
 	var fired []int
-	var events []*Event
+	var events []Event
 	for i := 0; i < 20; i++ {
 		i := i
-		events = append(events, k.Schedule(Time(i*10), func(Time) { fired = append(fired, i) }))
+		events = append(events, k.ScheduleFunc(Time(i*10), func(Time) { fired = append(fired, i) }))
 	}
 	for i := 0; i < 20; i += 2 {
-		k.Cancel(events[i])
+		k.Cancel(&events[i])
 	}
 	k.Run(EndOfTime)
 	if len(fired) != 10 {
@@ -140,7 +142,7 @@ func TestRunUntilIsExclusiveAndAdvancesClock(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{10, 20, 30, 40} {
 		at := at
-		k.Schedule(at, func(now Time) { fired = append(fired, now) })
+		k.ScheduleFunc(at, func(now Time) { fired = append(fired, now) })
 	}
 	n := k.RunUntil(30)
 	if n != 2 {
@@ -163,7 +165,7 @@ func TestRunUntilIsExclusiveAndAdvancesClock(t *testing.T) {
 // at the last event executed (there is no finite time to advance to).
 func TestRunAdvancesClockToHorizon(t *testing.T) {
 	var k Kernel
-	k.Schedule(10, func(Time) {})
+	k.ScheduleFunc(10, func(Time) {})
 	if n := k.Run(50); n != 1 {
 		t.Fatalf("Run(50) executed %d events, want 1", n)
 	}
@@ -174,7 +176,7 @@ func TestRunAdvancesClockToHorizon(t *testing.T) {
 		t.Errorf("Run on empty queue left clock at %v, want 80", k.Now())
 	}
 	var k2 Kernel
-	k2.Schedule(10, func(Time) {})
+	k2.ScheduleFunc(10, func(Time) {})
 	k2.Run(EndOfTime)
 	if k2.Now() != 10 {
 		t.Errorf("clock after Run(EndOfTime) = %v, want 10 (last event)", k2.Now())
@@ -249,7 +251,7 @@ func TestNextEventTimeEmpty(t *testing.T) {
 func TestProcessedCounter(t *testing.T) {
 	var k Kernel
 	for i := 0; i < 7; i++ {
-		k.Schedule(Time(i), func(Time) {})
+		k.ScheduleFunc(Time(i), func(Time) {})
 	}
 	k.Run(EndOfTime)
 	if k.Processed() != 7 {
@@ -264,10 +266,10 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	recur = func(now Time) {
 		count++
 		if count < 100 {
-			k.After(1, recur)
+			k.AfterFunc(1, recur)
 		}
 	}
-	k.Schedule(0, recur)
+	k.ScheduleFunc(0, recur)
 	k.Run(EndOfTime)
 	if count != 100 {
 		t.Errorf("recursive scheduling executed %d events, want 100", count)
@@ -279,7 +281,7 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 
 func TestStepRespectsLimit(t *testing.T) {
 	var k Kernel
-	k.Schedule(10, func(Time) {})
+	k.ScheduleFunc(10, func(Time) {})
 	if k.Step(10) {
 		t.Fatal("Step executed event at the limit; limit must be exclusive")
 	}
@@ -296,7 +298,7 @@ func TestQuickFiringOrder(t *testing.T) {
 		var fired []Time
 		for _, s := range stamps {
 			at := Time(s)
-			k.Schedule(at, func(now Time) { fired = append(fired, now) })
+			k.ScheduleFunc(at, func(now Time) { fired = append(fired, now) })
 		}
 		k.Run(EndOfTime)
 		if len(fired) != len(stamps) {
@@ -315,17 +317,17 @@ func TestQuickCancelConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		var k Kernel
-		alive := map[*Event]bool{}
+		alive := map[Event]bool{}
 		firedCount := 0
 		for i := 0; i < 200; i++ {
 			if rng.Intn(3) == 0 && len(alive) > 0 {
 				for e := range alive {
-					k.Cancel(e)
+					k.Cancel(&e)
 					delete(alive, e)
 					break
 				}
 			} else {
-				e := k.Schedule(Time(rng.Intn(1000)), func(Time) { firedCount++ })
+				e := k.ScheduleFunc(Time(rng.Intn(1000)), func(Time) { firedCount++ })
 				alive[e] = true
 			}
 		}
@@ -391,16 +393,75 @@ func BenchmarkKernelSteadyState(b *testing.B) {
 
 // TestKernelSteadyStateZeroAllocs pins what the benchmark above reports as
 // allocs/op: once the arena is warm, one schedule plus one step allocates
-// nothing.
+// nothing, whichever form the handler takes — a non-capturing closure or a
+// pointer to a pooled struct.
 func TestKernelSteadyStateZeroAllocs(t *testing.T) {
-	k, offs, h := warmSteadyKernel()
-	i := 0
-	allocs := testing.AllocsPerRun(10000, func() {
-		k.ScheduleFunc(k.Now()+offs[i&(len(offs)-1)], h)
-		k.Step(EndOfTime)
-		i++
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state schedule+step allocates %v times per op, want 0", allocs)
+	pooled := &countingHandler{}
+	forms := []struct {
+		name     string
+		schedule func(k *Kernel, at Time, h Handler)
+	}{
+		{"ScheduleFunc", func(k *Kernel, at Time, h Handler) { k.ScheduleFunc(at, h) }},
+		{"ScheduleEvent", func(k *Kernel, at Time, _ Handler) { k.ScheduleEvent(at, pooled) }},
+	}
+	for _, f := range forms {
+		k, offs, h := warmSteadyKernel()
+		i := 0
+		allocs := testing.AllocsPerRun(10000, func() {
+			f.schedule(k, k.Now()+offs[i&(len(offs)-1)], h)
+			k.Step(EndOfTime)
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: steady-state schedule+step allocates %v times per op, want 0", f.name, allocs)
+		}
+	}
+}
+
+// A node carries one handler field; growing it back to a union shows here.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got != 40 {
+		t.Fatalf("sizeof(node) = %d, want 40", got)
+	}
+}
+
+type tagHandler struct {
+	tag   int
+	fired *[]int
+}
+
+func (h *tagHandler) OnEvent(Time) { *h.fired = append(*h.fired, h.tag) }
+
+// Closures and EventHandler structs share one queue and one (at, seq) key:
+// whatever the mix, events fire by time and, within a time, in the order
+// they were scheduled.
+func TestFormsInterleaveInAtSeqOrder(t *testing.T) {
+	type ev struct {
+		at     Time
+		closed bool // schedule as a closure; otherwise as a struct
+	}
+	cases := []struct {
+		name string
+		evs  []ev
+		want []int // indices into evs, in firing order
+	}{
+		{"same time alternating", []ev{{10, true}, {10, false}, {10, true}, {10, false}}, []int{0, 1, 2, 3}},
+		{"struct first", []ev{{10, false}, {10, true}}, []int{0, 1}},
+		{"time beats seq", []ev{{30, true}, {20, false}, {10, true}, {20, true}, {10, false}}, []int{2, 4, 1, 3, 0}},
+	}
+	for _, c := range cases {
+		var k Kernel
+		var fired []int
+		for i, e := range c.evs {
+			if e.closed {
+				k.ScheduleFunc(e.at, func(Time) { fired = append(fired, i) })
+			} else {
+				k.ScheduleEvent(e.at, &tagHandler{tag: i, fired: &fired})
+			}
+		}
+		k.Run(EndOfTime)
+		if !slices.Equal(fired, c.want) {
+			t.Errorf("%s: fired %v, want %v", c.name, fired, c.want)
+		}
 	}
 }

@@ -82,7 +82,7 @@ func (k *Kernel) verifyStructure(inFlight int) error {
 		if int(nd.pos) != i {
 			return fmt.Errorf("des: heap index %d holds node with pos %d", i, nd.pos)
 		}
-		if nd.h == nil && nd.eh == nil {
+		if nd.eh == nil {
 			return fmt.Errorf("des: queued node at index %d (t=%v seq=%d) has no callback", i, nd.at, nd.seq)
 		}
 		if nd.seq >= k.seq {
@@ -103,7 +103,7 @@ func (k *Kernel) verifyStructure(inFlight int) error {
 		if nd.pos != -1 {
 			return fmt.Errorf("des: free node at index %d has pos %d (still thinks it is queued)", i, nd.pos)
 		}
-		if nd.h != nil || nd.eh != nil {
+		if nd.eh != nil {
 			return fmt.Errorf("des: free node at index %d retains a callback reference", i)
 		}
 	}

@@ -60,10 +60,10 @@ type peer struct {
 // readLoop pumps frames under a rolling heartbeat deadline: every frame —
 // heartbeats included — pushes the deadline out, so a worker is declared
 // dead only after HeartbeatTimeout of true silence.
-func (p *peer) readLoop(hbTimeout time.Duration, maxFrame int) {
+func (p *peer) readLoop(hbTimeout time.Duration) {
 	for {
 		_ = p.conn.SetReadDeadline(time.Now().Add(hbTimeout))
-		typ, payload, err := wire.ReadFrame(p.conn, maxFrame)
+		typ, payload, err := wire.ReadFrame(p.conn, wire.DefaultMaxFrame)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				err = fmt.Errorf("heartbeat timeout after %v: %w", hbTimeout, err)
@@ -152,14 +152,15 @@ func Serve(ln net.Listener, rc RunConfig, opt Options) (*Result, error) {
 }
 
 // join accepts and handshakes every worker, assigning jobs in connection
-// order.
+// order. The listener is the caller's: the join deadline armed on it is
+// cleared on return, so a later Accept of theirs does not inherit it.
 func (c *coordinator) join(ln net.Listener) error {
 	deadline := time.Now().Add(c.opt.JoinTimeout)
-	type deadliner interface{ SetDeadline(time.Time) error }
+	if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
+		_ = d.SetDeadline(deadline) // a listener that cannot time out still joins
+		defer d.SetDeadline(time.Time{})
+	}
 	for i := range c.rc.Jobs {
-		if d, ok := ln.(deadliner); ok {
-			_ = d.SetDeadline(deadline)
-		}
 		conn, err := ln.Accept()
 		if err != nil {
 			return fmt.Errorf("dist: waiting for worker %d/%d to join: %w", i, len(c.rc.Jobs), err)
@@ -167,7 +168,7 @@ func (c *coordinator) join(ln net.Listener) error {
 		p := &peer{idx: i, conn: conn, frames: make(chan frame, 4), errc: make(chan error, 1)}
 		c.peers = append(c.peers, p)
 		_ = conn.SetReadDeadline(deadline)
-		typ, payload, err := wire.ReadFrame(conn, c.opt.MaxFrame)
+		typ, payload, err := wire.ReadFrame(conn, wire.DefaultMaxFrame)
 		if err == nil && typ != wire.MsgHello {
 			err = fmt.Errorf("expected Hello, got frame type %d", typ)
 		}
@@ -182,7 +183,7 @@ func (c *coordinator) join(ln net.Listener) error {
 		}
 	}
 	for _, p := range c.peers {
-		go p.readLoop(c.opt.HeartbeatTimeout, c.opt.MaxFrame)
+		go p.readLoop(c.opt.HeartbeatTimeout)
 	}
 	return nil
 }

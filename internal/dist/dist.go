@@ -62,8 +62,6 @@ type Options struct {
 	// JoinTimeout bounds the coordinator's wait for all workers to connect
 	// and complete the handshake. Default 30s.
 	JoinTimeout time.Duration
-	// MaxFrame bounds accepted frame payloads. Default wire.DefaultMaxFrame.
-	MaxFrame int
 }
 
 func (o Options) withDefaults() Options {
@@ -84,9 +82,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.JoinTimeout <= 0 {
 		o.JoinTimeout = 30 * time.Second
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = wire.DefaultMaxFrame
 	}
 	return o
 }

@@ -218,6 +218,51 @@ func TestLoopbackDistributedRun(t *testing.T) {
 	}
 }
 
+// The listener belongs to Serve's caller: the join deadline Serve arms on it
+// must be gone when Serve returns, or the caller's next Accept after that
+// instant fails at once with an i/o timeout.
+func TestServeClearsListenerDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	window, end := des.Millisecond, 5*des.Millisecond
+	opt := fastOpts()
+	opt.JoinTimeout = 50 * time.Millisecond
+	werr := make(chan error, 1)
+	go func() {
+		werr <- RunWorker(ln.Addr().String(), "w0", map[string]Runner{"dtest": dRunner}, opt)
+	}()
+	_, err = Serve(ln, RunConfig{
+		Jobs:     []Job{{Kind: "dtest", First: 0, Hosted: 2, Spec: encodeDSpec(2, window, end, 3, 4)}},
+		WindowNS: int64(window), TotalWindows: pdes.WindowCount(end, window),
+	}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-werr; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	time.Sleep(2 * opt.JoinTimeout) // past the join deadline
+	dialed := make(chan error, 1)
+	go func() {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err == nil {
+			conn.Close()
+		}
+		dialed <- err
+	}()
+	conn, err := ln.Accept()
+	if err != nil {
+		t.Fatalf("Accept on the caller's listener after Serve: %v", err)
+	}
+	conn.Close()
+	if err := <-dialed; err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+}
+
 // manualWorker handshakes like a real worker and hands the raw connection
 // to the test, which then misbehaves in a controlled way.
 func manualWorker(t *testing.T, addr, name string) (net.Conn, Job) {

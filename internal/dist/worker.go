@@ -39,7 +39,7 @@ func (t *WorkerTransport) Exchange(d pdes.WindowDone) (pdes.WindowGo, error) {
 	// The reply waits on the globally slowest worker, so this deadline is
 	// the exchange timeout, not the heartbeat timeout.
 	_ = t.conn.SetReadDeadline(time.Now().Add(t.opt.ExchangeTimeout))
-	typ, payload, err := wire.ReadFrame(t.conn, t.opt.MaxFrame)
+	typ, payload, err := wire.ReadFrame(t.conn, wire.DefaultMaxFrame)
 	if err != nil {
 		return pdes.WindowGo{}, fmt.Errorf("dist: awaiting window %d release: %w", d.Window, err)
 	}
@@ -96,7 +96,7 @@ func RunWorker(addr, name string, runners map[string]Runner, opt Options) error 
 		return fmt.Errorf("dist: hello: %w", err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(opt.JoinTimeout))
-	typ, payload, err := wire.ReadFrame(conn, opt.MaxFrame)
+	typ, payload, err := wire.ReadFrame(conn, wire.DefaultMaxFrame)
 	if err != nil {
 		return fmt.Errorf("dist: awaiting job: %w", err)
 	}

@@ -183,9 +183,6 @@ func Parse(r io.Reader) ([]Pair, error) {
 	return pairs, nil
 }
 
-// ParseString parses DML from a string.
-func ParseString(s string) ([]Pair, error) { return Parse(strings.NewReader(s)) }
-
 func parseList(t *tokenizer, nested bool) ([]Pair, error) {
 	var pairs []Pair
 	for {

@@ -10,13 +10,13 @@ import (
 )
 
 func TestParseBasic(t *testing.T) {
-	doc, err := ParseString(`
+	doc, err := Parse(strings.NewReader(`
 Net [
   frequency 1000000000
   router [ id 0 name "core router" ]
   router [ id 1 ]
   link [ attach 0 attach 1 delay 0.005 ]
-]`)
+]`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ Net [
 }
 
 func TestParseComments(t *testing.T) {
-	doc, err := ParseString("a 1 # comment [ ]\nb [ c 2 ] # tail\n")
+	doc, err := Parse(strings.NewReader("a 1 # comment [ ]\nb [ c 2 ] # tail\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestParseErrors(t *testing.T) {
 		"a",         // key without value
 		`a "unterm`, // unterminated string
 	} {
-		if _, err := ParseString(bad); err == nil {
+		if _, err := Parse(strings.NewReader(bad)); err == nil {
 			t.Errorf("accepted invalid input %q", bad)
 		}
 	}
@@ -78,7 +78,7 @@ func TestFormatParseRoundTrip(t *testing.T) {
 		),
 	}
 	text := Format(doc)
-	back, err := ParseString(text)
+	back, err := Parse(strings.NewReader(text))
 	if err != nil {
 		t.Fatalf("reparse: %v\n%s", err, text)
 	}
@@ -216,7 +216,7 @@ func TestQuickRoundTrip(t *testing.T) {
 			}
 		}
 		text := Format(pairs)
-		back, err := ParseString(text)
+		back, err := Parse(strings.NewReader(text))
 		if err != nil {
 			return false
 		}

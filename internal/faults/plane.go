@@ -66,7 +66,6 @@ type FaultInfo struct {
 // are safe for concurrent use.
 type Plane struct {
 	net    *model.Network
-	script *Script
 	linkT  [][]transition // per link id; empty for untouched links
 	nodeT  [][]transition
 	epochs []epoch // sorted by start; epochs[0] = {0, base}
@@ -84,7 +83,6 @@ func NewPlane(net *model.Network, base *interdomain.Router, script *Script) (*Pl
 	}
 	p := &Plane{
 		net:    net,
-		script: script,
 		linkT:  make([][]transition, len(net.Links)),
 		nodeT:  make([][]transition, len(net.Nodes)),
 		epochs: []epoch{{start: 0, routes: base}},
@@ -189,9 +187,6 @@ func (p *Plane) FaultRoutesAt(i int) des.Time { return p.events[i].RoutesAt }
 
 // Events returns the per-fault report (shared slice; treat as read-only).
 func (p *Plane) Events() []FaultInfo { return p.events }
-
-// Script returns the script the plane was compiled from.
-func (p *Plane) Script() *Script { return p.script }
 
 // routesAt returns the routing state in force at time t.
 func (p *Plane) routesAt(t des.Time) *interdomain.Router {

@@ -865,9 +865,6 @@ func (p *Plane) DirBits(dir int) float64 { return p.dirs[dir].bits }
 // DirSegments returns dir's rate timeline (shared slice; read-only).
 func (p *Plane) DirSegments(dir int) []Segment { return p.dirs[dir].segs }
 
-// End returns the horizon the plane was solved for.
-func (p *Plane) End() des.Time { return p.end }
-
 // Quantum returns the rate-epoch quantum the plane was solved with.
 func (p *Plane) Quantum() des.Time { return p.quantum }
 

@@ -8,6 +8,7 @@ import (
 
 	"massf/internal/des"
 	"massf/internal/model"
+	"massf/internal/telemetry"
 )
 
 // maxFlowSamples bounds the SRTT/cwnd trajectory kept per flow; when full
@@ -232,89 +233,43 @@ func bucketHi(i int) int64 {
 	return int64(1) << i
 }
 
-// flowStream fans completed-flow snapshots out to live subscribers,
-// keeping a bounded replay buffer. Mirrors telemetry.Ring's contract: a
-// subscriber whose channel is full misses records rather than stalling the
-// simulation, and Close ends every stream.
+// flowStream is the completed-flow live stream: a bounded replay buffer
+// in front of the fan-out telemetry.Ring uses, so a subscriber whose channel
+// is full misses records rather than stalling the simulation, and closing
+// ends every stream.
 type flowStream struct {
-	mu     sync.Mutex
-	buf    []FlowSnapshot
-	cap    int
-	subs   map[int]chan FlowSnapshot
-	nextID int
-	closed bool
+	telemetry.Fanout[FlowSnapshot]
+	buf []FlowSnapshot // at most streamCap, oldest first; guarded by the fan-out's lock
 }
 
-func newFlowStream(capacity int) *flowStream {
-	return &flowStream{cap: capacity, subs: map[int]chan FlowSnapshot{}}
+// streamCap is the completed-flow replay buffer's capacity.
+const streamCap = 1024
+
+func newFlowStream() *flowStream {
+	fs := &flowStream{}
+	fs.Past = func() []FlowSnapshot { return append([]FlowSnapshot(nil), fs.buf...) }
+	return fs
 }
 
 func (fs *flowStream) publish(s FlowSnapshot) {
-	fs.mu.Lock()
-	if fs.closed {
-		fs.mu.Unlock()
-		return
-	}
-	if len(fs.buf) >= fs.cap {
-		copy(fs.buf, fs.buf[1:])
-		fs.buf = fs.buf[:len(fs.buf)-1]
-	}
-	fs.buf = append(fs.buf, s)
-	for _, ch := range fs.subs {
-		select {
-		case ch <- s:
-		default: // slow subscriber: drop rather than stall the run
+	fs.Publish(func() FlowSnapshot {
+		if len(fs.buf) >= streamCap {
+			copy(fs.buf, fs.buf[1:])
+			fs.buf = fs.buf[:len(fs.buf)-1]
 		}
-	}
-	fs.mu.Unlock()
+		fs.buf = append(fs.buf, s)
+		return s
+	})
 }
 
 // SubscribeCompletions returns the completions so far and a channel of
 // future ones. cancel must be called when done; the channel closes when
 // the run finishes (Mon.Close).
 func (m *Mon) SubscribeCompletions(buf int) (past []FlowSnapshot, ch <-chan FlowSnapshot, cancel func()) {
-	return m.stream.subscribe(buf)
-}
-
-func (fs *flowStream) subscribe(buf int) ([]FlowSnapshot, <-chan FlowSnapshot, func()) {
-	if buf <= 0 {
-		buf = 64
-	}
-	fs.mu.Lock()
-	past := append([]FlowSnapshot(nil), fs.buf...)
-	c := make(chan FlowSnapshot, buf)
-	if fs.closed {
-		close(c)
-		fs.mu.Unlock()
-		return past, c, func() {}
-	}
-	id := fs.nextID
-	fs.nextID++
-	fs.subs[id] = c
-	fs.mu.Unlock()
-	return past, c, func() {
-		fs.mu.Lock()
-		if ch, ok := fs.subs[id]; ok {
-			delete(fs.subs, id)
-			close(ch)
-		}
-		fs.mu.Unlock()
-	}
+	return m.stream.Subscribe(buf)
 }
 
 // Close ends the completion stream (netsim calls it when Run returns).
 // Record methods remain safe afterwards; further completions only update
 // the histogram and records.
-func (m *Mon) Close() { m.stream.close() }
-
-func (fs *flowStream) close() {
-	fs.mu.Lock()
-	if !fs.closed {
-		fs.closed = true
-		for id, ch := range fs.subs {
-			delete(fs.subs, id)
-			close(ch)
-		}
-	}
-	fs.mu.Unlock()
-}
+func (m *Mon) Close() { m.stream.Close() }

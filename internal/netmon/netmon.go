@@ -90,9 +90,6 @@ type Options struct {
 	// MaxSpans bounds stored hop spans (default 65536); excess spans are
 	// counted in Summary().SpanOverflow and discarded.
 	MaxSpans int
-	// StreamCap is the completed-flow live-stream replay buffer (default
-	// 1024).
-	StreamCap int
 }
 
 // Mon is one run's network observability plane. All record methods are
@@ -147,9 +144,6 @@ func New(o Options) *Mon {
 	if o.MaxSpans <= 0 {
 		o.MaxSpans = 65536
 	}
-	if o.StreamCap <= 0 {
-		o.StreamCap = 1024
-	}
 	bucketNS := (int64(o.Horizon) + int64(o.Buckets) - 1) / int64(o.Buckets)
 	if bucketNS <= 0 {
 		bucketNS = 1
@@ -166,7 +160,7 @@ func New(o Options) *Mon {
 		qmax:       make([]int64, dirs*o.Buckets),
 		maxFlows:   o.MaxFlows,
 		maxSpans:   o.MaxSpans,
-		stream:     newFlowStream(o.StreamCap),
+		stream:     newFlowStream(),
 	}
 	for c := range m.drops {
 		m.drops[c] = make([]uint64, dirs*o.Buckets)
@@ -408,11 +402,4 @@ func (m *Mon) Paths() []Path {
 		i = j
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -104,7 +104,7 @@ func runDeterminism(t *testing.T, engines int) determinismGolden {
 		}
 		at := des.Time(rng.Intn(2000)) * des.Millisecond
 		bytes := int64(2_000 + rng.Intn(200_000))
-		s.StartFlow(at, src, dst, bytes, nil)
+		s.StartFlowRecv(at, src, dst, bytes, nil, nil)
 	}
 	for i := 0; i < 40; i++ {
 		src := hosts[rng.Intn(len(hosts))]
@@ -210,7 +210,7 @@ func runMultiASDeterminism(t *testing.T, engines int) determinismGolden {
 		}
 		at := des.Time(rng.Intn(2000)) * des.Millisecond
 		bytes := int64(2_000 + rng.Intn(200_000))
-		s.StartFlow(at, src, dst, bytes, nil)
+		s.StartFlowRecv(at, src, dst, bytes, nil, nil)
 	}
 	for i := 0; i < 30; i++ {
 		src := hosts[rng.Intn(len(hosts))]

@@ -241,7 +241,7 @@ func TestPartitionedTCPDropsReachTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := des.Time(0)
-	s.StartFlow(0, r[0], r[3], 4_000_000, func(at des.Time) { done = at })
+	s.StartFlowRecv(0, r[0], r[3], 4_000_000, func(at des.Time) { done = at }, nil)
 	res := s.Run()
 	if res.Err != nil {
 		t.Fatal(res.Err)

@@ -64,8 +64,8 @@ func monScenario(t *testing.T, engines int, mon *netmon.Mon) (Result, *model.Net
 		}
 	}
 	s := monSim(t, net, part, engines, des.Millisecond, 2*des.Second, mon, 4000)
-	s.StartFlow(0, a, b, 400_000, nil)
-	s.StartFlow(des.Millisecond, b, a, 100_000, nil)
+	s.StartFlowRecv(0, a, b, 400_000, nil, nil)
+	s.StartFlowRecv(des.Millisecond, b, a, 100_000, nil, nil)
 	s.SendUDP(10*des.Millisecond, a, b, 2000, nil)
 	return s.Run(), net
 }
@@ -158,7 +158,7 @@ func TestNetMonPathValidation(t *testing.T) {
 	// Flow records for a TCP transfer over the same chain.
 	mon2 := netmon.New(netmon.Options{Links: len(net.Links), Horizon: des.Second})
 	s2 := monSim(t, net, nil, 1, des.Millisecond, des.Second, mon2, 0)
-	s2.StartFlow(0, a, b, 50_000, nil)
+	s2.StartFlowRecv(0, a, b, 50_000, nil, nil)
 	s2.Run()
 	rep := mon2.FlowReport(true)
 	if rep.Recorded != 1 || rep.FCT.Count != 1 {

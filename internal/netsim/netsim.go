@@ -73,11 +73,9 @@ type Config struct {
 	Window des.Time
 	// End is the simulated horizon.
 	End des.Time
-	// Sync, EventCost, RemoteCost, Seed, SeriesBuckets, RealTimeFactor:
-	// see pdes.Config.
+	// Sync, EventCost, Seed, SeriesBuckets, RealTimeFactor: see pdes.Config.
 	Sync           cluster.SyncCostModel
 	EventCost      des.Time
-	RemoteCost     des.Time
 	Seed           int64
 	SeriesBuckets  int
 	RealTimeFactor float64
@@ -217,7 +215,7 @@ func (s *Sim) newHop(engine int) *hopEvent {
 }
 
 // Sim is a configured packet-level simulation. Create with New, inject
-// traffic with StartFlow/SendUDP/ScheduleAt, execute with Run.
+// traffic with StartFlowRecv/SendUDP/ScheduleAt, execute with Run.
 type Sim struct {
 	cfg  Config
 	ps   *pdes.Sim
@@ -301,7 +299,7 @@ func New(cfg Config) (*Sim, error) {
 	}
 	pcfg := pdes.Config{
 		Engines: cfg.Engines, Window: cfg.Window, End: cfg.End,
-		Sync: cfg.Sync, EventCost: cfg.EventCost, RemoteCost: cfg.RemoteCost,
+		Sync: cfg.Sync, EventCost: cfg.EventCost,
 		Seed: cfg.Seed, SeriesBuckets: cfg.SeriesBuckets,
 		RealTimeFactor: cfg.RealTimeFactor,
 		Telemetry:      cfg.Telemetry,

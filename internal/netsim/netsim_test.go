@@ -101,7 +101,7 @@ func TestTCPFlowCompletes(t *testing.T) {
 	net, a, b := chainNet(3, des.Millisecond, model.Bps1G)
 	s := sim(t, net, nil, 1, des.Millisecond, 10*des.Second)
 	var doneAt des.Time
-	s.StartFlow(0, a, b, 100_000, func(at des.Time) { doneAt = at })
+	s.StartFlowRecv(0, a, b, 100_000, func(at des.Time) { doneAt = at }, nil)
 	res := s.Run()
 	if res.FlowsCompleted != 1 {
 		t.Fatalf("FlowsCompleted = %d, want 1 (dropped=%d)", res.FlowsCompleted, res.Dropped)
@@ -133,8 +133,8 @@ func TestTCPSurvivesCongestionLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.StartFlow(0, a, b, 300_000, nil)
-	s.StartFlow(0, c, b, 300_000, nil)
+	s.StartFlowRecv(0, a, b, 300_000, nil, nil)
+	s.StartFlowRecv(0, c, b, 300_000, nil, nil)
 	res := s.Run()
 	if res.Dropped == 0 {
 		t.Error("no drops despite tiny bottleneck buffer; congestion model broken")
@@ -149,7 +149,7 @@ func TestTCPThroughputBoundedByBandwidth(t *testing.T) {
 	net, a, b := chainNet(1, 100*des.Microsecond, 10_000_000)
 	s := sim(t, net, nil, 1, 100*des.Microsecond, 30*des.Second)
 	var doneAt des.Time
-	s.StartFlow(0, a, b, 1_000_000, func(at des.Time) { doneAt = at })
+	s.StartFlowRecv(0, a, b, 1_000_000, func(at des.Time) { doneAt = at }, nil)
 	res := s.Run()
 	if res.FlowsCompleted != 1 {
 		t.Fatalf("flow incomplete (dropped=%d)", res.Dropped)
@@ -166,7 +166,7 @@ func TestPartitionedEqualsSequential(t *testing.T) {
 	build := func(engines int, part []int32) Result {
 		net, a, b := chainNet(4, des.Millisecond, model.Bps1G)
 		s := sim(t, net, part, engines, des.Millisecond, 10*des.Second)
-		s.StartFlow(0, a, b, 200_000, nil)
+		s.StartFlowRecv(0, a, b, 200_000, nil, nil)
 		s.SendUDP(des.Millisecond, b, a, 5000, nil)
 		return s.Run()
 	}
@@ -195,7 +195,7 @@ func TestPartitionedEqualsSequential(t *testing.T) {
 func TestNodeEventProfiling(t *testing.T) {
 	net, a, b := chainNet(3, des.Millisecond, model.Bps1G)
 	s := sim(t, net, nil, 1, des.Millisecond, 5*des.Second)
-	s.StartFlow(0, a, b, 50_000, nil)
+	s.StartFlowRecv(0, a, b, 50_000, nil, nil)
 	res := s.Run()
 	// Every router on the path must have recorded events; data+ack both
 	// traverse all of them.
@@ -212,7 +212,7 @@ func TestNodeEventProfiling(t *testing.T) {
 func TestLinkBitsProfiling(t *testing.T) {
 	net, a, b := chainNet(2, des.Millisecond, model.Bps1G)
 	s := sim(t, net, nil, 1, des.Millisecond, 5*des.Second)
-	s.StartFlow(0, a, b, 30_000, nil)
+	s.StartFlowRecv(0, a, b, 30_000, nil, nil)
 	res := s.Run()
 	for i, bits := range res.LinkBits {
 		if bits == 0 {
@@ -250,7 +250,7 @@ func BenchmarkFlowChain(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		s.StartFlow(0, a, dst, 500_000, nil)
+		s.StartFlowRecv(0, a, dst, 500_000, nil, nil)
 		if res := s.Run(); res.FlowsCompleted != 1 {
 			b.Fatal("flow incomplete")
 		}
@@ -268,7 +268,7 @@ func TestRetransmissionAndLinkDropCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.StartFlow(0, a, b, 400_000, nil)
+	s.StartFlowRecv(0, a, b, 400_000, nil, nil)
 	res := s.Run()
 	if res.FlowsCompleted != 1 {
 		t.Fatalf("flow incomplete (dropped=%d)", res.Dropped)
@@ -292,7 +292,7 @@ func TestRetransmissionAndLinkDropCounters(t *testing.T) {
 func TestNoRetransmissionsOnCleanPath(t *testing.T) {
 	net, a, b := chainNet(2, des.Millisecond, model.Bps1G)
 	s := sim(t, net, nil, 1, des.Millisecond, 10*des.Second)
-	s.StartFlow(0, a, b, 100_000, nil)
+	s.StartFlowRecv(0, a, b, 100_000, nil, nil)
 	res := s.Run()
 	if res.Retransmissions != 0 {
 		t.Errorf("clean path produced %d retransmissions", res.Retransmissions)
@@ -356,8 +356,8 @@ func TestTCPFairnessAtBottleneck(t *testing.T) {
 		t.Fatal(err)
 	}
 	var doneA, doneC des.Time
-	s.StartFlow(0, a, b, 2_000_000, func(at des.Time) { doneA = at })
-	s.StartFlow(0, c, b, 2_000_000, func(at des.Time) { doneC = at })
+	s.StartFlowRecv(0, a, b, 2_000_000, func(at des.Time) { doneA = at }, nil)
+	s.StartFlowRecv(0, c, b, 2_000_000, func(at des.Time) { doneC = at }, nil)
 	res := s.Run()
 	if res.FlowsCompleted != 2 {
 		t.Fatalf("completed %d flows", res.FlowsCompleted)

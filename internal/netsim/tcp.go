@@ -81,18 +81,13 @@ type rtoHandler struct {
 
 func (h *rtoHandler) OnEvent(des.Time) { h.s.onRTO(h.f) }
 
-// StartFlow schedules a TCP transfer of the given payload size from host
-// src to host dst beginning at time at. onComplete (optional) runs on
-// src's engine when the last byte is acknowledged. StartFlow may be called
-// during setup or from a handler running on src's engine.
-func (s *Sim) StartFlow(at des.Time, src, dst model.NodeID, bytes int64, onComplete func(at des.Time)) {
-	s.StartFlowRecv(at, src, dst, bytes, onComplete, nil)
-}
-
-// StartFlowRecv is StartFlow with an additional receiver-side callback:
-// onDeliver runs on dst's engine when the final byte of payload arrives.
-// It is the supported way to chain request/response traffic — the response
-// flow must be started from the destination's engine, and onDeliver is a
+// StartFlowRecv schedules a TCP transfer of the given payload size from
+// host src to host dst beginning at time at. It may be called during setup
+// or from a handler running on src's engine. Both callbacks are optional:
+// onComplete runs on src's engine when the last byte is acknowledged,
+// onDeliver on dst's engine when the final byte of payload arrives —
+// the supported way to chain request/response traffic, since the response
+// flow must be started from the destination's engine and onDeliver is a
 // handler already running there. In distributed runs, closure callbacks on
 // flows started at RUNTIME cannot cross workers; use StartFlowTagged for
 // those (setup-time flows are replicated and keep working as-is).

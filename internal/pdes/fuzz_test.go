@@ -48,7 +48,7 @@ func FuzzExchangeOrdering(f *testing.F) {
 			at := des.Time(wi+1)*window + offset // ≥ sender's window end, < end
 			local := des.Time(wi)*window + offset/2
 			s.Engine(src).Schedule(local, func(des.Time) {
-				s.Engine(src).ScheduleRemote(dst, at, func(des.Time) { recv[dst]++ })
+				s.Engine(src).ScheduleRemoteEvent(dst, at, des.Handler(func(des.Time) { recv[dst]++ }))
 			})
 			sends++
 		}

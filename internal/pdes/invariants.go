@@ -200,10 +200,10 @@ func (s *Sim) invCheckKernel(inv *Invariants, w int, e *Engine, wEnd des.Time) {
 }
 
 // InjectLookaheadViolation ships an event to engine dst bypassing the
-// send-side window check that ScheduleRemote enforces. It exists solely so
+// send-side window check that ScheduleRemoteEvent enforces. It exists solely so
 // tests and the conformance harness can prove the receiver-side detection
 // works; calling it in a real model is exactly the bug the invariant hooks
-// are for. Like ScheduleRemote, it must run on e's own goroutine.
+// are for. Like ScheduleRemoteEvent, it must run on e's own goroutine.
 func (e *Engine) InjectLookaheadViolation(dst int, at des.Time, h des.Handler) {
-	e.enqueueRemote(dst, remoteEvent{at: at, h: h})
+	e.enqueueRemote(dst, at, h)
 }

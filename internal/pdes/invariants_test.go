@@ -41,7 +41,7 @@ func TestCleanRunNoViolations(t *testing.T) {
 				dst := (e.id + 1) % cfg.Engines
 				at := now + cfg.Window + 100*des.Microsecond
 				if at < cfg.End {
-					e.ScheduleRemote(dst, at, volley(s.Engine(dst)))
+					e.ScheduleRemoteEvent(dst, at, volley(s.Engine(dst)))
 				}
 			}
 		}
@@ -117,11 +117,11 @@ func TestInvCheckIncomingDrainOrder(t *testing.T) {
 	s, inv := newInvSim(t, 2, des.Millisecond, 2*des.Millisecond)
 	e := s.Engine(1)
 	wEnd := des.Millisecond
-	h := func(des.Time) {}
+	h := des.Handler(func(des.Time) {})
 	batch := []remoteEvent{
-		{at: 3 * des.Millisecond, src: 0, seq: 1, h: h},
-		{at: 2 * des.Millisecond, src: 0, seq: 0, h: h}, // out of order
-		{at: 2 * des.Millisecond, src: 0, seq: 0, h: h}, // duplicate
+		{at: 3 * des.Millisecond, src: 0, seq: 1, eh: h},
+		{at: 2 * des.Millisecond, src: 0, seq: 0, eh: h}, // out of order
+		{at: 2 * des.Millisecond, src: 0, seq: 0, eh: h}, // duplicate
 	}
 	kept := s.invCheckIncoming(inv, 0, e, wEnd, batch)
 	if len(kept) != 3 {

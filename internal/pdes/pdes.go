@@ -47,9 +47,6 @@ type Config struct {
 	// EventCost is the modeled CPU cost of processing one simulation
 	// event. Default 15 µs (packet-level event on 2004 Itanium-2).
 	EventCost des.Time
-	// RemoteCost is the modeled cost of shipping one event across engine
-	// nodes (MPI send + marshalling). Default 10 µs.
-	RemoteCost des.Time
 	// Seed feeds each engine's deterministic RNG.
 	Seed int64
 	// SeriesBuckets caps the length of the per-window load series kept
@@ -90,8 +87,8 @@ type Config struct {
 	Transport Transport
 	// Codec serializes remote events crossing worker processes (required
 	// when Transport is set). Events scheduled through ScheduleRemoteEvent
-	// to a non-hosted engine are encoded with it; closure events
-	// (ScheduleRemote) cannot cross workers and panic.
+	// to a non-hosted engine are encoded with it; a des.Handler closure
+	// cannot cross workers and panics at the schedule site.
 	Codec Codec
 	// FirstEngine is the global index of the first engine hosted by this
 	// worker (ignored without a Transport).
@@ -101,6 +98,10 @@ type Config struct {
 	HostedEngines int
 }
 
+// remoteCost is the modeled cost of shipping one event across engine nodes
+// (MPI send + marshalling).
+const remoteCost = 10 * des.Microsecond
+
 func (c *Config) setDefaults() {
 	if c.Sync == nil {
 		c.Sync = cluster.DefaultTeraGrid()
@@ -108,19 +109,14 @@ func (c *Config) setDefaults() {
 	if c.EventCost <= 0 {
 		c.EventCost = 15 * des.Microsecond
 	}
-	if c.RemoteCost <= 0 {
-		c.RemoteCost = 10 * des.Microsecond
-	}
 	if c.SeriesBuckets <= 0 {
 		c.SeriesBuckets = 512
 	}
 }
 
-// remoteEvent is an event shipped between engines at a barrier. Exactly one
-// of h/eh is set; eh is the allocation-free EventHandler seam.
+// remoteEvent is an event shipped between engines at a barrier.
 type remoteEvent struct {
 	at  des.Time
-	h   des.Handler
 	eh  des.EventHandler
 	seq uint64
 	src int32
@@ -141,7 +137,7 @@ func remoteCmp(a, b remoteEvent) int {
 
 // Engine is one simulation engine node. Event handlers scheduled on an
 // engine run on that engine's goroutine; they may freely touch state owned
-// by the engine and must use ScheduleRemote for anything owned elsewhere.
+// by the engine and must use ScheduleRemoteEvent for anything owned elsewhere.
 type Engine struct {
 	id  int
 	sim *Sim
@@ -193,13 +189,10 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Schedule enqueues a local event. The returned value handle can be kept
 // in a struct field and cancelled with Cancel(&e); scheduling allocates
 // nothing.
-func (e *Engine) Schedule(at des.Time, h des.Handler) des.Event { return e.k.ScheduleFunc(at, h) }
+func (e *Engine) Schedule(at des.Time, h des.Handler) des.Event { return e.k.ScheduleEvent(at, h) }
 
-// After enqueues a local event after a delay.
-func (e *Engine) After(d des.Time, h des.Handler) des.Event { return e.k.AfterFunc(d, h) }
-
-// ScheduleEvent enqueues a local event through the allocation-free
-// EventHandler seam.
+// ScheduleEvent is Schedule for any EventHandler; hot paths pass a pointer
+// to a pooled struct instead of building a closure.
 func (e *Engine) ScheduleEvent(at des.Time, eh des.EventHandler) des.Event {
 	return e.k.ScheduleEvent(at, eh)
 }
@@ -217,13 +210,15 @@ func (e *Engine) Cancel(ev des.Event) { e.k.Cancel(&ev) }
 // hosted destination this window the engine registers the (src, dst) pair
 // in the shared active table, so the consumer's gather at the barrier
 // visits only sources that actually wrote — O(active pairs), not O(N²).
-func (e *Engine) enqueueRemote(dst int, re remoteEvent) {
-	re.seq = e.seq
-	re.src = int32(e.id)
+func (e *Engine) enqueueRemote(dst int, at des.Time, eh des.EventHandler) {
+	re := remoteEvent{at: at, eh: eh, seq: e.seq, src: int32(e.id)}
 	e.seq++
 	e.remoteSends++
 	e.winRemote++
 	if dst < e.hostLo || dst >= e.hostHi {
+		if _, closure := eh.(des.Handler); closure {
+			panic(fmt.Sprintf("pdes: closure event for engine %d cannot cross workers (hosted range [%d,%d)); use a codec-registered kind", dst, e.hostLo, e.hostHi))
+		}
 		e.wireOut = append(e.wireOut, wireSend{re: re, dst: int32(dst)})
 		return
 	}
@@ -237,27 +232,12 @@ func (e *Engine) enqueueRemote(dst int, re remoteEvent) {
 	e.outbox[p][dst] = append(buf, re)
 }
 
-// ScheduleRemote enqueues an event on engine dst at time at. When dst is
-// the local engine it schedules directly. For a true remote destination,
+// ScheduleRemoteEvent enqueues an event on engine dst at time at. When dst
+// is the local engine it schedules directly. For a true remote destination,
 // at must not precede the end of the current window — the conservative
 // guarantee the partitioner's MLL provides; violating it panics, as it
-// would silently corrupt causality on a real PDES.
-func (e *Engine) ScheduleRemote(dst int, at des.Time, h des.Handler) {
-	if dst == e.id {
-		e.k.ScheduleFunc(at, h)
-		return
-	}
-	if at < e.windowEnd {
-		panic(fmt.Sprintf("pdes: remote event at %v violates window end %v (MLL too large for this cut)", at, e.windowEnd))
-	}
-	if dst < e.hostLo || dst >= e.hostHi {
-		panic(fmt.Sprintf("pdes: closure event for engine %d cannot cross workers (hosted range [%d,%d)); use ScheduleRemoteEvent with a codec-registered kind", dst, e.hostLo, e.hostHi))
-	}
-	e.enqueueRemote(dst, remoteEvent{at: at, h: h})
-}
-
-// ScheduleRemoteEvent is ScheduleRemote through the EventHandler seam: the
-// hot packet path ships a pooled struct pointer instead of a closure.
+// would silently corrupt causality on a real PDES. So does a des.Handler
+// closure addressed to an engine another worker hosts: it has no codec kind.
 func (e *Engine) ScheduleRemoteEvent(dst int, at des.Time, eh des.EventHandler) {
 	if dst == e.id {
 		e.k.ScheduleEvent(at, eh)
@@ -266,7 +246,7 @@ func (e *Engine) ScheduleRemoteEvent(dst int, at des.Time, eh des.EventHandler) 
 	if at < e.windowEnd {
 		panic(fmt.Sprintf("pdes: remote event at %v violates window end %v (MLL too large for this cut)", at, e.windowEnd))
 	}
-	e.enqueueRemote(dst, remoteEvent{at: at, eh: eh})
+	e.enqueueRemote(dst, at, eh)
 }
 
 // Stats summarizes a completed run.
@@ -391,9 +371,6 @@ func New(cfg Config) (*Sim, error) {
 
 // Engine returns engine i.
 func (s *Sim) Engine(i int) *Engine { return s.engines[i] }
-
-// Engines returns N.
-func (s *Sim) Engines() int { return s.cfg.Engines }
 
 // WindowCount returns the number of barrier windows of the given width that
 // cover the horizon: ceil(end/window). Run sizes its loop with it, and so
@@ -538,7 +515,7 @@ func (s *Sim) Run() Stats {
 				e.winEvents = e.k.Processed() - before
 				e.events += e.winEvents
 				busyScratch[li] = int64(e.winEvents)*int64(cfg.EventCost) +
-					int64(e.winRemote)*int64(cfg.RemoteCost)
+					int64(e.winRemote)*int64(remoteCost)
 				if buckets > 0 {
 					b := w * buckets / totalWindows
 					series[b][e.id] += e.winEvents
@@ -670,12 +647,7 @@ func (s *Sim) Run() Stats {
 					}
 				}
 				for i := range incoming {
-					re := &incoming[i]
-					if re.eh != nil {
-						e.k.ScheduleEvent(re.at, re.eh)
-					} else {
-						e.k.ScheduleFunc(re.at, re.h)
-					}
+					e.k.ScheduleEvent(incoming[i].at, incoming[i].eh)
 				}
 				if tel != nil {
 					lastExch += int64(time.Since(exchStart))
@@ -781,7 +753,3 @@ func (s *Sim) publishWindow(tel *telemetry.SimTelemetry, w int, wEnd des.Time, w
 		}
 	}
 }
-
-// EventCost returns the configured modeled per-event cost, used by metrics
-// to estimate the best sequential time.
-func (s *Sim) EventCost() des.Time { return s.cfg.EventCost }

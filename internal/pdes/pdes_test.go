@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"massf/internal/cluster"
 	"massf/internal/des"
@@ -60,15 +61,23 @@ func TestEventAtHorizonNotExecuted(t *testing.T) {
 	}
 }
 
+// An exchange record carries one handler field; growing it back to a union
+// shows here (the exchange copies and sorts these every window).
+func TestRemoteEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(remoteEvent{}); got != 40 {
+		t.Fatalf("sizeof(remoteEvent) = %d, want 40", got)
+	}
+}
+
 func TestRemoteEventDelivery(t *testing.T) {
 	s := newSim(t, 4, des.Millisecond, 20*des.Millisecond)
 	var deliveredAt des.Time
 	// Engine 0 at t=0.2ms sends an event to engine 3 at t=1.5ms (≥ window
 	// end 1ms: legal).
 	s.Engine(0).Schedule(200*des.Microsecond, func(now des.Time) {
-		s.Engine(0).ScheduleRemote(3, 1500*des.Microsecond, func(at des.Time) {
+		s.Engine(0).ScheduleRemoteEvent(3, 1500*des.Microsecond, des.Handler(func(at des.Time) {
 			deliveredAt = at
-		})
+		}))
 	})
 	stats := s.Run()
 	if deliveredAt != 1500*des.Microsecond {
@@ -84,7 +93,7 @@ func TestRemoteToSelfIsLocal(t *testing.T) {
 	ran := false
 	s.Engine(1).Schedule(100*des.Microsecond, func(now des.Time) {
 		// Same-engine "remote" below the window end is fine.
-		s.Engine(1).ScheduleRemote(1, 200*des.Microsecond, func(des.Time) { ran = true })
+		s.Engine(1).ScheduleRemoteEvent(1, 200*des.Microsecond, des.Handler(func(des.Time) { ran = true }))
 	})
 	stats := s.Run()
 	if !ran {
@@ -101,7 +110,7 @@ func TestRemoteCausalityViolationPanics(t *testing.T) {
 	s.Engine(0).Schedule(500*des.Microsecond, func(now des.Time) {
 		defer func() { panicked <- recover() != nil }()
 		// 0.8ms < window end 1ms: violates the conservative guarantee.
-		s.Engine(0).ScheduleRemote(1, 800*des.Microsecond, func(des.Time) {})
+		s.Engine(0).ScheduleRemoteEvent(1, 800*des.Microsecond, des.Handler(func(des.Time) {}))
 	})
 	s.Run()
 	if !<-panicked {
@@ -121,7 +130,7 @@ func TestPingPongAcrossEngines(t *testing.T) {
 		other := 1 - me
 		at := s.Engine(me).Now() + des.Millisecond
 		if at < 49*des.Millisecond {
-			s.Engine(me).ScheduleRemote(other, at, func(des.Time) { bounce(other) })
+			s.Engine(me).ScheduleRemoteEvent(other, at, des.Handler(func(des.Time) { bounce(other) }))
 		}
 	}
 	s.Engine(0).Schedule(0, func(des.Time) { bounce(0) })
@@ -145,7 +154,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 				}
 				dst := e.Rand().Intn(4)
 				at := next + des.Millisecond
-				e.ScheduleRemote(dst, at, func(des.Time) {})
+				e.ScheduleRemoteEvent(dst, at, des.Handler(func(des.Time) {}))
 				e.Schedule(next, gen)
 			}
 			e.Schedule(0, gen)
@@ -169,7 +178,7 @@ func TestModeledTimeAccounting(t *testing.T) {
 	cost := 10 * des.Microsecond
 	s, err := New(Config{
 		Engines: 2, Window: des.Millisecond, End: 2 * des.Millisecond,
-		Sync: cluster.Fixed{CostNS: 5000}, EventCost: cost, RemoteCost: 0,
+		Sync: cluster.Fixed{CostNS: 5000}, EventCost: cost,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +251,7 @@ func TestManyEnginesStress(t *testing.T) {
 				dst := e.Rand().Intn(32)
 				at := now + des.Millisecond + des.Time(e.Rand().Intn(1000))*des.Microsecond
 				if at < 20*des.Millisecond {
-					e.ScheduleRemote(dst, at, func(des.Time) { atomic.AddInt64(&delivered, 1) })
+					e.ScheduleRemoteEvent(dst, at, des.Handler(func(des.Time) { atomic.AddInt64(&delivered, 1) }))
 				}
 			}
 			if next := now + 500*des.Microsecond; next < 20*des.Millisecond {
@@ -292,7 +301,7 @@ func BenchmarkBarrierWindowsExchange8(b *testing.B) {
 			gen = func(now des.Time) {
 				dst := (e.ID() + 1) % engines
 				if at := now + des.Millisecond; at < horizon {
-					e.ScheduleRemote(dst, at, func(des.Time) {})
+					e.ScheduleRemoteEvent(dst, at, des.Handler(func(des.Time) {}))
 				}
 				if next := now + 500*des.Microsecond; next < horizon {
 					e.Schedule(next, gen)
@@ -329,9 +338,9 @@ func TestFastForwardRespectsRemoteEvents(t *testing.T) {
 	s := newSim(t, 2, des.Millisecond, 5*des.Second)
 	var deliveredAt des.Time
 	s.Engine(0).Schedule(100*des.Microsecond, func(des.Time) {
-		s.Engine(0).ScheduleRemote(1, 4*des.Second+300*des.Microsecond, func(at des.Time) {
+		s.Engine(0).ScheduleRemoteEvent(1, 4*des.Second+300*des.Microsecond, des.Handler(func(at des.Time) {
 			deliveredAt = at
-		})
+		}))
 	})
 	stats := s.Run()
 	if deliveredAt != 4*des.Second+300*des.Microsecond {
@@ -357,7 +366,7 @@ func TestFastForwardPreservesDeterminism(t *testing.T) {
 					return
 				}
 				dst := e.Rand().Intn(4)
-				e.ScheduleRemote(dst, next+des.Millisecond, func(des.Time) {})
+				e.ScheduleRemoteEvent(dst, next+des.Millisecond, des.Handler(func(des.Time) {}))
 				e.Schedule(next, gen)
 			}
 			e.Schedule(0, gen)
@@ -430,7 +439,7 @@ func TestTelemetryWindowRecords(t *testing.T) {
 		s.Engine(0).Schedule(at, func(des.Time) {})
 	}
 	s.Engine(1).Schedule(0, func(now des.Time) {
-		s.Engine(1).ScheduleRemote(0, 2*des.Millisecond, func(des.Time) {})
+		s.Engine(1).ScheduleRemoteEvent(0, 2*des.Millisecond, des.Handler(func(des.Time) {}))
 	})
 	stats := s.Run()
 
@@ -510,7 +519,7 @@ func TestScheduleRemoteHammerAllEngines(t *testing.T) {
 				at := now + des.Millisecond + des.Time(b)*des.Microsecond
 				if at < horizon {
 					sent.Add(1)
-					e.ScheduleRemote(dst, at, func(des.Time) { received.Add(1) })
+					e.ScheduleRemoteEvent(dst, at, des.Handler(func(des.Time) { received.Add(1) }))
 				}
 			}
 			if next := now + 500*des.Microsecond; next < horizon {
@@ -547,7 +556,7 @@ func TestFlightRecorderSpans(t *testing.T) {
 		at := des.Time(w)*des.Millisecond + 100*des.Microsecond
 		s.Engine(0).Schedule(at, func(des.Time) {})
 		s.Engine(1).Schedule(at, func(now des.Time) {
-			s.Engine(1).ScheduleRemote(0, now+des.Millisecond, func(des.Time) {})
+			s.Engine(1).ScheduleRemoteEvent(0, now+des.Millisecond, des.Handler(func(des.Time) {}))
 		})
 	}
 	s.Run()

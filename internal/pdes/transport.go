@@ -43,7 +43,7 @@ type WindowDone struct {
 	// Window is the index of the window just executed.
 	Window int
 	// MaxBusy is the max over hosted engines of the window's modeled busy
-	// time (events×EventCost + remote sends×RemoteCost), the worker's
+	// time (events×EventCost + remote sends×remoteCost), the worker's
 	// contribution to the global modeled-time reduction.
 	MaxBusy int64
 	// LocalNext is the minimum next-event time over hosted engines —

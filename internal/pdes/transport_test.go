@@ -362,23 +362,18 @@ func TestTransportClosureEventPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := s.Engine(0)
-	e.ScheduleEvent(0, desFunc(func(now des.Time) {
+	e.ScheduleEvent(0, des.Handler(func(now des.Time) {
 		defer func() {
 			if recover() == nil {
-				t.Error("ScheduleRemote closure across workers did not panic")
+				t.Error("closure event across workers did not panic")
 			}
 		}()
-		e.ScheduleRemote(3, now+2*des.Millisecond, func(des.Time) {})
+		e.ScheduleRemoteEvent(3, now+2*des.Millisecond, des.Handler(func(des.Time) {}))
 	}))
 	// Run only the kernel of engine 0 far enough to fire the probe; we never
 	// start the barrier loop, so no transport traffic happens.
 	e.k.RunUntil(des.Millisecond)
 }
-
-// desFunc adapts a func to des.EventHandler for tests.
-type desFunc func(des.Time)
-
-func (f desFunc) OnEvent(now des.Time) { f(now) }
 
 func TestTransportConfigValidation(t *testing.T) {
 	base := Config{Engines: 4, Window: des.Millisecond, End: des.Millisecond,

@@ -82,11 +82,6 @@ func build(net *model.Network, scope []bool) *Router {
 	return r
 }
 
-// Scoped reports whether this router holds only slice-local OSPF state.
-func (r *Router) Scoped() bool {
-	return len(r.domains) > 0 && r.domains[0].Scoped()
-}
-
 // TableBytes sums the approximate heap bytes of cached OSPF trees across
 // all domains.
 func (r *Router) TableBytes() int64 {

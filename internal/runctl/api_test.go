@@ -14,7 +14,7 @@ import (
 // TestAPIUnversionedRoutesGone: the pre-/api/v1 aliases are deleted, not
 // deprecated.
 func TestAPIUnversionedRoutesGone(t *testing.T) {
-	ts := httptest.NewServer(NewServer(NewManager(1, 64)))
+	ts := httptest.NewServer(NewServer(NewManagerOpts(Options{Workers: 1, RingCap: 64})))
 	defer ts.Close()
 	resp, err := http.Get(ts.URL + "/runs")
 	if err != nil {
@@ -133,7 +133,7 @@ func doCancel(t *testing.T, base, id string) cancelResp {
 // starting ("queued") or stopped mid-simulation ("running"), and a
 // repeat cancel of a terminal run reports neither.
 func TestAPICancelDistinguishesPhases(t *testing.T) {
-	mgr := NewManager(1, 256)
+	mgr := NewManagerOpts(Options{Workers: 1, RingCap: 256})
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 
@@ -182,7 +182,7 @@ func TestAPICancelDistinguishesPhases(t *testing.T) {
 // not_ready answer of the /net endpoints, and a cancel that ends the run
 // from "building", at a barrier of the pass, without it ever running.
 func TestAPIBuildingPhase(t *testing.T) {
-	mgr := NewManager(1, 256)
+	mgr := NewManagerOpts(Options{Workers: 1, RingCap: 256})
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 

@@ -170,20 +170,13 @@ func topoKeyParts(s *Spec) []byte {
 // — the text is already the artifact). The disk tier persists across
 // daemon restarts, where the in-memory Setup cache does not.
 func (m *Manager) network(spec *Spec) (*model.Network, bool, error) {
-	if m.disk == nil || spec.DML != "" {
+	if spec.DML != "" {
 		return spec.Network()
 	}
 	key := scache.Key([]byte("massfd-topo"), topoKeyParts(spec))
-	if data, ok, _ := m.disk.Get(key); ok {
-		if net, err := model.Decode(data); err == nil {
-			return net, spec.MultiAS != nil, nil
-		}
-		// A corrupt entry falls through to regeneration (and is rewritten).
-	}
-	net, multi, err := spec.Network()
-	if err != nil {
-		return nil, false, err
-	}
-	_ = m.disk.Put(key, model.Encode(net)) // cache write failure is not a run failure
-	return net, multi, nil
+	net, err := scache.Network(m.cacheDir, key, func() (*model.Network, error) {
+		net, _, err := spec.Network()
+		return net, err
+	})
+	return net, spec.MultiAS != nil, err
 }

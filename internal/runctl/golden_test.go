@@ -46,7 +46,7 @@ func TestGoldenKeptPath(t *testing.T) {
 	} {
 		approach, fidelity := c.approach, c.fidelity
 		t.Run(approach+"_"+fidelity, func(t *testing.T) {
-			m := NewManager(1, 256)
+			m := NewManagerOpts(Options{Workers: 1, RingCap: 256})
 			defer shutdownMgr(t, m)
 			r, err := m.Submit(Spec{
 				Flat:     &FlatSpec{Routers: 120, Hosts: 40},

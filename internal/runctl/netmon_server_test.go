@@ -41,7 +41,7 @@ func getJSON(t *testing.T, url string, v any) {
 // stitched packet paths, the completion stream, and the summary embedded
 // in the run's Info.
 func TestServerNetObservability(t *testing.T) {
-	mgr := NewManager(2, 256)
+	mgr := NewManagerOpts(Options{Workers: 2, RingCap: 256})
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 
@@ -160,7 +160,7 @@ func TestServerNetObservability(t *testing.T) {
 // TestServerNetStreamFollowsLive: a client following /net/stream on a
 // paced in-flight run receives flow completions before the run finishes.
 func TestServerNetStreamFollowsLive(t *testing.T) {
-	mgr := NewManager(1, 256)
+	mgr := NewManagerOpts(Options{Workers: 1, RingCap: 256})
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 
@@ -211,7 +211,7 @@ func TestServerNetStreamFollowsLive(t *testing.T) {
 // fault endpoints: unknown runs, runs without the plane, and paths without
 // sampling.
 func TestServerNetErrorPaths(t *testing.T) {
-	mgr := NewManager(2, 256)
+	mgr := NewManagerOpts(Options{Workers: 2, RingCap: 256})
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 

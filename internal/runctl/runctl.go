@@ -22,7 +22,6 @@ import (
 	"massf/internal/metrics"
 	"massf/internal/netmon"
 	"massf/internal/profile"
-	"massf/internal/scache"
 	"massf/internal/telemetry"
 )
 
@@ -394,10 +393,10 @@ type Manager struct {
 	// defaultFaults, when set, is injected into submitted specs that carry
 	// no fault script of their own (the massfd -faults flag).
 	defaultFaults *faults.Script
-	// builds memoizes scenario construction; disk persists generated
-	// topologies across restarts (nil without a cache dir).
-	builds *setupCache
-	disk   *scache.Cache
+	// builds memoizes scenario construction; cacheDir persists generated
+	// topologies across restarts (empty: no disk tier).
+	builds   *setupCache
+	cacheDir string
 	// ingest, when set, is the daemon's live agent plane; runs submitted
 	// with Spec.Ingest register their agent under their run id.
 	ingest *agent.Ingest
@@ -412,7 +411,10 @@ type Manager struct {
 	wg      sync.WaitGroup
 }
 
-// Options configures a Manager beyond the worker-pool basics.
+// setupCacheSize is the in-memory scenario build cache capacity (entries).
+const setupCacheSize = 8
+
+// Options configures a Manager.
 type Options struct {
 	// Workers is the pool size in slots (min 1). A run occupies
 	// Spec.Weight slots (clamped to Workers) while executing.
@@ -422,9 +424,6 @@ type Options struct {
 	// QueueDepth bounds the admission queue; Submit fails with
 	// ErrQueueFull beyond it. Default 64.
 	QueueDepth int
-	// SetupCacheSize is the in-memory scenario build cache capacity
-	// (entries). Default 8.
-	SetupCacheSize int
 	// CacheDir, when non-empty, enables the on-disk topology artifact
 	// tier under this directory ("auto" selects the per-user default).
 	CacheDir string
@@ -440,14 +439,8 @@ var ErrQueueFull = fmt.Errorf("runctl: admission queue full")
 // lacking one. Call before serving; not synchronized against Submit.
 func (m *Manager) SetDefaultFaults(sc *faults.Script) { m.defaultFaults = sc }
 
-// NewManager returns a manager executing at most workers slot-weights of
-// simulations concurrently (min 1), each with a window ring of ringCap
-// records, with default scheduler knobs.
-func NewManager(workers, ringCap int) *Manager {
-	return NewManagerOpts(Options{Workers: workers, RingCap: ringCap})
-}
-
-// NewManagerOpts is NewManager with the full scheduler configuration.
+// NewManagerOpts returns a manager executing at most o.Workers slot-weights
+// of simulations concurrently, each with a window ring of o.RingCap records.
 func NewManagerOpts(o Options) *Manager {
 	if o.Workers < 1 {
 		o.Workers = 1
@@ -458,25 +451,14 @@ func NewManagerOpts(o Options) *Manager {
 	if o.QueueDepth < 1 {
 		o.QueueDepth = 64
 	}
-	if o.SetupCacheSize < 1 {
-		o.SetupCacheSize = 8
-	}
 	m := &Manager{
 		workers:  o.Workers,
 		ringCap:  o.RingCap,
 		maxQueue: o.QueueDepth,
-		builds:   newSetupCache(o.SetupCacheSize),
+		builds:   newSetupCache(setupCacheSize),
+		cacheDir: o.CacheDir,
 		ingest:   o.Ingest,
 		runs:     map[string]*Run{},
-	}
-	if o.CacheDir != "" {
-		dir := o.CacheDir
-		if dir == "auto" {
-			dir = ""
-		}
-		if c, err := scache.Open(dir); err == nil {
-			m.disk = c
-		}
 	}
 	return m
 }

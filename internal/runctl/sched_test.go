@@ -46,7 +46,7 @@ func shutdownMgr(t *testing.T, m *Manager) {
 // pool slot occupied, a high-priority submission admitted AFTER a
 // low-priority one still dispatches first when the slot frees.
 func TestSchedulerPriorityOrder(t *testing.T) {
-	m := NewManager(1, 256)
+	m := NewManagerOpts(Options{Workers: 1, RingCap: 256})
 	defer shutdownMgr(t, m)
 
 	blocker, err := m.Submit(pacedSpec("blocker", 1))
@@ -103,7 +103,7 @@ func TestSchedulerQueueFull(t *testing.T) {
 // backfills past a heavy queue head that does not fit yet — strict
 // priority order, so heavy runs cannot be starved.
 func TestSchedulerWeightNoBackfill(t *testing.T) {
-	m := NewManager(2, 256)
+	m := NewManagerOpts(Options{Workers: 2, RingCap: 256})
 	defer shutdownMgr(t, m)
 
 	blocker, err := m.Submit(pacedSpec("blocker", 1))
@@ -148,7 +148,7 @@ func TestSchedulerWeightNoBackfill(t *testing.T) {
 // wall-clock bound is stopped through cancellation but ends failed, with
 // the limit named in its error and the partial report kept.
 func TestSchedulerWallLimit(t *testing.T) {
-	m := NewManager(1, 256)
+	m := NewManagerOpts(Options{Workers: 1, RingCap: 256})
 	defer shutdownMgr(t, m)
 
 	spec := pacedSpec("hog", 1)
@@ -172,7 +172,7 @@ func TestSchedulerWallLimit(t *testing.T) {
 // TestSchedulerMemLimit drives the heap sampler: a bound far below the
 // test process's live heap trips on the first sample.
 func TestSchedulerMemLimit(t *testing.T) {
-	m := NewManager(1, 256)
+	m := NewManagerOpts(Options{Workers: 1, RingCap: 256})
 	defer shutdownMgr(t, m)
 
 	spec := pacedSpec("oom", 1)
@@ -192,7 +192,7 @@ func TestSchedulerMemLimit(t *testing.T) {
 // reports it (Info.build_cached), instead of regenerating topology and
 // routing.
 func TestSchedulerSetupCache(t *testing.T) {
-	m := NewManager(1, 256)
+	m := NewManagerOpts(Options{Workers: 1, RingCap: 256})
 	defer shutdownMgr(t, m)
 
 	cold, err := m.Submit(testSpec("cold", 7, 0.3, 0))

@@ -127,7 +127,7 @@ func openStream(t *testing.T, base, id string) (<-chan telemetry.WindowRecord, f
 // run's metrics receives per-window records while that run (and its
 // neighbor) are still in flight.
 func TestServerConcurrentRunsAndLiveStream(t *testing.T) {
-	mgr := NewManager(2, 1024)
+	mgr := NewManagerOpts(Options{Workers: 2, RingCap: 1024})
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 
@@ -219,7 +219,7 @@ func TestServerConcurrentRunsAndLiveStream(t *testing.T) {
 // pool of one, so the second submission waits) dies without starting,
 // and a running run stops at a barrier well before its paced horizon.
 func TestServerCancel(t *testing.T) {
-	mgr := NewManager(1, 256)
+	mgr := NewManagerOpts(Options{Workers: 1, RingCap: 256})
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 
@@ -275,7 +275,7 @@ func TestServerCancel(t *testing.T) {
 }
 
 func TestServerValidationAndNotFound(t *testing.T) {
-	mgr := NewManager(1, 64)
+	mgr := NewManagerOpts(Options{Workers: 1, RingCap: 64})
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 
@@ -313,7 +313,7 @@ func TestServerValidationAndNotFound(t *testing.T) {
 // finished run: the replayed NDJSON dump (?follow=0), the per-run
 // Prometheus snapshot, and the run listing.
 func TestServerRunEndpoints(t *testing.T) {
-	mgr := NewManager(2, 256)
+	mgr := NewManagerOpts(Options{Workers: 2, RingCap: 256})
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 
@@ -378,7 +378,7 @@ func truncate(s string, n int) string {
 // measured-profile capture, and the measured profile feeding a new
 // HPROF submission (the paper's monitoring loop closed over HTTP).
 func TestServerFlightRecorder(t *testing.T) {
-	mgr := NewManager(2, 256)
+	mgr := NewManagerOpts(Options{Workers: 2, RingCap: 256})
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 
@@ -536,7 +536,7 @@ func TestServerFlightRecorder(t *testing.T) {
 // GET /runs/{id}/faults serves the per-fault reconvergence/loss report.
 // Runs without a script (and runs still in flight) 404.
 func TestServerFaultReport(t *testing.T) {
-	mgr := NewManager(2, 256)
+	mgr := NewManagerOpts(Options{Workers: 2, RingCap: 256})
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 

@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"massf/internal/model"
 )
 
 // Key derives the content address of an artifact from the parts that
@@ -39,15 +41,15 @@ func Key(parts ...[]byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Cache is one cache directory.
-type Cache struct {
+// cache is one cache directory.
+type cache struct {
 	dir string
 }
 
-// Open creates (if needed) and returns the cache at dir. An empty dir
-// selects a per-user default under os.UserCacheDir.
-func Open(dir string) (*Cache, error) {
-	if dir == "" {
+// open creates (if needed) and returns the cache at dir; "auto" selects a
+// per-user default under os.UserCacheDir.
+func open(dir string) (*cache, error) {
+	if dir == "auto" {
 		base, err := os.UserCacheDir()
 		if err != nil {
 			base = os.TempDir()
@@ -57,20 +59,17 @@ func Open(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("scache: %w", err)
 	}
-	return &Cache{dir: dir}, nil
+	return &cache{dir: dir}, nil
 }
 
-// Dir returns the cache directory.
-func (c *Cache) Dir() string { return c.dir }
-
-// Path returns where the entry for key lives (whether or not it exists).
-func (c *Cache) Path(key string) string {
+// path returns where the entry for key lives (whether or not it exists).
+func (c *cache) path(key string) string {
 	return filepath.Join(c.dir, key+".scn")
 }
 
-// Get returns the artifact stored under key, or ok=false on a miss.
-func (c *Cache) Get(key string) (data []byte, ok bool, err error) {
-	data, err = os.ReadFile(c.Path(key))
+// get returns the artifact stored under key, or ok=false on a miss.
+func (c *cache) get(key string) (data []byte, ok bool, err error) {
+	data, err = os.ReadFile(c.path(key))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil, false, nil
@@ -80,10 +79,10 @@ func (c *Cache) Get(key string) (data []byte, ok bool, err error) {
 	return data, true, nil
 }
 
-// Put stores data under key atomically. An existing entry is left in place
+// put stores data under key atomically. An existing entry is left in place
 // — entries are content-addressed, so it is identical by definition.
-func (c *Cache) Put(key string, data []byte) error {
-	path := c.Path(key)
+func (c *cache) put(key string, data []byte) error {
+	path := c.path(key)
 	if _, err := os.Stat(path); err == nil {
 		return nil
 	}
@@ -103,4 +102,32 @@ func (c *Cache) Put(key string, data []byte) error {
 		return fmt.Errorf("scache: %w", err)
 	}
 	return nil
+}
+
+// Network is the read-through for generated topologies: the network whose
+// content address is key, decoded from the cache at dir on a hit, otherwise
+// generated and published for the next run (and for the other workers on
+// the same machine). An empty dir means no cache. Cache failures — a
+// directory that cannot be opened, a stale or corrupt entry (e.g. after a
+// codec version bump), a failed write — degrade to generation: the cache is
+// an accelerator, never a correctness dependency.
+func Network(dir, key string, generate func() (*model.Network, error)) (*model.Network, error) {
+	if dir == "" {
+		return generate()
+	}
+	c, err := open(dir)
+	if err != nil {
+		return generate()
+	}
+	if data, ok, _ := c.get(key); ok {
+		if net, err := model.Decode(data); err == nil {
+			return net, nil
+		}
+	}
+	net, err := generate()
+	if err != nil {
+		return nil, err
+	}
+	_ = c.put(key, model.Encode(net)) // best effort; two racing writers leave the identical entry
+	return net, nil
 }

@@ -3,6 +3,7 @@ package scache
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 
@@ -20,19 +21,19 @@ func TestKeyBoundaries(t *testing.T) {
 }
 
 func TestGetPutRoundTrip(t *testing.T) {
-	c, err := Open(t.TempDir())
+	c, err := open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := Key([]byte("spec"), []byte("seed"))
-	if _, ok, err := c.Get(key); err != nil || ok {
+	if _, ok, err := c.get(key); err != nil || ok {
 		t.Fatalf("expected clean miss, got ok=%v err=%v", ok, err)
 	}
 	want := []byte("artifact-bytes")
-	if err := c.Put(key, want); err != nil {
+	if err := c.put(key, want); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := c.Get(key)
+	got, ok, err := c.get(key)
 	if err != nil || !ok || !bytes.Equal(got, want) {
 		t.Fatalf("round trip: ok=%v err=%v got=%q", ok, err, got)
 	}
@@ -68,16 +69,16 @@ func TestConcurrentDistinctScenariosNeverCollide(t *testing.T) {
 			wg.Add(1)
 			go func(i int) {
 				defer wg.Done()
-				c, err := Open(dir) // each "run" opens the shared dir itself
+				c, err := open(dir) // each "run" opens the shared dir itself
 				if err != nil {
 					errs <- err
 					return
 				}
-				if err := c.Put(keys[i], encoded[i]); err != nil {
+				if err := c.put(keys[i], encoded[i]); err != nil {
 					errs <- err
 					return
 				}
-				data, ok, err := c.Get(keys[i])
+				data, ok, err := c.get(keys[i])
 				if err != nil || !ok {
 					errs <- fmt.Errorf("get after put: ok=%v err=%v", ok, err)
 					return
@@ -101,5 +102,45 @@ func TestConcurrentDistinctScenariosNeverCollide(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// Network generates on a miss, decodes on a hit, regenerates over a corrupt
+// entry, and bypasses the disk entirely without a directory.
+func TestNetworkReadThrough(t *testing.T) {
+	dir := t.TempDir()
+	key := Key([]byte("flat/routers=30/seed=5"))
+	calls := 0
+	generate := func() (*model.Network, error) {
+		calls++
+		return topology.GenerateFlat(topology.FlatOptions{Routers: 30, Hosts: 10, Seed: 5})
+	}
+	get := func(dir string) []byte {
+		t.Helper()
+		net, err := Network(dir, key, generate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return model.Encode(net)
+	}
+	want := get(dir)
+	if calls != 1 {
+		t.Fatalf("miss generated %d times, want 1", calls)
+	}
+	if got := get(dir); calls != 1 || !bytes.Equal(got, want) {
+		t.Fatalf("hit: generated %d times (want 1), identical=%v", calls, bytes.Equal(got, want))
+	}
+	c, err := open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(c.path(key), []byte("not a network"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got := get(dir); calls != 2 || !bytes.Equal(got, want) {
+		t.Fatalf("corrupt entry: generated %d times (want 2), identical=%v", calls, bytes.Equal(got, want))
+	}
+	if got := get(""); calls != 3 || !bytes.Equal(got, want) {
+		t.Fatalf("no cache dir: generated %d times (want 3), identical=%v", calls, bytes.Equal(got, want))
 	}
 }

@@ -57,31 +57,9 @@ func Runners() map[string]dist.Runner {
 }
 
 // scenarioNet produces the scenario's network, through the artifact cache
-// when the spec names one: on a hit the topology is decoded instead of
-// regenerated; on a miss it is generated and published for the next run.
-// Cache failures degrade to generation — the cache is an accelerator, never
-// a correctness dependency.
+// when the spec names one.
 func scenarioNet(spec *distSpec) (*model.Network, error) {
-	if spec.CacheDir == "" {
-		return spec.Scenario.buildNet()
-	}
-	c, err := scache.Open(spec.CacheDir)
-	if err != nil {
-		return spec.Scenario.buildNet()
-	}
-	key := spec.Scenario.topoKey()
-	if data, ok, _ := c.Get(key); ok {
-		if net, err := model.Decode(data); err == nil {
-			return net, nil
-		}
-		// Stale or corrupt entry (e.g. codec version bump): regenerate.
-	}
-	net, err := spec.Scenario.buildNet()
-	if err != nil {
-		return nil, err
-	}
-	_ = c.Put(key, model.Encode(net)) // best effort; identical on both writers of a race
-	return net, nil
+	return scache.Network(spec.CacheDir, spec.Scenario.topoKey(), spec.Scenario.buildNet)
 }
 
 // workerSlice computes and validates the slice a sliced worker
@@ -481,15 +459,4 @@ func (p *Plan) Distributed(ln net.Listener, k, workers int, sliced bool, cacheDi
 		rep.Dist, rep.DivsDist, rep.WorkerMem = merged, divs, mem
 	}
 	return rep, nil
-}
-
-// ServeDistributed plans sc and coordinates its replicated distributed leg
-// over ln. The caller launches the worker processes (massfd -worker, or
-// in-process dist.RunWorker goroutines) against ln's address.
-func ServeDistributed(ln net.Listener, sc Scenario, k, workers int, opt dist.Options) (*DistReport, error) {
-	p, err := NewPlan(sc)
-	if err != nil {
-		return nil, err
-	}
-	return p.Distributed(ln, k, workers, false, "", opt)
 }

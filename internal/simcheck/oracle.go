@@ -401,8 +401,13 @@ func Diff(seq, par *Observation) []Divergence {
 	uslice("FaultDrops", seq.FaultDrops, par.FaultDrops)
 	uslice("FluidLinkBits", seq.FluidLinkBits, par.FluidLinkBits)
 	tslice := func(field string, a, b []des.Time) {
+		if len(a) != len(b) {
+			ds = append(ds, Divergence{Field: field + ".len", Index: -1,
+				Seq: fmt.Sprint(len(a)), Par: fmt.Sprint(len(b))})
+			return
+		}
 		for i := range a {
-			if i < len(b) && a[i] != b[i] {
+			if a[i] != b[i] {
 				ds = append(ds, Divergence{Field: field, Index: i,
 					Seq: a[i].String(), Par: b[i].String(),
 					At: minTime(a[i], b[i])})

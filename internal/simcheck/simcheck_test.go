@@ -92,6 +92,14 @@ func TestDiffReportsEveryFieldClass(t *testing.T) {
 	if ds := Diff(seq, seq); len(ds) != 0 {
 		t.Errorf("self-diff produced %v", ds)
 	}
+	// A time-valued list that is merely shorter — a fleet whose script lost a
+	// flow — agrees on every shared index and still diverges, by length.
+	ref := &Observation{TCPDone: []des.Time{des.Millisecond, 2 * des.Millisecond, 3 * des.Millisecond}}
+	short := &Observation{TCPDone: ref.TCPDone[:2]}
+	ds = Diff(ref, short)
+	if len(ds) != 1 || ds[0].Field != "TCPDone.len" || ds[0].Seq != "3" || ds[0].Par != "2" {
+		t.Errorf("3 vs 2 TCPDone entries: got %v, want one TCPDone.len divergence 3 vs 2", ds)
+	}
 }
 
 // TestInjectedViolationReported: an intentionally injected lookahead

@@ -374,14 +374,3 @@ func WriteNDJSON(w io.Writer, points []Point) error {
 	}
 	return nil
 }
-
-// WritePrometheus renders the registry's current state in the Prometheus
-// text exposition format.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	return WritePrometheus(w, r.Gather())
-}
-
-// WriteNDJSON renders the registry's current state as NDJSON.
-func (r *Registry) WriteNDJSON(w io.Writer) error {
-	return WriteNDJSON(w, r.Gather())
-}

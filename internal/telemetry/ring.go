@@ -1,7 +1,5 @@
 package telemetry
 
-import "sync"
-
 // WindowRecord is one barrier window's trace record, published by engine 0
 // of the parallel engine after the window's exchange phase. Per-engine
 // slices are indexed by engine ID.
@@ -50,17 +48,15 @@ type WindowRecord struct {
 
 // Ring is a bounded in-memory trace of WindowRecords with live
 // subscriptions. Append keeps the most recent records (evicting the
-// oldest) and fans each record out to subscribers without blocking: a
-// subscriber whose channel is full misses records (detectable via Seq)
-// rather than stalling the simulation.
+// oldest) and fans each record out through the embedded Fanout, whose
+// Subscribe, Close and Closed are the ring's: a subscriber whose channel is
+// full misses records (detectable via Seq) rather than stalling the
+// simulation, and retained records stay readable via Snapshot after Close.
 type Ring struct {
-	mu     sync.Mutex
-	buf    []WindowRecord
-	cap    int
-	total  uint64
-	subs   map[int]chan WindowRecord
-	nextID int
-	closed bool
+	Fanout[WindowRecord]
+	buf   []WindowRecord
+	cap   int
+	total uint64
 
 	// Pooled mode (entered by the first Get): records handed out by Get
 	// and appended back recycle the per-engine slices of evicted records
@@ -77,7 +73,9 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	return &Ring{cap: capacity, subs: make(map[int]chan WindowRecord)}
+	r := &Ring{cap: capacity}
+	r.Past = r.snapshotLocked
+	return r
 }
 
 // resizeU64 returns a slice of length n, reusing s's capacity when it can.
@@ -157,36 +155,25 @@ func copyRecord(rec WindowRecord) WindowRecord {
 // record's slices return to the free list; with no subscribers attached a
 // saturated pooled ring appends without allocating.
 func (r *Ring) Append(rec WindowRecord) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return
-	}
-	rec.Seq = r.total
-	if len(r.buf) < r.cap {
-		r.buf = append(r.buf, rec)
-	} else {
-		idx := int(r.total) % r.cap
-		if r.pooled {
-			r.free = append(r.free, r.buf[idx])
+	r.Publish(func() WindowRecord {
+		rec.Seq = r.total
+		if len(r.buf) < r.cap {
+			r.buf = append(r.buf, rec)
+		} else {
+			idx := int(r.total) % r.cap
+			if r.pooled {
+				r.free = append(r.free, r.buf[idx])
+			}
+			r.buf[idx] = rec
 		}
-		r.buf[idx] = rec
-	}
-	r.total++
-	if len(r.subs) == 0 {
-		return
-	}
-	if r.pooled {
-		// Channel buffers outlive the record's slot in the ring; hand
-		// subscribers a stable copy.
-		rec = copyRecord(rec)
-	}
-	for _, ch := range r.subs {
-		select {
-		case ch <- rec:
-		default: // slow subscriber: drop rather than stall the engine
+		r.total++
+		if r.pooled && len(r.subs) > 0 {
+			// Channel buffers outlive the record's slot in the ring; hand
+			// subscribers a stable copy.
+			return copyRecord(rec)
 		}
-	}
+		return rec
+	})
 }
 
 func (r *Ring) snapshotLocked() []WindowRecord {
@@ -218,58 +205,4 @@ func (r *Ring) Total() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total
-}
-
-// Closed reports whether Close has been called.
-func (r *Ring) Closed() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.closed
-}
-
-// Subscribe atomically snapshots the retained records and registers a live
-// channel for everything appended afterwards — together a gapless,
-// duplicate-free stream (barring slow-subscriber drops). The channel is
-// closed when the ring closes or cancel is called; cancel is idempotent
-// and safe after close.
-func (r *Ring) Subscribe(buffer int) (past []WindowRecord, ch <-chan WindowRecord, cancel func()) {
-	if buffer <= 0 {
-		buffer = 64
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	past = r.snapshotLocked()
-	c := make(chan WindowRecord, buffer)
-	if r.closed {
-		close(c)
-		return past, c, func() {}
-	}
-	id := r.nextID
-	r.nextID++
-	r.subs[id] = c
-	cancel = func() {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if sub, ok := r.subs[id]; ok {
-			delete(r.subs, id)
-			close(sub)
-		}
-	}
-	return past, c, cancel
-}
-
-// Close marks the end of the trace (the run finished or failed) and closes
-// every subscriber channel. Close is idempotent; retained records stay
-// readable via Snapshot.
-func (r *Ring) Close() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return
-	}
-	r.closed = true
-	for id, ch := range r.subs {
-		delete(r.subs, id)
-		close(ch)
-	}
 }

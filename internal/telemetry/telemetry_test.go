@@ -120,7 +120,7 @@ func TestNDJSONRoundTrip(t *testing.T) {
 	r.Counter("c_total", "C.").Add(9)
 	r.Gauge("g", "G.").Set(4)
 	var b strings.Builder
-	if err := r.WriteNDJSON(&b); err != nil {
+	if err := WriteNDJSON(&b, r.Gather()); err != nil {
 		t.Fatal(err)
 	}
 	sc := bufio.NewScanner(strings.NewReader(b.String()))
@@ -280,7 +280,7 @@ func TestSimTelemetryNew(t *testing.T) {
 	tel.Events.Add(10)
 	tel.EngineEvents[2].Add(3)
 	var b strings.Builder
-	if err := tel.Reg.WritePrometheus(&b); err != nil {
+	if err := WritePrometheus(&b, tel.Reg.Gather()); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{

@@ -65,7 +65,7 @@ func TestLateArrivalContention(t *testing.T) {
 	var first des.Time
 	c.Submit(2*des.Second, func(at des.Time) { first = at })
 	// A second task arrives at t=1s, when the first has 1s left.
-	k.Schedule(des.Second, func(des.Time) {
+	k.ScheduleFunc(des.Second, func(des.Time) {
 		c.Submit(des.Second, func(des.Time) {})
 	})
 	run(&k)

@@ -106,11 +106,6 @@ func ReadFrame(r io.Reader, maxLen int) (typ byte, payload []byte, err error) {
 		}
 		return 0, nil, err
 	}
-	typ, payload, err = parseAfterHeader(r, hdr, maxLen)
-	return typ, payload, err
-}
-
-func parseAfterHeader(r io.Reader, hdr [headerSize]byte, maxLen int) (byte, []byte, error) {
 	if hdr[0] != magic[0] || hdr[1] != magic[1] {
 		return 0, nil, ErrMagic
 	}
@@ -133,42 +128,8 @@ func parseAfterHeader(r io.Reader, hdr [headerSize]byte, maxLen int) (byte, []by
 	return hdr[3], body[:n:n], nil
 }
 
-// DecodeFrame parses one frame from a byte slice (the fuzz target's entry
-// point — the same validation path as ReadFrame). It returns the number of
-// bytes consumed.
-func DecodeFrame(b []byte, maxLen int) (typ byte, payload []byte, n int, err error) {
-	if maxLen <= 0 {
-		maxLen = DefaultMaxFrame
-	}
-	if len(b) < headerSize {
-		return 0, nil, 0, ErrTruncated
-	}
-	var hdr [headerSize]byte
-	copy(hdr[:], b)
-	rd := byteReader{b: b[headerSize:]}
-	typ, payload, err = parseAfterHeader(&rd, hdr, maxLen)
-	return typ, payload, headerSize + rd.off, err
-}
-
-type byteReader struct {
-	b   []byte
-	off int
-}
-
-func (r *byteReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.off:])
-	r.off += n
-	return n, nil
-}
-
 // Buffer is an append-style encoder for frame payloads.
 type Buffer struct{ B []byte }
-
-// Reset truncates the buffer for reuse.
-func (e *Buffer) Reset() { e.B = e.B[:0] }
 
 // U8 appends one byte.
 func (e *Buffer) U8(v byte) { e.B = append(e.B, v) }

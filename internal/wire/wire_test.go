@@ -45,7 +45,7 @@ func TestFrameRejectsCorruption(t *testing.T) {
 		for _, delta := range []byte{0x01, 0x80, 0xFF} {
 			mut := append([]byte(nil), frame...)
 			mut[i] ^= delta
-			_, _, _, err := DecodeFrame(mut, 0)
+			_, _, err := ReadFrame(bytes.NewReader(mut), 0)
 			if err == nil {
 				t.Fatalf("byte %d ^ %#x accepted", i, delta)
 			}
@@ -65,7 +65,7 @@ func TestFrameTruncation(t *testing.T) {
 	}
 	frame := buf.Bytes()
 	for n := 0; n < len(frame); n++ {
-		if _, _, _, err := DecodeFrame(frame[:n], 0); err == nil {
+		if _, _, err := ReadFrame(bytes.NewReader(frame[:n]), 0); err == nil {
 			t.Fatalf("truncated frame of %d/%d bytes accepted", n, len(frame))
 		}
 	}
