@@ -18,6 +18,7 @@ import (
 	"os"
 	"time"
 
+	"massf/internal/des"
 	"massf/internal/experiments"
 )
 
@@ -36,7 +37,7 @@ func main() {
 		sc = experiments.Paper()
 	}
 	if *seconds > 0 {
-		sc.Horizon = experiments.SecondsToTime(*seconds)
+		sc.Horizon = des.FromFloat(*seconds, des.Second)
 	}
 	if *engines > 0 {
 		sc.Engines = *engines

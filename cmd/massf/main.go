@@ -166,11 +166,11 @@ func run(args []string, out io.Writer, nowNano func() int64) error {
 	}
 
 	ctx := context.Background()
-	net, multi, err := sc.Network()
+	net, multi, err := sc.Network("")
 	if err != nil {
 		return err
 	}
-	st, err := sc.Build(net, multi)
+	st, err := sc.Build(net, multi, experiments.Exec{})
 	if err != nil {
 		return err
 	}
@@ -190,7 +190,7 @@ func run(args []string, out io.Writer, nowNano func() int64) error {
 	if err != nil {
 		return err
 	}
-	sim, err := sc.Prepare(st, mapping)
+	sim, err := sc.Prepare(st, mapping, nil, experiments.Exec{})
 	if err != nil {
 		return err
 	}

@@ -170,11 +170,16 @@ const MaxMLL = des.Time(100 * des.Millisecond)
 func (m *Mapping) Window() des.Time { return min(m.MLL, MaxMLL) }
 
 // Map partitions net for the given approach. prof may be nil for
-// non-profile-based approaches; it is required (same network) for
-// PROF/PROF2/HPROF.
+// non-profile-based approaches and on one engine, where nothing is cut; it
+// is required (same network) for PROF/PROF2/HPROF otherwise.
 func Map(net *model.Network, a Approach, cfg Config, prof *profile.Profile) (*Mapping, error) {
 	if cfg.Engines < 1 {
 		return nil, fmt.Errorf("core: need ≥ 1 engine, got %d", cfg.Engines)
+	}
+	if cfg.Engines == 1 {
+		m := &Mapping{Approach: a, Part: make([]int32, len(net.Nodes)), MLL: MaxMLL, E: 1, Es: 1, Ec: 1}
+		m.EstLoad = []int64{int64(len(net.Nodes))}
+		return m, nil
 	}
 	cfg.setDefaults()
 	if a.ProfileBased() {
@@ -185,11 +190,6 @@ func Map(net *model.Network, a Approach, cfg Config, prof *profile.Profile) (*Ma
 			return nil, fmt.Errorf("core: profile shape (%d nodes, %d links) does not match network (%d, %d)",
 				len(prof.NodeEvents), len(prof.LinkBits), len(net.Nodes), len(net.Links))
 		}
-	}
-	if cfg.Engines == 1 {
-		m := &Mapping{Approach: a, Part: make([]int32, len(net.Nodes)), MLL: MaxMLL, E: 1, Es: 1, Ec: 1}
-		m.EstLoad = []int64{int64(len(net.Nodes))}
-		return m, nil
 	}
 	if a == RANDOM {
 		return mapRandom(net, cfg), nil

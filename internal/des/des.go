@@ -35,6 +35,11 @@ const (
 // EndOfTime is a sentinel later than any schedulable event.
 const EndOfTime Time = math.MaxInt64
 
+// FromFloat returns v units of simulated time rounded to the nearest
+// nanosecond: the one conversion from a float knob (seconds, µs) to Time.
+// A plain float product truncates — 1.001 s would end at 1 000 999 999 ns.
+func FromFloat(v float64, unit Time) Time { return Time(math.Round(v * float64(unit))) }
+
 // Seconds reports t as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 

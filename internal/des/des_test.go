@@ -36,6 +36,26 @@ func TestTimeConversions(t *testing.T) {
 	}
 }
 
+func TestFromFloat(t *testing.T) {
+	cases := []struct {
+		v    float64
+		unit Time
+		want Time
+	}{
+		{1.5, Second, 1500 * Millisecond},
+		{1.001, Second, 1_001_000_000},
+		{0.456, Second, 456 * Millisecond},
+		{1.001, Microsecond, 1001},
+		{15, Microsecond, 15 * Microsecond},
+		{0, Second, 0},
+	}
+	for _, c := range cases {
+		if got := FromFloat(c.v, c.unit); got != c.want {
+			t.Errorf("FromFloat(%g, %d) = %d, want %d", c.v, c.unit, got, c.want)
+		}
+	}
+}
+
 func TestScheduleAndRunOrder(t *testing.T) {
 	var k Kernel
 	var fired []int

@@ -38,12 +38,6 @@ func TestScalesSane(t *testing.T) {
 	}
 }
 
-func TestSecondsToTime(t *testing.T) {
-	if SecondsToTime(1.5) != 1500*des.Millisecond {
-		t.Error("SecondsToTime wrong")
-	}
-}
-
 func TestBuildSingleASRoles(t *testing.T) {
 	st, err := BuildSingleAS(tiny())
 	if err != nil {

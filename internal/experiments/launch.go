@@ -11,6 +11,7 @@ import (
 	"massf/internal/model"
 	"massf/internal/profile"
 	"massf/internal/runspec"
+	"massf/internal/scache"
 	"massf/internal/topology"
 )
 
@@ -19,15 +20,17 @@ import (
 // through the same steps, in this order:
 //
 //	sc.Normalize(); sc.Validate()
-//	net, multi := sc.Network()        topology source → network
-//	st := sc.Build(net, multi)        routing + host roles; immutable, so cacheable and shareable
+//	net, multi := sc.Network(dir)     topology source → network, through an artifact cache
+//	st := sc.Build(net, multi, x)     routing + host roles; immutable, so cacheable and shareable
 //	prof := sc.TrafficProfile(ctx, st)  supplied, or one cancellable profiling pass (PROF approaches only)
 //	m := sc.Map(st, prof)             the load-balance mapping; pure, so cacheable when prof is nil
-//	p := sc.Prepare(st, m)            the built simulation, not yet started
+//	p := sc.Prepare(st, m, src, x)    the built simulation, not yet started
 //	out := p.Run(ctx)                 run to the horizon or to cancellation
 //
 // A caller interposes between steps (a cache around Network/Build/Map,
 // publishing p's live surfaces before Run); it does not re-implement one.
+// The conformance oracle (internal/simcheck) takes the same steps with its
+// own Traffic src (nil: background HTTP) and Exec x (zero: in process).
 
 // FlatSpec asks for a generated single-AS power-law topology.
 type FlatSpec struct {
@@ -146,27 +149,48 @@ func ParseWorkload(name string) (Workload, error) {
 }
 
 // Network materializes the scenario's topology source. multi reports a
-// multi-AS network.
-func (s *Scenario) Network() (net *model.Network, multi bool, err error) {
-	switch {
-	case s.DML != "":
+// multi-AS network. A generated topology is read through the on-disk
+// artifact cache at cacheDir (internal/scache, under TopoKey; "" for none),
+// which persists across processes; DML is parsed directly — the text is
+// already the artifact.
+func (s *Scenario) Network(cacheDir string) (net *model.Network, multi bool, err error) {
+	if s.DML != "" {
 		net, err := dml.ReadNetwork(strings.NewReader(s.DML))
 		if err != nil {
 			return nil, false, err
 		}
 		return net, len(net.ASes) > 1, nil
-	case s.Flat != nil:
-		net, err := topology.GenerateFlat(topology.FlatOptions{
-			Routers: s.Flat.Routers, Hosts: s.Flat.Hosts, Seed: s.Seed,
-		})
-		return net, false, err
-	default:
-		net, err := mabrite.Generate(mabrite.Options{
+	}
+	net, err = scache.Network(cacheDir, s.TopoKey(), func() (*model.Network, error) {
+		if s.Flat != nil {
+			return topology.GenerateFlat(topology.FlatOptions{
+				Routers: s.Flat.Routers, Hosts: s.Flat.Hosts, Seed: s.Seed,
+			})
+		}
+		return mabrite.Generate(mabrite.Options{
 			ASes: s.MultiAS.ASes, RoutersPerAS: s.MultiAS.RoutersPerAS,
 			Hosts: s.MultiAS.Hosts, Seed: s.Seed,
 		})
-		return net, true, err
+	})
+	return net, s.MultiAS != nil, err
+}
+
+// TopoKey is the content address of the scenario's network: the topology
+// source and, for the generators, the seed they consume. It names the
+// network artifact massfd -scache and simcheck -scache share, and keys
+// massfd's setup cache.
+func (s *Scenario) TopoKey() string {
+	var src string
+	switch {
+	case s.DML != "":
+		src = "dml:" + s.DML
+	case s.Flat != nil:
+		src = fmt.Sprintf("flat:r=%d h=%d seed=%d", s.Flat.Routers, s.Flat.Hosts, s.Seed)
+	default:
+		src = fmt.Sprintf("multias:a=%d rpa=%d h=%d seed=%d",
+			s.MultiAS.ASes, s.MultiAS.RoutersPerAS, s.MultiAS.Hosts, s.Seed)
 	}
+	return scache.Key([]byte(src))
 }
 
 // AppHosts is the number of hosts the scenario's foreground application
@@ -184,8 +208,9 @@ func (s *Scenario) AppHosts() int {
 // 80/20 into HTTP clients and servers unless the scenario sizes them. The
 // result depends only on net, Seed, App, Clients and Servers and is never
 // written after Build returns, so one Setup may serve any number of
-// concurrent runs that agree on those.
-func (s *Scenario) Build(net *model.Network, multi bool) (*Setup, error) {
+// concurrent runs that agree on those. Of x only Slice is read: a sliced
+// worker's Setup routes over its owned nodes alone, unwarmed.
+func (s *Scenario) Build(net *model.Network, multi bool, x Exec) (*Setup, error) {
 	appHosts := s.AppHosts()
 	free := net.NumHosts() - appHosts
 	nc, ns := s.Clients, s.Servers
@@ -195,12 +220,12 @@ func (s *Scenario) Build(net *model.Network, multi bool) (*Setup, error) {
 	if ns <= 0 {
 		ns = free - nc
 	}
-	return NewSetup(net, Scale{
+	return newSetup(net, Scale{
 		Name: "scenario", Hosts: net.NumHosts(),
 		Clients: nc, Servers: ns, AppHosts: appHosts,
 		Engines: s.Engines, Horizon: s.Horizon(), EventCost: s.EventCost(),
 		Seed: s.Seed,
-	}, multi)
+	}, multi, x.Slice)
 }
 
 // bind returns this run's view of a possibly shared Setup: the per-run
@@ -255,12 +280,17 @@ func (s *Scenario) Map(st *Setup, prof *profile.Profile) (*core.Mapping, error) 
 	return run.MapApproach(a)
 }
 
-// Prepare builds the scenario's simulation under mapping m and hands it
-// back before it starts.
-func (s *Scenario) Prepare(st *Setup, m *core.Mapping) (*Prepared, error) {
+// Prepare builds the scenario's simulation under mapping m, carrying src
+// beside the application (nil: the background HTTP) and executing as x
+// says, and hands it back before it starts.
+func (s *Scenario) Prepare(st *Setup, m *core.Mapping, src Traffic, x Exec) (*Prepared, error) {
 	w, err := ParseWorkload(s.App)
 	if err != nil {
 		return nil, err
 	}
-	return s.bind(st).prepare(m, w, s.RunSpec)
+	run := s.bind(st)
+	if x.End > 0 {
+		run.Scale.Horizon = x.End
+	}
+	return run.prepare(m, w, s.RunSpec, src, x)
 }

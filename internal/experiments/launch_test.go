@@ -26,11 +26,11 @@ func buildScenario(t *testing.T, sc *Scenario) *Setup {
 	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	net, multi, err := sc.Network()
+	net, multi, err := sc.Network("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := sc.Build(net, multi)
+	st, err := sc.Build(net, multi, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestLaunchSharedSetupIsNotWritten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := other.Prepare(st, m)
+	p, err := other.Prepare(st, m, nil, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}

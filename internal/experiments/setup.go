@@ -15,15 +15,14 @@ import (
 	"massf/internal/des"
 	"massf/internal/faults"
 	"massf/internal/fluid"
-	"massf/internal/mabrite"
 	"massf/internal/metrics"
 	"massf/internal/model"
 	"massf/internal/netmon"
 	"massf/internal/netsim"
+	"massf/internal/pdes"
 	"massf/internal/profile"
 	"massf/internal/routing/interdomain"
 	"massf/internal/runspec"
-	"massf/internal/topology"
 	"massf/internal/traffic"
 )
 
@@ -141,26 +140,27 @@ type Setup struct {
 // BuildSingleAS constructs the Section 4 testbed: a flat power-law network
 // with OSPF routing.
 func BuildSingleAS(sc Scale) (*Setup, error) {
-	net, err := topology.GenerateFlat(topology.FlatOptions{
-		Routers: sc.Routers, Hosts: sc.Hosts, Seed: sc.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return NewSetup(net, sc, false)
+	return buildScale(Scenario{Flat: &FlatSpec{Routers: sc.Routers, Hosts: sc.Hosts}}, sc)
 }
 
 // BuildMultiAS constructs the Section 5 testbed: an Internet-like multi-AS
 // network with automatically configured BGP policy routing plus OSPF inside
 // every AS.
 func BuildMultiAS(sc Scale) (*Setup, error) {
-	net, err := mabrite.Generate(mabrite.Options{
-		ASes: sc.ASes, RoutersPerAS: sc.RoutersPerAS, Hosts: sc.Hosts, Seed: sc.Seed,
-	})
+	return buildScale(Scenario{MultiAS: &MultiASSpec{
+		ASes: sc.ASes, RoutersPerAS: sc.RoutersPerAS, Hosts: sc.Hosts,
+	}}, sc)
+}
+
+// buildScale generates s's topology with the scale's seed — the launch
+// path's network step — and builds the scale's testbed on it.
+func buildScale(s Scenario, sc Scale) (*Setup, error) {
+	s.Seed = sc.Seed
+	net, multi, err := s.Network("")
 	if err != nil {
 		return nil, err
 	}
-	return NewSetup(net, sc, true)
+	return NewSetup(net, sc, multi)
 }
 
 // NewSetup builds a Setup from an already-constructed network — the
@@ -169,8 +169,21 @@ func BuildMultiAS(sc Scale) (*Setup, error) {
 // roles, engine count, horizon and seed; the topology fields of Scale are
 // ignored.
 func NewSetup(net *model.Network, sc Scale, multi bool) (*Setup, error) {
+	return newSetup(net, sc, multi, nil)
+}
+
+// newSetup is NewSetup with routing scoped to the owned nodes of a sliced
+// worker when owned is non-nil (interdomain.NewScoped): forwarding is
+// byte-identical, only the retained state shrinks, and nothing is warmed —
+// trees fill on the first lookup the slice's traffic makes.
+func newSetup(net *model.Network, sc Scale, multi bool, owned []bool) (*Setup, error) {
 	st := &Setup{Scale: sc, MultiAS: multi, Net: net, Sync: cluster.DefaultTeraGrid()}
-	router := interdomain.New(net)
+	var router *interdomain.Router
+	if owned != nil {
+		router = interdomain.NewScoped(net, owned)
+	} else {
+		router = interdomain.New(net)
+	}
 	st.Routes = router
 	st.Router = router
 	for i := range net.Nodes {
@@ -207,29 +220,71 @@ func NewSetup(net *model.Network, sc Scale, multi bool) (*Setup, error) {
 	}
 	st.Clients = free[:nc]
 	st.Servers = free[nc : nc+ns]
-	// Warm routing caches for every traffic destination.
-	router.Prepare(st.Hosts)
+	if owned == nil {
+		// Warm routing caches for every traffic destination.
+		router.Prepare(st.Hosts)
+	}
 	return st, nil
 }
 
-// httpConfig is the background web workload shared by the packet and
-// fluid fidelities: same clients, servers, seed and draw parameters, so a
-// hybrid run's fluid background is the analytic twin of the packet one.
-func (st *Setup) httpConfig() traffic.HTTPConfig {
-	return traffic.HTTPConfig{
-		Clients: st.Clients, Servers: st.Servers,
-		MeanGap: 5 * des.Second, MeanFileBytes: 50_000, Seed: st.Scale.Seed,
-	}
+// Traffic is what a run carries beside its application workload: the
+// scenario's background web load (the default), or the conformance
+// oracle's scripted transfers (internal/simcheck). The builder asks it for
+// the flows the fluid plane models before the simulation exists, then has
+// it install its packet-level sources on the built simulation.
+type Traffic interface {
+	// Fluid returns the flows modeled on the fluid plane up to end, the
+	// continuation of their chains (nil: none) and the rate quantum. No
+	// flows, no fluid plane.
+	Fluid(end des.Time) ([]fluid.Flow, func(chain int32, at des.Time) (fluid.Flow, bool), des.Time)
+	// Install starts the packet-level sources on p.Sim.
+	Install(p *Prepared)
 }
 
-// install wires background + foreground traffic into a simulation. With
-// hybrid fidelity the background HTTP load lives on the fluid plane
-// (attached at netsim.New time), so only the foreground application is
-// installed packet-level.
-func (st *Setup) install(p *Prepared, w Workload, hybrid bool) error {
-	if !hybrid {
-		p.HTTP = traffic.InstallHTTP(p.Sim, st.httpConfig())
+// Exec is how a run executes, as opposed to what it simulates; launched
+// runs use the zero Exec (in process, uninstrumented). It is never
+// serialized: a spec names what to simulate, the caller where it runs.
+type Exec struct {
+	End        des.Time         // > 0: the exact horizon, in place of Seconds
+	Invariants *pdes.Invariants // arms the pdes runtime invariant checks
+	// Transport makes the run one worker of a distributed run, executing
+	// engines [First, First+Hosted); Slice is the set of nodes they own
+	// (topology.Slice.Owned) when the worker materializes only its share —
+	// routing scoped and unwarmed.
+	Transport     pdes.Transport
+	First, Hosted int
+	Slice         []bool
+}
+
+// background is the scenario's web workload: packet-level, or at hybrid
+// fidelity its analytic twin on the fluid plane — same clients, servers,
+// seed and draw parameters.
+type background struct {
+	cfg     traffic.HTTPConfig
+	hybrid  bool
+	quantum des.Time
+	stats   *traffic.HTTPStats // the hybrid workload's counts, filled by Fluid
+}
+
+func (b *background) Fluid(end des.Time) ([]fluid.Flow, func(int32, des.Time) (fluid.Flow, bool), des.Time) {
+	if !b.hybrid {
+		return nil, nil, 0
 	}
+	flows, next, stats := traffic.FluidHTTP(b.cfg, end)
+	b.stats = stats
+	return flows, next, b.quantum
+}
+
+func (b *background) Install(p *Prepared) {
+	if b.hybrid {
+		p.HTTP = b.stats
+		return
+	}
+	p.HTTP = traffic.InstallHTTP(p.Sim, b.cfg)
+}
+
+// installApp installs the foreground application workflows.
+func (st *Setup) installApp(p *Prepared, w Workload) error {
 	var flows []traffic.Workflow
 	switch w {
 	case ScaLapack:
@@ -275,7 +330,7 @@ func (st *Setup) RunProfiling(w Workload) error {
 func (st *Setup) profilingPass(ctx context.Context, w Workload) (*profile.Profile, error) {
 	seq := *st
 	seq.Scale.Engines = 1
-	p, err := seq.prepare(sequential, w, runspec.RunSpec{})
+	p, err := seq.prepare(sequential, w, runspec.RunSpec{}, nil, Exec{})
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +353,7 @@ func (st *Setup) MapApproach(a core.Approach) (*core.Mapping, error) {
 // under workload w; see prepare. The caller owns Run — and may Stop it from
 // another goroutine for cancellation.
 func (st *Setup) BuildSim(m *core.Mapping, w Workload, opt runspec.RunSpec) (*netsim.Sim, []*traffic.WorkflowStats, error) {
-	p, err := st.prepare(m, w, opt)
+	p, err := st.prepare(m, w, opt, nil, Exec{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -306,22 +361,33 @@ func (st *Setup) BuildSim(m *core.Mapping, w Workload, opt runspec.RunSpec) (*ne
 }
 
 // prepare is the one place a Setup becomes a simulation: the packet
-// simulator on m's partition, background HTTP plus the selected foreground
-// application.
+// simulator on m's partition, the traffic src carries (nil: the
+// scenario's background HTTP) plus the selected foreground application,
+// executed as x says.
 //
 // opt is the unified run configuration (runspec.RunSpec); prepare reads
 // only the run-surface knobs — Telemetry, RealTimeFactor, SeriesBuckets,
 // Faults, NetMon, NetSample and the hybrid-fidelity knobs (FlowFidelity,
 // FluidQuantumUS); the scale-level fields (Engines, Seconds, Seed,
 // EventCostUS) are taken from Setup.Scale, which was sized before mapping.
-func (st *Setup) prepare(m *core.Mapping, w Workload, opt runspec.RunSpec) (*Prepared, error) {
-	window := m.Window()
+func (st *Setup) prepare(m *core.Mapping, w Workload, opt runspec.RunSpec, src Traffic, x Exec) (*Prepared, error) {
+	if src == nil {
+		src = &background{
+			cfg: traffic.HTTPConfig{
+				Clients: st.Clients, Servers: st.Servers,
+				MeanGap: 5 * des.Second, MeanFileBytes: 50_000, Seed: st.Scale.Seed,
+			},
+			hybrid: opt.Hybrid(), quantum: opt.FluidQuantum(),
+		}
+	}
 	cfg := netsim.Config{
 		Net: st.Net, Routes: st.Routes, Part: m.Part, Engines: st.Scale.Engines,
-		Window: window, End: st.Scale.Horizon,
+		Window: m.Window(), End: st.Scale.Horizon,
 		Sync: st.Sync, EventCost: st.Scale.EventCost, Seed: st.Scale.Seed,
 		SeriesBuckets: opt.SeriesBuckets, RealTimeFactor: opt.RealTimeFactor,
-		Telemetry: opt.Telemetry,
+		Telemetry: opt.Telemetry, Invariants: x.Invariants,
+		Transport: x.Transport, FirstEngine: x.First, HostedEngines: x.Hosted,
+		SliceBuild: x.Slice != nil,
 	}
 	p := &Prepared{Mapping: m}
 	var plane *faults.Plane
@@ -330,17 +396,23 @@ func (st *Setup) prepare(m *core.Mapping, w Workload, opt runspec.RunSpec) (*Pre
 		if plane, err = faults.NewPlane(st.Net, st.Router, opt.Faults); err != nil {
 			return nil, err
 		}
-		plane.Prepare(st.Hosts)
+		if x.Slice == nil {
+			// A sliced worker's scoped routing stays lazy through every
+			// fault epoch too.
+			plane.Prepare(st.Hosts)
+		}
 		cfg.Faults = plane
 	}
-	if opt.Hybrid() {
-		// Hybrid fidelity: the background HTTP workload moves to the
-		// analytic fluid plane, precomputed here from the network, routes,
-		// horizon and seed.
-		flows, next, stats := traffic.FluidHTTP(st.httpConfig(), st.Scale.Horizon)
+	if flows, next, quantum := src.Fluid(st.Scale.Horizon); len(flows) > 0 {
+		// The fluid plane is precomputed here from the network, routes,
+		// horizon and flows. Its solver walks whole paths, which a
+		// slice-scoped router refuses.
+		if x.Slice != nil {
+			return nil, fmt.Errorf("experiments: hybrid fidelity requires the replicated build, not a sliced worker")
+		}
 		fcfg := fluid.Config{
 			Net: st.Net, Routes: st.Routes, End: st.Scale.Horizon,
-			Quantum: opt.FluidQuantum(), Next: next,
+			Quantum: quantum, Next: next,
 		}
 		if plane != nil {
 			fcfg.Faults = plane
@@ -350,7 +422,6 @@ func (st *Setup) prepare(m *core.Mapping, w Workload, opt runspec.RunSpec) (*Pre
 			return nil, err
 		}
 		cfg.Fluid = fp
-		p.HTTP = stats
 	}
 	if opt.NetMon || opt.NetSample > 0 {
 		bw := make([]int64, len(st.Net.Links))
@@ -366,7 +437,8 @@ func (st *Setup) prepare(m *core.Mapping, w Workload, opt runspec.RunSpec) (*Pre
 	if p.Sim, err = netsim.New(cfg); err != nil {
 		return nil, err
 	}
-	if err := st.install(p, w, opt.Hybrid()); err != nil {
+	src.Install(p)
+	if err := st.installApp(p, w); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -479,15 +551,12 @@ func (st *Setup) RunMapping(a core.Approach, w Workload) (*RunOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := st.prepare(m, w, runspec.RunSpec{})
+	p, err := st.prepare(m, w, runspec.RunSpec{}, nil, Exec{})
 	if err != nil {
 		return nil, err
 	}
 	return p.Run(context.Background()), nil
 }
-
-// SecondsToTime converts seconds to simulated time (a CLI convenience).
-func SecondsToTime(s float64) des.Time { return des.Time(s * float64(des.Second)) }
 
 // DefaultSync returns the synchronization cost model the experiments use.
 func DefaultSync() cluster.SyncCostModel { return cluster.DefaultTeraGrid() }

@@ -6,7 +6,6 @@ import (
 
 	"massf/internal/core"
 	"massf/internal/experiments"
-	"massf/internal/model"
 	"massf/internal/scache"
 )
 
@@ -145,38 +144,8 @@ func (c *setupCache) evictLocked() {
 // to a copy of the cached Setup.
 func setupKey(s *Spec) string {
 	return scache.Key(
-		topoKeyParts(s),
+		[]byte(s.TopoKey()),
 		[]byte(fmt.Sprintf("seed=%d clients=%d servers=%d app=%d",
 			s.Seed, s.Clients, s.Servers, s.AppHosts())),
 	)
-}
-
-// topoKeyParts identifies the topology source alone (plus the seed, which
-// generators consume) — the key of the on-disk network artifact tier.
-func topoKeyParts(s *Spec) []byte {
-	switch {
-	case s.DML != "":
-		return []byte("dml:" + s.DML)
-	case s.Flat != nil:
-		return []byte(fmt.Sprintf("flat:r=%d h=%d seed=%d", s.Flat.Routers, s.Flat.Hosts, s.Seed))
-	default:
-		return []byte(fmt.Sprintf("multias:a=%d rpa=%d h=%d seed=%d",
-			s.MultiAS.ASes, s.MultiAS.RoutersPerAS, s.MultiAS.Hosts, s.Seed))
-	}
-}
-
-// network materializes the spec's topology, consulting the on-disk
-// scenario cache for generated topologies (DML uploads are parsed directly
-// — the text is already the artifact). The disk tier persists across
-// daemon restarts, where the in-memory Setup cache does not.
-func (m *Manager) network(spec *Spec) (*model.Network, bool, error) {
-	if spec.DML != "" {
-		return spec.Network()
-	}
-	key := scache.Key([]byte("massfd-topo"), topoKeyParts(spec))
-	net, err := scache.Network(m.cacheDir, key, func() (*model.Network, error) {
-		net, _, err := spec.Network()
-		return net, err
-	})
-	return net, spec.MultiAS != nil, err
 }

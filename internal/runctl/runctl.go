@@ -743,11 +743,11 @@ func (m *Manager) execute(r *Run) (*experiments.RunOutcome, error) {
 	// submit-to-first-window latency from a rebuild to milliseconds.
 	key := setupKey(&spec)
 	st, cached, err := m.builds.get(key, func() (*experiments.Setup, error) {
-		net, multi, err := m.network(&spec)
+		net, multi, err := spec.Network(m.cacheDir)
 		if err != nil {
 			return nil, err
 		}
-		return spec.Build(net, multi)
+		return spec.Build(net, multi, experiments.Exec{})
 	})
 	if err != nil {
 		return nil, err
@@ -781,7 +781,7 @@ func (m *Manager) execute(r *Run) (*experiments.RunOutcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := spec.Prepare(st, mp)
+	p, err := spec.Prepare(st, mp, nil, experiments.Exec{})
 	if err != nil {
 		return nil, err
 	}

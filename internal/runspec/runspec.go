@@ -123,7 +123,7 @@ func (s *RunSpec) Hybrid() bool { return s.FlowFidelity == FidelityHybrid }
 
 // FluidQuantum returns the fluid rate-epoch quantum as engine time.
 func (s *RunSpec) FluidQuantum() des.Time {
-	return des.Time(s.FluidQuantumUS * float64(des.Microsecond))
+	return des.FromFloat(s.FluidQuantumUS, des.Microsecond)
 }
 
 // Normalize applies defaults in place.
@@ -200,10 +200,10 @@ func (s *RunSpec) Validate() error {
 
 // Horizon returns the simulated horizon as engine time.
 func (s *RunSpec) Horizon() des.Time {
-	return des.Time(s.Seconds * float64(des.Second))
+	return des.FromFloat(s.Seconds, des.Second)
 }
 
 // EventCost returns the modeled per-event cost as engine time.
 func (s *RunSpec) EventCost() des.Time {
-	return des.Time(s.EventCostUS * float64(des.Microsecond))
+	return des.FromFloat(s.EventCostUS, des.Microsecond)
 }

@@ -69,13 +69,32 @@ func TestHybridFidelityKnobs(t *testing.T) {
 	}
 }
 
+// TestTimeConversions: every float knob converts to the nearest
+// nanosecond, not the truncated float product (1.001 s is 1 000 999 999 ns
+// truncated). The values bench/ and the goldens use convert as before.
 func TestTimeConversions(t *testing.T) {
-	s := RunSpec{Seconds: 1.5, EventCostUS: 15}
-	if s.Horizon() != 1500*des.Millisecond {
-		t.Errorf("Horizon = %v, want 1.5s", s.Horizon())
+	cases := []struct {
+		s                RunSpec
+		horizon, cost, q des.Time
+	}{
+		{RunSpec{Seconds: 1.5, EventCostUS: 15}, 1500 * des.Millisecond, 15 * des.Microsecond, 0},
+		{RunSpec{Seconds: 1.001, EventCostUS: 1.001, FluidQuantumUS: 1.003}, 1_001_000_000, 1001, 1003},
+		{RunSpec{Seconds: 0.1, FluidQuantumUS: 500}, 100 * des.Millisecond, 0, 500 * des.Microsecond},
+		{RunSpec{Seconds: 0.5}, 500 * des.Millisecond, 0, 0},
+		{RunSpec{Seconds: 1}, des.Second, 0, 0},
+		{RunSpec{Seconds: 2}, 2 * des.Second, 0, 0},
+		{RunSpec{Seconds: 3600}, 3600 * des.Second, 0, 0},
 	}
-	if s.EventCost() != 15*des.Microsecond {
-		t.Errorf("EventCost = %v, want 15µs", s.EventCost())
+	for _, c := range cases {
+		if got := c.s.Horizon(); got != c.horizon {
+			t.Errorf("Horizon(%g s) = %d ns, want %d", c.s.Seconds, got, c.horizon)
+		}
+		if got := c.s.EventCost(); got != c.cost {
+			t.Errorf("EventCost(%g µs) = %d ns, want %d", c.s.EventCostUS, got, c.cost)
+		}
+		if got := c.s.FluidQuantum(); got != c.q {
+			t.Errorf("FluidQuantum(%g µs) = %d ns, want %d", c.s.FluidQuantumUS, got, c.q)
+		}
 	}
 }
 

@@ -26,11 +26,16 @@ func TestBigTopoSliceMemory(t *testing.T) {
 		t.Skip("bigtopo memory smoke only runs under `make bigtopo` (MASSF_BIGTOPO=1)")
 	}
 	net := fanoutNet(2, 8, 9992, 500) // 20,000 routers — the paper's full scale
-	m, err := core.Map(net, core.TOP2, core.Config{Engines: 4, Seed: 3}, nil)
+	m, err := mapOnly(net, core.TOP2, 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hosts := hostsOf(net)
+	var hosts []model.NodeID
+	for i := range net.Nodes {
+		if net.Nodes[i].Kind == model.Host {
+			hosts = append(hosts, model.NodeID(i))
+		}
+	}
 
 	// Replicated baseline: what every worker held before the refactor —
 	// global routing trees eagerly warmed for every traffic destination.

@@ -13,14 +13,14 @@ import (
 	"sync"
 	"time"
 
+	"massf/internal/core"
 	"massf/internal/des"
 	"massf/internal/dist"
+	"massf/internal/experiments"
 	"massf/internal/memstat"
 	"massf/internal/model"
 	"massf/internal/netmon"
 	"massf/internal/pdes"
-	"massf/internal/routing/interdomain"
-	"massf/internal/scache"
 	"massf/internal/topology"
 )
 
@@ -54,12 +54,6 @@ type distSpec struct {
 // the cmd layer hands it to dist.RunWorker.
 func Runners() map[string]dist.Runner {
 	return map[string]dist.Runner{DistJobKind: DistRunner}
-}
-
-// scenarioNet produces the scenario's network, through the artifact cache
-// when the spec names one.
-func scenarioNet(spec *distSpec) (*model.Network, error) {
-	return scache.Network(spec.CacheDir, spec.Scenario.topoKey(), spec.Scenario.buildNet)
 }
 
 // workerSlice computes and validates the slice a sliced worker
@@ -101,47 +95,45 @@ func workerSlice(spec *distSpec, net *model.Network, job dist.Job) (*topology.Sl
 }
 
 // DistRunner executes one worker's share of a distributed scenario run:
-// materialize the scenario from the spec — fully replicated, or just this
-// worker's slice when the spec says so — run the hosted engine range
-// through the transport, and return the worker's partial Observation
-// (including its build-time and memory accounting) as JSON.
+// materialize the scenario from the spec through the launch path — fully
+// replicated, or just this worker's slice when the spec says so — run the
+// hosted engine range through the transport on the shipped partition, and
+// return the worker's partial Observation (including its build-time and
+// memory accounting) as JSON.
 func DistRunner(job dist.Job, t pdes.Transport) ([]byte, error) {
 	var spec distSpec
 	if err := json.Unmarshal(job.Spec, &spec); err != nil {
 		return nil, fmt.Errorf("simcheck: job spec: %w", err)
 	}
+	sc := spec.Scenario
+	es := sc.launch(spec.K)
 	buildStart := time.Now()
-	net, err := scenarioNet(&spec)
+	net, multi, err := es.Network(spec.CacheDir)
 	if err != nil {
 		return nil, fmt.Errorf("simcheck: rebuilding scenario: %w", err)
 	}
-	var scope []bool
+	x := experiments.Exec{Transport: t, First: job.First, Hosted: job.Hosted}
 	sliceNodes := 0
 	if spec.Slice {
 		sl, err := workerSlice(&spec, net, job)
 		if err != nil {
 			return nil, err
 		}
-		scope = sl.Owned
-		sliceNodes = sl.OwnedNodes
+		x.Slice, sliceNodes = sl.Owned, sl.OwnedNodes
 	}
-	bundle, err := finishBundle(spec.Scenario, net, scope)
+	st, err := es.Build(net, multi, x)
 	if err != nil {
 		return nil, fmt.Errorf("simcheck: rebuilding scenario: %w", err)
 	}
 	buildNS := time.Since(buildStart).Nanoseconds()
-	obs, _, err := runOnce(bundle, spec.Scenario, exec{
-		k: spec.K, part: spec.Part, window: spec.Window,
-		transport: t, first: job.First, hosted: job.Hosted, slice: spec.Slice,
-	})
+	m := &core.Mapping{Approach: sc.Approach, Part: spec.Part, MLL: spec.Window}
+	obs, _, err := runOnce(st, sc, m, spec.K, x, nil)
 	if err != nil {
 		return nil, err
 	}
 	obs.BuildNS = buildNS
 	obs.SliceNodes = sliceNodes
-	if r, ok := bundle.routes.(*interdomain.Router); ok {
-		obs.RouteBytes = r.TableBytes()
-	}
+	obs.RouteBytes = st.Router.TableBytes()
 	mem := memstat.ReadStable()
 	obs.HeapInuse = mem.HeapInuse
 	obs.PeakRSS = mem.PeakRSS
@@ -344,7 +336,7 @@ func (p *Plan) jobs(k, workers int, sliced bool, cacheDir string) (dist.RunConfi
 	ranges := SplitEngines(k, workers)
 	if sliced {
 		for _, r := range ranges {
-			sl, err := topology.BuildSlice(p.bundle.net, part, r[0], r[1])
+			sl, err := topology.BuildSlice(p.st.Net, part, r[0], r[1])
 			if err != nil {
 				return dist.RunConfig{}, fmt.Errorf("simcheck: slicing engines [%d,%d): %w", r[0], r[0]+r[1], err)
 			}

@@ -7,6 +7,9 @@ import (
 	"massf/internal/core"
 	"massf/internal/des"
 	"massf/internal/dist"
+	"massf/internal/experiments"
+	"massf/internal/model"
+	"massf/internal/runspec"
 )
 
 func TestSplitEngines(t *testing.T) {
@@ -97,6 +100,13 @@ func planOf(t *testing.T, sc Scenario) *Plan {
 		t.Fatalf("%s: %v", sc, err)
 	}
 	return p
+}
+
+// mapOnly maps net onto k engines through the launch path's Map, for tests
+// that hold a network but no Setup (their routing is their own business).
+func mapOnly(net *model.Network, a core.Approach, k int, seed int64) (*core.Mapping, error) {
+	es := experiments.Scenario{Approach: a.String(), RunSpec: runspec.RunSpec{Engines: k}}
+	return es.Map(&experiments.Setup{Net: net, Scale: experiments.Scale{Seed: seed}}, nil)
 }
 
 // fleet runs p's k=4 distributed leg over loopback workers.

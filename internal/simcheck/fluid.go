@@ -125,12 +125,12 @@ func percentile(sorted []float64, p float64) float64 {
 // per-flow series covers exactly the fluidized script entries; a flow
 // unfinished at the horizon is censored to it (its realized service so
 // far still counts through goodput's censored FCT).
-func fluidMetrics(bundle *netsimNet, sc Scenario, packet, hybrid *Observation, budget FluidBudget) []FluidMetric {
-	horizon := float64(sc.Horizon)
+func fluidMetrics(s *script, packet, hybrid *Observation, budget FluidBudget) []FluidMetric {
+	horizon := float64(s.sc.Horizon)
 	var goodErrSum float64
 	var fctP, fctH []float64
-	for _, ti := range bundle.fluidOf {
-		f := bundle.tcp[ti]
+	for _, ti := range s.fluidOf {
+		f := s.tcp[ti]
 		censor := func(done float64) float64 {
 			if done == 0 || done > horizon {
 				return horizon - float64(f.at)
@@ -145,7 +145,7 @@ func fluidMetrics(bundle *netsimNet, sc Scenario, packet, hybrid *Observation, b
 	}
 	sort.Float64s(fctP)
 	sort.Float64s(fctH)
-	n := float64(len(bundle.fluidOf))
+	n := float64(len(s.fluidOf))
 
 	var pktBits, l1 float64
 	for l := range packet.LinkBits {
@@ -194,7 +194,8 @@ func (p *Plan) Fluid(minBytes, quantumNS int64, budget FluidBudget) (*FluidRepor
 	if err != nil {
 		return nil, err
 	}
-	if hybrid.bundle.fluid == nil {
+	scripted := newScript(sc, hybrid.st.Hosts)
+	if len(scripted.fluidOf) == 0 {
 		// Seed drew no transfer over the threshold: nothing to check
 		// beyond plain conformance, which the packet dimension owns.
 		return &FluidReport{Scenario: sc}, nil
@@ -204,7 +205,7 @@ func (p *Plan) Fluid(minBytes, quantumNS int64, budget FluidBudget) (*FluidRepor
 		return nil, err
 	}
 	rep := &FluidReport{
-		Scenario: sc, FluidFlows: len(hybrid.bundle.fluidOf),
+		Scenario: sc, FluidFlows: len(scripted.fluidOf),
 		HybridRef: hybrid.Ref, Runs: check.Runs,
 	}
 	if sc.ChurnEvents == 0 && sc.Faults == nil {
@@ -215,7 +216,7 @@ func (p *Plan) Fluid(minBytes, quantumNS int64, budget FluidBudget) (*FluidRepor
 			return nil, err
 		}
 		rep.PacketRef = packet.Ref
-		rep.Metrics = fluidMetrics(hybrid.bundle, sc, packet.Ref, hybrid.Ref, budget)
+		rep.Metrics = fluidMetrics(scripted, packet.Ref, hybrid.Ref, budget)
 	}
 	return rep, nil
 }

@@ -59,7 +59,7 @@ func (r *NeutralityReport) String() string {
 
 // Neutrality is the observer-neutrality leg: beside the plan's plain
 // reference it runs the scenario instrumented — sequentially and on k
-// engines, on the plan's bundle and mapping (NetSample does not influence
+// engines, on the plan's Setup and mappings (NetSample does not influence
 // the build) — and verifies the netmon plane observed without perturbing:
 // all observations identical, sampled spans identical across
 // partitionings, and every sampled path consistent with the routes.
@@ -76,7 +76,7 @@ func (p *Plan) Neutrality(k, sample int) (*NeutralityReport, error) {
 	}
 	inst := plain
 	inst.NetSample = sample
-	instSeq, _, err := runOnce(base.bundle, inst, sequential)
+	instSeq, err := base.runK(inst, 1, false, nil)
 	if err != nil {
 		return nil, fmt.Errorf("simcheck: instrumented sequential run: %w", err)
 	}
@@ -88,11 +88,11 @@ func (p *Plan) Neutrality(k, sample int) (*NeutralityReport, error) {
 
 	rep := &NeutralityReport{
 		Scenario: p.Scenario, Sample: sample, K: k, Window: instPar.Window,
-		DivsSeq: Diff(base.Ref, instSeq), DivsPar: instPar.Divergences,
-		SeqSpans: len(instSeq.PathSpans), ParSpans: len(spans),
+		DivsSeq: instSeq.Divergences, DivsPar: instPar.Divergences,
+		SeqSpans: len(instSeq.Obs.PathSpans), ParSpans: len(spans),
 	}
-	rep.SpansDiverge = !spansEqualModuloEngine(instSeq.PathSpans, spans)
-	rep.Paths = AuditTraces(base.bundle.net, base.bundle.routes, spans)
+	rep.SpansDiverge = !spansEqualModuloEngine(instSeq.Obs.PathSpans, spans)
+	rep.Paths = AuditTraces(base.st.Net, base.st.Routes, spans)
 	for _, p := range rep.Paths {
 		if p.Complete {
 			rep.Complete++

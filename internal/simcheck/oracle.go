@@ -1,17 +1,16 @@
 package simcheck
 
 import (
+	"context"
 	"fmt"
 
 	"massf/internal/core"
 	"massf/internal/des"
-	"massf/internal/faults"
+	"massf/internal/experiments"
 	"massf/internal/fluid"
 	"massf/internal/model"
 	"massf/internal/netmon"
-	"massf/internal/netsim"
 	"massf/internal/pdes"
-	"massf/internal/routing/interdomain"
 	"massf/internal/telemetry"
 	"massf/internal/traffic"
 )
@@ -75,86 +74,99 @@ type Observation struct {
 	SliceNodes int    `json:",omitempty"` // owned nodes of a sliced build
 }
 
-// exec says how runOnce executes a scenario: on k engines under a partition
-// and window, with the pdes runtime invariant hooks (inv) and the flight
-// recorder (tel) attached when non-nil. A non-nil transport makes the run
-// ONE WORKER of a distributed run: only engines [first, first+hosted)
-// execute, synchronized through it, on the full replicated scenario or —
-// slice true — on just the hosted engines' share
-// (netsim.Config.SliceBuild); the captured Observation is then a worker
-// partial (see MergeObservations).
-type exec struct {
-	k      int
-	part   []int32
-	window des.Time
-	inv    *pdes.Invariants
-	tel    *telemetry.SimTelemetry
-
-	transport     pdes.Transport
-	first, hosted int
-	slice         bool
-}
-
-// sequential is the N=1 execution every parallel run is diffed against.
-var sequential = exec{k: 1, window: core.MaxMLL}
-
-// runOnce executes the scenario once as x says and captures an
-// Observation. The netsim.Result is returned for profile capture.
-func runOnce(net *netsimNet, sc Scenario, x exec) (*Observation, *netsim.Result, error) {
-	cfg := netsim.Config{
-		Net: net.net, Routes: net.routes, Part: x.part, Engines: x.k,
-		Window: x.window, End: sc.Horizon, Seed: sc.Seed,
-		Invariants: x.inv, Telemetry: x.tel,
-		Transport: x.transport, FirstEngine: x.first, HostedEngines: x.hosted, SliceBuild: x.slice,
-	}
-	if net.plane != nil {
-		cfg.Faults = net.plane
-	}
-	if net.fluid != nil {
-		cfg.Fluid = net.fluid
-	}
-	var mon *netmon.Mon
-	if sc.NetSample > 0 {
-		mon = netmon.New(netmon.Options{
-			Links: len(net.net.Links), Horizon: sc.Horizon, SampleEvery: sc.NetSample,
-		})
-		cfg.NetMon = mon
-	}
-	s, err := netsim.New(cfg)
+// runOnce executes sc once on st through the launch path — its Prepare and
+// Run, with sc's traffic script beside the empty application — on mapping m
+// over k engines, executing as x says (x.End is set to sc's horizon) with
+// tel as the flight recorder (nil: none), and captures the Observation.
+func runOnce(st *experiments.Setup, sc Scenario, m *core.Mapping, k int, x experiments.Exec, tel *telemetry.SimTelemetry) (*Observation, *experiments.RunOutcome, error) {
+	es := sc.launch(k)
+	es.Faults = sc.effectiveFaults(st.Net)
+	es.Telemetry = tel
+	x.End = sc.Horizon
+	src := newScript(sc, st.Hosts)
+	p, err := es.Prepare(st, m, src, x)
 	if err != nil {
 		return nil, nil, err
 	}
-	obs := &Observation{
-		TCPDone: make([]des.Time, len(net.tcp)),
-		TCPRecv: make([]des.Time, len(net.tcp)),
-		UDPRecv: make([]des.Time, len(net.udp)),
+	out := p.Run(context.Background())
+	obs, err := src.observe(p, out)
+	return obs, out, err
+}
+
+// script is the oracle's experiments.Traffic, one per run: the scenario's
+// scripted TCP transfers and UDP datagrams, then its optional background
+// HTTP — installed in that order — with every completion recorded in the
+// run's Observation. At hybrid fidelity the transfers of at least
+// FluidMinBytes are modeled on the fluid plane instead, on the scenario's
+// exact nanosecond quantum.
+type script struct {
+	sc       Scenario
+	hosts    []model.NodeID
+	tcp, udp []transfer
+	fluidOf  []int // fluid flow index → tcp script index
+	obs      *Observation
+}
+
+func newScript(sc Scenario, hosts []model.NodeID) *script {
+	s := &script{sc: sc, hosts: hosts}
+	s.tcp, s.udp = sc.transfers(hosts)
+	for i, f := range s.tcp {
+		if s.fluid(f) {
+			s.fluidOf = append(s.fluidOf, i)
+		}
 	}
-	for i := range net.tcp {
-		if net.isFluid != nil && net.isFluid[i] {
+	s.obs = &Observation{
+		TCPDone: make([]des.Time, len(s.tcp)),
+		TCPRecv: make([]des.Time, len(s.tcp)),
+		UDPRecv: make([]des.Time, len(s.udp)),
+	}
+	return s
+}
+
+// fluid reports whether the scripted TCP transfer f runs on the fluid plane.
+func (s *script) fluid(f transfer) bool {
+	return s.sc.FluidMinBytes > 0 && f.bytes >= s.sc.FluidMinBytes
+}
+
+func (s *script) Fluid(des.Time) ([]fluid.Flow, func(int32, des.Time) (fluid.Flow, bool), des.Time) {
+	var flows []fluid.Flow
+	for _, i := range s.fluidOf {
+		f := s.tcp[i]
+		flows = append(flows, fluid.Flow{Src: f.src, Dst: f.dst, Bytes: f.bytes, Start: f.at, Chain: -1})
+	}
+	return flows, nil, des.Time(s.sc.FluidQuantumNS)
+}
+
+func (s *script) Install(p *experiments.Prepared) {
+	obs := s.obs
+	for i, f := range s.tcp {
+		if s.fluid(f) {
 			continue // modeled on the fluid plane; completion read post-run
 		}
-		i, f := i, net.tcp[i]
-		s.StartFlowRecv(f.at, f.src, f.dst, f.bytes,
+		p.Sim.StartFlowRecv(f.at, f.src, f.dst, f.bytes,
 			func(at des.Time) { obs.TCPDone[i] = at },
 			func(at des.Time) { obs.TCPRecv[i] = at })
 	}
-	for i := range net.udp {
-		i, u := i, net.udp[i]
-		s.SendUDP(u.at, u.src, u.dst, u.bytes,
+	for i, u := range s.udp {
+		p.Sim.SendUDP(u.at, u.src, u.dst, u.bytes,
 			func(at des.Time) { obs.UDPRecv[i] = at })
 	}
-	var httpStats *traffic.HTTPStats
-	if clients, servers := sc.httpEndpoints(net.hosts); len(clients) > 0 {
-		httpStats = traffic.InstallHTTP(s, traffic.HTTPConfig{
+	if clients, servers := s.sc.httpEndpoints(s.hosts); len(clients) > 0 {
+		p.HTTP = traffic.InstallHTTP(p.Sim, traffic.HTTPConfig{
 			Clients: clients, Servers: servers,
 			MeanGap: 30 * des.Millisecond, MeanFileBytes: 20_000,
-			Seed: sc.Seed + 7,
+			Seed: s.sc.Seed + 7,
 		})
 	}
-	res := s.Run()
+}
+
+// observe completes the run's Observation from what p's run produced.
+func (s *script) observe(p *experiments.Prepared, out *experiments.RunOutcome) (*Observation, error) {
+	res := &out.Result
 	if res.Err != nil {
-		return nil, nil, res.Err
+		return nil, res.Err
 	}
+	obs := s.obs
 	obs.TotalEvents = res.TotalEvents
 	obs.DeliveredBits = res.DeliveredBits
 	obs.Dropped = res.Dropped
@@ -166,11 +178,11 @@ func runOnce(net *netsimNet, sc Scenario, x exec) (*Observation, *netsim.Result,
 	obs.LinkBits = res.LinkBits
 	obs.LinkDrops = res.LinkDrops
 	obs.FaultDrops = res.FaultDrops
-	if httpStats != nil {
-		obs.HTTPRequests = httpStats.TotalRequests()
-		obs.HTTPResponses = httpStats.TotalResponses()
+	if out.HTTP != nil {
+		obs.HTTPRequests = out.HTTP.TotalRequests()
+		obs.HTTPResponses = out.HTTP.TotalResponses()
 	}
-	if net.fluid != nil {
+	if len(s.fluidOf) > 0 {
 		obs.FluidStarted = res.FluidStarted
 		obs.FluidCompleted = res.FluidCompleted
 		obs.FluidDeliveredBits = res.FluidDeliveredBits
@@ -180,105 +192,16 @@ func runOnce(net *netsimNet, sc Scenario, x exec) (*Observation, *netsim.Result,
 		// on exactly one worker — the same contract packet TCPDone merges
 		// rely on. Fluid transfers have no separate sender-done/receiver
 		// -done distinction; the analytic completion fills both slots.
-		for fi, ti := range net.fluidOf {
+		for fi, ti := range s.fluidOf {
 			if d := res.FluidDone[fi]; d != 0 {
 				obs.TCPDone[ti], obs.TCPRecv[ti] = d, d
 			}
 		}
 	}
-	if mon != nil {
+	if mon := p.NetMon(); mon != nil {
 		obs.PathSpans = mon.Spans()
 	}
-	return obs, &res, nil
-}
-
-// netsimNet bundles a built scenario: network, warmed routes, hosts, the
-// deterministic traffic script replayed into every run, the compiled
-// fault plane (nil for churn-free scenarios), and — hybrid scenarios
-// only — the precomputed fluid plane with the mapping from fluid flow
-// index back to the scripted TCP entry it models.
-type netsimNet struct {
-	net     *model.Network
-	routes  netsim.Routes
-	hosts   []model.NodeID
-	tcp     []tcpSpec
-	udp     []udpSpec
-	plane   *faults.Plane
-	fluid   *fluid.Plane
-	fluidOf []int  // fluid flow index → tcp script index
-	isFluid []bool // tcp script index → modeled on the fluid plane
-}
-
-// finishBundle completes the bundle every run of a scenario shares, on its
-// already-generated (possibly artifact-decoded) network. Distributed
-// workers call it too: building from the same Scenario value is what makes
-// their setup replicas identical — including the fault plane, whose routing
-// epochs each worker precomputes identically. A non-nil scope builds the
-// slice-local variant a sliced distributed worker runs: routing state is
-// scoped to the worker's owned nodes and nothing is eagerly warmed — OSPF
-// trees fill lazily on the first (cur, dst) lookup slice traffic performs.
-// Scoped or not, forwarding decisions are byte-identical (trees are always
-// computed over the full member set; only retained state shrinks), and the
-// fault plane's epoch chain advances through the same scoped clones.
-func finishBundle(sc Scenario, mnet *model.Network, scope []bool) (*netsimNet, error) {
-	hosts := hostsOf(mnet)
-	if len(hosts) < 4 {
-		return nil, fmt.Errorf("simcheck: scenario generated only %d hosts", len(hosts))
-	}
-	var router *interdomain.Router
-	if scope != nil {
-		router = interdomain.NewScoped(mnet, scope)
-	} else {
-		router = interdomain.New(mnet)
-		router.Prepare(hosts)
-	}
-	tcp, udp := sc.script(hosts)
-	b := &netsimNet{net: mnet, routes: router, hosts: hosts, tcp: tcp, udp: udp}
-	if script := sc.effectiveFaults(mnet); script != nil && len(script.Events) > 0 {
-		plane, err := faults.NewPlane(mnet, router, script)
-		if err != nil {
-			return nil, fmt.Errorf("simcheck: compiling fault plane: %w", err)
-		}
-		if scope == nil {
-			plane.Prepare(hosts)
-		}
-		b.plane = plane
-	}
-	if sc.FluidMinBytes > 0 {
-		if scope != nil {
-			// The fluid solver walks whole paths; a slice-scoped router
-			// refuses off-slice lookups. Hybrid distributed runs use the
-			// replicated build (RunSpec.NoSlice / spec.Slice false).
-			return nil, fmt.Errorf("simcheck: hybrid fidelity requires the replicated build, not a sliced worker")
-		}
-		b.isFluid = make([]bool, len(tcp))
-		var fflows []fluid.Flow
-		for i, f := range tcp {
-			if f.bytes < sc.FluidMinBytes {
-				continue
-			}
-			b.isFluid[i] = true
-			b.fluidOf = append(b.fluidOf, i)
-			fflows = append(fflows, fluid.Flow{
-				Src: f.src, Dst: f.dst, Bytes: f.bytes, Start: f.at, Chain: -1,
-			})
-		}
-		if len(fflows) > 0 {
-			fcfg := fluid.Config{
-				Net: mnet, Routes: router, End: sc.Horizon,
-				Quantum: des.Time(sc.FluidQuantumNS),
-			}
-			if b.plane != nil {
-				fcfg.Faults = b.plane
-			}
-			plane, err := fluid.Build(fcfg, fflows)
-			if err != nil {
-				return nil, fmt.Errorf("simcheck: building fluid plane: %w", err)
-			}
-			b.fluid = plane
-		}
-	}
-	return b, nil
+	return obs, nil
 }
 
 // Divergence is one observable difference between the sequential reference

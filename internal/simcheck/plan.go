@@ -6,26 +6,30 @@ import (
 	"reflect"
 
 	"massf/internal/core"
+	"massf/internal/experiments"
 	"massf/internal/pdes"
 	"massf/internal/profile"
 	"massf/internal/telemetry"
 )
 
 // Plan is one scenario prepared once for every conformance leg: the built
-// bundle, the sequential N=1 reference with the profile measured from it,
+// Setup, the sequential N=1 reference with the profile measured from it,
 // and per engine count the mapping and the in-process run. It holds the
 // single copy of each step — build, reference, map, instrumented k-run —
 // and a dimension is a method adding only the runs that are its own (Check,
-// Distributed, Neutrality, Fluid, Trace). Legs taken from one Plan share
-// the reference by pointer and execute each (scenario, k) in-process run at
-// most once. A Plan is not safe for concurrent use.
+// Distributed, Neutrality, Fluid, Trace). Every run takes the launch path's
+// steps (internal/experiments: Network → Build → Map → Prepare → Run), so
+// what the oracle proves equivalent is what massf and massfd execute. Legs
+// taken from one Plan share the reference by pointer and execute each
+// (scenario, k) in-process run at most once. A Plan is not safe for
+// concurrent use.
 type Plan struct {
 	Scenario Scenario
 	Ref      *Observation // sequential N=1 reference
 
-	bundle *netsimNet
-	prof   *profile.Profile // measured by the reference run; nil unless the approach maps from one
-	ks     map[int]*kPlan
+	st   *experiments.Setup
+	prof *profile.Profile // measured by the reference run; nil unless the approach maps from one
+	ks   map[int]*kPlan
 }
 
 // kPlan is a Plan's memo for one engine count.
@@ -35,23 +39,31 @@ type kPlan struct {
 	armed bool  // run had the invariant hooks attached
 }
 
-// NewPlan builds the scenario and runs its sequential reference.
+// NewPlan builds the scenario and runs its sequential reference. A scenario
+// with a fault script must see one loss counter per compiled fault event in
+// the reference: fewer means the run had no fault plane, and every churn
+// comparison after it would compare nothing.
 func NewPlan(sc Scenario) (*Plan, error) {
-	mnet, err := sc.buildNet()
+	st, err := sc.setup()
 	if err != nil {
 		return nil, err
 	}
-	bundle, err := finishBundle(sc, mnet, nil)
+	p := &Plan{Scenario: sc, st: st, ks: map[int]*kPlan{}}
+	g, err := p.mapped(1)
 	if err != nil {
 		return nil, err
 	}
-	ref, res, err := runOnce(bundle, sc, sequential)
+	ref, out, err := runOnce(st, sc, g.m, 1, experiments.Exec{}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("simcheck: reference run: %w", err)
 	}
-	p := &Plan{Scenario: sc, Ref: ref, bundle: bundle, ks: map[int]*kPlan{}}
+	if f := sc.effectiveFaults(st.Net); f != nil && len(ref.FaultDrops) != len(f.Expand()) {
+		return nil, fmt.Errorf("simcheck: reference run reports %d fault counters for %d scripted fault events: no fault plane attached",
+			len(ref.FaultDrops), len(f.Expand()))
+	}
+	p.Ref = ref
 	if sc.Approach.ProfileBased() {
-		p.prof = profile.FromResult(res, sc.Horizon)
+		p.prof = out.Captured
 	}
 	return p, nil
 }
@@ -66,36 +78,46 @@ func (p *Plan) of(sc Scenario) (*Plan, error) {
 	return NewPlan(sc)
 }
 
-// runK executes sc — the plan's scenario, or a variant sharing its bundle —
-// in process on k engines and diffs it against the reference. The network
-// is mapped on the first use of k; HPROF feeds the reference run's measured
-// profile into the mapper — the same feedback loop the real experiments
-// use. This is also the one place a k-run is instrumented: armed attaches
+// mapped returns the memo for k engines, mapping the network on first use
+// through the launch path's Map; HPROF maps from the reference run's
+// measured profile — the same feedback loop the real experiments use.
+func (p *Plan) mapped(k int) (*kPlan, error) {
+	if g := p.ks[k]; g != nil {
+		return g, nil
+	}
+	es := p.Scenario.launch(k)
+	m, err := es.Map(p.st, p.prof)
+	if err != nil {
+		return nil, fmt.Errorf("simcheck: map k=%d: %w", k, err)
+	}
+	g := &kPlan{m: m}
+	p.ks[k] = g
+	return g, nil
+}
+
+// runK executes sc — the plan's scenario, or a variant sharing its Setup —
+// in process on k engines under the plan's mapping and diffs it against the
+// reference. This is the one place a k-run is instrumented: armed attaches
 // the pdes runtime invariant hooks, a non-nil tel the flight recorder.
 func (p *Plan) runK(sc Scenario, k int, armed bool, tel *telemetry.SimTelemetry) (*KRun, error) {
-	g := p.ks[k]
-	if g == nil {
-		m, err := core.Map(p.bundle.net, p.Scenario.Approach, core.Config{Engines: k, Seed: p.Scenario.Seed}, p.prof)
-		if err != nil {
-			return nil, fmt.Errorf("simcheck: map k=%d: %w", k, err)
-		}
-		g = &kPlan{m: m}
-		p.ks[k] = g
+	g, err := p.mapped(k)
+	if err != nil {
+		return nil, err
 	}
-	x := exec{k: k, part: g.m.Part, window: g.m.Window(), tel: tel}
+	var x experiments.Exec
 	if armed {
-		x.inv = &pdes.Invariants{}
+		x.Invariants = &pdes.Invariants{}
 	}
-	obs, res, err := runOnce(p.bundle, sc, x)
+	obs, out, err := runOnce(p.st, sc, g.m, k, x, tel)
 	if err != nil {
 		return nil, fmt.Errorf("simcheck: parallel run k=%d: %w", k, err)
 	}
 	kr := &KRun{
-		K: k, Window: x.window, Windows: res.Windows, MLL: g.m.MLL,
+		K: k, Window: g.m.Window(), Windows: out.Result.Windows, MLL: g.m.MLL,
 		Obs: obs, Divergences: Diff(p.Ref, obs),
 	}
 	if armed {
-		kr.Violations = x.inv.Violations()
+		kr.Violations = x.Invariants.Violations()
 	}
 	return kr, nil
 }

@@ -7,6 +7,7 @@ import (
 	"massf/internal/core"
 	"massf/internal/des"
 	"massf/internal/dist"
+	"massf/internal/experiments"
 )
 
 // TestScale100kDistributedRun demonstrates the slice refactor's headline
@@ -29,17 +30,18 @@ func TestScale100kDistributedRun(t *testing.T) {
 		Approach: core.TOP2, Ks: []int{4},
 	}
 	cacheDir := t.TempDir()
-	net, err := scenarioNet(&distSpec{Scenario: sc, CacheDir: cacheDir})
+	es := sc.launch(4)
+	net, _, err := es.Network(cacheDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("topology: %d nodes (%d routers), %d links", len(net.Nodes), net.NumRouters(), len(net.Links))
-	m, err := core.Map(net, sc.Approach, core.Config{Engines: 4, Seed: sc.Seed}, nil)
+	m, err := mapOnly(net, sc.Approach, 4, sc.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A plan with no reference: only the mapping the jobs are cut from.
-	plan := &Plan{Scenario: sc, bundle: &netsimNet{net: net},
+	plan := &Plan{Scenario: sc, st: &experiments.Setup{Net: net},
 		ks: map[int]*kPlan{4: {m: m}}}
 	rc, err := plan.jobs(4, 4, true, cacheDir)
 	if err != nil {

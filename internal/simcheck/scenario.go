@@ -17,13 +17,11 @@ import (
 
 	"massf/internal/core"
 	"massf/internal/des"
+	"massf/internal/experiments"
 	"massf/internal/faults"
-	"massf/internal/mabrite"
 	"massf/internal/model"
 	"massf/internal/netsim"
-	"massf/internal/routing/interdomain"
-	"massf/internal/scache"
-	"massf/internal/topology"
+	"massf/internal/runspec"
 )
 
 // Scenario is one generated conformance case. Every field derives
@@ -136,17 +134,19 @@ func Churn(sc Scenario) Scenario {
 }
 
 // effectiveFaults resolves the fault script every run of this scenario
-// shares: the explicit script if set, else seeded generation.
+// shares: the explicit script if set, else seeded generation; nil when
+// either leaves no event.
 func (sc Scenario) effectiveFaults(net *model.Network) *faults.Script {
-	if sc.Faults != nil {
-		return sc.Faults
+	f := sc.Faults
+	if f == nil && sc.ChurnEvents > 0 {
+		f = faults.Generate(net, faults.GenOptions{
+			Seed: sc.ChurnSeed, Events: sc.ChurnEvents, Horizon: sc.Horizon,
+		})
 	}
-	if sc.ChurnEvents <= 0 {
+	if f == nil || len(f.Events) == 0 {
 		return nil
 	}
-	return faults.Generate(net, faults.GenOptions{
-		Seed: sc.ChurnSeed, Events: sc.ChurnEvents, Horizon: sc.Horizon,
-	})
+	return f
 }
 
 // Materialized converts seeded churn into the explicit Faults script it
@@ -156,7 +156,8 @@ func (sc Scenario) Materialized() (Scenario, error) {
 	if sc.Faults != nil || sc.ChurnEvents <= 0 {
 		return sc, nil
 	}
-	net, _, _, err := sc.Build()
+	es := sc.launch(1)
+	net, _, err := es.Network("")
 	if err != nil {
 		return sc, err
 	}
@@ -185,68 +186,48 @@ func (sc Scenario) String() string {
 		sc.Seed, topo, sc.Approach, sc.TCPFlows, sc.UDPSends, sc.HTTPClients, sc.Horizon, churn, fluid, sc.Ks)
 }
 
-// buildNet generates just the scenario's topology — the part of Build a
-// cached scenario artifact replaces (internal/scache stores its encoded
-// form keyed by topoKey).
-func (sc Scenario) buildNet() (*model.Network, error) {
+// launch is the scenario as the launch path describes it, run on k
+// engines: the topology source built from its fields, the same seed and
+// approach, no application workload — the scripted traffic is the run's
+// own (see script) — and netmon attached at the path-sampling stride.
+func (sc Scenario) launch(k int) experiments.Scenario {
+	es := experiments.Scenario{
+		Approach: sc.Approach.String(), App: "none",
+		RunSpec: runspec.RunSpec{Engines: k, Seed: sc.Seed, NetSample: sc.NetSample},
+	}
 	if sc.MultiAS {
-		return mabrite.Generate(mabrite.Options{
-			ASes: sc.ASes, RoutersPerAS: sc.RoutersPerAS, Hosts: sc.Hosts, Seed: sc.Seed,
-		})
+		es.MultiAS = &experiments.MultiASSpec{ASes: sc.ASes, RoutersPerAS: sc.RoutersPerAS, Hosts: sc.Hosts}
+	} else {
+		es.Flat = &experiments.FlatSpec{Routers: sc.Routers, Hosts: sc.Hosts}
 	}
-	return topology.GenerateFlat(topology.FlatOptions{
-		Routers: sc.Routers, Hosts: sc.Hosts, Seed: sc.Seed,
-	})
+	return es
 }
 
-// topoKey is the content address of the scenario's generated topology: the
-// exact generator inputs, hashed. Scenarios differing only in traffic,
-// horizon, or engine counts share the artifact — they run on the same
-// network.
-func (sc Scenario) topoKey() string {
-	return scache.Key([]byte(fmt.Sprintf(
-		"simcheck/topo/v1 multias=%v routers=%d ases=%d r/as=%d hosts=%d seed=%d",
-		sc.MultiAS, sc.Routers, sc.ASes, sc.RoutersPerAS, sc.Hosts, sc.Seed)))
-}
-
-// hostsOf lists the traffic endpoints of a scenario network.
-func hostsOf(net *model.Network) []model.NodeID {
-	var hosts []model.NodeID
-	for i := range net.Nodes {
-		if net.Nodes[i].Kind == model.Host {
-			hosts = append(hosts, model.NodeID(i))
-		}
+// setup is the launch path's Network and Build steps for an in-process run:
+// the network, routing warmed for every host, and the host list.
+func (sc Scenario) setup() (*experiments.Setup, error) {
+	es := sc.launch(1)
+	net, multi, err := es.Network("")
+	if err != nil {
+		return nil, err
 	}
-	return hosts
+	return es.Build(net, multi, experiments.Exec{})
 }
 
 // Build constructs the scenario's network, routing (with caches pre-warmed
 // for every host, so the parallel run does not race lazy route
 // computation), and the host list traffic endpoints draw from.
 func (sc Scenario) Build() (*model.Network, netsim.Routes, []model.NodeID, error) {
-	net, err := sc.buildNet()
+	st, err := sc.setup()
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	router := interdomain.New(net)
-	hosts := hostsOf(net)
-	if len(hosts) < 4 {
-		return nil, nil, nil, fmt.Errorf("simcheck: scenario generated only %d hosts", len(hosts))
-	}
-	router.Prepare(hosts)
-	return net, router, hosts, nil
+	return st.Net, st.Routes, st.Hosts, nil
 }
 
-// tcpSpec / udpSpec are scripted traffic entries. The script is derived
-// from the seed once and replayed identically into the sequential and
-// every parallel run.
-type tcpSpec struct {
-	at       des.Time
-	src, dst model.NodeID
-	bytes    int64
-}
-
-type udpSpec struct {
+// transfer is one scripted send. The script is derived from the seed once
+// and replayed identically into the sequential and every parallel run.
+type transfer struct {
 	at       des.Time
 	src, dst model.NodeID
 	bytes    int64
@@ -262,30 +243,26 @@ func pick(rng *rand.Rand, hosts []model.NodeID) (model.NodeID, model.NodeID) {
 	return hosts[a], hosts[b]
 }
 
-// script derives the deterministic traffic script. Start times land in the
-// first half of the horizon so most transfers complete before the end.
-func (sc Scenario) script(hosts []model.NodeID) ([]tcpSpec, []udpSpec) {
+// transfers derives the deterministic traffic script: TCPFlows transfers
+// of 2–122 kB and UDPSends datagrams of 200–1400 B. Start times land in
+// the first half of the horizon so most transfers complete before the end.
+func (sc Scenario) transfers(hosts []model.NodeID) (tcp, udp []transfer) {
 	rng := rand.New(rand.NewSource(sc.Seed ^ 0x7eaff1c5eed))
-	tcp := make([]tcpSpec, sc.TCPFlows)
-	for i := range tcp {
-		src, dst := pick(rng, hosts)
-		tcp[i] = tcpSpec{
-			at:    des.Time(rng.Int63n(int64(sc.Horizon / 2))),
-			src:   src,
-			dst:   dst,
-			bytes: 2000 + rng.Int63n(120_000),
+	draw := func(n int, base, spread int64) []transfer {
+		ts := make([]transfer, n)
+		for i := range ts {
+			src, dst := pick(rng, hosts)
+			ts[i] = transfer{
+				at:    des.Time(rng.Int63n(int64(sc.Horizon / 2))),
+				src:   src,
+				dst:   dst,
+				bytes: base + rng.Int63n(spread),
+			}
 		}
+		return ts
 	}
-	udp := make([]udpSpec, sc.UDPSends)
-	for i := range udp {
-		src, dst := pick(rng, hosts)
-		udp[i] = udpSpec{
-			at:    des.Time(rng.Int63n(int64(sc.Horizon / 2))),
-			src:   src,
-			dst:   dst,
-			bytes: 200 + rng.Int63n(1200),
-		}
-	}
+	tcp = draw(sc.TCPFlows, 2000, 120_000)
+	udp = draw(sc.UDPSends, 200, 1200)
 	return tcp, udp
 }
 

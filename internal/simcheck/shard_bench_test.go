@@ -6,6 +6,7 @@ import (
 
 	"massf/internal/core"
 	"massf/internal/des"
+	"massf/internal/experiments"
 	"massf/internal/topology"
 )
 
@@ -32,11 +33,7 @@ func BenchmarkShardSetupReplicated(b *testing.B) {
 	sc := shardBenchScenario()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		net, err := sc.buildNet()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := finishBundle(sc, net, nil); err != nil {
+		if _, err := sc.setup(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -53,19 +50,19 @@ func BenchmarkShardSetupSliced(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	spec := &distSpec{Scenario: sc, CacheDir: dir}
-	net, err := scenarioNet(spec) // warm the artifact cache
+	es := sc.launch(4)
+	net, _, err := es.Network(dir) // warm the artifact cache
 	if err != nil {
 		b.Fatal(err)
 	}
-	m, err := core.Map(net, sc.Approach, core.Config{Engines: 4, Seed: sc.Seed}, nil)
+	m, err := mapOnly(net, sc.Approach, 4, sc.Seed)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wnet, err := scenarioNet(spec)
+		wnet, _, err := es.Network(dir)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +73,7 @@ func BenchmarkShardSetupSliced(b *testing.B) {
 		if err := sl.Verify(wnet, m.Part); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := finishBundle(sc, wnet, sl.Owned); err != nil {
+		if _, err := es.Build(wnet, false, experiments.Exec{Slice: sl.Owned}); err != nil {
 			b.Fatal(err)
 		}
 	}

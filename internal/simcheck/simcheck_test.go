@@ -114,7 +114,7 @@ func TestInjectedViolationReported(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := core.Map(net, core.TOP2, core.Config{Engines: 4, Seed: sc.Seed}, nil)
+	m, err := mapOnly(net, core.TOP2, 4, sc.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
