@@ -243,38 +243,48 @@ func mapFlat(net *model.Network, g *graph.Graph, a Approach, cfg Config) (*Mappi
 // mapHierarchical implements the Section 3.4.3 algorithm: sweep the
 // contraction threshold T_mll from the synchronization cost upward,
 // partition each contracted graph, evaluate E = Es·Ec, keep the best.
+//
+// Contraction is monotone in T_mll, and a step that merges no components
+// leaves the contracted graph — numbering included — unchanged, so the
+// partitioner (same graph, same seed) would return the same partition.
+// Such a step reuses the previous candidate's evaluation: it counts as a
+// candidate and records its own Sweep entry, and since its E only ties the
+// earlier threshold's, the earlier threshold stays chosen.
 func mapHierarchical(net *model.Network, g *graph.Graph, a Approach, cfg Config) (*Mapping, error) {
 	syncCost := des.Time(cfg.Sync.SyncCost(cfg.Engines))
 	maxT := des.Time(g.MaxEdgeLatency()) // the sweep's cap: the largest link latency
 	// The sweep starts just above C_N ("we require a Tmll to be larger
 	// than the synchronization cost"), rounded up to the step.
 	start := ((syncCost / cfg.TmllStep) + 1) * cfg.TmllStep
-	var best *Mapping
+	var best, cand *Mapping
 	var sweep []Candidate
 	candidates := 0
+	contractor := graph.NewContractor(g)
 	for tmll := start; tmll <= maxT; tmll += cfg.TmllStep {
-		c := g.ContractBelow(int64(tmll))
-		if c.Graph.Len() < cfg.Engines {
+		merged := contractor.Advance(int64(tmll))
+		if contractor.Len() < cfg.Engines {
 			break // not enough supernodes for the requested parallelism
 		}
-		dumpedPart, err := partition.Partition(c.Graph, partition.Options{
-			Parts: cfg.Engines, Imbalance: cfg.Imbalance, Seed: cfg.Seed,
-		})
-		if err != nil {
-			return nil, err
+		if cand == nil || merged {
+			c := contractor.Contract()
+			dumpedPart, err := partition.Partition(c.Graph, partition.Options{
+				Parts: cfg.Engines, Imbalance: cfg.Imbalance, Seed: cfg.Seed,
+			})
+			if err != nil {
+				return nil, err
+			}
+			cand = &Mapping{Approach: a, Part: c.Project(dumpedPart), Tmll: tmll}
+			finishMapping(net, g, cand, cfg)
+			if best == nil || cand.E > best.E {
+				best = cand
+			}
 		}
 		candidates++
-		part := c.Project(dumpedPart)
-		cand := &Mapping{Approach: a, Part: part, Tmll: tmll}
-		finishMapping(net, g, cand, cfg)
 		if cfg.KeepSweep {
 			sweep = append(sweep, Candidate{
 				Tmll: tmll, MLL: cand.MLL, E: cand.E, Es: cand.Es, Ec: cand.Ec,
-				Supernodes: c.Graph.Len(),
+				Supernodes: contractor.Len(),
 			})
-		}
-		if best == nil || cand.E > best.E {
-			best = cand
 		}
 	}
 	if best == nil {

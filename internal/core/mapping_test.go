@@ -1,11 +1,13 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"massf/internal/cluster"
 	"massf/internal/des"
+	"massf/internal/mabrite"
 	"massf/internal/model"
 	"massf/internal/profile"
 	"massf/internal/topology"
@@ -325,6 +327,35 @@ func TestQuickMLLInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMapAllocBudget is a count-based gate on the T_mll sweep, immune to
+// host load the way TestKernelSteadyStateZeroAllocs is: the bytes one
+// core.Map(HPROF, k=16) allocates on a fixed 20-AS net. Before the sweep
+// stopped re-partitioning unchanged contractions and rebuilding its
+// union-find per threshold, that call allocated 16 472 304 bytes; the gate
+// is half of it.
+func TestMapAllocBudget(t *testing.T) {
+	const parentBytes = 16_472_304
+	net, err := mabrite.Generate(mabrite.Options{ASes: 20, RoutersPerAS: 60, Hosts: 300, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := fakeProfile(net, 5)
+	c := Config{Engines: 16, Sync: cluster.DefaultTeraGrid(), Seed: 1}
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	m, err := Map(net, HPROF, c, prof)
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := m1.TotalAlloc - m0.TotalAlloc
+	t.Logf("core.Map(HPROF, k=16) allocated %d bytes over %d candidates", got, m.Candidates)
+	if got > parentBytes/2 {
+		t.Errorf("core.Map(HPROF, k=16) allocated %d bytes, budget %d", got, parentBytes/2)
 	}
 }
 

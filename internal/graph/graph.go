@@ -9,8 +9,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Edge is one endpoint record in an adjacency list. Latency carries the
@@ -216,103 +217,230 @@ type Contraction struct {
 // by edges with Latency < threshold into a single supernode. Edges with
 // latency ≥ threshold survive (possibly merged). The resulting contraction
 // guarantees that any cut of the contracted graph only crosses links of
-// latency ≥ threshold — the worst-case MLL bound of Section 3.4.3.
+// latency ≥ threshold — the worst-case MLL bound of Section 3.4.3. It is a
+// Contractor used for one threshold.
 func (g *Graph) ContractBelow(threshold int64) *Contraction {
+	c := NewContractor(g)
+	c.Advance(threshold)
+	return c.Contract()
+}
+
+// A Contractor contracts one graph at a rising sequence of thresholds — the
+// T_mll sweep of Section 3.4.3 — with one union-find for the whole sweep:
+// the edges are sorted by latency once, and raising the threshold only
+// unions the edges it newly admits.
+//
+// A contraction depends only on which nodes share a component: supernodes
+// are numbered in the order of their lowest original node, and parallel
+// edges merge in ascending (a, b) order. So a threshold that merges no
+// components yields a Contraction identical to the previous one.
+type Contractor struct {
+	g      *Graph
+	byLat  []pairEdge // every undirected edge once, ascending latency
+	next   int        // byLat[:next] lie below the threshold
+	parent []int32
+	merges int
+	list   EdgeList
+}
+
+// NewContractor returns a Contractor of g at threshold 0 (nothing merged).
+func NewContractor(g *Graph) *Contractor {
 	n := g.Len()
-	// Union-find over nodes joined by sub-threshold edges.
-	parent := make([]int32, n)
-	for i := range parent {
-		parent[i] = int32(i)
-	}
-	var find func(x int32) int32
-	find = func(x int32) int32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int32) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
-		}
+	c := &Contractor{g: g, parent: make([]int32, n), byLat: make([]pairEdge, 0, g.NumEdges())}
+	for i := range c.parent {
+		c.parent[i] = int32(i)
 	}
 	for u, adj := range g.Adj {
 		for _, e := range adj {
-			if e.Latency < threshold {
-				union(int32(u), e.To)
+			if int(e.To) >= u { // visit each undirected edge once
+				c.byLat = append(c.byLat, pairEdge{a: int32(u), b: e.To, weight: e.Weight, latency: e.Latency})
 			}
 		}
 	}
-	// Densely renumber roots.
+	slices.SortFunc(c.byLat, func(x, y pairEdge) int { return cmp.Compare(x.latency, y.latency) })
+	return c
+}
+
+// Advance raises the threshold: every edge with Latency < threshold joins
+// its endpoints' components. Thresholds must not decrease. It reports
+// whether any two components merged, i.e. whether Contract would now
+// return something new.
+func (c *Contractor) Advance(threshold int64) bool {
+	merged := false
+	for ; c.next < len(c.byLat) && c.byLat[c.next].latency < threshold; c.next++ {
+		e := &c.byLat[c.next]
+		ra, rb := c.find(e.a), c.find(e.b)
+		if ra != rb {
+			c.parent[rb] = ra
+			c.merges++
+			merged = true
+		}
+	}
+	return merged
+}
+
+// Len returns the number of supernodes at the current threshold.
+func (c *Contractor) Len() int { return c.g.Len() - c.merges }
+
+func (c *Contractor) find(x int32) int32 {
+	for c.parent[x] != x {
+		c.parent[x] = c.parent[c.parent[x]]
+		x = c.parent[x]
+	}
+	return x
+}
+
+// Contract builds the contracted graph at the current threshold. The
+// Contraction's graph is valid until the next Contract, which reuses its
+// storage.
+func (c *Contractor) Contract() *Contraction {
+	n := c.g.Len()
+	c.list.Reset()
+	// Densely renumber components by their lowest node.
 	m := make([]int32, n)
 	for i := range m {
 		m[i] = -1
 	}
 	var count int32
 	for i := 0; i < n; i++ {
-		r := find(int32(i))
+		r := c.find(int32(i))
 		if m[r] < 0 {
 			m[r] = count
 			count++
 		}
 		m[i] = m[r]
 	}
-	gd := New(int(count))
-	for i := range gd.NodeWeight {
-		gd.NodeWeight[i] = 0
-	}
+	weight := make([]int64, count)
 	for i := 0; i < n; i++ {
-		gd.NodeWeight[m[i]] += g.NodeWeight[i]
+		weight[m[i]] += c.g.NodeWeight[i]
 	}
-	// Merge surviving edges per supernode pair (globally, so edges from
-	// different original nodes that land on the same supernode pair merge
-	// into one).
-	type pair struct{ a, b int32 }
-	type agg struct {
-		weight  int64
-		latency int64
+	// Edges below the threshold all lie inside a component; of the rest,
+	// those joining two supernodes survive, merged per supernode pair.
+	for _, e := range c.byLat[c.next:] {
+		c.list.Add(m[e.a], m[e.b], e.weight, e.latency)
 	}
-	merged := map[pair]agg{}
-	for u := 0; u < n; u++ {
-		mu := m[u]
-		for _, e := range g.Adj[u] {
-			if int(e.To) < u {
-				continue // visit each undirected edge once
-			}
-			mv := m[e.To]
-			if mv == mu {
-				continue
-			}
-			k := pair{mu, mv}
-			if k.a > k.b {
-				k.a, k.b = k.b, k.a
-			}
-			a, ok := merged[k]
-			if !ok || e.Latency < a.latency {
-				a.latency = e.Latency
-			}
-			a.weight += e.Weight
-			merged[k] = a
+	return &Contraction{Graph: c.list.Build(weight), Map: m}
+}
+
+// EdgeList collects the undirected edges of a graph under construction and
+// builds it. Parallel edges between one pair of nodes merge — weights sum,
+// the smallest latency survives — and the merged edges enter the graph in
+// ascending (a, b) order, so each adjacency list is what AddEdge in that
+// order would give: ascending neighbor id. It is the one builder behind
+// contraction and the partitioner's coarsening.
+//
+// The list keeps its memory: the built graphs' adjacency lives in storage
+// that Reset hands back for the next builds, so a caller that builds graph
+// after graph allocates only while the largest one grows.
+type EdgeList struct {
+	edges, tmp []pairEdge
+	count      []int32
+	adj        [][]Edge // storage of the graphs built since Reset
+	adjEdges   []Edge
+}
+
+// pairEdge is an undirected edge a—b with a ≤ b.
+type pairEdge struct {
+	a, b            int32
+	weight, latency int64
+}
+
+// Add records the edge u—v. Self loops are dropped.
+func (l *EdgeList) Add(u, v int32, weight, latency int64) {
+	if u == v {
+		return
+	}
+	if u > v {
+		u, v = v, u
+	}
+	l.edges = append(l.edges, pairEdge{a: u, b: v, weight: weight, latency: latency})
+}
+
+// Reset releases every graph built since the last Reset: the next builds
+// reuse their adjacency storage, so they must be out of use.
+func (l *EdgeList) Reset() {
+	l.adj, l.adjEdges = l.adj[:0], l.adjEdges[:0]
+}
+
+// Build returns the graph on len(nodeWeight) nodes with the recorded edges,
+// and empties the list. The graph keeps nodeWeight; its adjacency is valid
+// until the next Reset. Every adjacency list is carved from one []Edge with
+// exactly its degree as capacity.
+func (l *EdgeList) Build(nodeWeight []int64) *Graph {
+	n := len(nodeWeight)
+	if cap(l.count) < n+1 {
+		l.count = make([]int32, n+1)
+	}
+	if cap(l.tmp) < len(l.edges) {
+		l.tmp = make([]pairEdge, len(l.edges))
+	}
+	// Two stable counting sorts, by b and then by a: ascending (a, b).
+	tmp := l.tmp[:len(l.edges)]
+	l.countingSort(l.edges, tmp, n, false)
+	l.countingSort(tmp, l.edges, n, true)
+	merged := l.edges[:0]
+	for _, e := range l.edges {
+		if k := len(merged) - 1; k >= 0 && merged[k].a == e.a && merged[k].b == e.b {
+			merged[k].weight += e.weight
+			merged[k].latency = min(merged[k].latency, e.latency)
+			continue
 		}
+		merged = append(merged, e)
 	}
-	// Deterministic insertion order.
-	keys := make([]pair, 0, len(merged))
-	for k := range merged {
-		keys = append(keys, k)
+	deg := l.count[:n]
+	clear(deg)
+	for _, e := range merged {
+		deg[e.a]++
+		deg[e.b]++
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].a != keys[j].a {
-			return keys[i].a < keys[j].a
+	buf := carve(&l.adjEdges, 2*len(merged))
+	g := &Graph{Adj: carve(&l.adj, n), NodeWeight: nodeWeight}
+	off := 0
+	for i, d := range deg {
+		g.Adj[i] = buf[off : off : off+int(d)]
+		off += int(d)
+	}
+	for _, e := range merged {
+		g.Adj[e.a] = append(g.Adj[e.a], Edge{To: e.b, Weight: e.weight, Latency: e.latency})
+		g.Adj[e.b] = append(g.Adj[e.b], Edge{To: e.a, Weight: e.weight, Latency: e.latency})
+	}
+	l.edges = l.edges[:0]
+	return g
+}
+
+// carve takes the next n elements of an arena, with capacity n. When the
+// arena is full it starts a larger one; what was carved before stays put.
+func carve[T any](arena *[]T, n int) []T {
+	a := *arena
+	if len(a)+n > cap(a) {
+		a = make([]T, 0, max(2*cap(a), n))
+	}
+	*arena = a[:len(a)+n]
+	return a[len(a) : len(a)+n : len(a)+n]
+}
+
+// countingSort stably sorts src into dst by a (byA) or by b; keys lie in
+// [0, n).
+func (l *EdgeList) countingSort(src, dst []pairEdge, n int, byA bool) {
+	start := l.count[:n+1]
+	clear(start)
+	key := func(e *pairEdge) int32 {
+		if byA {
+			return e.a
 		}
-		return keys[i].b < keys[j].b
-	})
-	for _, k := range keys {
-		a := merged[k]
-		gd.AddEdge(int(k.a), int(k.b), a.weight, a.latency)
+		return e.b
 	}
-	return &Contraction{Graph: gd, Map: m}
+	for i := range src {
+		start[key(&src[i])+1]++
+	}
+	for i := 1; i <= n; i++ {
+		start[i] += start[i-1]
+	}
+	for i := range src {
+		k := key(&src[i])
+		dst[start[k]] = src[i]
+		start[k]++
+	}
 }
 
 // Project lifts a partition of the contracted graph back to the original

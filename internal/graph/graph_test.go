@@ -2,6 +2,8 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -283,6 +285,149 @@ func TestQuickProjectionMLLGuarantee(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// contractBelowRef is ContractBelow as it was before the Contractor: a
+// fresh union-find per threshold, parallel edges merged through a map whose
+// keys are then sorted, and the graph grown by AddEdge. It is the oracle
+// for the Contractor and EdgeList.
+func contractBelowRef(g *Graph, threshold int64) *Contraction {
+	n := g.Len()
+	// Union-find over nodes joined by sub-threshold edges.
+	parent := make([]int32, n)
+	for i := range parent {
+		parent[i] = int32(i)
+	}
+	var find func(x int32) int32
+	find = func(x int32) int32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	union := func(a, b int32) {
+		ra, rb := find(a), find(b)
+		if ra != rb {
+			parent[rb] = ra
+		}
+	}
+	for u, adj := range g.Adj {
+		for _, e := range adj {
+			if e.Latency < threshold {
+				union(int32(u), e.To)
+			}
+		}
+	}
+	// Densely renumber roots.
+	m := make([]int32, n)
+	for i := range m {
+		m[i] = -1
+	}
+	var count int32
+	for i := 0; i < n; i++ {
+		r := find(int32(i))
+		if m[r] < 0 {
+			m[r] = count
+			count++
+		}
+		m[i] = m[r]
+	}
+	gd := New(int(count))
+	for i := range gd.NodeWeight {
+		gd.NodeWeight[i] = 0
+	}
+	for i := 0; i < n; i++ {
+		gd.NodeWeight[m[i]] += g.NodeWeight[i]
+	}
+	// Merge surviving edges per supernode pair (globally, so edges from
+	// different original nodes that land on the same supernode pair merge
+	// into one).
+	type pair struct{ a, b int32 }
+	type agg struct {
+		weight  int64
+		latency int64
+	}
+	merged := map[pair]agg{}
+	for u := 0; u < n; u++ {
+		mu := m[u]
+		for _, e := range g.Adj[u] {
+			if int(e.To) < u {
+				continue // visit each undirected edge once
+			}
+			mv := m[e.To]
+			if mv == mu {
+				continue
+			}
+			k := pair{mu, mv}
+			if k.a > k.b {
+				k.a, k.b = k.b, k.a
+			}
+			a, ok := merged[k]
+			if !ok || e.Latency < a.latency {
+				a.latency = e.Latency
+			}
+			a.weight += e.Weight
+			merged[k] = a
+		}
+	}
+	// Deterministic insertion order.
+	keys := make([]pair, 0, len(merged))
+	for k := range merged {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].a != keys[j].a {
+			return keys[i].a < keys[j].a
+		}
+		return keys[i].b < keys[j].b
+	})
+	for _, k := range keys {
+		a := merged[k]
+		gd.AddEdge(int(k.a), int(k.b), a.weight, a.latency)
+	}
+	return &Contraction{Graph: gd, Map: m}
+}
+
+// TestContractorMatchesReference: one Contractor advanced through rising
+// thresholds gives, at each of them, the contraction the from-scratch
+// builder gives — the same supernode numbering and weights, and the same
+// adjacency lists edge for edge and in order — and reports a merge exactly
+// when the supernode count drops. Latencies come from a small set, so
+// parallel edges, ties at the threshold and thresholds that merge nothing
+// all occur.
+func TestContractorMatchesReference(t *testing.T) {
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(80)
+		g := New(n)
+		for v := range g.NodeWeight {
+			g.NodeWeight[v] = 1 + rng.Int63n(9)
+		}
+		for i := 0; i < 2*n; i++ {
+			g.AddEdge(rng.Intn(n), rng.Intn(n), 1+rng.Int63n(20), 100*rng.Int63n(20))
+		}
+		c := NewContractor(g)
+		prev := n
+		for th := int64(0); th <= 2100; th += 1 + rng.Int63n(300) {
+			merged := c.Advance(th)
+			if merged != (c.Len() < prev) {
+				t.Fatalf("seed %d threshold %d: Advance reported merged=%v, supernodes %d → %d", seed, th, merged, prev, c.Len())
+			}
+			prev = c.Len()
+			got, want := c.Contract(), contractBelowRef(g, th)
+			if got.Graph.Len() != c.Len() || !slices.Equal(got.Map, want.Map) ||
+				!slices.Equal(got.Graph.NodeWeight, want.Graph.NodeWeight) {
+				t.Fatalf("seed %d threshold %d: supernodes differ from the reference", seed, th)
+			}
+			for u := range want.Graph.Adj {
+				if !slices.Equal(got.Graph.Adj[u], want.Graph.Adj[u]) {
+					t.Fatalf("seed %d threshold %d: node %d adjacency %v, reference %v",
+						seed, th, u, got.Graph.Adj[u], want.Graph.Adj[u])
+				}
+			}
+		}
 	}
 }
 

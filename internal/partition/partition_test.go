@@ -1,7 +1,10 @@
 package partition
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -150,6 +153,40 @@ func TestPartitionDeterministic(t *testing.T) {
 			t.Fatal("same seed produced different partitions")
 		}
 	}
+}
+
+// TestPartitionConcurrentDeterministic: calls on several goroutines at
+// once each get their own pooled scratch and return what a lone call does.
+func TestPartitionConcurrentDeterministic(t *testing.T) {
+	graphs := []*graph.Graph{powerLaw(600, 31), grid(20, 20, 10), powerLaw(150, 32)}
+	want := make([][]int32, len(graphs))
+	for i, g := range graphs {
+		p, err := Partition(g, Options{Parts: 5, Seed: int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = p
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < 6; r++ {
+				i := (w + r) % len(graphs)
+				got, err := Partition(graphs[i], Options{Parts: 5, Seed: int64(i)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(got, want[i]) {
+					t.Errorf("goroutine %d: graph %d partitioned differently from the lone call", w, i)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestPartitionRespectsNodeWeights(t *testing.T) {
@@ -350,5 +387,211 @@ func TestPartitionHeterogeneousWeightsBalance(t *testing.T) {
 	}
 	if b := Balance(g, part, 6); b > 1.25 {
 		t.Errorf("weighted balance %v", b)
+	}
+}
+
+// rebalanceRef is rebalance as it was before it learned to leave its
+// cycle: the full 4n-iteration loop, scanning every node per move. It is
+// the oracle the pooled, cycle-leaving rebalance must match exactly.
+func rebalanceRef(g *graph.Graph, part []int32, opts Options) {
+	n := g.Len()
+	k := opts.Parts
+	partWeight := make([]int64, k)
+	var total int64
+	for v := 0; v < n; v++ {
+		partWeight[part[v]] += g.NodeWeight[v]
+		total += g.NodeWeight[v]
+	}
+	maxW := int64(float64(total) / float64(k) * (1 + opts.Imbalance))
+	for iter := 0; iter < 4*n; iter++ {
+		// Heaviest overweight part and lightest part.
+		heavy, light := 0, 0
+		for p := 1; p < k; p++ {
+			if partWeight[p] > partWeight[heavy] {
+				heavy = p
+			}
+			if partWeight[p] < partWeight[light] {
+				light = p
+			}
+		}
+		if partWeight[heavy] <= maxW || heavy == light {
+			return
+		}
+		// Pick the node in `heavy` whose move to `light` costs the least
+		// cut, without making `light` overweight. Prefer small nodes that
+		// still fit.
+		best := int32(-1)
+		var bestCost int64
+		for v := 0; v < n; v++ {
+			if part[v] != int32(heavy) {
+				continue
+			}
+			nw := g.NodeWeight[v]
+			if partWeight[light]+nw > maxW && nw < partWeight[heavy]-maxW {
+				continue
+			}
+			var cost int64
+			for _, e := range g.Adj[v] {
+				if part[e.To] == int32(heavy) {
+					cost += e.Weight
+				} else if part[e.To] == int32(light) {
+					cost -= e.Weight
+				}
+			}
+			if best < 0 || cost < bestCost {
+				best, bestCost = int32(v), cost
+			}
+		}
+		if best < 0 {
+			return
+		}
+		partWeight[heavy] -= g.NodeWeight[best]
+		partWeight[light] += g.NodeWeight[best]
+		part[best] = int32(light)
+	}
+}
+
+// rebalanceCase is a random connected graph of n nodes in k random parts.
+// With heavy set, one node outweighs (1+ε)·total/k on its own, so no
+// placement is balanced and the moves cycle until the cap.
+func rebalanceCase(rng *rand.Rand, n, k int, heavy bool) (*graph.Graph, []int32) {
+	g := randomGraph(rng, n, n)
+	if heavy {
+		g.NodeWeight[rng.Intn(n)] = g.TotalNodeWeight()
+	}
+	part := make([]int32, n)
+	skew := rng.Intn(2) == 0 // half the cases start with everything piled on few parts
+	for v := range part {
+		if skew {
+			part[v] = int32(rng.Intn(1 + k/3))
+		} else {
+			part[v] = int32(rng.Intn(k))
+		}
+	}
+	return g, part
+}
+
+// TestRebalanceMatchesReference: rebalance ends in exactly the state the
+// old full loop ends in — on random graphs for k ∈ {2, 3, 5, 16}, with and
+// without a node heavier than the balance bound (the case that cycles to
+// the cap), and on a net where the heavy role passes through three parts
+// before two of them settle into the bounce. One scratch serves every case,
+// as the pool makes it do in a sweep.
+func TestRebalanceMatchesReference(t *testing.T) {
+	s := new(scratch)
+	check := func(name string, g *graph.Graph, part []int32, opts Options) int {
+		t.Helper()
+		want := append([]int32(nil), part...)
+		rebalanceRef(g, want, opts)
+		got := append([]int32(nil), part...)
+		period := rebalance(g, got, opts, s)
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("%s: node %d ends in part %d, the full loop leaves it in %d (cycle period %d)",
+					name, v, got[v], want[v], period)
+			}
+		}
+		return period
+	}
+	for _, k := range []int{2, 3, 5, 16} {
+		cycles := 0
+		for trial := 0; trial < 60; trial++ {
+			seed := int64(k*1000 + trial)
+			rng := rand.New(rand.NewSource(seed))
+			n := k + rng.Intn(12*k)
+			heavy := trial%2 == 1
+			g, part := rebalanceCase(rng, n, k, heavy)
+			opts := Options{Parts: k, Imbalance: []float64{0.05, 0.01, 0.3}[trial%3]}
+			opts.setDefaults()
+			if check(fmt.Sprintf("k=%d seed=%d heavy=%v", k, seed, heavy), g, part, opts) > 0 {
+				cycles++
+			}
+		}
+		if cycles == 0 {
+			t.Errorf("k=%d: no case left a cycle; the property test no longer covers the early exit", k)
+		}
+	}
+
+	// Two nodes over the bound, three parts (bases 2, 6, 0): the heavy role
+	// goes A → B → C, then node 0 bounces between B and C until the cap.
+	g := graph.New(4)
+	g.NodeWeight = []int64{105, 100, 2, 6}
+	opts := Options{Parts: 3}
+	opts.setDefaults()
+	if p := check("three-part rotation", g, []int32{0, 1, 0, 1}, opts); p != 2 {
+		t.Errorf("three-part rotation: left a cycle of period %d, want the B↔C bounce (2)", p)
+	}
+}
+
+// TestRefineKWayTieLowestPart: a boundary node whose best moves are equal
+// in gain and in target weight goes to the lowest part id, whatever order
+// its edges list the parts in. refineKWay used to pick the first candidate
+// of a Go map iteration, so one seed could give two partitions.
+func TestRefineKWayTieLowestPart(t *testing.T) {
+	cases := []struct {
+		name    string
+		k       int
+		home    int32
+		targets []int32 // in the order node 0's edges reach them
+		want    int32
+	}{
+		{"parts 1 and 2", 3, 0, []int32{1, 2}, 1},
+		{"parts 2 and 1", 3, 0, []int32{2, 1}, 1},
+		{"three parts", 4, 0, []int32{3, 1, 2}, 1},
+		{"below home", 3, 2, []int32{1, 0}, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			// Node 0 sits in home beside one weak edge; every other part
+			// holds two nodes tied by a heavy edge, and each target part's
+			// first node takes an equal edge from node 0. All parts weigh
+			// 2 and ε = 0.6, so either move fits and gains 4.
+			g := graph.New(2 * tc.k)
+			part := make([]int32, 2*tc.k)
+			part[0], part[1] = tc.home, tc.home
+			g.AddEdge(0, 1, 1, 1)
+			slot := map[int32]int{}
+			next := 2
+			for p := int32(0); int(p) < tc.k; p++ {
+				if p == tc.home {
+					continue
+				}
+				slot[p] = next
+				part[next], part[next+1] = p, p
+				g.AddEdge(next, next+1, 100, 1)
+				next += 2
+			}
+			for _, p := range tc.targets {
+				g.AddEdge(0, slot[p], 5, 1)
+			}
+			opts := Options{Parts: tc.k, Imbalance: 0.6}
+			opts.setDefaults()
+			for run := 0; run < 64; run++ {
+				got := append([]int32(nil), part...)
+				refineKWay(g, got, opts, rand.New(rand.NewSource(1)), new(scratch))
+				if got[0] != tc.want {
+					t.Fatalf("run %d: node 0 moved to part %d, want %d", run, got[0], tc.want)
+				}
+			}
+		})
+	}
+}
+
+// TestPermMatchesRandPerm: the scratch permutation is rng.Perm's, and it
+// leaves the generator where rng.Perm leaves it.
+func TestPermMatchesRandPerm(t *testing.T) {
+	s := new(scratch)
+	for _, n := range []int{0, 1, 2, 7, 100, 1000} {
+		a, b := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
+		want := a.Perm(n)
+		got := s.perm(b, n)
+		for i := range want {
+			if int(got[i]) != want[i] {
+				t.Fatalf("n=%d: perm[%d] = %d, rng.Perm gives %d", n, i, got[i], want[i])
+			}
+		}
+		if a.Int63() != b.Int63() {
+			t.Fatalf("n=%d: perm left the generator elsewhere than rng.Perm", n)
+		}
 	}
 }

@@ -119,7 +119,7 @@ func TestRefinementNeverIncreasesCut(t *testing.T) {
 		before := g.EvaluatePartition(part, k).EdgeCut
 		opts := Options{Parts: k, Seed: seed}
 		opts.setDefaults()
-		refineKWay(g, part, opts, rng)
+		refineKWay(g, part, opts, rng, new(scratch))
 		after := g.EvaluatePartition(part, k).EdgeCut
 		if after > before {
 			t.Errorf("seed=%d n=%d k=%d: refinement increased cut %d → %d", seed, n, k, before, after)
