@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench-all ab smoke churn fluid bigtopo clean
+.PHONY: check vet build test race ab smoke churn fluid bigtopo clean
 
 check: vet build race churn fluid
 
@@ -46,11 +46,6 @@ fluid:
 # baseline's routing bytes and per-worker heap. Nightly, not per-PR.
 bigtopo:
 	MASSF_BIGTOPO=1 $(GO) test -count=1 -run TestBigTopoSliceMemory -v -timeout 20m ./internal/simcheck/
-
-# Every Go benchmark once: the paper's figure, headline and ablation
-# tables (root bench_test.go) and the packages' micro-benchmarks.
-bench-all:
-	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # The perf gate (CI runs it on pull requests): bench/ on the merge-base of
 # BASE and on this tree, 3 alternating pairs; scripts/ab.sh says what

@@ -33,7 +33,7 @@ func main() {
 	flag.Parse()
 
 	sc := experiments.Reduced()
-	if *full || os.Getenv("MASSF_FULL") == "1" {
+	if *full {
 		sc = experiments.Paper()
 	}
 	if *seconds > 0 {

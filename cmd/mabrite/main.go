@@ -14,7 +14,10 @@ import (
 	"os"
 	"time"
 
-	"massf"
+	"massf/internal/dml"
+	"massf/internal/mabrite"
+	"massf/internal/model"
+	"massf/internal/topology"
 )
 
 func main() {
@@ -36,12 +39,12 @@ func main() {
 	// re-run with -seed <value>.
 	fmt.Fprintf(os.Stderr, "mabrite: seed %d\n", *seed)
 
-	var net *massf.Network
+	var net *model.Network
 	var err error
 	if *flat {
-		net, err = massf.GenerateFlat(massf.FlatOptions{Routers: *routers, Hosts: *hosts, Seed: *seed})
+		net, err = topology.GenerateFlat(topology.FlatOptions{Routers: *routers, Hosts: *hosts, Seed: *seed})
 	} else {
-		net, err = massf.GenerateMultiAS(massf.MultiASOptions{
+		net, err = mabrite.Generate(mabrite.Options{
 			ASes: *ases, RoutersPerAS: *routersPerAS, Hosts: *hosts, Seed: *seed,
 		})
 	}
@@ -64,7 +67,7 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if err := massf.SaveNetwork(w, net); err != nil {
+	if err := dml.WriteNetwork(w, net); err != nil {
 		fatal(err)
 	}
 }

@@ -12,9 +12,10 @@ import (
 	"testing"
 	"time"
 
-	"massf"
+	"massf/internal/dml"
 	"massf/internal/runctl"
 	"massf/internal/runspec"
+	"massf/internal/topology"
 )
 
 // writeTestNet saves a small generated network as DML and returns its path.
@@ -22,7 +23,7 @@ import (
 // servers).
 func writeTestNet(t *testing.T) string {
 	t.Helper()
-	net, err := massf.GenerateFlat(massf.FlatOptions{Routers: 30, Hosts: 12, Seed: 3})
+	net, err := topology.GenerateFlat(topology.FlatOptions{Routers: 30, Hosts: 12, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func writeTestNet(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := massf.SaveNetwork(f, net); err != nil {
+	if err := dml.WriteNetwork(f, net); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {

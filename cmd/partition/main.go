@@ -15,8 +15,9 @@ import (
 	"fmt"
 	"os"
 
-	"massf"
 	"massf/internal/core"
+	"massf/internal/dml"
+	"massf/internal/profile"
 )
 
 func main() {
@@ -40,24 +41,24 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	net, err := massf.LoadNetwork(f)
+	net, err := dml.ReadNetwork(f)
 	f.Close()
 	if err != nil {
 		fatal(err)
 	}
-	var prof *massf.Profile
+	var prof *profile.Profile
 	if *profPath != "" {
 		pf, err := os.Open(*profPath)
 		if err != nil {
 			fatal(err)
 		}
-		prof, err = massf.ReadProfile(pf)
+		prof, err = profile.Read(pf)
 		pf.Close()
 		if err != nil {
 			fatal(err)
 		}
 	}
-	m, err := massf.Map(net, a, massf.MappingConfig{Engines: *engines, Seed: *seed}, prof)
+	m, err := core.Map(net, a, core.Config{Engines: *engines, Seed: *seed}, prof)
 	if err != nil {
 		fatal(err)
 	}
@@ -65,18 +66,18 @@ func main() {
 	fmt.Printf("engines         %d\n", *engines)
 	fmt.Printf("achieved MLL    %v\n", m.MLL)
 	fmt.Printf("edge cut        %d\n", m.EdgeCut)
-	if m.Approach == massf.HTOP || m.Approach == massf.HPROF {
+	if m.Approach == core.HTOP || m.Approach == core.HPROF {
 		fmt.Printf("chosen Tmll     %v (of %d candidates)\n", m.Tmll, m.Candidates)
 	}
 	fmt.Printf("E = Es·Ec       %.3f = %.3f · %.3f\n", m.E, m.Es, m.Ec)
-	var min, max massf.NodeID
+	var min, max int
 	var lo, hi int64 = -1, -1
 	for p, w := range m.EstLoad {
 		if lo < 0 || w < lo {
-			lo, min = w, massf.NodeID(p)
+			lo, min = w, p
 		}
 		if w > hi {
-			hi, max = w, massf.NodeID(p)
+			hi, max = w, p
 		}
 	}
 	fmt.Printf("est load        min %d (engine %d), max %d (engine %d)\n", lo, min, hi, max)

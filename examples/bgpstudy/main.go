@@ -13,22 +13,24 @@ import (
 	"fmt"
 	"log"
 
-	"massf"
+	"massf/internal/mabrite"
+	"massf/internal/routing/bgp"
+	"massf/internal/routing/interdomain"
 )
 
 func main() {
-	net, err := massf.GenerateMultiAS(massf.MultiASOptions{
+	net, err := mabrite.Generate(mabrite.Options{
 		ASes: 50, RoutersPerAS: 4, Hosts: 0, Seed: 7,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	routes := massf.NewRouting(net)
+	routes := interdomain.New(net)
 	policy := routes.RIB()
 
 	// --- Static study: policy routing vs shortest paths ----------------
-	shortest := massf.ShortestPathRIB(net)
-	cmp := massf.CompareRIBs(policy, shortest)
+	shortest := bgp.ShortestPathRIB(net)
+	cmp := bgp.Compare(policy, shortest)
 	fmt.Println("Static validation: generated BGP policy routes vs shortest AS paths")
 	fmt.Printf("  AS pairs compared        %d\n", cmp.Pairs)
 	fmt.Printf("  identical AS paths       %d (%.1f%%)\n", cmp.SamePath, pct(cmp.SamePath, cmp.Pairs))
@@ -49,7 +51,7 @@ func main() {
 	}
 	fmt.Printf("Dynamic validation: BGP beacon at stub AS %d (3 announce/withdraw cycles)\n", beacon)
 	fmt.Printf("  %-7s %-14s %-14s %-10s %-10s\n", "cycle", "withdraw msgs", "announce msgs", "reach(off)", "reach(on)")
-	for i, c := range massf.RunBeacon(net, beacon, 3) {
+	for i, c := range bgp.RunBeacon(net, beacon, 3) {
 		fmt.Printf("  %-7d %-14d %-14d %-10d %-10d\n",
 			i+1, c.WithdrawMsgs, c.AnnounceMsgs, c.ReachableAfterWithdraw, c.ReachableAfterAnnounce)
 	}

@@ -9,11 +9,19 @@ import (
 	"fmt"
 	"log"
 
-	"massf"
+	"massf/internal/core"
+	"massf/internal/des"
+	"massf/internal/mabrite"
+	"massf/internal/metrics"
+	"massf/internal/model"
+	"massf/internal/netsim"
+	"massf/internal/profile"
+	"massf/internal/routing/interdomain"
+	"massf/internal/traffic"
 )
 
 func main() {
-	net, err := massf.GenerateMultiAS(massf.MultiASOptions{
+	net, err := mabrite.Generate(mabrite.Options{
 		ASes: 12, RoutersPerAS: 40, Hosts: 200, Seed: 21,
 	})
 	if err != nil {
@@ -28,7 +36,7 @@ func main() {
 		net.NumRouters(), net.NumHosts())
 
 	// Converge BGP4 with the generated policies.
-	routes := massf.NewRouting(net)
+	routes := interdomain.New(net)
 	rib := routes.RIB()
 	_, unreachable := rib.Reachability()
 	fmt.Printf("BGP converged in %d messages; %d policy-unreachable AS pairs\n",
@@ -42,34 +50,34 @@ func main() {
 		}
 	}
 
-	var hosts []massf.NodeID
+	var hosts []model.NodeID
 	for i := range net.Nodes {
-		if net.Nodes[i].Kind == massf.Host {
-			hosts = append(hosts, massf.NodeID(i))
+		if net.Nodes[i].Kind == model.Host {
+			hosts = append(hosts, model.NodeID(i))
 		}
 	}
 	appHosts, clients, servers := hosts[:5], hosts[5:150], hosts[150:]
 
 	// Profile, then map with HPROF.
-	const horizon = 6 * massf.Second
-	profSim, err := massf.NewSimulation(massf.SimConfig{
-		Net: net, Routes: routes, Engines: 1, Window: massf.MaxMLL, End: horizon, Seed: 2,
+	const horizon = 6 * des.Second
+	profSim, err := netsim.New(netsim.Config{
+		Net: net, Routes: routes, Engines: 1, Window: core.MaxMLL, End: horizon, Seed: 2,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	installAll(profSim, clients, servers, appHosts)
 	profRes := profSim.Run()
-	prof := massf.ProfileFromResult(&profRes, horizon)
+	prof := profile.FromResult(&profRes, horizon)
 
-	mapping, err := massf.Map(net, massf.HPROF, massf.MappingConfig{Engines: 8, Seed: 2}, prof)
+	mapping, err := core.Map(net, core.HPROF, core.Config{Engines: 8, Seed: 2}, prof)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("HPROF: Tmll %v (%d candidates), achieved MLL %v, E = %.3f\n",
 		mapping.Tmll, mapping.Candidates, mapping.MLL, mapping.E)
 
-	sim, err := massf.NewSimulation(massf.SimConfig{
+	sim, err := netsim.New(netsim.Config{
 		Net: net, Routes: routes, Part: mapping.Part, Engines: 8,
 		Window: mapping.MLL, End: horizon, Seed: 2,
 	})
@@ -78,7 +86,7 @@ func main() {
 	}
 	apps := installAll(sim, clients, servers, appHosts)
 	res := sim.Run()
-	rep := massf.ReportFor("HPROF", &res, 15*massf.Microsecond)
+	rep := metrics.FromStats("HPROF", res.Stats, 15*des.Microsecond)
 	fmt.Printf("simulated %v: %d events, %d flows completed, imbalance %.3f, efficiency %.3f\n",
 		horizon, res.TotalEvents, res.FlowsCompleted, rep.Imbalance, rep.Efficiency)
 	for _, ws := range apps {
@@ -87,14 +95,14 @@ func main() {
 	}
 }
 
-func installAll(sim *massf.Simulation, clients, servers, appHosts []massf.NodeID) []*massf.WorkflowStats {
-	massf.InstallHTTP(sim, massf.HTTPConfig{
+func installAll(sim *netsim.Sim, clients, servers, appHosts []model.NodeID) []*traffic.WorkflowStats {
+	traffic.InstallHTTP(sim, traffic.HTTPConfig{
 		Clients: clients, Servers: servers,
-		MeanGap: 5 * massf.Second, MeanFileBytes: 50_000, Seed: 4,
+		MeanGap: 5 * des.Second, MeanFileBytes: 50_000, Seed: 4,
 	})
-	var out []*massf.WorkflowStats
-	for _, w := range massf.GridNPBWorkflows(appHosts) {
-		ws, err := massf.InstallWorkflow(sim, w, 0)
+	var out []*traffic.WorkflowStats
+	for _, w := range traffic.GridNPB(appHosts) {
+		ws, err := traffic.InstallWorkflow(sim, w, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

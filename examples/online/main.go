@@ -12,31 +12,36 @@ import (
 	"sync"
 	"time"
 
-	"massf"
+	"massf/internal/agent"
+	"massf/internal/des"
+	"massf/internal/model"
+	"massf/internal/netsim"
+	"massf/internal/routing/interdomain"
+	"massf/internal/topology"
 )
 
 func main() {
-	net, err := massf.GenerateFlat(massf.FlatOptions{Routers: 120, Hosts: 10, Seed: 33})
+	net, err := topology.GenerateFlat(topology.FlatOptions{Routers: 120, Hosts: 10, Seed: 33})
 	if err != nil {
 		log.Fatal(err)
 	}
-	routes := massf.NewRouting(net)
-	var hosts []massf.NodeID
+	routes := interdomain.New(net)
+	var hosts []model.NodeID
 	for i := range net.Nodes {
-		if net.Nodes[i].Kind == massf.Host {
-			hosts = append(hosts, massf.NodeID(i))
+		if net.Nodes[i].Kind == model.Host {
+			hosts = append(hosts, model.NodeID(i))
 		}
 	}
 
 	const (
-		horizon = 3 * massf.Second
+		horizon = 3 * des.Second
 		// 0.05 wall seconds per simulated second (the paper runs factor
 		// 1.0 for real time or 8.0 when the network is too large).
 		pace = 0.05
 	)
-	sim, err := massf.NewSimulation(massf.SimConfig{
+	sim, err := netsim.New(netsim.Config{
 		Net: net, Routes: routes, Engines: 2,
-		Part: halfSplit(net), Window: 5 * massf.Millisecond,
+		Part: halfSplit(net), Window: 5 * des.Millisecond,
 		End: horizon, RealTimeFactor: pace, Seed: 1,
 	})
 	if err != nil {
@@ -45,7 +50,7 @@ func main() {
 
 	// The Agent is the live-traffic boundary: virtual IP mapping plus
 	// message injection and delivery.
-	ag := massf.NewAgent(sim, 5*massf.Millisecond)
+	ag := agent.New(sim, 5*des.Millisecond)
 	ag.MapHost("client", hosts[0])
 	ag.MapHost("server", hosts[len(hosts)-1])
 	clientIn := ag.Listen(hosts[0], 16)
@@ -89,7 +94,7 @@ func main() {
 // halfSplit puts the first half of the nodes on engine 0 and the rest on
 // engine 1 — crude, but this example is about the live-traffic path, not
 // load balance (see examples/singleas for the mapping approaches).
-func halfSplit(net *massf.Network) []int32 {
+func halfSplit(net *model.Network) []int32 {
 	part := make([]int32, len(net.Nodes))
 	for i := range part {
 		if i >= len(part)/2 {
@@ -102,7 +107,7 @@ func halfSplit(net *massf.Network) []int32 {
 		changed = false
 		for i := range net.Links {
 			l := &net.Links[i]
-			if part[l.A] != part[l.B] && l.Latency < int64(5*massf.Millisecond) {
+			if part[l.A] != part[l.B] && l.Latency < int64(5*des.Millisecond) {
 				part[l.A], part[l.B] = 0, 0
 				changed = true
 			}

@@ -12,60 +12,68 @@ import (
 	"os"
 	"text/tabwriter"
 
-	"massf"
+	"massf/internal/core"
+	"massf/internal/des"
+	"massf/internal/metrics"
+	"massf/internal/model"
+	"massf/internal/netsim"
+	"massf/internal/profile"
+	"massf/internal/routing/interdomain"
+	"massf/internal/topology"
+	"massf/internal/traffic"
 )
 
 const (
 	engines = 8
-	horizon = 6 * massf.Second
-	cost    = 15 * massf.Microsecond
+	horizon = 6 * des.Second
+	cost    = 15 * des.Microsecond
 )
 
 func main() {
-	net, err := massf.GenerateFlat(massf.FlatOptions{Routers: 800, Hosts: 400, Seed: 11})
+	net, err := topology.GenerateFlat(topology.FlatOptions{Routers: 800, Hosts: 400, Seed: 11})
 	if err != nil {
 		log.Fatal(err)
 	}
-	routes := massf.NewRouting(net)
-	var hosts []massf.NodeID
+	routes := interdomain.New(net)
+	var hosts []model.NodeID
 	for i := range net.Nodes {
-		if net.Nodes[i].Kind == massf.Host {
-			hosts = append(hosts, massf.NodeID(i))
+		if net.Nodes[i].Kind == model.Host {
+			hosts = append(hosts, model.NodeID(i))
 		}
 	}
 	appHosts, clients, servers := hosts[:7], hosts[7:300], hosts[300:]
 
-	install := func(sim *massf.Simulation) {
-		massf.InstallHTTP(sim, massf.HTTPConfig{
+	install := func(sim *netsim.Sim) {
+		traffic.InstallHTTP(sim, traffic.HTTPConfig{
 			Clients: clients, Servers: servers,
-			MeanGap: 5 * massf.Second, MeanFileBytes: 50_000, Seed: 5,
+			MeanGap: 5 * des.Second, MeanFileBytes: 50_000, Seed: 5,
 		})
-		if _, err := massf.InstallWorkflow(sim,
-			massf.ScaLapackWorkflow(appHosts, massf.DefaultScaLapack()), 0); err != nil {
+		if _, err := traffic.InstallWorkflow(sim,
+			traffic.ScaLapack(appHosts, traffic.DefaultScaLapack()), 0); err != nil {
 			log.Fatal(err)
 		}
 	}
 
 	// Profiling pass (sequential): measure per-router load for PROF/HPROF.
-	profSim, err := massf.NewSimulation(massf.SimConfig{
-		Net: net, Routes: routes, Engines: 1, Window: massf.MaxMLL, End: horizon, Seed: 9,
+	profSim, err := netsim.New(netsim.Config{
+		Net: net, Routes: routes, Engines: 1, Window: core.MaxMLL, End: horizon, Seed: 9,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	install(profSim)
 	profRes := profSim.Run()
-	prof := massf.ProfileFromResult(&profRes, horizon)
+	prof := profile.FromResult(&profRes, horizon)
 	fmt.Printf("profiling pass: %d events over %v\n\n", profRes.TotalEvents, horizon)
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "approach\tMLL\tsim time\timbalance\tefficiency\tflows")
-	for _, a := range []massf.Approach{massf.TOP2, massf.PROF2, massf.HTOP, massf.HPROF} {
-		mapping, err := massf.Map(net, a, massf.MappingConfig{Engines: engines, Seed: 9}, prof)
+	for _, a := range []core.Approach{core.TOP2, core.PROF2, core.HTOP, core.HPROF} {
+		mapping, err := core.Map(net, a, core.Config{Engines: engines, Seed: 9}, prof)
 		if err != nil {
 			log.Fatal(err)
 		}
-		sim, err := massf.NewSimulation(massf.SimConfig{
+		sim, err := netsim.New(netsim.Config{
 			Net: net, Routes: routes, Part: mapping.Part, Engines: engines,
 			Window: mapping.MLL, End: horizon, EventCost: cost, Seed: 9,
 		})
@@ -74,7 +82,7 @@ func main() {
 		}
 		install(sim)
 		res := sim.Run()
-		rep := massf.ReportFor(a.String(), &res, cost)
+		rep := metrics.FromStats(a.String(), res.Stats, cost)
 		fmt.Fprintf(w, "%v\t%v\t%.2fs\t%.3f\t%.3f\t%d\n",
 			a, mapping.MLL, rep.SimTimeSec, rep.Imbalance, rep.Efficiency, res.FlowsCompleted)
 	}

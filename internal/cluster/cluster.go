@@ -5,18 +5,15 @@
 // node count N is the quantity that both the hierarchical partitioner's
 // T_mll lower bound and the partition evaluator's Es factor depend on.
 //
-// Two models are provided: an analytic fit to the paper's measured TeraGrid
-// NCSA/SDSC Myrinet numbers (≈0.58 ms at 100 nodes, growing roughly
-// logarithmically with a linear tail), and a live model that measures the
-// actual barrier cost of N goroutines on the host, for experiments that use
-// real wall-clock parallelism.
+// The model is an analytic fit to the paper's measured TeraGrid NCSA/SDSC
+// Myrinet numbers (≈0.58 ms at 100 nodes, growing roughly logarithmically
+// with a linear tail).
 package cluster
 
 import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 )
 
 // SyncCostModel yields the global synchronization cost for a barrier over n
@@ -75,70 +72,6 @@ func (m Fixed) SyncCost(n int) int64 {
 
 // Name implements SyncCostModel.
 func (m Fixed) Name() string { return fmt.Sprintf("fixed-%dns", m.CostNS) }
-
-// Measured measures the real barrier cost of n goroutines on the host by
-// timing a burst of sync.WaitGroup-based barriers. Results are cached per n.
-// This grounds the "synchronization cost" input of the partitioner in the
-// actual substrate the simulation runs on when wall-clock mode is used.
-type Measured struct {
-	mu    sync.Mutex
-	cache map[int]int64
-	// Rounds is the number of barriers timed per measurement (default 64).
-	Rounds int
-}
-
-// NewMeasured returns a Measured model.
-func NewMeasured() *Measured {
-	return &Measured{cache: make(map[int]int64), Rounds: 64}
-}
-
-// SyncCost implements SyncCostModel.
-func (m *Measured) SyncCost(n int) int64 {
-	if n <= 1 {
-		return 0
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if c, ok := m.cache[n]; ok {
-		return c
-	}
-	c := measureBarrier(n, m.Rounds)
-	m.cache[n] = c
-	return c
-}
-
-// Name implements SyncCostModel.
-func (m *Measured) Name() string { return "measured-host" }
-
-// measureBarrier times rounds back-to-back barriers across n goroutines and
-// returns the mean per-barrier cost in ns.
-func measureBarrier(n, rounds int) int64 {
-	if rounds <= 0 {
-		rounds = 64
-	}
-	b := NewBarrier(n)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	wg.Add(n)
-	var elapsed time.Duration
-	for i := 0; i < n; i++ {
-		i := i
-		go func() {
-			defer wg.Done()
-			<-start
-			t0 := time.Now()
-			for r := 0; r < rounds; r++ {
-				b.Await()
-			}
-			if i == 0 {
-				elapsed = time.Since(t0)
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	return int64(elapsed) / int64(rounds)
-}
 
 // Barrier is a reusable N-party barrier built on a condition variable. It is
 // the synchronization primitive of the parallel engine's window loop.

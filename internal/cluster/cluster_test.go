@@ -38,7 +38,7 @@ func TestTeraGridMonotone(t *testing.T) {
 }
 
 func TestSingleEngineCostsNothing(t *testing.T) {
-	models := []SyncCostModel{DefaultTeraGrid(), Fixed{CostNS: 500}, NewMeasured()}
+	models := []SyncCostModel{DefaultTeraGrid(), Fixed{CostNS: 500}}
 	for _, m := range models {
 		if c := m.SyncCost(1); c != 0 {
 			t.Errorf("%s: C(1) = %d, want 0", m.Name(), c)
@@ -62,19 +62,6 @@ func TestFixed(t *testing.T) {
 	}
 	if m.Name() == "" {
 		t.Error("empty name")
-	}
-}
-
-func TestMeasuredCachesAndIsPositive(t *testing.T) {
-	m := NewMeasured()
-	m.Rounds = 8
-	c1 := m.SyncCost(4)
-	if c1 <= 0 {
-		t.Fatalf("measured barrier cost %d, want > 0", c1)
-	}
-	c2 := m.SyncCost(4)
-	if c1 != c2 {
-		t.Fatalf("cache miss: %d then %d", c1, c2)
 	}
 }
 

@@ -11,21 +11,24 @@ import (
 
 // tiny returns a scale small enough for unit tests.
 func tiny() Scale {
-	sc := Bench()
-	sc.Name = "tiny"
-	sc.Routers = 300
-	sc.ASes = 8
-	sc.RoutersPerAS = 30
-	sc.Hosts = 120
-	sc.Clients = 80
-	sc.Servers = 20
-	sc.Engines = 4
-	sc.Horizon = 2 * des.Second
-	return sc
+	return Scale{
+		Name:         "tiny",
+		Routers:      300,
+		ASes:         8,
+		RoutersPerAS: 30,
+		Hosts:        120,
+		Clients:      80,
+		Servers:      20,
+		AppHosts:     7,
+		Engines:      4,
+		Horizon:      2 * des.Second,
+		EventCost:    15 * des.Microsecond,
+		Seed:         1,
+	}
 }
 
 func TestScalesSane(t *testing.T) {
-	for _, sc := range []Scale{Reduced(), Paper(), Bench(), FromEnv(), BenchFromEnv()} {
+	for _, sc := range []Scale{Reduced(), Paper()} {
 		if sc.Routers <= 0 || sc.Engines <= 0 || sc.Horizon <= 0 {
 			t.Errorf("%s: degenerate scale %+v", sc.Name, sc)
 		}
@@ -121,7 +124,7 @@ func TestEvaluateShape(t *testing.T) {
 		if r == nil || !r.Simulated {
 			t.Fatalf("%v missing or not simulated", a)
 		}
-		if r.Report.SimTimeSec <= 0 || r.Report.TotalEvents == 0 {
+		if r.Report.SimTimeSec <= 0 || r.Report.TotalEvents == 0 || r.Report.Efficiency <= 0 {
 			t.Fatalf("%v: empty report %+v", a, r.Report)
 		}
 		if r.AppRounds == 0 {
@@ -145,6 +148,12 @@ func TestEvaluateShape(t *testing.T) {
 	}
 	if ev.Fig3 == nil {
 		t.Fatal("Fig3 outcome not retained")
+	}
+	// The profiled HPROF run carries the background HTTP load to completion
+	// beside the application.
+	if ev.Fig3.Result.FlowsCompleted == 0 || ev.Fig3.HTTP.TotalResponses() == 0 {
+		t.Errorf("HPROF run completed %d flows, %d HTTP responses",
+			ev.Fig3.Result.FlowsCompleted, ev.Fig3.HTTP.TotalResponses())
 	}
 
 	// All tables render without panicking and carry the workload row.

@@ -8,7 +8,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"os"
 
 	"massf/internal/cluster"
 	"massf/internal/core"
@@ -83,14 +82,6 @@ func Paper() Scale {
 		EventCost:    15 * des.Microsecond,
 		Seed:         1,
 	}
-}
-
-// FromEnv returns Paper() when MASSF_FULL=1, else Reduced().
-func FromEnv() Scale {
-	if os.Getenv("MASSF_FULL") == "1" {
-		return Paper()
-	}
-	return Reduced()
 }
 
 // Workload selects the foreground application.
@@ -560,31 +551,3 @@ func (st *Setup) RunMapping(a core.Approach, w Workload) (*RunOutcome, error) {
 
 // DefaultSync returns the synchronization cost model the experiments use.
 func DefaultSync() cluster.SyncCostModel { return cluster.DefaultTeraGrid() }
-
-// Bench returns an extra-small scale used by the repository's benchmark
-// harness so `go test -bench=.` finishes quickly; set MASSF_FULL=1 to
-// bench at paper scale instead.
-func Bench() Scale {
-	return Scale{
-		Name:         "bench",
-		Routers:      600,
-		ASes:         10,
-		RoutersPerAS: 60,
-		Hosts:        300,
-		Clients:      220,
-		Servers:      60,
-		AppHosts:     7,
-		Engines:      8,
-		Horizon:      4 * des.Second,
-		EventCost:    15 * des.Microsecond,
-		Seed:         1,
-	}
-}
-
-// BenchFromEnv returns Paper() when MASSF_FULL=1, else Bench().
-func BenchFromEnv() Scale {
-	if os.Getenv("MASSF_FULL") == "1" {
-		return Paper()
-	}
-	return Bench()
-}

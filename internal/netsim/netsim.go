@@ -438,15 +438,6 @@ func (s *Sim) EngineOf(n model.NodeID) int { return int(s.part[n]) }
 // hostedEngine reports whether engine e executes on this worker.
 func (s *Sim) hostedEngine(e int) bool { return e >= s.hostLo && e < s.hostHi }
 
-// Owned reports whether node n's engine executes on this worker (always
-// true in-process). Slice-mode scenario builders use it to materialize
-// per-host state — virtual CPUs, application endpoints — only for owned
-// nodes.
-func (s *Sim) Owned(n model.NodeID) bool { return s.hostedEngine(s.EngineOf(n)) }
-
-// SliceBuilt reports whether this Sim was built in slice mode.
-func (s *Sim) SliceBuilt() bool { return s.slice }
-
 // arriveDir is the netmon direction index of the link direction a packet
 // ARRIVED over at node: the transmitting end was the far endpoint, so the
 // index is 2*via (+1 when the sender was the link's B end). -1 when the

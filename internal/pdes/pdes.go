@@ -166,9 +166,9 @@ type Engine struct {
 	// schedule path is one always-taken branch; on a distributed worker,
 	// destinations outside the range divert to the wire outbox.
 	hostLo, hostHi int
-	wireOut        []wireSend   // events leaving this worker, encoded at the barrier
-	wireEnc        []wire.Event // this window's encoded wire outbox
-	wireIn         []wire.Event // this window's events from other workers: filed by the leader, drained by the engine
+	wireOut        []wireSend    // events leaving this worker, encoded at the barrier
+	wireEnc        []wire.Event  // this window's encoded wire outbox
+	wireIn         []remoteEvent // this window's events from other workers: decoded by the leader, drained by the engine
 
 	events      uint64 // total events processed
 	remoteSends uint64
@@ -620,23 +620,15 @@ func (s *Sim) Run() Stats {
 				if stats.Err != nil {
 					return
 				}
-				// Merge phase: decode my cross-worker events, order them
-				// with the gather under the global (at, src, seq) order,
+				// Merge phase: order my cross-worker events (decoded by the
+				// leader) with the gather under the global (at, src, seq) order,
 				// schedule. (Outboxes are not cleared here — the parity swap
 				// retires them, and the producer reclaims the buffers two
 				// executed windows later.)
 				if tel != nil {
 					exchStart = time.Now()
 				}
-				for _, ev := range e.wireIn {
-					eh, err := cfg.Codec.Decode(e.id, ev.Kind, ev.Payload)
-					if err != nil {
-						panic("pdes: undecodable remote event in distributed run: " + err.Error())
-					}
-					incoming = append(incoming, remoteEvent{
-						at: des.Time(ev.At), eh: eh, seq: ev.Seq, src: ev.Src,
-					})
-				}
+				incoming = append(incoming, e.wireIn...)
 				e.wireIn = e.wireIn[:0]
 				e.incoming = incoming
 				slices.SortFunc(incoming, remoteCmp)
@@ -681,11 +673,13 @@ func (s *Sim) Run() Stats {
 
 // exchange is the transport decision step, run by the leader between the
 // second and third barrier: it ships the window's control data with every
-// hosted engine's encoded wire outbox and hands each of the reply's events
-// to its destination engine's wireIn. The reply is input from outside the
-// process, so one the loop cannot act on — an event for an engine not
-// hosted here, a window that does not advance — is an error, like a failed
-// Exchange.
+// hosted engine's encoded wire outbox, decodes each of the reply's events
+// and hands it to its destination engine's wireIn. The other hosted engines
+// wait at the third barrier meanwhile, so Decode may touch any hosted
+// engine's state. The reply is input from outside the process, so one the
+// loop cannot act on — an event for an engine not hosted here, one the
+// codec cannot decode, a window that does not advance — is an error, like a
+// failed Exchange.
 func (s *Sim) exchange(done WindowDone) (WindowGo, error) {
 	first, hosted := s.cfg.FirstEngine, s.cfg.HostedEngines
 	lead := s.engines[first]
@@ -706,8 +700,12 @@ func (s *Sim) exchange(done WindowDone) (WindowGo, error) {
 		if int(ev.Dst) < first || int(ev.Dst) >= first+hosted {
 			return g, fmt.Errorf("%w: engine %d, hosted [%d,%d)", ErrMisroutedEvent, ev.Dst, first, first+hosted)
 		}
+		eh, err := s.cfg.Codec.Decode(int(ev.Dst), ev.Kind, ev.Payload)
+		if err != nil {
+			return g, fmt.Errorf("%w: kind %d for engine %d: %w", ErrUndecodableEvent, ev.Kind, ev.Dst, err)
+		}
 		e := s.engines[ev.Dst]
-		e.wireIn = append(e.wireIn, ev)
+		e.wireIn = append(e.wireIn, remoteEvent{at: des.Time(ev.At), eh: eh, seq: ev.Seq, src: ev.Src})
 	}
 	return g, nil
 }

@@ -80,6 +80,9 @@ var (
 	// ErrWindowNotAdvanced: the reply's NextWindow is not beyond the window
 	// just executed (and it does not stop the run).
 	ErrWindowNotAdvanced = errors.New("pdes: coordinator did not advance the window")
+	// ErrUndecodableEvent: the codec rejects one of the reply's events (it
+	// wraps the codec's error).
+	ErrUndecodableEvent = errors.New("pdes: undecodable remote event")
 )
 
 // Transport synchronizes one worker with the rest of a distributed run.
@@ -96,7 +99,8 @@ type Transport interface {
 // Codec translates model-layer event handlers to and from wire form. A
 // model registers one Kind per serializable handler type; both sides of a
 // distributed run must share the registry (guaranteed by replicated setup).
-// Encode and Decode run concurrently on multiple engine goroutines.
+// Encode runs concurrently on multiple engine goroutines; Decode runs on the
+// leader alone, while every other hosted engine waits at the barrier.
 type Codec interface {
 	// Encode serializes a remote event's handler. An error means the
 	// handler is not serializable — a model bug in distributed mode.

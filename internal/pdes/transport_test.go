@@ -338,6 +338,10 @@ func TestTransportExchangeErrorAborts(t *testing.T) {
 			g.Events = append(g.Events, wire.Event{Dst: -1, Kind: 1})
 			return nil
 		}, ErrMisroutedEvent},
+		{"undecodable event", func(h *memHub, worker int, g *WindowGo) error {
+			g.Events = append(g.Events, wire.Event{Dst: int32(h.first[worker]), Kind: 2})
+			return nil
+		}, ErrUndecodableEvent},
 		{"window not advanced", func(h *memHub, _ int, g *WindowGo) error {
 			g.NextWindow = h.errAt
 			return nil

@@ -24,7 +24,9 @@ func TestSimulatorMatchesConverge(t *testing.T) {
 	for as := range net.ASes {
 		s.Announce(int32(as))
 	}
-	s.Run()
+	if s.Run() == 0 {
+		t.Fatal("convergence exchanged no BGP messages")
+	}
 	for a := int32(0); a < 25; a++ {
 		for d := int32(0); d < 25; d++ {
 			pa, pb := batch.Path(a, d), s.RIB().Path(a, d)

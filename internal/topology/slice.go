@@ -2,7 +2,7 @@
 // engine range one distributed worker hosts, compute which nodes the worker
 // owns and a compact descriptor of the boundary — the links that cross from
 // an owned node to a node simulated elsewhere. A worker materializes
-// routing tables, host/flow state, and vcpu arrays only for owned nodes;
+// routing tables and host/flow state only for owned nodes;
 // the boundary descriptor is everything it needs to know about the rest of
 // the network's edge (packets crossing it travel over internal/wire).
 

@@ -160,12 +160,6 @@ const controlBytes = 100
 // start and re-running until the horizon (the paper's applications run
 // continuously for the whole experiment).
 func InstallWorkflow(s *netsim.Sim, w Workflow, start des.Time) (*WorkflowStats, error) {
-	return installWorkflow(s, w, start, nil)
-}
-
-// installWorkflow is the shared implementation; cpus, when non-nil, runs
-// task compute through the hosts' virtual CPUs (see cpu.go).
-func installWorkflow(s *netsim.Sim, w Workflow, start des.Time, cpus *HostCPUs) (*WorkflowStats, error) {
 	if err := w.Validate(); err != nil {
 		return nil, err
 	}
@@ -229,13 +223,7 @@ func installWorkflow(s *netsim.Sim, w Workflow, start des.Time, cpus *HostCPUs) 
 					func(arr des.Time) { arrived(succ, arr) })
 			}
 		}
-		// Compute either as a fixed delay or on the host's shared virtual
-		// CPU (contention with co-located tasks).
-		if cpu := cpus.Get(t.Host); cpu != nil {
-			cpu.Submit(t.Compute, finish)
-		} else {
-			s.ScheduleAt(t.Host, at+t.Compute, finish)
-		}
+		s.ScheduleAt(t.Host, at+t.Compute, finish)
 	}
 	for _, src := range sources {
 		src := src

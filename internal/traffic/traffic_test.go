@@ -243,106 +243,6 @@ func TestWorkflowAcrossEnginesMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestWorkflowOnVirtualCPUsChainEqualsDelay(t *testing.T) {
-	// A chain never runs two tasks concurrently, so executing its compute
-	// on a shared virtual CPU must cost exactly the same as fixed delays.
-	runHC := func(withCPU bool) des.Time {
-		s, hosts := testNet(t, 30, 8, 1, nil, 30*des.Second)
-		w := GridNPBHC(hosts[:1]) // all tasks on one host: no network, pure compute
-		var stats *WorkflowStats
-		var err error
-		if withCPU {
-			stats, err = InstallWorkflowCPU(s, w, 0, NewHostCPUs(s, hosts[:1], nil))
-		} else {
-			stats, err = InstallWorkflow(s, w, 0)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Run()
-		if stats.Rounds == 0 {
-			t.Fatal("no rounds")
-		}
-		return stats.FirstFinish
-	}
-	withCPU, plain := runHC(true), runHC(false)
-	diff := withCPU - plain
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > des.Millisecond {
-		t.Errorf("serial chain: CPU execution %v != delay execution %v", withCPU, plain)
-	}
-}
-
-func TestWorkflowCPUFanOutSlowdown(t *testing.T) {
-	// MB fans three tasks in parallel; stacked on one 1x CPU they run at
-	// 1/3 throughput, so the round takes longer than with plain delays on
-	// the same placement (where compute overlaps freely).
-	runMB := func(withCPU bool) des.Time {
-		s, hosts := testNet(t, 30, 8, 1, nil, 60*des.Second)
-		w := GridNPBMB(hosts[:1]) // all tasks on one host
-		var stats *WorkflowStats
-		var err error
-		if withCPU {
-			stats, err = InstallWorkflowCPU(s, w, 0, NewHostCPUs(s, hosts[:1], nil))
-		} else {
-			stats, err = InstallWorkflow(s, w, 0)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Run()
-		if stats.Rounds == 0 {
-			t.Fatal("no rounds")
-		}
-		return stats.FirstFinish
-	}
-	contended, free := runMB(true), runMB(false)
-	if contended <= free {
-		t.Errorf("CPU contention (%v) not slower than plain delays (%v)", contended, free)
-	}
-	// Processor sharing is work-conserving: the contended fan completes
-	// in exactly source + sum(branches) + sink compute.
-	want := npbCompute/4 + (npbCompute/2 + npbCompute + 2*npbCompute) + npbCompute/4
-	diff := contended - want
-	if diff < 0 {
-		diff = -diff
-	}
-	if diff > des.Millisecond {
-		t.Errorf("contended round %v, want ~%v (work conservation)", contended, want)
-	}
-}
-
-func TestInstallWorkflowCPUMissingHost(t *testing.T) {
-	s, hosts := testNet(t, 20, 5, 1, nil, des.Second)
-	w := GridNPBHC(hosts[:3])
-	cpus := NewHostCPUs(s, hosts[:1], nil) // missing CPUs for hosts 1,2
-	if _, err := InstallWorkflowCPU(s, w, 0, cpus); err == nil {
-		t.Error("missing CPU accepted")
-	}
-}
-
-func TestHostCPUsSpeedFunction(t *testing.T) {
-	s, hosts := testNet(t, 20, 5, 1, nil, des.Second)
-	cpus := NewHostCPUs(s, hosts[:2], func(n model.NodeID) float64 {
-		if n == hosts[0] {
-			return 4.0
-		}
-		return 1.0
-	})
-	if cpus.Get(hosts[0]).Speed() != 4.0 || cpus.Get(hosts[1]).Speed() != 1.0 {
-		t.Error("speed function not applied")
-	}
-	if cpus.Get(hosts[3]) != nil {
-		t.Error("phantom CPU")
-	}
-	var nilCPUs *HostCPUs
-	if nilCPUs.Get(hosts[0]) != nil {
-		t.Error("nil HostCPUs should return nil")
-	}
-}
-
 func TestHTTPParetoSizesHeavyTailed(t *testing.T) {
 	// Compare exponential vs Pareto draws: at matched means, Pareto must
 	// produce a fatter tail (more very large objects).
