@@ -6,24 +6,26 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"massf/internal/core"
-	"massf/internal/des"
-	"massf/internal/mabrite"
-	"massf/internal/metrics"
-	"massf/internal/model"
-	"massf/internal/netsim"
-	"massf/internal/profile"
-	"massf/internal/routing/interdomain"
-	"massf/internal/traffic"
+	"massf/internal/experiments"
+	"massf/internal/runspec"
 )
 
 func main() {
-	net, err := mabrite.Generate(mabrite.Options{
-		ASes: 12, RoutersPerAS: 40, Hosts: 200, Seed: 21,
-	})
+	sc := experiments.Scenario{
+		MultiAS:  &experiments.MultiASSpec{ASes: 12, RoutersPerAS: 40, Hosts: 200},
+		Approach: "HPROF",
+		App:      "gridnpb",
+		RunSpec:  runspec.RunSpec{Engines: 8, Seconds: 6, Seed: 21},
+	}
+	sc.Normalize()
+	if err := sc.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	net, multi, err := sc.Network("")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -35,9 +37,12 @@ func main() {
 		len(net.ASes), classes["core"], classes["regional"], classes["stub"],
 		net.NumRouters(), net.NumHosts())
 
-	// Converge BGP4 with the generated policies.
-	routes := interdomain.New(net)
-	rib := routes.RIB()
+	// Building the testbed converges BGP4 with the generated policies.
+	st, err := sc.Build(net, multi, experiments.Exec{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	rib := st.Router.RIB()
 	_, unreachable := rib.Reachability()
 	fmt.Printf("BGP converged in %d messages; %d policy-unreachable AS pairs\n",
 		rib.Messages, unreachable)
@@ -50,63 +55,29 @@ func main() {
 		}
 	}
 
-	var hosts []model.NodeID
-	for i := range net.Nodes {
-		if net.Nodes[i].Kind == model.Host {
-			hosts = append(hosts, model.NodeID(i))
-		}
-	}
-	appHosts, clients, servers := hosts[:5], hosts[5:150], hosts[150:]
-
 	// Profile, then map with HPROF.
-	const horizon = 6 * des.Second
-	profSim, err := netsim.New(netsim.Config{
-		Net: net, Routes: routes, Engines: 1, Window: core.MaxMLL, End: horizon, Seed: 2,
-	})
+	ctx := context.Background()
+	prof, err := sc.TrafficProfile(ctx, st)
 	if err != nil {
 		log.Fatal(err)
 	}
-	installAll(profSim, clients, servers, appHosts)
-	profRes := profSim.Run()
-	prof := profile.FromResult(&profRes, horizon)
-
-	mapping, err := core.Map(net, core.HPROF, core.Config{Engines: 8, Seed: 2}, prof)
+	mapping, err := sc.Map(st, prof)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("HPROF: Tmll %v (%d candidates), achieved MLL %v, E = %.3f\n",
 		mapping.Tmll, mapping.Candidates, mapping.MLL, mapping.E)
 
-	sim, err := netsim.New(netsim.Config{
-		Net: net, Routes: routes, Part: mapping.Part, Engines: 8,
-		Window: mapping.MLL, End: horizon, Seed: 2,
-	})
+	p, err := sc.Prepare(st, mapping, nil, experiments.Exec{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	apps := installAll(sim, clients, servers, appHosts)
-	res := sim.Run()
-	rep := metrics.FromStats("HPROF", res.Stats, 15*des.Microsecond)
+	out := p.Run(ctx)
 	fmt.Printf("simulated %v: %d events, %d flows completed, imbalance %.3f, efficiency %.3f\n",
-		horizon, res.TotalEvents, res.FlowsCompleted, rep.Imbalance, rep.Efficiency)
-	for _, ws := range apps {
+		sc.Horizon(), out.Result.TotalEvents, out.Result.FlowsCompleted,
+		out.Report.Imbalance, out.Report.Efficiency)
+	for _, ws := range out.Apps {
 		fmt.Printf("  GridNPB workflow: %d rounds, first round finished at %v\n",
 			ws.Rounds, ws.FirstFinish)
 	}
-}
-
-func installAll(sim *netsim.Sim, clients, servers, appHosts []model.NodeID) []*traffic.WorkflowStats {
-	traffic.InstallHTTP(sim, traffic.HTTPConfig{
-		Clients: clients, Servers: servers,
-		MeanGap: 5 * des.Second, MeanFileBytes: 50_000, Seed: 4,
-	})
-	var out []*traffic.WorkflowStats
-	for _, w := range traffic.GridNPB(appHosts) {
-		ws, err := traffic.InstallWorkflow(sim, w, 0)
-		if err != nil {
-			log.Fatal(err)
-		}
-		out = append(out, ws)
-	}
-	return out
 }

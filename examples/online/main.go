@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sync"
@@ -14,47 +15,51 @@ import (
 
 	"massf/internal/agent"
 	"massf/internal/des"
-	"massf/internal/model"
-	"massf/internal/netsim"
-	"massf/internal/routing/interdomain"
-	"massf/internal/topology"
+	"massf/internal/experiments"
+	"massf/internal/runspec"
 )
 
 func main() {
-	net, err := topology.GenerateFlat(topology.FlatOptions{Routers: 120, Hosts: 10, Seed: 33})
+	sc := experiments.Scenario{
+		Flat: &experiments.FlatSpec{Routers: 120, Hosts: 10},
+		// 0.05 wall seconds per simulated second (the paper runs factor 1.0
+		// for real time or 8.0 when the network is too large).
+		RunSpec: runspec.RunSpec{Engines: 2, Seconds: 3, Seed: 33, RealTimeFactor: 0.05},
+	}
+	sc.Normalize()
+	if err := sc.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	net, multi, err := sc.Network("")
 	if err != nil {
 		log.Fatal(err)
 	}
-	routes := interdomain.New(net)
-	var hosts []model.NodeID
-	for i := range net.Nodes {
-		if net.Nodes[i].Kind == model.Host {
-			hosts = append(hosts, model.NodeID(i))
-		}
+	st, err := sc.Build(net, multi, experiments.Exec{})
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	const (
-		horizon = 3 * des.Second
-		// 0.05 wall seconds per simulated second (the paper runs factor
-		// 1.0 for real time or 8.0 when the network is too large).
-		pace = 0.05
-	)
-	sim, err := netsim.New(netsim.Config{
-		Net: net, Routes: routes, Engines: 2,
-		Part: halfSplit(net), Window: 5 * des.Millisecond,
-		End: horizon, RealTimeFactor: pace, Seed: 1,
-	})
+	ctx := context.Background()
+	prof, err := sc.TrafficProfile(ctx, st)
+	if err != nil {
+		log.Fatal(err)
+	}
+	mapping, err := sc.Map(st, prof)
+	if err != nil {
+		log.Fatal(err)
+	}
+	p, err := sc.Prepare(st, mapping, nil, experiments.Exec{})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// The Agent is the live-traffic boundary: virtual IP mapping plus
-	// message injection and delivery.
-	ag := agent.New(sim, 5*des.Millisecond)
-	ag.MapHost("client", hosts[0])
-	ag.MapHost("server", hosts[len(hosts)-1])
-	clientIn := ag.Listen(hosts[0], 16)
-	serverIn := ag.Listen(hosts[len(hosts)-1], 16)
+	// message injection and delivery. It attaches between Prepare and Run.
+	client, server := st.Hosts[0], st.Hosts[len(st.Hosts)-1]
+	ag := agent.New(p.Sim, 5*des.Millisecond)
+	ag.MapHost("client", client)
+	ag.MapHost("server", server)
+	clientIn := ag.Listen(client, 16)
+	serverIn := ag.Listen(server, 16)
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -82,36 +87,11 @@ func main() {
 		}
 	}()
 
-	sim.Run()
+	p.Run(ctx)
 	// The horizon passed; close the listener channels to release the live
 	// goroutines.
 	ag.Close()
 	wg.Wait()
 	sent, delivered, dropped := ag.Stats()
 	fmt.Printf("agent: %d live messages sent, %d delivered, %d dropped\n", sent, delivered, dropped)
-}
-
-// halfSplit puts the first half of the nodes on engine 0 and the rest on
-// engine 1 — crude, but this example is about the live-traffic path, not
-// load balance (see examples/singleas for the mapping approaches).
-func halfSplit(net *model.Network) []int32 {
-	part := make([]int32, len(net.Nodes))
-	for i := range part {
-		if i >= len(part)/2 {
-			part[i] = 1
-		}
-	}
-	// Respect the conservative window: merge any cut link shorter than
-	// 5 ms back onto engine 0.
-	for changed := true; changed; {
-		changed = false
-		for i := range net.Links {
-			l := &net.Links[i]
-			if part[l.A] != part[l.B] && l.Latency < int64(5*des.Millisecond) {
-				part[l.A], part[l.B] = 0, 0
-				changed = true
-			}
-		}
-	}
-	return part
 }

@@ -92,19 +92,13 @@ type node struct {
 
 // Event is a cancellable handle to a scheduled event. It is a small value
 // (pointer + generation); copy it freely, store it in struct fields, and
-// pass &e to Cancel. The zero Event is valid and never Scheduled. A handle
+// pass &e to Cancel. The zero Event is valid and cancels nothing. A handle
 // goes stale the moment its event fires or is cancelled — the generation
 // check makes any later Cancel through it a no-op, even if the underlying
 // arena node has been reused for a different event.
 type Event struct {
 	n   *node
 	gen uint32
-}
-
-// Scheduled reports whether the event the handle refers to still sits in a
-// kernel queue.
-func (e Event) Scheduled() bool {
-	return e.n != nil && e.n.gen == e.gen && e.n.pos >= 0
 }
 
 // Kernel is a sequential discrete event simulator. The zero value is ready
@@ -280,16 +274,6 @@ func (k *Kernel) ScheduleEvent(at Time, eh EventHandler) Event {
 		k.maxPending = len(k.q)
 	}
 	return Event{n: nd, gen: nd.gen}
-}
-
-// ScheduleFunc is ScheduleEvent for a closure.
-func (k *Kernel) ScheduleFunc(at Time, handler Handler) Event {
-	return k.ScheduleEvent(at, handler)
-}
-
-// AfterFunc enqueues handler to run delay after the current time.
-func (k *Kernel) AfterFunc(delay Time, handler Handler) Event {
-	return k.ScheduleEvent(k.now+delay, handler)
 }
 
 // Cancel removes a previously scheduled event. Cancelling an event that has

@@ -59,9 +59,9 @@ func TestFromFloat(t *testing.T) {
 func TestScheduleAndRunOrder(t *testing.T) {
 	var k Kernel
 	var fired []int
-	k.ScheduleFunc(30, func(Time) { fired = append(fired, 3) })
-	k.ScheduleFunc(10, func(Time) { fired = append(fired, 1) })
-	k.ScheduleFunc(20, func(Time) { fired = append(fired, 2) })
+	k.ScheduleEvent(30, Handler(func(Time) { fired = append(fired, 3) }))
+	k.ScheduleEvent(10, Handler(func(Time) { fired = append(fired, 1) }))
+	k.ScheduleEvent(20, Handler(func(Time) { fired = append(fired, 2) }))
 	n := k.Run(EndOfTime)
 	if n != 3 {
 		t.Fatalf("Run executed %d events, want 3", n)
@@ -81,7 +81,7 @@ func TestTieBreakIsScheduleOrder(t *testing.T) {
 	var fired []int
 	for i := 0; i < 10; i++ {
 		i := i
-		k.ScheduleFunc(100, func(Time) { fired = append(fired, i) })
+		k.ScheduleEvent(100, Handler(func(Time) { fired = append(fired, i) }))
 	}
 	k.Run(EndOfTime)
 	for i, v := range fired {
@@ -93,38 +93,38 @@ func TestTieBreakIsScheduleOrder(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	var k Kernel
-	k.ScheduleFunc(10, func(Time) {})
+	k.ScheduleEvent(10, Handler(func(Time) {}))
 	k.Run(EndOfTime)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling into the past did not panic")
 		}
 	}()
-	k.ScheduleFunc(5, func(Time) {})
+	k.ScheduleEvent(5, Handler(func(Time) {}))
 }
 
 func TestAfter(t *testing.T) {
 	var k Kernel
 	var at Time
-	k.ScheduleFunc(100, func(now Time) {
-		k.AfterFunc(50, func(now Time) { at = now })
-	})
+	k.ScheduleEvent(100, Handler(func(now Time) {
+		k.ScheduleEvent(now+50, Handler(func(now Time) { at = now }))
+	}))
 	k.Run(EndOfTime)
 	if at != 150 {
-		t.Errorf("After fired at %v, want 150", at)
+		t.Errorf("event scheduled 50 after 100 fired at %v, want 150", at)
 	}
 }
 
 func TestCancel(t *testing.T) {
 	var k Kernel
 	fired := false
-	e := k.ScheduleFunc(10, func(Time) { fired = true })
-	if !e.Scheduled() {
-		t.Fatal("event not marked scheduled")
+	e := k.ScheduleEvent(10, Handler(func(Time) { fired = true }))
+	if k.Pending() != 1 {
+		t.Fatal("event not queued")
 	}
 	k.Cancel(&e)
-	if e.Scheduled() {
-		t.Fatal("event still marked scheduled after cancel")
+	if k.Pending() != 0 {
+		t.Fatal("event still queued after cancel")
 	}
 	k.Run(EndOfTime)
 	if fired {
@@ -141,7 +141,7 @@ func TestCancelMiddleOfQueue(t *testing.T) {
 	var events []Event
 	for i := 0; i < 20; i++ {
 		i := i
-		events = append(events, k.ScheduleFunc(Time(i*10), func(Time) { fired = append(fired, i) }))
+		events = append(events, k.ScheduleEvent(Time(i*10), Handler(func(Time) { fired = append(fired, i) })))
 	}
 	for i := 0; i < 20; i += 2 {
 		k.Cancel(&events[i])
@@ -162,7 +162,7 @@ func TestRunUntilIsExclusiveAndAdvancesClock(t *testing.T) {
 	var fired []Time
 	for _, at := range []Time{10, 20, 30, 40} {
 		at := at
-		k.ScheduleFunc(at, func(now Time) { fired = append(fired, now) })
+		k.ScheduleEvent(at, Handler(func(now Time) { fired = append(fired, now) }))
 	}
 	n := k.RunUntil(30)
 	if n != 2 {
@@ -185,7 +185,7 @@ func TestRunUntilIsExclusiveAndAdvancesClock(t *testing.T) {
 // at the last event executed (there is no finite time to advance to).
 func TestRunAdvancesClockToHorizon(t *testing.T) {
 	var k Kernel
-	k.ScheduleFunc(10, func(Time) {})
+	k.ScheduleEvent(10, Handler(func(Time) {}))
 	if n := k.Run(50); n != 1 {
 		t.Fatalf("Run(50) executed %d events, want 1", n)
 	}
@@ -196,7 +196,7 @@ func TestRunAdvancesClockToHorizon(t *testing.T) {
 		t.Errorf("Run on empty queue left clock at %v, want 80", k.Now())
 	}
 	var k2 Kernel
-	k2.ScheduleFunc(10, func(Time) {})
+	k2.ScheduleEvent(10, Handler(func(Time) {}))
 	k2.Run(EndOfTime)
 	if k2.Now() != 10 {
 		t.Errorf("clock after Run(EndOfTime) = %v, want 10 (last event)", k2.Now())
@@ -207,15 +207,12 @@ func TestRunAdvancesClockToHorizon(t *testing.T) {
 // arena node it points at has been recycled for a newer event.
 func TestStaleCancelAfterNodeReuse(t *testing.T) {
 	var k Kernel
-	e1 := k.ScheduleFunc(10, func(Time) {})
+	e1 := k.ScheduleEvent(10, Handler(func(Time) {}))
 	k.Run(EndOfTime)
-	if e1.Scheduled() {
-		t.Fatal("fired event still reports Scheduled")
-	}
 	fired := false
-	e2 := k.ScheduleFunc(20, func(Time) { fired = true })
-	k.Cancel(&e1) // stale handle; its node now backs e2
-	if !e2.Scheduled() {
+	k.ScheduleEvent(20, Handler(func(Time) { fired = true }))
+	k.Cancel(&e1) // stale handle; its node now backs the new event
+	if k.Pending() != 1 {
 		t.Fatal("stale Cancel killed an unrelated live event")
 	}
 	k.Run(EndOfTime)
@@ -223,9 +220,6 @@ func TestStaleCancelAfterNodeReuse(t *testing.T) {
 		t.Fatal("live event did not fire after stale Cancel")
 	}
 	var zero Event
-	if zero.Scheduled() {
-		t.Fatal("zero Event reports Scheduled")
-	}
 	k.Cancel(&zero)
 	k.Cancel(nil)
 }
@@ -240,17 +234,14 @@ func (c *countingHandler) OnEvent(now Time) { c.n++; c.at = now }
 func TestScheduleEventHandler(t *testing.T) {
 	var k Kernel
 	var c countingHandler
-	e := k.ScheduleEvent(30, &c)
-	if !e.Scheduled() {
-		t.Fatal("ScheduleEvent handle not scheduled")
-	}
+	k.ScheduleEvent(30, &c)
 	k.ScheduleEvent(40, &c)
+	if k.Pending() != 2 {
+		t.Fatalf("%d events queued, want 2", k.Pending())
+	}
 	k.Run(EndOfTime)
 	if c.n != 2 || c.at != 40 {
 		t.Fatalf("EventHandler fired %d times (last at %v), want 2 at 40", c.n, c.at)
-	}
-	if e.Scheduled() {
-		t.Fatal("fired EventHandler handle still Scheduled")
 	}
 	// Cancelled EventHandler events never fire.
 	e2 := k.ScheduleEvent(50, &c)
@@ -271,7 +262,7 @@ func TestNextEventTimeEmpty(t *testing.T) {
 func TestProcessedCounter(t *testing.T) {
 	var k Kernel
 	for i := 0; i < 7; i++ {
-		k.ScheduleFunc(Time(i), func(Time) {})
+		k.ScheduleEvent(Time(i), Handler(func(Time) {}))
 	}
 	k.Run(EndOfTime)
 	if k.Processed() != 7 {
@@ -286,10 +277,10 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 	recur = func(now Time) {
 		count++
 		if count < 100 {
-			k.AfterFunc(1, recur)
+			k.ScheduleEvent(now+1, recur)
 		}
 	}
-	k.ScheduleFunc(0, recur)
+	k.ScheduleEvent(0, recur)
 	k.Run(EndOfTime)
 	if count != 100 {
 		t.Errorf("recursive scheduling executed %d events, want 100", count)
@@ -301,7 +292,7 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 
 func TestStepRespectsLimit(t *testing.T) {
 	var k Kernel
-	k.ScheduleFunc(10, func(Time) {})
+	k.ScheduleEvent(10, Handler(func(Time) {}))
 	if k.Step(10) {
 		t.Fatal("Step executed event at the limit; limit must be exclusive")
 	}
@@ -318,7 +309,7 @@ func TestQuickFiringOrder(t *testing.T) {
 		var fired []Time
 		for _, s := range stamps {
 			at := Time(s)
-			k.ScheduleFunc(at, func(now Time) { fired = append(fired, now) })
+			k.ScheduleEvent(at, Handler(func(now Time) { fired = append(fired, now) }))
 		}
 		k.Run(EndOfTime)
 		if len(fired) != len(stamps) {
@@ -347,7 +338,7 @@ func TestQuickCancelConsistency(t *testing.T) {
 					break
 				}
 			} else {
-				e := k.ScheduleFunc(Time(rng.Intn(1000)), func(Time) { firedCount++ })
+				e := k.ScheduleEvent(Time(rng.Intn(1000)), Handler(func(Time) { firedCount++ }))
 				alive[e] = true
 			}
 		}
@@ -371,7 +362,7 @@ func BenchmarkKernelScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var k Kernel
 		for _, at := range stamps {
-			k.ScheduleFunc(at, func(Time) {})
+			k.ScheduleEvent(at, Handler(func(Time) {}))
 		}
 		k.Run(EndOfTime)
 	}
@@ -380,7 +371,7 @@ func BenchmarkKernelScheduleRun(b *testing.B) {
 // warmSteadyKernel returns a kernel holding a standing queue of 4096
 // events whose arena and heap have already grown: filled and fully drained
 // once, then refilled.
-func warmSteadyKernel() (k *Kernel, offs []Time, h func(Time)) {
+func warmSteadyKernel() (k *Kernel, offs []Time, h Handler) {
 	k = new(Kernel)
 	h = func(Time) {}
 	rng := rand.New(rand.NewSource(2))
@@ -389,11 +380,11 @@ func warmSteadyKernel() (k *Kernel, offs []Time, h func(Time)) {
 		offs[i] = Time(rng.Intn(1000) + 1)
 	}
 	for _, off := range offs {
-		k.ScheduleFunc(k.Now()+off, h)
+		k.ScheduleEvent(k.Now()+off, h)
 	}
 	k.Run(EndOfTime)
 	for _, off := range offs {
-		k.ScheduleFunc(k.Now()+off, h)
+		k.ScheduleEvent(k.Now()+off, h)
 	}
 	return k, offs, h
 }
@@ -406,7 +397,7 @@ func BenchmarkKernelSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k.ScheduleFunc(k.Now()+offs[i&(len(offs)-1)], h)
+		k.ScheduleEvent(k.Now()+offs[i&(len(offs)-1)], h)
 		k.Step(EndOfTime)
 	}
 }
@@ -421,7 +412,7 @@ func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 		name     string
 		schedule func(k *Kernel, at Time, h Handler)
 	}{
-		{"ScheduleFunc", func(k *Kernel, at Time, h Handler) { k.ScheduleFunc(at, h) }},
+		{"closure", func(k *Kernel, at Time, h Handler) { k.ScheduleEvent(at, h) }},
 		{"ScheduleEvent", func(k *Kernel, at Time, _ Handler) { k.ScheduleEvent(at, pooled) }},
 	}
 	for _, f := range forms {
@@ -474,7 +465,7 @@ func TestFormsInterleaveInAtSeqOrder(t *testing.T) {
 		var fired []int
 		for i, e := range c.evs {
 			if e.closed {
-				k.ScheduleFunc(e.at, func(Time) { fired = append(fired, i) })
+				k.ScheduleEvent(e.at, Handler(func(Time) { fired = append(fired, i) }))
 			} else {
 				k.ScheduleEvent(e.at, &tagHandler{tag: i, fired: &fired})
 			}

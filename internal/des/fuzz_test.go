@@ -41,7 +41,7 @@ func FuzzKernelSchedule(f *testing.F) {
 		schedule := func(at Time) {
 			id := nextID
 			nextID++
-			ev := k.ScheduleFunc(at, func(Time) { fired = append(fired, id) })
+			ev := k.ScheduleEvent(at, Handler(func(Time) { fired = append(fired, id) }))
 			pending = append(pending, pend{at: at, id: id, ev: ev})
 		}
 

@@ -23,7 +23,7 @@ func TestVerifyInvariantsCleanKernel(t *testing.T) {
 	}
 	var fired int
 	for i := 0; i < 2000; i++ {
-		k.ScheduleFunc(Time(i%37), func(Time) { fired++ })
+		k.ScheduleEvent(Time(i%37), Handler(func(Time) { fired++ }))
 	}
 	if err := k.VerifyInvariants(); err != nil {
 		t.Fatalf("after schedule: %v", err)
@@ -41,7 +41,7 @@ func TestVerifyInvariantsAfterCancel(t *testing.T) {
 	var k Kernel
 	var evs []Event
 	for i := 0; i < 600; i++ {
-		evs = append(evs, k.ScheduleFunc(Time(i), func(Time) {}))
+		evs = append(evs, k.ScheduleEvent(Time(i), Handler(func(Time) {})))
 	}
 	for i := 0; i < len(evs); i += 3 {
 		k.Cancel(&evs[i])
@@ -58,7 +58,7 @@ func TestVerifyInvariantsAfterCancel(t *testing.T) {
 func TestVerifyInvariantsDetectsHeapCorruption(t *testing.T) {
 	var k Kernel
 	for i := 0; i < 64; i++ {
-		k.ScheduleFunc(Time(64-i), func(Time) {})
+		k.ScheduleEvent(Time(64-i), Handler(func(Time) {}))
 	}
 	// Corrupt the heap directly: swap the root with the last leaf without
 	// fixing positions or order.
@@ -74,7 +74,7 @@ func TestVerifyInvariantsDetectsHeapCorruption(t *testing.T) {
 func TestVerifyInvariantsDetectsPositionCorruption(t *testing.T) {
 	var k Kernel
 	for i := 0; i < 8; i++ {
-		k.ScheduleFunc(Time(i), func(Time) {})
+		k.ScheduleEvent(Time(i), Handler(func(Time) {}))
 	}
 	k.q[3].pos = 7
 	err := k.VerifyInvariants()
@@ -85,7 +85,7 @@ func TestVerifyInvariantsDetectsPositionCorruption(t *testing.T) {
 
 func TestVerifyInvariantsDetectsArenaLeak(t *testing.T) {
 	var k Kernel
-	e := k.ScheduleFunc(10, func(Time) {})
+	e := k.ScheduleEvent(10, Handler(func(Time) {}))
 	// Simulate a leak: remove the node from the heap without releasing it.
 	k.remove(int(e.n.pos))
 	err := k.VerifyInvariants()
@@ -98,7 +98,7 @@ func TestStepCheckDetectsExecBeforeNow(t *testing.T) {
 	var k Kernel
 	inv, got := collectInv(false)
 	k.SetInvariants(inv)
-	k.ScheduleFunc(50, func(Time) {})
+	k.ScheduleEvent(50, Handler(func(Time) {}))
 	// Force the clock past the pending event — the kind of state only a
 	// bug (or this test) can produce — and execute it.
 	k.now = 100
@@ -116,11 +116,11 @@ func TestEveryStepVerifiesCleanRun(t *testing.T) {
 	k.SetInvariants(inv)
 	for i := 0; i < 500; i++ {
 		i := i
-		k.ScheduleFunc(Time(i%13), func(now Time) {
+		k.ScheduleEvent(Time(i%13), Handler(func(now Time) {
 			if i%5 == 0 {
-				k.ScheduleFunc(now+3, func(Time) {})
+				k.ScheduleEvent(now+3, Handler(func(Time) {}))
 			}
-		})
+		}))
 	}
 	k.Run(EndOfTime)
 	if len(*got) != 0 {
@@ -134,7 +134,7 @@ func TestEveryStepVerifiesCleanRun(t *testing.T) {
 func TestInvariantsNilFailPanics(t *testing.T) {
 	var k Kernel
 	k.SetInvariants(&KernelInvariants{})
-	k.ScheduleFunc(50, func(Time) {})
+	k.ScheduleEvent(50, Handler(func(Time) {}))
 	k.now = 100
 	defer func() {
 		if recover() == nil {

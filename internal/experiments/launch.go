@@ -16,8 +16,8 @@ import (
 )
 
 // The launch path. Every surface that turns a description into a running
-// simulation — cmd/massf, the massfd daemon (internal/runctl) — goes
-// through the same steps, in this order:
+// simulation — cmd/massf, the massfd daemon (internal/runctl), the
+// examples — goes through the same steps, in this order:
 //
 //	sc.Normalize(); sc.Validate()
 //	net, multi := sc.Network(dir)     topology source → network, through an artifact cache
@@ -205,7 +205,8 @@ func (s *Scenario) AppHosts() int {
 
 // Build constructs the scenario's testbed on net: routing, and the host
 // roles — the application hosts spread over the host list, the rest split
-// 80/20 into HTTP clients and servers unless the scenario sizes them. The
+// 80/20 into HTTP clients and servers unless the scenario sizes them (a
+// size beyond the free hosts shrinks both proportionally). The
 // result depends only on net, Seed, App, Clients and Servers and is never
 // written after Build returns, so one Setup may serve any number of
 // concurrent runs that agree on those. Of x only Slice is read: a sliced
@@ -218,7 +219,7 @@ func (s *Scenario) Build(net *model.Network, multi bool, x Exec) (*Setup, error)
 		nc = free * 4 / 5
 	}
 	if ns <= 0 {
-		ns = free - nc
+		ns = max(free-nc, 0)
 	}
 	return newSetup(net, Scale{
 		Name: "scenario", Hosts: net.NumHosts(),

@@ -3,9 +3,11 @@ package experiments
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
+	"massf/internal/model"
 	"massf/internal/runspec"
 )
 
@@ -93,6 +95,35 @@ func TestLaunchProfilingPassStopsAtBarrier(t *testing.T) {
 	prof, err := sc.TrafficProfile(ctx, st)
 	if !errors.Is(err, context.Canceled) || prof != nil {
 		t.Fatalf("cancelled profiling pass returned (%v, %v), want (nil, context.Canceled)", prof, err)
+	}
+}
+
+// TestLaunchOversizedRolesShrink: asking for more clients or servers than
+// the network has free hosts shrinks the roles to fit instead of failing —
+// the same spec reaches Build through massfd's POST /api/v1/runs.
+func TestLaunchOversizedRolesShrink(t *testing.T) {
+	for _, c := range []struct {
+		name             string
+		clients, servers int
+	}{
+		{"clients over", 100, 0},
+		{"servers over", 0, 100},
+		{"both over", 100, 100},
+	} {
+		sc := Scenario{Flat: &FlatSpec{Routers: 40, Hosts: 16}, Clients: c.clients, Servers: c.servers}
+		sc.Normalize()
+		st := buildScenario(t, &sc)
+		free := len(st.Hosts) - len(st.AppHosts)
+		if got := len(st.Clients) + len(st.Servers); got == 0 || got > free {
+			t.Errorf("%s: %d clients + %d servers, want 1..%d", c.name, len(st.Clients), len(st.Servers), free)
+		}
+		roles := map[model.NodeID]bool{}
+		for _, h := range slices.Concat(st.AppHosts, st.Clients, st.Servers) {
+			if roles[h] {
+				t.Errorf("%s: host %d holds two roles", c.name, h)
+			}
+			roles[h] = true
+		}
 	}
 }
 

@@ -73,9 +73,9 @@ type Flow struct {
 type Config struct {
 	// Net is the virtual network (required).
 	Net *model.Network
-	// Routes is the static forwarding function (required). On sliced
-	// distributed workers pass a transient UNSCOPED router: the solver
-	// walks whole paths, which a scoped router refuses.
+	// Routes is the static forwarding function (required). The solver
+	// walks whole paths, which a slice-scoped router refuses, so a sliced
+	// distributed worker cannot build a fluid plane.
 	Routes Routes
 	// Faults, when non-nil, makes the fluid timeline fault-aware: flows
 	// re-resolve paths at every boundary, stall while their path crosses
@@ -793,10 +793,6 @@ func (p *Plane) Flow(i int) Flow {
 // complete within the horizon.
 func (p *Plane) Completion(i int) des.Time { return p.flows[i].done }
 
-// Admitted returns when flow i's rate-limited transfer phase began
-// (request time plus the modeled startup delay).
-func (p *Plane) Admitted(i int) des.Time { return p.flows[i].admit }
-
 // PayloadBits returns the payload bits flow i delivered within the
 // horizon: its full size once completed, otherwise the slow-start
 // delivery plus the pro-rated fluid partial.
@@ -810,20 +806,6 @@ func (p *Plane) PayloadBits(i int) float64 {
 		return max
 	}
 	return got
-}
-
-// StallNS returns the total time flow i spent with no live path
-// (blackholed by a fault, before reconvergence rerouted it).
-func (p *Plane) StallNS(i int) int64 { return p.flows[i].stallNS }
-
-// Goodput returns flow i's payload goodput in bits/s (0 if it never
-// completed).
-func (p *Plane) Goodput(i int) float64 {
-	r := &p.flows[i]
-	if r.done == 0 || r.done <= r.start {
-		return 0
-	}
-	return float64(r.bytes) * 8 * float64(des.Second) / float64(r.done-r.start)
 }
 
 // Started reports whether flow i's request falls within the horizon.
@@ -867,25 +849,3 @@ func (p *Plane) DirSegments(dir int) []Segment { return p.dirs[dir].segs }
 
 // Quantum returns the rate-epoch quantum the plane was solved with.
 func (p *Plane) Quantum() des.Time { return p.quantum }
-
-// Completed returns the number of flows that completed in the horizon.
-func (p *Plane) Completed() int {
-	n := 0
-	for i := range p.flows {
-		if p.flows[i].done != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// LastCompletion returns the latest completion time (0 when none).
-func (p *Plane) LastCompletion() des.Time {
-	var last des.Time
-	for i := range p.flows {
-		if p.flows[i].done > last {
-			last = p.flows[i].done
-		}
-	}
-	return last
-}

@@ -59,8 +59,8 @@ func TestSingleFlowExactTimeline(t *testing.T) {
 	// segments) before the window of 4 fills the pipe and the flow turns
 	// network-limited: startup = 1 RTT, 2 · 1460 B credited to slow start.
 	wantAdmit := des.Time(1 * 2 * (10_000 + 10_000))
-	if got := p.Admitted(0); got != wantAdmit {
-		t.Fatalf("Admitted = %v, want %v", got, wantAdmit)
+	if got := p.flows[0].admit; got != wantAdmit {
+		t.Fatalf("admit = %v, want %v", got, wantAdmit)
 	}
 	// Alone on the path the flow gets the full 1 Gbps; the remaining
 	// wire bits = ceil((1e6−2920)·8 · 1500/1460) transfer in exactly that
@@ -72,9 +72,6 @@ func TestSingleFlowExactTimeline(t *testing.T) {
 	}
 	if got := p.PayloadBits(0); got != 8e6 {
 		t.Fatalf("PayloadBits = %v, want 8e6", got)
-	}
-	if g := p.Goodput(0); g <= 0 || g > 1e9 {
-		t.Fatalf("Goodput = %v, want within (0, 1G]", g)
 	}
 	// Both hop dirs carried the flow's full wire volume (slow-start lump
 	// plus the fluid transfer) and nothing else.
@@ -94,9 +91,6 @@ func TestSingleFlowExactTimeline(t *testing.T) {
 	if r := p.RateAt(0, p.Completion(0)+1, nil); r != 0 {
 		t.Fatalf("post-completion RateAt = %v, want 0", r)
 	}
-	if p.Completed() != 1 || p.LastCompletion() != p.Completion(0) {
-		t.Fatalf("Completed=%d LastCompletion=%v", p.Completed(), p.LastCompletion())
-	}
 }
 
 func TestTwoFlowsShareBottleneckFairly(t *testing.T) {
@@ -112,14 +106,11 @@ func TestTwoFlowsShareBottleneckFairly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Completed() != 2 {
-		t.Fatalf("Completed = %d, want 2", p.Completed())
-	}
-	if p.Completion(0) != p.Completion(1) {
+	if p.Completion(0) == 0 || p.Completion(0) != p.Completion(1) {
 		t.Fatalf("equal flows completed at %v and %v", p.Completion(0), p.Completion(1))
 	}
 	// While both are active each holds half the link.
-	mid := p.Admitted(0) + (p.Completion(0)-p.Admitted(0))/2
+	mid := p.flows[0].admit + (p.Completion(0)-p.flows[0].admit)/2
 	if r := p.RateAt(0, mid, nil); r != 1e9 {
 		t.Fatalf("shared-dir total load = %v, want full 1e9", r)
 	}
@@ -129,8 +120,8 @@ func TestTwoFlowsShareBottleneckFairly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharedXfer := float64(p.Completion(0) - p.Admitted(0))
-	soloXfer := float64(solo.Completion(0) - solo.Admitted(0))
+	sharedXfer := float64(p.Completion(0) - p.flows[0].admit)
+	soloXfer := float64(solo.Completion(0) - solo.flows[0].admit)
 	if ratio := sharedXfer / soloXfer; ratio < 1.9 || ratio > 2.1 {
 		t.Fatalf("shared/solo transfer ratio = %.3f, want ≈2", ratio)
 	}
@@ -148,12 +139,12 @@ func TestFinishReleasesBandwidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Completed() != 2 || p.Completion(0) >= p.Completion(1) {
+	if p.Completion(0) == 0 || p.Completion(0) >= p.Completion(1) {
 		t.Fatalf("completions: small %v, big %v", p.Completion(0), p.Completion(1))
 	}
 	bigWire := 2_000_000 * 8 * 1500.0 / 1460.0
 	halfShareXfer := bigWire / 5e8 * 1e9 // ns if stuck at half rate forever
-	if got := float64(p.Completion(1) - p.Admitted(1)); got >= halfShareXfer {
+	if got := float64(p.Completion(1) - p.flows[1].admit); got >= halfShareXfer {
 		t.Fatalf("big-flow transfer %.0f ns did not speed up after the small flow left (half-share bound %.0f)", got, halfShareXfer)
 	}
 }
@@ -190,7 +181,7 @@ func TestBuildDeterministicAndOrderIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, j := range perm {
-		if a.Completion(i) != c.Completion(j) || a.Admitted(i) != c.Admitted(j) ||
+		if a.Completion(i) != c.Completion(j) || a.flows[i].admit != c.flows[j].admit ||
 			math.Float64bits(a.PayloadBits(i)) != math.Float64bits(c.PayloadBits(j)) {
 			t.Fatalf("flow %d: solved timeline changed under input permutation", i)
 		}
@@ -264,8 +255,8 @@ func TestFaultStallAndReroute(t *testing.T) {
 	}
 	// Blackhole window [1 ms, 1.5 ms): physically down, routes still
 	// stale — the fluid flow stalls for exactly the convergence delay.
-	if got := p.StallNS(0); got != converge {
-		t.Fatalf("StallNS = %d, want %d", got, converge)
+	if got := p.flows[0].stallNS; got != converge {
+		t.Fatalf("stallNS = %d, want %d", got, converge)
 	}
 	// The stall pushed completion past the no-fault timeline by ≥ the
 	// convergence delay (the detour is also one latency-class slower).
@@ -305,8 +296,8 @@ func TestFaultPermanentBlackhole(t *testing.T) {
 	if p.Completion(0) != 0 {
 		t.Fatalf("flow completed at %v across a partition", p.Completion(0))
 	}
-	if got := int64(end - des.Millisecond); p.StallNS(0) != got {
-		t.Fatalf("StallNS = %d, want %d (cut at 1 ms, stalled to the horizon)", p.StallNS(0), got)
+	if got := int64(end - des.Millisecond); p.flows[0].stallNS != got {
+		t.Fatalf("stallNS = %d, want %d (cut at 1 ms, stalled to the horizon)", p.flows[0].stallNS, got)
 	}
 	// Partial delivery: only what transferred before the cut.
 	if pb := p.PayloadBits(0); pb <= 0 || pb >= 5_000_000*8 {
@@ -397,7 +388,7 @@ func TestSlowStartCoversShortFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	admit := p.Admitted(0)
+	admit := p.flows[0].admit
 	if admit == 0 {
 		t.Fatal("expected a nonzero startup delay")
 	}
@@ -431,8 +422,8 @@ func TestZeroByteAndSelfFlows(t *testing.T) {
 	if got := p.Completion(0); got != des.Millisecond {
 		t.Fatalf("loopback completion = %v, want 1 ms", got)
 	}
-	if got := p.Completion(1); got != p.Admitted(1) || got <= des.Millisecond {
-		t.Fatalf("zero-byte completion = %v, admit %v", got, p.Admitted(1))
+	if got := p.Completion(1); got != p.flows[1].admit || got <= des.Millisecond {
+		t.Fatalf("zero-byte completion = %v, admit %v", got, p.flows[1].admit)
 	}
 	for d := 0; d < 6; d++ {
 		if p.DirBits(d) != 0 {

@@ -75,9 +75,6 @@ func (g *Graph) TotalNodeWeight() int64 {
 	return total
 }
 
-// Degree returns the number of incident edges of node u.
-func (g *Graph) Degree(u int) int { return len(g.Adj[u]) }
-
 // Validate checks structural invariants: symmetric adjacency, in-range
 // endpoints, no self loops, positive node weights. It is used by tests and
 // by generators in debug paths.
@@ -117,76 +114,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// Connected reports whether the graph is connected (true for the empty
-// graph).
-func (g *Graph) Connected() bool {
-	n := g.Len()
-	if n == 0 {
-		return true
-	}
-	seen := make([]bool, n)
-	stack := []int32{0}
-	seen[0] = true
-	visited := 1
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, e := range g.Adj[u] {
-			if !seen[e.To] {
-				seen[e.To] = true
-				visited++
-				stack = append(stack, e.To)
-			}
-		}
-	}
-	return visited == n
-}
-
-// Components labels each node with a component id in [0, numComponents) and
-// returns the labels and the component count.
-func (g *Graph) Components() ([]int32, int) {
-	n := g.Len()
-	comp := make([]int32, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var next int32
-	var stack []int32
-	for start := 0; start < n; start++ {
-		if comp[start] >= 0 {
-			continue
-		}
-		comp[start] = next
-		stack = append(stack[:0], int32(start))
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, e := range g.Adj[u] {
-				if comp[e.To] < 0 {
-					comp[e.To] = next
-					stack = append(stack, e.To)
-				}
-			}
-		}
-		next++
-	}
-	return comp, int(next)
-}
-
-// MinEdgeLatency returns the smallest latency over all edges, or -1 if the
-// graph has no edges.
-func (g *Graph) MinEdgeLatency() int64 {
-	min := int64(-1)
-	for _, adj := range g.Adj {
-		for _, e := range adj {
-			if min < 0 || e.Latency < min {
-				min = e.Latency
-			}
-		}
-	}
-	return min
-}
-
 // MaxEdgeLatency returns the largest latency over all edges, or -1 if the
 // graph has no edges.
 func (g *Graph) MaxEdgeLatency() int64 {
@@ -213,22 +140,14 @@ type Contraction struct {
 	Map []int32
 }
 
-// ContractBelow collapses every connected component of the subgraph formed
-// by edges with Latency < threshold into a single supernode. Edges with
-// latency ≥ threshold survive (possibly merged). The resulting contraction
-// guarantees that any cut of the contracted graph only crosses links of
-// latency ≥ threshold — the worst-case MLL bound of Section 3.4.3. It is a
-// Contractor used for one threshold.
-func (g *Graph) ContractBelow(threshold int64) *Contraction {
-	c := NewContractor(g)
-	c.Advance(threshold)
-	return c.Contract()
-}
-
 // A Contractor contracts one graph at a rising sequence of thresholds — the
 // T_mll sweep of Section 3.4.3 — with one union-find for the whole sweep:
 // the edges are sorted by latency once, and raising the threshold only
-// unions the edges it newly admits.
+// unions the edges it newly admits. At threshold T every connected
+// component of the subgraph formed by edges with Latency < T collapses into
+// a single supernode, and edges with latency ≥ T survive (possibly
+// merged), so any cut of the contracted graph only crosses links of
+// latency ≥ T — the worst-case MLL bound of Section 3.4.3.
 //
 // A contraction depends only on which nodes share a component: supernodes
 // are numbered in the order of their lowest original node, and parallel

@@ -17,6 +17,13 @@ func line(n int, latency int64) *Graph {
 	return g
 }
 
+// contract is one contraction of g at threshold.
+func contract(g *Graph, threshold int64) *Contraction {
+	c := NewContractor(g)
+	c.Advance(threshold)
+	return c.Contract()
+}
+
 func TestNewDefaults(t *testing.T) {
 	g := New(5)
 	if g.Len() != 5 {
@@ -37,8 +44,8 @@ func TestAddEdgeSymmetryAndSelfLoop(t *testing.T) {
 	if g.NumEdges() != 1 {
 		t.Fatalf("NumEdges = %d, want 1", g.NumEdges())
 	}
-	if g.Degree(0) != 1 || g.Degree(1) != 1 || g.Degree(2) != 0 {
-		t.Fatalf("degrees wrong: %d %d %d", g.Degree(0), g.Degree(1), g.Degree(2))
+	if len(g.Adj[0]) != 1 || len(g.Adj[1]) != 1 || len(g.Adj[2]) != 0 {
+		t.Fatalf("degrees wrong: %d %d %d", len(g.Adj[0]), len(g.Adj[1]), len(g.Adj[2]))
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
@@ -61,30 +68,33 @@ func TestValidateCatchesBadWeight(t *testing.T) {
 	}
 }
 
+// Contracting above every latency leaves one supernode per connected
+// component: a connected graph collapses to one.
 func TestConnected(t *testing.T) {
-	g := line(4, 10)
-	if !g.Connected() {
-		t.Fatal("path graph reported disconnected")
+	if n := contract(line(4, 10), 11).Graph.Len(); n != 1 {
+		t.Fatalf("path graph contracted to %d supernodes, want 1", n)
 	}
 	g2 := New(4)
 	g2.AddEdge(0, 1, 1, 1)
 	g2.AddEdge(2, 3, 1, 1)
-	if g2.Connected() {
-		t.Fatal("two-component graph reported connected")
+	if n := contract(g2, 2).Graph.Len(); n != 2 {
+		t.Fatalf("two-component graph contracted to %d supernodes, want 2", n)
 	}
-	if !New(0).Connected() {
-		t.Fatal("empty graph should count as connected")
+	if n := contract(New(0), 1).Graph.Len(); n != 0 {
+		t.Fatalf("empty graph contracted to %d supernodes", n)
 	}
 }
 
+// The supernodes of a full contraction label the connected components.
 func TestComponents(t *testing.T) {
 	g := New(5)
 	g.AddEdge(0, 1, 1, 1)
 	g.AddEdge(3, 4, 1, 1)
-	comp, n := g.Components()
-	if n != 3 {
+	c := contract(g, 2)
+	if n := c.Graph.Len(); n != 3 {
 		t.Fatalf("components = %d, want 3", n)
 	}
+	comp := c.Map
 	if comp[0] != comp[1] || comp[3] != comp[4] || comp[0] == comp[2] || comp[2] == comp[3] {
 		t.Fatalf("bad labels: %v", comp)
 	}
@@ -92,14 +102,11 @@ func TestComponents(t *testing.T) {
 
 func TestMinMaxEdgeLatency(t *testing.T) {
 	g := New(3)
-	if g.MinEdgeLatency() != -1 || g.MaxEdgeLatency() != -1 {
-		t.Fatal("edgeless graph should report -1 latencies")
+	if g.MaxEdgeLatency() != -1 {
+		t.Fatal("edgeless graph should report -1 latency")
 	}
 	g.AddEdge(0, 1, 1, 50)
 	g.AddEdge(1, 2, 1, 200)
-	if g.MinEdgeLatency() != 50 {
-		t.Errorf("MinEdgeLatency = %d, want 50", g.MinEdgeLatency())
-	}
 	if g.MaxEdgeLatency() != 200 {
 		t.Errorf("MaxEdgeLatency = %d, want 200", g.MaxEdgeLatency())
 	}
@@ -111,7 +118,7 @@ func TestContractBelowBasic(t *testing.T) {
 	g.AddEdge(0, 1, 5, 10)
 	g.AddEdge(1, 2, 7, 100)
 	g.AddEdge(2, 3, 5, 10)
-	c := g.ContractBelow(50)
+	c := contract(g, 50)
 	if c.Graph.Len() != 2 {
 		t.Fatalf("contracted to %d nodes, want 2", c.Graph.Len())
 	}
@@ -124,7 +131,7 @@ func TestContractBelowBasic(t *testing.T) {
 	if c.Graph.NumEdges() != 1 {
 		t.Fatalf("surviving edges = %d, want 1", c.Graph.NumEdges())
 	}
-	if got := c.Graph.MinEdgeLatency(); got != 100 {
+	if got := c.Graph.MaxEdgeLatency(); got != 100 {
 		t.Fatalf("surviving latency = %d, want 100", got)
 	}
 	if err := c.Graph.Validate(); err != nil {
@@ -140,7 +147,7 @@ func TestContractBelowMergesParallelEdges(t *testing.T) {
 	g.AddEdge(2, 3, 1, 1)  // merge
 	g.AddEdge(0, 2, 5, 80) // survive
 	g.AddEdge(1, 3, 7, 60) // survive
-	c := g.ContractBelow(10)
+	c := contract(g, 10)
 	if c.Graph.Len() != 2 {
 		t.Fatalf("contracted to %d nodes, want 2", c.Graph.Len())
 	}
@@ -158,7 +165,7 @@ func TestContractBelowMergesParallelEdges(t *testing.T) {
 
 func TestContractBelowZeroThresholdIsIdentityShape(t *testing.T) {
 	g := line(6, 30)
-	c := g.ContractBelow(0)
+	c := contract(g, 0)
 	if c.Graph.Len() != 6 || c.Graph.NumEdges() != 5 {
 		t.Fatalf("threshold 0 changed the graph: %d nodes %d edges", c.Graph.Len(), c.Graph.NumEdges())
 	}
@@ -166,7 +173,7 @@ func TestContractBelowZeroThresholdIsIdentityShape(t *testing.T) {
 
 func TestContractBelowEverything(t *testing.T) {
 	g := line(6, 30)
-	c := g.ContractBelow(1000)
+	c := contract(g, 1000)
 	if c.Graph.Len() != 1 {
 		t.Fatalf("full contraction left %d nodes", c.Graph.Len())
 	}
@@ -180,7 +187,7 @@ func TestProject(t *testing.T) {
 	g.AddEdge(0, 1, 1, 1)
 	g.AddEdge(2, 3, 1, 1)
 	g.AddEdge(1, 2, 1, 100)
-	c := g.ContractBelow(50)
+	c := contract(g, 50)
 	part := make([]int32, c.Graph.Len())
 	part[c.Map[0]] = 0
 	part[c.Map[2]] = 1
@@ -245,7 +252,7 @@ func TestQuickContractionInvariants(t *testing.T) {
 			u, v := rng.Intn(n), rng.Intn(n)
 			g.AddEdge(u, v, int64(1+rng.Intn(100)), int64(rng.Intn(2000)))
 		}
-		c := g.ContractBelow(int64(thresh))
+		c := contract(g, int64(thresh))
 		if c.Graph.TotalNodeWeight() != g.TotalNodeWeight() {
 			return false
 		}
@@ -274,7 +281,7 @@ func TestQuickProjectionMLLGuarantee(t *testing.T) {
 			g.AddEdge(rng.Intn(n), rng.Intn(n), 1, int64(rng.Intn(1000)))
 		}
 		thresh := int64(rng.Intn(1000))
-		c := g.ContractBelow(thresh)
+		c := contract(g, thresh)
 		part := make([]int32, c.Graph.Len())
 		for i := range part {
 			part[i] = int32(rng.Intn(4))
@@ -288,10 +295,10 @@ func TestQuickProjectionMLLGuarantee(t *testing.T) {
 	}
 }
 
-// contractBelowRef is ContractBelow as it was before the Contractor: a
-// fresh union-find per threshold, parallel edges merged through a map whose
-// keys are then sorted, and the graph grown by AddEdge. It is the oracle
-// for the Contractor and EdgeList.
+// contractBelowRef is a one-threshold contraction as it was before the
+// Contractor: a fresh union-find per threshold, parallel edges merged
+// through a map whose keys are then sorted, and the graph grown by AddEdge.
+// It is the oracle for the Contractor and EdgeList.
 func contractBelowRef(g *Graph, threshold int64) *Contraction {
 	n := g.Len()
 	// Union-find over nodes joined by sub-threshold edges.
@@ -431,7 +438,7 @@ func TestContractorMatchesReference(t *testing.T) {
 	}
 }
 
-func BenchmarkContractBelow(b *testing.B) {
+func BenchmarkContract(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	n := 20000
 	g := New(n)
@@ -440,6 +447,6 @@ func BenchmarkContractBelow(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.ContractBelow(500_000)
+		contract(g, 500_000)
 	}
 }

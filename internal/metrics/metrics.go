@@ -34,7 +34,7 @@ func LoadImbalance(engineEvents []uint64) float64 {
 	return math.Sqrt(ss/float64(n)) / mean
 }
 
-// ParallelEfficiency is the paper's fourth metric:
+// parallelEfficiency is the paper's fourth metric, unclamped:
 //
 //	PE(N, L) = Tseq(L) / (N · T(L, N))
 //
@@ -45,19 +45,9 @@ func LoadImbalance(engineEvents []uint64) float64 {
 // By definition PE cannot exceed 1; the Tseq *estimate* can, though, when
 // the modeled parallel time omits costs the estimate charges (the
 // degenerate single-engine case: T excludes sync, yet remote costs are
-// zero, so Tseq = N·T exactly only if EventCost matches). The result is
-// therefore clamped to [0, 1]; use rawParallelEfficiency (via
-// Report.PEClamped) to detect that the clamp engaged.
-func ParallelEfficiency(totalEvents uint64, eventCost des.Time, engines int, parallelTimeNS int64) float64 {
-	pe := rawParallelEfficiency(totalEvents, eventCost, engines, parallelTimeNS)
-	if pe > 1 {
-		return 1
-	}
-	return pe
-}
-
-// rawParallelEfficiency is the unclamped PE estimate.
-func rawParallelEfficiency(totalEvents uint64, eventCost des.Time, engines int, parallelTimeNS int64) float64 {
+// zero, so Tseq = N·T exactly only if EventCost matches). FromStats
+// therefore clamps it to [0, 1] and flags the clamp in Report.PEClamped.
+func parallelEfficiency(totalEvents uint64, eventCost des.Time, engines int, parallelTimeNS int64) float64 {
 	if parallelTimeNS <= 0 || engines <= 0 {
 		return 0
 	}
@@ -97,7 +87,7 @@ type Report struct {
 
 // FromStats assembles a Report from engine statistics.
 func FromStats(approach string, st pdes.Stats, eventCost des.Time) Report {
-	raw := rawParallelEfficiency(st.TotalEvents, eventCost, st.Engines, st.ModeledTimeNS)
+	raw := parallelEfficiency(st.TotalEvents, eventCost, st.Engines, st.ModeledTimeNS)
 	rep := Report{
 		Approach:      approach,
 		SimTimeSec:    float64(st.ModeledTimeNS) / 1e9,

@@ -42,10 +42,17 @@ func TestLoadImbalanceOrdering(t *testing.T) {
 	}
 }
 
+// efficiency is the PE FromStats reports for a run of events at cost per
+// event on engines engines that took parallelTimeNS of modeled time.
+func efficiency(events uint64, cost des.Time, engines int, parallelTimeNS int64) float64 {
+	st := pdes.Stats{Engines: engines, TotalEvents: events, ModeledTimeNS: parallelTimeNS}
+	return FromStats("", st, cost).Efficiency
+}
+
 func TestParallelEfficiencyIdeal(t *testing.T) {
 	// 1000 events at 10µs each = 10ms sequential. 10 engines finishing in
 	// exactly 1ms → PE = 1.
-	pe := ParallelEfficiency(1000, 10*des.Microsecond, 10, int64(des.Millisecond))
+	pe := efficiency(1000, 10*des.Microsecond, 10, int64(des.Millisecond))
 	if math.Abs(pe-1) > 1e-12 {
 		t.Errorf("ideal PE = %v, want 1", pe)
 	}
@@ -53,17 +60,17 @@ func TestParallelEfficiencyIdeal(t *testing.T) {
 
 func TestParallelEfficiencyWithOverhead(t *testing.T) {
 	// Same work but 2.5ms parallel time → PE = 0.4 (the paper's headline).
-	pe := ParallelEfficiency(1000, 10*des.Microsecond, 10, int64(2500*des.Microsecond))
+	pe := efficiency(1000, 10*des.Microsecond, 10, int64(2500*des.Microsecond))
 	if math.Abs(pe-0.4) > 1e-12 {
 		t.Errorf("PE = %v, want 0.4", pe)
 	}
 }
 
 func TestParallelEfficiencyDegenerate(t *testing.T) {
-	if ParallelEfficiency(10, des.Microsecond, 0, 100) != 0 {
+	if efficiency(10, des.Microsecond, 0, 100) != 0 {
 		t.Error("0 engines should give 0")
 	}
-	if ParallelEfficiency(10, des.Microsecond, 4, 0) != 0 {
+	if efficiency(10, des.Microsecond, 4, 0) != 0 {
 		t.Error("0 time should give 0")
 	}
 }
@@ -137,7 +144,7 @@ func TestQuickPEBounded(t *testing.T) {
 		ev := uint64(events%100000) + 1
 		cost := 10 * des.Microsecond
 		minParallel := int64(float64(ev) * float64(cost) / float64(n))
-		pe := ParallelEfficiency(ev, cost, n, minParallel+1)
+		pe := efficiency(ev, cost, n, minParallel+1)
 		return pe <= 1.0000001 && pe > 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -152,16 +159,16 @@ func TestParallelEfficiencyClamped(t *testing.T) {
 	events := uint64(1000)
 	cost := 15 * des.Microsecond
 	short := int64(events) * int64(cost) / 2 // "parallel" time half of Tseq
-	if pe := ParallelEfficiency(events, cost, 1, short); pe != 1 {
+	if pe := efficiency(events, cost, 1, short); pe != 1 {
 		t.Errorf("PE = %v, want clamp to 1", pe)
 	}
 	// Exactly Tseq on one engine: PE = 1, no clamp needed.
 	exact := int64(events) * int64(cost)
-	if pe := ParallelEfficiency(events, cost, 1, exact); pe != 1 {
+	if pe := efficiency(events, cost, 1, exact); pe != 1 {
 		t.Errorf("PE = %v, want exactly 1", pe)
 	}
 	// A realistic multi-engine run stays untouched.
-	if pe := ParallelEfficiency(events, cost, 4, exact); pe != 0.25 {
+	if pe := efficiency(events, cost, 4, exact); pe != 0.25 {
 		t.Errorf("PE = %v, want 0.25", pe)
 	}
 }

@@ -310,7 +310,7 @@ func TestTransportMatchesInProcess(t *testing.T) {
 				if evSum != stats[0].TotalEvents {
 					t.Errorf("ring events %d, worker 0 stats %d", evSum, stats[0].TotalEvents)
 				}
-				if !tel.Windows.Closed() {
+				if !ringClosed(tel.Windows) {
 					t.Error("worker 0 window ring not closed at end of run")
 				}
 			}

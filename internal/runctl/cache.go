@@ -33,7 +33,7 @@ type setupEntry struct {
 
 	// maps memoizes deterministic mapping results derived from this
 	// setup, keyed by approach+engines. A mapping is pure in (net, sync,
-	// seed, approach, engines) and read-only downstream (BuildSim and the
+	// seed, approach, engines) and read-only downstream (Prepare and the
 	// straggler attribution only read MLL/Part), so cached runs skip the
 	// partitioning pass too — at scale it dominates the warm path.
 	mapMu sync.Mutex
@@ -67,6 +67,13 @@ func (c *setupCache) get(key string, build func() (*experiments.Setup, error)) (
 	ran := false
 	e.once.Do(func() {
 		ran = true
+		// A panicking build still completes the Once; record the panic as
+		// the entry's error so the key is dropped like any failed build.
+		defer func() {
+			if p := recover(); p != nil {
+				e.st, e.err = nil, fmt.Errorf("runctl: setup build panicked: %v", p)
+			}
+		}()
 		e.st, e.err = build()
 	})
 	if e.err != nil {

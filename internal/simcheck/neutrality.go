@@ -101,18 +101,6 @@ func (p *Plan) Neutrality(k, sample int) (*NeutralityReport, error) {
 	return rep, nil
 }
 
-// AuditScenarioTraces rebuilds sc's network and routing and audits spans
-// against them — for callers (like the subprocess e2e test) that hold
-// merged worker spans but not the bundle the workers built from. The
-// rebuild is deterministic, so the routes match the ones the run used.
-func AuditScenarioTraces(sc Scenario, spans []netmon.HopSpan) ([]TracePath, error) {
-	nw, routes, _, err := sc.Build()
-	if err != nil {
-		return nil, err
-	}
-	return AuditTraces(nw, routes, spans), nil
-}
-
 // spansEqualModuloEngine compares two span sets ignoring the engine that
 // recorded each span — the one field that legitimately depends on the
 // partition.

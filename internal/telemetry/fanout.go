@@ -86,10 +86,3 @@ func (f *Fanout[T]) Close() {
 		close(ch)
 	}
 }
-
-// Closed reports whether Close has been called.
-func (f *Fanout[T]) Closed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.closed
-}

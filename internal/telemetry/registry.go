@@ -5,20 +5,19 @@
 //
 // The registry is wired into the engines through SimTelemetry (sim.go):
 // internal/pdes records per-engine per-window event counts, barrier wait
-// time and cross-partition exchange volume; internal/des contributes event
-// queue depths; internal/netsim contributes link utilization (transmitted
-// bits), queue drops and TCP retransmissions. Everything is optional — a
-// nil *SimTelemetry disables instrumentation entirely, and the engine hot
-// loops only pay a nil check.
+// time, cross-partition exchange volume and the event queue depths it
+// reads from each engine's kernel; internal/netsim contributes link
+// utilization (transmitted bits), queue drops and TCP retransmissions.
+// Everything is optional — a nil *SimTelemetry disables instrumentation
+// entirely, and the engine hot loops only pay a nil check.
 //
-// Snapshots are exposed in two wire formats: Prometheus text exposition
-// (WritePrometheus) and newline-delimited JSON (WriteNDJSON), both built
-// from the same Gather output so aggregators (cmd/massfd) can merge
-// registries from many concurrent runs under distinguishing labels.
+// Snapshots are exposed in the Prometheus text exposition format
+// (WritePrometheus), built from Gather output so aggregators (cmd/massfd)
+// can merge registries from many concurrent runs under distinguishing
+// labels.
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -233,8 +232,8 @@ type Bucket struct {
 	Count uint64 `json:"count"`
 }
 
-// Point is a point-in-time snapshot of one metric, the common input of the
-// Prometheus and NDJSON writers.
+// Point is a point-in-time snapshot of one metric, the input of the
+// Prometheus writer.
 type Point struct {
 	Name   string            `json:"name"`
 	Kind   string            `json:"kind"`
@@ -359,17 +358,6 @@ func WritePrometheus(w io.Writer, points []Point) error {
 			if _, err := fmt.Fprintf(w, "%s%s %g\n", p.Name, promLabels(p.Labels), p.Value); err != nil {
 				return err
 			}
-		}
-	}
-	return nil
-}
-
-// WriteNDJSON renders points as newline-delimited JSON, one point per line.
-func WriteNDJSON(w io.Writer, points []Point) error {
-	enc := json.NewEncoder(w)
-	for i := range points {
-		if err := enc.Encode(&points[i]); err != nil {
-			return err
 		}
 	}
 	return nil

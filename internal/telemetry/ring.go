@@ -49,7 +49,7 @@ type WindowRecord struct {
 // Ring is a bounded in-memory trace of WindowRecords with live
 // subscriptions. Append keeps the most recent records (evicting the
 // oldest) and fans each record out through the embedded Fanout, whose
-// Subscribe, Close and Closed are the ring's: a subscriber whose channel is
+// Subscribe and Close are the ring's: a subscriber whose channel is
 // full misses records (detectable via Seq) rather than stalling the
 // simulation, and retained records stay readable via Snapshot after Close.
 type Ring struct {

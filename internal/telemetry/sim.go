@@ -12,15 +12,14 @@ import "strconv"
 // are atomic, and the Windows ring takes a short mutex on Append (once per
 // barrier window, on engine 0 only).
 type SimTelemetry struct {
-	// Reg owns every instrument below; expose it for Prometheus/NDJSON
-	// snapshots.
+	// Reg owns every instrument below; expose it for Prometheus snapshots.
 	Reg *Registry
 	// Windows is the per-window trace ring. The parallel engine appends
 	// one WindowRecord per executed barrier window and closes the ring
 	// when the run finishes, ending any live streams.
 	Windows *Ring
 
-	// Engine-level instruments (internal/pdes, internal/des).
+	// Engine-level instruments (internal/pdes).
 	Events       *Counter   // kernel events processed
 	RemoteEvents *Counter   // cross-partition events exchanged
 	WindowsDone  *Counter   // barrier windows executed

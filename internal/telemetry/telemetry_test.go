@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
-	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
@@ -112,28 +110,6 @@ func TestPrometheusMergedRegistriesSingleHeader(t *testing.T) {
 	}
 	if n := strings.Count(sb.String(), "# TYPE massf_x_total"); n != 1 {
 		t.Errorf("TYPE header emitted %d times, want 1:\n%s", n, sb.String())
-	}
-}
-
-func TestNDJSONRoundTrip(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c_total", "C.").Add(9)
-	r.Gauge("g", "G.").Set(4)
-	var b strings.Builder
-	if err := WriteNDJSON(&b, r.Gather()); err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(strings.NewReader(b.String()))
-	n := 0
-	for sc.Scan() {
-		var p Point
-		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
-			t.Fatalf("line %d not JSON: %v", n, err)
-		}
-		n++
-	}
-	if n != 2 {
-		t.Errorf("NDJSON has %d lines, want 2", n)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 // which half of the request→response exchange the chain is in.
 type fluidClient struct {
 	rng     *rand.Rand
-	zipf    *rand.Zipf
 	server  model.NodeID
 	size    int64
 	inReply bool // the in-flight flow is the response half
@@ -45,26 +44,14 @@ func FluidHTTP(cfg HTTPConfig, end des.Time) ([]fluid.Flow, func(int32, des.Time
 	clients := make([]*fluidClient, len(cfg.Clients))
 	issue := func(ci int) {
 		c := clients[ci]
-		if c.zipf != nil {
-			c.server = cfg.Servers[c.zipf.Uint64()]
-		} else {
-			c.server = cfg.Servers[c.rng.Intn(len(cfg.Servers))]
-		}
-		c.size = drawSize(c.rng, cfg)
-		if c.size < 1000 {
-			c.size = 1000
-		}
+		c.server, c.size = cfg.draw(c.rng)
 		c.inReply = false
 	}
 	flows := make([]fluid.Flow, 0, len(cfg.Clients))
 	for ci, client := range cfg.Clients {
-		rng := newClientRNG(cfg.Seed, ci)
-		c := &fluidClient{rng: rng}
-		if cfg.ZipfS > 1 {
-			c.zipf = rand.NewZipf(rng, cfg.ZipfS, 1, uint64(len(cfg.Servers)-1))
-		}
+		c := &fluidClient{rng: newClientRNG(cfg.Seed, ci)}
 		clients[ci] = c
-		first := des.Time(rng.Float64() * float64(cfg.MeanGap))
+		first := des.Time(c.rng.Float64() * float64(cfg.MeanGap))
 		issue(ci)
 		if first < end {
 			stats.Requests[ci]++

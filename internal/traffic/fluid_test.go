@@ -81,7 +81,7 @@ func TestFluidHTTPDeterministicAcrossBuilds(t *testing.T) {
 	end := des.Time(10 * des.Second)
 	cfg := HTTPConfig{
 		Clients: hosts[:5], Servers: hosts[5:],
-		MeanGap: des.Second / 2, MeanFileBytes: 30_000, Seed: 9, ZipfS: 1.1,
+		MeanGap: des.Second / 2, MeanFileBytes: 30_000, Seed: 9,
 	}
 	build := func() *fluid.Plane {
 		flows, next, _ := FluidHTTP(cfg, end)

@@ -17,7 +17,6 @@
 package traffic
 
 import (
-	"math"
 	"math/rand"
 
 	"massf/internal/des"
@@ -37,15 +36,6 @@ type HTTPConfig struct {
 	MeanFileBytes int64
 	// RequestBytes is the fixed HTTP request size. Default 500.
 	RequestBytes int64
-	// ParetoAlpha, when > 0, draws response sizes from a Pareto
-	// distribution with this shape instead of the exponential — the
-	// heavy-tailed web object sizes of the SURGE/web-workload literature.
-	// Values in (1, 2] give infinite-variance tails; 1.2 is typical.
-	ParetoAlpha float64
-	// ZipfS, when > 0, skews server popularity with a Zipf distribution
-	// of this exponent (clients prefer low-indexed servers) instead of
-	// uniform choice. 0.8–1.2 matches observed web server popularity.
-	ZipfS float64
 	// Seed drives the per-client deterministic RNGs.
 	Seed int64
 }
@@ -105,23 +95,12 @@ type httpWorkload struct {
 	cfg   HTTPConfig
 	stats *HTTPStats
 	rngs  []*rand.Rand
-	zipfs []*rand.Zipf
 }
 
 // issue sends client ci's next request at time at. Runs on the client's
 // engine.
 func (h *httpWorkload) issue(ci int, at des.Time) {
-	rng := h.rngs[ci]
-	var server model.NodeID
-	if h.zipfs[ci] != nil {
-		server = h.cfg.Servers[h.zipfs[ci].Uint64()]
-	} else {
-		server = h.cfg.Servers[rng.Intn(len(h.cfg.Servers))]
-	}
-	size := drawSize(rng, h.cfg)
-	if size < 1000 {
-		size = 1000
-	}
+	server, size := h.cfg.draw(h.rngs[ci])
 	h.stats.Requests[ci]++
 	// Request flow; when it fully arrives at the server, the server sends
 	// the file; when the file fully arrives back, the client thinks and
@@ -148,8 +127,7 @@ func InstallHTTP(s *netsim.Sim, cfg HTTPConfig) *HTTPStats {
 	}
 	h := &httpWorkload{
 		s: s, cfg: cfg, stats: stats,
-		rngs:  make([]*rand.Rand, len(cfg.Clients)),
-		zipfs: make([]*rand.Zipf, len(cfg.Clients)),
+		rngs: make([]*rand.Rand, len(cfg.Clients)),
 	}
 	s.RegisterTag(TagHTTPRequest, func(t netsim.Tag, src, dst model.NodeID) func(des.Time) {
 		return func(at des.Time) {
@@ -171,9 +149,6 @@ func InstallHTTP(s *netsim.Sim, cfg HTTPConfig) *HTTPStats {
 		ci := ci
 		rng := newClientRNG(cfg.Seed, ci)
 		h.rngs[ci] = rng
-		if cfg.ZipfS > 1 {
-			h.zipfs[ci] = rand.NewZipf(rng, cfg.ZipfS, 1, uint64(len(cfg.Servers)-1))
-		}
 		first := des.Time(rng.Float64() * float64(cfg.MeanGap))
 		s.ScheduleAt(client, first, func(at des.Time) { h.issue(ci, at) })
 	}
@@ -187,23 +162,10 @@ func newClientRNG(seed int64, ci int) *rand.Rand {
 	return rand.New(rand.NewSource(seed + int64(ci)*104729))
 }
 
-// drawSize samples a response size: exponential by default, Pareto when
-// configured. The Pareto scale is chosen so the mean matches
-// MeanFileBytes (for α > 1, mean = α·xm/(α−1)); draws are capped at
-// 1000× the mean so a single pathological object cannot absorb the run.
-func drawSize(rng *rand.Rand, cfg HTTPConfig) int64 {
-	if cfg.ParetoAlpha <= 1 {
-		return int64(rng.ExpFloat64() * float64(cfg.MeanFileBytes))
-	}
-	a := cfg.ParetoAlpha
-	xm := float64(cfg.MeanFileBytes) * (a - 1) / a
-	u := rng.Float64()
-	if u == 0 {
-		u = 1e-12
-	}
-	size := xm / math.Pow(u, 1/a)
-	if max := 1000 * float64(cfg.MeanFileBytes); size > max {
-		size = max
-	}
-	return int64(size)
+// draw samples a client's next request from its stream: a uniformly random
+// server, then an exponential response size of at least 1000 bytes.
+func (c *HTTPConfig) draw(rng *rand.Rand) (server model.NodeID, size int64) {
+	server = c.Servers[rng.Intn(len(c.Servers))]
+	size = max(int64(rng.ExpFloat64()*float64(c.MeanFileBytes)), 1000)
+	return server, size
 }

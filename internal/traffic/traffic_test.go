@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"math/rand"
 	"testing"
 
 	"massf/internal/cluster"
@@ -240,58 +239,5 @@ func TestWorkflowAcrossEnginesMatchesSequential(t *testing.T) {
 	}
 	if diff := seqRounds - parRounds; diff > 1 || diff < -1 {
 		t.Errorf("rounds diverge: sequential %d vs partitioned %d", seqRounds, parRounds)
-	}
-}
-
-func TestHTTPParetoSizesHeavyTailed(t *testing.T) {
-	// Compare exponential vs Pareto draws: at matched means, Pareto must
-	// produce a fatter tail (more very large objects).
-	rngE := rand.New(rand.NewSource(1))
-	rngP := rand.New(rand.NewSource(1))
-	expCfg := HTTPConfig{MeanFileBytes: 50_000}
-	parCfg := HTTPConfig{MeanFileBytes: 50_000, ParetoAlpha: 1.2}
-	const n = 20000
-	bigE, bigP := 0, 0
-	var sumP float64
-	for i := 0; i < n; i++ {
-		if drawSize(rngE, expCfg) > 500_000 {
-			bigE++
-		}
-		p := drawSize(rngP, parCfg)
-		sumP += float64(p)
-		if p > 500_000 {
-			bigP++
-		}
-	}
-	if bigP <= bigE {
-		t.Errorf("Pareto tail (%d >500KB) not fatter than exponential (%d)", bigP, bigE)
-	}
-	// Mean within a factor ~3 of the target (heavy tails converge slowly).
-	mean := sumP / n
-	if mean < 20_000 || mean > 200_000 {
-		t.Errorf("Pareto mean %.0f too far from 50000", mean)
-	}
-}
-
-func TestHTTPZipfSkewsServerChoice(t *testing.T) {
-	s, hosts := testNet(t, 40, 20, 1, nil, 20*des.Second)
-	servers := hosts[10:]
-	stats := InstallHTTP(s, HTTPConfig{
-		Clients: hosts[:10], Servers: servers,
-		MeanGap: 500 * des.Millisecond, MeanFileBytes: 5_000, ZipfS: 1.5, Seed: 2,
-	})
-	// Count per-server deliveries via node events after the run.
-	res := s.Run()
-	if stats.TotalResponses() == 0 {
-		t.Fatal("no traffic")
-	}
-	first := res.NodeEvents[servers[0]]
-	var rest uint64
-	for _, sv := range servers[1:] {
-		rest += res.NodeEvents[sv]
-	}
-	if len(servers) > 2 && first*2 < rest/uint64(len(servers)-1)*3 {
-		t.Errorf("Zipf server 0 load %d not clearly above mean of others %d",
-			first, rest/uint64(len(servers)-1))
 	}
 }
