@@ -97,6 +97,14 @@ func (p *peer) next(timeout time.Duration) (frame, error) {
 	case f := <-p.frames:
 		return f, nil
 	case err := <-p.errc:
+		// Frame and error can both land while this select parks; readLoop
+		// sent every frame before the error, so one left behind is here now.
+		select {
+		case f := <-p.frames:
+			p.errc <- err
+			return f, nil
+		default:
+		}
 		return frame{}, err
 	case <-timer.C:
 		return frame{}, fmt.Errorf("stalled: heartbeats flowing but no protocol frame within %v", timeout)

@@ -54,8 +54,9 @@ func New(net *model.Network) *Router { return build(net, nil) }
 // NewScoped converges BGP like New but builds scoped OSPF domains that
 // retain next-hop state only for the nodes marked in scope (a distributed
 // worker's slice — full-length over net.Nodes). Forwarding decisions are
-// byte-identical to New's: trees are still computed over the full member
-// set, only the retained state shrinks to O(scope) per destination. The
+// byte-identical to New's: trees are still computed over every member of
+// the AS, only the retained state shrinks from the AS's members to its
+// in-scope members per destination. The
 // BGP RIB stays global — it is O(AS²), not the memory whale the per-node
 // OSPF trees are. A scoped router must not be Prepared for the full
 // destination set; tables fill lazily for the destinations slice traffic
@@ -83,7 +84,8 @@ func build(net *model.Network, scope []bool) *Router {
 }
 
 // TableBytes sums the approximate heap bytes of cached OSPF trees across
-// all domains.
+// all domains: 4 bytes per member of the tree's AS (per in-scope member on
+// a scoped router) per cached destination.
 func (r *Router) TableBytes() int64 {
 	var total int64
 	for _, d := range r.domains {

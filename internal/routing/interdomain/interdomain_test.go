@@ -229,6 +229,31 @@ func TestPrepareWarmsCaches(t *testing.T) {
 	}
 }
 
+// An AS's cached trees hold one entry per member of the AS, not one per
+// node of the whole network.
+func TestPrepareTablesSizedToAS(t *testing.T) {
+	net, err := mabrite.Generate(mabrite.Options{ASes: 10, RoutersPerAS: 20, Hosts: 60, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New(net)
+	var hosts []model.NodeID
+	for i := range net.Nodes {
+		if net.Nodes[i].Kind == model.Host {
+			hosts = append(hosts, model.NodeID(i))
+		}
+	}
+	r.Prepare(hosts)
+	for i := range net.ASes {
+		as := &net.ASes[i]
+		d := r.Domain(as.ID)
+		members := len(as.Routers) + len(as.Hosts)
+		if got, budget := d.TableBytes(), int64(d.CachedTables()*members*4); got > budget {
+			t.Errorf("AS %d: %d table bytes for %d trees over %d members, budget %d", as.ID, got, d.CachedTables(), members, budget)
+		}
+	}
+}
+
 // Property: every walk either delivers or drops — never loops — across
 // random multi-AS networks (the hop bound in walk doubles as loop
 // detection).

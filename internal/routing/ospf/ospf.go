@@ -6,19 +6,28 @@
 // rooted at the destination gives every member node its next-hop link
 // toward it. Trees are computed lazily and cached (a 20,000-router network
 // never needs all 400M pairs, only the destinations traffic actually
-// targets), using link latency as the OSPF cost metric.
+// targets), using link latency as the OSPF cost metric. A cached tree holds
+// one entry per member of the domain — O(domain) per destination, so an
+// AS's tables do not grow with the rest of the network.
 //
 // A domain may additionally be scoped to a node subset (a distributed
-// worker's slice): lookups still run the full-network Dijkstra, so routes
+// worker's slice): lookups still run Dijkstra over every member, so routes
 // and tie-breaking are byte-identical to an unscoped domain, but the cached
-// tree keeps entries only for in-scope nodes — O(scope) per destination
-// instead of O(network), which is what makes 100k-router slices fit.
+// tree keeps entries only for in-scope members — O(scope) per destination,
+// which is what makes 100k-router slices fit.
+//
+// Dijkstra's queue is a binary heap whose sift-up and sift-down are
+// container/heap's, so entries of equal distance leave it in exactly the
+// order container/heap would give; that order decides between equal-cost
+// next hops, and a heap of another shape would pick different routes.
 package ospf
 
 import (
-	"container/heap"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 
 	"massf/internal/model"
 )
@@ -27,18 +36,21 @@ import (
 // shortest paths are computed. Links with both endpoints inside the member
 // set are part of the domain.
 type Domain struct {
-	net     *model.Network
-	members []bool // nil ⇒ every node is a member
+	net *model.Network
 
-	// scope, when non-nil, restricts which nodes' next-hop entries are
-	// retained. Shortest-path trees are still computed over the full
-	// member set (identical costs and tie-breaking), then compacted to
-	// the scoped nodes. A slice-local worker only ever forwards from
-	// nodes it owns, so an out-of-scope lookup is a partitioning bug and
-	// panics rather than silently misrouting.
-	scope    []bool
-	scopeIdx []int32 // node id → compact index; -1 out of scope
-	scopeLen int
+	// scoped marks a domain whose trees keep entries only for the nodes of
+	// a worker's slice. A slice-local worker only ever forwards from nodes
+	// it owns, so an out-of-scope lookup is a partitioning bug and panics
+	// rather than silently misrouting.
+	scoped bool
+
+	// slot maps a node id to its entry in a cached tree. A node has one if
+	// it is a member and, on a scoped domain, in scope; otherwise its slot
+	// is notMember or outOfScope. nil means identity: every node is a
+	// member and none is out of scope. slots is the length of every cached
+	// tree.
+	slot  []int32
+	slots int
 
 	// linkDown/nodeDown mark failed elements SPF must route around
 	// (nil ⇒ none). Mutated only via SetLinkDown/SetNodeDown, which also
@@ -47,68 +59,77 @@ type Domain struct {
 	nodeDown []bool
 
 	mu sync.RWMutex
-	// tables caches one next-hop tree per destination. Unscoped: indexed by
-	// node id, full length. Scoped: indexed by scopeIdx, scopeLen long —
-	// exactly 4 bytes per owned node per destination, the whole point of
-	// the slice build.
+	// tables caches one next-hop tree per destination, indexed by slot:
+	// exactly 4 bytes per slotted node per destination.
 	tables map[model.NodeID][]int32
 }
+
+// Slot values of nodes without an entry in a cached tree.
+const (
+	notMember  = -1
+	outOfScope = -2
+)
 
 // NewDomain creates a domain over the given member nodes. A nil or empty
 // members slice means the whole network is one domain (the single-AS case).
 func NewDomain(net *model.Network, members []model.NodeID) *Domain {
-	d := &Domain{net: net, tables: make(map[model.NodeID][]int32)}
-	if len(members) > 0 {
-		d.members = make([]bool, len(net.Nodes))
-		for _, m := range members {
-			d.members[m] = true
-		}
-	}
-	return d
+	return NewDomainScoped(net, members, nil)
 }
 
 // NewDomainScoped creates a domain like NewDomain but retaining next-hop
 // state only for nodes marked in scope (full-length over net.Nodes). A nil
 // scope is equivalent to NewDomain.
 func NewDomainScoped(net *model.Network, members []model.NodeID, scope []bool) *Domain {
-	d := NewDomain(net, members)
-	d.setScope(scope)
+	n := len(net.Nodes)
+	d := &Domain{net: net, scoped: scope != nil, slots: n, tables: make(map[model.NodeID][]int32)}
+	if len(members) == 0 && scope == nil {
+		return d
+	}
+	slot := make([]int32, n) // 0: a member, not yet numbered
+	if len(members) > 0 {
+		for i := range slot {
+			slot[i] = notMember
+		}
+		for _, m := range members {
+			slot[m] = 0
+		}
+	}
+	d.slots = 0
+	for i, s := range slot {
+		switch {
+		case s == notMember:
+		case scope != nil && !scope[i]:
+			slot[i] = outOfScope
+		default:
+			slot[i] = int32(d.slots)
+			d.slots++
+		}
+	}
+	if d.slots < n {
+		d.slot = slot
+	}
 	return d
 }
 
-func (d *Domain) setScope(scope []bool) {
-	if scope == nil {
-		return
-	}
-	d.scope = scope
-	d.scopeIdx = make([]int32, len(d.net.Nodes))
-	for i := range d.scopeIdx {
-		d.scopeIdx[i] = -1
-	}
-	for i, in := range scope {
-		if in {
-			d.scopeIdx[i] = int32(d.scopeLen)
-			d.scopeLen++
-		}
-	}
-}
-
 // Scoped reports whether the domain retains only slice-local state.
-func (d *Domain) Scoped() bool { return d.scope != nil }
+func (d *Domain) Scoped() bool { return d.scoped }
 
 // contains reports whether node n belongs to the domain.
 func (d *Domain) contains(n model.NodeID) bool {
-	return d.members == nil || d.members[n]
+	return d.slot == nil || d.slot[n] != notMember
 }
 
-// scopeIndex maps cur to its compact table index, panicking on nodes
+// slotOf maps member cur to its entry in a cached tree, panicking on nodes
 // outside the slice scope: only owned nodes forward on a sliced worker.
-func (d *Domain) scopeIndex(cur model.NodeID) int32 {
-	idx := d.scopeIdx[cur]
-	if idx < 0 {
+func (d *Domain) slotOf(cur model.NodeID) int32 {
+	if d.slot == nil {
+		return int32(cur)
+	}
+	s := d.slot[cur]
+	if s < 0 {
 		panic(fmt.Sprintf("ospf: lookup from node %d outside the domain's slice scope", cur))
 	}
-	return idx
+	return s
 }
 
 // NextLink returns the link on which cur forwards a packet destined to dst,
@@ -123,17 +144,13 @@ func (d *Domain) NextLink(cur, dst model.NodeID) model.LinkID {
 	if !ok {
 		t = d.computeAndStore(dst)
 	}
-	if d.scope != nil {
-		return model.LinkID(t[d.scopeIndex(cur)])
-	}
-	return model.LinkID(t[cur])
+	return model.LinkID(t[d.slotOf(cur)])
 }
 
 // Distance returns the shortest-path latency (ns) from cur to dst within
 // the domain, or -1 if unreachable. A diagnostic/test query, not a hot
-// path: on a scoped domain the compacted tree cannot be walked past the
-// scope edge, so a fresh full-length tree is computed and discarded rather
-// than retained.
+// path: it runs Dijkstra toward dst and reads the distance it computed,
+// leaving the cached tables as they were.
 func (d *Domain) Distance(cur, dst model.NodeID) int64 {
 	if !d.contains(cur) || !d.contains(dst) {
 		return -1
@@ -141,46 +158,58 @@ func (d *Domain) Distance(cur, dst model.NodeID) int64 {
 	if cur == dst {
 		return 0
 	}
-	var t []int32
-	if d.scope != nil {
-		t, _ = d.spt(dst)
-	} else {
-		d.mu.RLock()
-		var ok bool
-		t, ok = d.tables[dst]
-		d.mu.RUnlock()
-		if !ok {
-			t = d.computeAndStore(dst)
-		}
-	}
-	// Walk the tree summing latencies.
-	var total int64
-	for cur != dst {
-		lid := t[cur]
-		if lid < 0 {
-			return -1
-		}
-		l := &d.net.Links[lid]
-		total += l.Latency
-		cur = l.Other(cur)
-	}
-	return total
+	s := getScratch(len(d.net.Nodes))
+	d.spt(dst, s)
+	dist := s.dist[cur]
+	s.reset()
+	scratchPool.Put(s)
+	return dist
 }
 
 // Prepare precomputes shortest-path trees for the given destinations. Call
-// during setup so the simulation's hot path only reads.
+// during setup so the simulation's hot path only reads. The missing trees
+// are computed concurrently, each into its own slot of the result, and
+// inserted in one locked pass, so the tables do not depend on scheduling.
 func (d *Domain) Prepare(dests []model.NodeID) {
+	todo := make([]model.NodeID, 0, len(dests))
+	d.mu.RLock()
 	for _, dst := range dests {
-		if !d.contains(dst) {
-			continue
-		}
-		d.mu.RLock()
-		_, ok := d.tables[dst]
-		d.mu.RUnlock()
-		if !ok {
-			d.computeAndStore(dst)
+		if _, ok := d.tables[dst]; !ok && d.contains(dst) {
+			todo = append(todo, dst)
 		}
 	}
+	d.mu.RUnlock()
+	slices.Sort(todo)
+	todo = slices.Compact(todo)
+	if len(todo) == 0 {
+		return
+	}
+	out := make([][]int32, len(todo))
+	var claimed atomic.Int64
+	work := func() {
+		s := getScratch(len(d.net.Nodes))
+		for i := claimed.Add(1) - 1; i < int64(len(todo)); i = claimed.Add(1) - 1 {
+			out[i] = d.tree(todo[i], s)
+		}
+		scratchPool.Put(s)
+	}
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(todo)) - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	d.mu.Lock()
+	for i, dst := range todo {
+		if _, ok := d.tables[dst]; !ok {
+			d.tables[dst] = out[i]
+		}
+	}
+	d.mu.Unlock()
 }
 
 // CachedTables reports how many destination trees are cached.
@@ -190,8 +219,8 @@ func (d *Domain) CachedTables() int {
 	return len(d.tables)
 }
 
-// TableBytes reports the approximate heap bytes held by cached trees — the
-// quantity the slice refactor shrinks from O(network) to O(scope) per
+// TableBytes reports the approximate heap bytes held by cached trees:
+// 4 bytes per member (per in-scope member on a scoped domain) per cached
 // destination.
 func (d *Domain) TableBytes() int64 {
 	d.mu.RLock()
@@ -204,20 +233,18 @@ func (d *Domain) TableBytes() int64 {
 }
 
 // Clone returns an independent copy of the domain sharing the immutable
-// network, member set, and scope but owning its cached tables and failure
-// masks, so SetLinkDown/SetNodeDown on the clone never disturb the
-// original. The cached table slices themselves are shared — they are never
+// network and slot index but owning its cached tables and failure masks,
+// so SetLinkDown/SetNodeDown on the clone never disturb the original. The cached table slices themselves are shared — they are never
 // mutated after computation, only replaced.
 func (d *Domain) Clone() *Domain {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	c := &Domain{
-		net:      d.net,
-		members:  d.members,
-		scope:    d.scope,
-		scopeIdx: d.scopeIdx,
-		scopeLen: d.scopeLen,
-		tables:   make(map[model.NodeID][]int32, len(d.tables)),
+		net:    d.net,
+		scoped: d.scoped,
+		slot:   d.slot,
+		slots:  d.slots,
+		tables: make(map[model.NodeID][]int32, len(d.tables)),
 	}
 	for dst, t := range d.tables {
 		c.tables[dst] = t
@@ -253,7 +280,7 @@ func (d *Domain) SetLinkDown(lid model.LinkID, down bool) {
 		return
 	}
 	d.linkDown[lid] = down
-	if !down || d.scope != nil {
+	if !down || d.scoped {
 		clear(d.tables)
 		return
 	}
@@ -285,7 +312,7 @@ func (d *Domain) SetNodeDown(n model.NodeID, down bool) {
 		return
 	}
 	d.nodeDown[n] = down
-	if !down || d.scope != nil {
+	if !down || d.scoped {
 		clear(d.tables)
 		return
 	}
@@ -308,17 +335,9 @@ func (d *Domain) SetNodeDown(n model.NodeID, down bool) {
 }
 
 func (d *Domain) computeAndStore(dst model.NodeID) []int32 {
-	t, _ := d.spt(dst)
-	if d.scope != nil {
-		// Compact to the scoped nodes; the full-length tree is discarded.
-		cn := make([]int32, d.scopeLen)
-		for id, idx := range d.scopeIdx {
-			if idx >= 0 {
-				cn[idx] = t[id]
-			}
-		}
-		t = cn
-	}
+	s := getScratch(len(d.net.Nodes))
+	t := d.tree(dst, s)
+	scratchPool.Put(s)
 	d.mu.Lock()
 	if existing, ok := d.tables[dst]; ok {
 		d.mu.Unlock()
@@ -329,65 +348,154 @@ func (d *Domain) computeAndStore(dst model.NodeID) []int32 {
 	return t
 }
 
+// tree computes the next-hop tree toward dst on scratch s, returns it as a
+// fresh table indexed by slot, and leaves s reset.
+func (d *Domain) tree(dst model.NodeID, s *scratch) []int32 {
+	d.spt(dst, s)
+	t := make([]int32, d.slots)
+	if d.slot == nil {
+		copy(t, s.next)
+	} else {
+		for i := range t {
+			t[i] = -1
+		}
+		for _, v := range s.touched {
+			if k := d.slot[v]; k >= 0 {
+				t[k] = s.next[v]
+			}
+		}
+	}
+	s.reset()
+	return t
+}
+
 // pqItem is a priority-queue entry for Dijkstra.
 type pqItem struct {
 	node model.NodeID
 	dist int64
 }
 
-type pq []pqItem
+// scratch is one Dijkstra's working state, full length over the network.
+// Between runs every entry is at rest (dist and next -1, done false); a run
+// lists each node it writes in touched, so reset clears only those.
+type scratch struct {
+	dist    []int64
+	next    []int32
+	done    []bool
+	q       []pqItem
+	touched []model.NodeID
+}
 
-func (q pq) Len() int           { return len(q) }
-func (q pq) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *pq) Push(x any)        { *q = append(*q, x.(pqItem)) }
-func (q *pq) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
+// scratchPool holds reset scratch for reuse across destinations, domains
+// and networks.
+var scratchPool sync.Pool
 
-// spt runs Dijkstra rooted at dst and records, for every reachable member
-// node, the first link on its shortest path toward dst along with the path
-// latency. Failed links and nodes are excluded; a tree rooted at a failed
-// destination is all -1.
-func (d *Domain) spt(dst model.NodeID) ([]int32, []int64) {
-	n := len(d.net.Nodes)
-	dist := make([]int64, n)
-	next := make([]int32, n)
-	done := make([]bool, n)
-	for i := range dist {
-		dist[i] = -1
-		next[i] = -1
+// getScratch returns reset scratch covering at least n nodes.
+func getScratch(n int) *scratch {
+	if s, _ := scratchPool.Get().(*scratch); s != nil && len(s.dist) >= n {
+		return s
 	}
+	s := &scratch{dist: make([]int64, n), next: make([]int32, n), done: make([]bool, n)}
+	for i := range n {
+		s.dist[i] = -1
+		s.next[i] = -1
+	}
+	return s
+}
+
+// reset returns every entry the last run wrote to rest.
+func (s *scratch) reset() {
+	for _, v := range s.touched {
+		s.dist[v] = -1
+		s.next[v] = -1
+		s.done[v] = false
+	}
+	s.touched = s.touched[:0]
+	s.q = s.q[:0]
+}
+
+// push and pop are container/heap's Push and Pop with its up and down
+// inlined, line for line, on the concrete queue: equal-distance entries
+// leave in container/heap's order, which decides equal-cost next hops.
+func (s *scratch) push(it pqItem) {
+	s.q = append(s.q, it)
+	q := s.q
+	j := len(q) - 1
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+}
+
+func (s *scratch) pop() pqItem {
+	q := s.q
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	i := 0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && q[j2].dist < q[j1].dist {
+			j = j2 // = 2*i + 2  // right child
+		}
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	it := q[n]
+	s.q = q[:n]
+	return it
+}
+
+// spt runs Dijkstra rooted at dst on reset scratch s and records, for every
+// reachable member node, the first link on its shortest path toward dst in
+// s.next along with the path latency in s.dist. Failed links and nodes are
+// excluded; a tree rooted at a failed destination is all -1.
+func (d *Domain) spt(dst model.NodeID, s *scratch) {
 	if d.nodeDown != nil && d.nodeDown[dst] {
-		return next, dist
+		return
 	}
-	dist[dst] = 0
 	adj := d.net.Adjacency()
-	q := pq{{dst, 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(pqItem)
+	s.dist[dst] = 0
+	s.touched = append(s.touched, dst)
+	s.q = append(s.q, pqItem{dst, 0})
+	for len(s.q) > 0 {
+		it := s.pop()
 		u := it.node
-		if done[u] {
+		if s.done[u] {
 			continue
 		}
-		done[u] = true
+		s.done[u] = true
 		for _, lid := range adj[u] {
 			if d.linkDown != nil && d.linkDown[lid] {
 				continue
 			}
 			l := &d.net.Links[lid]
 			v := l.Other(u)
-			if !d.contains(v) || done[v] {
+			if !d.contains(v) || s.done[v] {
 				continue
 			}
 			if d.nodeDown != nil && d.nodeDown[v] {
 				continue
 			}
 			nd := it.dist + l.Latency
-			if dist[v] < 0 || nd < dist[v] {
-				dist[v] = nd
-				next[v] = int32(lid) // v forwards toward dst over this link
-				heap.Push(&q, pqItem{v, nd})
+			if s.dist[v] < 0 || nd < s.dist[v] {
+				if s.dist[v] < 0 {
+					s.touched = append(s.touched, v)
+				}
+				s.dist[v] = nd
+				s.next[v] = int32(lid) // v forwards toward dst over this link
+				s.push(pqItem{v, nd})
 			}
 		}
 	}
-	return next, dist
 }

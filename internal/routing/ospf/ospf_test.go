@@ -1,9 +1,15 @@
 package ospf
 
 import (
+	"container/heap"
+	"fmt"
+	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"massf/internal/mabrite"
 	"massf/internal/model"
 	"massf/internal/topology"
 )
@@ -373,6 +379,298 @@ func TestScopedDomainFaults(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// refPQ is a container/heap queue, the one sptRef runs on.
+type refPQ []pqItem
+
+func (q refPQ) Len() int           { return len(q) }
+func (q refPQ) Less(i, j int) bool { return q[i].dist < q[j].dist }
+func (q refPQ) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *refPQ) Push(x any)        { *q = append(*q, x.(pqItem)) }
+func (q *refPQ) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
+
+// sptRef is Dijkstra on container/heap, the oracle for spt's tie order:
+// full-length next and dist over the network, fresh per call.
+func sptRef(d *Domain, dst model.NodeID) ([]int32, []int64) {
+	n := len(d.net.Nodes)
+	dist := make([]int64, n)
+	next := make([]int32, n)
+	done := make([]bool, n)
+	for i := range dist {
+		dist[i] = -1
+		next[i] = -1
+	}
+	if d.nodeDown != nil && d.nodeDown[dst] {
+		return next, dist
+	}
+	dist[dst] = 0
+	adj := d.net.Adjacency()
+	q := refPQ{{dst, 0}}
+	for q.Len() > 0 {
+		it := heap.Pop(&q).(pqItem)
+		u := it.node
+		if done[u] {
+			continue
+		}
+		done[u] = true
+		for _, lid := range adj[u] {
+			if d.linkDown != nil && d.linkDown[lid] {
+				continue
+			}
+			l := &d.net.Links[lid]
+			v := l.Other(u)
+			if !d.contains(v) || done[v] {
+				continue
+			}
+			if d.nodeDown != nil && d.nodeDown[v] {
+				continue
+			}
+			nd := it.dist + l.Latency
+			if dist[v] < 0 || nd < dist[v] {
+				dist[v] = nd
+				next[v] = int32(lid)
+				heap.Push(&q, pqItem{v, nd})
+			}
+		}
+	}
+	return next, dist
+}
+
+// diamondNet builds two equal-cost (40) paths from node 5 to node 0: over
+// node 2 (links 4, 1) and over node 1 (links 5, 0). Spokes 3 and 4 on
+// node 0 shape the queue: the binary heap pops 2 before 1, so 5 forwards
+// on link 4; a 4-ary heap pops 1 first and picks link 5.
+func diamondNet() *model.Network {
+	net := &model.Network{}
+	for i := 0; i < 6; i++ {
+		net.AddNode(model.Router, 0, 0, 0)
+	}
+	net.AddLink(0, 1, 20, model.Bps1G) // 0
+	net.AddLink(0, 2, 20, model.Bps1G) // 1
+	net.AddLink(0, 3, 30, model.Bps1G) // 2
+	net.AddLink(0, 4, 10, model.Bps1G) // 3
+	net.AddLink(2, 5, 20, model.Bps1G) // 4
+	net.AddLink(1, 5, 20, model.Bps1G) // 5
+	return net
+}
+
+// oracleRow is one domain the tie-order oracle checks: a net, its members
+// (nil: all), a slice scope (nil: none) and at most one failed link and
+// node (-1: none). pin, when ≥ 0, is the link node 5 must forward on
+// toward node 0.
+type oracleRow struct {
+	name    string
+	net     *model.Network
+	members []model.NodeID
+	scope   []bool
+	link    model.LinkID
+	node    model.NodeID
+	pin     model.LinkID
+}
+
+func oracleRows(t *testing.T) []oracleRow {
+	t.Helper()
+	type base struct {
+		name    string
+		net     *model.Network
+		members []model.NodeID
+		link    model.LinkID
+		node    model.NodeID
+		pin     model.LinkID
+	}
+	var bases []base
+	for _, seed := range []int64{1, 2, 3} {
+		net, err := topology.GenerateFlat(topology.FlatOptions{Routers: 60, Hosts: 15, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases = append(bases, base{fmt.Sprintf("flat%d", seed), net, nil, model.LinkID(len(net.Links) / 3), 7, -1})
+	}
+	mb, err := mabrite.Generate(mabrite.Options{ASes: 6, RoutersPerAS: 20, Hosts: 30, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range mb.ASes {
+		as := &mb.ASes[i]
+		members := append(append([]model.NodeID(nil), as.Routers...), as.Hosts...)
+		var inner []model.LinkID
+		for _, l := range mb.Links {
+			if mb.Nodes[l.A].AS == as.ID && mb.Nodes[l.B].AS == as.ID {
+				inner = append(inner, l.ID)
+			}
+		}
+		bases = append(bases, base{fmt.Sprintf("mabrite-as%d", i), mb, members, inner[len(inner)/2], as.Routers[len(as.Routers)/2], -1})
+	}
+	bases = append(bases, base{"diamond", diamondNet(), nil, 4, 2, 4})
+
+	var rows []oracleRow
+	for _, b := range bases {
+		scope := make([]bool, len(b.net.Nodes))
+		for i := range scope {
+			scope[i] = i%3 != 0
+		}
+		for _, sc := range []struct {
+			name  string
+			scope []bool
+		}{{"", nil}, {"/scoped", scope}} {
+			rows = append(rows,
+				oracleRow{b.name + sc.name, b.net, b.members, sc.scope, -1, -1, b.pin},
+				oracleRow{b.name + sc.name + "/link-down", b.net, b.members, sc.scope, b.link, -1, -1},
+				oracleRow{b.name + sc.name + "/node-down", b.net, b.members, sc.scope, -1, b.node, -1})
+		}
+	}
+	return rows
+}
+
+// TestTieOrderMatchesReference pins routes to the container/heap Dijkstra
+// entry for entry — every next hop and a sample of distances, toward every
+// member — across flat and multi-AS nets, member-compacted and scoped
+// domains, with a link or a node down. The diamond row also pins the link
+// equal costs resolve to, which a heap of another shape changes.
+func TestTieOrderMatchesReference(t *testing.T) {
+	for _, row := range oracleRows(t) {
+		t.Run(row.name, func(t *testing.T) {
+			d := NewDomainScoped(row.net, row.members, row.scope)
+			if row.link >= 0 {
+				d.SetLinkDown(row.link, true)
+			}
+			if row.node >= 0 {
+				d.SetNodeDown(row.node, true)
+			}
+			n := len(row.net.Nodes)
+			for dst := model.NodeID(0); int(dst) < n; dst++ {
+				if !d.contains(dst) {
+					continue
+				}
+				next, dist := sptRef(d, dst)
+				for cur := model.NodeID(0); int(cur) < n; cur++ {
+					if cur == dst {
+						continue
+					}
+					if row.scope == nil || row.scope[cur] {
+						if got := d.NextLink(cur, dst); got != model.LinkID(next[cur]) {
+							t.Fatalf("NextLink(%d,%d) = %d, reference %d", cur, dst, got, next[cur])
+						}
+					}
+					if (int(cur)+int(dst))%5 == 0 {
+						if got := d.Distance(cur, dst); got != dist[cur] {
+							t.Fatalf("Distance(%d,%d) = %d, reference %d", cur, dst, got, dist[cur])
+						}
+					}
+				}
+			}
+			if row.pin >= 0 {
+				if got := d.NextLink(5, 0); got != row.pin {
+					t.Fatalf("equal-cost tie at node 5 resolved to link %d, want %d", got, row.pin)
+				}
+			}
+		})
+	}
+}
+
+// hostDests returns the first n hosts of net.
+func hostDests(net *model.Network, n int) []model.NodeID {
+	var dests []model.NodeID
+	for i := range net.Nodes {
+		if net.Nodes[i].Kind == model.Host && len(dests) < n {
+			dests = append(dests, model.NodeID(i))
+		}
+	}
+	return dests
+}
+
+// TestPrepareAllocBudget gates one warm-up on counts, not time: 64 trees on
+// the flat 2000-router net cost at most two allocations each plus a
+// constant, and no more bytes than a quarter over the tables they leave.
+func TestPrepareAllocBudget(t *testing.T) {
+	net, err := topology.GenerateFlat(topology.FlatOptions{Routers: 2000, Hosts: 1000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dests := hostDests(net, 64)
+	prepare := func() *Domain {
+		d := NewDomain(net, nil)
+		d.Prepare(dests)
+		return d
+	}
+	allocs := testing.AllocsPerRun(5, func() { prepare() })
+	if budget := float64(2*len(dests) + 16); allocs > budget {
+		t.Errorf("Prepare of %d destinations made %.0f allocations, budget %.0f", len(dests), allocs, budget)
+	}
+
+	// Bytes at the default GOMAXPROCS, so the fan-out's scratch counts too.
+	const runs = 10
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	var d *Domain
+	for range runs {
+		d = prepare()
+	}
+	runtime.ReadMemStats(&m1)
+	perRun := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
+	t.Logf("Prepare of %d destinations: %.0f allocations, %.0f bytes, %d table bytes", len(dests), allocs, perRun, d.TableBytes())
+	if budget := 1.25 * float64(d.TableBytes()); perRun > budget {
+		t.Errorf("Prepare allocated %.0f bytes, budget %.0f (1.25 × table bytes)", perRun, budget)
+	}
+}
+
+// TestPrepareConcurrentDeterministic: the tables Prepare leaves do not
+// depend on how many goroutines computed them, and lookups racing a
+// Prepare (run under -race) agree with it.
+func TestPrepareConcurrentDeterministic(t *testing.T) {
+	flat, err := topology.GenerateFlat(topology.FlatOptions{Routers: 300, Hosts: 100, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, err := mabrite.Generate(mabrite.Options{ASes: 4, RoutersPerAS: 60, Hosts: 80, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	as := &mb.ASes[0]
+	for _, row := range []struct {
+		name    string
+		net     *model.Network
+		members []model.NodeID
+	}{
+		{"flat", flat, nil},
+		{"mabrite-as0", mb, append(append([]model.NodeID(nil), as.Routers...), as.Hosts...)},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			dests := append([]model.NodeID(nil), row.members...)
+			if dests == nil {
+				dests = hostDests(row.net, len(row.net.Nodes))
+			}
+			dests = append(dests, dests[:10]...) // duplicates compute once
+			tables := func(procs int) map[model.NodeID][]int32 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				d := NewDomain(row.net, row.members)
+				d.Prepare(dests)
+				return d.tables
+			}
+			want := tables(1)
+			for _, procs := range []int{runtime.GOMAXPROCS(0), 8} {
+				if got := tables(procs); !reflect.DeepEqual(got, want) {
+					t.Fatalf("tables at GOMAXPROCS=%d differ from GOMAXPROCS=1", procs)
+				}
+			}
+
+			d := NewDomain(row.net, row.members)
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, dst := range dests {
+					d.NextLink(dests[(i+1)%len(dests)], dst)
+				}
+			}()
+			d.Prepare(dests)
+			wg.Wait()
+			if !reflect.DeepEqual(d.tables, want) {
+				t.Fatal("tables after Prepare raced by NextLink differ from a quiet Prepare")
+			}
+		})
 	}
 }
 
