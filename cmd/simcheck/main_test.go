@@ -7,18 +7,18 @@ import (
 	"testing"
 )
 
-// TestSweepGolden pins every line a passing sweep prints with all five
-// dimensions requested at once — churn, distributed, sharded, observer
-// neutrality, hybrid fidelity — against the output captured before the
+// TestSweepGolden pins every line a passing sweep prints with all four
+// dimensions requested at once — churn, distributed, observer neutrality,
+// hybrid fidelity — against the output captured before the
 // legs were folded into one plan per scenario. The indented per-worker
 // "owned nodes, build …ms" lines are dropped from both sides: worker join
 // order and build times vary run to run.
 func TestSweepGolden(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full five-dimension sweep skipped in -short")
+		t.Skip("full four-dimension sweep skipped in -short")
 	}
 	var buf bytes.Buffer
-	ok, err := run(strings.Fields("-scenarios 3 -churn -dist 2 -dist-k 4 -shard -netmon 4 -fluid -v"), &buf)
+	ok, err := run(strings.Fields("-scenarios 3 -churn -dist 2 -dist-k 4 -netmon 4 -fluid -v"), &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
