@@ -13,8 +13,7 @@ import (
 // not only the event counts sweep.golden prints: the FNV-64a of each
 // reference Observation's JSON — per-node, per-link, per-flow and per-fault
 // slices and the sampled PathSpans included — for seeds 1–6 in four
-// variants, plus the merged observation of one replicated and one sliced
-// k=4 fleet. Any change to how a scenario is built, traffic installed or a
+// variants, plus the merged observation of one k=4 fleet. Any change to how a scenario is built, traffic installed or a
 // run observed moves a digest.
 func TestObservationDigestGolden(t *testing.T) {
 	if testing.Short() {
@@ -47,7 +46,6 @@ func TestObservationDigestGolden(t *testing.T) {
 	sc := Churn(distScenario())
 	sc.NetSample = 4
 	p := planOf(t, sc)
-	line("fleet replicated k=4 workers=2", fleet(t, p, 2, false, "").Dist)
 	line("fleet sliced k=4 workers=2", fleet(t, p, 2, true, t.TempDir()).Sliced)
 
 	want, err := os.ReadFile("testdata/observations.golden")
