@@ -29,10 +29,10 @@ smoke:
 
 # Conformance under scripted link/router churn: 25 seeded scenarios, each
 # given a derived fault script and checked sequential vs k∈{2,4,8}, plus a
-# distributed k=4 leg over two in-process workers — replicated AND sliced
-# (-shard: slice-local build, scoped lazy routing, scenario artifact cache).
+# distributed k=4 leg over two in-process workers (slice-local build,
+# scoped routing, scenario artifact cache).
 churn:
-	$(GO) run ./cmd/simcheck -scenarios 25 -churn -dist 2 -dist-k 4 -shard
+	$(GO) run ./cmd/simcheck -scenarios 25 -churn -dist 2 -dist-k 4
 
 # Hybrid flow/packet fidelity: every seeded scenario rerun with bulk
 # transfers on the analytic fluid plane, checked two ways — byte-identical
@@ -42,8 +42,8 @@ fluid:
 	$(GO) run ./cmd/simcheck -scenarios 25 -fluid
 
 # Big-topology memory smoke: a 2-AS large-fanout network distributed at
-# k=4, asserting a sliced worker retains well under the replicated
-# baseline's routing bytes and per-worker heap. Nightly, not per-PR.
+# k=4, asserting a sliced worker retains well under an unscoped router's
+# routing bytes and heap. Nightly, not per-PR.
 bigtopo:
 	MASSF_BIGTOPO=1 $(GO) test -count=1 -run TestBigTopoSliceMemory -v -timeout 20m ./internal/simcheck/
 

@@ -7,8 +7,8 @@
 //
 // Each scenario is prepared once as a simcheck.Plan — built, run
 // sequentially, profiled, mapped per k — and every further dimension a
-// flag asks for (-dist, -shard, -netmon, -fluid) is a leg run off that
-// plan through one table, sharing its reference and its in-process runs.
+// flag asks for (-dist, -netmon, -fluid) is a leg run off that plan
+// through one table, sharing its reference and its in-process runs.
 //
 // Usage:
 //
@@ -17,7 +17,6 @@
 //	simcheck -repro 42 -trace div.json      # dump the failing run's trace
 //	simcheck -scenario-json '{"Seed":42,...}'  # re-check a shrunk reproducer
 //	simcheck -scenarios 25 -churn -dist 2 -dist-k 4  # churn sweep + distributed leg
-//	simcheck -scenarios 25 -dist 2 -dist-k 4 -shard  # + sharded-vs-replicated dimension
 //	simcheck -scenarios 25 -netmon 4        # + observer-neutrality dimension (stride 4)
 //	simcheck -scenarios 25 -fluid           # + hybrid flow/packet fidelity dimension
 //	simcheck -scenarios 25 -fluid -churn    # hybrid × faults determinism sweep
@@ -68,8 +67,7 @@ func run(args []string, out io.Writer) (bool, error) {
 	distWorkers := fs.Int("dist", 0, "also run each scenario across this many loopback TCP workers (largest k in -ks) and diff the merged observables")
 	distK := fs.Int("dist-k", 0, "with -dist: pin the distributed engine count (default: largest k in -ks)")
 	distListen := fs.String("dist-listen", "", "with -dist: listen on this address and wait for external workers (massfd -worker -join <addr>) instead of spawning in-process worker loops")
-	shard := fs.Bool("shard", false, "with -dist: add the sharded-vs-replicated dimension — rerun each scenario with slice-materializing workers (slice-local build, scoped lazy routing, scenario artifact cache) and diff against both the replicated fleet and the sequential reference")
-	scacheDir := fs.String("scache", "", "with -shard: scenario artifact cache directory (default: a fresh temp dir per process)")
+	scacheDir := fs.String("scache", "", "with -dist: scenario artifact cache directory the workers read topologies through (default: a fresh temp dir per process)")
 	verbose := fs.Bool("v", false, "print every scenario, not just failures")
 	if err := fs.Parse(args); err != nil {
 		return false, err
@@ -80,21 +78,13 @@ func run(args []string, out io.Writer) (bool, error) {
 		return false, err
 	}
 	cacheDir := *scacheDir
-	if *shard {
-		if *distWorkers <= 0 {
-			return false, fmt.Errorf("-shard requires -dist (sliced workers are a distributed dimension)")
+	if *distWorkers > 0 && cacheDir == "" {
+		dir, err := os.MkdirTemp("", "massf-scache-*")
+		if err != nil {
+			return false, err
 		}
-		if *distListen != "" {
-			return false, fmt.Errorf("-shard cannot join external workers (-dist-listen): the sharded check runs two fleets back to back")
-		}
-		if cacheDir == "" {
-			dir, err := os.MkdirTemp("", "massf-scache-*")
-			if err != nil {
-				return false, err
-			}
-			defer os.RemoveAll(dir)
-			cacheDir = dir
-		}
+		defer os.RemoveAll(dir)
+		cacheDir = dir
 	}
 
 	var list []simcheck.Scenario
@@ -122,13 +112,8 @@ func run(args []string, out io.Writer) (bool, error) {
 	var legs []leg
 	if *distWorkers > 0 {
 		legs = append(legs, leg{"distributed", func(p *simcheck.Plan) (verdict, error) {
-			return distLeg(out, p, *distWorkers, *distK, *distListen, false, "")
+			return distLeg(out, p, *distWorkers, *distK, *distListen, cacheDir)
 		}, printDistributed})
-		if *shard {
-			legs = append(legs, leg{"sharded", func(p *simcheck.Plan) (verdict, error) {
-				return distLeg(out, p, *distWorkers, *distK, "", true, cacheDir)
-			}, printSharded})
-		}
 	}
 	if *netmonSample > 0 {
 		legs = append(legs, leg{"neutrality", func(p *simcheck.Plan) (verdict, error) {
@@ -226,10 +211,11 @@ type leg struct {
 
 // distLeg runs the plan's distributed leg with one engine count (pinned by
 // -dist-k, else the largest in Ks) split across `workers` TCP workers,
-// replicated or sliced. With listen == "" the workers are in-process
-// loopback loops; otherwise the oracle listens there and waits for external
-// worker processes (massfd -worker) to join.
-func distLeg(out io.Writer, p *simcheck.Plan, workers, pinnedK int, listen string, sliced bool, cacheDir string) (verdict, error) {
+// reading topologies through the artifact cache in cacheDir. With
+// listen == "" the workers are in-process loopback loops; otherwise the
+// oracle listens there and waits for external worker processes
+// (massfd -worker) to join.
+func distLeg(out io.Writer, p *simcheck.Plan, workers, pinnedK int, listen, cacheDir string) (verdict, error) {
 	k := pinnedK
 	if k == 0 && len(p.Scenario.Ks) > 0 {
 		k = slices.Max(p.Scenario.Ks)
@@ -247,16 +233,21 @@ func distLeg(out io.Writer, p *simcheck.Plan, workers, pinnedK int, listen strin
 		fmt.Fprintf(out, "waiting for %d workers on %s (massfd -worker -join %s)\n",
 			workers, ln.Addr(), ln.Addr())
 	}
-	return p.Distributed(ln, k, workers, sliced, cacheDir, dist.Options{})
+	return p.Distributed(ln, k, workers, cacheDir, dist.Options{})
 }
 
-// printDistributed reports the replicated distributed leg: the merged
-// worker observables against the sequential reference.
+// printDistributed reports the distributed leg: the merged worker
+// observables against the sequential reference, and what each worker
+// built.
 func printDistributed(out io.Writer, v verdict) {
 	rep := v.(*simcheck.DistReport)
 	if !rep.Failed() {
 		fmt.Fprintf(out, "ok   %s distributed k=%d workers=%d (%d windows)\n",
 			rep.Scenario, rep.K, rep.Workers, rep.Windows)
+		for _, wm := range rep.WorkerMem {
+			fmt.Fprintf(out, "       %s: %d owned nodes, build %.1fms, route tables %dB\n",
+				wm.Name, wm.SliceNodes, float64(wm.BuildNS)/1e6, wm.RouteBytes)
+		}
 		return
 	}
 	fmt.Fprintf(out, "FAIL %s distributed k=%d workers=%d window=%v (%d windows)\n",
@@ -266,30 +257,6 @@ func printDistributed(out io.Writer, v verdict) {
 	}
 	for _, d := range rep.DivsDist {
 		fmt.Fprintf(out, "  distributed divergence: %v\n", d)
-	}
-}
-
-// printSharded reports the sliced distributed leg — every worker
-// materializing only its engine range, with scoped lazy routing, through
-// the scenario artifact cache — and what each worker built.
-func printSharded(out io.Writer, v verdict) {
-	rep := v.(*simcheck.DistReport)
-	if !rep.Failed() {
-		fmt.Fprintf(out, "ok   %s sharded k=%d workers=%d (%d windows)\n",
-			rep.Scenario, rep.K, rep.Workers, rep.Windows)
-		for _, wm := range rep.SlicedMem {
-			fmt.Fprintf(out, "       %s: %d owned nodes, build %.1fms, route tables %dB\n",
-				wm.Name, wm.SliceNodes, float64(wm.BuildNS)/1e6, wm.RouteBytes)
-		}
-		return
-	}
-	fmt.Fprintf(out, "FAIL %s sharded k=%d workers=%d window=%v (%d windows)\n",
-		rep.Scenario, rep.K, rep.Workers, rep.Window, rep.Windows)
-	for _, d := range rep.DivsDist {
-		fmt.Fprintf(out, "  replicated divergence: %v\n", d)
-	}
-	for _, d := range rep.DivsSliced {
-		fmt.Fprintf(out, "  sliced divergence: %v\n", d)
 	}
 }
 

@@ -37,14 +37,15 @@ func distE2EScenario() simcheck.Scenario {
 	}
 }
 
-// planAndServe plans sc and coordinates its replicated distributed leg over
-// ln; the test launches the massfd -worker processes against ln's address.
+// planAndServe plans sc and coordinates its distributed leg over ln; the
+// test launches the massfd -worker processes against ln's address, and each
+// builds only its slice of the scenario.
 func planAndServe(ln net.Listener, sc simcheck.Scenario, k, workers int, opt dist.Options) (*simcheck.DistReport, error) {
 	p, err := simcheck.NewPlan(sc)
 	if err != nil {
 		return nil, err
 	}
-	return p.Distributed(ln, k, workers, false, "", opt)
+	return p.Distributed(ln, k, workers, "", opt)
 }
 
 // TestDistributedEndToEnd runs the full distributed pipeline through real
@@ -109,8 +110,9 @@ func TestDistributedEndToEnd(t *testing.T) {
 // TestDistributedChurnEndToEnd is the subprocess variant of the churn
 // conformance dimension: the same scripted link/router faults are compiled
 // independently by the coordinator and by both massfd -worker processes
-// (replicated setup), and the merged k=4 observables — per-fault loss
-// attribution included — must match the sequential reference exactly.
+// (against each worker's scoped routing), and the merged k=4 observables —
+// per-fault loss attribution included — must match the sequential
+// reference exactly.
 func TestDistributedChurnEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs massfd worker subprocesses")

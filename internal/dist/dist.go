@@ -1,8 +1,8 @@
 // Package dist runs a distributed simulation over TCP: a coordinator
 // process drives the barrier-window protocol and routes cross-worker
 // events, and worker processes each run one hosted engine range of the
-// replicated scenario (see pdes.Transport for the window protocol and the
-// SPMD model).
+// scenario (see pdes.Transport for the window protocol and the SPMD
+// model).
 //
 // The protocol is a star: every worker keeps exactly one connection to the
 // coordinator, framed by package wire. A run is

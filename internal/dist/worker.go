@@ -10,9 +10,9 @@ import (
 	"massf/internal/wire"
 )
 
-// Runner executes one worker's share of a distributed job: build the
-// replicated scenario from job.Spec, run the hosted engine range with t as
-// pdes.Config.Transport, and return the worker's opaque result payload.
+// Runner executes one worker's share of a distributed job: build that
+// share of the scenario from job.Spec, run the hosted engine range with t
+// as pdes.Config.Transport, and return the worker's opaque result payload.
 // The job kind string selects the runner (registered by the cmd layer).
 type Runner func(job Job, t pdes.Transport) ([]byte, error)
 

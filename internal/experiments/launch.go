@@ -209,8 +209,8 @@ func (s *Scenario) AppHosts() int {
 // size beyond the free hosts shrinks both proportionally). The
 // result depends only on net, Seed, App, Clients and Servers and is never
 // written after Build returns, so one Setup may serve any number of
-// concurrent runs that agree on those. Of x only Slice is read: a sliced
-// worker's Setup routes over its owned nodes alone, unwarmed.
+// concurrent runs that agree on those. Of x only Slice is read: a
+// distributed worker's Setup keeps routing state for its owned nodes alone.
 func (s *Scenario) Build(net *model.Network, multi bool, x Exec) (*Setup, error) {
 	appHosts := s.AppHosts()
 	free := net.NumHosts() - appHosts

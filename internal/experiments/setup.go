@@ -163,10 +163,10 @@ func NewSetup(net *model.Network, sc Scale, multi bool) (*Setup, error) {
 	return newSetup(net, sc, multi, nil)
 }
 
-// newSetup is NewSetup with routing scoped to the owned nodes of a sliced
-// worker when owned is non-nil (interdomain.NewScoped): forwarding is
-// byte-identical, only the retained state shrinks, and nothing is warmed —
-// trees fill on the first lookup the slice's traffic makes.
+// newSetup is NewSetup with routing scoped to the owned nodes of a
+// distributed worker when owned is non-nil (interdomain.NewScoped):
+// forwarding is byte-identical and warmed the same way, only the retained
+// state shrinks.
 func newSetup(net *model.Network, sc Scale, multi bool, owned []bool) (*Setup, error) {
 	st := &Setup{Scale: sc, MultiAS: multi, Net: net, Sync: cluster.DefaultTeraGrid()}
 	var router *interdomain.Router
@@ -211,10 +211,8 @@ func newSetup(net *model.Network, sc Scale, multi bool, owned []bool) (*Setup, e
 	}
 	st.Clients = free[:nc]
 	st.Servers = free[nc : nc+ns]
-	if owned == nil {
-		// Warm routing caches for every traffic destination.
-		router.Prepare(st.Hosts)
-	}
+	// Warm routing caches for every traffic destination.
+	router.Prepare(st.Hosts)
 	return st, nil
 }
 
@@ -239,9 +237,9 @@ type Exec struct {
 	End        des.Time         // > 0: the exact horizon, in place of Seconds
 	Invariants *pdes.Invariants // arms the pdes runtime invariant checks
 	// Transport makes the run one worker of a distributed run, executing
-	// engines [First, First+Hosted); Slice is the set of nodes they own
-	// (topology.Slice.Owned) when the worker materializes only its share —
-	// routing scoped and unwarmed.
+	// engines [First, First+Hosted) and materializing only their share;
+	// Slice is the set of nodes they own (topology.Slice.Owned), which
+	// scopes the worker's routing state.
 	Transport     pdes.Transport
 	First, Hosted int
 	Slice         []bool
@@ -378,7 +376,6 @@ func (st *Setup) prepare(m *core.Mapping, w Workload, opt runspec.RunSpec, src T
 		SeriesBuckets: opt.SeriesBuckets, RealTimeFactor: opt.RealTimeFactor,
 		Telemetry: opt.Telemetry, Invariants: x.Invariants,
 		Transport: x.Transport, FirstEngine: x.First, HostedEngines: x.Hosted,
-		SliceBuild: x.Slice != nil,
 	}
 	p := &Prepared{Mapping: m}
 	var plane *faults.Plane
@@ -387,26 +384,31 @@ func (st *Setup) prepare(m *core.Mapping, w Workload, opt runspec.RunSpec, src T
 		if plane, err = faults.NewPlane(st.Net, st.Router, opt.Faults); err != nil {
 			return nil, err
 		}
-		if x.Slice == nil {
-			// A sliced worker's scoped routing stays lazy through every
-			// fault epoch too.
-			plane.Prepare(st.Hosts)
-		}
+		plane.Prepare(st.Hosts)
 		cfg.Faults = plane
 	}
 	if flows, next, quantum := src.Fluid(st.Scale.Horizon); len(flows) > 0 {
 		// The fluid plane is precomputed here from the network, routes,
 		// horizon and flows. Its solver walks whole paths, which a
-		// slice-scoped router refuses.
+		// slice-scoped router refuses, so a worker with scoped routing
+		// builds the (immutable) plane over a transient unscoped router
+		// and, under churn, a fault plane compiled on it.
+		routes, fview := st.Router, plane
 		if x.Slice != nil {
-			return nil, fmt.Errorf("experiments: hybrid fidelity requires the replicated build, not a sliced worker")
+			routes = interdomain.New(st.Net)
+			if plane != nil {
+				var err error
+				if fview, err = faults.NewPlane(st.Net, routes, opt.Faults); err != nil {
+					return nil, err
+				}
+			}
 		}
 		fcfg := fluid.Config{
-			Net: st.Net, Routes: st.Routes, End: st.Scale.Horizon,
+			Net: st.Net, Routes: routes, End: st.Scale.Horizon,
 			Quantum: quantum, Next: next,
 		}
-		if plane != nil {
-			fcfg.Faults = plane
+		if fview != nil {
+			fcfg.Faults = fview
 		}
 		fp, err := fluid.Build(fcfg, flows)
 		if err != nil {

@@ -74,8 +74,8 @@ type Config struct {
 	// Net is the virtual network (required).
 	Net *model.Network
 	// Routes is the static forwarding function (required). The solver
-	// walks whole paths, which a slice-scoped router refuses, so a sliced
-	// distributed worker cannot build a fluid plane.
+	// walks whole paths, which a slice-scoped router refuses, so a
+	// distributed worker passes an unscoped router here.
 	Routes Routes
 	// Faults, when non-nil, makes the fluid timeline fault-aware: flows
 	// re-resolve paths at every boundary, stall while their path crosses

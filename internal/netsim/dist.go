@@ -4,12 +4,15 @@
 // the receiver-side flow replica adoption that makes runtime-started TCP
 // transfers work across workers.
 //
-// The identity scheme leans entirely on replicated setup (every worker
-// builds the full scenario deterministically):
+// The identity scheme leans on every worker making the same setup calls
+// in the same order, while materializing only its slice — the state its
+// hosted engines touch:
 //
 //   - Setup-time flows get sequential ids from a global counter, identical
-//     on every worker; the flow OBJECT is also replicated, so a wire packet
-//     resolves to a local object holding the setup-time closures.
+//     on every worker. The flow OBJECT exists on the workers hosting either
+//     endpoint, so a wire packet arriving there resolves to a local object
+//     holding the setup-time closures; other workers only advance the
+//     counter, and packets transit them as wire references.
 //   - Runtime flows exist only on the worker that started them. They get
 //     ids namespaced by owning engine ((engine+1)<<40 | counter), and the
 //     destination worker adopts a receiver-side replica on first data
@@ -103,8 +106,8 @@ func (s *Sim) registerFlow(f *flow) {
 		return
 	}
 	if !s.running {
-		// Replicated setup: the global counter advances identically on
-		// every worker, so id → object agrees everywhere.
+		// Setup: the global counter advances identically on every
+		// worker, so id → object agrees everywhere.
 		s.setupFlows++
 		f.id = s.setupFlows
 	} else {
@@ -128,7 +131,7 @@ type wireRef struct {
 }
 
 // adoptFlow resolves a wire flow reference at the packet's final
-// destination: a registry hit returns the local object (replicated setup
+// destination: a registry hit returns the local object (a setup-time
 // flow, or a replica adopted by an earlier packet); a miss creates and
 // registers a receiver-side replica with only the receiver half populated.
 // Runs on the destination node's engine.

@@ -37,7 +37,7 @@ type Routes interface {
 // FaultPlane is the scripted-churn hook (implemented by faults.Plane; an
 // interface here to keep netsim decoupled from the routing stack). Every
 // method must be a pure function of simulated time — concurrent engines
-// and replicated distributed workers query it independently and must see
+// and distributed workers query it independently and must see
 // identical answers — and safe for concurrent use.
 type FaultPlane interface {
 	// NumFaults is the expanded fault-event count; FaultAt gives event i's
@@ -108,7 +108,7 @@ type Config struct {
 	// fluid completion fires one kernel event on the flow source's engine
 	// (so fluid traffic shows in event counts and load profiles), and
 	// fluid counters land in Result. The plane is immutable and its
-	// queries are pure functions of simulated time, so replicated workers
+	// queries are pure functions of simulated time, so distributed workers
 	// holding identically-built planes stay byte-identical — build it with
 	// fluid.Build from the same inputs everywhere.
 	Fluid *fluid.Plane
@@ -120,26 +120,21 @@ type Config struct {
 	// per hop.
 	Faults FaultPlane
 	// Transport, when non-nil, runs this Sim as one worker of a
-	// distributed simulation (see pdes.Config.Transport): the full
-	// scenario must be built identically on every worker (replicated
-	// setup), only the engines in [FirstEngine, FirstEngine+HostedEngines)
-	// execute here, and cross-worker packets are serialized through the
-	// netsim wire codec (dist.go). Nil (the default) is the in-process
-	// path, unchanged.
+	// distributed simulation (see pdes.Config.Transport): only the engines
+	// in [FirstEngine, FirstEngine+HostedEngines) execute here, and
+	// cross-worker packets are serialized through the netsim wire codec
+	// (dist.go). Every worker runs the same setup calls but materializes
+	// only its slice: setup events, TCP flow objects and fault markers are
+	// instantiated only when they touch a hosted engine. Identity counters
+	// still advance globally, so flow and UDP-callback wire ids agree on
+	// every worker; packets for unmaterialized flows transit via wire
+	// references exactly like runtime flows from other workers. Routes may
+	// be a scoped router (interdomain.NewScoped) so OSPF state also stays
+	// slice-local. Nil (the default) is the in-process path, unchanged.
 	Transport pdes.Transport
 	// FirstEngine and HostedEngines delimit the hosted engine range (only
 	// meaningful with Transport). HostedEngines 0 means Engines-FirstEngine.
 	FirstEngine, HostedEngines int
-	// SliceBuild, when set (requires Transport), makes this worker
-	// materialize only its engine slice instead of the full replicated
-	// scenario: setup events, TCP flow objects, and fault markers are
-	// instantiated only when they touch a hosted engine. Identity counters
-	// still advance globally, so flow and UDP-callback wire ids stay
-	// byte-identical to a replicated build; packets for unmaterialized
-	// flows transit via wire references exactly like runtime flows from
-	// other workers. Routes should then be a scoped router
-	// (interdomain.NewScoped) so OSPF state also stays slice-local.
-	SliceBuild bool
 }
 
 // linkDir is the mutable state of one link direction, owned by the engine
@@ -243,8 +238,7 @@ type Sim struct {
 	// Distributed execution state (Config.Transport set); see dist.go.
 	// All of it is dead weight on the in-process path: dist is false,
 	// nothing below is ever touched, and the hot path stays lock-free.
-	dist           bool
-	slice          bool // slice-local build: skip non-hosted materialization
+	dist           bool // slice-local build: skip non-hosted materialization
 	hostLo, hostHi int  // hosted engine range [lo, hi)
 	running        bool // set once at Run; setup-vs-runtime flow identity
 	setupFlows     uint64
@@ -312,7 +306,6 @@ func New(cfg Config) (*Sim, error) {
 			hosted = cfg.Engines - cfg.FirstEngine
 		}
 		s.dist = true
-		s.slice = cfg.SliceBuild
 		s.hostLo, s.hostHi = cfg.FirstEngine, cfg.FirstEngine+hosted
 		s.runFlowCtr = make([]uint64, cfg.Engines)
 		s.flows = make(map[uint64]*flow)
@@ -320,8 +313,6 @@ func New(cfg Config) (*Sim, error) {
 		pcfg.FirstEngine = cfg.FirstEngine
 		pcfg.HostedEngines = hosted
 		pcfg.Codec = netCodec{s: s}
-	} else if cfg.SliceBuild {
-		return nil, fmt.Errorf("netsim: SliceBuild requires Transport (a slice is one distributed worker's share)")
 	}
 	ps, err := pdes.New(pcfg)
 	if err != nil {
@@ -342,10 +333,10 @@ func New(cfg Config) (*Sim, error) {
 		// telemetry. All on engine 0, so the event count stays independent
 		// of the partition — and in distributed mode only engine 0's host
 		// executes them, so each marker fires exactly once globally. A
-		// sliced worker not hosting engine 0 skips them outright: they
-		// would sit dead in a never-run kernel.
+		// worker not hosting engine 0 skips them outright: they would sit
+		// dead in a never-run kernel.
 		for i := 0; i < nf; i++ {
-			if s.slice && !s.hostedEngine(0) {
+			if s.dist && !s.hostedEngine(0) {
 				break
 			}
 			i := i
@@ -412,7 +403,7 @@ func (s *Sim) scheduleFluidCursors() {
 	}
 	for e := range s.fluidByEngine {
 		ents := s.fluidByEngine[e]
-		if len(ents) == 0 || (s.slice && !s.hostedEngine(e)) {
+		if len(ents) == 0 || (s.dist && !s.hostedEngine(e)) {
 			continue
 		}
 		// Plane flow order is deterministic, so a stable sort by time gives
@@ -501,12 +492,12 @@ func (s *Sim) drop(node model.NodeID, pkt *Packet, dir int, link model.LinkID, n
 
 // ScheduleAt schedules fn to run at simulated time at in the context of
 // node n's engine. Use during setup (before Run) or from a handler already
-// running on that engine. On a slice-built worker, events for nodes owned
+// running on that engine. On a distributed worker, events for nodes owned
 // by non-hosted engines are dropped — those kernels never execute here, so
 // scheduling into them would only grow arenas another worker duplicates.
 func (s *Sim) ScheduleAt(n model.NodeID, at des.Time, fn des.Handler) {
 	e := s.EngineOf(n)
-	if s.slice && !s.hostedEngine(e) {
+	if s.dist && !s.hostedEngine(e) {
 		return
 	}
 	s.ps.Engine(e).Schedule(at, fn)
@@ -664,7 +655,7 @@ func (s *Sim) inject(now des.Time, pkt Packet) {
 // SendUDP schedules a one-shot datagram of the given size from src at time
 // at. onDeliver (optional) runs on dst's engine when it lands. In
 // distributed runs the callback crosses workers by registry index, which
-// requires the replicated setup to register it identically everywhere:
+// requires every worker's setup to register it identically:
 // call SendUDP with a callback during setup, not from runtime handlers.
 func (s *Sim) SendUDP(at des.Time, src, dst model.NodeID, bytes int64, onDeliver func(at des.Time)) {
 	var udpID int32

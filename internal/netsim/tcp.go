@@ -90,7 +90,8 @@ func (h *rtoHandler) OnEvent(des.Time) { h.s.onRTO(h.f) }
 // flow must be started from the destination's engine and onDeliver is a
 // handler already running there. In distributed runs, closure callbacks on
 // flows started at RUNTIME cannot cross workers; use StartFlowTagged for
-// those (setup-time flows are replicated and keep working as-is).
+// those (every worker makes the same setup-time calls, so each endpoint's
+// worker holds its own copy of the closures).
 func (s *Sim) StartFlowRecv(at des.Time, src, dst model.NodeID, bytes int64, onComplete, onDeliver func(at des.Time)) {
 	s.startFlow(at, src, dst, bytes, onComplete, onDeliver, Tag{})
 }
@@ -101,13 +102,13 @@ func (s *Sim) startFlow(at des.Time, src, dst model.NodeID, bytes int64, onCompl
 	if bytes <= 0 {
 		bytes = 1
 	}
-	if s.slice && !s.running &&
+	if s.dist && !s.running &&
 		!s.hostedEngine(s.EngineOf(src)) && !s.hostedEngine(s.EngineOf(dst)) {
-		// Slice build: neither endpoint lives here, so the flow object
-		// (sender timestamps, receiver buffers) is another worker's state.
-		// Only the global identity counter advances, keeping wire flow ids
-		// byte-identical to a replicated build; transit packets of this
-		// flow ride wire references like any foreign flow.
+		// Neither endpoint lives on this worker, so the flow object (sender
+		// timestamps, receiver buffers) is another worker's state. Only the
+		// global identity counter advances, keeping wire flow ids the same
+		// on every worker; transit packets of this flow ride wire
+		// references like any foreign flow.
 		s.setupFlows++
 		return
 	}

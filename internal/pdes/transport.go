@@ -8,8 +8,9 @@
 // flag), which replaces the decision the loop would have taken locally.
 //
 // Distributed runs assume the replicated-setup (SPMD) model: every worker
-// deterministically builds the FULL scenario — all N engines with their
-// setup events — and only the hosted range runs live. Setup-time state is
+// runs the same deterministic setup over all N engines, and only the
+// hosted range runs live (the model may skip materializing what only
+// non-hosted engines touch; netsim does). Setup-time identities are
 // therefore identical on every worker, which is what lets serialized
 // events reference model objects (nodes, flows, callbacks) by small
 // integer identity instead of shipping object graphs.

@@ -56,11 +56,10 @@ func New(net *model.Network) *Router { return build(net, nil) }
 // worker's slice — full-length over net.Nodes). Forwarding decisions are
 // byte-identical to New's: trees are still computed over every member of
 // the AS, only the retained state shrinks from the AS's members to its
-// in-scope members per destination. The
-// BGP RIB stays global — it is O(AS²), not the memory whale the per-node
-// OSPF trees are. A scoped router must not be Prepared for the full
-// destination set; tables fill lazily for the destinations slice traffic
-// actually reaches.
+// in-scope members per destination: 4 bytes per in-scope member per
+// cached destination, whether Prepare warmed the tree or a lookup filled
+// it. The BGP RIB stays global — it is O(AS²), not the memory whale the
+// per-node OSPF trees are.
 func NewScoped(net *model.Network, scope []bool) *Router { return build(net, scope) }
 
 func build(net *model.Network, scope []bool) *Router {

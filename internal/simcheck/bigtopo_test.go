@@ -49,25 +49,20 @@ func TestBigTopoSliceMemory(t *testing.T) {
 	}
 	repRouter = nil //nolint:ineffassign // release before the sliced measurement
 
-	// Sliced worker 0 of a 4-worker fleet (engines [0,1)): scoped lazy
-	// routing, warmed by the same routing demand — a lookup from an owned
-	// node in each AS toward every traffic destination.
+	// Sliced worker 0 of a 4-worker fleet (engines [0,1)): scoped routing,
+	// warmed for the same destinations as a worker warms it.
 	sl, err := topology.BuildSlice(net, m.Part, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base = memstat.ReadStable().HeapInuse
 	sliRouter := interdomain.NewScoped(net, sl.Owned)
-	for _, cur := range ownedPerAS(net, sl.Owned) {
-		for _, dst := range hosts {
-			sliRouter.NextLink(cur, dst)
-		}
-	}
+	sliRouter.Prepare(hosts)
 	sliHeap := heapDelta(base)
 	sliBytes := sliRouter.TableBytes()
 	runtime.KeepAlive(sliRouter)
 	if sliBytes == 0 {
-		t.Fatal("sliced router cached no tables — warm loop measured nothing")
+		t.Fatal("sliced router cached no tables — warm-up measured nothing")
 	}
 
 	t.Logf("replicated: %d table bytes, %d heap bytes; sliced: %d table bytes, %d heap bytes (%d owned nodes)",
@@ -141,23 +136,4 @@ func fanoutNet(ases, spines, leaves, hostsPerAS int) *model.Network {
 		}
 	}
 	return net
-}
-
-// ownedPerAS picks one owned router per AS — enough lookup origins to warm
-// every routing domain a sliced worker forwards from.
-func ownedPerAS(net *model.Network, owned []bool) []model.NodeID {
-	seen := map[int32]bool{}
-	var out []model.NodeID
-	for i := range net.Nodes {
-		if !owned[i] || net.Nodes[i].Kind != model.Router {
-			continue
-		}
-		as := net.Nodes[i].AS
-		if seen[as] {
-			continue
-		}
-		seen[as] = true
-		out = append(out, model.NodeID(i))
-	}
-	return out
 }

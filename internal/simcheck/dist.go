@@ -29,19 +29,16 @@ const DistJobKind = "simcheck"
 
 // distSpec is the serialized job description every worker of a distributed
 // check receives: the scenario plus the run geometry the coordinator chose.
-// With Slice false each worker rebuilds the full scenario (replicated
-// setup); with Slice true a worker materializes only its engine range's
-// share and checks its locally computed slice edge against the shipped
-// boundary descriptor (Boundaries[i] for the worker covering
+// A worker materializes only its engine range's share and checks its
+// locally computed slice edge against the shipped boundary descriptor
+// (Boundaries[i] for the worker covering
 // SplitEngines(K, len(Boundaries))[i]). Fields are exported for JSON only.
 type distSpec struct {
-	Scenario Scenario
-	K        int
-	Part     []int32
-	Window   des.Time
-
-	Slice      bool                      `json:",omitempty"`
-	Boundaries [][]topology.BoundaryLink `json:",omitempty"`
+	Scenario   Scenario
+	K          int
+	Part       []int32
+	Window     des.Time
+	Boundaries [][]topology.BoundaryLink
 	// CacheDir, when set, points workers at a shared content-addressed
 	// scenario artifact cache (internal/scache): the generated topology is
 	// stored under its content key, so repeated runs — and the other
@@ -56,12 +53,15 @@ func Runners() map[string]dist.Runner {
 	return map[string]dist.Runner{DistJobKind: DistRunner}
 }
 
-// workerSlice computes and validates the slice a sliced worker
-// materializes: the boundary derived locally from (partition, engine range)
-// must match the descriptor the coordinator shipped, so partition drift
-// between coordinator and worker binaries is caught at build time instead
-// of surfacing as silent packet loss.
+// workerSlice computes and validates the slice a worker materializes: the
+// boundary derived locally from (partition, engine range) must match the
+// descriptor the coordinator shipped, so partition drift between
+// coordinator and worker binaries is caught at build time instead of
+// surfacing as silent packet loss.
 func workerSlice(spec *distSpec, net *model.Network, job dist.Job) (*topology.Slice, error) {
+	if len(spec.Boundaries) == 0 {
+		return nil, fmt.Errorf("simcheck: job spec ships no boundary descriptors")
+	}
 	sl, err := topology.BuildSlice(net, spec.Part, job.First, job.Hosted)
 	if err != nil {
 		return nil, err
@@ -95,11 +95,10 @@ func workerSlice(spec *distSpec, net *model.Network, job dist.Job) (*topology.Sl
 }
 
 // DistRunner executes one worker's share of a distributed scenario run:
-// materialize the scenario from the spec through the launch path — fully
-// replicated, or just this worker's slice when the spec says so — run the
-// hosted engine range through the transport on the shipped partition, and
-// return the worker's partial Observation (including its build-time and
-// memory accounting) as JSON.
+// materialize this worker's slice of the scenario from the spec through
+// the launch path, run the hosted engine range through the transport on
+// the shipped partition, and return the worker's partial Observation
+// (including its build-time and memory accounting) as JSON.
 func DistRunner(job dist.Job, t pdes.Transport) ([]byte, error) {
 	var spec distSpec
 	if err := json.Unmarshal(job.Spec, &spec); err != nil {
@@ -112,15 +111,11 @@ func DistRunner(job dist.Job, t pdes.Transport) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("simcheck: rebuilding scenario: %w", err)
 	}
-	x := experiments.Exec{Transport: t, First: job.First, Hosted: job.Hosted}
-	sliceNodes := 0
-	if spec.Slice {
-		sl, err := workerSlice(&spec, net, job)
-		if err != nil {
-			return nil, err
-		}
-		x.Slice, sliceNodes = sl.Owned, sl.OwnedNodes
+	sl, err := workerSlice(&spec, net, job)
+	if err != nil {
+		return nil, err
 	}
+	x := experiments.Exec{Transport: t, First: job.First, Hosted: job.Hosted, Slice: sl.Owned}
 	st, err := es.Build(net, multi, x)
 	if err != nil {
 		return nil, fmt.Errorf("simcheck: rebuilding scenario: %w", err)
@@ -132,7 +127,7 @@ func DistRunner(job dist.Job, t pdes.Transport) ([]byte, error) {
 		return nil, err
 	}
 	obs.BuildNS = buildNS
-	obs.SliceNodes = sliceNodes
+	obs.SliceNodes = sl.OwnedNodes
 	obs.RouteBytes = st.Router.TableBytes()
 	mem := memstat.ReadStable()
 	obs.HeapInuse = mem.HeapInuse
@@ -255,10 +250,9 @@ type WorkerMem struct {
 
 // DistReport is the outcome of one distributed leg: the scenario's
 // sequential reference and in-process k-engine run (both the plan's), and
-// the same k-engine partition distributed across one worker fleet —
-// full-rebuild (replicated) workers filling Dist, or slice-materializing
-// workers filling Sliced — with every parallel observation diffed against
-// the reference.
+// the same k-engine partition distributed across one fleet of
+// slice-materializing workers, with every parallel observation diffed
+// against the reference.
 type DistReport struct {
 	Scenario   Scenario
 	K, Workers int
@@ -268,20 +262,17 @@ type DistReport struct {
 
 	Ref    *Observation // sequential N=1
 	InProc *Observation // in-process k engines
-	Dist   *Observation // merged replicated-worker partials
-	Sliced *Observation `json:",omitempty"` // merged sliced-worker partials
+	Dist   *Observation // merged worker partials
 
 	DivsInProc []Divergence // InProc vs Ref
 	DivsDist   []Divergence // Dist vs Ref
-	DivsSliced []Divergence `json:",omitempty"` // Sliced vs Ref
 
-	WorkerMem []WorkerMem `json:",omitempty"` // per replicated worker
-	SlicedMem []WorkerMem `json:",omitempty"` // per sliced worker
+	WorkerMem []WorkerMem `json:",omitempty"` // per worker
 }
 
 // Failed reports whether any parallel run diverged from the reference.
 func (r *DistReport) Failed() bool {
-	return len(r.DivsInProc) > 0 || len(r.DivsDist) > 0 || len(r.DivsSliced) > 0
+	return len(r.DivsInProc) > 0 || len(r.DivsDist) > 0
 }
 
 // SplitEngines carves k engines into n contiguous near-equal
@@ -304,7 +295,7 @@ func SplitEngines(k, workers int) [][2]int {
 // planDistributed is the local half of the distributed leg: the report with
 // the plan's reference and (memoized) in-process k-engine run filled in,
 // and the jobs a fleet of `workers` executes on the same partition.
-func (p *Plan) planDistributed(k, workers int, sliced bool, cacheDir string) (*DistReport, dist.RunConfig, error) {
+func (p *Plan) planDistributed(k, workers int, cacheDir string) (*DistReport, dist.RunConfig, error) {
 	if workers < 1 || workers > k {
 		return nil, dist.RunConfig{}, fmt.Errorf("simcheck: %d workers for %d engines", workers, k)
 	}
@@ -312,7 +303,7 @@ func (p *Plan) planDistributed(k, workers int, sliced bool, cacheDir string) (*D
 	if err != nil {
 		return nil, dist.RunConfig{}, err
 	}
-	rc, err := p.jobs(k, workers, sliced, cacheDir)
+	rc, err := p.jobs(k, workers, cacheDir)
 	if err != nil {
 		return nil, dist.RunConfig{}, err
 	}
@@ -323,25 +314,20 @@ func (p *Plan) planDistributed(k, workers int, sliced bool, cacheDir string) (*D
 }
 
 // jobs cuts the worker jobs of the (already mapped) k-engine partition.
-// With sliced true the spec carries the partition's per-worker boundary
-// descriptors (computed once here, verified independently by each worker)
-// and flags slice-local materialization; cacheDir, when non-empty, names
-// the shared scenario artifact cache workers read through.
-func (p *Plan) jobs(k, workers int, sliced bool, cacheDir string) (dist.RunConfig, error) {
+// The spec carries the partition's per-worker boundary descriptors
+// (computed once here, verified independently by each worker); cacheDir,
+// when non-empty, names the shared scenario artifact cache workers read
+// through.
+func (p *Plan) jobs(k, workers int, cacheDir string) (dist.RunConfig, error) {
 	part, window := p.ks[k].m.Part, p.ks[k].m.Window()
-	spec := distSpec{
-		Scenario: p.Scenario, K: k, Part: part, Window: window,
-		Slice: sliced, CacheDir: cacheDir,
-	}
+	spec := distSpec{Scenario: p.Scenario, K: k, Part: part, Window: window, CacheDir: cacheDir}
 	ranges := SplitEngines(k, workers)
-	if sliced {
-		for _, r := range ranges {
-			sl, err := topology.BuildSlice(p.st.Net, part, r[0], r[1])
-			if err != nil {
-				return dist.RunConfig{}, fmt.Errorf("simcheck: slicing engines [%d,%d): %w", r[0], r[0]+r[1], err)
-			}
-			spec.Boundaries = append(spec.Boundaries, sl.Boundary)
+	for _, r := range ranges {
+		sl, err := topology.BuildSlice(p.st.Net, part, r[0], r[1])
+		if err != nil {
+			return dist.RunConfig{}, fmt.Errorf("simcheck: slicing engines [%d,%d): %w", r[0], r[0]+r[1], err)
 		}
+		spec.Boundaries = append(spec.Boundaries, sl.Boundary)
 	}
 	data, err := json.Marshal(spec)
 	if err != nil {
@@ -361,14 +347,13 @@ func (p *Plan) jobs(k, workers int, sliced bool, cacheDir string) (dist.RunConfi
 
 // PlanDistributed runs the local legs of a distributed check — build,
 // sequential reference, mapping, in-process k-engine run — and returns the
-// report skeleton plus the dist.RunConfig whose (replicated-setup) jobs the
-// workers execute.
+// report skeleton plus the dist.RunConfig whose jobs the workers execute.
 func PlanDistributed(sc Scenario, k, workers int) (*DistReport, dist.RunConfig, error) {
 	p, err := NewPlan(sc)
 	if err != nil {
 		return nil, dist.RunConfig{}, err
 	}
-	return p.planDistributed(k, workers, false, "")
+	return p.planDistributed(k, workers, "")
 }
 
 // serveFleet drives rc through one worker fleet, lifts each partial's build
@@ -427,15 +412,15 @@ func serveFleet(ln net.Listener, rc dist.RunConfig, opt dist.Options) (*dist.Res
 // Distributed is the distributed leg, the one entry point of every fleet
 // backend: the plan's k-engine partition split across `workers` workers —
 // external ones joining ln, or (ln nil) loopback loops in this process —
-// with the merged partials diffed against the reference. Replicated workers
-// (sliced false) each rebuild the full scenario; sliced ones materialize
-// only their engine range's share, with scoped lazy routing, and passing
-// proves that setup byte-identical to the replicated build, fault churn
-// included (the fault plane replays against slice-scoped routing clones).
-// A non-empty cacheDir routes topology builds through the shared scenario
-// artifact cache. A worker failure comes back as a *dist.WorkerError.
-func (p *Plan) Distributed(ln net.Listener, k, workers int, sliced bool, cacheDir string, opt dist.Options) (*DistReport, error) {
-	rep, rc, err := p.planDistributed(k, workers, sliced, cacheDir)
+// with the merged partials diffed against the reference. Each worker
+// materializes only its engine range's share, with scoped routing, and
+// passing proves the slice-local setup changed nothing against the
+// sequential reference, fault churn included (the fault plane replays
+// against slice-scoped routing clones). A non-empty cacheDir routes
+// topology builds through the shared scenario artifact cache. A worker
+// failure comes back as a *dist.WorkerError.
+func (p *Plan) Distributed(ln net.Listener, k, workers int, cacheDir string, opt dist.Options) (*DistReport, error) {
+	rep, rc, err := p.planDistributed(k, workers, cacheDir)
 	if err != nil {
 		return nil, err
 	}
@@ -444,11 +429,6 @@ func (p *Plan) Distributed(ln net.Listener, k, workers int, sliced bool, cacheDi
 		return nil, err
 	}
 	rep.Windows, rep.Names = res.Windows, res.Names
-	divs := Diff(p.Ref, merged)
-	if sliced {
-		rep.Sliced, rep.DivsSliced, rep.SlicedMem = merged, divs, mem
-	} else {
-		rep.Dist, rep.DivsDist, rep.WorkerMem = merged, divs, mem
-	}
+	rep.Dist, rep.DivsDist, rep.WorkerMem = merged, Diff(p.Ref, merged), mem
 	return rep, nil
 }

@@ -1,6 +1,8 @@
 package simcheck
 
 import (
+	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -9,6 +11,7 @@ import (
 	"massf/internal/dist"
 	"massf/internal/experiments"
 	"massf/internal/model"
+	"massf/internal/pdes"
 	"massf/internal/runspec"
 )
 
@@ -110,11 +113,11 @@ func mapOnly(net *model.Network, a core.Approach, k int, seed int64) (*core.Mapp
 }
 
 // fleet runs p's k=4 distributed leg over loopback workers.
-func fleet(t *testing.T, p *Plan, workers int, sliced bool, cacheDir string) *DistReport {
+func fleet(t *testing.T, p *Plan, workers int, cacheDir string) *DistReport {
 	t.Helper()
-	rep, err := p.Distributed(nil, 4, workers, sliced, cacheDir, dist.Options{})
+	rep, err := p.Distributed(nil, 4, workers, cacheDir, dist.Options{})
 	if err != nil {
-		t.Fatalf("workers=%d sliced=%v: %v", workers, sliced, err)
+		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	return rep
 }
@@ -122,14 +125,18 @@ func fleet(t *testing.T, p *Plan, workers int, sliced bool, cacheDir string) *Di
 // TestCheckDistributedMatchesReference: the same scenario run sequentially,
 // in-process on k=4, and across loopback TCP workers hosting the same
 // k=4 partition must produce byte-identical observables — for every worker
-// count that divides the partition differently.
+// count that divides the partition differently, with and without the
+// scenario artifact cache. Each worker builds only its slice: together the
+// slices own every node once, and each retains less routing state than
+// the plan's own warmed, unscoped router.
 func TestCheckDistributedMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed oracle run skipped in -short")
 	}
 	p := planOf(t, distScenario())
-	for _, workers := range []int{2, 4} {
-		rep := fleet(t, p, workers, false, "")
+	fullRoutes := p.st.Router.TableBytes()
+	for workers, cacheDir := range map[int]string{2: "", 4: t.TempDir()} {
+		rep := fleet(t, p, workers, cacheDir)
 		if rep.Ref.TotalEvents == 0 || rep.Ref.HTTPResponses == 0 {
 			t.Fatalf("workers=%d: degenerate reference run: events=%d http=%d",
 				workers, rep.Ref.TotalEvents, rep.Ref.HTTPResponses)
@@ -140,62 +147,11 @@ func TestCheckDistributedMatchesReference(t *testing.T) {
 		for _, d := range rep.DivsDist {
 			t.Errorf("workers=%d distributed: %v", workers, d)
 		}
-		if len(rep.Names) != workers || rep.Windows == 0 {
-			t.Fatalf("workers=%d: names=%v windows=%d", workers, rep.Names, rep.Windows)
-		}
-	}
-}
-
-// TestChurnDistributed: the acceptance case — a churn scenario at k=4
-// split across 2 workers over the wire matches the sequential reference
-// byte for byte, fault-loss attribution included.
-func TestChurnDistributed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("distributed churn run skipped in -short")
-	}
-	rep := fleet(t, planOf(t, Churn(distScenario())), 2, false, "")
-	if len(rep.Ref.FaultDrops) == 0 {
-		t.Fatal("churn scenario compiled no fault plane")
-	}
-	for _, d := range rep.DivsInProc {
-		t.Errorf("in-process k=4: %v", d)
-	}
-	for _, d := range rep.DivsDist {
-		t.Errorf("distributed: %v", d)
-	}
-}
-
-// TestCheckShardedMatchesReference is the sharded-vs-replicated dimension:
-// slice-materializing workers — each building only its engine range's share
-// of the scenario, with scoped lazy routing — must be byte-identical to the
-// full-rebuild workers they replace AND to the sequential reference, on the
-// same partition, through the scenario artifact cache.
-func TestCheckShardedMatchesReference(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sharded oracle run skipped in -short")
-	}
-	cacheDir := t.TempDir()
-	p := planOf(t, distScenario())
-	for _, workers := range []int{2, 4} {
-		repl, rep := fleet(t, p, workers, false, cacheDir), fleet(t, p, workers, true, cacheDir)
-		for _, d := range rep.DivsInProc {
-			t.Errorf("workers=%d in-process k=4: %v", workers, d)
-		}
-		for _, d := range repl.DivsDist {
-			t.Errorf("workers=%d replicated: %v", workers, d)
-		}
-		for _, d := range rep.DivsSliced {
-			t.Errorf("workers=%d sliced: %v", workers, d)
-		}
-		if rep.Sliced == nil || rep.Sliced.TotalEvents == 0 {
-			t.Fatalf("workers=%d: sliced leg did not run", workers)
-		}
-		if len(rep.SlicedMem) != workers || len(repl.WorkerMem) != workers {
-			t.Fatalf("workers=%d: mem accounting missing: %d sliced, %d replicated",
-				workers, len(rep.SlicedMem), len(repl.WorkerMem))
+		if len(rep.Names) != workers || rep.Windows == 0 || len(rep.WorkerMem) != workers {
+			t.Fatalf("workers=%d: names=%v windows=%d mem=%d", workers, rep.Names, rep.Windows, len(rep.WorkerMem))
 		}
 		owned := 0
-		for _, wm := range rep.SlicedMem {
+		for _, wm := range rep.WorkerMem {
 			if wm.BuildNS <= 0 {
 				t.Errorf("workers=%d: worker %q reported no build time", workers, wm.Name)
 			}
@@ -203,13 +159,9 @@ func TestCheckShardedMatchesReference(t *testing.T) {
 				t.Errorf("workers=%d: worker %q owns no nodes", workers, wm.Name)
 			}
 			owned += wm.SliceNodes
-			// A sliced worker's retained routing state must be strictly
-			// smaller than a replicated worker's (which holds every tree).
-			for _, full := range repl.WorkerMem {
-				if full.RouteBytes > 0 && wm.RouteBytes >= full.RouteBytes {
-					t.Errorf("workers=%d: sliced worker %q holds %d route bytes, replicated %q holds %d",
-						workers, wm.Name, wm.RouteBytes, full.Name, full.RouteBytes)
-				}
+			if wm.RouteBytes <= 0 || wm.RouteBytes >= fullRoutes {
+				t.Errorf("workers=%d: worker %q holds %d route bytes, the unscoped router %d",
+					workers, wm.Name, wm.RouteBytes, fullRoutes)
 			}
 		}
 		if want := 40 + 30; owned != want {
@@ -218,22 +170,24 @@ func TestCheckShardedMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCheckShardedChurn: fault epochs replayed against slice-scoped routing
-// clones converge to the same packet-level behavior as the replicated and
-// sequential runs.
-func TestCheckShardedChurn(t *testing.T) {
+// TestChurnDistributed: the acceptance case — a churn scenario at k=4
+// split across 2 workers over the wire matches the sequential reference
+// byte for byte, fault-loss attribution included: fault epochs replayed
+// against slice-scoped routing clones converge to the same packet-level
+// behavior.
+func TestChurnDistributed(t *testing.T) {
 	if testing.Short() {
-		t.Skip("sharded churn run skipped in -short")
+		t.Skip("distributed churn run skipped in -short")
 	}
-	p, cacheDir := planOf(t, Churn(distScenario())), t.TempDir()
-	if len(p.Ref.FaultDrops) == 0 {
+	rep := fleet(t, planOf(t, Churn(distScenario())), 2, t.TempDir())
+	if len(rep.Ref.FaultDrops) == 0 {
 		t.Fatal("churn scenario compiled no fault plane")
 	}
-	for _, d := range fleet(t, p, 2, false, cacheDir).DivsDist {
-		t.Errorf("replicated: %v", d)
+	for _, d := range rep.DivsInProc {
+		t.Errorf("in-process k=4: %v", d)
 	}
-	for _, d := range fleet(t, p, 2, true, cacheDir).DivsSliced {
-		t.Errorf("sliced: %v", d)
+	for _, d := range rep.DivsDist {
+		t.Errorf("distributed: %v", d)
 	}
 }
 
@@ -248,11 +202,58 @@ func TestCheckShardedMultiAS(t *testing.T) {
 		TCPFlows: 10, UDPSends: 10,
 		Horizon: 250 * des.Millisecond, Approach: core.TOP2, Ks: []int{4},
 	}
-	p, cacheDir := planOf(t, sc), t.TempDir()
-	for _, d := range fleet(t, p, 2, false, cacheDir).DivsDist {
-		t.Errorf("replicated: %v", d)
+	for _, d := range fleet(t, planOf(t, sc), 2, t.TempDir()).DivsDist {
+		t.Errorf("distributed: %v", d)
 	}
-	for _, d := range fleet(t, p, 2, true, cacheDir).DivsSliced {
-		t.Errorf("sliced: %v", d)
+}
+
+// rejectExchange is a transport no engine may reach: a worker must refuse
+// a bad job spec before its first window.
+type rejectExchange struct{ t *testing.T }
+
+func (r rejectExchange) Exchange(pdes.WindowDone) (pdes.WindowGo, error) {
+	r.t.Error("an engine ran on a rejected job spec")
+	return pdes.WindowGo{}, errors.New("rejected job spec reached the run")
+}
+
+// TestDistRunnerRejectsBadSpec: a worker whose locally computed slice edge
+// disagrees with the job spec it was shipped fails with a named error
+// before any engine runs.
+func TestDistRunnerRejectsBadSpec(t *testing.T) {
+	_, rc, err := planOf(t, distScenario()).planDistributed(4, 2, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		edit func(*distSpec, *dist.Job)
+		want string
+	}{
+		{"altered boundary link", func(s *distSpec, _ *dist.Job) { s.Boundaries[0][0].OutsideEngine++ },
+			"boundary link 0 differs"},
+		{"boundary list one short", func(s *distSpec, _ *dist.Job) { s.Boundaries[0] = s.Boundaries[0][1:] },
+			"coordinator shipped"},
+		{"engine range of no worker", func(_ *distSpec, j *dist.Job) { j.First = 1 },
+			"matches no worker"},
+		{"no boundary descriptors", func(s *distSpec, _ *dist.Job) { s.Boundaries = nil },
+			"no boundary descriptors"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			job := rc.Jobs[0]
+			var spec distSpec
+			if err := json.Unmarshal(job.Spec, &spec); err != nil {
+				t.Fatal(err)
+			}
+			if len(spec.Boundaries[0]) == 0 {
+				t.Fatal("worker 0's slice has no boundary to alter")
+			}
+			c.edit(&spec, &job)
+			if job.Spec, err = json.Marshal(spec); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := DistRunner(job, rejectExchange{t}); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("got %v, want an error naming %q", err, c.want)
+			}
+		})
 	}
 }

@@ -101,24 +101,33 @@ func TestFluidQuantumDeterminism(t *testing.T) {
 	}
 }
 
-// TestFluidDistributed: the hybrid run split across loopback-TCP worker
-// processes (replicated setup — every worker precomputes the identical
-// fluid plane) matches the sequential hybrid reference byte for byte,
-// fluid counters included.
+// TestFluidDistributed: the hybrid run split across loopback-TCP workers
+// (each builds only its slice, yet precomputes the identical fluid plane
+// over an unscoped router) matches the sequential hybrid reference byte
+// for byte, fluid counters included — under fault churn too, where the
+// plane is built against a fault plane of its own. Seed 2's faults move
+// fluid completions, so a worker plane built without them diverges.
 func TestFluidDistributed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed fluid run skipped in -short")
 	}
-	rep := fleet(t, planOf(t, Fluid(distScenario())), 2, false, "")
-	if rep.Ref.FluidStarted == 0 || rep.Ref.FluidCompleted == 0 {
-		t.Fatalf("degenerate hybrid reference: started=%d completed=%d",
-			rep.Ref.FluidStarted, rep.Ref.FluidCompleted)
-	}
-	for _, d := range rep.DivsInProc {
-		t.Errorf("in-process k=4: %v", d)
-	}
-	for _, d := range rep.DivsDist {
-		t.Errorf("distributed: %v", d)
+	seeded := Churn(Fluid(NewScenario(2)))
+	seeded.Ks = []int{4}
+	for _, sc := range []Scenario{Fluid(distScenario()), Churn(Fluid(distScenario())), seeded} {
+		rep := fleet(t, planOf(t, sc), 2, "")
+		if rep.Dist.FluidStarted == 0 || rep.Dist.FluidCompleted == 0 {
+			t.Fatalf("%s: degenerate hybrid run: started=%d completed=%d",
+				sc, rep.Dist.FluidStarted, rep.Dist.FluidCompleted)
+		}
+		if sc.ChurnEvents > 0 && len(rep.Dist.FaultDrops) == 0 {
+			t.Fatalf("%s: workers compiled no fault plane", sc)
+		}
+		for _, d := range rep.DivsInProc {
+			t.Errorf("%s in-process k=4: %v", sc, d)
+		}
+		for _, d := range rep.DivsDist {
+			t.Errorf("%s distributed: %v", sc, d)
+		}
 	}
 }
 

@@ -72,7 +72,7 @@ func TestNeutralityDistributed(t *testing.T) {
 	}
 	sc := neutralityScenario()
 	sc.NetSample = 3
-	rep := fleet(t, planOf(t, sc), 2, false, "")
+	rep := fleet(t, planOf(t, sc), 2, "")
 	for _, d := range rep.DivsInProc {
 		t.Errorf("in-process k=4: %v", d)
 	}

@@ -1,13 +1,9 @@
 package simcheck
 
-import (
-	"testing"
-
-	"massf/internal/dist"
-)
+import "testing"
 
 // TestPlanLegsShareReferenceAndRuns: every leg taken from one plan diffs
-// against the SAME reference observation, and the distributed legs'
+// against the SAME reference observation, and the distributed leg's
 // in-process run is the k-run Check made — nothing is executed twice.
 func TestPlanLegsShareReferenceAndRuns(t *testing.T) {
 	if testing.Short() {
@@ -27,7 +23,7 @@ func TestPlanLegsShareReferenceAndRuns(t *testing.T) {
 	if k4.K != 4 || k4.Violations == nil {
 		t.Fatalf("Runs[1] is k=%d, invariants armed=%v; want the armed k=4 run", k4.K, k4.Violations != nil)
 	}
-	repl, sliced := fleet(t, p, 2, false, ""), fleet(t, p, 2, true, "")
+	distributed := fleet(t, p, 2, "")
 	fluid, err := p.Fluid(DefaultFluidMinBytes, 0, DefaultFluidBudget())
 	if err != nil {
 		t.Fatal(err)
@@ -36,19 +32,19 @@ func TestPlanLegsShareReferenceAndRuns(t *testing.T) {
 		t.Fatal("churn-free fluid leg computed no budget metrics")
 	}
 	for leg, ref := range map[string]*Observation{
-		"Check": check.Ref, "replicated": repl.Ref, "sliced": sliced.Ref, "fluid packet": fluid.PacketRef,
+		"Check": check.Ref, "distributed": distributed.Ref, "fluid packet": fluid.PacketRef,
 	} {
 		if ref != p.Ref {
 			t.Errorf("%s leg holds its own reference, not the plan's", leg)
 		}
 	}
-	if repl.InProc != k4.Obs || sliced.InProc != k4.Obs {
-		t.Error("a distributed leg re-ran the in-process k=4 run Check already made")
+	if distributed.InProc != k4.Obs {
+		t.Error("the distributed leg re-ran the in-process k=4 run Check already made")
 	}
 	// A standalone distributed plan keeps its in-process run un-instrumented
 	// — and a Check that follows re-runs it armed rather than trusting it.
 	q := planOf(t, sc)
-	plain := fleet(t, q, 2, false, "").InProc
+	plain := fleet(t, q, 2, "").InProc
 	if again, err := q.Check(); err != nil {
 		t.Fatal(err)
 	} else if again.Runs[1].Obs == plain || again.Runs[1].Violations == nil {
@@ -67,17 +63,14 @@ func TestComposedSlicedChurnObserved(t *testing.T) {
 	plain := Churn(distScenario())
 	observed := plain
 	observed.NetSample = 3
-	rep, err := planOf(t, observed).Distributed(nil, 4, 2, true, t.TempDir(), dist.Options{})
-	if err != nil {
-		t.Fatal(err)
+	rep := fleet(t, planOf(t, observed), 2, t.TempDir())
+	if len(rep.Ref.FaultDrops) == 0 || len(rep.Dist.PathSpans) == 0 {
+		t.Fatalf("degenerate composition: %d faults, %d sampled spans", len(rep.Ref.FaultDrops), len(rep.Dist.PathSpans))
 	}
-	if len(rep.Ref.FaultDrops) == 0 || len(rep.Sliced.PathSpans) == 0 {
-		t.Fatalf("degenerate composition: %d faults, %d sampled spans", len(rep.Ref.FaultDrops), len(rep.Sliced.PathSpans))
-	}
-	for _, d := range Diff(planOf(t, plain).Ref, rep.Sliced) {
+	for _, d := range Diff(planOf(t, plain).Ref, rep.Dist) {
 		t.Errorf("sliced+churn+observed vs plain reference: %v", d)
 	}
 	if rep.Failed() {
-		t.Errorf("composed leg failed against its own reference: in-process %v, sliced %v", rep.DivsInProc, rep.DivsSliced)
+		t.Errorf("composed leg failed against its own reference: in-process %v, sliced %v", rep.DivsInProc, rep.DivsDist)
 	}
 }

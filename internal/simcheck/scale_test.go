@@ -10,13 +10,13 @@ import (
 	"massf/internal/experiments"
 )
 
-// TestScale100kDistributedRun demonstrates the slice refactor's headline
-// capability: a 100,000-router multi-AS scenario distributed over a k=4
-// sliced worker fleet completes. No sequential reference or replicated
-// fleet runs here — at this scale those are exactly the legs slicing
-// exists to avoid — so the assertion is completion plus sane merged
-// accounting, not a byte-for-byte diff (that equivalence is pinned at
-// checkable scale by the sliced Plan.Distributed leg / `simcheck -shard`).
+// TestScale100kDistributedRun demonstrates what slice-local worker builds
+// make possible: a 100,000-router multi-AS scenario distributed over a k=4
+// worker fleet completes. No sequential reference runs here — at this
+// scale that is exactly the build slicing exists to avoid — so the
+// assertion is completion plus sane merged accounting, not a byte-for-byte
+// diff (that equivalence is pinned at checkable scale by Plan.Distributed
+// and `simcheck -dist`).
 //
 // Heavy (minutes, several GB): gated behind MASSF_SCALE=1.
 func TestScale100kDistributedRun(t *testing.T) {
@@ -43,7 +43,7 @@ func TestScale100kDistributedRun(t *testing.T) {
 	// A plan with no reference: only the mapping the jobs are cut from.
 	plan := &Plan{Scenario: sc, st: &experiments.Setup{Net: net},
 		ks: map[int]*kPlan{4: {m: m}}}
-	rc, err := plan.jobs(4, 4, true, cacheDir)
+	rc, err := plan.jobs(4, 4, cacheDir)
 	if err != nil {
 		t.Fatal(err)
 	}

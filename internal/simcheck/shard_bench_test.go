@@ -42,7 +42,8 @@ func BenchmarkShardSetupReplicated(b *testing.B) {
 // BenchmarkShardSetupSliced measures worker setup after the refactor: the
 // topology is decoded from the content-addressed artifact cache (warmed by
 // the first run), only worker 0's slice of the k=4 partition is built and
-// verified, and routing state is scoped and lazy — no trees at build time.
+// verified, and routing is warmed for every traffic destination but
+// scoped — each tree keeps entries for the slice's owned nodes only.
 func BenchmarkShardSetupSliced(b *testing.B) {
 	sc := shardBenchScenario()
 	dir, err := os.MkdirTemp("", "massf-scache-bench-*")
