@@ -122,21 +122,45 @@ func fleet(t *testing.T, p *Plan, workers int, cacheDir string) *DistReport {
 	return rep
 }
 
+// checkSlices fails t unless every worker of rep built only its slice:
+// each reports a build time, owns nodes and holds fewer route-table bytes
+// than fullRoutes (an unscoped router's), and together the slices own the
+// network's nodes exactly once.
+func checkSlices(t *testing.T, rep *DistReport, workers int, fullRoutes int64) {
+	t.Helper()
+	if len(rep.WorkerMem) != workers {
+		t.Fatalf("workers=%d: mem accounting for %d workers", workers, len(rep.WorkerMem))
+	}
+	owned := 0
+	for _, wm := range rep.WorkerMem {
+		if wm.BuildNS <= 0 {
+			t.Errorf("workers=%d: worker %q reported no build time", workers, wm.Name)
+		}
+		if wm.SliceNodes <= 0 {
+			t.Errorf("workers=%d: worker %q owns no nodes", workers, wm.Name)
+		}
+		owned += wm.SliceNodes
+		if wm.RouteBytes <= 0 || wm.RouteBytes >= fullRoutes {
+			t.Errorf("workers=%d: worker %q holds %d route bytes, the unscoped router %d",
+				workers, wm.Name, wm.RouteBytes, fullRoutes)
+		}
+	}
+	if want := 40 + 30; owned != want {
+		t.Errorf("workers=%d: slices own %d nodes, network has %d", workers, owned, want)
+	}
+}
+
 // TestCheckDistributedMatchesReference: the same scenario run sequentially,
 // in-process on k=4, and across loopback TCP workers hosting the same
 // k=4 partition must produce byte-identical observables — for every worker
-// count that divides the partition differently, with and without the
-// scenario artifact cache. Each worker builds only its slice: together the
-// slices own every node once, and each retains less routing state than
-// the plan's own warmed, unscoped router.
+// count that divides the partition differently.
 func TestCheckDistributedMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed oracle run skipped in -short")
 	}
 	p := planOf(t, distScenario())
-	fullRoutes := p.st.Router.TableBytes()
-	for workers, cacheDir := range map[int]string{2: "", 4: t.TempDir()} {
-		rep := fleet(t, p, workers, cacheDir)
+	for _, workers := range []int{2, 4} {
+		rep := fleet(t, p, workers, "")
 		if rep.Ref.TotalEvents == 0 || rep.Ref.HTTPResponses == 0 {
 			t.Fatalf("workers=%d: degenerate reference run: events=%d http=%d",
 				workers, rep.Ref.TotalEvents, rep.Ref.HTTPResponses)
@@ -147,39 +171,41 @@ func TestCheckDistributedMatchesReference(t *testing.T) {
 		for _, d := range rep.DivsDist {
 			t.Errorf("workers=%d distributed: %v", workers, d)
 		}
-		if len(rep.Names) != workers || rep.Windows == 0 || len(rep.WorkerMem) != workers {
-			t.Fatalf("workers=%d: names=%v windows=%d mem=%d", workers, rep.Names, rep.Windows, len(rep.WorkerMem))
+		if len(rep.Names) != workers || rep.Windows == 0 {
+			t.Fatalf("workers=%d: names=%v windows=%d", workers, rep.Names, rep.Windows)
 		}
-		owned := 0
-		for _, wm := range rep.WorkerMem {
-			if wm.BuildNS <= 0 {
-				t.Errorf("workers=%d: worker %q reported no build time", workers, wm.Name)
-			}
-			if wm.SliceNodes <= 0 {
-				t.Errorf("workers=%d: worker %q owns no nodes", workers, wm.Name)
-			}
-			owned += wm.SliceNodes
-			if wm.RouteBytes <= 0 || wm.RouteBytes >= fullRoutes {
-				t.Errorf("workers=%d: worker %q holds %d route bytes, the unscoped router %d",
-					workers, wm.Name, wm.RouteBytes, fullRoutes)
-			}
+	}
+}
+
+// TestCheckShardedMatchesReference: every worker builds only its slice of
+// the scenario through the scenario artifact cache — together the slices
+// own every node once, each retains less routing state than the plan's own
+// warmed, unscoped router — and the fleet stays byte-identical to the
+// sequential reference.
+func TestCheckShardedMatchesReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sharded oracle run skipped in -short")
+	}
+	cacheDir := t.TempDir()
+	p := planOf(t, distScenario())
+	fullRoutes := p.st.Router.TableBytes()
+	for _, workers := range []int{2, 4} {
+		rep := fleet(t, p, workers, cacheDir)
+		for _, d := range rep.DivsDist {
+			t.Errorf("workers=%d sliced: %v", workers, d)
 		}
-		if want := 40 + 30; owned != want {
-			t.Errorf("workers=%d: slices own %d nodes, network has %d", workers, owned, want)
-		}
+		checkSlices(t, rep, workers, fullRoutes)
 	}
 }
 
 // TestChurnDistributed: the acceptance case — a churn scenario at k=4
 // split across 2 workers over the wire matches the sequential reference
-// byte for byte, fault-loss attribution included: fault epochs replayed
-// against slice-scoped routing clones converge to the same packet-level
-// behavior.
+// byte for byte, fault-loss attribution included.
 func TestChurnDistributed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed churn run skipped in -short")
 	}
-	rep := fleet(t, planOf(t, Churn(distScenario())), 2, t.TempDir())
+	rep := fleet(t, planOf(t, Churn(distScenario())), 2, "")
 	if len(rep.Ref.FaultDrops) == 0 {
 		t.Fatal("churn scenario compiled no fault plane")
 	}
@@ -189,6 +215,24 @@ func TestChurnDistributed(t *testing.T) {
 	for _, d := range rep.DivsDist {
 		t.Errorf("distributed: %v", d)
 	}
+}
+
+// TestCheckShardedChurn: fault epochs replayed against slice-scoped routing
+// clones, one per engine, on slices built through the scenario cache,
+// converge to the same packet-level behavior as the sequential run.
+func TestCheckShardedChurn(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sharded churn run skipped in -short")
+	}
+	p := planOf(t, Churn(distScenario()))
+	if len(p.Ref.FaultDrops) == 0 {
+		t.Fatal("churn scenario compiled no fault plane")
+	}
+	rep := fleet(t, p, 4, t.TempDir())
+	for _, d := range rep.DivsDist {
+		t.Errorf("sliced: %v", d)
+	}
+	checkSlices(t, rep, 4, p.st.Router.TableBytes())
 }
 
 // TestCheckShardedMultiAS: scoped routing under BGP + stub default routing
