@@ -8,17 +8,29 @@
 // simulations at sub-microsecond resolution without floating-point drift.
 //
 // The kernel is built for a zero-allocation steady state: events live in a
-// chunked arena recycled through a free list, and the priority queue is an
-// intrusive 4-ary min-heap over arena nodes, so Schedule/Step touch no
-// allocator once the arena has grown to the simulation's standing event
-// population. Callers hold value-type Event handles carrying a generation
-// counter; cancelling an event that already fired (and whose node may have
-// been reused) is detected by a generation mismatch and is a safe no-op.
+// chunked arena recycled through a free list, and the priority queue is
+// intrusive over arena nodes, so Schedule/Step touch no allocator once the
+// arena has grown to the simulation's standing event population. Callers
+// hold value-type Event handles carrying a generation counter; cancelling an
+// event that already fired (and whose node may have been reused) is detected
+// by a generation mismatch and is a safe no-op.
+//
+// The queue has three tiers, split by an event's slot (its time in units of
+// 2^14 ns ≈ 16.4 µs) against the current slot. Events at or before the
+// current slot sit in an exact 4-ary (at, seq) min-heap; events in the next
+// 4 095 slots (≈ 67 ms) sit unsorted in a ring of per-slot buckets with an
+// occupancy bitmap; later events sit in a second 4-ary heap. When the
+// current-slot heap runs dry, the current slot moves to the earliest occupied
+// slot, far events now within the ring's reach move into it, and that slot's
+// bucket drains into the heap. A bucket drains only after every earlier slot
+// has fired, so events fire in exactly (at, seq) order, as from one heap,
+// while the heap holds a single slot's events.
 package des
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is a point in simulated time, in nanoseconds since simulation start.
@@ -79,9 +91,11 @@ type Handler func(now Time)
 func (h Handler) OnEvent(now Time) { h(now) }
 
 // node is the arena-resident representation of a scheduled event. pos is
-// the node's index in the kernel's heap, -1 when the node is free or has
-// fired; gen increments every time the node is released, invalidating any
-// outstanding Event handles that point at it.
+// the node's index within its tier — its heap index, or its index in its
+// ring bucket — and -1 when the node is free or has fired; the tier itself
+// follows from the node's slot and the kernel's current slot. gen increments
+// every time the node is released, invalidating any outstanding Event
+// handles that point at it.
 type node struct {
 	at  Time
 	eh  EventHandler
@@ -101,12 +115,27 @@ type Event struct {
 	gen uint32
 }
 
+// The queue's slot geometry, taken from how far ahead a packet run
+// schedules: almost every event lands 2^14–2^27 ns ahead, peaking near
+// 8 ms, so a slot holds a handful of events, the ring nearly all of them,
+// and the far heap the few beyond 67 ms.
+const (
+	slotBits  = 14   // a slot is 2^14 ns
+	ringSlots = 4096 // the ring holds the ringSlots-1 slots after the current one
+	ringMask  = ringSlots - 1
+)
+
+func slotOf(t Time) int64 { return int64(t) >> slotBits }
+
 // Kernel is a sequential discrete event simulator. The zero value is ready
 // to use. A Kernel is not safe for concurrent use; in the parallel engine
 // each engine node drives its own kernel.
 type Kernel struct {
 	now        Time
-	q          []*node // intrusive 4-ary min-heap keyed (at, seq)
+	cur        int64    // current slot: q holds exactly the events of slots ≤ cur
+	q          nodeHeap // slots ≤ cur
+	ring       ring     // slots cur+1 … cur+ringSlots-1
+	far        nodeHeap // slots ≥ cur+ringSlots
 	free       []*node
 	chunks     [][]node
 	seq        uint64
@@ -123,8 +152,8 @@ func (k *Kernel) Now() Time { return k.now }
 // from (Section 4.1).
 func (k *Kernel) Processed() uint64 { return k.processed }
 
-// Pending returns the number of events waiting in the queue.
-func (k *Kernel) Pending() int { return len(k.q) }
+// Pending returns the number of events waiting in the queue, in all tiers.
+func (k *Kernel) Pending() int { return len(k.q) + k.ring.n + len(k.far) }
 
 // MaxPending returns the high-water mark of the queue depth — the largest
 // Pending() value ever reached. The telemetry subsystem reports it as the
@@ -171,24 +200,28 @@ func nodeLess(a, b *node) bool {
 	return a.seq < b.seq
 }
 
-func (k *Kernel) up(i int) {
-	nd := k.q[i]
+// nodeHeap is an intrusive 4-ary min-heap of arena nodes keyed (at, seq);
+// a node's pos is its index. The current-slot and far tiers are one each.
+type nodeHeap []*node
+
+func (h nodeHeap) up(i int) {
+	nd := h[i]
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !nodeLess(nd, k.q[p]) {
+		if !nodeLess(nd, h[p]) {
 			break
 		}
-		k.q[i] = k.q[p]
-		k.q[i].pos = int32(i)
+		h[i] = h[p]
+		h[i].pos = int32(i)
 		i = p
 	}
-	k.q[i] = nd
+	h[i] = nd
 	nd.pos = int32(i)
 }
 
-func (k *Kernel) down(i int) {
-	nd := k.q[i]
-	n := len(k.q)
+func (h nodeHeap) down(i int) {
+	nd := h[i]
+	n := len(h)
 	for {
 		c := i<<2 + 1
 		if c >= n {
@@ -200,66 +233,188 @@ func (k *Kernel) down(i int) {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if nodeLess(k.q[j], k.q[m]) {
+			if nodeLess(h[j], h[m]) {
 				m = j
 			}
 		}
-		if !nodeLess(k.q[m], nd) {
+		if !nodeLess(h[m], nd) {
 			break
 		}
-		k.q[i] = k.q[m]
-		k.q[i].pos = int32(i)
+		h[i] = h[m]
+		h[i].pos = int32(i)
 		i = m
 	}
-	k.q[i] = nd
+	h[i] = nd
 	nd.pos = int32(i)
 }
 
-func (k *Kernel) push(nd *node) {
-	nd.pos = int32(len(k.q))
-	k.q = append(k.q, nd)
-	k.up(len(k.q) - 1)
+func (h *nodeHeap) push(nd *node) {
+	*h = append(*h, nd)
+	h.up(len(*h) - 1)
 }
 
-func (k *Kernel) popMin() *node {
-	nd := k.q[0]
-	last := len(k.q) - 1
+func (h *nodeHeap) pop() *node {
+	q := *h
+	nd := q[0]
+	last := len(q) - 1
 	if last > 0 {
-		k.q[0] = k.q[last]
-		k.q[0].pos = 0
+		q[0] = q[last]
+		q[0].pos = 0
 	}
-	k.q[last] = nil
-	k.q = k.q[:last]
+	q[last] = nil
+	q = q[:last]
+	*h = q
 	if last > 1 {
-		k.down(0)
+		q.down(0)
 	}
 	nd.pos = -1
 	return nd
 }
 
 // remove deletes the node at heap index i, restoring heap order.
-func (k *Kernel) remove(i int) {
-	last := len(k.q) - 1
-	nd := k.q[i]
+func (h *nodeHeap) remove(i int) {
+	q := *h
+	last := len(q) - 1
+	nd := q[i]
 	if i != last {
-		k.q[i] = k.q[last]
-		k.q[i].pos = int32(i)
+		q[i] = q[last]
+		q[i].pos = int32(i)
 	}
-	k.q[last] = nil
-	k.q = k.q[:last]
+	q[last] = nil
+	q = q[:last]
+	*h = q
 	if i < last {
-		k.down(i)
-		k.up(i)
+		q.down(i)
+		q.up(i)
 	}
 	nd.pos = -1
+}
+
+// ring is the near-future tier: one unsorted bucket per slot, indexed by
+// the slot mod ringSlots, and a bitmap of the non-empty buckets. Both
+// arrays are allocated on first use.
+type ring struct {
+	n    int                     // events in all buckets
+	bits *[ringSlots / 64]uint64 // bit i set: bucket i is non-empty
+	b    *[ringSlots][]*node
+}
+
+func (r *ring) add(nd *node, slot int64) {
+	if r.b == nil {
+		r.bits = new([ringSlots / 64]uint64)
+		r.b = new([ringSlots][]*node)
+	}
+	i := int(slot & ringMask)
+	nd.pos = int32(len(r.b[i]))
+	r.b[i] = append(r.b[i], nd)
+	r.bits[i>>6] |= 1 << (i & 63)
+	r.n++
+}
+
+// remove takes nd out of its bucket, moving the bucket's last event into
+// its place.
+func (r *ring) remove(nd *node) {
+	i := int(slotOf(nd.at) & ringMask)
+	b := r.b[i]
+	last := len(b) - 1
+	if p := nd.pos; int(p) != last {
+		b[p] = b[last]
+		b[p].pos = p
+	}
+	b[last] = nil
+	r.b[i] = b[:last]
+	if last == 0 {
+		r.bits[i>>6] &^= 1 << (i & 63)
+	}
+	r.n--
+	nd.pos = -1
+}
+
+// bucketKeep is the largest array a drained bucket keeps for the next slot
+// that maps to it. A bucket that held a larger burst gives its array back:
+// otherwise, over a few wraps, every one of the 4 096 buckets would pin an
+// array as large as the largest burst any slot ever saw.
+const bucketKeep = 64
+
+// drain moves every event of bucket i into h.
+func (r *ring) drain(i int, h *nodeHeap) {
+	b := r.b[i]
+	for _, nd := range b {
+		h.push(nd)
+	}
+	if cap(b) > bucketKeep {
+		r.b[i] = nil
+	} else {
+		clear(b)
+		r.b[i] = b[:0]
+	}
+	r.bits[i>>6] &^= 1 << (i & 63)
+	r.n -= len(b)
+}
+
+// next returns the earliest occupied slot after cur; the ring must not be
+// empty. Bucket cur mod ringSlots is always empty, so a scan that wraps
+// back to its first word finds the latest slots below the start bit.
+func (r *ring) next(cur int64) int64 {
+	start := int((cur + 1) & ringMask)
+	w := start >> 6
+	word := r.bits[w] &^ (1<<(start&63) - 1)
+	for word == 0 {
+		w = (w + 1) & (len(r.bits) - 1)
+		word = r.bits[w]
+	}
+	i := w<<6 | bits.TrailingZeros64(word)
+	return cur + 1 + int64((i-start)&ringMask)
+}
+
+// place queues nd in the tier its slot belongs to.
+func (k *Kernel) place(nd *node) {
+	switch s := slotOf(nd.at); {
+	case s <= k.cur:
+		k.q.push(nd)
+	case s < k.cur+ringSlots:
+		k.ring.add(nd, s)
+	default:
+		k.far.push(nd)
+	}
+}
+
+// advance refills the empty current-slot heap from the earliest occupied
+// slot, unless that slot starts at or after limit: the current slot moves
+// there, far events now within the ring's reach move into it, and the
+// slot's bucket drains into the heap. It reports whether it refilled the
+// heap. Stopping at limit keeps the current slot at the clock, so events a
+// window's barrier delivers still land in the ring rather than the heap.
+func (k *Kernel) advance(limit Time) bool {
+	var s int64
+	switch {
+	case k.ring.n > 0:
+		s = k.ring.next(k.cur)
+	case len(k.far) > 0:
+		s = slotOf(k.far[0].at)
+	default:
+		return false
+	}
+	if Time(s<<slotBits) >= limit {
+		return false
+	}
+	k.cur = s
+	for len(k.far) > 0 && slotOf(k.far[0].at) < s+ringSlots {
+		k.place(k.far.pop())
+	}
+	if k.ring.n > 0 {
+		k.ring.drain(int(s&ringMask), &k.q)
+	}
+	return true
 }
 
 // ScheduleEvent enqueues eh.OnEvent to run at time at and returns a value
 // handle for cancellation. It allocates nothing once the arena has grown.
 // It panics if at precedes the current clock: a conservative simulator must
 // never schedule into its past. The (at, seq) key — seq strictly increasing
-// per kernel — is a total order, so execution order is independent of heap
-// shape and replay stays deterministic across data-structure changes.
+// per kernel — is a total order, so execution order is independent of the
+// queue's shape and replay stays deterministic across data-structure
+// changes.
 func (k *Kernel) ScheduleEvent(at Time, eh EventHandler) Event {
 	if at < k.now {
 		panic(fmt.Sprintf("des: schedule at %v before now %v", at, k.now))
@@ -269,9 +424,9 @@ func (k *Kernel) ScheduleEvent(at Time, eh EventHandler) Event {
 	nd.eh = eh
 	nd.seq = k.seq
 	k.seq++
-	k.push(nd)
-	if len(k.q) > k.maxPending {
-		k.maxPending = len(k.q)
+	k.place(nd)
+	if p := k.Pending(); p > k.maxPending {
+		k.maxPending = p
 	}
 	return Event{n: nd, gen: nd.gen}
 }
@@ -285,17 +440,33 @@ func (k *Kernel) Cancel(e *Event) {
 		return
 	}
 	nd := e.n
-	k.remove(int(nd.pos))
+	switch s := slotOf(nd.at); {
+	case s <= k.cur:
+		k.q.remove(int(nd.pos))
+	case s < k.cur+ringSlots:
+		k.ring.remove(nd)
+	default:
+		k.far.remove(int(nd.pos))
+	}
 	k.release(nd)
 }
 
 // NextEventTime returns the timestamp of the earliest pending event, or
-// EndOfTime if the queue is empty.
+// EndOfTime if the queue is empty. It moves no event between tiers.
 func (k *Kernel) NextEventTime() Time {
-	if len(k.q) == 0 {
-		return EndOfTime
+	switch {
+	case len(k.q) > 0:
+		return k.q[0].at
+	case k.ring.n > 0:
+		at := EndOfTime
+		for _, nd := range k.ring.b[k.ring.next(k.cur)&ringMask] {
+			at = min(at, nd.at)
+		}
+		return at
+	case len(k.far) > 0:
+		return k.far[0].at
 	}
-	return k.q[0].at
+	return EndOfTime
 }
 
 // Step executes the single earliest event. It reports false if the queue is
@@ -304,10 +475,13 @@ func (k *Kernel) NextEventTime() Time {
 // the callback runs, so a handler may immediately schedule new events that
 // reuse it.
 func (k *Kernel) Step(limit Time) bool {
-	if len(k.q) == 0 || k.q[0].at >= limit {
+	if len(k.q) == 0 && !k.advance(limit) {
 		return false
 	}
-	nd := k.popMin()
+	if k.q[0].at >= limit {
+		return false
+	}
+	nd := k.q.pop()
 	if k.inv != nil {
 		k.stepCheck(nd)
 	}

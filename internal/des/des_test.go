@@ -368,17 +368,14 @@ func BenchmarkKernelScheduleRun(b *testing.B) {
 	}
 }
 
-// warmSteadyKernel returns a kernel holding a standing queue of 4096
-// events whose arena and heap have already grown: filled and fully drained
-// once, then refilled.
-func warmSteadyKernel() (k *Kernel, offs []Time, h Handler) {
-	k = new(Kernel)
-	h = func(Time) {}
-	rng := rand.New(rand.NewSource(2))
-	offs = make([]Time, 4096)
-	for i := range offs {
-		offs[i] = Time(rng.Intn(1000) + 1)
-	}
+// warmSteadyKernel returns a kernel holding a standing queue of len(offs)
+// events (a power of two) whose arena and queue have already grown: filled
+// and fully drained once, refilled, then run through the offsets sixteen
+// times so every ring bucket and the far heap have reached their standing
+// size.
+func warmSteadyKernel(offs []Time) (*Kernel, Handler) {
+	k := new(Kernel)
+	h := Handler(func(Time) {})
 	for _, off := range offs {
 		k.ScheduleEvent(k.Now()+off, h)
 	}
@@ -386,14 +383,53 @@ func warmSteadyKernel() (k *Kernel, offs []Time, h Handler) {
 	for _, off := range offs {
 		k.ScheduleEvent(k.Now()+off, h)
 	}
-	return k, offs, h
+	for i := 0; i < 16*len(offs); i++ {
+		k.ScheduleEvent(k.Now()+offs[i&(len(offs)-1)], h)
+		k.Step(EndOfTime)
+	}
+	return k, h
 }
 
-// BenchmarkKernelSteadyState measures the warm hot path: a standing queue
-// of 4096 events, each iteration scheduling one event and firing one. This
-// is the per-hop cost the packet pipeline pays.
-func BenchmarkKernelSteadyState(b *testing.B) {
-	k, offs, h := warmSteadyKernel()
+// nearOffsets are 4096 schedule-ahead offsets of 1–1000 ns: every event
+// stays in the current slot, so only the current-slot heap works.
+func nearOffsets() []Time {
+	rng := rand.New(rand.NewSource(2))
+	offs := make([]Time, 4096)
+	for i := range offs {
+		offs[i] = Time(rng.Intn(1000) + 1)
+	}
+	return offs
+}
+
+// spreadShare[e-14] is the relative share of a packet run's events that are
+// scheduled [2^e, 2^(e+1)) ns ahead, e = 14…27: the shape of a seq-packet
+// run's log2 histogram, peaking near 8 ms.
+var spreadShare = [...]int{2, 3, 4, 5, 6, 7, 8, 9, 10, 10, 8, 5, 3, 1}
+
+// spreadOffsets are 4096 schedule-ahead offsets drawn from spreadShare,
+// plus 1 in 256 beyond 2^28 ns, so events pass through every tier.
+func spreadOffsets() []Time {
+	rng := rand.New(rand.NewSource(3))
+	total := 0
+	for _, s := range spreadShare {
+		total += s
+	}
+	offs := make([]Time, 4096)
+	for i := range offs {
+		e := 28
+		if rng.Intn(256) > 0 {
+			r := rng.Intn(total)
+			for e = 14; r >= spreadShare[e-14]; e++ {
+				r -= spreadShare[e-14]
+			}
+		}
+		offs[i] = 1<<e + Time(rng.Int63n(1<<e))
+	}
+	return offs
+}
+
+func benchSteady(b *testing.B, offs []Time) {
+	k, h := warmSteadyKernel(offs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -402,10 +438,23 @@ func BenchmarkKernelSteadyState(b *testing.B) {
 	}
 }
 
-// TestKernelSteadyStateZeroAllocs pins what the benchmark above reports as
-// allocs/op: once the arena is warm, one schedule plus one step allocates
-// nothing, whichever form the handler takes — a non-capturing closure or a
-// pointer to a pooled struct.
+// BenchmarkKernelSteadyState measures the warm hot path at a standing queue
+// of 4096 events, each iteration scheduling one event and firing one. Its
+// 1–1000 ns offsets keep every event in the current-slot heap, so it prices
+// that heap alone.
+func BenchmarkKernelSteadyState(b *testing.B) { benchSteady(b, nearOffsets()) }
+
+// BenchmarkKernelSpread is the same loop with offsets shaped like a packet
+// run's (spreadOffsets): events pass through the ring and the far heap
+// before the current-slot heap fires them. This is the per-hop cost the
+// packet pipeline pays.
+func BenchmarkKernelSpread(b *testing.B) { benchSteady(b, spreadOffsets()) }
+
+// TestKernelSteadyStateZeroAllocs pins what the benchmarks above report as
+// allocs/op: once the arena and queue are warm, one schedule plus one step
+// allocates nothing, whichever form the handler takes — a non-capturing
+// closure or a pointer to a pooled struct — and whichever tiers the
+// offsets reach.
 func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 	pooled := &countingHandler{}
 	forms := []struct {
@@ -415,16 +464,29 @@ func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 		{"closure", func(k *Kernel, at Time, h Handler) { k.ScheduleEvent(at, h) }},
 		{"ScheduleEvent", func(k *Kernel, at Time, _ Handler) { k.ScheduleEvent(at, pooled) }},
 	}
-	for _, f := range forms {
-		k, offs, h := warmSteadyKernel()
-		i := 0
-		allocs := testing.AllocsPerRun(10000, func() {
-			f.schedule(k, k.Now()+offs[i&(len(offs)-1)], h)
-			k.Step(EndOfTime)
-			i++
-		})
-		if allocs != 0 {
-			t.Errorf("%s: steady-state schedule+step allocates %v times per op, want 0", f.name, allocs)
+	spans := []struct {
+		name     string
+		offs     []Time
+		allTiers bool // the standing queue reaches the ring and the far heap
+	}{
+		{"current slot", nearOffsets(), false},
+		{"all tiers", spreadOffsets(), true},
+	}
+	for _, sp := range spans {
+		for _, f := range forms {
+			k, h := warmSteadyKernel(sp.offs)
+			i := 0
+			allocs := testing.AllocsPerRun(10000, func() {
+				f.schedule(k, k.Now()+sp.offs[i&(len(sp.offs)-1)], h)
+				k.Step(EndOfTime)
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("%s, %s: steady-state schedule+step allocates %v times per op, want 0", sp.name, f.name, allocs)
+			}
+			if sp.allTiers && (k.ring.n == 0 || len(k.far) == 0) {
+				t.Errorf("%s, %s: ring holds %d and far heap %d events; the offsets miss a tier", sp.name, f.name, k.ring.n, len(k.far))
+			}
 		}
 	}
 }

@@ -2,11 +2,19 @@ package des
 
 import "testing"
 
+// delayShifts scale a fuzzed byte into a schedule-ahead delay of up to
+// 255 ns (the current slot), 130 µs (the next few slots), 16.7 ms (the
+// ring) or 2.1 s (the ring and the far heap).
+var delayShifts = [4]uint{0, 9, 16, 23}
+
 // FuzzKernelSchedule drives the kernel with a byte-coded op sequence
-// (schedule, schedule-at-duplicate-time, cancel, cancel-stale, step) while a
-// naive reference model tracks the expected execution order under the
-// (at, seq) total order. EveryStep invariants are on, so any heap-order or
-// arena corruption trips immediately rather than as a wrong firing order.
+// (schedule, schedule-at-duplicate-time, cancel, cancel-stale, step, step
+// below a limit) while a naive reference model tracks the expected
+// execution order under the (at, seq) total order. A delay is a byte scaled
+// by one of delayShifts, so schedules and cancels reach every tier of the
+// queue and a long enough sequence wraps the ring. EveryStep invariants are
+// on, so any tier, heap-order or arena corruption trips immediately rather
+// than as a wrong firing order.
 func FuzzKernelSchedule(f *testing.F) {
 	f.Add([]byte("0123456789abcdefghij"))
 	f.Add([]byte{0, 10, 0, 10, 2, 0, 4, 4, 4, 3, 0, 5, 0})
@@ -37,6 +45,10 @@ func FuzzKernelSchedule(f *testing.F) {
 			}
 			return 0
 		}
+		delay := func() Time {
+			shift := delayShifts[next()&3]
+			return Time(next()) << shift
+		}
 
 		schedule := func(at Time) {
 			id := nextID
@@ -45,25 +57,31 @@ func FuzzKernelSchedule(f *testing.F) {
 			pending = append(pending, pend{at: at, id: id, ev: ev})
 		}
 
-		stepOnce := func() {
-			if len(pending) == 0 {
-				if k.Step(EndOfTime) {
-					t.Fatal("Step executed an event the model does not know about")
-				}
-				return
-			}
+		// step fires the model's next event if it lies before limit and
+		// checks that the kernel fires the same one, or nothing.
+		step := func(limit Time) {
 			// Expected next: earliest at; schedule order (== seq order)
 			// breaks ties, which the ascending scan with strict < gives us.
-			mi := 0
-			for i := 1; i < len(pending); i++ {
-				if pending[i].at < pending[mi].at {
+			mi := -1
+			for i := range pending {
+				if mi < 0 || pending[i].at < pending[mi].at {
 					mi = i
 				}
 			}
+			if mi < 0 || pending[mi].at >= limit {
+				now := k.Now()
+				if k.Step(limit) {
+					t.Fatalf("Step(%v) executed an event the model holds back", limit)
+				}
+				if k.Now() != now {
+					t.Fatalf("refused Step(%v) moved the clock from %v to %v", limit, now, k.Now())
+				}
+				return
+			}
 			want := pending[mi]
 			before := len(fired)
-			if !k.Step(EndOfTime) {
-				t.Fatalf("Step refused with %d events pending", len(pending))
+			if !k.Step(limit) {
+				t.Fatalf("Step(%v) refused with the event at %v pending", limit, want.at)
 			}
 			if len(fired) != before+1 || fired[len(fired)-1] != want.id {
 				t.Fatalf("fired event %v, model expected id %d (t=%v)", fired[before:], want.id, want.at)
@@ -76,9 +94,9 @@ func FuzzKernelSchedule(f *testing.F) {
 		}
 
 		for pos < len(data) && nextID < 4096 {
-			switch next() % 6 {
+			switch next() % 7 {
 			case 0, 1:
-				schedule(k.Now() + Time(next()))
+				schedule(k.Now() + delay())
 			case 2: // duplicate timestamp: exercises the seq tie-break
 				if len(pending) > 0 {
 					schedule(pending[int(next())%len(pending)].at)
@@ -90,7 +108,7 @@ func FuzzKernelSchedule(f *testing.F) {
 					pending = append(pending[:j], pending[j+1:]...)
 				}
 			case 4:
-				stepOnce()
+				step(EndOfTime)
 			case 5: // cancelling a fired handle must be a generation-checked no-op
 				if len(stale) > 0 {
 					before := k.Pending()
@@ -99,10 +117,12 @@ func FuzzKernelSchedule(f *testing.F) {
 						t.Fatal("stale Cancel removed a live event")
 					}
 				}
+			case 6:
+				step(k.Now() + delay())
 			}
 		}
 		for len(pending) > 0 {
-			stepOnce()
+			step(EndOfTime)
 		}
 		if k.Pending() != 0 {
 			t.Fatalf("%d events left queued after drain", k.Pending())

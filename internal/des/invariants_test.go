@@ -87,10 +87,55 @@ func TestVerifyInvariantsDetectsArenaLeak(t *testing.T) {
 	var k Kernel
 	e := k.ScheduleEvent(10, Handler(func(Time) {}))
 	// Simulate a leak: remove the node from the heap without releasing it.
-	k.remove(int(e.n.pos))
+	k.q.remove(int(e.n.pos))
 	err := k.VerifyInvariants()
 	if err == nil || !strings.Contains(err.Error(), "arena leak") {
 		t.Fatalf("want arena leak, got %v", err)
+	}
+}
+
+// Corruptions of the ring and the far heap — states only a queue bug can
+// produce — are each named by VerifyInvariants.
+func TestVerifyInvariantsDetectsTierCorruption(t *testing.T) {
+	ringNode := func(k *Kernel) *node { return k.ring.b[slotOf(5*Millisecond)&ringMask][0] }
+	cases := []struct {
+		name    string
+		corrupt func(k *Kernel)
+		want    string
+	}{
+		{"mis-bucketed ring node", func(k *Kernel) {
+			nd := ringNode(k)
+			k.ring.remove(nd)
+			k.ring.add(nd, slotOf(nd.at)+1)
+		}, "whose bucket is"},
+		{"far heap order", func(k *Kernel) {
+			last := len(k.far) - 1
+			k.far[0], k.far[last] = k.far[last], k.far[0]
+			k.far[0].pos, k.far[last].pos = 0, int32(last)
+		}, "heap order violated in far heap"},
+		{"ring node in the far heap", func(k *Kernel) {
+			nd := ringNode(k)
+			k.ring.remove(nd)
+			k.far.push(nd)
+		}, "outside its tier"},
+		{"occupancy bit of an empty bucket", func(k *Kernel) {
+			i := int(slotOf(5*Millisecond)+1) & ringMask
+			k.ring.bits[i>>6] |= 1 << (i & 63)
+		}, "marked occupied but empty"},
+	}
+	for _, c := range cases {
+		var k Kernel
+		for i := 0; i < 64; i++ {
+			k.ScheduleEvent(Time(i)*Millisecond, Handler(func(Time) {}))
+			k.ScheduleEvent(Second+Time(64-i)*Millisecond, Handler(func(Time) {}))
+		}
+		if err := k.VerifyInvariants(); err != nil {
+			t.Fatalf("%s: before corruption: %v", c.name, err)
+		}
+		c.corrupt(&k)
+		if err := k.VerifyInvariants(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: want %q, got %v", c.name, c.want, err)
+		}
 	}
 }
 

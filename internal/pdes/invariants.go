@@ -39,7 +39,7 @@ const (
 	// parity-selected outbox buffers disagree.
 	ViolationExchangeParity
 	// ViolationKernel: a receiving engine's kernel failed its structural
-	// verification (heap order, arena accounting) at a barrier, or executed
+	// verification (queue order, arena accounting) at a barrier, or executed
 	// an event before its clock.
 	ViolationKernel
 )
