@@ -9,7 +9,7 @@ import (
 	"massf/internal/des"
 	"massf/internal/model"
 	"massf/internal/netsim"
-	"massf/internal/routing/ospf"
+	"massf/internal/routing/interdomain"
 	"massf/internal/topology"
 )
 
@@ -22,7 +22,7 @@ func liveSim(t *testing.T, factor float64, end des.Time) (*netsim.Sim, []model.N
 		t.Fatal(err)
 	}
 	s, err := netsim.New(netsim.Config{
-		Net: net, Routes: ospf.NewDomain(net, nil), Engines: 1,
+		Net: net, Routes: interdomain.New(net), Engines: 1,
 		Window: 10 * des.Millisecond, End: end,
 		Sync: cluster.Fixed{CostNS: 100}, RealTimeFactor: factor, Seed: 3,
 	})

@@ -12,7 +12,7 @@ import (
 	"massf/internal/des"
 	"massf/internal/model"
 	"massf/internal/netsim"
-	"massf/internal/routing/ospf"
+	"massf/internal/routing/interdomain"
 	"massf/internal/topology"
 )
 
@@ -36,7 +36,7 @@ func ingestSim(t *testing.T, engines int, factor float64, end des.Time) (*netsim
 		}
 	}
 	s, err := netsim.New(netsim.Config{
-		Net: net, Routes: ospf.NewDomain(net, nil), Part: part, Engines: engines,
+		Net: net, Routes: interdomain.New(net), Part: part, Engines: engines,
 		Window: window, End: end,
 		Sync: cluster.Fixed{CostNS: 100}, RealTimeFactor: factor, Seed: 3,
 	})

@@ -165,8 +165,8 @@ func NewSetup(net *model.Network, sc Scale, multi bool) (*Setup, error) {
 
 // newSetup is NewSetup with routing scoped to the owned nodes of a
 // distributed worker when owned is non-nil (interdomain.NewScoped):
-// forwarding is byte-identical and warmed the same way, only the retained
-// state shrinks.
+// forwarding is byte-identical and the same trees are built, only the
+// retained state shrinks.
 func newSetup(net *model.Network, sc Scale, multi bool, owned []bool) (*Setup, error) {
 	st := &Setup{Scale: sc, MultiAS: multi, Net: net, Sync: cluster.DefaultTeraGrid()}
 	var router *interdomain.Router
@@ -211,8 +211,6 @@ func newSetup(net *model.Network, sc Scale, multi bool, owned []bool) (*Setup, e
 	}
 	st.Clients = free[:nc]
 	st.Servers = free[nc : nc+ns]
-	// Warm routing caches for every traffic destination.
-	router.Prepare(st.Hosts)
 	return st, nil
 }
 
@@ -384,15 +382,15 @@ func (st *Setup) prepare(m *core.Mapping, w Workload, opt runspec.RunSpec, src T
 		if plane, err = faults.NewPlane(st.Net, st.Router, opt.Faults); err != nil {
 			return nil, err
 		}
-		plane.Prepare(st.Hosts)
 		cfg.Faults = plane
 	}
 	if flows, next, quantum := src.Fluid(st.Scale.Horizon); len(flows) > 0 {
 		// The fluid plane is precomputed here from the network, routes,
 		// horizon and flows. Its solver walks whole paths, which a
 		// slice-scoped router refuses, so a worker with scoped routing
-		// builds the (immutable) plane over a transient unscoped router
-		// and, under churn, a fault plane compiled on it.
+		// builds the (immutable) plane over a transient unscoped router,
+		// which like every router holds all its trees once built, and,
+		// under churn, a fault plane compiled on it.
 		routes, fview := st.Router, plane
 		if x.Slice != nil {
 			routes = interdomain.New(st.Net)

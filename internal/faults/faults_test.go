@@ -4,27 +4,37 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"massf/internal/des"
+	"massf/internal/mabrite"
 	"massf/internal/model"
 	"massf/internal/routing/interdomain"
 	"massf/internal/topology"
 )
 
-// squareNet builds a single-AS ring 0—1—2—3—0 where 0→2 prefers the cheap
-// path via 1 (10+10 µs) over the detour via 3 (15+15 µs).
+// squareHost is the host behind router 2 of squareNet, the destination
+// its tests route toward.
+const squareHost model.NodeID = 4
+
+// squareNet builds a single-AS ring 0—1—2—3—0 with squareHost on router 2,
+// where 0→squareHost prefers the cheap path via 1 (10+10 µs) over the
+// detour via 3 (15+15 µs).
 func squareNet(t testing.TB) (net *model.Network, l01, l30 model.LinkID) {
 	t.Helper()
 	net = &model.Network{}
 	for i := 0; i < 4; i++ {
 		net.AddNode(model.Router, 0, float64(i), 0)
 	}
+	net.AddNode(model.Host, 0, 2, 1)
 	l01 = net.AddLink(0, 1, 10_000, model.Bps1G)
 	net.AddLink(1, 2, 10_000, model.Bps1G)
 	net.AddLink(2, 3, 15_000, model.Bps1G)
 	l30 = net.AddLink(3, 0, 15_000, model.Bps1G)
-	net.ASes = []model.AS{{ID: 0, Routers: []model.NodeID{0, 1, 2, 3}, DefaultBorder: -1}}
+	net.AddLink(2, squareHost, 1_000, model.Bps1G)
+	net.ASes = []model.AS{{ID: 0, Routers: []model.NodeID{0, 1, 2, 3}, Hosts: []model.NodeID{squareHost}, DefaultBorder: -1}}
 	if err := net.Validate(); err != nil {
 		t.Fatalf("test net invalid: %v", err)
 	}
@@ -133,27 +143,27 @@ func TestPlaneEpochRouting(t *testing.T) {
 	}
 
 	// Before the fault: cheap path via 1.
-	if got := p.NextLink(0, 0, 2); got != l01 {
-		t.Fatalf("pre-fault NextLink(0→2) = %d, want %d", got, l01)
+	if got := p.NextLink(0, 0, squareHost); got != l01 {
+		t.Fatalf("pre-fault NextLink(0→host) = %d, want %d", got, l01)
 	}
 	// Blackhole window: the link is physically down but routing has not
 	// reconverged — forwarding still points at the dead link.
 	if up, evi := p.LinkUp(des.Millisecond+100, l01); up || evi != 0 {
 		t.Fatalf("LinkUp during outage = (%v, %d), want (false, 0)", up, evi)
 	}
-	if got := p.NextLink(des.Millisecond+100, 0, 2); got != l01 {
-		t.Fatalf("blackhole-window NextLink(0→2) = %d, want stale %d", got, l01)
+	if got := p.NextLink(des.Millisecond+100, 0, squareHost); got != l01 {
+		t.Fatalf("blackhole-window NextLink(0→host) = %d, want stale %d", got, l01)
 	}
 	// After reconvergence: detour via 3, link still down.
-	if got := p.NextLink(2*des.Millisecond, 0, 2); got != l30 {
-		t.Fatalf("post-convergence NextLink(0→2) = %d, want detour %d", got, l30)
+	if got := p.NextLink(2*des.Millisecond, 0, squareHost); got != l30 {
+		t.Fatalf("post-convergence NextLink(0→host) = %d, want detour %d", got, l30)
 	}
 	// After the heal converges: back on the cheap path, link up again.
 	if up, _ := p.LinkUp(3*des.Millisecond+100, l01); !up {
 		t.Fatal("link still down after the up event")
 	}
-	if got := p.NextLink(4*des.Millisecond, 0, 2); got != l01 {
-		t.Fatalf("post-heal NextLink(0→2) = %d, want %d", got, l01)
+	if got := p.NextLink(4*des.Millisecond, 0, squareHost); got != l01 {
+		t.Fatalf("post-heal NextLink(0→host) = %d, want %d", got, l01)
 	}
 }
 
@@ -168,8 +178,8 @@ func TestPlaneNodeOutage(t *testing.T) {
 	if up, evi := p.NodeUp(des.Millisecond+1, 1); up || evi != 0 {
 		t.Fatalf("NodeUp during outage = (%v, %d), want (false, 0)", up, evi)
 	}
-	if got := p.NextLink(p.FaultRoutesAt(0), 0, 2); got != l30 {
-		t.Fatalf("NextLink(0→2) with router 1 down = %d, want detour %d", got, l30)
+	if got := p.NextLink(p.FaultRoutesAt(0), 0, squareHost); got != l30 {
+		t.Fatalf("NextLink(0→host) with router 1 down = %d, want detour %d", got, l30)
 	}
 	if up, _ := p.NodeUp(2*des.Millisecond+1, 1); !up {
 		t.Fatal("node still down after recovery")
@@ -212,6 +222,66 @@ func TestPlaneClampsNonDecreasingEpochs(t *testing.T) {
 	}
 	if evs[1].RoutesAt != evs[0].RoutesAt {
 		t.Fatalf("event 1 routesAt %v, want clamped to event 0's %v", evs[1].RoutesAt, evs[0].RoutesAt)
+	}
+}
+
+// TestSharedBaseRouterDeterministic: a cached Setup shares one base router
+// across concurrent runs, so lookups on it race each run's fault plane
+// compilation. Compiling derives new routers and never writes the base:
+// the race runs clean under -race, and the base answers afterwards as it
+// did before.
+func TestSharedBaseRouterDeterministic(t *testing.T) {
+	net, err := mabrite.Generate(mabrite.Options{ASes: 4, RoutersPerAS: 12, Hosts: 24, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := interdomain.New(net)
+	var hosts []model.NodeID
+	for i := range net.Nodes {
+		if net.Nodes[i].Kind == model.Host {
+			hosts = append(hosts, model.NodeID(i))
+		}
+	}
+	hops := func() []model.LinkID {
+		var out []model.LinkID
+		for cur := range net.Nodes {
+			for _, dst := range hosts {
+				out = append(out, base.NextLink(model.NodeID(cur), dst))
+			}
+		}
+		return out
+	}
+	want := hops()
+	script := Generate(net, GenOptions{Seed: 9, Events: 6, Horizon: 200 * des.Millisecond})
+	if len(script.Events) == 0 {
+		t.Fatal("generator produced no events")
+	}
+	var wg sync.WaitGroup
+	for range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 4 {
+				if !slices.Equal(hops(), want) {
+					t.Error("base router's next hops changed while a fault plane compiled from it")
+					return
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range 3 {
+			if _, err := NewPlane(net, base, script); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if !slices.Equal(hops(), want) {
+		t.Fatal("base router's next hops changed after fault planes were compiled from it")
 	}
 }
 

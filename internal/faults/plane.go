@@ -264,14 +264,3 @@ func (p *Plane) Boundaries() []des.Time {
 	}
 	return dedup
 }
-
-// Prepare warms the OSPF caches of every routing epoch for the given
-// destinations, so the simulation hot path (mostly) only reads. Lazy
-// fills remain possible mid-run — they are deterministic, so concurrent
-// computation is divergence-safe — but pre-warming keeps them off the
-// packet path.
-func (p *Plane) Prepare(dests []model.NodeID) {
-	for _, ep := range p.epochs {
-		ep.routes.Prepare(dests)
-	}
-}

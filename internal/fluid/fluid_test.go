@@ -9,7 +9,18 @@ import (
 	"massf/internal/faults"
 	"massf/internal/model"
 	"massf/internal/routing/interdomain"
+	"massf/internal/routing/ospf"
 )
+
+// routes is OSPF over a single-AS test net with a tree toward every node:
+// the tests' flows run between routers.
+func routes(net *model.Network) *ospf.Domain {
+	all := make([]model.NodeID, len(net.Nodes))
+	for i := range all {
+		all[i] = model.NodeID(i)
+	}
+	return ospf.New(net, nil, nil, all)
+}
 
 // lineNet builds a single-AS line 0—1—2—3 (10 µs per hop, 1 Gbps).
 func lineNet(t testing.TB) *model.Network {
@@ -28,19 +39,25 @@ func lineNet(t testing.TB) *model.Network {
 	return net
 }
 
-// ringNet builds the faults-test ring 0—1—2—3—0 where 0→2 prefers the
-// path via 1 and detours via 3 when link 0—1 fails.
+// ringHost is the host behind router 2 of ringNet.
+const ringHost model.NodeID = 4
+
+// ringNet builds the faults-test ring 0—1—2—3—0 with ringHost on router 2,
+// where 0→ringHost prefers the path via 1 and detours via 3 when link 0—1
+// fails.
 func ringNet(t testing.TB) (net *model.Network, l01 model.LinkID) {
 	t.Helper()
 	net = &model.Network{}
 	for i := 0; i < 4; i++ {
 		net.AddNode(model.Router, 0, float64(i), 0)
 	}
+	net.AddNode(model.Host, 0, 2, 1)
 	l01 = net.AddLink(0, 1, 10_000, model.Bps1G)
 	net.AddLink(1, 2, 10_000, model.Bps1G)
 	net.AddLink(2, 3, 15_000, model.Bps1G)
 	net.AddLink(3, 0, 15_000, model.Bps1G)
-	net.ASes = []model.AS{{ID: 0, Routers: []model.NodeID{0, 1, 2, 3}, DefaultBorder: -1}}
+	net.AddLink(2, ringHost, 10_000, model.Bps1G)
+	net.ASes = []model.AS{{ID: 0, Routers: []model.NodeID{0, 1, 2, 3}, Hosts: []model.NodeID{ringHost}, DefaultBorder: -1}}
 	if err := net.Validate(); err != nil {
 		t.Fatalf("test net invalid: %v", err)
 	}
@@ -49,7 +66,7 @@ func ringNet(t testing.TB) (net *model.Network, l01 model.LinkID) {
 
 func TestSingleFlowExactTimeline(t *testing.T) {
 	net := lineNet(t)
-	cfg := Config{Net: net, Routes: interdomain.New(net), End: des.Second}
+	cfg := Config{Net: net, Routes: routes(net), End: des.Second}
 	p, err := Build(cfg, []Flow{{Src: 0, Dst: 2, Bytes: 1_000_000, Chain: -1}})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +112,7 @@ func TestSingleFlowExactTimeline(t *testing.T) {
 
 func TestTwoFlowsShareBottleneckFairly(t *testing.T) {
 	net := lineNet(t)
-	cfg := Config{Net: net, Routes: interdomain.New(net), End: des.Second}
+	cfg := Config{Net: net, Routes: routes(net), End: des.Second}
 	// Same size, same start, same path: identical startup delay and an
 	// identical half-capacity share, so completions must be bit-equal.
 	flows := []Flow{
@@ -129,7 +146,7 @@ func TestTwoFlowsShareBottleneckFairly(t *testing.T) {
 
 func TestFinishReleasesBandwidth(t *testing.T) {
 	net := lineNet(t)
-	cfg := Config{Net: net, Routes: interdomain.New(net), End: des.Second}
+	cfg := Config{Net: net, Routes: routes(net), End: des.Second}
 	// The small flow finishes first; the big one then speeds up, so its
 	// FCT beats what a permanent half-share would predict.
 	p, err := Build(cfg, []Flow{
@@ -151,7 +168,7 @@ func TestFinishReleasesBandwidth(t *testing.T) {
 
 func TestBuildDeterministicAndOrderIndependent(t *testing.T) {
 	net := lineNet(t)
-	cfg := Config{Net: net, Routes: interdomain.New(net), End: des.Second}
+	cfg := Config{Net: net, Routes: routes(net), End: des.Second}
 	flows := []Flow{
 		{Src: 0, Dst: 3, Bytes: 700_000, Start: 0, Chain: -1},
 		{Src: 1, Dst: 3, Bytes: 300_000, Start: des.Millisecond, Chain: -1},
@@ -195,12 +212,12 @@ func TestQuantumModeApproximatesExact(t *testing.T) {
 		{Src: 1, Dst: 3, Bytes: 400_000, Start: des.Millisecond, Chain: -1},
 		{Src: 0, Dst: 2, Bytes: 600_000, Start: 3 * des.Millisecond, Chain: -1},
 	}
-	exact, err := Build(Config{Net: net, Routes: interdomain.New(net), End: des.Second}, flows)
+	exact, err := Build(Config{Net: net, Routes: routes(net), End: des.Second}, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const q = des.Millisecond
-	quant, err := Build(Config{Net: net, Routes: interdomain.New(net), End: des.Second, Quantum: q}, flows)
+	quant, err := Build(Config{Net: net, Routes: routes(net), End: des.Second, Quantum: q}, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +241,7 @@ func TestQuantumModeApproximatesExact(t *testing.T) {
 				i, quant.PayloadBits(i), exact.PayloadBits(i))
 		}
 	}
-	q2, err := Build(Config{Net: net, Routes: interdomain.New(net), End: des.Second, Quantum: q}, flows)
+	q2, err := Build(Config{Net: net, Routes: routes(net), End: des.Second, Quantum: q}, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +262,7 @@ func TestFaultStallAndReroute(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Big enough to still be in flight when the link dies at 1 ms.
-	flows := []Flow{{Src: 0, Dst: 2, Bytes: 1_250_000, Chain: -1}}
+	flows := []Flow{{Src: 0, Dst: ringHost, Bytes: 1_250_000, Chain: -1}}
 	p, err := Build(Config{Net: net, Routes: base, Faults: fp, End: des.Second}, flows)
 	if err != nil {
 		t.Fatal(err)
@@ -276,9 +293,13 @@ func TestFaultStallAndReroute(t *testing.T) {
 
 func TestFaultPermanentBlackhole(t *testing.T) {
 	net := lineNet(t)
+	h := net.AddNode(model.Host, 0, 3, 1)
+	net.AddLink(3, h, 10_000, model.Bps1G)
+	net.ASes[0].Hosts = []model.NodeID{h}
 	base := interdomain.New(net)
-	// Downing link 1—2 cuts 0 from 3 with no alternative; convergence
-	// still happens but there is no path, so the flow stalls to the end.
+	// Downing link 1—2 cuts 0 from 3 and its host with no alternative;
+	// convergence still happens but there is no path, so the flow stalls
+	// to the end.
 	script := &faults.Script{Events: []faults.Event{
 		{At: des.Millisecond, Kind: faults.LinkDown, Link: 1, ConvergeNS: 100_000},
 	}}
@@ -288,7 +309,7 @@ func TestFaultPermanentBlackhole(t *testing.T) {
 	}
 	end := des.Time(20 * des.Millisecond)
 	p, err := Build(Config{Net: net, Routes: base, Faults: fp, End: end}, []Flow{
-		{Src: 0, Dst: 3, Bytes: 5_000_000, Chain: -1},
+		{Src: 0, Dst: h, Bytes: 5_000_000, Chain: -1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +332,7 @@ func TestChainedFlows(t *testing.T) {
 	// mimicking one HTTP exchange.
 	spawned := 0
 	cfg := Config{
-		Net: net, Routes: interdomain.New(net), End: des.Second,
+		Net: net, Routes: routes(net), End: des.Second,
 		Next: func(chain int32, at des.Time) (Flow, bool) {
 			if chain != 0 || spawned > 0 {
 				return Flow{}, false
@@ -343,7 +364,7 @@ func TestRateAtCursorMatchesStateless(t *testing.T) {
 		{Src: 1, Dst: 3, Bytes: 500_000, Start: des.Millisecond, Chain: -1},
 		{Src: 2, Dst: 3, Bytes: 300_000, Start: 2 * des.Millisecond, Chain: -1},
 	}
-	p, err := Build(Config{Net: net, Routes: interdomain.New(net), End: des.Second}, flows)
+	p, err := Build(Config{Net: net, Routes: routes(net), End: des.Second}, flows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,21 +379,21 @@ func TestRateAtCursorMatchesStateless(t *testing.T) {
 
 func TestBuildRejectsBadInput(t *testing.T) {
 	net := lineNet(t)
-	routes := interdomain.New(net)
-	if _, err := Build(Config{Routes: routes, End: des.Second}, nil); err == nil {
+	r := routes(net)
+	if _, err := Build(Config{Routes: r, End: des.Second}, nil); err == nil {
 		t.Fatal("accepted a nil network")
 	}
-	if _, err := Build(Config{Net: net, Routes: routes}, nil); err == nil {
+	if _, err := Build(Config{Net: net, Routes: r}, nil); err == nil {
 		t.Fatal("accepted a zero horizon")
 	}
-	if _, err := Build(Config{Net: net, Routes: routes, End: des.Second, Quantum: -1}, nil); err == nil {
+	if _, err := Build(Config{Net: net, Routes: r, End: des.Second, Quantum: -1}, nil); err == nil {
 		t.Fatal("accepted a negative quantum")
 	}
-	if _, err := Build(Config{Net: net, Routes: routes, End: des.Second},
+	if _, err := Build(Config{Net: net, Routes: r, End: des.Second},
 		[]Flow{{Src: 0, Dst: 99}}); err == nil {
 		t.Fatal("accepted endpoints outside the network")
 	}
-	if _, err := Build(Config{Net: net, Routes: routes, End: des.Second},
+	if _, err := Build(Config{Net: net, Routes: r, End: des.Second},
 		[]Flow{{Src: 0, Dst: 1, Bytes: -1}}); err == nil {
 		t.Fatal("accepted a negative flow size")
 	}
@@ -383,7 +404,7 @@ func TestBuildRejectsBadInput(t *testing.T) {
 // phase has nothing left and must not re-transfer the payload.
 func TestSlowStartCoversShortFlow(t *testing.T) {
 	net := lineNet(t)
-	cfg := Config{Net: net, Routes: interdomain.New(net), End: des.Second}
+	cfg := Config{Net: net, Routes: routes(net), End: des.Second}
 	p, err := Build(cfg, []Flow{{Src: 0, Dst: 2, Bytes: 2 * 1460, Chain: -1}})
 	if err != nil {
 		t.Fatal(err)
@@ -410,7 +431,7 @@ func TestSlowStartCoversShortFlow(t *testing.T) {
 
 func TestZeroByteAndSelfFlows(t *testing.T) {
 	net := lineNet(t)
-	p, err := Build(Config{Net: net, Routes: interdomain.New(net), End: des.Second}, []Flow{
+	p, err := Build(Config{Net: net, Routes: routes(net), End: des.Second}, []Flow{
 		{Src: 0, Dst: 0, Bytes: 1_000, Start: des.Millisecond, Chain: -1},
 		{Src: 0, Dst: 3, Bytes: 0, Start: des.Millisecond, Chain: -1},
 	})

@@ -141,8 +141,8 @@ type Network struct {
 	ASes []AS
 
 	// incident is the lazily built index of the links touching each node.
-	// Engines resolving routes lazily may be its first readers, several at
-	// once, so it is published atomically.
+	// Routing's parallel tree builders may be its first readers, several
+	// at once, so it is published atomically.
 	incident atomic.Pointer[[][]LinkID]
 }
 

@@ -10,7 +10,6 @@ import (
 	"massf/internal/mabrite"
 	"massf/internal/model"
 	"massf/internal/routing/interdomain"
-	"massf/internal/routing/ospf"
 )
 
 // The event pipeline must replay byte-for-byte: the same seed and config
@@ -80,7 +79,7 @@ func runDeterminism(t *testing.T, engines int) determinismGolden {
 		part[i] = int32(i % engines)
 	}
 	s, err := New(Config{
-		Net: net, Routes: ospf.NewDomain(net, nil), Part: part, Engines: engines,
+		Net: net, Routes: interdomain.New(net), Part: part, Engines: engines,
 		Window: des.Millisecond, End: 4 * des.Second,
 		Sync: cluster.Fixed{CostNS: 20_000}, Seed: 42,
 	})
@@ -192,7 +191,6 @@ func runMultiASDeterminism(t *testing.T, engines int) determinismGolden {
 			hosts = append(hosts, model.NodeID(i))
 		}
 	}
-	router.Prepare(hosts)
 	s, err := New(Config{
 		Net: net, Routes: router, Part: part, Engines: engines,
 		Window: window, End: 4 * des.Second,

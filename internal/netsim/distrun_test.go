@@ -10,7 +10,7 @@ import (
 	"massf/internal/model"
 	"massf/internal/netsim"
 	"massf/internal/pdes"
-	"massf/internal/routing/ospf"
+	"massf/internal/routing/interdomain"
 	"massf/internal/traffic"
 	"massf/internal/wire"
 )
@@ -139,7 +139,7 @@ func buildDistScenario(t *testing.T, transport pdes.Transport, first, hosted int
 	// comparison must cover TCP loss recovery (dup ACKs, RTO) crossing
 	// worker boundaries, not just the lossless path.
 	s, err := netsim.New(netsim.Config{
-		Net: net, Routes: ospf.NewDomain(net, nil), Part: part, Engines: distEngines,
+		Net: net, Routes: interdomain.New(net), Part: part, Engines: distEngines,
 		Window: des.Millisecond, End: 700 * des.Millisecond, Seed: 11,
 		QueueBytes: 6_000,
 		Transport:  transport, FirstEngine: first, HostedEngines: hosted,

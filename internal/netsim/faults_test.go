@@ -56,7 +56,6 @@ func outageRun(t *testing.T, engines int, tel *telemetry.SimTelemetry) ([]des.Ti
 	if err != nil {
 		t.Fatal(err)
 	}
-	plane.Prepare([]model.NodeID{h0, h1})
 	s, err := New(Config{
 		Net: net, Routes: routes, Part: nil, Engines: engines,
 		Window: 10 * des.Millisecond, End: 600 * des.Millisecond, Seed: 1,
@@ -210,17 +209,21 @@ func TestNodeOutageDropsAndAttributes(t *testing.T) {
 // receiver's unroutable ACKs) are drops like any other, so the telemetry
 // counter behind massf_net_drops_total must end equal to Result.Dropped.
 func TestPartitionedTCPDropsReachTelemetry(t *testing.T) {
-	// A line r0—r1—r2—r3 with the transfer between its end routers: once
-	// r1—r2 is down and routing has reconverged there is no detour.
+	// A line h0—r0—r1—r2—r3—h1 with the transfer between its end hosts:
+	// once r1—r2 is down and routing has reconverged there is no detour.
 	net := &model.Network{}
 	var r [4]model.NodeID
 	for i := range r {
 		r[i] = net.AddNode(model.Router, 0, float64(i), 0)
 	}
+	h0 := net.AddNode(model.Host, 0, 0, 1)
+	h1 := net.AddNode(model.Host, 0, 3, 1)
+	net.AddLink(h0, r[0], 10_000, model.Bps1G)
 	net.AddLink(r[0], r[1], 10_000, model.Bps1G)
 	mid := net.AddLink(r[1], r[2], 10_000, model.Bps1G)
 	net.AddLink(r[2], r[3], 10_000, model.Bps1G)
-	net.ASes = []model.AS{{ID: 0, Routers: r[:], DefaultBorder: -1}}
+	net.AddLink(r[3], h1, 10_000, model.Bps1G)
+	net.ASes = []model.AS{{ID: 0, Routers: r[:], Hosts: []model.NodeID{h0, h1}, DefaultBorder: -1}}
 	if err := net.Validate(); err != nil {
 		t.Fatalf("test net invalid: %v", err)
 	}
@@ -241,7 +244,7 @@ func TestPartitionedTCPDropsReachTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := des.Time(0)
-	s.StartFlowRecv(0, r[0], r[3], 4_000_000, func(at des.Time) { done = at }, nil)
+	s.StartFlowRecv(0, h0, h1, 4_000_000, func(at des.Time) { done = at }, nil)
 	res := s.Run()
 	if res.Err != nil {
 		t.Fatal(res.Err)

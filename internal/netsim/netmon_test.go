@@ -8,14 +8,14 @@ import (
 	"massf/internal/des"
 	"massf/internal/model"
 	"massf/internal/netmon"
-	"massf/internal/routing/ospf"
+	"massf/internal/routing/interdomain"
 )
 
 // monSim is sim() with a netmon plane and a queue-size override attached.
 func monSim(t *testing.T, net *model.Network, part []int32, engines int, window, end des.Time, mon *netmon.Mon, queueBytes int64) *Sim {
 	t.Helper()
 	s, err := New(Config{
-		Net: net, Routes: ospf.NewDomain(net, nil), Part: part, Engines: engines,
+		Net: net, Routes: interdomain.New(net), Part: part, Engines: engines,
 		Window: window, End: end, Sync: cluster.Fixed{CostNS: 1000}, Seed: 1,
 		NetMon: mon, QueueBytes: queueBytes,
 	})

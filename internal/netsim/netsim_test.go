@@ -6,7 +6,7 @@ import (
 	"massf/internal/cluster"
 	"massf/internal/des"
 	"massf/internal/model"
-	"massf/internal/routing/ospf"
+	"massf/internal/routing/interdomain"
 )
 
 // chainNet builds host A — r0 — r1 — … — host B with the given backbone
@@ -33,7 +33,7 @@ func chainNet(routers int, hopLatency des.Time, bw int64) (*model.Network, model
 func sim(t *testing.T, net *model.Network, part []int32, engines int, window, end des.Time) *Sim {
 	t.Helper()
 	s, err := New(Config{
-		Net: net, Routes: ospf.NewDomain(net, nil), Part: part, Engines: engines,
+		Net: net, Routes: interdomain.New(net), Part: part, Engines: engines,
 		Window: window, End: end, Sync: cluster.Fixed{CostNS: 1000}, Seed: 1,
 	})
 	if err != nil {
@@ -51,7 +51,7 @@ func TestNewValidation(t *testing.T) {
 	part := make([]int32, len(net.Nodes))
 	part[0] = 1 // cuts the 10µs access link
 	_, err := New(Config{
-		Net: net, Routes: ospf.NewDomain(net, nil), Part: part, Engines: 2,
+		Net: net, Routes: interdomain.New(net), Part: part, Engines: 2,
 		Window: des.Millisecond, End: des.Second,
 	})
 	if err == nil {
@@ -126,7 +126,7 @@ func TestTCPSurvivesCongestionLoss(t *testing.T) {
 	c := net.AddNode(model.Host, 0, 0, 1)
 	net.AddLink(c, 1, 10_000, 10_000_000) // second host on first router
 	s, err := New(Config{
-		Net: net, Routes: ospf.NewDomain(net, nil), Engines: 1,
+		Net: net, Routes: interdomain.New(net), Engines: 1,
 		Window: des.Millisecond, End: 60 * des.Second,
 		Sync: cluster.Fixed{CostNS: 1}, QueueBytes: 8000,
 	})
@@ -244,7 +244,7 @@ func BenchmarkFlowChain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net, a, dst := chainNet(5, des.Millisecond, model.Bps1G)
 		s, err := New(Config{
-			Net: net, Routes: ospf.NewDomain(net, nil), Engines: 1,
+			Net: net, Routes: interdomain.New(net), Engines: 1,
 			Window: des.Millisecond, End: 5 * des.Second, Sync: cluster.Fixed{CostNS: 1},
 		})
 		if err != nil {
@@ -261,7 +261,7 @@ func TestRetransmissionAndLinkDropCounters(t *testing.T) {
 	// Tiny bottleneck buffer forces drops; the counters must agree.
 	net, a, b := chainNet(2, des.Millisecond, 10_000_000)
 	s, err := New(Config{
-		Net: net, Routes: ospf.NewDomain(net, nil), Engines: 1,
+		Net: net, Routes: interdomain.New(net), Engines: 1,
 		Window: des.Millisecond, End: 60 * des.Second,
 		Sync: cluster.Fixed{CostNS: 1}, QueueBytes: 6000,
 	})
@@ -349,7 +349,7 @@ func TestTCPFairnessAtBottleneck(t *testing.T) {
 	c := net.AddNode(model.Host, 0, 0, 1)
 	net.AddLink(c, 1, 10_000, 50_000_000)
 	s, err := New(Config{
-		Net: net, Routes: ospf.NewDomain(net, nil), Engines: 1,
+		Net: net, Routes: interdomain.New(net), Engines: 1,
 		Window: des.Millisecond, End: 120 * des.Second, Sync: cluster.Fixed{CostNS: 1},
 	})
 	if err != nil {

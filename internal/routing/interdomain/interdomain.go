@@ -28,8 +28,10 @@ import (
 )
 
 // Router resolves next-hop forwarding decisions over a multi-AS network.
-// It is safe for concurrent use after New returns (lookups may lazily add
-// OSPF tables under the domain's lock).
+// It is complete when New returns: every AS's OSPF domain holds a tree
+// toward each destination forwarding can read — the AS's hosts, the local
+// borders of its neighbours and its default border — and nothing is
+// written afterwards, so it is safe for concurrent use without a lock.
 //
 // A Router is an immutable snapshot of converged routing state. Topology
 // change is modeled by Advance, which derives a NEW router reflecting the
@@ -43,7 +45,8 @@ type Router struct {
 	// networks); Advance clones it to replay session failures.
 	sim *bgp.Simulator
 	// linkDown/nodeDown mirror the failure state baked into the domains
-	// and rib of this snapshot (nil ⇒ none failed).
+	// and rib of this snapshot (nil ⇒ none failed). The domains Advance
+	// derives keep them, so they are never written after it returns.
 	linkDown []bool
 	nodeDown []bool
 }
@@ -57,19 +60,31 @@ func New(net *model.Network) *Router { return build(net, nil) }
 // byte-identical to New's: trees are still computed over every member of
 // the AS, only the retained state shrinks from the AS's members to its
 // in-scope members per destination: 4 bytes per in-scope member per
-// cached destination, whether Prepare warmed the tree or a lookup filled
-// it. The BGP RIB stays global — it is O(AS²), not the memory whale the
-// per-node OSPF trees are.
+// destination. The BGP RIB stays global — it is O(AS²), not the memory
+// whale the per-node OSPF trees are.
 func NewScoped(net *model.Network, scope []bool) *Router { return build(net, scope) }
 
 func build(net *model.Network, scope []bool) *Router {
 	r := &Router{net: net, domains: make([]*ospf.Domain, len(net.ASes))}
+	dests := make([][]model.NodeID, len(net.ASes))
+	for i := range net.Nodes {
+		if net.Nodes[i].Kind == model.Host {
+			as := net.Nodes[i].AS
+			dests[as] = append(dests[as], model.NodeID(i))
+		}
+	}
 	for i := range net.ASes {
 		as := &net.ASes[i]
+		for _, nb := range as.Neighbors {
+			dests[i] = append(dests[i], nb.LocalBorder)
+		}
+		if as.DefaultBorder >= 0 {
+			dests[i] = append(dests[i], as.DefaultBorder)
+		}
 		members := make([]model.NodeID, 0, len(as.Routers)+len(as.Hosts))
 		members = append(members, as.Routers...)
 		members = append(members, as.Hosts...)
-		r.domains[i] = ospf.NewDomainScoped(net, members, scope)
+		r.domains[i] = ospf.New(net, members, scope, dests[i])
 	}
 	if len(net.ASes) > 1 {
 		r.sim = bgp.NewSimulator(net)
@@ -82,9 +97,9 @@ func build(net *model.Network, scope []bool) *Router {
 	return r
 }
 
-// TableBytes sums the approximate heap bytes of cached OSPF trees across
-// all domains: 4 bytes per member of the tree's AS (per in-scope member on
-// a scoped router) per cached destination.
+// TableBytes sums the heap bytes of the OSPF trees across all domains:
+// 4 bytes per member of the tree's AS (per in-scope member on a scoped
+// router) per destination.
 func (r *Router) TableBytes() int64 {
 	var total int64
 	for _, d := range r.domains {
@@ -95,9 +110,6 @@ func (r *Router) TableBytes() int64 {
 
 // RIB exposes the converged BGP state (nil for single-AS networks).
 func (r *Router) RIB() *bgp.RIB { return r.rib }
-
-// Domain returns the OSPF domain of AS as.
-func (r *Router) Domain(as int32) *ospf.Domain { return r.domains[as] }
 
 // NextLink returns the link on which cur forwards a packet destined to
 // dst, or -1 if the packet should be dropped (no route — with BGP policy
@@ -205,13 +217,15 @@ func NodeChange(n model.NodeID, down bool) Change {
 }
 
 // Advance derives the routing state after the given topology changes
-// reconverge: affected OSPF domains recompute shortest paths around the
-// failed elements, and BGP sessions whose underlying link or border router
-// changed state are torn down or re-established, with the resulting
-// withdrawal/re-announcement storm run to quiescence. It returns the new
-// immutable router and the number of BGP update messages the storm
-// exchanged (the convergence-work measure). The receiver is untouched;
-// unaffected per-AS state is shared between the two snapshots.
+// reconverge: the OSPF domains of the ASes the changes touch recompute the
+// trees the failed or restored elements could stale, and BGP sessions
+// whose underlying link or border router changed state are torn down or
+// re-established, with the resulting withdrawal/re-announcement storm run
+// to quiescence. It returns the new immutable router and the number of BGP
+// update messages the storm exchanged (the convergence-work measure). The
+// receiver is untouched; unaffected state — whole domains, and the trees
+// of an affected domain the changes left valid — is shared between the two
+// snapshots.
 func (r *Router) Advance(changes []Change) (*Router, int) {
 	if len(changes) == 0 {
 		return r, 0
@@ -226,27 +240,24 @@ func (r *Router) Advance(changes []Change) (*Router, int) {
 		nodeDown: append(make([]bool, 0, len(r.net.Nodes)),
 			r.maskOrZero(r.nodeDown, len(r.net.Nodes))...),
 	}
-	// Apply intra-AS (OSPF) consequences, cloning only affected domains.
-	cloned := make(map[int32]bool)
-	domain := func(as int32) *ospf.Domain {
-		if !cloned[as] {
-			nr.domains[as] = nr.domains[as].Clone()
-			cloned[as] = true
-		}
-		return nr.domains[as]
-	}
+	// Apply intra-AS (OSPF) consequences, deriving only affected domains.
+	affected := make([]bool, len(r.net.ASes))
 	for _, ch := range changes {
 		if ch.Link >= 0 {
 			nr.linkDown[ch.Link] = ch.Down
 			l := &r.net.Links[ch.Link]
 			if a, b := r.net.Nodes[l.A].AS, r.net.Nodes[l.B].AS; a == b {
-				domain(a).SetLinkDown(ch.Link, ch.Down)
+				affected[a] = true
 			}
 		}
 		if ch.Node >= 0 {
 			nr.nodeDown[ch.Node] = ch.Down
-			as := r.net.Nodes[ch.Node].AS
-			domain(as).SetNodeDown(ch.Node, ch.Down)
+			affected[r.net.Nodes[ch.Node].AS] = true
+		}
+	}
+	for as, hit := range affected {
+		if hit {
+			nr.domains[as] = r.domains[as].Advance(nr.linkDown, nr.nodeDown)
 		}
 	}
 	// Apply inter-AS (BGP) consequences: a session is up iff its link and
@@ -311,26 +322,4 @@ func (r *Router) maskOrZero(mask []bool, n int) []bool {
 		return mask
 	}
 	return make([]bool, n)
-}
-
-// Prepare precomputes the OSPF tables the simulation will need: shortest
-// path trees toward every traffic destination within its AS, and toward
-// every border router (including default borders) in every AS.
-func (r *Router) Prepare(dests []model.NodeID) {
-	perAS := make([][]model.NodeID, len(r.net.ASes))
-	for _, d := range dests {
-		as := r.net.Nodes[d].AS
-		perAS[as] = append(perAS[as], d)
-	}
-	for i := range r.net.ASes {
-		as := &r.net.ASes[i]
-		targets := perAS[i]
-		for _, nb := range as.Neighbors {
-			targets = append(targets, nb.LocalBorder)
-		}
-		if as.DefaultBorder >= 0 {
-			targets = append(targets, as.DefaultBorder)
-		}
-		r.domains[i].Prepare(targets)
-	}
 }

@@ -1,6 +1,8 @@
 package interdomain
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +10,29 @@ import (
 	"massf/internal/model"
 	"massf/internal/topology"
 )
+
+// hostsOf lists the hosts of net.
+func hostsOf(net *model.Network) []model.NodeID {
+	var hosts []model.NodeID
+	for i := range net.Nodes {
+		if net.Nodes[i].Kind == model.Host {
+			hosts = append(hosts, model.NodeID(i))
+		}
+	}
+	return hosts
+}
+
+// bordersOf lists the border routers of net: the routers that terminate an
+// inter-AS link.
+func bordersOf(net *model.Network) []model.NodeID {
+	var borders []model.NodeID
+	for i := range net.ASes {
+		for _, nb := range net.ASes[i].Neighbors {
+			borders = append(borders, nb.LocalBorder)
+		}
+	}
+	return borders
+}
 
 // walk follows forwarding decisions, returning the node path or nil on
 // drop/loop.
@@ -37,7 +62,7 @@ func TestSingleASDegeneratesToOSPF(t *testing.T) {
 	if r.RIB() != nil {
 		t.Error("single-AS network should not run BGP")
 	}
-	if p := walk(r, net, 0, 50); p == nil {
+	if p := walk(r, net, 0, hostsOf(net)[5]); p == nil {
 		t.Error("intra-AS walk failed")
 	}
 }
@@ -48,12 +73,7 @@ func TestHostToHostAcrossASes(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := New(net)
-	var hosts []model.NodeID
-	for i := range net.Nodes {
-		if net.Nodes[i].Kind == model.Host {
-			hosts = append(hosts, model.NodeID(i))
-		}
-	}
+	hosts := hostsOf(net)
 	if len(hosts) < 2 {
 		t.Fatal("need hosts")
 	}
@@ -79,16 +99,18 @@ func TestHostToHostAcrossASes(t *testing.T) {
 
 func TestAllRouterPairsRoutable(t *testing.T) {
 	// Full provider coverage ⇒ full reachability at the AS level; every
-	// sampled router pair must be walkable without loops.
+	// sampled pair of a router and a border router (a destination every
+	// router holds trees toward) must be walkable without loops.
 	net, err := mabrite.Generate(mabrite.Options{ASes: 12, RoutersPerAS: 8, Hosts: 0, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := New(net)
 	n := len(net.Nodes)
+	borders := bordersOf(net)
 	for s := 0; s < 40; s++ {
 		src := model.NodeID((s * 13) % n)
-		dst := model.NodeID((s*29 + 7) % n)
+		dst := borders[(s*29+7)%len(borders)]
 		if src == dst {
 			continue
 		}
@@ -119,7 +141,7 @@ func TestASPathRespectedInNonStubASes(t *testing.T) {
 			if ribPath == nil {
 				continue
 			}
-			dst := net.ASes[dstAS].Routers[0]
+			dst := net.ASes[dstAS].Neighbors[0].LocalBorder
 			p := walk(r, net, src, dst)
 			if p == nil {
 				t.Fatalf("walk %d→%d failed despite RIB path %v", src, dst, ribPath)
@@ -174,7 +196,7 @@ func TestStubInternalRoutersDefaultRoute(t *testing.T) {
 			continue
 		}
 		dstAS := (asID + 1) % len(net.ASes)
-		dst := net.ASes[dstAS].Routers[0]
+		dst := net.ASes[dstAS].Neighbors[0].LocalBorder
 		p := walk(r, net, internal, dst)
 		if p == nil {
 			t.Fatalf("stub internal router %d cannot reach AS %d", internal, dstAS)
@@ -207,49 +229,91 @@ func TestNextLinkSelfIsDrop(t *testing.T) {
 	}
 }
 
-func TestPrepareWarmsCaches(t *testing.T) {
-	net, err := mabrite.Generate(mabrite.Options{ASes: 8, RoutersPerAS: 6, Hosts: 10, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := New(net)
-	var hosts []model.NodeID
-	for i := range net.Nodes {
-		if net.Nodes[i].Kind == model.Host {
-			hosts = append(hosts, model.NodeID(i))
-		}
-	}
-	r.Prepare(hosts)
-	cached := 0
-	for as := range net.ASes {
-		cached += r.Domain(int32(as)).CachedTables()
-	}
-	if cached == 0 {
-		t.Error("Prepare cached nothing")
-	}
-}
-
-// An AS's cached trees hold one entry per member of the AS, not one per
-// node of the whole network.
+// A built router holds exactly one tree per (AS, destination forwarding
+// reads): the AS's hosts, its neighbours' local borders and its default
+// border. Each tree holds one entry per member of the AS, not one per node
+// of the whole network — per in-scope member on a scoped router — and every
+// member reaches every such destination without a lookup panicking.
 func TestPrepareTablesSizedToAS(t *testing.T) {
 	net, err := mabrite.Generate(mabrite.Options{ASes: 10, RoutersPerAS: 20, Hosts: 60, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(net)
-	var hosts []model.NodeID
-	for i := range net.Nodes {
-		if net.Nodes[i].Kind == model.Host {
-			hosts = append(hosts, model.NodeID(i))
+	scope := make([]bool, len(net.Nodes))
+	for i := range scope {
+		scope[i] = i%3 != 0
+	}
+	for _, sc := range []struct {
+		name  string
+		scope []bool
+	}{{"unscoped", nil}, {"scoped", scope}} {
+		t.Run(sc.name, func(t *testing.T) {
+			r := build(net, sc.scope)
+			for i := range net.ASes {
+				as := &net.ASes[i]
+				dests := map[model.NodeID]bool{}
+				for _, h := range as.Hosts {
+					dests[h] = true
+				}
+				for _, nb := range as.Neighbors {
+					dests[nb.LocalBorder] = true
+				}
+				if as.DefaultBorder >= 0 {
+					dests[as.DefaultBorder] = true
+				}
+				var slots []model.NodeID
+				for _, m := range append(append([]model.NodeID(nil), as.Routers...), as.Hosts...) {
+					if sc.scope == nil || sc.scope[m] {
+						slots = append(slots, m)
+					}
+				}
+				if got, want := r.domains[i].TableBytes(), int64(4*len(slots)*len(dests)); got != want {
+					t.Errorf("AS %d: %d table bytes, want 4 B × %d slots × %d trees = %d", as.ID, got, len(slots), len(dests), want)
+				}
+				for dst := range dests {
+					for _, cur := range slots {
+						r.domains[i].NextLink(cur, dst)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestAdvanceConcurrentDeterministic: the trees an epoch recomputes do not
+// depend on how many goroutines computed them, for intra-AS link and
+// router failures and an inter-AS link failure in one Advance.
+func TestAdvanceConcurrentDeterministic(t *testing.T) {
+	net, err := mabrite.Generate(mabrite.Options{ASes: 6, RoutersPerAS: 20, Hosts: 40, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	as := &net.ASes[1]
+	var intra model.LinkID = -1
+	for _, l := range net.Links {
+		if net.Nodes[l.A].AS == as.ID && net.Nodes[l.B].AS == as.ID && net.Nodes[l.A].Kind == model.Router && net.Nodes[l.B].Kind == model.Router {
+			intra = l.ID
+			break
 		}
 	}
-	r.Prepare(hosts)
-	for i := range net.ASes {
-		as := &net.ASes[i]
-		d := r.Domain(as.ID)
-		members := len(as.Routers) + len(as.Hosts)
-		if got, budget := d.TableBytes(), int64(d.CachedTables()*members*4); got > budget {
-			t.Errorf("AS %d: %d table bytes for %d trees over %d members, budget %d", as.ID, got, d.CachedTables(), members, budget)
+	if intra < 0 {
+		t.Fatalf("AS %d has no router-router link", as.ID)
+	}
+	changes := []Change{
+		LinkChange(intra, true),
+		NodeChange(as.Routers[len(as.Routers)/2], true),
+		LinkChange(net.ASes[0].Neighbors[0].Link, true),
+	}
+	base := New(net)
+	advance := func(procs int) *Router {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		r, _ := base.Advance(changes)
+		return r
+	}
+	want := advance(1)
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 8} {
+		if got := advance(procs); !reflect.DeepEqual(got.domains, want.domains) {
+			t.Fatalf("domains derived at GOMAXPROCS=%d differ from GOMAXPROCS=1", procs)
 		}
 	}
 }
@@ -265,9 +329,10 @@ func TestQuickNoForwardingLoops(t *testing.T) {
 		}
 		r := New(net)
 		n := len(net.Nodes)
+		hosts := hostsOf(net)
 		for s := 0; s < 15; s++ {
 			src := model.NodeID((s * 17) % n)
-			dst := model.NodeID((s*31 + 11) % n)
+			dst := hosts[(s*31+11)%len(hosts)]
 			if src == dst {
 				continue
 			}

@@ -4,16 +4,19 @@
 //
 // Routing state is organized per destination: a Dijkstra shortest-path tree
 // rooted at the destination gives every member node its next-hop link
-// toward it. Trees are computed lazily and cached (a 20,000-router network
-// never needs all 400M pairs, only the destinations traffic actually
-// targets), using link latency as the OSPF cost metric. A cached tree holds
-// one entry per member of the domain — O(domain) per destination, so an
-// AS's tables do not grow with the rest of the network.
+// toward it, using link latency as the OSPF cost metric. A domain is built
+// for a fixed destination list (a 20,000-router network never needs all
+// 400M pairs, only the trees toward the destinations traffic targets) and
+// computes every tree at construction; afterwards it is never written, so
+// lookups take no lock. A tree holds one entry per member of the domain —
+// O(domain) per destination, so an AS's tables do not grow with the rest
+// of the network. Topology change derives a new domain (Advance) that
+// recomputes the trees the change could stale and shares the rest.
 //
 // A domain may additionally be scoped to a node subset (a distributed
-// worker's slice): lookups still run Dijkstra over every member, so routes
-// and tie-breaking are byte-identical to an unscoped domain, but the cached
-// tree keeps entries only for in-scope members — O(scope) per destination,
+// worker's slice): trees are still computed over every member, so routes
+// and tie-breaking are byte-identical to an unscoped domain, but each tree
+// keeps entries only for in-scope members — O(scope) per destination,
 // which is what makes 100k-router slices fit.
 //
 // Dijkstra's queue is a binary heap whose sift-up and sift-down are
@@ -33,8 +36,9 @@ import (
 )
 
 // Domain is one OSPF routing domain: a set of member nodes within which
-// shortest paths are computed. Links with both endpoints inside the member
-// set are part of the domain.
+// shortest paths are computed, with a next-hop tree toward each of its
+// destinations. Links with both endpoints inside the member set are part
+// of the domain. A Domain is immutable once New or Advance returns it.
 type Domain struct {
 	net *model.Network
 
@@ -44,157 +48,194 @@ type Domain struct {
 	// rather than silently misrouting.
 	scoped bool
 
-	// slot maps a node id to its entry in a cached tree. A node has one if
-	// it is a member and, on a scoped domain, in scope; otherwise its slot
-	// is notMember or outOfScope. nil means identity: every node is a
-	// member and none is out of scope. slots is the length of every cached
-	// tree.
-	slot  []int32
+	// pos maps a node id to its position among the members: in-scope
+	// members first, in id order, then out-of-scope ones; notMember marks
+	// the rest. A position below slots is the node's row in every tree.
+	// nil means identity: every node is a member and none is out of scope.
+	pos   []int32
 	slots int
 
-	// linkDown/nodeDown mark failed elements SPF must route around
-	// (nil ⇒ none). Mutated only via SetLinkDown/SetNodeDown, which also
-	// invalidate any cached trees the change could stale.
+	// dests lists the destinations in ascending id order; tables[c] is the
+	// tree toward dests[c], and col maps a member's position to its column
+	// (-1: no tree). Every tree is slots long: exactly 4 bytes per row per
+	// destination. Trees are never written once computed, so a derived
+	// domain shares the ones its change left valid.
+	dests  []model.NodeID
+	col    []int32
+	tables [][]int32
+
+	// linkDown/nodeDown mark the failed elements SPF routes around, full
+	// length over the network (nil ⇒ none); shared, never written.
 	linkDown []bool
 	nodeDown []bool
-
-	mu sync.RWMutex
-	// tables caches one next-hop tree per destination, indexed by slot:
-	// exactly 4 bytes per slotted node per destination.
-	tables map[model.NodeID][]int32
 }
 
-// Slot values of nodes without an entry in a cached tree.
-const (
-	notMember  = -1
-	outOfScope = -2
-)
+// notMember is the position of a node outside the domain.
+const notMember = -1
 
-// NewDomain creates a domain over the given member nodes. A nil or empty
-// members slice means the whole network is one domain (the single-AS case).
-func NewDomain(net *model.Network, members []model.NodeID) *Domain {
-	return NewDomainScoped(net, members, nil)
-}
-
-// NewDomainScoped creates a domain like NewDomain but retaining next-hop
-// state only for nodes marked in scope (full-length over net.Nodes). A nil
-// scope is equivalent to NewDomain.
-func NewDomainScoped(net *model.Network, members []model.NodeID, scope []bool) *Domain {
+// New builds the domain over the given member nodes — nil or empty means
+// the whole network is one domain (the single-AS case) — and computes its
+// tree toward every member listed in dests (duplicates and non-members
+// are dropped). A non-nil scope (full length over net.Nodes) keeps tree
+// entries only for the members marked in scope. The trees are computed
+// concurrently, each into its own column, so they do not depend on
+// scheduling.
+func New(net *model.Network, members []model.NodeID, scope []bool, dests []model.NodeID) *Domain {
 	n := len(net.Nodes)
-	d := &Domain{net: net, scoped: scope != nil, slots: n, tables: make(map[model.NodeID][]int32)}
-	if len(members) == 0 && scope == nil {
-		return d
-	}
-	slot := make([]int32, n) // 0: a member, not yet numbered
-	if len(members) > 0 {
-		for i := range slot {
-			slot[i] = notMember
+	d := &Domain{net: net, scoped: scope != nil, slots: n}
+	positions := n
+	if len(members) > 0 || scope != nil {
+		const pending = -2 // a member, not yet numbered
+		rest := int32(pending)
+		if len(members) > 0 {
+			rest = notMember
+		}
+		pos := make([]int32, n)
+		for i := range pos {
+			pos[i] = rest
 		}
 		for _, m := range members {
-			slot[m] = 0
+			pos[m] = pending
+		}
+		next := int32(0)
+		for _, inScope := range []bool{true, false} {
+			for i, p := range pos {
+				if p == pending && (scope == nil || scope[i]) == inScope {
+					pos[i] = next
+					next++
+				}
+			}
+			if inScope {
+				d.slots = int(next)
+			}
+		}
+		if d.slots < n {
+			d.pos, positions = pos, int(next)
 		}
 	}
-	d.slots = 0
-	for i, s := range slot {
-		switch {
-		case s == notMember:
-		case scope != nil && !scope[i]:
-			slot[i] = outOfScope
-		default:
-			slot[i] = int32(d.slots)
-			d.slots++
-		}
+	d.dests = slices.DeleteFunc(slices.Clone(dests), func(n model.NodeID) bool { return !d.contains(n) })
+	slices.Sort(d.dests)
+	d.dests = slices.Compact(d.dests)
+	d.col = make([]int32, positions)
+	for i := range d.col {
+		d.col[i] = -1
 	}
-	if d.slots < n {
-		d.slot = slot
+	for c, dst := range d.dests {
+		d.col[d.position(dst)] = int32(c)
 	}
+	d.tables = make([][]int32, len(d.dests))
+	cols := make([]int, len(d.dests))
+	for c := range cols {
+		cols[c] = c
+	}
+	d.fill(cols)
 	return d
 }
 
-// Scoped reports whether the domain retains only slice-local state.
-func (d *Domain) Scoped() bool { return d.scoped }
+// position returns member n's position (notMember outside the domain).
+func (d *Domain) position(n model.NodeID) int32 {
+	if d.pos == nil {
+		return int32(n)
+	}
+	return d.pos[n]
+}
 
 // contains reports whether node n belongs to the domain.
-func (d *Domain) contains(n model.NodeID) bool {
-	return d.slot == nil || d.slot[n] != notMember
-}
-
-// slotOf maps member cur to its entry in a cached tree, panicking on nodes
-// outside the slice scope: only owned nodes forward on a sliced worker.
-func (d *Domain) slotOf(cur model.NodeID) int32 {
-	if d.slot == nil {
-		return int32(cur)
-	}
-	s := d.slot[cur]
-	if s < 0 {
-		panic(fmt.Sprintf("ospf: lookup from node %d outside the domain's slice scope", cur))
-	}
-	return s
-}
+func (d *Domain) contains(n model.NodeID) bool { return d.position(n) >= 0 }
 
 // NextLink returns the link on which cur forwards a packet destined to dst,
 // or -1 if cur has no route (outside domain, disconnected, or cur == dst).
+// It panics when dst is a member the domain has no tree toward, or, on a
+// scoped domain, when cur is out of scope: only owned nodes forward on a
+// sliced worker.
 func (d *Domain) NextLink(cur, dst model.NodeID) model.LinkID {
-	if cur == dst || !d.contains(cur) || !d.contains(dst) {
-		return -1
-	}
-	d.mu.RLock()
-	t, ok := d.tables[dst]
-	d.mu.RUnlock()
-	if !ok {
-		t = d.computeAndStore(dst)
-	}
-	return model.LinkID(t[d.slotOf(cur)])
-}
-
-// Distance returns the shortest-path latency (ns) from cur to dst within
-// the domain, or -1 if unreachable. A diagnostic/test query, not a hot
-// path: it runs Dijkstra toward dst and reads the distance it computed,
-// leaving the cached tables as they were.
-func (d *Domain) Distance(cur, dst model.NodeID) int64 {
-	if !d.contains(cur) || !d.contains(dst) {
-		return -1
-	}
 	if cur == dst {
-		return 0
+		return -1
 	}
-	s := getScratch(len(d.net.Nodes))
-	d.spt(dst, s)
-	dist := s.dist[cur]
-	s.reset()
-	scratchPool.Put(s)
-	return dist
+	pc, pd := d.position(cur), d.position(dst)
+	if pc < 0 || pd < 0 {
+		return -1
+	}
+	c := d.col[pd]
+	if c < 0 {
+		panic(fmt.Sprintf("ospf: lookup toward node %d, which is not a destination of the domain", dst))
+	}
+	if int(pc) >= d.slots {
+		panic(fmt.Sprintf("ospf: lookup from node %d outside the domain's slice scope", cur))
+	}
+	return model.LinkID(d.tables[c][pc])
 }
 
-// Prepare precomputes shortest-path trees for the given destinations. Call
-// during setup so the simulation's hot path only reads. The missing trees
-// are computed concurrently, each into its own slot of the result, and
-// inserted in one locked pass, so the tables do not depend on scheduling.
-func (d *Domain) Prepare(dests []model.NodeID) {
-	todo := make([]model.NodeID, 0, len(dests))
-	d.mu.RLock()
-	for _, dst := range dests {
-		if _, ok := d.tables[dst]; !ok && d.contains(dst) {
-			todo = append(todo, dst)
+// TableBytes reports the heap bytes held by the trees: 4 bytes per member
+// (per in-scope member on a scoped domain) per destination.
+func (d *Domain) TableBytes() int64 { return 4 * int64(d.slots) * int64(len(d.tables)) }
+
+// Advance derives the domain with linkDown and nodeDown failed (full
+// length over the network, nil ⇒ none; the derived domain keeps them, so
+// they must not be written afterwards). It recomputes every tree the
+// difference from d's failures could stale and shares the rest with d,
+// which is untouched:
+//   - a member link going down stales the trees that route over it;
+//   - a member node going down stales the trees that use its links — its
+//     own tree among them, as every member reaching it uses one;
+//   - any restoration stales every tree, since any of them might now have
+//     a shorter path through the revived element, and so does any change
+//     on a scoped domain, because a compacted tree cannot prove the failed
+//     element absent from the out-of-scope part of a path.
+func (d *Domain) Advance(linkDown, nodeDown []bool) *Domain {
+	nd := *d
+	nd.linkDown, nd.nodeDown = linkDown, nodeDown
+	nd.tables = slices.Clone(d.tables)
+	hit := make([]bool, len(d.net.Links)) // links no valid tree routes over
+	all := false
+	for lid := range d.net.Links {
+		l := &d.net.Links[lid]
+		if failed(d.linkDown, lid) == failed(linkDown, lid) || !d.contains(l.A) || !d.contains(l.B) {
+			continue
+		}
+		hit[lid] = true
+		all = all || d.scoped || !failed(linkDown, lid)
+	}
+	for n := range d.net.Nodes {
+		if failed(d.nodeDown, n) == failed(nodeDown, n) || !d.contains(model.NodeID(n)) {
+			continue
+		}
+		for _, lid := range d.net.Incident(model.NodeID(n)) {
+			hit[lid] = true
+		}
+		all = all || d.scoped || !failed(nodeDown, n)
+	}
+	var cols []int
+	for c, t := range d.tables {
+		if all || slices.ContainsFunc(t, func(next int32) bool { return next >= 0 && hit[next] }) {
+			cols = append(cols, c)
 		}
 	}
-	d.mu.RUnlock()
-	slices.Sort(todo)
-	todo = slices.Compact(todo)
-	if len(todo) == 0 {
+	nd.fill(cols)
+	return &nd
+}
+
+// failed reports whether element i is marked in mask (nil ⇒ none).
+func failed(mask []bool, i int) bool { return mask != nil && mask[i] }
+
+// fill computes the tree of each listed column into d.tables on up to
+// GOMAXPROCS goroutines. Each tree lands in its own column, so the result
+// does not depend on scheduling.
+func (d *Domain) fill(cols []int) {
+	if len(cols) == 0 {
 		return
 	}
-	out := make([][]int32, len(todo))
 	var claimed atomic.Int64
 	work := func() {
 		s := getScratch(len(d.net.Nodes))
-		for i := claimed.Add(1) - 1; i < int64(len(todo)); i = claimed.Add(1) - 1 {
-			out[i] = d.tree(todo[i], s)
+		for i := claimed.Add(1) - 1; i < int64(len(cols)); i = claimed.Add(1) - 1 {
+			c := cols[i]
+			d.tables[c] = d.tree(d.dests[c], s)
 		}
 		scratchPool.Put(s)
 	}
 	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(todo)) - 1 {
+	for range min(runtime.GOMAXPROCS(0), len(cols)) - 1 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -203,164 +244,21 @@ func (d *Domain) Prepare(dests []model.NodeID) {
 	}
 	work()
 	wg.Wait()
-	d.mu.Lock()
-	for i, dst := range todo {
-		if _, ok := d.tables[dst]; !ok {
-			d.tables[dst] = out[i]
-		}
-	}
-	d.mu.Unlock()
-}
-
-// CachedTables reports how many destination trees are cached.
-func (d *Domain) CachedTables() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.tables)
-}
-
-// TableBytes reports the approximate heap bytes held by cached trees:
-// 4 bytes per member (per in-scope member on a scoped domain) per cached
-// destination.
-func (d *Domain) TableBytes() int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	var total int64
-	for _, t := range d.tables {
-		total += int64(len(t)) * 4
-	}
-	return total
-}
-
-// Clone returns an independent copy of the domain sharing the immutable
-// network and slot index but owning its cached tables and failure masks,
-// so SetLinkDown/SetNodeDown on the clone never disturb the original. The cached table slices themselves are shared — they are never
-// mutated after computation, only replaced.
-func (d *Domain) Clone() *Domain {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	c := &Domain{
-		net:    d.net,
-		scoped: d.scoped,
-		slot:   d.slot,
-		slots:  d.slots,
-		tables: make(map[model.NodeID][]int32, len(d.tables)),
-	}
-	for dst, t := range d.tables {
-		c.tables[dst] = t
-	}
-	if d.linkDown != nil {
-		c.linkDown = append([]bool(nil), d.linkDown...)
-	}
-	if d.nodeDown != nil {
-		c.nodeDown = append([]bool(nil), d.nodeDown...)
-	}
-	return c
-}
-
-// SetLinkDown marks link lid failed (or restores it) and invalidates every
-// cached tree the change could stale: a failure only invalidates trees that
-// actually route over lid; a restoration invalidates all trees, since any
-// of them might now have a shorter path through the revived link. Later
-// NextLink calls recompute lazily.
-//
-// A scoped domain invalidates conservatively — all trees on any change —
-// because a compacted tree cannot prove the failed element is absent from
-// the out-of-scope part of the path.
-func (d *Domain) SetLinkDown(lid model.LinkID, down bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.linkDown == nil {
-		if !down {
-			return
-		}
-		d.linkDown = make([]bool, len(d.net.Links))
-	}
-	if d.linkDown[lid] == down {
-		return
-	}
-	d.linkDown[lid] = down
-	if !down || d.scoped {
-		clear(d.tables)
-		return
-	}
-	for dst, t := range d.tables {
-		for _, next := range t {
-			if next == int32(lid) {
-				delete(d.tables, dst)
-				break
-			}
-		}
-	}
-}
-
-// SetNodeDown marks node n failed (or restores it). A failed node neither
-// forwards nor receives: trees rooted at it and trees routing through any
-// of its links are invalidated on failure; restoration invalidates all
-// trees. Scoped domains invalidate all trees on any change (see
-// SetLinkDown).
-func (d *Domain) SetNodeDown(n model.NodeID, down bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.nodeDown == nil {
-		if !down {
-			return
-		}
-		d.nodeDown = make([]bool, len(d.net.Nodes))
-	}
-	if d.nodeDown[n] == down {
-		return
-	}
-	d.nodeDown[n] = down
-	if !down || d.scoped {
-		clear(d.tables)
-		return
-	}
-	incident := make(map[int32]bool)
-	for _, lid := range d.net.Incident(n) {
-		incident[int32(lid)] = true
-	}
-	for dst, t := range d.tables {
-		if dst == n {
-			delete(d.tables, dst)
-			continue
-		}
-		for _, next := range t {
-			if next >= 0 && incident[next] {
-				delete(d.tables, dst)
-				break
-			}
-		}
-	}
-}
-
-func (d *Domain) computeAndStore(dst model.NodeID) []int32 {
-	s := getScratch(len(d.net.Nodes))
-	t := d.tree(dst, s)
-	scratchPool.Put(s)
-	d.mu.Lock()
-	if existing, ok := d.tables[dst]; ok {
-		d.mu.Unlock()
-		return existing
-	}
-	d.tables[dst] = t
-	d.mu.Unlock()
-	return t
 }
 
 // tree computes the next-hop tree toward dst on scratch s, returns it as a
-// fresh table indexed by slot, and leaves s reset.
+// fresh table indexed by row, and leaves s reset.
 func (d *Domain) tree(dst model.NodeID, s *scratch) []int32 {
 	d.spt(dst, s)
 	t := make([]int32, d.slots)
-	if d.slot == nil {
+	if d.pos == nil {
 		copy(t, s.next)
 	} else {
 		for i := range t {
 			t[i] = -1
 		}
 		for _, v := range s.touched {
-			if k := d.slot[v]; k >= 0 {
+			if k := d.pos[v]; k >= 0 && int(k) < d.slots {
 				t[k] = s.next[v]
 			}
 		}

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"sync"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -24,6 +24,61 @@ func lineNet(n int, lat int64) *model.Network {
 		net.AddLink(model.NodeID(i), model.NodeID(i+1), lat, model.Bps1G)
 	}
 	return net
+}
+
+// everyNode lists every node of net: the destinations of a domain that
+// routes toward anything.
+func everyNode(net *model.Network) []model.NodeID {
+	all := make([]model.NodeID, len(net.Nodes))
+	for i := range all {
+		all[i] = model.NodeID(i)
+	}
+	return all
+}
+
+// distance runs Dijkstra toward dst on fresh scratch and returns cur's
+// shortest-path latency (ns), or -1 if unreachable.
+func distance(d *Domain, cur, dst model.NodeID) int64 {
+	if !d.contains(cur) || !d.contains(dst) {
+		return -1
+	}
+	s := getScratch(len(d.net.Nodes))
+	d.spt(dst, s)
+	dist := s.dist[cur]
+	s.reset()
+	scratchPool.Put(s)
+	return dist
+}
+
+// setLink derives d with link lid down (or restored), on a fresh mask.
+func setLink(d *Domain, lid model.LinkID, down bool) *Domain {
+	mask := make([]bool, len(d.net.Links))
+	copy(mask, d.linkDown)
+	mask[lid] = down
+	return d.Advance(mask, d.nodeDown)
+}
+
+// setNode derives d with node n down (or restored), on a fresh mask.
+func setNode(d *Domain, n model.NodeID, down bool) *Domain {
+	mask := make([]bool, len(d.net.Nodes))
+	copy(mask, d.nodeDown)
+	mask[n] = down
+	return d.Advance(d.linkDown, mask)
+}
+
+// rebuild is d with the given failures and every tree computed from
+// scratch under them: the domain New would build were those elements
+// failed from the start.
+func rebuild(d *Domain, linkDown, nodeDown []bool) *Domain {
+	r := *d
+	r.linkDown, r.nodeDown = linkDown, nodeDown
+	r.tables = make([][]int32, len(d.tables))
+	cols := make([]int, len(d.tables))
+	for c := range cols {
+		cols[c] = c
+	}
+	r.fill(cols)
+	return &r
 }
 
 // walk follows next-hop decisions from src to dst, returning the hop count
@@ -45,7 +100,7 @@ func walk(d *Domain, net *model.Network, src, dst model.NodeID) int {
 
 func TestNextLinkOnChain(t *testing.T) {
 	net := lineNet(5, 1000)
-	d := NewDomain(net, nil)
+	d := New(net, nil, nil, everyNode(net))
 	if hops := walk(d, net, 0, 4); hops != 4 {
 		t.Errorf("walk 0→4 took %d hops, want 4", hops)
 	}
@@ -56,7 +111,7 @@ func TestNextLinkOnChain(t *testing.T) {
 
 func TestNextLinkSelf(t *testing.T) {
 	net := lineNet(3, 1000)
-	d := NewDomain(net, nil)
+	d := New(net, nil, nil, everyNode(net))
 	if d.NextLink(1, 1) != -1 {
 		t.Error("NextLink(x, x) should be -1")
 	}
@@ -72,12 +127,12 @@ func TestShortestPathPreferred(t *testing.T) {
 	net.AddLink(0, 1, 10, model.Bps1G)
 	net.AddLink(1, 2, 10, model.Bps1G)
 	direct := net.AddLink(0, 2, 100, model.Bps1G)
-	d := NewDomain(net, nil)
+	d := New(net, nil, nil, everyNode(net))
 	lid := d.NextLink(0, 2)
 	if lid == direct {
 		t.Error("routing chose the expensive direct link")
 	}
-	if got := d.Distance(0, 2); got != 20 {
+	if got := distance(d, 0, 2); got != 20 {
 		t.Errorf("Distance(0,2) = %d, want 20", got)
 	}
 }
@@ -85,11 +140,14 @@ func TestShortestPathPreferred(t *testing.T) {
 func TestDistanceUnreachableAndSelf(t *testing.T) {
 	net := lineNet(2, 5)
 	iso := net.AddNode(model.Router, 0, 9, 9) // no links
-	d := NewDomain(net, nil)
-	if got := d.Distance(0, iso); got != -1 {
+	d := New(net, nil, nil, everyNode(net))
+	if got := distance(d, 0, iso); got != -1 {
 		t.Errorf("Distance to isolated node = %d, want -1", got)
 	}
-	if got := d.Distance(1, 1); got != 0 {
+	if got := d.NextLink(0, iso); got != -1 {
+		t.Errorf("NextLink to isolated node = %d, want -1", got)
+	}
+	if got := distance(d, 1, 1); got != 0 {
 		t.Errorf("Distance(x,x) = %d, want 0", got)
 	}
 }
@@ -98,7 +156,7 @@ func TestDomainMembershipRestrictsRouting(t *testing.T) {
 	// Chain 0—1—2—3; domain = {0,1}. Routing to 3 must fail, and routing
 	// within the domain must work.
 	net := lineNet(4, 1000)
-	d := NewDomain(net, []model.NodeID{0, 1})
+	d := New(net, []model.NodeID{0, 1}, nil, everyNode(net))
 	if d.NextLink(0, 3) != -1 {
 		t.Error("routed to a node outside the domain")
 	}
@@ -117,45 +175,9 @@ func TestDomainExcludesTransitThroughNonMembers(t *testing.T) {
 	net.AddLink(0, 1, 1, model.Bps1G)
 	net.AddLink(1, 2, 1, model.Bps1G)
 	direct := net.AddLink(0, 2, 100, model.Bps1G)
-	d := NewDomain(net, []model.NodeID{0, 2})
+	d := New(net, []model.NodeID{0, 2}, nil, everyNode(net))
 	if got := d.NextLink(0, 2); got != direct {
 		t.Errorf("NextLink = %d, want direct link %d (member-only path)", got, direct)
-	}
-}
-
-func TestPrepareCaches(t *testing.T) {
-	net := lineNet(10, 100)
-	d := NewDomain(net, nil)
-	d.Prepare([]model.NodeID{3, 7})
-	if got := d.CachedTables(); got != 2 {
-		t.Errorf("cached tables = %d, want 2", got)
-	}
-	// NextLink must not add more for prepared destinations.
-	d.NextLink(0, 3)
-	if got := d.CachedTables(); got != 2 {
-		t.Errorf("cached tables after lookup = %d, want 2", got)
-	}
-}
-
-func TestConcurrentLookupsRace(t *testing.T) {
-	net := lineNet(50, 100)
-	d := NewDomain(net, nil)
-	done := make(chan bool)
-	for g := 0; g < 8; g++ {
-		g := g
-		go func() {
-			for i := 0; i < 200; i++ {
-				dst := model.NodeID((g*7 + i) % 50)
-				src := model.NodeID(i % 50)
-				if src != dst {
-					d.NextLink(src, dst)
-				}
-			}
-			done <- true
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		<-done
 	}
 }
 
@@ -168,7 +190,7 @@ func TestQuickRoutingSound(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		d := NewDomain(net, nil)
+		d := New(net, nil, nil, everyNode(net))
 		for s := 0; s < 10; s++ {
 			src := model.NodeID(s * 6 % len(net.Nodes))
 			dst := model.NodeID((s*13 + 5) % len(net.Nodes))
@@ -190,7 +212,7 @@ func TestQuickRoutingSound(t *testing.T) {
 				walked += net.Links[lid].Latency
 				cur = net.Links[lid].Other(cur)
 			}
-			if !ok || walked != d.Distance(src, dst) {
+			if !ok || walked != distance(d, src, dst) {
 				return false
 			}
 		}
@@ -215,58 +237,54 @@ func triangleNet(t *testing.T) (net *model.Network, cheap01, direct model.LinkID
 	return net, cheap01, direct
 }
 
-// Regression for the cached-table staleness bug: a table computed before a
-// link went down must not keep routing over it.
+// Regression for the cached-table staleness bug: a tree computed before a
+// link went down must not keep routing over it in the derived domain.
 func TestSetLinkDownInvalidatesCachedTables(t *testing.T) {
 	net, cheap01, direct := triangleNet(t)
-	d := NewDomain(net, nil)
+	d := New(net, nil, nil, everyNode(net))
 	if got := d.NextLink(0, 2); got == direct {
 		t.Fatalf("precondition: fresh routing already uses the detour link %d", got)
 	}
-	d.SetLinkDown(cheap01, true)
-	if got := d.NextLink(0, 2); got != direct {
+	down := setLink(d, cheap01, true)
+	if got := down.NextLink(0, 2); got != direct {
 		t.Fatalf("NextLink(0,2) = %d after downing link %d, want detour %d", got, cheap01, direct)
 	}
-	d.SetLinkDown(cheap01, false)
-	if got := d.NextLink(0, 2); got == direct {
+	if got := setLink(down, cheap01, false).NextLink(0, 2); got == direct {
 		t.Fatalf("NextLink(0,2) still uses the detour after the link healed")
 	}
 }
 
 func TestSetNodeDownInvalidatesAndIsolates(t *testing.T) {
 	net, _, direct := triangleNet(t)
-	d := NewDomain(net, nil)
-	d.Prepare([]model.NodeID{1, 2}) // warm the caches the change must invalidate
-	d.SetNodeDown(1, true)
-	if got := d.NextLink(0, 2); got != direct {
+	d := New(net, nil, nil, []model.NodeID{1, 2}) // trees the change must stale
+	down := setNode(d, 1, true)
+	if got := down.NextLink(0, 2); got != direct {
 		t.Fatalf("NextLink(0,2) = %d with router 1 down, want detour %d", got, direct)
 	}
-	if got := d.NextLink(0, 1); got != -1 {
+	if got := down.NextLink(0, 1); got != -1 {
 		t.Fatalf("NextLink(0,1) = %d to a down router, want -1", got)
 	}
-	d.SetNodeDown(1, false)
-	if got := d.NextLink(0, 2); got == direct {
+	if got := setNode(down, 1, false).NextLink(0, 2); got == direct {
 		t.Fatal("NextLink(0,2) still detours after router 1 recovered")
 	}
 }
 
-// Clone must isolate fault state both ways: flips on the clone never leak
-// into the (possibly concurrently-read) original, and vice versa.
+// Advance must isolate fault state both ways: a derived domain's failures
+// never leak into the (possibly concurrently read) domain it came from,
+// and a later derivation from that domain never reaches the first one.
 func TestCloneIsolatesFaultState(t *testing.T) {
 	net := lineNet(3, 1000)
-	d := NewDomain(net, nil)
-	d.Prepare([]model.NodeID{0, 2})
-	c := d.Clone()
-	c.SetLinkDown(0, true) // cuts the 0—1—2 chain
+	d := New(net, nil, nil, []model.NodeID{0, 2})
+	c := setLink(d, 0, true) // cuts the 0—1—2 chain
 	if got := c.NextLink(0, 2); got != -1 {
-		t.Fatalf("clone routes over its own down link: NextLink = %d", got)
+		t.Fatalf("derived domain routes over its own down link: NextLink = %d", got)
 	}
 	if got := d.NextLink(0, 2); got < 0 {
-		t.Fatal("downing a link on the clone broke routing on the original")
+		t.Fatal("downing a link on the derived domain broke routing on the original")
 	}
-	d.SetLinkDown(1, true)
+	setLink(d, 1, true)
 	if got := c.NextLink(1, 2); got < 0 {
-		t.Fatal("downing a link on the original broke routing on the clone")
+		t.Fatal("downing a link on the original broke routing on the derived domain")
 	}
 }
 
@@ -278,8 +296,7 @@ func TestDownLinkNeverOnPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, down := range []model.LinkID{0, 7, 31} {
-		d := NewDomain(net, nil)
-		d.SetLinkDown(down, true)
+		d := setLink(New(net, nil, nil, everyNode(net)), down, true)
 		for s := 0; s < 12; s++ {
 			src := model.NodeID(s * 5 % len(net.Nodes))
 			dst := model.NodeID((s*11 + 3) % len(net.Nodes))
@@ -303,7 +320,8 @@ func TestDownLinkNeverOnPath(t *testing.T) {
 
 // Scoped domains must make byte-identical forwarding decisions for in-scope
 // nodes while retaining only O(scope) state per destination, and must
-// refuse (panic) lookups from nodes outside the scope.
+// refuse (panic, naming the node) lookups from nodes outside the scope and
+// toward members that are not destinations.
 func TestScopedDomainMatchesUnscoped(t *testing.T) {
 	net, err := topology.GenerateFlat(topology.FlatOptions{Routers: 60, Hosts: 10, Seed: 11})
 	if err != nil {
@@ -317,36 +335,46 @@ func TestScopedDomainMatchesUnscoped(t *testing.T) {
 			inScope++
 		}
 	}
-	full := NewDomain(net, nil)
-	scoped := NewDomainScoped(net, nil, scope)
-	if !scoped.Scoped() || full.Scoped() {
-		t.Fatal("Scoped() misreports")
-	}
+	var dests []model.NodeID
 	for dst := 0; dst < len(net.Nodes); dst += 5 {
+		dests = append(dests, model.NodeID(dst))
+	}
+	full := New(net, nil, nil, dests)
+	scoped := New(net, nil, scope, dests)
+	for _, dst := range dests {
 		for cur := 0; cur < len(net.Nodes); cur++ {
-			if cur == dst || !scope[cur] {
+			if model.NodeID(cur) == dst || !scope[cur] {
 				continue
 			}
-			w, s := full.NextLink(model.NodeID(cur), model.NodeID(dst)), scoped.NextLink(model.NodeID(cur), model.NodeID(dst))
+			w, s := full.NextLink(model.NodeID(cur), dst), scoped.NextLink(model.NodeID(cur), dst)
 			if w != s {
 				t.Fatalf("NextLink(%d,%d): scoped %d ≠ unscoped %d", cur, dst, s, w)
 			}
 		}
-		if fd, sd := full.Distance(1, model.NodeID(dst)), scoped.Distance(1, model.NodeID(dst)); fd != sd {
-			t.Fatalf("Distance(1,%d): scoped %d ≠ unscoped %d", dst, sd, fd)
-		}
 	}
-	// Retention: same destinations cached, but compact tables.
+	// Retention: the same destinations, but compact tables.
 	wantRatio := float64(inScope) / float64(len(net.Nodes))
 	if fb, sb := full.TableBytes(), scoped.TableBytes(); float64(sb) > float64(fb)*wantRatio+0.5 {
 		t.Fatalf("scoped tables hold %d bytes, full %d — not compacted to scope ratio %.2f", sb, fb, wantRatio)
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("lookup from an out-of-scope node did not panic")
-		}
-	}()
-	scoped.NextLink(0, 7) // node 0 is out of scope
+	for _, row := range []struct {
+		name     string
+		cur, dst model.NodeID
+		want     string
+	}{
+		{"out-of-scope source", 0, 5, "node 0 outside"}, // node 0 is out of scope
+		{"no tree toward destination", 1, 7, "toward node 7"},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, row.want) {
+					t.Fatalf("NextLink(%d,%d) panicked with %q, want a message containing %q", row.cur, row.dst, msg, row.want)
+				}
+			}()
+			scoped.NextLink(row.cur, row.dst)
+		})
+	}
 }
 
 // Scoped fault handling: conservative invalidation still converges to the
@@ -360,14 +388,14 @@ func TestScopedDomainFaults(t *testing.T) {
 	for i := range scope {
 		scope[i] = i%2 == 0
 	}
-	full := NewDomain(net, nil)
-	scoped := NewDomainScoped(net, nil, scope)
+	full := New(net, nil, nil, everyNode(net))
+	scoped := New(net, nil, scope, everyNode(net))
 	for _, flip := range []struct {
 		lid  model.LinkID
 		down bool
 	}{{3, true}, {9, true}, {3, false}} {
-		full.SetLinkDown(flip.lid, flip.down)
-		scoped.SetLinkDown(flip.lid, flip.down)
+		full = setLink(full, flip.lid, flip.down)
+		scoped = setLink(scoped, flip.lid, flip.down)
 		for dst := 1; dst < len(net.Nodes); dst += 7 {
 			for cur := 0; cur < len(net.Nodes); cur += 2 {
 				if cur == dst || !scope[cur] {
@@ -470,6 +498,19 @@ type oracleRow struct {
 	pin     model.LinkID
 }
 
+// masks returns the row's failure masks (nil ⇒ none failed).
+func (row oracleRow) masks() (linkDown, nodeDown []bool) {
+	if row.link >= 0 {
+		linkDown = make([]bool, len(row.net.Links))
+		linkDown[row.link] = true
+	}
+	if row.node >= 0 {
+		nodeDown = make([]bool, len(row.net.Nodes))
+		nodeDown[row.node] = true
+	}
+	return linkDown, nodeDown
+}
+
 func oracleRows(t *testing.T) []oracleRow {
 	t.Helper()
 	type base struct {
@@ -532,13 +573,8 @@ func oracleRows(t *testing.T) []oracleRow {
 func TestTieOrderMatchesReference(t *testing.T) {
 	for _, row := range oracleRows(t) {
 		t.Run(row.name, func(t *testing.T) {
-			d := NewDomainScoped(row.net, row.members, row.scope)
-			if row.link >= 0 {
-				d.SetLinkDown(row.link, true)
-			}
-			if row.node >= 0 {
-				d.SetNodeDown(row.node, true)
-			}
+			linkDown, nodeDown := row.masks()
+			d := rebuild(New(row.net, row.members, row.scope, everyNode(row.net)), linkDown, nodeDown)
 			n := len(row.net.Nodes)
 			for dst := model.NodeID(0); int(dst) < n; dst++ {
 				if !d.contains(dst) {
@@ -555,7 +591,7 @@ func TestTieOrderMatchesReference(t *testing.T) {
 						}
 					}
 					if (int(cur)+int(dst))%5 == 0 {
-						if got := d.Distance(cur, dst); got != dist[cur] {
+						if got := distance(d, cur, dst); got != dist[cur] {
 							t.Fatalf("Distance(%d,%d) = %d, reference %d", cur, dst, got, dist[cur])
 						}
 					}
@@ -581,23 +617,20 @@ func hostDests(net *model.Network, n int) []model.NodeID {
 	return dests
 }
 
-// TestPrepareAllocBudget gates one warm-up on counts, not time: 64 trees on
-// the flat 2000-router net cost at most two allocations each plus a
-// constant, and no more bytes than a quarter over the tables they leave.
+// TestPrepareAllocBudget gates one warm-up — a domain's construction — on
+// counts, not time: 64 trees on the flat 2000-router net cost at most two
+// allocations each plus a constant, and no more bytes than a quarter over
+// the tables they leave.
 func TestPrepareAllocBudget(t *testing.T) {
 	net, err := topology.GenerateFlat(topology.FlatOptions{Routers: 2000, Hosts: 1000, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dests := hostDests(net, 64)
-	prepare := func() *Domain {
-		d := NewDomain(net, nil)
-		d.Prepare(dests)
-		return d
-	}
-	allocs := testing.AllocsPerRun(5, func() { prepare() })
+	build := func() *Domain { return New(net, nil, nil, dests) }
+	allocs := testing.AllocsPerRun(5, func() { build() })
 	if budget := float64(2*len(dests) + 16); allocs > budget {
-		t.Errorf("Prepare of %d destinations made %.0f allocations, budget %.0f", len(dests), allocs, budget)
+		t.Errorf("building %d destinations made %.0f allocations, budget %.0f", len(dests), allocs, budget)
 	}
 
 	// Bytes at the default GOMAXPROCS, so the fan-out's scratch counts too.
@@ -606,19 +639,18 @@ func TestPrepareAllocBudget(t *testing.T) {
 	runtime.ReadMemStats(&m0)
 	var d *Domain
 	for range runs {
-		d = prepare()
+		d = build()
 	}
 	runtime.ReadMemStats(&m1)
 	perRun := float64(m1.TotalAlloc-m0.TotalAlloc) / runs
-	t.Logf("Prepare of %d destinations: %.0f allocations, %.0f bytes, %d table bytes", len(dests), allocs, perRun, d.TableBytes())
+	t.Logf("building %d destinations: %.0f allocations, %.0f bytes, %d table bytes", len(dests), allocs, perRun, d.TableBytes())
 	if budget := 1.25 * float64(d.TableBytes()); perRun > budget {
-		t.Errorf("Prepare allocated %.0f bytes, budget %.0f (1.25 × table bytes)", perRun, budget)
+		t.Errorf("building allocated %.0f bytes, budget %.0f (1.25 × table bytes)", perRun, budget)
 	}
 }
 
-// TestPrepareConcurrentDeterministic: the tables Prepare leaves do not
-// depend on how many goroutines computed them, and lookups racing a
-// Prepare (run under -race) agree with it.
+// TestPrepareConcurrentDeterministic: the tables a domain is built with do
+// not depend on how many goroutines computed them.
 func TestPrepareConcurrentDeterministic(t *testing.T) {
 	flat, err := topology.GenerateFlat(topology.FlatOptions{Routers: 300, Hosts: 100, Seed: 2})
 	if err != nil {
@@ -643,32 +675,15 @@ func TestPrepareConcurrentDeterministic(t *testing.T) {
 				dests = hostDests(row.net, len(row.net.Nodes))
 			}
 			dests = append(dests, dests[:10]...) // duplicates compute once
-			tables := func(procs int) map[model.NodeID][]int32 {
+			tables := func(procs int) [][]int32 {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				d := NewDomain(row.net, row.members)
-				d.Prepare(dests)
-				return d.tables
+				return New(row.net, row.members, nil, dests).tables
 			}
 			want := tables(1)
 			for _, procs := range []int{runtime.GOMAXPROCS(0), 8} {
 				if got := tables(procs); !reflect.DeepEqual(got, want) {
 					t.Fatalf("tables at GOMAXPROCS=%d differ from GOMAXPROCS=1", procs)
 				}
-			}
-
-			d := NewDomain(row.net, row.members)
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i, dst := range dests {
-					d.NextLink(dests[(i+1)%len(dests)], dst)
-				}
-			}()
-			d.Prepare(dests)
-			wg.Wait()
-			if !reflect.DeepEqual(d.tables, want) {
-				t.Fatal("tables after Prepare raced by NextLink differ from a quiet Prepare")
 			}
 		})
 	}
@@ -681,7 +696,128 @@ func BenchmarkSPT2000Routers(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := NewDomain(net, nil)
-		d.Prepare([]model.NodeID{model.NodeID(i % 2000)})
+		New(net, nil, nil, []model.NodeID{model.NodeID(i % 2000)})
+	}
+}
+
+// TestAdvanceMatchesRebuildReference: a derived domain recomputes every
+// tree its change could stale, so its trees equal those of the domain
+// built from scratch with the same elements failed — for a link going down
+// on a tree and on none, a router and a destination going down, each of
+// them coming back, and an inter-AS link of a multi-AS net going down;
+// scoped and unscoped, toward the hosts and borders forwarding reads.
+func TestAdvanceMatchesRebuildReference(t *testing.T) {
+	type base struct {
+		name           string
+		net            *model.Network
+		members, dests []model.NodeID
+	}
+	flat, err := topology.GenerateFlat(topology.FlatOptions{Routers: 60, Hosts: 15, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, err := mabrite.Generate(mabrite.Options{ASes: 6, RoutersPerAS: 20, Hosts: 30, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bases := []base{{"flat", flat, nil, hostDests(flat, len(flat.Nodes))}}
+	for _, as := range mb.ASes[:3] {
+		dests := append([]model.NodeID(nil), as.Hosts...)
+		for _, nb := range as.Neighbors {
+			dests = append(dests, nb.LocalBorder)
+		}
+		if as.DefaultBorder >= 0 {
+			dests = append(dests, as.DefaultBorder)
+		}
+		members := append(append([]model.NodeID(nil), as.Routers...), as.Hosts...)
+		bases = append(bases, base{fmt.Sprintf("mabrite-as%d", as.ID), mb, members, dests})
+	}
+	for _, b := range bases {
+		full := New(b.net, b.members, nil, b.dests)
+		// The elements the rows fail, picked from the unscoped trees.
+		used := make([]bool, len(b.net.Links))
+		for _, tr := range full.tables {
+			for _, next := range tr {
+				if next >= 0 {
+					used[next] = true
+				}
+			}
+		}
+		onTree, offTree, interAS := model.LinkID(-1), model.LinkID(-1), model.LinkID(-1)
+		for _, l := range b.net.Links {
+			switch in := full.contains(l.A) && full.contains(l.B); {
+			case in && used[l.ID] && onTree < 0 && b.net.Nodes[l.A].Kind == model.Router && b.net.Nodes[l.B].Kind == model.Router:
+				onTree = l.ID
+			case in && !used[l.ID] && offTree < 0:
+				offTree = l.ID
+			case !in && (full.contains(l.A) || full.contains(l.B)) && interAS < 0:
+				interAS = l.ID
+			}
+		}
+		if onTree < 0 || offTree < 0 {
+			t.Fatalf("%s: no router link on a tree (%d) or member link on none (%d)", b.name, onTree, offTree)
+		}
+		router, dest := b.net.Links[onTree].A, full.dests[len(full.dests)/2]
+		type state struct {
+			links []model.LinkID
+			nodes []model.NodeID
+		}
+		type row struct {
+			name          string
+			parent, child state
+		}
+		rows := []row{
+			{"link-down-on-tree", state{}, state{links: []model.LinkID{onTree}}},
+			{"link-down-off-tree", state{}, state{links: []model.LinkID{offTree}}},
+			{"link-restored", state{links: []model.LinkID{onTree}}, state{}},
+			{"node-down", state{}, state{nodes: []model.NodeID{router}}},
+			{"destination-down", state{}, state{nodes: []model.NodeID{dest}}},
+			{"node-restored", state{nodes: []model.NodeID{router, dest}}, state{nodes: []model.NodeID{dest}}},
+		}
+		if interAS >= 0 {
+			rows = append(rows, row{"inter-as-link-down", state{}, state{links: []model.LinkID{interAS}}})
+		}
+		masks := func(s state) (linkDown, nodeDown []bool) {
+			if len(s.links) > 0 {
+				linkDown = make([]bool, len(b.net.Links))
+				for _, lid := range s.links {
+					linkDown[lid] = true
+				}
+			}
+			if len(s.nodes) > 0 {
+				nodeDown = make([]bool, len(b.net.Nodes))
+				for _, n := range s.nodes {
+					nodeDown[n] = true
+				}
+			}
+			return linkDown, nodeDown
+		}
+		scope := make([]bool, len(b.net.Nodes))
+		for i := range scope {
+			scope[i] = i%3 != 0
+		}
+		for _, sc := range []struct {
+			name  string
+			scope []bool
+		}{{"", nil}, {"/scoped", scope}} {
+			d := New(b.net, b.members, sc.scope, b.dests)
+			for _, row := range rows {
+				t.Run(b.name+sc.name+"/"+row.name, func(t *testing.T) {
+					parent := d
+					if pl, pn := masks(row.parent); pl != nil || pn != nil {
+						parent = rebuild(d, pl, pn)
+					}
+					cl, cn := masks(row.child)
+					got, want := parent.Advance(cl, cn), rebuild(parent, cl, cn)
+					for c, tr := range want.tables {
+						for k, next := range tr {
+							if got.tables[c][k] != next {
+								t.Fatalf("tree toward %d, row %d: derived next hop %d, rebuilt %d", want.dests[c], k, got.tables[c][k], next)
+							}
+						}
+					}
+				})
+			}
+		}
 	}
 }

@@ -30,18 +30,11 @@ func TestBigTopoSliceMemory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hosts []model.NodeID
-	for i := range net.Nodes {
-		if net.Nodes[i].Kind == model.Host {
-			hosts = append(hosts, model.NodeID(i))
-		}
-	}
 
 	// Replicated baseline: what every worker held before the refactor —
-	// global routing trees eagerly warmed for every traffic destination.
+	// global routing trees toward every traffic destination.
 	base := memstat.ReadStable().HeapInuse
 	repRouter := interdomain.New(net)
-	repRouter.Prepare(hosts)
 	repHeap := heapDelta(base)
 	repBytes := repRouter.TableBytes()
 	if repBytes == 0 {
@@ -50,19 +43,18 @@ func TestBigTopoSliceMemory(t *testing.T) {
 	repRouter = nil //nolint:ineffassign // release before the sliced measurement
 
 	// Sliced worker 0 of a 4-worker fleet (engines [0,1)): scoped routing,
-	// warmed for the same destinations as a worker warms it.
+	// built toward the same destinations as a worker builds it.
 	sl, err := topology.BuildSlice(net, m.Part, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base = memstat.ReadStable().HeapInuse
 	sliRouter := interdomain.NewScoped(net, sl.Owned)
-	sliRouter.Prepare(hosts)
 	sliHeap := heapDelta(base)
 	sliBytes := sliRouter.TableBytes()
 	runtime.KeepAlive(sliRouter)
 	if sliBytes == 0 {
-		t.Fatal("sliced router cached no tables — warm-up measured nothing")
+		t.Fatal("sliced router holds no tables — the build measured nothing")
 	}
 
 	t.Logf("replicated: %d table bytes, %d heap bytes; sliced: %d table bytes, %d heap bytes (%d owned nodes)",

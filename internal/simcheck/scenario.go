@@ -204,7 +204,7 @@ func (sc Scenario) launch(k int) experiments.Scenario {
 }
 
 // setup is the launch path's Network and Build steps for an in-process run:
-// the network, routing warmed for every host, and the host list.
+// the network, routing built toward every host, and the host list.
 func (sc Scenario) setup() (*experiments.Setup, error) {
 	es := sc.launch(1)
 	net, multi, err := es.Network("")
@@ -214,9 +214,9 @@ func (sc Scenario) setup() (*experiments.Setup, error) {
 	return es.Build(net, multi, experiments.Exec{})
 }
 
-// Build constructs the scenario's network, routing (with caches pre-warmed
-// for every host, so the parallel run does not race lazy route
-// computation), and the host list traffic endpoints draw from.
+// Build constructs the scenario's network, routing (complete when built,
+// so the parallel run only reads it), and the host list traffic endpoints
+// draw from.
 func (sc Scenario) Build() (*model.Network, netsim.Routes, []model.NodeID, error) {
 	st, err := sc.setup()
 	if err != nil {

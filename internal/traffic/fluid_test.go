@@ -7,7 +7,7 @@ import (
 	"massf/internal/des"
 	"massf/internal/fluid"
 	"massf/internal/model"
-	"massf/internal/routing/ospf"
+	"massf/internal/routing/interdomain"
 	"massf/internal/topology"
 )
 
@@ -38,7 +38,7 @@ func TestFluidHTTPDrivesClosedLoops(t *testing.T) {
 		t.Fatalf("initial flows = %d, want one per client", len(flows))
 	}
 	p, err := fluid.Build(fluid.Config{
-		Net: net, Routes: ospf.NewDomain(net, nil), End: end, Next: next,
+		Net: net, Routes: interdomain.New(net), End: end, Next: next,
 	}, flows)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestFluidHTTPDeterministicAcrossBuilds(t *testing.T) {
 	build := func() *fluid.Plane {
 		flows, next, _ := FluidHTTP(cfg, end)
 		p, err := fluid.Build(fluid.Config{
-			Net: net, Routes: ospf.NewDomain(net, nil), End: end, Next: next,
+			Net: net, Routes: interdomain.New(net), End: end, Next: next,
 		}, flows)
 		if err != nil {
 			t.Fatal(err)

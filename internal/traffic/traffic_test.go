@@ -7,7 +7,7 @@ import (
 	"massf/internal/des"
 	"massf/internal/model"
 	"massf/internal/netsim"
-	"massf/internal/routing/ospf"
+	"massf/internal/routing/interdomain"
 	"massf/internal/topology"
 )
 
@@ -21,7 +21,7 @@ func testNet(t *testing.T, routers, hosts, engines int, part []int32, end des.Ti
 	// Single-engine tests never cut a link, so the window can be large;
 	// multi-engine callers pass a latency-aware partition and window.
 	s, err := netsim.New(netsim.Config{
-		Net: net, Routes: ospf.NewDomain(net, nil), Part: part, Engines: engines,
+		Net: net, Routes: interdomain.New(net), Part: part, Engines: engines,
 		Window: 10 * des.Millisecond, End: end, Sync: cluster.Fixed{CostNS: 100}, Seed: 7,
 	})
 	if err != nil {
@@ -213,7 +213,7 @@ func TestWorkflowAcrossEnginesMatchesSequential(t *testing.T) {
 			}
 		}
 		s, err := netsim.New(netsim.Config{
-			Net: net, Routes: ospf.NewDomain(net, nil), Part: part, Engines: engines,
+			Net: net, Routes: interdomain.New(net), Part: part, Engines: engines,
 			Window: window, End: 15 * des.Second, Sync: cluster.Fixed{CostNS: 10}, Seed: 5,
 		})
 		if err != nil {
