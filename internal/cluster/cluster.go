@@ -13,7 +13,6 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sync"
 )
 
 // SyncCostModel yields the global synchronization cost for a barrier over n
@@ -72,45 +71,6 @@ func (m Fixed) SyncCost(n int) int64 {
 
 // Name implements SyncCostModel.
 func (m Fixed) Name() string { return fmt.Sprintf("fixed-%dns", m.CostNS) }
-
-// Barrier is a reusable N-party barrier built on a condition variable. It is
-// the synchronization primitive of the parallel engine's window loop.
-type Barrier struct {
-	mu         sync.Mutex
-	cond       *sync.Cond
-	n          int
-	arrived    int
-	generation uint64
-}
-
-// NewBarrier returns a barrier for n parties. n must be ≥ 1.
-func NewBarrier(n int) *Barrier {
-	if n < 1 {
-		panic(fmt.Sprintf("cluster: barrier of %d parties", n))
-	}
-	b := &Barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// Await blocks until all n parties have called Await, then releases them
-// all. The barrier is reusable: the next n calls form the next round.
-func (b *Barrier) Await() {
-	b.mu.Lock()
-	gen := b.generation
-	b.arrived++
-	if b.arrived == b.n {
-		b.arrived = 0
-		b.generation++
-		b.mu.Unlock()
-		b.cond.Broadcast()
-		return
-	}
-	for gen == b.generation {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
-}
 
 // Fig5Points returns the (N, cost) series of Figure 5 — the node counts the
 // paper samples and the model's synchronization cost at each, in

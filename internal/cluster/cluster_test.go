@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -65,74 +63,6 @@ func TestFixed(t *testing.T) {
 	}
 }
 
-func TestBarrierReleasesAllParties(t *testing.T) {
-	const n = 8
-	b := NewBarrier(n)
-	var after int32
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func() {
-			defer wg.Done()
-			b.Await()
-			atomic.AddInt32(&after, 1)
-		}()
-	}
-	wg.Wait()
-	if after != n {
-		t.Fatalf("%d parties passed, want %d", after, n)
-	}
-}
-
-func TestBarrierIsReusableAndOrdered(t *testing.T) {
-	// Each of n workers increments a shared counter once per round; the
-	// barrier guarantees all round-r increments complete before any round
-	// r+1 increment starts, so the counter must be an exact multiple of n
-	// at every barrier crossing.
-	const n, rounds = 4, 50
-	b := NewBarrier(n)
-	var counter int64
-	violations := int64(0)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				atomic.AddInt64(&counter, 1)
-				b.Await()
-				if v := atomic.LoadInt64(&counter); v%n != 0 && v < int64((r+1)*n) {
-					atomic.AddInt64(&violations, 1)
-				}
-				b.Await()
-			}
-		}()
-	}
-	wg.Wait()
-	if violations != 0 {
-		t.Fatalf("%d barrier ordering violations", violations)
-	}
-	if counter != n*rounds {
-		t.Fatalf("counter = %d, want %d", counter, n*rounds)
-	}
-}
-
-func TestBarrierSingleParty(t *testing.T) {
-	b := NewBarrier(1)
-	for i := 0; i < 10; i++ {
-		b.Await() // must never block
-	}
-}
-
-func TestNewBarrierPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewBarrier(0) did not panic")
-		}
-	}()
-	NewBarrier(0)
-}
-
 func TestFig5Points(t *testing.T) {
 	nodes, cost := Fig5Points(DefaultTeraGrid())
 	if len(nodes) != len(cost) || len(nodes) == 0 {
@@ -156,20 +86,4 @@ func TestQuickTeraGridDoubling(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func BenchmarkBarrier8(b *testing.B) {
-	const n = 8
-	bar := NewBarrier(n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		go func() {
-			defer wg.Done()
-			for r := 0; r < b.N; r++ {
-				bar.Await()
-			}
-		}()
-	}
-	wg.Wait()
 }

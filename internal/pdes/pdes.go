@@ -8,7 +8,11 @@
 // exchanged at the barrier between windows.
 //
 // Engines are goroutines with a real barrier, so the simulation truly runs
-// in parallel on the host. Because the paper's platform is a 128-node
+// in parallel on the host. An engine that reaches the barrier first spins
+// for a bounded time, yielding its processor, before it parks: in-process
+// and unpaced, while the engines of every running Sim of the process fit
+// GOMAXPROCS, a crossing then costs no OS-thread wake-up. Every other run
+// parks its waiters at once. Because the paper's platform is a 128-node
 // TeraGrid cluster we cannot reproduce, the engine additionally computes a
 // modeled execution time per window — max over engines of (events ×
 // per-event cost + remote sends × per-send cost) plus the cluster
@@ -57,7 +61,9 @@ type Config struct {
 	// online (live traffic) use: 0 runs as fast as possible; 1.0 is the
 	// paper's real-time mode (one simulated second per wall second); 8.0
 	// is its 8× slowdown mode. A window never starts before
-	// start + windowStart×factor of wall time.
+	// start + windowStart×factor of wall time. A paced run is bound by the
+	// clock, not by its slowest engine, so its engines park at the window
+	// barrier rather than spin.
 	RealTimeFactor float64
 	// Invariants, when non-nil, enables runtime invariant checking: every
 	// exchange phase is audited for lookahead/causality, buffer parity and
@@ -83,7 +89,9 @@ type Config struct {
 	// of a third barrier. Nil (the default) hosts every engine and takes the
 	// decision locally; it is the only selector between the two modes. See
 	// Transport for the window protocol and the replicated-setup (SPMD)
-	// model the distributed mode assumes.
+	// model the distributed mode assumes. A worker's engines park at every
+	// barrier: the third waits on the network, and co-located workers share
+	// the host's processors.
 	Transport Transport
 	// Codec serializes remote events crossing worker processes (required
 	// when Transport is set). Events scheduled through ScheduleRemoteEvent
@@ -462,7 +470,18 @@ func (s *Sim) Run() Stats {
 		scratch = tel.Windows.Get(hosted)
 	}
 
-	bar := cluster.NewBarrier(hosted)
+	// The window barrier spins only where spinning can pay: in-process and
+	// unpaced, and (the barrier checks it at every wait) while every live
+	// engine of the process has a processor. A transport's third barrier
+	// waits on the network and a paced run on the wall clock, so their
+	// waiters park at once.
+	liveEngines.Add(int64(hosted))
+	defer liveEngines.Add(-int64(hosted))
+	var spin time.Duration
+	if cfg.Transport == nil && cfg.RealTimeFactor == 0 {
+		spin = spinBudget
+	}
+	bar := newBarrier(hosted, spin)
 	var wg sync.WaitGroup
 	wg.Add(hosted)
 	start := time.Now()

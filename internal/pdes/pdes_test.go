@@ -1,9 +1,10 @@
 package pdes
 
 import (
+	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 	"unsafe"
 
 	"massf/internal/cluster"
@@ -163,6 +164,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		return st.TotalEvents, st.EngineEvents
 	}
 	t1, e1 := run()
+	assertNoLiveEngines(t)
 	t2, e2 := run()
 	if t1 != t2 {
 		t.Fatalf("TotalEvents differ: %d vs %d", t1, t2)
@@ -381,33 +383,51 @@ func TestFastForwardPreservesDeterminism(t *testing.T) {
 	}
 }
 
+// assertNoLiveEngines checks that every Run has taken its engines out of
+// the count that gates the barrier's spin.
+func assertNoLiveEngines(t *testing.T) {
+	t.Helper()
+	if n := liveEngines.Load(); n != 0 {
+		t.Errorf("%d engines still counted live after Run returned", n)
+	}
+}
+
 func TestStopCancelsRun(t *testing.T) {
-	// A long simulation with constant work on every engine; Stop must end
-	// it within (roughly) a window and report partial stats.
-	s := newSim(t, 4, des.Millisecond, 100*des.Second)
-	for i := 0; i < 4; i++ {
-		e := s.Engine(i)
-		var gen func(now des.Time)
-		gen = func(now des.Time) {
-			if next := now + 100*des.Microsecond; next < 100*des.Second {
-				e.Schedule(next, gen)
+	// Constant work on every engine for 100 s; a non-leader engine calls
+	// Stop from its handler at t = 10 ms, in window 10. The leader reads the
+	// flag at that window's barrier, so the run ends after exactly 11
+	// windows. k = 2 fits two processors, so its waiters spin; k above
+	// GOMAXPROCS parks them.
+	ks := []int{2}
+	if p := runtime.GOMAXPROCS(0); p+1 != 2 {
+		ks = append(ks, p+1)
+	}
+	for _, k := range ks {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			s := newSim(t, k, des.Millisecond, 100*des.Second)
+			for i := 0; i < k; i++ {
+				e := s.Engine(i)
+				var gen func(now des.Time)
+				gen = func(now des.Time) {
+					if next := now + 100*des.Microsecond; next < 100*des.Second {
+						e.Schedule(next, gen)
+					}
+				}
+				e.Schedule(0, gen)
 			}
-		}
-		e.Schedule(0, gen)
-	}
-	done := make(chan Stats, 1)
-	go func() { done <- s.Run() }()
-	time.Sleep(10 * time.Millisecond)
-	s.Stop()
-	stats := <-done
-	if !stats.Stopped {
-		t.Fatal("Stats.Stopped not set after Stop")
-	}
-	if stats.Windows >= 100000 {
-		t.Errorf("run executed all %d windows despite Stop", stats.Windows)
-	}
-	if stats.TotalEvents == 0 {
-		t.Error("no partial stats reported")
+			s.Engine(k-1).Schedule(10*des.Millisecond, func(des.Time) { s.Stop() })
+			stats := s.Run()
+			if !stats.Stopped {
+				t.Fatal("Stats.Stopped not set after Stop")
+			}
+			if stats.Windows != 11 {
+				t.Errorf("run executed %d windows, want 11 (stopped in window 10)", stats.Windows)
+			}
+			if stats.TotalEvents == 0 {
+				t.Error("no partial stats reported")
+			}
+			assertNoLiveEngines(t)
+		})
 	}
 }
 
@@ -422,6 +442,7 @@ func TestStopBeforeRunExitsImmediately(t *testing.T) {
 	if stats.Windows > 1 {
 		t.Errorf("executed %d windows after pre-run Stop", stats.Windows)
 	}
+	assertNoLiveEngines(t)
 }
 
 func TestTelemetryWindowRecords(t *testing.T) {

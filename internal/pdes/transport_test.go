@@ -354,6 +354,7 @@ func TestTransportExchangeErrorAborts(t *testing.T) {
 					t.Errorf("worker %d: Stats.Err = %v, want %v (windows=%d)", j, st.Err, tc.want, st.Windows)
 				}
 			}
+			assertNoLiveEngines(t)
 		})
 	}
 }
