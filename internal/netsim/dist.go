@@ -112,8 +112,9 @@ func (s *Sim) registerFlow(f *flow) {
 		f.id = s.setupFlows
 	} else {
 		eng := s.EngineOf(f.src)
-		s.runFlowCtr[eng]++
-		f.id = uint64(eng+1)<<40 | s.runFlowCtr[eng]
+		st := &s.eng[eng]
+		st.runFlowCtr++
+		f.id = uint64(eng+1)<<40 | st.runFlowCtr
 	}
 	s.flowMu.Lock()
 	s.flows[f.id] = f
@@ -166,9 +167,10 @@ func (s *Sim) adoptFlow(pkt *Packet) *flow {
 }
 
 // netCodec implements pdes.Codec for hop events. Encode runs on the
-// sending engine's goroutine, Decode on the receiving engine's (so Decode
-// may use the per-engine hop pools); the flow/UDP registries are the only
-// shared state and sit behind flowMu.
+// sending engine's goroutine and gives the encoded hop back to that
+// engine's pool; Decode runs on the leader while the receiving engine
+// waits, so it may take from that engine's pool. The flow/UDP registries
+// are the only shared state and sit behind flowMu.
 type netCodec struct{ s *Sim }
 
 func (c netCodec) Encode(eh des.EventHandler) (uint16, []byte, error) {
@@ -228,6 +230,8 @@ func (c netCodec) Encode(eh des.EventHandler) (uint16, []byte, error) {
 		// stitch into one path.
 		b.U64(pkt.trace)
 	}
+	// Back to the sending engine's pool: the sender is h.link's far end.
+	s.freeHop(s.EngineOf(s.cfg.Net.Links[h.link].Other(h.node)), h)
 	return hopKind, b.B, nil
 }
 
@@ -250,10 +254,10 @@ func (c netCodec) Decode(dst int, kind uint16, payload []byte) (des.EventHandler
 	pkt.Ack = flags&1 != 0
 	pkt.ttl = int8(r.U8())
 	pkt.udpID = int32(r.U32())
-	flowID := r.U64()
-	var ref *wireRef
-	if flowID != 0 {
-		ref = &wireRef{flowID: flowID, totalPkts: r.I32(), lastBits: r.I64()}
+	ref := wireRef{flowID: r.U64()}
+	if ref.flowID != 0 {
+		ref.totalPkts = r.I32()
+		ref.lastBits = r.I64()
 		ref.deliverTag = Tag{Kind: r.U16(), A: r.U64(), B: r.U64()}
 	}
 	if flags&flagTraced != 0 {
@@ -273,9 +277,9 @@ func (c netCodec) Decode(dst int, kind uint16, payload []byte) (des.EventHandler
 			return nil, fmt.Errorf("netsim: unknown UDP callback id %d (setup not replicated?)", pkt.udpID)
 		}
 	}
-	if ref != nil {
+	if ref.flowID != 0 {
 		s.flowMu.RLock()
-		f := s.flows[flowID]
+		f := s.flows[ref.flowID]
 		s.flowMu.RUnlock()
 		if f != nil {
 			pkt.flow = f
@@ -283,7 +287,8 @@ func (c netCodec) Decode(dst int, kind uint16, payload []byte) (des.EventHandler
 			// Unknown here: a runtime flow from another worker. Carry the
 			// reference; deliver adopts a replica if this node is the
 			// destination, transit hops re-encode it untouched.
-			pkt.wref = ref
+			w := ref
+			pkt.wref = &w
 		}
 	}
 	h := s.newHop(dst)

@@ -133,7 +133,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 
 	// A registered id resolves directly to the local object.
-	h.pkt.flow = s.flows[88]
+	h = &hopEvent{s: s, node: 3, pkt: Packet{Src: 2, Dst: 3, Bits: 12_000, flow: s.flows[88], ttl: 60}}
 	_, payload, err = c.Encode(h)
 	if err != nil {
 		t.Fatal(err)
@@ -154,6 +154,39 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := c.Decode(1, 999, payload); err == nil {
 		t.Fatal("unknown kind accepted")
+	}
+}
+
+// A cross-worker hop of a flow this worker knows decodes without
+// allocating once the destination engine's pool is warm, and encoding
+// gives the hop back to the sending engine's pool.
+func TestCodecHopsDoNotAllocate(t *testing.T) {
+	s := newDistSim(t)
+	c := netCodec{s: s}
+	s.flows[88] = &flow{id: 88, totalPkts: 9, lastBits: 4242}
+	// Node 3 is engine 1's host; link 2 (r1—h1) carries it from r1, also
+	// on engine 1.
+	h := &hopEvent{s: s, node: 3, link: 2, pkt: Packet{Src: 2, Dst: 3, Bits: 12_000, flow: s.flows[88], ttl: 60}}
+	_, payload, err := c.Encode(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pool := s.eng[1].hopFree; len(pool) != 1 || pool[0] != h || h.pkt.flow != nil || h.pkt.Bits != 0 {
+		t.Fatalf("encoded hop not given back cleared to the sender's pool: pool %v, pkt %+v", pool, h.pkt)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		eh, err := c.Decode(1, hopKind, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := eh.(*hopEvent)
+		if g.pkt.flow != s.flows[88] {
+			t.Fatal("known flow not resolved")
+		}
+		s.freeHop(1, g)
+	})
+	if allocs != 0 {
+		t.Fatalf("decoding a known flow's hop allocates %v times, want 0", allocs)
 	}
 }
 

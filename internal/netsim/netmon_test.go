@@ -176,7 +176,7 @@ func TestNetMonPathValidation(t *testing.T) {
 // TestNetCodecTracePropagation pins the wire layout: the trace id crosses
 // workers exactly when sampled, and untraced packets pay no extra bytes.
 func TestNetCodecTracePropagation(t *testing.T) {
-	s := &Sim{hopFree: make([][]*hopEvent, 1), flows: map[uint64]*flow{}, tags: map[uint16]TagResolver{}}
+	s := newDistSim(t)
 	c := netCodec{s: s}
 	for _, trace := range []uint64{0, 0xdeadbeefcafe} {
 		h := &hopEvent{s: s, node: 3, link: 2, pkt: Packet{

@@ -17,6 +17,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"massf/internal/cluster"
 	"massf/internal/des"
@@ -177,10 +178,12 @@ const DefaultTTL = 64
 // hopEvent carries a packet across one hop through the des.EventHandler
 // seam: a pooled struct instead of a per-hop closure, so the forwarding
 // loop — the simulator's innermost loop — allocates nothing in steady
-// state. Pools are per engine and touched only by the owning goroutine:
-// transmit allocates from the scheduling engine's pool, OnEvent releases
-// into the executing engine's pool (they differ for cross-partition hops;
-// the populations drift but the total is conserved).
+// state. Each engine's pool is its engineState.hopFree, touched only by
+// that engine's goroutine: transmit takes from the scheduling engine's
+// pool, OnEvent gives back to the executing engine's (they differ for
+// cross-partition hops; the populations drift but the total is conserved),
+// and the wire codec gives a hop that left the worker back to its sending
+// engine's pool once encoded.
 type hopEvent struct {
 	s    *Sim
 	node model.NodeID
@@ -190,23 +193,73 @@ type hopEvent struct {
 
 func (h *hopEvent) OnEvent(now des.Time) {
 	s, node, link, pkt := h.s, h.node, h.link, h.pkt
-	h.pkt = Packet{} // drop flow/callback references while pooled
-	eng := s.EngineOf(node)
-	s.hopFree[eng] = append(s.hopFree[eng], h)
+	s.freeHop(s.EngineOf(node), h)
 	s.arrive(now, node, link, pkt)
 }
 
 // newHop takes a hop event from engine's pool, allocating only when the
 // pool is dry (warm-up, or population drift toward another engine).
 func (s *Sim) newHop(engine int) *hopEvent {
-	free := s.hopFree[engine]
-	if n := len(free); n > 0 {
-		h := free[n-1]
-		free[n-1] = nil
-		s.hopFree[engine] = free[:n-1]
+	st := &s.eng[engine]
+	if n := len(st.hopFree); n > 0 {
+		h := st.hopFree[n-1]
+		st.hopFree[n-1] = nil
+		st.hopFree = st.hopFree[:n-1]
 		return h
 	}
 	return &hopEvent{s: s}
+}
+
+// freeHop gives h back to engine's pool, dropping its flow and callback
+// references while it is pooled.
+func (s *Sim) freeHop(engine int, h *hopEvent) {
+	h.pkt = Packet{}
+	st := &s.eng[engine]
+	st.hopFree = append(st.hopFree, h)
+}
+
+// cacheLine is the coherence unit engines' run-time state is padded to,
+// and lineWords the same in uint64 counters.
+const (
+	cacheLine = 64
+	lineWords = cacheLine / 8
+)
+
+// engineState is everything the model writes at run time on behalf of one
+// engine, written only by that engine's goroutine. A cache line of padding
+// on each side keeps its fields off every line another engine's fields sit
+// on, whatever the alignment of the slice holding it, so engines running
+// on different cores never invalidate each other's lines.
+type engineState struct {
+	_ [cacheLine]byte
+	engineData
+	_ [cacheLine + (cacheLine-unsafe.Sizeof(engineData{})%cacheLine)%cacheLine]byte
+}
+
+// engineData is the unpadded body of engineState.
+type engineData struct {
+	hopFree    []*hopEvent // hop event pool
+	delivered  uint64      // bits delivered to hosts
+	dropped    uint64      // packet drops
+	retrans    uint64      // TCP retransmissions
+	faultDrops []uint64    // [fault]: losses attributed to each fault
+	flows      []*flow     // flows started, by the engine owning the source
+	runFlowCtr uint64      // runtime flow id counter (distributed runs)
+	fluid      fluidCursor // fluid completion schedule (sorted) and its cursor
+}
+
+// padded allocates one zeroed array for len(n) runs of n[i] counters and
+// returns it with each run's offset. A cache line of slack sits before,
+// between and after the runs, so an engine counting in its own run never
+// writes a line another engine writes.
+func padded(n []int) ([]uint64, []int) {
+	off := make([]int, len(n))
+	end := lineWords
+	for i, l := range n {
+		off[i] = end
+		end += l + lineWords
+	}
+	return make([]uint64, end), off
 }
 
 // Sim is a configured packet-level simulation. Create with New, inject
@@ -218,22 +271,19 @@ type Sim struct {
 	tel  *telemetry.SimTelemetry
 	mon  *netmon.Mon // nil ⇒ network observability off, zero overhead
 
-	dirs       []linkDir // 2*link+dirIndex
-	nodeEvents []uint64  // per-node kernel event counts (profiling)
-	queueNS    []int64   // per link: max queueing delay before tail drop
+	dirs    []linkDir // 2*link+dirIndex
+	queueNS []int64   // per link: max queueing delay before tail drop
 
-	faults     FaultPlane // nil ⇒ static routing, zero fault overhead
-	faultDrops [][]uint64 // [engine][fault]: losses attributed to each fault
+	// nodeEvents[nodePos[n]] is the number of kernel events attributed to
+	// node n (profiling). Each engine's nodes count in their own padded
+	// run (see padded), so counting never writes another engine's line.
+	nodeEvents []uint64
+	nodePos    []int32
 
-	fluid         *fluid.Plane // nil ⇒ pure packet mode, zero overhead
-	fluidByEngine [][]fluidEnt // per-engine completion schedule (sorted)
+	faults FaultPlane   // nil ⇒ static routing, zero fault overhead
+	fluid  *fluid.Plane // nil ⇒ pure packet mode, zero overhead
 
-	flowsByEngine [][]*flow // flows started, accumulated per owning engine
-	delivered     []uint64  // per-engine bits delivered to hosts
-	dropped       []uint64  // per-engine packet drops
-	retrans       []uint64  // per-engine TCP retransmissions
-
-	hopFree [][]*hopEvent // per-engine hop event pools
+	eng []engineState // per-engine run-time state
 
 	// Distributed execution state (Config.Transport set); see dist.go.
 	// All of it is dead weight on the in-process path: dist is false,
@@ -242,8 +292,7 @@ type Sim struct {
 	hostLo, hostHi int  // hosted engine range [lo, hi)
 	running        bool // set once at Run; setup-vs-runtime flow identity
 	setupFlows     uint64
-	runFlowCtr     []uint64 // per-engine runtime flow id counters
-	udpSetup       int      // len(udpCbs) at Run: wire-safe registry prefix
+	udpSetup       int // len(udpCbs) at Run: wire-safe registry prefix
 	flowMu         sync.RWMutex
 	flows          map[uint64]*flow // flow id → local object or replica
 	udpCbs         []func(des.Time) // setup-registered UDP callbacks
@@ -269,6 +318,13 @@ func New(cfg Config) (*Sim, error) {
 	if len(part) != len(cfg.Net.Nodes) {
 		return nil, fmt.Errorf("netsim: partition covers %d of %d nodes", len(part), len(cfg.Net.Nodes))
 	}
+	owned := make([]int, cfg.Engines)
+	for n, e := range part {
+		if e < 0 || int(e) >= cfg.Engines {
+			return nil, fmt.Errorf("netsim: node %d is on engine %d of %d", n, e, cfg.Engines)
+		}
+		owned[e]++
+	}
 	for i := range cfg.Net.Links {
 		l := &cfg.Net.Links[i]
 		if part[l.A] != part[l.B] && des.Time(l.Latency) < cfg.Window {
@@ -277,19 +333,21 @@ func New(cfg Config) (*Sim, error) {
 		}
 	}
 	s := &Sim{
-		cfg:           cfg,
-		part:          part,
-		tel:           cfg.Telemetry,
-		mon:           cfg.NetMon,
-		dirs:          make([]linkDir, 2*len(cfg.Net.Links)),
-		nodeEvents:    make([]uint64, len(cfg.Net.Nodes)),
-		queueNS:       make([]int64, len(cfg.Net.Links)),
-		flowsByEngine: make([][]*flow, cfg.Engines),
-		delivered:     make([]uint64, cfg.Engines),
-		dropped:       make([]uint64, cfg.Engines),
-		retrans:       make([]uint64, cfg.Engines),
-		hopFree:       make([][]*hopEvent, cfg.Engines),
-		tags:          make(map[uint16]TagResolver),
+		cfg:     cfg,
+		part:    part,
+		tel:     cfg.Telemetry,
+		mon:     cfg.NetMon,
+		dirs:    make([]linkDir, 2*len(cfg.Net.Links)),
+		queueNS: make([]int64, len(cfg.Net.Links)),
+		nodePos: make([]int32, len(part)),
+		eng:     make([]engineState, cfg.Engines),
+		tags:    make(map[uint16]TagResolver),
+	}
+	var off []int
+	s.nodeEvents, off = padded(owned)
+	for n, e := range part {
+		s.nodePos[n] = int32(off[e])
+		off[e]++
 	}
 	pcfg := pdes.Config{
 		Engines: cfg.Engines, Window: cfg.Window, End: cfg.End,
@@ -307,7 +365,6 @@ func New(cfg Config) (*Sim, error) {
 		}
 		s.dist = true
 		s.hostLo, s.hostHi = cfg.FirstEngine, cfg.FirstEngine+hosted
-		s.runFlowCtr = make([]uint64, cfg.Engines)
 		s.flows = make(map[uint64]*flow)
 		pcfg.Transport = cfg.Transport
 		pcfg.FirstEngine = cfg.FirstEngine
@@ -325,9 +382,13 @@ func New(cfg Config) (*Sim, error) {
 	if cfg.Faults != nil {
 		s.faults = cfg.Faults
 		nf := s.faults.NumFaults()
-		s.faultDrops = make([][]uint64, cfg.Engines)
-		for e := range s.faultDrops {
-			s.faultDrops[e] = make([]uint64, nf)
+		runs := make([]int, cfg.Engines)
+		for e := range runs {
+			runs[e] = nf
+		}
+		drops, off := padded(runs)
+		for e := range s.eng {
+			s.eng[e].faultDrops = drops[off[e] : off[e]+nf]
 		}
 		// Marker events make faults visible in the kernel event stream and
 		// telemetry. All on engine 0, so the event count stays independent
@@ -373,24 +434,23 @@ type fluidEnt struct {
 // identical for every engine count, and the whole chain costs one live
 // event per engine at any moment.
 type fluidCursor struct {
-	s   *Sim
-	eng int
-	idx int
+	s    *Sim
+	eng  int
+	ents []fluidEnt // sorted by time
+	idx  int
 }
 
 func (c *fluidCursor) OnEvent(now des.Time) {
-	ents := c.s.fluidByEngine[c.eng]
-	c.s.nodeEvents[ents[c.idx].src]++
+	c.s.countEvent(c.ents[c.idx].src)
 	c.idx++
-	if c.idx < len(ents) {
-		c.s.ps.Engine(c.eng).ScheduleEvent(ents[c.idx].at, c)
+	if c.idx < len(c.ents) {
+		c.s.ps.Engine(c.eng).ScheduleEvent(c.ents[c.idx].at, c)
 	}
 }
 
 // scheduleFluidCursors builds each engine's time-sorted fluid completion
 // schedule and seeds one cursor chain per hosted engine.
 func (s *Sim) scheduleFluidCursors() {
-	s.fluidByEngine = make([][]fluidEnt, s.cfg.Engines)
 	p := s.fluid
 	for i, n := 0, p.NumFlows(); i < n; i++ {
 		done := p.Completion(i)
@@ -398,19 +458,19 @@ func (s *Sim) scheduleFluidCursors() {
 			continue
 		}
 		src := p.Flow(i).Src
-		e := s.EngineOf(src)
-		s.fluidByEngine[e] = append(s.fluidByEngine[e], fluidEnt{at: done, src: src})
+		c := &s.eng[s.EngineOf(src)].fluid
+		c.ents = append(c.ents, fluidEnt{at: done, src: src})
 	}
-	for e := range s.fluidByEngine {
-		ents := s.fluidByEngine[e]
-		if len(ents) == 0 || (s.dist && !s.hostedEngine(e)) {
+	for e := range s.eng {
+		c := &s.eng[e].fluid
+		if len(c.ents) == 0 || (s.dist && !s.hostedEngine(e)) {
 			continue
 		}
 		// Plane flow order is deterministic, so a stable sort by time gives
 		// every worker the identical schedule.
-		sort.SliceStable(ents, func(i, j int) bool { return ents[i].at < ents[j].at })
-		c := &fluidCursor{s: s, eng: e}
-		s.ps.Engine(e).ScheduleEvent(ents[0].at, c)
+		sort.SliceStable(c.ents, func(i, j int) bool { return c.ents[i].at < c.ents[j].at })
+		c.s, c.eng = s, e
+		s.ps.Engine(e).ScheduleEvent(c.ents[0].at, c)
 	}
 }
 
@@ -425,6 +485,9 @@ func (s *Sim) nextLink(now des.Time, cur, dst model.NodeID) model.LinkID {
 
 // EngineOf returns the engine that owns node n.
 func (s *Sim) EngineOf(n model.NodeID) int { return int(s.part[n]) }
+
+// countEvent attributes one kernel event to node n. Must run on n's engine.
+func (s *Sim) countEvent(n model.NodeID) { s.nodeEvents[s.nodePos[n]]++ }
 
 // hostedEngine reports whether engine e executes on this worker.
 func (s *Sim) hostedEngine(e int) bool { return e >= s.hostLo && e < s.hostHi }
@@ -471,10 +534,10 @@ var dropSpan = [...]netmon.SpanKind{
 // link direction dir (-1 when the packet was not on a link) and the traced
 // packet's terminal span.
 func (s *Sim) drop(node model.NodeID, pkt *Packet, dir int, link model.LinkID, now des.Time, cause netmon.DropCause, fi int) {
-	e := s.EngineOf(node)
-	s.dropped[e]++
+	st := &s.eng[s.EngineOf(node)]
+	st.dropped++
 	if fi >= 0 {
-		s.faultDrops[e][fi]++
+		st.faultDrops[fi]++
 	}
 	if s.tel != nil {
 		s.tel.Drops.Inc()
@@ -602,7 +665,7 @@ func (s *Sim) arrive(now des.Time, node model.NodeID, via model.LinkID, pkt Pack
 			return
 		}
 	}
-	s.nodeEvents[node]++
+	s.countEvent(node)
 	if node == pkt.Dst {
 		if s.mon != nil && pkt.trace != 0 {
 			s.monSpan(&pkt, node, -1, now, now, netmon.SpanDeliver)
@@ -636,7 +699,7 @@ func (s *Sim) inject(now des.Time, pkt Packet) {
 	if s.mon != nil {
 		pkt.trace = s.mon.SampleTrace(pkt.Src, pkt.Dst, pkt.Seq, pkt.Ack, pkt.Bits, now)
 	}
-	s.nodeEvents[pkt.Src]++
+	s.countEvent(pkt.Src)
 	if pkt.Src == pkt.Dst {
 		if s.mon != nil && pkt.trace != 0 {
 			s.monSpan(&pkt, pkt.Dst, -1, now, now, netmon.SpanDeliver)
@@ -730,25 +793,27 @@ func (s *Sim) Run() Result {
 	}
 	res := Result{
 		Stats:      stats,
-		NodeEvents: s.nodeEvents,
+		NodeEvents: make([]uint64, len(s.nodePos)),
 		LinkBits:   make([]uint64, len(s.cfg.Net.Links)),
 		LinkDrops:  make([]uint64, len(s.cfg.Net.Links)),
+	}
+	for n, p := range s.nodePos {
+		res.NodeEvents[n] = s.nodeEvents[p]
 	}
 	for i := range s.cfg.Net.Links {
 		res.LinkBits[i] = s.dirs[2*i].bits + s.dirs[2*i+1].bits
 		res.LinkDrops[i] = s.dirs[2*i].drops + s.dirs[2*i+1].drops
 	}
-	for e := 0; e < s.cfg.Engines; e++ {
-		res.Dropped += s.dropped[e]
-		res.DeliveredBits += s.delivered[e]
-		res.Retransmissions += s.retrans[e]
-	}
 	if s.faults != nil {
 		res.FaultDrops = make([]uint64, s.faults.NumFaults())
-		for e := 0; e < s.cfg.Engines; e++ {
-			for i, d := range s.faultDrops[e] {
-				res.FaultDrops[i] += d
-			}
+	}
+	for e := range s.eng {
+		st := &s.eng[e]
+		res.Dropped += st.dropped
+		res.DeliveredBits += st.delivered
+		res.Retransmissions += st.retrans
+		for i, d := range st.faultDrops {
+			res.FaultDrops[i] += d
 		}
 	}
 	if s.fluid != nil {
@@ -757,11 +822,8 @@ func (s *Sim) Run() Result {
 	// Replicated setup starts every flow on every worker; only the engine
 	// owning a flow's source runs its sender, so a distributed worker
 	// counts the hosted ranges and the merge sums to the global totals.
-	for e, flows := range s.flowsByEngine {
-		if e < s.hostLo || e >= s.hostHi {
-			continue
-		}
-		for _, f := range flows {
+	for e := s.hostLo; e < s.hostHi; e++ {
+		for _, f := range s.eng[e].flows {
 			res.FlowsStarted++
 			if f.done {
 				res.FlowsCompleted++

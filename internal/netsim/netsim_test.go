@@ -57,6 +57,15 @@ func TestNewValidation(t *testing.T) {
 	if err == nil {
 		t.Error("window larger than cut latency accepted")
 	}
+	// A node on an engine the run does not have must fail.
+	part[0] = 2
+	_, err = New(Config{
+		Net: net, Routes: interdomain.New(net), Part: part, Engines: 2,
+		Window: 10 * des.Microsecond, End: des.Second,
+	})
+	if err == nil {
+		t.Error("node on engine 2 of 2 accepted")
+	}
 }
 
 func TestUDPDelivery(t *testing.T) {

@@ -132,8 +132,8 @@ func (s *Sim) startFlow(at des.Time, src, dst model.NodeID, bytes int64, onCompl
 		f.rec = s.mon.FlowStarted(at, src, dst, bytes)
 	}
 	s.registerFlow(f)
-	eng := s.EngineOf(src)
-	s.flowsByEngine[eng] = append(s.flowsByEngine[eng], f)
+	st := &s.eng[s.EngineOf(src)]
+	st.flows = append(st.flows, f)
 	if s.tel != nil {
 		s.tel.FlowsStarted.Inc()
 	}
@@ -178,7 +178,7 @@ func (s *Sim) sendSeg(f *flow, seq int32, fresh bool) {
 		f.sendTime[seq] = now
 	} else {
 		f.sendTime[seq] = 0
-		s.retrans[eng.ID()]++
+		s.eng[eng.ID()].retrans++
 		if s.tel != nil {
 			s.tel.Retransmits.Inc()
 		}
@@ -186,7 +186,7 @@ func (s *Sim) sendSeg(f *flow, seq int32, fresh bool) {
 			f.rec.Retransmit()
 		}
 	}
-	s.nodeEvents[f.src]++
+	s.countEvent(f.src)
 	pkt := Packet{Src: f.src, Dst: f.dst, Bits: f.segBits(seq), Seq: seq, flow: f, ttl: DefaultTTL}
 	if s.mon != nil {
 		pkt.trace = s.mon.SampleTrace(pkt.Src, pkt.Dst, pkt.Seq, false, pkt.Bits, now)
@@ -219,7 +219,7 @@ func (s *Sim) onRTO(f *flow) {
 	if f.done || f.ackedTo >= f.totalPkts {
 		return
 	}
-	s.nodeEvents[f.src]++
+	s.countEvent(f.src)
 	f.ssthresh = f.cwnd / 2
 	if f.ssthresh < 2 {
 		f.ssthresh = 2
@@ -381,13 +381,13 @@ func (s *Sim) deliver(node model.NodeID, pkt Packet) {
 	case pkt.flow != nil && pkt.Ack:
 		s.onAck(pkt.flow, pkt)
 	case pkt.flow != nil:
-		s.delivered[eng] += uint64(pkt.Bits)
+		s.eng[eng].delivered += uint64(pkt.Bits)
 		if s.tel != nil {
 			s.tel.DeliveredBits.Add(uint64(pkt.Bits))
 		}
 		s.onData(pkt.flow, pkt)
 	default:
-		s.delivered[eng] += uint64(pkt.Bits)
+		s.eng[eng].delivered += uint64(pkt.Bits)
 		if s.tel != nil {
 			s.tel.DeliveredBits.Add(uint64(pkt.Bits))
 		}

@@ -589,6 +589,7 @@ func (s *Sim) Run() Stats {
 					if err != nil {
 						panic("pdes: unserializable remote event in distributed run: " + err.Error())
 					}
+					ws.re.eh = nil // the codec may reuse it now
 					e.wireEnc = append(e.wireEnc, wire.Event{
 						At: int64(ws.re.at), Src: ws.re.src, Dst: ws.dst,
 						Seq: ws.re.seq, Kind: kind, Payload: payload,

@@ -104,7 +104,9 @@ type Transport interface {
 // leader alone, while every other hosted engine waits at the barrier.
 type Codec interface {
 	// Encode serializes a remote event's handler. An error means the
-	// handler is not serializable — a model bug in distributed mode.
+	// handler is not serializable — a model bug in distributed mode. The
+	// engine keeps no reference to eh after Encode, so the model may
+	// reuse it.
 	Encode(eh des.EventHandler) (kind uint16, payload []byte, err error)
 	// Decode reconstructs the handler on the destination engine dst.
 	Decode(dst int, kind uint16, payload []byte) (des.EventHandler, error)
