@@ -35,11 +35,11 @@ func main() {
 		log.Fatal(err)
 	}
 	// One profiling pass, then every simulated approach end to end.
-	ev, err := experiments.Evaluate(st, experiments.ScaLapack)
+	ev, err := experiments.Evaluate(sc, st)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("profiling pass: %d events over %v\n\n", st.Profile.TotalEvents(), sc.Horizon())
+	fmt.Printf("profiling pass: %d events over %v\n\n", ev.Profile.TotalEvents(), sc.Horizon())
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "approach\tMLL\tsim time\timbalance\tefficiency\tapp rounds")

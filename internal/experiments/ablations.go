@@ -1,7 +1,8 @@
 // Ablation studies for the design choices DESIGN.md calls out: the T_mll
 // sweep granularity, the E = Es·Ec selection metric, the edge-weight
-// conversion, and the partitioner's refinement phase. Reachable from
-// `cmd/experiments -fig ablations` and from the bench harness.
+// conversion, and the partitioner's refinement phase. Printed by
+// `cmd/experiments -fig ablations`. The first three map st's network, a
+// Setup s.Build returned, onto s's engines from prof, HPROF's profile.
 package experiments
 
 import (
@@ -12,20 +13,19 @@ import (
 	"massf/internal/des"
 	"massf/internal/graph"
 	"massf/internal/partition"
+	"massf/internal/profile"
 )
 
-// AblationTmllStep sweeps the hierarchical threshold step size on the
-// setup's network (requires a profile; run RunProfiling first or pass a
-// non-profile approach's setup).
-func AblationTmllStep(st *Setup) (*Table, error) {
+// AblationTmllStep sweeps the hierarchical threshold step size.
+func AblationTmllStep(s Scenario, st *Setup, prof *profile.Profile) (*Table, error) {
 	t := &Table{
 		Title:   "Ablation: T_mll sweep step size (HPROF)",
 		Columns: []string{"Step", "Candidates", "Chosen Tmll", "MLL", "E"},
 	}
 	for _, step := range []des.Time{50 * des.Microsecond, 100 * des.Microsecond, 500 * des.Microsecond, 2 * des.Millisecond} {
-		m, err := core.Map(st.Net, core.HPROF, core.Config{
-			Engines: st.Scale.Engines, Sync: st.Sync, Seed: st.Scale.Seed, TmllStep: step,
-		}, st.Profile)
+		cfg := s.mapConfig(st)
+		cfg.TmllStep = step
+		m, err := core.Map(st.Net, core.HPROF, cfg, prof)
 		if err != nil {
 			return nil, err
 		}
@@ -38,10 +38,10 @@ func AblationTmllStep(st *Setup) (*Table, error) {
 // AblationSelectionMetric compares selecting the sweep candidate by the
 // paper's E = Es·Ec against Es-only and Ec-only selection (Section 3.4.3:
 // "maximizing Es and Ec separately does not work").
-func AblationSelectionMetric(st *Setup) (*Table, error) {
-	m, err := core.Map(st.Net, core.HPROF, core.Config{
-		Engines: st.Scale.Engines, Sync: st.Sync, Seed: st.Scale.Seed, KeepSweep: true,
-	}, st.Profile)
+func AblationSelectionMetric(s Scenario, st *Setup, prof *profile.Profile) (*Table, error) {
+	cfg := s.mapConfig(st)
+	cfg.KeepSweep = true
+	m, err := core.Map(st.Net, core.HPROF, cfg, prof)
 	if err != nil {
 		return nil, err
 	}
@@ -76,13 +76,13 @@ func AblationSelectionMetric(st *Setup) (*Table, error) {
 
 // AblationEdgeWeights compares the TOP and TOP2 latency→weight conversions
 // by achieved MLL and cut (Section 4.3's manual tuning).
-func AblationEdgeWeights(st *Setup) (*Table, error) {
+func AblationEdgeWeights(s Scenario, st *Setup, prof *profile.Profile) (*Table, error) {
 	t := &Table{
-		Title:   fmt.Sprintf("Ablation: latency→weight conversion (%d engines)", st.Scale.Engines),
+		Title:   fmt.Sprintf("Ablation: latency→weight conversion (%d engines)", s.Engines),
 		Columns: []string{"Conversion", "MLL", "Edge cut"},
 	}
 	for _, a := range []core.Approach{core.TOP, core.TOP2} {
-		m, err := st.MapApproach(a)
+		m, err := core.Map(st.Net, a, s.mapConfig(st), prof)
 		if err != nil {
 			return nil, err
 		}

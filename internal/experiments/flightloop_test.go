@@ -40,16 +40,22 @@ func skewScale() Scale {
 
 func TestMeasuredProfileFeedbackBeatsHTOP(t *testing.T) {
 	sc := skewScale()
-	st, err := BuildSingleAS(sc)
+	gen := Scenario{Flat: &FlatSpec{Routers: sc.Routers, Hosts: sc.Hosts}, RunSpec: runspec.RunSpec{Seed: sc.Seed}}
+	net, _, err := gen.Network("")
 	if err != nil {
 		t.Fatal(err)
 	}
+	st, err := NewSetup(net, sc, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Engines: sc.Engines, Sync: st.Sync, Seed: sc.Seed}
 	if len(st.Servers) != 2 {
 		t.Fatalf("testbed has %d servers, want the skewed 2", len(st.Servers))
 	}
 
 	// Monitoring run: topological HTOP mapping, flight recorder armed.
-	mHTOP, err := st.MapApproach(core.HTOP)
+	mHTOP, err := core.Map(st.Net, core.HTOP, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +105,7 @@ func TestMeasuredProfileFeedbackBeatsHTOP(t *testing.T) {
 	}
 
 	// Feedback run: HPROF driven by the measured profile, same workload.
-	st.Profile = reloaded
-	mHPROF, err := st.MapApproach(core.HPROF)
+	mHPROF, err := core.Map(st.Net, core.HPROF, cfg, reloaded)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,8 @@ import (
 
 // The launch path. Every surface that turns a description into a running
 // simulation — cmd/massf, the massfd daemon (internal/runctl), the
-// examples — goes through the same steps, in this order:
+// examples, and the paper's figures (cmd/experiments, through Evaluate) —
+// goes through the same steps, in this order:
 //
 //	sc.Normalize(); sc.Validate()
 //	net, multi := sc.Network(dir)     topology source → network, through an artifact cache
@@ -230,14 +231,12 @@ func (s *Scenario) Build(net *model.Network, multi bool, x Exec) (*Setup, error)
 }
 
 // bind returns this run's view of a possibly shared Setup: the per-run
-// knobs (engines, horizon, event cost) overlaid on a shallow copy, and no
-// profile — profiles are per-run state, never shared through a cache.
+// knobs (engines, horizon, event cost) overlaid on a shallow copy.
 func (s *Scenario) bind(st *Setup) *Setup {
 	run := *st
 	run.Scale.Engines = s.Engines
 	run.Scale.Horizon = s.Horizon()
 	run.Scale.EventCost = s.EventCost()
-	run.Profile = nil
 	return &run
 }
 
@@ -276,9 +275,12 @@ func (s *Scenario) Map(st *Setup, prof *profile.Profile) (*core.Mapping, error) 
 	if err != nil {
 		return nil, err
 	}
-	run := s.bind(st)
-	run.Profile = prof
-	return run.MapApproach(a)
+	return core.Map(st.Net, a, s.mapConfig(st), prof)
+}
+
+// mapConfig is the partitioner configuration of the scenario's runs on st.
+func (s *Scenario) mapConfig(st *Setup) core.Config {
+	return core.Config{Engines: s.Engines, Sync: st.Sync, Seed: st.Scale.Seed}
 }
 
 // Prepare builds the scenario's simulation under mapping m, carrying src

@@ -1,8 +1,9 @@
-// Package experiments reproduces the paper's evaluation: it builds the
-// single-AS (Section 4) and multi-AS (Section 5) testbeds, runs the
-// profiling pass, executes each mapping approach under each application
-// workload, and emits the series behind every figure (3, 5–13) plus the
-// headline claims. See EXPERIMENTS.md for the recorded outputs.
+// Package experiments is the launch path (launch.go) and the paper's
+// evaluation on it: the single-AS (Section 4) and multi-AS (Section 5)
+// testbeds are Scenarios, and Evaluate takes each through one profiling
+// pass and every mapping approach under each application workload,
+// emitting the series behind every figure (3, 5–13) plus the headline
+// claims. See EXPERIMENTS.md for the recorded outputs.
 package experiments
 
 import (
@@ -25,11 +26,11 @@ import (
 	"massf/internal/traffic"
 )
 
-// Scale fixes the experiment size. The paper runs 20,000 routers (100 AS ×
-// 200 routers) with 10,000 hosts, 8,000 clients, 2,000 servers on 90
-// engines for ~30-minute applications; Reduced keeps every ratio but
-// shrinks by 10× (and the horizon much further) so the full suite runs on
-// a laptop.
+// Scale sizes a Setup: the host roles, engine count, horizon, event cost
+// and seed it was built with. Scenario.Build derives it from a scenario;
+// the benchmark fills it in for NewSetup. No builder reads the topology
+// fields (Routers, ASes, RoutersPerAS, Hosts); they describe the network
+// the Setup was built on.
 type Scale struct {
 	Name         string
 	Routers      int // single-AS router count
@@ -43,45 +44,6 @@ type Scale struct {
 	Horizon      des.Time
 	EventCost    des.Time
 	Seed         int64
-}
-
-// Reduced returns the default laptop-friendly scale (10× smaller than the
-// paper, 8 s of simulated time).
-func Reduced() Scale {
-	return Scale{
-		Name:         "reduced",
-		Routers:      2000,
-		ASes:         20,
-		RoutersPerAS: 100,
-		Hosts:        1000,
-		Clients:      800,
-		Servers:      190,
-		AppHosts:     7,
-		Engines:      16,
-		Horizon:      8 * des.Second,
-		EventCost:    15 * des.Microsecond,
-		Seed:         1,
-	}
-}
-
-// Paper returns the paper's full scale. Expect long runtimes and a large
-// memory footprint; the partitioning stages are fast, the packet
-// simulation is the expensive part.
-func Paper() Scale {
-	return Scale{
-		Name:         "paper",
-		Routers:      20000,
-		ASes:         100,
-		RoutersPerAS: 200,
-		Hosts:        10000,
-		Clients:      8000,
-		Servers:      2000,
-		AppHosts:     7,
-		Engines:      90,
-		Horizon:      30 * des.Second,
-		EventCost:    15 * des.Microsecond,
-		Seed:         1,
-	}
 }
 
 // Workload selects the foreground application.
@@ -108,8 +70,10 @@ func (w Workload) String() string {
 	}
 }
 
-// Setup is a built testbed: topology, routing, host roles, and (after
-// RunProfiling) the traffic profile the PROF approaches consume.
+// Setup is a built testbed: topology, routing and host roles. Profile is
+// written only by RunProfiling, the benchmark's profiling pass; the launch
+// path hands profiles around as values and never writes a Setup after
+// Build.
 type Setup struct {
 	Scale   Scale
 	MultiAS bool
@@ -128,37 +92,9 @@ type Setup struct {
 	Profile *profile.Profile
 }
 
-// BuildSingleAS constructs the Section 4 testbed: a flat power-law network
-// with OSPF routing.
-func BuildSingleAS(sc Scale) (*Setup, error) {
-	return buildScale(Scenario{Flat: &FlatSpec{Routers: sc.Routers, Hosts: sc.Hosts}}, sc)
-}
-
-// BuildMultiAS constructs the Section 5 testbed: an Internet-like multi-AS
-// network with automatically configured BGP policy routing plus OSPF inside
-// every AS.
-func BuildMultiAS(sc Scale) (*Setup, error) {
-	return buildScale(Scenario{MultiAS: &MultiASSpec{
-		ASes: sc.ASes, RoutersPerAS: sc.RoutersPerAS, Hosts: sc.Hosts,
-	}}, sc)
-}
-
-// buildScale generates s's topology with the scale's seed — the launch
-// path's network step — and builds the scale's testbed on it.
-func buildScale(s Scenario, sc Scale) (*Setup, error) {
-	s.Seed = sc.Seed
-	net, multi, err := s.Network("")
-	if err != nil {
-		return nil, err
-	}
-	return NewSetup(net, sc, multi)
-}
-
-// NewSetup builds a Setup from an already-constructed network — the
-// launch path's entry point, where topologies may arrive as DML uploads
-// rather than through the built-in generators. Scale supplies the host
-// roles, engine count, horizon and seed; the topology fields of Scale are
-// ignored.
+// NewSetup builds a Setup from an already-constructed network with the
+// host roles, engine count, horizon and seed sc gives — the benchmark's
+// builder; the launch path's is Scenario.Build.
 func NewSetup(net *model.Network, sc Scale, multi bool) (*Setup, error) {
 	return newSetup(net, sc, multi, nil)
 }
@@ -299,7 +235,8 @@ var sequential = &core.Mapping{Approach: core.RANDOM, MLL: core.MaxMLL, E: 1, Es
 // full workload on a single engine (the naive partition's event counts are
 // identical; a sequential pass avoids paying the naive partition's
 // enormous synchronization bill twice). The profile is stored on the
-// Setup, merged into one an earlier pass left there.
+// Setup, merged into one an earlier pass left there — the benchmark's form
+// of Scenario.TrafficProfile.
 func (st *Setup) RunProfiling(w Workload) error {
 	p, err := st.profilingPass(context.Background(), w)
 	if err != nil {
@@ -326,14 +263,6 @@ func (st *Setup) profilingPass(ctx context.Context, w Workload) (*profile.Profil
 		return nil, ctx.Err()
 	}
 	return out.Captured, nil
-}
-
-// MapApproach runs just the mapping stage (no packet simulation) — enough
-// for the achieved-MLL figures and the partitioner ablations.
-func (st *Setup) MapApproach(a core.Approach) (*core.Mapping, error) {
-	return core.Map(st.Net, a, core.Config{
-		Engines: st.Scale.Engines, Sync: st.Sync, Seed: st.Scale.Seed,
-	}, st.Profile)
 }
 
 // BuildSim constructs (but does not run) the full simulation for mapping m
@@ -534,20 +463,3 @@ func (p *Prepared) Run(ctx context.Context) *RunOutcome {
 	}
 	return out
 }
-
-// RunMapping maps the network with approach a and executes the full
-// workload under that partition.
-func (st *Setup) RunMapping(a core.Approach, w Workload) (*RunOutcome, error) {
-	m, err := st.MapApproach(a)
-	if err != nil {
-		return nil, err
-	}
-	p, err := st.prepare(m, w, runspec.RunSpec{}, nil, Exec{})
-	if err != nil {
-		return nil, err
-	}
-	return p.Run(context.Background()), nil
-}
-
-// DefaultSync returns the synchronization cost model the experiments use.
-func DefaultSync() cluster.SyncCostModel { return cluster.DefaultTeraGrid() }
