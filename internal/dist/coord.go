@@ -3,28 +3,26 @@ package dist
 import (
 	"fmt"
 	"net"
+	"slices"
 	"time"
 
-	"massf/internal/des"
-	"massf/internal/pdes"
 	"massf/internal/wire"
 )
 
-// RunConfig describes the global shape of a distributed run. The window
-// geometry must match what every worker's runner derives from its job spec
-// — the coordinator needs it to make the fast-forward decision, but it
-// never interprets specs or payloads.
+// RunConfig describes the global shape of a distributed run. The
+// coordinator hands the window geometry to every worker, whose transports
+// take the fast-forward decision with it, so it must match what every
+// worker's runner derives from its job spec; the coordinator itself never
+// interprets specs or payloads.
 type RunConfig struct {
 	// Jobs lists one assignment per worker; workers receive them in the
-	// order they connect.
+	// order they connect. Their engine ranges must tile [0, N).
 	Jobs []Job
 	// WindowNS is the barrier window length.
 	WindowNS int64
 	// TotalWindows is the number of windows to the horizon, as
 	// pdes.WindowCount gives it — the workers' loops use the same.
 	TotalWindows int
-	// SyncCostNS is C(N) for the modeled-time fold; 0 disables it.
-	SyncCostNS int64
 }
 
 // Result is a completed distributed run.
@@ -37,282 +35,236 @@ type Result struct {
 	Windows int
 	// Stopped reports a cooperative global stop.
 	Stopped bool
-	// ModeledBusyNS and ModeledTimeNS are the GLOBAL reductions of the
-	// paper's modeled execution time — Σ max over all workers per window —
-	// which the workers' partial Stats cannot compute locally.
-	ModeledBusyNS, ModeledTimeNS int64
+	// ModeledBusyNS is the GLOBAL reduction of the paper's modeled busy
+	// time — Σ over windows of the max over all workers — which the
+	// workers' partial Stats cannot compute locally. Every worker folds it
+	// from its peers' frames and reports it in its result summary.
+	ModeledBusyNS int64
 }
 
+// frame is one frame a worker sent the coordinator, or the error that
+// ended its connection.
 type frame struct {
+	from    int
 	typ     byte
 	payload []byte
+	err     error
 }
 
-// peer is one connected worker on the coordinator.
-type peer struct {
-	idx    int
-	conn   net.Conn
-	name   string
-	frames chan frame
-	errc   chan error
-}
-
-// readLoop pumps frames under a rolling heartbeat deadline: every frame —
-// heartbeats included — pushes the deadline out, so a worker is declared
-// dead only after HeartbeatTimeout of true silence.
-func (p *peer) readLoop(hbTimeout time.Duration) {
+// readLoop pumps worker i's frames into c.in and ends with the
+// connection's failure. Every read runs under a rolling deadline of
+// HeartbeatTimeout, so a worker is declared dead only after that long of
+// true silence.
+func (c *coordinator) readLoop(i int) {
+	conn := c.members[i].conn
 	for {
-		_ = p.conn.SetReadDeadline(time.Now().Add(hbTimeout))
-		typ, payload, err := wire.ReadFrame(p.conn, wire.DefaultMaxFrame)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				err = fmt.Errorf("heartbeat timeout after %v: %w", hbTimeout, err)
-			}
-			p.errc <- err
+		_ = conn.SetReadDeadline(time.Now().Add(c.opt.HeartbeatTimeout))
+		typ, payload, err := wire.ReadFrame(conn, wire.DefaultMaxFrame)
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			err = fmt.Errorf("heartbeat timeout after %v: %w", c.opt.HeartbeatTimeout, err)
+		}
+		select {
+		case c.in <- frame{from: i, typ: typ, payload: payload, err: err}:
+		case <-c.quit:
 			return
 		}
-		if typ == wire.MsgHeartbeat {
-			continue
+		if err != nil {
+			return
 		}
-		p.frames <- frame{typ: typ, payload: payload}
 	}
 }
 
-// next returns the peer's next protocol frame or its connection failure.
-// The timeout catches a STALLED worker — one whose heartbeat goroutine
-// keeps the connection alive while its engines make no progress — which
-// the liveness deadline alone cannot see.
-func (p *peer) next(timeout time.Duration) (frame, error) {
-	// A frame already pumped must win over a connection error behind it: a
-	// worker that ships its Result and exits closes the connection right
-	// after its last frame, and that EOF is not a failure.
-	select {
-	case f := <-p.frames:
-		return f, nil
-	default:
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case f := <-p.frames:
-		return f, nil
-	case err := <-p.errc:
-		// Frame and error can both land while this select parks; readLoop
-		// sent every frame before the error, so one left behind is here now.
-		select {
-		case f := <-p.frames:
-			p.errc <- err
-			return f, nil
-		default:
-		}
-		return frame{}, err
-	case <-timer.C:
-		return frame{}, fmt.Errorf("stalled: heartbeats flowing but no protocol frame within %v", timeout)
-	}
+// member is one joined worker on the coordinator.
+type member struct {
+	conn net.Conn
+	name string
 }
 
-// coordinator drives one distributed run.
+// coordinator serves one distributed run.
 type coordinator struct {
-	rc    RunConfig
-	opt   Options
-	peers []*peer
-	owner []int // engine → worker index
+	rc      RunConfig
+	opt     Options
+	members []member
+	in      chan frame // every member's frames
+	quit    chan struct{}
 }
 
-// Serve accepts len(rc.Jobs) workers on ln, drives the run to completion,
-// and returns the collected results. On any worker failure it aborts the
-// surviving workers and returns a *WorkerError identifying the culprit.
-// The listener is not closed.
+// Serve accepts len(rc.Jobs) workers on ln, hands out the jobs, waits for
+// the run to finish, and returns the collected results. On any worker
+// failure it aborts the surviving workers and returns a *WorkerError
+// identifying the culprit. The listener is not closed.
 func Serve(ln net.Listener, rc RunConfig, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
-	if len(rc.Jobs) == 0 {
-		return nil, fmt.Errorf("dist: no jobs")
+	if err := checkJobs(rc.Jobs); err != nil {
+		return nil, err
 	}
 	if rc.WindowNS <= 0 {
 		return nil, fmt.Errorf("dist: window must be positive, got %d ns", rc.WindowNS)
 	}
-	c := &coordinator{rc: rc, opt: opt}
-	engines := 0
-	for _, j := range rc.Jobs {
-		if j.First+j.Hosted > engines {
-			engines = j.First + j.Hosted
-		}
-	}
-	c.owner = make([]int, engines)
-	for i := range c.owner {
-		c.owner[i] = -1
-	}
-	for wi, j := range rc.Jobs {
-		for g := j.First; g < j.First+j.Hosted; g++ {
-			if c.owner[g] != -1 {
-				return nil, fmt.Errorf("dist: engine %d assigned to workers %d and %d", g, c.owner[g], wi)
-			}
-			c.owner[g] = wi
-		}
-	}
-
+	c := &coordinator{rc: rc, opt: opt, in: make(chan frame, 4*len(rc.Jobs)), quit: make(chan struct{})}
+	defer c.closeAll()
 	if err := c.join(ln); err != nil {
-		c.closeAll()
 		return nil, err
 	}
-	defer c.closeAll()
-	return c.drive()
+	return c.collect()
 }
 
-// join accepts and handshakes every worker, assigning jobs in connection
-// order. The listener is the caller's: the join deadline armed on it is
-// cleared on return, so a later Accept of theirs does not inherit it.
+// checkJobs accepts job ranges that tile [0, N): every engine hosted by
+// exactly one worker, and every worker hosting at least one.
+func checkJobs(jobs []Job) error {
+	if len(jobs) == 0 {
+		return fmt.Errorf("dist: no jobs")
+	}
+	order := make([]int, len(jobs))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return jobs[a].First - jobs[b].First })
+	next := 0
+	for _, i := range order {
+		j := jobs[i]
+		switch {
+		case j.Hosted < 1:
+			return fmt.Errorf("dist: job %d hosts %d engines", i, j.Hosted)
+		case j.First > next:
+			return fmt.Errorf("dist: engine %d assigned to no worker", next)
+		case j.First < next:
+			return fmt.Errorf("dist: engine %d assigned to two workers", j.First)
+		}
+		next = j.First + j.Hosted
+	}
+	return nil
+}
+
+// join accepts and handshakes every worker, then hands each its job with
+// the peer table. Jobs go out in connection order. The listener is the
+// caller's: the join deadline armed on it is cleared on return, so a later
+// Accept of theirs does not inherit it.
 func (c *coordinator) join(ln net.Listener) error {
 	deadline := time.Now().Add(c.opt.JoinTimeout)
 	if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
 		_ = d.SetDeadline(deadline) // a listener that cannot time out still joins
 		defer d.SetDeadline(time.Time{})
 	}
-	for i := range c.rc.Jobs {
+	jobs := c.rc.Jobs
+	peers := make([]peerInfo, len(jobs))
+	for i, j := range jobs {
 		conn, err := ln.Accept()
 		if err != nil {
-			return fmt.Errorf("dist: waiting for worker %d/%d to join: %w", i, len(c.rc.Jobs), err)
+			return fmt.Errorf("dist: waiting for worker %d/%d to join: %w", i, len(jobs), err)
 		}
-		p := &peer{idx: i, conn: conn, frames: make(chan frame, 4), errc: make(chan error, 1)}
-		c.peers = append(c.peers, p)
+		c.members = append(c.members, member{conn: conn})
+		m := &c.members[i]
 		_ = conn.SetReadDeadline(deadline)
 		typ, payload, err := wire.ReadFrame(conn, wire.DefaultMaxFrame)
 		if err == nil && typ != wire.MsgHello {
 			err = fmt.Errorf("expected Hello, got frame type %d", typ)
 		}
+		var addr string
 		if err == nil {
-			p.name, err = decodeHello(payload)
-		}
-		if err == nil {
-			err = wire.WriteFrame(conn, wire.MsgJob, encodeJob(c.rc.Jobs[i]))
+			m.name, addr, err = decodeHello(payload)
 		}
 		if err != nil {
-			return c.fail(p, fmt.Errorf("handshake: %w", err))
+			return c.fail(i, fmt.Errorf("handshake: %w", err))
+		}
+		peers[i] = peerInfo{Addr: addr, First: j.First, Hosted: j.Hosted}
+	}
+	for i, m := range c.members {
+		a := assignment{Job: jobs[i], WindowNS: c.rc.WindowNS, TotalWindows: c.rc.TotalWindows, Index: i, Peers: peers}
+		if err := wire.WriteFrame(m.conn, wire.MsgJob, encodeAssignment(a)); err != nil {
+			return c.fail(i, fmt.Errorf("handshake: %w", err))
 		}
 	}
-	for _, p := range c.peers {
-		go p.readLoop(c.opt.HeartbeatTimeout)
+	for i := range c.members {
+		go c.readLoop(i)
 	}
 	return nil
 }
 
-// drive runs the barrier protocol to the horizon and collects results.
-func (c *coordinator) drive() (*Result, error) {
-	k := len(c.peers)
+// collect waits for every worker's Result, blaming the first failure any
+// connection shows or any worker reports. A worker that sends no window
+// while nothing else moves for ExchangeTimeout is stalled: the laggard —
+// fewest windows sent, by its heartbeats, lowest index on a tie — is blamed.
+func (c *coordinator) collect() (*Result, error) {
+	k := len(c.members)
 	res := &Result{Payloads: make([][]byte, k), Names: make([]string, k)}
-	for i, p := range c.peers {
-		res.Names[i] = p.name
+	for i, m := range c.members {
+		res.Names[i] = m.name
 	}
-	dones := make([]pdes.WindowDone, k)
-	outs := make([][]wire.Event, k)
-	var enc []byte
-	w := 0
-	for w < c.rc.TotalWindows {
-		for i, p := range c.peers {
-			f, err := p.next(c.opt.ExchangeTimeout)
-			if err != nil {
-				return nil, c.fail(p, err)
-			}
-			switch f.typ {
-			case wire.MsgWindowDone:
-			case wire.MsgAbort:
-				return nil, c.fail(p, fmt.Errorf("worker aborted: %s", decodeAbort(f.payload)))
-			default:
-				return nil, c.fail(p, fmt.Errorf("expected WindowDone, got frame type %d", f.typ))
-			}
-			d, err := decodeWindowDone(f.payload)
-			if err != nil {
-				return nil, c.fail(p, fmt.Errorf("window %d: %w", w, err))
-			}
-			if d.Window != w {
-				return nil, c.fail(p, fmt.Errorf("arrived at window %d, barrier is at %d", d.Window, w))
-			}
-			dones[i] = d
-		}
-		// Reduce: global stop, global max busy, global next-event time
-		// (workers' local minima folded with every in-flight wire event),
-		// and star-route the window's events.
-		stop := false
-		globalNext := des.EndOfTime
-		var maxBusy int64
-		for i := range outs {
-			outs[i] = outs[i][:0]
-		}
-		for i := range dones {
-			d := &dones[i]
-			stop = stop || d.Stop
-			if d.LocalNext < globalNext {
-				globalNext = d.LocalNext
-			}
-			if d.MaxBusy > maxBusy {
-				maxBusy = d.MaxBusy
-			}
-			for _, ev := range d.Events {
-				if des.Time(ev.At) < globalNext {
-					globalNext = des.Time(ev.At)
+	sums := make([]summary, k)
+	sent := make([]int, k)
+	done := make([]bool, k)
+	moved := time.Now()
+	for left := k; left > 0; {
+		stall := time.NewTimer(time.Until(moved.Add(c.opt.ExchangeTimeout)))
+		var f frame
+		select {
+		case f = <-c.in:
+			stall.Stop()
+		case <-stall.C:
+			lag := -1
+			for i := range sent {
+				if !done[i] && (lag < 0 || sent[i] < sent[lag]) {
+					lag = i
 				}
-				if ev.Dst < 0 || int(ev.Dst) >= len(c.owner) || c.owner[ev.Dst] < 0 {
-					return nil, c.fail(c.peers[i], fmt.Errorf("event for unassigned engine %d", ev.Dst))
-				}
-				dst := c.owner[ev.Dst]
-				if dst == i {
-					return nil, c.fail(c.peers[i], fmt.Errorf("event for engine %d looped back to its own worker", ev.Dst))
-				}
-				outs[dst] = append(outs[dst], ev)
 			}
+			return nil, c.fail(lag, fmt.Errorf("stalled: heartbeats flowing but no window sent within %v (%d sent)",
+				c.opt.ExchangeTimeout, sent[lag]))
 		}
-		res.Windows++
-		res.ModeledBusyNS += maxBusy
-		if maxBusy < c.rc.SyncCostNS {
-			maxBusy = c.rc.SyncCostNS
-		}
-		res.ModeledTimeNS += maxBusy
-		next := min(pdes.NextWindow(w, globalNext, des.Time(c.rc.WindowNS)), c.rc.TotalWindows)
-		for i, p := range c.peers {
-			enc = encodeWindowGo(enc[:0], pdes.WindowGo{NextWindow: next, Stop: stop, Events: outs[i]})
-			if err := wire.WriteFrame(p.conn, wire.MsgWindowGo, enc); err != nil {
-				return nil, c.fail(p, fmt.Errorf("send window go: %w", err))
+		var err error
+		switch {
+		case done[f.from]: // a finished worker hanging up
+		case f.err != nil:
+			return nil, c.fail(f.from, f.err)
+		case f.typ == wire.MsgHeartbeat:
+			var n int
+			if n, err = decodeCount(f.payload); err == nil && n != sent[f.from] {
+				sent[f.from], moved = n, time.Now()
 			}
-		}
-		if stop {
-			res.Stopped = true
-			break
-		}
-		w = next
-	}
-	for i, p := range c.peers {
-		f, err := p.next(c.opt.ExchangeTimeout)
-		if err != nil {
-			return nil, c.fail(p, fmt.Errorf("awaiting result: %w", err))
-		}
-		switch f.typ {
-		case wire.MsgResult:
-			res.Payloads[i] = f.payload
-		case wire.MsgAbort:
-			return nil, c.fail(p, fmt.Errorf("worker aborted: %s", decodeAbort(f.payload)))
+		case f.typ == wire.MsgResult:
+			sums[f.from], res.Payloads[f.from], err = decodeResult(f.payload)
+			done[f.from], moved = true, time.Now()
+			left--
+		case f.typ == wire.MsgAbort:
+			culprit, cause := decodeAbort(f.payload)
+			if culprit == f.from {
+				return nil, c.fail(culprit, fmt.Errorf("worker aborted: %w", cause))
+			}
+			if culprit < 0 || culprit >= k {
+				return nil, c.fail(f.from, fmt.Errorf("abort blames worker %d: %w", culprit, cause))
+			}
+			return nil, c.fail(culprit, fmt.Errorf("worker %d (%q) reports: %w", f.from, c.members[f.from].name, cause))
 		default:
-			return nil, c.fail(p, fmt.Errorf("expected Result, got frame type %d", f.typ))
+			err = fmt.Errorf("unexpected frame type %d", f.typ)
+		}
+		if err != nil {
+			return nil, c.fail(f.from, err)
 		}
 	}
+	for i, s := range sums {
+		if s != sums[0] {
+			return nil, c.fail(i, fmt.Errorf("summary %+v disagrees with worker 0's %+v", s, sums[0]))
+		}
+	}
+	res.Windows, res.ModeledBusyNS, res.Stopped = sums[0].windows, sums[0].busyNS, sums[0].stopped
 	return res, nil
 }
 
-// fail attributes the run failure to peer p, aborts the others, and closes
-// every connection.
-func (c *coordinator) fail(p *peer, err error) error {
-	j := c.rc.Jobs[p.idx]
-	werr := &WorkerError{Index: p.idx, Name: p.name, First: j.First, Hosted: j.Hosted, Err: err}
-	for _, q := range c.peers {
-		if q != p {
-			_ = wire.WriteFrame(q.conn, wire.MsgAbort, encodeAbort(werr.Error()))
+// fail attributes the run failure to worker i and aborts the others.
+func (c *coordinator) fail(i int, err error) error {
+	j := c.rc.Jobs[i]
+	werr := &WorkerError{Index: i, Name: c.members[i].name, First: j.First, Hosted: j.Hosted, Err: err}
+	for q, m := range c.members {
+		if q != i {
+			_ = wire.WriteFrame(m.conn, wire.MsgAbort, encodeAbort(i, werr))
 		}
 	}
-	c.closeAll()
 	return werr
 }
 
 func (c *coordinator) closeAll() {
-	for _, p := range c.peers {
-		_ = p.conn.Close()
+	close(c.quit)
+	for _, m := range c.members {
+		_ = m.conn.Close()
 	}
 }

@@ -1,28 +1,46 @@
-// Package dist runs a distributed simulation over TCP: a coordinator
-// process drives the barrier-window protocol and routes cross-worker
-// events, and worker processes each run one hosted engine range of the
-// scenario (see pdes.Transport for the window protocol and the SPMD
-// model).
+// Package dist runs a distributed simulation over TCP: worker processes
+// each run one hosted engine range of the scenario (see pdes.Transport for
+// the window protocol and the SPMD model) and trade every barrier window
+// directly with each other, and a coordinator process hands out the jobs,
+// watches the workers' liveness and collects their results.
 //
-// The protocol is a star: every worker keeps exactly one connection to the
-// coordinator, framed by package wire. A run is
+// Every worker keeps one connection to the coordinator and one to every
+// other worker, all framed by package wire:
 //
-//	worker → Hello{name}
-//	coord  → Job{kind, engine range, opaque spec}
-//	repeat per window:
-//	    worker → WindowDone{window, maxBusy, localNext, stop, events}
-//	            (Heartbeat frames interleave while the worker computes)
-//	    coord  → WindowGo{nextWindow, stop, events routed to this worker}
-//	worker → Result{opaque payload}
+//	     coord            Hello, Job, Heartbeat, Result, Abort
+//	   /   |   \
+//	w0 ——— w1 ——— w2      WindowDone, one per peer per window
+//	  \___________/
+//
+// A run is
+//
+//	worker → coord   Hello{name, peer address}
+//	coord  → worker  Job{kind, engine range, opaque spec, window length,
+//	                     window count, worker index, peer table}
+//	worker i → worker j > i: dial, Hello{i}
+//	repeat per window, worker ↔ every peer:
+//	    WindowDone{window, maxBusy, next, stop, events for the peer's engines}
+//	    (each worker folds stop, max busy and next window from all of them)
+//	worker → coord   Heartbeat{windows sent}, every HeartbeatInterval
+//	worker → coord   Result{windows, modeled busy, stopped, opaque payload}
+//
+// No per-window frame reaches the coordinator. Every worker takes the
+// barrier decision itself, with pdes.NextWindow, from the same frames, so
+// all of them take the same one; the coordinator checks at the end that
+// their summaries agree.
 //
 // Failure model: the coordinator reads each worker connection under a
-// rolling deadline of HeartbeatTimeout; a worker that dies or stalls —
-// process killed, network partition, live-locked engine — stops
-// heartbeating and the read deadline fires, failing the run with a
-// WorkerError naming the worker. Frame corruption (bad CRC, bad magic,
-// truncation) is detected by the wire codec and attributed the same way.
-// On any failure the coordinator sends Abort to the surviving workers so
-// they exit promptly instead of blocking in Exchange.
+// rolling deadline of HeartbeatTimeout; a worker that dies or is cut off —
+// process killed, network partition — stops heartbeating and the read
+// deadline fires, failing the run with a WorkerError naming the worker. A
+// worker whose peer link fails — EOF, a frame the wire codec rejects (bad
+// CRC, bad magic, truncation), the wrong window, an event for an engine it
+// does not host, or no frame within ExchangeTimeout — sends the coordinator
+// an Abort naming that peer, and the coordinator blames it. A stalled
+// worker — heartbeats flowing, no window progress — is caught by the
+// windows-sent count its heartbeats carry. On any failure the coordinator
+// sends Abort to the surviving workers, which close their peer links so
+// none stays blocked in Exchange.
 //
 // The coordinator is deliberately model-agnostic: job specs and result
 // payloads are opaque bytes, and the job kind string selects a registered
@@ -31,6 +49,7 @@
 package dist
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -41,26 +60,25 @@ import (
 
 // Options tunes transport robustness; zero values select the defaults.
 type Options struct {
-	// HeartbeatInterval is how often a worker pings while computing.
+	// HeartbeatInterval is how often a worker pings the coordinator.
 	// Default 250ms.
 	HeartbeatInterval time.Duration
 	// HeartbeatTimeout is the coordinator's rolling per-connection read
-	// deadline: a worker silent this long — no protocol frame and no
-	// heartbeat — is declared dead. It does not bound a worker's wait for
-	// the coordinator's reply, which also has to cover the slowest peer's
-	// window; that is ExchangeTimeout. Default 2s; must exceed
-	// HeartbeatInterval (a smaller value is raised to 4× the interval).
+	// deadline: a worker silent this long — no frame and no heartbeat — is
+	// declared dead. Default 2s; must exceed HeartbeatInterval (a smaller
+	// value is raised to 4× the interval).
 	HeartbeatTimeout time.Duration
-	// ExchangeTimeout bounds a worker's wait for the coordinator's
-	// WindowGo after sending WindowDone — the global barrier wait, so it
-	// must cover the slowest worker's window. Default 60s.
+	// ExchangeTimeout bounds a worker's wait for each peer's WindowDone,
+	// so it must cover the slowest worker's window, and the coordinator's
+	// wait for any worker to send another window. Default 60s.
 	ExchangeTimeout time.Duration
 	// DialTimeout bounds a worker's total connection attempt, across
 	// backoff retries (the coordinator may not be listening yet when the
 	// worker starts). Default 10s.
 	DialTimeout time.Duration
 	// JoinTimeout bounds the coordinator's wait for all workers to connect
-	// and complete the handshake. Default 30s.
+	// and complete the handshake, and a worker's wait for its job and its
+	// peer links. Default 30s.
 	JoinTimeout time.Duration
 }
 
@@ -119,32 +137,71 @@ func (e *WorkerError) Unwrap() error { return e.Err }
 
 // --- control-frame payload encodings ---
 
-func encodeHello(name string) []byte {
+func encodeHello(name, addr string) []byte {
 	var b wire.Buffer
 	b.String(name)
+	b.String(addr)
 	return b.B
 }
 
-func decodeHello(p []byte) (string, error) {
+func decodeHello(p []byte) (name, addr string, err error) {
 	r := wire.NewReader(p)
-	name := r.String()
-	return name, r.Err()
+	name, addr = r.String(), r.String()
+	return name, addr, r.Err()
 }
 
-func encodeJob(j Job) []byte {
+// assignment is what the coordinator's Job frame tells a worker: its job,
+// the run's window geometry, its index, and the peer table.
+type assignment struct {
+	Job
+	WindowNS     int64
+	TotalWindows int
+	Index        int
+	Peers        []peerInfo
+}
+
+// peerInfo is one worker's row of the peer table: where it listens for its
+// peers and which engines it hosts.
+type peerInfo struct {
+	Addr          string
+	First, Hosted int
+}
+
+func encodeAssignment(a assignment) []byte {
 	var b wire.Buffer
-	b.String(j.Kind)
-	b.U32(uint32(j.First))
-	b.U32(uint32(j.Hosted))
-	b.Bytes(j.Spec)
+	b.String(a.Kind)
+	b.U32(uint32(a.First))
+	b.U32(uint32(a.Hosted))
+	b.Bytes(a.Spec)
+	b.I64(a.WindowNS)
+	b.U32(uint32(a.TotalWindows))
+	b.U32(uint32(a.Index))
+	b.U32(uint32(len(a.Peers)))
+	for _, p := range a.Peers {
+		b.String(p.Addr)
+		b.U32(uint32(p.First))
+		b.U32(uint32(p.Hosted))
+	}
 	return b.B
 }
 
-func decodeJob(p []byte) (Job, error) {
+func decodeAssignment(p []byte) (assignment, error) {
 	r := wire.NewReader(p)
-	j := Job{Kind: r.String(), First: int(r.U32()), Hosted: int(r.U32())}
-	j.Spec = append([]byte(nil), r.BytesView()...)
-	return j, r.Err()
+	a := assignment{Job: Job{Kind: r.String(), First: int(r.U32()), Hosted: int(r.U32())}}
+	a.Spec = append([]byte(nil), r.BytesView()...)
+	a.WindowNS, a.TotalWindows, a.Index = r.I64(), int(r.U32()), int(r.U32())
+	n := int(r.U32())
+	if n > r.Len() { // a corrupt count must not size the allocation
+		return a, wire.ErrShort
+	}
+	a.Peers = make([]peerInfo, n)
+	for i := range a.Peers {
+		a.Peers[i] = peerInfo{Addr: r.String(), First: int(r.U32()), Hosted: int(r.U32())}
+	}
+	if r.Err() == nil && a.Index >= n {
+		return a, fmt.Errorf("dist: worker index %d of %d", a.Index, n)
+	}
+	return a, r.Err()
 }
 
 func encodeWindowDone(buf []byte, d pdes.WindowDone) []byte {
@@ -173,36 +230,89 @@ func decodeWindowDone(p []byte) (pdes.WindowDone, error) {
 	return d, err
 }
 
-func encodeWindowGo(buf []byte, g pdes.WindowGo) []byte {
-	b := wire.Buffer{B: buf}
-	b.U32(uint32(g.NextWindow))
-	if g.Stop {
+// summary is what a worker's transport folded over the whole run; every
+// worker folds the same frames, so every worker's summary is the same.
+type summary struct {
+	windows int
+	busyNS  int64
+	stopped bool
+}
+
+// encodeResult puts the summary ahead of the runner's opaque payload.
+func encodeResult(s summary, payload []byte) []byte {
+	var b wire.Buffer
+	b.U32(uint32(s.windows))
+	b.I64(s.busyNS)
+	if s.stopped {
 		b.U8(1)
 	} else {
 		b.U8(0)
 	}
-	return wire.AppendEvents(b.B, g.Events)
+	return append(b.B, payload...)
 }
 
-func decodeWindowGo(p []byte) (pdes.WindowGo, error) {
+func decodeResult(p []byte) (summary, []byte, error) {
 	r := wire.NewReader(p)
-	g := pdes.WindowGo{NextWindow: int(r.U32()), Stop: r.U8() != 0}
-	evs, err := wire.ReadEvents(r)
-	g.Events = evs
-	return g, err
+	s := summary{windows: int(r.U32()), busyNS: r.I64(), stopped: r.U8() != 0}
+	return s, p[len(p)-r.Len():], r.Err()
 }
 
-func encodeAbort(reason string) []byte {
+// wireErrs are the codec sentinels an Abort can name by code (index+1), so
+// the coordinator's WorkerError keeps the one the reporting worker saw.
+var wireErrs = []error{wire.ErrMagic, wire.ErrVersion, wire.ErrCRC, wire.ErrTooLarge, wire.ErrTruncated, wire.ErrShort}
+
+// encodeAbort names the worker the failure is blamed on and the wire
+// sentinel behind it, if any, with the reason.
+func encodeAbort(culprit int, cause error) []byte {
 	var b wire.Buffer
-	b.String(reason)
+	b.U32(uint32(culprit))
+	code := 0
+	for i, s := range wireErrs {
+		if errors.Is(cause, s) {
+			code = i + 1
+			break
+		}
+	}
+	b.U8(byte(code))
+	b.String(cause.Error())
 	return b.B
 }
 
-func decodeAbort(p []byte) string {
+// decodeAbort returns the culprit's index, -1 for a malformed Abort, and
+// the reported cause, with the wire sentinel it names in its chain.
+func decodeAbort(p []byte) (int, error) {
 	r := wire.NewReader(p)
-	s := r.String()
-	if r.Err() != nil {
-		return "(malformed abort reason)"
+	culprit, code, reason := int(r.U32()), int(r.U8()), r.String()
+	if r.Err() != nil || code > len(wireErrs) {
+		return -1, errors.New("malformed abort")
 	}
-	return s
+	var sentinel error
+	if code > 0 {
+		sentinel = wireErrs[code-1]
+	}
+	return culprit, &reportedError{reason, sentinel}
+}
+
+// reportedError is a failure another process saw: its text, and the wire
+// sentinel it named.
+type reportedError struct {
+	reason   string
+	sentinel error
+}
+
+func (e *reportedError) Error() string { return e.reason }
+func (e *reportedError) Unwrap() error { return e.sentinel }
+
+// encodeCount is the payload of a worker's Heartbeat (windows sent) and of
+// a peer link's Hello (the dialer's index).
+func encodeCount(n int) []byte {
+	var b wire.Buffer
+	b.U32(uint32(n))
+	return b.B
+}
+
+func decodeCount(p []byte) (int, error) {
+	r := wire.NewReader(p)
+	n := int(r.U32())
+	return n, r.Err()
 }

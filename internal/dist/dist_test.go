@@ -138,6 +138,20 @@ func fastOpts() Options {
 	}
 }
 
+// runWorkers starts one RunWorker goroutine per job and returns their
+// errors' channel.
+func runWorkers(addr string, n int, runners map[string]Runner, opt Options) <-chan error {
+	werrs := make(chan error, n)
+	for j := 0; j < n; j++ {
+		go func() {
+			werrs <- RunWorker(addr, fmt.Sprintf("w%d", j), runners, opt)
+		}()
+	}
+	return werrs
+}
+
+// TestLoopbackDistributedRun splits the 8-engine model over 1 to 4 workers
+// in a mesh: each split must reproduce the in-process reference exactly.
 func TestLoopbackDistributedRun(t *testing.T) {
 	const engines = 8
 	window := des.Millisecond
@@ -153,70 +167,152 @@ func TestLoopbackDistributedRun(t *testing.T) {
 		t.Fatalf("degenerate reference: %+v", refStats)
 	}
 
+	for _, split := range [][]int{{8}, {3, 5}, {1, 3, 4}, {2, 2, 2, 2}} {
+		t.Run(fmt.Sprint(split), func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			opt := fastOpts()
+			var jobs []Job
+			first := 0
+			for _, n := range split {
+				jobs = append(jobs, Job{Kind: "dtest", First: first, Hosted: n, Spec: spec})
+				first += n
+			}
+			werrs := runWorkers(ln.Addr().String(), len(jobs), map[string]Runner{"dtest": dRunner}, opt)
+			res, err := Serve(ln, RunConfig{
+				Jobs: jobs, WindowNS: int64(window),
+				TotalWindows: pdes.WindowCount(end, window),
+			}, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for range jobs {
+				if werr := <-werrs; werr != nil {
+					t.Fatalf("worker: %v", werr)
+				}
+			}
+
+			var totalEvents, remote uint64
+			counts := make([]uint64, engines)
+			sums := make([]uint64, engines)
+			for i, p := range res.Payloads {
+				r := wire.NewReader(p)
+				totalEvents += r.U64()
+				remote += r.U64()
+				if w := int(r.U32()); w != refStats.Windows {
+					t.Errorf("worker %d executed %d windows, reference %d", i, w, refStats.Windows)
+				}
+				for e := 0; e < engines; e++ {
+					counts[e] += r.U64()
+					sums[e] += r.U64()
+				}
+				if r.Err() != nil {
+					t.Fatalf("worker %d payload: %v", i, r.Err())
+				}
+			}
+			if totalEvents != refStats.TotalEvents || remote != refStats.RemoteEvents {
+				t.Errorf("merged events %d/%d, reference %d/%d", totalEvents, remote, refStats.TotalEvents, refStats.RemoteEvents)
+			}
+			for e := 0; e < engines; e++ {
+				if counts[e] != ref.counts[e] || sums[e] != ref.sums[e] {
+					t.Errorf("engine %d: (%d,%d), reference (%d,%d)", e, counts[e], sums[e], ref.counts[e], ref.sums[e])
+				}
+			}
+			if res.Windows != refStats.Windows {
+				t.Errorf("workers counted %d windows, reference %d", res.Windows, refStats.Windows)
+			}
+			if res.ModeledBusyNS != refStats.ModeledBusyNS {
+				t.Errorf("global modeled busy %d, reference %d", res.ModeledBusyNS, refStats.ModeledBusyNS)
+			}
+		})
+	}
+}
+
+// Two workers that send each other, in the same window, frames far bigger
+// than the socket buffers must not wait on each other's reads.
+func TestBigFramesDoNotDeadlock(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
 	opt := fastOpts()
-	jobs := []Job{
-		{Kind: "dtest", First: 0, Hosted: 3, Spec: spec},
-		{Kind: "dtest", First: 3, Hosted: 5, Spec: spec},
+	const total, perWindow = 2, 128 // 128 events of 60 kB: ≈ 8 MB a frame
+	payload := make([]byte, 60_000)
+	big := func(job Job, tr pdes.Transport) ([]byte, error) {
+		for w := 0; w < total; w++ {
+			at := int64(w+1) * int64(des.Millisecond)
+			evs := make([]wire.Event, perWindow)
+			for i := range evs {
+				evs[i] = wire.Event{At: at, Src: int32(job.First), Dst: int32(1 - job.First), Seq: uint64(i), Payload: payload}
+			}
+			g, err := tr.Exchange(pdes.WindowDone{Window: w, LocalNext: des.Time(at), Events: evs})
+			if err != nil {
+				return nil, err
+			}
+			if len(g.Events) != perWindow || len(g.Events[0].Payload) != len(payload) {
+				return nil, fmt.Errorf("window %d: received %d events", w, len(g.Events))
+			}
+		}
+		return nil, nil
 	}
-	runners := map[string]Runner{"dtest": dRunner}
-	werrs := make(chan error, len(jobs))
-	for j := range jobs {
-		j := j
-		go func() {
-			werrs <- RunWorker(ln.Addr().String(), fmt.Sprintf("w%d", j), runners, opt)
-		}()
-	}
+	werrs := runWorkers(ln.Addr().String(), 2, map[string]Runner{"big": big}, opt)
 	res, err := Serve(ln, RunConfig{
-		Jobs: jobs, WindowNS: int64(window),
-		TotalWindows: pdes.WindowCount(end, window),
+		Jobs:     []Job{{Kind: "big", First: 0, Hosted: 1}, {Kind: "big", First: 1, Hosted: 1}},
+		WindowNS: int64(des.Millisecond), TotalWindows: total,
 	}, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range jobs {
+	for range 2 {
 		if werr := <-werrs; werr != nil {
 			t.Fatalf("worker: %v", werr)
 		}
 	}
-
-	var totalEvents, remote uint64
-	counts := make([]uint64, engines)
-	sums := make([]uint64, engines)
-	for i, p := range res.Payloads {
-		r := wire.NewReader(p)
-		totalEvents += r.U64()
-		remote += r.U64()
-		if w := int(r.U32()); w != refStats.Windows {
-			t.Errorf("worker %d executed %d windows, reference %d", i, w, refStats.Windows)
-		}
-		for e := 0; e < engines; e++ {
-			counts[e] += r.U64()
-			sums[e] += r.U64()
-		}
-		if r.Err() != nil {
-			t.Fatalf("worker %d payload: %v", i, r.Err())
-		}
-	}
-	if totalEvents != refStats.TotalEvents || remote != refStats.RemoteEvents {
-		t.Errorf("merged events %d/%d, reference %d/%d", totalEvents, remote, refStats.TotalEvents, refStats.RemoteEvents)
-	}
-	for e := 0; e < engines; e++ {
-		if counts[e] != ref.counts[e] || sums[e] != ref.sums[e] {
-			t.Errorf("engine %d: (%d,%d), reference (%d,%d)", e, counts[e], sums[e], ref.counts[e], ref.sums[e])
-		}
-	}
-	if res.Windows != refStats.Windows {
-		t.Errorf("coordinator counted %d windows, reference %d", res.Windows, refStats.Windows)
-	}
-	if res.ModeledBusyNS != refStats.ModeledBusyNS {
-		t.Errorf("global modeled busy %d, reference %d", res.ModeledBusyNS, refStats.ModeledBusyNS)
+	if res.Windows != total {
+		t.Fatalf("windows %d, want %d", res.Windows, total)
 	}
 }
+
+// Serve refuses a job list whose engine ranges do not tile [0, N) before
+// any worker joins: a hole would lose that engine's events silently.
+func TestServeRejectsBadJobs(t *testing.T) {
+	spec := encodeDSpec(4, des.Millisecond, 5*des.Millisecond, 3, 0)
+	for _, tc := range []struct {
+		name string
+		jobs [][2]int // First, Hosted
+		want string
+	}{
+		{"hole", [][2]int{{0, 2}, {3, 1}}, "engine 2 assigned to no worker"},
+		{"overlap", [][2]int{{0, 3}, {2, 2}}, "engine 2 assigned to two workers"},
+		{"zero hosted", [][2]int{{0, 4}, {4, 0}}, "hosts 0 engines"},
+		{"not from 0", [][2]int{{1, 3}}, "engine 0 assigned to no worker"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var jobs []Job
+			for _, r := range tc.jobs {
+				jobs = append(jobs, Job{Kind: "dtest", First: r[0], Hosted: r[1], Spec: spec})
+			}
+			_, err := Serve(noAccept{t}, RunConfig{Jobs: jobs, WindowNS: int64(des.Millisecond), TotalWindows: 5}, fastOpts())
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Serve: %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// noAccept is a listener Serve must not accept on.
+type noAccept struct{ t *testing.T }
+
+func (l noAccept) Accept() (net.Conn, error) {
+	l.t.Error("Serve accepted a worker for a job list it must reject")
+	return nil, errors.New("no accept")
+}
+func (noAccept) Close() error   { return nil }
+func (noAccept) Addr() net.Addr { return &net.TCPAddr{} }
 
 // The listener belongs to Serve's caller: the join deadline Serve arms on it
 // must be gone when Serve returns, or the caller's next Accept after that
@@ -263,47 +359,184 @@ func TestServeClearsListenerDeadline(t *testing.T) {
 	}
 }
 
-// manualWorker handshakes like a real worker and hands the raw connection
-// to the test, which then misbehaves in a controlled way.
-func manualWorker(t *testing.T, addr, name string) (net.Conn, Job) {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteFrame(conn, wire.MsgHello, encodeHello(name)); err != nil {
-		t.Fatal(err)
-	}
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	typ, payload, err := wire.ReadFrame(conn, 0)
-	if err != nil || typ != wire.MsgJob {
-		t.Fatalf("handshake: type %d err %v", typ, err)
-	}
-	job, err := decodeJob(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = conn.SetReadDeadline(time.Time{})
-	return conn, job
+// --- failure injection: hand-driven workers in the mesh ---
+
+// manual is a worker the test drives by hand: it speaks the handshake and
+// holds its peer links, then misbehaves in a controlled way.
+type manual struct {
+	coord net.Conn
+	ln    net.Listener
+	a     assignment
+	peers []net.Conn // by worker index; nil at its own
 }
 
-// serveAsync runs Serve with two single-engine jobs and returns the error
-// channel; tests connect worker 0 (well-behaved) first, then worker 1 (the
-// misbehaving one), so attribution is deterministic.
-func serveAsync(t *testing.T, ln net.Listener, opt Options) <-chan error {
+// manualWorkers joins one manual worker per name, in order, then links
+// each to its peers; real workers joined before them must already be
+// running. The connections close when the test ends.
+func manualWorkers(t *testing.T, addr string, names ...string) []*manual {
 	t.Helper()
+	ms := make([]*manual, len(names))
+	for i, name := range names {
+		coord, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { coord.Close(); ln.Close() })
+		if err := wire.WriteFrame(coord, wire.MsgHello, encodeHello(name, ln.Addr().String())); err != nil {
+			t.Fatal(err)
+		}
+		ms[i] = &manual{coord: coord, ln: ln}
+	}
+	for _, m := range ms {
+		_ = m.coord.SetReadDeadline(time.Now().Add(5 * time.Second))
+		typ, payload, err := wire.ReadFrame(m.coord, 0)
+		if err != nil || typ != wire.MsgJob {
+			t.Fatalf("handshake: type %d err %v", typ, err)
+		}
+		if m.a, err = decodeAssignment(payload); err != nil {
+			t.Fatal(err)
+		}
+		_ = m.coord.SetReadDeadline(time.Time{})
+		m.peers = make([]net.Conn, len(m.a.Peers))
+	}
+	for _, m := range ms {
+		for j := m.a.Index + 1; j < len(m.peers); j++ {
+			conn, err := net.Dial("tcp", m.a.Peers[j].Addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { conn.Close() })
+			if err := wire.WriteFrame(conn, wire.MsgHello, encodeCount(m.a.Index)); err != nil {
+				t.Fatal(err)
+			}
+			m.peers[j] = conn
+		}
+		for range m.a.Index {
+			conn, err := m.ln.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { conn.Close() })
+			_, payload, err := wire.ReadFrame(conn, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			j, err := decodeCount(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.peers[j] = conn
+		}
+	}
+	return ms
+}
+
+// done writes a valid WindowDone for window w with no events to peer j.
+func (m *manual) done(t *testing.T, j, w int) {
+	t.Helper()
+	d := pdes.WindowDone{Window: w, LocalNext: des.Time(w+1) * des.Millisecond}
+	if err := wire.WriteFrame(m.peers[j], wire.MsgWindowDone, encodeWindowDone(nil, d)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// heartbeat sends the coordinator one heartbeat reporting sent windows.
+func (m *manual) heartbeat(sent int) error {
+	return wire.WriteFrame(m.coord, wire.MsgHeartbeat, encodeCount(sent))
+}
+
+// keepAlive heartbeats sent windows every 30 ms until the test ends.
+func (m *manual) keepAlive(t *testing.T, sent int) {
+	stop := make(chan struct{})
+	t.Cleanup(func() { close(stop) })
+	go func() {
+		tick := time.NewTicker(30 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				if m.heartbeat(sent) != nil {
+					return
+				}
+			}
+		}
+	}()
+}
+
+// exchangeLoop is a runner that trades total empty windows through the
+// transport, the way pdes.Run would with no events.
+func exchangeLoop(total int) Runner {
+	return func(_ Job, tr pdes.Transport) ([]byte, error) {
+		for w := 0; w < total; {
+			g, err := tr.Exchange(pdes.WindowDone{Window: w, LocalNext: des.Time(w+1) * des.Millisecond})
+			if err != nil {
+				return nil, err
+			}
+			if g.Stop {
+				break
+			}
+			w = g.NextWindow
+		}
+		return []byte("done"), nil
+	}
+}
+
+const loopWindows = 10
+
+// serveAsync runs Serve over n single-engine jobs of loopWindows windows
+// and returns its error channel.
+func serveAsync(ln net.Listener, opt Options, n int) <-chan error {
+	var jobs []Job
+	for i := 0; i < n; i++ {
+		jobs = append(jobs, Job{Kind: "x", First: i, Hosted: 1})
+	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := Serve(ln, RunConfig{
-			Jobs: []Job{
-				{Kind: "x", First: 0, Hosted: 1},
-				{Kind: "x", First: 1, Hosted: 1},
-			},
-			WindowNS: int64(des.Millisecond), TotalWindows: 10,
-		}, opt)
+		_, err := Serve(ln, RunConfig{Jobs: jobs, WindowNS: int64(des.Millisecond), TotalWindows: loopWindows}, opt)
 		errc <- err
 	}()
 	return errc
+}
+
+// notifyListener signals every Accept, so a test can join a real worker
+// before a manual one and know their indices.
+type notifyListener struct {
+	*net.TCPListener
+	accepted chan struct{}
+}
+
+func (l *notifyListener) Accept() (net.Conn, error) {
+	c, err := l.TCPListener.Accept()
+	if err == nil {
+		l.accepted <- struct{}{}
+	}
+	return c, err
+}
+
+// realThenManual serves two single-engine jobs: worker 0 is a real worker
+// named "good" running exchangeLoop, worker 1 the manual one named name. It
+// returns Serve's and the real worker's error channels.
+func realThenManual(t *testing.T, opt Options, name string) (*manual, <-chan error, <-chan error) {
+	t.Helper()
+	tln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tln.Close() })
+	ln := &notifyListener{TCPListener: tln.(*net.TCPListener), accepted: make(chan struct{}, 2)}
+	errc := serveAsync(ln, opt, 2)
+	werr := make(chan error, 1)
+	go func() {
+		werr <- RunWorker(ln.Addr().String(), "good", map[string]Runner{"x": exchangeLoop(loopWindows)}, opt)
+	}()
+	<-ln.accepted
+	return manualWorkers(t, ln.Addr().String(), name)[0], errc, werr
 }
 
 func expectWorkerError(t *testing.T, err error, wantIdx int, wantName string) *WorkerError {
@@ -321,30 +554,14 @@ func expectWorkerError(t *testing.T, err error, wantIdx int, wantName string) *W
 	return we
 }
 
-// goodDone writes a valid WindowDone for window w with no events.
-func goodDone(t *testing.T, conn net.Conn, w int, window des.Time) {
-	t.Helper()
-	d := pdes.WindowDone{Window: w, LocalNext: des.Time(w+1) * window}
-	if err := wire.WriteFrame(conn, wire.MsgWindowDone, encodeWindowDone(nil, d)); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// A corrupt frame on a peer link: the real worker reading it reports the
+// sender, and the CRC sentinel survives the trip through the coordinator.
 func TestCorruptFrameBlamesWorker(t *testing.T) {
-	ln, _ := net.Listen("tcp", "127.0.0.1:0")
-	defer ln.Close()
-	opt := fastOpts()
-	errc := serveAsync(t, ln, opt)
-	good, _ := manualWorker(t, ln.Addr().String(), "good")
-	defer good.Close()
-	evil, _ := manualWorker(t, ln.Addr().String(), "evil")
-	defer evil.Close()
-
-	goodDone(t, good, 0, des.Millisecond)
+	evil, errc, werr := realThenManual(t, fastOpts(), "evil")
 	// Build a valid frame, then flip one payload byte: the CRC must catch it.
 	frame := captureFrame(t, wire.MsgWindowDone, encodeWindowDone(nil, pdes.WindowDone{Window: 0}))
 	frame[len(frame)-6] ^= 0x40
-	if _, err := evil.Write(frame); err != nil {
+	if _, err := evil.peers[0].Write(frame); err != nil {
 		t.Fatal(err)
 	}
 	err := <-errc
@@ -352,27 +569,25 @@ func TestCorruptFrameBlamesWorker(t *testing.T) {
 	if !errors.Is(err, wire.ErrCRC) {
 		t.Fatalf("want wire.ErrCRC in chain, got %v", err)
 	}
+	if err := <-werr; err == nil {
+		t.Fatal("the worker that read the corrupt frame reported success")
+	}
 }
 
 func TestTruncatedFrameBlamesWorker(t *testing.T) {
-	ln, _ := net.Listen("tcp", "127.0.0.1:0")
-	defer ln.Close()
-	opt := fastOpts()
-	errc := serveAsync(t, ln, opt)
-	good, _ := manualWorker(t, ln.Addr().String(), "good")
-	defer good.Close()
-	evil, _ := manualWorker(t, ln.Addr().String(), "evil")
-
-	goodDone(t, good, 0, des.Millisecond)
+	evil, errc, werr := realThenManual(t, fastOpts(), "evil")
 	frame := captureFrame(t, wire.MsgWindowDone, encodeWindowDone(nil, pdes.WindowDone{Window: 0}))
-	if _, err := evil.Write(frame[:len(frame)/2]); err != nil {
+	if _, err := evil.peers[0].Write(frame[:len(frame)/2]); err != nil {
 		t.Fatal(err)
 	}
-	evil.Close()
+	evil.peers[0].Close()
 	err := <-errc
 	expectWorkerError(t, err, 1, "evil")
 	if !errors.Is(err, wire.ErrTruncated) {
 		t.Fatalf("want wire.ErrTruncated in chain, got %v", err)
+	}
+	if err := <-werr; err == nil {
+		t.Fatal("the worker that read the truncated frame reported success")
 	}
 }
 
@@ -380,13 +595,11 @@ func TestDeadWorkerBlamedWithinHeartbeatTimeout(t *testing.T) {
 	ln, _ := net.Listen("tcp", "127.0.0.1:0")
 	defer ln.Close()
 	opt := fastOpts()
-	errc := serveAsync(t, ln, opt)
-	good, _ := manualWorker(t, ln.Addr().String(), "good")
-	defer good.Close()
-	dead, _ := manualWorker(t, ln.Addr().String(), "dead")
-	defer dead.Close()
-
-	goodDone(t, good, 0, des.Millisecond)
+	errc := serveAsync(ln, opt, 2)
+	ms := manualWorkers(t, ln.Addr().String(), "good", "dead")
+	good := ms[0]
+	good.done(t, 1, 0)
+	good.keepAlive(t, 1)
 	// "dead" sends nothing at all — no heartbeats, no frames. The rolling
 	// read deadline must fire within the heartbeat timeout (plus slack).
 	start := time.Now()
@@ -401,93 +614,119 @@ func TestDeadWorkerBlamedWithinHeartbeatTimeout(t *testing.T) {
 	}
 }
 
+// A stalled worker heartbeats diligently but sends no window — liveness
+// alone can't catch it; the windows-sent count in its heartbeats must.
 func TestStalledWorkerBlamed(t *testing.T) {
-	ln, _ := net.Listen("tcp", "127.0.0.1:0")
-	defer ln.Close()
-	opt := fastOpts()
-	opt.ExchangeTimeout = 600 * time.Millisecond
-	errc := serveAsync(t, ln, opt)
-	good, _ := manualWorker(t, ln.Addr().String(), "good")
-	defer good.Close()
-	stalled, _ := manualWorker(t, ln.Addr().String(), "stalled")
-	defer stalled.Close()
-
-	goodDone(t, good, 0, des.Millisecond)
-	// "stalled" heartbeats diligently but never arrives at the barrier —
-	// liveness alone can't catch it; the protocol-progress timeout must.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		tick := time.NewTicker(30 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				if wire.WriteFrame(stalled, wire.MsgHeartbeat, nil) != nil {
-					return
-				}
+	for _, tc := range []struct {
+		name  string
+		names []string
+	}{
+		{"behind a peer", []string{"good", "stalled"}},
+		{"alone", []string{"stalled"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, _ := net.Listen("tcp", "127.0.0.1:0")
+			defer ln.Close()
+			opt := fastOpts()
+			opt.ExchangeTimeout = 600 * time.Millisecond
+			errc := serveAsync(ln, opt, len(tc.names))
+			ms := manualWorkers(t, ln.Addr().String(), tc.names...)
+			stalled := ms[len(ms)-1]
+			if len(ms) == 2 {
+				ms[0].done(t, 1, 0)
+				ms[0].keepAlive(t, 1)
 			}
-		}
-	}()
-	err := <-errc
-	expectWorkerError(t, err, 1, "stalled")
-	if !strings.Contains(err.Error(), "stalled") {
-		t.Fatalf("want stall attribution, got %v", err)
+			stalled.keepAlive(t, 0)
+			err := <-errc
+			expectWorkerError(t, err, len(ms)-1, "stalled")
+			if !strings.Contains(err.Error(), "stalled") {
+				t.Fatalf("want stall attribution, got %v", err)
+			}
+		})
 	}
 }
 
-// TestDuplicatedAndDelayedFramesTolerated drives a full single-worker run
-// where every window's arrival is preceded by a burst of duplicate
+// TestDuplicatedAndDelayedFramesTolerated drives a full two-worker run in
+// which the manual worker precedes every window with a burst of duplicate
 // heartbeats and a delay well under the timeouts; the run must complete.
 func TestDuplicatedAndDelayedFramesTolerated(t *testing.T) {
-	ln, _ := net.Listen("tcp", "127.0.0.1:0")
-	defer ln.Close()
+	tln, _ := net.Listen("tcp", "127.0.0.1:0")
+	defer tln.Close()
+	ln := &notifyListener{TCPListener: tln.(*net.TCPListener), accepted: make(chan struct{}, 2)}
 	opt := fastOpts()
 	const total = 4
 	errc := make(chan error, 1)
 	resc := make(chan *Result, 1)
 	go func() {
 		res, err := Serve(ln, RunConfig{
-			Jobs:     []Job{{Kind: "x", First: 0, Hosted: 2}},
+			Jobs:     []Job{{Kind: "x", First: 0, Hosted: 1}, {Kind: "x", First: 1, Hosted: 1}},
 			WindowNS: int64(des.Millisecond), TotalWindows: total,
 		}, opt)
 		resc <- res
 		errc <- err
 	}()
-	conn, _ := manualWorker(t, ln.Addr().String(), "slowpoke")
-	defer conn.Close()
+	werr := make(chan error, 1)
+	go func() {
+		werr <- RunWorker(ln.Addr().String(), "steady", map[string]Runner{"x": exchangeLoop(total)}, opt)
+	}()
+	<-ln.accepted
+	slow := manualWorkers(t, ln.Addr().String(), "slowpoke")[0]
 	for w := 0; w < total; w++ {
 		for i := 0; i < 3; i++ { // duplicate keepalives
-			if err := wire.WriteFrame(conn, wire.MsgHeartbeat, nil); err != nil {
+			if err := slow.heartbeat(w); err != nil {
 				t.Fatal(err)
 			}
 		}
 		time.Sleep(60 * time.Millisecond) // delayed, but within every timeout
-		goodDone(t, conn, w, des.Millisecond)
-		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		typ, payload, err := wire.ReadFrame(conn, 0)
-		if err != nil || typ != wire.MsgWindowGo {
+		slow.done(t, 0, w)
+		_ = slow.peers[0].SetReadDeadline(time.Now().Add(5 * time.Second))
+		typ, payload, err := wire.ReadFrame(slow.peers[0], 0)
+		if err != nil || typ != wire.MsgWindowDone {
 			t.Fatalf("window %d: type %d err %v", w, typ, err)
 		}
-		g, err := decodeWindowGo(payload)
+		d, err := decodeWindowDone(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.NextWindow != w+1 {
-			t.Fatalf("window %d: next %d", w, g.NextWindow)
+		if d.Window != w {
+			t.Fatalf("window %d: peer sent window %d", w, d.Window)
 		}
 	}
-	if err := wire.WriteFrame(conn, wire.MsgResult, []byte("done")); err != nil {
+	if err := wire.WriteFrame(slow.coord, wire.MsgResult, encodeResult(summary{windows: total}, []byte("done"))); err != nil {
 		t.Fatal(err)
 	}
 	res := <-resc
 	if err := <-errc; err != nil {
 		t.Fatal(err)
 	}
-	if res.Windows != total || string(res.Payloads[0]) != "done" {
-		t.Fatalf("windows=%d payload=%q", res.Windows, res.Payloads[0])
+	if err := <-werr; err != nil {
+		t.Fatalf("worker: %v", err)
+	}
+	if res.Windows != total || string(res.Payloads[0]) != "done" || string(res.Payloads[1]) != "done" {
+		t.Fatalf("windows=%d payloads=%q", res.Windows, res.Payloads)
+	}
+}
+
+// Every worker folds the same frames into its summary, so one that reports
+// another summary is broken, and Serve names it.
+func TestDisagreeingSummaryBlamed(t *testing.T) {
+	ln, _ := net.Listen("tcp", "127.0.0.1:0")
+	defer ln.Close()
+	errc := serveAsync(ln, fastOpts(), 3)
+	ms := manualWorkers(t, ln.Addr().String(), "a", "liar", "c")
+	for i, m := range ms {
+		s := summary{windows: loopWindows, busyNS: 7}
+		if i == 1 {
+			s.busyNS++
+		}
+		if err := wire.WriteFrame(m.coord, wire.MsgResult, encodeResult(s, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := <-errc
+	expectWorkerError(t, err, 1, "liar")
+	if !strings.Contains(err.Error(), "disagrees") {
+		t.Fatalf("want a summary mismatch, got %v", err)
 	}
 }
 

@@ -1,11 +1,16 @@
 package dist
 
 import (
+	"bufio"
+	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"massf/internal/des"
 	"massf/internal/pdes"
 	"massf/internal/wire"
 )
@@ -17,70 +22,281 @@ import (
 type Runner func(job Job, t pdes.Transport) ([]byte, error)
 
 // WorkerTransport is the TCP implementation of pdes.Transport: one
-// connection to the coordinator, wire-framed, with a keepalive goroutine
-// heartbeating while the engines compute so the coordinator's liveness
-// deadline never fires on a healthy worker.
+// wire-framed link to every other worker, over which each window's control
+// data and events travel directly, plus the connection to the coordinator,
+// on which a keepalive goroutine heartbeats the windows sent so far.
 type WorkerTransport struct {
+	conn  net.Conn // to the coordinator
+	opt   Options
+	a     assignment
+	owner []int   // engine → worker index
+	peers []*link // by worker index; nil at this worker's own
+	quit  chan struct{}
+
+	wmu  sync.Mutex    // serializes coordinator writes with the heartbeat goroutine
+	sent atomic.Uint32 // windows sent to every peer
+
+	// Exchange scratch, reused across windows.
+	outs  [][]wire.Event // by worker index
+	in    []wire.Event
+	enc   []byte
+	sends chan sendResult // big frames' writes
+
+	sum     summary // the run so far, as every worker folds it
+	culprit int     // the worker the first failure is blamed on; -1 for none
+	cause   error   // that failure
+
+	mu      sync.Mutex // guards what watch closes
+	ln      net.Listener
+	aborted error // set by watch: the run is over
+}
+
+// link is one peer connection. Exchange reads it directly, buffered so a
+// frame's header and body take one read.
+type link struct {
 	conn net.Conn
-	opt  Options
-	wmu  sync.Mutex // serializes frame writes with the heartbeat goroutine
-	enc  []byte
+	r    *bufio.Reader
 }
 
-// Exchange implements pdes.Transport over the coordinator connection.
+// bigFrame is the size above which Exchange writes a frame on its own
+// goroutine. Every worker writes its frames before it reads its peers', so
+// a frame written in line must fit in the socket buffers until the peer
+// reads it, or two workers writing each other such frames would both
+// block. A link holds at most two unread frames (a worker writes window
+// w+1 only after reading its peer's window w), and 2×16 KiB is far below
+// the buffers loopback or any LAN gives a TCP connection by default.
+const bigFrame = 16 << 10
+
+// sendResult is how a big frame's write ends.
+type sendResult struct {
+	peer int
+	err  error
+}
+
+// Exchange implements pdes.Transport: it sends every peer this worker's
+// control data with the events for that peer's engines, reads every peer's
+// in turn, and folds them into the decision the whole run takes: stop if
+// any worker stops, the max busy time, and the window holding the global
+// next event. Peers' events come back in ascending worker index.
 func (t *WorkerTransport) Exchange(d pdes.WindowDone) (pdes.WindowGo, error) {
-	t.enc = encodeWindowDone(t.enc[:0], d)
-	t.wmu.Lock()
-	err := wire.WriteFrame(t.conn, wire.MsgWindowDone, t.enc)
-	t.wmu.Unlock()
-	if err != nil {
-		return pdes.WindowGo{}, fmt.Errorf("dist: send window %d: %w", d.Window, err)
+	next := d.LocalNext
+	for i := range t.outs {
+		t.outs[i] = t.outs[i][:0]
 	}
-	// The reply waits on the globally slowest worker, so this deadline is
-	// the exchange timeout, not the heartbeat timeout.
-	_ = t.conn.SetReadDeadline(time.Now().Add(t.opt.ExchangeTimeout))
-	typ, payload, err := wire.ReadFrame(t.conn, wire.DefaultMaxFrame)
-	if err != nil {
-		return pdes.WindowGo{}, fmt.Errorf("dist: awaiting window %d release: %w", d.Window, err)
-	}
-	switch typ {
-	case wire.MsgWindowGo:
-		g, err := decodeWindowGo(payload)
-		if err != nil {
-			return pdes.WindowGo{}, fmt.Errorf("dist: window %d release: %w", d.Window, err)
+	for _, ev := range d.Events {
+		next = min(next, des.Time(ev.At))
+		o := -1
+		if ev.Dst >= 0 && int(ev.Dst) < len(t.owner) {
+			o = t.owner[ev.Dst]
 		}
-		return g, nil
-	case wire.MsgAbort:
-		return pdes.WindowGo{}, fmt.Errorf("dist: run aborted: %s", decodeAbort(payload))
-	default:
-		return pdes.WindowGo{}, fmt.Errorf("dist: unexpected frame type %d awaiting window release", typ)
+		if o < 0 || o == t.a.Index {
+			return pdes.WindowGo{}, t.fail(t.a.Index, fmt.Errorf("dist: window %d: event for engine %d, hosted by no peer", d.Window, ev.Dst))
+		}
+		t.outs[o] = append(t.outs[o], ev)
 	}
+	async := 0
+	for j, p := range t.peers {
+		if p == nil {
+			continue
+		}
+		t.enc = encodeWindowDone(t.enc[:0], pdes.WindowDone{
+			Window: d.Window, MaxBusy: d.MaxBusy, LocalNext: next, Stop: d.Stop, Events: t.outs[j],
+		})
+		if len(t.enc) > bigFrame {
+			payload := slices.Clone(t.enc)
+			async++
+			go func() { t.sends <- sendResult{j, wire.WriteFrame(p.conn, wire.MsgWindowDone, payload)} }()
+		} else if err := wire.WriteFrame(p.conn, wire.MsgWindowDone, t.enc); err != nil {
+			return pdes.WindowGo{}, t.fail(j, fmt.Errorf("dist: send window %d to worker %d: %w", d.Window, j, err))
+		}
+	}
+	t.sent.Add(1)
+	stop, busy := d.Stop, d.MaxBusy
+	t.in = t.in[:0]
+	for j, p := range t.peers {
+		if p == nil {
+			continue
+		}
+		got, err := t.recv(p, d.Window)
+		if err != nil {
+			return pdes.WindowGo{}, t.fail(j, fmt.Errorf("dist: window %d from worker %d: %w", d.Window, j, err))
+		}
+		stop = stop || got.Stop
+		busy = max(busy, got.MaxBusy)
+		next = min(next, got.LocalNext)
+		t.in = append(t.in, got.Events...)
+	}
+	for ; async > 0; async-- {
+		if r := <-t.sends; r.err != nil {
+			return pdes.WindowGo{}, t.fail(r.peer, fmt.Errorf("dist: send window %d to worker %d: %w", d.Window, r.peer, r.err))
+		}
+	}
+	t.sum.windows++
+	t.sum.busyNS += busy
+	t.sum.stopped = stop
+	g := pdes.WindowGo{Stop: stop, Events: t.in}
+	g.NextWindow = min(pdes.NextWindow(d.Window, next, des.Time(t.a.WindowNS)), t.a.TotalWindows)
+	return g, nil
 }
 
-// heartbeat keeps the coordinator's liveness deadline fed between
-// exchanges (long windows, model build, result encoding).
-func (t *WorkerTransport) heartbeat(stop <-chan struct{}) {
+// recv reads peer p's frame for window w under the exchange timeout and
+// checks it: the window this worker is at, and events only for engines
+// this worker hosts.
+func (t *WorkerTransport) recv(p *link, w int) (pdes.WindowDone, error) {
+	_ = p.conn.SetReadDeadline(time.Now().Add(t.opt.ExchangeTimeout))
+	typ, payload, err := wire.ReadFrame(p.r, wire.DefaultMaxFrame)
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		return pdes.WindowDone{}, fmt.Errorf("stalled: no window frame within %v", t.opt.ExchangeTimeout)
+	}
+	if err != nil {
+		return pdes.WindowDone{}, err
+	}
+	if typ != wire.MsgWindowDone {
+		return pdes.WindowDone{}, fmt.Errorf("expected WindowDone, got frame type %d", typ)
+	}
+	got, err := decodeWindowDone(payload)
+	if err != nil {
+		return got, err
+	}
+	if got.Window != w {
+		return got, fmt.Errorf("arrived at window %d, barrier is at %d", got.Window, w)
+	}
+	for _, ev := range got.Events {
+		if int(ev.Dst) < t.a.First || int(ev.Dst) >= t.a.First+t.a.Hosted {
+			return got, fmt.Errorf("event for engine %d, hosted here [%d,%d)", ev.Dst, t.a.First, t.a.First+t.a.Hosted)
+		}
+	}
+	return got, nil
+}
+
+// fail records the first failure and the worker it is blamed on, and
+// returns it, or the coordinator's abort if that is what ended the run.
+func (t *WorkerTransport) fail(culprit int, err error) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.aborted != nil {
+		return t.aborted
+	}
+	if t.culprit < 0 {
+		t.culprit, t.cause = culprit, err
+	}
+	return err
+}
+
+// heartbeat keeps the coordinator's liveness deadline fed and tells it how
+// many windows this worker has sent, which is how it sees a stall.
+func (t *WorkerTransport) heartbeat() {
 	tick := time.NewTicker(t.opt.HeartbeatInterval)
 	defer tick.Stop()
 	for {
 		select {
-		case <-stop:
+		case <-t.quit:
 			return
 		case <-tick.C:
 			t.wmu.Lock()
-			err := wire.WriteFrame(t.conn, wire.MsgHeartbeat, nil)
+			err := wire.WriteFrame(t.conn, wire.MsgHeartbeat, encodeCount(int(t.sent.Load())))
 			t.wmu.Unlock()
 			if err != nil {
-				return // the next Exchange will surface the failure
+				return // the coordinator is gone; watch has seen it too
 			}
 		}
 	}
 }
 
+// watch reads the coordinator connection for the whole run: after the job
+// only an Abort comes on it. On that, or on the coordinator hanging up, it
+// closes the peer links, so an Exchange blocked on a peer returns at once.
+func (t *WorkerTransport) watch() {
+	var aborted error = errors.New("dist: coordinator hung up")
+	for {
+		typ, payload, err := wire.ReadFrame(t.conn, wire.DefaultMaxFrame)
+		if err != nil {
+			break
+		}
+		if typ == wire.MsgAbort {
+			_, cause := decodeAbort(payload)
+			aborted = fmt.Errorf("dist: run aborted: %w", cause)
+			break
+		}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.aborted = aborted
+	t.ln.Close()
+	for _, p := range t.peers {
+		if p != nil {
+			p.conn.Close()
+		}
+	}
+}
+
+// connect links this worker to every peer: it dials those with a higher
+// index, announcing its own, and accepts those with a lower one.
+func (t *WorkerTransport) connect() error {
+	a := t.a
+	deadline := time.Now().Add(t.opt.JoinTimeout)
+	for j := a.Index + 1; j < len(a.Peers); j++ {
+		conn, err := net.DialTimeout("tcp", a.Peers[j].Addr, time.Until(deadline))
+		if err == nil {
+			err = t.add(j, conn, wire.WriteFrame(conn, wire.MsgHello, encodeCount(a.Index)))
+		}
+		if err != nil {
+			return t.fail(j, fmt.Errorf("dist: linking worker %d at %s: %w", j, a.Peers[j].Addr, err))
+		}
+	}
+	if d, ok := t.ln.(interface{ SetDeadline(time.Time) error }); ok {
+		_ = d.SetDeadline(deadline)
+	}
+	for range a.Index {
+		if err := t.accept(deadline); err != nil {
+			lower := slices.Index(t.peers, nil) // the first lower peer not linked yet
+			return t.fail(lower, fmt.Errorf("dist: awaiting link from worker %d: %w", lower, err))
+		}
+	}
+	return nil
+}
+
+// accept takes one link from a lower-indexed peer, which names itself in
+// a Hello.
+func (t *WorkerTransport) accept(deadline time.Time) error {
+	conn, err := t.ln.Accept()
+	if err != nil {
+		return err
+	}
+	_ = conn.SetReadDeadline(deadline)
+	typ, payload, err := wire.ReadFrame(conn, 0)
+	j := -1
+	if err == nil && typ == wire.MsgHello {
+		j, err = decodeCount(payload)
+	}
+	if err == nil && (j < 0 || j >= t.a.Index || t.peers[j] != nil) {
+		err = fmt.Errorf("bad link hello: frame type %d, worker %d", typ, j)
+	}
+	_ = conn.SetReadDeadline(time.Time{})
+	return t.add(j, conn, err)
+}
+
+// add registers conn as the link to worker j unless err or a finished run
+// says otherwise, in which case conn is closed.
+func (t *WorkerTransport) add(j int, conn net.Conn, err error) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if err == nil {
+		err = t.aborted
+	}
+	if err != nil {
+		conn.Close()
+		return err
+	}
+	t.peers[j] = &link{conn: conn, r: bufio.NewReader(conn)}
+	return nil
+}
+
 // RunWorker dials the coordinator (with backoff, so workers may start
-// before it listens), handshakes, runs the assigned job through the
-// matching runner, and ships the result. It returns when the run is over
-// or the connection fails.
+// before it listens), handshakes, links to its peers, runs the assigned
+// job through the matching runner, and ships the result. Peers reach this
+// worker on the IP its coordinator connection leaves from. It returns when
+// the run is over or the run fails.
 func RunWorker(addr, name string, runners map[string]Runner, opt Options) error {
 	opt = opt.withDefaults()
 	conn, err := dialBackoff(addr, opt.DialTimeout)
@@ -88,11 +304,18 @@ func RunWorker(addr, name string, runners map[string]Runner, opt Options) error 
 		return err
 	}
 	defer conn.Close()
-	t := &WorkerTransport{conn: conn, opt: opt}
-	t.wmu.Lock()
-	err = wire.WriteFrame(conn, wire.MsgHello, encodeHello(name))
-	t.wmu.Unlock()
+	host, _, err := net.SplitHostPort(conn.LocalAddr().String())
 	if err != nil {
+		return fmt.Errorf("dist: %w", err)
+	}
+	ln, err := net.Listen("tcp", net.JoinHostPort(host, "0"))
+	if err != nil {
+		return fmt.Errorf("dist: peer listener: %w", err)
+	}
+	defer ln.Close()
+	t := &WorkerTransport{conn: conn, opt: opt, ln: ln, culprit: -1, quit: make(chan struct{})}
+	defer close(t.quit)
+	if err := wire.WriteFrame(conn, wire.MsgHello, encodeHello(name, ln.Addr().String())); err != nil {
 		return fmt.Errorf("dist: hello: %w", err)
 	}
 	_ = conn.SetReadDeadline(time.Now().Add(opt.JoinTimeout))
@@ -100,30 +323,60 @@ func RunWorker(addr, name string, runners map[string]Runner, opt Options) error 
 	if err != nil {
 		return fmt.Errorf("dist: awaiting job: %w", err)
 	}
-	if typ != wire.MsgJob {
+	switch typ {
+	case wire.MsgJob:
+	case wire.MsgAbort:
+		_, cause := decodeAbort(payload)
+		return fmt.Errorf("dist: run aborted: %w", cause)
+	default:
 		return fmt.Errorf("dist: expected Job, got frame type %d", typ)
 	}
-	job, err := decodeJob(payload)
-	if err != nil {
+	if t.a, err = decodeAssignment(payload); err != nil {
 		return fmt.Errorf("dist: job: %w", err)
 	}
-	runner := runners[job.Kind]
-	if runner == nil {
-		t.abort(fmt.Sprintf("unknown job kind %q", job.Kind))
-		return fmt.Errorf("dist: unknown job kind %q", job.Kind)
+	_ = conn.SetReadDeadline(time.Time{})
+	a := t.a
+	t.peers = make([]*link, len(a.Peers))
+	t.outs = make([][]wire.Event, len(a.Peers))
+	t.sends = make(chan sendResult, len(a.Peers))
+	for _, p := range a.Peers {
+		t.owner = append(t.owner, make([]int, max(0, p.First+p.Hosted-len(t.owner)))...)
 	}
-	// Heartbeats cover the whole run — model build included, which can
-	// exceed the liveness deadline on large scenarios.
-	stop := make(chan struct{})
-	defer close(stop)
-	go t.heartbeat(stop)
-	result, err := runner(job, t)
+	for i, p := range a.Peers { // the coordinator checked that they tile [0, N)
+		for g := p.First; g < p.First+p.Hosted; g++ {
+			t.owner[g] = i
+		}
+	}
+	runner := runners[a.Kind]
+	if runner == nil {
+		err := fmt.Errorf("dist: unknown job kind %q", a.Kind)
+		t.abort(a.Index, err)
+		return err
+	}
+	// Heartbeats cover the whole run — peer linking and the model build
+	// included, which can exceed the liveness deadline on large scenarios.
+	go t.heartbeat()
+	go t.watch() // closes the peer links once the coordinator connection ends
+	// blame tells the coordinator about a failed run: what the transport
+	// saw if a peer failed, else this worker's own error.
+	blame := func(err error) {
+		if t.culprit >= 0 {
+			t.abort(t.culprit, t.cause)
+		} else {
+			t.abort(a.Index, err)
+		}
+	}
+	if err := t.connect(); err != nil {
+		blame(err)
+		return err
+	}
+	result, err := runner(a.Job, t)
 	if err != nil {
-		t.abort(err.Error())
-		return fmt.Errorf("dist: job %q: %w", job.Kind, err)
+		blame(err)
+		return fmt.Errorf("dist: job %q: %w", a.Kind, err)
 	}
 	t.wmu.Lock()
-	err = wire.WriteFrame(conn, wire.MsgResult, result)
+	err = wire.WriteFrame(conn, wire.MsgResult, encodeResult(t.sum, result))
 	t.wmu.Unlock()
 	if err != nil {
 		return fmt.Errorf("dist: send result: %w", err)
@@ -131,9 +384,10 @@ func RunWorker(addr, name string, runners map[string]Runner, opt Options) error 
 	return nil
 }
 
-func (t *WorkerTransport) abort(reason string) {
+// abort tells the coordinator the run failed, blaming worker culprit.
+func (t *WorkerTransport) abort(culprit int, err error) {
 	t.wmu.Lock()
-	_ = wire.WriteFrame(t.conn, wire.MsgAbort, encodeAbort(reason))
+	_ = wire.WriteFrame(t.conn, wire.MsgAbort, encodeAbort(culprit, err))
 	t.wmu.Unlock()
 }
 

@@ -37,7 +37,7 @@ func FuzzFrameDecode(f *testing.F) {
 			t.Fatalf("round trip mismatch:\n in  %x\n out %x", data[:n], out.Bytes())
 		}
 		// Event batches inside accepted frames must decode without panic.
-		if typ == MsgWindowDone || typ == MsgWindowGo {
+		if typ == MsgWindowDone {
 			_, _ = ReadEvents(NewReader(payload))
 		}
 	})

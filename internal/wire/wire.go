@@ -46,17 +46,20 @@ const DefaultMaxFrame = 16 << 20
 
 // Frame types of the distributed run protocol.
 const (
-	// MsgHello is the worker's handshake: name + supported job kinds.
+	// MsgHello is a worker's handshake: to the coordinator its name and
+	// peer address, to a peer its index.
 	MsgHello byte = iota + 1
-	// MsgJob is the coordinator's assignment: run spec + engine range.
+	// MsgJob is the coordinator's assignment: run spec, engine range,
+	// window geometry and the peer table.
 	MsgJob
-	// MsgWindowDone is one worker's barrier arrival: control data plus the
-	// window's outgoing cross-worker events.
+	// MsgWindowDone is one worker's barrier arrival at a peer: control data
+	// plus the window's cross-worker events for that peer's engines.
 	MsgWindowDone
-	// MsgWindowGo is the coordinator's barrier release: the global window
-	// decision plus the events destined to the receiving worker.
-	MsgWindowGo
-	// MsgHeartbeat is a keepalive sent while a worker computes.
+	// Type 4 was the coordinator's barrier release, retired when workers
+	// began trading windows peer-to-peer; it stays reserved.
+	_
+	// MsgHeartbeat is a worker's keepalive to the coordinator, with the
+	// number of windows it has sent.
 	MsgHeartbeat
 	// MsgResult carries a worker's final partial statistics and payload.
 	MsgResult
