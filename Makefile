@@ -30,7 +30,7 @@ smoke:
 # Conformance under scripted link/router churn: 25 seeded scenarios, each
 # given a derived fault script and checked sequential vs k∈{2,4,8}, plus a
 # distributed k=4 leg over two in-process workers (slice-local build,
-# scoped routing, scenario artifact cache).
+# scoped routing).
 churn:
 	$(GO) run ./cmd/simcheck -scenarios 25 -churn -dist 2 -dist-k 4
 

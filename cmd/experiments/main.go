@@ -119,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 // reporting the time taken to stderr.
 func build(stderr io.Writer, sc experiments.Scenario) (*experiments.Setup, error) {
 	t0 := time.Now()
-	net, multi, err := sc.Network("")
+	net, multi, err := sc.Network()
 	if err != nil {
 		return nil, err
 	}

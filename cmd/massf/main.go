@@ -166,7 +166,7 @@ func run(args []string, out io.Writer, nowNano func() int64) error {
 	}
 
 	ctx := context.Background()
-	net, multi, err := sc.Network("")
+	net, multi, err := sc.Network()
 	if err != nil {
 		return err
 	}

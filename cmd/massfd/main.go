@@ -54,7 +54,6 @@ func main() {
 		ingest    = flag.String("ingest", "", "TCP listen address of the live agent ingest plane (empty = disabled; use :0 for an ephemeral port)")
 		window    = flag.Int("ingest-window", 0, "per-connection send window granted to ingest clients (0 = default)")
 		queueCap  = flag.Int("queue", 64, "admission-queue depth; submissions beyond it are rejected with 429")
-		cacheDir  = flag.String("scache", "", "on-disk topology artifact cache directory (\"auto\" = per-user default, empty = in-memory only)")
 
 		worker     = flag.Bool("worker", false, "run as a distributed-simulation worker instead of the HTTP daemon")
 		join       = flag.String("join", "", "coordinator address to dial (worker mode)")
@@ -91,7 +90,6 @@ func main() {
 		Workers:    *workers,
 		RingCap:    *ringCap,
 		QueueDepth: *queueCap,
-		CacheDir:   *cacheDir,
 		Ingest:     ing,
 	})
 	if ing != nil {

@@ -67,7 +67,6 @@ func run(args []string, out io.Writer) (bool, error) {
 	distWorkers := fs.Int("dist", 0, "also run each scenario across this many loopback TCP workers (largest k in -ks) and diff the merged observables")
 	distK := fs.Int("dist-k", 0, "with -dist: pin the distributed engine count (default: largest k in -ks)")
 	distListen := fs.String("dist-listen", "", "with -dist: listen on this address and wait for external workers (massfd -worker -join <addr>) instead of spawning in-process worker loops")
-	scacheDir := fs.String("scache", "", "with -dist: scenario artifact cache directory the workers read topologies through (default: a fresh temp dir per process)")
 	verbose := fs.Bool("v", false, "print every scenario, not just failures")
 	if err := fs.Parse(args); err != nil {
 		return false, err
@@ -76,15 +75,6 @@ func run(args []string, out io.Writer) (bool, error) {
 	kList, err := parseKs(*ks)
 	if err != nil {
 		return false, err
-	}
-	cacheDir := *scacheDir
-	if *distWorkers > 0 && cacheDir == "" {
-		dir, err := os.MkdirTemp("", "massf-scache-*")
-		if err != nil {
-			return false, err
-		}
-		defer os.RemoveAll(dir)
-		cacheDir = dir
 	}
 
 	var list []simcheck.Scenario
@@ -112,7 +102,7 @@ func run(args []string, out io.Writer) (bool, error) {
 	var legs []leg
 	if *distWorkers > 0 {
 		legs = append(legs, leg{"distributed", func(p *simcheck.Plan) (verdict, error) {
-			return distLeg(out, p, *distWorkers, *distK, *distListen, cacheDir)
+			return distLeg(out, p, *distWorkers, *distK, *distListen)
 		}, printDistributed})
 	}
 	if *netmonSample > 0 {
@@ -210,12 +200,11 @@ type leg struct {
 }
 
 // distLeg runs the plan's distributed leg with one engine count (pinned by
-// -dist-k, else the largest in Ks) split across `workers` TCP workers,
-// reading topologies through the artifact cache in cacheDir. With
-// listen == "" the workers are in-process loopback loops; otherwise the
-// oracle listens there and waits for external worker processes
+// -dist-k, else the largest in Ks) split across `workers` TCP workers.
+// With listen == "" the workers are in-process loopback loops; otherwise
+// the oracle listens there and waits for external worker processes
 // (massfd -worker) to join.
-func distLeg(out io.Writer, p *simcheck.Plan, workers, pinnedK int, listen, cacheDir string) (verdict, error) {
+func distLeg(out io.Writer, p *simcheck.Plan, workers, pinnedK int, listen string) (verdict, error) {
 	k := pinnedK
 	if k == 0 && len(p.Scenario.Ks) > 0 {
 		k = slices.Max(p.Scenario.Ks)
@@ -233,7 +222,7 @@ func distLeg(out io.Writer, p *simcheck.Plan, workers, pinnedK int, listen, cach
 		fmt.Fprintf(out, "waiting for %d workers on %s (massfd -worker -join %s)\n",
 			workers, ln.Addr(), ln.Addr())
 	}
-	return p.Distributed(ln, k, workers, cacheDir, dist.Options{})
+	return p.Distributed(ln, k, workers, dist.Options{})
 }
 
 // printDistributed reports the distributed leg: the merged worker

@@ -45,7 +45,7 @@ func planAndServe(ln net.Listener, sc simcheck.Scenario, k, workers int, opt dis
 	if err != nil {
 		return nil, err
 	}
-	return p.Distributed(ln, k, workers, "", opt)
+	return p.Distributed(ln, k, workers, opt)
 }
 
 // TestDistributedEndToEnd runs the full distributed pipeline through real

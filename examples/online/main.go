@@ -30,7 +30,7 @@ func main() {
 	if err := sc.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	net, multi, err := sc.Network("")
+	net, multi, err := sc.Network()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,6 +92,6 @@ func main() {
 	// goroutines.
 	ag.Close()
 	wg.Wait()
-	sent, delivered, dropped := ag.Stats()
-	fmt.Printf("agent: %d live messages sent, %d delivered, %d dropped\n", sent, delivered, dropped)
+	c := ag.Counters()
+	fmt.Printf("agent: %d live messages sent, %d delivered, %d dropped\n", c.Sent, c.Delivered, c.Dropped)
 }

@@ -26,7 +26,7 @@ func main() {
 	if err := sc.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	net, multi, err := sc.Network("")
+	net, multi, err := sc.Network()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -251,15 +251,8 @@ func (a *Agent) count(c *uint64) {
 	a.mu.Unlock()
 }
 
-// Stats reports agent activity: messages queued, delivered to listeners,
-// and dropped (no or full listener).
-func (a *Agent) Stats() (sent, delivered, dropped uint64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.sent, a.delivered, a.dropped
-}
-
-// Counters snapshots the full activity counters, including injections.
+// Counters snapshots the agent's activity counters: messages queued,
+// injected, delivered to listeners, and dropped (no or full listener).
 func (a *Agent) Counters() Counters {
 	a.mu.Lock()
 	defer a.mu.Unlock()

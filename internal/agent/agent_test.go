@@ -56,9 +56,8 @@ func TestLiveMessageDelivery(t *testing.T) {
 	default:
 		t.Fatal("message not delivered")
 	}
-	sent, delivered, dropped := a.Stats()
-	if sent != 1 || delivered != 1 || dropped != 0 {
-		t.Errorf("stats = %d/%d/%d", sent, delivered, dropped)
+	if c := a.Counters(); c.Sent != 1 || c.Delivered != 1 || c.Dropped != 0 {
+		t.Errorf("counters = %d/%d/%d", c.Sent, c.Delivered, c.Dropped)
 	}
 }
 
@@ -157,7 +156,7 @@ func TestDropWhenNoListener(t *testing.T) {
 	a := New(s, des.Millisecond)
 	a.Send(hosts[0], hosts[1], []byte("void"))
 	s.Run()
-	if _, _, dropped := a.Stats(); dropped != 1 {
+	if dropped := a.Counters().Dropped; dropped != 1 {
 		t.Errorf("dropped = %d, want 1", dropped)
 	}
 }
@@ -170,11 +169,11 @@ func TestDropWhenListenerFull(t *testing.T) {
 		a.Send(hosts[0], hosts[1], []byte{byte(i)})
 	}
 	s.Run()
-	_, delivered, dropped := a.Stats()
-	if delivered != 1 {
-		t.Errorf("delivered = %d, want 1 (buffer size)", delivered)
+	c := a.Counters()
+	if c.Delivered != 1 {
+		t.Errorf("delivered = %d, want 1 (buffer size)", c.Delivered)
 	}
-	if dropped != 4 {
-		t.Errorf("dropped = %d, want 4", dropped)
+	if c.Dropped != 4 {
+		t.Errorf("dropped = %d, want 4", c.Dropped)
 	}
 }

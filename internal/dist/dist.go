@@ -1,8 +1,8 @@
 // Package dist runs a distributed simulation over TCP: worker processes
 // each run one hosted engine range of the scenario (see pdes.Transport for
-// the window protocol and the SPMD model) and trade every barrier window
-// directly with each other, and a coordinator process hands out the jobs,
-// watches the workers' liveness and collects their results.
+// the window protocol and the deterministic-setup model) and trade every
+// barrier window directly with each other, and a coordinator process hands
+// out the jobs, watches the workers' liveness and collects their results.
 //
 // Every worker keeps one connection to the coordinator and one to every
 // other worker, all framed by package wire:

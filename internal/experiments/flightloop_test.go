@@ -41,7 +41,7 @@ func skewScale() Scale {
 func TestMeasuredProfileFeedbackBeatsHTOP(t *testing.T) {
 	sc := skewScale()
 	gen := Scenario{Flat: &FlatSpec{Routers: sc.Routers, Hosts: sc.Hosts}, RunSpec: runspec.RunSpec{Seed: sc.Seed}}
-	net, _, err := gen.Network("")
+	net, _, err := gen.Network()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"massf/internal/model"
 	"massf/internal/profile"
 	"massf/internal/runspec"
-	"massf/internal/scache"
 	"massf/internal/topology"
 )
 
@@ -21,7 +20,7 @@ import (
 // goes through the same steps, in this order:
 //
 //	sc.Normalize(); sc.Validate()
-//	net, multi := sc.Network(dir)     topology source → network, through an artifact cache
+//	net, multi := sc.Network()        topology source → network: DML parsed, or generated from the seed
 //	st := sc.Build(net, multi, x)     routing + host roles; immutable, so cacheable and shareable
 //	prof := sc.TrafficProfile(ctx, st)  supplied, or one cancellable profiling pass (PROF approaches only)
 //	m := sc.Map(st, prof)             the load-balance mapping; pure, so cacheable when prof is nil
@@ -150,48 +149,28 @@ func ParseWorkload(name string) (Workload, error) {
 }
 
 // Network materializes the scenario's topology source. multi reports a
-// multi-AS network. A generated topology is read through the on-disk
-// artifact cache at cacheDir (internal/scache, under TopoKey; "" for none),
-// which persists across processes; DML is parsed directly — the text is
-// already the artifact.
-func (s *Scenario) Network(cacheDir string) (net *model.Network, multi bool, err error) {
-	if s.DML != "" {
+// multi-AS network. DML is parsed; a generator runs from the scenario's
+// seed, so every call yields the same network.
+func (s *Scenario) Network() (net *model.Network, multi bool, err error) {
+	switch {
+	case s.DML != "":
 		net, err := dml.ReadNetwork(strings.NewReader(s.DML))
 		if err != nil {
 			return nil, false, err
 		}
 		return net, len(net.ASes) > 1, nil
-	}
-	net, err = scache.Network(cacheDir, s.TopoKey(), func() (*model.Network, error) {
-		if s.Flat != nil {
-			return topology.GenerateFlat(topology.FlatOptions{
-				Routers: s.Flat.Routers, Hosts: s.Flat.Hosts, Seed: s.Seed,
-			})
-		}
-		return mabrite.Generate(mabrite.Options{
+	case s.Flat != nil:
+		net, err = topology.GenerateFlat(topology.FlatOptions{
+			Routers: s.Flat.Routers, Hosts: s.Flat.Hosts, Seed: s.Seed,
+		})
+		return net, false, err
+	default:
+		net, err = mabrite.Generate(mabrite.Options{
 			ASes: s.MultiAS.ASes, RoutersPerAS: s.MultiAS.RoutersPerAS,
 			Hosts: s.MultiAS.Hosts, Seed: s.Seed,
 		})
-	})
-	return net, s.MultiAS != nil, err
-}
-
-// TopoKey is the content address of the scenario's network: the topology
-// source and, for the generators, the seed they consume. It names the
-// network artifact massfd -scache and simcheck -scache share, and keys
-// massfd's setup cache.
-func (s *Scenario) TopoKey() string {
-	var src string
-	switch {
-	case s.DML != "":
-		src = "dml:" + s.DML
-	case s.Flat != nil:
-		src = fmt.Sprintf("flat:r=%d h=%d seed=%d", s.Flat.Routers, s.Flat.Hosts, s.Seed)
-	default:
-		src = fmt.Sprintf("multias:a=%d rpa=%d h=%d seed=%d",
-			s.MultiAS.ASes, s.MultiAS.RoutersPerAS, s.MultiAS.Hosts, s.Seed)
+		return net, true, err
 	}
-	return scache.Key([]byte(src))
 }
 
 // AppHosts is the number of hosts the scenario's foreground application

@@ -28,7 +28,7 @@ func buildScenario(t *testing.T, sc *Scenario) *Setup {
 	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	net, multi, err := sc.Network("")
+	net, multi, err := sc.Network()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,8 +88,8 @@ type Config struct {
 	// events and takes the next-window decision from its reply, at the cost
 	// of a third barrier. Nil (the default) hosts every engine and takes the
 	// decision locally; it is the only selector between the two modes. See
-	// Transport for the window protocol and the replicated-setup (SPMD)
-	// model the distributed mode assumes. A worker's engines park at every
+	// Transport for the window protocol and the deterministic-setup model
+	// the distributed mode assumes. A worker's engines park at every
 	// barrier: the third waits on the network, and co-located workers share
 	// the host's processors.
 	Transport Transport
@@ -392,9 +392,9 @@ func WindowCount(end, window des.Time) int {
 // when globalNext is the earliest pending event anywhere in the simulation.
 // That is w+1, unless every window before the one holding globalNext is
 // globally idle, in which case the run fast-forwards straight to it. Run
-// calls it with the minimum over its engines; a coordinator calls it with
-// the minimum over its workers' WindowDone.LocalNext and the events in
-// flight between them.
+// calls it with the minimum over its engines; a worker's Transport calls
+// it with the minimum over every worker's WindowDone.LocalNext and the
+// events in flight between them.
 func NextWindow(w int, globalNext, window des.Time) int {
 	if skip := int(globalNext / window); skip > w+1 {
 		return skip
@@ -410,10 +410,10 @@ func NextWindow(w int, globalNext, window des.Time) int {
 // Then comes the decision on the next window. Locally, every engine takes it
 // from the next-event times and stop flag the second barrier published.
 // With a Transport, the leader instead trades the hosted engines' reduction
-// and wire outboxes for the coordinator's decision (see exchange) and a
-// third barrier publishes the reply. Either way each engine then merges its
-// cross-worker events (none in-process) with its gather under the
-// (at, src, seq) order and schedules the lot.
+// and wire outboxes with the Transport for the global decision (see
+// exchange) and a third barrier publishes it. Either way each engine then
+// merges its cross-worker events (none in-process) with its gather under
+// the (at, src, seq) order and schedules the lot.
 func (s *Sim) Run() Stats {
 	cfg := s.cfg
 	first, hosted := cfg.FirstEngine, cfg.HostedEngines
@@ -435,8 +435,8 @@ func (s *Sim) Run() Stats {
 	nextTimes := make([]des.Time, hosted)
 	// Windows, Modeled*NS, Stopped and Err are owned by the leader (local
 	// engine 0) during the run. On a worker, modeled time reduces over the
-	// hosted engines only — a lower bound; the coordinator owns the global
-	// reduction.
+	// hosted engines only — a lower bound; the worker's Transport folds the
+	// global reduction.
 	stats := Stats{
 		Engines:         cfg.Engines,
 		Window:          cfg.Window,

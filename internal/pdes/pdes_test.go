@@ -238,6 +238,32 @@ func TestLoadSeriesShape(t *testing.T) {
 	if stats.BucketWidth != 10*des.Millisecond {
 		t.Errorf("BucketWidth = %v, want 10ms", stats.BucketWidth)
 	}
+
+	// SeriesBuckets 0 is the 512-bucket default, not one bucket per window.
+	s, err = New(Config{
+		Engines: 2, Window: des.Millisecond, End: 1000 * des.Millisecond,
+		Sync: cluster.Fixed{CostNS: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		s.Engine(0).Schedule(des.Time(i)*des.Millisecond, func(des.Time) {})
+	}
+	stats = s.Run()
+	if stats.Windows <= 512 {
+		t.Fatalf("executed %d windows, want > 512", stats.Windows)
+	}
+	if len(stats.LoadSeries) != 512 {
+		t.Fatalf("default series has %d buckets, want 512", len(stats.LoadSeries))
+	}
+	total := uint64(0)
+	for _, b := range stats.LoadSeries {
+		total += b[0]
+	}
+	if total != 1000 {
+		t.Errorf("default series holds %d engine-0 events, want 1000", total)
+	}
 }
 
 func TestManyEnginesStress(t *testing.T) {

@@ -1,19 +1,21 @@
 // The distributed transport seam. A Transport lets a Sim run as one worker
 // of a multi-process simulation: Run's one window loop executes only the
 // hosted engine range, and once per barrier window the local leader engine
-// trades the window's cross-worker events — in serialized wire form — plus
-// the control data the global barrier decision needs (max busy time, local
-// minimum next event time, stop request) for the coordinator's reply (events
-// destined here, the next window index after fast-forward, the global stop
-// flag), which replaces the decision the loop would have taken locally.
+// hands the transport the window's cross-worker events — in serialized
+// wire form — plus this worker's share of the control data the global
+// barrier decision needs (max busy time, local minimum next event time,
+// stop request). The transport trades them with every other worker and
+// returns the folded result (events destined here, the next window index
+// after fast-forward, the global stop flag), which replaces the decision
+// the loop would have taken locally. Every worker folds the same inputs,
+// so every worker takes the same decision.
 //
-// Distributed runs assume the replicated-setup (SPMD) model: every worker
-// runs the same deterministic setup over all N engines, and only the
-// hosted range runs live (the model may skip materializing what only
-// non-hosted engines touch; netsim does). Setup-time identities are
-// therefore identical on every worker, which is what lets serialized
-// events reference model objects (nodes, flows, callbacks) by small
-// integer identity instead of shipping object graphs.
+// Distributed runs assume deterministic setup: every worker makes the same
+// setup calls over all N engines in the same order, and materializes only
+// what its hosted range touches (netsim keeps a slice of the network).
+// Setup-time identities are therefore identical on every worker, which is
+// what lets serialized events reference model objects (nodes, flows,
+// callbacks) by small integer identity instead of shipping object graphs.
 //
 // Determinism: the wire path assigns the same (src, seq) labels a send
 // would receive in-process (see Engine.enqueueRemote), each event carries its
@@ -49,8 +51,8 @@ type WindowDone struct {
 	MaxBusy int64
 	// LocalNext is the minimum next-event time over hosted engines —
 	// kernels plus locally-gathered incoming, BEFORE cross-worker events
-	// arrive. The coordinator folds in the timestamps of the events it
-	// routes, so min(all LocalNext, all wire event times) is the exact
+	// arrive. The transport folds in the timestamps of the events in
+	// flight, so min(all LocalNext, all wire event times) is the exact
 	// global next-event time the in-process fast-forward would compute.
 	LocalNext des.Time
 	// Stop requests cooperative global cancellation (Sim.Stop was called
@@ -60,10 +62,11 @@ type WindowDone struct {
 	Events []wire.Event
 }
 
-// WindowGo is the coordinator's barrier release.
+// WindowGo is the global barrier release, folded from every worker's
+// WindowDone.
 type WindowGo struct {
 	// NextWindow is the window to execute next — at least Window+1, larger
-	// when the coordinator fast-forwards over globally idle windows.
+	// when the run fast-forwards over globally idle windows.
 	NextWindow int
 	// Stop reports the global stop decision (any worker requested it).
 	Stop bool
@@ -77,10 +80,10 @@ type WindowGo struct {
 var (
 	// ErrMisroutedEvent: the reply carries an event for an engine this
 	// worker does not host.
-	ErrMisroutedEvent = errors.New("pdes: coordinator routed an event to a non-hosted engine")
+	ErrMisroutedEvent = errors.New("pdes: event delivered to a non-hosted engine")
 	// ErrWindowNotAdvanced: the reply's NextWindow is not beyond the window
 	// just executed (and it does not stop the run).
-	ErrWindowNotAdvanced = errors.New("pdes: coordinator did not advance the window")
+	ErrWindowNotAdvanced = errors.New("pdes: barrier release did not advance the window")
 	// ErrUndecodableEvent: the codec rejects one of the reply's events (it
 	// wraps the codec's error).
 	ErrUndecodableEvent = errors.New("pdes: undecodable remote event")
@@ -89,17 +92,18 @@ var (
 // Transport synchronizes one worker with the rest of a distributed run.
 // Exchange is called exactly once per executed window, by a single
 // goroutine, after every hosted engine has arrived at the local barrier; it
-// must block until all workers have arrived globally and return the
-// coordinator's decision. With Transport nil, Run takes the same decision
-// (NextWindow over the engines' published next-event times) locally; the
-// TCP implementation is dist.WorkerTransport.
+// must block until all workers have arrived globally and return the global
+// decision (NextWindow over every worker's LocalNext and the events in
+// flight). With Transport nil, Run takes the same decision over the
+// engines' published next-event times locally; the TCP implementation is
+// dist.WorkerTransport, which trades WindowDone with every peer directly.
 type Transport interface {
 	Exchange(done WindowDone) (WindowGo, error)
 }
 
 // Codec translates model-layer event handlers to and from wire form. A
 // model registers one Kind per serializable handler type; both sides of a
-// distributed run must share the registry (guaranteed by replicated setup).
+// distributed run must share the registry (guaranteed by deterministic setup).
 // Encode runs concurrently on multiple engine goroutines; Decode runs on the
 // leader alone, while every other hosted engine waits at the barrier.
 type Codec interface {

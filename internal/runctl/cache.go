@@ -1,12 +1,13 @@
 package runctl
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sync"
 
 	"massf/internal/core"
 	"massf/internal/experiments"
-	"massf/internal/scache"
 )
 
 // setupCache memoizes built scenarios (*experiments.Setup) so a repeat
@@ -145,14 +146,42 @@ func (c *setupCache) evictLocked() {
 }
 
 // setupKey derives the content address of a spec's built scenario: the
-// topology source and every knob that reaches role selection (seed and
-// requested client/server/app-host counts). Engines, horizon, event cost
-// and fidelity deliberately stay out — they are per-run overlays applied
-// to a copy of the cached Setup.
+// topology source (with, for the generators, the seed they consume) and
+// every knob that reaches role selection (seed and requested
+// client/server/app-host counts). Engines, horizon, event cost and
+// fidelity deliberately stay out — they are per-run overlays applied to a
+// copy of the cached Setup.
 func setupKey(s *Spec) string {
-	return scache.Key(
-		[]byte(s.TopoKey()),
+	var topo string
+	switch {
+	case s.DML != "":
+		topo = "dml:" + s.DML
+	case s.Flat != nil:
+		topo = fmt.Sprintf("flat:r=%d h=%d seed=%d", s.Flat.Routers, s.Flat.Hosts, s.Seed)
+	default:
+		topo = fmt.Sprintf("multias:a=%d rpa=%d h=%d seed=%d",
+			s.MultiAS.ASes, s.MultiAS.RoutersPerAS, s.MultiAS.Hosts, s.Seed)
+	}
+	return contentKey(
+		[]byte(topo),
 		[]byte(fmt.Sprintf("seed=%d clients=%d servers=%d app=%d",
 			s.Seed, s.Clients, s.Servers, s.AppHosts())),
 	)
+}
+
+// contentKey hashes parts into one key. Each part is length-prefixed
+// before hashing so boundary ambiguity ("ab","c" vs "a","bc") cannot alias
+// keys.
+func contentKey(parts ...[]byte) string {
+	h := sha256.New()
+	var lenBuf [8]byte
+	for _, p := range parts {
+		n := len(p)
+		for i := 0; i < 8; i++ {
+			lenBuf[i] = byte(n >> (8 * i))
+		}
+		h.Write(lenBuf[:])
+		h.Write(p)
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }

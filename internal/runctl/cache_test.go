@@ -27,3 +27,12 @@ func TestSetupCachePanicDoesNotPoison(t *testing.T) {
 		t.Fatalf("third get returned (%p, cached=%v), want the cached Setup", st, cached)
 	}
 }
+
+func TestKeyBoundaries(t *testing.T) {
+	if contentKey([]byte("ab"), []byte("c")) == contentKey([]byte("a"), []byte("bc")) {
+		t.Fatal("part boundaries do not contribute to the key")
+	}
+	if contentKey([]byte("x")) != contentKey([]byte("x")) {
+		t.Fatal("key not deterministic")
+	}
+}

@@ -393,10 +393,8 @@ type Manager struct {
 	// defaultFaults, when set, is injected into submitted specs that carry
 	// no fault script of their own (the massfd -faults flag).
 	defaultFaults *faults.Script
-	// builds memoizes scenario construction; cacheDir persists generated
-	// topologies across restarts (empty: no disk tier).
-	builds   *setupCache
-	cacheDir string
+	// builds memoizes scenario construction.
+	builds *setupCache
 	// ingest, when set, is the daemon's live agent plane; runs submitted
 	// with Spec.Ingest register their agent under their run id.
 	ingest *agent.Ingest
@@ -424,9 +422,6 @@ type Options struct {
 	// QueueDepth bounds the admission queue; Submit fails with
 	// ErrQueueFull beyond it. Default 64.
 	QueueDepth int
-	// CacheDir, when non-empty, enables the on-disk topology artifact
-	// tier under this directory ("auto" selects the per-user default).
-	CacheDir string
 	// Ingest attaches the live agent plane (nil disables Spec.Ingest).
 	Ingest *agent.Ingest
 }
@@ -456,7 +451,6 @@ func NewManagerOpts(o Options) *Manager {
 		ringCap:  o.RingCap,
 		maxQueue: o.QueueDepth,
 		builds:   newSetupCache(setupCacheSize),
-		cacheDir: o.CacheDir,
 		ingest:   o.Ingest,
 		runs:     map[string]*Run{},
 	}
@@ -743,7 +737,7 @@ func (m *Manager) execute(r *Run) (*experiments.RunOutcome, error) {
 	// submit-to-first-window latency from a rebuild to milliseconds.
 	key := setupKey(&spec)
 	st, cached, err := m.builds.get(key, func() (*experiments.Setup, error) {
-		net, multi, err := spec.Network(m.cacheDir)
+		net, multi, err := spec.Network()
 		if err != nil {
 			return nil, err
 		}

@@ -2,8 +2,8 @@
 // across worker processes joined by the dist TCP transport, with the
 // merged worker partials diffed against the sequential reference AND the
 // in-process parallel run of the same partition. Passing means the wire
-// path changed nothing: coordinator-routed events reproduce the
-// shared-memory exchange byte for byte.
+// path changed nothing: events the workers trade over their peer links
+// reproduce the shared-memory exchange byte for byte.
 package simcheck
 
 import (
@@ -39,12 +39,6 @@ type distSpec struct {
 	Part       []int32
 	Window     des.Time
 	Boundaries [][]topology.BoundaryLink
-	// CacheDir, when set, points workers at a shared content-addressed
-	// scenario artifact cache (internal/scache): the generated topology is
-	// stored under its content key, so repeated runs — and the other
-	// workers on the same machine — skip generation. Keying by content is
-	// what lets concurrent runs on different scenarios share the directory.
-	CacheDir string `json:",omitempty"`
 }
 
 // Runners is the runner registry a simcheck-capable worker process needs;
@@ -107,7 +101,7 @@ func DistRunner(job dist.Job, t pdes.Transport) ([]byte, error) {
 	sc := spec.Scenario
 	es := sc.launch(spec.K)
 	buildStart := time.Now()
-	net, multi, err := es.Network(spec.CacheDir)
+	net, multi, err := es.Network()
 	if err != nil {
 		return nil, fmt.Errorf("simcheck: rebuilding scenario: %w", err)
 	}
@@ -295,7 +289,7 @@ func SplitEngines(k, workers int) [][2]int {
 // planDistributed is the local half of the distributed leg: the report with
 // the plan's reference and (memoized) in-process k-engine run filled in,
 // and the jobs a fleet of `workers` executes on the same partition.
-func (p *Plan) planDistributed(k, workers int, cacheDir string) (*DistReport, dist.RunConfig, error) {
+func (p *Plan) planDistributed(k, workers int) (*DistReport, dist.RunConfig, error) {
 	if workers < 1 || workers > k {
 		return nil, dist.RunConfig{}, fmt.Errorf("simcheck: %d workers for %d engines", workers, k)
 	}
@@ -303,7 +297,7 @@ func (p *Plan) planDistributed(k, workers int, cacheDir string) (*DistReport, di
 	if err != nil {
 		return nil, dist.RunConfig{}, err
 	}
-	rc, err := p.jobs(k, workers, cacheDir)
+	rc, err := p.jobs(k, workers)
 	if err != nil {
 		return nil, dist.RunConfig{}, err
 	}
@@ -315,12 +309,10 @@ func (p *Plan) planDistributed(k, workers int, cacheDir string) (*DistReport, di
 
 // jobs cuts the worker jobs of the (already mapped) k-engine partition.
 // The spec carries the partition's per-worker boundary descriptors
-// (computed once here, verified independently by each worker); cacheDir,
-// when non-empty, names the shared scenario artifact cache workers read
-// through.
-func (p *Plan) jobs(k, workers int, cacheDir string) (dist.RunConfig, error) {
+// (computed once here, verified independently by each worker).
+func (p *Plan) jobs(k, workers int) (dist.RunConfig, error) {
 	part, window := p.ks[k].m.Part, p.ks[k].m.Window()
-	spec := distSpec{Scenario: p.Scenario, K: k, Part: part, Window: window, CacheDir: cacheDir}
+	spec := distSpec{Scenario: p.Scenario, K: k, Part: part, Window: window}
 	ranges := SplitEngines(k, workers)
 	for _, r := range ranges {
 		sl, err := topology.BuildSlice(p.st.Net, part, r[0], r[1])
@@ -353,7 +345,7 @@ func PlanDistributed(sc Scenario, k, workers int) (*DistReport, dist.RunConfig, 
 	if err != nil {
 		return nil, dist.RunConfig{}, err
 	}
-	return p.planDistributed(k, workers, "")
+	return p.planDistributed(k, workers)
 }
 
 // serveFleet drives rc through one worker fleet, lifts each partial's build
@@ -416,11 +408,10 @@ func serveFleet(ln net.Listener, rc dist.RunConfig, opt dist.Options) (*dist.Res
 // materializes only its engine range's share, with scoped routing, and
 // passing proves the slice-local setup changed nothing against the
 // sequential reference, fault churn included (the fault plane replays
-// against slice-scoped routing clones). A non-empty cacheDir routes
-// topology builds through the shared scenario artifact cache. A worker
-// failure comes back as a *dist.WorkerError.
-func (p *Plan) Distributed(ln net.Listener, k, workers int, cacheDir string, opt dist.Options) (*DistReport, error) {
-	rep, rc, err := p.planDistributed(k, workers, cacheDir)
+// against slice-scoped routing clones). A worker failure comes back as a
+// *dist.WorkerError.
+func (p *Plan) Distributed(ln net.Listener, k, workers int, opt dist.Options) (*DistReport, error) {
+	rep, rc, err := p.planDistributed(k, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -113,9 +113,9 @@ func mapOnly(net *model.Network, a core.Approach, k int, seed int64) (*core.Mapp
 }
 
 // fleet runs p's k=4 distributed leg over loopback workers.
-func fleet(t *testing.T, p *Plan, workers int, cacheDir string) *DistReport {
+func fleet(t *testing.T, p *Plan, workers int) *DistReport {
 	t.Helper()
-	rep, err := p.Distributed(nil, 4, workers, cacheDir, dist.Options{})
+	rep, err := p.Distributed(nil, 4, workers, dist.Options{})
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
@@ -160,7 +160,7 @@ func TestCheckDistributedMatchesReference(t *testing.T) {
 	}
 	p := planOf(t, distScenario())
 	for _, workers := range []int{2, 4} {
-		rep := fleet(t, p, workers, "")
+		rep := fleet(t, p, workers)
 		if rep.Ref.TotalEvents == 0 || rep.Ref.HTTPResponses == 0 {
 			t.Fatalf("workers=%d: degenerate reference run: events=%d http=%d",
 				workers, rep.Ref.TotalEvents, rep.Ref.HTTPResponses)
@@ -178,19 +178,17 @@ func TestCheckDistributedMatchesReference(t *testing.T) {
 }
 
 // TestCheckShardedMatchesReference: every worker builds only its slice of
-// the scenario through the scenario artifact cache — together the slices
-// own every node once, each retains less routing state than the plan's own
-// warmed, unscoped router — and the fleet stays byte-identical to the
-// sequential reference.
+// the scenario — together the slices own every node once, each retains
+// less routing state than the plan's own warmed, unscoped router — and the
+// fleet stays byte-identical to the sequential reference.
 func TestCheckShardedMatchesReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded oracle run skipped in -short")
 	}
-	cacheDir := t.TempDir()
 	p := planOf(t, distScenario())
 	fullRoutes := p.st.Router.TableBytes()
 	for _, workers := range []int{2, 4} {
-		rep := fleet(t, p, workers, cacheDir)
+		rep := fleet(t, p, workers)
 		for _, d := range rep.DivsDist {
 			t.Errorf("workers=%d sliced: %v", workers, d)
 		}
@@ -205,7 +203,7 @@ func TestChurnDistributed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributed churn run skipped in -short")
 	}
-	rep := fleet(t, planOf(t, Churn(distScenario())), 2, "")
+	rep := fleet(t, planOf(t, Churn(distScenario())), 2)
 	if len(rep.Ref.FaultDrops) == 0 {
 		t.Fatal("churn scenario compiled no fault plane")
 	}
@@ -228,7 +226,7 @@ func TestCheckShardedChurn(t *testing.T) {
 	if len(p.Ref.FaultDrops) == 0 {
 		t.Fatal("churn scenario compiled no fault plane")
 	}
-	rep := fleet(t, p, 4, t.TempDir())
+	rep := fleet(t, p, 4)
 	for _, d := range rep.DivsDist {
 		t.Errorf("sliced: %v", d)
 	}
@@ -246,7 +244,7 @@ func TestCheckShardedMultiAS(t *testing.T) {
 		TCPFlows: 10, UDPSends: 10,
 		Horizon: 250 * des.Millisecond, Approach: core.TOP2, Ks: []int{4},
 	}
-	for _, d := range fleet(t, planOf(t, sc), 2, t.TempDir()).DivsDist {
+	for _, d := range fleet(t, planOf(t, sc), 2).DivsDist {
 		t.Errorf("distributed: %v", d)
 	}
 }
@@ -264,7 +262,7 @@ func (r rejectExchange) Exchange(pdes.WindowDone) (pdes.WindowGo, error) {
 // disagrees with the job spec it was shipped fails with a named error
 // before any engine runs.
 func TestDistRunnerRejectsBadSpec(t *testing.T) {
-	_, rc, err := planOf(t, distScenario()).planDistributed(4, 2, "")
+	_, rc, err := planOf(t, distScenario()).planDistributed(4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,7 +114,7 @@ func TestFluidDistributed(t *testing.T) {
 	seeded := Churn(Fluid(NewScenario(2)))
 	seeded.Ks = []int{4}
 	for _, sc := range []Scenario{Fluid(distScenario()), Churn(Fluid(distScenario())), seeded} {
-		rep := fleet(t, planOf(t, sc), 2, "")
+		rep := fleet(t, planOf(t, sc), 2)
 		if rep.Dist.FluidStarted == 0 || rep.Dist.FluidCompleted == 0 {
 			t.Fatalf("%s: degenerate hybrid run: started=%d completed=%d",
 				sc, rep.Dist.FluidStarted, rep.Dist.FluidCompleted)

@@ -46,7 +46,7 @@ func TestObservationDigestGolden(t *testing.T) {
 	sc := Churn(distScenario())
 	sc.NetSample = 4
 	p := planOf(t, sc)
-	line("fleet sliced k=4 workers=2", fleet(t, p, 2, t.TempDir()).Dist)
+	line("fleet sliced k=4 workers=2", fleet(t, p, 2).Dist)
 
 	want, err := os.ReadFile("testdata/observations.golden")
 	if err != nil {

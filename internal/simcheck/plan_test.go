@@ -23,7 +23,7 @@ func TestPlanLegsShareReferenceAndRuns(t *testing.T) {
 	if k4.K != 4 || k4.Violations == nil {
 		t.Fatalf("Runs[1] is k=%d, invariants armed=%v; want the armed k=4 run", k4.K, k4.Violations != nil)
 	}
-	distributed := fleet(t, p, 2, "")
+	distributed := fleet(t, p, 2)
 	fluid, err := p.Fluid(DefaultFluidMinBytes, 0, DefaultFluidBudget())
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +44,7 @@ func TestPlanLegsShareReferenceAndRuns(t *testing.T) {
 	// A standalone distributed plan keeps its in-process run un-instrumented
 	// — and a Check that follows re-runs it armed rather than trusting it.
 	q := planOf(t, sc)
-	plain := fleet(t, q, 2, "").InProc
+	plain := fleet(t, q, 2).InProc
 	if again, err := q.Check(); err != nil {
 		t.Fatal(err)
 	} else if again.Runs[1].Obs == plain || again.Runs[1].Violations == nil {
@@ -63,7 +63,7 @@ func TestComposedSlicedChurnObserved(t *testing.T) {
 	plain := Churn(distScenario())
 	observed := plain
 	observed.NetSample = 3
-	rep := fleet(t, planOf(t, observed), 2, t.TempDir())
+	rep := fleet(t, planOf(t, observed), 2)
 	if len(rep.Ref.FaultDrops) == 0 || len(rep.Dist.PathSpans) == 0 {
 		t.Fatalf("degenerate composition: %d faults, %d sampled spans", len(rep.Ref.FaultDrops), len(rep.Dist.PathSpans))
 	}

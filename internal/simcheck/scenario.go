@@ -157,7 +157,7 @@ func (sc Scenario) Materialized() (Scenario, error) {
 		return sc, nil
 	}
 	es := sc.launch(1)
-	net, _, err := es.Network("")
+	net, _, err := es.Network()
 	if err != nil {
 		return sc, err
 	}
@@ -207,7 +207,7 @@ func (sc Scenario) launch(k int) experiments.Scenario {
 // the network, routing built toward every host, and the host list.
 func (sc Scenario) setup() (*experiments.Setup, error) {
 	es := sc.launch(1)
-	net, multi, err := es.Network("")
+	net, multi, err := es.Network()
 	if err != nil {
 		return nil, err
 	}

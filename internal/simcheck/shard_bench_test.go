@@ -1,7 +1,6 @@
 package simcheck
 
 import (
-	"os"
 	"testing"
 
 	"massf/internal/core"
@@ -39,20 +38,15 @@ func BenchmarkShardSetupReplicated(b *testing.B) {
 	}
 }
 
-// BenchmarkShardSetupSliced measures worker setup after the refactor: the
-// topology is decoded from the content-addressed artifact cache (warmed by
-// the first run), only worker 0's slice of the k=4 partition is built and
-// verified, and routing is warmed for every traffic destination but
-// scoped — each tree keeps entries for the slice's owned nodes only.
+// BenchmarkShardSetupSliced measures worker setup after the refactor, as a
+// worker pays it: the topology is generated, only worker 0's slice of the
+// k=4 partition is built and verified, and routing is warmed for every
+// traffic destination but scoped — each tree keeps entries for the slice's
+// owned nodes only.
 func BenchmarkShardSetupSliced(b *testing.B) {
 	sc := shardBenchScenario()
-	dir, err := os.MkdirTemp("", "massf-scache-bench-*")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer os.RemoveAll(dir)
 	es := sc.launch(4)
-	net, _, err := es.Network(dir) // warm the artifact cache
+	net, _, err := es.Network() // the coordinator's copy, for the mapping
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -63,7 +57,7 @@ func BenchmarkShardSetupSliced(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		wnet, _, err := es.Network(dir)
+		wnet, _, err := es.Network()
 		if err != nil {
 			b.Fatal(err)
 		}
