@@ -83,6 +83,9 @@ func run(args []string, out io.Writer, nowNano func() int64) error {
 	if *netPath == "" {
 		return fmt.Errorf("-net is required")
 	}
+	if *straggler < 0 {
+		return fmt.Errorf("-stragglers must be ≥ 0 (0 = off), got %d", *straggler)
+	}
 	// Host-level profiling of the simulator itself (hot-path regressions),
 	// as opposed to -profile-out, which captures the *simulated* network's
 	// traffic profile for the partitioner.

@@ -192,6 +192,14 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-net", netPath, "-approach", "NOPE"}, &out, func() int64 { return 1 }); err == nil {
 		t.Error("unknown approach accepted")
 	}
+	// A negative size or report length is rejected by name, not read as
+	// "default" or "off".
+	for flag, field := range map[string]string{"-clients": "clients", "-servers": "servers", "-stragglers": "-stragglers"} {
+		err := run([]string{"-net", netPath, "-approach", "TOP2", "-engines", "2", "-seconds", "1", "-app", "none", flag, "-5"}, &out, func() int64 { return 1 })
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("%s -5: err = %v, want a rejection naming %q", flag, err, field)
+		}
+	}
 }
 
 // jsonRun is the slice of the -json document the launch-path tests read.

@@ -74,8 +74,9 @@ type Scenario struct {
 	// App selects the foreground workload: scalapack, gridnpb or none
 	// (background HTTP only). Default none.
 	App string `json:"app,omitempty"`
-	// Clients/Servers size the background HTTP population (defaults:
-	// 80% / 20% of the hosts not claimed by the application).
+	// Clients/Servers size the background HTTP population (0 selects the
+	// default: 80% / 20% of the hosts not claimed by the application;
+	// negative sizes are rejected).
 	Clients int `json:"clients,omitempty"`
 	Servers int `json:"servers,omitempty"`
 	// Profile is an optional measured traffic profile (the massf-profile
@@ -126,6 +127,12 @@ func (s *Scenario) Validate() error {
 	}
 	if err := s.RunSpec.Validate(); err != nil {
 		return err
+	}
+	if s.Clients < 0 {
+		return fmt.Errorf("experiments: clients must be ≥ 0 (0 = default split), got %d", s.Clients)
+	}
+	if s.Servers < 0 {
+		return fmt.Errorf("experiments: servers must be ≥ 0 (0 = default split), got %d", s.Servers)
 	}
 	if s.Profile != "" {
 		if _, err := profile.Read(strings.NewReader(s.Profile)); err != nil {

@@ -151,23 +151,24 @@ type linkDir struct {
 	fluidSeg int32
 }
 
-// Packet is one simulated packet, passed by value through hop events. TCP
-// packets carry their flow; state partitioning (sender fields touched only
-// on the source host's engine, receiver fields only on the destination's)
-// keeps the simulation lock-free.
+// Packet is one simulated packet, carried from its source to its end in
+// one hop event. TCP packets carry their flow; state partitioning (sender
+// fields touched only on the source host's engine, receiver fields only on
+// the destination's) keeps the simulation lock-free. The fields are ordered
+// so a Packet fills one 64-byte cache line.
 type Packet struct {
 	Src, Dst model.NodeID
 	Bits     int64
 	Seq      int32 // data sequence (packet index within flow)
 	Ack      bool
+	ttl      int8
 	AckNum   int32 // cumulative ack (first missing packet index)
+	udpID    int32 // wire identity of deliverCb (distributed runs)
 
 	flow      *flow
 	deliverCb func(at des.Time) // UDP delivery callback
-	udpID     int32             // wire identity of deliverCb (distributed runs)
 	wref      *wireRef          // wire flow reference when flow is unknown locally
 	trace     uint64            // netmon path-trace id (0 = not sampled)
-	ttl       int8
 }
 
 // DefaultTTL is the initial hop limit of injected packets. Forwarding
@@ -175,15 +176,20 @@ type Packet struct {
 // routing is loop-free) burn the TTL and drop instead of looping forever.
 const DefaultTTL = 64
 
-// hopEvent carries a packet across one hop through the des.EventHandler
-// seam: a pooled struct instead of a per-hop closure, so the forwarding
-// loop — the simulator's innermost loop — allocates nothing in steady
-// state. Each engine's pool is its engineState.hopFree, touched only by
-// that engine's goroutine: transmit takes from the scheduling engine's
-// pool, OnEvent gives back to the executing engine's (they differ for
-// cross-partition hops; the populations drift but the total is conserved),
-// and the wire codec gives a hop that left the worker back to its sending
-// engine's pool once encoded.
+// hopEvent is a packet in flight: the des.EventHandler that lands it on
+// the next node, a pooled struct instead of a per-hop closure, so the
+// forwarding loop — the simulator's innermost loop — allocates nothing in
+// steady state. A packet takes its hop once, at its source (send), or on
+// arrival from another worker (the codec's Decode); transmit reschedules
+// that same hop for every later hop, so forwarding never copies or clears
+// the packet. The hop is freed once, where the packet ends: arrive frees it
+// on delivery, on every drop, and when transmit does not schedule it (a
+// drop on the link, or an arrival at or after End); send frees it when the
+// first transmit does not; and Encode frees a hop that leaves the worker.
+// Each engine's pool is its engineState.hopFree, touched only by that
+// engine's goroutine: a hop comes from its source engine's pool and goes
+// back to the pool of the engine its packet ends on, so pools refill
+// where packets end.
 type hopEvent struct {
 	s    *Sim
 	node model.NodeID
@@ -191,11 +197,7 @@ type hopEvent struct {
 	pkt  Packet
 }
 
-func (h *hopEvent) OnEvent(now des.Time) {
-	s, node, link, pkt := h.s, h.node, h.link, h.pkt
-	s.freeHop(s.EngineOf(node), h)
-	s.arrive(now, node, link, pkt)
-}
+func (h *hopEvent) OnEvent(now des.Time) { h.s.arrive(now, h) }
 
 // newHop takes a hop event from engine's pool, allocating only when the
 // pool is dry (warm-up, or population drift toward another engine).
@@ -577,8 +579,12 @@ func serialization(bits, bandwidth int64) des.Time {
 // model rather than model extreme (but finite) contention.
 const fluidMinShare = 0.02
 
-// transmit sends pkt from node over link lid. Must run on node's engine.
-func (s *Sim) transmit(node model.NodeID, lid model.LinkID, pkt Packet) {
+// transmit puts hop h's packet on link lid out of node and schedules h to
+// land at the link's far end. It reports whether it did: a packet the link
+// drops, or one that would land at or after End, ends here, and the caller
+// still holds h. Must run on node's engine.
+func (s *Sim) transmit(node model.NodeID, lid model.LinkID, h *hopEvent) bool {
+	pkt := &h.pkt
 	l := &s.cfg.Net.Links[lid]
 	dirIdx := 2 * int(lid)
 	if l.B == node {
@@ -589,8 +595,8 @@ func (s *Sim) transmit(node model.NodeID, lid model.LinkID, pkt Packet) {
 	now := eng.Now()
 	if s.faults != nil {
 		if up, fi := s.faults.LinkUp(now, lid); !up {
-			s.drop(node, &pkt, dirIdx, lid, now, netmon.DropFault, fi)
-			return
+			s.drop(node, pkt, dirIdx, lid, now, netmon.DropFault, fi)
+			return false
 		}
 	}
 	// Hybrid fidelity: fluid-plane load on this direction shrinks the
@@ -617,8 +623,8 @@ func (s *Sim) transmit(node model.NodeID, lid model.LinkID, pkt Packet) {
 	}
 	if int64(start-now) > queueNS {
 		dir.drops++
-		s.drop(node, &pkt, dirIdx, lid, now, netmon.DropTail, -1)
-		return // tail drop
+		s.drop(node, pkt, dirIdx, lid, now, netmon.DropTail, -1)
+		return false // tail drop
 	}
 	dir.busyUntil = start + ser
 	dir.bits += uint64(pkt.Bits)
@@ -629,61 +635,68 @@ func (s *Sim) transmit(node model.NodeID, lid model.LinkID, pkt Packet) {
 	if s.mon != nil {
 		s.mon.LinkSend(dirIdx, now, pkt.Bits, int64(start-now))
 		if pkt.trace != 0 {
-			s.monSpan(&pkt, node, lid, now, arrival, netmon.SpanHop)
+			s.monSpan(pkt, node, lid, now, arrival, netmon.SpanHop)
 		}
 	}
-	next := l.Other(node)
 	if arrival >= s.cfg.End {
-		return // beyond horizon; nobody will process it
+		return false // beyond horizon; nobody will process it
 	}
-	dstEng := s.EngineOf(next)
-	h := s.newHop(eng.ID())
-	h.node = next
-	h.link = lid
-	h.pkt = pkt
-	if dstEng == eng.ID() {
+	next := l.Other(node)
+	h.node, h.link = next, lid
+	if dstEng := s.EngineOf(next); dstEng == eng.ID() {
 		eng.ScheduleEvent(arrival, h)
 	} else {
 		eng.ScheduleRemoteEvent(dstEng, arrival, h)
 	}
+	return true
 }
 
-// arrive processes a packet landing on node at time now, having crossed
-// link via (-1 when locally originated). Must run on node's engine.
-func (s *Sim) arrive(now des.Time, node model.NodeID, via model.LinkID, pkt Packet) {
+// arrive lands hop h's packet on h.node at time now, having crossed link
+// h.link, and delivers, drops or forwards it in place. Unless transmit
+// takes h on to the next node, the packet ends here and h goes back to
+// this engine's pool. Must run on h.node's engine.
+func (s *Sim) arrive(now des.Time, h *hopEvent) {
+	node, via, pkt := h.node, h.link, &h.pkt
 	if s.faults != nil {
 		// A link that failed while the packet was in flight takes the
 		// packet with it; a failed node neither receives nor forwards.
-		if via >= 0 {
-			if up, fi := s.faults.LinkUp(now, via); !up {
-				s.drop(node, &pkt, s.arriveDir(node, via), via, now, netmon.DropFault, fi)
-				return
-			}
+		up, fi := s.faults.LinkUp(now, via)
+		if up {
+			up, fi = s.faults.NodeUp(now, node)
 		}
-		if up, fi := s.faults.NodeUp(now, node); !up {
-			s.drop(node, &pkt, s.arriveDir(node, via), via, now, netmon.DropFault, fi)
+		if !up {
+			s.drop(node, pkt, s.arriveDir(node, via), via, now, netmon.DropFault, fi)
+			s.freeHop(s.EngineOf(node), h)
 			return
 		}
 	}
 	s.countEvent(node)
 	if node == pkt.Dst {
 		if s.mon != nil && pkt.trace != 0 {
-			s.monSpan(&pkt, node, -1, now, now, netmon.SpanDeliver)
+			s.monSpan(pkt, node, -1, now, now, netmon.SpanDeliver)
 		}
 		s.deliver(node, pkt)
-		return
+	} else if pkt.ttl--; pkt.ttl <= 0 {
+		// TTL exhausted (forwarding loop protection).
+		s.drop(node, pkt, s.arriveDir(node, via), via, now, netmon.DropTTL, -1)
+	} else if lid := s.nextLink(now, node, pkt.Dst); lid < 0 {
+		s.drop(node, pkt, s.arriveDir(node, via), via, now, netmon.DropNoRoute, -1)
+	} else if s.transmit(node, lid, h) {
+		return // h travels on with its packet
 	}
-	pkt.ttl--
-	if pkt.ttl <= 0 {
-		s.drop(node, &pkt, s.arriveDir(node, via), via, now, netmon.DropTTL, -1)
-		return // TTL exhausted (forwarding loop protection)
+	s.freeHop(s.EngineOf(node), h)
+}
+
+// send starts pkt from its source node over link lid: the packet fills one
+// hop from node's engine's pool, which stays with it to its end. Must run
+// on node's engine.
+func (s *Sim) send(node model.NodeID, lid model.LinkID, pkt *Packet) {
+	e := s.EngineOf(node)
+	h := s.newHop(e)
+	h.pkt = *pkt
+	if !s.transmit(node, lid, h) {
+		s.freeHop(e, h)
 	}
-	lid := s.nextLink(now, node, pkt.Dst)
-	if lid < 0 {
-		s.drop(node, &pkt, s.arriveDir(node, via), via, now, netmon.DropNoRoute, -1)
-		return // no route
-	}
-	s.transmit(node, lid, pkt)
 }
 
 // inject starts a packet at its source node (host or router) at time now.
@@ -704,7 +717,7 @@ func (s *Sim) inject(now des.Time, pkt Packet) {
 		if s.mon != nil && pkt.trace != 0 {
 			s.monSpan(&pkt, pkt.Dst, -1, now, now, netmon.SpanDeliver)
 		}
-		s.deliver(pkt.Dst, pkt)
+		s.deliver(pkt.Dst, &pkt)
 		return
 	}
 	lid := s.nextLink(now, pkt.Src, pkt.Dst)
@@ -712,7 +725,7 @@ func (s *Sim) inject(now des.Time, pkt Packet) {
 		s.drop(pkt.Src, &pkt, -1, -1, now, netmon.DropNoRoute, -1)
 		return
 	}
-	s.transmit(pkt.Src, lid, pkt)
+	s.send(pkt.Src, lid, &pkt)
 }
 
 // SendUDP schedules a one-shot datagram of the given size from src at time

@@ -196,7 +196,7 @@ func (s *Sim) sendSeg(f *flow, seq int32, fresh bool) {
 		s.drop(f.src, &pkt, -1, -1, now, netmon.DropNoRoute, -1)
 		return
 	}
-	s.transmit(f.src, lid, pkt)
+	s.send(f.src, lid, &pkt)
 }
 
 // armRTO (re)schedules the retransmission timer. Runs on the source engine.
@@ -236,7 +236,7 @@ func (s *Sim) onRTO(f *flow) {
 // onData handles a data segment at the receiver: cumulative in-order
 // tracking with out-of-order buffering, one ACK per segment. Runs on the
 // destination engine.
-func (s *Sim) onData(f *flow, pkt Packet) {
+func (s *Sim) onData(f *flow, pkt *Packet) {
 	now := s.ps.Engine(s.EngineOf(f.dst)).Now()
 	if f.rec != nil {
 		f.rec.FirstByteAt(now)
@@ -267,11 +267,11 @@ func (s *Sim) onData(f *flow, pkt Packet) {
 		s.drop(f.dst, &ack, -1, -1, now, netmon.DropNoRoute, -1)
 		return
 	}
-	s.transmit(f.dst, lid, ack)
+	s.send(f.dst, lid, &ack)
 }
 
 // onAck handles a cumulative ACK at the sender. Runs on the source engine.
-func (s *Sim) onAck(f *flow, pkt Packet) {
+func (s *Sim) onAck(f *flow, pkt *Packet) {
 	if f.done {
 		return
 	}
@@ -372,10 +372,10 @@ func clampRTO(rto des.Time) des.Time {
 
 // deliver dispatches a packet that reached its destination node. Runs on
 // the destination's engine.
-func (s *Sim) deliver(node model.NodeID, pkt Packet) {
+func (s *Sim) deliver(node model.NodeID, pkt *Packet) {
 	eng := s.EngineOf(node)
 	if pkt.flow == nil && pkt.wref != nil {
-		pkt.flow = s.adoptFlow(&pkt) // wire packet for a flow this worker has not seen
+		pkt.flow = s.adoptFlow(pkt) // wire packet for a flow this worker has not seen
 	}
 	switch {
 	case pkt.flow != nil && pkt.Ack:

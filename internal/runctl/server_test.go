@@ -286,6 +286,8 @@ func TestServerValidationAndNotFound(t *testing.T) {
 		`{"flat":{"routers":10,"hosts":10},"app":"doom"}`,                                       // unknown app
 		`{"flat":{"routers":10,"hosts":10},"bogus":1}`,                                          // unknown field
 		`{"flat":{"routers":10,"hosts":10},"engines":-3}`,                                       // bad engine count
+		`{"flat":{"routers":10,"hosts":10},"clients":-5}`,                                       // negative clients
+		`{"flat":{"routers":10,"hosts":10},"servers":-1}`,                                       // negative servers
 	}
 	for _, body := range bad {
 		resp, err := http.Post(ts.URL+APIPrefix+"/runs", "application/json", strings.NewReader(body))
