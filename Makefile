@@ -9,8 +9,11 @@ GO ?= go
 
 check: vet build race churn fluid
 
+# vet also runs the export scan: every exported name in internal/ needs a
+# caller outside the tests (scripts/exports.go lists the allowed seams).
 vet:
 	$(GO) vet ./...
+	$(GO) run scripts/exports.go
 
 build:
 	$(GO) build ./...

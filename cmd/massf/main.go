@@ -278,7 +278,7 @@ func run(args []string, out io.Writer, nowNano func() int64) error {
 		for i := range setupSpans {
 			setupSpans[i] = int64(setupSec * 1e9)
 		}
-		events := telemetry.BuildTraceEventsWithSetup(tel.Windows.Snapshot(), setupSpans)
+		events := telemetry.BuildTraceEvents(tel.Windows.Snapshot(), setupSpans)
 		if err := writeTrace(*traceOut, events, meta); err != nil {
 			return err
 		}
@@ -287,7 +287,7 @@ func run(args []string, out io.Writer, nowNano func() int64) error {
 	if *pathTrace != "" {
 		recs := tel.Windows.Snapshot()
 		spans := mon.Spans()
-		events := append(telemetry.BuildTraceEvents(recs), netmon.PathTraceEvents(spans, recs)...)
+		events := append(telemetry.BuildTraceEvents(recs, nil), netmon.PathTraceEvents(spans, recs)...)
 		meta["sample_every"] = fmt.Sprint(*netSample)
 		if err := writeTrace(*pathTrace, events, meta); err != nil {
 			return err

@@ -24,7 +24,7 @@ func liveSim(t *testing.T, factor float64, end des.Time) (*netsim.Sim, []model.N
 	s, err := netsim.New(netsim.Config{
 		Net: net, Routes: interdomain.New(net), Engines: 1,
 		Window: 10 * des.Millisecond, End: end,
-		Sync: cluster.Fixed{CostNS: 100}, RealTimeFactor: factor, Seed: 3,
+		Sync: cluster.Fixed{CostNS: 100}, RealTimeFactor: factor,
 	})
 	if err != nil {
 		t.Fatal(err)

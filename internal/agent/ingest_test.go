@@ -38,7 +38,7 @@ func ingestSim(t *testing.T, engines int, factor float64, end des.Time) (*netsim
 	s, err := netsim.New(netsim.Config{
 		Net: net, Routes: interdomain.New(net), Part: part, Engines: engines,
 		Window: window, End: end,
-		Sync: cluster.Fixed{CostNS: 100}, RealTimeFactor: factor, Seed: 3,
+		Sync: cluster.Fixed{CostNS: 100}, RealTimeFactor: factor,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -80,8 +80,8 @@ func TestIngestEndToEnd(t *testing.T) {
 	if cl.Hosts() != len(hosts) {
 		t.Fatalf("host table %d, want %d", cl.Hosts(), len(hosts))
 	}
-	if cl.Credits() != DefaultWindow {
-		t.Fatalf("granted window %d, want %d", cl.Credits(), DefaultWindow)
+	if window(cl) != DefaultWindow {
+		t.Fatalf("granted window %d, want %d", window(cl), DefaultWindow)
 	}
 	if err := cl.Listen(1); err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestIngestEndToEnd(t *testing.T) {
 		select {
 		case d, open := <-cl.Deliveries():
 			if !open {
-				t.Fatalf("connection died after %d deliveries: %v", got, cl.Err())
+				t.Fatalf("connection died after %d deliveries: %v", got, connErr(cl))
 			}
 			if d.From != 0 || d.To != 1 {
 				t.Fatalf("delivery endpoints %d→%d, want 0→1", d.From, d.To)
@@ -122,7 +122,21 @@ func TestIngestEndToEnd(t *testing.T) {
 		t.Errorf("delivered=%d, want 10", delivered)
 	}
 	// Credits returned at injection reopen the window fully.
-	waitFor(t, func() bool { return cl.Credits() == DefaultWindow })
+	waitFor(t, func() bool { return window(cl) == DefaultWindow })
+}
+
+// window reads cl's open send window under its lock.
+func window(cl *Client) int {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	return cl.credits
+}
+
+// connErr reads cl's terminal connection error under its lock.
+func connErr(cl *Client) error {
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	return cl.err
 }
 
 func TestIngestAttachUnknownRun(t *testing.T) {
@@ -136,7 +150,7 @@ func TestIngestAttachUnknownRun(t *testing.T) {
 }
 
 // TestIngestBackpressure pins the send-window contract: a sender that
-// outruns injection sees its window close (TrySend refuses locally;
+// outruns injection sees its window close (Send would block locally;
 // overruns at the server are counted, not buffered), and a slow consumer
 // sheds deliveries without stalling the simulation or its neighbors.
 func TestIngestBackpressure(t *testing.T) {
@@ -155,8 +169,8 @@ func TestIngestBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fast.Close()
-	if slow.Credits() != 4 {
-		t.Fatalf("window %d, want 4", slow.Credits())
+	if window(slow) != 4 {
+		t.Fatalf("window %d, want 4", window(slow))
 	}
 	// The slow consumer subscribes but never drains its deliveries.
 	if err := slow.Listen(2); err != nil {
@@ -170,18 +184,21 @@ func TestIngestBackpressure(t *testing.T) {
 		}
 	}
 	waitFor(t, func() bool { s, _, _, _ := g.Counters(); return s == 4 })
-	if ok, err := slow.TrySend(0, 2, []byte("overflow")); err != nil || ok {
-		t.Fatalf("TrySend past window: ok=%v err=%v, want refused", ok, err)
+	if w := window(slow); w != 0 {
+		t.Fatalf("window after 4 sends = %d, want closed", w)
 	}
 	// The other connection's window is independent — it can still send.
-	if ok, err := fast.TrySend(1, 3, []byte("y")); err != nil || !ok {
-		t.Fatalf("independent window blocked: ok=%v err=%v", ok, err)
+	if w := window(fast); w != 4 {
+		t.Fatalf("independent window = %d, want 4", w)
+	}
+	if err := fast.Send(1, 3, []byte("y")); err != nil {
+		t.Fatal(err)
 	}
 	waitFor(t, func() bool { s, _, _, _ := g.Counters(); return s == 5 })
 
 	s.Run() // injects everything queued; credits return
 
-	waitFor(t, func() bool { return slow.Credits() == 4 })
+	waitFor(t, func() bool { return window(slow) == 4 })
 	sent, bp, _, dropped := g.Counters()
 	if sent != 5 {
 		t.Errorf("sent=%d, want 5", sent)

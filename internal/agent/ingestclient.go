@@ -18,9 +18,9 @@ type Delivery struct {
 
 // Client is the Go client of the ingest wire protocol: one TCP
 // connection attached to a live run, with the server's credit window
-// enforced locally so Send blocks (or fails fast) instead of overrunning
-// the daemon. Safe for one sender goroutine plus the internal reader;
-// wrap Send externally to share a connection between senders.
+// enforced locally so Send blocks instead of overrunning the daemon.
+// Safe for one sender goroutine plus the internal reader; wrap Send
+// externally to share a connection between senders.
 type Client struct {
 	c     net.Conn
 	hosts int
@@ -88,13 +88,6 @@ func Dial(addr, runID string, window int) (*Client, error) {
 // be < Hosts.
 func (cl *Client) Hosts() int { return cl.hosts }
 
-// Credits returns the currently open send window.
-func (cl *Client) Credits() int {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.credits
-}
-
 // Send injects one message from host index from to host index to,
 // blocking while the send window is closed — the client-visible form of
 // the server's backpressure. It returns the connection error once the
@@ -121,31 +114,6 @@ func (cl *Client) Send(from, to int, payload []byte) error {
 	return nil
 }
 
-// TrySend is Send without blocking: ok=false reports a closed window
-// (backpressure), leaving the message with the caller.
-func (cl *Client) TrySend(from, to int, payload []byte) (ok bool, err error) {
-	cl.mu.Lock()
-	if cl.err != nil {
-		cl.mu.Unlock()
-		return false, cl.err
-	}
-	if cl.credits <= 0 {
-		cl.mu.Unlock()
-		return false, nil
-	}
-	cl.credits--
-	cl.mu.Unlock()
-	var b wire.Buffer
-	b.U32(uint32(from))
-	b.U32(uint32(to))
-	b.Bytes(payload)
-	if err := wire.WriteFrame(cl.c, MsgSend, b.B); err != nil {
-		cl.fail(err)
-		return false, err
-	}
-	return true, nil
-}
-
 // Listen subscribes the connection to deliveries for host index h; they
 // arrive on Deliveries. A slow reader loses deliveries at the server (the
 // drop-don't-stall contract), never credits.
@@ -162,13 +130,6 @@ func (cl *Client) Listen(h int) error {
 // Deliveries is the channel completed messages arrive on after Listen.
 // It closes when the connection dies (run over, Close, network error).
 func (cl *Client) Deliveries() <-chan Delivery { return cl.deliveries }
-
-// Err returns the terminal connection error, if any.
-func (cl *Client) Err() error {
-	cl.mu.Lock()
-	defer cl.mu.Unlock()
-	return cl.err
-}
 
 // Close tears the connection down; blocked Sends return ErrIngestClosed.
 func (cl *Client) Close() error {

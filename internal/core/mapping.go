@@ -98,19 +98,15 @@ type Config struct {
 	Sync cluster.SyncCostModel
 	// TmllStep is the sweep granularity (paper: 0.1 ms).
 	TmllStep des.Time
-	// Imbalance is the partitioner balance slack ε (default 0.05).
-	Imbalance float64
 	// Seed makes mapping deterministic.
 	Seed int64
 	// KeepSweep records every evaluated threshold in Mapping.Sweep
 	// (hierarchical approaches only).
 	KeepSweep bool
 	// AppHosts lists the hosts running foreground applications; the PLACE
-	// approach boosts their (and their neighborhoods') node weights.
+	// approach boosts their (and their neighborhoods') node weights and
+	// requires at least one.
 	AppHosts []model.NodeID
-	// PlacementBoost is PLACE's weight multiplier for application hosts.
-	// Default 50.
-	PlacementBoost int64
 }
 
 func (c *Config) setDefaults() {
@@ -119,9 +115,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.TmllStep <= 0 {
 		c.TmllStep = 100 * des.Microsecond
-	}
-	if c.PlacementBoost <= 0 {
-		c.PlacementBoost = 50
 	}
 }
 
@@ -171,7 +164,8 @@ func (m *Mapping) Window() des.Time { return min(m.MLL, MaxMLL) }
 
 // Map partitions net for the given approach. prof may be nil for
 // non-profile-based approaches and on one engine, where nothing is cut; it
-// is required (same network) for PROF/PROF2/HPROF otherwise.
+// is required (same network) for PROF/PROF2/HPROF otherwise. PLACE on
+// more than one engine requires cfg.AppHosts.
 func Map(net *model.Network, a Approach, cfg Config, prof *profile.Profile) (*Mapping, error) {
 	if cfg.Engines < 1 {
 		return nil, fmt.Errorf("core: need ≥ 1 engine, got %d", cfg.Engines)
@@ -190,6 +184,9 @@ func Map(net *model.Network, a Approach, cfg Config, prof *profile.Profile) (*Ma
 			return nil, fmt.Errorf("core: profile shape (%d nodes, %d links) does not match network (%d, %d)",
 				len(prof.NodeEvents), len(prof.LinkBits), len(net.Nodes), len(net.Links))
 		}
+	}
+	if a == PLACE && len(cfg.AppHosts) == 0 {
+		return nil, fmt.Errorf("core: %v requires application hosts", a)
 	}
 	if a == RANDOM {
 		return mapRandom(net, cfg), nil
@@ -225,7 +222,7 @@ func mapFlat(net *model.Network, g *graph.Graph, a Approach, cfg Config) (*Mappi
 	var bestCut int64 = -1
 	for trial := 0; trial < flatTrials; trial++ {
 		part, err := partition.Partition(g, partition.Options{
-			Parts: cfg.Engines, Imbalance: cfg.Imbalance, Seed: cfg.Seed + int64(trial)*65537,
+			Parts: cfg.Engines, Seed: cfg.Seed + int64(trial)*65537,
 		})
 		if err != nil {
 			return nil, err
@@ -268,7 +265,7 @@ func mapHierarchical(net *model.Network, g *graph.Graph, a Approach, cfg Config)
 		if cand == nil || merged {
 			c := contractor.Contract()
 			dumpedPart, err := partition.Partition(c.Graph, partition.Options{
-				Parts: cfg.Engines, Imbalance: cfg.Imbalance, Seed: cfg.Seed,
+				Parts: cfg.Engines, Seed: cfg.Seed,
 			})
 			if err != nil {
 				return nil, err

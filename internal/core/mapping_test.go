@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -304,16 +305,20 @@ func TestLatencyWeights(t *testing.T) {
 // link has latency below the reported MLL.
 func TestQuickMLLInvariant(t *testing.T) {
 	f := func(seed int64, aRaw uint8) bool {
-		a := Approach(int(aRaw) % 7)
+		a := Approach(int(aRaw) % int(HPROF+1))
 		net, err := topology.GenerateFlat(topology.FlatOptions{Routers: 120, Hosts: 20, Seed: seed})
 		if err != nil {
 			return false
 		}
+		c := Config{Engines: 6, Sync: cluster.DefaultTeraGrid(), Seed: seed}
 		var p *profile.Profile
 		if a.ProfileBased() {
 			p = fakeProfile(net, 5)
 		}
-		m, err := Map(net, a, Config{Engines: 6, Sync: cluster.DefaultTeraGrid(), Seed: seed}, p)
+		if a == PLACE {
+			c.AppHosts = net.ASes[0].Hosts[:7]
+		}
+		m, err := Map(net, a, c, p)
 		if err != nil {
 			return false
 		}
@@ -414,7 +419,7 @@ func TestPlaceBoostsAppNeighborhood(t *testing.T) {
 }
 
 func TestPlaceSeparatesAppHosts(t *testing.T) {
-	// With heavy placement weights, the partitioner should spread app
+	// With placement weights, the partitioner should spread app
 	// hosts across engines rather than stacking them.
 	net := flatNet(t, 400, 12)
 	var appHosts []model.NodeID
@@ -428,7 +433,6 @@ func TestPlaceSeparatesAppHosts(t *testing.T) {
 	}
 	c := cfg(4)
 	c.AppHosts = appHosts
-	c.PlacementBoost = 200
 	m, err := Map(net, PLACE, c, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -439,5 +443,17 @@ func TestPlaceSeparatesAppHosts(t *testing.T) {
 	}
 	if len(engines) < 2 {
 		t.Errorf("all app hosts stacked on %d engine(s)", len(engines))
+	}
+}
+
+// PLACE without application hosts has nothing to boost and would map as
+// TOP; Map refuses it the way it refuses HPROF without a profile.
+func TestPlaceRequiresAppHosts(t *testing.T) {
+	net := flatNet(t, 100, 2)
+	if _, err := Map(net, PLACE, cfg(4), nil); err == nil || !strings.Contains(err.Error(), "application hosts") {
+		t.Fatalf("PLACE without app hosts: err = %v", err)
+	}
+	if _, err := Map(net, PLACE, cfg(1), nil); err != nil {
+		t.Fatalf("PLACE on one engine cuts nothing and needs no hosts: %v", err)
 	}
 }

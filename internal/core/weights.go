@@ -38,6 +38,9 @@ func latencyWeight2(latencyNS int64) int64 {
 	return w
 }
 
+// placementBoost is PLACE's weight multiplier for application hosts.
+const placementBoost = 50
+
 // BuildGraph converts the network into the weighted graph the partitioner
 // consumes under the given approach:
 //
@@ -45,7 +48,7 @@ func latencyWeight2(latencyNS int64) int64 {
 //     total bandwidth in and out of it (scaled to Mbit/s); edges carry the
 //     latency-derived weight.
 //   - Placement-aware (PLACE): topology weights, with the application
-//     hosts and their attachment routers boosted by cfg.PlacementBoost —
+//     hosts and their attachment routers boosted by placementBoost —
 //     the static application-placement information of the authors' prior
 //     work.
 //   - Profile-based (PROF, PROF2, HPROF): node weights are measured event
@@ -82,9 +85,9 @@ func BuildGraph(net *model.Network, a Approach, prof *profile.Profile, cfg Confi
 		}
 		if a == PLACE {
 			for _, h := range cfg.AppHosts {
-				g.NodeWeight[h] *= cfg.PlacementBoost
+				g.NodeWeight[h] *= placementBoost
 				for _, nb := range net.Neighbors(h) {
-					g.NodeWeight[nb] *= cfg.PlacementBoost / 2
+					g.NodeWeight[nb] *= placementBoost / 2
 				}
 			}
 		}

@@ -507,13 +507,3 @@ func (k *Kernel) RunUntil(limit Time) uint64 {
 	}
 	return n
 }
-
-// Run executes events until the queue drains or the clock would pass
-// horizon, then — like RunUntil — advances the clock to a finite horizon.
-// (Run(EndOfTime) leaves the clock at the last event executed.) Run and
-// RunUntil are deliberately the same operation: an earlier version of Run
-// left the clock behind on early drain, which made "run to the horizon"
-// mean two different times depending on which entry point was used.
-func (k *Kernel) Run(horizon Time) uint64 {
-	return k.RunUntil(horizon)
-}

@@ -62,9 +62,9 @@ func TestScheduleAndRunOrder(t *testing.T) {
 	k.ScheduleEvent(30, Handler(func(Time) { fired = append(fired, 3) }))
 	k.ScheduleEvent(10, Handler(func(Time) { fired = append(fired, 1) }))
 	k.ScheduleEvent(20, Handler(func(Time) { fired = append(fired, 2) }))
-	n := k.Run(EndOfTime)
+	n := k.RunUntil(EndOfTime)
 	if n != 3 {
-		t.Fatalf("Run executed %d events, want 3", n)
+		t.Fatalf("RunUntil executed %d events, want 3", n)
 	}
 	for i, v := range fired {
 		if v != i+1 {
@@ -83,7 +83,7 @@ func TestTieBreakIsScheduleOrder(t *testing.T) {
 		i := i
 		k.ScheduleEvent(100, Handler(func(Time) { fired = append(fired, i) }))
 	}
-	k.Run(EndOfTime)
+	k.RunUntil(EndOfTime)
 	for i, v := range fired {
 		if v != i {
 			t.Fatalf("same-timestamp events fired out of schedule order: %v", fired)
@@ -94,7 +94,7 @@ func TestTieBreakIsScheduleOrder(t *testing.T) {
 func TestSchedulePastPanics(t *testing.T) {
 	var k Kernel
 	k.ScheduleEvent(10, Handler(func(Time) {}))
-	k.Run(EndOfTime)
+	k.RunUntil(EndOfTime)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling into the past did not panic")
@@ -109,7 +109,7 @@ func TestAfter(t *testing.T) {
 	k.ScheduleEvent(100, Handler(func(now Time) {
 		k.ScheduleEvent(now+50, Handler(func(now Time) { at = now }))
 	}))
-	k.Run(EndOfTime)
+	k.RunUntil(EndOfTime)
 	if at != 150 {
 		t.Errorf("event scheduled 50 after 100 fired at %v, want 150", at)
 	}
@@ -126,7 +126,7 @@ func TestCancel(t *testing.T) {
 	if k.Pending() != 0 {
 		t.Fatal("event still queued after cancel")
 	}
-	k.Run(EndOfTime)
+	k.RunUntil(EndOfTime)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -146,7 +146,7 @@ func TestCancelMiddleOfQueue(t *testing.T) {
 	for i := 0; i < 20; i += 2 {
 		k.Cancel(&events[i])
 	}
-	k.Run(EndOfTime)
+	k.RunUntil(EndOfTime)
 	if len(fired) != 10 {
 		t.Fatalf("fired %d events, want 10: %v", len(fired), fired)
 	}
@@ -180,26 +180,26 @@ func TestRunUntilIsExclusiveAndAdvancesClock(t *testing.T) {
 	}
 }
 
-// Run and RunUntil must agree on the clock: a finite horizon is reached
-// even when the queue drains early, while Run(EndOfTime) leaves the clock
-// at the last event executed (there is no finite time to advance to).
+// RunUntil reaches a finite horizon even when the queue drains early,
+// while RunUntil(EndOfTime) leaves the clock at the last event executed
+// (there is no finite time to advance to).
 func TestRunAdvancesClockToHorizon(t *testing.T) {
 	var k Kernel
 	k.ScheduleEvent(10, Handler(func(Time) {}))
-	if n := k.Run(50); n != 1 {
-		t.Fatalf("Run(50) executed %d events, want 1", n)
+	if n := k.RunUntil(50); n != 1 {
+		t.Fatalf("RunUntil(50) executed %d events, want 1", n)
 	}
 	if k.Now() != 50 {
-		t.Errorf("clock after Run(50) = %v, want 50 (align with RunUntil)", k.Now())
+		t.Errorf("clock after RunUntil(50) = %v, want 50", k.Now())
 	}
-	if k.Run(80); k.Now() != 80 {
-		t.Errorf("Run on empty queue left clock at %v, want 80", k.Now())
+	if k.RunUntil(80); k.Now() != 80 {
+		t.Errorf("RunUntil on empty queue left clock at %v, want 80", k.Now())
 	}
 	var k2 Kernel
 	k2.ScheduleEvent(10, Handler(func(Time) {}))
-	k2.Run(EndOfTime)
+	k2.RunUntil(EndOfTime)
 	if k2.Now() != 10 {
-		t.Errorf("clock after Run(EndOfTime) = %v, want 10 (last event)", k2.Now())
+		t.Errorf("clock after RunUntil(EndOfTime) = %v, want 10 (last event)", k2.Now())
 	}
 }
 
@@ -208,14 +208,14 @@ func TestRunAdvancesClockToHorizon(t *testing.T) {
 func TestStaleCancelAfterNodeReuse(t *testing.T) {
 	var k Kernel
 	e1 := k.ScheduleEvent(10, Handler(func(Time) {}))
-	k.Run(EndOfTime)
+	k.RunUntil(EndOfTime)
 	fired := false
 	k.ScheduleEvent(20, Handler(func(Time) { fired = true }))
 	k.Cancel(&e1) // stale handle; its node now backs the new event
 	if k.Pending() != 1 {
 		t.Fatal("stale Cancel killed an unrelated live event")
 	}
-	k.Run(EndOfTime)
+	k.RunUntil(EndOfTime)
 	if !fired {
 		t.Fatal("live event did not fire after stale Cancel")
 	}
@@ -239,14 +239,14 @@ func TestScheduleEventHandler(t *testing.T) {
 	if k.Pending() != 2 {
 		t.Fatalf("%d events queued, want 2", k.Pending())
 	}
-	k.Run(EndOfTime)
+	k.RunUntil(EndOfTime)
 	if c.n != 2 || c.at != 40 {
 		t.Fatalf("EventHandler fired %d times (last at %v), want 2 at 40", c.n, c.at)
 	}
 	// Cancelled EventHandler events never fire.
 	e2 := k.ScheduleEvent(50, &c)
 	k.Cancel(&e2)
-	k.Run(EndOfTime)
+	k.RunUntil(EndOfTime)
 	if c.n != 2 {
 		t.Fatalf("cancelled EventHandler fired (n=%d)", c.n)
 	}
@@ -264,7 +264,7 @@ func TestProcessedCounter(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		k.ScheduleEvent(Time(i), Handler(func(Time) {}))
 	}
-	k.Run(EndOfTime)
+	k.RunUntil(EndOfTime)
 	if k.Processed() != 7 {
 		t.Errorf("Processed = %d, want 7", k.Processed())
 	}
@@ -281,7 +281,7 @@ func TestEventsScheduledDuringRun(t *testing.T) {
 		}
 	}
 	k.ScheduleEvent(0, recur)
-	k.Run(EndOfTime)
+	k.RunUntil(EndOfTime)
 	if count != 100 {
 		t.Errorf("recursive scheduling executed %d events, want 100", count)
 	}
@@ -311,7 +311,7 @@ func TestQuickFiringOrder(t *testing.T) {
 			at := Time(s)
 			k.ScheduleEvent(at, Handler(func(now Time) { fired = append(fired, now) }))
 		}
-		k.Run(EndOfTime)
+		k.RunUntil(EndOfTime)
 		if len(fired) != len(stamps) {
 			return false
 		}
@@ -343,7 +343,7 @@ func TestQuickCancelConsistency(t *testing.T) {
 			}
 		}
 		want := len(alive)
-		k.Run(EndOfTime)
+		k.RunUntil(EndOfTime)
 		return firedCount == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -364,7 +364,7 @@ func BenchmarkKernelScheduleRun(b *testing.B) {
 		for _, at := range stamps {
 			k.ScheduleEvent(at, Handler(func(Time) {}))
 		}
-		k.Run(EndOfTime)
+		k.RunUntil(EndOfTime)
 	}
 }
 
@@ -379,7 +379,7 @@ func warmSteadyKernel(offs []Time) (*Kernel, Handler) {
 	for _, off := range offs {
 		k.ScheduleEvent(k.Now()+off, h)
 	}
-	k.Run(EndOfTime)
+	k.RunUntil(EndOfTime)
 	for _, off := range offs {
 		k.ScheduleEvent(k.Now()+off, h)
 	}
@@ -532,7 +532,7 @@ func TestFormsInterleaveInAtSeqOrder(t *testing.T) {
 				k.ScheduleEvent(e.at, &tagHandler{tag: i, fired: &fired})
 			}
 		}
-		k.Run(EndOfTime)
+		k.RunUntil(EndOfTime)
 		if !slices.Equal(fired, c.want) {
 			t.Errorf("%s: fired %v, want %v", c.name, fired, c.want)
 		}

@@ -28,7 +28,7 @@ func TestVerifyInvariantsCleanKernel(t *testing.T) {
 	if err := k.VerifyInvariants(); err != nil {
 		t.Fatalf("after schedule: %v", err)
 	}
-	k.Run(EndOfTime)
+	k.RunUntil(EndOfTime)
 	if fired != 2000 {
 		t.Fatalf("fired %d, want 2000", fired)
 	}
@@ -49,7 +49,7 @@ func TestVerifyInvariantsAfterCancel(t *testing.T) {
 	if err := k.VerifyInvariants(); err != nil {
 		t.Fatalf("after cancel: %v", err)
 	}
-	k.Run(EndOfTime)
+	k.RunUntil(EndOfTime)
 	if err := k.VerifyInvariants(); err != nil {
 		t.Fatalf("after drain: %v", err)
 	}
@@ -167,7 +167,7 @@ func TestEveryStepVerifiesCleanRun(t *testing.T) {
 			}
 		}))
 	}
-	k.Run(EndOfTime)
+	k.RunUntil(EndOfTime)
 	if len(*got) != 0 {
 		t.Fatalf("clean run reported violations: %v", *got)
 	}

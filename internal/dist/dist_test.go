@@ -69,12 +69,11 @@ func (c dCodec) Decode(dst int, kind uint16, payload []byte) (des.EventHandler, 
 	return ev, r.Err()
 }
 
-func encodeDSpec(engines int, window, end des.Time, seed int64, ttl int) []byte {
+func encodeDSpec(engines int, window, end des.Time, ttl int) []byte {
 	var b wire.Buffer
 	b.U32(uint32(engines))
 	b.I64(int64(window))
 	b.I64(int64(end))
-	b.I64(seed)
 	b.U32(uint32(ttl))
 	return b.B
 }
@@ -84,13 +83,12 @@ func buildDModel(spec []byte, transport pdes.Transport, first, hosted int) (*dMo
 	n := int(r.U32())
 	window := des.Time(r.I64())
 	end := des.Time(r.I64())
-	seed := r.I64()
 	ttl := int(r.U32())
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
 	m := &dModel{n: n, window: window, counts: make([]uint64, n), sums: make([]uint64, n)}
-	cfg := pdes.Config{Engines: n, Window: window, End: end, Seed: seed}
+	cfg := pdes.Config{Engines: n, Window: window, End: end}
 	if transport != nil {
 		cfg.Transport = transport
 		cfg.Codec = dCodec{m: m}
@@ -156,7 +154,7 @@ func TestLoopbackDistributedRun(t *testing.T) {
 	const engines = 8
 	window := des.Millisecond
 	end := 40 * des.Millisecond
-	spec := encodeDSpec(engines, window, end, 11, 10)
+	spec := encodeDSpec(engines, window, end, 10)
 
 	ref, err := buildDModel(spec, nil, 0, 0)
 	if err != nil {
@@ -280,7 +278,7 @@ func TestBigFramesDoNotDeadlock(t *testing.T) {
 // Serve refuses a job list whose engine ranges do not tile [0, N) before
 // any worker joins: a hole would lose that engine's events silently.
 func TestServeRejectsBadJobs(t *testing.T) {
-	spec := encodeDSpec(4, des.Millisecond, 5*des.Millisecond, 3, 0)
+	spec := encodeDSpec(4, des.Millisecond, 5*des.Millisecond, 0)
 	for _, tc := range []struct {
 		name string
 		jobs [][2]int // First, Hosted
@@ -331,7 +329,7 @@ func TestServeClearsListenerDeadline(t *testing.T) {
 		werr <- RunWorker(ln.Addr().String(), "w0", map[string]Runner{"dtest": dRunner}, opt)
 	}()
 	_, err = Serve(ln, RunConfig{
-		Jobs:     []Job{{Kind: "dtest", First: 0, Hosted: 2, Spec: encodeDSpec(2, window, end, 3, 4)}},
+		Jobs:     []Job{{Kind: "dtest", First: 0, Hosted: 2, Spec: encodeDSpec(2, window, end, 4)}},
 		WindowNS: int64(window), TotalWindows: pdes.WindowCount(end, window),
 	}, opt)
 	if err != nil {

@@ -83,7 +83,7 @@ func TestScale1MClientHybridRun(t *testing.T) {
 	window := m.Window()
 	sim, err := netsim.New(netsim.Config{
 		Net: net, Routes: routes, Part: m.Part, Engines: engines,
-		Window: window, End: horizon, Seed: seed, Fluid: plane,
+		Window: window, End: horizon, Fluid: plane,
 	})
 	if err != nil {
 		t.Fatal(err)

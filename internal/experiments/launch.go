@@ -119,11 +119,16 @@ func (s *Scenario) Validate() error {
 	if sources != 1 {
 		return fmt.Errorf("experiments: scenario needs exactly one of dml, flat, multias (got %d)", sources)
 	}
-	if _, err := core.ParseApproach(s.Approach); err != nil {
+	a, err := core.ParseApproach(s.Approach)
+	if err != nil {
 		return err
 	}
-	if _, err := ParseWorkload(s.App); err != nil {
+	w, err := ParseWorkload(s.App)
+	if err != nil {
 		return err
+	}
+	if a == core.PLACE && w == HTTPOnly {
+		return fmt.Errorf("experiments: approach PLACE places the application's hosts; app %q runs none", s.App)
 	}
 	if err := s.RunSpec.Validate(); err != nil {
 		return err
@@ -266,7 +271,7 @@ func (s *Scenario) Map(st *Setup, prof *profile.Profile) (*core.Mapping, error) 
 
 // mapConfig is the partitioner configuration of the scenario's runs on st.
 func (s *Scenario) mapConfig(st *Setup) core.Config {
-	return core.Config{Engines: s.Engines, Sync: st.Sync, Seed: st.Scale.Seed}
+	return core.Config{Engines: s.Engines, Sync: st.Sync, Seed: st.Scale.Seed, AppHosts: st.AppHosts}
 }
 
 // Prepare builds the scenario's simulation under mapping m, carrying src

@@ -4,9 +4,11 @@ import (
 	"context"
 	"errors"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"massf/internal/core"
 	"massf/internal/model"
 	"massf/internal/runspec"
 )
@@ -135,5 +137,43 @@ func TestLaunchSuppliedProfileShape(t *testing.T) {
 	sc.Profile = "massf-profile v1\nhorizon 1\nnodes 1\nlinks 1\nn 0 5\n"
 	if _, err := sc.TrafficProfile(context.Background(), st); err == nil {
 		t.Fatal("profile of the wrong shape accepted")
+	}
+}
+
+// TestLaunchPlaceSeesAppHosts: PLACE on the launch path boosts the
+// scenario's application hosts, so on a ScaLapack scenario its partition
+// differs from TOP's, while TOP maps exactly as core.Map does without
+// them. A scenario that runs no application has no hosts to place.
+func TestLaunchPlaceSeesAppHosts(t *testing.T) {
+	parts := map[string][]int32{}
+	var st *Setup
+	for _, a := range []string{"TOP", "PLACE"} {
+		sc := launchScenario(a, 0.5)
+		sc.Engines = 4
+		if st == nil {
+			st = buildScenario(t, &sc)
+		}
+		m, err := sc.Map(st, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts[a] = m.Part
+	}
+	if slices.Equal(parts["TOP"], parts["PLACE"]) {
+		t.Fatal("PLACE mapped exactly as TOP: the application hosts never reached the mapper")
+	}
+	top, err := core.Map(st.Net, core.TOP, core.Config{Engines: 4, Sync: st.Sync, Seed: st.Scale.Seed}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(parts["TOP"], top.Part) {
+		t.Fatal("TOP through Scenario.Map differs from core.Map(TOP)")
+	}
+
+	sc := launchScenario("PLACE", 0.5)
+	sc.App = "none"
+	err = sc.Validate()
+	if err == nil || !strings.Contains(err.Error(), "PLACE") || !strings.Contains(err.Error(), `app "none"`) {
+		t.Fatalf("PLACE with app none: err = %v", err)
 	}
 }

@@ -211,7 +211,7 @@ func (st *Setup) installApp(p *Prepared, w Workload) error {
 	var flows []traffic.Workflow
 	switch w {
 	case ScaLapack:
-		flows = []traffic.Workflow{traffic.ScaLapack(st.AppHosts, traffic.DefaultScaLapack())}
+		flows = []traffic.Workflow{traffic.ScaLapack(st.AppHosts)}
 	case GridNPB:
 		flows = traffic.GridNPB(st.AppHosts)
 	case HTTPOnly:
@@ -299,7 +299,7 @@ func (st *Setup) prepare(m *core.Mapping, w Workload, opt runspec.RunSpec, src T
 	cfg := netsim.Config{
 		Net: st.Net, Routes: st.Routes, Part: m.Part, Engines: st.Scale.Engines,
 		Window: m.Window(), End: st.Scale.Horizon,
-		Sync: st.Sync, EventCost: st.Scale.EventCost, Seed: st.Scale.Seed,
+		Sync: st.Sync, EventCost: st.Scale.EventCost,
 		SeriesBuckets: opt.SeriesBuckets, RealTimeFactor: opt.RealTimeFactor,
 		Telemetry: opt.Telemetry, Invariants: x.Invariants,
 		Transport: x.Transport, FirstEngine: x.First, HostedEngines: x.Hosted,

@@ -321,19 +321,3 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal("Clone of nil must be nil")
 	}
 }
-
-func TestPartitionHelper(t *testing.T) {
-	evs := Partition(des.Millisecond, 3*des.Millisecond, []model.LinkID{1, 4})
-	if len(evs) != 4 {
-		t.Fatalf("got %d events, want 4", len(evs))
-	}
-	for i, e := range evs {
-		wantKind, wantAt := LinkDown, des.Time(des.Millisecond)
-		if i >= 2 {
-			wantKind, wantAt = LinkUp, 3*des.Millisecond
-		}
-		if e.Kind != wantKind || e.At != wantAt {
-			t.Errorf("event %d = (%s, %v), want (%s, %v)", i, e.Kind, e.At, wantKind, wantAt)
-		}
-	}
-}

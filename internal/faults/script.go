@@ -235,20 +235,6 @@ func NodeOutage(n model.NodeID, at, d des.Time) []Event {
 	}
 }
 
-// Partition downs every listed link at `at` and restores them at `heal` —
-// the partition-and-heal pattern: pass the links of a topology cut to
-// split the network, e.g. a partitioner's cut set or an AS's uplinks.
-func Partition(at, heal des.Time, links []model.LinkID) []Event {
-	out := make([]Event, 0, 2*len(links))
-	for _, lid := range links {
-		out = append(out, Event{At: at, Kind: LinkDown, Link: lid})
-	}
-	for _, lid := range links {
-		out = append(out, Event{At: heal, Kind: LinkUp, Link: lid})
-	}
-	return out
-}
-
 // GenOptions parameterizes the seeded-random script generator.
 type GenOptions struct {
 	// Seed drives every random choice; the same (net, options) pair always

@@ -127,10 +127,9 @@ type dirState struct {
 // Plane is the immutable result of Build. All methods are safe for
 // concurrent use.
 type Plane struct {
-	end     des.Time
-	quantum des.Time
-	flows   []flowRec
-	dirs    []dirState
+	end   des.Time
+	flows []flowRec
+	dirs  []dirState
 }
 
 // ---- build ----
@@ -280,7 +279,7 @@ func Build(cfg Config, flows []Flow) (*Plane, error) {
 	}
 	b.run()
 	b.settleAll(cfg.End)
-	return &Plane{end: cfg.End, quantum: cfg.Quantum, flows: b.flows, dirs: b.dirs}, nil
+	return &Plane{end: cfg.End, flows: b.flows, dirs: b.dirs}, nil
 }
 
 func (b *builder) addFlow(f Flow) error {
@@ -846,6 +845,3 @@ func (p *Plane) DirBits(dir int) float64 { return p.dirs[dir].bits }
 
 // DirSegments returns dir's rate timeline (shared slice; read-only).
 func (p *Plane) DirSegments(dir int) []Segment { return p.dirs[dir].segs }
-
-// Quantum returns the rate-epoch quantum the plane was solved with.
-func (p *Plane) Quantum() des.Time { return p.quantum }

@@ -221,9 +221,6 @@ func TestQuantumModeApproximatesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if quant.Quantum() != q {
-		t.Fatalf("Quantum() = %v, want %v", quant.Quantum(), q)
-	}
 	for i := range flows {
 		if quant.Completion(i) == 0 {
 			t.Fatalf("flow %d did not complete in quantum mode", i)

@@ -415,15 +415,3 @@ func (g *Graph) EvaluatePartition(part []int32, nparts int) CutStats {
 	}
 	return stats
 }
-
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	ng := &Graph{
-		Adj:        make([][]Edge, g.Len()),
-		NodeWeight: append([]int64(nil), g.NodeWeight...),
-	}
-	for i, adj := range g.Adj {
-		ng.Adj[i] = append([]Edge(nil), adj...)
-	}
-	return ng
-}

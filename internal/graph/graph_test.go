@@ -230,17 +230,6 @@ func TestEvaluatePartitionNoCut(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := line(3, 5)
-	g.NodeWeight[0] = 42
-	c := g.Clone()
-	c.NodeWeight[0] = 1
-	c.AddEdge(0, 2, 1, 1)
-	if g.NodeWeight[0] != 42 || g.NumEdges() != 2 {
-		t.Fatal("Clone aliases original storage")
-	}
-}
-
 // Property: contraction conserves total node weight and achieves the MLL
 // guarantee — every surviving edge has latency ≥ threshold.
 func TestQuickContractionInvariants(t *testing.T) {

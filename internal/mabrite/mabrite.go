@@ -32,35 +32,21 @@ type Options struct {
 	// Hosts is the number of end hosts, attached to Stub ASes only (they
 	// are where the paper puts background traffic and live-traffic agents).
 	Hosts int
-	// EdgesPerAS is the AS-level preferential attachment parameter.
-	// Default 2.
-	EdgesPerAS int
-	// EdgesPerRouter is the intra-AS preferential attachment parameter.
-	// Default 2.
-	EdgesPerRouter int
-	// CoreFraction is the fraction of ASes classified Core ("top 2%" in
-	// the Internet hierarchy literature). Default 0.03, minimum 2 ASes.
-	CoreFraction float64
-	// PlaneMiles is the square plane side. Default model.PlaneMiles.
-	PlaneMiles float64
 	// Seed makes generation deterministic.
 	Seed int64
 }
 
-func (o *Options) setDefaults() {
-	if o.EdgesPerAS <= 0 {
-		o.EdgesPerAS = 2
-	}
-	if o.EdgesPerRouter <= 0 {
-		o.EdgesPerRouter = 2
-	}
-	if o.CoreFraction <= 0 {
-		o.CoreFraction = 0.03
-	}
-	if o.PlaneMiles <= 0 {
-		o.PlaneMiles = model.PlaneMiles
-	}
-}
+const (
+	// edgesPerAS is the AS-level preferential attachment parameter.
+	edgesPerAS = 2
+	// edgesPerRouter is the intra-AS preferential attachment parameter.
+	edgesPerRouter = 2
+	// coreFraction is the fraction of ASes classified Core ("top 2%" in
+	// the Internet hierarchy literature), minimum 2 ASes.
+	coreFraction = 0.03
+	// plane is the square plane side.
+	plane = model.PlaneMiles
+)
 
 // Generate builds the multi-AS network with relationships and default
 // routing configured. The network is connected and passes
@@ -72,14 +58,13 @@ func Generate(opts Options) (*model.Network, error) {
 	if opts.RoutersPerAS < 2 {
 		return nil, fmt.Errorf("mabrite: need ≥ 2 routers per AS, got %d", opts.RoutersPerAS)
 	}
-	opts.setDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
 
 	// Step 1: AS-level power-law topology.
-	asAdj := powerLawAdj(opts.ASes, opts.EdgesPerAS, rng)
+	asAdj := powerLawAdj(opts.ASes, edgesPerAS, rng)
 
 	// Step 2: classify by connection degree.
-	class := classify(asAdj, opts.CoreFraction)
+	class := classify(asAdj)
 
 	// Step 3a: Core clique — add missing Core–Core adjacencies.
 	var cores []int
@@ -102,17 +87,17 @@ func Generate(opts Options) (*model.Network, error) {
 
 	// Step 6 (geometry first): AS centers and per-class scatter radii.
 	centers := make([][2]float64, opts.ASes)
-	margin := opts.PlaneMiles * 0.08
+	margin := plane * 0.08
 	for i := range centers {
 		centers[i] = [2]float64{
-			margin + rng.Float64()*(opts.PlaneMiles-2*margin),
-			margin + rng.Float64()*(opts.PlaneMiles-2*margin),
+			margin + rng.Float64()*(plane-2*margin),
+			margin + rng.Float64()*(plane-2*margin),
 		}
 	}
 	radius := func(c model.ASClass) float64 {
 		switch c {
 		case model.ASCore:
-			return opts.PlaneMiles * 0.18 // Tier-1s span the continent
+			return plane * 0.18 // Tier-1s span the continent
 		case model.ASRegional:
 			return 150
 		default:
@@ -142,14 +127,14 @@ func Generate(opts Options) (*model.Network, error) {
 		pops := make([][2]float64, nPOPs)
 		for p := range pops {
 			pops[p] = [2]float64{
-				clamp(centers[as][0]+rng.NormFloat64()*r, 0, opts.PlaneMiles),
-				clamp(centers[as][1]+rng.NormFloat64()*r, 0, opts.PlaneMiles),
+				clamp(centers[as][0]+rng.NormFloat64()*r, 0, plane),
+				clamp(centers[as][1]+rng.NormFloat64()*r, 0, plane),
 			}
 		}
 		for i := 0; i < opts.RoutersPerAS; i++ {
 			p := pops[rng.Intn(nPOPs)]
-			x := clamp(p[0]+rng.NormFloat64()*20, 0, opts.PlaneMiles)
-			y := clamp(p[1]+rng.NormFloat64()*20, 0, opts.PlaneMiles)
+			x := clamp(p[0]+rng.NormFloat64()*20, 0, plane)
+			y := clamp(p[1]+rng.NormFloat64()*20, 0, plane)
 			id := net.AddNode(model.Router, int32(as), x, y)
 			a.Routers = append(a.Routers, id)
 		}
@@ -157,10 +142,7 @@ func Generate(opts Options) (*model.Network, error) {
 		targets := []model.NodeID{a.Routers[0]}
 		for i := 1; i < len(a.Routers); i++ {
 			u := a.Routers[i]
-			m := opts.EdgesPerRouter
-			if m > i {
-				m = i
-			}
+			m := min(edgesPerRouter, i)
 			chosen := map[model.NodeID]bool{}
 			for e := 0; e < m; e++ {
 				v := targets[rng.Intn(len(targets))]
@@ -253,8 +235,8 @@ func Generate(opts Options) (*model.Network, error) {
 		as := stubs[rng.Intn(len(stubs))]
 		a := &net.ASes[as]
 		r := a.Routers[rng.Intn(len(a.Routers))]
-		x := clamp(net.Nodes[r].X+rng.NormFloat64()*2, 0, opts.PlaneMiles)
-		y := clamp(net.Nodes[r].Y+rng.NormFloat64()*2, 0, opts.PlaneMiles)
+		x := clamp(net.Nodes[r].X+rng.NormFloat64()*2, 0, plane)
+		y := clamp(net.Nodes[r].Y+rng.NormFloat64()*2, 0, plane)
 		hid := net.AddNode(model.Host, int32(as), x, y)
 		lat := model.LatencyForDistance(net.Distance(hid, r))
 		net.AddLink(hid, r, lat, model.Bps100M)
@@ -313,7 +295,7 @@ func addAdj(adj []map[int]bool, u, v int) {
 
 // classify assigns Core to the top coreFraction ASes by degree (minimum 2),
 // Stub to degree ≤ 2 (the ~90% "Customers"), Regional to the rest.
-func classify(adj []map[int]bool, coreFraction float64) []model.ASClass {
+func classify(adj []map[int]bool) []model.ASClass {
 	n := len(adj)
 	type dn struct{ deg, as int }
 	byDeg := make([]dn, n)

@@ -211,16 +211,6 @@ func (n *Network) Neighbors(id NodeID) []NodeID {
 	return out
 }
 
-// LinkBetween returns the first link joining a and b, or -1.
-func (n *Network) LinkBetween(a, b NodeID) LinkID {
-	for _, lid := range n.Incident(a) {
-		if n.Links[lid].Other(a) == b {
-			return lid
-		}
-	}
-	return -1
-}
-
 // Validate checks structural invariants: link endpoints in range, AS router
 // lists consistent with node AS tags, relationships symmetric
 // (provider↔customer, peer↔peer).
@@ -283,25 +273,6 @@ func (as *AS) neighborTo(other int32) (ASNeighbor, bool) {
 
 // NeighborTo returns the adjacency record toward AS other, if any.
 func (as *AS) NeighborTo(other int32) (ASNeighbor, bool) { return as.neighborTo(other) }
-
-// Providers returns the neighbor AS ids that are providers of as.
-func (as *AS) Providers() []int32 { return as.byRel(RelProvider) }
-
-// Customers returns the neighbor AS ids that are customers of as.
-func (as *AS) Customers() []int32 { return as.byRel(RelCustomer) }
-
-// Peers returns the neighbor AS ids that are peers of as.
-func (as *AS) Peers() []int32 { return as.byRel(RelPeer) }
-
-func (as *AS) byRel(r Relationship) []int32 {
-	var out []int32
-	for _, nb := range as.Neighbors {
-		if nb.Rel == r {
-			out = append(out, nb.AS)
-		}
-	}
-	return out
-}
 
 // Geographic constants: signal propagation in fiber is about 2/3 of c.
 // c ≈ 186,282 mi/s, so fiber speed ≈ 124,188 mi/s ≈ 8.05 µs per mile.

@@ -78,17 +78,6 @@ func TestIncidentCacheInvalidation(t *testing.T) {
 	}
 }
 
-func TestLinkBetween(t *testing.T) {
-	n := twoNodeNet()
-	if n.LinkBetween(0, 1) != 0 {
-		t.Fatal("LinkBetween(0,1) should be link 0")
-	}
-	c := n.AddNode(Router, 0, 1, 1)
-	if n.LinkBetween(0, c) != -1 {
-		t.Fatal("missing link not reported as -1")
-	}
-}
-
 func TestValidateGood(t *testing.T) {
 	n := twoNodeNet()
 	if err := n.Validate(); err != nil {
@@ -139,14 +128,8 @@ func TestRelationshipAccessors(t *testing.T) {
 		{AS: 3, Rel: RelCustomer},
 		{AS: 4, Rel: RelPeer},
 	}}
-	if got := as.Providers(); len(got) != 1 || got[0] != 1 {
-		t.Errorf("Providers = %v", got)
-	}
-	if got := as.Customers(); len(got) != 2 {
-		t.Errorf("Customers = %v", got)
-	}
-	if got := as.Peers(); len(got) != 1 || got[0] != 4 {
-		t.Errorf("Peers = %v", got)
+	if nb, ok := as.NeighborTo(3); !ok || nb.Rel != RelCustomer {
+		t.Errorf("NeighborTo(3) = %v, %v", nb, ok)
 	}
 	if _, ok := as.NeighborTo(9); ok {
 		t.Error("NeighborTo(9) found phantom neighbor")

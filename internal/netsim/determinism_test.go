@@ -81,7 +81,7 @@ func runDeterminism(t *testing.T, engines int) determinismGolden {
 	s, err := New(Config{
 		Net: net, Routes: interdomain.New(net), Part: part, Engines: engines,
 		Window: des.Millisecond, End: 4 * des.Second,
-		Sync: cluster.Fixed{CostNS: 20_000}, Seed: 42,
+		Sync: cluster.Fixed{CostNS: 20_000},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -194,7 +194,7 @@ func runMultiASDeterminism(t *testing.T, engines int) determinismGolden {
 	s, err := New(Config{
 		Net: net, Routes: router, Part: part, Engines: engines,
 		Window: window, End: 4 * des.Second,
-		Sync: cluster.Fixed{CostNS: 20_000}, Seed: 42,
+		Sync: cluster.Fixed{CostNS: 20_000},
 	})
 	if err != nil {
 		t.Fatal(err)

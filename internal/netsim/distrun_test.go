@@ -140,7 +140,7 @@ func buildDistScenario(t *testing.T, transport pdes.Transport, first, hosted int
 	// worker boundaries, not just the lossless path.
 	s, err := netsim.New(netsim.Config{
 		Net: net, Routes: interdomain.New(net), Part: part, Engines: distEngines,
-		Window: des.Millisecond, End: 700 * des.Millisecond, Seed: 11,
+		Window: des.Millisecond, End: 700 * des.Millisecond,
 		QueueBytes: 6_000,
 		Transport:  transport, FirstEngine: first, HostedEngines: hosted,
 	})

@@ -70,7 +70,7 @@ func TestCountersFoldAcrossEngines(t *testing.T) {
 		}
 		s, err := New(Config{
 			Net: net, Routes: routes, Part: part, Engines: engines,
-			Window: 10 * des.Microsecond, End: 600 * des.Millisecond, Seed: 1,
+			Window: 10 * des.Microsecond, End: 600 * des.Millisecond,
 			Faults: plane, QueueBytes: 6000,
 		})
 		if err != nil {
@@ -174,7 +174,7 @@ func TestHopEventsEndInOnePool(t *testing.T) {
 		mon := netmon.New(netmon.Options{Links: len(net.Links), Horizon: end})
 		s, err := New(Config{
 			Net: net, Routes: routes, Part: part, Engines: k,
-			Window: 10 * des.Microsecond, End: end, Seed: 1,
+			Window: 10 * des.Microsecond, End: end,
 			Faults: endsPlane{Plane: plane, l01: l01, loop: 3, dead: 1}, QueueBytes: 6000, NetMon: mon,
 		})
 		if err != nil {

@@ -19,7 +19,7 @@ func ExampleNew() {
 	}
 	sim, err := netsim.New(netsim.Config{
 		Net: net, Routes: interdomain.New(net), Engines: 1,
-		Window: core.MaxMLL, End: 2 * des.Second, Seed: 1,
+		Window: core.MaxMLL, End: 2 * des.Second,
 	})
 	if err != nil {
 		panic(err)

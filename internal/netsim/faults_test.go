@@ -58,7 +58,7 @@ func outageRun(t *testing.T, engines int, tel *telemetry.SimTelemetry) ([]des.Ti
 	}
 	s, err := New(Config{
 		Net: net, Routes: routes, Part: nil, Engines: engines,
-		Window: 10 * des.Millisecond, End: 600 * des.Millisecond, Seed: 1,
+		Window: 10 * des.Millisecond, End: 600 * des.Millisecond,
 		Faults: plane, Telemetry: tel,
 	})
 	if err != nil {
@@ -176,7 +176,7 @@ func TestNodeOutageDropsAndAttributes(t *testing.T) {
 	}
 	s, err := New(Config{
 		Net: net, Routes: routes, Engines: 1,
-		Window: 10 * des.Millisecond, End: 400 * des.Millisecond, Seed: 1,
+		Window: 10 * des.Millisecond, End: 400 * des.Millisecond,
 		Faults: plane,
 	})
 	if err != nil {
@@ -237,7 +237,7 @@ func TestPartitionedTCPDropsReachTelemetry(t *testing.T) {
 	tel := telemetry.New(1, 64)
 	s, err := New(Config{
 		Net: net, Routes: routes, Engines: 1,
-		Window: 10 * des.Millisecond, End: 3 * des.Second, Seed: 1,
+		Window: 10 * des.Millisecond, End: 3 * des.Second,
 		Faults: plane, Telemetry: tel,
 	})
 	if err != nil {

@@ -16,7 +16,7 @@ func monSim(t *testing.T, net *model.Network, part []int32, engines int, window,
 	t.Helper()
 	s, err := New(Config{
 		Net: net, Routes: interdomain.New(net), Part: part, Engines: engines,
-		Window: window, End: end, Sync: cluster.Fixed{CostNS: 1000}, Seed: 1,
+		Window: window, End: end, Sync: cluster.Fixed{CostNS: 1000},
 		NetMon: mon, QueueBytes: queueBytes,
 	})
 	if err != nil {

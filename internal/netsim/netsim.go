@@ -74,10 +74,9 @@ type Config struct {
 	Window des.Time
 	// End is the simulated horizon.
 	End des.Time
-	// Sync, EventCost, Seed, SeriesBuckets, RealTimeFactor: see pdes.Config.
+	// Sync, EventCost, SeriesBuckets, RealTimeFactor: see pdes.Config.
 	Sync           cluster.SyncCostModel
 	EventCost      des.Time
-	Seed           int64
 	SeriesBuckets  int
 	RealTimeFactor float64
 	// QueueBytes is the per-link-direction buffer. Default 131072 (128
@@ -354,7 +353,7 @@ func New(cfg Config) (*Sim, error) {
 	pcfg := pdes.Config{
 		Engines: cfg.Engines, Window: cfg.Window, End: cfg.End,
 		Sync: cfg.Sync, EventCost: cfg.EventCost,
-		Seed: cfg.Seed, SeriesBuckets: cfg.SeriesBuckets,
+		SeriesBuckets:  cfg.SeriesBuckets,
 		RealTimeFactor: cfg.RealTimeFactor,
 		Telemetry:      cfg.Telemetry,
 		Invariants:     cfg.Invariants,

@@ -34,7 +34,7 @@ func sim(t *testing.T, net *model.Network, part []int32, engines int, window, en
 	t.Helper()
 	s, err := New(Config{
 		Net: net, Routes: interdomain.New(net), Part: part, Engines: engines,
-		Window: window, End: end, Sync: cluster.Fixed{CostNS: 1000}, Seed: 1,
+		Window: window, End: end, Sync: cluster.Fixed{CostNS: 1000},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -54,8 +54,8 @@ func FuzzExchangeOrdering(f *testing.F) {
 		}
 
 		stats := s.Run()
-		if err := inv.Err(); err != nil {
-			t.Fatalf("invariant violation: %v (all: %v)", err, inv.Violations())
+		if v := inv.Violations(); len(v) != 0 {
+			t.Fatalf("invariant violations: %v", v)
 		}
 		if stats.RemoteEvents != uint64(sends) {
 			t.Fatalf("RemoteEvents = %d, want %d", stats.RemoteEvents, sends)

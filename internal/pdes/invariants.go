@@ -124,17 +124,6 @@ func (inv *Invariants) Violations() []Violation {
 	return out
 }
 
-// Err returns nil if no violations were recorded, otherwise an error
-// quoting the first violation and the total count.
-func (inv *Invariants) Err() error {
-	inv.mu.Lock()
-	defer inv.mu.Unlock()
-	if len(inv.violations) == 0 {
-		return nil
-	}
-	return fmt.Errorf("%s (%d violation(s) total)", inv.violations[0], len(inv.violations))
-}
-
 // invCheckGather audits the active-pair registration for receiving engine e
 // before the gather walks it: every registered source must appear once and
 // hold a non-empty parity buffer for e.

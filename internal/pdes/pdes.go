@@ -24,7 +24,6 @@ package pdes
 import (
 	"cmp"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -51,8 +50,6 @@ type Config struct {
 	// EventCost is the modeled CPU cost of processing one simulation
 	// event. Default 15 µs (packet-level event on 2004 Itanium-2).
 	EventCost des.Time
-	// Seed feeds each engine's deterministic RNG.
-	Seed int64
 	// SeriesBuckets caps the length of the per-window load series kept
 	// for Figure 3 (windows are aggregated into at most this many
 	// buckets). Default 512.
@@ -150,7 +147,6 @@ type Engine struct {
 	id  int
 	sim *Sim
 	k   des.Kernel
-	rng *rand.Rand
 
 	// outbox is double-buffered by executed-window parity (p): producers
 	// fill outbox[p] during executed window wc (p = wc&1) while consumers
@@ -189,10 +185,6 @@ func (e *Engine) ID() int { return e.id }
 
 // Now returns the engine's current simulated time.
 func (e *Engine) Now() des.Time { return e.k.Now() }
-
-// Rand returns the engine's deterministic RNG. Only use from the engine's
-// own handlers.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Schedule enqueues a local event. The returned value handle can be kept
 // in a struct field and cancelled with Cancel(&e); scheduling allocates
@@ -359,7 +351,6 @@ func New(cfg Config) (*Sim, error) {
 		e := &Engine{
 			id:     i,
 			sim:    s,
-			rng:    rand.New(rand.NewSource(cfg.Seed + int64(i)*7919)),
 			hostLo: hostLo,
 			hostHi: hostHi,
 		}

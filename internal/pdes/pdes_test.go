@@ -2,6 +2,7 @@ package pdes
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -20,6 +21,10 @@ func newSim(t *testing.T, engines int, window, end des.Time) *Sim {
 	}
 	return s
 }
+
+// engineRand is engine i's deterministic stream for the random-work
+// tests; only engine i's handlers draw from it.
+func engineRand(i int) *rand.Rand { return rand.New(rand.NewSource(int64(i) * 7919)) }
 
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Engines: 0, Window: 1, End: 1}); err == nil {
@@ -147,13 +152,14 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 		// Each engine generates random local work and random remote sends.
 		for i := 0; i < 4; i++ {
 			e := s.Engine(i)
+			rng := engineRand(i)
 			var gen func(now des.Time)
 			gen = func(now des.Time) {
-				next := now + des.Time(e.Rand().Intn(500)+100)*des.Microsecond
+				next := now + des.Time(rng.Intn(500)+100)*des.Microsecond
 				if next >= 29*des.Millisecond {
 					return
 				}
-				dst := e.Rand().Intn(4)
+				dst := rng.Intn(4)
 				at := next + des.Millisecond
 				e.ScheduleRemoteEvent(dst, at, des.Handler(func(des.Time) {}))
 				e.Schedule(next, gen)
@@ -273,11 +279,12 @@ func TestManyEnginesStress(t *testing.T) {
 	var delivered int64
 	for i := 0; i < 32; i++ {
 		e := s.Engine(i)
+		rng := engineRand(i)
 		var gen func(now des.Time)
 		gen = func(now des.Time) {
 			for j := 0; j < 3; j++ {
-				dst := e.Rand().Intn(32)
-				at := now + des.Millisecond + des.Time(e.Rand().Intn(1000))*des.Microsecond
+				dst := rng.Intn(32)
+				at := now + des.Millisecond + des.Time(rng.Intn(1000))*des.Microsecond
 				if at < 20*des.Millisecond {
 					e.ScheduleRemoteEvent(dst, at, des.Handler(func(des.Time) { atomic.AddInt64(&delivered, 1) }))
 				}
@@ -386,14 +393,15 @@ func TestFastForwardPreservesDeterminism(t *testing.T) {
 		s := newSim(t, 4, des.Millisecond, 3*des.Second)
 		for i := 0; i < 4; i++ {
 			e := s.Engine(i)
+			rng := engineRand(i)
 			var gen func(now des.Time)
 			gen = func(now des.Time) {
-				gap := des.Time(e.Rand().Intn(200)+1) * des.Millisecond
+				gap := des.Time(rng.Intn(200)+1) * des.Millisecond
 				next := now + gap
 				if next >= 3*des.Second-des.Millisecond {
 					return
 				}
-				dst := e.Rand().Intn(4)
+				dst := rng.Intn(4)
 				e.ScheduleRemoteEvent(dst, next+des.Millisecond, des.Handler(func(des.Time) {}))
 				e.Schedule(next, gen)
 			}
@@ -634,7 +642,7 @@ func TestFlightRecorderSpans(t *testing.T) {
 		}
 	}
 	// The real recording must export as a well-formed Chrome trace.
-	events := telemetry.BuildTraceEvents(recs)
+	events := telemetry.BuildTraceEvents(recs, nil)
 	last := map[int]float64{}
 	tracks := map[int]bool{}
 	for _, ev := range events {

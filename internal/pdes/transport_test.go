@@ -233,7 +233,7 @@ func deterministic(st Stats) Stats {
 }
 
 func TestTransportMatchesInProcess(t *testing.T) {
-	base := Config{Engines: 8, Window: des.Millisecond, End: 60 * des.Millisecond, Seed: 42}
+	base := Config{Engines: 8, Window: des.Millisecond, End: 60 * des.Millisecond}
 
 	ref := buildX(t, base)
 	refStats := ref.sim.Run()
@@ -322,7 +322,7 @@ func TestTransportMatchesInProcess(t *testing.T) {
 // window loop cannot act on, both end every worker's run with Stats.Err —
 // the reply is input from outside the process, never grounds for a panic.
 func TestTransportExchangeErrorAborts(t *testing.T) {
-	base := Config{Engines: 4, Window: des.Millisecond, End: 60 * des.Millisecond, Seed: 7}
+	base := Config{Engines: 4, Window: des.Millisecond, End: 60 * des.Millisecond}
 	errInjected := errors.New("injected exchange failure")
 	for _, tc := range []struct {
 		name  string
@@ -360,7 +360,7 @@ func TestTransportExchangeErrorAborts(t *testing.T) {
 }
 
 func TestTransportClosureEventPanics(t *testing.T) {
-	cfg := Config{Engines: 4, Window: des.Millisecond, End: 4 * des.Millisecond, Seed: 1,
+	cfg := Config{Engines: 4, Window: des.Millisecond, End: 4 * des.Millisecond,
 		Transport: &memTransport{}, FirstEngine: 0, HostedEngines: 2, Codec: xCodec{}}
 	s, err := New(cfg)
 	if err != nil {

@@ -109,10 +109,6 @@ type RIB struct {
 	Messages int
 }
 
-// Best returns AS as's best route toward dest, or nil if dest is
-// unreachable under policy.
-func (r *RIB) Best(as, dest int32) *Route { return r.best[as][dest] }
-
 // NextHopAS returns the next-hop AS from as toward dest. ok is false when
 // no policy-compliant route exists.
 func (r *RIB) NextHopAS(as, dest int32) (int32, bool) {
@@ -381,57 +377,11 @@ func (s *Simulator) process(u update) {
 	}
 }
 
-// Converge runs the BGP protocol over the AS graph of net until no updates
-// remain and returns the converged RIB.
-func Converge(net *model.Network) *RIB {
-	s := NewSimulator(net)
-	for as := range net.ASes {
-		s.Announce(int32(as))
-	}
-	s.Run()
-	return s.rib
-}
-
 func routesEqual(a, b *Route) bool {
 	if a == nil || b == nil {
 		return a == b
 	}
 	return a.LocalPref == b.LocalPref && a.MED == b.MED && slices.Equal(a.Path, b.Path)
-}
-
-// ValleyFree reports whether an AS path obeys the valley-free property
-// under the relationships in net: zero or more customer→provider steps,
-// at most one peer step, then zero or more provider→customer steps. The
-// path is given as seen from its first element toward the destination.
-func ValleyFree(net *model.Network, from int32, path []int32) bool {
-	const (
-		up = iota
-		peered
-		down
-	)
-	phase := up
-	cur := from
-	for _, next := range path {
-		nb, ok := net.ASes[cur].NeighborTo(next)
-		if !ok {
-			return false
-		}
-		switch nb.Rel {
-		case model.RelProvider: // cur → its provider: an up step
-			if phase != up {
-				return false
-			}
-		case model.RelPeer:
-			if phase != up {
-				return false
-			}
-			phase = peered
-		case model.RelCustomer: // cur → its customer: a down step
-			phase = down
-		}
-		cur = next
-	}
-	return true
 }
 
 // Reachability returns, for every ordered AS pair, whether a policy

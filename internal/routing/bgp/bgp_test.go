@@ -40,7 +40,7 @@ func asNet(t *testing.T, n int, edges [][2]int32, rels []model.Relationship) *mo
 func TestTwoASesReachEachOther(t *testing.T) {
 	// 0 is 1's provider.
 	net := asNet(t, 2, [][2]int32{{0, 1}}, []model.Relationship{model.RelCustomer})
-	rib := Converge(net)
+	rib := converge(net)
 	if nh, ok := rib.NextHopAS(0, 1); !ok || nh != 1 {
 		t.Errorf("0→1 next hop = %d ok=%v", nh, ok)
 	}
@@ -56,7 +56,7 @@ func TestNoValleyThroughCustomer(t *testing.T) {
 	net := asNet(t, 3,
 		[][2]int32{{0, 1}, {2, 1}},
 		[]model.Relationship{model.RelCustomer, model.RelCustomer})
-	rib := Converge(net)
+	rib := converge(net)
 	if _, ok := rib.NextHopAS(0, 2); ok {
 		t.Error("0 reaches 2 through a customer valley")
 	}
@@ -79,7 +79,7 @@ func TestNoTransitBetweenPeers(t *testing.T) {
 	net := asNet(t, 3,
 		[][2]int32{{0, 1}, {0, 2}},
 		[]model.Relationship{model.RelPeer, model.RelPeer})
-	rib := Converge(net)
+	rib := converge(net)
 	if _, ok := rib.NextHopAS(1, 2); ok {
 		t.Error("peer route leaked to another peer (transit over peering)")
 	}
@@ -95,7 +95,7 @@ func TestCustomerRoutePreferredOverPeerAndProvider(t *testing.T) {
 	net := asNet(t, 4,
 		[][2]int32{{0, 1}, {0, 2}, {1, 3}, {2, 3}},
 		[]model.Relationship{model.RelCustomer, model.RelPeer, model.RelCustomer, model.RelCustomer})
-	rib := Converge(net)
+	rib := converge(net)
 	nh, ok := rib.NextHopAS(0, 3)
 	if !ok {
 		t.Fatal("0 cannot reach 3")
@@ -117,7 +117,7 @@ func TestShorterPathWinsAtEqualPref(t *testing.T) {
 			model.RelProvider, // 4 is provider of 2
 			model.RelProvider, // 3 is provider of 4
 		})
-	rib := Converge(net)
+	rib := converge(net)
 	nh, ok := rib.NextHopAS(0, 3)
 	if !ok {
 		t.Fatal("0 cannot reach 3")
@@ -135,7 +135,7 @@ func TestLoopRejection(t *testing.T) {
 	net := asNet(t, 3,
 		[][2]int32{{0, 1}, {1, 2}, {2, 0}},
 		[]model.Relationship{model.RelPeer, model.RelPeer, model.RelPeer})
-	rib := Converge(net)
+	rib := converge(net)
 	for a := int32(0); a < 3; a++ {
 		for d := int32(0); d < 3; d++ {
 			p := rib.Path(a, d)
@@ -152,8 +152,8 @@ func TestLoopRejection(t *testing.T) {
 
 func TestSelfRoute(t *testing.T) {
 	net := asNet(t, 2, [][2]int32{{0, 1}}, []model.Relationship{model.RelPeer})
-	rib := Converge(net)
-	r := rib.Best(0, 0)
+	rib := converge(net)
+	r := rib.best[0][0]
 	if r == nil || len(r.Path) != 0 || r.LocalPref != PrefLocal {
 		t.Errorf("self route wrong: %+v", r)
 	}
@@ -167,17 +167,17 @@ func TestValleyFreeChecker(t *testing.T) {
 			model.RelPeer,     // 1—2 peers
 			model.RelCustomer, // 3 customer of 2
 		})
-	if !ValleyFree(net, 0, []int32{1, 2, 3}) {
+	if !valleyFree(net, 0, []int32{1, 2, 3}) {
 		t.Error("up-peer-down path flagged as valley")
 	}
 	// down then up = valley: 1 → 0 (customer step) then 0 → ? none; build
 	// a direct check: path 2 → 1 → 0 is down-down: fine; path 0→1→... use
 	// reversed: from 2: 2→1 (peer) then 1→0 (down): peer then down ok.
-	if !ValleyFree(net, 2, []int32{1, 0}) {
+	if !valleyFree(net, 2, []int32{1, 0}) {
 		t.Error("peer-down path flagged as valley")
 	}
 	// From 3: 3→2 (up), 2→1 (peer), 1→0 (down) = fine.
-	if !ValleyFree(net, 3, []int32{2, 1, 0}) {
+	if !valleyFree(net, 3, []int32{2, 1, 0}) {
 		t.Error("up-peer-down flagged")
 	}
 	// Invalid: peer step after down step. From 0: 0→1 up, 1→... need
@@ -187,7 +187,7 @@ func TestValleyFreeChecker(t *testing.T) {
 	net2 := asNet(t, 3,
 		[][2]int32{{0, 1}, {2, 1}},
 		[]model.Relationship{model.RelCustomer, model.RelCustomer})
-	if ValleyFree(net2, 0, []int32{1, 2}) {
+	if valleyFree(net2, 0, []int32{1, 2}) {
 		t.Error("customer valley not detected")
 	}
 }
@@ -197,7 +197,7 @@ func TestConvergedPathsAreValleyFreeOnMabrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rib := Converge(net)
+	rib := converge(net)
 	checked := 0
 	for a := int32(0); a < 40; a++ {
 		for d := int32(0); d < 40; d++ {
@@ -209,7 +209,7 @@ func TestConvergedPathsAreValleyFreeOnMabrite(t *testing.T) {
 				continue
 			}
 			checked++
-			if !ValleyFree(net, a, p) {
+			if !valleyFree(net, a, p) {
 				t.Fatalf("path %d→%d = %v violates valley-free", a, d, p)
 			}
 			if p[len(p)-1] != d {
@@ -229,7 +229,7 @@ func TestMabriteFullReachabilityViaCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rib := Converge(net)
+	rib := converge(net)
 	_, unreachable := rib.Reachability()
 	if unreachable != 0 {
 		t.Errorf("%d unreachable pairs in a provider-covered hierarchy", unreachable)
@@ -244,7 +244,7 @@ func TestQuickConvergenceSound(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rib := Converge(net)
+		rib := converge(net)
 		for a := int32(0); a < 15; a++ {
 			for d := int32(0); d < 15; d++ {
 				p := rib.Path(a, d)
@@ -258,7 +258,7 @@ func TestQuickConvergenceSound(t *testing.T) {
 					}
 					seen[as] = true
 				}
-				if !ValleyFree(net, a, p) {
+				if !valleyFree(net, a, p) {
 					return false
 				}
 			}
@@ -277,7 +277,7 @@ func BenchmarkConverge100AS(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Converge(net)
+		converge(net)
 	}
 }
 
@@ -341,7 +341,7 @@ func TestSessionUpRestoresConvergedState(t *testing.T) {
 	s.Run()
 	s.SessionUp(1, 3)
 	s.Run()
-	ref := Converge(net)
+	ref := converge(net)
 	cmp := Compare(s.RIB(), ref)
 	if cmp.SamePath != cmp.Pairs {
 		t.Fatalf("down/up cycle did not restore the converged RIB: %d/%d same paths (self-compare %d/%d)",
@@ -361,4 +361,50 @@ func TestCloneIsolatesSessions(t *testing.T) {
 	if _, ok := s.RIB().NextHopAS(3, 0); !ok {
 		t.Fatal("downing sessions on the clone broke the original")
 	}
+}
+
+// converge runs the BGP protocol over the AS graph of net until no updates
+// remain and returns the converged RIB.
+func converge(net *model.Network) *RIB {
+	s := NewSimulator(net)
+	for as := range net.ASes {
+		s.Announce(int32(as))
+	}
+	s.Run()
+	return s.rib
+}
+
+// valleyFree reports whether an AS path obeys the valley-free property
+// under the relationships in net: zero or more customer→provider steps,
+// at most one peer step, then zero or more provider→customer steps. The
+// path is given as seen from its first element toward the destination.
+func valleyFree(net *model.Network, from int32, path []int32) bool {
+	const (
+		up = iota
+		peered
+		down
+	)
+	phase := up
+	cur := from
+	for _, next := range path {
+		nb, ok := net.ASes[cur].NeighborTo(next)
+		if !ok {
+			return false
+		}
+		switch nb.Rel {
+		case model.RelProvider: // cur → its provider: an up step
+			if phase != up {
+				return false
+			}
+		case model.RelPeer:
+			if phase != up {
+				return false
+			}
+			phase = peered
+		case model.RelCustomer: // cur → its customer: a down step
+			phase = down
+		}
+		cur = next
+	}
+	return true
 }

@@ -19,7 +19,7 @@ func mabriteNet(t *testing.T, ases int, seed int64) *model.Network {
 
 func TestSimulatorMatchesConverge(t *testing.T) {
 	net := mabriteNet(t, 25, 1)
-	batch := Converge(net)
+	batch := converge(net)
 	s := NewSimulator(net)
 	for as := range net.ASes {
 		s.Announce(int32(as))
@@ -114,7 +114,7 @@ func TestWithdrawalPathHunting(t *testing.T) {
 
 func TestCompareIdenticalRIBs(t *testing.T) {
 	net := mabriteNet(t, 15, 5)
-	rib := Converge(net)
+	rib := converge(net)
 	cmp := Compare(rib, rib)
 	if cmp.Pairs == 0 {
 		t.Fatal("no pairs compared")
@@ -135,7 +135,7 @@ func TestPolicyPathInflation(t *testing.T) {
 	// AS paths. Policy paths can never be shorter, and on hierarchical
 	// topologies they are measurably longer on average.
 	net := mabriteNet(t, 40, 6)
-	policy := Converge(net)
+	policy := converge(net)
 	shortest := ShortestPathRIB(net)
 	cmp := Compare(policy, shortest)
 	if cmp.Pairs == 0 {
@@ -197,7 +197,7 @@ func TestQuickFlapConvergesToSameState(t *testing.T) {
 			s.Announce(flap)
 			s.Run()
 		}
-		batch := Converge(net)
+		batch := converge(net)
 		for a := int32(0); a < 12; a++ {
 			for d := int32(0); d < 12; d++ {
 				pa, pb := batch.Path(a, d), s.RIB().Path(a, d)

@@ -31,9 +31,8 @@ import (
 // internal/experiments; this package schedules the steps and serves what
 // they produce.
 type (
-	Spec        = experiments.Scenario
-	FlatSpec    = experiments.FlatSpec
-	MultiASSpec = experiments.MultiASSpec
+	Spec     = experiments.Scenario
+	FlatSpec = experiments.FlatSpec
 )
 
 // State is a run's lifecycle phase.

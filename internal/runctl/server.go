@@ -315,7 +315,7 @@ func (s *Server) runTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", "massf-trace-"+run.ID+".json"))
-	telemetry.WriteChromeTrace(w, run.Tel.Windows.Snapshot(), map[string]string{
+	telemetry.WriteChromeTraceEvents(w, telemetry.BuildTraceEvents(run.Tel.Windows.Snapshot(), nil), map[string]string{
 		"run":      run.ID,
 		"approach": run.Spec.Approach,
 		"engines":  strconv.Itoa(run.Spec.Engines),

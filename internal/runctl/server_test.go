@@ -288,6 +288,7 @@ func TestServerValidationAndNotFound(t *testing.T) {
 		`{"flat":{"routers":10,"hosts":10},"engines":-3}`,                                       // bad engine count
 		`{"flat":{"routers":10,"hosts":10},"clients":-5}`,                                       // negative clients
 		`{"flat":{"routers":10,"hosts":10},"servers":-1}`,                                       // negative servers
+		`{"flat":{"routers":10,"hosts":10},"approach":"PLACE"}`,                                 // PLACE with app none
 	}
 	for _, body := range bad {
 		resp, err := http.Post(ts.URL+APIPrefix+"/runs", "application/json", strings.NewReader(body))

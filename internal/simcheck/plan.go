@@ -172,7 +172,7 @@ func (p *Plan) Trace(k int, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return telemetry.WriteChromeTrace(w, tel.Windows.Snapshot(), map[string]string{
+	return telemetry.WriteChromeTraceEvents(w, telemetry.BuildTraceEvents(tel.Windows.Snapshot(), nil), map[string]string{
 		"tool":     "simcheck",
 		"scenario": p.Scenario.String(),
 		"k":        fmt.Sprint(k),

@@ -122,7 +122,7 @@ func TestInjectedViolationReported(t *testing.T) {
 	inv := &pdes.Invariants{}
 	s, err := netsim.New(netsim.Config{
 		Net: net, Routes: routes, Part: m.Part, Engines: 4,
-		Window: window, End: 4 * window, Seed: sc.Seed, Invariants: inv,
+		Window: window, End: 4 * window, Invariants: inv,
 	})
 	if err != nil {
 		t.Fatal(err)

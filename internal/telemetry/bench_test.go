@@ -10,7 +10,11 @@ import (
 //
 //	BenchmarkWindowPublish/telemetry-16    ~360 ns/op     0 B/op  0 allocs/op (saturated ring)
 //	BenchmarkWindowPublish/nil-16          ~3.5 ns/op     0 B/op  0 allocs/op
-//	BenchmarkTraceRecord-16                ~74  ns/op     0 B/op  0 allocs/op
+//
+// With a live subscriber attached, every record is also deep-copied onto
+// the subscriber's channel (linux/amd64, 2-vCPU Xeon):
+//
+//	BenchmarkTraceRecord-2                 ~1.1 µs/op   773 B/op  6 allocs/op
 //
 // One publication happens per barrier window on engine 0 only, so even at
 // 10k windows per wall second the recorder adds ~3 ms/s (≈0.3%) — well
@@ -104,11 +108,6 @@ func BenchmarkWindowPublish(b *testing.B) {
 func BenchmarkTraceRecord(b *testing.B) {
 	const engines = 16
 	ev, rem, wait, depth, comp, exch := benchScratch(engines)
-	rec := WindowRecord{
-		Events: ev, RemoteSends: rem, BarrierWaitNS: wait,
-		QueueDepth: depth, ComputeNS: comp, ExchangeNS: exch,
-		WallNS: 50_000,
-	}
 	ring := NewRing(4096)
 	// One slow subscriber attached, as when a live stream is being watched.
 	_, ch, cancel := ring.Subscribe(16)
@@ -119,7 +118,15 @@ func BenchmarkTraceRecord(b *testing.B) {
 	}()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		rec := ring.Get(engines)
 		rec.Window = i
+		rec.WallNS = 50_000
+		copy(rec.Events, ev)
+		copy(rec.RemoteSends, rem)
+		copy(rec.BarrierWaitNS, wait)
+		copy(rec.QueueDepth, depth)
+		copy(rec.ComputeNS, comp)
+		copy(rec.ExchangeNS, exch)
 		ring.Append(rec)
 	}
 }
@@ -128,7 +135,7 @@ func BenchmarkChromeTraceExport(b *testing.B) {
 	recs := syntheticRecords(16, 1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := WriteChromeTrace(io.Discard, recs, nil); err != nil {
+		if err := WriteChromeTraceEvents(io.Discard, BuildTraceEvents(recs, nil), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -45,9 +45,6 @@ type Gauge struct{ v atomic.Int64 }
 // Set stores v.
 func (g *Gauge) Set(v int64) { g.v.Store(v) }
 
-// Add adjusts the gauge by d.
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
 // SetMax raises the gauge to v if v exceeds the current value.
 func (g *Gauge) SetMax(v int64) {
 	for {

@@ -52,19 +52,17 @@ type WindowRecord struct {
 // Subscribe and Close are the ring's: a subscriber whose channel is
 // full misses records (detectable via Seq) rather than stalling the
 // simulation, and retained records stay readable via Snapshot after Close.
+//
+// Records come from Get and go back through Append, which recycles the
+// per-engine slices of evicted records through free, so a saturated ring
+// appends with zero allocations. The aliasing this creates is contained
+// here: Snapshot and subscriber fan-out deep-copy records on the way out.
 type Ring struct {
 	Fanout[WindowRecord]
 	buf   []WindowRecord
 	cap   int
 	total uint64
-
-	// Pooled mode (entered by the first Get): records handed out by Get
-	// and appended back recycle the per-engine slices of evicted records
-	// through free, so a saturated ring appends with zero allocations.
-	// The aliasing this creates is contained here: in pooled mode,
-	// Snapshot and subscriber fan-out deep-copy records on the way out.
-	pooled bool
-	free   []WindowRecord
+	free  []WindowRecord
 }
 
 // NewRing returns a ring keeping at most capacity records (default 1024
@@ -115,13 +113,10 @@ func resizeInt(s []int, n int) []int {
 // Get returns a zeroed WindowRecord whose per-engine slices have length
 // engines, recycled from previously evicted records when possible. The
 // caller fills it in and hands it back via Append — the slices then belong
-// to the ring again. The first Get switches the ring into pooled mode for
-// its lifetime; a pooled ring must only be Appended records that came from
-// Get (appending a caller-owned record would recycle the caller's slices).
+// to the ring again.
 func (r *Ring) Get(engines int) WindowRecord {
 	r.mu.Lock()
 	var rec WindowRecord
-	r.pooled = true
 	if n := len(r.free); n > 0 {
 		rec = r.free[n-1]
 		r.free[n-1] = WindowRecord{}
@@ -139,7 +134,7 @@ func (r *Ring) Get(engines int) WindowRecord {
 }
 
 // copyRecord deep-copies a record's per-engine slices; used on every read
-// path of a pooled ring, where retained records' slices get recycled.
+// path, where retained records' slices get recycled.
 func copyRecord(rec WindowRecord) WindowRecord {
 	rec.Events = append([]uint64(nil), rec.Events...)
 	rec.RemoteSends = append([]uint64(nil), rec.RemoteSends...)
@@ -151,9 +146,9 @@ func copyRecord(rec WindowRecord) WindowRecord {
 }
 
 // Append stores rec (stamping rec.Seq) and publishes it to subscribers.
-// Appending to a closed ring is a no-op. On a pooled ring the evicted
-// record's slices return to the free list; with no subscribers attached a
-// saturated pooled ring appends without allocating.
+// Appending to a closed ring is a no-op. The evicted record's slices
+// return to the free list (so rec's own slices must come from Get); with
+// no subscribers attached a saturated ring appends without allocating.
 func (r *Ring) Append(rec WindowRecord) {
 	r.Publish(func() WindowRecord {
 		rec.Seq = r.total
@@ -161,13 +156,11 @@ func (r *Ring) Append(rec WindowRecord) {
 			r.buf = append(r.buf, rec)
 		} else {
 			idx := int(r.total) % r.cap
-			if r.pooled {
-				r.free = append(r.free, r.buf[idx])
-			}
+			r.free = append(r.free, r.buf[idx])
 			r.buf[idx] = rec
 		}
 		r.total++
-		if r.pooled && len(r.subs) > 0 {
+		if len(r.subs) > 0 {
 			// Channel buffers outlive the record's slot in the ring; hand
 			// subscribers a stable copy.
 			return copyRecord(rec)
@@ -185,10 +178,8 @@ func (r *Ring) snapshotLocked() []WindowRecord {
 	} else {
 		out = append(out, r.buf...)
 	}
-	if r.pooled {
-		for i := range out {
-			out[i] = copyRecord(out[i])
-		}
+	for i := range out {
+		out[i] = copyRecord(out[i])
 	}
 	return out
 }
@@ -198,11 +189,4 @@ func (r *Ring) Snapshot() []WindowRecord {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.snapshotLocked()
-}
-
-// Total returns the number of records ever appended.
-func (r *Ring) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
 }

@@ -14,8 +14,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 		t.Errorf("counter = %d, want 42", c.Load())
 	}
 	var g Gauge
-	g.Set(7)
-	g.Add(-3)
+	g.Set(4)
 	if g.Load() != 4 {
 		t.Errorf("gauge = %d, want 4", g.Load())
 	}
@@ -127,12 +126,19 @@ func TestRingEvictionAndSeq(t *testing.T) {
 			t.Errorf("snap[%d] = window %d seq %d", i, rec.Window, rec.Seq)
 		}
 	}
-	if r.Total() != 10 {
-		t.Errorf("total = %d", r.Total())
+	if total(r) != 10 {
+		t.Errorf("total = %d", total(r))
 	}
 }
 
-// A pooled ring recycles evicted records' slices into later Get calls, so
+// total is the number of records ever appended to r.
+func total(r *Ring) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.total
+}
+
+// The ring recycles evicted records' slices into later Get calls, so
 // everything it hands out on read paths (Snapshot, subscriber channels)
 // must be a deep copy that later recycling cannot scribble over.
 func TestRingPooledRecyclingIsolatesReaders(t *testing.T) {
@@ -169,7 +175,7 @@ func TestRingPooledRecyclingIsolatesReaders(t *testing.T) {
 		}
 	}
 	// The pool really recycles: a saturated ring stops growing its arena.
-	if got := r.Total(); got != 3*capacity {
+	if got := total(r); got != 3*capacity {
 		t.Fatalf("total = %d, want %d", got, 3*capacity)
 	}
 	live := r.Snapshot()
@@ -242,8 +248,8 @@ func TestRingConcurrentAppendSubscribe(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if r.Total() != 500 {
-		t.Errorf("total = %d", r.Total())
+	if total(r) != 500 {
+		t.Errorf("total = %d", total(r))
 	}
 	_ = got // count depends on interleaving; the test is the race detector's
 }

@@ -57,18 +57,15 @@ const (
 // are strictly ordered (a per-engine cursor absorbs measurement jitter
 // where a window's phases overrun its wall time), which is what trace
 // viewers require.
-func BuildTraceEvents(recs []WindowRecord) []TraceEvent {
-	return BuildTraceEventsWithSetup(recs, nil)
-}
-
-// BuildTraceEventsWithSetup is BuildTraceEvents with a leading "setup"
-// slice on each engine track: setupNS[e] is the wall time engine e's worker
-// spent materializing its scenario before the first event ran. Windows
-// start once the slowest setup finishes, so a straggling rebuild shows as
-// the long setup bar every other track waits on. A nil or all-zero setupNS
-// emits no setup slices; on a single-process run every engine shares one
-// build, so callers typically broadcast the same duration to all tracks.
-func BuildTraceEventsWithSetup(recs []WindowRecord, setupNS []int64) []TraceEvent {
+//
+// setupNS adds a leading "setup" slice on each engine track: setupNS[e] is
+// the wall time engine e's worker spent materializing its scenario before
+// the first event ran. Windows start once the slowest setup finishes, so a
+// straggling rebuild shows as the long setup bar every other track waits
+// on. A nil or all-zero setupNS emits no setup slices; on a single-process
+// run every engine shares one build, so callers typically broadcast the
+// same duration to all tracks.
+func BuildTraceEvents(recs []WindowRecord, setupNS []int64) []TraceEvent {
 	engines := 0
 	for i := range recs {
 		if n := len(recs[i].Events); n > engines {
@@ -167,16 +164,10 @@ func appendSlice(events *[]TraceEvent, name string, e int, startNS, durNS int64,
 	return startNS + durNS
 }
 
-// WriteChromeTrace renders recs as a Chrome trace-event JSON object —
-// loadable in Perfetto — with run-level metadata attached.
-func WriteChromeTrace(w io.Writer, recs []WindowRecord, meta map[string]string) error {
-	return WriteChromeTraceEvents(w, BuildTraceEvents(recs), meta)
-}
-
-// WriteChromeTraceEvents renders pre-built trace events as the same JSON
-// object WriteChromeTrace emits. Use it to combine the engine tracks from
-// BuildTraceEvents with extra lanes built elsewhere (e.g. netmon's sampled
-// packet paths) in one loadable file.
+// WriteChromeTraceEvents renders trace events as a Chrome trace-event JSON
+// object — loadable in Perfetto — with run-level metadata attached. The
+// events are BuildTraceEvents' engine tracks, optionally joined by lanes
+// built elsewhere (e.g. netmon's sampled packet paths).
 func WriteChromeTraceEvents(w io.Writer, events []TraceEvent, meta map[string]string) error {
 	trace := chromeTrace{
 		TraceEvents:     events,

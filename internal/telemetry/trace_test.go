@@ -59,7 +59,7 @@ func TestChromeTraceShape(t *testing.T) {
 	const engines, windows = 3, 8
 	recs := syntheticRecords(engines, windows)
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, recs, map[string]string{"run": "r0001"}); err != nil {
+	if err := WriteChromeTraceEvents(&buf, BuildTraceEvents(recs, nil), map[string]string{"run": "r0001"}); err != nil {
 		t.Fatal(err)
 	}
 	events := parseTrace(t, buf.Bytes())
@@ -112,7 +112,7 @@ func TestChromeTraceStrictlyOrderedStarts(t *testing.T) {
 		recs[i].WallNS = 10 // much less than the phase durations
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, recs, nil); err != nil {
+	if err := WriteChromeTraceEvents(&buf, BuildTraceEvents(recs, nil), nil); err != nil {
 		t.Fatal(err)
 	}
 	last := map[int]float64{}
@@ -132,7 +132,7 @@ func TestChromeTraceSetupSpans(t *testing.T) {
 	recs := syntheticRecords(engines, 4)
 	// Worker 1 is the straggler: a 10× slower scenario rebuild.
 	setup := []int64{1_000_000, 10_000_000, 1_000_000}
-	events := BuildTraceEventsWithSetup(recs, setup)
+	events := BuildTraceEvents(recs, setup)
 
 	setupEnd := map[int]float64{}
 	firstWindow := map[int]float64{}
@@ -165,7 +165,7 @@ func TestChromeTraceSetupSpans(t *testing.T) {
 		}
 	}
 	// Zero/nil setup emits no setup slices (the pre-refactor shape).
-	for _, ev := range BuildTraceEvents(recs) {
+	for _, ev := range BuildTraceEvents(recs, nil) {
 		if ev.Name == "setup" {
 			t.Fatal("BuildTraceEvents emitted a setup slice without setup spans")
 		}
@@ -174,7 +174,7 @@ func TestChromeTraceSetupSpans(t *testing.T) {
 
 func TestChromeTraceEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, nil, nil); err != nil {
+	if err := WriteChromeTraceEvents(&buf, BuildTraceEvents(nil, nil), nil); err != nil {
 		t.Fatal(err)
 	}
 	if evs := parseTrace(t, buf.Bytes()); len(evs) != 0 {
@@ -190,7 +190,7 @@ func TestChromeTraceLastWindowBarrierFromNextRecord(t *testing.T) {
 	recs[1].Seq = recs[0].Seq + 5 // gap
 	recs[1].BarrierWaitNS = []int64{987_000}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, recs, nil); err != nil {
+	if err := WriteChromeTraceEvents(&buf, BuildTraceEvents(recs, nil), nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, ev := range parseTrace(t, buf.Bytes()) {

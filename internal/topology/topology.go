@@ -25,49 +25,22 @@ type FlatOptions struct {
 	Routers int
 	// Hosts is the number of end hosts attached to routers. Paper: 10,000.
 	Hosts int
-	// EdgesPerNode is the number of links each new router adds
-	// (preferential attachment m). Default 2.
-	EdgesPerNode int
-	// Cities is the number of geographic clusters. Default Routers/100
-	// (min 4).
-	Cities int
-	// CityRadiusMiles is the standard deviation of router placement around
-	// its city center (metro + suburban POP spread). Default 60.
-	CityRadiusMiles float64
-	// LocalityMiles is the e-folding distance of the locality bias: when a
-	// new router picks neighbors, a candidate at distance d is weighted by
-	// exp(-d/LocalityMiles). Default 600.
-	LocalityMiles float64
-	// PlaneMiles is the side length of the square plane. Default
-	// model.PlaneMiles (5000).
-	PlaneMiles float64
 	// Seed makes generation deterministic.
 	Seed int64
 }
 
-func (o *FlatOptions) setDefaults() {
-	if o.EdgesPerNode <= 0 {
-		o.EdgesPerNode = 2
-	}
-	if o.Cities <= 0 {
-		// Enough cities that a partitioner has many contractible units to
-		// work with (the paper's POP structure: hundreds of metro areas
-		// for a Tier-1's 20,000 routers).
-		o.Cities = o.Routers / 25
-		if o.Cities < 6 {
-			o.Cities = 6
-		}
-	}
-	if o.CityRadiusMiles <= 0 {
-		o.CityRadiusMiles = 60
-	}
-	if o.LocalityMiles <= 0 {
-		o.LocalityMiles = 600
-	}
-	if o.PlaneMiles <= 0 {
-		o.PlaneMiles = model.PlaneMiles
-	}
-}
+const (
+	// edgesPerNode is the number of links each new router adds
+	// (preferential attachment m).
+	edgesPerNode = 2
+	// cityRadiusMiles is the standard deviation of router placement
+	// around its city center (metro + suburban POP spread).
+	cityRadiusMiles = 60.0
+	// localityMiles is the e-folding distance of the locality bias: when
+	// a new router picks neighbors, a candidate at distance d is weighted
+	// by exp(-d/localityMiles).
+	localityMiles = 600.0
+)
 
 // GenerateFlat builds a single-AS network of opts.Routers routers and
 // opts.Hosts hosts. The result always forms a single connected component and
@@ -76,12 +49,16 @@ func GenerateFlat(opts FlatOptions) (*model.Network, error) {
 	if opts.Routers < 2 {
 		return nil, fmt.Errorf("topology: need ≥ 2 routers, got %d", opts.Routers)
 	}
-	opts.setDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	net := &model.Network{}
 
-	centers := cityCenters(opts.Cities, opts.PlaneMiles, rng)
-	citySize := make([]int, opts.Cities)
+	// Routers/25 geographic clusters, at least 6: enough that a
+	// partitioner has many contractible units to work with (the paper's
+	// POP structure: hundreds of metro areas for a Tier-1's 20,000
+	// routers).
+	cities := max(opts.Routers/25, 6)
+	centers := cityCenters(cities, rng)
+	citySize := make([]int, cities)
 
 	// Place routers: city chosen rich-get-richer so city sizes follow a
 	// heavy-tailed distribution like real metro areas.
@@ -90,14 +67,14 @@ func GenerateFlat(opts FlatOptions) (*model.Network, error) {
 		c := pickCity(citySize, i, rng)
 		citySize[c]++
 		routerCity[i] = c
-		x := clamp(centers[c][0]+rng.NormFloat64()*opts.CityRadiusMiles, 0, opts.PlaneMiles)
-		y := clamp(centers[c][1]+rng.NormFloat64()*opts.CityRadiusMiles, 0, opts.PlaneMiles)
+		x := clamp(centers[c][0]+rng.NormFloat64()*cityRadiusMiles, 0, model.PlaneMiles)
+		y := clamp(centers[c][1]+rng.NormFloat64()*cityRadiusMiles, 0, model.PlaneMiles)
 		net.AddNode(model.Router, 0, x, y)
 	}
 
 	// Preferential attachment with locality bias.
 	degree := make([]int, opts.Routers)
-	targets := make([]int32, 0, 2*opts.Routers*opts.EdgesPerNode)
+	targets := make([]int32, 0, 2*opts.Routers*edgesPerNode)
 	addEdge := func(u, v int) {
 		lat := model.LatencyForDistance(net.Distance(model.NodeID(u), model.NodeID(v)))
 		net.AddLink(model.NodeID(u), model.NodeID(v), lat, model.Bps1G)
@@ -107,10 +84,7 @@ func GenerateFlat(opts FlatOptions) (*model.Network, error) {
 	}
 	addEdge(0, 1)
 	for i := 2; i < opts.Routers; i++ {
-		m := opts.EdgesPerNode
-		if m > i {
-			m = i
-		}
+		m := min(edgesPerNode, i)
 		chosen := map[int32]bool{}
 		for e := 0; e < m; e++ {
 			best := int32(-1)
@@ -123,7 +97,7 @@ func GenerateFlat(opts FlatOptions) (*model.Network, error) {
 					continue
 				}
 				d := net.Distance(model.NodeID(i), model.NodeID(cand))
-				score := math.Exp(-d / opts.LocalityMiles)
+				score := math.Exp(-d / localityMiles)
 				if score > bestScore {
 					best, bestScore = cand, score
 				}
@@ -162,8 +136,8 @@ func GenerateFlat(opts FlatOptions) (*model.Network, error) {
 	}
 	for h := 0; h < opts.Hosts; h++ {
 		r := model.NodeID(rng.Intn(opts.Routers))
-		x := clamp(net.Nodes[r].X+rng.NormFloat64()*2, 0, opts.PlaneMiles)
-		y := clamp(net.Nodes[r].Y+rng.NormFloat64()*2, 0, opts.PlaneMiles)
+		x := clamp(net.Nodes[r].X+rng.NormFloat64()*2, 0, model.PlaneMiles)
+		y := clamp(net.Nodes[r].Y+rng.NormFloat64()*2, 0, model.PlaneMiles)
 		hid := net.AddNode(model.Host, 0, x, y)
 		lat := model.LatencyForDistance(net.Distance(hid, r))
 		net.AddLink(hid, r, lat, model.Bps100M)
@@ -175,8 +149,9 @@ func GenerateFlat(opts FlatOptions) (*model.Network, error) {
 
 // cityCenters spreads n city centers over the plane with a margin so
 // Gaussian scatter rarely clips.
-func cityCenters(n int, plane float64, rng *rand.Rand) [][2]float64 {
+func cityCenters(n int, rng *rand.Rand) [][2]float64 {
 	centers := make([][2]float64, n)
+	const plane = model.PlaneMiles
 	margin := plane * 0.05
 	for i := range centers {
 		centers[i] = [2]float64{
@@ -237,24 +212,4 @@ func clamp(v, lo, hi float64) float64 {
 		return hi
 	}
 	return v
-}
-
-// DegreeHistogram returns counts of router degrees, used to check the
-// power-law shape in tests and docs.
-func DegreeHistogram(net *model.Network) map[int]int {
-	deg := map[model.NodeID]int{}
-	for i := range net.Links {
-		l := &net.Links[i]
-		if net.Nodes[l.A].Kind == model.Router && net.Nodes[l.B].Kind == model.Router {
-			deg[l.A]++
-			deg[l.B]++
-		}
-	}
-	hist := map[int]int{}
-	for i := range net.Nodes {
-		if net.Nodes[i].Kind == model.Router {
-			hist[deg[model.NodeID(i)]]++
-		}
-	}
-	return hist
 }

@@ -79,7 +79,7 @@ func TestGenerateFlatDeterministic(t *testing.T) {
 
 func TestGenerateFlatPowerLawish(t *testing.T) {
 	net := gen(t, FlatOptions{Routers: 2000, Hosts: 0, Seed: 3})
-	hist := DegreeHistogram(net)
+	hist := degreeHistogram(net)
 	// Power-law signature: many low-degree nodes, a thin high-degree tail.
 	low, high := 0, 0
 	maxDeg := 0
@@ -165,7 +165,7 @@ func TestBackboneUpgrade(t *testing.T) {
 
 func TestPickCityCoversAll(t *testing.T) {
 	// Over many draws every city must be reachable (the +1 smoothing).
-	hist := DegreeHistogram(&model.Network{}) // exercise empty-net path
+	hist := degreeHistogram(&model.Network{}) // exercise empty-net path
 	if len(hist) != 0 {
 		t.Error("empty network histogram not empty")
 	}
@@ -217,4 +217,24 @@ func BenchmarkGenerateFlat20k(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// degreeHistogram returns counts of router degrees, to check the
+// power-law shape.
+func degreeHistogram(net *model.Network) map[int]int {
+	deg := map[model.NodeID]int{}
+	for i := range net.Links {
+		l := &net.Links[i]
+		if net.Nodes[l.A].Kind == model.Router && net.Nodes[l.B].Kind == model.Router {
+			deg[l.A]++
+			deg[l.B]++
+		}
+	}
+	hist := map[int]int{}
+	for i := range net.Nodes {
+		if net.Nodes[i].Kind == model.Router {
+			hist[deg[model.NodeID(i)]]++
+		}
+	}
+	return hist
 }

@@ -8,28 +8,23 @@ import (
 	"massf/internal/model"
 )
 
-// ScaLapackConfig tunes the ScaLapack traffic model.
-type ScaLapackConfig struct {
-	// PanelBytes is the broadcast panel size per iteration.
-	PanelBytes int64
-	// ResultBytes is each worker's contribution gathered back.
-	ResultBytes int64
-	// Compute is the per-task computation time per iteration.
-	Compute des.Time
-}
-
-// DefaultScaLapack returns class-S-like parameters: communication-heavy
-// relative to compute, which is why the paper sees the largest load-balance
-// effects on ScaLapack.
-func DefaultScaLapack() ScaLapackConfig {
-	return ScaLapackConfig{PanelBytes: 400_000, ResultBytes: 200_000, Compute: 80 * des.Millisecond}
-}
+// ScaLapack sizes at class S: communication-heavy relative to compute,
+// which is why the paper sees the largest load-balance effects on
+// ScaLapack.
+const (
+	// scalapackPanel is the broadcast panel size per iteration.
+	scalapackPanel = 400_000
+	// scalapackResult is each worker's contribution gathered back.
+	scalapackResult = 200_000
+	// scalapackCompute is the per-task computation time per iteration.
+	scalapackCompute = 80 * des.Millisecond
+)
 
 // ScaLapack models the ScaLapack LU factorization traffic: per iteration
 // the root broadcasts the current panel to all workers, the workers
 // compute, and partial results are gathered back at the root. hosts[0] is
 // the root; the paper uses 7 application hosts.
-func ScaLapack(hosts []model.NodeID, cfg ScaLapackConfig) Workflow {
+func ScaLapack(hosts []model.NodeID) Workflow {
 	w := Workflow{Name: "scalapack"}
 	workers := len(hosts) - 1
 	if workers < 1 {
@@ -37,7 +32,7 @@ func ScaLapack(hosts []model.NodeID, cfg ScaLapackConfig) Workflow {
 	}
 	// Task 0: root broadcast. Tasks 1..workers: worker compute. Last
 	// task: gather/sink at the root.
-	root := Task{Host: hosts[0], Compute: cfg.Compute / 2, OutBytes: cfg.PanelBytes}
+	root := Task{Host: hosts[0], Compute: scalapackCompute / 2, OutBytes: scalapackPanel}
 	for i := 1; i <= workers; i++ {
 		root.Succ = append(root.Succ, i)
 	}
@@ -45,13 +40,13 @@ func ScaLapack(hosts []model.NodeID, cfg ScaLapackConfig) Workflow {
 	sink := workers + 1
 	for i := 1; i <= workers; i++ {
 		w.Tasks = append(w.Tasks, Task{
-			Host: hosts[i], Compute: cfg.Compute, OutBytes: cfg.ResultBytes,
+			Host: hosts[i], Compute: scalapackCompute, OutBytes: scalapackResult,
 			Succ: []int{sink},
 		})
 	}
-	w.Tasks = append(w.Tasks, Task{Host: hosts[0], Compute: cfg.Compute / 4})
+	w.Tasks = append(w.Tasks, Task{Host: hosts[0], Compute: scalapackCompute / 4})
 	if workers == 0 {
-		w.Tasks = []Task{{Host: hosts[0], Compute: cfg.Compute}}
+		w.Tasks = []Task{{Host: hosts[0], Compute: scalapackCompute}}
 	}
 	return w
 }

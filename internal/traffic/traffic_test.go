@@ -22,7 +22,7 @@ func testNet(t *testing.T, routers, hosts, engines int, part []int32, end des.Ti
 	// multi-engine callers pass a latency-aware partition and window.
 	s, err := netsim.New(netsim.Config{
 		Net: net, Routes: interdomain.New(net), Part: part, Engines: engines,
-		Window: 10 * des.Millisecond, End: end, Sync: cluster.Fixed{CostNS: 100}, Seed: 7,
+		Window: 10 * des.Millisecond, End: end, Sync: cluster.Fixed{CostNS: 100},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestWorkflowValidate(t *testing.T) {
 
 func TestBuiltinWorkflowsValid(t *testing.T) {
 	hosts := []model.NodeID{0, 1, 2, 3, 4, 5, 6}
-	for _, w := range append(GridNPB(hosts), ScaLapack(hosts, DefaultScaLapack())) {
+	for _, w := range append(GridNPB(hosts), ScaLapack(hosts)) {
 		if err := w.Validate(); err != nil {
 			t.Errorf("%s: %v", w.Name, err)
 		}
@@ -122,7 +122,7 @@ func TestBuiltinWorkflowsValid(t *testing.T) {
 
 func TestScaLapackShape(t *testing.T) {
 	hosts := []model.NodeID{10, 11, 12}
-	w := ScaLapack(hosts, DefaultScaLapack())
+	w := ScaLapack(hosts)
 	if len(w.Tasks) != 4 { // root + 2 workers + gather
 		t.Fatalf("tasks = %d, want 4", len(w.Tasks))
 	}
@@ -156,7 +156,7 @@ func TestWorkflowRunsAndLoops(t *testing.T) {
 
 func TestScaLapackRuns(t *testing.T) {
 	s, hosts := testNet(t, 30, 8, 1, nil, 20*des.Second)
-	stats, err := InstallWorkflow(s, ScaLapack(hosts[:5], DefaultScaLapack()), 0)
+	stats, err := InstallWorkflow(s, ScaLapack(hosts[:5]), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestWorkflowAcrossEnginesMatchesSequential(t *testing.T) {
 		}
 		s, err := netsim.New(netsim.Config{
 			Net: net, Routes: interdomain.New(net), Part: part, Engines: engines,
-			Window: window, End: 15 * des.Second, Sync: cluster.Fixed{CostNS: 10}, Seed: 5,
+			Window: window, End: 15 * des.Second, Sync: cluster.Fixed{CostNS: 10},
 		})
 		if err != nil {
 			t.Fatal(err)

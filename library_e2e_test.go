@@ -37,7 +37,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	// Profiling pass on one engine.
 	profSim, err := netsim.New(netsim.Config{
 		Net: net, Routes: routes, Engines: 1,
-		Window: core.MaxMLL, End: 4 * des.Second, Seed: 1,
+		Window: core.MaxMLL, End: 4 * des.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	// Parallel run under the mapping.
 	sim, err := netsim.New(netsim.Config{
 		Net: net, Routes: routes, Part: mapping.Part, Engines: 4,
-		Window: mapping.MLL, End: 4 * des.Second, Seed: 1,
+		Window: mapping.MLL, End: 4 * des.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	httpStats := traffic.InstallHTTP(sim, traffic.HTTPConfig{
 		Clients: hosts[:30], Servers: hosts[30:40], MeanGap: des.Second, Seed: 2,
 	})
-	ws, err := traffic.InstallWorkflow(sim, traffic.ScaLapack(hosts[40:45], traffic.DefaultScaLapack()), 0)
+	ws, err := traffic.InstallWorkflow(sim, traffic.ScaLapack(hosts[40:45]), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

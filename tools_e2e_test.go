@@ -119,9 +119,13 @@ func TestToolsEndToEnd(t *testing.T) {
 		t.Fatalf("flat partition failed:\n%s", out)
 	}
 
-	// Error paths: unknown approach and missing file must fail.
+	// Error paths: unknown approach, PLACE without application hosts to
+	// place, and missing file must fail.
 	if err := exec.Command(bin("partition"), "-net", netFile, "-approach", "BOGUS").Run(); err == nil {
 		t.Error("unknown approach accepted")
+	}
+	if err := exec.Command(bin("partition"), "-net", netFile, "-approach", "PLACE", "-engines", "4").Run(); err == nil {
+		t.Error("PLACE without application hosts accepted")
 	}
 	if err := exec.Command(bin("massf"), "-net", filepath.Join(dir, "missing.dml")).Run(); err == nil {
 		t.Error("missing network file accepted")
