@@ -211,10 +211,15 @@ func (a *Agent) drain(e int, now des.Time) {
 		}
 		if m.onInject != nil {
 			m.onInject()
+			m.onInject = nil
 		}
+		// netsim keeps every flow, and this closure with it, for the rest
+		// of the run: once delivered, m must not pin its payload (nor, via
+		// onInject, its ingest connection).
 		a.sim.StartFlowRecv(now, m.From, m.To, size, nil, func(at des.Time) {
 			m.DeliveredAt = at
 			a.deliver(m)
+			m.Payload = nil
 		})
 	}
 }

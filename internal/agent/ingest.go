@@ -17,7 +17,18 @@
 //   - drop-don't-stall delivery: completed messages are framed back on a
 //     bounded per-connection queue; a consumer too slow to drain it loses
 //     deliveries (counted) rather than ever blocking the simulation or
-//     its neighbors.
+//     its neighbors;
+//   - batched I/O: each end reads frames through a buffer, so one read
+//     brings in dozens of small frames, and writes every frame already
+//     waiting in one call, so a burst of sends, deliveries or credits
+//     costs one system call rather than one per frame. Client.Close
+//     writes every frame a returned Send or Listen queued before it
+//     closes the socket, giving up after closeFlush on a peer that has
+//     stopped reading.
+//
+// A connection therefore holds, per side, its credit window's worth of
+// payloads plus two small buffers (readBuffer to read, about flushBytes
+// to write), which is what keeps thousands of connections affordable.
 //
 // Frame payloads use the same Buffer/Reader primitives as the distributed
 // transport; frame type bytes live in a disjoint range so a client that
@@ -25,6 +36,7 @@
 package agent
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -64,6 +76,16 @@ const DefaultWindow = 1024
 // upload).
 const maxIngestFrame = 1 << 20
 
+// readBuffer sizes each end's frame reader: about 48 MsgSend frames of
+// a 64-byte payload per read.
+const readBuffer = 4 << 10
+
+// flushBytes is where a writer stops gathering waiting frames and writes
+// them; a batch exceeds it by at most one frame. A buffer that one large
+// frame grew past twice this is dropped after its write rather than kept
+// for the connection's lifetime.
+const flushBytes = 4 << 10
+
 // outQueueDepth bounds the per-connection outbound frame queue; deliveries
 // beyond it are dropped (credits ride a side channel and are never lost).
 const outQueueDepth = 256
@@ -73,6 +95,7 @@ type ingestRun struct {
 	id    string
 	agent *Agent
 	hosts []model.NodeID
+	index map[model.NodeID]int // hosts inverted, for framing deliveries
 }
 
 // Ingest accepts agent connections and routes them to registered runs.
@@ -114,8 +137,12 @@ func NewIngest(window int) *Ingest {
 // afterwards. Call before the simulation starts accepting pump epochs is
 // not required — attaching is valid at any point of the run's life.
 func (g *Ingest) Register(id string, a *Agent, hosts []model.NodeID) {
+	index := make(map[model.NodeID]int, len(hosts))
+	for i, h := range hosts {
+		index[h] = i
+	}
 	g.mu.Lock()
-	g.runs[id] = &ingestRun{id: id, agent: a, hosts: hosts}
+	g.runs[id] = &ingestRun{id: id, agent: a, hosts: hosts, index: index}
 	g.mu.Unlock()
 }
 
@@ -276,13 +303,14 @@ func (ic *ingestConn) retire() {
 // the writer goroutine draining deliveries and credits concurrently.
 func (ic *ingestConn) serve() {
 	defer ic.retire()
-	if err := ic.attach(); err != nil {
+	br := bufio.NewReaderSize(ic.c, readBuffer)
+	if err := ic.attach(br); err != nil {
 		ic.fail(err)
 		return
 	}
 	go ic.writeLoop()
 	for {
-		typ, payload, err := wire.ReadFrame(ic.c, maxIngestFrame)
+		typ, payload, err := wire.ReadFrame(br, maxIngestFrame)
 		if err != nil {
 			return // disconnect (or teardown closed the socket under us)
 		}
@@ -306,8 +334,8 @@ func (ic *ingestConn) serve() {
 
 // attach performs the handshake: the first frame must be MsgAttach naming
 // a registered run.
-func (ic *ingestConn) attach() error {
-	typ, payload, err := wire.ReadFrame(ic.c, maxIngestFrame)
+func (ic *ingestConn) attach(br *bufio.Reader) error {
+	typ, payload, err := wire.ReadFrame(br, maxIngestFrame)
 	if err != nil {
 		return err
 	}
@@ -340,7 +368,8 @@ func (ic *ingestConn) attach() error {
 }
 
 // fail best-effort reports err to the client before the teardown in
-// retire closes the socket.
+// retire closes the socket. Its frame is one Write call, as is each of
+// writeLoop's batches, so it never lands inside a batch.
 func (ic *ingestConn) fail(err error) {
 	var b wire.Buffer
 	b.String(err.Error())
@@ -371,9 +400,9 @@ func (ic *ingestConn) handleSend(payload []byte) error {
 	ic.g.sent.Add(1)
 	ic.seq++
 	key := ic.id<<32 | (ic.seq & 0xffffffff)
-	// BytesView aliases the read buffer; the message outlives this frame.
-	own := append([]byte(nil), body...)
-	ic.run.agent.SendKeyed(hosts[from], hosts[to], own, key, ic.onInject)
+	// body aliases the frame's payload, which ReadFrame allocated for this
+	// frame alone, so the message may keep it.
+	ic.run.agent.SendKeyed(hosts[from], hosts[to], body, key, ic.onInject)
 	return nil
 }
 
@@ -395,18 +424,21 @@ func (ic *ingestConn) handleListen(payload []byte) error {
 	if r.Err() != nil {
 		return fmt.Errorf("agent: bad listen frame: %w", r.Err())
 	}
-	hosts := ic.run.hosts
-	if int(h) >= len(hosts) {
-		return fmt.Errorf("agent: host index %d out of range (%d hosts)", h, len(hosts))
+	run := ic.run
+	if int(h) >= len(run.hosts) {
+		return fmt.Errorf("agent: host index %d out of range (%d hosts)", h, len(run.hosts))
 	}
-	node := hosts[h]
-	ic.run.agent.ListenFunc(node, func(m Message) bool {
+	run.agent.ListenFunc(run.hosts[h], func(m Message) bool {
 		if ic.dead.Load() {
 			ic.g.dropped.Add(1)
 			return false
 		}
+		from, ok := run.index[m.From]
+		if !ok {
+			from = -1
+		}
 		var b wire.Buffer
-		b.U32(uint32(hostIndex(hosts, m.From)))
+		b.U32(uint32(from))
 		b.U32(h)
 		b.I64(int64(m.InjectedAt))
 		b.I64(int64(m.DeliveredAt))
@@ -423,48 +455,63 @@ func (ic *ingestConn) handleListen(payload []byte) error {
 	return nil
 }
 
-// hostIndex maps a node id back to its host-table index (linear scan is
-// fine: deliveries already cross a channel; callers needing speed keep
-// their own map).
-func hostIndex(hosts []model.NodeID, n model.NodeID) int {
-	for i, h := range hosts {
-		if h == n {
-			return i
-		}
-	}
-	return -1
-}
-
-// writeLoop drains credits and deliveries to the socket. Credits are an
-// atomic side channel, never queued, so a delivery flood (or drop storm)
-// cannot starve the backpressure signal.
+// writeLoop drains credits and deliveries to the socket. Each wake-up
+// gathers every delivery already queued (up to flushBytes) and the pending
+// credit into one batch and writes it with one call. Credits are an atomic
+// side channel, never queued, so a delivery flood (or drop storm) cannot
+// starve the backpressure signal.
 func (ic *ingestConn) writeLoop() {
+	var buf frameBuf
 	for {
-		if err := ic.flushCredit(); err != nil {
-			ic.teardown()
-			return
-		}
 		select {
 		case <-ic.done:
 			return
 		case <-ic.kick:
 		case f := <-ic.out:
-			if err := wire.WriteFrame(ic.c, f.typ, f.payload); err != nil {
-				ic.teardown()
-				return
+			wire.WriteFrame(&buf, f.typ, f.payload)
+		}
+	gather:
+		for len(buf) < flushBytes {
+			select {
+			case f := <-ic.out:
+				wire.WriteFrame(&buf, f.typ, f.payload)
+			default:
+				break gather
 			}
 		}
+		if n := ic.credit.Swap(0); n > 0 {
+			var b wire.Buffer
+			b.U32(uint32(n))
+			wire.WriteFrame(&buf, MsgCredit, b.B)
+		}
+		if len(buf) == 0 {
+			continue
+		}
+		if _, err := ic.c.Write(buf); err != nil {
+			ic.teardown()
+			return
+		}
+		buf = buf.reuse()
 	}
 }
 
-func (ic *ingestConn) flushCredit() error {
-	n := ic.credit.Swap(0)
-	if n == 0 {
+// frameBuf gathers encoded frames for one Write call: wire.WriteFrame
+// appends a frame to it. Its Write never fails, so WriteFrame's error is
+// not checked.
+type frameBuf []byte
+
+func (b *frameBuf) Write(p []byte) (int, error) {
+	*b = append(*b, p...)
+	return len(p), nil
+}
+
+// reuse empties a written batch for the next one, dropping the array if a
+// large frame grew it past twice flushBytes.
+func (b frameBuf) reuse() frameBuf {
+	if cap(b) > 2*flushBytes {
 		return nil
 	}
-	var b wire.Buffer
-	b.U32(uint32(n))
-	return wire.WriteFrame(ic.c, MsgCredit, b.B)
+	return b[:0]
 }
 
 // ErrIngestClosed reports an operation on a closed ingest client.

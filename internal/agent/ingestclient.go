@@ -1,12 +1,18 @@
 package agent
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
+	"time"
 
 	"massf/internal/wire"
 )
+
+// closeFlush bounds how long Close waits for the frames Send accepted to
+// reach a peer that has stopped reading.
+const closeFlush = time.Second
 
 // Delivery is one completed message framed back to an ingest client.
 type Delivery struct {
@@ -19,8 +25,11 @@ type Delivery struct {
 // Client is the Go client of the ingest wire protocol: one TCP
 // connection attached to a live run, with the server's credit window
 // enforced locally so Send blocks instead of overrunning the daemon.
-// Safe for one sender goroutine plus the internal reader; wrap Send
-// externally to share a connection between senders.
+// Send and Listen encode their frame into a pending batch and return; a
+// writer goroutine writes whatever has gathered in one call whenever it
+// is idle, so frames pile up only while a write is in flight, and the
+// credit window bounds them. Safe for concurrent senders; frames go out
+// in the order their calls took the client's lock.
 type Client struct {
 	c     net.Conn
 	hosts int
@@ -29,7 +38,11 @@ type Client struct {
 	cond    *sync.Cond
 	credits int
 	err     error
+	pending frameBuf    // encoded frames not yet handed to the writer
+	scratch wire.Buffer // Send's payload encoding, reused
 
+	wake       chan struct{} // pending gained frames, or err was set
+	writerDone chan struct{}
 	deliveries chan Delivery
 	closeOnce  sync.Once
 }
@@ -50,7 +63,8 @@ func Dial(addr, runID string, window int) (*Client, error) {
 		c.Close()
 		return nil, err
 	}
-	typ, payload, err := wire.ReadFrame(c, maxIngestFrame)
+	br := bufio.NewReaderSize(c, readBuffer)
+	typ, payload, err := wire.ReadFrame(br, maxIngestFrame)
 	if err != nil {
 		c.Close()
 		return nil, err
@@ -77,10 +91,13 @@ func Dial(addr, runID string, window int) (*Client, error) {
 		c:          c,
 		hosts:      int(hosts),
 		credits:    int(granted),
+		wake:       make(chan struct{}, 1),
+		writerDone: make(chan struct{}),
 		deliveries: make(chan Delivery, 256),
 	}
 	cl.cond = sync.NewCond(&cl.mu)
-	go cl.readLoop()
+	go cl.readLoop(br)
+	go cl.writeLoop()
 	return cl, nil
 }
 
@@ -90,8 +107,9 @@ func (cl *Client) Hosts() int { return cl.hosts }
 
 // Send injects one message from host index from to host index to,
 // blocking while the send window is closed — the client-visible form of
-// the server's backpressure. It returns the connection error once the
-// server is gone.
+// the server's backpressure. It returns once the frame is queued for the
+// writer, and the connection error once the server is gone or a write
+// failed.
 func (cl *Client) Send(from, to int, payload []byte) error {
 	cl.mu.Lock()
 	for cl.credits <= 0 && cl.err == nil {
@@ -102,29 +120,68 @@ func (cl *Client) Send(from, to int, payload []byte) error {
 		return cl.err
 	}
 	cl.credits--
+	cl.scratch.B = cl.scratch.B[:0]
+	cl.scratch.U32(uint32(from))
+	cl.scratch.U32(uint32(to))
+	cl.scratch.Bytes(payload)
+	wire.WriteFrame(&cl.pending, MsgSend, cl.scratch.B)
 	cl.mu.Unlock()
-	var b wire.Buffer
-	b.U32(uint32(from))
-	b.U32(uint32(to))
-	b.Bytes(payload)
-	if err := wire.WriteFrame(cl.c, MsgSend, b.B); err != nil {
-		cl.fail(err)
-		return err
-	}
+	cl.signal()
 	return nil
 }
 
 // Listen subscribes the connection to deliveries for host index h; they
 // arrive on Deliveries. A slow reader loses deliveries at the server (the
-// drop-don't-stall contract), never credits.
+// drop-don't-stall contract), never credits. The subscription reaches the
+// server before any later Send.
 func (cl *Client) Listen(h int) error {
 	var b wire.Buffer
 	b.U32(uint32(h))
-	if err := wire.WriteFrame(cl.c, MsgListen, b.B); err != nil {
-		cl.fail(err)
-		return err
+	cl.mu.Lock()
+	if cl.err != nil {
+		cl.mu.Unlock()
+		return cl.err
 	}
+	wire.WriteFrame(&cl.pending, MsgListen, b.B)
+	cl.mu.Unlock()
+	cl.signal()
 	return nil
+}
+
+// signal wakes the writer without blocking; one token covers every
+// change since its last look.
+func (cl *Client) signal() {
+	select {
+	case cl.wake <- struct{}{}:
+	default:
+	}
+}
+
+// writeLoop writes the pending batch in one call each time it is woken.
+// Two arrays take turns: the writer takes the pending batch and leaves in
+// its place the array its previous write finished with, never the one it
+// is about to write, so Send cannot append into an array a write still
+// reads. The loop exits after the first batch it takes once the
+// connection has failed or is closing, which is Close's flush.
+func (cl *Client) writeLoop() {
+	defer close(cl.writerDone)
+	var spare frameBuf
+	for range cl.wake {
+		cl.mu.Lock()
+		batch, last := cl.pending, cl.err != nil
+		cl.pending = spare
+		cl.mu.Unlock()
+		if len(batch) > 0 {
+			if _, err := cl.c.Write(batch); err != nil {
+				cl.fail(err)
+				return
+			}
+		}
+		if last {
+			return
+		}
+		spare = batch.reuse()
+	}
 }
 
 // Deliveries is the channel completed messages arrive on after Listen.
@@ -132,11 +189,17 @@ func (cl *Client) Listen(h int) error {
 func (cl *Client) Deliveries() <-chan Delivery { return cl.deliveries }
 
 // Close tears the connection down; blocked Sends return ErrIngestClosed.
+// Every frame a Send or Listen accepted before Close is written first,
+// unless the peer has not taken it within closeFlush.
 func (cl *Client) Close() error {
+	cl.c.SetWriteDeadline(time.Now().Add(closeFlush))
 	cl.fail(ErrIngestClosed)
+	<-cl.writerDone
 	return cl.c.Close()
 }
 
+// fail records the connection's terminal error (the first one wins),
+// releases blocked Sends and wakes the writer for its last batch.
 func (cl *Client) fail(err error) {
 	cl.mu.Lock()
 	if cl.err == nil {
@@ -144,14 +207,15 @@ func (cl *Client) fail(err error) {
 	}
 	cl.cond.Broadcast()
 	cl.mu.Unlock()
+	cl.signal()
 }
 
 // readLoop dispatches server frames: credits reopen the send window,
 // deliveries go to the channel, errors terminate the connection.
-func (cl *Client) readLoop() {
+func (cl *Client) readLoop(br *bufio.Reader) {
 	defer cl.closeOnce.Do(func() { close(cl.deliveries) })
 	for {
-		typ, payload, err := wire.ReadFrame(cl.c, maxIngestFrame)
+		typ, payload, err := wire.ReadFrame(br, maxIngestFrame)
 		if err != nil {
 			cl.fail(err)
 			return
@@ -176,7 +240,7 @@ func (cl *Client) readLoop() {
 				InjectedNS:  r.I64(),
 				DeliveredNS: r.I64(),
 			}
-			d.Payload = append([]byte(nil), r.BytesView()...)
+			d.Payload = r.BytesView() // ReadFrame's payload is this frame's alone
 			if r.Err() != nil {
 				cl.fail(fmt.Errorf("agent: bad delivery frame: %w", r.Err()))
 				return

@@ -96,10 +96,6 @@ type Invariants struct {
 	// KernelPerWindow runs des.Kernel.VerifyInvariants on each engine's
 	// kernel after every exchange phase.
 	KernelPerWindow bool
-	// Fail, when non-nil, additionally receives each violation as it is
-	// recorded (on the detecting engine's goroutine). Recording always
-	// happens regardless.
-	Fail func(Violation)
 
 	mu         sync.Mutex
 	violations []Violation
@@ -109,9 +105,6 @@ func (inv *Invariants) record(v Violation) {
 	inv.mu.Lock()
 	inv.violations = append(inv.violations, v)
 	inv.mu.Unlock()
-	if inv.Fail != nil {
-		inv.Fail(v)
-	}
 }
 
 // Violations returns a copy of every violation recorded so far. Safe to
