@@ -10,7 +10,8 @@ GO ?= go
 check: vet build race churn fluid
 
 # vet also runs the export scan: every exported name in internal/ needs a
-# caller outside the tests (scripts/exports.go lists the allowed seams).
+# caller outside the tests, and every exported field a setter outside the
+# tests (scripts/exports.go lists the allowed seams).
 vet:
 	$(GO) vet ./...
 	$(GO) run scripts/exports.go

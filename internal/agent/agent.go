@@ -63,7 +63,7 @@ type Agent struct {
 	mu        sync.Mutex
 	inbox     map[int][]Message // per engine: awaiting injection
 	names     map[string]model.NodeID
-	listeners map[model.NodeID]chan Message
+	listeners map[model.NodeID]chan Message // Listen's channels, for Close
 	sinks     map[model.NodeID]func(Message) bool
 	seq       uint64
 	dropped   uint64
@@ -117,18 +117,27 @@ func (a *Agent) Resolve(name string) (model.NodeID, bool) {
 	return n, ok
 }
 
-// Listen returns the delivery channel for host n. Messages arriving for n
-// are pushed to it; if the channel is full the message is dropped (and
-// counted), never blocking the simulation. Listen may be called once per
+// Listen returns the delivery channel for host n: a ListenFunc sink that
+// pushes each message arriving for n without blocking; if the channel is
+// full the message is dropped (and counted), never blocking the
+// simulation. Close closes the channel. Listen may be called once per
 // host.
 func (a *Agent) Listen(n model.NodeID, buffer int) <-chan Message {
 	if buffer <= 0 {
 		buffer = 64
 	}
 	ch := make(chan Message, buffer)
+	a.ListenFunc(n, func(m Message) bool {
+		select {
+		case ch <- m:
+			return true
+		default:
+			return false
+		}
+	})
 	a.mu.Lock()
-	defer a.mu.Unlock()
 	a.listeners[n] = ch
+	a.mu.Unlock()
 	return ch
 }
 
@@ -187,7 +196,6 @@ func (a *Agent) ListenFunc(n model.NodeID, fn func(Message) bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.sinks[n] = fn
-	delete(a.listeners, n)
 }
 
 // drain runs on engine e's goroutine: it injects every queued message
@@ -224,28 +232,14 @@ func (a *Agent) drain(e int, now des.Time) {
 	}
 }
 
-// deliver pushes a completed message to its listener, if any.
+// deliver hands a completed message to its host's sink, if any.
 func (a *Agent) deliver(m Message) {
 	a.mu.Lock()
 	sink := a.sinks[m.To]
-	ch := a.listeners[m.To]
 	a.mu.Unlock()
-	if sink != nil {
-		if sink(m) {
-			a.count(&a.delivered)
-		} else {
-			a.count(&a.dropped)
-		}
-		return
-	}
-	if ch == nil {
-		a.count(&a.dropped)
-		return
-	}
-	select {
-	case ch <- m:
+	if sink != nil && sink(m) {
 		a.count(&a.delivered)
-	default:
+	} else {
 		a.count(&a.dropped)
 	}
 }
@@ -264,7 +258,7 @@ func (a *Agent) Counters() Counters {
 	return Counters{Sent: a.sent, Injected: a.injected, Delivered: a.delivered, Dropped: a.dropped}
 }
 
-// Close closes every listener channel, releasing live goroutines blocked
+// Close closes every Listen channel, releasing live goroutines blocked
 // on them. Call only after the simulation's Run has returned.
 func (a *Agent) Close() {
 	a.mu.Lock()

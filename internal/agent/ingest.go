@@ -14,21 +14,24 @@
 //     the kernel, so a client can never buffer more than its window
 //     inside the daemon — the explicit backpressure signal, and the bound
 //     that keeps daemon memory finite at thousands of connections;
-//   - drop-don't-stall delivery: completed messages are framed back on a
-//     bounded per-connection queue; a consumer too slow to drain it loses
-//     deliveries (counted) rather than ever blocking the simulation or
-//     its neighbors;
+//   - drop-don't-stall delivery: completed messages are framed into the
+//     connection's outbox while fewer than outBudget bytes wait there; a
+//     consumer too slow to take them loses deliveries (counted) rather
+//     than ever blocking the simulation or its neighbors;
 //   - batched I/O: each end reads frames through a buffer, so one read
-//     brings in dozens of small frames, and writes every frame already
-//     waiting in one call, so a burst of sends, deliveries or credits
-//     costs one system call rather than one per frame. Client.Close
-//     writes every frame a returned Send or Listen queued before it
-//     closes the socket, giving up after closeFlush on a peer that has
-//     stopped reading.
+//     brings in dozens of small frames, and queues outgoing frames in an
+//     outbox whose one writer sends everything waiting in one call, so a
+//     burst of sends, deliveries or credits costs one system call rather
+//     than one per frame. The server's writer folds every credit granted
+//     since its last batch into that batch, so credits are never dropped.
+//     Client.Close writes every frame a returned Send or Listen queued
+//     before it closes the socket, giving up after closeFlush on a peer
+//     that has stopped reading.
 //
 // A connection therefore holds, per side, its credit window's worth of
-// payloads plus two small buffers (readBuffer to read, about flushBytes
-// to write), which is what keeps thousands of connections affordable.
+// payloads, a readBuffer to read, and its outbox: on the server at most
+// outBudget plus one frame pending, and as much again in the batch being
+// written. That bound is what keeps thousands of connections affordable.
 //
 // Frame payloads use the same Buffer/Reader primitives as the distributed
 // transport; frame type bytes live in a disjoint range so a client that
@@ -37,8 +40,10 @@ package agent
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -80,15 +85,10 @@ const maxIngestFrame = 1 << 20
 // a 64-byte payload per read.
 const readBuffer = 4 << 10
 
-// flushBytes is where a writer stops gathering waiting frames and writes
-// them; a batch exceeds it by at most one frame. A buffer that one large
-// frame grew past twice this is dropped after its write rather than kept
-// for the connection's lifetime.
-const flushBytes = 4 << 10
-
-// outQueueDepth bounds the per-connection outbound frame queue; deliveries
-// beyond it are dropped (credits ride a side channel and are never lost).
-const outQueueDepth = 256
+// outBudget bounds the deliveries a connection's outbox holds while its
+// writer is busy: a delivery that finds this many bytes pending is
+// dropped. Credits are appended at write time and never dropped.
+const outBudget = 64 << 10
 
 // ingestRun is one registered live run.
 type ingestRun struct {
@@ -246,12 +246,6 @@ func (g *Ingest) Gather() []telemetry.Point {
 	}
 }
 
-// outFrame is one encoded frame awaiting the writer goroutine.
-type outFrame struct {
-	typ     byte
-	payload []byte
-}
-
 // ingestConn is one client connection's server-side state.
 type ingestConn struct {
 	g  *Ingest
@@ -266,49 +260,45 @@ type ingestConn struct {
 	credit      atomic.Int64
 	window      int64
 
-	out  chan outFrame
-	kick chan struct{}
-	done chan struct{}
-	dead atomic.Bool
+	ob *outbox
 
 	seq uint64 // per-connection message sequence (ordering key low bits)
 }
 
 func newIngestConn(g *Ingest, c net.Conn, id uint64) *ingestConn {
-	return &ingestConn{
-		g: g, c: c, id: id,
-		out:  make(chan outFrame, outQueueDepth),
-		kick: make(chan struct{}, 1),
-		done: make(chan struct{}),
-	}
+	return &ingestConn{g: g, c: c, id: id, ob: newOutbox()}
 }
 
-// teardown closes the socket and stops the writer; idempotent.
+// teardown closes the outbox and the socket, which ends the writer and
+// any Write it is stuck in; idempotent.
 func (ic *ingestConn) teardown() {
-	if ic.dead.Swap(true) {
-		return
-	}
-	close(ic.done)
+	ic.ob.close()
 	ic.c.Close()
 }
 
+// retire tears the connection down, waits for its writer and forgets it.
 func (ic *ingestConn) retire() {
 	ic.teardown()
+	<-ic.ob.done
 	ic.g.mu.Lock()
 	delete(ic.g.conns, ic)
 	ic.g.mu.Unlock()
 }
 
 // serve runs the connection: attach handshake, then the read loop, with
-// the writer goroutine draining deliveries and credits concurrently.
+// the outbox's writer sending deliveries and credits concurrently.
 func (ic *ingestConn) serve() {
+	go func() {
+		if ic.ob.run(ic.c, ic.appendCredit) != nil {
+			ic.teardown()
+		}
+	}()
 	defer ic.retire()
 	br := bufio.NewReaderSize(ic.c, readBuffer)
 	if err := ic.attach(br); err != nil {
 		ic.fail(err)
 		return
 	}
-	go ic.writeLoop()
 	for {
 		typ, payload, err := wire.ReadFrame(br, maxIngestFrame)
 		if err != nil {
@@ -369,7 +359,7 @@ func (ic *ingestConn) attach(br *bufio.Reader) error {
 
 // fail best-effort reports err to the client before the teardown in
 // retire closes the socket. Its frame is one Write call, as is each of
-// writeLoop's batches, so it never lands inside a batch.
+// the outbox's batches, so it never lands inside a batch.
 func (ic *ingestConn) fail(err error) {
 	var b wire.Buffer
 	b.String(err.Error())
@@ -411,10 +401,19 @@ func (ic *ingestConn) handleSend(payload []byte) error {
 func (ic *ingestConn) onInject() {
 	ic.outstanding.Add(-1)
 	ic.credit.Add(1)
-	select {
-	case ic.kick <- struct{}{}:
-	default:
+	ic.ob.signal()
+}
+
+// appendCredit is the writer's last step before each Write: it folds every
+// credit granted since the previous batch into one MsgCredit frame.
+func (ic *ingestConn) appendCredit(batch []byte) []byte {
+	n := ic.credit.Swap(0)
+	if n == 0 {
+		return batch
 	}
+	var p [4]byte
+	binary.LittleEndian.PutUint32(p[:], uint32(n))
+	return wire.AppendFrame(batch, MsgCredit, p[:])
 }
 
 // handleListen subscribes the connection to a host's deliveries.
@@ -429,10 +428,6 @@ func (ic *ingestConn) handleListen(payload []byte) error {
 		return fmt.Errorf("agent: host index %d out of range (%d hosts)", h, len(run.hosts))
 	}
 	run.agent.ListenFunc(run.hosts[h], func(m Message) bool {
-		if ic.dead.Load() {
-			ic.g.dropped.Add(1)
-			return false
-		}
 		from, ok := run.index[m.From]
 		if !ok {
 			from = -1
@@ -443,75 +438,100 @@ func (ic *ingestConn) handleListen(payload []byte) error {
 		b.I64(int64(m.InjectedAt))
 		b.I64(int64(m.DeliveredAt))
 		b.Bytes(m.Payload)
-		select {
-		case ic.out <- outFrame{typ: MsgDeliver, payload: b.B}:
-			ic.g.delivered.Add(1)
-			return true
-		default:
+		if !ic.ob.add(MsgDeliver, b.B, outBudget) {
 			ic.g.dropped.Add(1)
 			return false
 		}
+		ic.g.delivered.Add(1)
+		ic.ob.signal()
+		return true
 	})
 	return nil
 }
 
-// writeLoop drains credits and deliveries to the socket. Each wake-up
-// gathers every delivery already queued (up to flushBytes) and the pending
-// credit into one batch and writes it with one call. Credits are an atomic
-// side channel, never queued, so a delivery flood (or drop storm) cannot
-// starve the backpressure signal.
-func (ic *ingestConn) writeLoop() {
-	var buf frameBuf
+// outbox queues one end's outgoing frames for a single writer goroutine.
+// Frames are encoded straight into the pending batch; the writer takes the
+// whole batch and writes it with one Write, so a burst of frames costs one
+// system call, and frames pile up only while a write is in flight.
+type outbox struct {
+	mu      sync.Mutex
+	pending []byte
+	closed  bool
+	wake    chan struct{} // one token covers every change since the writer's last look
+	done    chan struct{} // closed when run returns
+}
+
+func newOutbox() *outbox {
+	return &outbox{wake: make(chan struct{}, 1), done: make(chan struct{})}
+}
+
+// add appends one frame to the pending batch. It refuses the frame once
+// the outbox is closed, or when limit > 0 and limit bytes are already
+// pending, so a batch exceeds limit by at most one frame.
+func (o *outbox) add(typ byte, payload []byte, limit int) bool {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.closed || (limit > 0 && len(o.pending) >= limit) {
+		return false
+	}
+	o.pending = wire.AppendFrame(o.pending, typ, payload)
+	return true
+}
+
+// signal wakes the writer without blocking.
+func (o *outbox) signal() {
+	select {
+	case o.wake <- struct{}{}:
+	default:
+	}
+}
+
+// close refuses further frames; the writer writes what is pending and
+// returns.
+func (o *outbox) close() {
+	o.mu.Lock()
+	o.closed = true
+	o.mu.Unlock()
+	o.signal()
+}
+
+// run is the writer loop. Each time it is woken it takes the pending
+// batch, lets extra (if non-nil) append to it, and writes it in one call.
+// Two arrays take turns: the batch taken is replaced by the array the
+// previous write finished with, never the one about to be written, so add
+// cannot append into an array a write still reads. run returns nil after
+// the batch it takes once the outbox is closed, and the error of a failed
+// write, after which the outbox refuses frames.
+func (o *outbox) run(w io.Writer, extra func([]byte) []byte) error {
+	defer close(o.done)
+	var spare []byte
 	for {
-		select {
-		case <-ic.done:
-			return
-		case <-ic.kick:
-		case f := <-ic.out:
-			wire.WriteFrame(&buf, f.typ, f.payload)
+		<-o.wake
+		o.mu.Lock()
+		batch, last := o.pending, o.closed
+		o.pending = spare
+		o.mu.Unlock()
+		if extra != nil {
+			batch = extra(batch)
 		}
-	gather:
-		for len(buf) < flushBytes {
-			select {
-			case f := <-ic.out:
-				wire.WriteFrame(&buf, f.typ, f.payload)
-			default:
-				break gather
+		if len(batch) > 0 {
+			if _, err := w.Write(batch); err != nil {
+				o.mu.Lock()
+				o.closed, o.pending = true, nil
+				o.mu.Unlock()
+				return err
 			}
 		}
-		if n := ic.credit.Swap(0); n > 0 {
-			var b wire.Buffer
-			b.U32(uint32(n))
-			wire.WriteFrame(&buf, MsgCredit, b.B)
+		if last {
+			return nil
 		}
-		if len(buf) == 0 {
-			continue
+		// An array one large frame grew is not kept for the connection's
+		// lifetime.
+		spare = nil
+		if cap(batch) <= 2*outBudget {
+			spare = batch[:0]
 		}
-		if _, err := ic.c.Write(buf); err != nil {
-			ic.teardown()
-			return
-		}
-		buf = buf.reuse()
 	}
-}
-
-// frameBuf gathers encoded frames for one Write call: wire.WriteFrame
-// appends a frame to it. Its Write never fails, so WriteFrame's error is
-// not checked.
-type frameBuf []byte
-
-func (b *frameBuf) Write(p []byte) (int, error) {
-	*b = append(*b, p...)
-	return len(p), nil
-}
-
-// reuse empties a written batch for the next one, dropping the array if a
-// large frame grew it past twice flushBytes.
-func (b frameBuf) reuse() frameBuf {
-	if cap(b) > 2*flushBytes {
-		return nil
-	}
-	return b[:0]
 }
 
 // ErrIngestClosed reports an operation on a closed ingest client.

@@ -25,11 +25,10 @@ type Delivery struct {
 // Client is the Go client of the ingest wire protocol: one TCP
 // connection attached to a live run, with the server's credit window
 // enforced locally so Send blocks instead of overrunning the daemon.
-// Send and Listen encode their frame into a pending batch and return; a
-// writer goroutine writes whatever has gathered in one call whenever it
-// is idle, so frames pile up only while a write is in flight, and the
-// credit window bounds them. Safe for concurrent senders; frames go out
-// in the order their calls took the client's lock.
+// Send and Listen encode their frame into the connection's outbox and
+// return; its writer goroutine writes whatever has gathered in one call,
+// and the credit window bounds what can gather. Safe for concurrent
+// senders; frames go out in the order their calls took the client's lock.
 type Client struct {
 	c     net.Conn
 	hosts int
@@ -38,11 +37,9 @@ type Client struct {
 	cond    *sync.Cond
 	credits int
 	err     error
-	pending frameBuf    // encoded frames not yet handed to the writer
 	scratch wire.Buffer // Send's payload encoding, reused
 
-	wake       chan struct{} // pending gained frames, or err was set
-	writerDone chan struct{}
+	ob         *outbox
 	deliveries chan Delivery
 	closeOnce  sync.Once
 }
@@ -91,13 +88,16 @@ func Dial(addr, runID string, window int) (*Client, error) {
 		c:          c,
 		hosts:      int(hosts),
 		credits:    int(granted),
-		wake:       make(chan struct{}, 1),
-		writerDone: make(chan struct{}),
+		ob:         newOutbox(),
 		deliveries: make(chan Delivery, 256),
 	}
 	cl.cond = sync.NewCond(&cl.mu)
 	go cl.readLoop(br)
-	go cl.writeLoop()
+	go func() {
+		if err := cl.ob.run(c, nil); err != nil {
+			cl.fail(err)
+		}
+	}()
 	return cl, nil
 }
 
@@ -124,9 +124,9 @@ func (cl *Client) Send(from, to int, payload []byte) error {
 	cl.scratch.U32(uint32(from))
 	cl.scratch.U32(uint32(to))
 	cl.scratch.Bytes(payload)
-	wire.WriteFrame(&cl.pending, MsgSend, cl.scratch.B)
+	cl.ob.add(MsgSend, cl.scratch.B, 0)
 	cl.mu.Unlock()
-	cl.signal()
+	cl.ob.signal()
 	return nil
 }
 
@@ -138,50 +138,13 @@ func (cl *Client) Listen(h int) error {
 	var b wire.Buffer
 	b.U32(uint32(h))
 	cl.mu.Lock()
-	if cl.err != nil {
-		cl.mu.Unlock()
-		return cl.err
+	err := cl.err
+	if err == nil {
+		cl.ob.add(MsgListen, b.B, 0)
 	}
-	wire.WriteFrame(&cl.pending, MsgListen, b.B)
 	cl.mu.Unlock()
-	cl.signal()
-	return nil
-}
-
-// signal wakes the writer without blocking; one token covers every
-// change since its last look.
-func (cl *Client) signal() {
-	select {
-	case cl.wake <- struct{}{}:
-	default:
-	}
-}
-
-// writeLoop writes the pending batch in one call each time it is woken.
-// Two arrays take turns: the writer takes the pending batch and leaves in
-// its place the array its previous write finished with, never the one it
-// is about to write, so Send cannot append into an array a write still
-// reads. The loop exits after the first batch it takes once the
-// connection has failed or is closing, which is Close's flush.
-func (cl *Client) writeLoop() {
-	defer close(cl.writerDone)
-	var spare frameBuf
-	for range cl.wake {
-		cl.mu.Lock()
-		batch, last := cl.pending, cl.err != nil
-		cl.pending = spare
-		cl.mu.Unlock()
-		if len(batch) > 0 {
-			if _, err := cl.c.Write(batch); err != nil {
-				cl.fail(err)
-				return
-			}
-		}
-		if last {
-			return
-		}
-		spare = batch.reuse()
-	}
+	cl.ob.signal()
+	return err
 }
 
 // Deliveries is the channel completed messages arrive on after Listen.
@@ -194,12 +157,13 @@ func (cl *Client) Deliveries() <-chan Delivery { return cl.deliveries }
 func (cl *Client) Close() error {
 	cl.c.SetWriteDeadline(time.Now().Add(closeFlush))
 	cl.fail(ErrIngestClosed)
-	<-cl.writerDone
+	<-cl.ob.done
 	return cl.c.Close()
 }
 
 // fail records the connection's terminal error (the first one wins),
-// releases blocked Sends and wakes the writer for its last batch.
+// releases blocked Sends and closes the outbox, whose writer then writes
+// its last batch.
 func (cl *Client) fail(err error) {
 	cl.mu.Lock()
 	if cl.err == nil {
@@ -207,7 +171,7 @@ func (cl *Client) fail(err error) {
 	}
 	cl.cond.Broadcast()
 	cl.mu.Unlock()
-	cl.signal()
+	cl.ob.close()
 }
 
 // readLoop dispatches server frames: credits reopen the send window,

@@ -265,3 +265,94 @@ func TestIngestCloseStalledPeer(t *testing.T) {
 		t.Errorf("Close took %v against a stalled peer, want about %v", d, closeFlush)
 	}
 }
+
+// TestIngestStalledListenerBounded: a connection that listens and then
+// never reads holds at most outBudget plus one frame of deliveries in its
+// outbox, sheds the rest (counted), and costs another client none of its
+// sends; Ingest.Close, which waits for every connection's writer, still
+// returns while that writer is stuck in a Write.
+func TestIngestStalledListenerBounded(t *testing.T) {
+	s, hosts := ingestSim(t, 1, 1, 600*des.Second)
+	a := New(s, des.Millisecond)
+	g := NewIngest(0)
+	addr := serveIngest(t, g, "run", a, hosts)
+
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	raw.(*net.TCPConn).SetReadBuffer(4 << 10)
+	var b wire.Buffer
+	b.String("run")
+	b.U32(0)
+	if err := wire.WriteFrame(raw, MsgAttach, b.B); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, err := wire.ReadFrame(raw, maxIngestFrame); err != nil || typ != MsgAttachOK {
+		t.Fatalf("attach: type 0x%02x, %v", typ, err)
+	}
+	b.B = b.B[:0]
+	b.U32(3)
+	if err := wire.WriteFrame(raw, MsgListen, b.B); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		return a.sinks[hosts[3]] != nil
+	})
+	g.mu.Lock()
+	var stalled *ingestConn
+	for ic := range g.conns {
+		stalled = ic
+	}
+	g.mu.Unlock()
+	pending := func() int {
+		stalled.ob.mu.Lock()
+		defer stalled.ob.mu.Unlock()
+		return len(stalled.ob.pending)
+	}
+
+	cl, err := Dial(addr, "run", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s.Run()
+	}()
+	payload := make([]byte, 32<<10)
+	frame := len(wire.AppendFrame(nil, MsgDeliver, make([]byte, 4+4+8+8+4+len(payload))))
+	most, sent := 0, 0
+	waitFor(t, func() bool {
+		for i := 0; i < 32; i++ {
+			if err := cl.Send(0, 3, payload); err != nil {
+				t.Fatal(err)
+			}
+			sent++
+			most = max(most, pending())
+		}
+		_, _, _, dropped := g.Counters()
+		return dropped > 0
+	})
+	if most > outBudget+frame {
+		t.Errorf("%d B pending on the stalled connection, want at most %d + %d", most, outBudget, frame)
+	}
+	waitFor(t, func() bool { n, _, _, _ := g.Counters(); return n == uint64(sent) })
+	s.Stop()
+	<-done
+
+	closed := make(chan struct{})
+	go func() {
+		g.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Ingest.Close hung on a connection whose writer is stuck")
+	}
+}

@@ -557,7 +557,7 @@ func expectWorkerError(t *testing.T, err error, wantIdx int, wantName string) *W
 func TestCorruptFrameBlamesWorker(t *testing.T) {
 	evil, errc, werr := realThenManual(t, fastOpts(), "evil")
 	// Build a valid frame, then flip one payload byte: the CRC must catch it.
-	frame := captureFrame(t, wire.MsgWindowDone, encodeWindowDone(nil, pdes.WindowDone{Window: 0}))
+	frame := wire.AppendFrame(nil, wire.MsgWindowDone, encodeWindowDone(nil, pdes.WindowDone{Window: 0}))
 	frame[len(frame)-6] ^= 0x40
 	if _, err := evil.peers[0].Write(frame); err != nil {
 		t.Fatal(err)
@@ -574,7 +574,7 @@ func TestCorruptFrameBlamesWorker(t *testing.T) {
 
 func TestTruncatedFrameBlamesWorker(t *testing.T) {
 	evil, errc, werr := realThenManual(t, fastOpts(), "evil")
-	frame := captureFrame(t, wire.MsgWindowDone, encodeWindowDone(nil, pdes.WindowDone{Window: 0}))
+	frame := wire.AppendFrame(nil, wire.MsgWindowDone, encodeWindowDone(nil, pdes.WindowDone{Window: 0}))
 	if _, err := evil.peers[0].Write(frame[:len(frame)/2]); err != nil {
 		t.Fatal(err)
 	}
@@ -726,21 +726,4 @@ func TestDisagreeingSummaryBlamed(t *testing.T) {
 	if !strings.Contains(err.Error(), "disagrees") {
 		t.Fatalf("want a summary mismatch, got %v", err)
 	}
-}
-
-// captureFrame renders one frame to bytes.
-func captureFrame(t *testing.T, typ byte, payload []byte) []byte {
-	t.Helper()
-	var buf frameBuf
-	if err := wire.WriteFrame(&buf, typ, payload); err != nil {
-		t.Fatal(err)
-	}
-	return buf.b
-}
-
-type frameBuf struct{ b []byte }
-
-func (f *frameBuf) Write(p []byte) (int, error) {
-	f.b = append(f.b, p...)
-	return len(p), nil
 }

@@ -39,7 +39,8 @@ type WorkerTransport struct {
 	// Exchange scratch, reused across windows.
 	outs  [][]wire.Event // by worker index
 	in    []wire.Event
-	enc   []byte
+	enc   []byte          // a peer's MsgWindowDone payload
+	frame []byte          // that payload framed
 	sends chan sendResult // big frames' writes
 
 	sum     summary // the run so far, as every worker folds it
@@ -102,11 +103,15 @@ func (t *WorkerTransport) Exchange(d pdes.WindowDone) (pdes.WindowGo, error) {
 		t.enc = encodeWindowDone(t.enc[:0], pdes.WindowDone{
 			Window: d.Window, MaxBusy: d.MaxBusy, LocalNext: next, Stop: d.Stop, Events: t.outs[j],
 		})
-		if len(t.enc) > bigFrame {
-			payload := slices.Clone(t.enc)
+		t.frame = wire.AppendFrame(t.frame[:0], wire.MsgWindowDone, t.enc)
+		if len(t.frame) > bigFrame {
+			frame := slices.Clone(t.frame)
 			async++
-			go func() { t.sends <- sendResult{j, wire.WriteFrame(p.conn, wire.MsgWindowDone, payload)} }()
-		} else if err := wire.WriteFrame(p.conn, wire.MsgWindowDone, t.enc); err != nil {
+			go func() {
+				_, err := p.conn.Write(frame)
+				t.sends <- sendResult{j, err}
+			}()
+		} else if _, err := p.conn.Write(t.frame); err != nil {
 			return pdes.WindowGo{}, t.fail(j, fmt.Errorf("dist: send window %d to worker %d: %w", d.Window, j, err))
 		}
 	}

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 // Version is the protocol version byte. A peer speaking a different
@@ -79,19 +80,22 @@ var (
 
 var magic = [2]byte{'M', 'F'}
 
+// AppendFrame appends one encoded frame to dst and returns the extended
+// slice, so a caller can gather several frames for one Write.
+func AppendFrame(dst []byte, typ byte, payload []byte) []byte {
+	start := len(dst)
+	dst = slices.Grow(dst, headerSize+len(payload)+trailerSize)
+	dst = append(dst, magic[0], magic[1], Version, typ)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = append(dst, payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
 // WriteFrame encodes and writes one frame. It performs exactly one Write
 // call so frames interleave safely when the caller serializes writers with
 // a mutex.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
-	buf := make([]byte, headerSize+len(payload)+trailerSize)
-	buf[0], buf[1] = magic[0], magic[1]
-	buf[2] = Version
-	buf[3] = typ
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(payload)))
-	copy(buf[headerSize:], payload)
-	sum := crc32.ChecksumIEEE(buf[:headerSize+len(payload)])
-	binary.LittleEndian.PutUint32(buf[headerSize+len(payload):], sum)
-	_, err := w.Write(buf)
+	_, err := w.Write(AppendFrame(nil, typ, payload))
 	return err
 }
 

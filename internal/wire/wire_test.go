@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"io"
 	"testing"
@@ -55,6 +56,45 @@ func TestFrameRejectsCorruption(t *testing.T) {
 				t.Fatalf("byte %d ^ %#x: untyped error %v", i, delta, err)
 			}
 		}
+	}
+}
+
+// TestAppendFrame pins AppendFrame to WriteFrame's bytes and to the frame
+// format byte for byte, and checks that frames appended after a prefix
+// leave it intact and read back in order.
+func TestAppendFrame(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, MsgWindowDone, []byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	got := AppendFrame(nil, MsgWindowDone, []byte("hello"))
+	if !bytes.Equal(got, buf.Bytes()) {
+		t.Fatalf("AppendFrame % x, WriteFrame % x", got, buf.Bytes())
+	}
+	// magic, version, type, length 5, "hello", CRC32 (IEEE) of all before it.
+	want, _ := hex.DecodeString("4d4601030500000068656c6c6f50d597ba")
+	if !bytes.Equal(got, want) {
+		t.Fatalf("frame % x, want % x", got, want)
+	}
+
+	prefix := []byte("prefix")
+	b := AppendFrame(append([]byte(nil), prefix...), MsgHello, []byte("one"))
+	b = AppendFrame(b, MsgAbort, bytes.Repeat([]byte{0xCD}, 3000))
+	if !bytes.Equal(b[:len(prefix)], prefix) {
+		t.Fatalf("prefix overwritten: %q", b[:len(prefix)])
+	}
+	r := bytes.NewReader(b[len(prefix):])
+	for _, f := range []struct {
+		typ     byte
+		payload []byte
+	}{{MsgHello, []byte("one")}, {MsgAbort, bytes.Repeat([]byte{0xCD}, 3000)}} {
+		typ, p, err := ReadFrame(r, 0)
+		if err != nil || typ != f.typ || !bytes.Equal(p, f.payload) {
+			t.Fatalf("read type %d (%d B, %v), want type %d (%d B)", typ, len(p), err, f.typ, len(f.payload))
+		}
+	}
+	if r.Len() != 0 {
+		t.Fatalf("%d trailing bytes", r.Len())
 	}
 }
 

@@ -2,9 +2,13 @@
 
 // exports reports every exported package-level func, type or method
 // declared in internal/ that no non-test file of the module uses outside
-// its own declaration. bench/, cmd/ and examples/ count as callers; files
-// named *_test.go do not. A method that implements an interface method is
-// skipped: dynamic dispatch calls it without naming it.
+// its own declaration, and every exported field of an exported struct
+// there that no non-test file sets: by key or position in a composite
+// literal, by assignment or ++/--, or by taking its address. bench/, cmd/
+// and examples/ count as callers; files named *_test.go do not. A method
+// that implements an interface method is skipped: dynamic dispatch calls
+// it without naming it. A JSON-tagged field is skipped: the decoder sets
+// it.
 //
 // Run from the repository root:
 //
@@ -27,10 +31,13 @@ import (
 	"strings"
 )
 
-// seams are exported names that only tests call, kept on purpose.
+// seams are exported names that only tests call, and fields that only
+// tests set, kept on purpose.
 var seams = map[string]string{
 	"massf/internal/pdes.Engine.InjectLookaheadViolation": "fault injection for the lookahead invariant checker",
 	"massf/internal/graph.Graph.Validate":                 "the structural checker the graph and core tests use",
+	"massf/internal/pdes.Invariants.KernelPerWindow":      "the fuzz target and invariant tests switch on the per-window kernel check",
+	"massf/internal/des.KernelInvariants.EveryStep":       "the kernel fuzz and oracle tests run the structural checker after every event",
 }
 
 // stdIfaces are standard-library interfaces the module satisfies without
@@ -130,7 +137,7 @@ func main() {
 		os.Exit(2)
 	}
 	if len(unused) > 0 {
-		fmt.Fprintln(os.Stderr, "exported names in internal/ with no caller outside tests (move them into the tests or delete them):")
+		fmt.Fprintln(os.Stderr, "exported names in internal/ with no caller, and fields with no setter, outside tests (move them into the tests or delete them):")
 		for _, u := range unused {
 			fmt.Fprintln(os.Stderr, "  "+u)
 		}
@@ -226,10 +233,11 @@ func scan() ([]string, error) {
 
 	// The declarations under scan, each with the source ranges that do not
 	// count as a use: its own declaration and, for a type, the receivers
-	// of its methods.
+	// of its methods. Fields are keyed by their declaring *types.Var.
 	type span struct{ from, to token.Pos }
 	decls := map[string][]span{}
 	where := map[string]token.Pos{}
+	fields := map[*types.Var]string{}
 	for path, p := range l.pkgs {
 		if !strings.HasPrefix(path, module+"/internal/") {
 			continue
@@ -265,6 +273,22 @@ func scan() ([]string, error) {
 						k := key(p.info.Defs[ts.Name])
 						decls[k] = append(decls[k], span{ts.Pos(), ts.End()})
 						where[k] = ts.Name.Pos()
+						st, ok := ts.Type.(*ast.StructType)
+						if !ok {
+							continue
+						}
+						for _, fl := range st.Fields.List {
+							if fl.Tag != nil && strings.Contains(fl.Tag.Value, `json:"`) {
+								continue
+							}
+							for _, name := range fl.Names {
+								if name.IsExported() {
+									fk := k + "." + name.Name
+									fields[p.info.Defs[name].(*types.Var)] = fk
+									where[fk] = name.Pos()
+								}
+							}
+						}
 					}
 				}
 			}
@@ -289,6 +313,62 @@ func scan() ([]string, error) {
 			if !inside {
 				used[k] = true
 			}
+		}
+	}
+
+	// A field is used once a non-test file sets it.
+	for _, p := range l.pkgs {
+		set := func(obj types.Object) {
+			if v, ok := obj.(*types.Var); ok && v.IsField() {
+				if k, ok := fields[v.Origin()]; ok {
+					used[k] = true
+				}
+			}
+		}
+		// target marks the field an assigned or address-taken selector
+		// names: x.F.G = v sets G.
+		target := func(e ast.Expr) {
+			if x, ok := e.(*ast.SelectorExpr); ok {
+				set(p.info.Uses[x.Sel])
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					t := p.info.Types[n].Type
+					if ptr, ok := t.(*types.Pointer); ok {
+						t = ptr.Elem()
+					}
+					st, ok := t.Underlying().(*types.Struct)
+					if !ok || len(n.Elts) == 0 {
+						break
+					}
+					if _, keyed := n.Elts[0].(*ast.KeyValueExpr); !keyed {
+						for i := 0; i < st.NumFields(); i++ {
+							set(st.Field(i))
+						}
+					}
+					for _, e := range n.Elts {
+						if kv, ok := e.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								set(p.info.Uses[id])
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, e := range n.Lhs {
+						target(e)
+					}
+				case *ast.IncDecStmt:
+					target(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						target(n.X)
+					}
+				}
+				return true
+			})
 		}
 	}
 
