@@ -48,7 +48,7 @@ type FlowRec struct {
 }
 
 // FlowStarted opens a record for a transfer of bytes from src to dst
-// starting at time at. Returns nil once MaxFlows records exist (the
+// starting at time at. Returns nil once maxFlows records exist (the
 // overflow is counted); callers must tolerate a nil record.
 func (m *Mon) FlowStarted(at des.Time, src, dst model.NodeID, bytes int64) *FlowRec {
 	m.flowMu.Lock()

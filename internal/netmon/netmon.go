@@ -63,18 +63,25 @@ func (c DropCause) String() string {
 	return "unknown"
 }
 
-// Options configures a Mon. Links and Horizon are required; everything
-// else has serviceable defaults.
+// Bounds of a Mon: the bucketed series divide [0, Horizon) into buckets
+// equal windows per link direction; at most maxFlows per-flow records are
+// kept (later flows are counted in Summary().FlowOverflow but not
+// recorded), and at most maxSpans hop spans (excess spans are counted in
+// Summary().SpanOverflow and discarded).
+const (
+	buckets  = 64
+	maxFlows = 8192
+	maxSpans = 65536
+)
+
+// Options configures a Mon. Links and Horizon are required.
 type Options struct {
 	// Links is the number of links in the simulated network (series are
 	// kept per link DIRECTION, 2×Links).
 	Links int
 	// Horizon is the simulated end time; the bucketed series divide
-	// [0, Horizon) into Buckets equal windows.
+	// [0, Horizon) into 64 equal windows.
 	Horizon des.Time
-	// Buckets is the number of time-series buckets per link direction
-	// (default 64).
-	Buckets int
 	// SampleEvery is the packet-path sampling stride k: a packet is
 	// traced when its identity hash ≡ 0 (mod k). 0 disables path tracing
 	// entirely. Sampling is a pure function of packet identity, never of
@@ -84,23 +91,17 @@ type Options struct {
 	// Bandwidths, when non-nil, holds each link's bandwidth in bits/s and
 	// enables utilization figures in LinkReport.
 	Bandwidths []int64
-	// MaxFlows bounds the per-flow records kept (default 8192); flows
-	// beyond it are counted in Summary().FlowOverflow but not recorded.
-	MaxFlows int
-	// MaxSpans bounds stored hop spans (default 65536); excess spans are
-	// counted in Summary().SpanOverflow and discarded.
-	MaxSpans int
 }
 
 // Mon is one run's network observability plane. All record methods are
 // safe for concurrent use by the engine goroutines; all report methods are
 // safe to call while the run is live.
 type Mon struct {
-	links, buckets int
-	bucketNS       int64
-	sample         uint64
-	horizon        des.Time
-	bandwidths     []int64
+	links      int
+	bucketNS   int64
+	sample     uint64
+	horizon    des.Time
+	bandwidths []int64
 
 	// Per-link-direction bucketed series, flat arrays indexed
 	// [dir*buckets + bucket] and written with atomics: adds commute and
@@ -135,35 +136,25 @@ type Mon struct {
 
 // New builds a Mon for a run with the given shape.
 func New(o Options) *Mon {
-	if o.Buckets <= 0 {
-		o.Buckets = 64
-	}
-	if o.MaxFlows <= 0 {
-		o.MaxFlows = 8192
-	}
-	if o.MaxSpans <= 0 {
-		o.MaxSpans = 65536
-	}
-	bucketNS := (int64(o.Horizon) + int64(o.Buckets) - 1) / int64(o.Buckets)
+	bucketNS := (int64(o.Horizon) + buckets - 1) / buckets
 	if bucketNS <= 0 {
 		bucketNS = 1
 	}
 	dirs := 2 * o.Links
 	m := &Mon{
 		links:      o.Links,
-		buckets:    o.Buckets,
 		bucketNS:   bucketNS,
 		sample:     uint64(max(o.SampleEvery, 0)),
 		horizon:    o.Horizon,
 		bandwidths: o.Bandwidths,
-		bits:       make([]uint64, dirs*o.Buckets),
-		qmax:       make([]int64, dirs*o.Buckets),
-		maxFlows:   o.MaxFlows,
-		maxSpans:   o.MaxSpans,
+		bits:       make([]uint64, dirs*buckets),
+		qmax:       make([]int64, dirs*buckets),
+		maxFlows:   maxFlows,
+		maxSpans:   maxSpans,
 		stream:     newFlowStream(),
 	}
 	for c := range m.drops {
-		m.drops[c] = make([]uint64, dirs*o.Buckets)
+		m.drops[c] = make([]uint64, dirs*buckets)
 	}
 	return m
 }
@@ -182,8 +173,8 @@ func (m *Mon) bucketOf(at des.Time) int {
 	if b < 0 {
 		b = 0
 	}
-	if b >= m.buckets {
-		b = m.buckets - 1
+	if b >= buckets {
+		b = buckets - 1
 	}
 	return b
 }
@@ -192,7 +183,7 @@ func (m *Mon) bucketOf(at des.Time) int {
 // queueing for queueNS. dir is 2*link for the A→B direction, 2*link+1 for
 // B→A (the netsim convention: +1 when node B transmits).
 func (m *Mon) LinkSend(dir int, at des.Time, bits int64, queueNS int64) {
-	i := dir*m.buckets + m.bucketOf(at)
+	i := dir*buckets + m.bucketOf(at)
 	atomic.AddUint64(&m.bits[i], uint64(bits))
 	for {
 		old := atomic.LoadInt64(&m.qmax[i])
@@ -210,7 +201,7 @@ func (m *Mon) LinkDrop(dir int, at des.Time, cause DropCause) {
 	if dir < 0 {
 		return
 	}
-	atomic.AddUint64(&m.drops[cause][dir*m.buckets+m.bucketOf(at)], 1)
+	atomic.AddUint64(&m.drops[cause][dir*buckets+m.bucketOf(at)], 1)
 }
 
 // EnsureFluid allocates the fluid per-link series. netsim calls it once
@@ -218,7 +209,7 @@ func (m *Mon) LinkDrop(dir int, at des.Time, cause DropCause) {
 // for the arrays.
 func (m *Mon) EnsureFluid() {
 	if m.fluidBits == nil {
-		m.fluidBits = make([]uint64, 2*m.links*m.buckets)
+		m.fluidBits = make([]uint64, 2*m.links*buckets)
 	}
 }
 
@@ -233,7 +224,7 @@ func (m *Mon) AddFluidBits(dir int, from, to des.Time, rate float64) {
 	if to > m.horizon {
 		to = m.horizon
 	}
-	base := dir * m.buckets
+	base := dir * buckets
 	for b := m.bucketOf(from); b <= m.bucketOf(to-1); b++ {
 		lo, hi := from, to
 		if bs := des.Time(int64(b) * m.bucketNS); bs > lo {

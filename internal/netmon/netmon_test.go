@@ -8,22 +8,23 @@ import (
 )
 
 func TestLinkSeriesAndReport(t *testing.T) {
+	// 64 buckets of 10 ms.
 	m := New(Options{
-		Links: 2, Horizon: 100 * des.Millisecond, Buckets: 10,
+		Links: 2, Horizon: 640 * des.Millisecond,
 		Bandwidths: []int64{1_000_000_000, 1_000_000_000},
 	})
 	// Direction 0 of link 0 carries traffic in two buckets; direction 1 of
 	// link 1 drops.
 	m.LinkSend(0, 5*des.Millisecond, 8000, 1000)
 	m.LinkSend(0, 5*des.Millisecond, 8000, 500) // lower queue: high-water stays
-	m.LinkSend(0, 95*des.Millisecond, 16000, 2500)
-	m.LinkSend(0, 200*des.Millisecond, 8, 0) // past horizon clamps to last bucket
+	m.LinkSend(0, 635*des.Millisecond, 16000, 2500)
+	m.LinkSend(0, 700*des.Millisecond, 8, 0) // past horizon clamps to last bucket
 	m.LinkDrop(3, 15*des.Millisecond, DropTail)
 	m.LinkDrop(3, 15*des.Millisecond, DropFault)
 	m.LinkDrop(-1, 0, DropNoRoute) // unattributed: totals only
 
 	rep := m.LinkReport(0, true)
-	if rep.Buckets != 10 || rep.BucketNS != 10*int64(des.Millisecond) {
+	if rep.Buckets != 64 || rep.BucketNS != 10*int64(des.Millisecond) {
 		t.Fatalf("report shape: %+v", rep)
 	}
 	if len(rep.Links) != 2 {
@@ -33,10 +34,10 @@ func TestLinkSeriesAndReport(t *testing.T) {
 	if d0.Link != 0 || d0.Dir != 0 || d0.Bits != 32008 || d0.QueueMaxNS != 2500 {
 		t.Errorf("dir0 stats: %+v", d0)
 	}
-	if d0.BitsSeries[0] != 16000 || d0.BitsSeries[9] != 16008 {
+	if d0.BitsSeries[0] != 16000 || d0.BitsSeries[63] != 16008 {
 		t.Errorf("bits series: %v", d0.BitsSeries)
 	}
-	if d0.QueueMaxSeries[0] != 1000 || d0.QueueMaxSeries[9] != 2500 {
+	if d0.QueueMaxSeries[0] != 1000 || d0.QueueMaxSeries[63] != 2500 {
 		t.Errorf("queue series: %v", d0.QueueMaxSeries)
 	}
 	if d0.MeanUtil <= 0 || d0.PeakUtil <= d0.MeanUtil {
@@ -93,7 +94,8 @@ func TestSampleTraceDeterministic(t *testing.T) {
 }
 
 func TestFlowLifecycle(t *testing.T) {
-	m := New(Options{Links: 1, Horizon: des.Second, MaxFlows: 2})
+	m := New(Options{Links: 1, Horizon: des.Second})
+	m.maxFlows = 2
 	r := m.FlowStarted(des.Millisecond, 1, 2, 1_000_000)
 	if r == nil {
 		t.Fatal("first record nil")
@@ -170,7 +172,8 @@ func TestFCTHistogramPercentiles(t *testing.T) {
 }
 
 func TestSpansSortGroupAndBound(t *testing.T) {
-	m := New(Options{Links: 4, Horizon: des.Second, MaxSpans: 3})
+	m := New(Options{Links: 4, Horizon: des.Second})
+	m.maxSpans = 3
 	m.Span(HopSpan{Trace: 7, Src: 0, Dst: 3, Node: 1, Link: 1, Kind: SpanHop, Start: 20, End: 30})
 	m.Span(HopSpan{Trace: 7, Src: 0, Dst: 3, Node: 0, Link: 0, Kind: SpanHop, Start: 10, End: 20})
 	m.Span(HopSpan{Trace: 2, Src: 5, Dst: 6, Node: 6, Link: -1, Kind: SpanDeliver, Start: 40, End: 40})

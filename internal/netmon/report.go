@@ -103,13 +103,13 @@ type LinkReport struct {
 // want — with per-bucket series when series is true. top ≤ 0 means all.
 // Safe while the run is live.
 func (m *Mon) LinkReport(top int, series bool) *LinkReport {
-	rep := &LinkReport{BucketNS: m.bucketNS, Buckets: m.buckets, HorizonNS: int64(m.horizon)}
+	rep := &LinkReport{BucketNS: m.bucketNS, Buckets: buckets, HorizonNS: int64(m.horizon)}
 	all := make([]LinkDirStats, 0, 2*m.links)
 	for dir := 0; dir < 2*m.links; dir++ {
 		st := LinkDirStats{Link: dir / 2, Dir: dir & 1}
-		base := dir * m.buckets
+		base := dir * buckets
 		var peakBits uint64
-		for b := 0; b < m.buckets; b++ {
+		for b := 0; b < buckets; b++ {
 			bits := atomic.LoadUint64(&m.bits[base+b])
 			st.Bits += bits
 			if bits > peakBits {
@@ -135,10 +135,10 @@ func (m *Mon) LinkReport(top int, series bool) *LinkReport {
 			st.PeakUtil = float64(peakBits) * float64(des.Second) / (bw * float64(m.bucketNS))
 		}
 		if series {
-			st.BitsSeries = make([]uint64, m.buckets)
-			st.QueueMaxSeries = make([]int64, m.buckets)
-			st.DropsSeries = make([]uint64, m.buckets)
-			for b := 0; b < m.buckets; b++ {
+			st.BitsSeries = make([]uint64, buckets)
+			st.QueueMaxSeries = make([]int64, buckets)
+			st.DropsSeries = make([]uint64, buckets)
+			for b := 0; b < buckets; b++ {
 				st.BitsSeries[b] = atomic.LoadUint64(&m.bits[base+b])
 				st.QueueMaxSeries[b] = atomic.LoadInt64(&m.qmax[base+b])
 				for c := DropCause(0); c < numCauses; c++ {

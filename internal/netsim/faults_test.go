@@ -1,12 +1,14 @@
 package netsim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"massf/internal/des"
 	"massf/internal/faults"
 	"massf/internal/model"
+	"massf/internal/pdes"
 	"massf/internal/routing/interdomain"
 	"massf/internal/telemetry"
 )
@@ -129,14 +131,15 @@ func TestLinkOutageBlackholeThenReroute(t *testing.T) {
 		t.Errorf("rerouted latency %v not above pre-fault %v", post, pre)
 	}
 
-	if got := tel.FaultEvents.Load(); got != 2 {
-		t.Errorf("telemetry fault events = %d, want 2", got)
+	tot := storedTotals(t, tel)
+	if got := tot["massf_net_fault_events_total"]; got != 2 {
+		t.Errorf("telemetry fault events = %v, want 2", got)
 	}
-	if got := tel.FaultDrops.Load(); got != res.FaultDrops[0] {
-		t.Errorf("telemetry fault drops = %d, want %d", got, res.FaultDrops[0])
+	if got := tot["massf_net_fault_drops_total"]; got != float64(res.FaultDrops[0]) {
+		t.Errorf("telemetry fault drops = %v, want %d", got, res.FaultDrops[0])
 	}
-	if got := tel.FaultConverge.Load(); got != 10_000_000 {
-		t.Errorf("telemetry convergence gauge = %dns, want 10ms", got)
+	if got := tot["massf_net_fault_converge_ns"]; got != 10_000_000 {
+		t.Errorf("telemetry convergence gauge = %vns, want 10ms", got)
 	}
 }
 
@@ -204,13 +207,70 @@ func TestNodeOutageDropsAndAttributes(t *testing.T) {
 	}
 }
 
-// A partitioned TCP endpoint keeps retransmitting into a routing table that
-// has no entry for its peer; those no-route losses at the sender (and the
-// receiver's unroutable ACKs) are drops like any other, so the telemetry
-// counter behind massf_net_drops_total must end equal to Result.Dropped.
-func TestPartitionedTCPDropsReachTelemetry(t *testing.T) {
-	// A line h0—r0—r1—r2—r3—h1 with the transfer between its end hosts:
-	// once r1—r2 is down and routing has reconverged there is no detour.
+// storedTotals reads a run's stored totals back through Gather, keyed by
+// metric name (per-engine points summed).
+func storedTotals(t *testing.T, tel *telemetry.SimTelemetry) map[string]float64 {
+	t.Helper()
+	got := map[string]float64{}
+	for _, p := range tel.Gather("r") {
+		got[p.Name] += p.Value
+	}
+	return got
+}
+
+func sum(xs []uint64) (n uint64) {
+	for _, x := range xs {
+		n += x
+	}
+	return n
+}
+
+// TestTelemetryNetTotalsEqualResult checks that a run's stored network
+// totals are the Result's, at every engine count, with and without a
+// fault that partitions the network. On a line h0—r0—r1—r2—r3—h1 with
+// short queues two TCP transfers and a datagram cross between the end
+// hosts; without faults both transfers complete through tail drops. The
+// fault script
+// takes r1—r2 down (no detour: the senders keep retransmitting into a
+// routing table without an entry for their peer, and those no-route losses
+// are drops like any other) and then r2—r3. A finished run's telemetry
+// keeps its totals but no longer reaches into the Sim (a daemon keeps every
+// finished run's telemetry). A pdes-only run, with no
+// network model to report totals, publishes Stats' events, remote events
+// and windows.
+func TestTelemetryNetTotalsEqualResult(t *testing.T) {
+	for _, k := range []int{1, 2, 4} {
+		for _, partitioned := range []bool{false, true} {
+			t.Run(fmt.Sprintf("k=%d/partitioned=%v", k, partitioned), func(t *testing.T) {
+				telemetryTotalsRun(t, k, partitioned)
+			})
+		}
+	}
+	t.Run("pdes-only", func(t *testing.T) {
+		tel := telemetry.New(2, 64)
+		ps, err := pdes.New(pdes.Config{Engines: 2, Window: des.Millisecond, End: 20 * des.Millisecond, Telemetry: tel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w := 0; w < 20; w += 3 {
+			at := des.Time(w) * des.Millisecond
+			ps.Engine(0).Schedule(at, func(des.Time) {
+				ps.Engine(0).ScheduleRemoteEvent(1, at+des.Millisecond, des.Handler(func(des.Time) {}))
+			})
+		}
+		stats := ps.Run()
+		got := tel.Progress()
+		if got.Events != stats.TotalEvents || got.Remote != stats.RemoteEvents || got.Windows != uint64(stats.Windows) || got.Remote == 0 {
+			t.Errorf("published %+v, Stats events %d remote %d windows %d",
+				got, stats.TotalEvents, stats.RemoteEvents, stats.Windows)
+		}
+		if tot := storedTotals(t, tel); tot["massf_net_link_bits_total"] != 0 || tot["massf_net_flows_started_total"] != 0 {
+			t.Errorf("network totals without a network model: %v", tot)
+		}
+	})
+}
+
+func telemetryTotalsRun(t *testing.T, k int, partitioned bool) {
 	net := &model.Network{}
 	var r [4]model.NodeID
 	for i := range r {
@@ -218,45 +278,79 @@ func TestPartitionedTCPDropsReachTelemetry(t *testing.T) {
 	}
 	h0 := net.AddNode(model.Host, 0, 0, 1)
 	h1 := net.AddNode(model.Host, 0, 3, 1)
-	net.AddLink(h0, r[0], 10_000, model.Bps1G)
-	net.AddLink(r[0], r[1], 10_000, model.Bps1G)
-	mid := net.AddLink(r[1], r[2], 10_000, model.Bps1G)
-	net.AddLink(r[2], r[3], 10_000, model.Bps1G)
-	net.AddLink(r[3], h1, 10_000, model.Bps1G)
+	net.AddLink(h0, r[0], 1_000_000, model.Bps1G)
+	net.AddLink(r[0], r[1], 1_000_000, model.Bps1G)
+	mid := net.AddLink(r[1], r[2], 1_000_000, model.Bps1G)
+	tail := net.AddLink(r[2], r[3], 1_000_000, model.Bps1G)
+	net.AddLink(r[3], h1, 1_000_000, model.Bps1G)
 	net.ASes = []model.AS{{ID: 0, Routers: r[:], Hosts: []model.NodeID{h0, h1}, DefaultBorder: -1}}
 	if err := net.Validate(); err != nil {
 		t.Fatalf("test net invalid: %v", err)
 	}
 	routes := interdomain.New(net)
-	plane, err := faults.NewPlane(net, routes, &faults.Script{Events: []faults.Event{
-		{At: 2 * des.Millisecond, Kind: faults.LinkDown, Link: mid, ConvergeNS: 1_000_000},
-	}})
+	cfg := Config{
+		Net: net, Routes: routes, Engines: k,
+		Part:   map[int][]int32{1: nil, 2: {0, 0, 1, 1, 0, 1}, 4: {0, 1, 2, 3, 0, 3}}[k],
+		Window: des.Millisecond, End: 3 * des.Second, QueueBytes: 16_000,
+		Telemetry: telemetry.New(k, 64),
+	}
+	var plane *faults.Plane
+	if partitioned {
+		var err error
+		plane, err = faults.NewPlane(net, routes, &faults.Script{Events: []faults.Event{
+			{At: 20 * des.Millisecond, Kind: faults.LinkDown, Link: mid, ConvergeNS: 10_000_000},
+			{At: 40 * des.Millisecond, Kind: faults.LinkDown, Link: tail, ConvergeNS: 3_000_000},
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Faults = plane
+	}
+	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tel := telemetry.New(1, 64)
-	s, err := New(Config{
-		Net: net, Routes: routes, Engines: 1,
-		Window: 10 * des.Millisecond, End: 3 * des.Second,
-		Faults: plane, Telemetry: tel,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := des.Time(0)
-	s.StartFlowRecv(0, h0, h1, 4_000_000, func(at des.Time) { done = at }, nil)
+	s.StartFlowRecv(0, h0, h1, 4_000_000, nil, nil)
+	s.StartFlowRecv(des.Millisecond, h1, h0, 1_000_000, nil, nil)
+	s.SendUDP(2*des.Millisecond, h0, h1, 1000, nil)
 	res := s.Run()
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if done != 0 {
-		t.Fatalf("transfer completed at %v across a cut line", done)
+	if cfg.Telemetry.Net != nil {
+		t.Error("a finished run's telemetry still reaches into its Sim through Net")
 	}
-	if res.Retransmissions == 0 || res.Dropped <= res.FaultDrops[0] {
-		t.Fatalf("no post-reconvergence retransmission was dropped: %d retransmissions, %d dropped, %d in the blackhole window",
-			res.Retransmissions, res.Dropped, res.FaultDrops[0])
+	var faultEvents, converge, routesAt float64
+	if partitioned {
+		if res.Retransmissions == 0 || res.Dropped <= sum(res.FaultDrops) || sum(res.FaultDrops) == 0 {
+			t.Fatalf("no post-reconvergence retransmission was dropped: %d retransmissions, %d dropped, %d to the faults",
+				res.Retransmissions, res.Dropped, sum(res.FaultDrops))
+		}
+		if res.FlowsCompleted != 0 {
+			t.Fatalf("%d transfers completed across a cut line", res.FlowsCompleted)
+		}
+		faultEvents, converge, routesAt = 2, float64(plane.FaultConvergeNS(1)), float64(plane.FaultRoutesAt(1))
+	} else if res.FlowsCompleted != 2 || res.Dropped == 0 {
+		t.Fatalf("%d of 2 transfers completed with %d tail drops: want both, through drops", res.FlowsCompleted, res.Dropped)
 	}
-	if got := tel.Drops.Load(); got != res.Dropped {
-		t.Errorf("telemetry drops = %d, Result.Dropped = %d", got, res.Dropped)
+	got := storedTotals(t, cfg.Telemetry)
+	for name, want := range map[string]float64{
+		"massf_sim_events_total":          float64(res.TotalEvents),
+		"massf_sim_remote_events_total":   float64(res.RemoteEvents),
+		"massf_engine_events_total":       float64(res.TotalEvents),
+		"massf_net_drops_total":           float64(res.Dropped),
+		"massf_net_delivered_bits_total":  float64(res.DeliveredBits),
+		"massf_net_tcp_retransmits_total": float64(res.Retransmissions),
+		"massf_net_flows_started_total":   float64(res.FlowsStarted),
+		"massf_net_flows_completed_total": float64(res.FlowsCompleted),
+		"massf_net_link_bits_total":       float64(sum(res.LinkBits)),
+		"massf_net_fault_drops_total":     float64(sum(res.FaultDrops)),
+		"massf_net_fault_events_total":    faultEvents,
+		"massf_net_fault_converge_ns":     converge,
+		"massf_net_fault_routes_at_ns":    routesAt,
+	} {
+		if got[name] != want {
+			t.Errorf("stored %s = %v, Result has %v", name, got[name], want)
+		}
 	}
 }

@@ -83,10 +83,12 @@ type Config struct {
 	// KB), i.e. ≈1 ms at 1 Gbps.
 	QueueBytes int64
 	// Telemetry, when non-nil, receives live observability data: the
-	// engine-level per-window records (see pdes.Config.Telemetry) plus
-	// network counters — transmitted link bits (utilization), queue
-	// drops, TCP retransmissions, delivered payload, and flow counts.
-	// Nil disables all instrumentation.
+	// engine-level per-window records (see pdes.Config.Telemetry) plus the
+	// network totals — transmitted link bits (utilization), drops, TCP
+	// retransmissions, delivered payload, flow counts and the fault plane's
+	// — which Run installs as its Net func while the engines run: the
+	// engines' own counters, folded by the function Result's totals come
+	// from. Nil disables all instrumentation.
 	Telemetry *telemetry.SimTelemetry
 	// Invariants, when non-nil, enables the parallel engine's runtime
 	// invariant checks (lookahead/causality, exchange parity, drain order,
@@ -243,10 +245,16 @@ type engineData struct {
 	delivered  uint64      // bits delivered to hosts
 	dropped    uint64      // packet drops
 	retrans    uint64      // TCP retransmissions
+	linkBits   uint64      // bits put on links by this engine's transmitters
 	faultDrops []uint64    // [fault]: losses attributed to each fault
 	flows      []*flow     // flows started, by the engine owning the source
+	flowsDone  uint64      // flows completed (their source is on this engine)
 	runFlowCtr uint64      // runtime flow id counter (distributed runs)
 	fluid      fluidCursor // fluid completion schedule (sorted) and its cursor
+	// faultsFired counts the fault markers fired and lastFault is the
+	// latest one's index; only engine 0 runs the markers.
+	faultsFired uint64
+	lastFault   int
 }
 
 // padded allocates one zeroed array for len(n) runs of n[i] counters and
@@ -269,7 +277,6 @@ type Sim struct {
 	cfg  Config
 	ps   *pdes.Sim
 	part []int32
-	tel  *telemetry.SimTelemetry
 	mon  *netmon.Mon // nil ⇒ network observability off, zero overhead
 
 	dirs    []linkDir // 2*link+dirIndex
@@ -336,7 +343,6 @@ func New(cfg Config) (*Sim, error) {
 	s := &Sim{
 		cfg:     cfg,
 		part:    part,
-		tel:     cfg.Telemetry,
 		mon:     cfg.NetMon,
 		dirs:    make([]linkDir, 2*len(cfg.Net.Links)),
 		queueNS: make([]int64, len(cfg.Net.Links)),
@@ -392,11 +398,12 @@ func New(cfg Config) (*Sim, error) {
 			s.eng[e].faultDrops = drops[off[e] : off[e]+nf]
 		}
 		// Marker events make faults visible in the kernel event stream and
-		// telemetry. All on engine 0, so the event count stays independent
-		// of the partition — and in distributed mode only engine 0's host
-		// executes them, so each marker fires exactly once globally. A
-		// worker not hosting engine 0 skips them outright: they would sit
-		// dead in a never-run kernel.
+		// telemetry: each records itself as fired, and as the latest fault,
+		// in engine 0's state. All on engine 0, so the event count stays
+		// independent of the partition — and in distributed mode only
+		// engine 0's host executes them, so each marker fires exactly once
+		// globally. A worker not hosting engine 0 skips them outright: they
+		// would sit dead in a never-run kernel.
 		for i := 0; i < nf; i++ {
 			if s.dist && !s.hostedEngine(0) {
 				break
@@ -407,11 +414,9 @@ func New(cfg Config) (*Sim, error) {
 				continue
 			}
 			s.ps.Engine(0).Schedule(at, func(des.Time) {
-				if s.tel != nil {
-					s.tel.FaultEvents.Inc()
-					s.tel.FaultConverge.Set(s.faults.FaultConvergeNS(i))
-					s.tel.FaultRoutesAt.Set(int64(s.faults.FaultRoutesAt(i)))
-				}
+				st := &s.eng[0]
+				st.faultsFired++
+				st.lastFault = i
 			})
 		}
 	}
@@ -530,8 +535,8 @@ var dropSpan = [...]netmon.SpanKind{
 
 // drop is the one record of a packet lost at node, on node's engine: the
 // engine's drop count, the loss attributed to scripted fault fi (-1 for
-// every other cause and for an unattributed fault-state drop), the
-// telemetry counters, and — with the netmon plane attached — the drop on
+// every other cause; a fault-state drop always names its fault), and —
+// with the netmon plane attached — the drop on
 // link direction dir (-1 when the packet was not on a link) and the traced
 // packet's terminal span.
 func (s *Sim) drop(node model.NodeID, pkt *Packet, dir int, link model.LinkID, now des.Time, cause netmon.DropCause, fi int) {
@@ -539,12 +544,6 @@ func (s *Sim) drop(node model.NodeID, pkt *Packet, dir int, link model.LinkID, n
 	st.dropped++
 	if fi >= 0 {
 		st.faultDrops[fi]++
-	}
-	if s.tel != nil {
-		s.tel.Drops.Inc()
-		if cause == netmon.DropFault {
-			s.tel.FaultDrops.Inc()
-		}
 	}
 	if s.mon != nil {
 		s.mon.LinkDrop(dir, now, cause)
@@ -627,9 +626,7 @@ func (s *Sim) transmit(node model.NodeID, lid model.LinkID, h *hopEvent) bool {
 	}
 	dir.busyUntil = start + ser
 	dir.bits += uint64(pkt.Bits)
-	if s.tel != nil {
-		s.tel.LinkBits.Add(uint64(pkt.Bits))
-	}
+	s.eng[eng.ID()].linkBits += uint64(pkt.Bits)
 	arrival := start + ser + des.Time(l.Latency)
 	if s.mon != nil {
 		s.mon.LinkSend(dirIdx, now, pkt.Bits, int64(start-now))
@@ -799,7 +796,16 @@ type Result struct {
 func (s *Sim) Run() Result {
 	s.running = true
 	s.udpSetup = len(s.udpCbs)
+	tel := s.cfg.Telemetry
+	if tel != nil {
+		tel.Net = s.netTotals
+	}
 	stats := s.ps.Run()
+	if tel != nil {
+		// The totals Publish stored outlive the run; the Sim must not: a
+		// daemon keeps every finished run's telemetry.
+		tel.Net = nil
+	}
 	if s.mon != nil {
 		s.mon.Close() // end live flow-completion streams
 	}
@@ -816,36 +822,58 @@ func (s *Sim) Run() Result {
 		res.LinkBits[i] = s.dirs[2*i].bits + s.dirs[2*i+1].bits
 		res.LinkDrops[i] = s.dirs[2*i].drops + s.dirs[2*i+1].drops
 	}
+	t := s.netTotals()
+	res.Dropped, res.DeliveredBits, res.Retransmissions = t.Drops, t.DeliveredBits, t.Retransmits
+	res.FlowsStarted, res.FlowsCompleted = int(t.FlowsStarted), int(t.FlowsDone)
 	if s.faults != nil {
 		res.FaultDrops = make([]uint64, s.faults.NumFaults())
-	}
-	for e := range s.eng {
-		st := &s.eng[e]
-		res.Dropped += st.dropped
-		res.DeliveredBits += st.delivered
-		res.Retransmissions += st.retrans
-		for i, d := range st.faultDrops {
-			res.FaultDrops[i] += d
+		for e := range s.eng {
+			for i, d := range s.eng[e].faultDrops {
+				res.FaultDrops[i] += d
+			}
 		}
 	}
 	if s.fluid != nil {
 		s.fluidResult(&res)
 	}
-	// Replicated setup starts every flow on every worker; only the engine
-	// owning a flow's source runs its sender, so a distributed worker
-	// counts the hosted ranges and the merge sums to the global totals.
 	for e := s.hostLo; e < s.hostHi; e++ {
 		for _, f := range s.eng[e].flows {
-			res.FlowsStarted++
-			if f.done {
-				res.FlowsCompleted++
-				if f.completedAt > res.LastCompletion {
-					res.LastCompletion = f.completedAt
-				}
+			if f.done && f.completedAt > res.LastCompletion {
+				res.LastCompletion = f.completedAt
 			}
 		}
 	}
 	return res
+}
+
+// netTotals folds the hosted engines' counters into the network totals:
+// Result's scalar totals, and what the run's telemetry publishes live (see
+// Config.Telemetry), when the pdes leader calls it between the barriers.
+// Setup starts a flow on every worker that hosts one of its ends, but only
+// the engine owning its source runs its sender, so a distributed worker
+// counts the flows of its hosted engines and the partials sum to the
+// global totals.
+func (s *Sim) netTotals() telemetry.NetTotals {
+	var t telemetry.NetTotals
+	for e := s.hostLo; e < s.hostHi; e++ {
+		st := &s.eng[e]
+		t.LinkBits += st.linkBits
+		t.Drops += st.dropped
+		t.Retransmits += st.retrans
+		t.DeliveredBits += st.delivered
+		t.FlowsStarted += uint64(len(st.flows))
+		t.FlowsDone += st.flowsDone
+		t.FaultEvents += st.faultsFired
+		for _, d := range st.faultDrops {
+			t.FaultDrops += d
+		}
+	}
+	if t.FaultEvents > 0 {
+		i := s.eng[0].lastFault
+		t.FaultConvergeNS = s.faults.FaultConvergeNS(i)
+		t.FaultRoutesAtNS = int64(s.faults.FaultRoutesAt(i))
+	}
+	return t
 }
 
 // fluidResult fills Result's fluid counters from the plane, applying the

@@ -134,9 +134,6 @@ func (s *Sim) startFlow(at des.Time, src, dst model.NodeID, bytes int64, onCompl
 	s.registerFlow(f)
 	st := &s.eng[s.EngineOf(src)]
 	st.flows = append(st.flows, f)
-	if s.tel != nil {
-		s.tel.FlowsStarted.Inc()
-	}
 	s.ScheduleAt(src, at, func(des.Time) { s.sendWindow(f) })
 }
 
@@ -179,9 +176,6 @@ func (s *Sim) sendSeg(f *flow, seq int32, fresh bool) {
 	} else {
 		f.sendTime[seq] = 0
 		s.eng[eng.ID()].retrans++
-		if s.tel != nil {
-			s.tel.Retransmits.Inc()
-		}
 		if f.rec != nil {
 			f.rec.Retransmit()
 		}
@@ -310,9 +304,7 @@ func (s *Sim) onAck(f *flow, pkt *Packet) {
 		if f.ackedTo >= f.totalPkts {
 			f.done = true
 			f.completedAt = now
-			if s.tel != nil {
-				s.tel.FlowsDone.Inc()
-			}
+			s.eng[eng.ID()].flowsDone++
 			if f.rec != nil {
 				s.mon.FlowCompleted(f.rec, now)
 			}
@@ -382,15 +374,9 @@ func (s *Sim) deliver(node model.NodeID, pkt *Packet) {
 		s.onAck(pkt.flow, pkt)
 	case pkt.flow != nil:
 		s.eng[eng].delivered += uint64(pkt.Bits)
-		if s.tel != nil {
-			s.tel.DeliveredBits.Add(uint64(pkt.Bits))
-		}
 		s.onData(pkt.flow, pkt)
 	default:
 		s.eng[eng].delivered += uint64(pkt.Bits)
-		if s.tel != nil {
-			s.tel.DeliveredBits.Add(uint64(pkt.Bits))
-		}
 		if pkt.deliverCb != nil {
 			pkt.deliverCb(s.ps.Engine(eng).Now())
 		}

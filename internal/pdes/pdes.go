@@ -69,13 +69,14 @@ type Config struct {
 	// engine loop then pays one pointer test per window and the kernels one
 	// per event. See Invariants for the recording contract.
 	Invariants *Invariants
-	// Telemetry, when non-nil, receives live observability data: one
-	// WindowRecord per executed barrier window (per-engine event counts,
-	// barrier wait, cross-partition exchange volume, queue depths) plus
-	// aggregate counters. Nil disables instrumentation; the engine loop
-	// then pays only a nil check per window. Use one SimTelemetry per
-	// run — Run closes its window ring on completion. With a Transport the
-	// records cover this worker's hosted engines, indexed from FirstEngine.
+	// Telemetry, when non-nil, receives live observability data: the
+	// leader publishes one WindowRecord per executed barrier window
+	// (per-engine event counts, barrier wait, cross-partition exchange
+	// volume, queue depths), from which the run's totals are folded. Nil
+	// disables instrumentation; the engine loop then pays only a nil check
+	// per window. Use one SimTelemetry per run — Run closes its window ring
+	// on completion. With a Transport the records cover this worker's
+	// hosted engines, indexed from FirstEngine.
 	Telemetry *telemetry.SimTelemetry
 
 	// Transport, when non-nil, runs this Sim as ONE WORKER of a distributed
@@ -453,7 +454,7 @@ func (s *Sim) Run() Stats {
 	// allocated only when instrumentation is on: each engine fills its slot
 	// with the window's event count, remote-send count, queue depth and
 	// compute time, and the barrier wait and exchange time it observed at
-	// the previous window.
+	// the previous window; the leader stamps the window and publishes it.
 	tel := cfg.Telemetry
 	inv := cfg.Invariants
 	var scratch telemetry.WindowRecord
@@ -545,7 +546,6 @@ func (s *Sim) Run() Stats {
 					t0 := time.Now()
 					bar.Await()
 					lastWait = int64(time.Since(t0))
-					tel.BarrierWait.Observe(lastWait)
 				} else {
 					bar.Await()
 				}
@@ -604,9 +604,11 @@ func (s *Sim) Run() Stats {
 					stats.ModeledBusyNS += maxBusy
 					if tel != nil {
 						now := time.Now()
-						wall := int64(now.Sub(lastTick))
+						scratch.Window = w
+						scratch.StartNS, scratch.EndNS = int64(des.Time(w)*cfg.Window), int64(wEnd)
+						scratch.WallNS, scratch.MaxBusyNS = int64(now.Sub(lastTick)), maxBusy
 						lastTick = now
-						s.publishWindow(tel, w, wEnd, wall, maxBusy, &scratch)
+						tel.Publish(&scratch)
 					}
 					stats.ModeledTimeNS += max(maxBusy, syncCost)
 					stopScratch = s.stop.Load()
@@ -719,46 +721,4 @@ func (s *Sim) exchange(done WindowDone) (WindowGo, error) {
 		e.wireIn = append(e.wireIn, remoteEvent{at: des.Time(ev.At), eh: eh, seq: ev.Seq, src: ev.Src})
 	}
 	return g, nil
-}
-
-// publishWindow emits one window's telemetry: the WindowRecord trace entry
-// plus the aggregate counters. Runs on the leader between the first two
-// barriers, where the engines' scratch slots are stable. The record's slices
-// come from the ring's recycling pool, so a saturated ring publishes without
-// allocating.
-func (s *Sim) publishWindow(tel *telemetry.SimTelemetry, w int, wEnd des.Time, wallNS, maxBusy int64, scratch *telemetry.WindowRecord) {
-	n := len(scratch.Events)
-	rec := tel.Windows.Get(n)
-	rec.Window = w
-	rec.StartNS = int64(des.Time(w) * s.cfg.Window)
-	rec.EndNS = int64(wEnd)
-	rec.WallNS = wallNS
-	rec.MaxBusyNS = maxBusy
-	copy(rec.Events, scratch.Events)
-	copy(rec.RemoteSends, scratch.RemoteSends)
-	copy(rec.ComputeNS, scratch.ComputeNS)
-	copy(rec.BarrierWaitNS, scratch.BarrierWaitNS)
-	copy(rec.ExchangeNS, scratch.ExchangeNS)
-	copy(rec.QueueDepth, scratch.QueueDepth)
-	var sumEv uint64
-	var sumDepth, maxDepth int64
-	for i := 0; i < n; i++ {
-		sumEv += scratch.Events[i]
-		rec.Remote += scratch.RemoteSends[i]
-		sumDepth += int64(scratch.QueueDepth[i])
-		maxDepth = max(maxDepth, int64(scratch.QueueDepth[i]))
-	}
-	tel.Windows.Append(rec)
-	tel.Events.Add(sumEv)
-	tel.RemoteEvents.Add(rec.Remote)
-	tel.WindowsDone.Inc()
-	tel.SimTimeNS.Set(int64(wEnd))
-	tel.QueueDepth.Set(sumDepth)
-	tel.PeakQueue.SetMax(maxDepth)
-	tel.WindowWall.Observe(wallNS)
-	if len(tel.EngineEvents) == n {
-		for i := 0; i < n; i++ {
-			tel.EngineEvents[i].Add(scratch.Events[i])
-		}
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"unsafe"
@@ -521,17 +522,26 @@ func TestTelemetryWindowRecords(t *testing.T) {
 	if remSum != stats.RemoteEvents || remSum != 1 {
 		t.Errorf("ring remote %d, stats %d, want 1", remSum, stats.RemoteEvents)
 	}
-	if got := tel.Events.Load(); got != stats.TotalEvents {
-		t.Errorf("events counter %d != %d", got, stats.TotalEvents)
-	}
 	if !ringClosed(tel.Windows) {
 		t.Error("window ring not closed at end of run")
 	}
-	if tel.SimTimeNS.Load() != int64(5*des.Millisecond) {
-		t.Errorf("sim time gauge = %d", tel.SimTimeNS.Load())
+	// The live totals are folded from the same records, and agree with
+	// Stats.
+	want := telemetry.Progress{
+		Windows: uint64(stats.Windows), Events: stats.TotalEvents,
+		Remote: stats.RemoteEvents, SimTimeNS: int64(5 * des.Millisecond),
 	}
-	if tel.EngineEvents[0].Load()+tel.EngineEvents[1].Load() != stats.TotalEvents {
-		t.Error("per-engine counters do not sum to total")
+	if got := tel.Progress(); got != want {
+		t.Errorf("progress %+v, want %+v", got, want)
+	}
+	var prom strings.Builder
+	if err := telemetry.WritePrometheus(&prom, tel.Gather("r")); err != nil {
+		t.Fatal(err)
+	}
+	for e, n := range stats.EngineEvents {
+		if line := fmt.Sprintf("massf_engine_events_total{engine=\"%d\",run=\"r\"} %d\n", e, n); !strings.Contains(prom.String(), line) {
+			t.Errorf("missing %q in:\n%s", line, prom.String())
+		}
 	}
 }
 
@@ -593,8 +603,8 @@ func TestScheduleRemoteHammerAllEngines(t *testing.T) {
 	if stats.RemoteEvents != sent.Load() {
 		t.Errorf("Stats.RemoteEvents = %d, want %d", stats.RemoteEvents, sent.Load())
 	}
-	if tel.RemoteEvents.Load() != sent.Load() {
-		t.Errorf("telemetry remote counter = %d, want %d", tel.RemoteEvents.Load(), sent.Load())
+	if got := tel.Progress().Remote; got != sent.Load() {
+		t.Errorf("telemetry remote total = %d, want %d", got, sent.Load())
 	}
 }
 

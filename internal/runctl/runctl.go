@@ -2,7 +2,7 @@
 // accepts scenario specifications (an uploaded DML network or generator
 // parameters), executes them as concurrent simulation runs under a
 // bounded worker pool, and exposes each run's live telemetry — the
-// per-window ring for NDJSON streaming and the metric registry for
+// per-window ring for NDJSON streaming and the totals folded from it for
 // Prometheus scrapes.
 package runctl
 
@@ -371,10 +371,9 @@ func (r *Run) Info() Info {
 		in.Error = r.err.Error()
 	}
 	r.mu.Unlock()
-	in.Windows = r.Tel.WindowsDone.Load()
-	in.Events = r.Tel.Events.Load()
-	in.Remote = r.Tel.RemoteEvents.Load()
-	in.SimTimeSec = float64(r.Tel.SimTimeNS.Load()) / 1e9
+	p := r.Tel.Progress()
+	in.Windows, in.Events, in.Remote = p.Windows, p.Events, p.Remote
+	in.SimTimeSec = float64(p.SimTimeNS) / 1e9
 	return in
 }
 
@@ -629,7 +628,7 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 	}
 }
 
-// Gather merges daemon-level gauges with every run's registry, each run
+// Gather merges daemon-level gauges with every run's telemetry, each run
 // labeled run="<id>" — one scrape covers all concurrent simulations.
 func (m *Manager) Gather() []telemetry.Point {
 	runs, queueDepth, activeW := m.snapshot()
@@ -671,7 +670,7 @@ func (m *Manager) Gather() []telemetry.Point {
 		pts = append(pts, m.ingest.Gather()...)
 	}
 	for _, r := range runs {
-		pts = append(pts, r.Tel.Reg.Gather(telemetry.Label{Key: "run", Value: r.ID})...)
+		pts = append(pts, r.Tel.Gather(r.ID)...)
 	}
 	return pts
 }
@@ -779,7 +778,7 @@ func (m *Manager) execute(r *Run) (*experiments.RunOutcome, error) {
 		return nil, err
 	}
 	setupNS += time.Since(mapStart)
-	r.Tel.SetupNS.Set(int64(setupNS))
+	r.Tel.SetSetup(setupNS)
 	var ag *agent.Agent
 	if m.ingest != nil && spec.Ingest {
 		// Expose the run to the live agent plane: outside connections

@@ -233,7 +233,7 @@ func (s *Server) runMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.URL.Query().Get("format") == "prom" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		telemetry.WritePrometheus(w, run.Tel.Reg.Gather(telemetry.Label{Key: "run", Value: run.ID}))
+		telemetry.WritePrometheus(w, run.Tel.Gather(run.ID))
 		return
 	}
 	past, ch, cancel := run.Tel.Windows.Subscribe(1024)
@@ -472,7 +472,7 @@ func (s *Server) runNetStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // aggregateMetrics serves the merged Prometheus exposition: daemon
-// gauges plus every run's registry under its run label.
+// gauges plus every run's totals under its run label.
 func (s *Server) aggregateMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	telemetry.WritePrometheus(w, s.m.Gather())

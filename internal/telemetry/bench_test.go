@@ -5,69 +5,22 @@ import (
 	"testing"
 )
 
-// Per-window overhead of the flight recorder, measured on the machine
-// this change was developed on (linux/amd64, Xeon @ 2.10GHz):
+// Per-window cost of Publish, the one telemetry call the parallel engine's
+// leader makes per executed window (16 engines, saturated ring, a Net func
+// returning fixed totals; linux/amd64, 2-vCPU Xeon, go1.24):
 //
-//	BenchmarkWindowPublish/telemetry-16    ~360 ns/op     0 B/op  0 allocs/op (saturated ring)
-//	BenchmarkWindowPublish/nil-16          ~3.5 ns/op     0 B/op  0 allocs/op
+//	BenchmarkWindowPublish/telemetry-2     ~265 ns/op     0 B/op  0 allocs/op
 //
 // With a live subscriber attached, every record is also deep-copied onto
-// the subscriber's channel (linux/amd64, 2-vCPU Xeon):
+// the subscriber's channel (same machine):
 //
-//	BenchmarkTraceRecord-2                 ~1.1 µs/op   773 B/op  6 allocs/op
+//	BenchmarkTraceRecord-2                 ~0.7 µs/op   771 B/op  6 allocs/op
 //
-// One publication happens per barrier window on engine 0 only, so even at
-// 10k windows per wall second the recorder adds ~3 ms/s (≈0.3%) — well
-// within the ~5% telemetry budget the Fig6 bench allows. The record's
+// One publication happens per executed window, on the leader only, so even
+// at 10k windows per wall second Publish adds a few ms/s. The record's
 // per-engine slices come from the ring's recycling pool (Ring.Get), so a
-// saturated ring publishes with zero allocations; before the pool this
-// path cost 6 allocs/op for the slice snapshots.
-// Re-run with: go test ./internal/telemetry -bench 'WindowPublish|TraceRecord' -benchmem
-
-// publishLike replays exactly the instrument updates pdes.(*Sim).publishWindow
-// performs per barrier window, against scratch slices of n engines.
-func publishLike(tel *SimTelemetry, w int, ev, rem []uint64, wait []int64, depth []int, comp, exch []int64) {
-	if tel == nil {
-		return
-	}
-	n := len(ev)
-	rec := tel.Windows.Get(n)
-	rec.Window = w
-	rec.StartNS = int64(w) * 1_000_000
-	rec.EndNS = int64(w+1) * 1_000_000
-	rec.WallNS = 50_000
-	rec.MaxBusyNS = 42_000
-	copy(rec.Events, ev)
-	copy(rec.RemoteSends, rem)
-	copy(rec.ComputeNS, comp)
-	copy(rec.BarrierWaitNS, wait)
-	copy(rec.ExchangeNS, exch)
-	copy(rec.QueueDepth, depth)
-	var sumEv, sumRem uint64
-	var sumDepth, maxDepth int64
-	for i := 0; i < n; i++ {
-		sumEv += ev[i]
-		sumRem += rem[i]
-		sumDepth += int64(depth[i])
-		if int64(depth[i]) > maxDepth {
-			maxDepth = int64(depth[i])
-		}
-	}
-	rec.Remote = sumRem
-	tel.Windows.Append(rec)
-	tel.Events.Add(sumEv)
-	tel.RemoteEvents.Add(sumRem)
-	tel.WindowsDone.Inc()
-	tel.SimTimeNS.Set(rec.EndNS)
-	tel.QueueDepth.Set(sumDepth)
-	tel.PeakQueue.SetMax(maxDepth)
-	tel.WindowWall.Observe(rec.WallNS)
-	if len(tel.EngineEvents) == n {
-		for i := 0; i < n; i++ {
-			tel.EngineEvents[i].Add(ev[i])
-		}
-	}
-}
+// saturated ring publishes with zero allocations.
+// Re-run with: go test ./internal/telemetry -run X -bench 'WindowPublish|TraceRecord' -benchmem
 
 func benchScratch(n int) (ev, rem []uint64, wait []int64, depth []int, comp, exch []int64) {
 	ev = make([]uint64, n)
@@ -89,18 +42,23 @@ func benchScratch(n int) (ev, rem []uint64, wait []int64, depth []int, comp, exc
 
 func BenchmarkWindowPublish(b *testing.B) {
 	const engines = 16
-	ev, rem, wait, depth, comp, exch := benchScratch(engines)
 	b.Run("telemetry", func(b *testing.B) {
 		tel := New(engines, 4096)
+		tel.Net = func() NetTotals { return NetTotals{LinkBits: 1 << 20, FlowsStarted: 12} }
+		w := tel.Windows.Get(engines)
+		ev, rem, wait, depth, comp, exch := benchScratch(engines)
+		copy(w.Events, ev)
+		copy(w.RemoteSends, rem)
+		copy(w.BarrierWaitNS, wait)
+		copy(w.QueueDepth, depth)
+		copy(w.ComputeNS, comp)
+		copy(w.ExchangeNS, exch)
+		w.WallNS, w.MaxBusyNS = 50_000, 42_000
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			publishLike(tel, i, ev, rem, wait, depth, comp, exch)
-		}
-	})
-	b.Run("nil", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			publishLike(nil, i, ev, rem, wait, depth, comp, exch)
+			w.Window = i
+			w.StartNS, w.EndNS = int64(i)*1_000_000, int64(i+1)*1_000_000
+			tel.Publish(&w)
 		}
 	})
 }

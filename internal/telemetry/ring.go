@@ -76,37 +76,14 @@ func NewRing(capacity int) *Ring {
 	return r
 }
 
-// resizeU64 returns a slice of length n, reusing s's capacity when it can.
-func resizeU64(s []uint64, n int) []uint64 {
+// resize returns a zeroed slice of length n, reusing s's capacity when it
+// can.
+func resize[T uint64 | int64 | int](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]uint64, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeI64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func resizeInt(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 
@@ -124,12 +101,12 @@ func (r *Ring) Get(engines int) WindowRecord {
 	}
 	r.mu.Unlock()
 	return WindowRecord{
-		Events:        resizeU64(rec.Events, engines),
-		RemoteSends:   resizeU64(rec.RemoteSends, engines),
-		ComputeNS:     resizeI64(rec.ComputeNS, engines),
-		BarrierWaitNS: resizeI64(rec.BarrierWaitNS, engines),
-		ExchangeNS:    resizeI64(rec.ExchangeNS, engines),
-		QueueDepth:    resizeInt(rec.QueueDepth, engines),
+		Events:        resize(rec.Events, engines),
+		RemoteSends:   resize(rec.RemoteSends, engines),
+		ComputeNS:     resize(rec.ComputeNS, engines),
+		BarrierWaitNS: resize(rec.BarrierWaitNS, engines),
+		ExchangeNS:    resize(rec.ExchangeNS, engines),
+		QueueDepth:    resize(rec.QueueDepth, engines),
 	}
 }
 

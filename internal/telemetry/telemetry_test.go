@@ -6,78 +6,40 @@ import (
 	"testing"
 )
 
-func TestCounterGaugeBasics(t *testing.T) {
-	var c Counter
-	c.Inc()
-	c.Add(41)
-	if c.Load() != 42 {
-		t.Errorf("counter = %d, want 42", c.Load())
-	}
-	var g Gauge
-	g.Set(4)
-	if g.Load() != 4 {
-		t.Errorf("gauge = %d, want 4", g.Load())
-	}
-	g.SetMax(2)
-	if g.Load() != 4 {
-		t.Errorf("SetMax lowered the gauge to %d", g.Load())
-	}
-	g.SetMax(9)
-	if g.Load() != 9 {
-		t.Errorf("SetMax did not raise the gauge: %d", g.Load())
-	}
-}
-
-func TestRegistryGetOrCreate(t *testing.T) {
-	r := NewRegistry()
-	a := r.Counter("x_total", "help")
-	b := r.Counter("x_total", "help")
-	if a != b {
-		t.Error("same (name,labels) returned distinct counters")
-	}
-	l0 := r.Counter("x_total", "help", Label{Key: "engine", Value: "0"})
-	if l0 == a {
-		t.Error("labeled counter aliased the unlabeled one")
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat_ns", "help", []int64{10, 100, 1000})
-	for _, v := range []int64{5, 10, 11, 99, 5000} {
-		h.Observe(v)
+	var h histogram
+	for _, v := range []int64{500, 1_000, 1_001, 99_999, 5_000_000_000} {
+		h.observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
+	p := h.point("lat_ns", "help", nil)
+	if p.Count != 5 || p.Sum != 500+1_000+1_001+99_999+5_000_000_000 {
+		t.Fatalf("count %d sum %g", p.Count, p.Sum)
 	}
-	if h.Sum() != 5+10+11+99+5000 {
-		t.Fatalf("sum = %d", h.Sum())
+	if len(p.Buckets) != len(durationBounds) {
+		t.Fatalf("%d buckets, want %d", len(p.Buckets), len(durationBounds))
 	}
-	pts := r.Gather()
-	if len(pts) != 1 {
-		t.Fatalf("gathered %d points", len(pts))
-	}
-	p := pts[0]
-	// Cumulative: ≤10 → 2, ≤100 → 4, ≤1000 → 4, +Inf → 5.
-	want := []uint64{2, 4, 4}
-	for i, b := range p.Buckets {
-		if b.Count != want[i] {
-			t.Errorf("bucket le=%d count=%d, want %d", b.Le, b.Count, want[i])
+	// Cumulative: ≤1µs → 2, ≤5µs → 3, ≤100µs → 4, and the 5 s value only
+	// in +Inf (Count).
+	want := map[int64]uint64{1_000: 2, 5_000: 3, 50_000: 3, 100_000: 4, 1_000_000_000: 4}
+	for _, b := range p.Buckets {
+		if w, ok := want[b.Le]; ok && b.Count != w {
+			t.Errorf("bucket le=%d count=%d, want %d", b.Le, b.Count, w)
 		}
-	}
-	if p.Count != 5 {
-		t.Errorf("point count = %d", p.Count)
 	}
 }
 
 func TestPrometheusExposition(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("massf_events_total", "Events.", Label{Key: "engine", Value: "1"}).Add(3)
-	r.Gauge("massf_depth", "Depth.").Set(-2)
-	r.Histogram("massf_wait_ns", "Wait.", []int64{100}).Observe(50)
-
+	var h histogram
+	h.observe(50)
+	run := map[string]string{"run": "r001"}
+	points := []Point{
+		{Name: "massf_events_total", Kind: "counter", Help: "Events.",
+			Labels: map[string]string{"engine": "1", "run": "r001"}, Value: 3},
+		{Name: "massf_depth", Kind: "gauge", Help: "Depth.", Labels: run, Value: -2},
+		h.point("massf_wait_ns", "Wait.", run),
+	}
 	var b strings.Builder
-	if err := WritePrometheus(&b, r.Gather(Label{Key: "run", Value: "r001"})); err != nil {
+	if err := WritePrometheus(&b, points); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -87,7 +49,7 @@ func TestPrometheusExposition(t *testing.T) {
 		"# TYPE massf_depth gauge",
 		`massf_depth{run="r001"} -2`,
 		"# TYPE massf_wait_ns histogram",
-		`massf_wait_ns_bucket{le="100",run="r001"} 1`,
+		`massf_wait_ns_bucket{le="1000",run="r001"} 1`,
 		`massf_wait_ns_bucket{le="+Inf",run="r001"} 1`,
 		`massf_wait_ns_sum{run="r001"} 50`,
 		`massf_wait_ns_count{run="r001"} 1`,
@@ -98,17 +60,33 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
+// TestPrometheusMergedRegistriesSingleHeader merges two runs' points, each
+// run contributing two families: every family must come out as one
+// contiguous group under a single HELP/TYPE header, the groups in the order
+// their names first appear.
 func TestPrometheusMergedRegistriesSingleHeader(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Counter("massf_x_total", "X.").Add(1)
-	b.Counter("massf_x_total", "X.").Add(2)
-	points := append(a.Gather(Label{Key: "run", Value: "a"}), b.Gather(Label{Key: "run", Value: "b"})...)
+	var points []Point
+	for _, run := range []string{"a", "b"} {
+		labels := map[string]string{"run": run}
+		points = append(points,
+			Point{Name: "massf_x_total", Kind: "counter", Help: "X.", Labels: labels, Value: 1},
+			Point{Name: "massf_y", Kind: "gauge", Help: "Y.", Labels: labels, Value: 2})
+	}
 	var sb strings.Builder
 	if err := WritePrometheus(&sb, points); err != nil {
 		t.Fatal(err)
 	}
-	if n := strings.Count(sb.String(), "# TYPE massf_x_total"); n != 1 {
-		t.Errorf("TYPE header emitted %d times, want 1:\n%s", n, sb.String())
+	want := `# HELP massf_x_total X.
+# TYPE massf_x_total counter
+massf_x_total{run="a"} 1
+massf_x_total{run="b"} 1
+# HELP massf_y Y.
+# TYPE massf_y gauge
+massf_y{run="a"} 2
+massf_y{run="b"} 2
+`
+	if sb.String() != want {
+		t.Errorf("merged exposition:\n%s\nwant:\n%s", sb.String(), want)
 	}
 }
 
@@ -254,24 +232,58 @@ func TestRingConcurrentAppendSubscribe(t *testing.T) {
 	_ = got // count depends on interleaving; the test is the race detector's
 }
 
+// TestSimTelemetryNew publishes two windows and checks the folded totals:
+// progress, per-engine events, the queue gauges, the histograms, and the
+// network totals Net reports, which Publish stores and Gather only reads.
 func TestSimTelemetryNew(t *testing.T) {
-	tel := New(4, 32)
-	if len(tel.EngineEvents) != 4 {
-		t.Fatalf("engine counters = %d", len(tel.EngineEvents))
+	tel := New(2, 32)
+	netCalls := 0
+	tel.Net = func() NetTotals {
+		netCalls++
+		return NetTotals{LinkBits: uint64(1000 * netCalls), FaultEvents: 1, FaultConvergeNS: 7}
 	}
-	tel.Events.Add(10)
-	tel.EngineEvents[2].Add(3)
+	w := tel.Windows.Get(2)
+	for i := 0; i < 2; i++ {
+		w.Window, w.StartNS, w.EndNS, w.WallNS = i, int64(i)*1000, int64(i+1)*1000, 3_000
+		w.Events[0], w.Events[1] = 3, 4
+		w.RemoteSends[1] = 2
+		w.QueueDepth[0], w.QueueDepth[1] = 5+i, 1
+		w.BarrierWaitNS[0], w.BarrierWaitNS[1] = int64(i)*2_000_000_000, 0
+		tel.Publish(&w)
+	}
+	tel.SetSetup(42)
+	if p := tel.Progress(); p != (Progress{Windows: 2, Events: 14, Remote: 4, SimTimeNS: 2000}) {
+		t.Errorf("progress %+v", p)
+	}
+	if recs := tel.Windows.Snapshot(); len(recs) != 2 || recs[1].Remote != 2 || recs[1].QueueDepth[0] != 6 {
+		t.Errorf("ring records %+v", recs)
+	}
 	var b strings.Builder
-	if err := WritePrometheus(&b, tel.Reg.Gather()); err != nil {
+	if err := WritePrometheus(&b, tel.Gather("r1")); err != nil {
 		t.Fatal(err)
 	}
+	if netCalls != 2 {
+		t.Errorf("Net called %d times, want once per Publish", netCalls)
+	}
 	for _, want := range []string{
-		"massf_sim_events_total 10",
-		`massf_engine_events_total{engine="2"} 3`,
-		"# TYPE massf_sim_barrier_wait_ns histogram",
+		`massf_sim_events_total{run="r1"} 14`,
+		`massf_sim_remote_events_total{run="r1"} 4`,
+		`massf_sim_windows_total{run="r1"} 2`,
+		`massf_sim_time_ns{run="r1"} 2000`,
+		`massf_sim_setup_ns{run="r1"} 42`,
+		`massf_sim_queue_depth{run="r1"} 7`,
+		`massf_sim_queue_depth_peak{run="r1"} 6`,
+		`massf_sim_barrier_wait_ns_bucket{le="1000",run="r1"} 3`,
+		`massf_sim_barrier_wait_ns_count{run="r1"} 4`,
+		`massf_sim_window_wall_ns_bucket{le="5000",run="r1"} 2`,
+		`massf_net_link_bits_total{run="r1"} 2000`,
+		`massf_net_fault_events_total{run="r1"} 1`,
+		`massf_net_fault_converge_ns{run="r1"} 7`,
+		`massf_engine_events_total{engine="0",run="r1"} 6`,
+		`massf_engine_events_total{engine="1",run="r1"} 8`,
 	} {
 		if !strings.Contains(b.String(), want) {
-			t.Errorf("missing %q in exposition", want)
+			t.Errorf("missing %q in exposition:\n%s", want, b.String())
 		}
 	}
 }
