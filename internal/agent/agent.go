@@ -211,7 +211,6 @@ func (a *Agent) drain(e int, now des.Time) {
 	a.mu.Unlock()
 	sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].key < msgs[j].key })
 	for _, m := range msgs {
-		m := m
 		m.InjectedAt = now
 		size := int64(len(m.Payload))
 		if size == 0 {
@@ -219,15 +218,10 @@ func (a *Agent) drain(e int, now des.Time) {
 		}
 		if m.onInject != nil {
 			m.onInject()
-			m.onInject = nil
 		}
-		// netsim keeps every flow, and this closure with it, for the rest
-		// of the run: once delivered, m must not pin its payload (nor, via
-		// onInject, its ingest connection).
 		a.sim.StartFlowRecv(now, m.From, m.To, size, nil, func(at des.Time) {
 			m.DeliveredAt = at
 			a.deliver(m)
-			m.Payload = nil
 		})
 	}
 }

@@ -310,12 +310,18 @@ func telemetryTotalsRun(t *testing.T, k int, partitioned bool) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.StartFlowRecv(0, h0, h1, 4_000_000, nil, nil)
-	s.StartFlowRecv(des.Millisecond, h1, h0, 1_000_000, nil, nil)
+	// Each flow's onComplete records its own completion time (the two run
+	// on different engines at k > 1): the oracle for LastCompletion.
+	var doneAt [2]des.Time
+	s.StartFlowRecv(0, h0, h1, 4_000_000, func(at des.Time) { doneAt[0] = at }, nil)
+	s.StartFlowRecv(des.Millisecond, h1, h0, 1_000_000, func(at des.Time) { doneAt[1] = at }, nil)
 	s.SendUDP(2*des.Millisecond, h0, h1, 1000, nil)
 	res := s.Run()
 	if res.Err != nil {
 		t.Fatal(res.Err)
+	}
+	if last := max(doneAt[0], doneAt[1]); res.LastCompletion != last {
+		t.Errorf("LastCompletion = %v, the latest onComplete saw %v", res.LastCompletion, last)
 	}
 	if cfg.Telemetry.Net != nil {
 		t.Error("a finished run's telemetry still reaches into its Sim through Net")

@@ -241,16 +241,17 @@ type engineState struct {
 
 // engineData is the unpadded body of engineState.
 type engineData struct {
-	hopFree    []*hopEvent // hop event pool
-	delivered  uint64      // bits delivered to hosts
-	dropped    uint64      // packet drops
-	retrans    uint64      // TCP retransmissions
-	linkBits   uint64      // bits put on links by this engine's transmitters
-	faultDrops []uint64    // [fault]: losses attributed to each fault
-	flows      []*flow     // flows started, by the engine owning the source
-	flowsDone  uint64      // flows completed (their source is on this engine)
-	runFlowCtr uint64      // runtime flow id counter (distributed runs)
-	fluid      fluidCursor // fluid completion schedule (sorted) and its cursor
+	hopFree      []*hopEvent // hop event pool
+	delivered    uint64      // bits delivered to hosts
+	dropped      uint64      // packet drops
+	retrans      uint64      // TCP retransmissions
+	linkBits     uint64      // bits put on links by this engine's transmitters
+	faultDrops   []uint64    // [fault]: losses attributed to each fault
+	flowsStarted uint64      // flows started, by the engine owning the source
+	flowsDone    uint64      // flows completed (their source is on this engine)
+	lastDone     des.Time    // completion time of the latest of them
+	runFlowCtr   uint64      // runtime flow id counter (distributed runs)
+	fluid        fluidCursor // fluid completion schedule (sorted) and its cursor
 	// faultsFired counts the fault markers fired and lastFault is the
 	// latest one's index; only engine 0 runs the markers.
 	faultsFired uint64
@@ -742,7 +743,8 @@ func (s *Sim) SendUDP(at des.Time, src, dst model.NodeID, bytes int64, onDeliver
 	})
 }
 
-// Result summarizes a completed run.
+// Result summarizes a completed run from counters: an in-process flow is
+// released when it completes, a distributed worker keeps its id registry.
 type Result struct {
 	pdes.Stats
 	// NodeEvents[n] is the number of kernel events attributed to node n —
@@ -825,6 +827,9 @@ func (s *Sim) Run() Result {
 	t := s.netTotals()
 	res.Dropped, res.DeliveredBits, res.Retransmissions = t.Drops, t.DeliveredBits, t.Retransmits
 	res.FlowsStarted, res.FlowsCompleted = int(t.FlowsStarted), int(t.FlowsDone)
+	for e := s.hostLo; e < s.hostHi; e++ {
+		res.LastCompletion = max(res.LastCompletion, s.eng[e].lastDone)
+	}
 	if s.faults != nil {
 		res.FaultDrops = make([]uint64, s.faults.NumFaults())
 		for e := range s.eng {
@@ -835,13 +840,6 @@ func (s *Sim) Run() Result {
 	}
 	if s.fluid != nil {
 		s.fluidResult(&res)
-	}
-	for e := s.hostLo; e < s.hostHi; e++ {
-		for _, f := range s.eng[e].flows {
-			if f.done && f.completedAt > res.LastCompletion {
-				res.LastCompletion = f.completedAt
-			}
-		}
 	}
 	return res
 }
@@ -861,7 +859,7 @@ func (s *Sim) netTotals() telemetry.NetTotals {
 		t.Drops += st.dropped
 		t.Retransmits += st.retrans
 		t.DeliveredBits += st.delivered
-		t.FlowsStarted += uint64(len(st.flows))
+		t.FlowsStarted += st.flowsStarted
 		t.FlowsDone += st.flowsDone
 		t.FaultEvents += st.faultsFired
 		for _, d := range st.faultDrops {

@@ -1,7 +1,11 @@
 package netsim
 
 import (
+	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"massf/internal/cluster"
 	"massf/internal/des"
@@ -374,5 +378,52 @@ func TestTCPFairnessAtBottleneck(t *testing.T) {
 	ratio := float64(doneA) / float64(doneC)
 	if ratio < 0.4 || ratio > 2.5 {
 		t.Errorf("unfair completion: %v vs %v (ratio %.2f)", doneA, doneC, ratio)
+	}
+}
+
+// TestFinishedFlowsReleased checks that a completed flow is garbage once no
+// event or packet refers to it, though its Sim lives on: a long-running
+// online simulation must not hold every transfer it ever carried. Each
+// flow's onDeliver captures a sentinel with a finalizer; after the run
+// every completed flow's sentinel must be collected while s is still
+// referenced.
+func TestFinishedFlowsReleased(t *testing.T) {
+	const flows = 40
+	for _, k := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			net, a, b := chainNet(5, des.Millisecond, model.Bps1G)
+			part := map[int][]int32{1: nil, 2: {0, 0, 0, 1, 1, 1, 1}, 4: {0, 0, 1, 2, 3, 3, 3}}[k]
+			s := sim(t, net, part, k, des.Millisecond, 2*des.Second)
+			var collected atomic.Int64
+			completed := make([]bool, flows)
+			for i := 0; i < flows; i++ {
+				src, dst := a, b
+				if i%2 == 1 {
+					src, dst = b, a
+				}
+				sentinel := new([32]byte)
+				runtime.SetFinalizer(sentinel, func(*[32]byte) { collected.Add(1) })
+				s.StartFlowRecv(des.Time(i)*5*des.Millisecond, src, dst, 20_000,
+					func(des.Time) { completed[i] = true },
+					func(des.Time) { sentinel[0]++ })
+			}
+			res := s.Run()
+			if res.FlowsCompleted != flows {
+				t.Fatalf("%d of %d flows completed", res.FlowsCompleted, flows)
+			}
+			for i, c := range completed {
+				if !c {
+					t.Fatalf("flow %d counted completed but its onComplete never ran", i)
+				}
+			}
+			for try := 0; try < 100 && collected.Load() < flows; try++ {
+				runtime.GC()
+				time.Sleep(time.Millisecond)
+			}
+			if n := collected.Load(); n != flows {
+				t.Errorf("%d of %d completed flows collected while their Sim is still referenced", n, flows)
+			}
+			runtime.KeepAlive(s)
+		})
 	}
 }

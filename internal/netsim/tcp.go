@@ -57,7 +57,6 @@ type flow struct {
 	rtoh           rtoHandler // embedded so arming the timer allocates nothing
 	sendTime       []des.Time // per-seq first-send time; 0 after retransmit (Karn)
 	done           bool
-	completedAt    des.Time
 	onComplete     func(at des.Time)
 
 	// Receiver state.
@@ -91,7 +90,8 @@ func (h *rtoHandler) OnEvent(des.Time) { h.s.onRTO(h.f) }
 // handler already running there. In distributed runs, closure callbacks on
 // flows started at RUNTIME cannot cross workers; use StartFlowTagged for
 // those (every worker makes the same setup-time calls, so each endpoint's
-// worker holds its own copy of the closures).
+// worker holds its own copy of the closures). An in-process flow is
+// released when it completes; distributed workers keep their id registry.
 func (s *Sim) StartFlowRecv(at des.Time, src, dst model.NodeID, bytes int64, onComplete, onDeliver func(at des.Time)) {
 	s.startFlow(at, src, dst, bytes, onComplete, onDeliver, Tag{})
 }
@@ -132,8 +132,7 @@ func (s *Sim) startFlow(at des.Time, src, dst model.NodeID, bytes int64, onCompl
 		f.rec = s.mon.FlowStarted(at, src, dst, bytes)
 	}
 	s.registerFlow(f)
-	st := &s.eng[s.EngineOf(src)]
-	st.flows = append(st.flows, f)
+	s.eng[s.EngineOf(src)].flowsStarted++
 	s.ScheduleAt(src, at, func(des.Time) { s.sendWindow(f) })
 }
 
@@ -303,8 +302,8 @@ func (s *Sim) onAck(f *flow, pkt *Packet) {
 		}
 		if f.ackedTo >= f.totalPkts {
 			f.done = true
-			f.completedAt = now
 			s.eng[eng.ID()].flowsDone++
+			s.eng[eng.ID()].lastDone = now // engine time never decreases
 			if f.rec != nil {
 				s.mon.FlowCompleted(f.rec, now)
 			}
