@@ -86,7 +86,8 @@ type Run struct {
 	buildCached   bool
 	mapping       *core.Mapping
 	mon           *netmon.Mon
-	agent         *agent.Agent
+	agent         *agent.Agent    // the ingest agent while the run executes
+	agentEnd      *agent.Counters // its final counters once it has ended
 	out           *experiments.RunOutcome
 	limitErr      error
 	cancelledFrom State
@@ -355,6 +356,7 @@ func (r *Run) Info() Info {
 		in.ProfileCaptured = true
 		in.FaultEvents = len(out.Faults)
 	}
+	in.Agent = r.agentEnd
 	if r.agent != nil {
 		c := r.agent.Counters()
 		in.Agent = &c
@@ -789,6 +791,13 @@ func (m *Manager) execute(r *Run) (*experiments.RunOutcome, error) {
 		defer func() {
 			m.ingest.Unregister(r.ID)
 			ag.Close()
+			// The agent reaches back into the simulation: keep its counters.
+			c := ag.Counters()
+			r.mu.Lock()
+			if r.agent != nil {
+				r.agent, r.agentEnd = nil, &c
+			}
+			r.mu.Unlock()
 		}()
 	}
 	if !r.setRunning(p, ag, float64(setupNS)/1e6) {
