@@ -677,6 +677,9 @@ func (s *Sim) Run() Stats {
 		stats.MaxPending[e.id] = e.k.MaxPending()
 	}
 	if tel != nil {
+		if !stats.Stopped && stats.Err == nil {
+			tel.Finish(int64(cfg.End))
+		}
 		// End the live stream: subscribers see the channel close and know
 		// the run is over (finished or cancelled).
 		tel.Windows.Close()

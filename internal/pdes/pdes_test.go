@@ -466,6 +466,43 @@ func TestStopCancelsRun(t *testing.T) {
 	}
 }
 
+// TestTelemetryTimeFront checks the published simulated time front at the
+// end of a run. Both runs have events only up to 2.5 ms of a 10 ms horizon
+// and fast-forward over the idle windows after them without a publish. The
+// run that reaches its horizon reads the horizon; the one stopped in
+// window 2 keeps reading that window's end.
+func TestTelemetryTimeFront(t *testing.T) {
+	for _, stop := range []bool{false, true} {
+		t.Run(fmt.Sprintf("stop=%v", stop), func(t *testing.T) {
+			tel := telemetry.New(2, 16)
+			s, err := New(Config{
+				Engines: 2, Window: des.Millisecond, End: 10 * des.Millisecond,
+				Sync: cluster.Fixed{CostNS: 1000}, Telemetry: tel,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Engine(1).Schedule(2500*des.Microsecond, func(des.Time) {
+				if stop {
+					s.Stop()
+				}
+			})
+			stats := s.Run()
+			want := int64(10 * des.Millisecond)
+			if stop {
+				want = int64(3 * des.Millisecond)
+			}
+			// Windows 0 and 2 execute; window 1 is idle.
+			if stats.Stopped != stop || stats.Windows != 2 {
+				t.Fatalf("stopped %v after %d windows, want %v after 2", stats.Stopped, stats.Windows, stop)
+			}
+			if got := tel.Progress().SimTimeNS; got != want {
+				t.Errorf("time front %d ns, want %d", got, want)
+			}
+		})
+	}
+}
+
 func TestStopBeforeRunExitsImmediately(t *testing.T) {
 	s := newSim(t, 2, des.Millisecond, 10*des.Second)
 	s.Engine(0).Schedule(0, func(des.Time) {})

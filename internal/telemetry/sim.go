@@ -167,6 +167,16 @@ func (t *SimTelemetry) Publish(w *WindowRecord) {
 	t.Windows.Append(rec)
 }
 
+// Finish records that the run executed to its horizon, endNS. The idle
+// windows it fast-forwarded over at the end had nothing to publish, so the
+// time front moves there; a stopped run is not finished and keeps reading
+// the end of its last executed window.
+func (t *SimTelemetry) Finish(endNS int64) {
+	t.mu.Lock()
+	t.progress.SimTimeNS = endNS
+	t.mu.Unlock()
+}
+
 // SetSetup records the scenario build wall time of this run.
 func (t *SimTelemetry) SetSetup(d time.Duration) {
 	t.mu.Lock()
