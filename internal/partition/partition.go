@@ -33,29 +33,18 @@ type Options struct {
 	// Seed makes runs deterministic. Runs with the same seed and input
 	// produce identical partitions.
 	Seed int64
-	// CoarsenTo stops coarsening once the graph has at most this many
-	// nodes. Default max(64, 8·Parts).
-	CoarsenTo int
 	// DisableRefinement turns off boundary refinement during uncoarsening
 	// (ablation switch).
 	DisableRefinement bool
-	// Trials is the number of initial-partition attempts per bisection;
-	// the best cut wins. Default 4.
-	Trials int
 }
+
+// trials is the number of initial-partition attempts per bisection; the
+// best cut wins.
+const trials = 4
 
 func (o *Options) setDefaults() {
 	if o.Imbalance <= 0 {
 		o.Imbalance = 0.05
-	}
-	if o.CoarsenTo <= 0 {
-		o.CoarsenTo = 8 * o.Parts
-		if o.CoarsenTo < 64 {
-			o.CoarsenTo = 64
-		}
-	}
-	if o.Trials <= 0 {
-		o.Trials = 4
 	}
 }
 
@@ -88,7 +77,7 @@ func Partition(g *graph.Graph, opts Options) ([]int32, error) {
 
 	// Phase 1: coarsen.
 	levels := []*level{{g: g}}
-	for levels[len(levels)-1].g.Len() > opts.CoarsenTo {
+	for levels[len(levels)-1].g.Len() > max(64, 8*opts.Parts) {
 		cur := levels[len(levels)-1]
 		next := coarsen(cur.g, rng, s)
 		if next == nil || float64(next.g.Len()) > 0.95*float64(cur.g.Len()) {
@@ -362,7 +351,7 @@ func bisect(g *graph.Graph, nodes []int32, target1 int64, opts Options, rng *ran
 	}
 	best, side := &s.sides[0], &s.sides[1]
 	var bestCut int64 = -1
-	for trial := 0; trial < opts.Trials; trial++ {
+	for trial := 0; trial < trials; trial++ {
 		side.reset(n)
 		growRegion(g, nodes, inSet, side, target1, rng, s)
 		fmSweep(g, nodes, inSet, side, target1, opts.Imbalance)

@@ -326,19 +326,6 @@ func BenchmarkPartitionGrid(b *testing.B) {
 	}
 }
 
-func TestOptionsCoarsenTo(t *testing.T) {
-	g := powerLaw(2000, 21)
-	// A very high CoarsenTo disables coarsening levels; partitioning must
-	// still work.
-	part, err := Partition(g, Options{Parts: 4, Seed: 1, CoarsenTo: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := Balance(g, part, 4); b > 1.3 {
-		t.Errorf("balance %v without coarsening", b)
-	}
-}
-
 func TestOptionsImbalanceHonored(t *testing.T) {
 	g := powerLaw(1000, 22)
 	for _, eps := range []float64{0.02, 0.05, 0.20} {
@@ -350,26 +337,6 @@ func TestOptionsImbalanceHonored(t *testing.T) {
 		if b := Balance(g, part, 5); b > 1+eps+0.10 {
 			t.Errorf("ε=%v: balance %v", eps, b)
 		}
-	}
-}
-
-func TestOptionsTrials(t *testing.T) {
-	g := powerLaw(800, 23)
-	// More initial-partition trials never hurt the cut on average; just
-	// verify both settings produce valid partitions and the 8-trial cut
-	// is not drastically worse.
-	p1, err := Partition(g, Options{Parts: 6, Seed: 3, Trials: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p8, err := Partition(g, Options{Parts: 6, Seed: 3, Trials: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1 := g.EvaluatePartition(p1, 6).EdgeCut
-	c8 := g.EvaluatePartition(p8, 6).EdgeCut
-	if c8 > c1*2 {
-		t.Errorf("8-trial cut %d much worse than 1-trial %d", c8, c1)
 	}
 }
 

@@ -57,7 +57,7 @@ func FluidHTTP(cfg HTTPConfig, end des.Time) ([]fluid.Flow, func(int32, des.Time
 			stats.Requests[ci]++
 		}
 		flows = append(flows, fluid.Flow{
-			Src: client, Dst: c.server, Bytes: cfg.RequestBytes,
+			Src: client, Dst: c.server, Bytes: requestBytes,
 			Start: first, Chain: int32(ci),
 		})
 	}
@@ -82,7 +82,7 @@ func FluidHTTP(cfg HTTPConfig, end des.Time) ([]fluid.Flow, func(int32, des.Time
 		}
 		stats.Requests[ci]++
 		return fluid.Flow{
-			Src: cfg.Clients[ci], Dst: c.server, Bytes: cfg.RequestBytes,
+			Src: cfg.Clients[ci], Dst: c.server, Bytes: requestBytes,
 			Start: start, Chain: chain,
 		}, true
 	}

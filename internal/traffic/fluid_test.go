@@ -106,7 +106,7 @@ func TestFluidHTTPMirrorsPacketDraws(t *testing.T) {
 	_, hosts := fluidTestNet(t)
 	cfg := HTTPConfig{
 		Clients: hosts[:4], Servers: hosts[4:],
-		MeanGap: des.Second, MeanFileBytes: 20_000, RequestBytes: 500, Seed: 77,
+		MeanGap: des.Second, MeanFileBytes: 20_000, Seed: 77,
 	}
 	flows, _, _ := FluidHTTP(cfg, des.Time(des.Second))
 	// Recreate the packet side's draws with the same stream recipe.
@@ -120,8 +120,8 @@ func TestFluidHTTPMirrorsPacketDraws(t *testing.T) {
 		if flows[ci].Dst != server {
 			t.Fatalf("client %d: first server %d, packet draw %d", ci, flows[ci].Dst, server)
 		}
-		if flows[ci].Bytes != cfg.RequestBytes {
-			t.Fatalf("client %d: request bytes %d, want %d", ci, flows[ci].Bytes, cfg.RequestBytes)
+		if flows[ci].Bytes != requestBytes {
+			t.Fatalf("client %d: request bytes %d, want %d", ci, flows[ci].Bytes, requestBytes)
 		}
 	}
 }

@@ -34,11 +34,12 @@ type HTTPConfig struct {
 	MeanGap des.Time
 	// MeanFileBytes is the mean exponential response size. Paper: 50 KB.
 	MeanFileBytes int64
-	// RequestBytes is the fixed HTTP request size. Default 500.
-	RequestBytes int64
 	// Seed drives the per-client deterministic RNGs.
 	Seed int64
 }
+
+// requestBytes is the fixed HTTP request size.
+const requestBytes = 500
 
 func (c *HTTPConfig) setDefaults() {
 	if c.MeanGap <= 0 {
@@ -46,9 +47,6 @@ func (c *HTTPConfig) setDefaults() {
 	}
 	if c.MeanFileBytes <= 0 {
 		c.MeanFileBytes = 50_000
-	}
-	if c.RequestBytes <= 0 {
-		c.RequestBytes = 500
 	}
 }
 
@@ -107,7 +105,7 @@ func (h *httpWorkload) issue(ci int, at des.Time) {
 	// repeats. The chain crosses engine (and worker) boundaries through
 	// tags, so every callback runs on the engine owning the host it
 	// manipulates — on whichever worker hosts it.
-	h.s.StartFlowTagged(at, h.cfg.Clients[ci], server, h.cfg.RequestBytes,
+	h.s.StartFlowTagged(at, h.cfg.Clients[ci], server, requestBytes,
 		netsim.Tag{}, netsim.Tag{Kind: TagHTTPRequest, A: uint64(ci), B: uint64(size)})
 }
 

@@ -4,11 +4,14 @@
 // declared in internal/ that no non-test file of the module uses outside
 // its own declaration, and every exported field of an exported struct
 // there that no non-test file sets: by key or position in a composite
-// literal, by assignment or ++/--, or by taking its address. bench/, cmd/
-// and examples/ count as callers; files named *_test.go do not. A method
-// that implements an interface method is skipped: dynamic dispatch calls
-// it without naming it. A JSON-tagged field is skipped: the decoder sets
-// it.
+// literal, by assignment or ++/--, or by taking its address. A default
+// does not count: an assignment to x.F, of a value made of constants and
+// x's own fields, inside an if whose condition reads x.F
+// (if o.F <= 0 { o.F = 8 * o.Parts }) only fills in what no caller set.
+// bench/, cmd/ and examples/ count as callers; files named *_test.go do
+// not. A method that implements an interface method is skipped: dynamic
+// dispatch calls it without naming it. A JSON-tagged field is skipped:
+// the decoder sets it.
 //
 // Run from the repository root:
 //
@@ -38,6 +41,12 @@ var seams = map[string]string{
 	"massf/internal/graph.Graph.Validate":                 "the structural checker the graph and core tests use",
 	"massf/internal/pdes.Invariants.KernelPerWindow":      "the fuzz target and invariant tests switch on the per-window kernel check",
 	"massf/internal/des.KernelInvariants.EveryStep":       "the kernel fuzz and oracle tests run the structural checker after every event",
+	"massf/internal/netsim.Config.QueueBytes":             "tests shrink the link buffers to force tail drops",
+	"massf/internal/dist.Options.HeartbeatTimeout":        "tests shorten failure detection so a killed worker is blamed in seconds",
+	"massf/internal/dist.Options.ExchangeTimeout":         "tests shorten failure detection so a stalled exchange fails in seconds",
+	"massf/internal/dist.Options.DialTimeout":             "tests shorten failure detection so an unreachable peer fails in seconds",
+	"massf/internal/dist.Options.JoinTimeout":             "tests shorten failure detection so a missing worker fails the join in milliseconds",
+	"massf/internal/partition.Options.Imbalance":          "tests check the balance bound at other tolerances than the 5% default",
 }
 
 // stdIfaces are standard-library interfaces the module satisfies without
@@ -325,10 +334,34 @@ func scan() ([]string, error) {
 				}
 			}
 		}
+		// defaults holds the assigned selectors that fill in a default:
+		// x.F in the body of an if whose condition reads x.F, given a value
+		// that reads nothing but constants and x.
+		defaults := map[ast.Expr]bool{}
+		isDefault := func(x *ast.SelectorExpr, v ast.Expr) bool {
+			root, ok := x.X.(*ast.Ident)
+			if !ok {
+				return false
+			}
+			ok = true
+			ast.Inspect(v, func(c ast.Node) bool {
+				if id, isID := c.(*ast.Ident); isID {
+					switch obj := p.info.Uses[id].(type) {
+					case *types.Const, *types.Builtin, *types.Nil, *types.TypeName, *types.PkgName:
+					case *types.Var:
+						ok = ok && (obj.IsField() || obj == p.info.Uses[root])
+					default:
+						ok = false
+					}
+				}
+				return ok
+			})
+			return ok
+		}
 		// target marks the field an assigned or address-taken selector
 		// names: x.F.G = v sets G.
 		target := func(e ast.Expr) {
-			if x, ok := e.(*ast.SelectorExpr); ok {
+			if x, ok := e.(*ast.SelectorExpr); ok && !defaults[x] {
 				set(p.info.Uses[x.Sel])
 			}
 		}
@@ -356,6 +389,24 @@ func scan() ([]string, error) {
 							}
 						}
 					}
+				case *ast.IfStmt:
+					read := map[string]bool{}
+					ast.Inspect(n.Cond, func(c ast.Node) bool {
+						if x, ok := c.(*ast.SelectorExpr); ok {
+							read[types.ExprString(x)] = true
+						}
+						return true
+					})
+					ast.Inspect(n.Body, func(c ast.Node) bool {
+						if a, ok := c.(*ast.AssignStmt); ok && len(a.Lhs) == len(a.Rhs) {
+							for i, e := range a.Lhs {
+								if x, ok := e.(*ast.SelectorExpr); ok && read[types.ExprString(x)] && isDefault(x, a.Rhs[i]) {
+									defaults[x] = true
+								}
+							}
+						}
+						return true
+					})
 				case *ast.AssignStmt:
 					for _, e := range n.Lhs {
 						target(e)
