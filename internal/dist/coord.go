@@ -9,20 +9,13 @@ import (
 	"massf/internal/wire"
 )
 
-// RunConfig describes the global shape of a distributed run. The
-// coordinator hands the window geometry to every worker, whose transports
-// take the fast-forward decision with it, so it must match what every
-// worker's runner derives from its job spec; the coordinator itself never
-// interprets specs or payloads.
+// RunConfig describes a distributed run: its jobs. The window geometry is
+// the workers' own, derived by each runner from its job spec; the
+// coordinator never interprets specs or payloads.
 type RunConfig struct {
 	// Jobs lists one assignment per worker; workers receive them in the
 	// order they connect. Their engine ranges must tile [0, N).
 	Jobs []Job
-	// WindowNS is the barrier window length.
-	WindowNS int64
-	// TotalWindows is the number of windows to the horizon, as
-	// pdes.WindowCount gives it — the workers' loops use the same.
-	TotalWindows int
 }
 
 // Result is a completed distributed run.
@@ -98,9 +91,6 @@ func Serve(ln net.Listener, rc RunConfig, opt Options) (*Result, error) {
 	if err := checkJobs(rc.Jobs); err != nil {
 		return nil, err
 	}
-	if rc.WindowNS <= 0 {
-		return nil, fmt.Errorf("dist: window must be positive, got %d ns", rc.WindowNS)
-	}
 	c := &coordinator{rc: rc, opt: opt, in: make(chan frame, 4*len(rc.Jobs)), quit: make(chan struct{})}
 	defer c.closeAll()
 	if err := c.join(ln); err != nil {
@@ -170,7 +160,7 @@ func (c *coordinator) join(ln net.Listener) error {
 		peers[i] = peerInfo{Addr: addr, First: j.First, Hosted: j.Hosted}
 	}
 	for i, m := range c.members {
-		a := assignment{Job: jobs[i], WindowNS: c.rc.WindowNS, TotalWindows: c.rc.TotalWindows, Index: i, Peers: peers}
+		a := assignment{Job: jobs[i], Index: i, Peers: peers}
 		if err := wire.WriteFrame(m.conn, wire.MsgJob, encodeAssignment(a)); err != nil {
 			return c.fail(i, fmt.Errorf("handshake: %w", err))
 		}

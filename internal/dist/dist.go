@@ -15,32 +15,32 @@
 // A run is
 //
 //	worker → coord   Hello{name, peer address}
-//	coord  → worker  Job{kind, engine range, opaque spec, window length,
-//	                     window count, worker index, peer table}
+//	coord  → worker  Job{kind, engine range, opaque spec, worker index,
+//	                     peer table}
 //	worker i → worker j > i: dial, Hello{i}
-//	repeat per window, worker ↔ every peer:
-//	    WindowDone{window, maxBusy, next, stop, events for the peer's engines}
-//	    (each worker folds stop, max busy and next window from all of them)
+//	repeat per window [start, end), worker ↔ every peer:
+//	    WindowDone{start, end, maxBusy, next, stop, events for the peer's engines}
+//	    (each worker folds stop, max busy and the minimum next from all of them)
 //	worker → coord   Heartbeat{windows sent}, every HeartbeatInterval
 //	worker → coord   Result{windows, modeled busy, stopped, opaque payload}
 //
-// No per-window frame reaches the coordinator. Every worker takes the
-// barrier decision itself, with pdes.NextWindow, from the same frames, so
-// all of them take the same one; the coordinator checks at the end that
-// their summaries agree.
+// No per-window frame reaches the coordinator, and no process here decides
+// a window: every worker folds the same frames, and its pdes loop takes
+// the next window from the folded values, so all of them take the same
+// one; the coordinator checks at the end that their summaries agree.
 //
 // Failure model: the coordinator reads each worker connection under a
 // rolling deadline of HeartbeatTimeout; a worker that dies or is cut off —
 // process killed, network partition — stops heartbeating and the read
 // deadline fires, failing the run with a WorkerError naming the worker. A
 // worker whose peer link fails — EOF, a frame the wire codec rejects (bad
-// CRC, bad magic, truncation), the wrong window, an event for an engine it
-// does not host, or no frame within ExchangeTimeout — sends the coordinator
-// an Abort naming that peer, and the coordinator blames it. A stalled
-// worker — heartbeats flowing, no window progress — is caught by the
-// windows-sent count its heartbeats carry. On any failure the coordinator
-// sends Abort to the surviving workers, which close their peer links so
-// none stays blocked in Exchange.
+// CRC, bad magic, truncation), another window, an event for an engine it
+// does not host or dated before the window's end, or no frame within
+// ExchangeTimeout — sends the coordinator an Abort naming that peer, and
+// the coordinator blames it. A stalled worker — heartbeats flowing, no
+// window progress — is caught by the windows-sent count its heartbeats
+// carry. On any failure the coordinator sends Abort to the surviving
+// workers, which close their peer links so none stays blocked in Exchange.
 //
 // The coordinator is deliberately model-agnostic: job specs and result
 // payloads are opaque bytes, and the job kind string selects a registered
@@ -151,13 +151,11 @@ func decodeHello(p []byte) (name, addr string, err error) {
 }
 
 // assignment is what the coordinator's Job frame tells a worker: its job,
-// the run's window geometry, its index, and the peer table.
+// its index, and the peer table.
 type assignment struct {
 	Job
-	WindowNS     int64
-	TotalWindows int
-	Index        int
-	Peers        []peerInfo
+	Index int
+	Peers []peerInfo
 }
 
 // peerInfo is one worker's row of the peer table: where it listens for its
@@ -173,8 +171,6 @@ func encodeAssignment(a assignment) []byte {
 	b.U32(uint32(a.First))
 	b.U32(uint32(a.Hosted))
 	b.Bytes(a.Spec)
-	b.I64(a.WindowNS)
-	b.U32(uint32(a.TotalWindows))
 	b.U32(uint32(a.Index))
 	b.U32(uint32(len(a.Peers)))
 	for _, p := range a.Peers {
@@ -189,7 +185,7 @@ func decodeAssignment(p []byte) (assignment, error) {
 	r := wire.NewReader(p)
 	a := assignment{Job: Job{Kind: r.String(), First: int(r.U32()), Hosted: int(r.U32())}}
 	a.Spec = append([]byte(nil), r.BytesView()...)
-	a.WindowNS, a.TotalWindows, a.Index = r.I64(), int(r.U32()), int(r.U32())
+	a.Index = int(r.U32())
 	n := int(r.U32())
 	if n > r.Len() { // a corrupt count must not size the allocation
 		return a, wire.ErrShort
@@ -206,28 +202,38 @@ func decodeAssignment(p []byte) (assignment, error) {
 
 func encodeWindowDone(buf []byte, d pdes.WindowDone) []byte {
 	b := wire.Buffer{B: buf}
-	b.U32(uint32(d.Window))
+	b.I64(int64(d.Start))
+	b.I64(int64(d.End))
 	b.I64(d.MaxBusy)
 	b.I64(int64(d.LocalNext))
-	if d.Stop {
-		b.U8(1)
-	} else {
-		b.U8(0)
-	}
+	b.U8(flag(d.Stop))
 	return wire.AppendEvents(b.B, d.Events)
 }
 
+// decodeWindowDone accepts only the bytes encodeWindowDone writes: a stop
+// flag of 0 or 1 and nothing after the events.
 func decodeWindowDone(p []byte) (pdes.WindowDone, error) {
 	r := wire.NewReader(p)
 	d := pdes.WindowDone{
-		Window:    int(r.U32()),
-		MaxBusy:   r.I64(),
-		LocalNext: des.Time(r.I64()),
-		Stop:      r.U8() != 0,
+		Start: des.Time(r.I64()), End: des.Time(r.I64()),
+		MaxBusy: r.I64(), LocalNext: des.Time(r.I64()),
 	}
+	stop := r.U8()
+	d.Stop = stop == 1
 	evs, err := wire.ReadEvents(r)
 	d.Events = evs
+	if err == nil && (stop > 1 || r.Len() > 0) {
+		err = fmt.Errorf("dist: malformed window frame: stop byte %d, %d trailing bytes", stop, r.Len())
+	}
 	return d, err
+}
+
+// flag is a bool's wire byte.
+func flag(b bool) byte {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // summary is what a worker's transport folded over the whole run; every
@@ -243,11 +249,7 @@ func encodeResult(s summary, payload []byte) []byte {
 	var b wire.Buffer
 	b.U32(uint32(s.windows))
 	b.I64(s.busyNS)
-	if s.stopped {
-		b.U8(1)
-	} else {
-		b.U8(0)
-	}
+	b.U8(flag(s.stopped))
 	return append(b.B, payload...)
 }
 

@@ -76,22 +76,20 @@ type sendResult struct {
 
 // Exchange implements pdes.Transport: it sends every peer this worker's
 // control data with the events for that peer's engines, reads every peer's
-// in turn, and folds them into the decision the whole run takes: stop if
-// any worker stops, the max busy time, and the window holding the global
-// next event. Peers' events come back in ascending worker index.
+// in turn, and folds them as every worker does: stop if any worker stops,
+// the max busy time and the minimum next-event time. Peers' events come
+// back in ascending worker index.
 func (t *WorkerTransport) Exchange(d pdes.WindowDone) (pdes.WindowGo, error) {
-	next := d.LocalNext
 	for i := range t.outs {
 		t.outs[i] = t.outs[i][:0]
 	}
 	for _, ev := range d.Events {
-		next = min(next, des.Time(ev.At))
 		o := -1
 		if ev.Dst >= 0 && int(ev.Dst) < len(t.owner) {
 			o = t.owner[ev.Dst]
 		}
 		if o < 0 || o == t.a.Index {
-			return pdes.WindowGo{}, t.fail(t.a.Index, fmt.Errorf("dist: window %d: event for engine %d, hosted by no peer", d.Window, ev.Dst))
+			return pdes.WindowGo{}, t.fail(t.a.Index, fmt.Errorf("dist: window at %v: event for engine %d, hosted by no peer", d.Start, ev.Dst))
 		}
 		t.outs[o] = append(t.outs[o], ev)
 	}
@@ -101,7 +99,7 @@ func (t *WorkerTransport) Exchange(d pdes.WindowDone) (pdes.WindowGo, error) {
 			continue
 		}
 		t.enc = encodeWindowDone(t.enc[:0], pdes.WindowDone{
-			Window: d.Window, MaxBusy: d.MaxBusy, LocalNext: next, Stop: d.Stop, Events: t.outs[j],
+			Start: d.Start, End: d.End, MaxBusy: d.MaxBusy, LocalNext: d.LocalNext, Stop: d.Stop, Events: t.outs[j],
 		})
 		t.frame = wire.AppendFrame(t.frame[:0], wire.MsgWindowDone, t.enc)
 		if len(t.frame) > bigFrame {
@@ -112,19 +110,19 @@ func (t *WorkerTransport) Exchange(d pdes.WindowDone) (pdes.WindowGo, error) {
 				t.sends <- sendResult{j, err}
 			}()
 		} else if _, err := p.conn.Write(t.frame); err != nil {
-			return pdes.WindowGo{}, t.fail(j, fmt.Errorf("dist: send window %d to worker %d: %w", d.Window, j, err))
+			return pdes.WindowGo{}, t.fail(j, fmt.Errorf("dist: send window at %v to worker %d: %w", d.Start, j, err))
 		}
 	}
 	t.sent.Add(1)
-	stop, busy := d.Stop, d.MaxBusy
+	stop, busy, next := d.Stop, d.MaxBusy, d.LocalNext
 	t.in = t.in[:0]
 	for j, p := range t.peers {
 		if p == nil {
 			continue
 		}
-		got, err := t.recv(p, d.Window)
+		got, err := t.recv(p, d)
 		if err != nil {
-			return pdes.WindowGo{}, t.fail(j, fmt.Errorf("dist: window %d from worker %d: %w", d.Window, j, err))
+			return pdes.WindowGo{}, t.fail(j, fmt.Errorf("dist: window at %v from worker %d: %w", d.Start, j, err))
 		}
 		stop = stop || got.Stop
 		busy = max(busy, got.MaxBusy)
@@ -133,21 +131,19 @@ func (t *WorkerTransport) Exchange(d pdes.WindowDone) (pdes.WindowGo, error) {
 	}
 	for ; async > 0; async-- {
 		if r := <-t.sends; r.err != nil {
-			return pdes.WindowGo{}, t.fail(r.peer, fmt.Errorf("dist: send window %d to worker %d: %w", d.Window, r.peer, r.err))
+			return pdes.WindowGo{}, t.fail(r.peer, fmt.Errorf("dist: send window at %v to worker %d: %w", d.Start, r.peer, r.err))
 		}
 	}
 	t.sum.windows++
 	t.sum.busyNS += busy
 	t.sum.stopped = stop
-	g := pdes.WindowGo{Stop: stop, Events: t.in}
-	g.NextWindow = min(pdes.NextWindow(d.Window, next, des.Time(t.a.WindowNS)), t.a.TotalWindows)
-	return g, nil
+	return pdes.WindowGo{Next: next, Stop: stop, Events: t.in}, nil
 }
 
-// recv reads peer p's frame for window w under the exchange timeout and
-// checks it: the window this worker is at, and events only for engines
-// this worker hosts.
-func (t *WorkerTransport) recv(p *link, w int) (pdes.WindowDone, error) {
+// recv reads peer p's frame for this worker's window d under the exchange
+// timeout and checks it: the same window [Start, End), and events only for
+// engines this worker hosts, none dated before End.
+func (t *WorkerTransport) recv(p *link, d pdes.WindowDone) (pdes.WindowDone, error) {
 	_ = p.conn.SetReadDeadline(time.Now().Add(t.opt.ExchangeTimeout))
 	typ, payload, err := wire.ReadFrame(p.r, wire.DefaultMaxFrame)
 	if ne, ok := err.(net.Error); ok && ne.Timeout() {
@@ -163,12 +159,15 @@ func (t *WorkerTransport) recv(p *link, w int) (pdes.WindowDone, error) {
 	if err != nil {
 		return got, err
 	}
-	if got.Window != w {
-		return got, fmt.Errorf("arrived at window %d, barrier is at %d", got.Window, w)
+	if got.Start != d.Start || got.End != d.End {
+		return got, fmt.Errorf("arrived at window [%v, %v), barrier is at [%v, %v)", got.Start, got.End, d.Start, d.End)
 	}
 	for _, ev := range got.Events {
 		if int(ev.Dst) < t.a.First || int(ev.Dst) >= t.a.First+t.a.Hosted {
 			return got, fmt.Errorf("event for engine %d, hosted here [%d,%d)", ev.Dst, t.a.First, t.a.First+t.a.Hosted)
+		}
+		if des.Time(ev.At) < d.End {
+			return got, fmt.Errorf("event at %v, before the window's end %v", des.Time(ev.At), d.End)
 		}
 	}
 	return got, nil

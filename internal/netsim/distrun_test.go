@@ -15,16 +15,15 @@ import (
 	"massf/internal/wire"
 )
 
-// memHub is an in-memory coordinator: the same reduction and star routing
-// the TCP coordinator (internal/dist) performs, without sockets, so the
-// netsim wire codec and replica adoption are tested at full speed under
-// -race.
+// memHub is an in-memory mesh: the same folding and star routing the TCP
+// workers (internal/dist) perform, without sockets, so the netsim wire
+// codec and replica adoption are tested at full speed under -race. Like
+// them it decides nothing: each worker's pdes loop takes the next window.
 type memHub struct {
 	k           int
-	window      des.Time
-	total       int
 	first, last []int
 	ch          chan memDone
+	quit        chan struct{} // closed once every worker's run is over
 }
 
 type memDone struct {
@@ -49,24 +48,24 @@ func (h *memHub) serve() {
 	for {
 		pending = pending[:0]
 		for len(pending) < h.k {
-			pending = append(pending, <-h.ch)
+			select {
+			case d := <-h.ch:
+				pending = append(pending, d)
+			case <-h.quit:
+				return
+			}
 		}
-		w := pending[0].d.Window
+		start := pending[0].d.Start
 		stop := false
-		globalNext := des.EndOfTime
+		next := des.EndOfTime
 		outs := make([][]wire.Event, h.k)
 		for _, p := range pending {
-			if p.d.Window != w {
+			if p.d.Start != start {
 				panic("workers disagree on window")
 			}
 			stop = stop || p.d.Stop
-			if p.d.LocalNext < globalNext {
-				globalNext = p.d.LocalNext
-			}
+			next = min(next, p.d.LocalNext)
 			for _, ev := range p.d.Events {
-				if des.Time(ev.At) < globalNext {
-					globalNext = des.Time(ev.At)
-				}
 				routed := false
 				for j := 0; j < h.k; j++ {
 					if int(ev.Dst) >= h.first[j] && int(ev.Dst) < h.last[j] {
@@ -80,12 +79,8 @@ func (h *memHub) serve() {
 				}
 			}
 		}
-		next := pdes.NextWindow(w, globalNext, h.window)
 		for _, p := range pending {
-			p.reply <- pdes.WindowGo{NextWindow: next, Stop: stop, Events: outs[p.worker]}
-		}
-		if stop || next >= h.total {
-			return
+			p.reply <- pdes.WindowGo{Next: next, Stop: stop, Events: outs[p.worker]}
 		}
 	}
 }
@@ -231,7 +226,7 @@ func TestDistributedNetsimMatchesInProcess(t *testing.T) {
 		split := split
 		t.Run(fmt.Sprintf("workers=%d", len(split)), func(t *testing.T) {
 			k := len(split)
-			hub := &memHub{k: k, window: des.Millisecond, total: 700, ch: make(chan memDone, k)}
+			hub := &memHub{k: k, ch: make(chan memDone, k), quit: make(chan struct{})}
 			first := 0
 			for _, n := range split {
 				hub.first = append(hub.first, first)
@@ -256,6 +251,7 @@ func TestDistributedNetsimMatchesInProcess(t *testing.T) {
 				}()
 			}
 			wg.Wait()
+			close(hub.quit)
 
 			merged := &workerObs{
 				tcpDone: make([]des.Time, len(refObs.tcpDone)),

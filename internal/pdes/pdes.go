@@ -83,9 +83,10 @@ type Config struct {
 	// simulation: only the engines in [FirstEngine, FirstEngine+HostedEngines)
 	// execute live on this process, and once per window Run's leader engine
 	// hands the Transport the hosted engines' reduction and cross-worker
-	// events and takes the next-window decision from its reply, at the cost
-	// of a third barrier. Nil (the default) hosts every engine and takes the
-	// decision locally; it is the only selector between the two modes. See
+	// events and takes the global next-event time and stop from its reply,
+	// at the cost of a third barrier. Nil (the default) hosts every engine
+	// and reduces locally; it is the only selector between the two modes.
+	// Either way Run decides the next window itself. See
 	// Transport for the window protocol and the deterministic-setup model
 	// the distributed mode assumes. A worker's engines park at every
 	// barrier: the third waits on the network, and co-located workers share
@@ -281,8 +282,8 @@ type Stats struct {
 	// ModeledBusyNS is the Σ over windows of the max per-engine busy
 	// time, ignoring synchronization (a lower bound on ModeledTimeNS).
 	ModeledBusyNS int64
-	// SyncPerWindowNS is C(N).
-	SyncPerWindowNS int64
+	// SyncCostNS is C(N), the modeled cost of one window barrier.
+	SyncCostNS int64
 	// WallTime is the real elapsed time of the run on the host.
 	WallTime time.Duration
 	// MaxPending[e] is the high-water mark of engine e's event queue.
@@ -372,26 +373,19 @@ func New(cfg Config) (*Sim, error) {
 // Engine returns engine i.
 func (s *Sim) Engine(i int) *Engine { return s.engines[i] }
 
-// WindowCount returns the number of barrier windows of the given width that
-// cover the horizon: ceil(end/window). Run sizes its loop with it, and so
-// must whatever drives workers through a Transport, so that both sides agree
-// on the last window.
-func WindowCount(end, window des.Time) int {
-	return int((end + window - 1) / window)
-}
+// window is one barrier window: the simulated interval [start, end).
+type window struct{ start, end des.Time }
 
-// NextWindow is the barrier decision: the window to execute after window w
-// when globalNext is the earliest pending event anywhere in the simulation.
-// That is w+1, unless every window before the one holding globalNext is
-// globally idle, in which case the run fast-forwards straight to it. Run
-// calls it with the minimum over its engines; a worker's Transport calls
-// it with the minimum over every worker's WindowDone.LocalNext and the
-// events in flight between them.
-func NextWindow(w int, globalNext, window des.Time) int {
-	if skip := int(globalNext / window); skip > w+1 {
-		return skip
-	}
-	return w + 1
+// nextWindow is the barrier decision, taken after window cur when next is
+// the earliest pending event anywhere in the simulation: the cell of the
+// Window-wide grid that holds next, or the cell right after cur when next
+// lies before it — the run fast-forwards over globally idle cells and never
+// steps back. The last cell is cut at End, and the run is over once a
+// window starts at or past End. Run takes it at every barrier, from its own
+// engines' next-event times in-process or from the Transport's reply.
+func (c *Config) nextWindow(cur window, next des.Time) window {
+	start := max(cur.end, next-next%c.Window)
+	return window{start, start + min(c.Window, max(c.End-start, 0))}
 }
 
 // Run executes the simulation to the configured horizon and returns stats.
@@ -399,21 +393,20 @@ func NextWindow(w int, globalNext, window des.Time) int {
 // the engines in [FirstEngine, FirstEngine+HostedEngines) — all of them
 // unless a Transport is configured — each compute a window, meet at a
 // barrier, gather what the other hosted engines sent them, and meet again.
-// Then comes the decision on the next window. Locally, every engine takes it
-// from the next-event times and stop flag the second barrier published.
-// With a Transport, the leader instead trades the hosted engines' reduction
-// and wire outboxes with the Transport for the global decision (see
-// exchange) and a third barrier publishes it. Either way each engine then
-// merges its cross-worker events (none in-process) with its gather under
-// the (at, src, seq) order and schedules the lot.
+// Locally, the second barrier has published every next-event time and the
+// stop flag. With a Transport, the leader instead trades the hosted
+// engines' reduction and wire outboxes with the Transport for the global
+// next-event time and stop (see exchange), and a third barrier publishes
+// them. Either way each engine then merges its cross-worker events (none
+// in-process) with its gather under the (at, src, seq) order, schedules the
+// lot, and takes the next window from nextWindow.
 func (s *Sim) Run() Stats {
 	cfg := s.cfg
 	first, hosted := cfg.FirstEngine, cfg.HostedEngines
-	totalWindows := WindowCount(cfg.End, cfg.Window)
-	buckets := cfg.SeriesBuckets
-	if buckets > totalWindows {
-		buckets = totalWindows
-	}
+	// The load series spans the grid cells to the horizon; a window's
+	// bucket, record and reports key on its cell, start/Window.
+	cells := int((cfg.End + cfg.Window - 1) / cfg.Window)
+	buckets := min(cfg.SeriesBuckets, cells)
 	series := make([][]uint64, buckets)
 	for b := range series {
 		series[b] = make([]uint64, cfg.Engines)
@@ -430,12 +423,12 @@ func (s *Sim) Run() Stats {
 	// hosted engines only — a lower bound; the worker's Transport folds the
 	// global reduction.
 	stats := Stats{
-		Engines:         cfg.Engines,
-		Window:          cfg.Window,
-		EngineEvents:    make([]uint64, cfg.Engines),
-		LoadSeries:      series,
-		SyncPerWindowNS: syncCost,
-		MaxPending:      make([]int, cfg.Engines),
+		Engines:      cfg.Engines,
+		Window:       cfg.Window,
+		EngineEvents: make([]uint64, cfg.Engines),
+		LoadSeries:   series,
+		SyncCostNS:   syncCost,
+		MaxPending:   make([]int, cfg.Engines),
 	}
 	if buckets > 0 {
 		stats.BucketWidth = cfg.End / des.Time(buckets)
@@ -445,10 +438,10 @@ func (s *Sim) Run() Stats {
 	// first two barriers, read after the second — the same synchronization
 	// discipline as busyScratch).
 	var stopScratch bool
-	// The transport decision: reply and stats.Err (and each hosted engine's
-	// wireIn) are written by the leader between the second and third
-	// barrier and read by every engine after the third. In-process they
-	// stay zero.
+	// The transport step's outcome: reply and stats.Err (and each hosted
+	// engine's wireIn) are written by the leader between the second and
+	// third barrier and read by every engine after the third. In-process
+	// they stay zero.
 	var reply WindowGo
 	// Telemetry scratch, in the shape of the record it is published as and
 	// allocated only when instrumentation is on: each engine fills its slot
@@ -490,9 +483,13 @@ func (s *Sim) Run() Stats {
 			lastTick := start
 			// wc counts *executed* windows (identical on every engine —
 			// fast-forward decisions are global) and drives the outbox
-			// parity swap.
+			// parity swap. globalNext and stop are the barrier's outcome,
+			// from which every engine takes the same next window.
 			wc := 0
-			for w := 0; w < totalWindows; {
+			var globalNext des.Time
+			var stop bool
+			for win := cfg.nextWindow(window{}, 0); win.start < cfg.End; win = cfg.nextWindow(win, globalNext) {
+				w := int(win.start / cfg.Window) // the grid cell
 				e.p = wc & 1
 				if wc >= 2 {
 					// Reclaim the parity buffers filled two executed
@@ -507,28 +504,24 @@ func (s *Sim) Run() Stats {
 				if cfg.RealTimeFactor > 0 {
 					// Online pacing: never run ahead of the wall clock
 					// (scaled by the slowdown factor).
-					target := start.Add(time.Duration(float64(w) * float64(cfg.Window) * cfg.RealTimeFactor))
+					target := start.Add(time.Duration(float64(win.start) * cfg.RealTimeFactor))
 					if d := time.Until(target); d > 0 {
 						time.Sleep(d)
 					}
 				}
-				wEnd := des.Time(w+1) * cfg.Window
-				if wEnd > cfg.End {
-					wEnd = cfg.End
-				}
-				e.windowEnd = wEnd
+				e.windowEnd = win.end
 				before := e.k.Processed()
 				var computeStart time.Time
 				if tel != nil {
 					computeStart = time.Now()
 				}
-				e.k.RunUntil(wEnd)
+				e.k.RunUntil(win.end)
 				e.winEvents = e.k.Processed() - before
 				e.events += e.winEvents
 				busyScratch[li] = int64(e.winEvents)*int64(cfg.EventCost) +
 					int64(e.winRemote)*int64(remoteCost)
 				if buckets > 0 {
-					b := w * buckets / totalWindows
+					b := w * buckets / cells
 					series[b][e.id] += e.winEvents
 				}
 				if tel != nil {
@@ -605,7 +598,7 @@ func (s *Sim) Run() Stats {
 					if tel != nil {
 						now := time.Now()
 						scratch.Window = w
-						scratch.StartNS, scratch.EndNS = int64(des.Time(w)*cfg.Window), int64(wEnd)
+						scratch.StartNS, scratch.EndNS = int64(win.start), int64(win.end)
 						scratch.WallNS, scratch.MaxBusyNS = int64(now.Sub(lastTick)), maxBusy
 						lastTick = now
 						tel.Publish(&scratch)
@@ -615,20 +608,19 @@ func (s *Sim) Run() Stats {
 				}
 				// Second barrier: every engine's publications are visible.
 				bar.Await()
-				// The local decision: every engine derives the same global
-				// next event time from the published values.
-				globalNext := slices.Min(nextTimes)
-				next, stop := NextWindow(w, globalNext, cfg.Window), stopScratch
+				// Every engine derives the same global next event time and
+				// stop from the published values.
+				globalNext, stop = slices.Min(nextTimes), stopScratch
 				if cfg.Transport != nil {
-					// The transport decision replaces it: what is global
-					// here is only this worker's share.
+					// What is global here is only this worker's share: the
+					// transport folds in every other worker's.
 					if li == 0 {
 						reply, stats.Err = s.exchange(WindowDone{
-							Window: w, MaxBusy: maxBusy, LocalNext: globalNext, Stop: stop,
+							Start: win.start, End: win.end, MaxBusy: maxBusy, LocalNext: globalNext, Stop: stop,
 						})
 					}
 					bar.Await()
-					next, stop = reply.NextWindow, reply.Stop
+					globalNext, stop = reply.Next, reply.Stop
 				}
 				if stats.Err != nil {
 					return
@@ -646,9 +638,9 @@ func (s *Sim) Run() Stats {
 				e.incoming = incoming
 				slices.SortFunc(incoming, remoteCmp)
 				if inv != nil {
-					incoming = s.invCheckIncoming(inv, w, e, wEnd, incoming)
+					incoming = s.invCheckIncoming(inv, w, e, win.end, incoming)
 					if inv.KernelPerWindow {
-						s.invCheckKernel(inv, w, e, wEnd)
+						s.invCheckKernel(inv, w, e, win.end)
 					}
 				}
 				for i := range incoming {
@@ -663,7 +655,6 @@ func (s *Sim) Run() Stats {
 					}
 					return
 				}
-				w = next
 				wc++
 			}
 		}()
@@ -687,15 +678,17 @@ func (s *Sim) Run() Stats {
 	return stats
 }
 
-// exchange is the transport decision step, run by the leader between the
-// second and third barrier: it ships the window's control data with every
-// hosted engine's encoded wire outbox, decodes each of the reply's events
-// and hands it to its destination engine's wireIn. The other hosted engines
-// wait at the third barrier meanwhile, so Decode may touch any hosted
-// engine's state. The reply is input from outside the process, so one the
-// loop cannot act on — an event for an engine not hosted here, one the
-// codec cannot decode, a window that does not advance — is an error, like a
-// failed Exchange.
+// exchange is the transport step, run by the leader between the second
+// and third barrier: it ships the window's control data with every hosted
+// engine's encoded wire outbox, whose event times it folds into LocalNext,
+// decodes each of the reply's events and hands it to its destination
+// engine's wireIn. The other hosted engines wait at the third barrier
+// meanwhile, so Decode may touch any hosted engine's state. The reply's
+// Next is folded with LocalNext and the delivered events' times, so no
+// reply can fast-forward past an event this worker holds. The reply is
+// input from outside the process, so one the loop cannot act on — an event
+// for an engine not hosted here, one the codec cannot decode, one dated
+// before the window's end — is an error, like a failed Exchange.
 func (s *Sim) exchange(done WindowDone) (WindowGo, error) {
 	first, hosted := s.cfg.FirstEngine, s.cfg.HostedEngines
 	lead := s.engines[first]
@@ -703,18 +696,22 @@ func (s *Sim) exchange(done WindowDone) (WindowGo, error) {
 		lead.wireEnc = append(lead.wireEnc, e.wireEnc...)
 		e.wireEnc = e.wireEnc[:0]
 	}
+	for i := range lead.wireEnc {
+		done.LocalNext = min(done.LocalNext, des.Time(lead.wireEnc[i].At))
+	}
 	done.Events = lead.wireEnc
 	g, err := s.cfg.Transport.Exchange(done)
 	lead.wireEnc = lead.wireEnc[:0]
 	if err != nil {
 		return g, err
 	}
-	if !g.Stop && g.NextWindow <= done.Window {
-		return g, fmt.Errorf("%w: window %d after window %d", ErrWindowNotAdvanced, g.NextWindow, done.Window)
-	}
+	g.Next = min(g.Next, done.LocalNext)
 	for _, ev := range g.Events {
 		if int(ev.Dst) < first || int(ev.Dst) >= first+hosted {
 			return g, fmt.Errorf("%w: engine %d, hosted [%d,%d)", ErrMisroutedEvent, ev.Dst, first, first+hosted)
+		}
+		if at := des.Time(ev.At); at < done.End {
+			return g, fmt.Errorf("%w: at %v, window [%v, %v)", ErrEventInPast, at, done.Start, done.End)
 		}
 		eh, err := s.cfg.Codec.Decode(int(ev.Dst), ev.Kind, ev.Payload)
 		if err != nil {
@@ -722,6 +719,7 @@ func (s *Sim) exchange(done WindowDone) (WindowGo, error) {
 		}
 		e := s.engines[ev.Dst]
 		e.wireIn = append(e.wireIn, remoteEvent{at: des.Time(ev.At), eh: eh, seq: ev.Seq, src: ev.Src})
+		g.Next = min(g.Next, des.Time(ev.At))
 	}
 	return g, nil
 }

@@ -211,8 +211,8 @@ func TestModeledTimeAccounting(t *testing.T) {
 	if stats.ModeledTimeNS != wantBusy {
 		t.Errorf("ModeledTimeNS = %d, want %d", stats.ModeledTimeNS, wantBusy)
 	}
-	if stats.SyncPerWindowNS != 5000 {
-		t.Errorf("SyncPerWindowNS = %d, want 5000", stats.SyncPerWindowNS)
+	if stats.SyncCostNS != 5000 {
+		t.Errorf("SyncCostNS = %d, want 5000", stats.SyncCostNS)
 	}
 }
 
@@ -415,6 +415,69 @@ func TestFastForwardPreservesDeterminism(t *testing.T) {
 	e2, w2 := exec()
 	if e1 != e2 || w1 != w2 {
 		t.Fatalf("nondeterministic with fast-forward: (%d,%d) vs (%d,%d)", e1, w1, e2, w2)
+	}
+}
+
+// gridNext is the barrier decision as it was taken on window indices,
+// kept here as the reference nextWindow must reproduce: after cell w, run
+// cell max(w+1, ⌊next/window⌋), which spans [cell·window, (cell+1)·window)
+// cut at end; once the cell reaches ⌈end/window⌉ the run is over.
+func gridNext(w int, next, width, end des.Time) (win window, over bool) {
+	cell := w + 1
+	if skip := int(next / width); skip > cell {
+		cell = skip
+	}
+	if cell >= int((end+width-1)/width) {
+		return win, true
+	}
+	return window{des.Time(cell) * width, min(des.Time(cell+1)*width, end)}, false
+}
+
+func TestWindowDecisionMatchesGrid(t *testing.T) {
+	ms := des.Millisecond
+	for _, tc := range []struct {
+		name string
+		end  des.Time
+		w    int // the cell just executed
+		next des.Time
+	}{
+		{"next in the following cell", 10 * ms, 3, 4*ms + ms/2},
+		{"next still in the executed cell", 10 * ms, 3, 3*ms + ms/2},
+		{"fast-forward over idle cells", 10 * ms, 0, 8*ms + 1},
+		{"next on a grid line", 10 * ms, 2, 6 * ms},
+		{"next one before a grid line", 10 * ms, 2, 6*ms - 1},
+		{"next at end of time", 10 * ms, 4, des.EndOfTime},
+		{"next at the horizon", 10 * ms, 4, 10 * ms},
+		{"last partial window", 9*ms + ms/2, 3, 9*ms + ms/5},
+		{"after the last partial window", 9*ms + ms/2, 9, 9*ms + 7*ms/10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Window: ms, End: tc.end}
+			cur := window{des.Time(tc.w) * ms, min(des.Time(tc.w+1)*ms, tc.end)}
+			got := cfg.nextWindow(cur, tc.next)
+			want, over := gridNext(tc.w, tc.next, ms, tc.end)
+			if over != (got.start >= tc.end) || !over && got != want {
+				t.Fatalf("nextWindow(%v, %v) = %v, grid rule %v (over %v)", cur, tc.next, got, want, over)
+			}
+		})
+	}
+	// Every cell of a horizon that is not a multiple of the window, against
+	// every next time on a sub-cell lattice.
+	const width, end = 7, 100
+	cfg := Config{Window: width, End: end}
+	for w := 0; w*width < end; w++ {
+		cur := window{des.Time(w) * width, min(des.Time(w+1)*width, end)}
+		for next := cur.start; next <= end+2*width; next += 3 {
+			got := cfg.nextWindow(cur, next)
+			want, over := gridNext(w, next, width, end)
+			if over != (got.start >= end) || !over && got != want {
+				t.Fatalf("nextWindow(%v, %d) = %v, grid rule %v (over %v)", cur, next, got, want, over)
+			}
+		}
+	}
+	// The run's first window is the first cell, cut at a short horizon.
+	if got := (&Config{Window: ms, End: ms / 2}).nextWindow(window{}, 0); got != (window{0, ms / 2}) {
+		t.Fatalf("first window %v, want [0, %v)", got, ms/2)
 	}
 }
 

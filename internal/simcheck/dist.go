@@ -325,10 +325,7 @@ func (p *Plan) jobs(k, workers int) (dist.RunConfig, error) {
 	if err != nil {
 		return dist.RunConfig{}, err
 	}
-	rc := dist.RunConfig{
-		WindowNS:     int64(window),
-		TotalWindows: pdes.WindowCount(p.Scenario.Horizon, window),
-	}
+	var rc dist.RunConfig
 	for _, r := range ranges {
 		rc.Jobs = append(rc.Jobs, dist.Job{
 			Kind: DistJobKind, First: r[0], Hosted: r[1], Spec: data,

@@ -31,8 +31,10 @@ import (
 )
 
 // Version is the protocol version byte. A peer speaking a different
-// version is rejected at the first frame.
-const Version = 1
+// version is rejected at the first frame. Version 2: WindowDone names its
+// window by start and end time instead of a grid index, and Job no longer
+// carries the window length and count.
+const Version = 2
 
 // headerSize and trailerSize bound a frame's fixed overhead.
 const (
@@ -50,8 +52,8 @@ const (
 	// MsgHello is a worker's handshake: to the coordinator its name and
 	// peer address, to a peer its index.
 	MsgHello byte = iota + 1
-	// MsgJob is the coordinator's assignment: run spec, engine range,
-	// window geometry and the peer table.
+	// MsgJob is the coordinator's assignment: run spec, engine range, the
+	// worker's index and the peer table.
 	MsgJob
 	// MsgWindowDone is one worker's barrier arrival at a peer: control data
 	// plus the window's cross-worker events for that peer's engines.

@@ -72,7 +72,7 @@ func TestAppendFrame(t *testing.T) {
 		t.Fatalf("AppendFrame % x, WriteFrame % x", got, buf.Bytes())
 	}
 	// magic, version, type, length 5, "hello", CRC32 (IEEE) of all before it.
-	want, _ := hex.DecodeString("4d4601030500000068656c6c6f50d597ba")
+	want, _ := hex.DecodeString("4d4602030500000068656c6c6f51b37523")
 	if !bytes.Equal(got, want) {
 		t.Fatalf("frame % x, want % x", got, want)
 	}
