@@ -330,8 +330,8 @@ func reportFailure(out io.Writer, rep *simcheck.Report) {
 			}
 			fmt.Fprintf(out, "    divergence: %v\n", d)
 		}
-		if w := kr.DivergentWindow(); w >= 0 {
-			fmt.Fprintf(out, "    earliest divergence in barrier window %d of %d\n", w, kr.Windows)
+		if at, start, end, ok := kr.DivergentWindow(); ok {
+			fmt.Fprintf(out, "    earliest divergence at %v, in barrier window [%v, %v)\n", at, start, end)
 		}
 	}
 }

@@ -51,8 +51,9 @@ func FuzzScenarioEquivalence(f *testing.F) {
 				t.Fatalf("%s k=%d: invariant violation: %v", sc, kr.K, kr.Violations[0])
 			}
 			if len(kr.Divergences) > 0 {
-				t.Fatalf("%s k=%d: diverged from sequential reference: %v (window %d of %d)",
-					sc, kr.K, kr.Divergences[0], kr.DivergentWindow(), kr.Windows)
+				at, start, end, _ := kr.DivergentWindow()
+				t.Fatalf("%s k=%d: diverged from sequential reference: %v (earliest at %v, in window [%v, %v))",
+					sc, kr.K, kr.Divergences[0], at, start, end)
 			}
 		}
 	})

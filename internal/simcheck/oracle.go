@@ -239,19 +239,21 @@ type KRun struct {
 // Failed reports whether this run diverged or violated an invariant.
 func (kr *KRun) Failed() bool { return len(kr.Divergences) > 0 || len(kr.Violations) > 0 }
 
-// DivergentWindow returns the barrier-window index of the earliest
-// time-attributable divergence, or -1 when no divergence carries a time.
-func (kr *KRun) DivergentWindow() int {
-	best := des.EndOfTime
+// DivergentWindow returns the earliest time-attributable divergence's time
+// and the barrier window [start, end) that holds it; ok is false when no
+// divergence carries a time.
+func (kr *KRun) DivergentWindow() (at, start, end des.Time, ok bool) {
+	at = des.EndOfTime
 	for _, d := range kr.Divergences {
-		if d.At > 0 && d.At < best {
-			best = d.At
+		if d.At > 0 && d.At < at {
+			at = d.At
 		}
 	}
-	if best == des.EndOfTime || kr.Window <= 0 {
-		return -1
+	if at == des.EndOfTime || kr.Window <= 0 {
+		return 0, 0, 0, false
 	}
-	return int(best / kr.Window)
+	start = at - at%kr.Window
+	return at, start, start + kr.Window, true
 }
 
 // Report is the outcome of checking one scenario.

@@ -86,8 +86,8 @@ func TestDiffReportsEveryFieldClass(t *testing.T) {
 		t.Errorf("TCPDone divergence At = %v, want 20ms (earlier of the two)", d.At)
 	}
 	kr := KRun{Window: des.Millisecond, Divergences: ds}
-	if w := kr.DivergentWindow(); w != 20 {
-		t.Errorf("DivergentWindow = %d, want 20", w)
+	if at, start, end, ok := kr.DivergentWindow(); !ok || at != 20*des.Millisecond || start != 20*des.Millisecond || end != 21*des.Millisecond {
+		t.Errorf("DivergentWindow = %v in [%v, %v) (ok %v), want 20ms in [20ms, 21ms)", at, start, end, ok)
 	}
 	if ds := Diff(seq, seq); len(ds) != 0 {
 		t.Errorf("self-diff produced %v", ds)
