@@ -58,7 +58,6 @@ func main() {
 		worker     = flag.Bool("worker", false, "run as a distributed-simulation worker instead of the HTTP daemon")
 		join       = flag.String("join", "", "coordinator address to dial (worker mode)")
 		workerName = flag.String("worker-name", "", "name reported to the coordinator (worker mode; default host:pid)")
-		hbEvery    = flag.Duration("heartbeat", 0, "heartbeat interval while computing (worker mode; 0 = default)")
 	)
 	flag.Parse()
 
@@ -73,7 +72,7 @@ func main() {
 			name = fmt.Sprintf("%s:%d", host, os.Getpid())
 		}
 		log.Printf("massfd: worker %q joining coordinator at %s", name, *join)
-		err := dist.RunWorker(*join, name, workerRunners(), dist.Options{HeartbeatInterval: *hbEvery})
+		err := dist.RunWorker(*join, name, workerRunners(), dist.Options{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "massfd:", err)
 			os.Exit(1)

@@ -33,7 +33,6 @@ import (
 	"strconv"
 	"strings"
 
-	"massf/internal/dist"
 	"massf/internal/simcheck"
 )
 
@@ -222,7 +221,7 @@ func distLeg(out io.Writer, p *simcheck.Plan, workers, pinnedK int, listen strin
 		fmt.Fprintf(out, "waiting for %d workers on %s (massfd -worker -join %s)\n",
 			workers, ln.Addr(), ln.Addr())
 	}
-	return p.Distributed(ln, k, workers, dist.Options{})
+	return p.Distributed(ln, k, workers)
 }
 
 // printDistributed reports the distributed leg: the merged worker

@@ -40,12 +40,12 @@ func distE2EScenario() simcheck.Scenario {
 // planAndServe plans sc and coordinates its distributed leg over ln; the
 // test launches the massfd -worker processes against ln's address, and each
 // builds only its slice of the scenario.
-func planAndServe(ln net.Listener, sc simcheck.Scenario, k, workers int, opt dist.Options) (*simcheck.DistReport, error) {
+func planAndServe(ln net.Listener, sc simcheck.Scenario, k, workers int) (*simcheck.DistReport, error) {
 	p, err := simcheck.NewPlan(sc)
 	if err != nil {
 		return nil, err
 	}
-	return p.Distributed(ln, k, workers, opt)
+	return p.Distributed(ln, k, workers)
 }
 
 // TestDistributedEndToEnd runs the full distributed pipeline through real
@@ -79,7 +79,7 @@ func TestDistributedEndToEnd(t *testing.T) {
 		}()
 	}
 
-	rep, err := planAndServe(ln, distE2EScenario(), 4, workers, dist.Options{})
+	rep, err := planAndServe(ln, distE2EScenario(), 4, workers)
 	wg.Wait()
 	if err != nil {
 		for i := range outs {
@@ -140,7 +140,7 @@ func TestDistributedChurnEndToEnd(t *testing.T) {
 	}
 
 	sc := simcheck.Churn(distE2EScenario())
-	rep, err := planAndServe(ln, sc, 4, workers, dist.Options{})
+	rep, err := planAndServe(ln, sc, 4, workers)
 	wg.Wait()
 	if err != nil {
 		for i := range outs {
@@ -200,7 +200,7 @@ func TestDistributedPathTraceEndToEnd(t *testing.T) {
 
 	sc := distE2EScenario()
 	sc.NetSample = 3
-	rep, err := planAndServe(ln, sc, 4, workers, dist.Options{})
+	rep, err := planAndServe(ln, sc, 4, workers)
 	wg.Wait()
 	if err != nil {
 		for i := range outs {
@@ -330,7 +330,6 @@ func TestDistributedWorkerKillAttribution(t *testing.T) {
 	}
 	defer survivor.Process.Kill()
 
-	opt := dist.Options{HeartbeatTimeout: 1500 * time.Millisecond}
 	killed := make(chan time.Time, 1)
 	go func() {
 		// Both workers joined; give the run a head start into its windows,
@@ -342,7 +341,7 @@ func TestDistributedWorkerKillAttribution(t *testing.T) {
 		killed <- time.Now()
 	}()
 
-	_, err = planAndServe(ln, sc, 4, 2, opt)
+	_, err = planAndServe(ln, sc, 4, 2)
 	failedAt := time.Now()
 	if err == nil {
 		t.Fatal("coordinator did not fail after a worker was killed")
@@ -354,9 +353,10 @@ func TestDistributedWorkerKillAttribution(t *testing.T) {
 	if werr.Name != "victim" {
 		t.Fatalf("failure attributed to %q, want \"victim\": %v", werr.Name, err)
 	}
-	if elapsed := failedAt.Sub(<-killed); elapsed > opt.HeartbeatTimeout+2*time.Second {
+	const deadline = 2 * time.Second // dist's fixed liveness deadline
+	if elapsed := failedAt.Sub(<-killed); elapsed > deadline+2*time.Second {
 		t.Fatalf("failure took %v after the kill, want within the %v heartbeat timeout",
-			elapsed, opt.HeartbeatTimeout)
+			elapsed, deadline)
 	}
 
 	// The abort frame must release the survivor — it exits on its own, no

@@ -46,15 +46,15 @@ type frame struct {
 
 // readLoop pumps worker i's frames into c.in and ends with the
 // connection's failure. Every read runs under a rolling deadline of
-// HeartbeatTimeout, so a worker is declared dead only after that long of
+// heartbeatTimeout, so a worker is declared dead only after that long of
 // true silence.
 func (c *coordinator) readLoop(i int) {
 	conn := c.members[i].conn
 	for {
-		_ = conn.SetReadDeadline(time.Now().Add(c.opt.HeartbeatTimeout))
+		_ = conn.SetReadDeadline(time.Now().Add(c.opt.heartbeatTimeout))
 		typ, payload, err := wire.ReadFrame(conn, wire.DefaultMaxFrame)
 		if ne, ok := err.(net.Error); ok && ne.Timeout() {
-			err = fmt.Errorf("heartbeat timeout after %v: %w", c.opt.HeartbeatTimeout, err)
+			err = fmt.Errorf("heartbeat timeout after %v: %w", c.opt.heartbeatTimeout, err)
 		}
 		select {
 		case c.in <- frame{from: i, typ: typ, payload: payload, err: err}:
@@ -88,7 +88,7 @@ type coordinator struct {
 // identifying the culprit. The listener is not closed.
 func Serve(ln net.Listener, rc RunConfig, opt Options) (*Result, error) {
 	opt = opt.withDefaults()
-	if err := checkJobs(rc.Jobs); err != nil {
+	if _, err := checkJobs(rc.Jobs); err != nil {
 		return nil, err
 	}
 	c := &coordinator{rc: rc, opt: opt, in: make(chan frame, 4*len(rc.Jobs)), quit: make(chan struct{})}
@@ -99,31 +99,41 @@ func Serve(ln net.Listener, rc RunConfig, opt Options) (*Result, error) {
 	return c.collect()
 }
 
-// checkJobs accepts job ranges that tile [0, N): every engine hosted by
-// exactly one worker, and every worker hosting at least one.
-func checkJobs(jobs []Job) error {
+// maxEngines bounds the engines a run spans: a worker's engine table has
+// one entry per engine.
+const maxEngines = 1 << 16
+
+// checkJobs accepts job ranges that tile [0, N) for N ≤ maxEngines: every
+// engine hosted by exactly one worker, and every worker hosting at least
+// one. It returns the engine → job table. Serve checks its job list and a
+// worker its Job's peer table by it.
+func checkJobs(jobs []Job) ([]int, error) {
 	if len(jobs) == 0 {
-		return fmt.Errorf("dist: no jobs")
+		return nil, fmt.Errorf("dist: no jobs")
 	}
 	order := make([]int, len(jobs))
 	for i := range order {
 		order[i] = i
 	}
 	slices.SortFunc(order, func(a, b int) int { return jobs[a].First - jobs[b].First })
-	next := 0
+	var owner []int
 	for _, i := range order {
 		j := jobs[i]
 		switch {
 		case j.Hosted < 1:
-			return fmt.Errorf("dist: job %d hosts %d engines", i, j.Hosted)
-		case j.First > next:
-			return fmt.Errorf("dist: engine %d assigned to no worker", next)
-		case j.First < next:
-			return fmt.Errorf("dist: engine %d assigned to two workers", j.First)
+			return nil, fmt.Errorf("dist: job %d hosts %d engines", i, j.Hosted)
+		case j.First > len(owner):
+			return nil, fmt.Errorf("dist: engine %d assigned to no worker", len(owner))
+		case j.First < len(owner):
+			return nil, fmt.Errorf("dist: engine %d assigned to two workers", j.First)
+		case j.First+j.Hosted > maxEngines:
+			return nil, fmt.Errorf("dist: %d engines, more than %d", j.First+j.Hosted, maxEngines)
 		}
-		next = j.First + j.Hosted
+		for range j.Hosted {
+			owner = append(owner, i)
+		}
 	}
-	return nil
+	return owner, nil
 }
 
 // join accepts and handshakes every worker, then hands each its job with
@@ -131,7 +141,7 @@ func checkJobs(jobs []Job) error {
 // caller's: the join deadline armed on it is cleared on return, so a later
 // Accept of theirs does not inherit it.
 func (c *coordinator) join(ln net.Listener) error {
-	deadline := time.Now().Add(c.opt.JoinTimeout)
+	deadline := time.Now().Add(c.opt.joinTimeout)
 	if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
 		_ = d.SetDeadline(deadline) // a listener that cannot time out still joins
 		defer d.SetDeadline(time.Time{})
@@ -173,7 +183,7 @@ func (c *coordinator) join(ln net.Listener) error {
 
 // collect waits for every worker's Result, blaming the first failure any
 // connection shows or any worker reports. A worker that sends no window
-// while nothing else moves for ExchangeTimeout is stalled: the laggard —
+// while nothing else moves for exchangeTimeout is stalled: the laggard —
 // fewest windows sent, by its heartbeats, lowest index on a tie — is blamed.
 func (c *coordinator) collect() (*Result, error) {
 	k := len(c.members)
@@ -186,7 +196,7 @@ func (c *coordinator) collect() (*Result, error) {
 	done := make([]bool, k)
 	moved := time.Now()
 	for left := k; left > 0; {
-		stall := time.NewTimer(time.Until(moved.Add(c.opt.ExchangeTimeout)))
+		stall := time.NewTimer(time.Until(moved.Add(c.opt.exchangeTimeout)))
 		var f frame
 		select {
 		case f = <-c.in:
@@ -199,7 +209,7 @@ func (c *coordinator) collect() (*Result, error) {
 				}
 			}
 			return nil, c.fail(lag, fmt.Errorf("stalled: heartbeats flowing but no window sent within %v (%d sent)",
-				c.opt.ExchangeTimeout, sent[lag]))
+				c.opt.exchangeTimeout, sent[lag]))
 		}
 		var err error
 		switch {

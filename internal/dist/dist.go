@@ -21,7 +21,7 @@
 //	repeat per window [start, end), worker ↔ every peer:
 //	    WindowDone{start, end, maxBusy, next, stop, events for the peer's engines}
 //	    (each worker folds stop, max busy and the minimum next from all of them)
-//	worker → coord   Heartbeat{windows sent}, every HeartbeatInterval
+//	worker → coord   Heartbeat{windows sent}, every 250 ms
 //	worker → coord   Result{windows, modeled busy, stopped, opaque payload}
 //
 // No per-window frame reaches the coordinator, and no process here decides
@@ -30,17 +30,18 @@
 // one; the coordinator checks at the end that their summaries agree.
 //
 // Failure model: the coordinator reads each worker connection under a
-// rolling deadline of HeartbeatTimeout; a worker that dies or is cut off —
-// process killed, network partition — stops heartbeating and the read
-// deadline fires, failing the run with a WorkerError naming the worker. A
-// worker whose peer link fails — EOF, a frame the wire codec rejects (bad
-// CRC, bad magic, truncation), another window, an event for an engine it
-// does not host or dated before the window's end, or no frame within
-// ExchangeTimeout — sends the coordinator an Abort naming that peer, and
-// the coordinator blames it. A stalled worker — heartbeats flowing, no
-// window progress — is caught by the windows-sent count its heartbeats
-// carry. On any failure the coordinator sends Abort to the surviving
-// workers, which close their peer links so none stays blocked in Exchange.
+// rolling 2 s deadline; a worker that dies or is cut off — process killed,
+// network partition — stops heartbeating and the read deadline fires,
+// failing the run with a WorkerError naming the worker. A worker whose
+// peer link fails — EOF, a frame the wire codec rejects (bad CRC, bad
+// magic, truncation), another window, an event for an engine it does not
+// host or dated before the window's end, or no frame within 60 s — sends
+// the coordinator an Abort naming that peer, and the coordinator blames
+// it. A stalled worker — heartbeats flowing, no window progress — is
+// caught by the windows-sent count its heartbeats carry. On any failure
+// the coordinator sends Abort to the surviving workers, which close their
+// peer links so none stays blocked in Exchange. The deadlines are
+// constants, not options, so no worker heartbeats past its coordinator's.
 //
 // The coordinator is deliberately model-agnostic: job specs and result
 // payloads are opaque bytes, and the job kind string selects a registered
@@ -49,6 +50,7 @@
 package dist
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"time"
@@ -58,49 +60,34 @@ import (
 	"massf/internal/wire"
 )
 
-// Options tunes transport robustness; zero values select the defaults.
+// Options is the transport's setting. Its timing is fixed by the
+// constants below and the zero value is what every caller passes; the
+// type stays for Serve's and RunWorker's signatures. Package tests shorten
+// the three deadlines they would otherwise wait out.
 type Options struct {
-	// HeartbeatInterval is how often a worker pings the coordinator.
-	// Default 250ms.
-	HeartbeatInterval time.Duration
-	// HeartbeatTimeout is the coordinator's rolling per-connection read
-	// deadline: a worker silent this long — no frame and no heartbeat — is
-	// declared dead. Default 2s; must exceed HeartbeatInterval (a smaller
-	// value is raised to 4× the interval).
-	HeartbeatTimeout time.Duration
-	// ExchangeTimeout bounds a worker's wait for each peer's WindowDone,
-	// so it must cover the slowest worker's window, and the coordinator's
-	// wait for any worker to send another window. Default 60s.
-	ExchangeTimeout time.Duration
-	// DialTimeout bounds a worker's total connection attempt, across
-	// backoff retries (the coordinator may not be listening yet when the
-	// worker starts). Default 10s.
-	DialTimeout time.Duration
-	// JoinTimeout bounds the coordinator's wait for all workers to connect
-	// and complete the handshake, and a worker's wait for its job and its
-	// peer links. Default 30s.
-	JoinTimeout time.Duration
+	heartbeatTimeout, exchangeTimeout, joinTimeout time.Duration
 }
 
+// The transport's timing, the same at both ends of every connection.
+const (
+	heartbeatInterval = 250 * time.Millisecond // how often a worker pings the coordinator
+	dialTimeout       = 10 * time.Second       // a worker's attempts to reach the coordinator, backoff included
+	// heartbeatTimeout is the coordinator's rolling read deadline on each
+	// worker: a worker silent this long, no frame and no heartbeat, is dead.
+	heartbeatTimeout = 2 * time.Second
+	// exchangeTimeout bounds a worker's wait for each peer's WindowDone, so
+	// it covers the slowest worker's window, and the coordinator's wait for
+	// any worker to send another window.
+	exchangeTimeout = 60 * time.Second
+	// joinTimeout bounds the coordinator's wait for every worker's
+	// handshake, and a worker's wait for its job and its peer links.
+	joinTimeout = 30 * time.Second
+)
+
 func (o Options) withDefaults() Options {
-	if o.HeartbeatInterval <= 0 {
-		o.HeartbeatInterval = 250 * time.Millisecond
-	}
-	if o.HeartbeatTimeout <= 0 {
-		o.HeartbeatTimeout = 2 * time.Second
-	}
-	if o.HeartbeatTimeout <= o.HeartbeatInterval {
-		o.HeartbeatTimeout = 4 * o.HeartbeatInterval
-	}
-	if o.ExchangeTimeout <= 0 {
-		o.ExchangeTimeout = 60 * time.Second
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 10 * time.Second
-	}
-	if o.JoinTimeout <= 0 {
-		o.JoinTimeout = 30 * time.Second
-	}
+	o.heartbeatTimeout = cmp.Or(o.heartbeatTimeout, heartbeatTimeout)
+	o.exchangeTimeout = cmp.Or(o.exchangeTimeout, exchangeTimeout)
+	o.joinTimeout = cmp.Or(o.joinTimeout, joinTimeout)
 	return o
 }
 
@@ -151,11 +138,12 @@ func decodeHello(p []byte) (name, addr string, err error) {
 }
 
 // assignment is what the coordinator's Job frame tells a worker: its job,
-// its index, and the peer table.
+// its index, and the peer table, with the engine → worker table it gives.
 type assignment struct {
 	Job
 	Index int
 	Peers []peerInfo
+	owner []int
 }
 
 // peerInfo is one worker's row of the peer table: where it listens for its
@@ -191,13 +179,22 @@ func decodeAssignment(p []byte) (assignment, error) {
 		return a, wire.ErrShort
 	}
 	a.Peers = make([]peerInfo, n)
+	rows := make([]Job, n)
 	for i := range a.Peers {
 		a.Peers[i] = peerInfo{Addr: r.String(), First: int(r.U32()), Hosted: int(r.U32())}
+		rows[i] = Job{First: a.Peers[i].First, Hosted: a.Peers[i].Hosted}
 	}
-	if r.Err() == nil && a.Index >= n {
+	switch {
+	case r.Err() != nil:
+		return a, r.Err()
+	case a.Index >= n:
 		return a, fmt.Errorf("dist: worker index %d of %d", a.Index, n)
+	case rows[a.Index].First != a.First || rows[a.Index].Hosted != a.Hosted:
+		return a, fmt.Errorf("dist: own peer row [%d,+%d) is not the job's range", rows[a.Index].First, rows[a.Index].Hosted)
 	}
-	return a, r.Err()
+	var err error
+	a.owner, err = checkJobs(rows) // the coordinator's own rule
+	return a, err
 }
 
 func encodeWindowDone(buf []byte, d pdes.WindowDone) []byte {

@@ -126,23 +126,13 @@ func dRunner(job Job, t pdes.Transport) ([]byte, error) {
 	return b.B, nil
 }
 
-func fastOpts() Options {
-	return Options{
-		HeartbeatInterval: 20 * time.Millisecond,
-		HeartbeatTimeout:  700 * time.Millisecond,
-		ExchangeTimeout:   5 * time.Second,
-		DialTimeout:       5 * time.Second,
-		JoinTimeout:       5 * time.Second,
-	}
-}
-
 // runWorkers starts one RunWorker goroutine per job and returns their
 // errors' channel.
-func runWorkers(addr string, n int, runners map[string]Runner, opt Options) <-chan error {
+func runWorkers(addr string, n int, runners map[string]Runner) <-chan error {
 	werrs := make(chan error, n)
 	for j := 0; j < n; j++ {
 		go func() {
-			werrs <- RunWorker(addr, fmt.Sprintf("w%d", j), runners, opt)
+			werrs <- RunWorker(addr, fmt.Sprintf("w%d", j), runners, Options{})
 		}()
 	}
 	return werrs
@@ -172,15 +162,14 @@ func TestLoopbackDistributedRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer ln.Close()
-			opt := fastOpts()
 			var jobs []Job
 			first := 0
 			for _, n := range split {
 				jobs = append(jobs, Job{Kind: "dtest", First: first, Hosted: n, Spec: spec})
 				first += n
 			}
-			werrs := runWorkers(ln.Addr().String(), len(jobs), map[string]Runner{"dtest": dRunner}, opt)
-			res, err := Serve(ln, RunConfig{Jobs: jobs}, opt)
+			werrs := runWorkers(ln.Addr().String(), len(jobs), map[string]Runner{"dtest": dRunner})
+			res, err := Serve(ln, RunConfig{Jobs: jobs}, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -234,7 +223,6 @@ func TestBigFramesDoNotDeadlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	opt := fastOpts()
 	const total, perWindow = 2, 128 // 128 events of 60 kB: ≈ 8 MB a frame
 	payload := make([]byte, 60_000)
 	big := func(job Job, tr pdes.Transport) ([]byte, error) {
@@ -254,10 +242,10 @@ func TestBigFramesDoNotDeadlock(t *testing.T) {
 		}
 		return nil, nil
 	}
-	werrs := runWorkers(ln.Addr().String(), 2, map[string]Runner{"big": big}, opt)
+	werrs := runWorkers(ln.Addr().String(), 2, map[string]Runner{"big": big})
 	res, err := Serve(ln, RunConfig{
 		Jobs: []Job{{Kind: "big", First: 0, Hosted: 1}, {Kind: "big", First: 1, Hosted: 1}},
-	}, opt)
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,15 +272,62 @@ func TestServeRejectsBadJobs(t *testing.T) {
 		{"overlap", [][2]int{{0, 3}, {2, 2}}, "engine 2 assigned to two workers"},
 		{"zero hosted", [][2]int{{0, 4}, {4, 0}}, "hosts 0 engines"},
 		{"not from 0", [][2]int{{1, 3}}, "engine 0 assigned to no worker"},
+		{"too many engines", [][2]int{{0, maxEngines + 1}}, "more than"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var jobs []Job
 			for _, r := range tc.jobs {
 				jobs = append(jobs, Job{Kind: "dtest", First: r[0], Hosted: r[1], Spec: spec})
 			}
-			_, err := Serve(noAccept{t}, RunConfig{Jobs: jobs}, fastOpts())
+			_, err := Serve(noAccept{t}, RunConfig{Jobs: jobs}, Options{})
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("Serve: %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// A worker checks its Job's peer table by Serve's own rule, and its own
+// row against its job: the table sizes the worker's engine table and
+// routes every event it sends, so a hole, an overlap or a row ending near
+// 2³² must end the worker with an error, before it links to any peer.
+func TestWorkerRejectsHostilePeerTable(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		own  [2]int   // the job's First, Hosted; the worker is index 0
+		rows [][2]int // the peer table's First, Hosted
+		want string
+	}{
+		{"overlap", [2]int{0, 2}, [][2]int{{0, 2}, {1, 2}}, "engine 1 assigned to two workers"},
+		{"gap", [2]int{0, 2}, [][2]int{{0, 2}, {3, 1}}, "engine 2 assigned to no worker"},
+		{"own row mismatch", [2]int{0, 1}, [][2]int{{0, 2}, {2, 2}}, "own peer row"},
+		{"row ending at 2^32-1", [2]int{0, 1}, [][2]int{{0, 1}, {1, 1<<32 - 2}}, "4294967295 engines"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ln.Close()
+			werr := make(chan error, 1)
+			go func() { werr <- RunWorker(ln.Addr().String(), "w0", nil, Options{}) }()
+			conn, err := ln.Accept()
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if typ, _, err := wire.ReadFrame(conn, 0); err != nil || typ != wire.MsgHello {
+				t.Fatalf("handshake: type %d err %v", typ, err)
+			}
+			a := assignment{Job: Job{Kind: "x", First: tc.own[0], Hosted: tc.own[1]}}
+			for _, r := range tc.rows {
+				a.Peers = append(a.Peers, peerInfo{Addr: "127.0.0.1:1", First: r[0], Hosted: r[1]})
+			}
+			if err := wire.WriteFrame(conn, wire.MsgJob, encodeAssignment(a)); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-werr; err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("RunWorker: %v, want %q", err, tc.want)
 			}
 		})
 	}
@@ -318,8 +353,7 @@ func TestServeClearsListenerDeadline(t *testing.T) {
 	}
 	defer ln.Close()
 	window, end := des.Millisecond, 5*des.Millisecond
-	opt := fastOpts()
-	opt.JoinTimeout = 50 * time.Millisecond
+	opt := Options{joinTimeout: 50 * time.Millisecond}
 	werr := make(chan error, 1)
 	go func() {
 		werr <- RunWorker(ln.Addr().String(), "w0", map[string]Runner{"dtest": dRunner}, opt)
@@ -333,7 +367,7 @@ func TestServeClearsListenerDeadline(t *testing.T) {
 	if err := <-werr; err != nil {
 		t.Fatalf("worker: %v", err)
 	}
-	time.Sleep(2 * opt.JoinTimeout) // past the join deadline
+	time.Sleep(2 * opt.joinTimeout) // past the join deadline
 	dialed := make(chan error, 1)
 	go func() {
 		conn, err := net.Dial("tcp", ln.Addr().String())
@@ -520,7 +554,7 @@ func (l *notifyListener) Accept() (net.Conn, error) {
 // realThenManual serves two single-engine jobs: worker 0 is a real worker
 // named "good" running exchangeLoop, worker 1 the manual one named name. It
 // returns Serve's and the real worker's error channels.
-func realThenManual(t *testing.T, opt Options, name string) (*manual, <-chan error, <-chan error) {
+func realThenManual(t *testing.T, name string) (*manual, <-chan error, <-chan error) {
 	t.Helper()
 	tln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -528,10 +562,10 @@ func realThenManual(t *testing.T, opt Options, name string) (*manual, <-chan err
 	}
 	t.Cleanup(func() { tln.Close() })
 	ln := &notifyListener{TCPListener: tln.(*net.TCPListener), accepted: make(chan struct{}, 2)}
-	errc := serveAsync(ln, opt, 2)
+	errc := serveAsync(ln, Options{}, 2)
 	werr := make(chan error, 1)
 	go func() {
-		werr <- RunWorker(ln.Addr().String(), "good", map[string]Runner{"x": exchangeLoop(loopWindows)}, opt)
+		werr <- RunWorker(ln.Addr().String(), "good", map[string]Runner{"x": exchangeLoop(loopWindows)}, Options{})
 	}()
 	<-ln.accepted
 	return manualWorkers(t, ln.Addr().String(), name)[0], errc, werr
@@ -555,7 +589,7 @@ func expectWorkerError(t *testing.T, err error, wantIdx int, wantName string) *W
 // A corrupt frame on a peer link: the real worker reading it reports the
 // sender, and the CRC sentinel survives the trip through the coordinator.
 func TestCorruptFrameBlamesWorker(t *testing.T) {
-	evil, errc, werr := realThenManual(t, fastOpts(), "evil")
+	evil, errc, werr := realThenManual(t, "evil")
 	// Build a valid frame, then flip one payload byte: the CRC must catch it.
 	frame := wire.AppendFrame(nil, wire.MsgWindowDone, encodeWindowDone(nil, loopWindow(0)))
 	frame[len(frame)-6] ^= 0x40
@@ -586,7 +620,7 @@ func TestHostileWindowFrameBlamesWorker(t *testing.T) {
 		{"event before the window end", early, "before the window's end"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			evil, errc, werr := realThenManual(t, fastOpts(), "evil")
+			evil, errc, werr := realThenManual(t, "evil")
 			if err := wire.WriteFrame(evil.peers[0], wire.MsgWindowDone, encodeWindowDone(nil, tc.d)); err != nil {
 				t.Fatal(err)
 			}
@@ -603,7 +637,7 @@ func TestHostileWindowFrameBlamesWorker(t *testing.T) {
 }
 
 func TestTruncatedFrameBlamesWorker(t *testing.T) {
-	evil, errc, werr := realThenManual(t, fastOpts(), "evil")
+	evil, errc, werr := realThenManual(t, "evil")
 	frame := wire.AppendFrame(nil, wire.MsgWindowDone, encodeWindowDone(nil, loopWindow(0)))
 	if _, err := evil.peers[0].Write(frame[:len(frame)/2]); err != nil {
 		t.Fatal(err)
@@ -619,10 +653,12 @@ func TestTruncatedFrameBlamesWorker(t *testing.T) {
 	}
 }
 
-func TestDeadWorkerBlamedWithinHeartbeatTimeout(t *testing.T) {
+// A worker that sends nothing at all is blamed once the coordinator's
+// rolling heartbeat deadline runs out.
+func TestDeadWorkerBlamedWithinHeartbeatDeadline(t *testing.T) {
 	ln, _ := net.Listen("tcp", "127.0.0.1:0")
 	defer ln.Close()
-	opt := fastOpts()
+	opt := Options{heartbeatTimeout: 700 * time.Millisecond}
 	errc := serveAsync(ln, opt, 2)
 	ms := manualWorkers(t, ln.Addr().String(), "good", "dead")
 	good := ms[0]
@@ -637,8 +673,8 @@ func TestDeadWorkerBlamedWithinHeartbeatTimeout(t *testing.T) {
 	if !strings.Contains(err.Error(), "heartbeat timeout") {
 		t.Fatalf("want heartbeat timeout attribution, got %v", err)
 	}
-	if elapsed > opt.HeartbeatTimeout+2*time.Second {
-		t.Fatalf("detection took %v, heartbeat timeout is %v", elapsed, opt.HeartbeatTimeout)
+	if elapsed > opt.heartbeatTimeout+2*time.Second {
+		t.Fatalf("detection took %v, heartbeat timeout is %v", elapsed, opt.heartbeatTimeout)
 	}
 }
 
@@ -655,9 +691,7 @@ func TestStalledWorkerBlamed(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			ln, _ := net.Listen("tcp", "127.0.0.1:0")
 			defer ln.Close()
-			opt := fastOpts()
-			opt.ExchangeTimeout = 600 * time.Millisecond
-			errc := serveAsync(ln, opt, len(tc.names))
+			errc := serveAsync(ln, Options{exchangeTimeout: 600 * time.Millisecond}, len(tc.names))
 			ms := manualWorkers(t, ln.Addr().String(), tc.names...)
 			stalled := ms[len(ms)-1]
 			if len(ms) == 2 {
@@ -681,20 +715,19 @@ func TestDuplicatedAndDelayedFramesTolerated(t *testing.T) {
 	tln, _ := net.Listen("tcp", "127.0.0.1:0")
 	defer tln.Close()
 	ln := &notifyListener{TCPListener: tln.(*net.TCPListener), accepted: make(chan struct{}, 2)}
-	opt := fastOpts()
 	const total = 4
 	errc := make(chan error, 1)
 	resc := make(chan *Result, 1)
 	go func() {
 		res, err := Serve(ln, RunConfig{
 			Jobs: []Job{{Kind: "x", First: 0, Hosted: 1}, {Kind: "x", First: 1, Hosted: 1}},
-		}, opt)
+		}, Options{})
 		resc <- res
 		errc <- err
 	}()
 	werr := make(chan error, 1)
 	go func() {
-		werr <- RunWorker(ln.Addr().String(), "steady", map[string]Runner{"x": exchangeLoop(total)}, opt)
+		werr <- RunWorker(ln.Addr().String(), "steady", map[string]Runner{"x": exchangeLoop(total)}, Options{})
 	}()
 	<-ln.accepted
 	slow := manualWorkers(t, ln.Addr().String(), "slowpoke")[0]
@@ -739,7 +772,7 @@ func TestDuplicatedAndDelayedFramesTolerated(t *testing.T) {
 func TestDisagreeingSummaryBlamed(t *testing.T) {
 	ln, _ := net.Listen("tcp", "127.0.0.1:0")
 	defer ln.Close()
-	errc := serveAsync(ln, fastOpts(), 3)
+	errc := serveAsync(ln, Options{}, 3)
 	ms := manualWorkers(t, ln.Addr().String(), "a", "liar", "c")
 	for i, m := range ms {
 		s := summary{windows: loopWindows, busyNS: 7}

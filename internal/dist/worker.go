@@ -28,9 +28,8 @@ type Runner func(job Job, t pdes.Transport) ([]byte, error)
 type WorkerTransport struct {
 	conn  net.Conn // to the coordinator
 	opt   Options
-	a     assignment
-	owner []int   // engine → worker index
-	peers []*link // by worker index; nil at this worker's own
+	a     assignment // with the engine → worker table Exchange routes by
+	peers []*link    // by worker index; nil at this worker's own
 	quit  chan struct{}
 
 	wmu  sync.Mutex    // serializes coordinator writes with the heartbeat goroutine
@@ -85,8 +84,8 @@ func (t *WorkerTransport) Exchange(d pdes.WindowDone) (pdes.WindowGo, error) {
 	}
 	for _, ev := range d.Events {
 		o := -1
-		if ev.Dst >= 0 && int(ev.Dst) < len(t.owner) {
-			o = t.owner[ev.Dst]
+		if ev.Dst >= 0 && int(ev.Dst) < len(t.a.owner) {
+			o = t.a.owner[ev.Dst]
 		}
 		if o < 0 || o == t.a.Index {
 			return pdes.WindowGo{}, t.fail(t.a.Index, fmt.Errorf("dist: window at %v: event for engine %d, hosted by no peer", d.Start, ev.Dst))
@@ -144,10 +143,10 @@ func (t *WorkerTransport) Exchange(d pdes.WindowDone) (pdes.WindowGo, error) {
 // timeout and checks it: the same window [Start, End), and events only for
 // engines this worker hosts, none dated before End.
 func (t *WorkerTransport) recv(p *link, d pdes.WindowDone) (pdes.WindowDone, error) {
-	_ = p.conn.SetReadDeadline(time.Now().Add(t.opt.ExchangeTimeout))
+	_ = p.conn.SetReadDeadline(time.Now().Add(t.opt.exchangeTimeout))
 	typ, payload, err := wire.ReadFrame(p.r, wire.DefaultMaxFrame)
 	if ne, ok := err.(net.Error); ok && ne.Timeout() {
-		return pdes.WindowDone{}, fmt.Errorf("stalled: no window frame within %v", t.opt.ExchangeTimeout)
+		return pdes.WindowDone{}, fmt.Errorf("stalled: no window frame within %v", t.opt.exchangeTimeout)
 	}
 	if err != nil {
 		return pdes.WindowDone{}, err
@@ -190,7 +189,7 @@ func (t *WorkerTransport) fail(culprit int, err error) error {
 // heartbeat keeps the coordinator's liveness deadline fed and tells it how
 // many windows this worker has sent, which is how it sees a stall.
 func (t *WorkerTransport) heartbeat() {
-	tick := time.NewTicker(t.opt.HeartbeatInterval)
+	tick := time.NewTicker(heartbeatInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -238,9 +237,9 @@ func (t *WorkerTransport) watch() {
 // index, announcing its own, and accepts those with a lower one.
 func (t *WorkerTransport) connect() error {
 	a := t.a
-	deadline := time.Now().Add(t.opt.JoinTimeout)
+	deadline := time.Now().Add(t.opt.joinTimeout)
 	for j := a.Index + 1; j < len(a.Peers); j++ {
-		conn, err := net.DialTimeout("tcp", a.Peers[j].Addr, time.Until(deadline))
+		conn, err := (&net.Dialer{Deadline: deadline}).Dial("tcp", a.Peers[j].Addr)
 		if err == nil {
 			err = t.add(j, conn, wire.WriteFrame(conn, wire.MsgHello, encodeCount(a.Index)))
 		}
@@ -303,7 +302,7 @@ func (t *WorkerTransport) add(j int, conn net.Conn, err error) error {
 // the run is over or the run fails.
 func RunWorker(addr, name string, runners map[string]Runner, opt Options) error {
 	opt = opt.withDefaults()
-	conn, err := dialBackoff(addr, opt.DialTimeout)
+	conn, err := dialBackoff(addr)
 	if err != nil {
 		return err
 	}
@@ -322,7 +321,7 @@ func RunWorker(addr, name string, runners map[string]Runner, opt Options) error 
 	if err := wire.WriteFrame(conn, wire.MsgHello, encodeHello(name, ln.Addr().String())); err != nil {
 		return fmt.Errorf("dist: hello: %w", err)
 	}
-	_ = conn.SetReadDeadline(time.Now().Add(opt.JoinTimeout))
+	_ = conn.SetReadDeadline(time.Now().Add(opt.joinTimeout))
 	typ, payload, err := wire.ReadFrame(conn, wire.DefaultMaxFrame)
 	if err != nil {
 		return fmt.Errorf("dist: awaiting job: %w", err)
@@ -343,14 +342,6 @@ func RunWorker(addr, name string, runners map[string]Runner, opt Options) error 
 	t.peers = make([]*link, len(a.Peers))
 	t.outs = make([][]wire.Event, len(a.Peers))
 	t.sends = make(chan sendResult, len(a.Peers))
-	for _, p := range a.Peers {
-		t.owner = append(t.owner, make([]int, max(0, p.First+p.Hosted-len(t.owner)))...)
-	}
-	for i, p := range a.Peers { // the coordinator checked that they tile [0, N)
-		for g := p.First; g < p.First+p.Hosted; g++ {
-			t.owner[g] = i
-		}
-	}
 	runner := runners[a.Kind]
 	if runner == nil {
 		err := fmt.Errorf("dist: unknown job kind %q", a.Kind)
@@ -396,12 +387,12 @@ func (t *WorkerTransport) abort(culprit int, err error) {
 }
 
 // dialBackoff retries the coordinator address with exponential backoff
-// until total elapses.
-func dialBackoff(addr string, total time.Duration) (net.Conn, error) {
-	deadline := time.Now().Add(total)
+// until dialTimeout elapses.
+func dialBackoff(addr string) (net.Conn, error) {
+	deadline := time.Now().Add(dialTimeout)
 	backoff := 50 * time.Millisecond
 	for {
-		conn, err := net.DialTimeout("tcp", addr, time.Until(deadline))
+		conn, err := (&net.Dialer{Deadline: deadline}).Dial("tcp", addr)
 		if err == nil {
 			return conn, nil
 		}

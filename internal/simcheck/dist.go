@@ -350,7 +350,7 @@ func PlanDistributed(sc Scenario, k, workers int) (*DistReport, dist.RunConfig, 
 // whoever joins ln (massfd -worker processes, or dist.RunWorker goroutines
 // the caller started); with ln nil they are one in-process worker loop per
 // job on a fresh loopback listener — every byte still crosses the real wire.
-func serveFleet(ln net.Listener, rc dist.RunConfig, opt dist.Options) (*dist.Result, []WorkerMem, *Observation, error) {
+func serveFleet(ln net.Listener, rc dist.RunConfig) (*dist.Result, []WorkerMem, *Observation, error) {
 	var wg sync.WaitGroup
 	var errs []error
 	if ln == nil {
@@ -364,11 +364,11 @@ func serveFleet(ln net.Listener, rc dist.RunConfig, opt dist.Options) (*dist.Res
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				errs[i] = dist.RunWorker(ln.Addr().String(), fmt.Sprintf("worker-%d", i), Runners(), opt)
+				errs[i] = dist.RunWorker(ln.Addr().String(), fmt.Sprintf("worker-%d", i), Runners(), dist.Options{})
 			}()
 		}
 	}
-	res, err := dist.Serve(ln, rc, opt)
+	res, err := dist.Serve(ln, rc, dist.Options{})
 	wg.Wait()
 	if err != nil {
 		return nil, nil, nil, err
@@ -407,12 +407,12 @@ func serveFleet(ln net.Listener, rc dist.RunConfig, opt dist.Options) (*dist.Res
 // sequential reference, fault churn included (the fault plane replays
 // against slice-scoped routing clones). A worker failure comes back as a
 // *dist.WorkerError.
-func (p *Plan) Distributed(ln net.Listener, k, workers int, opt dist.Options) (*DistReport, error) {
+func (p *Plan) Distributed(ln net.Listener, k, workers int) (*DistReport, error) {
 	rep, rc, err := p.planDistributed(k, workers)
 	if err != nil {
 		return nil, err
 	}
-	res, mem, merged, err := serveFleet(ln, rc, opt)
+	res, mem, merged, err := serveFleet(ln, rc)
 	if err != nil {
 		return nil, err
 	}

@@ -115,7 +115,7 @@ func mapOnly(net *model.Network, a core.Approach, k int, seed int64) (*core.Mapp
 // fleet runs p's k=4 distributed leg over loopback workers.
 func fleet(t *testing.T, p *Plan, workers int) *DistReport {
 	t.Helper()
-	rep, err := p.Distributed(nil, 4, workers, dist.Options{})
+	rep, err := p.Distributed(nil, 4, workers)
 	if err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"massf/internal/core"
 	"massf/internal/des"
-	"massf/internal/dist"
 	"massf/internal/experiments"
 )
 
@@ -47,7 +46,7 @@ func TestScale100kDistributedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, mem, merged, err := serveFleet(nil, rc, dist.Options{})
+	_, mem, merged, err := serveFleet(nil, rc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,10 +42,6 @@ var seams = map[string]string{
 	"massf/internal/pdes.Invariants.KernelPerWindow":      "the fuzz target and invariant tests switch on the per-window kernel check",
 	"massf/internal/des.KernelInvariants.EveryStep":       "the kernel fuzz and oracle tests run the structural checker after every event",
 	"massf/internal/netsim.Config.QueueBytes":             "tests shrink the link buffers to force tail drops",
-	"massf/internal/dist.Options.HeartbeatTimeout":        "tests shorten failure detection so a killed worker is blamed in seconds",
-	"massf/internal/dist.Options.ExchangeTimeout":         "tests shorten failure detection so a stalled exchange fails in seconds",
-	"massf/internal/dist.Options.DialTimeout":             "tests shorten failure detection so an unreachable peer fails in seconds",
-	"massf/internal/dist.Options.JoinTimeout":             "tests shorten failure detection so a missing worker fails the join in milliseconds",
 	"massf/internal/partition.Options.Imbalance":          "tests check the balance bound at other tolerances than the 5% default",
 }
 
