@@ -43,8 +43,10 @@ func decodeEnvelope(t *testing.T, r io.Reader) apiError {
 // pinned by TestAPIBuildingPhase.
 func TestAPIErrorEnvelope(t *testing.T) {
 	mgr := NewManagerOpts(Options{Workers: 1, RingCap: 256, QueueDepth: 1})
+	gateRuns(mgr)
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
+	defer shutdownMgr(t, mgr)
 
 	resp, err := http.Post(ts.URL+APIPrefix+"/runs", "application/json", strings.NewReader(`{}`))
 	if err != nil {
@@ -86,10 +88,10 @@ func TestAPIErrorEnvelope(t *testing.T) {
 	resp.Body.Close()
 
 	// Fill the pool and the queue, then overflow: 429 with queue_full.
-	running := submitSpec(t, ts.URL, testSpec("running", 1, 10, 20))
+	running := submitSpec(t, ts.URL, testSpec("running", 1, 1))
 	waitState(t, ts.URL, running.ID, 10*time.Second, func(i Info) bool { return i.State == StateRunning })
-	submitSpec(t, ts.URL, testSpec("waiting", 2, 10, 20))
-	body, _ := json.Marshal(testSpec("overflow", 3, 10, 20))
+	submitSpec(t, ts.URL, testSpec("waiting", 2, 1))
+	body, _ := json.Marshal(testSpec("overflow", 3, 1))
 	resp, err = http.Post(ts.URL+APIPrefix+"/runs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -134,11 +136,13 @@ func doCancel(t *testing.T, base, id string) cancelResp {
 // repeat cancel of a terminal run reports neither.
 func TestAPICancelDistinguishesPhases(t *testing.T) {
 	mgr := NewManagerOpts(Options{Workers: 1, RingCap: 256})
+	gateRuns(mgr)
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
+	defer shutdownMgr(t, mgr)
 
-	running := submitSpec(t, ts.URL, testSpec("victim", 1, 10, 20))
-	queued := submitSpec(t, ts.URL, testSpec("waiter", 2, 10, 20))
+	running := submitSpec(t, ts.URL, testSpec("victim", 1, 1))
+	queued := submitSpec(t, ts.URL, testSpec("waiter", 2, 1))
 	waitState(t, ts.URL, running.ID, 10*time.Second, func(i Info) bool { return i.State == StateRunning })
 
 	// The queued run never started: cancellation is immediate and the
@@ -189,10 +193,10 @@ func TestAPIBuildingPhase(t *testing.T) {
 	// Warm the setup cache with the same scenario, so the HPROF run's
 	// build_cached flag marks the moment its build step is over and the
 	// profiling pass begins.
-	warm := submitSpec(t, ts.URL, testSpec("warm", 9, 0.2, 0))
+	warm := submitSpec(t, ts.URL, testSpec("warm", 9, 0.2))
 	waitState(t, ts.URL, warm.ID, 30*time.Second, func(i Info) bool { return i.State.Terminal() })
 
-	spec := netSpec("profiling", 9, 3600, 0)
+	spec := netSpec("profiling", 9, 3600)
 	spec.Approach = "HPROF"
 	info := submitSpec(t, ts.URL, spec)
 	if info.State != StateBuilding {
@@ -236,7 +240,7 @@ func TestAPIBuildingPhase(t *testing.T) {
 	}
 
 	// An uninstrumented run in the same phase is still a plain 404.
-	plain := testSpec("plain", 9, 3600, 0)
+	plain := testSpec("plain", 9, 3600)
 	plain.Approach = "HPROF"
 	pi := submitSpec(t, ts.URL, plain)
 	resp, err = http.Get(ts.URL + APIPrefix + "/runs/" + pi.ID + "/net/links")

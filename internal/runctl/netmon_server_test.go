@@ -14,8 +14,8 @@ import (
 
 // netSpec is testSpec with the network observability plane enabled at
 // path-sampling stride 2.
-func netSpec(name string, seed int64, seconds, realtime float64) Spec {
-	spec := testSpec(name, seed, seconds, realtime)
+func netSpec(name string, seed int64, seconds float64) Spec {
+	spec := testSpec(name, seed, seconds)
 	spec.NetSample = 2
 	return spec
 }
@@ -45,7 +45,7 @@ func TestServerNetObservability(t *testing.T) {
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 
-	info := submitSpec(t, ts.URL, netSpec("observed", 3, 1.0, 0))
+	info := submitSpec(t, ts.URL, netSpec("observed", 3, 1.0))
 	done := waitState(t, ts.URL, info.ID, 30*time.Second, func(i Info) bool { return i.State.Terminal() })
 	if done.State != StateDone {
 		t.Fatalf("run ended %s (err=%q)", done.State, done.Error)
@@ -158,13 +158,15 @@ func TestServerNetObservability(t *testing.T) {
 }
 
 // TestServerNetStreamFollowsLive: a client following /net/stream on a
-// paced in-flight run receives flow completions before the run finishes.
+// run held in flight receives flow completions before the run finishes.
 func TestServerNetStreamFollowsLive(t *testing.T) {
 	mgr := NewManagerOpts(Options{Workers: 1, RingCap: 256})
+	release := gateRuns(mgr)
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
+	defer shutdownMgr(t, mgr)
 
-	info := submitSpec(t, ts.URL, netSpec("live", 1, 1.5, 2))
+	info := submitSpec(t, ts.URL, netSpec("live", 1, 1))
 	waitState(t, ts.URL, info.ID, 10*time.Second, func(i Info) bool { return i.State == StateRunning })
 
 	resp, err := http.Get(ts.URL + APIPrefix + "/runs/" + info.ID + "/net/stream")
@@ -199,6 +201,7 @@ func TestServerNetStreamFollowsLive(t *testing.T) {
 	if st := getInfo(t, ts.URL, info.ID).State; st.Terminal() {
 		t.Fatalf("run already terminal (%s) at first streamed completion", st)
 	}
+	release()
 	// The stream must terminate when the run does (Mon closed).
 	for range snaps {
 	}
@@ -231,7 +234,7 @@ func TestServerNetErrorPaths(t *testing.T) {
 	}
 
 	// A finished run that never enabled netmon 404s with a hint.
-	plain := submitSpec(t, ts.URL, testSpec("plain", 3, 0.3, 0))
+	plain := submitSpec(t, ts.URL, testSpec("plain", 3, 0.3))
 	waitState(t, ts.URL, plain.ID, 30*time.Second, func(i Info) bool { return i.State.Terminal() })
 	for _, path := range []string{"/net/links", "/net/flows", "/net/paths", "/net/stream"} {
 		resp, err := http.Get(ts.URL + APIPrefix + "/runs/" + plain.ID + path)
@@ -252,7 +255,7 @@ func TestServerNetErrorPaths(t *testing.T) {
 	}
 
 	// NetMon without sampling: link/flow views work, paths 404.
-	spec := testSpec("links-only", 3, 0.3, 0)
+	spec := testSpec("links-only", 3, 0.3)
 	spec.NetMon = true
 	lo := submitSpec(t, ts.URL, spec)
 	waitState(t, ts.URL, lo.ID, 30*time.Second, func(i Info) bool { return i.State.Terminal() })

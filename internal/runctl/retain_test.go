@@ -17,7 +17,8 @@ import (
 // per-node event counters), since a finalizer on the Sim itself, which
 // its pending events refer back to, would keep it alive; it must run while
 // the run is still in the table, and Info's agent counters must read the
-// same before and after.
+// same before and after. The run is held at the gate until the agent has
+// queued every message, so all of them inject in the windows after it.
 func TestFinishedIngestRunReleasesSim(t *testing.T) {
 	g := agent.NewIngest(0)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -27,8 +28,9 @@ func TestFinishedIngestRunReleasesSim(t *testing.T) {
 	go g.Serve(ln)
 	defer g.Close()
 	m := NewManagerOpts(Options{Workers: 1, RingCap: 64, Ingest: g})
+	release := gateRuns(m)
 	defer shutdownMgr(t, m)
-	spec := testSpec("ingest", 7, 2, 1)
+	spec := testSpec("ingest", 7, 1)
 	spec.Ingest = true
 	r, err := m.Submit(spec)
 	if err != nil {
@@ -53,11 +55,13 @@ func TestFinishedIngestRunReleasesSim(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	waitRun(t, r, 30*time.Second, func(i Info) bool { return i.Agent != nil && i.Agent.Sent == 10 })
+	release()
 	waitRun(t, r, 30*time.Second, func(i Info) bool { return i.Agent != nil && i.Agent.Injected == 10 })
 	cl.Close()
 	before := waitRun(t, r, 30*time.Second, func(i Info) bool { return i.State.Terminal() })
-	if before.State != StateDone || before.Agent == nil || before.Agent.Sent != 10 {
-		t.Fatalf("run ended %s with agent counters %+v, want done after 10 sends", before.State, before.Agent)
+	if before.State != StateDone || before.Agent == nil || before.Agent.Sent != 10 || before.Agent.Injected != 10 {
+		t.Fatalf("run ended %s with agent counters %+v, want done after 10 sends and injections", before.State, before.Agent)
 	}
 
 	deadline := time.Now().Add(10 * time.Second)

@@ -398,6 +398,10 @@ type Manager struct {
 	// ingest, when set, is the daemon's live agent plane; runs submitted
 	// with Spec.Ingest register their agent under their run id.
 	ingest *agent.Ingest
+	// beforeRun, nil in production, is called with each run and its
+	// prepared simulation after the run turns running and before its first
+	// event; package tests schedule events through it that hold runs open.
+	beforeRun func(*Run, *experiments.Prepared)
 
 	mu      sync.Mutex
 	runs    map[string]*Run
@@ -802,6 +806,9 @@ func (m *Manager) execute(r *Run) (*experiments.RunOutcome, error) {
 	}
 	if !r.setRunning(p, ag, float64(setupNS)/1e6) {
 		return nil, r.ctx.Err()
+	}
+	if m.beforeRun != nil {
+		m.beforeRun(r, p)
 	}
 	full := p.Run(r.ctx)
 	// Keep what the daemon serves and let the rest go: the full result and

@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"massf/internal/des"
+	"massf/internal/experiments"
 	"massf/internal/runspec"
 )
 
@@ -27,10 +29,29 @@ func waitRun(t *testing.T, r *Run, timeout time.Duration, want func(Info) bool) 
 	}
 }
 
-// pacedSpec is a spec that executes for a long wall time (realtime-paced),
-// so it reliably occupies the pool while the test manipulates the queue.
-func pacedSpec(name string, seed int64) Spec {
-	return testSpec(name, seed, 10, 20) // ~200 s of wall time if left alone
+// gateAt is the simulated time at which a gated run is held: late enough
+// that the windows before it carry traffic, and inside every horizon the
+// tests give a gated run.
+const gateAt = 200 * des.Millisecond
+
+// gateRuns holds every run m dispatches from now on at simulated time
+// gateAt, with an event on engine 0 that blocks until release is called or
+// the run's context ends (a cancel, a limit, Shutdown). A held run reads
+// running, every window before the gate is already published, and it burns
+// no CPU. The event adds one to the run's event count, so the golden and
+// count-exact tests run ungated. Call it before the first Submit, and
+// release at most once.
+func gateRuns(m *Manager) (release func()) {
+	open := make(chan struct{})
+	m.beforeRun = func(r *Run, p *experiments.Prepared) {
+		p.Sim.Engine(0).Schedule(gateAt, func(des.Time) {
+			select {
+			case <-open:
+			case <-r.ctx.Done():
+			}
+		})
+	}
+	return func() { close(open) }
 }
 
 func shutdownMgr(t *testing.T, m *Manager) {
@@ -47,21 +68,22 @@ func shutdownMgr(t *testing.T, m *Manager) {
 // low-priority one still dispatches first when the slot frees.
 func TestSchedulerPriorityOrder(t *testing.T) {
 	m := NewManagerOpts(Options{Workers: 1, RingCap: 256})
+	gateRuns(m)
 	defer shutdownMgr(t, m)
 
-	blocker, err := m.Submit(pacedSpec("blocker", 1))
+	blocker, err := m.Submit(testSpec("blocker", 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRun(t, blocker, 10*time.Second, func(i Info) bool { return i.State == StateRunning })
 
-	lowSpec := pacedSpec("low", 2)
+	lowSpec := testSpec("low", 2, 1)
 	lowSpec.Priority = runspec.PriorityLow
 	low, err := m.Submit(lowSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	highSpec := pacedSpec("high", 3)
+	highSpec := testSpec("high", 3, 1)
 	highSpec.Priority = runspec.PriorityHigh
 	high, err := m.Submit(highSpec)
 	if err != nil {
@@ -83,17 +105,18 @@ func TestSchedulerPriorityOrder(t *testing.T) {
 // QueueDepth waiting runs, Submit refuses with ErrQueueFull.
 func TestSchedulerQueueFull(t *testing.T) {
 	m := NewManagerOpts(Options{Workers: 1, RingCap: 256, QueueDepth: 1})
+	gateRuns(m)
 	defer shutdownMgr(t, m)
 
-	running, err := m.Submit(pacedSpec("running", 1))
+	running, err := m.Submit(testSpec("running", 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRun(t, running, 10*time.Second, func(i Info) bool { return i.State == StateRunning })
-	if _, err := m.Submit(pacedSpec("waiting", 2)); err != nil {
+	if _, err := m.Submit(testSpec("waiting", 2, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.Submit(pacedSpec("rejected", 3)); !errors.Is(err, ErrQueueFull) {
+	if _, err := m.Submit(testSpec("rejected", 3, 1)); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("submit past the queue bound: err=%v, want ErrQueueFull", err)
 	}
 }
@@ -104,15 +127,16 @@ func TestSchedulerQueueFull(t *testing.T) {
 // priority order, so heavy runs cannot be starved.
 func TestSchedulerWeightNoBackfill(t *testing.T) {
 	m := NewManagerOpts(Options{Workers: 2, RingCap: 256})
+	gateRuns(m)
 	defer shutdownMgr(t, m)
 
-	blocker, err := m.Submit(pacedSpec("blocker", 1))
+	blocker, err := m.Submit(testSpec("blocker", 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitRun(t, blocker, 10*time.Second, func(i Info) bool { return i.State == StateRunning })
 
-	heavySpec := pacedSpec("heavy", 2)
+	heavySpec := testSpec("heavy", 2, 1)
 	heavySpec.Weight = 5 // asks for more than the pool; clamps to 2
 	heavy, err := m.Submit(heavySpec)
 	if err != nil {
@@ -121,13 +145,13 @@ func TestSchedulerWeightNoBackfill(t *testing.T) {
 	if w := heavy.Info().Weight; w != 2 {
 		t.Fatalf("weight %d after admission, want clamped to pool size 2", w)
 	}
-	light, err := m.Submit(pacedSpec("light", 3))
+	light, err := m.Submit(testSpec("light", 3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// One slot is free, but the weight-2 head does not fit — the light run
-	// behind it must NOT be dispatched into that slot.
-	time.Sleep(200 * time.Millisecond)
+	// behind it must NOT be dispatched into that slot. Submit dispatches
+	// under the manager's lock, so the states are final when it returns.
 	if st := heavy.State(); st != StateQueued {
 		t.Fatalf("heavy run in state %s with one free slot, want queued", st)
 	}
@@ -144,15 +168,16 @@ func TestSchedulerWeightNoBackfill(t *testing.T) {
 	}
 }
 
-// TestSchedulerWallLimit pins the resource-limit path: a run past its
-// wall-clock bound is stopped through cancellation but ends failed, with
-// the limit named in its error and the partial report kept.
+// TestSchedulerWallLimit pins the resource-limit path: a run held at the
+// gate past its 50 ms wall-clock bound is stopped through cancellation but
+// ends failed, with the limit named in its error.
 func TestSchedulerWallLimit(t *testing.T) {
 	m := NewManagerOpts(Options{Workers: 1, RingCap: 256})
+	gateRuns(m)
 	defer shutdownMgr(t, m)
 
-	spec := pacedSpec("hog", 1)
-	spec.WallLimitMS = 1500
+	spec := testSpec("hog", 1, 1)
+	spec.WallLimitMS = 50
 	r, err := m.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -170,12 +195,14 @@ func TestSchedulerWallLimit(t *testing.T) {
 }
 
 // TestSchedulerMemLimit drives the heap sampler: a bound far below the
-// test process's live heap trips on the first sample.
+// test process's live heap trips on the first 50 ms sample of a run held
+// at the gate.
 func TestSchedulerMemLimit(t *testing.T) {
 	m := NewManagerOpts(Options{Workers: 1, RingCap: 256})
+	gateRuns(m)
 	defer shutdownMgr(t, m)
 
-	spec := pacedSpec("oom", 1)
+	spec := testSpec("oom", 1, 1)
 	spec.MemLimitMB = 1 // any Go process holds more than 1 MiB live
 	r, err := m.Submit(spec)
 	if err != nil {
@@ -195,7 +222,7 @@ func TestSchedulerSetupCache(t *testing.T) {
 	m := NewManagerOpts(Options{Workers: 1, RingCap: 256})
 	defer shutdownMgr(t, m)
 
-	cold, err := m.Submit(testSpec("cold", 7, 0.3, 0))
+	cold, err := m.Submit(testSpec("cold", 7, 0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +236,7 @@ func TestSchedulerSetupCache(t *testing.T) {
 
 	// Different name and engine count, same scenario content key: the
 	// per-run knobs are overlaid on the shared build, not part of it.
-	warmSpec := testSpec("warm", 7, 0.3, 0)
+	warmSpec := testSpec("warm", 7, 0.3)
 	warmSpec.Engines = 4
 	warm, err := m.Submit(warmSpec)
 	if err != nil {
@@ -227,7 +254,7 @@ func TestSchedulerSetupCache(t *testing.T) {
 	}
 
 	// A different seed is a different scenario — no false sharing.
-	other, err := m.Submit(testSpec("other", 8, 0.3, 0))
+	other, err := m.Submit(testSpec("other", 8, 0.3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,21 +21,15 @@ import (
 )
 
 // testSpec is a tiny scenario that still exercises the full pipeline.
-// The ScaLapack workload keeps traffic flowing through the whole
-// horizon, and the real-time factor stretches the run's wall time so
-// tests can observe it in flight.
-func testSpec(name string, seed int64, seconds, realtime float64) Spec {
+// The ScaLapack workload keeps traffic flowing through the whole horizon;
+// a test that observes a run in flight holds it open with gateRuns.
+func testSpec(name string, seed int64, seconds float64) Spec {
 	return Spec{
 		Name:     name,
 		Flat:     &FlatSpec{Routers: 40, Hosts: 20},
 		Approach: "HTOP",
-		RunSpec: runspec.RunSpec{
-			Engines:        2,
-			Seconds:        seconds,
-			Seed:           seed,
-			RealTimeFactor: realtime,
-		},
-		App: "scalapack",
+		RunSpec:  runspec.RunSpec{Engines: 2, Seconds: seconds, Seed: seed},
+		App:      "scalapack",
 	}
 }
 
@@ -128,11 +122,13 @@ func openStream(t *testing.T, base, id string) (<-chan telemetry.WindowRecord, f
 // neighbor) are still in flight.
 func TestServerConcurrentRunsAndLiveStream(t *testing.T) {
 	mgr := NewManagerOpts(Options{Workers: 2, RingCap: 1024})
+	release := gateRuns(mgr)
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
+	defer shutdownMgr(t, mgr)
 
-	a := submitSpec(t, ts.URL, testSpec("a", 1, 1.5, 2))
-	b := submitSpec(t, ts.URL, testSpec("b", 2, 1.5, 2))
+	a := submitSpec(t, ts.URL, testSpec("a", 1, 1))
+	b := submitSpec(t, ts.URL, testSpec("b", 2, 1))
 	if a.ID == b.ID {
 		t.Fatalf("duplicate run IDs: %s", a.ID)
 	}
@@ -154,14 +150,15 @@ func TestServerConcurrentRunsAndLiveStream(t *testing.T) {
 	if len(first.Events) != 2 {
 		t.Fatalf("window record has %d engine slots, want 2", len(first.Events))
 	}
-	// The record arrived while both simulations were executing: neither
-	// run may have reached a terminal state yet.
+	// The record arrived while both simulations were held at the gate:
+	// neither run may have reached a terminal state yet.
 	if st := getInfo(t, ts.URL, a.ID).State; st.Terminal() {
 		t.Fatalf("run %s already terminal (%s) at first streamed record", a.ID, st)
 	}
 	if st := getInfo(t, ts.URL, b.ID).State; st.Terminal() {
 		t.Fatalf("run %s already terminal (%s) while %s streams", b.ID, st, a.ID)
 	}
+	release()
 
 	// Drain to EOF: the stream must terminate when the run finishes,
 	// with monotonically increasing sequence numbers.
@@ -217,15 +214,18 @@ func TestServerConcurrentRunsAndLiveStream(t *testing.T) {
 
 // TestServerCancel covers both cancellation paths: a queued run (worker
 // pool of one, so the second submission waits) dies without starting,
-// and a running run stops at a barrier well before its paced horizon.
+// and a running run, held at the gate, stops at a barrier before its
+// horizon.
 func TestServerCancel(t *testing.T) {
 	mgr := NewManagerOpts(Options{Workers: 1, RingCap: 256})
+	gateRuns(mgr)
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
+	defer shutdownMgr(t, mgr)
 
-	// ~200 s of wall time if left alone — cancellation must cut it short.
-	running := submitSpec(t, ts.URL, testSpec("victim", 1, 10, 20))
-	queued := submitSpec(t, ts.URL, testSpec("waiter", 2, 10, 20))
+	// Held until cancelled: only cancellation ends it.
+	running := submitSpec(t, ts.URL, testSpec("victim", 1, 1))
+	queued := submitSpec(t, ts.URL, testSpec("waiter", 2, 1))
 
 	waitState(t, ts.URL, running.ID, 10*time.Second, func(i Info) bool { return i.State == StateRunning })
 	if st := getInfo(t, ts.URL, queued.ID).State; st != StateQueued {
@@ -321,7 +321,7 @@ func TestServerRunEndpoints(t *testing.T) {
 	defer ts.Close()
 
 	// Unpaced: finishes in well under a second at this scale.
-	spec := testSpec("quick", 3, 0.5, 0)
+	spec := testSpec("quick", 3, 0.5)
 	info := submitSpec(t, ts.URL, spec)
 	done := waitState(t, ts.URL, info.ID, 30*time.Second, func(i Info) bool { return i.State.Terminal() })
 	if done.State != StateDone {
@@ -385,7 +385,7 @@ func TestServerFlightRecorder(t *testing.T) {
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 
-	info := submitSpec(t, ts.URL, testSpec("recorder", 5, 0.5, 0))
+	info := submitSpec(t, ts.URL, testSpec("recorder", 5, 0.5))
 	done := waitState(t, ts.URL, info.ID, 30*time.Second, func(i Info) bool { return i.State.Terminal() })
 	if done.State != StateDone {
 		t.Fatalf("run ended %s (err=%q)", done.State, done.Error)
@@ -490,7 +490,7 @@ func TestServerFlightRecorder(t *testing.T) {
 
 	// Feed the measured profile into an HPROF submission: no profiling
 	// pass, mapping driven by measured rates.
-	spec := testSpec("hprof-from-measured", 5, 0.5, 0)
+	spec := testSpec("hprof-from-measured", 5, 0.5)
 	spec.Approach = "HPROF"
 	spec.Profile = string(profText)
 	hinfo := submitSpec(t, ts.URL, spec)
@@ -543,7 +543,7 @@ func TestServerFaultReport(t *testing.T) {
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 
-	spec := testSpec("churny", 3, 0.5, 0)
+	spec := testSpec("churny", 3, 0.5)
 	spec.Faults = &faults.Script{
 		Events: faults.Outage(0, 100*des.Millisecond, 200*des.Millisecond),
 	}
@@ -583,7 +583,7 @@ func TestServerFaultReport(t *testing.T) {
 	}
 
 	// A scriptless run has no report.
-	plain := submitSpec(t, ts.URL, testSpec("plain", 3, 0.3, 0))
+	plain := submitSpec(t, ts.URL, testSpec("plain", 3, 0.3))
 	waitState(t, ts.URL, plain.ID, 30*time.Second, func(i Info) bool { return i.State.Terminal() })
 	resp, err = http.Get(ts.URL + APIPrefix + "/runs/" + plain.ID + "/faults")
 	if err != nil {

@@ -25,8 +25,7 @@ func TestSpecWireFormatUnchanged(t *testing.T) {
 	if err := json.Unmarshal([]byte(legacy), &spec); err != nil {
 		t.Fatal(err)
 	}
-	if spec.Engines != 8 || spec.Seconds != 0.5 || spec.Seed != 7 ||
-		spec.RealTimeFactor != 1.5 || spec.EventCostUS != 10 {
+	if spec.Engines != 8 || spec.Seconds != 0.5 || spec.Seed != 7 || spec.EventCostUS != 10 {
 		t.Fatalf("legacy body decoded wrong: %+v", spec)
 	}
 	if spec.Name != "old-client" || spec.Approach != "TOP2" || spec.App != "scalapack" {
@@ -44,9 +43,9 @@ func TestSpecWireFormatUnchanged(t *testing.T) {
 	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"engines", "seconds", "seed", "realtime", "event_cost_us"} {
-		if _, ok := m[key]; !ok {
-			t.Errorf("marshaled spec lacks top-level %q: %s", key, b)
+	for key, want := range map[string]float64{"engines": 8, "seconds": 0.5, "seed": 7, "realtime": 1.5, "event_cost_us": 10} {
+		if got, ok := m[key]; !ok || got != want {
+			t.Errorf("marshaled spec has top-level %q = %v, want %v: %s", key, got, want, b)
 		}
 	}
 }
