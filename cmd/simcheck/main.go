@@ -329,8 +329,8 @@ func reportFailure(out io.Writer, rep *simcheck.Report) {
 			}
 			fmt.Fprintf(out, "    divergence: %v\n", d)
 		}
-		if at, start, end, ok := kr.DivergentWindow(); ok {
-			fmt.Fprintf(out, "    earliest divergence at %v, in barrier window [%v, %v)\n", at, start, end)
+		if at, ok := kr.DivergedAt(); ok {
+			fmt.Fprintf(out, "    earliest divergence at %v\n", at)
 		}
 	}
 }

@@ -79,7 +79,7 @@ func TestMeasuredProfileFeedbackBeatsHTOP(t *testing.T) {
 	}
 	for _, wa := range rep.Windows {
 		if wa.BoundingEngine < 0 || wa.BoundingEngine >= sc.Engines {
-			t.Fatalf("window %d bounded by engine %d", wa.Window, wa.BoundingEngine)
+			t.Fatalf("window seq %d bounded by engine %d", wa.Seq, wa.BoundingEngine)
 		}
 	}
 	rep.AttributeRouters(mHTOP.Part, resHTOP.NodeEvents, 3)

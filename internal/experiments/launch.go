@@ -67,7 +67,7 @@ type Scenario struct {
 	// Profile supplies the measurements.
 	Approach string `json:"approach,omitempty"`
 	// RunSpec carries the run-level knobs — engines, seconds, seed,
-	// realtime, event_cost_us, series_buckets, … — embedded so the wire
+	// realtime, event_cost_us, … — embedded so the wire
 	// format stays flat and defaults and range checks live in one place
 	// (runspec).
 	runspec.RunSpec

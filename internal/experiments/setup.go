@@ -282,10 +282,10 @@ func (st *Setup) BuildSim(m *core.Mapping, w Workload, opt runspec.RunSpec) (*ne
 // executed as x says.
 //
 // opt is the unified run configuration (runspec.RunSpec); prepare reads
-// only the run-surface knobs — Telemetry, RealTimeFactor, SeriesBuckets,
-// Faults, NetMon, NetSample and the hybrid-fidelity knobs (FlowFidelity,
-// FluidQuantumUS); the scale-level fields (Engines, Seconds, Seed,
-// EventCostUS) are taken from Setup.Scale, which was sized before mapping.
+// only the run-surface knobs — Telemetry, RealTimeFactor, Faults, NetMon,
+// NetSample and the hybrid-fidelity knobs (FlowFidelity, FluidQuantumUS);
+// the scale-level fields (Engines, Seconds, Seed, EventCostUS) are taken
+// from Setup.Scale, which was sized before mapping.
 func (st *Setup) prepare(m *core.Mapping, w Workload, opt runspec.RunSpec, src Traffic, x Exec) (*Prepared, error) {
 	if src == nil {
 		src = &background{
@@ -299,8 +299,7 @@ func (st *Setup) prepare(m *core.Mapping, w Workload, opt runspec.RunSpec, src T
 	cfg := netsim.Config{
 		Net: st.Net, Routes: st.Routes, Part: m.Part, Engines: st.Scale.Engines,
 		Window: m.Window(), End: st.Scale.Horizon,
-		Sync: st.Sync, EventCost: st.Scale.EventCost,
-		SeriesBuckets: opt.SeriesBuckets, RealTimeFactor: opt.RealTimeFactor,
+		Sync: st.Sync, EventCost: st.Scale.EventCost, RealTimeFactor: opt.RealTimeFactor,
 		Telemetry: opt.Telemetry, Invariants: x.Invariants,
 		Transport: x.Transport, FirstEngine: x.First, HostedEngines: x.Hosted,
 	}

@@ -23,9 +23,11 @@ import (
 
 // WindowAnalysis is one barrier window's diagnosis.
 type WindowAnalysis struct {
-	// Seq and Window identify the record (see telemetry.WindowRecord).
-	Seq    uint64 `json:"seq"`
-	Window int    `json:"window"`
+	// Seq identifies the record, and StartNS and EndNS bound its window
+	// in simulated time (see telemetry.WindowRecord).
+	Seq     uint64 `json:"seq"`
+	StartNS int64  `json:"start_ns"`
+	EndNS   int64  `json:"end_ns"`
 	// BoundingEngine did the most compute work this window — everyone
 	// else waited for it at the barrier.
 	BoundingEngine int `json:"bounding_engine"`
@@ -172,7 +174,7 @@ func Analyze(recs []telemetry.WindowRecord, topK int) *Report {
 		rep.PerEngine[bounding].WindowsBounded++
 		rep.PerEngine[bounding].ExcessNS += max - mean
 		rep.Windows = append(rep.Windows, WindowAnalysis{
-			Seq: rec.Seq, Window: rec.Window,
+			Seq: rec.Seq, StartNS: rec.StartNS, EndNS: rec.EndNS,
 			BoundingEngine: bounding, BoundingNS: max,
 			MeanComputeNS: mean, Efficiency: eff, WallNS: rec.WallNS,
 		})
@@ -275,8 +277,8 @@ func (r *Report) WriteText(w io.Writer) error {
 		}
 	}
 	if worst != nil {
-		fmt.Fprintf(w, "worst window: #%d bounded by engine %d (efficiency %.3f, %.2f ms compute vs %.2f ms mean)\n",
-			worst.Window, worst.BoundingEngine, worst.Efficiency,
+		fmt.Fprintf(w, "worst window: [%.3f, %.3f) ms bounded by engine %d (efficiency %.3f, %.2f ms compute vs %.2f ms mean)\n",
+			float64(worst.StartNS)/1e6, float64(worst.EndNS)/1e6, worst.BoundingEngine, worst.Efficiency,
 			float64(worst.BoundingNS)/1e6, float64(worst.MeanComputeNS)/1e6)
 	}
 	fmt.Fprintf(w, "top stragglers:\n")

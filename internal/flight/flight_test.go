@@ -18,7 +18,7 @@ func skewedRecording() []telemetry.WindowRecord {
 			seq += 2 // two records evicted
 		}
 		recs = append(recs, telemetry.WindowRecord{
-			Seq: seq, Window: w, WallNS: 100_000,
+			Seq: seq, StartNS: int64(w) * 1e6, EndNS: int64(w+1) * 1e6, WallNS: 100_000,
 			Events:        []uint64{100, 400, 100},
 			RemoteSends:   []uint64{1, 2, 3},
 			ComputeNS:     []int64{25_000, 100_000, 25_000},
@@ -40,11 +40,11 @@ func TestAnalyzeBoundingEngineAndEfficiency(t *testing.T) {
 	}
 	for _, wa := range rep.Windows {
 		if wa.BoundingEngine != 1 {
-			t.Errorf("window %d bounded by %d, want 1", wa.Window, wa.BoundingEngine)
+			t.Errorf("window seq %d bounded by %d, want 1", wa.Seq, wa.BoundingEngine)
 		}
 		// sum = 150k, max = 100k, n = 3 → 0.5
 		if wa.Efficiency < 0.49 || wa.Efficiency > 0.51 {
-			t.Errorf("window %d efficiency %.3f, want 0.5", wa.Window, wa.Efficiency)
+			t.Errorf("window seq %d efficiency %.3f, want 0.5", wa.Seq, wa.Efficiency)
 		}
 	}
 	if rep.MeanEfficiency < 0.49 || rep.MeanEfficiency > 0.51 {
@@ -77,8 +77,8 @@ func TestAnalyzeEventFallback(t *testing.T) {
 	// Recordings without compute spans (legacy or synthetic) fall back to
 	// event counts for the bounding decision.
 	recs := []telemetry.WindowRecord{
-		{Seq: 0, Window: 0, Events: []uint64{10, 90}},
-		{Seq: 1, Window: 1, Events: []uint64{80, 20}},
+		{Seq: 0, Events: []uint64{10, 90}},
+		{Seq: 1, Events: []uint64{80, 20}},
 	}
 	rep := Analyze(recs, 0)
 	if rep.Windows[0].BoundingEngine != 1 || rep.Windows[1].BoundingEngine != 0 {
@@ -146,6 +146,7 @@ func TestReportJSONAndText(t *testing.T) {
 	for _, want := range []string{
 		"3 engines", "6 windows", "(2 evicted)",
 		"parallel efficiency: 0.500",
+		"worst window: [0.000, 1.000) ms bounded by engine 1",
 		"engine 1 — bounded 6/6 windows",
 		"node 0: 600 events",
 	} {

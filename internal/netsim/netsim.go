@@ -74,10 +74,9 @@ type Config struct {
 	Window des.Time
 	// End is the simulated horizon.
 	End des.Time
-	// Sync, EventCost, SeriesBuckets, RealTimeFactor: see pdes.Config.
+	// Sync, EventCost, RealTimeFactor: see pdes.Config.
 	Sync           cluster.SyncCostModel
 	EventCost      des.Time
-	SeriesBuckets  int
 	RealTimeFactor float64
 	// QueueBytes is the per-link-direction buffer. Default 131072 (128
 	// KB), i.e. ≈1 ms at 1 Gbps.
@@ -360,7 +359,6 @@ func New(cfg Config) (*Sim, error) {
 	pcfg := pdes.Config{
 		Engines: cfg.Engines, Window: cfg.Window, End: cfg.End,
 		Sync: cfg.Sync, EventCost: cfg.EventCost,
-		SeriesBuckets:  cfg.SeriesBuckets,
 		RealTimeFactor: cfg.RealTimeFactor,
 		Telemetry:      cfg.Telemetry,
 		Invariants:     cfg.Invariants,

@@ -12,10 +12,11 @@
 //   - monotonic drain: the gathered batch is in strictly increasing
 //     (at, src, seq) order after the sort, i.e. the total order is real.
 //
-// Violations are recorded (with window, engine, and the (at, src, seq)
-// event triple) rather than panicking, so a conformance run can report
-// everything it saw; a lookahead-violating event is dropped instead of
-// scheduled, because executing it would corrupt the receiving kernel's past.
+// Violations are recorded (with the window's end, the engine, and the
+// (at, src, seq) event triple) rather than panicking, so a conformance run
+// can report everything it saw; a lookahead-violating event is dropped
+// instead of scheduled, because executing it would corrupt the receiving
+// kernel's past.
 package pdes
 
 import (
@@ -60,26 +61,28 @@ func (k ViolationKind) String() string {
 }
 
 // Violation is one detected invariant violation, carrying enough context to
-// locate the offending window in a flight-recorder trace: the window index,
-// the receiving engine, and the event's (at, src, seq) identity triple.
+// locate the offending window in a flight-recorder trace: the window's end
+// in simulated time, the receiving engine, and the event's (at, src, seq)
+// identity triple.
 type Violation struct {
-	Kind      ViolationKind
-	Window    int // barrier window index; -1 when not attributable
-	Engine    int // receiving engine
-	Src       int // sending engine; -1 when not applicable
-	Seq       uint64
-	At        des.Time
+	Kind   ViolationKind
+	Engine int // receiving engine
+	Src    int // sending engine; -1 when not applicable
+	Seq    uint64
+	At     des.Time
+	// WindowEnd is the end of the barrier window the violation was found
+	// in; 0 when not attributable (a kernel check before Run).
 	WindowEnd des.Time
 	Detail    string
 }
 
 func (v Violation) String() string {
-	s := fmt.Sprintf("pdes: %s violation: window %d engine %d", v.Kind, v.Window, v.Engine)
+	s := fmt.Sprintf("pdes: %s violation: engine %d", v.Kind, v.Engine)
+	if v.WindowEnd > 0 {
+		s += fmt.Sprintf(" in the window ending %v", v.WindowEnd)
+	}
 	if v.Src >= 0 {
 		s += fmt.Sprintf(": event (at=%v, src=%d, seq=%d)", v.At, v.Src, v.Seq)
-	}
-	if v.Kind == ViolationLookahead {
-		s += fmt.Sprintf(" inside window ending %v", v.WindowEnd)
 	}
 	if v.Detail != "" {
 		s += ": " + v.Detail
@@ -119,20 +122,20 @@ func (inv *Invariants) Violations() []Violation {
 
 // invCheckGather audits the active-pair registration for receiving engine e
 // before the gather walks it: every registered source must appear once and
-// hold a non-empty parity buffer for e.
-func (s *Sim) invCheckGather(inv *Invariants, w int, e *Engine, srcs []int32) {
+// hold a non-empty parity buffer for e. wEnd is the window's end.
+func (s *Sim) invCheckGather(inv *Invariants, e *Engine, wEnd des.Time, srcs []int32) {
 	for i, si := range srcs {
 		for j := 0; j < i; j++ {
 			if srcs[j] == si {
 				inv.record(Violation{
-					Kind: ViolationExchangeParity, Window: w, Engine: e.id, Src: int(si), At: -1,
+					Kind: ViolationExchangeParity, Engine: e.id, Src: int(si), At: -1, WindowEnd: wEnd,
 					Detail: "source registered twice in the active table",
 				})
 			}
 		}
 		if len(s.engines[si].outbox[e.p][e.id]) == 0 {
 			inv.record(Violation{
-				Kind: ViolationExchangeParity, Window: w, Engine: e.id, Src: int(si), At: -1,
+				Kind: ViolationExchangeParity, Engine: e.id, Src: int(si), At: -1, WindowEnd: wEnd,
 				Detail: fmt.Sprintf("registered source has empty parity-%d outbox", e.p),
 			})
 		}
@@ -144,7 +147,7 @@ func (s *Sim) invCheckGather(inv *Invariants, w int, e *Engine, srcs []int32) {
 // (the lookahead guarantee). Lookahead-violating events are recorded and
 // removed — scheduling them would corrupt the kernel's past — and the
 // filtered batch is returned.
-func (s *Sim) invCheckIncoming(inv *Invariants, w int, e *Engine, wEnd des.Time, incoming []remoteEvent) []remoteEvent {
+func (s *Sim) invCheckIncoming(inv *Invariants, e *Engine, wEnd des.Time, incoming []remoteEvent) []remoteEvent {
 	out := incoming[:0]
 	var prev remoteEvent
 	havePrev := false
@@ -152,7 +155,7 @@ func (s *Sim) invCheckIncoming(inv *Invariants, w int, e *Engine, wEnd des.Time,
 		re := incoming[i]
 		if havePrev && remoteCmp(prev, re) >= 0 {
 			inv.record(Violation{
-				Kind: ViolationDrainOrder, Window: w, Engine: e.id,
+				Kind: ViolationDrainOrder, Engine: e.id,
 				Src: int(re.src), Seq: re.seq, At: re.at, WindowEnd: wEnd,
 				Detail: fmt.Sprintf("not after predecessor (at=%v, src=%d, seq=%d)", prev.at, prev.src, prev.seq),
 			})
@@ -160,7 +163,7 @@ func (s *Sim) invCheckIncoming(inv *Invariants, w int, e *Engine, wEnd des.Time,
 		prev, havePrev = re, true
 		if re.at < wEnd {
 			inv.record(Violation{
-				Kind: ViolationLookahead, Window: w, Engine: e.id,
+				Kind: ViolationLookahead, Engine: e.id,
 				Src: int(re.src), Seq: re.seq, At: re.at, WindowEnd: wEnd,
 			})
 			continue
@@ -172,10 +175,10 @@ func (s *Sim) invCheckIncoming(inv *Invariants, w int, e *Engine, wEnd des.Time,
 
 // invCheckKernel runs the kernel structural verification for engine e at a
 // barrier (KernelPerWindow mode).
-func (s *Sim) invCheckKernel(inv *Invariants, w int, e *Engine, wEnd des.Time) {
+func (s *Sim) invCheckKernel(inv *Invariants, e *Engine, wEnd des.Time) {
 	if err := e.k.VerifyInvariants(); err != nil {
 		inv.record(Violation{
-			Kind: ViolationKernel, Window: w, Engine: e.id, Src: -1, At: -1,
+			Kind: ViolationKernel, Engine: e.id, Src: -1, At: -1,
 			WindowEnd: wEnd, Detail: err.Error(),
 		})
 	}

@@ -95,13 +95,13 @@ func TestInjectedLookaheadViolationDetected(t *testing.T) {
 	if v.Kind != ViolationLookahead {
 		t.Errorf("Kind = %v, want lookahead", v.Kind)
 	}
-	if v.Window != 0 || v.Engine != 1 || v.Src != 0 {
-		t.Errorf("violation at window %d engine %d src %d, want window 0 engine 1 src 0", v.Window, v.Engine, v.Src)
+	if v.Engine != 1 || v.Src != 0 {
+		t.Errorf("violation at engine %d src %d, want engine 1 src 0", v.Engine, v.Src)
 	}
 	if v.At != 500*des.Microsecond || v.WindowEnd != des.Millisecond {
 		t.Errorf("violation at=%v windowEnd=%v, want 500µs/1ms", v.At, v.WindowEnd)
 	}
-	for _, part := range []string{"lookahead", "window 0", "engine 1", "src=0", "500.000µs"} {
+	for _, part := range []string{"lookahead", "window ending 1.000ms", "engine 1", "src=0", "500.000µs"} {
 		if !strings.Contains(v.String(), part) {
 			t.Errorf("violation report %q missing %q", v.String(), part)
 		}
@@ -120,7 +120,7 @@ func TestInvCheckIncomingDrainOrder(t *testing.T) {
 		{at: 2 * des.Millisecond, src: 0, seq: 0, eh: h}, // out of order
 		{at: 2 * des.Millisecond, src: 0, seq: 0, eh: h}, // duplicate
 	}
-	kept := s.invCheckIncoming(inv, 0, e, wEnd, batch)
+	kept := s.invCheckIncoming(inv, e, wEnd, batch)
 	if len(kept) != 3 {
 		t.Errorf("kept %d events, want 3 (drain-order violations are reported, not dropped)", len(kept))
 	}
@@ -144,7 +144,7 @@ func TestInvCheckGatherParity(t *testing.T) {
 	// empty outbox. Source 1 gets a real event so only its duplicate and
 	// source 2's emptiness are flagged.
 	s.engines[1].outbox[e.p][0] = append(s.engines[1].outbox[e.p][0], remoteEvent{at: des.Millisecond})
-	s.invCheckGather(inv, 4, e, []int32{1, 1, 2})
+	s.invCheckGather(inv, e, 5*des.Millisecond, []int32{1, 1, 2})
 	vs := inv.Violations()
 	if len(vs) != 2 {
 		t.Fatalf("got %d violations, want 2: %v", len(vs), vs)
@@ -153,8 +153,8 @@ func TestInvCheckGatherParity(t *testing.T) {
 		if v.Kind != ViolationExchangeParity {
 			t.Errorf("Kind = %v, want exchange-parity", v.Kind)
 		}
-		if v.Window != 4 || v.Engine != 0 {
-			t.Errorf("violation at window %d engine %d, want window 4 engine 0", v.Window, v.Engine)
+		if v.WindowEnd != 5*des.Millisecond || v.Engine != 0 {
+			t.Errorf("violation in the window ending %v engine %d, want 5ms engine 0", v.WindowEnd, v.Engine)
 		}
 	}
 }

@@ -50,10 +50,6 @@ type Config struct {
 	// EventCost is the modeled CPU cost of processing one simulation
 	// event. Default 15 µs (packet-level event on 2004 Itanium-2).
 	EventCost des.Time
-	// SeriesBuckets caps the length of the per-window load series kept
-	// for Figure 3 (windows are aggregated into at most this many
-	// buckets). Default 512.
-	SeriesBuckets int
 	// RealTimeFactor paces the simulation against the wall clock for
 	// online (live traffic) use: 0 runs as fast as possible; 1.0 is the
 	// paper's real-time mode (one simulated second per wall second); 8.0
@@ -116,10 +112,11 @@ func (c *Config) setDefaults() {
 	if c.EventCost <= 0 {
 		c.EventCost = 15 * des.Microsecond
 	}
-	if c.SeriesBuckets <= 0 {
-		c.SeriesBuckets = 512
-	}
 }
+
+// seriesBuckets caps the length of the per-window load series kept for
+// Figure 3: windows are aggregated into at most this many buckets.
+const seriesBuckets = 512
 
 // remoteEvent is an event shipped between engines at a barrier.
 type remoteEvent struct {
@@ -154,11 +151,12 @@ type Engine struct {
 	// fill outbox[p] during executed window wc (p = wc&1) while consumers
 	// may still be draining outbox[1-p] from the previous window, so the
 	// barrier swaps buffers instead of copying events. Parity follows the
-	// count of *executed* windows, not the window index — fast-forward
-	// skips window indices, and two consecutive executed windows can share
-	// index parity. dirty[p] lists the destinations written this window, so
-	// reclaiming outbox[p] two executed windows later is O(written), and a
-	// buffer's len>0 doubles as the "already registered with dst" flag.
+	// count of *executed* windows, not the windows' start times —
+	// fast-forward skips idle time, so two consecutive executed windows
+	// can start an even number of Window widths apart. dirty[p] lists the
+	// destinations written this window, so reclaiming outbox[p] two
+	// executed windows later is O(written), and a buffer's len>0 doubles
+	// as the "already registered with dst" flag.
 	outbox [2][][]remoteEvent
 	dirty  [2][]int32
 	p      int // current outbox parity; owned by the engine goroutine
@@ -360,9 +358,8 @@ func New(cfg Config) (*Sim, error) {
 		e.outbox[1] = make([][]remoteEvent, cfg.Engines)
 		s.active[i] = make([]int32, cfg.Engines)
 		if inv := cfg.Invariants; inv != nil {
-			id := i
 			e.k.SetInvariants(&des.KernelInvariants{Fail: func(err error) {
-				inv.record(Violation{Kind: ViolationKernel, Window: -1, Engine: id, Src: -1, At: -1, Detail: err.Error()})
+				inv.record(Violation{Kind: ViolationKernel, Engine: e.id, Src: -1, At: -1, WindowEnd: e.windowEnd, Detail: err.Error()})
 			}})
 		}
 		s.engines = append(s.engines, e)
@@ -403,10 +400,11 @@ func (c *Config) nextWindow(cur window, next des.Time) window {
 func (s *Sim) Run() Stats {
 	cfg := s.cfg
 	first, hosted := cfg.FirstEngine, cfg.HostedEngines
-	// The load series spans the grid cells to the horizon; a window's
-	// bucket, record and reports key on its cell, start/Window.
-	cells := int((cfg.End + cfg.Window - 1) / cfg.Window)
-	buckets := min(cfg.SeriesBuckets, cells)
+	// The load series divides [0, span) into buckets equal slices of
+	// simulated time, span being the horizon rounded up to a whole Window,
+	// and counts a window's events in the slice that holds its start.
+	cells := (cfg.End + cfg.Window - 1) / cfg.Window
+	span, buckets := cells*cfg.Window, int(min(cells, seriesBuckets))
 	series := make([][]uint64, buckets)
 	for b := range series {
 		series[b] = make([]uint64, cfg.Engines)
@@ -489,7 +487,6 @@ func (s *Sim) Run() Stats {
 			var globalNext des.Time
 			var stop bool
 			for win := cfg.nextWindow(window{}, 0); win.start < cfg.End; win = cfg.nextWindow(win, globalNext) {
-				w := int(win.start / cfg.Window) // the grid cell
 				e.p = wc & 1
 				if wc >= 2 {
 					// Reclaim the parity buffers filled two executed
@@ -520,10 +517,7 @@ func (s *Sim) Run() Stats {
 				e.events += e.winEvents
 				busyScratch[li] = int64(e.winEvents)*int64(cfg.EventCost) +
 					int64(e.winRemote)*int64(remoteCost)
-				if buckets > 0 {
-					b := w * buckets / cells
-					series[b][e.id] += e.winEvents
-				}
+				series[win.start*des.Time(buckets)/span][e.id] += e.winEvents
 				if tel != nil {
 					scratch.Events[li] = e.winEvents
 					scratch.RemoteSends[li] = e.winRemote
@@ -554,7 +548,7 @@ func (s *Sim) Run() Stats {
 				incoming := e.incoming[:0]
 				cnt := atomic.LoadInt32(&s.activeN[e.id])
 				if inv != nil {
-					s.invCheckGather(inv, w, e, s.active[e.id][:cnt])
+					s.invCheckGather(inv, e, win.end, s.active[e.id][:cnt])
 				}
 				for _, si := range s.active[e.id][:cnt] {
 					incoming = append(incoming, s.engines[si].outbox[e.p][e.id]...)
@@ -597,7 +591,6 @@ func (s *Sim) Run() Stats {
 					stats.ModeledBusyNS += maxBusy
 					if tel != nil {
 						now := time.Now()
-						scratch.Window = w
 						scratch.StartNS, scratch.EndNS = int64(win.start), int64(win.end)
 						scratch.WallNS, scratch.MaxBusyNS = int64(now.Sub(lastTick)), maxBusy
 						lastTick = now
@@ -638,9 +631,9 @@ func (s *Sim) Run() Stats {
 				e.incoming = incoming
 				slices.SortFunc(incoming, remoteCmp)
 				if inv != nil {
-					incoming = s.invCheckIncoming(inv, w, e, win.end, incoming)
+					incoming = s.invCheckIncoming(inv, e, win.end, incoming)
 					if inv.KernelPerWindow {
-						s.invCheckKernel(inv, w, e, win.end)
+						s.invCheckKernel(inv, e, win.end)
 					}
 				}
 				for i := range incoming {

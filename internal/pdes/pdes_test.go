@@ -217,59 +217,86 @@ func TestModeledTimeAccounting(t *testing.T) {
 }
 
 func TestLoadSeriesShape(t *testing.T) {
-	s, err := New(Config{
-		Engines: 2, Window: des.Millisecond, End: 100 * des.Millisecond,
-		Sync: cluster.Fixed{CostNS: 1}, SeriesBuckets: 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// 100 windows fit the 512-bucket cap: one bucket per window.
+	s := newSim(t, 2, des.Millisecond, 100*des.Millisecond)
 	// Engine 0 busy only in the first half.
 	for i := 0; i < 50; i++ {
 		s.Engine(0).Schedule(des.Time(i)*des.Millisecond, func(des.Time) {})
 	}
 	stats := s.Run()
-	if len(stats.LoadSeries) != 10 {
-		t.Fatalf("series has %d buckets, want 10", len(stats.LoadSeries))
+	if len(stats.LoadSeries) != 100 {
+		t.Fatalf("series has %d buckets, want 100", len(stats.LoadSeries))
 	}
 	firstHalf, secondHalf := uint64(0), uint64(0)
-	for b := 0; b < 5; b++ {
+	for b := 0; b < 50; b++ {
 		firstHalf += stats.LoadSeries[b][0]
 	}
-	for b := 5; b < 10; b++ {
+	for b := 50; b < 100; b++ {
 		secondHalf += stats.LoadSeries[b][0]
 	}
 	if firstHalf != 50 || secondHalf != 0 {
 		t.Errorf("load series halves = %d/%d, want 50/0", firstHalf, secondHalf)
 	}
-	if stats.BucketWidth != 10*des.Millisecond {
-		t.Errorf("BucketWidth = %v, want 10ms", stats.BucketWidth)
+	if stats.BucketWidth != des.Millisecond {
+		t.Errorf("BucketWidth = %v, want 1ms", stats.BucketWidth)
 	}
 
-	// SeriesBuckets 0 is the 512-bucket default, not one bucket per window.
-	s, err = New(Config{
-		Engines: 2, Window: des.Millisecond, End: 1000 * des.Millisecond,
-		Sync: cluster.Fixed{CostNS: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// 1000 windows aggregate into the 512-bucket cap.
+	s = newSim(t, 2, des.Millisecond, 1000*des.Millisecond)
 	for i := 0; i < 1000; i++ {
 		s.Engine(0).Schedule(des.Time(i)*des.Millisecond, func(des.Time) {})
 	}
 	stats = s.Run()
-	if stats.Windows <= 512 {
-		t.Fatalf("executed %d windows, want > 512", stats.Windows)
+	if stats.Windows <= seriesBuckets {
+		t.Fatalf("executed %d windows, want > %d", stats.Windows, seriesBuckets)
 	}
-	if len(stats.LoadSeries) != 512 {
-		t.Fatalf("default series has %d buckets, want 512", len(stats.LoadSeries))
+	if len(stats.LoadSeries) != seriesBuckets {
+		t.Fatalf("series has %d buckets, want %d", len(stats.LoadSeries), seriesBuckets)
 	}
 	total := uint64(0)
 	for _, b := range stats.LoadSeries {
 		total += b[0]
 	}
 	if total != 1000 {
-		t.Errorf("default series holds %d engine-0 events, want 1000", total)
+		t.Errorf("series holds %d engine-0 events, want 1000", total)
+	}
+}
+
+// TestSeriesBucketMatchesGrid: Run keys a window's load-series bucket on
+// its start time, and on every cell of a horizon that is not a multiple of
+// the window that is the bucket the cell index gave, cell·buckets/cells —
+// with fewer cells than the bucket cap and with more.
+func TestSeriesBucketMatchesGrid(t *testing.T) {
+	const width = 7
+	for _, end := range []des.Time{100, 1000*width + 3} {
+		t.Run(fmt.Sprint(end), func(t *testing.T) {
+			s := newSim(t, 2, width, end)
+			cells := int((end + width - 1) / width)
+			buckets := min(cells, seriesBuckets)
+			// One event at the start of every cell, on alternating engines.
+			want := make([][]uint64, buckets)
+			for b := range want {
+				want[b] = make([]uint64, 2)
+			}
+			for w := 0; w < cells; w++ {
+				s.Engine(w%2).Schedule(des.Time(w)*width, func(des.Time) {})
+				want[w*buckets/cells][w%2]++
+			}
+			stats := s.Run()
+			if stats.Windows != cells {
+				t.Fatalf("executed %d windows, want %d", stats.Windows, cells)
+			}
+			if len(stats.LoadSeries) != buckets {
+				t.Fatalf("series has %d buckets, want %d", len(stats.LoadSeries), buckets)
+			}
+			for b := range want {
+				for e := range want[b] {
+					if got := stats.LoadSeries[b][e]; got != want[b][e] {
+						t.Fatalf("bucket %d engine %d holds %d events, grid rule %d", b, e, got, want[b][e])
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -48,9 +48,6 @@ type RunSpec struct {
 	// WallLimitMS. On a daemon executing runs concurrently the sample is
 	// process-wide, so treat it as a safety net, not an allocator.
 	MemLimitMB float64 `json:"mem_limit_mb,omitempty"`
-	// SeriesBuckets caps the per-window load series length: windows are
-	// aggregated into at most this many buckets (0 means the default, 512).
-	SeriesBuckets int `json:"series_buckets,omitempty"`
 	// Faults, when non-nil, is the scripted fault plane injected into the
 	// run: timed link/router churn with modeled OSPF/BGP reconvergence.
 	// The script is structurally validated here; target ids are checked
@@ -161,9 +158,6 @@ func (s *RunSpec) Validate() error {
 	}
 	if s.EventCostUS < 0 {
 		return fmt.Errorf("runspec: event cost must be ≥ 0")
-	}
-	if s.SeriesBuckets < 0 {
-		return fmt.Errorf("runspec: series buckets must be ≥ 0")
 	}
 	switch s.Priority {
 	case "", PriorityHigh, PriorityNormal, PriorityLow:

@@ -33,7 +33,6 @@ func TestValidateRanges(t *testing.T) {
 		{Engines: 4, Seconds: 4000},
 		{Engines: 4, Seconds: 2, RealTimeFactor: -0.5},
 		{Engines: 4, Seconds: 2, EventCostUS: -1},
-		{Engines: 4, Seconds: 2, SeriesBuckets: -1},
 		{Engines: 4, Seconds: 2, FlowFidelity: "fluid"},
 		{Engines: 4, Seconds: 2, FluidQuantumUS: -10},
 	}
@@ -102,7 +101,7 @@ func TestTimeConversions(t *testing.T) {
 // embedded RunSpec into its Spec); renaming a tag is a breaking change.
 func TestWireFieldNames(t *testing.T) {
 	s := RunSpec{Engines: 2, Seconds: 0.5, Seed: 3, RealTimeFactor: 1,
-		EventCostUS: 10, SeriesBuckets: 64}
+		EventCostUS: 10}
 	b, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +110,7 @@ func TestWireFieldNames(t *testing.T) {
 	if err := json.Unmarshal(b, &m); err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{"engines", "seconds", "seed", "realtime", "event_cost_us", "series_buckets"} {
+	for _, key := range []string{"engines", "seconds", "seed", "realtime", "event_cost_us"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("marshaled spec lacks %q: %s", key, b)
 		}

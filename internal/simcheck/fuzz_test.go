@@ -51,9 +51,9 @@ func FuzzScenarioEquivalence(f *testing.F) {
 				t.Fatalf("%s k=%d: invariant violation: %v", sc, kr.K, kr.Violations[0])
 			}
 			if len(kr.Divergences) > 0 {
-				at, start, end, _ := kr.DivergentWindow()
-				t.Fatalf("%s k=%d: diverged from sequential reference: %v (earliest at %v, in window [%v, %v))",
-					sc, kr.K, kr.Divergences[0], at, start, end)
+				at, _ := kr.DivergedAt()
+				t.Fatalf("%s k=%d: diverged from sequential reference: %v (earliest at %v)",
+					sc, kr.K, kr.Divergences[0], at)
 			}
 		}
 	})

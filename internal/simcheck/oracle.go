@@ -212,8 +212,8 @@ type Divergence struct {
 	Seq   string
 	Par   string
 	// At is the earliest simulated time the divergence is attributable to
-	// (time-valued fields only; 0 when unknown). It locates the divergent
-	// barrier window: window = At / Window length.
+	// (time-valued fields only; 0 when unknown). The barrier window whose
+	// [start_ns, end_ns) holds it in a trace of the run is where to look.
 	At des.Time
 }
 
@@ -239,21 +239,19 @@ type KRun struct {
 // Failed reports whether this run diverged or violated an invariant.
 func (kr *KRun) Failed() bool { return len(kr.Divergences) > 0 || len(kr.Violations) > 0 }
 
-// DivergentWindow returns the earliest time-attributable divergence's time
-// and the barrier window [start, end) that holds it; ok is false when no
-// divergence carries a time.
-func (kr *KRun) DivergentWindow() (at, start, end des.Time, ok bool) {
+// DivergedAt returns the earliest time-attributable divergence's time; ok
+// is false when no divergence carries a time.
+func (kr *KRun) DivergedAt() (at des.Time, ok bool) {
 	at = des.EndOfTime
 	for _, d := range kr.Divergences {
 		if d.At > 0 && d.At < at {
 			at = d.At
 		}
 	}
-	if at == des.EndOfTime || kr.Window <= 0 {
-		return 0, 0, 0, false
+	if at == des.EndOfTime {
+		return 0, false
 	}
-	start = at - at%kr.Window
-	return at, start, start + kr.Window, true
+	return at, true
 }
 
 // Report is the outcome of checking one scenario.

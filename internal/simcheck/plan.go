@@ -164,8 +164,9 @@ func Check(sc Scenario) (*Report, error) {
 
 // Trace re-executes the plan's k-engine run with the flight recorder
 // attached and writes a Chrome trace-event file of every barrier window —
-// the artifact to open next to a divergence report: the window [start, end)
-// from KRun.DivergentWindow locates the exchange that went wrong.
+// the artifact to open next to a divergence report: the window whose
+// [start_ns, end_ns) holds KRun.DivergedAt locates the exchange that went
+// wrong.
 func (p *Plan) Trace(k int, w io.Writer) error {
 	tel := telemetry.New(k, 1<<16)
 	kr, err := p.runK(p.Scenario, k, true, tel)

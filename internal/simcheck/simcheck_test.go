@@ -56,7 +56,7 @@ func TestOraclePassesRandomScenarios(t *testing.T) {
 
 // TestDiffReportsEveryFieldClass: scalar, per-element, and time-valued
 // differences are all reported, and time-valued ones carry the earliest
-// attributable simulated time so DivergentWindow can locate them.
+// attributable simulated time so DivergedAt can report it.
 func TestDiffReportsEveryFieldClass(t *testing.T) {
 	seq := &Observation{
 		TotalEvents: 100, DeliveredBits: 8000,
@@ -85,9 +85,9 @@ func TestDiffReportsEveryFieldClass(t *testing.T) {
 	if d := byField["TCPDone"]; d.At != 20*des.Millisecond {
 		t.Errorf("TCPDone divergence At = %v, want 20ms (earlier of the two)", d.At)
 	}
-	kr := KRun{Window: des.Millisecond, Divergences: ds}
-	if at, start, end, ok := kr.DivergentWindow(); !ok || at != 20*des.Millisecond || start != 20*des.Millisecond || end != 21*des.Millisecond {
-		t.Errorf("DivergentWindow = %v in [%v, %v) (ok %v), want 20ms in [20ms, 21ms)", at, start, end, ok)
+	kr := KRun{Divergences: ds}
+	if at, ok := kr.DivergedAt(); !ok || at != 20*des.Millisecond {
+		t.Errorf("DivergedAt = %v (ok %v), want 20ms", at, ok)
 	}
 	if ds := Diff(seq, seq); len(ds) != 0 {
 		t.Errorf("self-diff produced %v", ds)
@@ -144,9 +144,8 @@ func TestInjectedViolationReported(t *testing.T) {
 	if v.Kind != pdes.ViolationLookahead {
 		t.Errorf("Kind = %v, want lookahead", v.Kind)
 	}
-	if v.Window != 0 || v.Engine != dstEng || v.Src != srcEng {
-		t.Errorf("violation window=%d engine=%d src=%d, want 0/%d/%d",
-			v.Window, v.Engine, v.Src, dstEng, srcEng)
+	if v.Engine != dstEng || v.Src != srcEng {
+		t.Errorf("violation engine=%d src=%d, want %d/%d", v.Engine, v.Src, dstEng, srcEng)
 	}
 	if v.At != injectAt+1 || v.WindowEnd != window {
 		t.Errorf("violation at=%v windowEnd=%v, want %v/%v", v.At, v.WindowEnd, injectAt+1, window)

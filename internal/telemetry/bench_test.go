@@ -56,7 +56,6 @@ func BenchmarkWindowPublish(b *testing.B) {
 		w.WallNS, w.MaxBusyNS = 50_000, 42_000
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			w.Window = i
 			w.StartNS, w.EndNS = int64(i)*1_000_000, int64(i+1)*1_000_000
 			tel.Publish(&w)
 		}
@@ -77,7 +76,7 @@ func BenchmarkTraceRecord(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		rec := ring.Get(engines)
-		rec.Window = i
+		rec.StartNS = int64(i)
 		rec.WallNS = 50_000
 		copy(rec.Events, ev)
 		copy(rec.RemoteSends, rem)

@@ -8,10 +8,9 @@ type WindowRecord struct {
 	// monotonic). With a full ring, old records are evicted but Seq keeps
 	// counting, so consumers can detect gaps.
 	Seq uint64 `json:"seq"`
-	// Window is the barrier window index (idle windows are fast-forwarded
-	// over, so Window may jump).
-	Window int `json:"window"`
-	// StartNS and EndNS bound the window in simulated time.
+	// StartNS and EndNS bound the window in simulated time (idle time is
+	// fast-forwarded over, so a window may start later than the previous
+	// one ended).
 	StartNS int64 `json:"start_ns"`
 	EndNS   int64 `json:"end_ns"`
 	// WallNS is the host wall-clock time spent since the previous

@@ -126,7 +126,7 @@ func New(engines, ringCap int) *SimTelemetry {
 func (t *SimTelemetry) Publish(w *WindowRecord) {
 	n := len(w.Events)
 	rec := t.Windows.Get(n)
-	rec.Window, rec.StartNS, rec.EndNS = w.Window, w.StartNS, w.EndNS
+	rec.StartNS, rec.EndNS = w.StartNS, w.EndNS
 	rec.WallNS, rec.MaxBusyNS = w.WallNS, w.MaxBusyNS
 	copy(rec.Events, w.Events)
 	copy(rec.RemoteSends, w.RemoteSends)

@@ -93,15 +93,15 @@ massf_y{run="b"} 2
 func TestRingEvictionAndSeq(t *testing.T) {
 	r := NewRing(4)
 	for i := 0; i < 10; i++ {
-		r.Append(WindowRecord{Window: i})
+		r.Append(WindowRecord{StartNS: int64(i)})
 	}
 	snap := r.Snapshot()
 	if len(snap) != 4 {
 		t.Fatalf("snapshot kept %d records, want 4", len(snap))
 	}
 	for i, rec := range snap {
-		if rec.Window != 6+i || rec.Seq != uint64(6+i) {
-			t.Errorf("snap[%d] = window %d seq %d", i, rec.Window, rec.Seq)
+		if rec.StartNS != int64(6+i) || rec.Seq != uint64(6+i) {
+			t.Errorf("snap[%d] = window at %d seq %d", i, rec.StartNS, rec.Seq)
 		}
 	}
 	if total(r) != 10 {
@@ -124,7 +124,7 @@ func TestRingPooledRecyclingIsolatesReaders(t *testing.T) {
 	r := NewRing(capacity)
 	appendPooled := func(w int) {
 		rec := r.Get(engines)
-		rec.Window = w
+		rec.StartNS = int64(w)
 		for e := 0; e < engines; e++ {
 			rec.Events[e] = uint64(100*w + e)
 		}
@@ -148,7 +148,7 @@ func TestRingPooledRecyclingIsolatesReaders(t *testing.T) {
 	}
 	for i := 0; i < capacity; i++ {
 		rec := <-ch
-		if rec.Window != i || rec.Events[1] != uint64(100*i+1) {
+		if rec.StartNS != int64(i) || rec.Events[1] != uint64(100*i+1) {
 			t.Errorf("subscribed record %d mutated by recycling: %+v", i, rec)
 		}
 	}
@@ -157,23 +157,23 @@ func TestRingPooledRecyclingIsolatesReaders(t *testing.T) {
 		t.Fatalf("total = %d, want %d", got, 3*capacity)
 	}
 	live := r.Snapshot()
-	if len(live) != capacity || live[capacity-1].Window != 3*capacity-1 {
+	if len(live) != capacity || live[capacity-1].StartNS != 3*capacity-1 {
 		t.Fatalf("post-recycling snapshot wrong: %+v", live)
 	}
 }
 
 func TestRingSubscribeReplayThenLive(t *testing.T) {
 	r := NewRing(16)
-	r.Append(WindowRecord{Window: 0})
-	r.Append(WindowRecord{Window: 1})
+	r.Append(WindowRecord{StartNS: 0})
+	r.Append(WindowRecord{StartNS: 1})
 	past, ch, cancel := r.Subscribe(8)
 	defer cancel()
 	if len(past) != 2 {
 		t.Fatalf("replay = %d records, want 2", len(past))
 	}
-	r.Append(WindowRecord{Window: 2})
+	r.Append(WindowRecord{StartNS: 2})
 	rec := <-ch
-	if rec.Window != 2 || rec.Seq != 2 {
+	if rec.StartNS != 2 || rec.Seq != 2 {
 		t.Errorf("live record = %+v", rec)
 	}
 	r.Close()
@@ -198,7 +198,7 @@ func TestRingSlowSubscriberDoesNotBlock(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		for i := 0; i < 100; i++ { // would deadlock if Append blocked
-			r.Append(WindowRecord{Window: i})
+			r.Append(WindowRecord{StartNS: int64(i)})
 		}
 		close(done)
 	}()
@@ -212,7 +212,7 @@ func TestRingConcurrentAppendSubscribe(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 500; i++ {
-			r.Append(WindowRecord{Window: i})
+			r.Append(WindowRecord{StartNS: int64(i)})
 		}
 		r.Close()
 	}()
@@ -244,7 +244,7 @@ func TestSimTelemetryNew(t *testing.T) {
 	}
 	w := tel.Windows.Get(2)
 	for i := 0; i < 2; i++ {
-		w.Window, w.StartNS, w.EndNS, w.WallNS = i, int64(i)*1000, int64(i+1)*1000, 3_000
+		w.StartNS, w.EndNS, w.WallNS = int64(i)*1000, int64(i+1)*1000, 3_000
 		w.Events[0], w.Events[1] = 3, 4
 		w.RemoteSends[1] = 2
 		w.QueueDepth[0], w.QueueDepth[1] = 5+i, 1

@@ -116,9 +116,10 @@ func BuildTraceEvents(recs []WindowRecord, setupNS []int64) []TraceEvent {
 				at = cursor[e]
 			}
 			args := map[string]any{
-				"window": rec.Window,
-				"seq":    rec.Seq,
-				"events": rec.Events[e],
+				"seq":      rec.Seq,
+				"start_ns": rec.StartNS,
+				"end_ns":   rec.EndNS,
+				"events":   rec.Events[e],
 			}
 			if e < len(rec.RemoteSends) {
 				args["remote_sends"] = rec.RemoteSends[e]

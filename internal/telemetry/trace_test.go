@@ -18,7 +18,6 @@ func syntheticRecords(engines, windows int) []WindowRecord {
 		}
 		rec := WindowRecord{
 			Seq:     seq,
-			Window:  w,
 			StartNS: int64(w) * 1e6,
 			EndNS:   int64(w+1) * 1e6,
 			WallNS:  50_000,
@@ -77,6 +76,14 @@ func TestChromeTraceShape(t *testing.T) {
 		case "X":
 			tracks[ev.TID] = true
 			phases[ev.Name]++
+			if ev.Name == "compute" {
+				start, _ := ev.Args["start_ns"].(float64)
+				end, ok := ev.Args["end_ns"].(float64)
+				if !ok || end-start != 1e6 {
+					t.Errorf("compute slice on tid %d names window [%v, %v), want its record's 1 ms interval",
+						ev.TID, ev.Args["start_ns"], ev.Args["end_ns"])
+				}
+			}
 			if ev.Dur <= 0 {
 				t.Errorf("X event %q on tid %d has non-positive dur %g", ev.Name, ev.TID, ev.Dur)
 			}
