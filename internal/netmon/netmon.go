@@ -120,10 +120,10 @@ type Mon struct {
 	fct fctHist
 
 	// Fluid-plane views, folded in post-run by netsim from the precomputed
-	// rate timelines (EnsureFluid/AddFluidBits/FluidFCT). Written
-	// single-threaded after the engines stop, so no atomics; nil fluidBits
-	// means the run had no fluid plane.
-	fluidBits []uint64 // dir*buckets + bucket, wire bits
+	// rate timelines (EnsureFluid/AddFluidBits/FluidFCT) while the run
+	// still reports live, so published and written with atomics like the
+	// packet series; nil fluidBits means the run had no fluid plane.
+	fluidBits atomic.Pointer[[]uint64] // dir*buckets + bucket, wire bits
 	fluidFct  fctHist
 
 	spanMu       sync.Mutex
@@ -208,17 +208,19 @@ func (m *Mon) LinkDrop(dir int, at des.Time, cause DropCause) {
 // before folding a hybrid run's fluid plane; runs without one never pay
 // for the arrays.
 func (m *Mon) EnsureFluid() {
-	if m.fluidBits == nil {
-		m.fluidBits = make([]uint64, 2*m.links*buckets)
+	if m.fluidBits.Load() == nil {
+		fb := make([]uint64, 2*m.links*buckets)
+		m.fluidBits.Store(&fb)
 	}
 }
 
 // AddFluidBits folds fluid-plane load — rate wire bits/s on link
 // direction dir over [from, to) — into the bucketed series, splitting
 // across bucket edges pro rata. Post-run only (single goroutine, after
-// EnsureFluid).
+// EnsureFluid); reports may read concurrently.
 func (m *Mon) AddFluidBits(dir int, from, to des.Time, rate float64) {
-	if m.fluidBits == nil || rate <= 0 || to <= from {
+	fb := m.fluidBits.Load()
+	if fb == nil || rate <= 0 || to <= from {
 		return
 	}
 	if to > m.horizon {
@@ -234,7 +236,7 @@ func (m *Mon) AddFluidBits(dir int, from, to des.Time, rate float64) {
 			hi = be
 		}
 		if hi > lo {
-			m.fluidBits[base+b] += uint64(rate * float64(hi-lo) / float64(des.Second))
+			atomic.AddUint64(&(*fb)[base+b], uint64(rate*float64(hi-lo)/float64(des.Second)))
 		}
 	}
 }

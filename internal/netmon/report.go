@@ -105,6 +105,7 @@ type LinkReport struct {
 func (m *Mon) LinkReport(top int, series bool) *LinkReport {
 	rep := &LinkReport{BucketNS: m.bucketNS, Buckets: buckets, HorizonNS: int64(m.horizon)}
 	all := make([]LinkDirStats, 0, 2*m.links)
+	fluid := m.fluidBits.Load()
 	for dir := 0; dir < 2*m.links; dir++ {
 		st := LinkDirStats{Link: dir / 2, Dir: dir & 1}
 		base := dir * buckets
@@ -122,8 +123,8 @@ func (m *Mon) LinkReport(top int, series bool) *LinkReport {
 			st.DropsNoRoute += atomic.LoadUint64(&m.drops[DropNoRoute][base+b])
 			st.DropsTTL += atomic.LoadUint64(&m.drops[DropTTL][base+b])
 			st.DropsFault += atomic.LoadUint64(&m.drops[DropFault][base+b])
-			if m.fluidBits != nil {
-				st.FluidBits += m.fluidBits[base+b]
+			if fluid != nil {
+				st.FluidBits += atomic.LoadUint64(&(*fluid)[base+b])
 			}
 		}
 		if st.Bits == 0 && st.FluidBits == 0 && st.DropsTail+st.DropsNoRoute+st.DropsTTL+st.DropsFault == 0 {

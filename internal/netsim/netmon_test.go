@@ -6,9 +6,11 @@ import (
 
 	"massf/internal/cluster"
 	"massf/internal/des"
+	"massf/internal/fluid"
 	"massf/internal/model"
 	"massf/internal/netmon"
 	"massf/internal/routing/interdomain"
+	"massf/internal/telemetry"
 )
 
 // monSim is sim() with a netmon plane and a queue-size override attached.
@@ -200,5 +202,73 @@ func TestNetCodecTracePropagation(t *testing.T) {
 	_, traced, _ := c.Encode(&hopEvent{s: s, pkt: Packet{Src: 1, Dst: 2, Bits: 8, trace: 5}})
 	if len(traced)-len(plain) != 8 {
 		t.Fatalf("trace id costs %d wire bytes, want 8", len(traced)-len(plain))
+	}
+}
+
+// TestNetMonLinkReportDuringFluidFold: a hybrid run folds its fluid plane
+// into the Mon after the engines stop but before Run returns, while a
+// daemon still serves the run's link report. The report is polled from
+// the moment the window stream ends — the engines have stopped, the fold
+// is next — until Run has returned, with nothing ordering the polls
+// against the fold, so under -race a report that races the fold fails
+// here whatever the timing. Once the run is over, the Mon's summary counts
+// every fluid completion the result does, and the link report carries the
+// fold's volume.
+func TestNetMonLinkReportDuringFluidFold(t *testing.T) {
+	const end = 2 * des.Second
+	net, a, b := chainNet(3, des.Millisecond, 20_000_000)
+	routes := interdomain.New(net)
+	plane, err := fluid.Build(fluid.Config{Net: net, Routes: routes, End: end}, []fluid.Flow{
+		{Src: a, Dst: b, Bytes: 1_000_000},
+		{Src: b, Dst: a, Bytes: 500_000, Start: 10 * des.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	part := make([]int32, len(net.Nodes))
+	for n := 2; n < len(net.Nodes); n++ {
+		part[n] = 1
+	}
+	mon := netmon.New(netmon.Options{Links: len(net.Links), Horizon: end})
+	tel := telemetry.New(2, 0)
+	s, err := New(Config{
+		Net: net, Routes: routes, Part: part, Engines: 2,
+		Window: des.Millisecond, End: end, Sync: cluster.Fixed{CostNS: 1000},
+		Fluid: plane, NetMon: mon, Telemetry: tel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, windows, cancel := tel.Windows.Subscribe(16)
+	defer cancel()
+	done, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		for range windows {
+		}
+		for {
+			mon.LinkReport(0, true)
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	res := s.Run()
+	close(done)
+	<-polled
+	if res.FluidCompleted != 2 {
+		t.Fatalf("%d fluid flows completed, want 2", res.FluidCompleted)
+	}
+	if got := mon.Summary().FluidFlowsCompleted; got != uint64(res.FluidCompleted) {
+		t.Errorf("netmon summary counts %d fluid completions, the result %d", got, res.FluidCompleted)
+	}
+	var fluidBits uint64
+	for _, l := range mon.LinkReport(0, false).Links {
+		fluidBits += l.FluidBits
+	}
+	if fluidBits == 0 {
+		t.Error("the link report carries no fluid volume after the fold")
 	}
 }
