@@ -125,6 +125,72 @@ func TestIngestEndToEnd(t *testing.T) {
 	waitFor(t, func() bool { return window(cl) == DefaultWindow })
 }
 
+// TestIngestGatherMatchesCounters: after a small exchange, the
+// massfd_agent_* families the daemon's /metrics exposes carry the values
+// Counters returns, beside the live and accepted connection counts.
+func TestIngestGatherMatchesCounters(t *testing.T) {
+	s, hosts := ingestSim(t, 1, 0, des.Second)
+	a := New(s, des.Millisecond)
+	g := NewIngest(0)
+	addr := serveIngest(t, g, "r0001", a, hosts)
+	cl, err := Dial(addr, "r0001", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.Listen(1); err != nil {
+		t.Fatal(err)
+	}
+	const msgs = 3
+	for i := 0; i < msgs; i++ {
+		if err := cl.Send(0, 1, []byte("m")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { s, _, _, _ := g.Counters(); return s == msgs })
+	s.Run()
+	deadline := time.After(5 * time.Second)
+	for got := 0; got < msgs; got++ {
+		select {
+		case _, open := <-cl.Deliveries():
+			if !open {
+				t.Fatalf("connection died after %d deliveries: %v", got, connErr(cl))
+			}
+		case <-deadline:
+			t.Fatalf("only %d/%d deliveries", got, msgs)
+		}
+	}
+	sent, bp, delivered, dropped := g.Counters()
+	if sent != msgs || delivered != msgs {
+		t.Fatalf("sent=%d delivered=%d, want %d/%d", sent, delivered, msgs, msgs)
+	}
+	want := map[string]float64{
+		"massfd_agent_conns":               1,
+		"massfd_agent_accepted_total":      1,
+		"massfd_agent_sent_total":          float64(sent),
+		"massfd_agent_backpressured_total": float64(bp),
+		"massfd_agent_delivered_total":     float64(delivered),
+		"massfd_agent_dropped_total":       float64(dropped),
+	}
+	pts := g.Gather()
+	if len(pts) != len(want) {
+		t.Fatalf("Gather returned %d families, want %d: %+v", len(pts), len(want), pts)
+	}
+	for _, p := range pts {
+		v, ok := want[p.Name]
+		if !ok || p.Value != v {
+			t.Errorf("%s = %g, want %g (known family %v)", p.Name, p.Value, v, ok)
+		}
+		kind := "counter"
+		if p.Name == "massfd_agent_conns" {
+			kind = "gauge"
+		}
+		if p.Kind != kind {
+			t.Errorf("%s has kind %q, want %q", p.Name, p.Kind, kind)
+		}
+	}
+}
+
 // window reads cl's open send window under its lock.
 func window(cl *Client) int {
 	cl.mu.Lock()

@@ -1,9 +1,11 @@
 package runctl
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"massf/internal/core"
 	"massf/internal/experiments"
 )
 
@@ -34,5 +36,43 @@ func TestKeyBoundaries(t *testing.T) {
 	}
 	if contentKey([]byte("x")) != contentKey([]byte("x")) {
 		t.Fatal("key not deterministic")
+	}
+}
+
+// TestSetupCacheEvictsLeastRecentlyUsed: a ninth distinct setup evicts the
+// least recently used entry — a get refreshes an entry, memoizing a
+// mapping does not — and the entry's mapping memo goes with it.
+func TestSetupCacheEvictsLeastRecentlyUsed(t *testing.T) {
+	c := newSetupCache(setupCacheSize)
+	build := func() (*experiments.Setup, error) { return &experiments.Setup{}, nil }
+	for i := 0; i < setupCacheSize; i++ {
+		if _, _, err := c.get(fmt.Sprint(i), build); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, cached, _ := c.get("0", nil); !cached {
+		t.Fatal("a full cache did not serve its oldest entry")
+	}
+	memo := &core.Mapping{}
+	if mp, _ := c.mapping("1", "TOP2/2", func() (*core.Mapping, error) { return memo, nil }); mp != memo {
+		t.Fatal("mapping not memoized on its setup")
+	}
+	if _, cached, _ := c.get(fmt.Sprint(setupCacheSize), build); cached {
+		t.Fatal("a new key was served from the cache")
+	}
+	if n := c.len(); n != setupCacheSize {
+		t.Fatalf("cache holds %d entries, want %d", n, setupCacheSize)
+	}
+	c.mu.Lock()
+	_, kept := c.entries["0"]
+	_, stale := c.entries["1"]
+	c.mu.Unlock()
+	if !kept || stale {
+		t.Fatalf("after the ninth setup: refreshed entry kept %v, least recently used still cached %v", kept, stale)
+	}
+	rebuilt := false
+	mp, err := c.mapping("1", "TOP2/2", func() (*core.Mapping, error) { rebuilt = true; return &core.Mapping{}, nil })
+	if err != nil || !rebuilt || mp == memo {
+		t.Fatalf("evicted setup's mapping served from its memo (rebuilt %v, err %v)", rebuilt, err)
 	}
 }
