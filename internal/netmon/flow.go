@@ -8,7 +8,6 @@ import (
 
 	"massf/internal/des"
 	"massf/internal/model"
-	"massf/internal/telemetry"
 )
 
 // maxFlowSamples bounds the SRTT/cwnd trajectory kept per flow; when full
@@ -110,7 +109,7 @@ func (m *Mon) FlowCompleted(r *FlowRec, at des.Time) {
 	snap := r.snapshotLocked(true)
 	r.mu.Unlock()
 	m.fct.observe(fct)
-	m.stream.publish(snap)
+	m.stream.Append(snap)
 }
 
 // FlowSnapshot is the JSON view of a FlowRec.
@@ -233,34 +232,8 @@ func bucketHi(i int) int64 {
 	return int64(1) << i
 }
 
-// flowStream is the completed-flow live stream: a bounded replay buffer
-// in front of the fan-out telemetry.Ring uses, so a subscriber whose channel
-// is full misses records rather than stalling the simulation, and closing
-// ends every stream.
-type flowStream struct {
-	telemetry.Fanout[FlowSnapshot]
-	buf []FlowSnapshot // at most streamCap, oldest first; guarded by the fan-out's lock
-}
-
-// streamCap is the completed-flow replay buffer's capacity.
+// streamCap is the completed-flow stream's replay capacity.
 const streamCap = 1024
-
-func newFlowStream() *flowStream {
-	fs := &flowStream{}
-	fs.Past = func() []FlowSnapshot { return append([]FlowSnapshot(nil), fs.buf...) }
-	return fs
-}
-
-func (fs *flowStream) publish(s FlowSnapshot) {
-	fs.Publish(func() FlowSnapshot {
-		if len(fs.buf) >= streamCap {
-			copy(fs.buf, fs.buf[1:])
-			fs.buf = fs.buf[:len(fs.buf)-1]
-		}
-		fs.buf = append(fs.buf, s)
-		return s
-	})
-}
 
 // SubscribeCompletions returns the completions so far and a channel of
 // future ones. cancel must be called when done; the channel closes when

@@ -1,12 +1,14 @@
 package telemetry
 
+import "sync"
+
 // WindowRecord is one barrier window's trace record, published by engine 0
 // of the parallel engine after the window's exchange phase. Per-engine
 // slices are indexed by engine ID.
 type WindowRecord struct {
-	// Seq is the record's position in the append order (0-based,
-	// monotonic). With a full ring, old records are evicted but Seq keeps
-	// counting, so consumers can detect gaps.
+	// Seq is the record's position in the run's window order (0-based,
+	// monotonic), stamped by Publish. With a full ring, old records are
+	// evicted but Seq keeps counting, so consumers can detect gaps.
 	Seq uint64 `json:"seq"`
 	// StartNS and EndNS bound the window in simulated time (idle time is
 	// fast-forwarded over, so a window may start later than the previous
@@ -45,124 +47,117 @@ type WindowRecord struct {
 	MaxBusyNS int64 `json:"max_busy_ns"`
 }
 
-// Ring is a bounded in-memory trace of WindowRecords with live
-// subscriptions. Append keeps the most recent records (evicting the
-// oldest) and fans each record out through the embedded Fanout, whose
-// Subscribe and Close are the ring's: a subscriber whose channel is
-// full misses records (detectable via Seq) rather than stalling the
-// simulation, and retained records stay readable via Snapshot after Close.
-//
-// Records come from Get and go back through Append, which recycles the
-// per-engine slices of evicted records through free, so a saturated ring
-// appends with zero allocations. The aliasing this creates is contained
-// here: Snapshot and subscriber fan-out deep-copy records on the way out.
-type Ring struct {
-	Fanout[WindowRecord]
-	buf   []WindowRecord
-	cap   int
-	total uint64
-	free  []WindowRecord
+// Ring is a bounded live stream: it keeps the most recent values,
+// evicting the oldest first, and offers every appended value to its
+// subscribers. One mutex covers the buffer and the subscriptions, which is
+// what makes Subscribe's replay-then-follow gapless and duplicate-free. A
+// subscriber whose channel is full misses values rather than stalling the
+// writer, and retained values stay readable via Snapshot after Close.
+// Values are shared with every reader as they are, so a writer must not
+// change a value (or what it points to) once it has appended it.
+type Ring[T any] struct {
+	mu     sync.Mutex
+	buf    []T
+	cap    int
+	total  uint64 // values ever appended; the oldest retained sits at total%cap once full
+	subs   map[int]chan T
+	nextID int
+	closed bool
 }
 
-// NewRing returns a ring keeping at most capacity records (default 1024
+// NewRing returns a ring keeping at most capacity values (default 1024
 // when capacity ≤ 0).
-func NewRing(capacity int) *Ring {
+func NewRing[T any](capacity int) *Ring[T] {
 	if capacity <= 0 {
 		capacity = 1024
 	}
-	r := &Ring{cap: capacity}
-	r.Past = r.snapshotLocked
-	return r
+	return &Ring[T]{cap: capacity}
 }
 
-// resize returns a zeroed slice of length n, reusing s's capacity when it
-// can.
-func resize[T uint64 | int64 | int](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
-}
-
-// Get returns a zeroed WindowRecord whose per-engine slices have length
-// engines, recycled from previously evicted records when possible. The
-// caller fills it in and hands it back via Append — the slices then belong
-// to the ring again.
-func (r *Ring) Get(engines int) WindowRecord {
+// Append stores v, evicting the oldest value when the ring is full, and
+// offers it to every subscriber without blocking. Appending to a closed
+// ring is a no-op.
+func (r *Ring[T]) Append(v T) {
 	r.mu.Lock()
-	var rec WindowRecord
-	if n := len(r.free); n > 0 {
-		rec = r.free[n-1]
-		r.free[n-1] = WindowRecord{}
-		r.free = r.free[:n-1]
+	defer r.mu.Unlock()
+	if r.closed {
+		return
 	}
-	r.mu.Unlock()
-	return WindowRecord{
-		Events:        resize(rec.Events, engines),
-		RemoteSends:   resize(rec.RemoteSends, engines),
-		ComputeNS:     resize(rec.ComputeNS, engines),
-		BarrierWaitNS: resize(rec.BarrierWaitNS, engines),
-		ExchangeNS:    resize(rec.ExchangeNS, engines),
-		QueueDepth:    resize(rec.QueueDepth, engines),
-	}
-}
-
-// copyRecord deep-copies a record's per-engine slices; used on every read
-// path, where retained records' slices get recycled.
-func copyRecord(rec WindowRecord) WindowRecord {
-	rec.Events = append([]uint64(nil), rec.Events...)
-	rec.RemoteSends = append([]uint64(nil), rec.RemoteSends...)
-	rec.ComputeNS = append([]int64(nil), rec.ComputeNS...)
-	rec.BarrierWaitNS = append([]int64(nil), rec.BarrierWaitNS...)
-	rec.ExchangeNS = append([]int64(nil), rec.ExchangeNS...)
-	rec.QueueDepth = append([]int(nil), rec.QueueDepth...)
-	return rec
-}
-
-// Append stores rec (stamping rec.Seq) and publishes it to subscribers.
-// Appending to a closed ring is a no-op. The evicted record's slices
-// return to the free list (so rec's own slices must come from Get); with
-// no subscribers attached a saturated ring appends without allocating.
-func (r *Ring) Append(rec WindowRecord) {
-	r.Publish(func() WindowRecord {
-		rec.Seq = r.total
-		if len(r.buf) < r.cap {
-			r.buf = append(r.buf, rec)
-		} else {
-			idx := int(r.total) % r.cap
-			r.free = append(r.free, r.buf[idx])
-			r.buf[idx] = rec
-		}
-		r.total++
-		if len(r.subs) > 0 {
-			// Channel buffers outlive the record's slot in the ring; hand
-			// subscribers a stable copy.
-			return copyRecord(rec)
-		}
-		return rec
-	})
-}
-
-func (r *Ring) snapshotLocked() []WindowRecord {
-	out := make([]WindowRecord, 0, len(r.buf))
-	if r.total > uint64(len(r.buf)) { // wrapped: oldest sits at total%cap
-		start := int(r.total) % r.cap
-		out = append(out, r.buf[start:]...)
-		out = append(out, r.buf[:start]...)
+	if len(r.buf) < r.cap {
+		r.buf = append(r.buf, v)
 	} else {
-		out = append(out, r.buf...)
+		r.buf[r.total%uint64(r.cap)] = v
 	}
-	for i := range out {
-		out[i] = copyRecord(out[i])
+	r.total++
+	for _, ch := range r.subs {
+		select {
+		case ch <- v:
+		default:
+		}
 	}
-	return out
 }
 
-// Snapshot returns the retained records, oldest first.
-func (r *Ring) Snapshot() []WindowRecord {
+func (r *Ring[T]) snapshotLocked() []T {
+	start := 0
+	if len(r.buf) == r.cap {
+		start = int(r.total % uint64(r.cap))
+	}
+	out := make([]T, 0, len(r.buf))
+	out = append(out, r.buf[start:]...)
+	return append(out, r.buf[:start]...)
+}
+
+// Snapshot returns the retained values, oldest first.
+func (r *Ring[T]) Snapshot() []T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.snapshotLocked()
+}
+
+// Subscribe atomically snapshots the retained values and registers a live
+// channel (of the given buffer, default 64) for everything appended
+// afterwards — together a gapless, duplicate-free stream, barring
+// slow-subscriber drops. The channel is closed when the ring closes or
+// cancel is called; cancel is idempotent and safe after Close.
+func (r *Ring[T]) Subscribe(buffer int) (past []T, ch <-chan T, cancel func()) {
+	if buffer <= 0 {
+		buffer = 64
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	past = r.snapshotLocked()
+	c := make(chan T, buffer)
+	if r.closed {
+		close(c)
+		return past, c, func() {}
+	}
+	if r.subs == nil {
+		r.subs = make(map[int]chan T)
+	}
+	id := r.nextID
+	r.nextID++
+	r.subs[id] = c
+	return past, c, func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if sub, ok := r.subs[id]; ok {
+			delete(r.subs, id)
+			close(sub)
+		}
+	}
+}
+
+// Close marks the end of the stream and closes every subscriber channel.
+// Close is idempotent; the retained values stay readable.
+func (r *Ring[T]) Close() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.closed {
+		return
+	}
+	r.closed = true
+	for id, ch := range r.subs {
+		delete(r.subs, id)
+		close(ch)
+	}
 }

@@ -15,6 +15,7 @@
 package telemetry
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -86,10 +87,10 @@ func (h *histogram) point(name, help string, labels map[string]string) Point {
 // SetSetup are safe for concurrent use: the totals sit under one mutex that
 // Publish takes once per window.
 type SimTelemetry struct {
-	// Windows is the per-window trace ring. The parallel engine appends
-	// one WindowRecord per executed barrier window and closes the ring
-	// when the run finishes, ending any live streams.
-	Windows *Ring
+	// Windows is the per-window trace ring. Publish appends one
+	// WindowRecord per executed barrier window, and the parallel engine
+	// closes the ring when the run finishes, ending any live streams.
+	Windows *Ring[WindowRecord]
 	// Net, when set, returns the network model's totals; netsim sets it
 	// for the span of its Run. Publish calls it once per window, between
 	// the barriers, while no engine executes events, and stores the
@@ -112,33 +113,30 @@ type SimTelemetry struct {
 // kept only for windows of exactly engines engines (a distributed worker
 // told the global count publishes only its hosted ones).
 func New(engines, ringCap int) *SimTelemetry {
-	return &SimTelemetry{Windows: NewRing(ringCap), engine: make([]uint64, engines)}
+	return &SimTelemetry{Windows: NewRing[WindowRecord](ringCap), engine: make([]uint64, engines)}
 }
 
 // Publish records one executed window. w is the caller's scratch, which it
 // keeps: its bounds, wall time, modeled busy time and per-engine slices.
-// Publish copies it into a record from the ring's pool, sums its remote
-// sends into the record's Remote, folds it and Net's totals into the run's
-// totals, and appends the record to Windows. The barrier waits in w are
-// the previous window's, so the barrier-wait histogram counts zeros for the
-// first window and never sees the last window's wait. A saturated ring
-// publishes without allocating.
+// Publish copies it into a fresh record, stamps the record's Seq with the
+// run's window count and sums its remote sends into Remote, folds it and
+// Net's totals into the run's totals, and appends the record to Windows,
+// where it never changes again. The barrier waits in w are the previous
+// window's, so the barrier-wait histogram counts zeros for the first window
+// and never sees the last window's wait. Only the run's leader calls it.
 func (t *SimTelemetry) Publish(w *WindowRecord) {
-	n := len(w.Events)
-	rec := t.Windows.Get(n)
-	rec.StartNS, rec.EndNS = w.StartNS, w.EndNS
-	rec.WallNS, rec.MaxBusyNS = w.WallNS, w.MaxBusyNS
-	copy(rec.Events, w.Events)
-	copy(rec.RemoteSends, w.RemoteSends)
-	copy(rec.ComputeNS, w.ComputeNS)
-	copy(rec.BarrierWaitNS, w.BarrierWaitNS)
-	copy(rec.ExchangeNS, w.ExchangeNS)
-	copy(rec.QueueDepth, w.QueueDepth)
-	var events uint64
+	rec := *w
+	rec.Events = slices.Clone(w.Events)
+	rec.RemoteSends = slices.Clone(w.RemoteSends)
+	rec.ComputeNS = slices.Clone(w.ComputeNS)
+	rec.BarrierWaitNS = slices.Clone(w.BarrierWaitNS)
+	rec.ExchangeNS = slices.Clone(w.ExchangeNS)
+	rec.QueueDepth = slices.Clone(w.QueueDepth)
+	var events, remote uint64
 	var depth, peak int64
-	for i := 0; i < n; i++ {
-		events += w.Events[i]
-		rec.Remote += w.RemoteSends[i]
+	for i, ev := range w.Events {
+		events += ev
+		remote += w.RemoteSends[i]
 		depth += int64(w.QueueDepth[i])
 		peak = max(peak, int64(w.QueueDepth[i]))
 	}
@@ -146,14 +144,16 @@ func (t *SimTelemetry) Publish(w *WindowRecord) {
 	if t.Net != nil {
 		net = t.Net()
 	}
+	rec.Remote = remote
 	t.mu.Lock()
+	rec.Seq = t.progress.Windows
 	t.progress.Windows++
 	t.progress.Events += events
-	t.progress.Remote += rec.Remote
+	t.progress.Remote += remote
 	t.progress.SimTimeNS = rec.EndNS
 	t.queueDepth = depth
 	t.peakQueue = max(t.peakQueue, peak)
-	if len(t.engine) == n {
+	if len(t.engine) == len(w.Events) {
 		for i, ev := range w.Events {
 			t.engine[i] += ev
 		}

@@ -91,11 +91,13 @@ massf_y{run="b"} 2
 }
 
 func TestRingEvictionAndSeq(t *testing.T) {
-	r := NewRing(4)
+	tel := New(0, 4)
+	var w WindowRecord
 	for i := 0; i < 10; i++ {
-		r.Append(WindowRecord{StartNS: int64(i)})
+		w.StartNS = int64(i)
+		tel.Publish(&w)
 	}
-	snap := r.Snapshot()
+	snap := tel.Windows.Snapshot()
 	if len(snap) != 4 {
 		t.Fatalf("snapshot kept %d records, want 4", len(snap))
 	}
@@ -104,74 +106,80 @@ func TestRingEvictionAndSeq(t *testing.T) {
 			t.Errorf("snap[%d] = window at %d seq %d", i, rec.StartNS, rec.Seq)
 		}
 	}
-	if total(r) != 10 {
-		t.Errorf("total = %d", total(r))
+	if total(tel.Windows) != 10 {
+		t.Errorf("total = %d", total(tel.Windows))
 	}
 }
 
-// total is the number of records ever appended to r.
-func total(r *Ring) uint64 {
+// total is the number of values ever appended to r.
+func total[T any](r *Ring[T]) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total
 }
 
-// The ring recycles evicted records' slices into later Get calls, so
-// everything it hands out on read paths (Snapshot, subscriber channels)
-// must be a deep copy that later recycling cannot scribble over.
-func TestRingPooledRecyclingIsolatesReaders(t *testing.T) {
+// The leader publishes every window from one scratch record it keeps
+// rewriting, so what the ring hands out (Snapshot, subscriber channels)
+// must not change when later windows are published.
+func TestRingIsolatesReaders(t *testing.T) {
 	const capacity, engines = 4, 3
-	r := NewRing(capacity)
-	appendPooled := func(w int) {
-		rec := r.Get(engines)
-		rec.StartNS = int64(w)
-		for e := 0; e < engines; e++ {
-			rec.Events[e] = uint64(100*w + e)
-		}
-		r.Append(rec)
+	tel := New(engines, capacity)
+	w := WindowRecord{
+		Events: make([]uint64, engines), RemoteSends: make([]uint64, engines),
+		QueueDepth: make([]int, engines),
 	}
-	_, ch, cancel := r.Subscribe(64)
+	publish := func(i int) {
+		w.StartNS = int64(i)
+		for e := 0; e < engines; e++ {
+			w.Events[e] = uint64(100*i + e)
+		}
+		tel.Publish(&w)
+	}
+	_, ch, cancel := tel.Windows.Subscribe(64)
 	defer cancel()
 	for i := 0; i < capacity; i++ {
-		appendPooled(i)
+		publish(i)
 	}
-	snap := r.Snapshot()
-	// Overwrite the whole ring: every record snap aliases would be
-	// recycled and refilled if Snapshot didn't copy.
+	snap := tel.Windows.Snapshot()
+	// Overwrite the whole ring and the scratch the records were copied from.
 	for i := capacity; i < 3*capacity; i++ {
-		appendPooled(i)
+		publish(i)
 	}
 	for i, rec := range snap {
 		if len(rec.Events) != engines || rec.Events[0] != uint64(100*i) {
-			t.Errorf("snapshot record %d mutated by recycling: %+v", i, rec)
+			t.Errorf("snapshot record %d changed by later publishes: %+v", i, rec)
 		}
 	}
 	for i := 0; i < capacity; i++ {
 		rec := <-ch
 		if rec.StartNS != int64(i) || rec.Events[1] != uint64(100*i+1) {
-			t.Errorf("subscribed record %d mutated by recycling: %+v", i, rec)
+			t.Errorf("subscribed record %d changed by later publishes: %+v", i, rec)
 		}
 	}
-	// The pool really recycles: a saturated ring stops growing its arena.
-	if got := total(r); got != 3*capacity {
+	if got := total(tel.Windows); got != 3*capacity {
 		t.Fatalf("total = %d, want %d", got, 3*capacity)
 	}
-	live := r.Snapshot()
+	live := tel.Windows.Snapshot()
 	if len(live) != capacity || live[capacity-1].StartNS != 3*capacity-1 {
-		t.Fatalf("post-recycling snapshot wrong: %+v", live)
+		t.Fatalf("snapshot after eviction wrong: %+v", live)
 	}
 }
 
 func TestRingSubscribeReplayThenLive(t *testing.T) {
-	r := NewRing(16)
-	r.Append(WindowRecord{StartNS: 0})
-	r.Append(WindowRecord{StartNS: 1})
+	tel := New(0, 16)
+	r := tel.Windows
+	var w WindowRecord
+	for i := 0; i < 2; i++ {
+		w.StartNS = int64(i)
+		tel.Publish(&w)
+	}
 	past, ch, cancel := r.Subscribe(8)
 	defer cancel()
 	if len(past) != 2 {
 		t.Fatalf("replay = %d records, want 2", len(past))
 	}
-	r.Append(WindowRecord{StartNS: 2})
+	w.StartNS = 2
+	tel.Publish(&w)
 	rec := <-ch
 	if rec.StartNS != 2 || rec.Seq != 2 {
 		t.Errorf("live record = %+v", rec)
@@ -192,7 +200,7 @@ func TestRingSubscribeReplayThenLive(t *testing.T) {
 }
 
 func TestRingSlowSubscriberDoesNotBlock(t *testing.T) {
-	r := NewRing(8)
+	r := NewRing[WindowRecord](8)
 	_, _, cancel := r.Subscribe(1)
 	defer cancel()
 	done := make(chan struct{})
@@ -206,7 +214,7 @@ func TestRingSlowSubscriberDoesNotBlock(t *testing.T) {
 }
 
 func TestRingConcurrentAppendSubscribe(t *testing.T) {
-	r := NewRing(64)
+	r := NewRing[WindowRecord](64)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
@@ -242,7 +250,10 @@ func TestSimTelemetryNew(t *testing.T) {
 		netCalls++
 		return NetTotals{LinkBits: uint64(1000 * netCalls), FaultEvents: 1, FaultConvergeNS: 7}
 	}
-	w := tel.Windows.Get(2)
+	w := WindowRecord{
+		Events: make([]uint64, 2), RemoteSends: make([]uint64, 2),
+		BarrierWaitNS: make([]int64, 2), QueueDepth: make([]int, 2),
+	}
 	for i := 0; i < 2; i++ {
 		w.StartNS, w.EndNS, w.WallNS = int64(i)*1000, int64(i+1)*1000, 3_000
 		w.Events[0], w.Events[1] = 3, 4
