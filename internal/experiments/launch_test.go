@@ -177,3 +177,53 @@ func TestLaunchPlaceSeesAppHosts(t *testing.T) {
 		t.Fatalf("PLACE with app none: err = %v", err)
 	}
 }
+
+// TestLaunchHybridLinkReportMatchesFluidBits: the link report's fluid
+// volume is the plane's, slow start included. On this scenario every
+// fluid flow finishes within slow start, so its whole volume is lumps and
+// none of it is rate timeline.
+func TestLaunchHybridLinkReportMatchesFluidBits(t *testing.T) {
+	sc := Scenario{
+		Flat:     &FlatSpec{Routers: 60, Hosts: 24},
+		Approach: "TOP2",
+		App:      "scalapack",
+		RunSpec: runspec.RunSpec{Engines: 2, Seconds: 1, Seed: 7,
+			NetMon: true, FlowFidelity: runspec.FidelityHybrid},
+	}
+	sc.Normalize()
+	st := buildScenario(t, &sc)
+	m, err := sc.Map(st, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := sc.Prepare(st, m, nil, Exec{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := p.Run(context.Background()).Result
+	if res.FluidCompleted == 0 {
+		t.Fatal("no fluid flow completed: the scenario no longer exercises the fold")
+	}
+	rep := p.NetMon().LinkReport(0, false)
+	got := make([]uint64, len(res.FluidLinkBits))
+	for _, d := range rep.Links {
+		got[d.Link] += d.FluidBits
+	}
+	// Each folded piece (a rate segment's share of one bucket, a lump) and
+	// each direction's DirBits truncates to whole bits once.
+	plane := p.Sim.Config().Fluid
+	var carried uint64
+	for l, want := range res.FluidLinkBits {
+		var pieces uint64
+		for d := 2 * l; d < 2*l+2; d++ {
+			pieces += uint64(len(plane.DirSegments(d)) + rep.Buckets + len(plane.DirLumps(d)) + 1)
+		}
+		if diff := int64(got[l]) - int64(want); diff > int64(pieces) || -diff > int64(pieces) {
+			t.Errorf("link %d: report carries %d fluid bits, the result %d (tolerance %d)", l, got[l], want, pieces)
+		}
+		carried += want
+	}
+	if carried == 0 {
+		t.Fatal("the fluid plane carried nothing")
+	}
+}

@@ -105,6 +105,13 @@ type Segment struct {
 	Rate float64
 }
 
+// Lump is the wire volume a flow's slow-start phase put on a directed
+// link, charged at the flow's arrival.
+type Lump struct {
+	At   des.Time
+	Bits float64
+}
+
 // flowRec is one flow's immutable build result.
 type flowRec struct {
 	src, dst model.NodeID
@@ -120,8 +127,9 @@ type flowRec struct {
 
 // dirState is one directed link's fluid timeline.
 type dirState struct {
-	segs []Segment
-	bits float64 // total wire bits carried in [0, End)
+	segs  []Segment
+	lumps []Lump  // slow-start volume, which segs leave out
+	bits  float64 // total wire bits carried in [0, End): segs and lumps
 }
 
 // Plane is the immutable result of Build. All methods are safe for
@@ -554,6 +562,7 @@ func (b *builder) arrival(fi int32, t des.Time) {
 		if ssWire := wireBits(ssBytes); ssWire > 0 {
 			for _, dir := range path {
 				b.dirs[dir].bits += ssWire
+				b.dirs[dir].lumps = append(b.dirs[dir].lumps, Lump{At: t, Bits: ssWire})
 			}
 		}
 	}
@@ -845,3 +854,7 @@ func (p *Plane) DirBits(dir int) float64 { return p.dirs[dir].bits }
 
 // DirSegments returns dir's rate timeline (shared slice; read-only).
 func (p *Plane) DirSegments(dir int) []Segment { return p.dirs[dir].segs }
+
+// DirLumps returns dir's slow-start volumes in arrival order (shared
+// slice; read-only). With the rate timeline they make up DirBits.
+func (p *Plane) DirLumps(dir int) []Lump { return p.dirs[dir].lumps }

@@ -925,6 +925,9 @@ func (s *Sim) fluidResult(res *Result) {
 				}
 				s.mon.AddFluidBits(d, seg.At, to, seg.Rate)
 			}
+			for _, l := range p.DirLumps(d) {
+				s.mon.AddFluidLump(d, l.At, l.Bits)
+			}
 		}
 	}
 }
