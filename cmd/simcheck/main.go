@@ -61,8 +61,6 @@ func run(args []string, out io.Writer) (bool, error) {
 	churn := fs.Bool("churn", false, "inject seeded link/router fault churn into every swept scenario (the fault-plane conformance dimension)")
 	netmonSample := fs.Int("netmon", 0, "also run each passing scenario with the netmon observability plane attached at this sampling stride and prove observer neutrality (largest k in -ks)")
 	fluidDim := fs.Bool("fluid", false, "also run each passing scenario at hybrid flow/packet fidelity: scripted bulk TCP moves to the analytic fluid plane, the hybrid run must be byte-identical across every k in -ks and (churn-free scenarios) within the error budget of the pure-packet run")
-	fluidMin := fs.Int64("fluid-min-bytes", simcheck.DefaultFluidMinBytes, "with -fluid: fluidization threshold — scripted TCP transfers at least this large go fluid")
-	fluidQuantum := fs.Int64("fluid-quantum-ns", 0, "with -fluid: batch fluid rate recomputation onto this grid (0 = exact)")
 	distWorkers := fs.Int("dist", 0, "also run each scenario across this many loopback TCP workers (largest k in -ks) and diff the merged observables")
 	distK := fs.Int("dist-k", 0, "with -dist: pin the distributed engine count (default: largest k in -ks)")
 	distListen := fs.String("dist-listen", "", "with -dist: listen on this address and wait for external workers (massfd -worker -join <addr>) instead of spawning in-process worker loops")
@@ -110,9 +108,7 @@ func run(args []string, out io.Writer) (bool, error) {
 		}, printNeutrality})
 	}
 	if *fluidDim {
-		legs = append(legs, leg{"fluid", func(p *simcheck.Plan) (verdict, error) {
-			return p.Fluid(*fluidMin, *fluidQuantum, simcheck.DefaultFluidBudget())
-		}, printFluid})
+		legs = append(legs, leg{"fluid", func(p *simcheck.Plan) (verdict, error) { return p.Fluid() }, printFluid})
 	}
 
 	pass := 0

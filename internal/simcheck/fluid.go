@@ -20,39 +20,28 @@ import (
 	"sort"
 )
 
-// FluidBudget is the executable error budget of the hybrid fidelity
-// model: every field is a maximum allowed relative error of the hybrid
-// run against the pure-packet reference of the same scenario.
-type FluidBudget struct {
-	// GoodputMeanRel bounds the mean per-flow relative goodput error of
-	// the fluidized transfers.
-	GoodputMeanRel float64
-	// FCTP50Rel / FCTP90Rel / FCTP99Rel bound the relative error of the
-	// fluidized transfers' completion-time percentiles. Flows unfinished
-	// at the horizon are censored to it in both runs.
-	FCTP50Rel, FCTP90Rel, FCTP99Rel float64
-	// LinkUtilRel bounds the traffic-weighted L1 error of per-link
-	// carried wire volume: Σ_l |hybrid_l − packet_l| / Σ_l packet_l,
-	// where hybrid counts packet AND fluid bits.
-	LinkUtilRel float64
-}
-
-// DefaultFluidBudget is the budget cmd/simcheck -fluid enforces. The
-// values bound what the fluid abstraction gives up relative to full TCP
-// dynamics (slow start, loss recovery, ACK self-clocking) on the
-// oracle's scenario distribution; tightening any of them is a model
-// improvement, loosening them needs a documented reason.
+// fluidBudget is the executable error budget of the hybrid fidelity
+// model: every value is a maximum allowed relative error of the hybrid
+// run against the pure-packet reference of the same scenario, which the
+// fluid leg enforces. The values bound what the fluid abstraction gives
+// up relative to full TCP dynamics (slow start, loss recovery, ACK
+// self-clocking) on the oracle's scenario distribution; tightening any of
+// them is a model improvement, loosening them needs a documented reason.
 // Measured over seeds 1–25 the realized errors peak at: goodput 0.16,
 // FCT p50 0.25, p90 0.18, p99 0.14, link volume 0.37.
-func DefaultFluidBudget() FluidBudget {
-	return FluidBudget{
-		GoodputMeanRel: 0.25,
-		FCTP50Rel:      0.30,
-		FCTP90Rel:      0.25,
-		FCTP99Rel:      0.25,
-		LinkUtilRel:    0.45,
-	}
-}
+var fluidBudget = struct {
+	// goodputMean bounds the mean per-flow relative goodput error of the
+	// fluidized transfers.
+	goodputMean float64
+	// fctP50, fctP90 and fctP99 bound the relative error of the
+	// fluidized transfers' completion-time percentiles. Flows unfinished
+	// at the horizon are censored to it in both runs.
+	fctP50, fctP90, fctP99 float64
+	// linkUtil bounds the traffic-weighted L1 error of per-link carried
+	// wire volume: Σ_l |hybrid_l − packet_l| / Σ_l packet_l, where hybrid
+	// counts packet AND fluid bits.
+	linkUtil float64
+}{goodputMean: 0.25, fctP50: 0.30, fctP90: 0.25, fctP99: 0.25, linkUtil: 0.45}
 
 // FluidMetric is one budget line: the packet and hybrid values, the
 // realized relative error, and the budget it is held to.
@@ -125,7 +114,7 @@ func percentile(sorted []float64, p float64) float64 {
 // per-flow series covers exactly the fluidized script entries; a flow
 // unfinished at the horizon is censored to it (its realized service so
 // far still counts through goodput's censored FCT).
-func fluidMetrics(s *script, packet, hybrid *Observation, budget FluidBudget) []FluidMetric {
+func fluidMetrics(s *script, packet, hybrid *Observation) []FluidMetric {
 	horizon := float64(s.sc.Horizon)
 	var goodErrSum float64
 	var fctP, fctH []float64
@@ -164,32 +153,29 @@ func fluidMetrics(s *script, packet, hybrid *Observation, budget FluidBudget) []
 			Err: err, Budget: budget, OK: err <= budget}
 	}
 	ms := []FluidMetric{
-		{Name: "goodput-mean", Err: goodErrSum / n, Budget: budget.GoodputMeanRel,
-			OK: goodErrSum/n <= budget.GoodputMeanRel},
-		line("fct-p50", percentile(fctP, 0.50), percentile(fctH, 0.50), budget.FCTP50Rel),
-		line("fct-p90", percentile(fctP, 0.90), percentile(fctH, 0.90), budget.FCTP90Rel),
-		line("fct-p99", percentile(fctP, 0.99), percentile(fctH, 0.99), budget.FCTP99Rel),
+		{Name: "goodput-mean", Err: goodErrSum / n, Budget: fluidBudget.goodputMean,
+			OK: goodErrSum/n <= fluidBudget.goodputMean},
+		line("fct-p50", percentile(fctP, 0.50), percentile(fctH, 0.50), fluidBudget.fctP50),
+		line("fct-p90", percentile(fctP, 0.90), percentile(fctH, 0.90), fluidBudget.fctP90),
+		line("fct-p99", percentile(fctP, 0.99), percentile(fctH, 0.99), fluidBudget.fctP99),
 	}
 	util := FluidMetric{Name: "link-util", Packet: pktBits, Err: l1 / math.Max(pktBits, 1),
-		Budget: budget.LinkUtilRel}
+		Budget: fluidBudget.linkUtil}
 	util.OK = util.Err <= util.Budget
 	ms = append(ms, util)
 	return ms
 }
 
-// Fluid is the hybrid-fidelity leg: the plan of the scenario with scripted
-// TCP transfers of at least minBytes (<= 0: DefaultFluidMinBytes) moved to
-// the fluid plane, checked across every configured engine count, plus — on
-// churn-free scenarios — the error budget of its reference against this
-// plan's pure-packet one. Churn scenarios skip the budget (packet TCP under
-// loss and the loss-free fluid model measure different things there; what
-// churn pins is that hybrid reconvergence stays engine-count-independent).
-func (p *Plan) Fluid(minBytes, quantumNS int64, budget FluidBudget) (*FluidReport, error) {
-	sc := p.Scenario
-	sc.FluidMinBytes, sc.FluidQuantumNS = minBytes, quantumNS
-	if minBytes <= 0 {
-		sc = Fluid(sc)
-	}
+// Fluid is the hybrid-fidelity leg: the plan of Fluid(p.Scenario), whose
+// scripted TCP transfers of at least DefaultFluidMinBytes move to the fluid
+// plane under the scenario's own FluidQuantumNS, checked across every
+// configured engine count, plus — on churn-free scenarios — the error
+// budget of its reference against this plan's pure-packet one. Churn
+// scenarios skip the budget (packet TCP under loss and the loss-free fluid
+// model measure different things there; what churn pins is that hybrid
+// reconvergence stays engine-count-independent).
+func (p *Plan) Fluid() (*FluidReport, error) {
+	sc := Fluid(p.Scenario)
 	hybrid, err := p.of(sc)
 	if err != nil {
 		return nil, err
@@ -216,7 +202,7 @@ func (p *Plan) Fluid(minBytes, quantumNS int64, budget FluidBudget) (*FluidRepor
 			return nil, err
 		}
 		rep.PacketRef = packet.Ref
-		rep.Metrics = fluidMetrics(scripted, packet.Ref, hybrid.Ref, budget)
+		rep.Metrics = fluidMetrics(scripted, packet.Ref, hybrid.Ref)
 	}
 	return rep, nil
 }

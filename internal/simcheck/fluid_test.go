@@ -17,7 +17,7 @@ func TestFluidCheckPassesBudgetAndDeterminism(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		sc := NewScenario(seed)
 		sc.Ks = []int{2, 4}
-		rep, err := planOf(t, sc).Fluid(DefaultFluidMinBytes, 0, DefaultFluidBudget())
+		rep, err := planOf(t, sc).Fluid()
 		if err != nil {
 			t.Fatalf("%s: %v", sc, err)
 		}
@@ -59,7 +59,7 @@ func TestFluidChurnDeterminism(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		sc := Churn(NewScenario(seed))
 		sc.Ks = []int{2, 4}
-		rep, err := planOf(t, sc).Fluid(DefaultFluidMinBytes, 0, DefaultFluidBudget())
+		rep, err := planOf(t, sc).Fluid()
 		if err != nil {
 			t.Fatalf("%s: %v", sc, err)
 		}
@@ -87,7 +87,8 @@ func TestFluidQuantumDeterminism(t *testing.T) {
 	}
 	sc := NewScenario(2)
 	sc.Ks = []int{2, 4}
-	rep, err := planOf(t, sc).Fluid(DefaultFluidMinBytes, int64(des.Millisecond), DefaultFluidBudget())
+	sc.FluidQuantumNS = int64(des.Millisecond)
+	rep, err := planOf(t, sc).Fluid()
 	if err != nil {
 		t.Fatal(err)
 	}

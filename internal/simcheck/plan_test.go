@@ -24,7 +24,7 @@ func TestPlanLegsShareReferenceAndRuns(t *testing.T) {
 		t.Fatalf("Runs[1] is k=%d, invariants armed=%v; want the armed k=4 run", k4.K, k4.Violations != nil)
 	}
 	distributed := fleet(t, p, 2)
-	fluid, err := p.Fluid(DefaultFluidMinBytes, 0, DefaultFluidBudget())
+	fluid, err := p.Fluid()
 	if err != nil {
 		t.Fatal(err)
 	}
