@@ -153,13 +153,18 @@ type Contraction struct {
 // are numbered in the order of their lowest original node, and parallel
 // edges merge in ascending (a, b) order. So a threshold that merges no
 // components yields a Contraction identical to the previous one.
+//
+// Contracting is split in two. Snapshot, cheap and tied to the Contractor,
+// fixes the supernodes at the current threshold; Snapshot.Build, the
+// expensive half, builds the contracted graph into storage its caller
+// owns. Snapshots share nothing writable, so snapshots taken in sweep order
+// can be built on any goroutines, in any order.
 type Contractor struct {
 	g      *Graph
-	byLat  []pairEdge // every undirected edge once, ascending latency
+	byLat  []pairEdge // every undirected edge once, ascending latency; never written after NewContractor
 	next   int        // byLat[:next] lie below the threshold
 	parent []int32
 	merges int
-	list   EdgeList
 }
 
 // NewContractor returns a Contractor of g at threshold 0 (nothing merged).
@@ -182,8 +187,8 @@ func NewContractor(g *Graph) *Contractor {
 
 // Advance raises the threshold: every edge with Latency < threshold joins
 // its endpoints' components. Thresholds must not decrease. It reports
-// whether any two components merged, i.e. whether Contract would now
-// return something new.
+// whether any two components merged, i.e. whether a Snapshot would now
+// differ from the previous one.
 func (c *Contractor) Advance(threshold int64) bool {
 	merged := false
 	for ; c.next < len(c.byLat) && c.byLat[c.next].latency < threshold; c.next++ {
@@ -209,12 +214,18 @@ func (c *Contractor) find(x int32) int32 {
 	return x
 }
 
-// Contract builds the contracted graph at the current threshold. The
-// Contraction's graph is valid until the next Contract, which reuses its
-// storage.
-func (c *Contractor) Contract() *Contraction {
+// Snapshot is a contraction at one threshold whose graph is not built yet:
+// the supernode numbering and weights, and the edges that survive.
+type Snapshot struct {
+	m      []int32
+	weight []int64
+	edges  []pairEdge // a suffix of the Contractor's byLat, read only
+}
+
+// Snapshot fixes the supernodes at the current threshold. Later Advances
+// do not change it.
+func (c *Contractor) Snapshot() Snapshot {
 	n := c.g.Len()
-	c.list.Reset()
 	// Densely renumber components by their lowest node.
 	m := make([]int32, n)
 	for i := range m {
@@ -233,12 +244,20 @@ func (c *Contractor) Contract() *Contraction {
 	for i := 0; i < n; i++ {
 		weight[m[i]] += c.g.NodeWeight[i]
 	}
+	return Snapshot{m: m, weight: weight, edges: c.byLat[c.next:]}
+}
+
+// Build builds the contracted graph into l. It resets l first, so the
+// graphs l built before must be out of use; the Contraction's graph is
+// valid until l's next Reset.
+func (s Snapshot) Build(l *EdgeList) *Contraction {
+	l.Reset()
 	// Edges below the threshold all lie inside a component; of the rest,
 	// those joining two supernodes survive, merged per supernode pair.
-	for _, e := range c.byLat[c.next:] {
-		c.list.Add(m[e.a], m[e.b], e.weight, e.latency)
+	for _, e := range s.edges {
+		l.Add(s.m[e.a], s.m[e.b], e.weight, e.latency)
 	}
-	return &Contraction{Graph: c.list.Build(weight), Map: m}
+	return &Contraction{Graph: l.Build(s.weight), Map: s.m}
 }
 
 // EdgeList collects the undirected edges of a graph under construction and

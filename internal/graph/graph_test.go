@@ -21,7 +21,7 @@ func line(n int, latency int64) *Graph {
 func contract(g *Graph, threshold int64) *Contraction {
 	c := NewContractor(g)
 	c.Advance(threshold)
-	return c.Contract()
+	return c.Snapshot().Build(new(EdgeList))
 }
 
 func TestNewDefaults(t *testing.T) {
@@ -392,8 +392,24 @@ func contractBelowRef(g *Graph, threshold int64) *Contraction {
 // adjacency lists edge for edge and in order — and reports a merge exactly
 // when the supernode count drops. Latencies come from a small set, so
 // parallel edges, ties at the threshold and thresholds that merge nothing
-// all occur.
+// all occur. Each snapshot is built twice: at once, on one EdgeList the
+// whole sweep reuses, and after the sweep, in reverse order on an EdgeList
+// of its own, with every graph checked only once all are built — so no
+// snapshot shares storage with a later Advance or with another snapshot.
 func TestContractorMatchesReference(t *testing.T) {
+	same := func(seed, th int64, got, want *Contraction) {
+		t.Helper()
+		if got.Graph.Len() != want.Graph.Len() || !slices.Equal(got.Map, want.Map) ||
+			!slices.Equal(got.Graph.NodeWeight, want.Graph.NodeWeight) {
+			t.Fatalf("seed %d threshold %d: supernodes differ from the reference", seed, th)
+		}
+		for u := range want.Graph.Adj {
+			if !slices.Equal(got.Graph.Adj[u], want.Graph.Adj[u]) {
+				t.Fatalf("seed %d threshold %d: node %d adjacency %v, reference %v",
+					seed, th, u, got.Graph.Adj[u], want.Graph.Adj[u])
+			}
+		}
+	}
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(80)
@@ -405,6 +421,9 @@ func TestContractorMatchesReference(t *testing.T) {
 			g.AddEdge(rng.Intn(n), rng.Intn(n), 1+rng.Int63n(20), 100*rng.Int63n(20))
 		}
 		c := NewContractor(g)
+		var reused EdgeList
+		var ths []int64
+		var snaps []Snapshot
 		prev := n
 		for th := int64(0); th <= 2100; th += 1 + rng.Int63n(300) {
 			merged := c.Advance(th)
@@ -412,17 +431,20 @@ func TestContractorMatchesReference(t *testing.T) {
 				t.Fatalf("seed %d threshold %d: Advance reported merged=%v, supernodes %d → %d", seed, th, merged, prev, c.Len())
 			}
 			prev = c.Len()
-			got, want := c.Contract(), contractBelowRef(g, th)
-			if got.Graph.Len() != c.Len() || !slices.Equal(got.Map, want.Map) ||
-				!slices.Equal(got.Graph.NodeWeight, want.Graph.NodeWeight) {
-				t.Fatalf("seed %d threshold %d: supernodes differ from the reference", seed, th)
+			s := c.Snapshot()
+			got := s.Build(&reused)
+			if got.Graph.Len() != c.Len() {
+				t.Fatalf("seed %d threshold %d: %d supernodes, Contractor counts %d", seed, th, got.Graph.Len(), c.Len())
 			}
-			for u := range want.Graph.Adj {
-				if !slices.Equal(got.Graph.Adj[u], want.Graph.Adj[u]) {
-					t.Fatalf("seed %d threshold %d: node %d adjacency %v, reference %v",
-						seed, th, u, got.Graph.Adj[u], want.Graph.Adj[u])
-				}
-			}
+			same(seed, th, got, contractBelowRef(g, th))
+			ths, snaps = append(ths, th), append(snaps, s)
+		}
+		built := make([]*Contraction, len(snaps))
+		for i := len(snaps) - 1; i >= 0; i-- {
+			built[i] = snaps[i].Build(new(EdgeList))
+		}
+		for i, got := range built {
+			same(seed, ths[i], got, contractBelowRef(g, ths[i]))
 		}
 	}
 }
