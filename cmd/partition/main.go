@@ -66,8 +66,13 @@ func main() {
 	fmt.Printf("engines         %d\n", *engines)
 	fmt.Printf("achieved MLL    %v\n", m.MLL)
 	fmt.Printf("edge cut        %d\n", m.EdgeCut)
-	if m.Approach == core.HTOP || m.Approach == core.HPROF {
-		fmt.Printf("chosen Tmll     %v (of %d candidates)\n", m.Tmll, m.Candidates)
+	if m.Approach.Hierarchical() && *engines > 1 {
+		if m.Candidates == 0 {
+			// The first threshold already left fewer supernodes than engines.
+			fmt.Println("chosen Tmll     none: the sweep fell back to flat partitioning")
+		} else {
+			fmt.Printf("chosen Tmll     %v (of %d candidates)\n", m.Tmll, m.Candidates)
+		}
 	}
 	fmt.Printf("E = Es·Ec       %.3f = %.3f · %.3f\n", m.E, m.Es, m.Ec)
 	var min, max int

@@ -3,6 +3,7 @@ package massf_test
 import (
 	"bufio"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -117,6 +118,26 @@ func TestToolsEndToEnd(t *testing.T) {
 	out = run("partition", "-net", flatFile, "-approach", "HTOP", "-engines", "4")
 	if !strings.Contains(out, "HTOP") {
 		t.Fatalf("flat partition failed:\n%s", out)
+	}
+
+	// 6. A net the first threshold already over-contracts: the 50µs links
+	// collapse into two supernodes, fewer than four engines, so the sweep
+	// falls back to flat partitioning and says so.
+	tinyFile := filepath.Join(dir, "tiny.dml")
+	tiny := "massf [\n"
+	for id := 0; id < 4; id++ {
+		tiny += fmt.Sprintf("node [ id %d kind router as 0 x %d y 0 ]\n", id, id)
+	}
+	for i, lat := range []int{50_000, 5_000_000, 50_000} {
+		tiny += fmt.Sprintf("link [ a %d b %d latency %d bandwidth 1000000000 ]\n", i, i+1, lat)
+	}
+	tiny += "as [ id 0 class stub defaultBorder -1 ]\n]\n"
+	if err := os.WriteFile(tinyFile, []byte(tiny), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out = run("partition", "-net", tinyFile, "-approach", "HTOP", "-engines", "4")
+	if !strings.Contains(out, "chosen Tmll     none: the sweep fell back to flat partitioning") {
+		t.Fatalf("fallback partition does not say the sweep fell back:\n%s", out)
 	}
 
 	// Error paths: unknown approach, PLACE without application hosts to
