@@ -27,12 +27,12 @@ package ospf
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 
 	"massf/internal/model"
+	"massf/internal/parallel"
 )
 
 // Domain is one OSPF routing domain: a set of member nodes within which
@@ -226,24 +226,14 @@ func (d *Domain) fill(cols []int) {
 		return
 	}
 	var claimed atomic.Int64
-	work := func() {
+	parallel.Run(len(cols), func(stopped func() bool) {
 		s := getScratch(len(d.net.Nodes))
-		for i := claimed.Add(1) - 1; i < int64(len(cols)); i = claimed.Add(1) - 1 {
+		for i := claimed.Add(1) - 1; i < int64(len(cols)) && !stopped(); i = claimed.Add(1) - 1 {
 			c := cols[i]
 			d.tables[c] = d.tree(d.dests[c], s)
 		}
 		scratchPool.Put(s)
-	}
-	var wg sync.WaitGroup
-	for range min(runtime.GOMAXPROCS(0), len(cols)) - 1 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
+	})
 }
 
 // tree computes the next-hop tree toward dst on scratch s, returns it as a
