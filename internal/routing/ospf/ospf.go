@@ -19,14 +19,20 @@
 // keeps entries only for in-scope members — O(scope) per destination,
 // which is what makes 100k-router slices fit.
 //
-// Dijkstra's queue is a binary heap whose sift-up and sift-down are
-// container/heap's, so entries of equal distance leave it in exactly the
-// order container/heap would give; that order decides between equal-cost
-// next hops, and a heap of another shape would pick different routes.
+// Dijkstra's queue is a monotone bucket queue: a ring of slots, each as
+// wide as a fixed share of the domain's largest link latency, so every
+// queued distance falls within one lap of it. A pop takes the least
+// distance of the first occupied slot. Among equal distances a queue's
+// order decides between equal-cost next hops, and the routes are pinned to
+// container/heap's order, so the bucket pass stops at the first such tie
+// and the tree is computed again on a binary heap whose sift-up and
+// sift-down are container/heap's. Ties are rare on real latencies: the
+// bucket pass finishes nearly every tree.
 package ospf
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -68,6 +74,11 @@ type Domain struct {
 	// length over the network (nil ⇒ none); shared, never written.
 	linkDown []bool
 	nodeDown []bool
+
+	// shift sets the bucket queue's slot width to 2^shift ns, fixed by the
+	// largest member-link latency; noBuckets (a member latency ≤ 0) routes
+	// every tree on the heap.
+	shift int
 }
 
 // notMember is the position of a node outside the domain.
@@ -123,6 +134,7 @@ func New(net *model.Network, members []model.NodeID, scope []bool, dests []model
 	for c, dst := range d.dests {
 		d.col[d.position(dst)] = int32(c)
 	}
+	d.shift = d.slotShift()
 	d.tables = make([][]int32, len(d.dests))
 	cols := make([]int, len(d.dests))
 	for c := range cols {
@@ -130,6 +142,29 @@ func New(net *model.Network, members []model.NodeID, scope []bool, dests []model
 	}
 	d.fill(cols)
 	return d
+}
+
+// slotShift returns the least shift that fits the largest member-link
+// latency into maxSpan slots, or noBuckets if a member link's latency is
+// not positive: a zero-cost hop reaches a node at the distance it leaves,
+// which the tie check does not cover.
+func (d *Domain) slotShift() int {
+	var widest int64
+	for i := range d.net.Links {
+		l := &d.net.Links[i]
+		if !d.contains(l.A) || !d.contains(l.B) {
+			continue
+		}
+		if l.Latency <= 0 {
+			return noBuckets
+		}
+		widest = max(widest, l.Latency)
+	}
+	shift := 0
+	for widest>>shift > maxSpan {
+		shift++
+	}
+	return shift
 }
 
 // position returns member n's position (notMember outside the domain).
@@ -239,7 +274,7 @@ func (d *Domain) fill(cols []int) {
 // tree computes the next-hop tree toward dst on scratch s, returns it as a
 // fresh table indexed by row, and leaves s reset.
 func (d *Domain) tree(dst model.NodeID, s *scratch) []int32 {
-	d.spt(dst, s)
+	d.route(dst, s)
 	t := make([]int32, d.slots)
 	if d.pos == nil {
 		copy(t, s.next)
@@ -257,21 +292,56 @@ func (d *Domain) tree(dst model.NodeID, s *scratch) []int32 {
 	return t
 }
 
-// pqItem is a priority-queue entry for Dijkstra.
+// route leaves the tree toward dst in reset scratch s: from the bucket
+// queue, or from the heap when the bucket pass met an equal-cost tie or the
+// domain has no slot width.
+func (d *Domain) route(dst model.NodeID, s *scratch) {
+	if d.shift == noBuckets || !d.spt(dst, s, d.shift) {
+		s.reset()
+		d.spt(dst, s, noBuckets)
+	}
+}
+
+// pqItem is a heap entry for Dijkstra.
 type pqItem struct {
 	node model.NodeID
 	dist int64
 }
 
+// The bucket queue's ring: ringSlots slots, a queued distance in slot
+// (dist >> shift) mod ringSlots. Every queued distance lies within one
+// link latency of the last one popped, and that latency spans at most
+// maxSpan slot widths, so the queue's distances fall in at most
+// maxSpan+2 ≤ ringSlots consecutive slots: no slot holds two laps.
+const (
+	ringSlots = 4096
+	ringMask  = ringSlots - 1
+	maxSpan   = ringSlots - 2
+	noBuckets = -1
+)
+
 // scratch is one Dijkstra's working state, full length over the network.
-// Between runs every entry is at rest (dist and next -1, done false); a run
-// lists each node it writes in touched, so reset clears only those.
+// Between runs every entry is at rest (dist and next -1, done false, no
+// slot occupied); a run lists each node it writes in touched, so reset
+// clears only those.
 type scratch struct {
 	dist    []int64
 	next    []int32
 	done    []bool
-	q       []pqItem
 	touched []model.NodeID
+
+	// q is the heap: container/heap's order, lazy deletion.
+	q []pqItem
+
+	// The bucket queue holds each queued node once, in the doubly linked
+	// list of its slot threaded through before/after (-1 ends a list);
+	// head is a slot's first node where occupied marks it non-empty.
+	// cur is the slot of the last pop and queued the nodes in the ring.
+	before, after []int32
+	head          [ringSlots]int32
+	occupied      [ringSlots / 64]uint64
+	shift, cur    int
+	queued        int
 }
 
 // scratchPool holds reset scratch for reuse across destinations, domains
@@ -283,7 +353,8 @@ func getScratch(n int) *scratch {
 	if s, _ := scratchPool.Get().(*scratch); s != nil && len(s.dist) >= n {
 		return s
 	}
-	s := &scratch{dist: make([]int64, n), next: make([]int32, n), done: make([]bool, n)}
+	s := &scratch{dist: make([]int64, n), next: make([]int32, n), done: make([]bool, n),
+		before: make([]int32, n), after: make([]int32, n)}
 	for i := range n {
 		s.dist[i] = -1
 		s.next[i] = -1
@@ -300,6 +371,86 @@ func (s *scratch) reset() {
 	}
 	s.touched = s.touched[:0]
 	s.q = s.q[:0]
+	if s.queued > 0 {
+		s.occupied = [ringSlots / 64]uint64{}
+		s.queued = 0
+	}
+}
+
+// enqueue queues v at distance nd, which lowers its distance from old
+// (-1: v was not queued).
+func (s *scratch) enqueue(v model.NodeID, old, nd int64) {
+	if s.shift == noBuckets {
+		s.push(pqItem{v, nd})
+		return
+	}
+	i := int(nd>>s.shift) & ringMask
+	if old >= 0 {
+		j := int(old>>s.shift) & ringMask
+		if i == j {
+			return
+		}
+		s.unlink(v, j)
+	} else {
+		s.queued++
+	}
+	s.before[v] = -1
+	if s.occupied[i>>6]&(1<<(i&63)) == 0 {
+		s.occupied[i>>6] |= 1 << (i & 63)
+		s.after[v] = -1
+	} else {
+		h := s.head[i]
+		s.after[v] = h
+		s.before[h] = int32(v)
+	}
+	s.head[i] = int32(v)
+}
+
+// unlink takes v out of slot i's list.
+func (s *scratch) unlink(v model.NodeID, i int) {
+	b, a := s.before[v], s.after[v]
+	if b >= 0 {
+		s.after[b] = a
+	} else if a >= 0 {
+		s.head[i] = a
+	} else {
+		s.occupied[i>>6] &^= 1 << (i & 63)
+	}
+	if a >= 0 {
+		s.before[a] = b
+	}
+}
+
+// dequeue removes and returns a queued node of least distance, or -1 once
+// the queue is empty. The heap may return a node again, with a distance it
+// has since lowered; the caller skips it as done.
+func (s *scratch) dequeue() model.NodeID {
+	if s.shift == noBuckets {
+		if len(s.q) == 0 {
+			return -1
+		}
+		return s.pop().node
+	}
+	if s.queued == 0 {
+		return -1
+	}
+	// The first occupied slot from cur on; the scan wraps to cur's word.
+	w := s.cur >> 6
+	word := s.occupied[w] &^ (1<<(s.cur&63) - 1)
+	for word == 0 {
+		w = (w + 1) & (len(s.occupied) - 1)
+		word = s.occupied[w]
+	}
+	s.cur = w<<6 | bits.TrailingZeros64(word)
+	best := model.NodeID(s.head[s.cur])
+	for v := s.after[best]; v >= 0; v = s.after[v] {
+		if s.dist[v] < s.dist[best] {
+			best = model.NodeID(v)
+		}
+	}
+	s.unlink(best, s.cur)
+	s.queued--
+	return best
 }
 
 // push and pop are container/heap's Push and Pop with its up and down
@@ -344,25 +495,33 @@ func (s *scratch) pop() pqItem {
 	return it
 }
 
-// spt runs Dijkstra rooted at dst on reset scratch s and records, for every
-// reachable member node, the first link on its shortest path toward dst in
-// s.next along with the path latency in s.dist. Failed links and nodes are
-// excluded; a tree rooted at a failed destination is all -1.
-func (d *Domain) spt(dst model.NodeID, s *scratch) {
+// spt runs Dijkstra rooted at dst on reset scratch s, on the bucket queue
+// with the given slot shift or on the heap (noBuckets), and records, for
+// every reachable member node, the first link on its shortest path toward
+// dst in s.next along with the path latency in s.dist. Failed links and
+// nodes are excluded; a tree rooted at a failed destination is all -1.
+//
+// With every latency positive, a node's next hop depends on the queue's
+// order among equal distances only where two of its shortest-path
+// neighbours are equally far from dst: the first one popped sets it. The
+// heap pops them in container/heap's order; the bucket queue pops them in
+// another, so on such a tie it stops and reports false, leaving s to be
+// reset.
+func (d *Domain) spt(dst model.NodeID, s *scratch, shift int) bool {
 	if d.nodeDown != nil && d.nodeDown[dst] {
-		return
+		return true
 	}
 	adj := d.net.Adjacency()
+	s.shift, s.cur = shift, 0
 	s.dist[dst] = 0
 	s.touched = append(s.touched, dst)
-	s.q = append(s.q, pqItem{dst, 0})
-	for len(s.q) > 0 {
-		it := s.pop()
-		u := it.node
+	s.enqueue(dst, -1, 0)
+	for u := s.dequeue(); u >= 0; u = s.dequeue() {
 		if s.done[u] {
 			continue
 		}
 		s.done[u] = true
+		du := s.dist[u]
 		for _, lid := range adj[u] {
 			if d.linkDown != nil && d.linkDown[lid] {
 				continue
@@ -375,15 +534,22 @@ func (d *Domain) spt(dst model.NodeID, s *scratch) {
 			if d.nodeDown != nil && d.nodeDown[v] {
 				continue
 			}
-			nd := it.dist + l.Latency
-			if s.dist[v] < 0 || nd < s.dist[v] {
-				if s.dist[v] < 0 {
+			nd := du + l.Latency
+			if old := s.dist[v]; old < 0 || nd < old {
+				if old < 0 {
 					s.touched = append(s.touched, v)
 				}
 				s.dist[v] = nd
 				s.next[v] = int32(lid) // v forwards toward dst over this link
-				s.push(pqItem{v, nd})
+				s.enqueue(v, old, nd)
+			} else if nd == old && shift != noBuckets {
+				// Equal cost: a tie if the neighbour that set v is not u
+				// but is as far from dst as u.
+				if w := d.net.Links[s.next[v]].Other(v); w != u && s.dist[w] == du {
+					return false
+				}
 			}
 		}
 	}
+	return true
 }

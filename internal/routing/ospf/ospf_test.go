@@ -43,7 +43,7 @@ func distance(d *Domain, cur, dst model.NodeID) int64 {
 		return -1
 	}
 	s := getScratch(len(d.net.Nodes))
-	d.spt(dst, s)
+	d.route(dst, s)
 	dist := s.dist[cur]
 	s.reset()
 	scratchPool.Put(s)
@@ -484,6 +484,37 @@ func diamondNet() *model.Network {
 	return net
 }
 
+// msNet is a flat net with every latency rounded to a whole millisecond:
+// equal-cost paths abound, so most bucket passes stop at a tie and the
+// trees come from the heap.
+func msNet(t testing.TB, seed int64) *model.Network {
+	t.Helper()
+	net, err := topology.GenerateFlat(topology.FlatOptions{Routers: 60, Hosts: 15, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range net.Links {
+		l := &net.Links[i]
+		l.Latency = max(1, (l.Latency+500_000)/1_000_000) * 1_000_000
+	}
+	return net
+}
+
+// wideNet is a flat net plus one router hung off router 0 by a 10 s link,
+// thousands of times the widest generated latency: the slot width grows
+// until one lap of the ring spans it, and most slots then hold several
+// distances.
+func wideNet(t testing.TB, seed int64) *model.Network {
+	t.Helper()
+	net, err := topology.GenerateFlat(topology.FlatOptions{Routers: 60, Hosts: 15, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	far := net.AddNode(model.Router, 0, 0, 0)
+	net.AddLink(0, far, 10_000_000_000, model.Bps1G)
+	return net
+}
+
 // oracleRow is one domain the tie-order oracle checks: a net, its members
 // (nil: all), a slice scope (nil: none) and at most one failed link and
 // node (-1: none). pin, when ≥ 0, is the link node 5 must forward on
@@ -529,6 +560,10 @@ func oracleRows(t *testing.T) []oracleRow {
 		}
 		bases = append(bases, base{fmt.Sprintf("flat%d", seed), net, nil, model.LinkID(len(net.Links) / 3), 7, -1})
 	}
+	tied := msNet(t, 4)
+	bases = append(bases, base{"flat-ms", tied, nil, model.LinkID(len(tied.Links) / 3), 7, -1})
+	wide := wideNet(t, 5)
+	bases = append(bases, base{"flat-10s-link", wide, nil, model.LinkID(len(wide.Links) - 1), 7, -1})
 	mb, err := mabrite.Generate(mabrite.Options{ASes: 6, RoutersPerAS: 20, Hosts: 30, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -603,6 +638,45 @@ func TestTieOrderMatchesReference(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBucketPassReportsTies: the bucket pass gives up exactly where the
+// queue's order among equal distances could decide a next hop — on the
+// diamond and on most trees of a net of whole-millisecond latencies — and
+// nowhere on the benchmark's flat net, whose warm-up it is there to speed
+// up. A 10 s link widens the slots until one lap spans it.
+func TestBucketPassReportsTies(t *testing.T) {
+	ties := func(net *model.Network, dests []model.NodeID) int {
+		d := New(net, nil, nil, nil)
+		s := getScratch(len(net.Nodes))
+		defer scratchPool.Put(s)
+		n := 0
+		for _, dst := range dests {
+			if !d.spt(dst, s, d.shift) {
+				n++
+			}
+			s.reset()
+		}
+		return n
+	}
+	if ties(diamondNet(), []model.NodeID{0}) != 1 {
+		t.Error("the bucket pass toward node 0 of the diamond reported no tie")
+	}
+	tied := msNet(t, 4)
+	if n := ties(tied, everyNode(tied)); 2*n <= len(tied.Nodes) {
+		t.Errorf("%d of %d trees on the millisecond net reported a tie, want most", n, len(tied.Nodes))
+	}
+	flat, err := topology.GenerateFlat(topology.FlatOptions{Routers: 2000, Hosts: 1000, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ties(flat, hostDests(flat, 1000)); n != 0 {
+		t.Errorf("%d of 1000 host trees on the flat 2000-router net reported a tie, want none", n)
+	}
+	wide := wideNet(t, 5)
+	if d, widest := New(wide, nil, nil, nil), wide.Links[len(wide.Links)-1].Latency; widest>>d.shift > maxSpan || widest>>(d.shift-1) <= maxSpan {
+		t.Errorf("shift %d for a %d ns link: not the least that spans it in %d slots", d.shift, widest, maxSpan)
 	}
 }
 
@@ -819,5 +893,19 @@ func TestAdvanceMatchesRebuildReference(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// BenchmarkPrepareFlat2000 is one routing warm-up of the benchmark's flat
+// net: the trees toward its 1 000 hosts over 2 000 routers, on every core.
+func BenchmarkPrepareFlat2000(b *testing.B) {
+	net, err := topology.GenerateFlat(topology.FlatOptions{Routers: 2000, Hosts: 1000, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	dests := hostDests(net, 1000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(net, nil, nil, dests)
 	}
 }
