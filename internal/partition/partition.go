@@ -109,7 +109,42 @@ func Partition(g *graph.Graph, opts Options) ([]int32, error) {
 			part = finePart
 		}
 	}
+	fillEmpty(g, part, opts.Parts, s)
 	return part, nil
+}
+
+// fillEmpty gives every empty part, in id order, one node: from the part
+// with the most nodes (lowest id on a tie), the node whose move cuts the
+// least edge weight (lowest id on a tie). The graph has more nodes than
+// parts, so while a part is empty the donor holds at least two.
+func fillEmpty(g *graph.Graph, part []int32, k int, s *scratch) {
+	members := s.memberLists(part, k)
+	for p := range members {
+		if len(members[p]) > 0 {
+			continue
+		}
+		donor := 0
+		for q := range members {
+			if len(members[q]) > len(members[donor]) {
+				donor = q
+			}
+		}
+		best := int32(-1)
+		var bestCost int64
+		for _, v := range members[donor] {
+			var cost int64
+			for _, e := range g.Adj[v] {
+				if part[e.To] == int32(donor) {
+					cost += e.Weight
+				}
+			}
+			if best < 0 || cost < bestCost || (cost == bestCost && v < best) {
+				best, bestCost = v, cost
+			}
+		}
+		s.moveMember(members, move{best, int32(donor), int32(p)})
+		part[best] = int32(p)
+	}
 }
 
 // level is one rung of the multilevel ladder.

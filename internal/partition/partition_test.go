@@ -92,6 +92,31 @@ func TestPartitionMorePartsThanNodes(t *testing.T) {
 	}
 }
 
+// TestFillEmptyTakesCheapestNodeOfLargestPart: on the chain 0—1—2—3—4
+// (unit weights, 2—3 weighing 5) with parts {0,1,2}, {3}, {4} and two
+// empty, the first empty part takes node 0 from the largest part: nodes 0
+// and 2 each cut one edge inside it (2—3 already crosses parts), and 0 has
+// the lower id. The second takes node 1 over node 2 by the same rule. A
+// partition with no empty part is left as it is.
+func TestFillEmptyTakesCheapestNodeOfLargestPart(t *testing.T) {
+	g := graph.New(5)
+	g.AddEdge(0, 1, 1, 10)
+	g.AddEdge(1, 2, 1, 10)
+	g.AddEdge(2, 3, 5, 10)
+	g.AddEdge(3, 4, 1, 10)
+	s := new(scratch)
+	part := []int32{0, 0, 0, 1, 2}
+	fillEmpty(g, part, 5, s)
+	if want := []int32{3, 4, 0, 1, 2}; !slices.Equal(part, want) {
+		t.Errorf("filled parts %v, want %v", part, want)
+	}
+	full := []int32{0, 1, 0, 1, 2}
+	fillEmpty(g, full, 3, s)
+	if want := []int32{0, 1, 0, 1, 2}; !slices.Equal(full, want) {
+		t.Errorf("a partition with no empty part moved: %v, want %v", full, want)
+	}
+}
+
 func TestPartitionGridBalanced(t *testing.T) {
 	g := grid(16, 16, 10)
 	for _, k := range []int{2, 4, 8} {
