@@ -3,10 +3,13 @@ package runctl
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"massf/internal/core"
 	"massf/internal/experiments"
+	"massf/internal/runspec"
+	"massf/internal/traffic"
 )
 
 // TestSetupCachePanicDoesNotPoison: a build that panics fails its own get,
@@ -74,5 +77,72 @@ func TestSetupCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	mp, err := c.mapping("1", "TOP2/2", func() (*core.Mapping, error) { rebuilt = true; return &core.Mapping{}, nil })
 	if err != nil || !rebuilt || mp == memo {
 		t.Fatalf("evicted setup's mapping served from its memo (rebuilt %v, err %v)", rebuilt, err)
+	}
+}
+
+// TestConcurrentWarmRunsReplayOneRecording: the runs of one cached spec
+// share its Setup, and with it the HTTP client draws the first run
+// recorded. Four runs submitted at once replay that recording in parallel,
+// and each must report what a run alone did: the same events, HTTP
+// requests and HTTP responses.
+func TestConcurrentWarmRunsReplayOneRecording(t *testing.T) {
+	const concurrent = 4
+	spec := Spec{
+		Flat:     &FlatSpec{Routers: 40, Hosts: 40},
+		Approach: "HTOP",
+		App:      "none",
+		RunSpec:  runspec.RunSpec{Engines: 2, Seconds: 8, Seed: 3},
+	}
+	type counts struct {
+		events, requests, responses uint64
+		cached                      bool
+	}
+	mgr := NewManagerOpts(Options{Workers: concurrent, RingCap: 64})
+	defer shutdownMgr(t, mgr)
+	// A finished run keeps no traffic stats, so each run's are taken from
+	// its prepared simulation and read once the run is done.
+	var stats sync.Map // run ID → *traffic.HTTPStats
+	mgr.beforeRun = func(r *Run, p *experiments.Prepared) { stats.Store(r.ID, p.HTTP) }
+	run := func() (counts, error) {
+		r, err := mgr.Submit(spec)
+		if err != nil {
+			return counts{}, err
+		}
+		<-r.done
+		info := r.Info()
+		st, ok := stats.Load(r.ID)
+		if info.State != StateDone || !ok {
+			return counts{}, fmt.Errorf("run %s ended %s (err=%q)", r.ID, info.State, info.Error)
+		}
+		http := st.(*traffic.HTTPStats)
+		return counts{info.Events, http.TotalRequests(), http.TotalResponses(), info.BuildCached}, nil
+	}
+	want, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.cached || want.responses == 0 {
+		t.Fatalf("first run %+v: want a cold build that completes HTTP responses", want)
+	}
+	t.Logf("a run alone: %+v", want)
+	want.cached = true
+	var got [concurrent]counts
+	var errs [concurrent]error
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = run()
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != want {
+			t.Errorf("concurrent warm run %d: %+v, want %+v", i, got[i], want)
+		}
 	}
 }

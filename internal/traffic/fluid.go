@@ -28,11 +28,13 @@ type fluidClient struct {
 // workload it replaces, and the simcheck error budget compares like with
 // like.
 //
+// The clients draw through rec, as InstallHTTP's do.
+//
 // Returns the initial request flows (client index = chain id), the
 // chain-continuation callback for fluid.Config.Next, and the stats
 // filled in during the build (requests at issue, responses at response
 // completion). Pass end so requests beyond the horizon are not counted.
-func FluidHTTP(cfg HTTPConfig, end des.Time) ([]fluid.Flow, func(int32, des.Time) (fluid.Flow, bool), *HTTPStats) {
+func FluidHTTP(cfg HTTPConfig, end des.Time, rec *Recording) ([]fluid.Flow, func(int32, des.Time) (fluid.Flow, bool), *HTTPStats) {
 	cfg.setDefaults()
 	stats := &HTTPStats{
 		Requests:  make([]uint64, len(cfg.Clients)),
@@ -41,6 +43,7 @@ func FluidHTTP(cfg HTTPConfig, end des.Time) ([]fluid.Flow, func(int32, des.Time
 	if len(cfg.Servers) == 0 {
 		return nil, nil, stats
 	}
+	rngs := rec.streams(cfg.Seed, len(cfg.Clients))
 	clients := make([]*fluidClient, len(cfg.Clients))
 	issue := func(ci int) {
 		c := clients[ci]
@@ -49,7 +52,7 @@ func FluidHTTP(cfg HTTPConfig, end des.Time) ([]fluid.Flow, func(int32, des.Time
 	}
 	flows := make([]fluid.Flow, 0, len(cfg.Clients))
 	for ci, client := range cfg.Clients {
-		c := &fluidClient{rng: newClientRNG(cfg.Seed, ci)}
+		c := &fluidClient{rng: rngs[ci]}
 		clients[ci] = c
 		first := des.Time(c.rng.Float64() * float64(cfg.MeanGap))
 		issue(ci)

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestFluidHTTPDrivesClosedLoops(t *testing.T) {
 		Clients: hosts[:6], Servers: hosts[6:],
 		MeanGap: des.Second, MeanFileBytes: 20_000, Seed: 1,
 	}
-	flows, next, stats := FluidHTTP(cfg, end)
+	flows, next, stats := FluidHTTP(cfg, end, Record(cfg.Seed, len(cfg.Clients)))
 	if len(flows) != 6 {
 		t.Fatalf("initial flows = %d, want one per client", len(flows))
 	}
@@ -84,7 +85,7 @@ func TestFluidHTTPDeterministicAcrossBuilds(t *testing.T) {
 		MeanGap: des.Second / 2, MeanFileBytes: 30_000, Seed: 9,
 	}
 	build := func() *fluid.Plane {
-		flows, next, _ := FluidHTTP(cfg, end)
+		flows, next, _ := FluidHTTP(cfg, end, Record(cfg.Seed, len(cfg.Clients)))
 		p, err := fluid.Build(fluid.Config{
 			Net: net, Routes: interdomain.New(net), End: end, Next: next,
 		}, flows)
@@ -108,10 +109,10 @@ func TestFluidHTTPMirrorsPacketDraws(t *testing.T) {
 		Clients: hosts[:4], Servers: hosts[4:],
 		MeanGap: des.Second, MeanFileBytes: 20_000, Seed: 77,
 	}
-	flows, _, _ := FluidHTTP(cfg, des.Time(des.Second))
+	flows, _, _ := FluidHTTP(cfg, des.Time(des.Second), Record(cfg.Seed, len(cfg.Clients)))
 	// Recreate the packet side's draws with the same stream recipe.
 	for ci := range cfg.Clients {
-		rng := newClientRNG(cfg.Seed, ci)
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(ci)*104729))
 		first := des.Time(rng.Float64() * float64(cfg.MeanGap))
 		server := cfg.Servers[rng.Intn(len(cfg.Servers))]
 		if flows[ci].Start != first {

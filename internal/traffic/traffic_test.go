@@ -41,7 +41,7 @@ func TestHTTPGeneratesTraffic(t *testing.T) {
 	stats := InstallHTTP(s, HTTPConfig{
 		Clients: hosts[:8], Servers: hosts[8:],
 		MeanGap: des.Second, MeanFileBytes: 20_000, Seed: 1,
-	})
+	}, Record(1, 8))
 	res := s.Run()
 	if stats.TotalRequests() == 0 {
 		t.Fatal("no HTTP requests issued")
@@ -60,22 +60,28 @@ func TestHTTPGeneratesTraffic(t *testing.T) {
 
 func TestHTTPNoServers(t *testing.T) {
 	s, hosts := testNet(t, 10, 3, 1, nil, des.Second)
-	stats := InstallHTTP(s, HTTPConfig{Clients: hosts, Servers: nil, MeanGap: des.Second})
+	stats := InstallHTTP(s, HTTPConfig{Clients: hosts, Servers: nil, MeanGap: des.Second}, Record(0, len(hosts)))
 	s.Run()
 	if stats.TotalRequests() != 0 {
 		t.Error("requests issued with no servers")
 	}
 }
 
+// TestHTTPDeterministic: one seed gives one workload, whether the clients
+// replay a shared recording, a recording of another seed, or none.
 func TestHTTPDeterministic(t *testing.T) {
-	run := func() uint64 {
+	run := func(rec *Recording) uint64 {
 		s, hosts := testNet(t, 30, 10, 1, nil, 10*des.Second)
-		stats := InstallHTTP(s, HTTPConfig{Clients: hosts[:6], Servers: hosts[6:], MeanGap: des.Second, Seed: 3})
+		stats := InstallHTTP(s, HTTPConfig{Clients: hosts[:6], Servers: hosts[6:], MeanGap: des.Second, Seed: 3}, rec)
 		s.Run()
 		return stats.TotalResponses()
 	}
-	if a, b := run(), run(); a != b {
-		t.Errorf("same seed produced %d then %d responses", a, b)
+	shared := Record(3, 6)
+	want := run(shared)
+	for name, rec := range map[string]*Recording{"shared": shared, "other seed": Record(4, 6), "none": Record(3, 0)} {
+		if got := run(rec); got != want {
+			t.Errorf("%s recording: %d responses, want %d", name, got, want)
+		}
 	}
 }
 
