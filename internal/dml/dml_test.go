@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"massf/internal/mabrite"
+	"massf/internal/model"
 	"massf/internal/topology"
 )
 
@@ -179,11 +180,43 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 		`massf [ node [ kind router as 0 x 0 ] ]`,                                            // missing y
 		`massf [ node [ kind router as 0 x 0 y 0 ] link [ a 0 b 9 latency 1 bandwidth 1 ] ]`, // link out of range
 		`massf [ as [ id 0 class alien defaultBorder -1 ] ]`,                                 // bad class
+		`massf [ node [ kind router as 0 x 0 y 0 ] link [ a 0 b 0 latency 1 bandwidth 1 ] ]`, // self link
+		`massf [ node [ kind router as -1 x 0 y 0 ] ]`,                                       // negative AS
 	}
 	for _, c := range cases {
 		if _, err := ReadNetwork(strings.NewReader(c)); err == nil {
 			t.Errorf("accepted %q", c)
 		}
+	}
+}
+
+// TestDecodeValidatesLinks: a link whose latency or bandwidth would divide
+// by zero downstream (mapping weights, queue service times, routing costs)
+// is refused at decode, naming the link.
+func TestDecodeValidatesLinks(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		latency, bw int64
+		want        string
+	}{
+		{"zero latency", 0, model.Bps1G, "link 5 has non-positive latency 0"},
+		{"negative latency", -10_000, model.Bps1G, "link 5 has non-positive latency -10000"},
+		{"zero bandwidth", 10_000, 0, "link 5 has non-positive bandwidth 0"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			net, err := topology.GenerateFlat(topology.FlatOptions{Routers: 40, Hosts: 10, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			net.Links[5].Latency, net.Links[5].Bandwidth = c.latency, c.bw
+			var sb strings.Builder
+			if err := WriteNetwork(&sb, net); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ReadNetwork(strings.NewReader(sb.String())); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("ReadNetwork returned %v, want an error containing %q", err, c.want)
+			}
+		})
 	}
 }
 

@@ -60,7 +60,7 @@ func WriteNetwork(w io.Writer, net *model.Network) error {
 
 // DecodeNetwork rebuilds a network from a DML document produced by
 // EncodeNetwork. AS router/host membership lists are reconstructed from
-// the node tags.
+// the node tags, and the result must pass model.Network.Validate.
 func DecodeNetwork(doc []Pair) (*model.Network, error) {
 	root, ok := First(doc, "massf")
 	if !ok || root.IsAtom() {
@@ -108,8 +108,8 @@ func DecodeNetwork(doc []Pair) (*model.Network, error) {
 		if err != nil {
 			return nil, err
 		}
-		if a < 0 || a >= int64(len(net.Nodes)) || b < 0 || b >= int64(len(net.Nodes)) {
-			return nil, fmt.Errorf("dml: link endpoint out of range (%d, %d)", a, b)
+		if a < 0 || a >= int64(len(net.Nodes)) || b < 0 || b >= int64(len(net.Nodes)) || a == b {
+			return nil, fmt.Errorf("dml: link endpoints out of range or equal (%d, %d)", a, b)
 		}
 		net.AddLink(model.NodeID(a), model.NodeID(b), lat, bw)
 	}
@@ -180,7 +180,7 @@ func DecodeNetwork(doc []Pair) (*model.Network, error) {
 	// Rebuild membership lists from node tags.
 	for i := range net.Nodes {
 		n := &net.Nodes[i]
-		if int(n.AS) >= len(net.ASes) {
+		if n.AS < 0 || int(n.AS) >= len(net.ASes) {
 			return nil, fmt.Errorf("dml: node %d tagged with unknown AS %d", i, n.AS)
 		}
 		if n.Kind == model.Router {
@@ -188,6 +188,11 @@ func DecodeNetwork(doc []Pair) (*model.Network, error) {
 		} else {
 			net.ASes[n.AS].Hosts = append(net.ASes[n.AS].Hosts, n.ID)
 		}
+	}
+	// Latencies and bandwidths divide downstream (mapping weights, queue
+	// service times, routing costs): refuse a network they would break.
+	if err := net.Validate(); err != nil {
+		return nil, err
 	}
 	return net, nil
 }

@@ -10,8 +10,10 @@ import (
 	"time"
 
 	"massf/internal/core"
+	"massf/internal/dml"
 	"massf/internal/model"
 	"massf/internal/runspec"
+	"massf/internal/topology"
 )
 
 // launchScenario is a small flat scenario; seconds sets the horizon.
@@ -127,6 +129,29 @@ func TestLaunchOversizedRolesShrink(t *testing.T) {
 			}
 			roles[h] = true
 		}
+	}
+}
+
+// TestLaunchDMLNetworkValidated: a DML topology with a zero-latency link
+// fails Network, naming the link, instead of reaching the mapper, whose
+// latency weights divide by it.
+func TestLaunchDMLNetworkValidated(t *testing.T) {
+	net, err := topology.GenerateFlat(topology.FlatOptions{Routers: 40, Hosts: 10, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Links[3].Latency = 0
+	var sb strings.Builder
+	if err := dml.WriteNetwork(&sb, net); err != nil {
+		t.Fatal(err)
+	}
+	sc := Scenario{DML: sb.String(), Approach: "TOP2", RunSpec: runspec.RunSpec{Engines: 2, Seconds: 1}}
+	sc.Normalize()
+	if err := sc.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sc.Network(); err == nil || !strings.Contains(err.Error(), "link 3 has non-positive latency 0") {
+		t.Fatalf("Network returned %v, want the zero-latency link named", err)
 	}
 }
 

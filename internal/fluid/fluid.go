@@ -88,8 +88,9 @@ type Config struct {
 	// million-flow workloads. Completions are still recorded at their
 	// exact solved times; the approximation (a flow admitted mid-quantum
 	// transfers nothing until the next grid point, a finished flow's rate
-	// is not redistributed until then) is bounded by the quantum and
-	// covered by the simcheck error budget. 0 recomputes exactly.
+	// leaves its links at once but goes to no other flow until then) is
+	// bounded by the quantum and covered by the simcheck error budget. 0
+	// recomputes exactly.
 	Quantum des.Time
 	// Next, when non-nil, drives closed-loop chains: called when a flow
 	// with Chain ≥ 0 completes at time at, it may return the chain's next
@@ -608,9 +609,17 @@ func (b *builder) complete(fi int32, t des.Time) {
 	key := pairKey(rec.src, rec.dst)
 	g := b.groupIdx[key]
 	dt := float64(t-b.lastRT) / float64(des.Second)
-	if g != nil && g.path != nil && d.rate > 0 && dt > 0 {
+	if g != nil && g.path != nil && d.rate > 0 {
 		for _, dir := range g.path {
 			b.dirs[dir].bits += d.rate * dt
+			// On a quantum grid the recompute that absorbs this completion
+			// can be a quantum away: the rate leaves the timeline now, as
+			// it leaves the carried bits.
+			if b.cfg.Quantum > 0 {
+				load := b.curLoad[dir] - d.rate
+				b.dirs[dir].segs = append(b.dirs[dir].segs, Segment{At: t, Rate: load})
+				b.curLoad[dir] = load
+			}
 		}
 	}
 	rec.done = t

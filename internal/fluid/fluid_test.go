@@ -245,6 +245,42 @@ func TestQuantumModeApproximatesExact(t *testing.T) {
 	if !reflect.DeepEqual(quant, q2) {
 		t.Fatal("quantum-mode build is not deterministic")
 	}
+	// Each direction's rate timeline and lumps carry what DirBits counts:
+	// a completed flow's rate leaves the timeline at its completion, as it
+	// leaves DirBits, not at the next grid recompute.
+	pair := []Flow{{Src: 0, Dst: 3, Bytes: 1_000_000, Chain: -1}, {Src: 0, Dst: 3, Bytes: 3_000_000, Chain: -1}}
+	for _, c := range []struct {
+		name  string
+		flows []Flow
+		q     des.Time
+	}{
+		{"three flows/1ms", flows, q},
+		{"1MB+3MB/exact", pair, 0},
+		{"1MB+3MB/1ms", pair, des.Millisecond},
+		{"1MB+3MB/5ms", pair, 5 * des.Millisecond},
+	} {
+		p, err := Build(Config{Net: net, Routes: routes(net), End: des.Second, Quantum: c.q}, c.flows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for dir := range 2 * len(net.Links) {
+			var bits float64
+			segs := p.DirSegments(dir)
+			for i, seg := range segs {
+				to := des.Second
+				if i+1 < len(segs) {
+					to = segs[i+1].At
+				}
+				bits += seg.Rate * float64(to-seg.At) / float64(des.Second)
+			}
+			for _, l := range p.DirLumps(dir) {
+				bits += l.Bits
+			}
+			if want := p.DirBits(dir); math.Abs(bits-want) > 1e-9*want {
+				t.Errorf("%s: dir %d timeline and lumps carry %.0f bits, DirBits %.0f", c.name, dir, bits, want)
+			}
+		}
+	}
 }
 
 func TestFaultStallAndReroute(t *testing.T) {

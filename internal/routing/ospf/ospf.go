@@ -19,15 +19,19 @@
 // keeps entries only for in-scope members — O(scope) per destination,
 // which is what makes 100k-router slices fit.
 //
+// Where v has several shortest paths toward dst, one rule picks its link.
+// Among the links on v's shortest paths toward dst, v forwards over the
+// link to the neighbour nearest dst, and among equally near neighbours
+// over the lowest link id: the least (dist[w], link id) over links (v, w)
+// with dist[w] + latency = dist[v]. The rule reads only distances and link
+// ids, so a route is a function of the network and its failures, not of
+// the queue that computed it.
+//
 // Dijkstra's queue is a monotone bucket queue: a ring of slots, each as
 // wide as a fixed share of the domain's largest link latency, so every
 // queued distance falls within one lap of it. A pop takes the least
-// distance of the first occupied slot. Among equal distances a queue's
-// order decides between equal-cost next hops, and the routes are pinned to
-// container/heap's order, so the bucket pass stops at the first such tie
-// and the tree is computed again on a binary heap whose sift-up and
-// sift-down are container/heap's. Ties are rare on real latencies: the
-// bucket pass finishes nearly every tree.
+// distance of the first occupied slot. Every member-link latency must be
+// positive; New panics, naming the link, otherwise.
 package ospf
 
 import (
@@ -76,8 +80,7 @@ type Domain struct {
 	nodeDown []bool
 
 	// shift sets the bucket queue's slot width to 2^shift ns, fixed by the
-	// largest member-link latency; noBuckets (a member latency ≤ 0) routes
-	// every tree on the heap.
+	// largest member-link latency.
 	shift int
 }
 
@@ -145,9 +148,10 @@ func New(net *model.Network, members []model.NodeID, scope []bool, dests []model
 }
 
 // slotShift returns the least shift that fits the largest member-link
-// latency into maxSpan slots, or noBuckets if a member link's latency is
-// not positive: a zero-cost hop reaches a node at the distance it leaves,
-// which the tie check does not cover.
+// latency into maxSpan slots. It panics on a member link whose latency is
+// not positive: a zero-cost hop would reach a node at the distance it
+// leaves, which the queue's order and the equal-cost rule both assume
+// away.
 func (d *Domain) slotShift() int {
 	var widest int64
 	for i := range d.net.Links {
@@ -156,7 +160,7 @@ func (d *Domain) slotShift() int {
 			continue
 		}
 		if l.Latency <= 0 {
-			return noBuckets
+			panic(fmt.Sprintf("ospf: member link %d has latency %d ns; link costs must be positive", i, l.Latency))
 		}
 		widest = max(widest, l.Latency)
 	}
@@ -274,7 +278,7 @@ func (d *Domain) fill(cols []int) {
 // tree computes the next-hop tree toward dst on scratch s, returns it as a
 // fresh table indexed by row, and leaves s reset.
 func (d *Domain) tree(dst model.NodeID, s *scratch) []int32 {
-	d.route(dst, s)
+	d.spt(dst, s)
 	t := make([]int32, d.slots)
 	if d.pos == nil {
 		copy(t, s.next)
@@ -292,22 +296,6 @@ func (d *Domain) tree(dst model.NodeID, s *scratch) []int32 {
 	return t
 }
 
-// route leaves the tree toward dst in reset scratch s: from the bucket
-// queue, or from the heap when the bucket pass met an equal-cost tie or the
-// domain has no slot width.
-func (d *Domain) route(dst model.NodeID, s *scratch) {
-	if d.shift == noBuckets || !d.spt(dst, s, d.shift) {
-		s.reset()
-		d.spt(dst, s, noBuckets)
-	}
-}
-
-// pqItem is a heap entry for Dijkstra.
-type pqItem struct {
-	node model.NodeID
-	dist int64
-}
-
 // The bucket queue's ring: ringSlots slots, a queued distance in slot
 // (dist >> shift) mod ringSlots. Every queued distance lies within one
 // link latency of the last one popped, and that latency spans at most
@@ -317,21 +305,16 @@ const (
 	ringSlots = 4096
 	ringMask  = ringSlots - 1
 	maxSpan   = ringSlots - 2
-	noBuckets = -1
 )
 
 // scratch is one Dijkstra's working state, full length over the network.
-// Between runs every entry is at rest (dist and next -1, done false, no
-// slot occupied); a run lists each node it writes in touched, so reset
-// clears only those.
+// Between runs every entry is at rest (dist and next -1, no slot
+// occupied); a run lists each node it writes in touched, so reset clears
+// only those.
 type scratch struct {
 	dist    []int64
 	next    []int32
-	done    []bool
 	touched []model.NodeID
-
-	// q is the heap: container/heap's order, lazy deletion.
-	q []pqItem
 
 	// The bucket queue holds each queued node once, in the doubly linked
 	// list of its slot threaded through before/after (-1 ends a list);
@@ -353,8 +336,7 @@ func getScratch(n int) *scratch {
 	if s, _ := scratchPool.Get().(*scratch); s != nil && len(s.dist) >= n {
 		return s
 	}
-	s := &scratch{dist: make([]int64, n), next: make([]int32, n), done: make([]bool, n),
-		before: make([]int32, n), after: make([]int32, n)}
+	s := &scratch{dist: make([]int64, n), next: make([]int32, n), before: make([]int32, n), after: make([]int32, n)}
 	for i := range n {
 		s.dist[i] = -1
 		s.next[i] = -1
@@ -367,10 +349,8 @@ func (s *scratch) reset() {
 	for _, v := range s.touched {
 		s.dist[v] = -1
 		s.next[v] = -1
-		s.done[v] = false
 	}
 	s.touched = s.touched[:0]
-	s.q = s.q[:0]
 	if s.queued > 0 {
 		s.occupied = [ringSlots / 64]uint64{}
 		s.queued = 0
@@ -380,10 +360,6 @@ func (s *scratch) reset() {
 // enqueue queues v at distance nd, which lowers its distance from old
 // (-1: v was not queued).
 func (s *scratch) enqueue(v model.NodeID, old, nd int64) {
-	if s.shift == noBuckets {
-		s.push(pqItem{v, nd})
-		return
-	}
 	i := int(nd>>s.shift) & ringMask
 	if old >= 0 {
 		j := int(old>>s.shift) & ringMask
@@ -422,15 +398,8 @@ func (s *scratch) unlink(v model.NodeID, i int) {
 }
 
 // dequeue removes and returns a queued node of least distance, or -1 once
-// the queue is empty. The heap may return a node again, with a distance it
-// has since lowered; the caller skips it as done.
+// the queue is empty.
 func (s *scratch) dequeue() model.NodeID {
-	if s.shift == noBuckets {
-		if len(s.q) == 0 {
-			return -1
-		}
-		return s.pop().node
-	}
 	if s.queued == 0 {
 		return -1
 	}
@@ -453,74 +422,26 @@ func (s *scratch) dequeue() model.NodeID {
 	return best
 }
 
-// push and pop are container/heap's Push and Pop with its up and down
-// inlined, line for line, on the concrete queue: equal-distance entries
-// leave in container/heap's order, which decides equal-cost next hops.
-func (s *scratch) push(it pqItem) {
-	s.q = append(s.q, it)
-	q := s.q
-	j := len(q) - 1
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !(q[j].dist < q[i].dist) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		j = i
-	}
-}
-
-func (s *scratch) pop() pqItem {
-	q := s.q
-	n := len(q) - 1
-	q[0], q[n] = q[n], q[0]
-	i := 0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && q[j2].dist < q[j1].dist {
-			j = j2 // = 2*i + 2  // right child
-		}
-		if !(q[j].dist < q[i].dist) {
-			break
-		}
-		q[i], q[j] = q[j], q[i]
-		i = j
-	}
-	it := q[n]
-	s.q = q[:n]
-	return it
-}
-
-// spt runs Dijkstra rooted at dst on reset scratch s, on the bucket queue
-// with the given slot shift or on the heap (noBuckets), and records, for
-// every reachable member node, the first link on its shortest path toward
-// dst in s.next along with the path latency in s.dist. Failed links and
-// nodes are excluded; a tree rooted at a failed destination is all -1.
+// spt runs Dijkstra rooted at dst on reset scratch s and records, for
+// every reachable member node, its path latency to dst in s.dist and the
+// link the equal-cost rule gives it in s.next. Failed links and nodes are
+// excluded; a tree rooted at a failed destination is all -1.
 //
-// With every latency positive, a node's next hop depends on the queue's
-// order among equal distances only where two of its shortest-path
-// neighbours are equally far from dst: the first one popped sets it. The
-// heap pops them in container/heap's order; the bucket queue pops them in
-// another, so on such a tie it stops and reports false, leaving s to be
-// reset.
-func (d *Domain) spt(dst model.NodeID, s *scratch, shift int) bool {
+// The queue pops in distance order, so v's shortest-path neighbours relax
+// it nearest first: the first of them sets v's link, and a later one
+// replaces it only when it is as near to dst and its link id is lower. A
+// popped node's distance is final, and a relaxation never lowers it, as
+// every latency is positive.
+func (d *Domain) spt(dst model.NodeID, s *scratch) {
 	if d.nodeDown != nil && d.nodeDown[dst] {
-		return true
+		return
 	}
 	adj := d.net.Adjacency()
-	s.shift, s.cur = shift, 0
+	s.shift, s.cur = d.shift, 0
 	s.dist[dst] = 0
 	s.touched = append(s.touched, dst)
 	s.enqueue(dst, -1, 0)
 	for u := s.dequeue(); u >= 0; u = s.dequeue() {
-		if s.done[u] {
-			continue
-		}
-		s.done[u] = true
 		du := s.dist[u]
 		for _, lid := range adj[u] {
 			if d.linkDown != nil && d.linkDown[lid] {
@@ -528,10 +449,7 @@ func (d *Domain) spt(dst model.NodeID, s *scratch, shift int) bool {
 			}
 			l := &d.net.Links[lid]
 			v := l.Other(u)
-			if !d.contains(v) || s.done[v] {
-				continue
-			}
-			if d.nodeDown != nil && d.nodeDown[v] {
+			if !d.contains(v) || d.nodeDown != nil && d.nodeDown[v] {
 				continue
 			}
 			nd := du + l.Latency
@@ -542,14 +460,9 @@ func (d *Domain) spt(dst model.NodeID, s *scratch, shift int) bool {
 				s.dist[v] = nd
 				s.next[v] = int32(lid) // v forwards toward dst over this link
 				s.enqueue(v, old, nd)
-			} else if nd == old && shift != noBuckets {
-				// Equal cost: a tie if the neighbour that set v is not u
-				// but is as far from dst as u.
-				if w := d.net.Links[s.next[v]].Other(v); w != u && s.dist[w] == du {
-					return false
-				}
+			} else if nd == old && int32(lid) < s.next[v] && s.dist[d.net.Links[s.next[v]].Other(v)] == du {
+				s.next[v] = int32(lid) // as near to dst as v's setter, lower id
 			}
 		}
 	}
-	return true
 }

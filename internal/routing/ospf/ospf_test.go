@@ -1,7 +1,6 @@
 package ospf
 
 import (
-	"container/heap"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -43,7 +42,7 @@ func distance(d *Domain, cur, dst model.NodeID) int64 {
 		return -1
 	}
 	s := getScratch(len(d.net.Nodes))
-	d.route(dst, s)
+	d.spt(dst, s)
 	dist := s.dist[cur]
 	s.reset()
 	scratchPool.Put(s)
@@ -82,29 +81,29 @@ func rebuild(d *Domain, linkDown, nodeDown []bool) *Domain {
 }
 
 // walk follows next-hop decisions from src to dst, returning the hop count
-// or -1 on a routing failure or loop.
-func walk(d *Domain, net *model.Network, src, dst model.NodeID) int {
-	cur := src
-	for hops := 0; hops <= len(net.Nodes); hops++ {
+// (-1 on a routing failure or loop) and the latency walked.
+func walk(d *Domain, net *model.Network, src, dst model.NodeID) (hops int, latency int64) {
+	for cur := src; hops <= len(net.Nodes); hops++ {
 		if cur == dst {
-			return hops
+			return hops, latency
 		}
 		lid := d.NextLink(cur, dst)
 		if lid < 0 {
-			return -1
+			return -1, latency
 		}
+		latency += net.Links[lid].Latency
 		cur = net.Links[lid].Other(cur)
 	}
-	return -1
+	return -1, latency
 }
 
 func TestNextLinkOnChain(t *testing.T) {
 	net := lineNet(5, 1000)
 	d := New(net, nil, nil, everyNode(net))
-	if hops := walk(d, net, 0, 4); hops != 4 {
+	if hops, _ := walk(d, net, 0, 4); hops != 4 {
 		t.Errorf("walk 0→4 took %d hops, want 4", hops)
 	}
-	if hops := walk(d, net, 4, 0); hops != 4 {
+	if hops, _ := walk(d, net, 4, 0); hops != 4 {
 		t.Errorf("walk 4→0 took %d hops, want 4", hops)
 	}
 }
@@ -118,18 +117,10 @@ func TestNextLinkSelf(t *testing.T) {
 }
 
 func TestShortestPathPreferred(t *testing.T) {
-	// Triangle with a shortcut: 0—1 (10), 1—2 (10), 0—2 (100). 0→2 must
-	// go through 1 (cost 20 < 100).
-	net := &model.Network{}
-	for i := 0; i < 3; i++ {
-		net.AddNode(model.Router, 0, 0, 0)
-	}
-	net.AddLink(0, 1, 10, model.Bps1G)
-	net.AddLink(1, 2, 10, model.Bps1G)
-	direct := net.AddLink(0, 2, 100, model.Bps1G)
+	// 0→2 must go through 1 (cost 20 < 100).
+	net, _, direct := triangleNet(t)
 	d := New(net, nil, nil, everyNode(net))
-	lid := d.NextLink(0, 2)
-	if lid == direct {
+	if lid := d.NextLink(0, 2); lid == direct {
 		t.Error("routing chose the expensive direct link")
 	}
 	if got := distance(d, 0, 2); got != 20 {
@@ -166,15 +157,9 @@ func TestDomainMembershipRestrictsRouting(t *testing.T) {
 }
 
 func TestDomainExcludesTransitThroughNonMembers(t *testing.T) {
-	// 0—1—2 plus 0—2 expensive direct link; domain {0, 2} only. The cheap
-	// path transits non-member 1 and must not be used.
-	net := &model.Network{}
-	for i := 0; i < 3; i++ {
-		net.AddNode(model.Router, 0, 0, 0)
-	}
-	net.AddLink(0, 1, 1, model.Bps1G)
-	net.AddLink(1, 2, 1, model.Bps1G)
-	direct := net.AddLink(0, 2, 100, model.Bps1G)
+	// Domain {0, 2} only: the cheap path transits non-member 1 and must
+	// not be used.
+	net, _, direct := triangleNet(t)
 	d := New(net, []model.NodeID{0, 2}, nil, everyNode(net))
 	if got := d.NextLink(0, 2); got != direct {
 		t.Errorf("NextLink = %d, want direct link %d (member-only path)", got, direct)
@@ -197,22 +182,7 @@ func TestQuickRoutingSound(t *testing.T) {
 			if src == dst {
 				continue
 			}
-			cur := src
-			var walked int64
-			ok := false
-			for hops := 0; hops <= len(net.Nodes); hops++ {
-				if cur == dst {
-					ok = true
-					break
-				}
-				lid := d.NextLink(cur, dst)
-				if lid < 0 {
-					return false
-				}
-				walked += net.Links[lid].Latency
-				cur = net.Links[lid].Other(cur)
-			}
-			if !ok || walked != distance(d, src, dst) {
+			if hops, walked := walk(d, net, src, dst); hops < 0 || walked != distance(d, src, dst) {
 				return false
 			}
 		}
@@ -410,56 +380,46 @@ func TestScopedDomainFaults(t *testing.T) {
 	}
 }
 
-// refPQ is a container/heap queue, the one sptRef runs on.
-type refPQ []pqItem
-
-func (q refPQ) Len() int           { return len(q) }
-func (q refPQ) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q refPQ) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *refPQ) Push(x any)        { *q = append(*q, x.(pqItem)) }
-func (q *refPQ) Pop() any          { old := *q; n := len(old); it := old[n-1]; *q = old[:n-1]; return it }
-
-// sptRef is Dijkstra on container/heap, the oracle for spt's tie order:
-// full-length next and dist over the network, fresh per call.
+// sptRef is the oracle for spt: distances toward dst by Bellman-Ford over
+// the domain's live links, and every next hop by the equal-cost rule read
+// straight off them. Full length over the network, fresh per call.
 func sptRef(d *Domain, dst model.NodeID) ([]int32, []int64) {
 	n := len(d.net.Nodes)
 	dist := make([]int64, n)
 	next := make([]int32, n)
-	done := make([]bool, n)
 	for i := range dist {
-		dist[i] = -1
-		next[i] = -1
+		dist[i], next[i] = -1, -1
 	}
-	if d.nodeDown != nil && d.nodeDown[dst] {
+	if failed(d.nodeDown, int(dst)) {
 		return next, dist
 	}
-	dist[dst] = 0
-	adj := d.net.Adjacency()
-	q := refPQ{{dst, 0}}
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(pqItem)
-		u := it.node
-		if done[u] {
-			continue
+	var live []model.Link
+	for _, l := range d.net.Links {
+		if !failed(d.linkDown, int(l.ID)) && d.contains(l.A) && d.contains(l.B) && !failed(d.nodeDown, int(l.A)) && !failed(d.nodeDown, int(l.B)) {
+			live = append(live, l)
 		}
-		done[u] = true
-		for _, lid := range adj[u] {
-			if d.linkDown != nil && d.linkDown[lid] {
+	}
+	dist[dst] = 0
+	for relaxed := true; relaxed; {
+		relaxed = false
+		for _, l := range live {
+			for _, w := range []model.NodeID{l.A, l.B} {
+				if v := l.Other(w); dist[w] >= 0 && (dist[v] < 0 || dist[w]+l.Latency < dist[v]) {
+					dist[v], relaxed = dist[w]+l.Latency, true
+				}
+			}
+		}
+	}
+	// Links in id order: a strictly nearer neighbour replaces, an equally
+	// near one keeps the lower id.
+	for _, l := range live {
+		for _, w := range []model.NodeID{l.A, l.B} {
+			v := l.Other(w)
+			if v == dst || dist[w] < 0 || dist[w]+l.Latency != dist[v] {
 				continue
 			}
-			l := &d.net.Links[lid]
-			v := l.Other(u)
-			if !d.contains(v) || done[v] {
-				continue
-			}
-			if d.nodeDown != nil && d.nodeDown[v] {
-				continue
-			}
-			nd := it.dist + l.Latency
-			if dist[v] < 0 || nd < dist[v] {
-				dist[v] = nd
-				next[v] = int32(lid)
-				heap.Push(&q, pqItem{v, nd})
+			if next[v] < 0 || dist[w] < dist[d.net.Links[next[v]].Other(v)] {
+				next[v] = int32(l.ID)
 			}
 		}
 	}
@@ -467,9 +427,9 @@ func sptRef(d *Domain, dst model.NodeID) ([]int32, []int64) {
 }
 
 // diamondNet builds two equal-cost (40) paths from node 5 to node 0: over
-// node 2 (links 4, 1) and over node 1 (links 5, 0). Spokes 3 and 4 on
-// node 0 shape the queue: the binary heap pops 2 before 1, so 5 forwards
-// on link 4; a 4-ary heap pops 1 first and picks link 5.
+// node 2 (links 4, 1) and over node 1 (links 5, 0). Both neighbours are 20
+// from node 0, so the rule sends 5 over the lower link id, 4, whichever of
+// them a queue pops first (spokes 3 and 4 on node 0 shape the queue).
 func diamondNet() *model.Network {
 	net := &model.Network{}
 	for i := 0; i < 6; i++ {
@@ -485,14 +445,19 @@ func diamondNet() *model.Network {
 }
 
 // msNet is a flat net with every latency rounded to a whole millisecond:
-// equal-cost paths abound, so most bucket passes stop at a tie and the
-// trees come from the heap.
+// equal-cost paths abound, so nearly every tree has a node the rule
+// decides.
 func msNet(t testing.TB, seed int64) *model.Network {
 	t.Helper()
 	net, err := topology.GenerateFlat(topology.FlatOptions{Routers: 60, Hosts: 15, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return wholeMs(net)
+}
+
+// wholeMs rounds every latency of net to a whole millisecond, in place.
+func wholeMs(net *model.Network) *model.Network {
 	for i := range net.Links {
 		l := &net.Links[i]
 		l.Latency = max(1, (l.Latency+500_000)/1_000_000) * 1_000_000
@@ -515,10 +480,10 @@ func wideNet(t testing.TB, seed int64) *model.Network {
 	return net
 }
 
-// oracleRow is one domain the tie-order oracle checks: a net, its members
-// (nil: all), a slice scope (nil: none) and at most one failed link and
-// node (-1: none). pin, when ≥ 0, is the link node 5 must forward on
-// toward node 0.
+// oracleRow is one domain the equal-cost rule oracle checks: a net, its
+// members (nil: all), a slice scope (nil: none) and at most one failed
+// link and node (-1: none). pin, when ≥ 0, is the link node 5 must forward
+// on toward node 0.
 type oracleRow struct {
 	name    string
 	net     *model.Network
@@ -600,11 +565,13 @@ func oracleRows(t *testing.T) []oracleRow {
 	return rows
 }
 
-// TestTieOrderMatchesReference pins routes to the container/heap Dijkstra
-// entry for entry — every next hop and a sample of distances, toward every
-// member — across flat and multi-AS nets, member-compacted and scoped
-// domains, with a link or a node down. The diamond row also pins the link
-// equal costs resolve to, which a heap of another shape changes.
+// TestTieOrderMatchesReference pins how equal-cost ties resolve to the
+// stated rule, computed from Bellman-Ford distances, entry for entry —
+// every next hop and a sample of distances, toward every member — across
+// flat and multi-AS nets, one of whole-millisecond latencies where nearly
+// every tree has ties, member-compacted and scoped domains, with a link or
+// a node down. The diamond row also pins the link its equal costs resolve
+// to.
 func TestTieOrderMatchesReference(t *testing.T) {
 	for _, row := range oracleRows(t) {
 		t.Run(row.name, func(t *testing.T) {
@@ -641,43 +608,72 @@ func TestTieOrderMatchesReference(t *testing.T) {
 	}
 }
 
-// TestBucketPassReportsTies: the bucket pass gives up exactly where the
-// queue's order among equal distances could decide a next hop — on the
-// diamond and on most trees of a net of whole-millisecond latencies — and
-// nowhere on the benchmark's flat net, whose warm-up it is there to speed
-// up. A 10 s link widens the slots until one lap spans it.
-func TestBucketPassReportsTies(t *testing.T) {
-	ties := func(net *model.Network, dests []model.NodeID) int {
-		d := New(net, nil, nil, nil)
-		s := getScratch(len(net.Nodes))
-		defer scratchPool.Put(s)
-		n := 0
-		for _, dst := range dests {
-			if !d.spt(dst, s, d.shift) {
-				n++
-			}
-			s.reset()
-		}
-		return n
+// TestHostTreeIsAccessRouterTree: toward a single-homed host every other
+// node forwards as it does toward the host's access router, so a host's
+// tree is its router's tree plus the access link — on whole-millisecond
+// nets, where nearly every tree has ties, and inside every AS of a
+// multi-AS net.
+func TestHostTreeIsAccessRouterTree(t *testing.T) {
+	type row struct {
+		name    string
+		net     *model.Network
+		members []model.NodeID
 	}
-	if ties(diamondNet(), []model.NodeID{0}) != 1 {
-		t.Error("the bucket pass toward node 0 of the diamond reported no tie")
+	var rows []row
+	for seed := int64(1); seed <= 6; seed++ {
+		rows = append(rows, row{fmt.Sprintf("flat-ms%d", seed), msNet(t, seed), nil})
 	}
-	tied := msNet(t, 4)
-	if n := ties(tied, everyNode(tied)); 2*n <= len(tied.Nodes) {
-		t.Errorf("%d of %d trees on the millisecond net reported a tie, want most", n, len(tied.Nodes))
-	}
-	flat, err := topology.GenerateFlat(topology.FlatOptions{Routers: 2000, Hosts: 1000, Seed: 1})
+	mb, err := mabrite.Generate(mabrite.Options{ASes: 6, RoutersPerAS: 20, Hosts: 30, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := ties(flat, hostDests(flat, 1000)); n != 0 {
-		t.Errorf("%d of 1000 host trees on the flat 2000-router net reported a tie, want none", n)
+	for _, as := range wholeMs(mb).ASes {
+		if len(as.Hosts) > 0 {
+			rows = append(rows, row{fmt.Sprintf("mabrite-ms-as%d", as.ID), mb, append(append([]model.NodeID(nil), as.Routers...), as.Hosts...)})
+		}
 	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			d := New(row.net, row.members, nil, everyNode(row.net))
+			hosts := 0
+			for h := range row.net.Nodes {
+				h := model.NodeID(h)
+				access := row.net.Incident(h)
+				if row.net.Nodes[h].Kind != model.Host || len(access) != 1 || !d.contains(h) {
+					continue
+				}
+				hosts++
+				r := row.net.Links[access[0]].Other(h)
+				for v := range row.net.Nodes {
+					if v := model.NodeID(v); v != h && v != r && d.NextLink(v, h) != d.NextLink(v, r) {
+						t.Fatalf("node %d forwards toward host %d on link %d, toward its router %d on link %d", v, h, d.NextLink(v, h), r, d.NextLink(v, r))
+					}
+				}
+			}
+			if hosts == 0 {
+				t.Fatal("no single-homed host in the domain")
+			}
+		})
+	}
+}
+
+// TestSlotShift: a 10 s link widens the slots until one lap of the ring
+// spans it, and no further; a member link of latency ≤ 0 is refused,
+// named, while one outside the domain is not read.
+func TestSlotShift(t *testing.T) {
 	wide := wideNet(t, 5)
 	if d, widest := New(wide, nil, nil, nil), wide.Links[len(wide.Links)-1].Latency; widest>>d.shift > maxSpan || widest>>(d.shift-1) <= maxSpan {
 		t.Errorf("shift %d for a %d ns link: not the least that spans it in %d slots", d.shift, widest, maxSpan)
 	}
+	net := lineNet(4, 1000)
+	net.Links[2].Latency = 0
+	New(net, []model.NodeID{0, 1, 2}, nil, nil)
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "link 2 has latency 0") {
+			t.Fatalf("New panicked with %q, want it to name link 2", msg)
+		}
+	}()
+	New(net, nil, nil, nil)
 }
 
 // hostDests returns the first n hosts of net.
