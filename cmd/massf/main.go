@@ -270,14 +270,14 @@ func run(args []string, out io.Writer, nowNano func() int64) error {
 	}
 
 	meta := map[string]string{"approach": a.String(), "engines": fmt.Sprint(*engines), "net": *netPath}
+	// One shared build serves every engine in-process: broadcast the setup
+	// span to all tracks so a trace shows what a distributed worker's
+	// rebuild would cost.
+	setupSpans := make([]int64, *engines)
+	for i := range setupSpans {
+		setupSpans[i] = int64(setupSec * 1e9)
+	}
 	if *traceOut != "" {
-		// One shared build serves every engine in-process: broadcast the
-		// setup span to all tracks so the trace shows what a distributed
-		// worker's rebuild would cost.
-		setupSpans := make([]int64, *engines)
-		for i := range setupSpans {
-			setupSpans[i] = int64(setupSec * 1e9)
-		}
 		events := telemetry.BuildTraceEvents(tel.Windows.Snapshot(), setupSpans)
 		if err := writeTrace(*traceOut, events, meta); err != nil {
 			return err
@@ -287,7 +287,8 @@ func run(args []string, out io.Writer, nowNano func() int64) error {
 	if *pathTrace != "" {
 		recs := tel.Windows.Snapshot()
 		spans := mon.Spans()
-		events := append(telemetry.BuildTraceEvents(recs, nil), netmon.PathTraceEvents(spans, recs)...)
+		events := append(telemetry.BuildTraceEvents(recs, setupSpans),
+			netmon.PathTraceEvents(spans, telemetry.NewTimeline(recs, setupSpans))...)
 		meta["sample_every"] = fmt.Sprint(*netSample)
 		if err := writeTrace(*pathTrace, events, meta); err != nil {
 			return err

@@ -16,6 +16,7 @@ import (
 	"massf/internal/agent"
 	"massf/internal/des"
 	"massf/internal/experiments"
+	"massf/internal/model"
 	"massf/internal/runspec"
 )
 
@@ -52,14 +53,26 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// The Agent is the live-traffic boundary: virtual IP mapping plus
-	// message injection and delivery. It attaches between Prepare and Run.
+	// The Agent is the live-traffic boundary: message injection and
+	// delivery between hosts addressed by node id. It attaches between
+	// Prepare and Run. Each host's sink offers its deliveries to a channel
+	// and refuses one (counted dropped) when the channel is full, so a slow
+	// live goroutine never stalls the simulation.
 	client, server := st.Hosts[0], st.Hosts[len(st.Hosts)-1]
 	ag := agent.New(p.Sim, 5*des.Millisecond)
-	ag.MapHost("client", client)
-	ag.MapHost("server", server)
-	clientIn := ag.Listen(client, 16)
-	serverIn := ag.Listen(server, 16)
+	listen := func(n model.NodeID) chan agent.Message {
+		ch := make(chan agent.Message, 16)
+		ag.Listen(n, func(m agent.Message) bool {
+			select {
+			case ch <- m:
+				return true
+			default:
+				return false
+			}
+		})
+		return ch
+	}
+	clientIn, serverIn := listen(client), listen(server)
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -73,9 +86,7 @@ func main() {
 	// Live client: ping until the simulation horizon.
 	go func() {
 		defer wg.Done()
-		if err := ag.SendNamed("client", "server", []byte("ping 0")); err != nil {
-			log.Fatal(err)
-		}
+		ag.Send(client, server, []byte("ping 0"))
 		n := 0
 		start := time.Now()
 		for m := range clientIn {
@@ -88,9 +99,10 @@ func main() {
 	}()
 
 	p.Run(ctx)
-	// The horizon passed; close the listener channels to release the live
-	// goroutines.
-	ag.Close()
+	// The horizon passed, so no sink sends again: close the channels to
+	// release the live goroutines.
+	close(clientIn)
+	close(serverIn)
 	wg.Wait()
 	c := ag.Counters()
 	fmt.Printf("agent: %d live messages sent, %d delivered, %d dropped\n", c.Sent, c.Delivered, c.Dropped)

@@ -3,12 +3,17 @@
 // and redirected through the simulated network, and deliveries flow back
 // to the application. In MaSSF this is the Agent + WrapSocket pair with a
 // virtual/real IP mapping server; here the applications are real Go
-// goroutines and the socket boundary is a message API:
+// goroutines that address hosts by node id, and the socket boundary is a
+// message API:
 //
 //	a := agent.New(sim, pumpInterval)
-//	a.MapHost("server", serverNode)         // virtual IP mapping
-//	in := a.Listen(serverNode, 64)          // the wrapped "socket"
-//	a.Send(clientNode, serverNode, payload) // from any live goroutine
+//	a.Listen(server, func(m agent.Message) bool { // the wrapped "socket"
+//		return offer(m) // must not block; false drops m
+//	})
+//	a.Send(client, server, payload) // from any live goroutine
+//
+// The ingest plane (NewIngest) serves the same boundary over TCP, where a
+// client addresses hosts by index into the host table it gets at attach.
 //
 // Combined with netsim's RealTimeFactor pacing (the paper's soft real-time
 // scheduler with slowdown mode), live goroutines observe wall-clock
@@ -22,7 +27,6 @@
 package agent
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -39,7 +43,7 @@ type Message struct {
 	// DeliveredAt is when its last byte reached the destination.
 	InjectedAt, DeliveredAt des.Time
 
-	// key orders messages inside one injection epoch (see SendKeyed);
+	// key orders messages inside one injection epoch (see send);
 	// onInject acknowledges the injection to the producer.
 	key      uint64
 	onInject func()
@@ -62,8 +66,6 @@ type Agent struct {
 
 	mu        sync.Mutex
 	inbox     map[int][]Message // per engine: awaiting injection
-	names     map[string]model.NodeID
-	listeners map[model.NodeID]chan Message // Listen's channels, for Close
 	sinks     map[model.NodeID]func(Message) bool
 	seq       uint64
 	dropped   uint64
@@ -80,12 +82,10 @@ func New(sim *netsim.Sim, pumpInterval des.Time) *Agent {
 		pumpInterval = des.Millisecond
 	}
 	a := &Agent{
-		sim:       sim,
-		pump:      pumpInterval,
-		inbox:     make(map[int][]Message),
-		names:     make(map[string]model.NodeID),
-		listeners: make(map[model.NodeID]chan Message),
-		sinks:     make(map[model.NodeID]func(Message) bool),
+		sim:   sim,
+		pump:  pumpInterval,
+		inbox: make(map[int][]Message),
+		sinks: make(map[model.NodeID]func(Message) bool),
 	}
 	for e := 0; e < sim.Config().Engines; e++ {
 		e := e
@@ -101,64 +101,33 @@ func New(sim *netsim.Sim, pumpInterval des.Time) *Agent {
 	return a
 }
 
-// MapHost registers a virtual name for a host node (the paper's
-// virtual/real IP mapping server).
-func (a *Agent) MapHost(name string, n model.NodeID) {
+// Listen registers fn as host n's delivery sink, replacing any sink
+// already listening there. fn runs on the delivering engine's goroutine
+// and must not block; returning false refuses the message (counted
+// dropped) — the non-stalling half of the backpressure contract, letting
+// a slow consumer shed deliveries without ever holding up the simulation.
+func (a *Agent) Listen(n model.NodeID, fn func(Message) bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.names[name] = n
-}
-
-// Resolve looks up a mapped name.
-func (a *Agent) Resolve(name string) (model.NodeID, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	n, ok := a.names[name]
-	return n, ok
-}
-
-// Listen returns the delivery channel for host n: a ListenFunc sink that
-// pushes each message arriving for n without blocking; if the channel is
-// full the message is dropped (and counted), never blocking the
-// simulation. Close closes the channel. Listen may be called once per
-// host.
-func (a *Agent) Listen(n model.NodeID, buffer int) <-chan Message {
-	if buffer <= 0 {
-		buffer = 64
-	}
-	ch := make(chan Message, buffer)
-	a.ListenFunc(n, func(m Message) bool {
-		select {
-		case ch <- m:
-			return true
-		default:
-			return false
-		}
-	})
-	a.mu.Lock()
-	a.listeners[n] = ch
-	a.mu.Unlock()
-	return ch
+	a.sinks[n] = fn
 }
 
 // Send queues a live message from host `from` to host `to`. It is safe to
 // call from any goroutine, including while the simulation runs; the
 // message enters the network at the next pump on from's engine.
 func (a *Agent) Send(from, to model.NodeID, payload []byte) {
-	a.SendKeyed(from, to, payload, 0, nil)
+	a.send(from, to, payload, 0, nil)
 }
 
-// SendKeyed is Send with an explicit injection-epoch ordering key and an
-// optional injection acknowledgement. Messages queued for the same pump
-// epoch inject in ascending key order regardless of which goroutine won
-// the inbox race, so a producer that assigns keys from its own stream
-// (e.g. connection id << 32 | per-connection sequence) gets deterministic
-// injection given the same per-stream message sequences. Key 0 draws from
-// the agent's arrival counter, preserving Send's arrival order. onInject,
-// when non-nil, runs on the injecting engine's goroutine the moment the
-// message enters the kernel — the backpressure hook credit windows hang
-// off — and must not block.
-func (a *Agent) SendKeyed(from, to model.NodeID, payload []byte, key uint64, onInject func()) {
+// send is Send with an injection-epoch ordering key and an injection
+// acknowledgement, the ingest plane's form. A pump epoch injects its
+// messages in ascending key order whatever goroutine won the inbox race,
+// so keys drawn from a producer's own stream (connection id << 32 |
+// sequence) make injection deterministic; key 0 takes the arrival
+// counter, Send's order. onInject, if non-nil, runs on the injecting
+// engine as the message enters the kernel (credit windows hang off it)
+// and must not block.
+func (a *Agent) send(from, to model.NodeID, payload []byte, key uint64, onInject func()) {
 	eng := a.sim.EngineOf(from)
 	a.mu.Lock()
 	a.seq++
@@ -170,32 +139,6 @@ func (a *Agent) SendKeyed(from, to model.NodeID, payload []byte, key uint64, onI
 	})
 	a.sent++
 	a.mu.Unlock()
-}
-
-// SendNamed is Send with virtual names.
-func (a *Agent) SendNamed(from, to string, payload []byte) error {
-	f, ok := a.Resolve(from)
-	if !ok {
-		return fmt.Errorf("agent: unknown host %q", from)
-	}
-	t, ok := a.Resolve(to)
-	if !ok {
-		return fmt.Errorf("agent: unknown host %q", to)
-	}
-	a.Send(f, t, payload)
-	return nil
-}
-
-// ListenFunc registers fn as host n's delivery sink, replacing any
-// channel or sink already listening there. fn runs on the delivering
-// engine's goroutine and must not block; returning false refuses the
-// message (counted dropped) — the non-stalling half of the backpressure
-// contract, letting a slow consumer shed deliveries without ever holding
-// up the simulation.
-func (a *Agent) ListenFunc(n model.NodeID, fn func(Message) bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.sinks[n] = fn
 }
 
 // drain runs on engine e's goroutine: it injects every queued message
@@ -244,21 +187,9 @@ func (a *Agent) count(c *uint64) {
 	a.mu.Unlock()
 }
 
-// Counters snapshots the agent's activity counters: messages queued,
-// injected, delivered to listeners, and dropped (no or full listener).
+// Counters snapshots the agent's activity counters (see the type).
 func (a *Agent) Counters() Counters {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return Counters{Sent: a.sent, Injected: a.injected, Delivered: a.delivered, Dropped: a.dropped}
-}
-
-// Close closes every Listen channel, releasing live goroutines blocked
-// on them. Call only after the simulation's Run has returned.
-func (a *Agent) Close() {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	for n, ch := range a.listeners {
-		close(ch)
-		delete(a.listeners, n)
-	}
 }

@@ -38,10 +38,25 @@ func liveSim(t *testing.T, factor float64, end des.Time) (*netsim.Sim, []model.N
 	return s, hosts
 }
 
+// listenChan registers a sink on host n that offers each delivery to a
+// buffered channel and refuses it when the channel is full.
+func listenChan(a *Agent, n model.NodeID, buffer int) chan Message {
+	ch := make(chan Message, buffer)
+	a.Listen(n, func(m Message) bool {
+		select {
+		case ch <- m:
+			return true
+		default:
+			return false
+		}
+	})
+	return ch
+}
+
 func TestLiveMessageDelivery(t *testing.T) {
 	s, hosts := liveSim(t, 0, 5*des.Second)
 	a := New(s, des.Millisecond)
-	in := a.Listen(hosts[1], 8)
+	in := listenChan(a, hosts[1], 8)
 	// Queue before Run: injected at the first pump.
 	a.Send(hosts[0], hosts[1], []byte("hello grid"))
 	s.Run()
@@ -61,30 +76,6 @@ func TestLiveMessageDelivery(t *testing.T) {
 	}
 }
 
-func TestVirtualIPMapping(t *testing.T) {
-	s, hosts := liveSim(t, 0, 2*des.Second)
-	a := New(s, des.Millisecond)
-	a.MapHost("client", hosts[0])
-	a.MapHost("server", hosts[2])
-	in := a.Listen(hosts[2], 8)
-	if err := a.SendNamed("client", "server", []byte("req")); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SendNamed("client", "nowhere", nil); err == nil {
-		t.Error("unknown destination accepted")
-	}
-	if err := a.SendNamed("nowhere", "server", nil); err == nil {
-		t.Error("unknown source accepted")
-	}
-	if n, ok := a.Resolve("server"); !ok || n != hosts[2] {
-		t.Error("Resolve broken")
-	}
-	s.Run()
-	if len(in) != 1 {
-		t.Fatalf("expected 1 delivery, got %d", len(in))
-	}
-}
-
 func TestLiveInteractionDuringRun(t *testing.T) {
 	// A live goroutine ping-pongs with an echo goroutine while the
 	// simulation runs in (scaled) real time: 1 simulated second = 50 ms
@@ -92,8 +83,8 @@ func TestLiveInteractionDuringRun(t *testing.T) {
 	s, hosts := liveSim(t, 0.05, 10*des.Second)
 	a := New(s, 5*des.Millisecond)
 	client, server := hosts[0], hosts[3]
-	clientIn := a.Listen(client, 8)
-	serverIn := a.Listen(server, 8)
+	clientIn := listenChan(a, client, 8)
+	serverIn := listenChan(a, server, 8)
 
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -124,20 +115,14 @@ func TestLiveInteractionDuringRun(t *testing.T) {
 		}
 	}()
 	s.Run()
-	close(clientIn2(a, client))
-	close(clientIn2(a, server))
+	// The run is over, so no sink sends again: close the channels to
+	// release blocked goroutines.
+	close(clientIn)
+	close(serverIn)
 	wg.Wait()
 	if received == 0 {
 		t.Fatal("no live round trips completed")
 	}
-}
-
-// clientIn2 fetches the listener channel so the test can close it after the
-// run to release blocked goroutines.
-func clientIn2(a *Agent, n model.NodeID) chan Message {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.listeners[n]
 }
 
 func TestRealTimePacing(t *testing.T) {
@@ -164,7 +149,7 @@ func TestDropWhenNoListener(t *testing.T) {
 func TestDropWhenListenerFull(t *testing.T) {
 	s, hosts := liveSim(t, 0, 3*des.Second)
 	a := New(s, des.Millisecond)
-	a.Listen(hosts[1], 1)
+	listenChan(a, hosts[1], 1)
 	for i := 0; i < 5; i++ {
 		a.Send(hosts[0], hosts[1], []byte{byte(i)})
 	}

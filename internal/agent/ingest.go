@@ -109,7 +109,6 @@ type Ingest struct {
 	ln    net.Listener
 
 	accepted      atomic.Uint64
-	attached      atomic.Uint64
 	sent          atomic.Uint64
 	backpressured atomic.Uint64
 	delivered     atomic.Uint64
@@ -349,7 +348,6 @@ func (ic *ingestConn) attach(br *bufio.Reader) error {
 	if reqWindow > 0 && int64(reqWindow) < ic.window {
 		ic.window = int64(reqWindow)
 	}
-	ic.g.attached.Add(1)
 	var b wire.Buffer
 	b.String(runID)
 	b.U32(uint32(len(run.hosts)))
@@ -392,7 +390,7 @@ func (ic *ingestConn) handleSend(payload []byte) error {
 	key := ic.id<<32 | (ic.seq & 0xffffffff)
 	// body aliases the frame's payload, which ReadFrame allocated for this
 	// frame alone, so the message may keep it.
-	ic.run.agent.SendKeyed(hosts[from], hosts[to], body, key, ic.onInject)
+	ic.run.agent.send(hosts[from], hosts[to], body, key, ic.onInject)
 	return nil
 }
 
@@ -427,7 +425,7 @@ func (ic *ingestConn) handleListen(payload []byte) error {
 	if int(h) >= len(run.hosts) {
 		return fmt.Errorf("agent: host index %d out of range (%d hosts)", h, len(run.hosts))
 	}
-	run.agent.ListenFunc(run.hosts[h], func(m Message) bool {
+	run.agent.Listen(run.hosts[h], func(m Message) bool {
 		from, ok := run.index[m.From]
 		if !ok {
 			from = -1

@@ -307,7 +307,7 @@ func TestIngestDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c2.Close()
-		a.ListenFunc(hosts[5], func(Message) bool { return false }) // lagging consumer
+		a.Listen(hosts[5], func(Message) bool { return false }) // lagging consumer
 		for i := 0; i < 16; i++ {
 			if err := c1.Send(0, 5, []byte(fmt.Sprintf("a-%d", i))); err != nil {
 				t.Fatal(err)

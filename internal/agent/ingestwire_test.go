@@ -31,7 +31,7 @@ func TestIngestCoalescedSendsArriveIntact(t *testing.T) {
 	var mu sync.Mutex
 	got := make(map[string]int)
 	for _, h := range hosts {
-		a.ListenFunc(h, func(m Message) bool {
+		a.Listen(h, func(m Message) bool {
 			mu.Lock()
 			got[string(m.Payload)]++
 			mu.Unlock()

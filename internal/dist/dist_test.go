@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -111,6 +112,11 @@ func dRunner(job Job, t pdes.Transport) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	return m.run()
+}
+
+// run executes the model and encodes its Result payload.
+func (m *dModel) run() ([]byte, error) {
 	stats := m.sim.Run()
 	if stats.Err != nil {
 		return nil, stats.Err
@@ -212,6 +218,55 @@ func TestLoopbackDistributedRun(t *testing.T) {
 				t.Errorf("global modeled busy %d, reference %d", res.ModeledBusyNS, refStats.ModeledBusyNS)
 			}
 		})
+	}
+}
+
+// TestWorkerReleasesSimulation: once Serve and both RunWorker loops have
+// returned, neither worker's model is reachable. The witness is a
+// finalizer on each model's counts array, which only the model holds: the
+// model's pending events point back at it, and a finalizer on an object in
+// such a cycle is not guaranteed to run.
+func TestWorkerReleasesSimulation(t *testing.T) {
+	const engines = 4
+	spec := encodeDSpec(engines, des.Millisecond, 20*des.Millisecond, 6)
+	freed := make(chan struct{}, 2)
+	runner := func(job Job, tr pdes.Transport) ([]byte, error) {
+		m, err := buildDModel(job.Spec, tr, job.First, job.Hosted)
+		if err != nil {
+			return nil, err
+		}
+		runtime.SetFinalizer(&m.counts[0], func(*uint64) { freed <- struct{}{} })
+		return m.run()
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	jobs := []Job{
+		{Kind: "dtest", First: 0, Hosted: 2, Spec: spec},
+		{Kind: "dtest", First: 2, Hosted: 2, Spec: spec},
+	}
+	werrs := runWorkers(ln.Addr().String(), len(jobs), map[string]Runner{"dtest": runner})
+	if _, err := Serve(ln, RunConfig{Jobs: jobs}, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for range jobs {
+		if werr := <-werrs; werr != nil {
+			t.Fatalf("worker: %v", werr)
+		}
+	}
+	for left, i := len(jobs), 0; left > 0; i++ {
+		if i == 1000 {
+			t.Fatalf("%d of %d workers still hold their simulation after returning", left, len(jobs))
+		}
+		runtime.GC()
+		select {
+		case <-freed:
+			left--
+		default:
+			runtime.Gosched() // let the finalizer goroutine run
+		}
 	}
 }
 

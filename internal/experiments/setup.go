@@ -79,9 +79,8 @@ type Setup struct {
 	Scale   Scale
 	MultiAS bool
 	Net     *model.Network
-	Routes  netsim.Routes
-	// Router is the concrete interdomain router behind Routes — the base
-	// routing epoch a fault plane advances from.
+	// Router forwards the run's packets and is the base routing epoch a
+	// fault plane advances from.
 	Router *interdomain.Router
 	Sync   cluster.SyncCostModel
 
@@ -131,14 +130,11 @@ func NewSetup(net *model.Network, sc Scale, multi bool) (*Setup, error) {
 // retained state shrinks.
 func newSetup(net *model.Network, sc Scale, multi bool, owned []bool) (*Setup, error) {
 	st := &Setup{Scale: sc, MultiAS: multi, Net: net, Sync: cluster.DefaultTeraGrid(), draws: new(httpDraws)}
-	var router *interdomain.Router
 	if owned != nil {
-		router = interdomain.NewScoped(net, owned)
+		st.Router = interdomain.NewScoped(net, owned)
 	} else {
-		router = interdomain.New(net)
+		st.Router = interdomain.New(net)
 	}
-	st.Routes = router
-	st.Router = router
 	for i := range net.Nodes {
 		if net.Nodes[i].Kind == model.Host {
 			st.Hosts = append(st.Hosts, model.NodeID(i))
@@ -325,7 +321,7 @@ func (st *Setup) prepare(m *core.Mapping, w Workload, opt runspec.RunSpec, src T
 		}
 	}
 	cfg := netsim.Config{
-		Net: st.Net, Routes: st.Routes, Part: m.Part, Engines: st.Scale.Engines,
+		Net: st.Net, Routes: st.Router, Part: m.Part, Engines: st.Scale.Engines,
 		Window: m.Window(), End: st.Scale.Horizon,
 		Sync: st.Sync, EventCost: st.Scale.EventCost, RealTimeFactor: opt.RealTimeFactor,
 		Telemetry: opt.Telemetry, Invariants: x.Invariants,

@@ -230,6 +230,51 @@ func TestCompletionStream(t *testing.T) {
 	}
 }
 
+// TestPathTraceAlignsWithEngineTracks: a hop that starts at a window's
+// StartNS lands where BuildTraceEvents draws that window's compute slices,
+// after a setup span, across a zero-wall window whose phase slices outlast
+// it, and across an idle gap in simulated time.
+func TestPathTraceAlignsWithEngineTracks(t *testing.T) {
+	win := func(seq uint64, start, end, wall int64) telemetry.WindowRecord {
+		return telemetry.WindowRecord{
+			Seq: seq, StartNS: start, EndNS: end, WallNS: wall,
+			Events: []uint64{3, 4}, ComputeNS: []int64{400, 300},
+			BarrierWaitNS: []int64{100, 200}, ExchangeNS: []int64{50, 50},
+		}
+	}
+	recs := []telemetry.WindowRecord{
+		win(0, 0, 1000, 2000),
+		win(1, 1000, 2000, 0),
+		win(2, 9000, 10000, 1500), // after 7000 ns of idle simulated time
+		win(3, 10000, 11000, 800),
+	}
+	setup := []int64{5000, 5000}
+	computeAt := map[int64]float64{} // window StartNS → compute slice start, µs
+	for _, ev := range telemetry.BuildTraceEvents(recs, setup) {
+		if ev.Name != "compute" {
+			continue
+		}
+		start := ev.Args["start_ns"].(int64)
+		if at, ok := computeAt[start]; ok && at != ev.TS {
+			t.Fatalf("window at sim %d: engine tracks start its compute at %v and %v µs", start, at, ev.TS)
+		}
+		computeAt[start] = ev.TS
+	}
+	tl := telemetry.NewTimeline(recs, setup)
+	for _, rec := range recs {
+		span := HopSpan{Trace: 1, Kind: SpanHop, Start: des.Time(rec.StartNS), End: des.Time(rec.EndNS)}
+		got := -1.0
+		for _, ev := range PathTraceEvents([]HopSpan{span}, tl) {
+			if ev.Ph == "X" {
+				got = ev.TS
+			}
+		}
+		if want := computeAt[rec.StartNS]; got != want {
+			t.Errorf("hop at sim %d drawn at %v µs, its window's compute slices at %v µs", rec.StartNS, got, want)
+		}
+	}
+}
+
 func TestPathTraceEvents(t *testing.T) {
 	spans := []HopSpan{
 		{Trace: 5, Src: 0, Dst: 2, Node: 0, Link: 0, Kind: SpanHop, Start: 0, End: 1000, Engine: 0},
@@ -243,7 +288,7 @@ func TestPathTraceEvents(t *testing.T) {
 		{Seq: 0, StartNS: 0, EndNS: 1000, WallNS: 4000},
 		{Seq: 1, StartNS: 1000, EndNS: 2000, WallNS: 1000},
 	}
-	events := PathTraceEvents(spans, recs)
+	events := PathTraceEvents(spans, telemetry.NewTimeline(recs, nil))
 	if len(events) == 0 {
 		t.Fatal("no events")
 	}
@@ -289,13 +334,13 @@ func TestPathTraceEvents(t *testing.T) {
 	}
 
 	// Identity mapping without records.
-	flat := PathTraceEvents(spans[:1], nil)
+	flat := PathTraceEvents(spans[:1], telemetry.Timeline{})
 	for _, ev := range flat {
 		if ev.Ph == "X" && ev.TS != 0 {
 			t.Errorf("identity mapping start: %+v", ev)
 		}
 	}
-	if PathTraceEvents(nil, recs) != nil {
+	if PathTraceEvents(nil, telemetry.NewTimeline(recs, nil)) != nil {
 		t.Error("no spans must yield no events")
 	}
 }

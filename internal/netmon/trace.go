@@ -6,7 +6,6 @@ package netmon
 
 import (
 	"fmt"
-	"sort"
 
 	"massf/internal/telemetry"
 )
@@ -15,70 +14,19 @@ import (
 // tracks use PID 1).
 const pathPID = 2
 
-// timeSeg maps one barrier window's simulated-time span onto the synthetic
-// wall timeline BuildTraceEvents synthesizes from wall-clock deltas.
-type timeSeg struct {
-	simLo, simHi     int64
-	synthLo, synthWd int64
-}
-
-// buildTimeline reproduces BuildTraceEvents' synthetic timeline (window
-// w+1 starts max(WallNS, 1) after window w) keyed by each window's
-// simulated-time bounds. A nil/empty record set yields a nil timeline,
-// which maps simulated time identically.
-func buildTimeline(recs []telemetry.WindowRecord) []timeSeg {
-	var segs []timeSeg
-	var base int64
-	for i := range recs {
-		rec := &recs[i]
-		wall := rec.WallNS
-		if wall < 1 {
-			wall = 1
-		}
-		if rec.EndNS > rec.StartNS {
-			segs = append(segs, timeSeg{
-				simLo: rec.StartNS, simHi: rec.EndNS,
-				synthLo: base, synthWd: wall,
-			})
-		}
-		base += wall
-	}
-	return segs
-}
-
-// mapSim projects simulated time t onto the synthetic timeline: linear
-// interpolation inside the window that covers t, clamped into the nearest
-// window across the idle gaps the engine fast-forwards over.
-func mapSim(segs []timeSeg, t int64) int64 {
-	if len(segs) == 0 {
-		return t
-	}
-	i := sort.Search(len(segs), func(i int) bool { return segs[i].simHi > t })
-	if i == len(segs) {
-		last := segs[len(segs)-1]
-		return last.synthLo + last.synthWd
-	}
-	s := segs[i]
-	if t <= s.simLo {
-		return s.synthLo
-	}
-	return s.synthLo + (t-s.simLo)*s.synthWd/(s.simHi-s.simLo)
-}
-
 // PathTraceEvents renders hop spans as Chrome trace events: a "network
 // paths" process beside the engine tracks, one lane per traced packet,
 // each hop a complete slice positioned by projecting its simulated-time
-// span through the run's window records onto the same synthetic timeline
-// the engine tracks use (identity mapping when recs is empty, e.g. for a
-// run traced without a telemetry ring).
-func PathTraceEvents(spans []HopSpan, recs []telemetry.WindowRecord) []telemetry.TraceEvent {
+// span onto tl, the timeline the engine tracks are drawn on (the zero
+// Timeline maps time identically, e.g. for a run traced without a
+// telemetry ring).
+func PathTraceEvents(spans []HopSpan, tl telemetry.Timeline) []telemetry.TraceEvent {
 	if len(spans) == 0 {
 		return nil
 	}
 	sorted := make([]HopSpan, len(spans))
 	copy(sorted, spans)
 	SortSpans(sorted)
-	segs := buildTimeline(recs)
 
 	events := []telemetry.TraceEvent{{
 		Name: "process_name", Ph: "M", PID: pathPID,
@@ -108,11 +56,11 @@ func PathTraceEvents(spans []HopSpan, recs []telemetry.WindowRecord) []telemetry
 				Args: map[string]any{"sort_index": tid},
 			})
 		}
-		start := mapSim(segs, int64(sp.Start))
+		start := tl.At(int64(sp.Start))
 		if start < cursor {
 			start = cursor // viewers need strictly ordered slice starts
 		}
-		dur := mapSim(segs, int64(sp.End)) - start
+		dur := tl.At(int64(sp.End)) - start
 		if dur < 1 {
 			dur = 1
 		}

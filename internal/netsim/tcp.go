@@ -53,7 +53,7 @@ type flow struct {
 	srtt, rttvar   float64 // ns
 	rto            des.Time
 	rtoEvent       des.Event  // value handle; stale after fire (gen-checked Cancel is a no-op)
-	rtoArmed       bool       // mirrors the pre-refactor nil-pointer test: false = never armed or cleared
+	rtoArmed       bool       // the last armRTO scheduled rtoEvent before the horizon and the flow has not completed
 	rtoh           rtoHandler // embedded so arming the timer allocates nothing
 	sendTime       []des.Time // per-seq first-send time; 0 after retransmit (Karn)
 	done           bool

@@ -14,7 +14,7 @@ import (
 // submission of the same topology+roles+seed skips regeneration — the
 // difference between a multi-second cold build and a millisecond
 // submit-to-first-window latency. Entries are shared across concurrent
-// runs: a cached Setup's Net, Routes/Router, Sync and role slices are
+// runs: a cached Setup's Net, Router, Sync and role slices are
 // immutable after construction (interdomain.Router is safe for concurrent
 // use after New returns), and the launch path takes a per-run shallow copy
 // for the mutable scale/profile fields. Builds singleflight through a

@@ -794,7 +794,6 @@ func (m *Manager) execute(r *Run) (*experiments.RunOutcome, error) {
 		m.ingest.Register(r.ID, ag, st.Hosts)
 		defer func() {
 			m.ingest.Unregister(r.ID)
-			ag.Close()
 			// The agent reaches back into the simulation: keep its counters.
 			c := ag.Counters()
 			r.mu.Lock()

@@ -92,7 +92,7 @@ func (p *Plan) Neutrality(k, sample int) (*NeutralityReport, error) {
 		SeqSpans: len(instSeq.Obs.PathSpans), ParSpans: len(spans),
 	}
 	rep.SpansDiverge = !spansEqualModuloEngine(instSeq.Obs.PathSpans, spans)
-	rep.Paths = AuditTraces(base.st.Net, base.st.Routes, spans)
+	rep.Paths = AuditTraces(base.st.Net, base.st.Router, spans)
 	for _, p := range rep.Paths {
 		if p.Complete {
 			rep.Complete++

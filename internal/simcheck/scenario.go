@@ -222,7 +222,7 @@ func (sc Scenario) Build() (*model.Network, netsim.Routes, []model.NodeID, error
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return st.Net, st.Routes, st.Hosts, nil
+	return st.Net, st.Router, st.Hosts, nil
 }
 
 // transfer is one scripted send. The script is derived from the seed once

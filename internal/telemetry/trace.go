@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 )
 
 // TraceEvent is one entry of the Chrome Trace Event Format (the subset
@@ -52,11 +53,10 @@ const (
 // durations from the following record when it is contiguous (Seq+1);
 // the trailing window renders with compute only.
 //
-// Track timelines are synthesized from the records' wall-clock deltas:
-// window w+1 starts WallNS after window w. Within a track, slice starts
-// are strictly ordered (a per-engine cursor absorbs measurement jitter
-// where a window's phases overrun its wall time), which is what trace
-// viewers require.
+// Every track is laid on one synthetic timeline (see Timeline): window
+// w starts at the same point on every track, and its phases follow one
+// another from there, so within a track slice starts are strictly
+// ordered, which is what trace viewers require.
 //
 // setupNS adds a leading "setup" slice on each engine track: setupNS[e] is
 // the wall time engine e's worker spent materializing its scenario before
@@ -91,30 +91,17 @@ func BuildTraceEvents(recs []WindowRecord, setupNS []int64) []TraceEvent {
 				Args: map[string]any{"sort_index": e},
 			})
 	}
-	cursor := make([]int64, engines) // per-track monotonic frontier, ns
-	var base int64                   // window start on the synthetic timeline, ns
 	for e := 0; e < engines && e < len(setupNS); e++ {
-		if setupNS[e] <= 0 {
-			continue
-		}
-		cursor[e] = appendSlice(&events, phaseSetup, e, 0, setupNS[e],
-			map[string]any{"setup_ns": setupNS[e]})
-		if cursor[e] > base {
-			base = cursor[e] // first window starts after the slowest setup
+		if setupNS[e] > 0 {
+			appendSlice(&events, phaseSetup, e, 0, setupNS[e],
+				map[string]any{"setup_ns": setupNS[e]})
 		}
 	}
+	tl := NewTimeline(recs, setupNS)
 	for i := range recs {
 		rec := &recs[i]
-		// Barrier/exchange spans for this window live in the next record.
-		var wait, exch []int64
-		if i+1 < len(recs) && recs[i+1].Seq == rec.Seq+1 {
-			wait, exch = recs[i+1].BarrierWaitNS, recs[i+1].ExchangeNS
-		}
-		for e := 0; e < len(rec.Events) && e < engines; e++ {
-			at := base
-			if cursor[e] > at {
-				at = cursor[e]
-			}
+		wait, exch := phaseSpans(recs, i)
+		for e := range rec.Events {
 			args := map[string]any{
 				"seq":      rec.Seq,
 				"start_ns": rec.StartNS,
@@ -127,18 +114,77 @@ func BuildTraceEvents(recs []WindowRecord, setupNS []int64) []TraceEvent {
 			if e < len(rec.QueueDepth) {
 				args["queue_depth"] = rec.QueueDepth[e]
 			}
-			at = appendSlice(&events, phaseCompute, e, at, idx64(rec.ComputeNS, e), args)
+			at := appendSlice(&events, phaseCompute, e, tl.start[i], idx64(rec.ComputeNS, e), args)
 			at = appendSlice(&events, phaseBarrier, e, at, idx64(wait, e), nil)
-			at = appendSlice(&events, phaseExchange, e, at, idx64(exch, e), nil)
-			cursor[e] = at
+			appendSlice(&events, phaseExchange, e, at, idx64(exch, e), nil)
 		}
-		wall := rec.WallNS
-		if wall < 1 {
-			wall = 1 // keep window starts strictly increasing
-		}
-		base += wall
 	}
 	return events
+}
+
+// phaseSpans returns window i's per-engine barrier wait and exchange
+// spans, which the recorder publishes in the next record; a window whose
+// next record is missing (the last, or one before an eviction gap) has
+// none.
+func phaseSpans(recs []WindowRecord, i int) (wait, exch []int64) {
+	if i+1 < len(recs) && recs[i+1].Seq == recs[i].Seq+1 {
+		return recs[i+1].BarrierWaitNS, recs[i+1].ExchangeNS
+	}
+	return nil, nil
+}
+
+// Timeline is the synthetic timeline BuildTraceEvents lays the engine
+// tracks on, synthesized from the records' wall-clock deltas. The first
+// window starts once the slowest setup span ends, and window w+1 starts
+// max(WallNS, 1) after window w, or where the last of window w's phase
+// slices ends if that is later. At maps simulated time onto it, so lanes
+// drawn beside the engine tracks (netmon's packet paths) line up with the
+// windows that carried them.
+type Timeline struct {
+	recs  []WindowRecord
+	start []int64 // start[i]: recs[i]'s start, ns; start[len(recs)]: the end
+}
+
+// NewTimeline lays out recs (oldest first) after the setup spans setupNS
+// (nil for none) as BuildTraceEvents does.
+func NewTimeline(recs []WindowRecord, setupNS []int64) Timeline {
+	tl := Timeline{recs: recs, start: make([]int64, len(recs)+1)}
+	var at int64
+	for _, s := range setupNS {
+		at = max(at, s)
+	}
+	for i := range recs {
+		tl.start[i] = at
+		rec := &recs[i]
+		wait, exch := phaseSpans(recs, i)
+		next := at + max(rec.WallNS, 1)
+		for e := range rec.Events {
+			end := at + max(idx64(rec.ComputeNS, e), 1) + max(idx64(wait, e), 1) + max(idx64(exch, e), 1)
+			next = max(next, end)
+		}
+		at = next
+	}
+	tl.start[len(recs)] = at
+	return tl
+}
+
+// At maps simulated time simNS onto the timeline: linear interpolation
+// inside the window that covers it, clamped to the next window's start
+// across the idle gaps the engines fast-forward over, and to the end past
+// the last window. A Timeline without records maps time identically.
+func (tl Timeline) At(simNS int64) int64 {
+	if len(tl.recs) == 0 {
+		return simNS
+	}
+	i := sort.Search(len(tl.recs), func(i int) bool { return tl.recs[i].EndNS > simNS })
+	if i == len(tl.recs) {
+		return tl.start[i]
+	}
+	rec := &tl.recs[i]
+	if simNS <= rec.StartNS {
+		return tl.start[i]
+	}
+	return tl.start[i] + (simNS-rec.StartNS)*(tl.start[i+1]-tl.start[i])/(rec.EndNS-rec.StartNS)
 }
 
 func idx64(s []int64, i int) int64 {
@@ -154,9 +200,7 @@ func idx64(s []int64, i int) int64 {
 // every window shows all three phases; the per-track cursor keeps starts
 // strictly monotonic regardless.
 func appendSlice(events *[]TraceEvent, name string, e int, startNS, durNS int64, args map[string]any) int64 {
-	if durNS < 1 {
-		durNS = 1
-	}
+	durNS = max(durNS, 1)
 	*events = append(*events, TraceEvent{
 		Name: name, Ph: "X", PID: 1, TID: e,
 		TS: float64(startNS) / 1e3, Dur: float64(durNS) / 1e3,

@@ -113,7 +113,7 @@ func TestChromeTraceShape(t *testing.T) {
 
 func TestChromeTraceStrictlyOrderedStarts(t *testing.T) {
 	// Overrunning phases (sum of spans far beyond WallNS) must not break
-	// per-track ordering: the cursor absorbs the overlap.
+	// per-track ordering: the next window starts where they end.
 	recs := syntheticRecords(2, 5)
 	for i := range recs {
 		recs[i].WallNS = 10 // much less than the phase durations
