@@ -65,12 +65,10 @@ func TestScale1MClientHybridRun(t *testing.T) {
 	for i := range clientIDs {
 		clientIDs[i] = clientHosts[i%len(clientHosts)]
 	}
-	// Each stream is drawn once, so nothing is recorded: a million
-	// clients' recorded prefixes would hold 256 MB.
 	bgFlows, next, _ := traffic.FluidHTTP(traffic.HTTPConfig{
 		Clients: clientIDs, Servers: serverIDs,
 		MeanGap: 5 * des.Second, MeanFileBytes: 50_000, Seed: seed,
-	}, horizon, traffic.Record(seed, 0))
+	}, horizon)
 	plane, err := fluid.Build(fluid.Config{
 		Net: net, Routes: routes, End: horizon,
 		Quantum: 15 * des.Millisecond, Next: next,
@@ -95,7 +93,7 @@ func TestScale1MClientHybridRun(t *testing.T) {
 	fg := traffic.InstallHTTP(sim, traffic.HTTPConfig{
 		Clients: clientHosts[:400], Servers: serverIDs[:100],
 		MeanGap: 1 * des.Second, MeanFileBytes: 50_000, Seed: seed + 1,
-	}, traffic.Record(seed+1, 400))
+	})
 	buildSec := time.Since(buildStart).Seconds()
 
 	runStart := time.Now()

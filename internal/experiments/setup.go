@@ -9,7 +9,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"massf/internal/cluster"
 	"massf/internal/core"
@@ -73,8 +72,8 @@ func (w Workload) String() string {
 
 // Setup is a built testbed: topology, routing and host roles. Profile is
 // written only by RunProfiling, the benchmark's profiling pass; the launch
-// path hands profiles around as values and writes a Setup after Build only
-// through its draws, which the first run on it fills once.
+// path hands profiles around as values and never writes a Setup after
+// Build, so any number of runs may share one.
 type Setup struct {
 	Scale   Scale
 	MultiAS bool
@@ -90,31 +89,6 @@ type Setup struct {
 	Servers  []model.NodeID
 
 	Profile *profile.Profile
-
-	// draws is the background workload's recorded client streams, shared by
-	// every run on the Setup and every shallow copy of it (bind).
-	draws *httpDraws
-}
-
-// httpDraws holds a Setup's recording of its HTTP clients' streams: the
-// first prepare records them under its seed, once, and every later one
-// replays them. A run under another seed draws fresh streams (the
-// recording is keyed by its seed).
-type httpDraws struct {
-	once sync.Once
-	rec  *traffic.Recording
-}
-
-// recording returns the Setup's recorded client streams, recording them
-// under seed on the first call. A Setup not made by newSetup shares none,
-// so each call records afresh.
-func (st *Setup) recording(seed int64) *traffic.Recording {
-	d := st.draws
-	if d == nil {
-		d = new(httpDraws)
-	}
-	d.once.Do(func() { d.rec = traffic.Record(seed, len(st.Clients)) })
-	return d.rec
 }
 
 // NewSetup builds a Setup from an already-constructed network with the
@@ -129,7 +103,7 @@ func NewSetup(net *model.Network, sc Scale, multi bool) (*Setup, error) {
 // forwarding is byte-identical and the same trees are built, only the
 // retained state shrinks.
 func newSetup(net *model.Network, sc Scale, multi bool, owned []bool) (*Setup, error) {
-	st := &Setup{Scale: sc, MultiAS: multi, Net: net, Sync: cluster.DefaultTeraGrid(), draws: new(httpDraws)}
+	st := &Setup{Scale: sc, MultiAS: multi, Net: net, Sync: cluster.DefaultTeraGrid()}
 	if owned != nil {
 		st.Router = interdomain.NewScoped(net, owned)
 	} else {
@@ -206,7 +180,6 @@ type Exec struct {
 // seed and draw parameters.
 type background struct {
 	cfg     traffic.HTTPConfig
-	rec     *traffic.Recording
 	hybrid  bool
 	quantum des.Time
 	stats   *traffic.HTTPStats // the hybrid workload's counts, filled by Fluid
@@ -216,7 +189,7 @@ func (b *background) Fluid(end des.Time) ([]fluid.Flow, func(int32, des.Time) (f
 	if !b.hybrid {
 		return nil, nil, 0
 	}
-	flows, next, stats := traffic.FluidHTTP(b.cfg, end, b.rec)
+	flows, next, stats := traffic.FluidHTTP(b.cfg, end)
 	b.stats = stats
 	return flows, next, b.quantum
 }
@@ -226,7 +199,7 @@ func (b *background) Install(p *Prepared) {
 		p.HTTP = b.stats
 		return
 	}
-	p.HTTP = traffic.InstallHTTP(p.Sim, b.cfg, b.rec)
+	p.HTTP = traffic.InstallHTTP(p.Sim, b.cfg)
 }
 
 // installApp installs the foreground application workflows.
@@ -316,7 +289,6 @@ func (st *Setup) prepare(m *core.Mapping, w Workload, opt runspec.RunSpec, src T
 				Clients: st.Clients, Servers: st.Servers,
 				MeanGap: 5 * des.Second, MeanFileBytes: 50_000, Seed: st.Scale.Seed,
 			},
-			rec:    st.recording(st.Scale.Seed),
 			hybrid: opt.Hybrid(), quantum: opt.FluidQuantum(),
 		}
 	}

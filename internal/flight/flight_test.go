@@ -8,9 +8,9 @@ import (
 	"massf/internal/telemetry"
 )
 
-// skewedRecording builds windows where engine 1 always does 4× the
+// skewedTrace builds windows where engine 1 always does 4× the
 // compute of engines 0 and 2, with a Seq gap between windows 2 and 3.
-func skewedRecording() []telemetry.WindowRecord {
+func skewedTrace() []telemetry.WindowRecord {
 	var recs []telemetry.WindowRecord
 	seq := uint64(0)
 	for w := 0; w < 6; w++ {
@@ -31,7 +31,7 @@ func skewedRecording() []telemetry.WindowRecord {
 }
 
 func TestAnalyzeBoundingEngineAndEfficiency(t *testing.T) {
-	rep := Analyze(skewedRecording(), 2)
+	rep := Analyze(skewedTrace(), 2)
 	if rep.Engines != 3 || rep.WindowsAnalyzed != 6 {
 		t.Fatalf("shape: %d engines, %d windows", rep.Engines, rep.WindowsAnalyzed)
 	}
@@ -74,7 +74,7 @@ func TestAnalyzeBoundingEngineAndEfficiency(t *testing.T) {
 }
 
 func TestAnalyzeEventFallback(t *testing.T) {
-	// Recordings without compute spans (legacy or synthetic) fall back to
+	// Traces without compute spans (legacy or synthetic) fall back to
 	// event counts for the bounding decision.
 	recs := []telemetry.WindowRecord{
 		{Seq: 0, Events: []uint64{10, 90}},
@@ -102,7 +102,7 @@ func TestAnalyzeEmpty(t *testing.T) {
 }
 
 func TestAttributeRouters(t *testing.T) {
-	rep := Analyze(skewedRecording(), 1)
+	rep := Analyze(skewedTrace(), 1)
 	// Nodes 0,1 on engine 0; nodes 2,3,4 on engine 1 (the straggler).
 	part := []int32{0, 0, 1, 1, 1}
 	nodeEvents := []uint64{5, 5, 700, 200, 100}
@@ -125,7 +125,7 @@ func TestAttributeRouters(t *testing.T) {
 }
 
 func TestReportJSONAndText(t *testing.T) {
-	rep := Analyze(skewedRecording(), 3)
+	rep := Analyze(skewedTrace(), 3)
 	rep.AttributeRouters([]int32{1, 1, 0}, []uint64{600, 300, 10}, 5)
 	data, err := json.Marshal(rep)
 	if err != nil {

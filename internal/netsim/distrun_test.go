@@ -178,7 +178,7 @@ func buildDistScenario(t *testing.T, transport pdes.Transport, first, hosted int
 	obs.http = traffic.InstallHTTP(s, traffic.HTTPConfig{
 		Clients: hosts[:4], Servers: hosts[len(hosts)-2:],
 		MeanGap: 25 * des.Millisecond, MeanFileBytes: 15_000, Seed: 99,
-	}, traffic.Record(99, 4))
+	})
 	return s, obs
 }
 

@@ -80,12 +80,11 @@ func TestSetupCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 }
 
-// TestConcurrentWarmRunsReplayOneRecording: the runs of one cached spec
-// share its Setup, and with it the HTTP client draws the first run
-// recorded. Four runs submitted at once replay that recording in parallel,
-// and each must report what a run alone did: the same events, HTTP
-// requests and HTTP responses.
-func TestConcurrentWarmRunsReplayOneRecording(t *testing.T) {
+// TestConcurrentWarmRunsMatchARunAlone: the runs of one cached spec share
+// its Setup, which no run writes. Four runs submitted at once build on it
+// in parallel, and each must report what a run alone did: the same
+// events, HTTP requests and HTTP responses.
+func TestConcurrentWarmRunsMatchARunAlone(t *testing.T) {
 	const concurrent = 4
 	spec := Spec{
 		Flat:     &FlatSpec{Routers: 40, Hosts: 40},

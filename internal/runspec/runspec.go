@@ -1,8 +1,9 @@
 // Package runspec defines RunSpec, the run-level knobs of the launch path:
 // experiments.Scenario embeds it (so the daemon's HTTP wire format stays
-// flat) and experiments.BuildSim takes it directly. A RunSpec is
-// normalized and validated once, here; the scenario adds only what is
-// genuinely its own (topology sources, workload names).
+// flat), and Scenario.Prepare, the launch path's build step, reads it from
+// there; Setup.BuildSim, the benchmark's wrapper, takes one directly. A
+// RunSpec is normalized and validated once, here; the scenario adds only
+// what is genuinely its own (topology sources, workload names).
 package runspec
 
 import (

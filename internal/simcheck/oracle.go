@@ -152,13 +152,11 @@ func (s *script) Install(p *experiments.Prepared) {
 			func(at des.Time) { obs.UDPRecv[i] = at })
 	}
 	if clients, servers := s.sc.httpEndpoints(s.hosts); len(clients) > 0 {
-		// Each run installs its workload once, so nothing is recorded.
-		seed := s.sc.Seed + 7
 		p.HTTP = traffic.InstallHTTP(p.Sim, traffic.HTTPConfig{
 			Clients: clients, Servers: servers,
 			MeanGap: 30 * des.Millisecond, MeanFileBytes: 20_000,
-			Seed: seed,
-		}, traffic.Record(seed, 0))
+			Seed: s.sc.Seed + 7,
+		})
 	}
 }
 

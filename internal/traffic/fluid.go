@@ -1,7 +1,7 @@
 package traffic
 
 import (
-	"math/rand"
+	"math/rand/v2"
 
 	"massf/internal/des"
 	"massf/internal/fluid"
@@ -22,19 +22,17 @@ type fluidClient struct {
 // InstallHTTP consumes) into fluid-plane form: each client is one closed
 // chain whose request flow spawns the response flow on completion, and
 // whose response completion draws the think gap and issues the next
-// request. The per-client RNG streams and draw order mirror InstallHTTP
-// exactly — same seed, same servers, same sizes, same think times — so a
-// hybrid run's fluid workload is the analytic twin of the packet
-// workload it replaces, and the simcheck error budget compares like with
-// like.
-//
-// The clients draw through rec, as InstallHTTP's do.
+// request. The per-client RNG streams (clientStreams builds both) and
+// the draw order mirror InstallHTTP exactly — same seed, same servers,
+// same sizes, same think times — so a hybrid run's fluid workload is the
+// analytic twin of the packet workload it replaces, and the simcheck
+// error budget compares like with like.
 //
 // Returns the initial request flows (client index = chain id), the
 // chain-continuation callback for fluid.Config.Next, and the stats
 // filled in during the build (requests at issue, responses at response
 // completion). Pass end so requests beyond the horizon are not counted.
-func FluidHTTP(cfg HTTPConfig, end des.Time, rec *Recording) ([]fluid.Flow, func(int32, des.Time) (fluid.Flow, bool), *HTTPStats) {
+func FluidHTTP(cfg HTTPConfig, end des.Time) ([]fluid.Flow, func(int32, des.Time) (fluid.Flow, bool), *HTTPStats) {
 	cfg.setDefaults()
 	stats := &HTTPStats{
 		Requests:  make([]uint64, len(cfg.Clients)),
@@ -43,18 +41,19 @@ func FluidHTTP(cfg HTTPConfig, end des.Time, rec *Recording) ([]fluid.Flow, func
 	if len(cfg.Servers) == 0 {
 		return nil, nil, stats
 	}
-	rngs := rec.streams(cfg.Seed, len(cfg.Clients))
-	clients := make([]*fluidClient, len(cfg.Clients))
+	rngs := clientStreams(cfg.Seed, len(cfg.Clients))
+	clients := make([]fluidClient, len(cfg.Clients))
 	issue := func(ci int) {
-		c := clients[ci]
+		c := &clients[ci]
 		c.server, c.size = cfg.draw(c.rng)
 		c.inReply = false
 	}
 	flows := make([]fluid.Flow, 0, len(cfg.Clients))
+	shift := rampShift(cfg.Seed)
 	for ci, client := range cfg.Clients {
-		c := &fluidClient{rng: rngs[ci]}
-		clients[ci] = c
-		first := des.Time(c.rng.Float64() * float64(cfg.MeanGap))
+		c := &clients[ci]
+		c.rng = &rngs[ci]
+		first := cfg.firstRequest(ci, c.rng, shift)
 		issue(ci)
 		if first < end {
 			stats.Requests[ci]++
@@ -66,7 +65,7 @@ func FluidHTTP(cfg HTTPConfig, end des.Time, rec *Recording) ([]fluid.Flow, func
 	}
 	next := func(chain int32, at des.Time) (fluid.Flow, bool) {
 		ci := int(chain)
-		c := clients[ci]
+		c := &clients[ci]
 		if !c.inReply {
 			// Request landed: the server sends the file back.
 			c.inReply = true

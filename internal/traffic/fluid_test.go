@@ -1,7 +1,6 @@
 package traffic
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -34,7 +33,7 @@ func TestFluidHTTPDrivesClosedLoops(t *testing.T) {
 		Clients: hosts[:6], Servers: hosts[6:],
 		MeanGap: des.Second, MeanFileBytes: 20_000, Seed: 1,
 	}
-	flows, next, stats := FluidHTTP(cfg, end, Record(cfg.Seed, len(cfg.Clients)))
+	flows, next, stats := FluidHTTP(cfg, end)
 	if len(flows) != 6 {
 		t.Fatalf("initial flows = %d, want one per client", len(flows))
 	}
@@ -85,7 +84,7 @@ func TestFluidHTTPDeterministicAcrossBuilds(t *testing.T) {
 		MeanGap: des.Second / 2, MeanFileBytes: 30_000, Seed: 9,
 	}
 	build := func() *fluid.Plane {
-		flows, next, _ := FluidHTTP(cfg, end, Record(cfg.Seed, len(cfg.Clients)))
+		flows, next, _ := FluidHTTP(cfg, end)
 		p, err := fluid.Build(fluid.Config{
 			Net: net, Routes: interdomain.New(net), End: end, Next: next,
 		}, flows)
@@ -109,12 +108,14 @@ func TestFluidHTTPMirrorsPacketDraws(t *testing.T) {
 		Clients: hosts[:4], Servers: hosts[4:],
 		MeanGap: des.Second, MeanFileBytes: 20_000, Seed: 77,
 	}
-	flows, _, _ := FluidHTTP(cfg, des.Time(des.Second), Record(cfg.Seed, len(cfg.Clients)))
-	// Recreate the packet side's draws with the same stream recipe.
+	flows, _, _ := FluidHTTP(cfg, des.Time(des.Second))
+	// Recreate the packet side's draws from the streams it builds.
+	rngs := clientStreams(cfg.Seed, len(cfg.Clients))
+	shift := rampShift(cfg.Seed)
 	for ci := range cfg.Clients {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(ci)*104729))
-		first := des.Time(rng.Float64() * float64(cfg.MeanGap))
-		server := cfg.Servers[rng.Intn(len(cfg.Servers))]
+		rng := &rngs[ci]
+		first := cfg.firstRequest(ci, rng, shift)
+		server := cfg.Servers[rng.IntN(len(cfg.Servers))]
 		if flows[ci].Start != first {
 			t.Fatalf("client %d: first request at %v, packet draw %v", ci, flows[ci].Start, first)
 		}

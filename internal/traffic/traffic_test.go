@@ -41,7 +41,7 @@ func TestHTTPGeneratesTraffic(t *testing.T) {
 	stats := InstallHTTP(s, HTTPConfig{
 		Clients: hosts[:8], Servers: hosts[8:],
 		MeanGap: des.Second, MeanFileBytes: 20_000, Seed: 1,
-	}, Record(1, 8))
+	})
 	res := s.Run()
 	if stats.TotalRequests() == 0 {
 		t.Fatal("no HTTP requests issued")
@@ -60,27 +60,25 @@ func TestHTTPGeneratesTraffic(t *testing.T) {
 
 func TestHTTPNoServers(t *testing.T) {
 	s, hosts := testNet(t, 10, 3, 1, nil, des.Second)
-	stats := InstallHTTP(s, HTTPConfig{Clients: hosts, Servers: nil, MeanGap: des.Second}, Record(0, len(hosts)))
+	stats := InstallHTTP(s, HTTPConfig{Clients: hosts, Servers: nil, MeanGap: des.Second})
 	s.Run()
 	if stats.TotalRequests() != 0 {
 		t.Error("requests issued with no servers")
 	}
 }
 
-// TestHTTPDeterministic: one seed gives one workload, whether the clients
-// replay a shared recording, a recording of another seed, or none.
+// TestHTTPDeterministic: one seed gives one workload, built once or again.
 func TestHTTPDeterministic(t *testing.T) {
-	run := func(rec *Recording) uint64 {
+	run := func() (uint64, uint64) {
 		s, hosts := testNet(t, 30, 10, 1, nil, 10*des.Second)
-		stats := InstallHTTP(s, HTTPConfig{Clients: hosts[:6], Servers: hosts[6:], MeanGap: des.Second, Seed: 3}, rec)
-		s.Run()
-		return stats.TotalResponses()
+		stats := InstallHTTP(s, HTTPConfig{Clients: hosts[:6], Servers: hosts[6:], MeanGap: des.Second, Seed: 3})
+		res := s.Run()
+		return stats.TotalResponses(), res.TotalEvents
 	}
-	shared := Record(3, 6)
-	want := run(shared)
-	for name, rec := range map[string]*Recording{"shared": shared, "other seed": Record(4, 6), "none": Record(3, 0)} {
-		if got := run(rec); got != want {
-			t.Errorf("%s recording: %d responses, want %d", name, got, want)
+	wantResp, wantEvents := run()
+	for i := 0; i < 2; i++ {
+		if resp, events := run(); resp != wantResp || events != wantEvents {
+			t.Errorf("build %d: %d responses and %d events, want %d and %d", i+2, resp, events, wantResp, wantEvents)
 		}
 	}
 }

@@ -42,12 +42,9 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The profiling pass records the clients' draws; the mapped run below
-	// replays them.
-	draws := traffic.Record(2, 30)
 	traffic.InstallHTTP(profSim, traffic.HTTPConfig{
 		Clients: hosts[:30], Servers: hosts[30:40], MeanGap: des.Second, Seed: 2,
-	}, draws)
+	})
 	profRes := profSim.Run()
 	prof := profile.FromResult(&profRes, 4*des.Second)
 
@@ -70,7 +67,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	httpStats := traffic.InstallHTTP(sim, traffic.HTTPConfig{
 		Clients: hosts[:30], Servers: hosts[30:40], MeanGap: des.Second, Seed: 2,
-	}, draws)
+	})
 	ws, err := traffic.InstallWorkflow(sim, traffic.ScaLapack(hosts[40:45]), 0)
 	if err != nil {
 		t.Fatal(err)
